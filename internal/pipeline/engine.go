@@ -40,8 +40,8 @@ type Config struct {
 	// reported trace). Values are clamped to [1, max(MicroBatches, MBCap)].
 	// Nil keeps the static MicroBatches — the byte-identical default path.
 	MBSchedule func(epoch int, start time.Duration) int
-	// MBCap bounds MBSchedule's values; dependency latches and activation
-	// memory are provisioned for max(MicroBatches, MBCap) up front.
+	// MBCap bounds MBSchedule's values; the dependency scoreboard and
+	// activation memory are provisioned for max(MicroBatches, MBCap) up front.
 	MBCap int
 }
 
@@ -73,8 +73,8 @@ func (c *Config) normalize() error {
 	return nil
 }
 
-// mbAlloc is the micro-batch count latches and activation memory are
-// provisioned for.
+// mbAlloc is the micro-batch count the dependency scoreboard and activation
+// memory are provisioned for.
 func (c Config) mbAlloc() int { return c.MBCap }
 
 // numVirtual is the total virtual stage count.
@@ -87,9 +87,10 @@ type OpSpan struct {
 	End   time.Duration
 }
 
-// Trainer is one pipeline-parallel training run across a set of GPUs.
-// All per-epoch dependency latches are pre-allocated at Start, so stages can
-// never observe a half-installed epoch.
+// Trainer is one pipeline-parallel training run across a set of GPUs: the
+// epoch-cycle driver of the plan Runner. It owns the per-stage clients, the
+// epoch hooks and timeline, and (under MBSchedule) the plan each epoch runs;
+// the Runner owns op execution and every cross-stage dependency.
 type Trainer struct {
 	cfg     Config
 	eng     simtime.Engine
@@ -97,16 +98,11 @@ type Trainer struct {
 	devices []*simgpu.Device
 
 	// Immutable after Start:
-	clients  []*simgpu.Client
-	plan     *Plan                // the generated schedule (base micro-batch count)
-	goEpochs []*simproc.Latch     // goEpochs[e] releases epoch e
-	fpDone   [][][]*simproc.Latch // [epoch][stage][mb]
-	bpDone   [][][]*simproc.Latch
-	// epochMB[e] is epoch e's micro-batch count, written by beginEpoch
-	// before the epoch latch opens (MBSchedule only; nil otherwise).
-	epochMB []int
-	// planCache memoizes re-generated plans per micro-batch count (guarded
-	// by mu; MBSchedule only).
+	clients []*simgpu.Client
+	plan    *Plan // the generated schedule (base micro-batch count)
+	run     *Runner
+	// planCache memoizes re-generated plans per micro-batch count (engine
+	// context only; MBSchedule only).
 	planCache map[int]*Plan
 
 	mu           sync.Mutex
@@ -115,7 +111,6 @@ type Trainer struct {
 	opLog        [][]OpSpan // per stage
 	onEpochStart []func(epoch int, t time.Duration)
 	onEpochEnd   []func(epoch int, t time.Duration)
-	arrived      int
 	started      bool
 	failed       error
 
@@ -137,6 +132,9 @@ func New(eng simtime.Engine, procs *simproc.Runtime, devices []*simgpu.Device, c
 		devices: devices,
 		opLog:   make([][]OpSpan, cfg.Stages),
 		done:    simproc.NewLatch(eng),
+		// Sized up front: a steady-state epoch appends without allocating.
+		epochStart: make([]time.Duration, 0, cfg.Epochs),
+		epochEnd:   make([]time.Duration, 0, cfg.Epochs),
 	}
 	return t, nil
 }
@@ -201,7 +199,8 @@ func (t *Trainer) TotalTime() time.Duration {
 }
 
 // Start allocates training memory on every stage and spawns the stage
-// processes. It returns immediately; completion is observable via Done.
+// processes. It returns immediately; completion is observable via Done. On
+// the wall engine it must be called from an engine callback (see Runner).
 func (t *Trainer) Start() error {
 	t.mu.Lock()
 	if t.started {
@@ -211,72 +210,56 @@ func (t *Trainer) Start() error {
 	t.started = true
 	t.mu.Unlock()
 
-	clients := make([]*simgpu.Client, t.cfg.Stages)
-	for s := 0; s < t.cfg.Stages; s++ {
-		// Weight 2: the training process drives multiple CUDA streams
-		// (compute + collectives), so it exerts about twice the
-		// thread-block pressure of a single-stream side task when sharing
-		// the device. This is what bounds the MPS baseline's damage for
-		// light side tasks (paper Table 2).
-		c, err := t.devices[s].NewClient(simgpu.ClientConfig{
-			Name:   fmt.Sprintf("train-s%d", s),
-			Weight: 2,
-		})
-		if err != nil {
-			return fmt.Errorf("pipeline: stage %d client: %w", s, err)
-		}
-		// Activation memory is provisioned for the largest micro-batch
-		// count the run can reach (mbAlloc == MicroBatches without the
-		// resize hook).
-		need := t.cfg.Model.StageMemUsedSched(t.cfg.Schedule, s, t.cfg.Stages,
-			t.cfg.mbAlloc(), t.cfg.VirtualPerStage)
-		if err := c.AllocMem(need); err != nil {
-			return fmt.Errorf("pipeline: stage %d memory: %w", s, err)
-		}
-		clients[s] = c
-	}
-	t.clients = clients
-
 	plan, err := t.planFor(t.cfg.MicroBatches)
 	if err != nil {
 		return err
 	}
+	// Activation memory is provisioned for the largest micro-batch count
+	// the run can reach (mbAlloc == MicroBatches without the resize hook).
+	clients, err := NewStageClients(t.devices, "train-s", func(s int) int64 {
+		return t.cfg.Model.StageMemUsedSched(t.cfg.Schedule, s, t.cfg.Stages,
+			t.cfg.mbAlloc(), t.cfg.VirtualPerStage)
+	})
+	if err != nil {
+		return fmt.Errorf("pipeline: %w", err)
+	}
+	t.clients = clients
 	t.plan = plan
 
-	nv := t.cfg.numVirtual()
-	t.goEpochs = make([]*simproc.Latch, t.cfg.Epochs)
-	t.fpDone = make([][][]*simproc.Latch, t.cfg.Epochs)
-	t.bpDone = make([][][]*simproc.Latch, t.cfg.Epochs)
-	for e := 0; e < t.cfg.Epochs; e++ {
-		t.goEpochs[e] = simproc.NewLatch(t.eng)
-		t.fpDone[e] = newLatchGrid(t.eng, nv, t.cfg.mbAlloc())
-		t.bpDone[e] = newLatchGrid(t.eng, nv, t.cfg.mbAlloc())
+	m := t.cfg.Model
+	chunks := time.Duration(t.cfg.VirtualPerStage)
+	bpDur := m.BPPerMB / chunks
+	rc := RunnerConfig{
+		Stages:          t.cfg.Stages,
+		VirtualPerStage: t.cfg.VirtualPerStage,
+		Cycles:          t.cfg.Epochs,
+		MBAlloc:         t.cfg.mbAlloc(),
+		Comm:            m.CommLatency,
+		ProcName:        "pipe-v",
+		CycleDone:       t.endEpoch,
+		Failed:          t.opFailed,
 	}
-	if t.cfg.MBSchedule != nil {
-		t.epochMB = make([]int, t.cfg.Epochs)
+	rc.Durations[OpForward] = m.FPPerMB / chunks
+	rc.Durations[OpBackward] = bpDur
+	rc.Durations[OpBackwardInput] = bpDur / 2 // zero-bubble activation-gradient half
+	rc.Durations[OpBackwardWeight] = bpDur - bpDur/2
+	rc.Durations[OpOptimize] = m.OptStep / chunks
+	if t.cfg.RecordOps {
+		rc.Record = t.recordOp
 	}
-
-	for v := 0; v < nv; v++ {
-		v := v
-		t.procs.SpawnInline(fmt.Sprintf("pipe-v%d", v), func(p *simproc.Process) {
-			t.startStage(p, v)
-		})
-	}
+	t.run = NewRunner(t.procs, clients, rc)
 	t.beginEpoch(0)
 	return nil
 }
 
-// planFor builds (and, under MBSchedule, memoizes) the schedule plan for a
-// micro-batch count. The legacy oracle arm routes the kinds the historic
-// StageSchedule switch knew through its retained emitters; dependency edges
-// are derived identically either way.
+// planFor builds (and memoizes) the schedule plan for a micro-batch count.
+// The legacy oracle arm routes the kinds the historic StageSchedule switch
+// knew through its retained emitters; dependency edges are derived
+// identically either way. Engine context only.
 func (t *Trainer) planFor(mbs int) (*Plan, error) {
-	t.mu.Lock()
 	if p, ok := t.planCache[mbs]; ok {
-		t.mu.Unlock()
 		return p, nil
 	}
-	t.mu.Unlock()
 	var p *Plan
 	var err error
 	if t.cfg.LegacySchedule && (t.cfg.Schedule == Schedule1F1B || t.cfg.Schedule == ScheduleGPipe) {
@@ -287,12 +270,10 @@ func (t *Trainer) planFor(mbs int) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.mu.Lock()
 	if t.planCache == nil {
 		t.planCache = make(map[int]*Plan)
 	}
 	t.planCache[mbs] = p
-	t.mu.Unlock()
 	return p, nil
 }
 
@@ -317,9 +298,11 @@ func (t *Trainer) legacyPlan(mbs int) (*Plan, error) {
 }
 
 // beginEpoch records the epoch start, fires the instrumentation hooks and
-// releases the stages. Runs in engine-callback or caller context.
+// releases the stages on the epoch's plan (re-generated when MBSchedule
+// resizes the micro-batch count). Runs in engine-callback or Start context.
 func (t *Trainer) beginEpoch(epoch int) {
 	now := t.eng.Now()
+	plan := t.plan
 	if t.cfg.MBSchedule != nil {
 		mb := t.cfg.MBSchedule(epoch, now)
 		if mb < 1 {
@@ -328,247 +311,57 @@ func (t *Trainer) beginEpoch(epoch int) {
 		if mb > t.cfg.mbAlloc() {
 			mb = t.cfg.mbAlloc()
 		}
-		t.epochMB[epoch] = mb
+		var err error
+		if plan, err = t.planFor(mb); err != nil {
+			t.fail(err)
+			return
+		}
 	}
 	t.mu.Lock()
-	t.arrived = 0
 	t.epochStart = append(t.epochStart, now)
-	hooks := append([]func(epoch int, ts time.Duration){}, t.onEpochStart...)
+	hooks := t.onEpochStart // append-only: the prefix is stable outside the lock
 	t.mu.Unlock()
 
 	for _, h := range hooks {
 		h(epoch, now)
 	}
-	t.goEpochs[epoch].Set()
+	t.run.Release(plan)
 }
 
-// stageArrived is called by each stage at its epoch barrier; the last
-// arrival closes the epoch and opens the next (or finishes training).
-func (t *Trainer) stageArrived(epoch int) {
-	t.mu.Lock()
-	t.arrived++
-	if t.arrived < t.cfg.numVirtual() {
-		t.mu.Unlock()
-		return
-	}
+// endEpoch is the runner's barrier callback: the last stage has finished the
+// epoch, so close it and open the next (or finish training).
+func (t *Trainer) endEpoch(epoch int) {
 	now := t.eng.Now()
+	t.mu.Lock()
 	t.epochEnd = append(t.epochEnd, now)
-	hooks := append([]func(epoch int, ts time.Duration){}, t.onEpochEnd...)
-	last := epoch+1 >= t.cfg.Epochs
+	hooks := t.onEpochEnd
 	t.mu.Unlock()
 
 	for _, h := range hooks {
 		h(epoch, now)
 	}
-	if last {
+	if epoch+1 >= t.cfg.Epochs {
 		t.done.Set()
 		return
 	}
 	t.beginEpoch(epoch + 1)
 }
 
-// stageRun is the continuation-passing body of one (virtual) stage: Epochs
-// times through the stage's schedule, blocking on cross-stage dependencies —
-// entirely on the engine goroutine, with no process-goroutine handshake per
-// dependency, transfer or kernel. With VirtualPerStage == 1 the virtual
-// index v IS the physical stage; otherwise chunk v executes on device
-// v mod Stages, its kernels FIFO-interleaving with the device's other
-// chunks.
-type stageRun struct {
-	t      *Trainer
-	p      *simproc.Process
-	v      int
-	phys   int
-	nv     int
-	client *simgpu.Client
-	ops    []Op
-	// deps are the plan's cross-chunk edges, parallel to ops.
-	deps []Dep
-	// names are the per-op kernel labels, precomputed so the op loop never
-	// formats strings.
-	names  []string
-	curMB  int
-	fpDur  time.Duration
-	bpDur  time.Duration
-	bDur   time.Duration // zero-bubble activation-gradient half
-	wDur   time.Duration // zero-bubble weight-gradient half
-	optDur time.Duration
-	comm   time.Duration
-
-	epoch   int
-	i       int // index into ops
-	opStart time.Duration
-
-	// spec is the reusable kernel spec of the op loop; Name/Duration are
-	// rewritten per op, Demand/Weight are fixed at startStage (the launch
-	// reads the spec synchronously, so reuse is safe).
-	spec simgpu.KernelSpec
-
-	// Pre-bound continuations: one closure each for the whole run.
-	afterGoFn   func(any)
-	afterDepFn  func(any)
-	afterCommFn func(any)
-	afterExecFn func(any)
+// fail records the first training failure.
+func (t *Trainer) fail(err error) {
+	t.mu.Lock()
+	if t.failed == nil {
+		t.failed = err
+	}
+	t.mu.Unlock()
 }
 
-// startStage builds and launches the stage machine (inline process body).
-func (t *Trainer) startStage(p *simproc.Process, v int) {
-	m := t.cfg.Model
-	chunks := time.Duration(t.cfg.VirtualPerStage)
-	phys := v % t.cfg.Stages
-	bpDur := m.BPPerMB / chunks
-	r := &stageRun{
-		t:      t,
-		p:      p,
-		v:      v,
-		phys:   phys,
-		nv:     t.cfg.numVirtual(),
-		client: t.clients[phys],
-		fpDur:  m.FPPerMB / chunks,
-		bpDur:  bpDur,
-		bDur:   bpDur / 2,
-		wDur:   bpDur - bpDur/2,
-		optDur: m.OptStep / chunks,
-		comm:   m.CommLatency,
-	}
-	r.spec = simgpu.KernelSpec{Demand: 1.0, Weight: 1.0}
-	r.bindChunk(t.plan)
-	r.afterGoFn = r.afterGo
-	r.afterDepFn = r.afterDep
-	r.afterCommFn = r.afterComm
-	r.afterExecFn = r.afterExec
-	r.waitEpoch()
+func (t *Trainer) opFailed(stage int, op Op, err error) {
+	t.fail(fmt.Errorf("pipeline: stage %d %v mb %d: %w", stage, op.Kind, op.MB, err))
 }
 
-// bindChunk points the run at its chunk of a plan, precomputing kernel
-// labels.
-func (r *stageRun) bindChunk(plan *Plan) {
-	r.ops = plan.Chunks[r.v]
-	r.deps = plan.Deps[r.v]
-	r.curMB = plan.MicroBatches
-	r.names = make([]string, len(r.ops))
-	for i, op := range r.ops {
-		r.names[i] = fmt.Sprintf("s%d-%v-%d", r.phys, op.Kind, op.MB)
-	}
-}
-
-// waitEpoch blocks on the epoch-release latch.
-func (r *stageRun) waitEpoch() {
-	r.t.goEpochs[r.epoch].WaitThen(r.p, r.afterGoFn)
-}
-
-func (r *stageRun) afterGo(any) {
-	if r.t.cfg.MBSchedule != nil {
-		if mb := r.t.epochMB[r.epoch]; mb != r.curMB {
-			plan, err := r.t.planFor(mb)
-			if err != nil {
-				r.p.Exit(err)
-				return
-			}
-			r.bindChunk(plan)
-		}
-	}
-	r.i = 0
-	r.nextOp()
-}
-
-// nextOp dispatches ops[i], or closes the epoch when the schedule is done.
-func (r *stageRun) nextOp() {
-	if r.i >= len(r.ops) {
-		epoch := r.epoch
-		r.epoch++
-		r.t.stageArrived(epoch)
-		if r.epoch >= r.t.cfg.Epochs {
-			r.p.Exit(nil)
-			return
-		}
-		r.waitEpoch()
-		return
-	}
-	if dep := r.deps[r.i]; dep.Chunk >= 0 {
-		if dep.On == OpForward {
-			r.t.fpDone[r.epoch][dep.Chunk][dep.MB].WaitThen(r.p, r.afterDepFn)
-		} else {
-			r.t.bpDone[r.epoch][dep.Chunk][dep.MB].WaitThen(r.p, r.afterDepFn)
-		}
-		return
-	}
-	r.execOp()
-}
-
-// afterDep runs once the op's cross-stage dependency is satisfied: model the
-// activation/gradient transfer, then execute.
-func (r *stageRun) afterDep(any) {
-	r.p.SleepThen(r.comm, r.afterCommFn)
-}
-
-func (r *stageRun) afterComm(any) {
-	r.execOp()
-}
-
-// execOp issues the op's kernel.
-func (r *stageRun) execOp() {
-	op := r.ops[r.i]
-	var d time.Duration
-	switch op.Kind {
-	case OpForward:
-		d = r.fpDur
-	case OpBackward:
-		d = r.bpDur
-	case OpBackwardInput:
-		d = r.bDur
-	case OpBackwardWeight:
-		d = r.wDur
-	default:
-		d = r.optDur
-	}
-	r.opStart = r.p.Now()
-	r.spec.Name = r.names[r.i]
-	r.spec.Duration = d
-	r.client.ExecThen(r.p, &r.spec, r.afterExecFn)
-}
-
-// afterExec retires the op: record its span, release dependents, advance.
-func (r *stageRun) afterExec(res any) {
-	t := r.t
-	op := r.ops[r.i]
-	if res != nil {
-		err, ok := res.(error)
-		if !ok {
-			err = fmt.Errorf("pipeline: unexpected completion payload %T", res)
-		}
-		t.mu.Lock()
-		if t.failed == nil {
-			t.failed = fmt.Errorf("pipeline: stage %d %v mb %d: %w", r.phys, op.Kind, op.MB, err)
-		}
-		t.mu.Unlock()
-		r.p.Exit(err)
-		return
-	}
-	if t.cfg.RecordOps {
-		t.mu.Lock()
-		t.opLog[r.phys] = append(t.opLog[r.phys], OpSpan{Op: op, Start: r.opStart, End: r.p.Now()})
-		t.mu.Unlock()
-	}
-	switch op.Kind {
-	case OpForward:
-		t.fpDone[r.epoch][r.v][op.MB].Set()
-	case OpBackward, OpBackwardInput:
-		// The activation gradient is what the upstream stage waits on; the
-		// weight-gradient W half signals nothing.
-		t.bpDone[r.epoch][r.v][op.MB].Set()
-	}
-	r.i++
-	r.nextOp()
-}
-
-func newLatchGrid(eng simtime.Engine, stages, mbs int) [][]*simproc.Latch {
-	grid := make([][]*simproc.Latch, stages)
-	for s := range grid {
-		grid[s] = make([]*simproc.Latch, mbs)
-		for m := range grid[s] {
-			grid[s][m] = simproc.NewLatch(eng)
-		}
-	}
-	return grid
+func (t *Trainer) recordOp(stage int, span OpSpan) {
+	t.mu.Lock()
+	t.opLog[stage] = append(t.opLog[stage], span)
+	t.mu.Unlock()
 }

@@ -1,0 +1,311 @@
+package pipeline
+
+import (
+	"fmt"
+	"strconv"
+	"strings"
+	"time"
+
+	"freeride/internal/simgpu"
+	"freeride/internal/simproc"
+)
+
+// NumOpKinds sizes tables indexed by OpKind.
+const NumOpKinds = int(OpBackwardWeight) + 1
+
+// NewStageClients registers one GPU context per stage ("<prefix><stage>")
+// and allocates mem(stage) on each. Weight 2: the main job drives multiple
+// CUDA streams (compute + collectives), so it exerts about twice the
+// thread-block pressure of a single-stream side task when sharing the device
+// — what bounds the MPS baseline's damage for light side tasks (paper
+// Table 2). On failure the contexts already created are destroyed, so an
+// OOM at stage s leaves stages 0…s-1 as it found them.
+func NewStageClients(devices []*simgpu.Device, prefix string, mem func(stage int) int64) ([]*simgpu.Client, error) {
+	clients := make([]*simgpu.Client, 0, len(devices))
+	for s, dev := range devices {
+		c, err := dev.NewClient(simgpu.ClientConfig{Name: prefix + strconv.Itoa(s), Weight: 2})
+		what := "client"
+		if err == nil {
+			clients = append(clients, c)
+			what, err = "memory", c.AllocMem(mem(s))
+		}
+		if err != nil {
+			for _, c := range clients {
+				c.Destroy()
+			}
+			return nil, fmt.Errorf("stage %d %s: %w", s, what, err)
+		}
+	}
+	return clients, nil
+}
+
+// RunnerConfig is what a driver — the Trainer (cycle = epoch) or
+// serve.Server (cycle = request batch) — hands the plan runner.
+type RunnerConfig struct {
+	Stages          int
+	VirtualPerStage int
+	// Cycles is how many times the chunks run through their op lists.
+	Cycles int
+	// MBAlloc is the largest micro-batch count any cycle's plan may use;
+	// the scoreboard is sized for it once.
+	MBAlloc int
+	// Durations is each op's kernel duration by kind; Comm is the
+	// activation/gradient transfer an op pays after a cross-chunk wait.
+	Durations [NumOpKinds]time.Duration
+	Comm      time.Duration
+	// ProcName prefixes the chunk process names ("pipe-v" → "pipe-v3").
+	ProcName string
+	// Label, when set, replaces the op kind in kernel names: "s<stage>-<Label>-<mb>".
+	Label string
+	// CycleDone runs once the last chunk retires a cycle: the driver closes
+	// the cycle and calls Release for the next one, now or later.
+	CycleDone func(cycle int)
+	// Failed reports an op whose kernel completed with an error; the chunk's
+	// process exits and the run stalls there.
+	Failed func(stage int, op Op, err error)
+	// Record, when non-nil, receives every retired op.
+	Record func(stage int, span OpSpan)
+}
+
+// Runner replays a Plan cycle after cycle: one inline stage machine per
+// virtual chunk runs nextOp → cross-chunk wait → comm sleep → kernel →
+// retire. With VirtualPerStage == 1 chunk v is physical stage v; otherwise
+// chunk v runs on device v mod Stages, its kernels FIFO-interleaving with
+// the device's other chunks.
+//
+// Cross-chunk ordering is a flat scoreboard instead of a synchronisation
+// object per edge: slot (board, chunk, mb) holds cycle+1 of the op's last
+// completion, and the one chunk that can depend on it parks its index there.
+// A stamp needs no per-cycle reset: the cycle barrier orders every producer
+// of cycle c before any consumer of cycle c+1, which compares against c+2.
+//
+// Engine-goroutine-only, and unguarded: the chunk machines are SpawnInline
+// processes, so every access is an engine callback (serialized on any
+// engine), plus Release from the driver's Start, which on the wall engine
+// must itself run in an engine callback.
+type Runner struct {
+	cfg     RunnerConfig
+	nv      int
+	plan    *Plan   // the released cycle's plan
+	stamp   int32   // released cycle + 1; what a completion writes
+	arrived int     // chunks that retired the released cycle
+	slots   []slot  // forward board, then backward board: nv × MBAlloc each
+	chunks  []chunk // by virtual index
+	// waiting/spare are the chunks parked on the next Release, in arrival
+	// order, and the drained list it swaps with.
+	waiting, spare []*chunk
+}
+
+type slot struct {
+	done   int32 // cycle+1 of the last completion
+	parked int32 // index+1 of the chunk waiting on it, 0 if none
+}
+
+// NewRunner builds the runner over one client per physical stage and spawns
+// the chunk processes; each parks until the driver's first Release.
+func NewRunner(procs *simproc.Runtime, clients []*simgpu.Client, cfg RunnerConfig) *Runner {
+	r := &Runner{cfg: cfg, nv: cfg.Stages * cfg.VirtualPerStage}
+	r.slots = make([]slot, 2*r.nv*cfg.MBAlloc)
+	r.chunks = make([]chunk, r.nv)
+	for v := range r.chunks {
+		c := &r.chunks[v]
+		*c = chunk{r: r, v: v, phys: v % cfg.Stages, client: clients[v%cfg.Stages]}
+		c.spec = simgpu.KernelSpec{Demand: 1.0, Weight: 1.0}
+		c.afterGoFn, c.afterDepFn = c.afterGo, c.afterDep
+		c.execOpFn, c.afterExecFn = c.execOp, c.afterExec
+		procs.SpawnInline(cfg.ProcName+strconv.Itoa(v), func(p *simproc.Process) {
+			c.p = p
+			c.waitCycle()
+		})
+	}
+	return r
+}
+
+// Release opens the next cycle on plan, waking the parked chunks in the order
+// they arrived. A chunk bound to a different plan rebinds as it wakes.
+func (r *Runner) Release(plan *Plan) {
+	r.plan = plan
+	r.stamp++
+	r.arrived = 0
+	woken := r.waiting
+	r.waiting = r.spare[:0]
+	for i, c := range woken {
+		woken[i] = nil
+		c.p.Wake(nil)
+	}
+	r.spare = woken[:0]
+}
+
+// slotOf indexes the scoreboard: forward completions on the first board,
+// activation-gradient completions (fused or split backward) on the second.
+func (r *Runner) slotOf(on OpKind, chunk, mb int) *slot {
+	i := chunk*r.cfg.MBAlloc + mb
+	if on != OpForward {
+		i += r.nv * r.cfg.MBAlloc
+	}
+	return &r.slots[i]
+}
+
+// chunk is the continuation-passing machine of one virtual chunk. It runs
+// entirely on the engine goroutine, with no process-goroutine handshake per
+// dependency, transfer or kernel.
+type chunk struct {
+	r      *Runner
+	p      *simproc.Process
+	v      int
+	phys   int
+	client *simgpu.Client
+
+	plan *Plan // the plan ops/deps/names were bound from
+	ops  []Op
+	deps []Dep // the plan's cross-chunk edges, parallel to ops
+	// names are the per-op kernel labels, precomputed so the op loop never
+	// formats strings.
+	names []string
+
+	cycle   int
+	i       int // index into ops
+	opStart time.Duration
+
+	// spec is the reusable kernel spec of the op loop; Name/Duration are
+	// rewritten per op (the launch reads the spec synchronously).
+	spec simgpu.KernelSpec
+
+	// Pre-bound continuations: one closure each for the whole run.
+	afterGoFn   func(any)
+	afterDepFn  func(any)
+	execOpFn    func(any)
+	afterExecFn func(any)
+}
+
+// waitCycle parks until the chunk's next cycle is released.
+func (c *chunk) waitCycle() {
+	r := c.r
+	if r.stamp > int32(c.cycle) {
+		c.afterGo(nil)
+		return
+	}
+	c.p.BeginWait(c.afterGoFn)
+	r.waiting = append(r.waiting, c)
+	c.p.EndWait("cycle")
+}
+
+func (c *chunk) afterGo(any) {
+	if plan := c.r.plan; plan != c.plan {
+		c.plan = plan
+		c.ops, c.deps = plan.Chunks[c.v], plan.Deps[c.v]
+		c.names = chunkLabels(c.phys, c.ops, c.r.cfg.Label)
+	}
+	c.i = 0
+	c.nextOp()
+}
+
+// nextOp dispatches ops[i], or arrives at the cycle barrier when the list is
+// done; the last arrival hands the cycle to the driver.
+func (c *chunk) nextOp() {
+	r := c.r
+	if c.i >= len(c.ops) {
+		cycle := c.cycle
+		c.cycle++
+		if r.arrived++; r.arrived == r.nv {
+			r.cfg.CycleDone(cycle)
+		}
+		if c.cycle >= r.cfg.Cycles {
+			c.p.Exit(nil)
+			return
+		}
+		c.waitCycle()
+		return
+	}
+	if dep := c.deps[c.i]; dep.Chunk >= 0 {
+		s := r.slotOf(dep.On, dep.Chunk, dep.MB)
+		if s.done == r.stamp {
+			c.afterDep(nil)
+			return
+		}
+		if s.parked != 0 {
+			panic(fmt.Sprintf("pipeline: chunks %d and %d wait on one dependency", s.parked-1, c.v))
+		}
+		c.p.BeginWait(c.afterDepFn)
+		s.parked = int32(c.v) + 1
+		c.p.EndWait("dep")
+		return
+	}
+	c.execOp(nil)
+}
+
+// afterDep runs once the op's cross-chunk dependency is satisfied: model the
+// activation/gradient transfer, then execute.
+func (c *chunk) afterDep(any) { c.p.SleepThen(c.r.cfg.Comm, c.execOpFn) }
+
+// execOp issues the op's kernel (directly, or as the transfer sleep's
+// continuation).
+func (c *chunk) execOp(any) {
+	if c.r.cfg.Record != nil {
+		c.opStart = c.p.Now()
+	}
+	c.spec.Name = c.names[c.i]
+	c.spec.Duration = c.r.cfg.Durations[c.ops[c.i].Kind]
+	c.client.ExecThen(c.p, &c.spec, c.afterExecFn)
+}
+
+// afterExec retires the op: record its span, stamp its slot and wake the
+// dependent parked there, advance.
+func (c *chunk) afterExec(res any) {
+	r := c.r
+	op := c.ops[c.i]
+	if res != nil {
+		err, ok := res.(error)
+		if !ok {
+			err = fmt.Errorf("pipeline: unexpected completion payload %T", res)
+		}
+		r.cfg.Failed(c.phys, op, err)
+		c.p.Exit(err)
+		return
+	}
+	if r.cfg.Record != nil {
+		r.cfg.Record(c.phys, OpSpan{Op: op, Start: c.opStart, End: c.p.Now()})
+	}
+	switch op.Kind {
+	case OpForward, OpBackward, OpBackwardInput:
+		// The activation gradient is what the upstream chunk waits on; the
+		// weight-gradient W half and the optimizer signal nothing.
+		s := r.slotOf(op.Kind, c.v, op.MB)
+		s.done = r.stamp
+		if w := s.parked; w != 0 {
+			s.parked = 0
+			r.chunks[w-1].p.Wake(nil)
+		}
+	}
+	c.i++
+	c.nextOp()
+}
+
+// chunkLabels builds the kernel names of one chunk's ops —
+// "s<stage>-<kind>-<mb>", or "s<stage>-<label>-<mb>" under a fixed label —
+// as substrings of a single backing string.
+func chunkLabels(phys int, ops []Op, label string) []string {
+	prefix := "s" + strconv.Itoa(phys) + "-"
+	var all strings.Builder
+	all.Grow(len(ops) * (len(prefix) + len(label) + 7))
+	names := make([]string, len(ops))
+	ends := make([]int32, len(ops))
+	var digits [20]byte
+	for i, op := range ops {
+		all.WriteString(prefix)
+		if label != "" {
+			all.WriteString(label)
+		} else {
+			all.WriteString(op.Kind.String())
+		}
+		all.WriteByte('-')
+		all.Write(strconv.AppendInt(digits[:0], int64(op.MB), 10))
+		ends[i] = int32(all.Len())
+	}
+	off := int32(0)
+	for i, end := range ends {
+		names[i] = all.String()[off:end]
+		off = end
+	}
+	return names
+}

@@ -69,8 +69,8 @@ type Op struct {
 // waits for completion of (On, MB) at chunk Chunk. Chunk < 0 means no
 // cross-chunk wait (the op only follows its list predecessor). On is
 // OpForward (wait for the upstream forward) or OpBackward (wait for the
-// downstream activation gradient — OpBackwardInput completions signal the
-// same latch).
+// downstream activation gradient — OpBackwardInput completions stamp the
+// same scoreboard slot). At most one chunk may wait on any (On, Chunk, MB).
 type Dep struct {
 	On    OpKind
 	Chunk int
@@ -81,8 +81,9 @@ type Dep struct {
 var noDep = Dep{Chunk: -1}
 
 // Plan is a fully generated schedule: one op list plus parallel dependency
-// edges per virtual chunk. The engine replays it verbatim — chunk v's ops
-// run in list order, each op first waiting on its Dep latch.
+// edges per virtual chunk. The Runner replays it verbatim — chunk v's ops
+// run in list order, each op first waiting until its Dep's scoreboard slot
+// carries the current cycle's stamp.
 type Plan struct {
 	Kind            ScheduleKind
 	Stages          int
@@ -193,7 +194,7 @@ func depsFor(ops []Op, v, nv int) []Dep {
 // warmup w = min(M, nv-v) forwards, then alternating BP/FP while forwards
 // remain, then the remaining backwards, then the optimizer.
 func ops1F1B(v, nv, microBatches int) []Op {
-	var ops []Op
+	ops := make([]Op, 0, 2*microBatches+1)
 	warmup := nv - v
 	if warmup > microBatches {
 		warmup = microBatches
@@ -218,7 +219,7 @@ func ops1F1B(v, nv, microBatches int) []Op {
 
 // opsGPipe emits all M forwards, all M backwards, optimizer.
 func opsGPipe(microBatches int) []Op {
-	var ops []Op
+	ops := make([]Op, 0, 2*microBatches+1)
 	for m := 0; m < microBatches; m++ {
 		ops = append(ops, Op{Kind: OpForward, MB: m})
 	}
@@ -251,11 +252,14 @@ func opsGPipe(microBatches int) []Op {
 // With the calibrated models' BP = 2·FP, the split B and W ops each cost
 // exactly FP, so the slotted order is also the real-time order. The emitted
 // lists stay valid for any durations — the engine replays them under real
-// latches, and a global topological order exists by construction (the slot
-// order itself).
+// dependency waits, and a global topological order exists by construction
+// (the slot order itself).
 func opsZeroBubble(stages, microBatches int) ([][]Op, error) {
 	S, M := stages, microBatches
 	ops := make([][]Op, S)
+	for s := range ops {
+		ops[s] = make([]Op, 0, 3*M+1)
+	}
 	fDone := make([]int, S)
 	bDone := make([]int, S)
 	wDone := make([]int, S)
@@ -268,16 +272,17 @@ func opsZeroBubble(stages, microBatches int) ([][]Op, error) {
 		return true
 	}
 	maxSlots := 2*(S+1)*(M+S) + 64 // generous: the greedy finishes in ~2M+3S slots
+	type pick struct {
+		kind OpKind
+		mb   int
+	}
+	picks := make([]pick, S)
 	for slot := 0; !done(); slot++ {
 		if slot > maxSlots {
 			return nil, fmt.Errorf("pipeline: zero-bubble generator did not converge (S=%d M=%d)", S, M)
 		}
-		type pick struct {
-			kind OpKind
-			mb   int
-		}
-		picks := make([]pick, S)
 		for s := 0; s < S; s++ {
+			picks[s] = pick{}
 			switch {
 			case bDone[s] < fDone[s] && (s == S-1 || bDone[s+1] > bDone[s]):
 				picks[s] = pick{OpBackwardInput, bDone[s]}

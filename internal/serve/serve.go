@@ -76,11 +76,11 @@ type Stats struct {
 	TotalTime time.Duration
 }
 
-// Server drives the forward-only batch cycle over one device per stage. It
-// mirrors the trainer's execution machinery — pre-allocated dependency
-// latches, inline stage processes running continuation machines on the
-// engine goroutine — with the epoch loop replaced by an arrival-gated batch
-// loop.
+// Server drives the forward-only batch cycle over one device per stage: the
+// batch-cycle driver of pipeline.Runner, the same plan runner the trainer
+// drives per epoch. The runner owns the stage machines and every
+// cross-stage dependency; the server owns the arrival gate — when the next
+// batch may be released — and the latency accounting.
 type Server struct {
 	cfg     Config
 	eng     simtime.Engine
@@ -90,14 +90,18 @@ type Server struct {
 	// Immutable after Start:
 	clients []*simgpu.Client
 	plan    *pipeline.Plan
-	goBatch []*simproc.Latch
-	fpDone  [][][]*simproc.Latch // [batch][stage][mb]
+	run     *pipeline.Runner
 	// readyAt[b] is when batch b's last request has arrived — the earliest
 	// the batch may dispatch.
 	readyAt []time.Duration
 
+	// The arrival gate: one reusable timer and its pre-bound callback
+	// dispatch batch `next` (engine context only).
+	next    int
+	gate    *simtime.Timer
+	beginFn func()
+
 	mu           sync.Mutex
-	arrived      int
 	batchStart   []time.Duration
 	batchEnd     []time.Duration
 	latencies    []time.Duration
@@ -117,12 +121,17 @@ func New(eng simtime.Engine, procs *simproc.Runtime, devices []*simgpu.Device, c
 	if len(devices) != cfg.Stages {
 		return nil, fmt.Errorf("serve: %d devices for %d stages", len(devices), cfg.Stages)
 	}
+	nb := cfg.numBatches()
 	return &Server{
 		cfg:     cfg,
 		eng:     eng,
 		procs:   procs,
 		devices: devices,
 		done:    simproc.NewLatch(eng),
+		// Sized up front: a steady-state batch appends without allocating.
+		batchStart: make([]time.Duration, 0, nb),
+		batchEnd:   make([]time.Duration, 0, nb),
+		latencies:  make([]time.Duration, 0, len(cfg.Arrivals)),
 	}, nil
 }
 
@@ -233,29 +242,16 @@ func (s *Server) Start() error {
 	s.started = true
 	s.mu.Unlock()
 
-	clients := make([]*simgpu.Client, s.cfg.Stages)
-	for st := 0; st < s.cfg.Stages; st++ {
-		// Weight 2, like the trainer: the serving process drives multiple
-		// CUDA streams and exerts twice a single-stream side task's
-		// thread-block pressure when sharing the device.
-		c, err := s.devices[st].NewClient(simgpu.ClientConfig{
-			Name:   fmt.Sprintf("serve-s%d", st),
-			Weight: 2,
-		})
-		if err != nil {
-			return fmt.Errorf("serve: stage %d client: %w", st, err)
-		}
-		if err := c.AllocMem(s.cfg.Model.ServeStageMemUsed(s.cfg.MicroBatches)); err != nil {
-			return fmt.Errorf("serve: stage %d memory: %w", st, err)
-		}
-		clients[st] = c
-	}
-	s.clients = clients
-
 	plan, err := pipeline.BuildServingPlan(s.cfg.Stages, s.cfg.MicroBatches)
 	if err != nil {
 		return err
 	}
+	mem := s.cfg.Model.ServeStageMemUsed(s.cfg.MicroBatches)
+	clients, err := pipeline.NewStageClients(s.devices, "serve-s", func(int) int64 { return mem })
+	if err != nil {
+		return fmt.Errorf("serve: %w", err)
+	}
+	s.clients = clients
 	s.plan = plan
 
 	nb := s.cfg.numBatches()
@@ -267,207 +263,80 @@ func (s *Server) Start() error {
 		}
 		s.readyAt[b] = s.cfg.Arrivals[last]
 	}
-	s.goBatch = make([]*simproc.Latch, nb)
-	s.fpDone = make([][][]*simproc.Latch, nb)
-	for b := 0; b < nb; b++ {
-		s.goBatch[b] = simproc.NewLatch(s.eng)
-		s.fpDone[b] = newLatchGrid(s.eng, s.cfg.Stages, s.cfg.MicroBatches)
-	}
+	s.beginFn = s.beginBatch
 
-	for st := 0; st < s.cfg.Stages; st++ {
-		st := st
-		s.procs.SpawnInline(fmt.Sprintf("serve-s%d", st), func(p *simproc.Process) {
-			s.startStage(p, st)
-		})
+	rc := pipeline.RunnerConfig{
+		Stages:          s.cfg.Stages,
+		VirtualPerStage: 1,
+		Cycles:          nb,
+		MBAlloc:         s.cfg.MicroBatches,
+		Comm:            s.cfg.Model.CommLatency,
+		ProcName:        "serve-s",
+		Label:           "infer",
+		CycleDone:       s.endBatch,
+		Failed:          s.opFailed,
 	}
-	s.scheduleBatch(0)
+	rc.Durations[pipeline.OpForward] = s.cfg.Model.FPPerMB
+	s.run = pipeline.NewRunner(s.procs, clients, rc)
+	s.scheduleBatch()
 	return nil
 }
 
-// scheduleBatch dispatches batch b now if its last request has arrived, or
-// arms an engine timer for the arrival instant (the open-loop gate: the
-// pipeline idles — harvestably — until the batch fills).
-func (s *Server) scheduleBatch(b int) {
+// scheduleBatch dispatches the next batch now if its last request has
+// arrived, or arms the gate timer for the arrival instant (the open-loop
+// gate: the pipeline idles — harvestably — until the batch fills).
+func (s *Server) scheduleBatch() {
 	now := s.eng.Now()
-	if s.readyAt[b] <= now {
-		s.beginBatch(b)
+	if at := s.readyAt[s.next]; at > now {
+		s.gate = simtime.Reschedule(s.eng, s.gate, at-now, "serve-batch", s.beginFn)
 		return
 	}
-	s.eng.Schedule(s.readyAt[b]-now, fmt.Sprintf("serve-batch%d", b), func() {
-		s.beginBatch(b)
-	})
+	s.beginBatch()
 }
 
 // beginBatch records the dispatch, fires the instrumentation hooks and
-// releases the stages. Runs in engine-callback or caller context.
-func (s *Server) beginBatch(b int) {
+// releases the stages. Runs in engine-callback or Start context.
+func (s *Server) beginBatch() {
 	now := s.eng.Now()
 	s.mu.Lock()
-	s.arrived = 0
 	s.batchStart = append(s.batchStart, now)
-	hooks := append([]func(batch int, ts time.Duration){}, s.onBatchStart...)
+	hooks := s.onBatchStart // append-only: the prefix is stable outside the lock
 	s.mu.Unlock()
 	for _, h := range hooks {
-		h(b, now)
+		h(s.next, now)
 	}
-	s.goBatch[b].Set()
+	s.run.Release(s.plan)
 }
 
-// stageArrived is called by each stage at its batch barrier; the last
-// arrival drains the batch, scores its requests' latencies and gates the
-// next batch (or finishes serving).
-func (s *Server) stageArrived(b int) {
-	s.mu.Lock()
-	s.arrived++
-	if s.arrived < s.cfg.Stages {
-		s.mu.Unlock()
-		return
-	}
+// endBatch is the runner's barrier callback: the last stage has drained
+// batch b, so score its requests' latencies and gate the next batch (or
+// finish serving).
+func (s *Server) endBatch(b int) {
 	now := s.eng.Now()
-	s.batchEnd = append(s.batchEnd, now)
 	first := b * s.cfg.BatchSize
-	last := first + s.cfg.BatchSize
-	if last > len(s.cfg.Arrivals) {
-		last = len(s.cfg.Arrivals)
-	}
+	last := min(first+s.cfg.BatchSize, len(s.cfg.Arrivals))
+	s.mu.Lock()
+	s.batchEnd = append(s.batchEnd, now)
 	for _, at := range s.cfg.Arrivals[first:last] {
 		s.latencies = append(s.latencies, now-at)
 	}
-	hooks := append([]func(batch int, ts time.Duration){}, s.onBatchEnd...)
-	final := b+1 >= s.cfg.numBatches()
+	hooks := s.onBatchEnd
 	s.mu.Unlock()
 
 	for _, h := range hooks {
 		h(b, now)
 	}
-	if final {
+	if s.next = b + 1; s.next >= s.cfg.numBatches() {
 		s.done.Set()
 		return
 	}
-	s.scheduleBatch(b + 1)
+	s.scheduleBatch()
 }
 
-// serveStage is the continuation-passing body of one stage: numBatches
-// times through the forward-only chunk, blocking on the upstream forward of
-// each micro-batch — entirely on the engine goroutine, mirroring the
-// trainer's stageRun.
-type serveStage struct {
-	s      *Server
-	p      *simproc.Process
-	stage  int
-	client *simgpu.Client
-	ops    []pipeline.Op
-	deps   []pipeline.Dep
-	names  []string
-	fpDur  time.Duration
-	comm   time.Duration
-
-	batch int
-	i     int
-
-	// spec is the reusable kernel spec of the op loop; Name/Duration are
-	// rewritten per op (the launch reads the spec synchronously).
-	spec simgpu.KernelSpec
-
-	afterGoFn   func(any)
-	afterDepFn  func(any)
-	afterCommFn func(any)
-	afterExecFn func(any)
-}
-
-// startStage builds and launches the stage machine (inline process body).
-func (s *Server) startStage(p *simproc.Process, stage int) {
-	r := &serveStage{
-		s:      s,
-		p:      p,
-		stage:  stage,
-		client: s.clients[stage],
-		ops:    s.plan.Chunks[stage],
-		deps:   s.plan.Deps[stage],
-		fpDur:  s.cfg.Model.FPPerMB,
-		comm:   s.cfg.Model.CommLatency,
+func (s *Server) opFailed(stage int, op pipeline.Op, err error) {
+	s.mu.Lock()
+	if s.failed == nil {
+		s.failed = fmt.Errorf("serve: stage %d mb %d: %w", stage, op.MB, err)
 	}
-	r.spec = simgpu.KernelSpec{Demand: 1.0, Weight: 1.0}
-	r.names = make([]string, len(r.ops))
-	for i, op := range r.ops {
-		r.names[i] = fmt.Sprintf("s%d-infer-%d", stage, op.MB)
-	}
-	r.afterGoFn = r.afterGo
-	r.afterDepFn = r.afterDep
-	r.afterCommFn = r.afterComm
-	r.afterExecFn = r.afterExec
-	r.waitBatch()
-}
-
-func (r *serveStage) waitBatch() {
-	r.s.goBatch[r.batch].WaitThen(r.p, r.afterGoFn)
-}
-
-func (r *serveStage) afterGo(any) {
-	r.i = 0
-	r.nextOp()
-}
-
-func (r *serveStage) nextOp() {
-	if r.i >= len(r.ops) {
-		b := r.batch
-		r.batch++
-		r.s.stageArrived(b)
-		if r.batch >= r.s.cfg.numBatches() {
-			r.p.Exit(nil)
-			return
-		}
-		r.waitBatch()
-		return
-	}
-	if dep := r.deps[r.i]; dep.Chunk >= 0 {
-		r.s.fpDone[r.batch][dep.Chunk][dep.MB].WaitThen(r.p, r.afterDepFn)
-		return
-	}
-	r.execOp()
-}
-
-func (r *serveStage) afterDep(any) {
-	r.p.SleepThen(r.comm, r.afterCommFn)
-}
-
-func (r *serveStage) afterComm(any) {
-	r.execOp()
-}
-
-func (r *serveStage) execOp() {
-	r.spec.Name = r.names[r.i]
-	r.spec.Duration = r.fpDur
-	r.client.ExecThen(r.p, &r.spec, r.afterExecFn)
-}
-
-func (r *serveStage) afterExec(res any) {
-	if res != nil {
-		err, ok := res.(error)
-		if !ok {
-			err = fmt.Errorf("serve: unexpected completion payload %T", res)
-		}
-		s := r.s
-		s.mu.Lock()
-		if s.failed == nil {
-			s.failed = fmt.Errorf("serve: stage %d mb %d: %w", r.stage, r.ops[r.i].MB, err)
-		}
-		s.mu.Unlock()
-		r.p.Exit(err)
-		return
-	}
-	r.s.fpDone[r.batch][r.stage][r.ops[r.i].MB].Set()
-	r.i++
-	r.nextOp()
-}
-
-func newLatchGrid(eng simtime.Engine, stages, mbs int) [][]*simproc.Latch {
-	grid := make([][]*simproc.Latch, stages)
-	for s := range grid {
-		grid[s] = make([]*simproc.Latch, mbs)
-		for m := range grid[s] {
-			grid[s][m] = simproc.NewLatch(eng)
-		}
-	}
-	return grid
+	s.mu.Unlock()
 }

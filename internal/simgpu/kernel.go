@@ -591,8 +591,13 @@ func (d *Device) completeKernel(k *kernel) {
 	d.workDone += k.spec.Demand * k.spec.Duration.Seconds()
 	c.current = nil
 	if len(c.queue) > 0 {
+		// Compact in place: sliding the slice head would shed capacity on
+		// every pop (reallocating on the next push) and pin retired pooled
+		// kernels in the dead prefix. Queues are a few kernels deep.
 		c.current = c.queue[0]
-		c.queue = c.queue[1:]
+		n := copy(c.queue, c.queue[1:])
+		c.queue[n] = nil
+		c.queue = c.queue[:n]
 		c.current.started = d.eng.Now()
 		c.current.startSet = true
 		d.runningReplaceLocked(k, c.current)

@@ -6,9 +6,9 @@ import (
 	"freeride/internal/simtime"
 )
 
-// Latch is a one-shot condition: processes wait until it is set. It is the
-// dependency primitive the pipeline engine uses to express "BP of
-// micro-batch m at stage s needs BP at stage s+1" and similar edges.
+// Latch is a one-shot condition: processes wait until it is set. The
+// pipeline drivers publish completion through one (Trainer.Done,
+// Server.Done); per-op dependency edges use pipeline.Runner's scoreboard.
 // Waiters are recorded as processes, not closures: Set wakes each one
 // through its wait slot, so waiting is allocation-free beyond the waiter
 // list itself. IsSet is a single atomic load — the training-done latch is
