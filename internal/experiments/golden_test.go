@@ -1,0 +1,189 @@
+package experiments
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"freeride"
+	"freeride/internal/bubble"
+	"freeride/internal/core"
+	"freeride/internal/model"
+	"freeride/internal/serve"
+	"freeride/internal/simfault"
+)
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden.json from the current implementation")
+
+const goldenPath = "testdata/golden.json"
+
+// sessionDigest hashes everything a run reports except the Config it was
+// built from: times, per-task work, cost, manager / worker / fault / serving
+// statistics. (The hashing is benchmark/run.go's resultDigest, plus Cost.)
+func sessionDigest(res *freeride.Result) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%d|%+v|%+v|%+v|%+v|%+v|%+v", res.TrainTime, res.Tasks, res.Cost,
+		res.ManagerStats, res.WorkerStats, res.FaultStats, res.ServingStats)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// goldenSweepCells runs one default cell of every registered sweep — built
+// the way the sweep builds it — and returns the full Results keyed
+// "<sweep>/<cell>". The schedule sweep contributes one cell per generator
+// other than 1F1B: its first cell (1F1B, ResNet18 everywhere) is a Table 2
+// cell already.
+func goldenSweepCells(t *testing.T) map[string]*freeride.Result {
+	t.Helper()
+	out := make(map[string]*freeride.Result)
+	must := func(name string, res *freeride.Result, err error) *freeride.Result {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out[name] = res
+		return res
+	}
+	opts := oracleOpts(core.ManagerEventDriven)
+	base := opts.baseConfig()
+	base.Method = freeride.MethodIterative
+	resnet := []model.TaskProfile{model.ResNet18}
+
+	// faults: the zero-fault lease-enabled reference, then the sweep's first
+	// cell (one crash-worker event) generated against its horizon.
+	cfg := base
+	cfg.Faults = &simfault.Schedule{Seed: opts.Seed}
+	ref, err := runOne(cfg, resnet)
+	must("faults/zero-fault-ref", ref, err)
+	kind := simfault.AllKinds()[0]
+	cfg = base
+	cfg.Faults = simfault.Generate(opts.Seed*1000+int64(faultSweepCounts[0]), ref.TrainTime,
+		faultSweepCounts[0], []simfault.Kind{kind}, cfg.Stages)
+	res, err := runOne(cfg, resnet)
+	must(fmt.Sprintf("faults/%v-x%d", kind, faultSweepCounts[0]), res, err)
+
+	// drift: the zero-drift detector-armed reference, then the first cell
+	// (first kind, first magnitude, fast detector, online arm).
+	dbase := base
+	dbase.Epochs = 12
+	cfg = dbase
+	cfg.Drift = &bubble.DriftSchedule{Seed: opts.Seed}
+	cfg.Replan = &bubble.DetectorConfig{}
+	ref, err = runDriftCell(cfg, model.GraphSGD)
+	must("drift/zero-drift-ref", ref, err)
+	dkind, mag := bubble.AllDriftKinds()[0], driftSweepMagnitudes[0]
+	cfg = dbase
+	cfg.Drift = &bubble.DriftSchedule{
+		Seed:   opts.Seed * 1000,
+		Events: []bubble.DriftEvent{driftEventFor(dkind, mag, ref.TrainTime)},
+	}
+	det := driftDetectors[0].cfg
+	cfg.Replan = &det
+	res, err = runDriftCell(cfg, model.GraphSGD)
+	must(fmt.Sprintf("drift/%v-f%g-%s", dkind, mag, driftDetectors[0].name), res, err)
+
+	// schedules: S=4, M=4 under every generator but 1F1B.
+	for _, sk := range model.AllSchedules() {
+		if sk == model.Schedule1F1B {
+			continue
+		}
+		cfg = base
+		cfg.Schedule = sk
+		if sk == model.ScheduleInterleaved {
+			cfg.VirtualStages = 2
+		}
+		res, err = runOne(cfg, resnet)
+		must(fmt.Sprintf("schedules/%v-S4-M4", sk), res, err)
+	}
+
+	// serving: the first cell's harvesting arm (Poisson, 2 req/s, 6 s SLO)
+	// with the guard off and at the sweep's biting factor (4 defers fits; 1
+	// defers none on this trace).
+	for _, guard := range []float64{0, 4} {
+		cfg = base
+		cfg.Serving = &freeride.ServingConfig{
+			Trace: serve.TracePoisson, Rate: 2, SLO: 6 * time.Second, Guard: guard,
+		}
+		name := fmt.Sprintf("serving/poisson-r2-slo6-g%g", guard)
+		sess, err := freeride.NewSession(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := sess.SubmitEverywhere(model.ResNet18); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		res, err = sess.Run()
+		must(name, res, err)
+	}
+	return out
+}
+
+// envArmed reports an armed FREERIDE_ORACLE_* plane variable (bad values
+// never get this far: the shared resolver panics at the first session).
+func envArmed(key string) bool {
+	s := os.Getenv(key)
+	return s == "on" || s == "1"
+}
+
+// TestGoldenSessionDigests pins whole sessions against digests captured on
+// the commit before the polling / immediate manager drivers, the legacy
+// schedule emitters, the share-cache and step-fuse switches and the config
+// aliases were deleted: every Table 2 FreeRide cell and a default cell of
+// each sweep must report the same Result to the last bit. It stands in for
+// the two-arm grid comparisons those switches used to feed. Regenerate
+// deliberately with -update-golden (default environment only).
+//
+// The dormant planes hold the digests too: every cell must reproduce under
+// FREERIDE_ORACLE_SERVING=on and under FREERIDE_ORACLE_DRIFT=on. No cell is
+// exempt: the drift arm would legitimately move a fault cell whose schedule
+// drops or delays bubble reports (they shift the detector's epoch windows),
+// and the one fault cell pinned here — a worker crash — does neither.
+func TestGoldenSessionDigests(t *testing.T) {
+	got := make(map[string]string)
+	for name, res := range runOracleGrid(t, core.ManagerEventDriven, nil) {
+		got["table2/"+name] = sessionDigest(res)
+	}
+	for name, res := range goldenSweepCells(t) {
+		got[name] = sessionDigest(res)
+	}
+	if *updateGolden {
+		if envArmed("FREERIDE_ORACLE_DRIFT") || envArmed("FREERIDE_ORACLE_SERVING") {
+			t.Fatal("-update-golden must run in the default environment")
+		}
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d digests to %s", len(got), goldenPath)
+		return
+	}
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("read golden file (run with -update-golden to create it): %v", err)
+	}
+	want := make(map[string]string)
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatalf("parse %s: %v", goldenPath, err)
+	}
+	if len(want) != len(got) {
+		t.Errorf("%s has %d digests, the test runs %d cells", goldenPath, len(want), len(got))
+	}
+	for name, g := range got {
+		if w, ok := want[name]; !ok {
+			t.Errorf("%s: no golden digest", name)
+		} else if g != w {
+			t.Errorf("%s: digest %s, golden %s", name, g, w)
+		}
+	}
+}
