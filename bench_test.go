@@ -6,7 +6,6 @@
 package freeride_test
 
 import (
-	"flag"
 	"testing"
 
 	"freeride"
@@ -14,17 +13,8 @@ import (
 	"freeride/internal/sidetask"
 )
 
-// -rebalance-oracle reruns the benchmarks under the GPU scheduler's
-// full-recompute oracle pass instead of the incremental one; the reported
-// metrics must not move (CI smokes the Table 2 grid this way).
-var rebalanceOracle = flag.Bool("rebalance-oracle", false,
-	"run grids under the full-rebalance differential oracle")
-
 func benchOpts() experiments.Options {
-	return experiments.Options{
-		Epochs: 8, WorkScale: sidetask.WorkNone, Seed: 1,
-		FullRebalance: *rebalanceOracle,
-	}
+	return experiments.Options{Epochs: 8, WorkScale: sidetask.WorkNone, Seed: 1}
 }
 
 // BenchmarkTable1 regenerates paper Table 1: side-task throughput on

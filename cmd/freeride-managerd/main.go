@@ -20,7 +20,6 @@ import (
 	"syscall"
 	"time"
 
-	"freeride/internal/core"
 	"freeride/internal/livemode"
 	"freeride/internal/model"
 )
@@ -40,16 +39,11 @@ func run(args []string) error {
 	llmName := fs.String("model", "3.6b", "model trained on the node (for memory accounting)")
 	mbs := fs.Int("microbatches", 4, "micro-batches on the node")
 	retry := fs.Duration("retry", 20*time.Second, "how long to keep retrying worker connections")
-	managerMode := fs.String("manager", "event", "Algorithm-2 driver: event, polling or immediate")
 	lease := fs.Duration("lease", 0, "worker lease for the failure detector; tasks on a worker silent for a full lease are re-placed from their last checkpoint (0 disables recovery)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	llm, err := model.LLMByName(*llmName)
-	if err != nil {
-		return err
-	}
-	mode, err := core.ParseManagerMode(*managerMode)
 	if err != nil {
 		return err
 	}
@@ -59,7 +53,6 @@ func run(args []string) error {
 		ListenAddr: *listen,
 		Model:      llm,
 		MicroBatch: *mbs,
-		Mode:       mode,
 		Lease:      *lease,
 		Logf:       func(f string, a ...any) { logger.Printf(f, a...) },
 	})

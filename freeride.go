@@ -100,12 +100,9 @@ type Config struct {
 	VirtualStages int
 	// Method selects the co-location approach.
 	Method Method
-	// Tick is the manager's Algorithm-2 loop period (the deadline-rounding
-	// grid of the event-driven manager, the poll interval of the oracle).
+	// Tick is the manager's Algorithm-2 loop period: the manager acts only
+	// on multiples of Tick after its start (core.ManagerOptions.Tick).
 	Tick time.Duration
-	// ManagerMode selects how the Algorithm-2 loop is driven: event-driven
-	// (default), the legacy polling loop, or unquantized immediate mode.
-	ManagerMode core.ManagerMode
 	// Grace is the worker's framework-enforced kill delay.
 	Grace time.Duration
 	// RPCLatency is the one-way latency of the simulated control-plane
@@ -122,32 +119,9 @@ type Config struct {
 	Seed int64
 	// RecordOps retains the op timeline for figure rendering.
 	RecordOps bool
-	// Oracle groups the differential-oracle toggles — the retained
-	// alternate arms that must reproduce the default arm bit-identically
-	// (see OracleConfig). This is the canonical spelling; the flat fields
-	// below are deprecated aliases.
+	// Oracle arms a dormant plane that must leave results bit-identical
+	// (see OracleConfig).
 	Oracle OracleConfig
-	// FullRebalance is a deprecated alias for Oracle.FullRebalance; it is
-	// folded into the group (by OR) at session-build time, so old callers
-	// and the grouped spelling produce bit-identical results.
-	//
-	// Deprecated: set Oracle.FullRebalance.
-	FullRebalance bool
-	// NoShareCache is a deprecated alias for Oracle.NoShareCache, folded
-	// into the group at session-build time.
-	//
-	// Deprecated: set Oracle.NoShareCache.
-	NoShareCache bool
-	// NoStepFuse is a deprecated alias for Oracle.NoStepFuse, folded into
-	// the group at session-build time.
-	//
-	// Deprecated: set Oracle.NoStepFuse.
-	NoStepFuse bool
-	// LegacySchedule is a deprecated alias for Oracle.LegacySchedule,
-	// folded into the group at session-build time.
-	//
-	// Deprecated: set Oracle.LegacySchedule.
-	LegacySchedule bool
 	// Serving switches the session from the closed training job to the
 	// open-loop inference-serving workload: a seeded request-arrival trace
 	// drives the pipeline in per-batch fill/execute/drain cycles, the
@@ -185,30 +159,12 @@ type Config struct {
 	Replan *bubble.DetectorConfig
 }
 
-// OracleConfig groups the differential-oracle toggles that used to live as
-// flat Config fields. Each toggle selects a retained alternate arm whose
-// observable results must stay bit-identical to the default arm — the
-// dedicated differential tests pin that in-process, and the CI oracle
-// matrix forces each arm suite-wide through the FREERIDE_ORACLE_* variables
-// (parsed once by the shared resolver in internal/oracle).
+// OracleConfig holds the dormant-plane toggles: planes wired into a session
+// at their zero configuration, which must change nothing (no alternate
+// implementation hides behind them). The dormant drift plane needs no field:
+// zero-valued Config.Drift and Config.Replan arm it, which is what
+// FREERIDE_ORACLE_DRIFT=on does suite-wide.
 type OracleConfig struct {
-	// FullRebalance forces the GPU scheduler's full-recompute pass instead
-	// of the incremental one — the float-exact differential oracle (see
-	// simgpu.DeviceConfig.FullRebalance; FREERIDE_ORACLE_REBALANCE=full).
-	FullRebalance bool
-	// NoShareCache disables the GPU scheduler's water-fill share cache —
-	// the incremental pass recomputes allocations every rebalance, like the
-	// oracle (simgpu.DeviceConfig.NoShareCache; FREERIDE_ORACLE_SHARECACHE=off).
-	NoShareCache bool
-	// NoStepFuse forces the side-task step loop's unfused two-event form
-	// (separate host-overhead sleep + kernel completion per step) instead
-	// of the fused host-lead launch — the step-fusion differential oracle
-	// (FREERIDE_ORACLE_STEPFUSE=off).
-	NoStepFuse bool
-	// LegacySchedule routes 1F1B/GPipe op-list generation through the
-	// retained pre-generator emitters — the schedule-zoo differential
-	// oracle (pipeline.Config.LegacySchedule; FREERIDE_ORACLE_SCHEDULE=legacy).
-	LegacySchedule bool
 	// ServingGuard wires the manager's SLO admission guard into a training
 	// session with a zero guard factor — the dormant serving plane. A zero
 	// guard is a structural identity (every bubble the reconcile loop acts
@@ -328,23 +284,7 @@ func (c *Config) normalize() error {
 	if c.Schedule == pipeline.ScheduleZeroBubble && c.VirtualStages > 1 {
 		return fmt.Errorf("freeride: zero-bubble schedule does not compose with virtual stages")
 	}
-	// Fold the deprecated flat oracle aliases into the grouped spelling
-	// (by OR, so either spelling arms an oracle), apply the env overrides
-	// that act at this layer, then mirror the group back into the flat
-	// fields so every downstream consumer — device construction, pipeline
-	// config, the task factory, the memoization keys — sees one agreed
-	// view. The REBALANCE/SHARECACHE/STEPFUSE env overrides are enforced
-	// inside simgpu and sidetask (via the same shared resolver), so they
-	// are deliberately not folded into the config here.
-	c.Oracle.FullRebalance = c.Oracle.FullRebalance || c.FullRebalance
-	c.Oracle.NoShareCache = c.Oracle.NoShareCache || c.NoShareCache
-	c.Oracle.NoStepFuse = c.Oracle.NoStepFuse || c.NoStepFuse
-	c.Oracle.LegacySchedule = c.Oracle.LegacySchedule || c.LegacySchedule || oracleLegacySchedule()
-	c.Oracle.ServingGuard = c.Oracle.ServingGuard || oracleServingArmed()
-	c.FullRebalance = c.Oracle.FullRebalance
-	c.NoShareCache = c.Oracle.NoShareCache
-	c.NoStepFuse = c.Oracle.NoStepFuse
-	c.LegacySchedule = c.Oracle.LegacySchedule
+	c.Oracle.ServingGuard = c.Oracle.ServingGuard || oracle.Env().ServingArmed
 	if c.Method == 0 {
 		c.Method = MethodIterative
 	}
@@ -372,7 +312,7 @@ func (c *Config) normalize() error {
 	// unarmed profile-once arms) keep their configuration. Serving sessions
 	// are skipped: the drift/re-plan plane consumes the trainer's epoch
 	// stream, which a serving session does not produce.
-	if c.Serving == nil && c.Replan == nil && c.Drift == nil && oracleDriftArmed() {
+	if c.Serving == nil && c.Replan == nil && c.Drift == nil && oracle.Env().DriftArmed {
 		c.Replan = &bubble.DetectorConfig{}
 		c.Drift = &bubble.DriftSchedule{}
 	}
@@ -391,23 +331,6 @@ func (c *Config) normalize() error {
 	}
 	return nil
 }
-
-// oracleDriftArmed reports the FREERIDE_ORACLE_DRIFT override: "on"/"1"
-// arms the drift detector (with an empty schedule) for every session that
-// doesn't configure its own drift plane. Parsing lives in the shared
-// resolver (internal/oracle); this layer owns the arming semantics.
-func oracleDriftArmed() bool { return oracle.Env().DriftArmed }
-
-// oracleLegacySchedule reports the FREERIDE_ORACLE_SCHEDULE override:
-// "legacy" forces every session's 1F1B/GPipe op lists through the retained
-// pre-generator emitters, so CI pins the schedule-generator refactor
-// bit-identical across the whole tier-1 suite.
-func oracleLegacySchedule() bool { return oracle.Env().LegacySchedule }
-
-// oracleServingArmed reports the FREERIDE_ORACLE_SERVING override: "on"/"1"
-// wires the dormant serving plane (a zero-factor SLO admission guard) into
-// every training session, which must leave the whole suite bit-identical.
-func oracleServingArmed() bool { return oracle.Env().ServingArmed }
 
 // mbScheduleFromDrift derives the trainer's per-epoch micro-batch hook from
 // resize drift events that carry an actual count (DriftEvent.MicroBatches).
@@ -539,9 +462,7 @@ func NewSession(cfg Config) (*Session, error) {
 			ResidencyTax: tax,
 			// Occupancy/memory series are only consumed by profiling and
 			// figure-rendering runs; measurement sessions skip recording.
-			NoTraces:      !cfg.RecordOps,
-			FullRebalance: cfg.FullRebalance,
-			NoShareCache:  cfg.NoShareCache,
+			NoTraces: !cfg.RecordOps,
 		})
 	}
 	mbSched, mbCap := mbScheduleFromDrift(cfg)
@@ -553,7 +474,6 @@ func NewSession(cfg Config) (*Session, error) {
 		Schedule:        cfg.Schedule,
 		VirtualPerStage: cfg.VirtualStages,
 		RecordOps:       cfg.RecordOps,
-		LegacySchedule:  cfg.LegacySchedule,
 		MBSchedule:      mbSched,
 		MBCap:           mbCap,
 	})
@@ -592,7 +512,6 @@ func (s *Session) assembleControlPlane() error {
 	}
 	s.Manager = core.NewManager(s.Eng, core.ManagerOptions{
 		Tick:         cfg.Tick,
-		Mode:         cfg.ManagerMode,
 		MemSlack:     s.memSlack,
 		Lease:        cfg.Lease,
 		MaxRestarts:  cfg.MaxRestarts,
@@ -710,18 +629,9 @@ func (s *Session) taskFactory(spec core.TaskSpec) (*sidetask.Harness, error) {
 	build, ok := s.customTasks[spec.Profile.Name]
 	s.mu.Unlock()
 	if ok {
-		impl := build(spec.Seed)
-		h := sidetask.NewIterativeHarness(spec.Name, spec.Profile, impl, spec.Seed)
-		if s.cfg.NoStepFuse {
-			h.SetStepFuse(false)
-		}
-		return h, nil
+		return sidetask.NewIterativeHarness(spec.Name, spec.Profile, build(spec.Seed), spec.Seed), nil
 	}
-	h, err := core.BuiltinHarnessFactory(spec)
-	if err == nil && s.cfg.NoStepFuse {
-		h.SetStepFuse(false)
-	}
-	return h, err
+	return core.BuiltinHarnessFactory(spec)
 }
 
 // RegisterCustom registers a user-defined iterative side task under
@@ -883,8 +793,8 @@ type TaskWork struct {
 	HostTime   time.Duration
 	InsuffWait time.Duration
 	// StepEvents counts the engine events the step loop dispatched for the
-	// completed steps (see sidetask.Counters.StepEvents); the fused inline
-	// loop halves it relative to the unfused two-event form.
+	// completed steps (see sidetask.Counters.StepEvents): one per step on
+	// the fused inline loop every simulated session runs.
 	StepEvents uint64
 	Exited     bool
 	ExitErr    string
@@ -1142,7 +1052,6 @@ type profileKey struct {
 	mbs      int
 	schedule pipeline.ScheduleKind
 	virtual  int
-	legacy   bool
 }
 
 var profCache = newFlightCache[profileKey, *bubble.Profile]()
@@ -1151,7 +1060,7 @@ var profCache = newFlightCache[profileKey, *bubble.Profile]()
 // and extracts the per-stage bubble templates — the paper's one-time
 // offline profiling pass (§4.3), memoized per configuration.
 func offlineBubbleProfile(cfg Config) (*bubble.Profile, error) {
-	key := profileKey{cfg.LLM.Name, cfg.Stages, cfg.MicroBatches, cfg.Schedule, cfg.VirtualStages, cfg.LegacySchedule}
+	key := profileKey{cfg.LLM.Name, cfg.Stages, cfg.MicroBatches, cfg.Schedule, cfg.VirtualStages}
 	return profCache.get(key, func() (*bubble.Profile, error) {
 		return runBubbleProfile(cfg)
 	})
@@ -1176,7 +1085,6 @@ func runBubbleProfile(cfg Config) (*bubble.Profile, error) {
 		Schedule:        cfg.Schedule,
 		VirtualPerStage: cfg.VirtualStages,
 		RecordOps:       true,
-		LegacySchedule:  cfg.LegacySchedule,
 	})
 	if err != nil {
 		return nil, err
@@ -1205,10 +1113,7 @@ func BaselineTrainTime(cfg Config) (time.Duration, error) {
 	}
 	cfg.Method = MethodNone
 	cfg.RecordOps = false
-	// The key is built from the un-normalized config, so the deprecated
-	// flat spelling and the grouped one must hash alike.
-	legacy := cfg.LegacySchedule || cfg.Oracle.LegacySchedule
-	key := baselineKey{cfg.LLM.Name, cfg.Stages, cfg.MicroBatches, cfg.Epochs, cfg.Schedule, cfg.VirtualStages, legacy, mbPlanKey(cfg)}
+	key := baselineKey{cfg.LLM.Name, cfg.Stages, cfg.MicroBatches, cfg.Epochs, cfg.Schedule, cfg.VirtualStages, mbPlanKey(cfg)}
 	return baseCache.get(key, func() (time.Duration, error) {
 		sess, err := NewSession(cfg)
 		if err != nil {
@@ -1229,7 +1134,6 @@ type baselineKey struct {
 	epochs   int
 	schedule pipeline.ScheduleKind
 	virtual  int
-	legacy   bool
 	mbplan   string
 }
 

@@ -40,13 +40,11 @@ func newServingSession(cfg Config) (*Session, error) {
 	devices := make([]*simgpu.Device, cfg.Stages)
 	for i := range devices {
 		devices[i] = simgpu.NewDevice(eng, simgpu.DeviceConfig{
-			Name:          fmt.Sprintf("gpu%d", i),
-			MemBytes:      model.ServerI.GPUMemBytes,
-			Policy:        simgpu.PolicyMPS,
-			ResidencyTax:  tax,
-			NoTraces:      !cfg.RecordOps,
-			FullRebalance: cfg.FullRebalance,
-			NoShareCache:  cfg.NoShareCache,
+			Name:         fmt.Sprintf("gpu%d", i),
+			MemBytes:     model.ServerI.GPUMemBytes,
+			Policy:       simgpu.PolicyMPS,
+			ResidencyTax: tax,
+			NoTraces:     !cfg.RecordOps,
 		})
 	}
 	srv, err := serve.New(eng, procs, devices, serve.Config{

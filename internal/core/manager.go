@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"time"
 
 	"freeride/internal/bubble"
 	"freeride/internal/freerpc"
-	"freeride/internal/oracle"
 	"freeride/internal/profiler"
 	"freeride/internal/sidetask"
 	"freeride/internal/simgpu"
@@ -50,85 +48,11 @@ func AdmitsMem(gpuMem, memBytes, slack int64) bool {
 	return gpuMem >= memBytes+slack
 }
 
-// ManagerMode selects how the Algorithm-2 loop is driven.
-type ManagerMode int
-
-const (
-	// ManagerDefault is the zero value: "no explicit choice". It resolves
-	// at manager construction to ManagerEventDriven — or to the mode named
-	// by the FREERIDE_ORACLE_MANAGER environment variable, which is how the
-	// CI oracle matrix re-runs the whole suite under the polling oracle
-	// without touching tests that select a mode explicitly (those are
-	// differential tests and must keep their chosen arms).
-	ManagerDefault ManagerMode = iota
-	// ManagerEventDriven (the default) reconciles each worker on
-	// control-plane events — bubble reports, task-state pushes, RPC
-	// completions — plus two armed deadline timers per worker (current
-	// bubble end, front pending bubble start). Deadlines are rounded to the
-	// Tick grid the polling loop would have acted on, so every action fires
-	// at a timestamp bit-identical to ManagerPolling's. The identity
-	// assumes control-plane messages are in flight for less than one Tick
-	// (RPC latency < Tick, the shipped configurations); with slower links a
-	// report landing exactly on a grid instant may be served one Tick later
-	// than the polling loop would — still correct, just not bit-equal.
-	// Bubble reports carry a visibleAt stamp that makes even exact-grid
-	// collisions match the polling loop; a TaskState push whose delivery
-	// lands exactly on a grid instant can still be seen one Tick earlier
-	// than the poll would (the reconcile event may sort after the delivery
-	// where the tick sorts before). That window has measure zero on the
-	// virtual clock — the grid-wide oracle test is the enforced contract.
-	ManagerEventDriven
-	// ManagerPolling is the literal Algorithm-2 loop: a self-rescheduling
-	// tick every Tick of engine time. Kept as the differential-testing
-	// oracle for the event-driven mode.
-	ManagerPolling
-	// ManagerImmediate is event-driven without Tick quantization: actions
-	// fire at exact bubble boundaries and event arrival times. Lowest
-	// control latency, not timing-compatible with the polling loop.
-	ManagerImmediate
-)
-
-// String implements fmt.Stringer.
-func (m ManagerMode) String() string {
-	switch m {
-	case ManagerDefault:
-		return "default"
-	case ManagerEventDriven:
-		return "event-driven"
-	case ManagerPolling:
-		return "polling"
-	case ManagerImmediate:
-		return "immediate"
-	default:
-		return fmt.Sprintf("ManagerMode(%d)", int(m))
-	}
-}
-
-// ParseManagerMode resolves a command-line mode name; it accepts the
-// String() forms plus the short aliases "event" and "poll".
-func ParseManagerMode(s string) (ManagerMode, error) {
-	switch s {
-	case "event", "event-driven":
-		return ManagerEventDriven, nil
-	case "polling", "poll":
-		return ManagerPolling, nil
-	case "immediate":
-		return ManagerImmediate, nil
-	default:
-		return 0, fmt.Errorf("core: unknown manager mode %q (want event, polling or immediate)", s)
-	}
-}
-
 // ManagerOptions tune the side task manager.
 type ManagerOptions struct {
-	// Tick is the Alg. 2 loop period: the polling interval in
-	// ManagerPolling mode, the deadline-rounding grid in ManagerEventDriven
-	// mode.
+	// Tick is the Alg. 2 loop period: the manager acts only on the grid
+	// epoch+k·Tick (see "timing: the Tick grid" below).
 	Tick time.Duration
-	// Mode selects how the loop is driven; the zero value ManagerDefault
-	// resolves to ManagerEventDriven (or the FREERIDE_ORACLE_MANAGER
-	// environment override).
-	Mode ManagerMode
 	// RPCTimeout bounds every manager→worker call.
 	RPCTimeout time.Duration
 	// MemSlack is added to a task's profiled memory requirement when
@@ -199,9 +123,6 @@ func (o *ManagerOptions) normalize() {
 	if o.RPCTimeout <= 0 {
 		o.RPCTimeout = time.Second
 	}
-	if o.Mode == ManagerDefault {
-		o.Mode = defaultManagerMode()
-	}
 	if o.Lease > 0 || o.Replan != nil {
 		if o.MaxRestarts <= 0 {
 			o.MaxRestarts = DefaultMaxRestarts
@@ -214,21 +135,6 @@ func (o *ManagerOptions) normalize() {
 		}
 	}
 }
-
-// defaultManagerMode resolves ManagerDefault: event-driven unless the CI
-// oracle matrix forces another mode via FREERIDE_ORACLE_MANAGER. The raw
-// value comes from the shared resolver (internal/oracle); the mode enum and
-// its validation live here.
-var defaultManagerMode = sync.OnceValue(func() ManagerMode {
-	if s := oracle.Env().ManagerMode; s != "" {
-		m, err := ParseManagerMode(s)
-		if err != nil {
-			panic(fmt.Sprintf("core: bad FREERIDE_ORACLE_MANAGER: %v", err))
-		}
-		return m
-	}
-	return ManagerEventDriven
-})
 
 // TaskView is a snapshot of one task's manager-side record.
 type TaskView struct {
@@ -338,10 +244,9 @@ type taskRecord struct {
 }
 
 // pendingBubble is one reported-but-unserved bubble. visibleAt is the first
-// instant the Algorithm-2 loop could act on the report: the polling loop
-// never sees a report before its next tick, so the event-driven manager must
-// not adopt one earlier either — even when a reconcile and a report land on
-// the same timestamp in either order.
+// instant the Algorithm-2 loop may act on the report — the grid instant
+// strictly after its arrival — so a bubble is never adopted earlier, even
+// when a reconcile and a report land on the same timestamp in either order.
 type pendingBubble struct {
 	b         bubble.Bubble
 	visibleAt time.Duration
@@ -363,12 +268,12 @@ type workerMeta struct {
 	pending []pendingBubble
 	alive   bool
 
-	// Event-driven reconcile state. endTimer fires at the (rounded) end of
-	// the current bubble — the pause point; startTimer at the instant the
-	// front pending bubble becomes adoptable; kickTimer at the next tick
-	// instant after a state push / RPC completion. All three reuse their
-	// Timer allocation through simtime.Reschedule and share reconcileFn, so
-	// the steady state allocates nothing. The *At fields record each
+	// Reconcile state. endTimer fires at the (rounded) end of the current
+	// bubble — the pause point; startTimer at the instant the front pending
+	// bubble becomes adoptable; kickTimer at the next grid instant after a
+	// state push / RPC completion. All three reuse their Timer allocation
+	// through simtime.Reschedule and share reconcileFn, so the steady
+	// state allocates nothing. The *At fields record each
 	// timer's intended instant (valid while it is Pending) so re-arming an
 	// unchanged deadline is a no-op on the wall engine too, where
 	// Timer.When drifts by the arming latency.
@@ -447,15 +352,9 @@ type Manager struct {
 	workers []*workerMeta
 	tasks   map[string]*taskRecord
 	stats   ManagerStats
-	// epoch anchors the Tick grid: the polling loop ticks at
-	// epoch+k*Tick, and the event-driven mode rounds its deadlines onto
-	// the same instants.
-	epoch  time.Duration
-	ticker *simtime.Timer
-	// tickFn is the Algorithm-2 loop body, allocated once: the loop
-	// re-arms its timer every Tick for the whole training run and must
-	// not allocate a fresh closure each pass.
-	tickFn  func()
+	// epoch anchors the Tick grid: the loop acts at epoch+k*Tick, and every
+	// wake-up and deadline is rounded onto those instants.
+	epoch   time.Duration
 	running bool
 	// rng drives recovery backoff jitter (recovery-armed managers only);
 	// seeded from ManagerOptions.Seed so fault runs are reproducible.
@@ -544,7 +443,7 @@ func (m *Manager) AddWorker(name string, stage int, gpuMem int64, peer *freerpc.
 	m.mu.Lock()
 	m.workers = append(m.workers, w)
 	// Workers may join a running manager (livemode): fold them into the
-	// reconcile schedule as the next tick would have.
+	// reconcile schedule at the next grid instant.
 	m.wakeLocked(w)
 	m.armLeaseLocked(w)
 	m.mu.Unlock()
@@ -993,8 +892,8 @@ func (m *Manager) AddBubble(b bubble.Bubble) {
 	// No worker for this stage: the bubble goes unharvested.
 }
 
-// Start begins serving Algorithm 2: the polling loop in ManagerPolling
-// mode, the per-worker reconcile schedule otherwise.
+// Start begins serving Algorithm 2: it anchors the Tick grid and arms the
+// per-worker reconcile schedule.
 func (m *Manager) Start() {
 	m.mu.Lock()
 	if m.running {
@@ -1006,13 +905,8 @@ func (m *Manager) Start() {
 	for _, w := range m.workers {
 		m.armLeaseLocked(w)
 	}
-	if m.opts.Mode == ManagerPolling {
-		m.mu.Unlock()
-		m.scheduleTick()
-		return
-	}
-	// Replicate the first tick for every worker; reconciles cascade from
-	// there, driven purely by events and armed deadlines.
+	// One pass per worker on the first grid instant; reconciles cascade
+	// from there, driven purely by events and armed deadlines.
 	for _, w := range m.workers {
 		if w.alive {
 			m.kickLocked(w, m.eventInstantLocked(m.epoch))
@@ -1026,10 +920,6 @@ func (m *Manager) Stop() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.running = false
-	if m.ticker != nil {
-		m.ticker.Cancel()
-		m.ticker = nil
-	}
 	for _, w := range m.workers {
 		w.cancelTimersLocked()
 	}
@@ -1042,19 +932,18 @@ func (m *Manager) Stop() {
 
 // --- timing: the Tick grid ------------------------------------------------
 //
-// The polling loop acts at epoch+k*Tick, k ≥ 1, and an event processed at
-// engine-time t is first seen by the tick strictly after t (a tick sharing
-// t's timestamp was enqueued a full period earlier, so it runs first and
-// misses the event). The event-driven mode rounds every wake-up onto those
-// same instants, which is what keeps its timing bit-identical to the
-// polling oracle.
+// Algorithm 2 is a loop with period Tick: it acts at epoch+k*Tick, k ≥ 1,
+// and an event processed at engine-time t is first seen at the grid instant
+// strictly after t (a pass sharing t's timestamp does not see it). The loop
+// is not run as a timer per Tick; each worker's reconciles are scheduled for
+// exactly the grid instants at which a pass would find something to do, so
+// every action carries the timestamp the literal loop would give it. That
+// identity assumes control-plane messages are in flight for less than one
+// Tick (RPC latency < Tick, the shipped configurations).
 
 // eventInstantLocked reports the first instant the loop may act on an event
 // processed at engine-time t.
 func (m *Manager) eventInstantLocked(t time.Duration) time.Duration {
-	if m.opts.Mode != ManagerEventDriven {
-		return t
-	}
 	if t < m.epoch {
 		t = m.epoch
 	}
@@ -1063,11 +952,9 @@ func (m *Manager) eventInstantLocked(t time.Duration) time.Duration {
 }
 
 // deadlineInstantLocked reports the first instant the loop may act on a
-// known deadline d (a bubble start or end): the first tick at or after d.
+// known deadline d (a bubble start or end): the first grid instant at or
+// after d.
 func (m *Manager) deadlineInstantLocked(d time.Duration) time.Duration {
-	if m.opts.Mode != ManagerEventDriven {
-		return d
-	}
 	if d <= m.epoch+m.opts.Tick {
 		return m.epoch + m.opts.Tick
 	}
@@ -1075,7 +962,7 @@ func (m *Manager) deadlineInstantLocked(d time.Duration) time.Duration {
 	return m.epoch + k*m.opts.Tick
 }
 
-// --- event-driven reconcile -----------------------------------------------
+// --- reconcile schedule ---------------------------------------------------
 
 // reconcile is the shared timer callback: one full Algorithm-2 pass for w at
 // the current (grid-aligned) instant, then re-arm whatever deadlines remain.
@@ -1091,11 +978,11 @@ func (m *Manager) reconcile(w *workerMeta) {
 }
 
 // wakeLocked notes a control-plane event for w: a reconcile is scheduled at
-// the same instant the polling loop would have acted on it, and the
-// deadline timers are refreshed. No-op in polling mode (the tick covers it)
-// and while the manager is stopped (Start arms the initial pass).
+// the first grid instant that may act on it, and the deadline timers are
+// refreshed. No-op while the manager is stopped (Start arms the initial
+// pass).
 func (m *Manager) wakeLocked(w *workerMeta) {
-	if !m.running || !w.alive || m.opts.Mode == ManagerPolling {
+	if !m.running || !w.alive {
 		return
 	}
 	now := m.eng.Now()
@@ -1118,7 +1005,7 @@ func (m *Manager) kickLocked(w *workerMeta, at time.Duration) {
 // adoption instant. Both reuse their handles; re-arming an unchanged
 // deadline is a no-op.
 func (m *Manager) armWorkerLocked(w *workerMeta, now time.Duration) {
-	if !m.running || !w.alive || m.opts.Mode == ManagerPolling {
+	if !m.running || !w.alive {
 		return
 	}
 	if w.bubble != nil {
@@ -1137,7 +1024,7 @@ func (m *Manager) armWorkerLocked(w *workerMeta, now time.Duration) {
 		}
 	}
 	// An idle worker with queued tasks promotes the next one on the next
-	// tick (the polling loop's pop); replicate that with a kick.
+	// grid instant (Algorithm 2's queue pop).
 	if w.current == nil && len(w.queue) > 0 {
 		m.kickLocked(w, m.eventInstantLocked(now))
 	}
@@ -1155,36 +1042,7 @@ func (m *Manager) armLocked(t *simtime.Timer, armedAt *time.Duration, at time.Du
 
 // --- Algorithm 2 ----------------------------------------------------------
 
-func (m *Manager) scheduleTick() {
-	m.mu.Lock()
-	if !m.running {
-		m.mu.Unlock()
-		return
-	}
-	if m.tickFn == nil {
-		m.tickFn = func() {
-			m.tick()
-			m.scheduleTick()
-		}
-	}
-	// The ticker handle never leaves the manager, so the fired timer is
-	// reused instead of allocating one per tick.
-	m.ticker = simtime.Reschedule(m.eng, m.ticker, m.opts.Tick, "manager-tick", m.tickFn)
-	m.mu.Unlock()
-}
-
-// tick is one pass of paper Algorithm 2 over all workers (polling mode).
-func (m *Manager) tick() {
-	now := m.eng.Now()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, w := range m.workers {
-		m.reconcileWorkerLocked(w, now)
-	}
-}
-
-// reconcileWorkerLocked is the per-worker body of Algorithm 2, shared
-// verbatim by the polling tick and the event-driven reconcile.
+// reconcileWorkerLocked is the per-worker body of Algorithm 2.
 func (m *Manager) reconcileWorkerLocked(w *workerMeta, now time.Duration) {
 	if !w.alive {
 		return

@@ -13,9 +13,12 @@ import (
 	"freeride/internal/simtime"
 )
 
-// managerModes are the two timing-compatible loop drivers; most scenarios
-// below run under both and must behave identically.
-var managerModes = []ManagerMode{ManagerEventDriven, ManagerPolling}
+// eventDriven runs fn as the subtest "event-driven": the ID under which the
+// test floor tracks the scenarios that use it, kept so it does not change.
+func eventDriven(t *testing.T, fn func(t *testing.T)) {
+	t.Helper()
+	t.Run("event-driven", fn)
+}
 
 // TestAdmissionAccountsForMemSlack: Algorithm 1 must admit a task only when
 // the worker can honor the MPS limit MemBytes+MemSlack, and must not reject
@@ -56,36 +59,34 @@ func TestAdmissionAccountsForMemSlack(t *testing.T) {
 // an already-begun one (out-of-order reports, the livemode case) must not
 // block the begun bubble at the head of the queue.
 func TestOutOfOrderBubbleReportsNotStarved(t *testing.T) {
-	for _, mode := range managerModes {
-		t.Run(mode.String(), func(t *testing.T) {
-			r := newRigOpts(t, 1, []int64{22 * model.GiB}, WorkerConfig{},
-				ManagerOptions{Tick: time.Millisecond, Mode: mode})
-			if err := r.mgr.Submit(spec("rn18", model.ResNet18, sidetask.ModeIterative)); err != nil {
-				t.Fatal(err)
-			}
-			r.mgr.Start()
-			r.eng.RunFor(4 * time.Second) // create + init
-			base := r.eng.Now()
-			// Reported first: a bubble an hour out. Reported second: one that
-			// has effectively begun.
-			r.mgr.AddBubble(bubble.Bubble{
-				Stage: 0, Start: base + time.Hour, Duration: 500 * time.Millisecond,
-				MemAvailable: 22 * model.GiB,
-			})
-			r.mgr.AddBubble(bubble.Bubble{
-				Stage: 0, Start: base + 2*time.Millisecond, Duration: 500 * time.Millisecond,
-				MemAvailable: 22 * model.GiB,
-			})
-			r.eng.RunFor(time.Second)
-			if got := r.mgr.Stats().BubblesServed; got != 1 {
-				t.Fatalf("BubblesServed = %d, want 1 (begun bubble starved behind future one)", got)
-			}
-			h, _ := r.workers[0].Harness("rn18")
-			if h.Counters().Steps == 0 {
-				t.Fatal("no steps ran in the begun bubble")
-			}
+	eventDriven(t, func(t *testing.T) {
+		r := newRigOpts(t, 1, []int64{22 * model.GiB}, WorkerConfig{},
+			ManagerOptions{Tick: time.Millisecond})
+		if err := r.mgr.Submit(spec("rn18", model.ResNet18, sidetask.ModeIterative)); err != nil {
+			t.Fatal(err)
+		}
+		r.mgr.Start()
+		r.eng.RunFor(4 * time.Second) // create + init
+		base := r.eng.Now()
+		// Reported first: a bubble an hour out. Reported second: one that
+		// has effectively begun.
+		r.mgr.AddBubble(bubble.Bubble{
+			Stage: 0, Start: base + time.Hour, Duration: 500 * time.Millisecond,
+			MemAvailable: 22 * model.GiB,
 		})
-	}
+		r.mgr.AddBubble(bubble.Bubble{
+			Stage: 0, Start: base + 2*time.Millisecond, Duration: 500 * time.Millisecond,
+			MemAvailable: 22 * model.GiB,
+		})
+		r.eng.RunFor(time.Second)
+		if got := r.mgr.Stats().BubblesServed; got != 1 {
+			t.Fatalf("BubblesServed = %d, want 1 (begun bubble starved behind future one)", got)
+		}
+		h, _ := r.workers[0].Harness("rn18")
+		if h.Counters().Steps == 0 {
+			t.Fatal("no steps ran in the begun bubble")
+		}
+	})
 }
 
 // flakyWorker is a scripted worker-side RPC surface: Create/Init succeed
@@ -132,10 +133,10 @@ func newFlakyWorker(startFails int) *flakyWorker {
 	return f
 }
 
-func newFlakyRig(t *testing.T, mode ManagerMode, startFails int) (*simtime.Virtual, *Manager, *flakyWorker) {
+func newFlakyRig(t *testing.T, startFails int) (*simtime.Virtual, *Manager, *flakyWorker) {
 	t.Helper()
 	eng := simtime.NewVirtual()
-	mgr := NewManager(eng, ManagerOptions{Tick: time.Millisecond, Mode: mode})
+	mgr := NewManager(eng, ManagerOptions{Tick: time.Millisecond})
 	mgrSide, workerSide := freerpc.MemPipe(eng, 200*time.Microsecond)
 	mgrPeer := freerpc.NewPeer(eng, mgrSide, mgr.Mux())
 	f := newFlakyWorker(startFails)
@@ -149,112 +150,103 @@ func newFlakyRig(t *testing.T, mode ManagerMode, startFails int) (*simtime.Virtu
 // startedForBubble pinned, so the bubble was never retried; the error path
 // must clear it and the next pass must retry into the same bubble.
 func TestFailedStartUnpinsBubbleForRetry(t *testing.T) {
-	for _, mode := range managerModes {
-		t.Run(mode.String(), func(t *testing.T) {
-			eng, mgr, f := newFlakyRig(t, mode, 2)
-			if err := mgr.Submit(spec("task", model.ResNet18, sidetask.ModeIterative)); err != nil {
-				t.Fatal(err)
-			}
-			mgr.Start()
-			eng.RunFor(100 * time.Millisecond) // create + init + paused push
-			base := eng.Now()
-			mgr.AddBubble(bubble.Bubble{
-				Stage: 0, Start: base, Duration: 200 * time.Millisecond,
-				MemAvailable: 22 * model.GiB,
-			})
-			eng.RunFor(100 * time.Millisecond)
-			if f.startCalls != 3 {
-				t.Fatalf("startCalls = %d, want 3 (two failures then success)", f.startCalls)
-			}
-			if got := mgr.Stats().BubblesServed; got != 1 {
-				t.Fatalf("BubblesServed = %d, want 1 after retries", got)
-			}
-			if tv := mgr.Tasks()[0]; tv.State != sidetask.StateRunning {
-				t.Fatalf("task state = %v, want RUNNING", tv.State)
-			}
+	eventDriven(t, func(t *testing.T) {
+		eng, mgr, f := newFlakyRig(t, 2)
+		if err := mgr.Submit(spec("task", model.ResNet18, sidetask.ModeIterative)); err != nil {
+			t.Fatal(err)
+		}
+		mgr.Start()
+		eng.RunFor(100 * time.Millisecond) // create + init + paused push
+		base := eng.Now()
+		mgr.AddBubble(bubble.Bubble{
+			Stage: 0, Start: base, Duration: 200 * time.Millisecond,
+			MemAvailable: 22 * model.GiB,
 		})
-	}
+		eng.RunFor(100 * time.Millisecond)
+		if f.startCalls != 3 {
+			t.Fatalf("startCalls = %d, want 3 (two failures then success)", f.startCalls)
+		}
+		if got := mgr.Stats().BubblesServed; got != 1 {
+			t.Fatalf("BubblesServed = %d, want 1 after retries", got)
+		}
+		if tv := mgr.Tasks()[0]; tv.State != sidetask.StateRunning {
+			t.Fatalf("task state = %v, want RUNNING", tv.State)
+		}
+	})
 }
 
 // TestFailedInitRetried: a failed Worker.Init used to leave initSent pinned
 // with the task stuck in CREATED, starving the worker's queue forever; the
 // error path must unpin it so a later pass retries.
 func TestFailedInitRetried(t *testing.T) {
-	for _, mode := range managerModes {
-		t.Run(mode.String(), func(t *testing.T) {
-			eng, mgr, f := newFlakyRig(t, mode, 0)
-			f.initFails = 2
-			if err := mgr.Submit(spec("task", model.ResNet18, sidetask.ModeIterative)); err != nil {
-				t.Fatal(err)
-			}
-			mgr.Start()
-			eng.RunFor(100 * time.Millisecond)
-			if f.initCalls != 3 {
-				t.Fatalf("initCalls = %d, want 3 (two failures then success)", f.initCalls)
-			}
-			if tv := mgr.Tasks()[0]; tv.State != sidetask.StatePaused {
-				t.Fatalf("task state = %v, want PAUSED after init retries", tv.State)
-			}
-		})
-	}
+	eventDriven(t, func(t *testing.T) {
+		eng, mgr, f := newFlakyRig(t, 0)
+		f.initFails = 2
+		if err := mgr.Submit(spec("task", model.ResNet18, sidetask.ModeIterative)); err != nil {
+			t.Fatal(err)
+		}
+		mgr.Start()
+		eng.RunFor(100 * time.Millisecond)
+		if f.initCalls != 3 {
+			t.Fatalf("initCalls = %d, want 3 (two failures then success)", f.initCalls)
+		}
+		if tv := mgr.Tasks()[0]; tv.State != sidetask.StatePaused {
+			t.Fatalf("task state = %v, want PAUSED after init retries", tv.State)
+		}
+	})
 }
 
 // TestFailedPauseCorrectsOptimisticState: pauseLocked records PAUSED
 // optimistically; when the pause RPC fails the record must be corrected back
 // to RUNNING instead of lying forever.
 func TestFailedPauseCorrectsOptimisticState(t *testing.T) {
-	for _, mode := range managerModes {
-		t.Run(mode.String(), func(t *testing.T) {
-			eng, mgr, f := newFlakyRig(t, mode, 0)
-			if err := mgr.Submit(spec("task", model.ResNet18, sidetask.ModeIterative)); err != nil {
-				t.Fatal(err)
-			}
-			mgr.Start()
-			eng.RunFor(100 * time.Millisecond)
-			base := eng.Now()
-			mgr.AddBubble(bubble.Bubble{
-				Stage: 0, Start: base, Duration: 50 * time.Millisecond,
-				MemAvailable: 22 * model.GiB,
-			})
-			eng.RunFor(200 * time.Millisecond) // bubble ends, pause sent and lost
-			if f.pauseCalls == 0 {
-				t.Fatal("pause never attempted")
-			}
-			if tv := mgr.Tasks()[0]; tv.State != sidetask.StateRunning {
-				t.Fatalf("task state = %v after lost pause, want RUNNING (worker truth)", tv.State)
-			}
-		})
-	}
-}
-
-// TestEventDrivenSkipsIdleTicks is the tentpole's point: with nothing to do,
-// the event-driven manager schedules (nearly) nothing, where the polling
-// loop burns an event per Tick per session.
-func TestEventDrivenSkipsIdleTicks(t *testing.T) {
-	dispatched := func(mode ManagerMode) uint64 {
-		eng := simtime.NewVirtual()
-		mgr := NewManager(eng, ManagerOptions{Tick: time.Millisecond, Mode: mode})
-		a, _ := freerpc.MemPipe(eng, 0)
-		mgr.AddWorker("w0", 0, 22*model.GiB, freerpc.NewPeer(eng, a, nil))
+	eventDriven(t, func(t *testing.T) {
+		eng, mgr, f := newFlakyRig(t, 0)
+		if err := mgr.Submit(spec("task", model.ResNet18, sidetask.ModeIterative)); err != nil {
+			t.Fatal(err)
+		}
 		mgr.Start()
-		eng.RunFor(10 * time.Second)
-		return eng.Dispatched()
+		eng.RunFor(100 * time.Millisecond)
+		base := eng.Now()
+		mgr.AddBubble(bubble.Bubble{
+			Stage: 0, Start: base, Duration: 50 * time.Millisecond,
+			MemAvailable: 22 * model.GiB,
+		})
+		eng.RunFor(200 * time.Millisecond) // bubble ends, pause sent and lost
+		if f.pauseCalls == 0 {
+			t.Fatal("pause never attempted")
+		}
+		if tv := mgr.Tasks()[0]; tv.State != sidetask.StateRunning {
+			t.Fatalf("task state = %v after lost pause, want RUNNING (worker truth)", tv.State)
+		}
+	})
+}
+
+// TestEventDrivenSkipsIdleTicks: Algorithm 2 has period Tick, but the
+// manager runs no timer per Tick. Once the start pass on the first grid
+// instant has found nothing to do, an idle manager dispatches no engine
+// event at all — 10 s of engine time is 10,000 grid instants.
+func TestEventDrivenSkipsIdleTicks(t *testing.T) {
+	eng := simtime.NewVirtual()
+	mgr := NewManager(eng, ManagerOptions{Tick: time.Millisecond})
+	a, _ := freerpc.MemPipe(eng, 0)
+	mgr.AddWorker("w0", 0, 22*model.GiB, freerpc.NewPeer(eng, a, nil))
+	mgr.Start()
+	eng.RunFor(time.Millisecond) // the start pass
+	if got := eng.Dispatched(); got != 1 {
+		t.Fatalf("start dispatched %d events, want the one pass over the one worker", got)
 	}
-	poll := dispatched(ManagerPolling)
-	event := dispatched(ManagerEventDriven)
-	if poll < 9_000 {
-		t.Fatalf("polling dispatched %d events, expected ~10000", poll)
-	}
-	if event > 10 {
-		t.Fatalf("event-driven dispatched %d events over 10 idle seconds, want <=10", event)
+	eng.RunFor(10 * time.Second)
+	if got := eng.Dispatched(); got != 1 {
+		t.Fatalf("idle manager dispatched %d events over 10 s, want 0", got-1)
 	}
 }
 
-// TestModesBitIdenticalOnScriptedLifecycle drives a real worker through a
-// bubble pattern with odd (non-grid-aligned) offsets under both modes and
-// requires identical stats, counters and final state — the core-level
-// differential check backing the grid-level oracle in experiments.
-func TestModesBitIdenticalOnScriptedLifecycle(t *testing.T) {
+// TestScriptedLifecyclePinned drives a real worker through a bubble pattern
+// with odd (non-grid-aligned) offsets and pins stats, counters and final
+// state to the values the literal per-Tick loop produced before it was
+// retired (captured on the commit that still had it; both drivers agreed).
+func TestScriptedLifecyclePinned(t *testing.T) {
 	type outcome struct {
 		stats  ManagerStats
 		steps  uint64
@@ -262,77 +254,56 @@ func TestModesBitIdenticalOnScriptedLifecycle(t *testing.T) {
 		state  sidetask.State
 		ws     WorkerStats
 	}
-	run := func(mode ManagerMode) outcome {
-		r := newRigOpts(t, 1, []int64{22 * model.GiB}, WorkerConfig{},
-			ManagerOptions{Tick: time.Millisecond, Mode: mode})
-		if err := r.mgr.Submit(spec("rn18", model.ResNet18, sidetask.ModeIterative)); err != nil {
-			t.Fatal(err)
-		}
-		r.mgr.Start()
-		r.eng.RunFor(4 * time.Second)
-		base := r.eng.Now()
-		// Odd offsets and durations: adoption, pause and expiry instants all
-		// land between grid points, plus one bubble too short to survive
-		// until its adoption tick and one pair back-to-back.
-		script := []struct{ start, dur time.Duration }{
-			{700 * time.Microsecond, 437 * time.Millisecond},
-			{500 * time.Millisecond, 300 * time.Microsecond}, // expires unseen
-			{900 * time.Millisecond, 233100 * time.Microsecond},
-			{1133200 * time.Microsecond, 400 * time.Millisecond}, // back-to-back
-			{3 * time.Second, 512300 * time.Microsecond},
-		}
-		for _, b := range script {
-			r.mgr.AddBubble(bubble.Bubble{
-				Stage: 0, Start: base + b.start, Duration: b.dur,
-				MemAvailable: 22 * model.GiB,
-			})
-		}
-		r.eng.RunFor(5 * time.Second)
-		h, ok := r.workers[0].Harness("rn18")
-		if !ok {
-			t.Fatal("task missing")
-		}
-		c := h.Counters()
-		return outcome{
-			stats:  r.mgr.Stats(),
-			steps:  c.Steps,
-			kernel: c.KernelTime,
-			state:  h.State(),
-			ws:     r.workers[0].Stats(),
-		}
-	}
-	poll := run(ManagerPolling)
-	event := run(ManagerEventDriven)
-	if poll != event {
-		t.Fatalf("modes diverged:\npolling: %+v\nevent:   %+v", poll, event)
-	}
-	if poll.stats.BubblesServed == 0 || poll.steps == 0 {
-		t.Fatalf("scenario inert: %+v", poll)
-	}
-}
-
-// TestImmediateModeServesBubbles: the unquantized mode is not required to be
-// timing-compatible, but it must serve the same lifecycle.
-func TestImmediateModeServesBubbles(t *testing.T) {
 	r := newRigOpts(t, 1, []int64{22 * model.GiB}, WorkerConfig{},
-		ManagerOptions{Tick: time.Millisecond, Mode: ManagerImmediate})
+		ManagerOptions{Tick: time.Millisecond})
 	if err := r.mgr.Submit(spec("rn18", model.ResNet18, sidetask.ModeIterative)); err != nil {
 		t.Fatal(err)
 	}
 	r.mgr.Start()
 	r.eng.RunFor(4 * time.Second)
 	base := r.eng.Now()
-	r.mgr.AddBubble(bubble.Bubble{
-		Stage: 0, Start: base + 100*time.Millisecond, Duration: 500 * time.Millisecond,
-		MemAvailable: 22 * model.GiB,
-	})
-	r.eng.RunFor(time.Second)
-	h, _ := r.workers[0].Harness("rn18")
-	if h.Counters().Steps == 0 || r.mgr.Stats().BubblesServed != 1 {
-		t.Fatalf("immediate mode served nothing: steps=%d stats=%+v",
-			h.Counters().Steps, r.mgr.Stats())
+	// Odd offsets and durations: adoption and pause instants land between
+	// grid points, plus one bubble shorter than a Tick (adopted on its start
+	// instant, which is on the grid, and paused one Tick later) and one pair
+	// back-to-back.
+	script := []struct{ start, dur time.Duration }{
+		{700 * time.Microsecond, 437 * time.Millisecond},
+		{500 * time.Millisecond, 300 * time.Microsecond}, // sub-Tick
+		{900 * time.Millisecond, 233100 * time.Microsecond},
+		{1133200 * time.Microsecond, 400 * time.Millisecond}, // back-to-back
+		{3 * time.Second, 512300 * time.Microsecond},
 	}
-	if got := h.State(); got != sidetask.StatePaused {
-		t.Fatalf("state after bubble = %v, want PAUSED", got)
+	for _, b := range script {
+		r.mgr.AddBubble(bubble.Bubble{
+			Stage: 0, Start: base + b.start, Duration: b.dur,
+			MemAvailable: 22 * model.GiB,
+		})
+	}
+	r.eng.RunFor(5 * time.Second)
+	h, ok := r.workers[0].Harness("rn18")
+	if !ok {
+		t.Fatal("task missing")
+	}
+	c := h.Counters()
+	got := outcome{
+		stats:  r.mgr.Stats(),
+		steps:  c.Steps,
+		kernel: c.KernelTime,
+		state:  h.State(),
+		ws:     r.workers[0].Stats(),
+	}
+	want := outcome{
+		stats: ManagerStats{
+			Submitted: 1, BubblesAdded: 5, BubblesServed: 5, RPCs: 12,
+			BubbleTimeTotal:  1582700 * time.Microsecond,
+			BubbleTimeServed: 1579700 * time.Microsecond,
+		},
+		steps:  49,
+		kernel: 1499446725,
+		state:  sidetask.StatePaused,
+		ws:     WorkerStats{Created: 1, Inits: 1, Starts: 5, Pauses: 5},
+	}
+	if got != want {
+		t.Fatalf("scripted lifecycle moved:\ngot:  %+v\nwant: %+v", got, want)
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"freeride"
 	"freeride/internal/bubble"
-	"freeride/internal/core"
 )
 
 // TestZeroDriftOracleBitIdentical is the drift plane's do-no-harm oracle:
@@ -20,8 +19,8 @@ import (
 // window sum equals the baseline to the bit, so the CUSUM never
 // accumulates and admission never consults the online estimate.
 func TestZeroDriftOracleBitIdentical(t *testing.T) {
-	plain := runOracleGrid(t, core.ManagerEventDriven, nil)
-	armed := runOracleGrid(t, core.ManagerEventDriven, func(cfg *freeride.Config) {
+	plain := runOracleGrid(t, nil)
+	armed := runOracleGrid(t, func(cfg *freeride.Config) {
 		cfg.Drift = &bubble.DriftSchedule{}
 		cfg.Replan = &bubble.DetectorConfig{}
 	})
@@ -37,7 +36,7 @@ func TestZeroDriftOracleBitIdentical(t *testing.T) {
 
 // driftOpts is the shrunk sweep configuration the drift tests share.
 func driftOpts(seed int64) Options {
-	o := oracleOpts(core.ManagerEventDriven)
+	o := oracleOpts()
 	o.Seed = seed
 	return o
 }

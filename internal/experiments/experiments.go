@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"freeride"
-	"freeride/internal/core"
 	"freeride/internal/model"
 	"freeride/internal/sidetask"
 )
@@ -30,22 +29,6 @@ type Options struct {
 	// isolated and identically seeded, so results are independent of the
 	// worker count; only wall-clock changes.
 	Parallelism int
-	// ManagerMode drives the Algorithm-2 loop: event-driven (default) or
-	// the polling oracle. Results are bit-identical either way (asserted by
-	// the differential test); only simulation wall-clock changes.
-	ManagerMode core.ManagerMode
-	// FullRebalance forces the GPU scheduler's full-recompute oracle pass
-	// instead of the incremental one. Results are bit-identical either way
-	// (asserted by the differential test); only wall-clock changes.
-	FullRebalance bool
-	// NoShareCache disables the GPU scheduler's water-fill share cache,
-	// recomputing allocations on every rebalance. Results are bit-identical
-	// either way; only wall-clock changes.
-	NoShareCache bool
-	// NoStepFuse forces the side-task step loop's unfused two-event form
-	// instead of the fused host-lead launch. Results are bit-identical
-	// either way; only event counts and wall-clock change.
-	NoStepFuse bool
 	// Cross widens grid sweeps that support it (currently the schedule
 	// sweep) from their fast default slice to the full cross product.
 	Cross bool
@@ -81,10 +64,6 @@ func (o Options) baseConfig() freeride.Config {
 	cfg.Epochs = o.Epochs
 	cfg.WorkScale = o.WorkScale
 	cfg.Seed = o.Seed
-	cfg.ManagerMode = o.ManagerMode
-	cfg.FullRebalance = o.FullRebalance
-	cfg.NoShareCache = o.NoShareCache
-	cfg.NoStepFuse = o.NoStepFuse
 	return cfg
 }
 

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"freeride"
-	"freeride/internal/core"
 	"freeride/internal/model"
 	"freeride/internal/simfault"
 )
@@ -22,8 +21,8 @@ import (
 // with no fault plane at all. Pings are the one intentional difference (the
 // lease detector probes on its own counter) and are zeroed before compare.
 func TestZeroFaultOracleBitIdentical(t *testing.T) {
-	plain := runOracleGrid(t, core.ManagerEventDriven, nil)
-	wired := runOracleGrid(t, core.ManagerEventDriven, func(cfg *freeride.Config) {
+	plain := runOracleGrid(t, nil)
+	wired := runOracleGrid(t, func(cfg *freeride.Config) {
 		cfg.Faults = &simfault.Schedule{}
 	})
 	for key, res := range wired {
@@ -40,7 +39,7 @@ func TestZeroFaultOracleBitIdentical(t *testing.T) {
 
 // faultOpts is the shrunk sweep configuration the fault tests share.
 func faultOpts(seed int64) Options {
-	o := oracleOpts(core.ManagerEventDriven)
+	o := oracleOpts()
 	o.Seed = seed
 	return o
 }

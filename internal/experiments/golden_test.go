@@ -13,7 +13,6 @@ import (
 
 	"freeride"
 	"freeride/internal/bubble"
-	"freeride/internal/core"
 	"freeride/internal/model"
 	"freeride/internal/serve"
 	"freeride/internal/simfault"
@@ -41,15 +40,14 @@ func sessionDigest(res *freeride.Result) string {
 func goldenSweepCells(t *testing.T) map[string]*freeride.Result {
 	t.Helper()
 	out := make(map[string]*freeride.Result)
-	must := func(name string, res *freeride.Result, err error) *freeride.Result {
+	must := func(name string, res *freeride.Result, err error) {
 		t.Helper()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		out[name] = res
-		return res
 	}
-	opts := oracleOpts(core.ManagerEventDriven)
+	opts := oracleOpts()
 	base := opts.baseConfig()
 	base.Method = freeride.MethodIterative
 	resnet := []model.TaskProfile{model.ResNet18}
@@ -123,20 +121,12 @@ func goldenSweepCells(t *testing.T) map[string]*freeride.Result {
 	return out
 }
 
-// envArmed reports an armed FREERIDE_ORACLE_* plane variable (bad values
-// never get this far: the shared resolver panics at the first session).
-func envArmed(key string) bool {
-	s := os.Getenv(key)
-	return s == "on" || s == "1"
-}
-
-// TestGoldenSessionDigests pins whole sessions against digests captured on
-// the commit before the polling / immediate manager drivers, the legacy
-// schedule emitters, the share-cache and step-fuse switches and the config
-// aliases were deleted: every Table 2 FreeRide cell and a default cell of
-// each sweep must report the same Result to the last bit. It stands in for
-// the two-arm grid comparisons those switches used to feed. Regenerate
-// deliberately with -update-golden (default environment only).
+// TestGoldenSessionDigests pins whole sessions: every Table 2 FreeRide cell
+// and a default cell of each sweep must report the same Result to the last
+// bit as on the commit the digests were captured on — the last one that
+// still had a polling manager driver, legacy schedule emitters and the
+// share-cache and step-fuse switches to cross-check the default arm against.
+// Regenerate deliberately with -update-golden.
 //
 // The dormant planes hold the digests too: every cell must reproduce under
 // FREERIDE_ORACLE_SERVING=on and under FREERIDE_ORACLE_DRIFT=on. No cell is
@@ -145,16 +135,13 @@ func envArmed(key string) bool {
 // and the one fault cell pinned here — a worker crash — does neither.
 func TestGoldenSessionDigests(t *testing.T) {
 	got := make(map[string]string)
-	for name, res := range runOracleGrid(t, core.ManagerEventDriven, nil) {
+	for name, res := range runOracleGrid(t, nil) {
 		got["table2/"+name] = sessionDigest(res)
 	}
 	for name, res := range goldenSweepCells(t) {
 		got[name] = sessionDigest(res)
 	}
 	if *updateGolden {
-		if envArmed("FREERIDE_ORACLE_DRIFT") || envArmed("FREERIDE_ORACLE_SERVING") {
-			t.Fatal("-update-golden must run in the default environment")
-		}
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)

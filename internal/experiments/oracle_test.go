@@ -6,15 +6,14 @@ import (
 	"testing"
 
 	"freeride"
-	"freeride/internal/core"
 	"freeride/internal/model"
 	"freeride/internal/sidetask"
 )
 
 // oracleOpts shrinks the grid's epochs (the bubble pattern repeats per
 // epoch) while keeping every method × workload cell.
-func oracleOpts(mode core.ManagerMode) Options {
-	o := Options{Epochs: 4, WorkScale: sidetask.WorkNone, Seed: 1, ManagerMode: mode}
+func oracleOpts() Options {
+	o := Options{Epochs: 4, WorkScale: sidetask.WorkNone, Seed: 1}
 	o.normalize()
 	return o
 }
@@ -23,11 +22,11 @@ func oracleOpts(mode core.ManagerMode) Options {
 // manager participates in: both interfaces × six tasks + mixed) and returns
 // each cell's full Result — training time, per-task work and transitions,
 // manager and worker counters, cost metrics. tweak, when non-nil, adjusts
-// each cell's config before the run (the rebalance oracle uses it).
-func runOracleGrid(t *testing.T, mode core.ManagerMode, tweak func(*freeride.Config)) map[string]*freeride.Result {
+// each cell's config before the run (the dormant-plane oracles use it).
+func runOracleGrid(t *testing.T, tweak func(*freeride.Config)) map[string]*freeride.Result {
 	t.Helper()
 	cellCfg := func(method freeride.Method) freeride.Config {
-		cfg := oracleOpts(mode).baseConfig()
+		cfg := oracleOpts().baseConfig()
 		cfg.Method = method
 		if tweak != nil {
 			tweak(&cfg)
@@ -39,13 +38,13 @@ func runOracleGrid(t *testing.T, mode core.ManagerMode, tweak func(*freeride.Con
 		for i := range evalTasks {
 			res, err := runOne(cellCfg(method), []model.TaskProfile{evalTasks[i]})
 			if err != nil {
-				t.Fatalf("%v/%s under %v: %v", method, evalTasks[i].Name, mode, err)
+				t.Fatalf("%v/%s: %v", method, evalTasks[i].Name, err)
 			}
 			out[fmt.Sprintf("%v/%s", method, evalTasks[i].Name)] = res
 		}
 		res, err := runMixed(cellCfg(method))
 		if err != nil {
-			t.Fatalf("%v/mixed under %v: %v", method, mode, err)
+			t.Fatalf("%v/mixed: %v", method, err)
 		}
 		out[fmt.Sprintf("%v/mixed", method)] = res
 	}
@@ -66,15 +65,6 @@ func compareOracleGrids(t *testing.T, a, b map[string]*freeride.Result, what str
 		}
 		// The configs intentionally differ; everything observable must not.
 		ar.Config, br.Config = freeride.Config{}, freeride.Config{}
-		// StepEvents counts the dispatch substrate's engine events (a fused
-		// step loop legitimately dispatches half as many as the two-event
-		// form); it is bookkeeping, not a reproduction metric.
-		for i := range ar.Tasks {
-			ar.Tasks[i].StepEvents = 0
-		}
-		for i := range br.Tasks {
-			br.Tasks[i].StepEvents = 0
-		}
 		if !reflect.DeepEqual(ar, br) {
 			t.Errorf("%s: cell %s diverged:\n%+v\nvs\n%+v", what, key, ar, br)
 		}
@@ -84,77 +74,10 @@ func compareOracleGrids(t *testing.T, a, b map[string]*freeride.Result, what str
 	}
 }
 
-// TestPollingVsEventDrivenBitIdentical is the differential oracle: the
-// event-driven manager must reproduce the polling loop's behaviour
-// bit-for-bit across the full grid — identical training times, task steps
-// and kernel/host/insufficient times, exit states, manager stats (including
-// RPC and bubble counters and served bubble time) and worker stats.
-func TestPollingVsEventDrivenBitIdentical(t *testing.T) {
-	event := runOracleGrid(t, core.ManagerEventDriven, nil)
-	poll := runOracleGrid(t, core.ManagerPolling, nil)
-	compareOracleGrids(t, event, poll, "event vs polling")
-}
-
-// TestIncrementalVsFullRebalanceGridBitIdentical is the end-to-end scheduler
-// differential: the whole FreeRide grid — training, bubbles, manager,
-// workers, kills, cost metrics — must be bit-identical whether the GPU
-// scheduler runs the incremental rebalance or the retained full-recompute
-// oracle. The simgpu-level oracle asserts float-exact allocations on random
-// workloads; this asserts nothing observable changes at system scale.
-func TestIncrementalVsFullRebalanceGridBitIdentical(t *testing.T) {
-	inc := runOracleGrid(t, core.ManagerEventDriven, nil)
-	ful := runOracleGrid(t, core.ManagerEventDriven, func(cfg *freeride.Config) {
-		cfg.FullRebalance = true
-	})
-	compareOracleGrids(t, inc, ful, "incremental vs full rebalance")
-}
-
-// TestShareCacheGridBitIdentical is the end-to-end water-fill-cache
-// differential: the whole FreeRide grid must be bit-identical whether the
-// incremental scheduler serves allocations from the share cache or
-// recomputes them on every rebalance. The simgpu-level oracle asserts
-// float-exactness on random workloads; this asserts nothing observable
-// changes at system scale.
-func TestShareCacheGridBitIdentical(t *testing.T) {
-	cached := runOracleGrid(t, core.ManagerEventDriven, nil)
-	recomputed := runOracleGrid(t, core.ManagerEventDriven, func(cfg *freeride.Config) {
-		cfg.NoShareCache = true
-	})
-	compareOracleGrids(t, cached, recomputed, "share cache vs recompute")
-}
-
-// TestStepFuseGridBitIdentical is the end-to-end step-fusion differential:
-// the whole FreeRide grid — training times, task steps, kernel/host times,
-// cost metrics, manager and worker stats — must be bit-identical whether
-// the side-task step loop fuses the host overhead into the kernel launch
-// (one engine event per step) or dispatches the retained two-event form.
-// Only the StepEvents accounting may differ (normalized by the comparator).
-func TestStepFuseGridBitIdentical(t *testing.T) {
-	fused := runOracleGrid(t, core.ManagerEventDriven, nil)
-	unfused := runOracleGrid(t, core.ManagerEventDriven, func(cfg *freeride.Config) {
-		cfg.NoStepFuse = true
-	})
-	compareOracleGrids(t, fused, unfused, "fused vs two-event step loop")
-}
-
-// TestScheduleGeneratorGridBitIdentical is the schedule-zoo refactor's
-// end-to-end differential: the whole FreeRide grid — training times, bubble
-// profiles, task work, manager/worker counters, cost metrics — must be
-// bit-identical whether op lists come from the new schedule generators or
-// the retained legacy 1F1B/GPipe emitters (Config.LegacySchedule, the
-// in-process half of the FREERIDE_ORACLE_SCHEDULE CI arm).
-func TestScheduleGeneratorGridBitIdentical(t *testing.T) {
-	gen := runOracleGrid(t, core.ManagerEventDriven, nil)
-	leg := runOracleGrid(t, core.ManagerEventDriven, func(cfg *freeride.Config) {
-		cfg.LegacySchedule = true
-	})
-	compareOracleGrids(t, gen, leg, "generator vs legacy schedule")
-}
-
-// TestTable2GridRunsEventDriven pins the grid harness itself to the new
-// default mode and sanity-checks the headline metrics' signs.
+// TestTable2GridRunsEventDriven runs the grid harness itself and
+// sanity-checks the headline metrics' signs.
 func TestTable2GridRunsEventDriven(t *testing.T) {
-	res, err := RunTable2(oracleOpts(core.ManagerEventDriven))
+	res, err := RunTable2(oracleOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"freeride"
-	"freeride/internal/core"
-	"freeride/internal/model"
 )
 
 // TestZeroServingOracleBitIdentical is the dormant-plane gate: arming the
@@ -17,60 +15,14 @@ import (
 // defer a fit, so the armed manager takes every decision the unarmed one
 // does.
 func TestZeroServingOracleBitIdentical(t *testing.T) {
-	base := runOracleGrid(t, core.ManagerEventDriven, nil)
-	armed := runOracleGrid(t, core.ManagerEventDriven, func(cfg *freeride.Config) {
+	base := runOracleGrid(t, nil)
+	armed := runOracleGrid(t, func(cfg *freeride.Config) {
 		cfg.Oracle.ServingGuard = true
 	})
 	compareOracleGrids(t, base, armed, "serving guard armed vs unarmed")
 	for key, res := range armed {
 		if res.ManagerStats.SLODeferred != 0 {
 			t.Errorf("%s: zero guard deferred %d fits", key, res.ManagerStats.SLODeferred)
-		}
-	}
-}
-
-// TestOracleGroupBackCompatBitIdentical pins the deprecated flat oracle
-// fields to their grouped spellings: a config setting Config.X and one
-// setting Config.Oracle.X must produce bit-identical results INCLUDING the
-// normalized Config — the fold (flat → group) and mirror (group → flat)
-// both ran, so either spelling observes the same session.
-func TestOracleGroupBackCompatBitIdentical(t *testing.T) {
-	toggles := []struct {
-		name    string
-		flat    func(*freeride.Config)
-		grouped func(*freeride.Config)
-	}{
-		{"FullRebalance",
-			func(c *freeride.Config) { c.FullRebalance = true },
-			func(c *freeride.Config) { c.Oracle.FullRebalance = true }},
-		{"NoShareCache",
-			func(c *freeride.Config) { c.NoShareCache = true },
-			func(c *freeride.Config) { c.Oracle.NoShareCache = true }},
-		{"NoStepFuse",
-			func(c *freeride.Config) { c.NoStepFuse = true },
-			func(c *freeride.Config) { c.Oracle.NoStepFuse = true }},
-		{"LegacySchedule",
-			func(c *freeride.Config) { c.LegacySchedule = true },
-			func(c *freeride.Config) { c.Oracle.LegacySchedule = true }},
-	}
-	runCell := func(tweak func(*freeride.Config)) *freeride.Result {
-		cfg := oracleOpts(core.ManagerEventDriven).baseConfig()
-		cfg.Method = freeride.MethodIterative
-		tweak(&cfg)
-		res, err := runOne(cfg, []model.TaskProfile{model.ResNet18})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	for _, tog := range toggles {
-		flat := runCell(tog.flat)
-		grouped := runCell(tog.grouped)
-		if !reflect.DeepEqual(flat, grouped) {
-			t.Errorf("%s: flat vs grouped spelling diverged (config folding broken)", tog.name)
-		}
-		if flat.TotalSteps() == 0 {
-			t.Errorf("%s: cell ran no side-task steps (inert comparison)", tog.name)
 		}
 	}
 }

@@ -235,10 +235,6 @@ type ManagerConfig struct {
 	Model      model.LLM
 	MicroBatch int
 	Tick       time.Duration
-	// Mode drives Algorithm 2; the zero value is the event-driven manager.
-	// Live deployments benefit doubly: no wall-clock wakeup per Tick, and
-	// out-of-order bubble reports (real network) are served in Start order.
-	Mode core.ManagerMode
 	// Lease > 0 enables the failure detector and self-healing recovery:
 	// workers are pinged every Lease/2, declared dead after a silent Lease,
 	// and their tasks re-placed from the last checkpoint with backoff. Zero
@@ -289,7 +285,7 @@ func StartManager(cfg ManagerConfig) (*ManagerDaemon, error) {
 	}
 	eng := simtime.NewWall()
 	mgr := core.NewManager(eng, core.ManagerOptions{
-		Tick: cfg.Tick, Mode: cfg.Mode, MemSlack: core.DefaultMemSlack,
+		Tick: cfg.Tick, MemSlack: core.DefaultMemSlack,
 		Lease: cfg.Lease, MaxRestarts: cfg.MaxRestarts, RetryBackoff: cfg.RetryBackoff,
 	})
 

@@ -1,89 +1,70 @@
-// Package oracle is the single shared resolver for the FREERIDE_ORACLE_*
-// differential-oracle environment overrides.
+// Package oracle resolves the FREERIDE_ORACLE_* environment overrides: CI's
+// way of re-running the whole tier-1 suite with a dormant plane armed. Both
+// planes wire machinery into every training session at its zero
+// configuration — the drift detector over an empty drift schedule, the SLO
+// admission guard at factor zero — and every result must stay bit-identical;
+// no alternate implementation hides behind either. Package freeride is the
+// only consumer.
 //
-// Historically each override was parsed at the layer that enforced it:
-// REBALANCE and SHARECACHE inside simgpu, STEPFUSE inside sidetask, MANAGER
-// inside core, DRIFT and SCHEDULE inside package freeride. The enforcement
-// points have not moved — a device still forces its own config, the manager
-// still resolves its own default mode — but every layer now reads the same
-// parsed-once view from here, so the accepted spellings, the strictness
-// (unknown values panic, loudly, at first use) and the documentation live
-// in exactly one place.
-//
-// The overrides are CI's way of re-running the whole tier-1 suite under a
-// retained differential arm (full-recompute rebalance, polling manager,
-// share-cache off, unfused step loop, legacy schedule emitters, the
-// armed-but-empty drift and serving planes). Every arm must reproduce the
-// default arm's observable metrics bit-identically; the dedicated
-// differential tests pin the same property in-process.
+// The resolver is strict: a bad value, or any other FREERIDE_ORACLE_*
+// variable (a typo, or a row naming an arm that no longer exists), panics at
+// first use naming the variable — a CI row must fail, not silently run the
+// default configuration and report green.
 package oracle
 
 import (
 	"fmt"
 	"os"
+	"strings"
 	"sync"
+)
+
+const (
+	prefix     = "FREERIDE_ORACLE_"
+	driftKey   = prefix + "DRIFT"
+	servingKey = prefix + "SERVING"
 )
 
 // Overrides is the parsed-once view of the FREERIDE_ORACLE_* environment.
 type Overrides struct {
-	// FullRebalance: FREERIDE_ORACLE_REBALANCE=full forces every device's
-	// full-recompute scheduler pass instead of the incremental one.
-	FullRebalance bool
-	// NoShareCache: FREERIDE_ORACLE_SHARECACHE=off disables every device's
-	// water-fill share cache (allocations recomputed on each rebalance).
-	NoShareCache bool
-	// NoStepFuse: FREERIDE_ORACLE_STEPFUSE=off forces every side-task step
-	// loop onto the unfused two-event form (host sleep + kernel launch).
-	NoStepFuse bool
-	// LegacySchedule: FREERIDE_ORACLE_SCHEDULE=legacy routes 1F1B/GPipe op
-	// lists through the retained pre-generator emitters.
-	LegacySchedule bool
 	// DriftArmed: FREERIDE_ORACLE_DRIFT=on arms the drift detector (with an
 	// empty drift schedule) in every session without its own drift plane.
 	DriftArmed bool
 	// ServingArmed: FREERIDE_ORACLE_SERVING=on wires the manager's SLO
 	// admission guard (with a zero guard factor) into every training
-	// session — the dormant serving plane, which must be a structural
-	// identity.
+	// session.
 	ServingArmed bool
-	// ManagerMode is the raw FREERIDE_ORACLE_MANAGER value ("" when unset).
-	// Package core parses and validates it (the mode enum lives there).
-	ManagerMode string
 }
 
 // Env returns the process-wide parsed overrides. The environment is read
-// once; later mutations of os.Environ are invisible, matching the previous
-// per-layer sync.OnceValue behaviour.
-var Env = sync.OnceValue(func() Overrides {
-	return Overrides{
-		FullRebalance:  parse("FREERIDE_ORACLE_REBALANCE", []string{"full"}, []string{"incremental"}),
-		NoShareCache:   parse("FREERIDE_ORACLE_SHARECACHE", []string{"off"}, []string{"on"}),
-		NoStepFuse:     parse("FREERIDE_ORACLE_STEPFUSE", []string{"off"}, []string{"on"}),
-		LegacySchedule: parse("FREERIDE_ORACLE_SCHEDULE", []string{"legacy"}, []string{"new", "generator"}),
-		DriftArmed:     parse("FREERIDE_ORACLE_DRIFT", []string{"on", "1"}, []string{"off", "0"}),
-		ServingArmed:   parse("FREERIDE_ORACLE_SERVING", []string{"on", "1"}, []string{"off", "0"}),
-		ManagerMode:    os.Getenv("FREERIDE_ORACLE_MANAGER"),
-	}
-})
+// once; later mutations of os.Environ are invisible.
+var Env = sync.OnceValue(func() Overrides { return resolve(os.Environ()) })
 
-// parse reads the variable and reports whether its value is one of the
-// armed spellings. The empty string and the disarmed spellings report
-// false. Anything else panics — a typo in a CI row must fail the job, not
-// silently run the default arm.
-func parse(key string, armed, disarmed []string) bool {
-	s := os.Getenv(key)
-	if s == "" {
+// resolve parses a "KEY=value" environment listing.
+func resolve(environ []string) Overrides {
+	var o Overrides
+	for _, kv := range environ {
+		key, val, _ := strings.Cut(kv, "=")
+		switch {
+		case key == driftKey:
+			o.DriftArmed = armed(key, val)
+		case key == servingKey:
+			o.ServingArmed = armed(key, val)
+		case strings.HasPrefix(key, prefix):
+			panic(fmt.Sprintf("oracle: unknown variable %s=%q (want %s or %s)", key, val, driftKey, servingKey))
+		}
+	}
+	return o
+}
+
+// armed reports whether val is an armed spelling ("on", "1"); the empty
+// string and the disarmed spellings ("off", "0") report false.
+func armed(key, val string) bool {
+	switch val {
+	case "on", "1":
+		return true
+	case "", "off", "0":
 		return false
 	}
-	for _, a := range armed {
-		if s == a {
-			return true
-		}
-	}
-	for _, d := range disarmed {
-		if s == d {
-			return false
-		}
-	}
-	panic(fmt.Sprintf("oracle: bad %s %q (want one of %v or %v)", key, s, armed, disarmed))
+	panic(fmt.Sprintf("oracle: bad %s %q (want on, 1, off or 0)", key, val))
 }

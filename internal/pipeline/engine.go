@@ -29,11 +29,6 @@ type Config struct {
 	VirtualPerStage int
 	// RecordOps enables the per-stage op timeline (Figure 1a).
 	RecordOps bool
-	// LegacySchedule routes 1F1B/GPipe op-list generation through the
-	// retained pre-generator emitters — the FREERIDE_ORACLE_SCHEDULE
-	// differential arm. Kinds the legacy switch never knew (interleaved as
-	// a first-class kind, zero-bubble) always use the generator.
-	LegacySchedule bool
 	// MBSchedule, when set, re-evaluates the epoch's micro-batch count at
 	// each epoch start (the drift→schedule regeneration hook: elastic
 	// micro-batch resizing recomputes the actual op lists, not just the
@@ -253,20 +248,12 @@ func (t *Trainer) Start() error {
 }
 
 // planFor builds (and memoizes) the schedule plan for a micro-batch count.
-// The legacy oracle arm routes the kinds the historic StageSchedule switch
-// knew through its retained emitters; dependency edges are derived
-// identically either way. Engine context only.
+// Engine context only.
 func (t *Trainer) planFor(mbs int) (*Plan, error) {
 	if p, ok := t.planCache[mbs]; ok {
 		return p, nil
 	}
-	var p *Plan
-	var err error
-	if t.cfg.LegacySchedule && (t.cfg.Schedule == Schedule1F1B || t.cfg.Schedule == ScheduleGPipe) {
-		p, err = t.legacyPlan(mbs)
-	} else {
-		p, err = BuildPlan(t.cfg.Schedule, t.cfg.Stages, mbs, t.cfg.VirtualPerStage)
-	}
+	p, err := BuildPlan(t.cfg.Schedule, t.cfg.Stages, mbs, t.cfg.VirtualPerStage)
 	if err != nil {
 		return nil, err
 	}
@@ -274,26 +261,6 @@ func (t *Trainer) planFor(mbs int) (*Plan, error) {
 		t.planCache = make(map[int]*Plan)
 	}
 	t.planCache[mbs] = p
-	return p, nil
-}
-
-// legacyPlan assembles a plan from the pre-generator emitters.
-func (t *Trainer) legacyPlan(mbs int) (*Plan, error) {
-	nv := t.cfg.numVirtual()
-	p := &Plan{
-		Kind:            t.cfg.Schedule,
-		Stages:          t.cfg.Stages,
-		MicroBatches:    mbs,
-		VirtualPerStage: t.cfg.VirtualPerStage,
-	}
-	for v := 0; v < nv; v++ {
-		ops, err := legacyStageSchedule(t.cfg.Schedule, v, nv, mbs)
-		if err != nil {
-			return nil, err
-		}
-		p.Chunks = append(p.Chunks, ops)
-		p.Deps = append(p.Deps, depsFor(ops, v, nv))
-	}
 	return p, nil
 }
 

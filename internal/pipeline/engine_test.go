@@ -598,27 +598,6 @@ func TestMBScheduleConstantHookBitIdentical(t *testing.T) {
 	}
 }
 
-func TestLegacyScheduleArmBitIdentical(t *testing.T) {
-	// Config.LegacySchedule routes 1F1B/GPipe through the retained
-	// pre-generator emitters; epoch times must match the generator exactly.
-	for _, kind := range []ScheduleKind{Schedule1F1B, ScheduleGPipe} {
-		base := Config{Model: model.NanoGPT3B, Stages: 4, MicroBatches: 4, Epochs: 2, Schedule: kind}
-		r1 := newRig(t, base)
-		r1.run(t)
-		leg := base
-		leg.LegacySchedule = true
-		r2 := newRig(t, leg)
-		r2.run(t)
-		s1, e1 := r1.trainer.EpochTimes()
-		s2, e2 := r2.trainer.EpochTimes()
-		for i := range s1 {
-			if s1[i] != s2[i] || e1[i] != e2[i] {
-				t.Fatalf("%v epoch %d diverged: (%v,%v) vs (%v,%v)", kind, i, s1[i], e1[i], s2[i], e2[i])
-			}
-		}
-	}
-}
-
 func TestInterleavedOpLogDependencies(t *testing.T) {
 	// FP of chunk v must still follow FP of chunk v-1 for each micro-batch
 	// (verified through the virtual latches by completion of training, and

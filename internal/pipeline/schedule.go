@@ -104,10 +104,8 @@ func (p *Plan) NumVirtual() int { return p.Stages * p.VirtualPerStage }
 // abstraction of the schedule zoo: every kind emits per-chunk op lists plus
 // dependency edges, and the engine executes any plan the same way.
 //
-// The 1F1B and GPipe generators emit, per chunk, exactly the op lists the
-// historic StageSchedule switch produced — the FREERIDE_ORACLE_SCHEDULE
-// differential pins the whole Table 2 grid bit-identical across the two
-// paths. Zero-bubble requires V == 1 and splits backwards into B/W.
+// Per-stage op lists are pinned by testdata/golden.json. Zero-bubble
+// requires V == 1 and splits backwards into B/W.
 func BuildPlan(kind ScheduleKind, stages, microBatches, virtualPerStage int) (*Plan, error) {
 	if stages < 1 {
 		return nil, fmt.Errorf("pipeline: stages %d < 1", stages)
@@ -312,53 +310,5 @@ func opsZeroBubble(stages, microBatches int) ([][]Op, error) {
 		// fused backward.
 		ops[s] = append(ops[s], Op{Kind: OpOptimize})
 	}
-	return ops, nil
-}
-
-// legacyStageSchedule is the pre-generator op-list switch, retained verbatim
-// as the differential oracle arm (FREERIDE_ORACLE_SCHEDULE=legacy /
-// Config.LegacySchedule): the refactored 1F1B and GPipe generators must
-// reproduce its op lists — and therefore the whole Table 2 grid —
-// bit-identically. It knows nothing of the new kinds.
-func legacyStageSchedule(kind ScheduleKind, stage, stages, microBatches int) ([]Op, error) {
-	if stage < 0 || stage >= stages {
-		return nil, fmt.Errorf("pipeline: stage %d out of range [0,%d)", stage, stages)
-	}
-	if microBatches < 1 {
-		return nil, fmt.Errorf("pipeline: micro-batches %d < 1", microBatches)
-	}
-	var ops []Op
-	switch kind {
-	case ScheduleGPipe:
-		for m := 0; m < microBatches; m++ {
-			ops = append(ops, Op{Kind: OpForward, MB: m})
-		}
-		for m := 0; m < microBatches; m++ {
-			ops = append(ops, Op{Kind: OpBackward, MB: m})
-		}
-	case Schedule1F1B:
-		warmup := stages - stage
-		if warmup > microBatches {
-			warmup = microBatches
-		}
-		for m := 0; m < warmup; m++ {
-			ops = append(ops, Op{Kind: OpForward, MB: m})
-		}
-		nextFP := warmup
-		nextBP := 0
-		for nextFP < microBatches {
-			ops = append(ops, Op{Kind: OpBackward, MB: nextBP})
-			nextBP++
-			ops = append(ops, Op{Kind: OpForward, MB: nextFP})
-			nextFP++
-		}
-		for nextBP < microBatches {
-			ops = append(ops, Op{Kind: OpBackward, MB: nextBP})
-			nextBP++
-		}
-	default:
-		return nil, fmt.Errorf("pipeline: legacy path has no schedule %v", kind)
-	}
-	ops = append(ops, Op{Kind: OpOptimize})
 	return ops, nil
 }

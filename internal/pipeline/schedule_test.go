@@ -32,39 +32,6 @@ func TestScheduleGeneration1F1B(t *testing.T) {
 	}
 }
 
-func TestGeneratorMatchesLegacyOpLists(t *testing.T) {
-	// The schedule-zoo refactor pin: for every 1F1B/GPipe configuration the
-	// generator emits exactly the op lists the historic StageSchedule switch
-	// produced (the in-process half of the FREERIDE_ORACLE_SCHEDULE
-	// differential).
-	for _, kind := range []ScheduleKind{Schedule1F1B, ScheduleGPipe} {
-		for stages := 1; stages <= 8; stages++ {
-			for mbs := 1; mbs <= 16; mbs++ {
-				plan, err := BuildPlan(kind, stages, mbs, 1)
-				if err != nil {
-					t.Fatalf("BuildPlan(%v,%d,%d): %v", kind, stages, mbs, err)
-				}
-				for s := 0; s < stages; s++ {
-					legacy, err := legacyStageSchedule(kind, s, stages, mbs)
-					if err != nil {
-						t.Fatalf("legacy(%v,%d,%d,%d): %v", kind, s, stages, mbs, err)
-					}
-					if len(plan.Chunks[s]) != len(legacy) {
-						t.Fatalf("%v S=%d M=%d s=%d: %d ops vs legacy %d",
-							kind, stages, mbs, s, len(plan.Chunks[s]), len(legacy))
-					}
-					for i := range legacy {
-						if plan.Chunks[s][i] != legacy[i] {
-							t.Fatalf("%v S=%d M=%d s=%d op %d: %v vs legacy %v",
-								kind, stages, mbs, s, i, plan.Chunks[s][i], legacy[i])
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // backwardOf reports whether k computes the activation gradient of a
 // micro-batch (fused or split backward).
 func backwardOf(k OpKind) bool { return k == OpBackward || k == OpBackwardInput }
@@ -238,8 +205,5 @@ func TestScheduleRejectsBadArgs(t *testing.T) {
 	}
 	if _, err := ChunkOps(Schedule1F1B, 4, 4, 4, 1); err == nil {
 		t.Fatal("out-of-range chunk accepted")
-	}
-	if _, err := legacyStageSchedule(ScheduleZeroBubble, 0, 4, 4); err == nil {
-		t.Fatal("legacy path accepted a new-kind schedule")
 	}
 }

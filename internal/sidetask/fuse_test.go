@@ -49,6 +49,33 @@ const (
 	subInlineFused                           // event loop, fused host-lead step
 )
 
+// substrateDevice builds the arm's device. The inline loop fuses exactly
+// when the device can lead, so the two-event arm runs on a device that
+// cannot: a full-rebalance one, which keeps the comparison on the virtual
+// clock (the wall engine is the other non-lead-capable platform).
+func substrateDevice(t *testing.T, eng simtime.Engine, sub midStepSubstrate) *simgpu.Device {
+	t.Helper()
+	dev := simgpu.NewDevice(eng, simgpu.DeviceConfig{Name: "gpu0", FullRebalance: sub == subInlineUnfused})
+	if got, want := dev.LeadCapable(), sub != subInlineUnfused; got != want {
+		t.Fatalf("substrate %d: device LeadCapable = %v, want %v", sub, got, want)
+	}
+	return dev
+}
+
+// requireUnfusedRan fails unless the two-event arm dispatched strictly more
+// step events per step than the fused arm — the differentials below must
+// never degenerate into fused-vs-fused.
+func requireUnfusedRan(t *testing.T, what string, unfused, fused Counters) {
+	t.Helper()
+	if unfused.Steps == 0 || fused.Steps == 0 {
+		t.Fatalf("%s: an arm ran no steps (unfused %d, fused %d)", what, unfused.Steps, fused.Steps)
+	}
+	if unfused.StepEvents*fused.Steps <= fused.StepEvents*unfused.Steps {
+		t.Fatalf("%s: unfused arm dispatched %d events over %d steps, fused %d over %d — not the two-event loop",
+			what, unfused.StepEvents, unfused.Steps, fused.StepEvents, fused.Steps)
+	}
+}
+
 // midStepResult is one arm's full observable surface.
 type midStepResult struct {
 	events  []stateEvent
@@ -56,7 +83,6 @@ type midStepResult struct {
 	mem     int64
 	exitAt  time.Duration
 	exitErr error
-	dev     *simgpu.Device
 }
 
 // runMidStepRig drives a fuseStepper harness through a script whose pause
@@ -68,7 +94,7 @@ func runMidStepRig(t *testing.T, mode Mode, sub midStepSubstrate, fault bool) mi
 	t.Helper()
 	eng := simtime.NewVirtual()
 	procs := simproc.NewRuntime(eng)
-	dev := simgpu.NewDevice(eng, simgpu.DeviceConfig{Name: "gpu0"})
+	dev := substrateDevice(t, eng, sub)
 	ctr := container.NewRuntime(procs)
 	var h *Harness
 	if mode == ModeImperative {
@@ -76,10 +102,7 @@ func runMidStepRig(t *testing.T, mode Mode, sub midStepSubstrate, fault bool) mi
 	} else {
 		h = NewIterativeHarness("fuse-test", fuseProfile, fuseStepper{}, 1)
 	}
-	if sub == subInlineUnfused {
-		h.SetStepFuse(false)
-	}
-	res := midStepResult{dev: dev, exitAt: -1}
+	res := midStepResult{exitAt: -1}
 	h.SetStateListener(func(s State) {
 		res.events = append(res.events, stateEvent{State: s, At: eng.Now()})
 	})
@@ -225,6 +248,7 @@ func TestMidStepPauseEquivalence(t *testing.T) {
 		if ground.c.Steps == 0 {
 			t.Fatalf("mode %v: scripted lifecycle ran no steps", mode)
 		}
+		requireUnfusedRan(t, mode.String(), unfused.c, fused.c)
 		compareMidStepArms(t, mode.String()+": goroutine vs inline-unfused", ground, unfused)
 		compareMidStepArms(t, mode.String()+": goroutine vs inline-fused", ground, fused)
 	}
@@ -262,11 +286,7 @@ func TestFusedEventsPerStep(t *testing.T) {
 		fused := runMidStepRig(t, tc.mode, subInlineFused, false)
 		unfused := runMidStepRig(t, tc.mode, subInlineUnfused, false)
 		ground := runMidStepRig(t, tc.mode, subGoroutine, false)
-		perStep := tc.parts
-		if !fused.dev.LeadCapable() || oracleStepFuseOff() {
-			perStep = tc.parts + 1 // forced-oracle arms run unfused
-		}
-		if got, want := fused.c.StepEvents, perStep*fused.c.Steps; got != want {
+		if got, want := fused.c.StepEvents, tc.parts*fused.c.Steps; got != want {
 			t.Errorf("mode %v: fused StepEvents = %d over %d steps, want %d",
 				tc.mode, got, fused.c.Steps, want)
 		}
@@ -318,16 +338,14 @@ func TestStepKernelPartsSumToJitteredDuration(t *testing.T) {
 func TestKernelPartsRemainderEndToEnd(t *testing.T) {
 	prof := fuseProfile
 	prof.StepTime = 10000001 * time.Nanosecond // % 3 == 2
+	var arms [3]Counters
 	for _, sub := range []midStepSubstrate{subGoroutine, subInlineUnfused, subInlineFused} {
 		eng := simtime.NewVirtual()
 		procs := simproc.NewRuntime(eng)
-		dev := simgpu.NewDevice(eng, simgpu.DeviceConfig{Name: "gpu0"})
+		dev := substrateDevice(t, eng, sub)
 		ctr := container.NewRuntime(procs)
 		h := NewIterativeHarness("rem-e2e", prof, fuseStepper{}, 1)
 		h.kernelParts = 3
-		if sub == subInlineUnfused {
-			h.SetStepFuse(false)
-		}
 		spec := container.Spec{
 			Name:        prof.Name,
 			Device:      dev,
@@ -354,6 +372,7 @@ func TestKernelPartsRemainderEndToEnd(t *testing.T) {
 		})
 		eng.RunUntil(2 * time.Second)
 		c := h.Counters()
+		arms[sub] = c
 		if c.Steps == 0 {
 			t.Fatalf("substrate %d: ran no steps", sub)
 		}
@@ -362,6 +381,7 @@ func TestKernelPartsRemainderEndToEnd(t *testing.T) {
 				sub, c.KernelTime, c.Steps, want)
 		}
 	}
+	requireUnfusedRan(t, "remainder", arms[subInlineUnfused], arms[subInlineFused])
 }
 
 // TestImperativeKernelTimeJittered pins the second satellite bugfix: the

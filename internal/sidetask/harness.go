@@ -190,9 +190,6 @@ type Harness struct {
 	// stepKernelName is the precomputed step-kernel label (millions of
 	// launches per run; the concat must not happen per step).
 	stepKernelName string
-	// noStepFuse forces the unfused two-event inline step loop
-	// (Config.NoStepFuse / FREERIDE_ORACLE_STEPFUSE=off).
-	noStepFuse bool
 	// lastStepDur is the most recent jittered step duration ExecStepKernel
 	// issued; the imperative adapter charges it to KernelTime so jittered
 	// profiles don't drift from the simulated work.
@@ -276,16 +273,6 @@ func (h *Harness) Restore(c Counters) {
 	h.counters.HostTime = c.HostTime
 	h.counters.InsuffWait = c.InsuffWait
 	h.counters.StepEvents = c.StepEvents
-}
-
-// SetStepFuse enables or disables the fused one-event-per-step inline loop
-// (enabled by default on lead-capable devices; Config.NoStepFuse and the
-// FREERIDE_ORACLE_STEPFUSE=off oracle arm force it off). Call before the
-// harness starts.
-func (h *Harness) SetStepFuse(enabled bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.noStepFuse = !enabled
 }
 
 // BindEngine ties the harness's lock and inbox to eng's ownership regime

@@ -5,18 +5,9 @@ import (
 	"math/rand"
 	"time"
 
-	"freeride/internal/oracle"
 	"freeride/internal/simgpu"
 	"freeride/internal/simproc"
 )
-
-// oracleStepFuseOff reports whether FREERIDE_ORACLE_STEPFUSE=off forces the
-// unfused two-event step loop suite-wide (the differential-oracle arm; the
-// CI oracle matrix runs the full test grid under it and asserts the Table 2
-// reproduction metrics bit-identical to the fused default). Parsing lives
-// in the shared resolver (internal/oracle); enforcement stays here so every
-// harness sees the forced arm regardless of how it was configured.
-func oracleStepFuseOff() bool { return oracle.Env().NoStepFuse }
 
 // CanInline reports whether this harness can run as an event-loop process
 // (simproc.SpawnInline / container.RunInline): the task implementation must
@@ -86,8 +77,7 @@ func (h *Harness) Start(p *simproc.Process, gpu *simgpu.Client) {
 		Demand: h.profile.Demand,
 		Weight: h.profile.Weight,
 	}
-	r.fused = !h.noStepFuse && !oracleStepFuseOff() &&
-		gpu != nil && gpu.Device().LeadCapable()
+	r.fused = gpu != nil && gpu.Device().LeadCapable()
 	if r.fused {
 		// A fused step must observe SIGTSTP exactly where the unfused
 		// host-sleep boundary did: hold a still-pending host lead on stop
@@ -128,8 +118,9 @@ type inlineRun struct {
 	// folded into the kernel launch as a host lead (simgpu.ExecLeadThen), so
 	// the engine sees a single completion event per step instead of a host
 	// sleep plus a completion. Timing, counters and RNG draws are
-	// bit-identical to the unfused arm; FREERIDE_ORACLE_STEPFUSE=off or
-	// Config.NoStepFuse force the two-event loop.
+	// bit-identical to the two-event loop, which is the only loop where the
+	// device cannot lead: the wall engine (live mode) and full-rebalance
+	// devices.
 	fused bool
 
 	stepStart  time.Duration

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"math"
 
-	"freeride/internal/oracle"
 	"freeride/internal/simtime"
 	"freeride/internal/trace"
 )
@@ -107,29 +106,12 @@ type DeviceConfig struct {
 	// (rebalanceFullLocked) on every kernel event instead of the
 	// incremental pass that reuses the device's running-set, residency and
 	// share caches and fuses same-instant completion→relaunch rebalances.
-	// The two are float-exact equivalents; the full pass is kept as the
-	// differential-testing oracle for the incremental one.
+	// The two are float-exact equivalents; the full pass never consults
+	// the share cache either, so it is the reference this package's
+	// differential test (oracle_test.go) compares both against. No session
+	// sets it.
 	FullRebalance bool
-	// NoShareCache disables the water-fill share cache: the incremental
-	// pass then recomputes the allocation vector on every rebalance, like
-	// the full oracle, instead of reusing the converged shares when the
-	// running set's fingerprint is unchanged. Cached and recomputed shares
-	// are float-exact equivalents; the knob exists for the CI oracle matrix
-	// and A/B measurement.
-	NoShareCache bool
 }
-
-// Oracle-matrix environment overrides: the CI matrix re-runs the whole test
-// suite with the differential oracles forced on, so every oracle pair is
-// exercised end-to-end per commit, not only in the dedicated suites. The
-// parsing lives in the shared resolver (internal/oracle); enforcement stays
-// here so every device — including the ones profiling runs build for
-// themselves — sees the forced arm.
-//
-//	FREERIDE_ORACLE_REBALANCE=full  → every device runs rebalanceFullLocked
-//	FREERIDE_ORACLE_SHARECACHE=off  → every device skips the share cache
-func oracleForceFullRebalance() bool { return oracle.Env().FullRebalance }
-func oracleDisableShareCache() bool  { return oracle.Env().NoShareCache }
 
 // DefaultResidencyTax is the calibrated MPS context-multiplexing overhead
 // used by the experiment harness.
@@ -242,12 +224,6 @@ func NewDevice(eng simtime.Engine, cfg DeviceConfig) *Device {
 	if cfg.Name == "" {
 		cfg.Name = "gpu"
 	}
-	if oracleForceFullRebalance() {
-		cfg.FullRebalance = true
-	}
-	if oracleDisableShareCache() {
-		cfg.NoShareCache = true
-	}
 	d := &Device{
 		eng:     eng,
 		cfg:     cfg,
@@ -260,10 +236,6 @@ func NewDevice(eng simtime.Engine, cfg DeviceConfig) *Device {
 	d.mu.Bind(eng)
 	return d
 }
-
-// Config reports the device configuration after defaulting and oracle-matrix
-// environment overrides (for tests that must skip when an oracle is forced).
-func (d *Device) Config() DeviceConfig { return d.cfg }
 
 // Name reports the device name.
 func (d *Device) Name() string { return d.cfg.Name }

@@ -25,26 +25,12 @@ func newTwoClientRig(t *testing.T) (*simtime.Virtual, *Device, *Client, *Client)
 	return eng, dev, a, b
 }
 
-// skipIfOracleForced skips engagement tests when the CI oracle matrix forces
-// the differential configuration that disables the path under test.
-func skipIfOracleForced(t *testing.T, d *Device, needCache bool) {
-	t.Helper()
-	cfg := d.Config()
-	if cfg.FullRebalance {
-		t.Skip("FREERIDE_ORACLE_REBALANCE=full forces the full-recompute oracle")
-	}
-	if needCache && cfg.NoShareCache {
-		t.Skip("FREERIDE_ORACLE_SHARECACHE=off disables the share cache")
-	}
-}
-
 // TestShareCacheSteadyStateHits asserts the water-fill cache actually
 // engages: in a steady two-client relaunch loop the running set alternates
 // between a handful of fingerprints, so after warm-up every rebalance is a
 // cache hit and the miss counter stops moving.
 func TestShareCacheSteadyStateHits(t *testing.T) {
 	eng, dev, a, b := newTwoClientRig(t)
-	skipIfOracleForced(t, dev, true)
 	specA := &KernelSpec{Name: "ka", Duration: 3 * time.Microsecond, Demand: 0.6, Weight: 0.6}
 	specB := &KernelSpec{Name: "kb", Duration: 5 * time.Microsecond, Demand: 0.7, Weight: 0.9}
 	var relaunchA, relaunchB func(error)
@@ -74,7 +60,6 @@ func TestShareCacheSteadyStateHits(t *testing.T) {
 // self-loop pays one rebalance per kernel, not two.
 func TestFusedFoldEngages(t *testing.T) {
 	eng, dev, a, _ := newTwoClientRig(t)
-	skipIfOracleForced(t, dev, false)
 	spec := &KernelSpec{Name: "k", Duration: 3 * time.Microsecond, Demand: 0.6, Weight: 0.6}
 	var relaunch func(error)
 	relaunch = func(error) { _ = a.Launch(spec, relaunch) }
@@ -92,7 +77,6 @@ func TestFusedFoldEngages(t *testing.T) {
 // vector install on every kernel event.
 func TestShareCacheHitAllocFree(t *testing.T) {
 	eng, dev, a, b := newTwoClientRig(t)
-	skipIfOracleForced(t, dev, true)
 	specA := &KernelSpec{Name: "ka", Duration: 3 * time.Microsecond, Demand: 0.6, Weight: 0.6}
 	specB := &KernelSpec{Name: "kb", Duration: 5 * time.Microsecond, Demand: 0.7, Weight: 0.9}
 	var relaunchA, relaunchB func(error)
@@ -122,7 +106,6 @@ func TestShareCacheHitAllocFree(t *testing.T) {
 // fast paths demonstrably engaged.
 func TestFusedExecThenAllocFree(t *testing.T) {
 	eng, dev, a, b := newTwoClientRig(t)
-	skipIfOracleForced(t, dev, false)
 	procs := simproc.NewRuntime(eng)
 	specA := &KernelSpec{Name: "ka", Duration: 3 * time.Microsecond, Demand: 0.6, Weight: 0.6}
 	specB := &KernelSpec{Name: "kb", Duration: 5 * time.Microsecond, Demand: 0.7, Weight: 0.9}
@@ -162,7 +145,6 @@ func TestFusedExecThenAllocFree(t *testing.T) {
 // and the window must not fold into a later, unrelated launch.
 func TestFusionFlushOnEntry(t *testing.T) {
 	eng, dev, a, b := newTwoClientRig(t)
-	skipIfOracleForced(t, dev, false)
 	specB := &KernelSpec{Name: "kb", Duration: 5 * time.Microsecond, Demand: 0.7, Weight: 0.9}
 	done := 0
 	_ = b.Launch(specB, func(error) {})

@@ -330,7 +330,7 @@ func (d *Device) rebalanceAtLocked(at time.Duration, firing *kernel) (stale bool
 	// resident client contexts, every kernel pays a small scheduling
 	// overhead.
 	taxed := d.cfg.ResidencyTax > 0 && d.cfg.Policy == PolicyMPS && d.resident >= 2
-	if d.cfg.NoShareCache || !d.shareCacheHitLocked(running, taxed) {
+	if !d.shareCacheHitLocked(running, taxed) {
 		d.assignAllocations(running)
 		if taxed {
 			scale := 1 / (1 + d.cfg.ResidencyTax)
@@ -338,9 +338,7 @@ func (d *Device) rebalanceAtLocked(at time.Duration, firing *kernel) (stale bool
 				k.alloc *= scale
 			}
 		}
-		if !d.cfg.NoShareCache {
-			d.shareCacheStoreLocked(running, taxed)
-		}
+		d.shareCacheStoreLocked(running, taxed)
 	}
 
 	var total float64

@@ -85,9 +85,7 @@ func runLeadArm(t *testing.T, fused bool, n int) ([]time.Duration, *Device) {
 // TestExecLeadThenMatchesSleepExec is the simgpu-level fusion differential:
 // under identical background stimulus the fused host-lead launch must
 // complete every step at exactly the instant of the unfused sleep+launch
-// pair. Holds on every device flavour — a non-lead-capable device (the
-// forced full-recompute oracle) answers ExecLeadThen with the unfused shape
-// itself, so both arms trivially coincide there too.
+// pair.
 func TestExecLeadThenMatchesSleepExec(t *testing.T) {
 	const steps = 12
 	fusedTimes, fdev := runLeadArm(t, true, steps)
@@ -125,8 +123,7 @@ func newLeadRig(t *testing.T) (*simtime.Virtual, *simproc.Runtime, *Device, *Cli
 // instant — exactly the deferred sleep-wake a stopped unfused process would
 // observe.
 func TestHoldLeadFreezesHostPhase(t *testing.T) {
-	eng, procs, dev, c := newLeadRig(t)
-	skipIfOracleForced(t, dev, false)
+	eng, procs, _, c := newLeadRig(t)
 	spec := &KernelSpec{Name: "k", Duration: 5 * time.Millisecond, Demand: 1, Weight: 1}
 	doneAt := time.Duration(-1)
 	procs.SpawnInline("t", func(p *simproc.Process) {
@@ -156,8 +153,7 @@ func TestHoldLeadFreezesHostPhase(t *testing.T) {
 // HoldLead matures it instead of freezing it and it completes on time, as
 // the paper's asynchronous kernels run through a SIGTSTP (§5).
 func TestHoldLeadMaturesInFlightKernel(t *testing.T) {
-	eng, procs, dev, c := newLeadRig(t)
-	skipIfOracleForced(t, dev, false)
+	eng, procs, _, c := newLeadRig(t)
 	spec := &KernelSpec{Name: "k", Duration: 5 * time.Millisecond, Demand: 1, Weight: 1}
 	doneAt := time.Duration(-1)
 	procs.SpawnInline("t", func(p *simproc.Process) {
@@ -208,8 +204,7 @@ func TestExecLeadThenFaultDelivery(t *testing.T) {
 // lead insert/arm/mature, the completion-hypothesis water-fill in scratch
 // space — runs at 0 allocs/op.
 func TestExecLeadThenAllocFree(t *testing.T) {
-	eng, dev, a, b := newTwoClientRig(t)
-	skipIfOracleForced(t, dev, false)
+	eng, _, a, b := newTwoClientRig(t)
 	procs := simproc.NewRuntime(eng)
 	specA := &KernelSpec{Name: "ka", Duration: 3 * time.Microsecond, Demand: 0.6, Weight: 0.6}
 	specB := &KernelSpec{Name: "kb", Duration: 5 * time.Microsecond, Demand: 0.7, Weight: 0.9}
