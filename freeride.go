@@ -588,12 +588,18 @@ func (s *Session) assembleControlPlane() error {
 
 // newBubbleSink opens the workload→manager bubble-report link (its own
 // MemPipe, like every control-plane link) and returns the emit function.
+// Reports are pooled: the manager's peer hands each one back once the
+// handler has read it (see freerpc.Msg).
 func (s *Session) newBubbleSink() func(bubble.Bubble) {
 	pipeEnd, mgrEnd := freerpc.MemPipe(s.Eng, s.cfg.RPCLatency)
 	pipePeer := freerpc.NewPeer(s.Eng, pipeEnd, nil)
 	freerpc.NewPeer(s.Eng, mgrEnd, s.Manager.Mux())
+	reports := new(freerpc.Pool[core.BubbleDTO])
+	reports.Bind(s.Eng)
 	return func(b bubble.Bubble) {
-		_ = pipePeer.Notify("Manager.AddBubble", core.ToBubbleDTO(b))
+		d := reports.Get()
+		d.V = core.ToBubbleDTO(b)
+		_ = pipePeer.Notify("Manager.AddBubble", d)
 	}
 }
 

@@ -30,13 +30,20 @@ func newRig(t *testing.T, n int, avail []int64, wcfg WorkerConfig) *rig {
 }
 
 func newRigOpts(t *testing.T, n int, avail []int64, wcfg WorkerConfig, mopts ManagerOptions) *rig {
+	return newRigDev(t, n, avail, wcfg, mopts, simgpu.DeviceConfig{})
+}
+
+// newRigDev is newRigOpts with the device template given (its Name is set
+// per worker): the alloc pins run with NoTraces.
+func newRigDev(t *testing.T, n int, avail []int64, wcfg WorkerConfig, mopts ManagerOptions, dcfg simgpu.DeviceConfig) *rig {
 	t.Helper()
 	eng := simtime.NewVirtual()
 	procs := simproc.NewRuntime(eng)
 	mgr := NewManager(eng, mopts)
 	r := &rig{eng: eng, procs: procs, mgr: mgr}
 	for i := 0; i < n; i++ {
-		dev := simgpu.NewDevice(eng, simgpu.DeviceConfig{Name: "gpu" + string(rune('0'+i))})
+		dcfg.Name = "gpu" + string(rune('0'+i))
+		dev := simgpu.NewDevice(eng, dcfg)
 		ctrs := container.NewRuntime(procs)
 		cfg := wcfg
 		cfg.Name = "worker" + string(rune('0'+i))

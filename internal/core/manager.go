@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"freeride/internal/bubble"
+	"freeride/internal/fifo"
 	"freeride/internal/freerpc"
 	"freeride/internal/profiler"
 	"freeride/internal/sidetask"
@@ -217,8 +218,10 @@ type taskRecord struct {
 	// refArgs is the task's taskRef pre-boxed once: Init/Pause/Stop send it
 	// on every cycle and must not re-box the struct per call.
 	refArgs any
-	// startedForBubble dedupes starts within one bubble.
-	startedForBubble *bubble.Bubble
+	// startedSeq dedupes starts within one bubble: the adoption number
+	// (workerMeta.bubbleSeq) of the bubble the last start was sent for, 0
+	// when none is outstanding or acknowledged.
+	startedSeq uint64
 	// servedFrom is when the current bubble's start succeeded.
 	servedFrom time.Duration
 	serving    bool
@@ -261,11 +264,18 @@ type workerMeta struct {
 	stage   int
 	queue   []*taskRecord
 	current *taskRecord
-	bubble  *bubble.Bubble
+	// bubble is the adopted (current) bubble, valid while hasBubble; it is
+	// held by value, so bubbleSeq — unique per adoption across the manager —
+	// is what tells two bubbles apart, not the storage they occupy.
+	bubble    bubble.Bubble
+	hasBubble bool
+	bubbleSeq uint64
 	// pending is kept ordered by Start (stable on ties) so the front is
 	// always the next bubble Algorithm 2 could adopt; out-of-order reports
-	// (livemode) no longer let a far-future bubble starve begun ones.
-	pending []pendingBubble
+	// (livemode) no longer let a far-future bubble starve begun ones. One
+	// adoption pops the front: deep-harvest holds 23 bubbles here on average
+	// at a pop (65 at most), hence the O(1) queue.
+	pending fifo.Queue[pendingBubble]
 	alive   bool
 
 	// Reconcile state. endTimer fires at the (rounded) end of the current
@@ -295,6 +305,7 @@ type workerMeta struct {
 	lastSeen   time.Duration
 	pingTimer  *simtime.Timer
 	pingFn     func()
+	pingDone   func(result any, err error)
 	pingName   string
 	leaseTimer *simtime.Timer
 	leaseFn    func()
@@ -365,6 +376,13 @@ type Manager struct {
 	// taskOrder keeps submission order for re-plan passes: map iteration
 	// order is nondeterministic, and revival must be.
 	taskOrder []*taskRecord
+	// adoptions numbers bubble adoptions (see workerMeta.bubbleSeq).
+	adoptions uint64
+	// callPool recycles the contexts of the per-cycle calls (see workerCall)
+	// and startPool their Worker.Start params, so a steady-state bubble cycle
+	// allocates nothing.
+	callPool  freerpc.Pool[workerCall]
+	startPool freerpc.Pool[startArgs]
 }
 
 // NewManager builds a manager. Its RPC methods (bubble reports, task
@@ -384,6 +402,8 @@ func NewManager(eng simtime.Engine, opts ManagerOptions) *Manager {
 		m.prof = profiler.NewOnline(opts.Replan.Detector)
 	}
 	m.mu.Bind(eng)
+	m.callPool.Bind(eng)
+	m.startPool.Bind(eng)
 	freerpc.HandleFunc(m.mux, "Manager.AddBubble", func(d BubbleDTO) (any, error) {
 		m.AddBubble(FromBubbleDTO(d))
 		return nil, nil
@@ -439,6 +459,7 @@ func (m *Manager) AddWorker(name string, stage int, gpuMem int64, peer *freerpc.
 	}
 	w.reconcileFn = func() { m.reconcile(w) }
 	w.pingFn = func() { m.pingWorker(w) }
+	w.pingDone = func(result any, err error) { m.pingReplied(w, result, err) }
 	w.leaseFn = func() { m.checkLease(w) }
 	m.mu.Lock()
 	m.workers = append(m.workers, w)
@@ -476,8 +497,8 @@ func (m *Manager) workerLostLocked(w *workerMeta, cause string) {
 	orphans = append(orphans, w.queue...)
 	w.current = nil
 	w.queue = nil
-	w.bubble = nil
-	w.pending = nil
+	w.hasBubble = false
+	w.pending = fifo.Queue[pendingBubble]{}
 	w.cancelTimersLocked()
 	for _, rec := range orphans {
 		if rec.exited || rec.parked {
@@ -518,19 +539,22 @@ func (m *Manager) pingWorker(w *workerMeta) {
 	}
 	w.pingTimer = simtime.Reschedule(m.eng, w.pingTimer, m.opts.Lease/2, w.pingName, w.pingFn)
 	m.stats.Pings++
-	w.peer.Go("Worker.Ping", nil, m.opts.Lease/2, func(result any, err error) {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		if err != nil || !w.alive {
-			return
+	w.peer.Go("Worker.Ping", nil, m.opts.Lease/2, w.pingDone)
+}
+
+// pingReplied completes a Worker.Ping (w.pingDone, built once per worker).
+func (m *Manager) pingReplied(w *workerMeta, result any, err error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err != nil || !w.alive {
+		return
+	}
+	w.lastSeen = m.eng.Now()
+	if reply, derr := freerpc.DecodeResult[pingReply](result); derr == nil {
+		for _, st := range reply.Tasks {
+			m.applyPingStatusLocked(st)
 		}
-		w.lastSeen = m.eng.Now()
-		if reply, derr := freerpc.DecodeResult[pingReply](result); derr == nil {
-			for _, st := range reply.Tasks {
-				m.applyPingStatusLocked(st)
-			}
-		}
-	})
+	}
 }
 
 // checkLease fires at w's lease deadline: a worker with no sign of life for
@@ -584,7 +608,7 @@ func (m *Manager) planRecoveryLocked(rec *taskRecord, cause string) {
 	m.stats.LostWork += rec.servedSinceCkpt
 	rec.servedSinceCkpt = 0
 	rec.serving = false
-	rec.startedForBubble = nil
+	rec.startedSeq = 0
 	rec.initSent = false
 	rec.state = sidetask.StateSubmitted
 	rec.incarnation++
@@ -664,7 +688,7 @@ func (m *Manager) detachLocked(rec *taskRecord) {
 	}
 	for i, q := range w.queue {
 		if q == rec {
-			w.queue = append(w.queue[:i], w.queue[i+1:]...)
+			w.queue = removeAt(w.queue, i)
 			return
 		}
 	}
@@ -879,13 +903,11 @@ func (m *Manager) AddBubble(b bubble.Bubble) {
 			}
 		}
 		pb := pendingBubble{b: b, visibleAt: m.eventInstantLocked(m.eng.Now())}
-		i := len(w.pending)
-		for i > 0 && w.pending[i-1].b.Start > b.Start {
-			i--
+		w.pending.Push(pb)
+		for i := w.pending.Len() - 1; i > 0 && w.pending.At(i-1).b.Start > b.Start; i-- {
+			*w.pending.At(i) = *w.pending.At(i - 1)
+			*w.pending.At(i - 1) = pb
 		}
-		w.pending = append(w.pending, pendingBubble{})
-		copy(w.pending[i+1:], w.pending[i:])
-		w.pending[i] = pb
 		m.wakeLocked(w)
 		return
 	}
@@ -1008,11 +1030,11 @@ func (m *Manager) armWorkerLocked(w *workerMeta, now time.Duration) {
 	if !m.running || !w.alive {
 		return
 	}
-	if w.bubble != nil {
+	if w.hasBubble {
 		w.endTimer = m.armLocked(w.endTimer, &w.endAt, m.deadlineInstantLocked(w.bubble.End()), w.endName, w.reconcileFn)
 	}
-	if len(w.pending) > 0 {
-		front := &w.pending[0]
+	if w.pending.Len() > 0 {
+		front := w.pending.At(0)
 		at := front.visibleAt
 		if d := m.deadlineInstantLocked(front.b.Start); d > at {
 			at = d
@@ -1048,16 +1070,16 @@ func (m *Manager) reconcileWorkerLocked(w *workerMeta, now time.Duration) {
 		return
 	}
 	// Lines 4–8: current bubble ended → pause the current task.
-	if w.bubble != nil && now >= w.bubble.End() {
+	if w.hasBubble && now >= w.bubble.End() {
 		if w.current != nil && w.current.serving {
-			m.accountServedLocked(w.current, w.bubble)
+			m.accountServedLocked(w.current, &w.bubble)
 			m.pauseLocked(w, w.current)
 		}
-		w.bubble = nil
+		w.hasBubble = false
 	}
 	// Lines 9–10: adopt a newly begun bubble.
-	if w.bubble == nil {
-		w.bubble = m.nextBubbleLocked(w, now)
+	if !w.hasBubble {
+		m.adoptBubbleLocked(w, now)
 	}
 	// Lines 11–15: pick the next task if idle.
 	if w.current == nil {
@@ -1065,7 +1087,7 @@ func (m *Manager) reconcileWorkerLocked(w *workerMeta, now time.Duration) {
 			return
 		}
 		w.current = w.queue[0]
-		w.queue = w.queue[1:]
+		w.queue = removeAt(w.queue, 0)
 	}
 	cur := w.current
 	if cur.exited {
@@ -1078,7 +1100,7 @@ func (m *Manager) reconcileWorkerLocked(w *workerMeta, now time.Duration) {
 		return
 	}
 	// Lines 18–19: start a paused task into the current bubble.
-	if w.bubble != nil && cur.state == sidetask.StatePaused && cur.startedForBubble != w.bubble {
+	if w.hasBubble && cur.state == sidetask.StatePaused && cur.startedSeq != w.bubbleSeq {
 		// SLO admission guard (serving workload): skip the start when the
 		// bubble's remaining time falls short of Guard × the task's pause
 		// fit — the task would overrun the predicted batch arrival. The
@@ -1092,54 +1114,116 @@ func (m *Manager) reconcileWorkerLocked(w *workerMeta, now time.Duration) {
 				return
 			}
 		}
-		m.startLocked(w, cur, w.bubble)
+		m.startLocked(w, cur)
 	}
 }
 
-// nextBubbleLocked pops the front pending bubble if it has begun, is
-// visible, and has not ended; expired fronts are dropped. pending is Start-
-// ordered, so an ineligible front means nothing behind it is eligible
-// either.
-func (m *Manager) nextBubbleLocked(w *workerMeta, now time.Duration) *bubble.Bubble {
-	for len(w.pending) > 0 {
-		pb := &w.pending[0]
-		if now < pb.visibleAt || pb.b.Start > now {
-			return nil // front not yet adoptable
+// adoptBubbleLocked makes the front pending bubble w's current one if it has
+// begun, is visible, and has not ended; expired fronts are dropped. pending
+// is Start-ordered, so an ineligible front means nothing behind it is
+// eligible either.
+func (m *Manager) adoptBubbleLocked(w *workerMeta, now time.Duration) {
+	for w.pending.Len() > 0 {
+		if front := w.pending.At(0); now < front.visibleAt || front.b.Start > now {
+			return // front not yet adoptable
 		}
+		pb := w.pending.Pop()
 		if now >= pb.b.End() {
-			w.pending = w.pending[1:]
 			m.stats.BubblesExpired++
 			continue
 		}
-		cp := pb.b
-		w.pending = w.pending[1:]
-		return &cp
+		m.adoptions++
+		w.bubble, w.hasBubble, w.bubbleSeq = pb.b, true, m.adoptions
+		return
 	}
-	return nil
+}
+
+// removeAt deletes s[i] by compacting in place and zeroing the vacated tail
+// slot. It serves a worker's task queue, which loses entries at any index
+// (a detach) as well as at the head (a promotion, once per task lifetime);
+// the queue is a handful of records at most — one on every benchmark
+// workload — so the copy is free, whereas re-slicing (s[1:]) would shed a
+// slot of capacity per pop and keep the consumed record reachable.
+func removeAt[T any](s []T, i int) []T {
+	n := i + copy(s[i:], s[i+1:])
+	var zero T
+	s[n] = zero
+	return s[:n]
+}
+
+// workerCall is the context of one in-flight per-cycle call (Worker.Init,
+// Worker.Start, Worker.Pause): what its completion needs to know, plus done,
+// the completion itself, bound once when the context is first built. Contexts
+// are manager-private — nothing in them crosses the link — and the peer
+// completes every call exactly once, so a context returns to its pool
+// whenever done has run, reply or failure alike.
+type workerCall struct {
+	kind callKind
+	w    *workerMeta
+	rec  *taskRecord
+	// inc is rec's incarnation when the call was issued; a completion for an
+	// older incarnation is discarded.
+	inc int
+	// seq is the adoption number of the bubble a start was issued for.
+	seq  uint64
+	done func(result any, err error)
+}
+
+type callKind uint8
+
+const (
+	callInit callKind = iota
+	callStart
+	callPause
+)
+
+// goLocked issues one per-cycle call to rec's worker on a pooled context.
+func (m *Manager) goLocked(kind callKind, method string, params any, w *workerMeta, rec *taskRecord) {
+	pc := m.callPool.Get()
+	c := &pc.V
+	if c.done == nil {
+		c.done = func(result any, err error) { m.complete(pc, result, err) }
+	}
+	c.kind, c.w, c.rec, c.inc, c.seq = kind, w, rec, rec.incarnation, w.bubbleSeq
+	m.stats.RPCs++
+	w.peer.Go(method, params, m.opts.RPCTimeout, c.done)
+}
+
+// complete is the done callback of every per-cycle call.
+func (m *Manager) complete(pc *freerpc.Pooled[workerCall], result any, err error) {
+	c := &pc.V
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	switch c.kind {
+	case callInit:
+		m.initDoneLocked(c, err)
+	case callStart:
+		m.startDoneLocked(c, result, err)
+	case callPause:
+		m.pauseDoneLocked(c, result, err)
+	}
+	c.w, c.rec = nil, nil
+	pc.Recycle()
 }
 
 func (m *Manager) initLocked(w *workerMeta, rec *taskRecord) {
 	rec.initSent = true
-	inc := rec.incarnation
-	m.stats.RPCs++
-	// Completion (the PAUSED transition) is pushed back asynchronously via
-	// Manager.TaskState; the reply only matters when the call itself fails,
-	// in which case initSent is unpinned so a later pass retries — a wedged
-	// init would otherwise starve the worker's whole queue.
-	w.peer.Go("Worker.Init", rec.refArgs, m.opts.RPCTimeout, func(result any, err error) {
-		if err == nil {
-			return
-		}
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		if rec.incarnation != inc {
-			return
-		}
-		if !rec.exited && rec.state == sidetask.StateCreated {
-			rec.initSent = false
-		}
-		m.wakeLocked(w)
-	})
+	m.goLocked(callInit, "Worker.Init", rec.refArgs, w, rec)
+}
+
+// initDoneLocked: completion (the PAUSED transition) is pushed back
+// asynchronously via Manager.TaskState; the reply only matters when the call
+// itself fails, in which case initSent is unpinned so a later pass retries —
+// a wedged init would otherwise starve the worker's whole queue.
+func (m *Manager) initDoneLocked(c *workerCall, err error) {
+	rec := c.rec
+	if err == nil || rec.incarnation != c.inc {
+		return
+	}
+	if !rec.exited && rec.state == sidetask.StateCreated {
+		rec.initSent = false
+	}
+	m.wakeLocked(c.w)
 }
 
 func (m *Manager) applyStatusLocked(rec *taskRecord, st taskStatus) {
@@ -1150,95 +1234,88 @@ func (m *Manager) applyStatusLocked(rec *taskRecord, st taskStatus) {
 	rec.state = sidetask.State(st.State)
 }
 
-func (m *Manager) startLocked(w *workerMeta, rec *taskRecord, b *bubble.Bubble) {
-	rec.startedForBubble = b
-	inc := rec.incarnation
-	m.stats.RPCs++
-	w.peer.Go("Worker.Start", startArgs{
-		Name:        rec.spec.Name,
-		BubbleEndNs: int64(b.End()),
-	}, m.opts.RPCTimeout, func(result any, err error) {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		if rec.incarnation != inc || rec.exited || rec.parked {
-			return
+// startLocked starts rec into w's current bubble.
+func (m *Manager) startLocked(w *workerMeta, rec *taskRecord) {
+	rec.startedSeq = w.bubbleSeq
+	args := m.startPool.Get()
+	args.V = startArgs{Name: rec.spec.Name, BubbleEndNs: int64(w.bubble.End())}
+	m.goLocked(callStart, "Worker.Start", args, w, rec)
+}
+
+func (m *Manager) startDoneLocked(c *workerCall, result any, err error) {
+	rec := c.rec
+	if rec.incarnation != c.inc || rec.exited || rec.parked {
+		return
+	}
+	var st taskStatus
+	if err == nil && result != nil {
+		st, err = freerpc.DecodeResult[taskStatus](result)
+	}
+	if err != nil || result == nil {
+		// The start never reached the worker (or timed out, or its reply was
+		// undecodable): unpin the dedupe record so the bubble can be retried
+		// on the next pass — unless a later bubble's start has replaced it.
+		if rec.startedSeq == c.seq {
+			rec.startedSeq = 0
 		}
-		if err != nil || result == nil {
-			// The start never reached the worker (or timed out): unpin the
-			// dedupe record so the bubble can be retried on the next pass.
-			if rec.startedForBubble == b {
-				rec.startedForBubble = nil
-			}
-			m.wakeLocked(w)
-			return
-		}
-		st, derr := freerpc.DecodeResult[taskStatus](result)
-		if derr != nil {
-			if rec.startedForBubble == b {
-				rec.startedForBubble = nil
-			}
-			m.wakeLocked(w)
-			return
-		}
-		if st.Started {
-			rec.state = sidetask.StateRunning
-			rec.serving = true
-			rec.servedFrom = m.eng.Now()
-			m.stats.BubblesServed++
-			return
-		}
-		m.applyStatusLocked(rec, st)
-		m.wakeLocked(w)
-	})
+		m.wakeLocked(c.w)
+		return
+	}
+	if st.Started {
+		rec.state = sidetask.StateRunning
+		rec.serving = true
+		rec.servedFrom = m.eng.Now()
+		m.stats.BubblesServed++
+		return
+	}
+	m.applyStatusLocked(rec, st)
+	m.wakeLocked(c.w)
 }
 
 func (m *Manager) pauseLocked(w *workerMeta, rec *taskRecord) {
 	rec.serving = false
-	rec.state = sidetask.StatePaused // optimistic; corrected below on failure
-	inc := rec.incarnation
-	m.stats.RPCs++
-	w.peer.Go("Worker.Pause", rec.refArgs, m.opts.RPCTimeout,
-		func(result any, err error) {
-			m.mu.Lock()
-			defer m.mu.Unlock()
-			if rec.incarnation != inc || rec.exited || rec.parked {
-				return
-			}
-			if err != nil || result == nil {
-				// The pause never reached the worker (or timed out): the
-				// task is, to the manager's best knowledge, still running —
-				// correct the optimistic record.
-				if !rec.exited && rec.state == sidetask.StatePaused {
-					rec.state = sidetask.StateRunning
-				}
-				m.wakeLocked(w)
-				return
-			}
-			st, derr := freerpc.DecodeResult[taskStatus](result)
-			if derr != nil {
-				// An undecodable reply still proves the worker processed
-				// the pause, so the optimistic PAUSED stands — only the
-				// exit flag it may have carried is lost (the TaskExited
-				// push covers that independently).
-				return
-			}
-			if st.Exited {
-				m.applyStatusLocked(rec, st)
-				m.wakeLocked(w)
-				return
-			}
-			// An acknowledged pause is a consistent cut of the task's
-			// progress: checkpoint the reported counters. A later restart
-			// resumes from here; only work accrued past this point is lost.
-			rec.ckpt = TaskCkpt{
-				Steps:        st.Steps,
-				KernelTimeNs: st.KernelTimeNs,
-				HostTimeNs:   st.HostTimeNs,
-				InsuffNs:     st.InsuffNs,
-			}
-			rec.hasCkpt = true
-			rec.servedSinceCkpt = 0
-		})
+	rec.state = sidetask.StatePaused // optimistic; corrected on failure
+	m.goLocked(callPause, "Worker.Pause", rec.refArgs, w, rec)
+}
+
+func (m *Manager) pauseDoneLocked(c *workerCall, result any, err error) {
+	rec := c.rec
+	if rec.incarnation != c.inc || rec.exited || rec.parked {
+		return
+	}
+	if err != nil || result == nil {
+		// The pause never reached the worker (or timed out): the task is, to
+		// the manager's best knowledge, still running — correct the
+		// optimistic record.
+		if rec.state == sidetask.StatePaused {
+			rec.state = sidetask.StateRunning
+		}
+		m.wakeLocked(c.w)
+		return
+	}
+	st, derr := freerpc.DecodeResult[taskStatus](result)
+	if derr != nil {
+		// An undecodable reply still proves the worker processed the pause,
+		// so the optimistic PAUSED stands — only the exit flag it may have
+		// carried is lost (the TaskExited push covers that independently).
+		return
+	}
+	if st.Exited {
+		m.applyStatusLocked(rec, st)
+		m.wakeLocked(c.w)
+		return
+	}
+	// An acknowledged pause is a consistent cut of the task's progress:
+	// checkpoint the reported counters. A later restart resumes from here;
+	// only work accrued past this point is lost.
+	rec.ckpt = TaskCkpt{
+		Steps:        st.Steps,
+		KernelTimeNs: st.KernelTimeNs,
+		HostTimeNs:   st.HostTimeNs,
+		InsuffNs:     st.InsuffNs,
+	}
+	rec.hasCkpt = true
+	rec.servedSinceCkpt = 0
 }
 
 func (m *Manager) accountServedLocked(rec *taskRecord, b *bubble.Bubble) {

@@ -131,7 +131,7 @@ func (m *Manager) demoteLocked(w *workerMeta, rec *taskRecord) {
 		return
 	}
 	m.stats.Demotions++
-	if rec.serving && w.bubble != nil {
+	if rec.serving && w.hasBubble {
 		// The partial serve of the in-flight bubble is real GPU time the
 		// checkpoint will not cover; account it before planning recovery.
 		served := m.eng.Now() - rec.servedFrom

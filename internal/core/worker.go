@@ -106,11 +106,18 @@ type Worker struct {
 	stats    WorkerStats
 	notifyFn func(method string, params any) // manager notification channel
 	// crashed marks a fault-plane hard kill: the worker stops reporting
-	// forever and its task table is gone.
-	crashed bool
+	// forever and its task table is gone; errCrashed is what it answers
+	// pings with from then on.
+	crashed    bool
+	errCrashed error
 	// wedgeUntil suppresses notifications until the given engine instant
 	// (fault-plane wedge: the worker runs but stops reporting).
 	wedgeUntil time.Duration
+	// Replies come from worker-owned pools and return to them once the
+	// manager has consumed them (see freerpc.Msg); a reply lost on the link
+	// is simply never seen again.
+	statusPool freerpc.Pool[taskStatus]
+	pingPool   freerpc.Pool[pingReply]
 }
 
 // NewWorker builds a worker for one device.
@@ -130,8 +137,12 @@ func NewWorker(eng simtime.Engine, device *simgpu.Device, ctrs *container.Runtim
 		device: device,
 		ctrs:   ctrs,
 		tasks:  make(map[string]*workerTask),
+
+		errCrashed: fmt.Errorf("worker %s: crashed", cfg.Name),
 	}
 	w.mu.Bind(eng)
+	w.statusPool.Bind(eng)
+	w.pingPool.Bind(eng)
 	return w
 }
 
@@ -173,7 +184,7 @@ func (w *Worker) RegisterOn(mux *freerpc.Mux) {
 		defer w.mu.Unlock()
 		return workerInfo{Name: w.cfg.Name, GPUMem: w.device.MemFree(), NumTasks: len(w.tasks)}, nil
 	})
-	mux.Handle("Worker.Ping", func(json.RawMessage) (any, error) {
+	freerpc.HandleFunc(mux, "Worker.Ping", func(struct{}) (any, error) {
 		return w.pingStatus()
 	})
 }
@@ -184,17 +195,17 @@ func (w *Worker) RegisterOn(mux *freerpc.Mux) {
 // whose link somehow stays open is still detected by lease expiry. A merely
 // wedged worker (notifications suppressed) still answers: the snapshot is
 // the anti-entropy that heals the pushes the wedge swallowed.
-func (w *Worker) pingStatus() (pingReply, error) {
+func (w *Worker) pingStatus() (any, error) {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.crashed {
-		w.mu.Unlock()
-		return pingReply{}, fmt.Errorf("worker %s: crashed", w.cfg.Name)
+		return nil, w.errCrashed
 	}
-	roster := append([]*workerTask(nil), w.roster...)
-	w.mu.Unlock()
-	rep := pingReply{Name: w.cfg.Name}
-	for _, t := range roster {
-		rep.Tasks = append(rep.Tasks, w.status(t))
+	rep := w.pingPool.Get()
+	rep.V.Name = w.cfg.Name
+	rep.V.Tasks = rep.V.Tasks[:0]
+	for _, t := range w.roster {
+		rep.V.Tasks = append(rep.V.Tasks, w.status(t))
 	}
 	return rep, nil
 }
@@ -367,7 +378,7 @@ func (w *Worker) handleInit(ref taskRef) (any, error) {
 		// Queue-tolerant: an Init arriving while CreateSideTask is still
 		// loading is processed right after it finishes.
 	default:
-		return w.status(t), nil
+		return w.statusReply(t), nil
 	}
 	t.harness.Deliver(sidetask.Command{Transition: sidetask.TransitionInit})
 	w.mu.Lock()
@@ -375,7 +386,7 @@ func (w *Worker) handleInit(ref taskRef) (any, error) {
 	w.mu.Unlock()
 
 	if w.cfg.DisableEnforcement {
-		return w.status(t), nil
+		return w.statusReply(t), nil
 	}
 	timeout := w.cfg.InitTimeout
 	if timeout <= 0 {
@@ -391,7 +402,7 @@ func (w *Worker) handleInit(ref taskRef) (any, error) {
 			t.cont.Kill()
 		}
 	})
-	return w.status(t), nil
+	return w.statusReply(t), nil
 }
 
 // handleStart initiates PAUSED→RUNNING with the bubble deadline; a start
@@ -431,11 +442,11 @@ func (w *Worker) handleStart(args startArgs) (any, error) {
 		w.mu.Lock()
 		w.stats.Starts++
 		w.mu.Unlock()
-		s := w.status(t)
-		s.Started = true
+		s := w.statusReply(t)
+		s.V.Started = true
 		return s, nil
 	default:
-		return w.status(t), nil
+		return w.statusReply(t), nil
 	}
 }
 
@@ -449,7 +460,7 @@ func (w *Worker) handlePause(ref taskRef) (any, error) {
 		return nil, err
 	}
 	if t.harness.State() != sidetask.StateRunning {
-		return w.status(t), nil
+		return w.statusReply(t), nil
 	}
 	if t.harness.Mode() == sidetask.ModeImperative {
 		// Transparent suspension; in-flight kernels keep running (the
@@ -463,7 +474,7 @@ func (w *Worker) handlePause(ref taskRef) (any, error) {
 	w.mu.Unlock()
 
 	if w.cfg.DisableEnforcement {
-		return w.status(t), nil
+		return w.statusReply(t), nil
 	}
 	if t.graceFn == nil {
 		gpu := t.cont.GPU()
@@ -490,7 +501,7 @@ func (w *Worker) handlePause(ref taskRef) (any, error) {
 		}
 	}
 	t.grace = simtime.Reschedule(w.eng, t.grace, w.cfg.Grace, t.graceName, t.graceFn)
-	return w.status(t), nil
+	return w.statusReply(t), nil
 }
 
 // handleStop initiates →STOPPED and kills the container if the task does
@@ -512,7 +523,7 @@ func (w *Worker) handleStop(ref taskRef) (any, error) {
 			t.cont.Kill()
 		}
 	})
-	return w.status(t), nil
+	return w.statusReply(t), nil
 }
 
 // handleQuery reports a task's state and counters.
@@ -521,7 +532,14 @@ func (w *Worker) handleQuery(ref taskRef) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return w.status(t), nil
+	return w.statusReply(t), nil
+}
+
+// statusReply is status(t) in a pooled reply.
+func (w *Worker) statusReply(t *workerTask) *freerpc.Pooled[taskStatus] {
+	r := w.statusPool.Get()
+	r.V = w.status(t)
+	return r
 }
 
 func (w *Worker) status(t *workerTask) taskStatus {

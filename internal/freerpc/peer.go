@@ -3,9 +3,11 @@ package freerpc
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"freeride/internal/simproc"
@@ -24,34 +26,66 @@ type typedHandler func(params any) (any, error)
 
 // Mux is a method dispatch table shared by any number of peers (the worker
 // registers its methods once and serves every manager connection with them).
+//
+// Registration may happen at any time, but is expected to be rare (every
+// assembly in this repository registers before NewPeer): the in-memory fast
+// path resolves a handler with one atomic load of an immutable table that
+// each registration replaces, so a request pays no lock; only the wire path,
+// which pays for JSON anyway, reads under mu.
 type Mux struct {
-	mu       sync.RWMutex
+	mu       sync.RWMutex // guards handlers; serialises replacements of local
 	handlers map[string]Handler
-	typed    map[string]typedHandler
+	// local serves the fast path: HandleFunc's typed dispatcher, or Handle's
+	// JSON bridge, both built once at registration. The map it points to is
+	// never written again.
+	local atomic.Pointer[map[string]typedHandler]
 }
 
 // NewMux returns an empty dispatch table.
 func NewMux() *Mux {
-	return &Mux{handlers: make(map[string]Handler), typed: make(map[string]typedHandler)}
+	m := &Mux{handlers: make(map[string]Handler)}
+	m.local.Store(&map[string]typedHandler{})
+	return m
+}
+
+// register installs both forms of a method's handler.
+func (m *Mux) register(method string, h Handler, th typedHandler) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.handlers[method] = h
+	local := maps.Clone(*m.local.Load())
+	local[method] = th
+	m.local.Store(&local)
 }
 
 // Handle registers h for method, replacing any previous registration. Local
 // fast-path requests to a raw handler are bridged through JSON; register
 // with HandleFunc to serve them without serialization.
 func (m *Mux) Handle(method string, h Handler) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.handlers[method] = h
-	delete(m.typed, method)
+	m.register(method, h, func(params any) (any, error) {
+		var raw json.RawMessage
+		if params != nil {
+			if r, isRaw := params.(json.RawMessage); isRaw {
+				raw = r
+			} else {
+				b, err := json.Marshal(params)
+				if err != nil {
+					return nil, fmt.Errorf("freerpc: bad params for %s: %w", method, err)
+				}
+				raw = b
+			}
+		}
+		return h(raw)
+	})
 }
 
 // HandleFunc registers a typed handler: wire requests are unmarshalled into
-// a fresh P; in-memory requests whose params are already a P (the common
-// case — both ends share the DTO type) are dispatched with zero JSON work.
+// a fresh P; in-memory requests whose params are already a P or a pooled P
+// (the common case — both ends share the DTO type) are dispatched with zero
+// JSON work. fn receives P by value: a pooled params value is recycled as
+// soon as fn returns, and the copy is all fn may keep.
 func HandleFunc[P any](m *Mux, method string, fn func(params P) (any, error)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.handlers[method] = func(raw json.RawMessage) (any, error) {
+	m.register(method, func(raw json.RawMessage) (any, error) {
 		var p P
 		if len(raw) > 0 {
 			if err := json.Unmarshal(raw, &p); err != nil {
@@ -59,14 +93,15 @@ func HandleFunc[P any](m *Mux, method string, fn func(params P) (any, error)) {
 			}
 		}
 		return fn(p)
-	}
-	m.typed[method] = func(params any) (any, error) {
+	}, func(params any) (any, error) {
 		switch p := params.(type) {
 		case nil:
 			var zero P
 			return fn(zero)
 		case P:
 			return fn(p)
+		case *Pooled[P]:
+			return fn(p.V)
 		case json.RawMessage:
 			var decoded P
 			if len(p) > 0 {
@@ -88,7 +123,7 @@ func HandleFunc[P any](m *Mux, method string, fn func(params P) (any, error)) {
 			}
 			return fn(decoded)
 		}
-	}
+	})
 }
 
 func (m *Mux) lookup(method string) (Handler, bool) {
@@ -98,33 +133,10 @@ func (m *Mux) lookup(method string) (Handler, bool) {
 	return h, ok
 }
 
-// lookupLocal resolves a method for the fast path: the typed handler when
-// registered, otherwise the raw handler bridged through JSON.
+// lookupLocal resolves a method for the fast path without taking mu.
 func (m *Mux) lookupLocal(method string) (typedHandler, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if th, ok := m.typed[method]; ok {
-		return th, true
-	}
-	h, ok := m.handlers[method]
-	if !ok {
-		return nil, false
-	}
-	return func(params any) (any, error) {
-		var raw json.RawMessage
-		if params != nil {
-			if r, isRaw := params.(json.RawMessage); isRaw {
-				raw = r
-			} else {
-				b, err := json.Marshal(params)
-				if err != nil {
-					return nil, fmt.Errorf("freerpc: bad params for %s: %w", method, err)
-				}
-				raw = b
-			}
-		}
-		return h(raw)
-	}, true
+	th, ok := (*m.local.Load())[method]
+	return th, ok
 }
 
 // envelope is the wire message: requests carry Method, responses don't.
@@ -360,6 +372,7 @@ func (p *Peer) resolve(id uint64, result any, errMsg string) {
 		return
 	}
 	done(result, nil)
+	recycle(result) // consumed: done has returned (see Msg)
 }
 
 // onMsg receives typed messages from a LocalConn.
@@ -371,7 +384,8 @@ func (p *Peer) onMsg(m Msg) {
 	p.resolve(m.ID, m.Result, m.Err)
 }
 
-// serveLocal dispatches a fast-path request and responds in kind.
+// serveLocal dispatches a fast-path request and responds in kind. The
+// params are recycled once the handler has returned (see Msg).
 func (p *Peer) serveLocal(m Msg) {
 	var result any
 	var errMsg string
@@ -387,6 +401,7 @@ func (p *Peer) serveLocal(m Msg) {
 			result = r
 		}
 	}
+	recycle(m.Params)
 	if m.ID == 0 {
 		return // notification: no response
 	}
@@ -418,6 +433,7 @@ func (p *Peer) serveRequest(env *envelope) {
 			resp.Error = err.Error()
 		} else if result != nil {
 			raw, merr := json.Marshal(result)
+			recycle(result) // the wire carries the bytes, not the value
 			if merr != nil {
 				resp.Error = fmt.Sprintf("marshal result: %v", merr)
 			} else {
@@ -462,6 +478,11 @@ func (p *Peer) failAll() {
 // The result is a live value when the connection is in-memory and raw JSON
 // (json.RawMessage) when it crossed the wire — use DecodeResult to consume
 // it uniformly. A zero timeout means no deadline.
+//
+// Ownership (see Msg): params belong to the link from here on — a pooled
+// value is recycled by whoever consumes it, never by the caller, not even
+// when done reports a timeout. The result is only valid until done returns;
+// a pooled result is recycled right after.
 func (p *Peer) Go(method string, params any, timeout time.Duration, done func(result any, err error)) {
 	if done == nil {
 		done = noopDone
@@ -489,6 +510,7 @@ func (p *Peer) Go(method string, params any, timeout time.Duration, done func(re
 		var raw json.RawMessage
 		if params != nil {
 			raw, err = json.Marshal(params)
+			recycle(params) // the wire carries the bytes, not the value
 		}
 		if err == nil {
 			var wire []byte
@@ -527,6 +549,7 @@ func (p *Peer) Notify(method string, params any) error {
 	var raw json.RawMessage
 	if params != nil {
 		b, err := json.Marshal(params)
+		recycle(params) // the wire carries the bytes, not the value
 		if err != nil {
 			return fmt.Errorf("freerpc: marshal params: %w", err)
 		}
@@ -540,44 +563,50 @@ func (p *Peer) Notify(method string, params any) error {
 }
 
 // Call issues a blocking call from process context, decoding the reply into
-// result (a pointer, may be nil). A zero timeout means no deadline.
+// result (a pointer, may be nil). A zero timeout means no deadline. The
+// reply is decoded inside the done callback, before the caller is woken: a
+// pooled result is gone by the time a stopped process would get to read it.
 func (p *Peer) Call(proc *simproc.Process, method string, params, result any, timeout time.Duration) error {
-	type outcome struct {
-		val any
-		err error
-	}
 	got := proc.WaitEvent("rpc:"+method, func(wake func(any)) {
 		p.Go(method, params, timeout, func(val any, err error) {
-			wake(outcome{val: val, err: err})
+			if err == nil {
+				err = decodeInto(method, val, result)
+			}
+			wake(err)
 		})
 	})
-	oc, ok := got.(outcome)
+	if got == nil {
+		return nil
+	}
+	err, ok := got.(error)
 	if !ok {
 		return fmt.Errorf("freerpc: unexpected wake payload %T", got)
 	}
-	if oc.err != nil {
-		return oc.err
-	}
-	if result == nil || oc.val == nil {
+	return err
+}
+
+// decodeInto stores an RPC result (live or raw JSON) through the pointer dst.
+func decodeInto(method string, val, dst any) error {
+	if dst == nil || val == nil {
 		return nil
 	}
-	switch v := oc.val.(type) {
+	switch v := val.(type) {
 	case json.RawMessage:
 		if len(v) == 0 {
 			return nil
 		}
-		if err := json.Unmarshal(v, result); err != nil {
+		if err := json.Unmarshal(v, dst); err != nil {
 			return fmt.Errorf("freerpc: unmarshal result of %s: %w", method, err)
 		}
 		return nil
 	default:
 		// Fast-path result: assign directly when the types line up, bridge
 		// through JSON otherwise (e.g. caller decodes into its own DTO).
-		dst := reflect.ValueOf(result)
-		if dst.Kind() == reflect.Pointer && !dst.IsNil() {
+		d := reflect.ValueOf(dst)
+		if d.Kind() == reflect.Pointer && !d.IsNil() {
 			sv := reflect.ValueOf(v)
-			if sv.Type().AssignableTo(dst.Elem().Type()) {
-				dst.Elem().Set(sv)
+			if sv.Type().AssignableTo(d.Elem().Type()) {
+				d.Elem().Set(sv)
 				return nil
 			}
 		}
@@ -585,7 +614,7 @@ func (p *Peer) Call(proc *simproc.Process, method string, params, result any, ti
 		if err != nil {
 			return fmt.Errorf("freerpc: bridge result of %s: %w", method, err)
 		}
-		if err := json.Unmarshal(raw, result); err != nil {
+		if err := json.Unmarshal(raw, dst); err != nil {
 			return fmt.Errorf("freerpc: unmarshal result of %s: %w", method, err)
 		}
 		return nil

@@ -342,3 +342,35 @@ func BenchmarkMemPipeCall(b *testing.B) {
 	})
 	eng.Drain(0)
 }
+
+// TestMuxLateRegistrationConcurrentLookup registers methods while the fast
+// path resolves others on another goroutine (a live-mode peer serving on a
+// wall-engine timer goroutine). The fast path takes no lock, so the table it
+// reads must be immutable: under -race this fails on a shared map.
+func TestMuxLateRegistrationConcurrentLookup(t *testing.T) {
+	mux := NewMux()
+	HandleFunc(mux, "First", func(echoArgs) (any, error) { return nil, nil })
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 1000; i++ {
+			if _, ok := mux.lookupLocal("First"); !ok {
+				t.Error("a registered method vanished from the fast path")
+				return
+			}
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		mux.Handle(fmt.Sprintf("Late%d", i), func(json.RawMessage) (any, error) { return nil, nil })
+	}
+	wg.Wait()
+	for i := 0; i < 50; i++ {
+		if _, ok := mux.lookupLocal(fmt.Sprintf("Late%d", i)); !ok {
+			t.Fatalf("Late%d not served on the fast path", i)
+		}
+		if _, ok := mux.lookup(fmt.Sprintf("Late%d", i)); !ok {
+			t.Fatalf("Late%d not served on the wire path", i)
+		}
+	}
+}

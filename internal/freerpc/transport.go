@@ -9,7 +9,8 @@
 //     typed Msg envelopes directly — params structs (bubble DTOs, task
 //     specs, worker stats) and results cross without any JSON marshalling.
 //     Handlers registered with HandleFunc receive the caller's value as-is
-//     when the types match, and a one-time JSON bridge otherwise.
+//     when the types match, and a one-time JSON bridge otherwise. Who may
+//     reuse such a value, and when, is the ownership rule stated on Msg.
 //   - NewNetConn: a real net.Conn carrying newline-delimited JSON frames
 //     (the live freeride-managerd / freeride-workerd daemons). This is the
 //     wire protocol; HandleFunc's raw-JSON path serves it.

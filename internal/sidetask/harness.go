@@ -169,7 +169,7 @@ type Harness struct {
 	imper   Imperative
 	seed    int64
 
-	inbox *simproc.Mailbox
+	inbox *simproc.Mailbox[Command]
 
 	// mu rides the engine ownership regime once BindEngine is called (the
 	// worker binds each deployed harness to its engine at create time);
@@ -200,7 +200,7 @@ type Harness struct {
 func NewIterativeHarness(name string, profile model.TaskProfile, impl Iterative, seed int64) *Harness {
 	return &Harness{
 		name: name, mode: ModeIterative, profile: profile, iter: impl,
-		seed: seed, inbox: simproc.NewMailbox(), state: StateSubmitted,
+		seed: seed, inbox: simproc.NewMailbox[Command](), state: StateSubmitted,
 		stepEstimate:   profile.StepTime + profile.HostOverhead,
 		kernelParts:    1,
 		stepKernelName: profile.Name + "-step",
@@ -211,7 +211,7 @@ func NewIterativeHarness(name string, profile model.TaskProfile, impl Iterative,
 func NewImperativeHarness(name string, profile model.TaskProfile, impl Imperative, seed int64) *Harness {
 	return &Harness{
 		name: name, mode: ModeImperative, profile: profile, imper: impl,
-		seed: seed, inbox: simproc.NewMailbox(), state: StateSubmitted,
+		seed: seed, inbox: simproc.NewMailbox[Command](), state: StateSubmitted,
 		stepEstimate:   profile.StepTime + profile.HostOverhead,
 		kernelParts:    imperativeKernelParts,
 		stepKernelName: profile.Name + "-step",
@@ -338,13 +338,9 @@ func (h *Harness) Run(p *simproc.Process, gpu *simgpu.Client) error {
 func (h *Harness) commandLoop(ctx *Ctx) error {
 	p := ctx.Proc
 	for {
-		msg, ok := h.inbox.Recv(p)
+		cmd, ok := h.inbox.Recv(p)
 		if !ok {
 			return fmt.Errorf("sidetask %s: command channel closed", h.name)
-		}
-		cmd, okc := msg.(Command)
-		if !okc {
-			continue
 		}
 		if err := h.handle(ctx, cmd); err != nil {
 			return err
@@ -407,11 +403,7 @@ func (h *Harness) runIterative(ctx *Ctx) error {
 	p := ctx.Proc
 	for {
 		// Worker transitions take priority over the next step.
-		if msg, ok := h.inbox.TryRecv(); ok {
-			cmd, okc := msg.(Command)
-			if !okc {
-				continue
-			}
+		if cmd, ok := h.inbox.TryRecv(); ok {
 			switch cmd.Transition {
 			case TransitionPause:
 				h.setState(StatePaused, p.Now())
@@ -441,13 +433,9 @@ func (h *Harness) runIterative(ctx *Ctx) error {
 				h.counters.InsuffWait += remaining
 				h.mu.Unlock()
 			}
-			msg, ok := h.inbox.Recv(p)
+			cmd, ok := h.inbox.Recv(p)
 			if !ok {
 				return fmt.Errorf("sidetask %s: command channel closed", h.name)
-			}
-			cmd, okc := msg.(Command)
-			if !okc {
-				continue
 			}
 			switch cmd.Transition {
 			case TransitionPause:

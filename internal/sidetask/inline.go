@@ -159,12 +159,12 @@ func (r *inlineRun) recv() {
 	r.h.inbox.RecvThen(r.p, r.onCommandFn)
 }
 
-func (r *inlineRun) onCommand(msg any) {
-	if _, closed := msg.(simproc.Closed); closed {
+func (r *inlineRun) onCommand(wake any) {
+	if _, closed := wake.(simproc.Closed); closed {
 		r.p.Exit(fmt.Errorf("sidetask %s: command channel closed", r.h.name))
 		return
 	}
-	cmd, ok := msg.(Command)
+	cmd, ok := r.h.inbox.TryRecv()
 	if !ok {
 		r.recv()
 		return
@@ -236,13 +236,9 @@ func (r *inlineRun) stop() {
 func (r *inlineRun) iterLoop() {
 	h, p := r.h, r.p
 	for {
-		msg, ok := h.inbox.TryRecv()
+		cmd, ok := h.inbox.TryRecv()
 		if !ok {
 			break
-		}
-		cmd, okc := msg.(Command)
-		if !okc {
-			continue
 		}
 		switch cmd.Transition {
 		case TransitionPause:
@@ -288,14 +284,14 @@ func (r *inlineRun) iterLoop() {
 
 // onWaitCmd handles the command that ends an insufficient-time wait (the
 // blocking Recv inside runIterative).
-func (r *inlineRun) onWaitCmd(msg any) {
+func (r *inlineRun) onWaitCmd(wake any) {
 	h, p := r.h, r.p
-	if _, closed := msg.(simproc.Closed); closed {
+	if _, closed := wake.(simproc.Closed); closed {
 		p.Exit(fmt.Errorf("sidetask %s: command channel closed", h.name))
 		return
 	}
-	cmd, okc := msg.(Command)
-	if !okc {
+	cmd, ok := h.inbox.TryRecv()
+	if !ok {
 		r.iterLoop()
 		return
 	}

@@ -93,11 +93,12 @@ func TestInlineSleepAllocFree(t *testing.T) {
 func TestMailboxWakePathAllocFree(t *testing.T) {
 	eng := simtime.NewVirtual()
 	rt := NewRuntime(eng)
-	mb := NewMailbox()
+	mb := NewMailbox[any]()
 	msg := any("ping") // pre-boxed: pin the wake path, not the payload
 	rt.SpawnInline("rx", func(p *Process) {
 		var k func(any)
 		k = func(any) {
+			mb.TryRecv()
 			mb.RecvThen(p, k)
 		}
 		mb.RecvThen(p, k)
@@ -116,5 +117,46 @@ func TestMailboxWakePathAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("mailbox wake path allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestMailboxQueueAllocFree pins the queued path (no receiver parked): two
+// messages in, two out, forever. A struct message is not boxed and the queue
+// reuses its storage (popping by re-slicing shed capacity until the next
+// send regrew it); fifo's own test checks that consumed slots are zeroed.
+func TestMailboxQueueAllocFree(t *testing.T) {
+	type letter struct {
+		n   int
+		ref *int
+	}
+	mb := NewMailbox[letter]()
+	msg := letter{n: 7, ref: new(int)}
+	cycle := func() {
+		mb.Send(msg)
+		mb.Send(msg)
+		for i := 0; i < 2; i++ {
+			if got, ok := mb.TryRecv(); !ok || got != msg {
+				t.Fatalf("TryRecv = %v, %v", got, ok)
+			}
+		}
+	}
+	for i := 0; i < 16; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(2000, cycle); allocs != 0 {
+		t.Fatalf("mailbox send/receive cycle allocates %.1f objects/op, want 0", allocs)
+	}
+	// A queue that never drains reuses its storage too: one message always
+	// stays behind.
+	mb.Send(msg)
+	step := func() {
+		mb.Send(msg)
+		mb.TryRecv()
+	}
+	for i := 0; i < 16; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(2000, step); allocs != 0 {
+		t.Fatalf("mailbox with a standing backlog allocates %.1f objects/op, want 0", allocs)
 	}
 }

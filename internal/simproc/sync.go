@@ -3,6 +3,7 @@ package simproc
 import (
 	"sync/atomic"
 
+	"freeride/internal/fifo"
 	"freeride/internal/simtime"
 )
 
@@ -86,53 +87,55 @@ func (l *Latch) WaitThen(p *Process, k func(any)) {
 	p.EndWait("latch")
 }
 
-// Mailbox is an unbounded FIFO queue with blocking receive, used for
-// inter-process messages (state-transition commands, RPC frames).
-type Mailbox struct {
+// Mailbox is an unbounded FIFO queue of T with blocking receive, used for
+// inter-process messages (a side task's state-transition commands). It is
+// typed, so sending a struct boxes nothing, and a wake carries no message:
+// the woken receiver pops for itself, so a message that arrives while the
+// receiving process is stopped simply waits in line behind the deferred wake.
+type Mailbox[T any] struct {
 	mu     simtime.Guard
-	queue  []any
+	queue  fifo.Queue[T]
 	waiter *Process // at most one blocked receiver
 	closed bool
 }
 
 // NewMailbox returns an empty (always-locked) mailbox; Bind ties it to an
 // engine's ownership regime when one is available.
-func NewMailbox() *Mailbox { return &Mailbox{} }
+func NewMailbox[T any]() *Mailbox[T] { return &Mailbox[T]{} }
 
 // Bind ties the mailbox lock to eng's ownership regime (see simtime.Guard).
 // Call before the mailbox is reachable from more than one goroutine, from
 // outside any mailbox operation.
-func (m *Mailbox) Bind(eng simtime.Engine) {
+func (m *Mailbox[T]) Bind(eng simtime.Engine) {
 	if eng != nil {
 		m.mu.Bind(eng)
 	}
 }
 
-// Closed is the wake payload a blocked receiver observes when the mailbox is
-// closed. RecvThen continuations compare against it; Recv translates it to
+// Closed is the wake payload a RecvThen continuation observes when the
+// mailbox is closed with nothing left to receive; Recv translates it to
 // ok == false.
 type Closed struct{}
 
 // Send enqueues msg, waking a blocked receiver if any. Send to a closed
 // mailbox is dropped.
-func (m *Mailbox) Send(msg any) {
+func (m *Mailbox[T]) Send(msg T) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
 		return
 	}
-	if w := m.waiter; w != nil {
-		m.waiter = nil
-		m.mu.Unlock()
-		w.Wake(msg)
-		return
-	}
-	m.queue = append(m.queue, msg)
+	m.queue.Push(msg)
+	w := m.waiter
+	m.waiter = nil
 	m.mu.Unlock()
+	if w != nil {
+		w.Wake(nil)
+	}
 }
 
 // Close marks the mailbox closed; a blocked receiver wakes with ok=false.
-func (m *Mailbox) Close() {
+func (m *Mailbox[T]) Close() {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -147,34 +150,30 @@ func (m *Mailbox) Close() {
 	}
 }
 
-// TryRecv dequeues without blocking; ok is false when empty or closed.
-func (m *Mailbox) TryRecv() (msg any, ok bool) {
+// TryRecv dequeues without blocking; ok is false when empty.
+func (m *Mailbox[T]) TryRecv() (msg T, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.queue) == 0 {
-		return nil, false
+	if m.queue.Len() == 0 {
+		return msg, false
 	}
-	msg = m.queue[0]
-	m.queue = m.queue[1:]
-	return msg, true
+	return m.queue.Pop(), true
 }
 
 // Len reports the number of queued messages.
-func (m *Mailbox) Len() int {
+func (m *Mailbox[T]) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.queue)
+	return m.queue.Len()
 }
 
-// register enrolls an armed receiver, delivering synchronously if a message
-// (or the close) raced in between the caller's check and the registration.
-func (m *Mailbox) register(p *Process) {
+// register enrolls an armed receiver, waking it at once if a message (or the
+// close) raced in between the caller's check and the registration.
+func (m *Mailbox[T]) register(p *Process) {
 	m.mu.Lock()
-	if len(m.queue) > 0 {
-		first := m.queue[0]
-		m.queue = m.queue[1:]
+	if m.queue.Len() > 0 {
 		m.mu.Unlock()
-		p.Wake(first)
+		p.Wake(nil)
 		return
 	}
 	if m.closed {
@@ -193,32 +192,29 @@ func (m *Mailbox) register(p *Process) {
 // Recv parks p until a message is available. ok is false if the mailbox was
 // closed while waiting (or already closed and drained). Only one process may
 // block on a mailbox at a time.
-func (m *Mailbox) Recv(p *Process) (msg any, ok bool) {
-	m.mu.Lock()
-	if len(m.queue) > 0 {
-		msg = m.queue[0]
-		m.queue = m.queue[1:]
+func (m *Mailbox[T]) Recv(p *Process) (msg T, ok bool) {
+	for {
+		m.mu.Lock()
+		if m.queue.Len() > 0 {
+			msg = m.queue.Pop()
+			m.mu.Unlock()
+			return msg, true
+		}
+		closed := m.closed
 		m.mu.Unlock()
-		return msg, true
+		if closed {
+			return msg, false
+		}
+		p.BeginWait(nil)
+		m.register(p)
+		p.Await("mailbox")
 	}
-	if m.closed {
-		m.mu.Unlock()
-		return nil, false
-	}
-	m.mu.Unlock()
-
-	p.BeginWait(nil)
-	m.register(p)
-	got := p.Await("mailbox")
-	if _, wasClosed := got.(Closed); wasClosed {
-		return nil, false
-	}
-	return got, true
 }
 
-// RecvThen is the inline form of Recv: k receives the next message, or
-// Closed{} if the mailbox is (or becomes) closed and drained.
-func (m *Mailbox) RecvThen(p *Process, k func(any)) {
+// RecvThen is the inline form of Recv: k runs once a message is available,
+// with a nil payload, and takes it with TryRecv; if the mailbox is (or
+// becomes) closed and drained, k runs with Closed{} instead.
+func (m *Mailbox[T]) RecvThen(p *Process, k func(any)) {
 	p.BeginWait(k)
 	m.register(p)
 	p.EndWait("mailbox")

@@ -50,7 +50,7 @@ func TestLatchAlreadySet(t *testing.T) {
 
 func TestMailboxSendThenRecv(t *testing.T) {
 	eng, rt := newRT()
-	m := NewMailbox()
+	m := NewMailbox[any]()
 	m.Send("a")
 	m.Send("b")
 	var got []any
@@ -72,7 +72,7 @@ func TestMailboxSendThenRecv(t *testing.T) {
 
 func TestMailboxBlockingRecv(t *testing.T) {
 	eng, rt := newRT()
-	m := NewMailbox()
+	m := NewMailbox[any]()
 	var at time.Duration
 	rt.Spawn("rx", func(p *Process) error {
 		msg, ok := m.Recv(p)
@@ -91,7 +91,7 @@ func TestMailboxBlockingRecv(t *testing.T) {
 
 func TestMailboxCloseWakesReceiver(t *testing.T) {
 	eng, rt := newRT()
-	m := NewMailbox()
+	m := NewMailbox[any]()
 	closed := false
 	rt.Spawn("rx", func(p *Process) error {
 		_, ok := m.Recv(p)
@@ -106,7 +106,7 @@ func TestMailboxCloseWakesReceiver(t *testing.T) {
 }
 
 func TestMailboxTryRecv(t *testing.T) {
-	m := NewMailbox()
+	m := NewMailbox[any]()
 	if _, ok := m.TryRecv(); ok {
 		t.Fatal("TryRecv on empty = ok")
 	}
@@ -120,7 +120,7 @@ func TestMailboxTryRecv(t *testing.T) {
 }
 
 func TestMailboxSendAfterCloseDropped(t *testing.T) {
-	m := NewMailbox()
+	m := NewMailbox[any]()
 	m.Close()
 	m.Send(1)
 	if m.Len() != 0 {
