@@ -300,8 +300,9 @@ type workerMeta struct {
 
 	// Failure-detector state (lease-enabled managers only). lastSeen is
 	// the last instant the worker proved it was alive (ping reply or push);
-	// pingTimer fires every Lease/2, leaseTimer at lastSeen+Lease. Both are
-	// reusable Reschedule handles with pre-built callbacks.
+	// pingTimer fires every Lease/2, leaseTimer only when a tick finds the
+	// lease able to run out before the next one (see armLeaseLocked). Both
+	// are reusable Reschedule handles with pre-built callbacks.
 	lastSeen   time.Duration
 	pingTimer  *simtime.Timer
 	pingFn     func()
@@ -516,26 +517,41 @@ func (m *Manager) workerLostLocked(w *workerMeta, cause string) {
 
 // --- failure detector: leases and pings -----------------------------------
 
-// armLeaseLocked (re)starts w's failure-detector timers: a ping every
-// Lease/2 and a lease check at lastSeen+Lease. No-op unless the manager is
-// running with a lease configured.
+// armLeaseLocked (re)starts w's failure detector: the lease begins now and
+// the worker is pinged every Lease/2. No-op unless the manager is running
+// with a lease configured.
+//
+// The lease check itself is armed by the ping tick, and only for an instant
+// at which, if nothing else happens first, the worker is dead: a tick at
+// `now` arms it at e = lastSeen+Lease when e ≤ now+Lease/2. Every possible
+// expiry e has exactly one tick in [e−Lease/2, e); if the worker is going to
+// die at e, lastSeen is already final at that tick, so the check runs at e —
+// and a worker that keeps answering never has one armed (its lastSeen is
+// younger than Lease/2 at every tick). Tie order: the tick arms the check
+// before it re-arms itself, so a check due at the instant of the next tick
+// runs first and a worker dead at that instant is not pinged again. (On the
+// wall engine a tick can only run late; one that overshoots e arms the check
+// with a delay clamped to zero, so detection is late by that jitter at most.)
 func (m *Manager) armLeaseLocked(w *workerMeta) {
 	if m.opts.Lease <= 0 || !m.running || !w.alive {
 		return
 	}
 	w.lastSeen = m.eng.Now()
 	w.pingTimer = simtime.Reschedule(m.eng, w.pingTimer, m.opts.Lease/2, w.pingName, w.pingFn)
-	w.leaseTimer = simtime.Reschedule(m.eng, w.leaseTimer, m.opts.Lease, w.leaseName, w.leaseFn)
 }
 
-// pingWorker probes w for liveness and re-arms the next probe. The reply
-// refreshes the lease and doubles as anti-entropy: its status snapshot heals
-// state a faulted link dropped.
+// pingWorker is the ping tick: it arms the lease check if the lease can run
+// out before the next tick (see armLeaseLocked), re-arms itself, and probes
+// w for liveness. The reply refreshes the lease and doubles as anti-entropy:
+// its status snapshot heals state a faulted link dropped.
 func (m *Manager) pingWorker(w *workerMeta) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if !m.running || !w.alive {
 		return
+	}
+	if expiry, now := w.lastSeen+m.opts.Lease, m.eng.Now(); expiry <= now+m.opts.Lease/2 {
+		w.leaseTimer = simtime.Reschedule(m.eng, w.leaseTimer, expiry-now, w.leaseName, w.leaseFn)
 	}
 	w.pingTimer = simtime.Reschedule(m.eng, w.pingTimer, m.opts.Lease/2, w.pingName, w.pingFn)
 	m.stats.Pings++
@@ -557,21 +573,19 @@ func (m *Manager) pingReplied(w *workerMeta, result any, err error) {
 	}
 }
 
-// checkLease fires at w's lease deadline: a worker with no sign of life for
-// a full Lease is declared dead; otherwise the check re-arms at the instant
-// the refreshed lease would expire.
+// checkLease fires at the instant the lease the arming tick saw would run
+// out: a worker with no sign of life for a full Lease is declared dead. A
+// worker refreshed since is left alone — the tick that covers its new expiry
+// arms the next check, so this one never re-arms itself.
 func (m *Manager) checkLease(w *workerMeta) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if !m.running || !w.alive || m.opts.Lease <= 0 {
 		return
 	}
-	now := m.eng.Now()
-	if now-w.lastSeen >= m.opts.Lease {
+	if m.eng.Now()-w.lastSeen >= m.opts.Lease {
 		m.workerLostLocked(w, "lease expired")
-		return
 	}
-	w.leaseTimer = simtime.Reschedule(m.eng, w.leaseTimer, w.lastSeen+m.opts.Lease-now, w.leaseName, w.leaseFn)
 }
 
 // applyPingStatusLocked folds one ping-reply status into the manager's

@@ -37,6 +37,44 @@ func TestZeroFaultOracleBitIdentical(t *testing.T) {
 	compareOracleGrids(t, wired, plain, "zero-fault vs no fault plane")
 }
 
+// TestZeroFaultDetectorEventBudget bounds what the armed failure detector
+// costs the engine when nothing fails: a ping is three events (tick, request,
+// reply), and the lease check runs once per worker — the first tick cannot
+// yet know the worker answers — and never again. No event for a ping
+// deadline that was met, none for a lease that was refreshed.
+func TestZeroFaultDetectorEventBudget(t *testing.T) {
+	run := func(armed bool) (events, pings uint64, workers int) {
+		cfg := oracleOpts().baseConfig()
+		cfg.Method = freeride.MethodIterative
+		if armed {
+			cfg.Faults = &simfault.Schedule{}
+		}
+		sess, err := freeride.NewSession(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.SubmitEverywhere(model.ResNet18); err != nil {
+			t.Fatal(err)
+		}
+		res, err := sess.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess.Eng.Dispatched(), res.ManagerStats.Pings, len(sess.Workers)
+	}
+	plain, _, _ := run(false)
+	armed, pings, workers := run(true)
+	if pings == 0 {
+		t.Fatal("armed session sent no pings")
+	}
+	extra, budget := armed-plain, 3*pings+uint64(workers)
+	t.Logf("%d pings, %d workers: %d extra events", pings, workers, extra)
+	if extra > budget {
+		t.Errorf("armed session dispatched %d more events than unarmed, budget 3·%d pings + %d workers = %d (%.2f per ping)",
+			extra, pings, workers, budget, float64(extra)/float64(pings))
+	}
+}
+
 // faultOpts is the shrunk sweep configuration the fault tests share.
 func faultOpts(seed int64) Options {
 	o := oracleOpts()

@@ -6,6 +6,7 @@ import (
 	"maps"
 	"net"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -183,19 +184,22 @@ type Peer struct {
 	// incarnation — it simply misses the pending map.
 	callFree []*pendingCall
 
-	// The deadline wheel: one engine timer per peer, armed at the earliest
-	// outstanding call deadline, instead of one timer (plus a cancel) per
-	// call. Entries are a min-heap on (at, id) and are removed lazily — a
-	// reply just deletes the call from pending; the entry expires later,
-	// finds nothing, and is dropped.
-	wheel      []deadlineEntry
-	wheelTimer *simtime.Timer
-	// wheelAt records the armed instant while wheelTimer is pending (the
-	// wall engine's Timer.When drifts by arming latency, so the timer
+	// Call deadlines: one engine timer per peer instead of one per call, over
+	// a min-heap of (at, id) entries with cancel-on-top. The invariant is that
+	// the heap's top belongs to a call that is still pending and the timer is
+	// armed at exactly that deadline — or the heap is empty and the timer is
+	// disarmed — so the timer only ever fires to expire a real call. A call
+	// that completes while its entry is the top takes the entry with it and
+	// moves the timer on (settleDeadlineLocked); an entry further down stays
+	// behind and is dropped, without an engine event, when it surfaces.
+	deadlines     []deadlineEntry
+	deadlineTimer *simtime.Timer
+	// deadlineAt records the armed instant while deadlineTimer is pending
+	// (the wall engine's Timer.When drifts by arming latency, so the timer
 	// itself can't be asked).
-	wheelAt time.Duration
-	// wheelFn is the timer callback, built once per peer.
-	wheelFn func()
+	deadlineAt time.Duration
+	// deadlineFn is the timer callback, built once per peer.
+	deadlineFn func()
 }
 
 type pendingCall struct {
@@ -206,7 +210,7 @@ type pendingCall struct {
 	timeout time.Duration
 }
 
-// deadlineEntry is one wheel slot: call id plus its absolute deadline.
+// deadlineEntry is one heap entry: call id plus its absolute deadline.
 type deadlineEntry struct {
 	at time.Duration
 	id uint64
@@ -218,7 +222,7 @@ var noopDone = func(any, error) {}
 func NewPeer(eng simtime.Engine, conn Conn, mux *Mux) *Peer {
 	p := &Peer{eng: eng, conn: conn, mux: mux, pending: make(map[uint64]*pendingCall)}
 	p.mu.Bind(eng)
-	p.wheelFn = p.expireDeadlines
+	p.deadlineFn = p.expireDeadlines
 	if lc, ok := conn.(LocalConn); ok {
 		p.local = lc
 		lc.SetMsgHandler(p.onMsg)
@@ -256,22 +260,61 @@ func (p *Peer) Conn() Conn { return p.conn }
 // Close tears down the connection; pending calls fail with ErrClosed.
 func (p *Peer) Close() { _ = p.conn.Close() }
 
-// --- deadline wheel --------------------------------------------------------
+// --- deadline heap ---------------------------------------------------------
 
-// armDeadlineLocked records a call deadline and keeps the wheel timer armed
-// at the earliest outstanding one. Caller holds p.mu.
+// armDeadlineLocked records a call deadline and keeps the timer armed at the
+// earliest outstanding one. Caller holds p.mu.
 func (p *Peer) armDeadlineLocked(id uint64, at time.Duration) {
-	p.wheelPushLocked(deadlineEntry{at: at, id: id})
-	if p.wheelTimer != nil && p.wheelTimer.Pending() && p.wheelAt <= at {
-		return // an earlier (or equal) expiry pass will re-arm as needed
-	}
-	p.wheelAt = at
-	p.wheelTimer = simtime.Reschedule(p.eng, p.wheelTimer, at-p.eng.Now(), "rpc-timeouts", p.wheelFn)
+	p.deadlinePushLocked(deadlineEntry{at: at, id: id})
+	// The top is live without looking: the old top was, and the new entry is.
+	p.moveTimerLocked()
 }
 
-// expireDeadlines is the wheel timer callback: it times out every still-
-// pending call whose deadline has passed, drops stale entries (calls that
-// already completed), and re-arms for the next outstanding deadline.
+// settleDeadlineLocked is called when call id has left pending by any path
+// but expiry (reply, send error). If its entry is the heap's top, the entry
+// goes with it and the timer moves to the next live deadline; otherwise
+// there is no entry, or it is dropped when it surfaces. Caller holds p.mu.
+func (p *Peer) settleDeadlineLocked(id uint64) {
+	if len(p.deadlines) > 0 && p.deadlines[0].id == id {
+		p.deadlinePopLocked()
+		p.retimeLocked()
+	}
+}
+
+// retimeLocked restores the invariant after entries left the top of the
+// heap: entries of completed calls that surfaced are dropped, then the timer
+// follows the new top. Caller holds p.mu.
+func (p *Peer) retimeLocked() {
+	for len(p.deadlines) > 0 {
+		if _, live := p.pending[p.deadlines[0].id]; live {
+			break
+		}
+		p.deadlinePopLocked()
+	}
+	p.moveTimerLocked()
+}
+
+// moveTimerLocked arms the timer at the top's deadline unless it already is,
+// or cancels it when the heap is empty. Caller holds p.mu.
+func (p *Peer) moveTimerLocked() {
+	armed := p.deadlineTimer != nil && p.deadlineTimer.Pending()
+	if len(p.deadlines) == 0 {
+		if armed {
+			p.deadlineTimer.Cancel()
+		}
+		return
+	}
+	if at := p.deadlines[0].at; !armed || p.deadlineAt != at {
+		p.deadlineAt = at
+		p.deadlineTimer = simtime.Reschedule(p.eng, p.deadlineTimer, at-p.eng.Now(), "rpc-timeouts", p.deadlineFn)
+	}
+}
+
+// expireDeadlines is the timer callback: it times out every still-pending
+// call whose deadline has passed and re-arms for the next live deadline. It
+// assumes nothing about why it ran: on the wall engine a fire can race the
+// cancel (or the move) of settleDeadlineLocked and arrive with nothing due,
+// in which case it only re-establishes the invariant.
 func (p *Peer) expireDeadlines() {
 	// Expiries are rare (a measurement run never times out), so the
 	// collection slice is allocated on demand.
@@ -283,46 +326,43 @@ func (p *Peer) expireDeadlines() {
 	var expired []expiry
 	p.mu.Lock()
 	now := p.eng.Now()
-	for len(p.wheel) > 0 && p.wheel[0].at <= now {
-		e := p.wheelPopLocked()
+	for len(p.deadlines) > 0 && p.deadlines[0].at <= now {
+		e := p.deadlinePopLocked()
 		if call, ok := p.pending[e.id]; ok {
 			delete(p.pending, e.id)
 			expired = append(expired, expiry{done: call.done, method: call.method, timeout: call.timeout})
 			p.recycleLocked(call)
 		}
 	}
-	if len(p.wheel) > 0 {
-		p.wheelAt = p.wheel[0].at
-		p.wheelTimer = simtime.Reschedule(p.eng, p.wheelTimer, p.wheelAt-now, "rpc-timeouts", p.wheelFn)
-	}
+	p.retimeLocked()
 	p.mu.Unlock()
 	for _, e := range expired {
 		e.done(nil, fmt.Errorf("%w: %s after %v", ErrTimeout, e.method, e.timeout))
 	}
 }
 
-// wheelPushLocked / wheelPopLocked maintain the (at, id) min-heap. Caller
-// holds p.mu.
-func (p *Peer) wheelPushLocked(e deadlineEntry) {
-	p.wheel = append(p.wheel, e)
-	i := len(p.wheel) - 1
+// deadlinePushLocked / deadlinePopLocked maintain the (at, id) min-heap.
+// Caller holds p.mu.
+func (p *Peer) deadlinePushLocked(e deadlineEntry) {
+	p.deadlines = append(p.deadlines, e)
+	i := len(p.deadlines) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !entryLess(p.wheel[i], p.wheel[parent]) {
+		if !entryLess(p.deadlines[i], p.deadlines[parent]) {
 			break
 		}
-		p.wheel[i], p.wheel[parent] = p.wheel[parent], p.wheel[i]
+		p.deadlines[i], p.deadlines[parent] = p.deadlines[parent], p.deadlines[i]
 		i = parent
 	}
 }
 
-func (p *Peer) wheelPopLocked() deadlineEntry {
-	h := p.wheel
+func (p *Peer) deadlinePopLocked() deadlineEntry {
+	h := p.deadlines
 	top := h[0]
 	last := len(h) - 1
 	h[0] = h[last]
-	p.wheel = h[:last]
-	h = p.wheel
+	p.deadlines = h[:last]
+	h = p.deadlines
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
@@ -342,7 +382,7 @@ func (p *Peer) wheelPopLocked() deadlineEntry {
 	return top
 }
 
-// entryLess orders wheel entries by deadline, ties by issue order, so
+// entryLess orders heap entries by deadline, ties by issue order, so
 // simultaneous expiries fire their callbacks deterministically.
 func entryLess(a, b deadlineEntry) bool {
 	if a.at != b.at {
@@ -363,9 +403,9 @@ func (p *Peer) resolve(id uint64, result any, errMsg string) {
 	done, method := call.done, call.method
 	// Recycle before running done: the record is out of the map, so even a
 	// duplicate reply for this id can no longer reach it, and done itself
-	// may issue a new call that reuses it. The wheel entry, if any, expires
-	// lazily and finds nothing.
+	// may issue a new call that reuses it.
 	p.recycleLocked(call)
+	p.settleDeadlineLocked(id)
 	p.mu.Unlock()
 	if errMsg != "" {
 		done(nil, &RemoteError{Method: method, Msg: errMsg})
@@ -451,7 +491,9 @@ func (p *Peer) serveRequest(env *envelope) {
 	_ = p.conn.Send(frame)
 }
 
-// failAll fails every pending call with ErrClosed.
+// failAll fails every pending call with ErrClosed, in issue order: the
+// failure callbacks may draw from a seeded rng (the manager's retry jitter),
+// so their order must not be the map's.
 func (p *Peer) failAll() {
 	p.mu.Lock()
 	if p.closed {
@@ -461,13 +503,13 @@ func (p *Peer) failAll() {
 	p.closed = true
 	pending := p.pending
 	p.pending = make(map[uint64]*pendingCall)
-	p.wheel = nil
-	if p.wheelTimer != nil {
-		p.wheelTimer.Cancel()
+	p.deadlines = nil
+	if p.deadlineTimer != nil {
+		p.deadlineTimer.Cancel()
 	}
 	p.mu.Unlock()
-	for _, c := range pending {
-		c.done(nil, ErrClosed)
+	for _, id := range slices.Sorted(maps.Keys(pending)) {
+		pending[id].done(nil, ErrClosed)
 	}
 }
 
@@ -525,7 +567,8 @@ func (p *Peer) Go(method string, params any, timeout time.Duration, done func(re
 		c, still := p.pending[id]
 		if still {
 			delete(p.pending, id)
-			p.recycleLocked(c) // the wheel entry, if any, expires lazily
+			p.recycleLocked(c)
+			p.settleDeadlineLocked(id)
 		}
 		p.mu.Unlock()
 		if still {

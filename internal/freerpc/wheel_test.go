@@ -84,7 +84,7 @@ func TestPendingCallFreeListReuse(t *testing.T) {
 	}
 }
 
-// TestDeadlineWheelTimeoutOrdering covers the per-peer deadline wheel: calls
+// TestDeadlineWheelTimeoutOrdering covers the per-peer deadline heap: calls
 // with out-of-order timeouts must expire in deadline order, each at exactly
 // its own issue+timeout instant — including re-arming the shared timer when
 // a later call carries an earlier deadline.
@@ -108,7 +108,7 @@ func TestDeadlineWheelTimeoutOrdering(t *testing.T) {
 			expiries = append(expiries, expiry{name: name, at: eng.Now()})
 		})
 	}
-	// A (3s) arms the wheel; B (1s) must re-arm it earlier; C (2s) lands in
+	// A (3s) arms the timer; B (1s) must re-arm it earlier; C (2s) lands in
 	// between.
 	call("A", 3*time.Second)
 	call("B", time.Second)
@@ -127,7 +127,7 @@ func TestDeadlineWheelTimeoutOrdering(t *testing.T) {
 }
 
 // TestDeadlineWheelSimultaneousExpiry pins the tie-break: calls sharing one
-// deadline expire in issue order, in a single wheel pass.
+// deadline expire in issue order, in a single expiry pass.
 func TestDeadlineWheelSimultaneousExpiry(t *testing.T) {
 	eng := simtime.NewVirtual()
 	c1, _ := MemPipe(eng, time.Microsecond)
@@ -146,9 +146,8 @@ func TestDeadlineWheelSimultaneousExpiry(t *testing.T) {
 	}
 }
 
-// TestReplyBeatsDeadline asserts the lazy wheel never times out a call whose
-// reply arrived first, even though its entry is still queued in the wheel
-// when the timer fires.
+// TestReplyBeatsDeadline asserts a call whose reply arrived first is never
+// timed out as well.
 func TestReplyBeatsDeadline(t *testing.T) {
 	eng := simtime.NewVirtual()
 	mux := NewMux()
@@ -163,8 +162,7 @@ func TestReplyBeatsDeadline(t *testing.T) {
 		results = append(results, result)
 		errs = append(errs, err)
 	})
-	// Run well past the deadline: the wheel fires, finds the call gone,
-	// and must not double-complete it.
+	// Run well past the deadline: the call must not be completed twice.
 	eng.RunUntil(5 * time.Second)
 	if len(results) != 1 || errs[0] != nil || results[0] != 7 {
 		t.Fatalf("results = %v errs = %v, want one clean reply", results, errs)
@@ -193,8 +191,7 @@ func TestGoRoundTripAllocFree(t *testing.T) {
 			t.Fatalf("call failed: %v", err)
 		}
 	}
-	// Short timeout: wheel entries expire (empty) during the run, so the
-	// wheel stays in steady state instead of accumulating entries.
+	// The deadline is armed with the call and disarmed with its reply.
 	const timeout = 10 * time.Microsecond
 	roundTrip := func() {
 		client.Go("Echo", boxed, timeout, done)

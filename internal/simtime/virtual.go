@@ -125,6 +125,10 @@ const (
 	wheelSlots     = 256
 	wheelMask      = wheelSlots - 1
 	wheelWords     = wheelSlots / 64
+	// wheelBucketCap is each bucket's share of the slab NewVirtual carves
+	// the buckets from: enough for the near-simultaneous events a slot
+	// usually holds; a fuller bucket grows by append like any slice.
+	wheelBucketCap = 4
 )
 
 var (
@@ -134,9 +138,17 @@ var (
 )
 
 // NewVirtual returns a virtual engine positioned at time zero, in the
-// single-owner regime.
+// single-owner regime. The wheel's buckets start as capacity-limited windows
+// of one slab, so a session's first pass over the wheel costs one allocation
+// instead of one (and its regrowths) per bucket touched.
 func NewVirtual() *Virtual {
-	return &Virtual{}
+	v := &Virtual{}
+	slab := make([]*Timer, wheelSlots*wheelBucketCap)
+	for i := range v.wheel {
+		lo := i * wheelBucketCap
+		v.wheel[i] = slab[lo : lo : lo+wheelBucketCap]
+	}
+	return v
 }
 
 // EscalateShared switches the engine to the escalated (mutex-guarded)

@@ -203,3 +203,37 @@ func TestVirtualWheelRearmAllocFree(t *testing.T) {
 		t.Fatalf("wheel=%d pending=%d after re-arms, want 1/1", v.WheelLen(), v.Pending())
 	}
 }
+
+// TestWheelBucketsShareOneSlab pins the construction-time sizing: filling
+// every bucket of a fresh engine up to wheelBucketCap allocates the engine,
+// the slab and the timers — no bucket grows on its own — and one event more
+// per bucket still dispatches in (when, seq) order without touching the
+// neighbouring bucket's window.
+func TestWheelBucketsShareOneSlab(t *testing.T) {
+	fn := func() {}
+	fill := func(v *Virtual, perSlot int) {
+		for slot := 0; slot < wheelSlots; slot++ {
+			for k := 0; k < perSlot; k++ {
+				v.Schedule(time.Duration(slot)<<wheelSlotShift, "slab", fn)
+			}
+		}
+	}
+	const timers = wheelSlots * wheelBucketCap
+	allocs := testing.AllocsPerRun(10, func() { fill(NewVirtual(), wheelBucketCap) })
+	if want := float64(2 + timers); allocs != want {
+		t.Fatalf("filling every bucket to cap allocates %.0f objects, want %.0f (engine + slab + %d timers)", allocs, want, timers)
+	}
+
+	v := NewVirtual()
+	fill(v, wheelBucketCap+1)
+	var last time.Duration
+	for v.Step() {
+		if v.Now() < last {
+			t.Fatalf("clock moved backwards: %v after %v", v.Now(), last)
+		}
+		last = v.Now()
+	}
+	if got, want := v.Dispatched(), uint64(wheelSlots*(wheelBucketCap+1)); got != want {
+		t.Fatalf("dispatched %d events, want %d (an overflowing bucket lost or clobbered entries)", got, want)
+	}
+}
