@@ -159,7 +159,9 @@ func BenchmarkFigure9(b *testing.B) {
 }
 
 // BenchmarkAblationGracePeriod measures how the framework-enforced grace
-// period affects overhead (DESIGN.md ablation).
+// period affects overhead (an ablation this reproduction adds; ROADMAP.md,
+// "Failure model & recovery", has the grace-kill semantics, and
+// benchmark/README.md the repository benchmark these go-test benches predate).
 func BenchmarkAblationGracePeriod(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.RunAblationGrace(benchOpts())

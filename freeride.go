@@ -4,11 +4,12 @@
 // pipeline-parallel LLM training with ~1% training overhead.
 //
 // The package assembles the full system on a deterministic discrete-event
-// simulation of the paper's testbed (see DESIGN.md for the substitution
-// map): a pipeline-parallel trainer whose bubbles emerge from FP/BP
-// dependencies, the side task manager and per-GPU workers (paper Algorithms
-// 1 and 2), the iterative/imperative side-task interfaces, CUDA-MPS-style
-// memory limits, and the MPS / naive co-location baselines.
+// simulation of the paper's testbed: a pipeline-parallel trainer whose
+// bubbles emerge from FP/BP dependencies, the side task manager and per-GPU
+// workers (paper Algorithms 1 and 2), the iterative/imperative side-task
+// interfaces, CUDA-MPS-style memory limits, and the MPS / naive co-location
+// baselines. ROADMAP.md's model sections (schedule, serving, failure) state
+// what is simulated and how; benchmark/README.md what is measured.
 //
 // Quick start:
 //
@@ -62,6 +63,10 @@ const (
 	// time-slicing), also continuously.
 	MethodNaive
 )
+
+// harvests reports whether the method is FreeRide proper: side tasks go
+// through the manager and run only inside reported bubbles.
+func (m Method) harvests() bool { return m == MethodIterative || m == MethodImperative }
 
 // String implements fmt.Stringer.
 func (m Method) String() string {
@@ -127,16 +132,20 @@ type Config struct {
 	// drives the pipeline in per-batch fill/execute/drain cycles, the
 	// manager harvests the inter-batch and fill/drain bubbles through the
 	// same Algorithm-1 path, and per-request latency is recorded against
-	// the SLO (Result.ServingStats). Nil — the default — leaves every
-	// training code path untouched; the Table 2 grid is bit-identical with
-	// the serving plane compiled in (the zero-serving oracle).
+	// the SLO (Result.ServingStats). Nil — the default — selects training.
+	// Both run on one cycle driver under one session path, so everything
+	// that hangs off the control plane composes: serving takes Faults (a
+	// bursty trace rides through a worker crash under its SLO guard); it
+	// does not take Drift or Replan yet (normalize says why).
 	Serving *ServingConfig
 	// Faults is the seeded fault schedule injected into the run (crash /
-	// sever / drop / delay / fail-kernel / wedge, all on the virtual clock).
-	// Non-nil — even empty — wires the fault hooks and enables the manager's
-	// lease-based self-healing; nil leaves the control plane exactly as
-	// before. An empty schedule with hooks wired must reproduce the no-fault
-	// metrics bit-identically (the zero-fault oracle).
+	// sever / drop / delay / fail-kernel / wedge, all on the virtual clock),
+	// under either workload: the hooks sit on the manager↔worker links, the
+	// workers and the side-task GPU clients, never on the main job. Non-nil
+	// — even empty — wires them and enables the manager's lease-based
+	// self-healing; nil leaves the control plane exactly as before. An empty
+	// schedule with hooks wired must reproduce the no-fault metrics
+	// bit-identically, training or serving (the zero-fault oracle).
 	Faults *simfault.Schedule
 	// Lease is the manager's failure-detector lease; 0 with Faults set
 	// selects core.DefaultLease. See core.ManagerOptions.Lease.
@@ -322,8 +331,13 @@ func (c *Config) normalize() error {
 		default:
 			return fmt.Errorf("freeride: serving supports MethodNone and the FreeRide methods, not %v", c.Method)
 		}
-		if c.Faults != nil || c.Drift != nil || c.Replan != nil {
-			return fmt.Errorf("freeride: serving does not compose with the fault or drift planes yet")
+		if c.Drift != nil || c.Replan != nil {
+			// Faults compose (the fault plane hangs off the control-plane
+			// links, not the workload). The drift plane does not yet: the
+			// estimator's window closes on a fixed report count per cycle,
+			// and the request-driven reporter's count varies batch to batch.
+			return fmt.Errorf("freeride: serving does not compose with Drift or Replan yet: " +
+				"the drift estimator windows by report count per cycle, which the request-driven reporter does not hold constant")
 		}
 		if err := c.Serving.normalize(c.Epochs); err != nil {
 			return err
@@ -400,14 +414,16 @@ type Session struct {
 	Eng     *simtime.Virtual
 	Procs   *simproc.Runtime
 	Devices []*simgpu.Device
+	// Trainer or Server is the workload NewSession picked (the other is nil);
+	// w is all the session itself asks of it.
 	Trainer *pipeline.Trainer
-	// Server replaces Trainer for serving sessions (Config.Serving != nil).
 	Server  *serve.Server
+	w       workload
 	Manager *core.Manager
 	Workers []*core.Worker
 
-	Profile  *bubble.Profile
-	reporter *bubble.Reporter
+	// Profile is the offline bubble profile (training, FreeRide methods).
+	Profile *bubble.Profile
 	// injector drives the deterministic fault plane (nil without cfg.Faults).
 	injector *simfault.Injector
 	// memSlack is the MPS-limit headroom handed to the manager; the
@@ -433,14 +449,12 @@ type Session struct {
 // adapt their own GPU workloads to the iterative interface (Figure 6).
 type CustomTask func(seed int64) sidetask.Iterative
 
-// NewSession assembles devices, the trainer, and (for the FreeRide methods)
-// the offline bubble profile, the manager and the workers.
+// NewSession assembles the devices, the workload — the trainer, or the server
+// under Config.Serving — and, for the FreeRide methods, the manager and the
+// workers fed by the workload's bubble source.
 func NewSession(cfg Config) (*Session, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
-	}
-	if cfg.Serving != nil {
-		return newServingSession(cfg)
 	}
 	eng := simtime.NewVirtual()
 	procs := simproc.NewRuntime(eng)
@@ -465,36 +479,22 @@ func NewSession(cfg Config) (*Session, error) {
 			NoTraces: !cfg.RecordOps,
 		})
 	}
-	mbSched, mbCap := mbScheduleFromDrift(cfg)
-	tr, err := pipeline.New(eng, procs, devices, pipeline.Config{
-		Model:           cfg.LLM,
-		Stages:          cfg.Stages,
-		MicroBatches:    cfg.MicroBatches,
-		Epochs:          cfg.Epochs,
-		Schedule:        cfg.Schedule,
-		VirtualPerStage: cfg.VirtualStages,
-		RecordOps:       cfg.RecordOps,
-		MBSchedule:      mbSched,
-		MBCap:           mbCap,
-	})
-	if err != nil {
-		return nil, err
-	}
 	s := &Session{
 		cfg:      cfg,
 		Eng:      eng,
 		Procs:    procs,
 		Devices:  devices,
-		Trainer:  tr,
 		memSlack: core.DefaultMemSlack,
 	}
-
-	if cfg.Method == MethodIterative || cfg.Method == MethodImperative {
-		prof, err := offlineBubbleProfile(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("freeride: bubble profiling: %w", err)
-		}
-		s.Profile = prof
+	// The one place a session asks which workload it runs.
+	newWorkload := s.newTraining
+	if cfg.Serving != nil {
+		newWorkload = s.newServing
+	}
+	if err := newWorkload(); err != nil {
+		return nil, err
+	}
+	if cfg.Method.harvests() {
 		if err := s.assembleControlPlane(); err != nil {
 			return nil, err
 		}
@@ -502,8 +502,8 @@ func NewSession(cfg Config) (*Session, error) {
 	return s, nil
 }
 
-// assembleControlPlane wires manager, workers and the bubble reporter over
-// in-memory RPC links.
+// assembleControlPlane wires manager, workers and the workload's bubble
+// source over in-memory RPC links.
 func (s *Session) assembleControlPlane() error {
 	cfg := s.cfg
 	var replan *core.ReplanOptions
@@ -518,7 +518,7 @@ func (s *Session) assembleControlPlane() error {
 		RetryBackoff: cfg.RetryBackoff,
 		Seed:         cfg.Seed,
 		Replan:       replan,
-		SLO:          sloOptions(cfg),
+		SLO:          s.w.slo,
 	})
 	if cfg.Faults != nil {
 		s.injector = simfault.NewInjector(s.Eng, cfg.Faults)
@@ -539,7 +539,7 @@ func (s *Session) assembleControlPlane() error {
 		w.SetNotify(func(method string, params any) {
 			_ = wPeer.Notify(method, params)
 		})
-		s.Manager.AddWorker(w.Name(), i, s.stageMemAvailable(i), mgrPeer)
+		s.Manager.AddWorker(w.Name(), i, s.w.stageMem(i), mgrPeer)
 		s.workerIdx[w.Name()] = i
 		s.Workers = append(s.Workers, w)
 		if s.injector != nil {
@@ -562,27 +562,10 @@ func (s *Session) assembleControlPlane() error {
 		}
 	}
 
-	if s.Server != nil {
-		s.attachServeReporter(s.newBubbleSink())
-		return nil
-	}
-	// The instrumented trainer reports bubbles to the manager over its own
-	// RPC link (paper step ➎). The typed DTO crosses the MemPipe as-is —
-	// the manager's handler receives it without any JSON round-trip.
-	s.reporter = bubble.NewReporter(s.Profile, cfg.SafetyMargin)
-	if cfg.Drift != nil {
-		s.reporter.SetDrift(bubble.NewDrifter(cfg.Drift, cfg.Stages))
-	}
-	if cfg.Replan != nil {
-		// Baseline each worker's drift estimator from the reporter's own
-		// emission arithmetic, so a zero-drift epoch matches it to the bit.
-		for i, w := range s.Workers {
-			total, reports := s.reporter.StageBaseline(i)
-			s.Manager.SetBubbleBaseline(w.Name(), total, reports)
-		}
-	}
-	s.reporter.SetSink(s.newBubbleSink())
-	s.reporter.Attach(s.Trainer)
+	// The instrumented workload reports bubbles to the manager over its own
+	// RPC link (paper step ➎). The typed DTO crosses the MemPipe as-is — the
+	// manager's handler receives it without any JSON round-trip.
+	s.w.source(s.newBubbleSink())
 	return nil
 }
 
@@ -601,30 +584,6 @@ func (s *Session) newBubbleSink() func(bubble.Bubble) {
 		d.V = core.ToBubbleDTO(b)
 		_ = pipePeer.Notify("Manager.AddBubble", d)
 	}
-}
-
-// sloOptions derives the manager's SLO admission guard: serving sessions
-// carry their configured guard factor, and the dormant-serving oracle arms
-// the guard plumbing with a zero factor (a structural identity — every
-// bubble the reconcile loop starts tasks into has strictly positive
-// remaining time, which a zero guard always admits).
-func sloOptions(cfg Config) *core.SLOOptions {
-	if cfg.Serving != nil {
-		return &core.SLOOptions{Guard: cfg.Serving.Guard}
-	}
-	if cfg.Oracle.ServingGuard {
-		return &core.SLOOptions{Guard: 0}
-	}
-	return nil
-}
-
-// stageMemAvailable is the per-stage GPU memory the manager may hand to
-// side tasks: the profiled training headroom, or the serving closed form.
-func (s *Session) stageMemAvailable(i int) int64 {
-	if s.cfg.Serving != nil {
-		return s.cfg.LLM.ServeStageMemAvailable(model.ServerI.GPUMemBytes, s.cfg.MicroBatches)
-	}
-	return s.Profile.Stages[i].MemAvailable
 }
 
 // taskFactory resolves harnesses on the worker side: custom registrations
@@ -671,14 +630,7 @@ func (s *Session) RegisterCustom(profile model.TaskProfile, build CustomTask) er
 func (s *Session) EligibleStages(p model.TaskProfile) []int {
 	var out []int
 	for stage := 0; stage < s.cfg.Stages; stage++ {
-		var avail int64
-		if s.cfg.Serving != nil {
-			avail = s.cfg.LLM.ServeStageMemAvailable(model.ServerI.GPUMemBytes, s.cfg.MicroBatches)
-		} else {
-			avail = s.cfg.LLM.StageMemAvailableSched(model.ServerI.GPUMemBytes, s.cfg.Schedule,
-				stage, s.cfg.Stages, s.cfg.MicroBatches, s.cfg.VirtualStages)
-		}
-		if core.AdmitsMem(avail, p.MemBytes, s.memSlack) {
+		if core.AdmitsMem(s.w.stageMem(stage), p.MemBytes, s.memSlack) {
 			out = append(out, stage)
 		}
 	}
@@ -847,8 +799,9 @@ func (r *Result) TotalStepEvents() uint64 {
 	return sum
 }
 
-// Run starts training (and the manager), drains the simulation until the
-// last epoch finishes, and collects all measurements.
+// Run starts the workload (and the manager and fault injector), drains the
+// simulation until the last cycle — epoch or request batch — retires, and
+// collects all measurements.
 func (s *Session) Run() (*Result, error) {
 	s.mu.Lock()
 	if s.started {
@@ -858,22 +811,18 @@ func (s *Session) Run() (*Result, error) {
 	s.started = true
 	s.mu.Unlock()
 
-	if s.Server != nil {
-		return s.runServing()
-	}
-
-	// Freeze every task's counters at the instant the final epoch ends:
-	// only work completed during training counts, exactly as in the
-	// paper's measurement window.
-	lastEpoch := s.cfg.Epochs - 1
-	s.Trainer.OnEpochEnd(func(epoch int, ts time.Duration) {
-		if epoch != lastEpoch {
-			return
+	// Freeze every task's counters at the instant the final cycle ends: only
+	// work completed during the run counts, exactly as in the paper's
+	// measurement window.
+	d := s.w.driver
+	last := d.Cycles() - 1
+	d.OnCycleEnd(func(cycle int, _ time.Duration) {
+		if cycle == last {
+			s.snapshotCounters()
 		}
-		s.snapshotCounters()
 	})
 
-	if err := s.Trainer.Start(); err != nil {
+	if err := d.Start(); err != nil {
 		return nil, err
 	}
 	if s.Manager != nil {
@@ -891,7 +840,7 @@ func (s *Session) Run() (*Result, error) {
 	// thus worker stop/kill counters) depend on incidental event counts.
 	const maxEvents = 500_000_000
 	const budgetCheckEvery = 4096
-	done := s.Trainer.Done()
+	done := d.Done()
 	for n := uint64(0); !done.IsSet(); n++ {
 		if !s.Eng.Step() {
 			return nil, fmt.Errorf("freeride: simulation stalled at t=%v", s.Eng.Now())
@@ -900,7 +849,7 @@ func (s *Session) Run() (*Result, error) {
 			return nil, fmt.Errorf("freeride: event budget exceeded at t=%v", s.Eng.Now())
 		}
 	}
-	if err := s.Trainer.Err(); err != nil {
+	if err := d.Err(); err != nil {
 		return nil, err
 	}
 	if s.Manager != nil {
@@ -908,12 +857,13 @@ func (s *Session) Run() (*Result, error) {
 		s.Manager.StopAll()
 		s.Eng.RunFor(2 * s.cfg.Grace)
 	}
-
-	return s.collectResult(s.Trainer.TotalTime()), nil
+	res := s.collectResult(d.TotalTime())
+	s.w.collect(res)
+	return res, nil
 }
 
 // collectResult assembles the Result after teardown: manager/worker stats,
-// fault stats and per-task work, shared by the training and serving paths.
+// fault stats and per-task work.
 func (s *Session) collectResult(trainTime time.Duration) *Result {
 	res := &Result{Config: s.cfg, TrainTime: trainTime}
 	var views map[string]core.TaskView
@@ -1072,43 +1022,32 @@ func offlineBubbleProfile(cfg Config) (*bubble.Profile, error) {
 	})
 }
 
-// runBubbleProfile is the uncached profiling pass.
+// runBubbleProfile is the uncached profiling pass: a two-epoch MethodNone
+// session with the op timeline on, read by the profiler.
 func runBubbleProfile(cfg Config) (*bubble.Profile, error) {
-	eng := simtime.NewVirtual()
-	procs := simproc.NewRuntime(eng)
-	devices := make([]*simgpu.Device, cfg.Stages)
-	for i := range devices {
-		devices[i] = simgpu.NewDevice(eng, simgpu.DeviceConfig{
-			Name:     fmt.Sprintf("prof-gpu%d", i),
-			MemBytes: model.ServerI.GPUMemBytes,
-		})
-	}
-	tr, err := pipeline.New(eng, procs, devices, pipeline.Config{
-		Model:           cfg.LLM,
-		Stages:          cfg.Stages,
-		MicroBatches:    cfg.MicroBatches,
-		Epochs:          2,
-		Schedule:        cfg.Schedule,
-		VirtualPerStage: cfg.VirtualStages,
-		RecordOps:       true,
+	sess, err := NewSession(Config{
+		LLM:           cfg.LLM,
+		Stages:        cfg.Stages,
+		MicroBatches:  cfg.MicroBatches,
+		Epochs:        2,
+		Schedule:      cfg.Schedule,
+		VirtualStages: cfg.VirtualStages,
+		Method:        MethodNone,
+		RecordOps:     true,
 	})
 	if err != nil {
 		return nil, err
 	}
-	if err := tr.Start(); err != nil {
+	if _, err := sess.Run(); err != nil {
 		return nil, err
-	}
-	eng.Drain(50_000_000)
-	if !tr.Done().IsSet() {
-		return nil, fmt.Errorf("freeride: profiling run did not finish")
 	}
 	if cfg.VirtualStages > 1 {
 		// Interleaved chunks share a device, so op-gap analysis per chunk
 		// cannot see the device's true idle time; profile from the
 		// occupancy traces instead (the paper's actual mechanism).
-		return bubble.ProfileFromTraces(tr, 1, 0)
+		return bubble.ProfileFromTraces(sess.Trainer, 1, 0)
 	}
-	return bubble.ProfileTrainer(tr, 1, 0)
+	return bubble.ProfileTrainer(sess.Trainer, 1, 0)
 }
 
 // BaselineTrainTime runs (and memoizes, with singleflight) the no-side-task

@@ -2,6 +2,8 @@ package freeride_test
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -9,7 +11,10 @@ import (
 	"freeride"
 	"freeride/internal/bubble"
 	"freeride/internal/model"
+	"freeride/internal/serve"
 	"freeride/internal/sidetask"
+	"freeride/internal/simfault"
+	"freeride/internal/simgpu"
 )
 
 func fastCfg(method freeride.Method) freeride.Config {
@@ -395,5 +400,78 @@ func TestDriftResizeRegeneratesSchedule(t *testing.T) {
 	}}}
 	if got := run(scaled); got != plain {
 		t.Fatalf("count-less resize changed training time: %v vs %v", got, plain)
+	}
+}
+
+// TestAcceptedConfigsRun is the deterministic half of "fuzz the front door":
+// 48 seeded random configurations over method × schedule × stages ×
+// micro-batches × serving × faults × drift. Each is either turned away before
+// it runs — by normalize, or by the memory model when the schedule's
+// footprint does not fit the device — or runs to completion: no panic, no
+// stalled simulation, and every request of a serving trace served.
+func TestAcceptedConfigsRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	methods := []freeride.Method{freeride.MethodNone, freeride.MethodIterative,
+		freeride.MethodImperative, freeride.MethodMPS, freeride.MethodNaive}
+	ran, refused := 0, 0
+	for i := 0; i < 48; i++ {
+		cfg := freeride.DefaultConfig()
+		cfg.Epochs = 2
+		cfg.WorkScale = sidetask.WorkNone
+		cfg.Seed = int64(i + 1)
+		cfg.Method = methods[rng.Intn(len(methods))]
+		cfg.Schedule = model.AllSchedules()[rng.Intn(len(model.AllSchedules()))]
+		cfg.Stages = 2 + rng.Intn(5)
+		cfg.MicroBatches = 2 * (1 + rng.Intn(4))
+		const horizon = 8 * time.Second
+		serving, faults, drift := rng.Intn(2) == 0, rng.Intn(2) == 0, rng.Intn(3) == 0
+		if serving {
+			cfg.Serving = &freeride.ServingConfig{
+				Trace: freeride.TracePoisson + serve.TraceKind(rng.Intn(3)), Burstiness: 2,
+				Requests: 40, Guard: float64(rng.Intn(3)),
+			}
+		}
+		if faults {
+			cfg.Faults = simfault.Generate(cfg.Seed, horizon, 3, nil, cfg.Stages)
+		}
+		if drift {
+			cfg.Drift = bubble.GenerateDrift(cfg.Seed, horizon, 2, nil, cfg.Stages)
+			if rng.Intn(2) == 0 {
+				cfg.Replan = &bubble.DetectorConfig{}
+			}
+		}
+		what := fmt.Sprintf("config %d (%v %v S=%d M=%d serving=%v faults=%v drift=%v)", i,
+			cfg.Method, cfg.Schedule, cfg.Stages, cfg.MicroBatches, serving, faults, drift)
+
+		sess, err := freeride.NewSession(cfg)
+		if err != nil {
+			t.Logf("%s: refused: %v", what, err)
+			refused++
+			continue
+		}
+		if cfg.Method != freeride.MethodNone {
+			if _, err := sess.SubmitEverywhere(model.ResNet18); err != nil {
+				t.Errorf("%s: submit: %v", what, err)
+				continue
+			}
+		}
+		res, err := sess.Run()
+		switch {
+		case errors.Is(err, simgpu.ErrDeviceOOM):
+			t.Logf("%s: refused: %v", what, err)
+			refused++ // the workload's own memory does not fit: Start fails before any event
+		case err != nil:
+			t.Errorf("%s: %v", what, err)
+		case serving && res.ServingStats.Requests != 40:
+			t.Errorf("%s: %d of 40 requests completed", what, res.ServingStats.Requests)
+		case res.TrainTime <= 0:
+			t.Errorf("%s: no run time recorded", what)
+		default:
+			ran++
+		}
+	}
+	t.Logf("%d ran to completion, %d refused", ran, refused)
+	if ran < 16 {
+		t.Errorf("only %d of 48 configurations ran — the generator is mostly producing rejects", ran)
 	}
 }

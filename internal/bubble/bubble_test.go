@@ -156,7 +156,7 @@ func TestBubblesDoNotOverlapOps(t *testing.T) {
 	// overlap with any recorded op on the same stage.
 	_, tr := trainedRig(t, model.NanoGPT3B, 4, 2)
 	prof, _ := ProfileTrainer(tr, 1, 0)
-	starts, _ := tr.EpochTimes()
+	starts, _ := tr.CycleTimes()
 	anchor := starts[1]
 	for s, sp := range prof.Stages {
 		for _, tpl := range sp.Templates {
@@ -248,7 +248,7 @@ func TestReporterAttachEmitsEveryEpoch(t *testing.T) {
 	rep := NewReporter(prof, 0)
 	count := 0
 	rep.SetSink(func(Bubble) { count++ })
-	rep.Attach(tr)
+	tr.OnCycleStart(rep.CycleStart)
 	if err := tr.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func ProfileTrainer(tr *pipeline.Trainer, epoch int, minBubble time.Duration) (*
 	if minBubble <= 0 {
 		minBubble = MinBubble
 	}
-	starts, ends := tr.EpochTimes()
+	starts, ends := tr.CycleTimes()
 	if epoch < 0 || epoch >= len(ends) {
 		return nil, fmt.Errorf("bubble: epoch %d not completed (have %d)", epoch, len(ends))
 	}

@@ -3,8 +3,6 @@ package bubble
 import (
 	"sync"
 	"time"
-
-	"freeride/internal/pipeline"
 )
 
 // Reporter is the runtime half of the instrumentation: at every epoch start
@@ -67,13 +65,9 @@ func (r *Reporter) StageBaseline(stage int) (total time.Duration, reports int) {
 	return 0, 0
 }
 
-// Attach hooks the reporter to a trainer's epoch-start instrumentation
-// point.
-func (r *Reporter) Attach(tr *pipeline.Trainer) {
-	tr.OnEpochStart(func(epoch int, ts time.Duration) {
-		r.EmitEpoch(ts)
-	})
-}
+// CycleStart is the reporter's cycle-start hook (pipeline.Driver.OnCycleStart):
+// an epoch began at ts.
+func (r *Reporter) CycleStart(_ int, ts time.Duration) { r.EmitEpoch(ts) }
 
 // EmitEpoch stamps and delivers all profiled bubbles for an epoch starting
 // at ts.

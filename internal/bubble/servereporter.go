@@ -60,9 +60,10 @@ func (r *ServeReporter) SetSink(fn func(Bubble)) {
 	r.sink = fn
 }
 
-// BatchStart observes a batch dispatch: folds the realized drain→dispatch
-// gap into the predictor and emits the batch's fill and drain bubbles.
-func (r *ServeReporter) BatchStart(ts time.Duration) {
+// CycleStart observes a batch dispatch (pipeline.Driver.OnCycleStart): folds
+// the realized drain→dispatch gap into the predictor and emits the batch's
+// fill and drain bubbles.
+func (r *ServeReporter) CycleStart(_ int, ts time.Duration) {
 	r.mu.Lock()
 	if r.haveEnd {
 		gap := ts - r.lastEnd
@@ -91,10 +92,11 @@ func (r *ServeReporter) BatchStart(ts time.Duration) {
 	}
 }
 
-// BatchEnd observes a batch drain: emits the predicted inter-batch gap as a
-// TypeC bubble on every stage (no emission before the first gap has been
-// observed — the predictor starts causal and empty).
-func (r *ServeReporter) BatchEnd(ts time.Duration) {
+// CycleEnd observes a batch drain (pipeline.Driver.OnCycleEnd): emits the
+// predicted inter-batch gap as a TypeC bubble on every stage (no emission
+// before the first gap has been observed — the predictor starts causal and
+// empty).
+func (r *ServeReporter) CycleEnd(_ int, ts time.Duration) {
 	r.mu.Lock()
 	r.lastEnd = ts
 	r.haveEnd = true

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -375,5 +376,63 @@ func TestWorkerInfoRPC(t *testing.T) {
 	r.eng.RunFor(time.Second)
 	if !done || info.Name != "worker0" {
 		t.Fatalf("Worker.Info = %+v (done=%v)", info, done)
+	}
+}
+
+// stopTap records, in send order, the task named by every Worker.Stop request
+// crossing the manager's end of a link.
+type stopTap struct {
+	freerpc.LocalConn
+	stops *[]string
+}
+
+func (c stopTap) SendMsg(m freerpc.Msg) error {
+	if m.Method == "Worker.Stop" {
+		*c.stops = append(*c.stops, m.Params.(taskRef).Name)
+	}
+	return c.LocalConn.SendMsg(m)
+}
+
+// TestTasksAndStopAllFollowSubmissionOrder: every pass over all tasks walks
+// them in submission order, never in map order — Tasks() returns that order,
+// and StopAll's Worker.Stop RPCs (call ids, engine sequence numbers) are
+// issued in it.
+func TestTasksAndStopAllFollowSubmissionOrder(t *testing.T) {
+	eng := simtime.NewVirtual()
+	mgr := NewManager(eng, ManagerOptions{Tick: time.Millisecond})
+	dev := simgpu.NewDevice(eng, simgpu.DeviceConfig{Name: "gpu0", MemBytes: 64 * model.GiB})
+	w := NewWorker(eng, dev, container.NewRuntime(simproc.NewRuntime(eng)), WorkerConfig{Name: "worker0"})
+	wmux := freerpc.NewMux()
+	w.RegisterOn(wmux)
+	mgrEnd, wEnd := freerpc.MemPipe(eng, 200*time.Microsecond)
+	var stops []string
+	mgrPeer := freerpc.NewPeer(eng, stopTap{mgrEnd.(freerpc.LocalConn), &stops}, mgr.Mux())
+	wPeer := freerpc.NewPeer(eng, wEnd, wmux)
+	w.SetNotify(func(method string, params any) { _ = wPeer.Notify(method, params) })
+	mgr.AddWorker("worker0", 0, 64*model.GiB, mgrPeer)
+
+	var want []string
+	for _, c := range "hcafgbed" { // neither sorted nor any likely hash order
+		name := "task-" + string(c)
+		if err := mgr.Submit(spec(name, model.ResNet18, sidetask.ModeIterative)); err != nil {
+			t.Fatalf("Submit %s: %v", name, err)
+		}
+		want = append(want, name)
+	}
+	mgr.Start()
+	eng.RunFor(time.Second)
+
+	var got []string
+	for _, tv := range mgr.Tasks() {
+		got = append(got, tv.Spec.Name)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Tasks() = %v, want submission order %v", got, want)
+	}
+	mgr.Stop()
+	mgr.StopAll()
+	eng.RunFor(time.Second)
+	if !reflect.DeepEqual(stops, want) {
+		t.Errorf("Worker.Stop calls sent as %v, want submission order %v", stops, want)
 	}
 }

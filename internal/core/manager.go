@@ -374,8 +374,9 @@ type Manager struct {
 	// prof is the online bubble-profile registry (replan-armed managers
 	// only): one drift estimator per baselined worker, fed from AddBubble.
 	prof *profiler.Online
-	// taskOrder keeps submission order for re-plan passes: map iteration
-	// order is nondeterministic, and revival must be.
+	// taskOrder keeps submission order for every pass over all tasks
+	// (re-plan, Tasks, Stop, StopAll): map iteration order is
+	// nondeterministic, and the RPCs a pass issues must not be.
 	taskOrder []*taskRecord
 	// adoptions numbers bubble adoptions (see workerMeta.bubbleSeq).
 	adoptions uint64
@@ -730,12 +731,12 @@ func (m *Manager) Stats() ManagerStats {
 	return m.stats
 }
 
-// Tasks snapshots all task records.
+// Tasks snapshots all task records, in submission order.
 func (m *Manager) Tasks() []TaskView {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]TaskView, 0, len(m.tasks))
-	for _, r := range m.tasks {
+	out := make([]TaskView, 0, len(m.taskOrder))
+	for _, r := range m.taskOrder {
 		out = append(out, TaskView{
 			Spec:        r.spec,
 			Worker:      m.workers[r.workerIdx].name,
@@ -959,7 +960,7 @@ func (m *Manager) Stop() {
 	for _, w := range m.workers {
 		w.cancelTimersLocked()
 	}
-	for _, rec := range m.tasks {
+	for _, rec := range m.taskOrder {
 		if rec.retryTimer != nil {
 			rec.retryTimer.Cancel()
 		}
@@ -1389,13 +1390,14 @@ func (m *Manager) taskExitedLocked(rec *taskRecord, st taskStatus) {
 	rec.state = sidetask.StateStopped
 }
 
-// StopAll asks every worker to stop its tasks (end of run). A failed Stop
-// RPC retires the record instead of leaving it in limbo — symmetric to the
-// Init/Pause failure paths.
+// StopAll asks every worker to stop its tasks (end of run), in submission
+// order — the Stop RPCs take call ids and engine sequence numbers. A failed
+// Stop RPC retires the record instead of leaving it in limbo — symmetric to
+// the Init/Pause failure paths.
 func (m *Manager) StopAll() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, rec := range m.tasks {
+	for _, rec := range m.taskOrder {
 		if rec.exited {
 			continue
 		}

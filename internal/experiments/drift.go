@@ -139,68 +139,68 @@ func RunDriftSweep(opts Options) (*DriftSweepResult, error) {
 	}
 	baseHarvest := harvestedKernelTime(ref)
 
-	out := &DriftSweepResult{Opts: opts}
-	cellIdx := -1
-	for ki, kind := range bubble.AllDriftKinds() {
-		for mi, mag := range driftSweepMagnitudes {
-			// Shard k of n runs (kind × magnitude) cells where index mod n
-			// == k; the profile-once arm is shared by a cell's detector
-			// rows, so the cell is the shard unit.
-			cellIdx++
-			if cellIdx%opts.ShardCount != opts.Shard {
-				continue
-			}
-			seed := opts.Seed*1000 + int64(ki)*10 + int64(mi)
-			sched := &bubble.DriftSchedule{
-				Seed:   seed,
-				Events: []bubble.DriftEvent{driftEventFor(kind, mag, ref.TrainTime)},
-			}
-
-			// Profile-once arm: same drift, no detector — shared across
-			// the detector axis.
-			onceCfg := baseCfg
-			onceCfg.Drift = sched
-			once, err := runDriftCell(onceCfg, task)
-			if err != nil {
-				return nil, fmt.Errorf("drift sweep %v f=%.2g once: %w", kind, mag, err)
-			}
-
-			for _, d := range driftDetectors {
-				cfg := baseCfg
-				cfg.Drift = sched
-				dc := d.cfg
-				cfg.Replan = &dc
-				res, err := runDriftCell(cfg, task)
-				if err != nil {
-					return nil, fmt.Errorf("drift sweep %v f=%.2g %s: %w", kind, mag, d.name, err)
-				}
-				st := res.ManagerStats
-				out.Rows = append(out.Rows, DriftSweepRow{
-					Kind:            kind,
-					Magnitude:       mag,
-					Detector:        d.name,
-					TrainTime:       res.TrainTime,
-					BaseTime:        ref.TrainTime,
-					Harvested:       harvestedKernelTime(res),
-					OnceHarvested:   harvestedKernelTime(once),
-					BaseHarvest:     baseHarvest,
-					StaleWait:       insuffWait(res),
-					OnceStaleWait:   insuffWait(once),
-					GraceKills:      graceKills(res),
-					OnceGraceKills:  graceKills(once),
-					DriftEvents:     st.DriftEvents,
-					Replans:         st.Replans,
-					Demotions:       st.Demotions,
-					Revivals:        st.Revivals,
-					StaleAdmissions: st.StaleAdmissions,
-					Restarted:       st.RestartedTasks,
-					Parked:          st.ParkedTasks,
-					LostWork:        st.LostWork,
-				})
-			}
+	// The skeleton is kind × magnitude, kind-major. The profile-once arm is
+	// shared by a cell's detector rows, so the cell is the shard unit.
+	kinds, mags := bubble.AllDriftKinds(), driftSweepMagnitudes
+	rows, err := runCells(opts, len(kinds)*len(mags), func(i int) string {
+		return fmt.Sprintf("drift sweep %v f=%.2g", kinds[i/len(mags)], mags[i%len(mags)])
+	}, func(i int) (rows []DriftSweepRow, _ error) {
+		ki, mi := i/len(mags), i%len(mags)
+		kind, mag := kinds[ki], mags[mi]
+		seed := opts.Seed*1000 + int64(ki)*10 + int64(mi)
+		sched := &bubble.DriftSchedule{
+			Seed:   seed,
+			Events: []bubble.DriftEvent{driftEventFor(kind, mag, ref.TrainTime)},
 		}
+
+		// Profile-once arm: same drift, no detector — shared across the
+		// detector axis.
+		onceCfg := baseCfg
+		onceCfg.Drift = sched
+		once, err := runDriftCell(onceCfg, task)
+		if err != nil {
+			return nil, fmt.Errorf("once: %w", err)
+		}
+
+		for _, d := range driftDetectors {
+			cfg := baseCfg
+			cfg.Drift = sched
+			dc := d.cfg
+			cfg.Replan = &dc
+			res, err := runDriftCell(cfg, task)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", d.name, err)
+			}
+			st := res.ManagerStats
+			rows = append(rows, DriftSweepRow{
+				Kind:            kind,
+				Magnitude:       mag,
+				Detector:        d.name,
+				TrainTime:       res.TrainTime,
+				BaseTime:        ref.TrainTime,
+				Harvested:       harvestedKernelTime(res),
+				OnceHarvested:   harvestedKernelTime(once),
+				BaseHarvest:     baseHarvest,
+				StaleWait:       insuffWait(res),
+				OnceStaleWait:   insuffWait(once),
+				GraceKills:      graceKills(res),
+				OnceGraceKills:  graceKills(once),
+				DriftEvents:     st.DriftEvents,
+				Replans:         st.Replans,
+				Demotions:       st.Demotions,
+				Revivals:        st.Revivals,
+				StaleAdmissions: st.StaleAdmissions,
+				Restarted:       st.RestartedTasks,
+				Parked:          st.ParkedTasks,
+				LostWork:        st.LostWork,
+			})
+		}
+		return rows, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return &DriftSweepResult{Opts: opts, Rows: rows}, nil
 }
 
 // runDriftCell is runOne for a single-instance workload: the sweep places

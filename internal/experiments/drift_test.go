@@ -56,6 +56,15 @@ func TestDriftSweepDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("same-seed sweeps diverged:\n%+v\nvs\n%+v", a, b)
 	}
+	seq, par := driftOpts(7), driftOpts(7)
+	seq.Parallelism, par.Parallelism = 1, 4
+	sameSweepAtAnyWidth(t, seq, par, func(o Options) ([]DriftSweepRow, csvWriter, error) {
+		r, err := RunDriftSweep(o)
+		if err != nil {
+			return nil, nil, err
+		}
+		return r.Rows, r, nil
+	})
 	if want := len(bubble.AllDriftKinds()) * len(driftSweepMagnitudes) * len(driftDetectors); len(a.Rows) != want {
 		t.Fatalf("sweep produced %d rows, want %d", len(a.Rows), want)
 	}
@@ -74,6 +83,16 @@ func TestDriftSweepDeterministic(t *testing.T) {
 				row.Kind, row.Magnitude, row.Detector, row.Parked)
 		}
 	}
+}
+
+func TestDriftSweepShardsPartition(t *testing.T) {
+	shardsPartition(t, driftOpts(1), len(driftDetectors), func(o Options) ([]DriftSweepRow, error) {
+		r, err := RunDriftSweep(o)
+		if err != nil {
+			return nil, err
+		}
+		return r.Rows, nil
+	})
 }
 
 // TestOnlineReprofilingBeatsProfileOnce is the acceptance pin: under every

@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§2.2 and §6) on the simulated testbed. Each harness returns a
 // typed result plus a text rendering that prints the same rows/series the
-// paper reports; EXPERIMENTS.md records the paper-vs-measured comparison.
+// paper reports (ROADMAP.md states the models, benchmark/README.md the numbers).
 package experiments
 
 import (

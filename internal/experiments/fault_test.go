@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"reflect"
 	"strconv"
@@ -98,6 +99,17 @@ func TestFaultSweepDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("same-seed sweeps diverged:\n%+v\nvs\n%+v", a, b)
 	}
+	// The pool changes nothing: rows and CSV bytes at Parallelism 4 equal the
+	// sequential sweep's.
+	seq, par := faultOpts(7), faultOpts(7)
+	seq.Parallelism, par.Parallelism = 1, 4
+	sameSweepAtAnyWidth(t, seq, par, func(o Options) ([]FaultSweepRow, csvWriter, error) {
+		r, err := RunFaultSweep(o)
+		if err != nil {
+			return nil, nil, err
+		}
+		return r.Rows, r, nil
+	})
 	s1 := simfault.Generate(1, time.Minute, 8, nil, 4)
 	s2 := simfault.Generate(2, time.Minute, 8, nil, 4)
 	if reflect.DeepEqual(s1.Events, s2.Events) {
@@ -109,6 +121,77 @@ func TestFaultSweepDeterministic(t *testing.T) {
 				row.Kind, row.Events, row.Injected, row.Events)
 		}
 	}
+}
+
+// csvWriter is the CSV half of every sweep result.
+type csvWriter interface{ WriteCSV(io.Writer) error }
+
+// sameSweepAtAnyWidth runs a sweep under two Options that differ only in
+// Parallelism and asserts equal rows and equal CSV bytes.
+func sameSweepAtAnyWidth[R any](t *testing.T, a, b Options, run func(Options) ([]R, csvWriter, error)) {
+	t.Helper()
+	var csvs [2]bytes.Buffer
+	var rows [2][]R
+	for i, o := range []Options{a, b} {
+		r, w, err := run(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteCSV(&csvs[i]); err != nil {
+			t.Fatal(err)
+		}
+		rows[i] = r
+	}
+	if !reflect.DeepEqual(rows[0], rows[1]) {
+		t.Errorf("rows differ between Parallelism %d and %d:\n%+v\nvs\n%+v", a.Parallelism, b.Parallelism, rows[0], rows[1])
+	}
+	if !bytes.Equal(csvs[0].Bytes(), csvs[1].Bytes()) {
+		t.Errorf("CSV bytes differ between Parallelism %d and %d", a.Parallelism, b.Parallelism)
+	}
+}
+
+// shardsPartition asserts a sweep's shard filter partitions its grid exactly:
+// the three shards' rows, interleaved back by cell, are the unsharded rows.
+// perCell is how many rows one cell yields.
+func shardsPartition[R any](t *testing.T, opts Options, perCell int, run func(Options) ([]R, error)) {
+	t.Helper()
+	whole, err := run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const shards = 3
+	var parts [shards][]R
+	for k := range parts {
+		o := opts
+		o.Shard, o.ShardCount = k, shards
+		if parts[k], err = run(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var merged []R
+	for cell := 0; cell*perCell < len(whole); cell++ {
+		k, at := cell%shards, cell/shards*perCell
+		if at+perCell > len(parts[k]) {
+			t.Fatalf("shard %d is short: cell %d missing", k, cell)
+		}
+		merged = append(merged, parts[k][at:at+perCell]...)
+	}
+	if n := len(parts[0]) + len(parts[1]) + len(parts[2]); n != len(whole) {
+		t.Errorf("shards hold %d rows, the whole sweep %d", n, len(whole))
+	}
+	if !reflect.DeepEqual(merged, whole) {
+		t.Errorf("shards do not reassemble the whole sweep:\n%+v\nvs\n%+v", merged, whole)
+	}
+}
+
+func TestFaultSweepShardsPartition(t *testing.T) {
+	shardsPartition(t, faultOpts(1), 1, func(o Options) ([]FaultSweepRow, error) {
+		r, err := RunFaultSweep(o)
+		if err != nil {
+			return nil, err
+		}
+		return r.Rows, nil
+	})
 }
 
 // TestCrashSweepRecovers is the acceptance pin for self-healing: a
@@ -198,6 +281,17 @@ func TestChaosScheduleSuiteGreen(t *testing.T) {
 			t.Errorf("task %s: retired forever: %s", tw.Name, tw.ExitErr)
 		}
 	}
+
+	// The serving arm: the same dense all-kinds schedule over a bursty trace
+	// under an SLO guard — every request still completes exactly once.
+	const requests = 160
+	sref := runServing(t, servingFaultCfg(requests, &simfault.Schedule{}))
+	sres := runServing(t, servingFaultCfg(requests,
+		simfault.Generate(seed, sref.TrainTime, 12, nil, cfg.Stages)))
+	if sres.FaultStats.Total() != 12 {
+		t.Errorf("serving: injected %d of 12 scheduled events", sres.FaultStats.Total())
+	}
+	checkServingRodeThrough(t, "serving chaos", sres, requests)
 }
 
 // TestFaultSweepRendering sanity-checks the table and CSV emitters.

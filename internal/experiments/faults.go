@@ -76,48 +76,46 @@ func RunFaultSweep(opts Options) (*FaultSweepResult, error) {
 	}
 	baseHarvest := harvestedKernelTime(ref)
 
-	out := &FaultSweepResult{Opts: opts}
-	cellIdx := -1
-	for ki, kind := range simfault.AllKinds() {
-		for _, n := range faultSweepCounts {
-			// Shard k of n runs cells where index mod n == k; the skeleton
-			// order (kind × count) is deterministic, so shards partition
-			// exactly.
-			cellIdx++
-			if cellIdx%opts.ShardCount != opts.Shard {
-				continue
-			}
-			cfg := baseCfg
-			seed := opts.Seed*1000 + int64(ki)*10 + int64(n)
-			cfg.Faults = simfault.Generate(seed, ref.TrainTime, n,
-				[]simfault.Kind{kind}, cfg.Stages)
-			res, err := runOne(cfg, tasks)
-			if err != nil {
-				return nil, fmt.Errorf("fault sweep %v×%d: %w", kind, n, err)
-			}
-			row := FaultSweepRow{
-				Kind:         kind,
-				Events:       n,
-				Injected:     res.FaultStats.Total(),
-				TrainTime:    res.TrainTime,
-				BaseTime:     ref.TrainTime,
-				Harvested:    harvestedKernelTime(res),
-				BaseHarvest:  baseHarvest,
-				WorkersLost:  res.ManagerStats.WorkersLost,
-				Restarted:    res.ManagerStats.RestartedTasks,
-				Replacements: res.ManagerStats.Replacements,
-				Parked:       res.ManagerStats.ParkedTasks,
-				LostWork:     res.ManagerStats.LostWork,
-			}
-			for _, tw := range res.Tasks {
-				if tw.Exited && tw.ExitErr != "" && !tw.Parked {
-					row.RetiredForever++
-				}
-			}
-			out.Rows = append(out.Rows, row)
+	// The skeleton is kind × count, kind-major.
+	kinds, counts := simfault.AllKinds(), faultSweepCounts
+	rows, err := runCells(opts, len(kinds)*len(counts), func(i int) string {
+		return fmt.Sprintf("fault sweep %v×%d", kinds[i/len(counts)], counts[i%len(counts)])
+	}, func(i int) ([]FaultSweepRow, error) {
+		ki, n := i/len(counts), counts[i%len(counts)]
+		kind := kinds[ki]
+		cfg := baseCfg
+		seed := opts.Seed*1000 + int64(ki)*10 + int64(n)
+		cfg.Faults = simfault.Generate(seed, ref.TrainTime, n,
+			[]simfault.Kind{kind}, cfg.Stages)
+		res, err := runOne(cfg, tasks)
+		if err != nil {
+			return nil, err
 		}
+		row := FaultSweepRow{
+			Kind:         kind,
+			Events:       n,
+			Injected:     res.FaultStats.Total(),
+			TrainTime:    res.TrainTime,
+			BaseTime:     ref.TrainTime,
+			Harvested:    harvestedKernelTime(res),
+			BaseHarvest:  baseHarvest,
+			WorkersLost:  res.ManagerStats.WorkersLost,
+			Restarted:    res.ManagerStats.RestartedTasks,
+			Replacements: res.ManagerStats.Replacements,
+			Parked:       res.ManagerStats.ParkedTasks,
+			LostWork:     res.ManagerStats.LostWork,
+		}
+		for _, tw := range res.Tasks {
+			if tw.Exited && tw.ExitErr != "" && !tw.Parked {
+				row.RetiredForever++
+			}
+		}
+		return []FaultSweepRow{row}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return &FaultSweepResult{Opts: opts, Rows: rows}, nil
 }
 
 func harvestedKernelTime(res *freeride.Result) time.Duration {

@@ -56,7 +56,7 @@ func RunFigure1(opts Options) (*Figure1Result, error) {
 	if !tr.Done().IsSet() {
 		return nil, fmt.Errorf("fig1: training incomplete")
 	}
-	starts, ends := tr.EpochTimes()
+	starts, ends := tr.CycleTimes()
 	out := &Figure1Result{EpochStart: starts[1], EpochEnd: ends[1]}
 	for s := 0; s < 4; s++ {
 		var ops []pipeline.OpSpan

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 )
@@ -64,4 +65,31 @@ func forEachIndex(parallel, n int, fn func(i int) error) error {
 	}
 	wg.Wait()
 	return firstErr
+}
+
+// runCells runs the cells of a sweep's n-cell skeleton that belong to this
+// shard — cell i where i mod ShardCount == Shard; the skeleton order is
+// deterministic, so shards partition exactly — on the pool, Parallelism at a
+// time, and returns their rows in skeleton order. run(i) returns cell i's
+// rows, which land in the cell's own slot, so the output never depends on
+// scheduling; an error comes back prefixed with label(i).
+func runCells[R any](opts Options, n int, label func(i int) string, run func(i int) ([]R, error)) ([]R, error) {
+	var idxs []int
+	for i := 0; i < n; i++ {
+		if i%opts.ShardCount == opts.Shard {
+			idxs = append(idxs, i)
+		}
+	}
+	slots := make([][]R, len(idxs))
+	err := forEachIndex(opts.Parallelism, len(idxs), func(j int) (err error) {
+		if slots[j], err = run(idxs[j]); err != nil {
+			return fmt.Errorf("%s: %w", label(idxs[j]), err)
+		}
+		return nil
+	})
+	var rows []R
+	for _, s := range slots {
+		rows = append(rows, s...)
+	}
+	return rows, err
 }

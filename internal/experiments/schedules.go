@@ -102,38 +102,25 @@ func scheduleSweepCells(opts Options, llm model.LLM) []ScheduleSweepRow {
 // interleaved → zero-bubble), how much harvestable supply is left? Cells the
 // memory model rules out (GPipe/zero-bubble footprints at high M) are
 // flagged OOM and skipped deterministically. Shard/ShardCount split the grid
-// for CI parallelism: shard k of n runs cells where index mod n == k.
+// for CI parallelism (see runCells).
 func RunScheduleSweep(opts Options) (*ScheduleSweepResult, error) {
 	opts.normalize()
 	baseCfg := opts.baseConfig()
 	baseCfg.Method = freeride.MethodIterative
 
 	cells := scheduleSweepCells(opts, baseCfg.LLM)
-	var idxs []int
-	for i := range cells {
-		if i%opts.ShardCount == opts.Shard {
-			idxs = append(idxs, i)
+	rows, err := runCells(opts, len(cells), func(i int) string {
+		return fmt.Sprintf("schedule sweep %v S=%d M=%d", cells[i].Kind, cells[i].Stages, cells[i].MicroBatches)
+	}, func(i int) (_ []ScheduleSweepRow, err error) {
+		if !cells[i].OOM {
+			err = runScheduleCell(baseCfg, &cells[i])
 		}
-	}
-	err := forEachIndex(opts.Parallelism, len(idxs), func(j int) error {
-		row := &cells[idxs[j]]
-		if row.OOM {
-			return nil
-		}
-		if err := runScheduleCell(baseCfg, row); err != nil {
-			return fmt.Errorf("schedule sweep %v S=%d M=%d: %w",
-				row.Kind, row.Stages, row.MicroBatches, err)
-		}
-		return nil
+		return cells[i : i+1], err
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := &ScheduleSweepResult{Opts: opts}
-	for _, i := range idxs {
-		out.Rows = append(out.Rows, cells[i])
-	}
-	return out, nil
+	return &ScheduleSweepResult{Opts: opts, Rows: rows}, nil
 }
 
 // runScheduleCell executes one non-OOM cell and fills its measurements.

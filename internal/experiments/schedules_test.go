@@ -92,35 +92,13 @@ func TestScheduleSweepDefaultSlice(t *testing.T) {
 }
 
 func TestScheduleSweepShardsPartition(t *testing.T) {
-	whole, err := RunScheduleSweep(scheduleSweepOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var merged []ScheduleSweepRow
-	for k := 0; k < 3; k++ {
-		opts := scheduleSweepOpts()
-		opts.Shard, opts.ShardCount = k, 3
-		part, err := RunScheduleSweep(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		merged = append(merged, part.Rows...)
-	}
-	if len(merged) != len(whole.Rows) {
-		t.Fatalf("shards yield %d rows, whole %d", len(merged), len(whole.Rows))
-	}
 	// Every whole-sweep cell appears exactly once across the shards with
 	// identical measurements (cells are independent simulations).
-	for _, want := range whole.Rows {
-		found := 0
-		for _, got := range merged {
-			if got == want {
-				found++
-			}
+	shardsPartition(t, scheduleSweepOpts(), 1, func(o Options) ([]ScheduleSweepRow, error) {
+		r, err := RunScheduleSweep(o)
+		if err != nil {
+			return nil, err
 		}
-		if found != 1 {
-			t.Errorf("cell %v S=%d M=%d found %d times across shards",
-				want.Kind, want.Stages, want.MicroBatches, found)
-		}
-	}
+		return r.Rows, nil
+	})
 }

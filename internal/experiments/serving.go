@@ -114,36 +114,23 @@ func servingSweepCells(opts Options) []ServingSweepRow {
 // the fill/drain/inter-batch bubbles, and the SLO admission guard trades
 // harvested GPU-seconds against p99 violations. Every guard arm of a
 // (trace, rate) pair shares the same seeded arrivals, so the guard axis is
-// directly comparable. Shard/ShardCount split the grid like the other
-// sweeps: shard k of n runs cells where index mod n == k.
+// directly comparable. Shard/ShardCount split the grid (see runCells).
 func RunServingSweep(opts Options) (*ServingSweepResult, error) {
 	opts.normalize()
 	baseCfg := opts.baseConfig()
 	baseCfg.Method = freeride.MethodIterative
 
 	cells := servingSweepCells(opts)
-	var idxs []int
-	for i := range cells {
-		if i%opts.ShardCount == opts.Shard {
-			idxs = append(idxs, i)
-		}
-	}
-	err := forEachIndex(opts.Parallelism, len(idxs), func(j int) error {
-		row := &cells[idxs[j]]
-		if err := runServingCell(baseCfg, row); err != nil {
-			return fmt.Errorf("serving sweep %v rate=%g slo=%v g=%g: %w",
-				row.Trace, row.Rate, row.SLO, row.Guard, err)
-		}
-		return nil
+	rows, err := runCells(opts, len(cells), func(i int) string {
+		return fmt.Sprintf("serving sweep %v rate=%g slo=%v g=%g",
+			cells[i].Trace, cells[i].Rate, cells[i].SLO, cells[i].Guard)
+	}, func(i int) ([]ServingSweepRow, error) {
+		return cells[i : i+1], runServingCell(baseCfg, &cells[i])
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := &ServingSweepResult{Opts: opts}
-	for _, i := range idxs {
-		out.Rows = append(out.Rows, cells[i])
-	}
-	return out, nil
+	return &ServingSweepResult{Opts: opts, Rows: rows}, nil
 }
 
 // runServingCell executes one cell: the harvesting arm (FreeRide iterative,

@@ -119,31 +119,11 @@ func TestServingGuardTradeoffMonotone(t *testing.T) {
 // TestServingSweepShardsPartition asserts the shard filter partitions the
 // grid exactly: the union of all shards equals the unsharded sweep.
 func TestServingSweepShardsPartition(t *testing.T) {
-	full, err := RunServingSweep(Options{Epochs: 4, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var union []ServingSweepRow
-	for k := 0; k < 3; k++ {
-		part, err := RunServingSweep(Options{Epochs: 4, Seed: 1, Shard: k, ShardCount: 3})
+	shardsPartition(t, Options{Epochs: 4, Seed: 1}, 1, func(o Options) ([]ServingSweepRow, error) {
+		r, err := RunServingSweep(o)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
-		union = append(union, part.Rows...)
-	}
-	if len(union) != len(full.Rows) {
-		t.Fatalf("shards cover %d rows, full sweep has %d", len(union), len(full.Rows))
-	}
-	matched := 0
-	for _, row := range full.Rows {
-		for _, u := range union {
-			if reflect.DeepEqual(row, u) {
-				matched++
-				break
-			}
-		}
-	}
-	if matched != len(full.Rows) {
-		t.Errorf("only %d/%d full-sweep rows found across the shards", matched, len(full.Rows))
-	}
+		return r.Rows, nil
+	})
 }

@@ -7,10 +7,10 @@
 // This is the paper's §8 "Scalability" extension: the side task manager
 // "can be easily extended to distributed settings with side tasks on
 // multiple servers" because every interaction already flows through RPC.
-// The GPU and the training job remain simulated (see DESIGN.md S1/S2), but
-// the middleware under test — Algorithms 1 and 2, the state machine
-// transitions, the resource-limit enforcement — runs against real sockets,
-// real latency and real concurrency.
+// The GPU and the training job remain simulated (ROADMAP.md, "Schedule
+// model"), but the middleware under test — Algorithms 1 and 2, the state
+// machine transitions, the resource-limit enforcement — runs against real
+// sockets, real latency and real concurrency.
 package livemode
 
 import (
@@ -179,9 +179,9 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	reporter.SetSink(func(b bubble.Bubble) {
 		_ = mgrPeer.Notify("Manager.AddBubble", core.ToBubbleDTO(b))
 	})
-	reporter.Attach(trainer)
+	trainer.OnCycleStart(reporter.CycleStart)
 
-	trainer.OnEpochEnd(func(epoch int, ts time.Duration) {
+	trainer.OnCycleEnd(func(epoch int, ts time.Duration) {
 		cfg.Logf("epoch %d finished at %v", epoch, ts)
 		if epoch == cfg.Epochs-1 {
 			close(node.trainDone)

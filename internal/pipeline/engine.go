@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"freeride/internal/model"
@@ -68,13 +67,6 @@ func (c *Config) normalize() error {
 	return nil
 }
 
-// mbAlloc is the micro-batch count the dependency scoreboard and activation
-// memory are provisioned for.
-func (c Config) mbAlloc() int { return c.MBCap }
-
-// numVirtual is the total virtual stage count.
-func (c Config) numVirtual() int { return c.Stages * c.VirtualPerStage }
-
 // OpSpan records one executed op for the Figure-1 timeline.
 type OpSpan struct {
 	Op    Op
@@ -83,33 +75,16 @@ type OpSpan struct {
 }
 
 // Trainer is one pipeline-parallel training run across a set of GPUs: the
-// epoch-cycle driver of the plan Runner. It owns the per-stage clients, the
-// epoch hooks and timeline, and (under MBSchedule) the plan each epoch runs;
-// the Runner owns op execution and every cross-stage dependency.
+// Driver with cycle = epoch. It keeps only what is training's — the schedule
+// plan each epoch runs (re-generated under MBSchedule) and the op timeline.
 type Trainer struct {
-	cfg     Config
-	eng     simtime.Engine
-	procs   *simproc.Runtime
-	devices []*simgpu.Device
-
-	// Immutable after Start:
-	clients []*simgpu.Client
-	plan    *Plan // the generated schedule (base micro-batch count)
-	run     *Runner
+	Driver
+	cfg  Config
+	plan *Plan // the generated schedule (base micro-batch count)
 	// planCache memoizes re-generated plans per micro-batch count (engine
 	// context only; MBSchedule only).
 	planCache map[int]*Plan
-
-	mu           sync.Mutex
-	epochStart   []time.Duration
-	epochEnd     []time.Duration
-	opLog        [][]OpSpan // per stage
-	onEpochStart []func(epoch int, t time.Duration)
-	onEpochEnd   []func(epoch int, t time.Duration)
-	started      bool
-	failed       error
-
-	done *simproc.Latch
+	opLog     [][]OpSpan // per stage; guarded by the driver's lock
 }
 
 // New builds a trainer over one device per stage.
@@ -117,134 +92,55 @@ func New(eng simtime.Engine, procs *simproc.Runtime, devices []*simgpu.Device, c
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	if len(devices) != cfg.Stages {
-		return nil, fmt.Errorf("pipeline: %d devices for %d stages", len(devices), cfg.Stages)
+	t := &Trainer{cfg: cfg, opLog: make([][]OpSpan, cfg.Stages)}
+	var err error
+	if t.plan, err = t.planFor(cfg.MicroBatches); err != nil {
+		return nil, err
 	}
-	t := &Trainer{
-		cfg:     cfg,
-		eng:     eng,
-		procs:   procs,
-		devices: devices,
-		opLog:   make([][]OpSpan, cfg.Stages),
-		done:    simproc.NewLatch(eng),
-		// Sized up front: a steady-state epoch appends without allocating.
-		epochStart: make([]time.Duration, 0, cfg.Epochs),
-		epochEnd:   make([]time.Duration, 0, cfg.Epochs),
+	m := cfg.Model
+	chunks := time.Duration(cfg.VirtualPerStage)
+	bpDur := m.BPPerMB / chunks
+	w := Workload{
+		RunnerConfig: RunnerConfig{
+			Stages:          cfg.Stages,
+			VirtualPerStage: cfg.VirtualPerStage,
+			Cycles:          cfg.Epochs,
+			MBAlloc:         cfg.MBCap,
+			Comm:            m.CommLatency,
+			ProcName:        "pipe-v",
+		},
+		Name:         "pipeline",
+		ClientPrefix: "train-s",
+		// Activation memory is provisioned for the largest micro-batch count
+		// the run can reach (MBCap == MicroBatches without the resize hook).
+		StageMem: func(s int) int64 {
+			c := &t.cfg
+			return c.Model.StageMemUsedSched(c.Schedule, s, c.Stages, c.MBCap, c.VirtualPerStage)
+		},
+		Plan: t.epochPlan,
+	}
+	w.Durations[OpForward] = m.FPPerMB / chunks
+	w.Durations[OpBackward] = bpDur
+	w.Durations[OpBackwardInput] = bpDur / 2 // zero-bubble activation-gradient half
+	w.Durations[OpBackwardWeight] = bpDur - bpDur/2
+	w.Durations[OpOptimize] = m.OptStep / chunks
+	if cfg.RecordOps {
+		w.Record = t.recordOp
+	}
+	if err := t.Init(eng, procs, devices, w); err != nil {
+		return nil, err
 	}
 	return t, nil
 }
 
-// OnEpochStart registers a hook invoked (in engine context) when each epoch
-// begins. This is one of the three instrumentation points of paper §4.6.
-func (t *Trainer) OnEpochStart(fn func(epoch int, ts time.Duration)) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.onEpochStart = append(t.onEpochStart, fn)
-}
-
-// OnEpochEnd registers a hook invoked when each epoch's barrier completes.
-func (t *Trainer) OnEpochEnd(fn func(epoch int, ts time.Duration)) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.onEpochEnd = append(t.onEpochEnd, fn)
-}
-
-// Done returns a latch set when all epochs have finished.
-func (t *Trainer) Done() *simproc.Latch { return t.done }
-
-// Client returns the training GPU client of a stage (valid after Start).
-func (t *Trainer) Client(stage int) *simgpu.Client { return t.clients[stage] }
-
-// Device returns the GPU device of a stage.
-func (t *Trainer) Device(stage int) *simgpu.Device { return t.devices[stage] }
-
 // Config returns the training configuration.
 func (t *Trainer) Config() Config { return t.cfg }
-
-// EpochTimes returns per-epoch (start, end) pairs recorded so far.
-func (t *Trainer) EpochTimes() (starts, ends []time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	starts = append([]time.Duration(nil), t.epochStart...)
-	ends = append([]time.Duration(nil), t.epochEnd...)
-	return starts, ends
-}
 
 // OpLog returns the recorded op timeline for a stage (RecordOps only).
 func (t *Trainer) OpLog(stage int) []OpSpan {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([]OpSpan(nil), t.opLog[stage]...)
-}
-
-// Err reports a training failure (e.g. OOM during setup).
-func (t *Trainer) Err() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.failed
-}
-
-// TotalTime reports the makespan from first epoch start to last epoch end.
-func (t *Trainer) TotalTime() time.Duration {
-	starts, ends := t.EpochTimes()
-	if len(starts) == 0 || len(ends) == 0 {
-		return 0
-	}
-	return ends[len(ends)-1] - starts[0]
-}
-
-// Start allocates training memory on every stage and spawns the stage
-// processes. It returns immediately; completion is observable via Done. On
-// the wall engine it must be called from an engine callback (see Runner).
-func (t *Trainer) Start() error {
-	t.mu.Lock()
-	if t.started {
-		t.mu.Unlock()
-		return fmt.Errorf("pipeline: already started")
-	}
-	t.started = true
-	t.mu.Unlock()
-
-	plan, err := t.planFor(t.cfg.MicroBatches)
-	if err != nil {
-		return err
-	}
-	// Activation memory is provisioned for the largest micro-batch count
-	// the run can reach (mbAlloc == MicroBatches without the resize hook).
-	clients, err := NewStageClients(t.devices, "train-s", func(s int) int64 {
-		return t.cfg.Model.StageMemUsedSched(t.cfg.Schedule, s, t.cfg.Stages,
-			t.cfg.mbAlloc(), t.cfg.VirtualPerStage)
-	})
-	if err != nil {
-		return fmt.Errorf("pipeline: %w", err)
-	}
-	t.clients = clients
-	t.plan = plan
-
-	m := t.cfg.Model
-	chunks := time.Duration(t.cfg.VirtualPerStage)
-	bpDur := m.BPPerMB / chunks
-	rc := RunnerConfig{
-		Stages:          t.cfg.Stages,
-		VirtualPerStage: t.cfg.VirtualPerStage,
-		Cycles:          t.cfg.Epochs,
-		MBAlloc:         t.cfg.mbAlloc(),
-		Comm:            m.CommLatency,
-		ProcName:        "pipe-v",
-		CycleDone:       t.endEpoch,
-		Failed:          t.opFailed,
-	}
-	rc.Durations[OpForward] = m.FPPerMB / chunks
-	rc.Durations[OpBackward] = bpDur
-	rc.Durations[OpBackwardInput] = bpDur / 2 // zero-bubble activation-gradient half
-	rc.Durations[OpBackwardWeight] = bpDur - bpDur/2
-	rc.Durations[OpOptimize] = m.OptStep / chunks
-	if t.cfg.RecordOps {
-		rc.Record = t.recordOp
-	}
-	t.run = NewRunner(t.procs, clients, rc)
-	t.beginEpoch(0)
-	return nil
 }
 
 // planFor builds (and memoizes) the schedule plan for a micro-batch count.
@@ -264,67 +160,17 @@ func (t *Trainer) planFor(mbs int) (*Plan, error) {
 	return p, nil
 }
 
-// beginEpoch records the epoch start, fires the instrumentation hooks and
-// releases the stages on the epoch's plan (re-generated when MBSchedule
-// resizes the micro-batch count). Runs in engine-callback or Start context.
-func (t *Trainer) beginEpoch(epoch int) {
-	now := t.eng.Now()
-	plan := t.plan
-	if t.cfg.MBSchedule != nil {
-		mb := t.cfg.MBSchedule(epoch, now)
-		if mb < 1 {
-			mb = t.cfg.MicroBatches
-		}
-		if mb > t.cfg.mbAlloc() {
-			mb = t.cfg.mbAlloc()
-		}
-		var err error
-		if plan, err = t.planFor(mb); err != nil {
-			t.fail(err)
-			return
-		}
+// epochPlan is the plan an epoch starting now runs: the base schedule, or the
+// one re-generated for the micro-batch count MBSchedule resizes the epoch to.
+func (t *Trainer) epochPlan(epoch int, now time.Duration) (*Plan, error) {
+	if t.cfg.MBSchedule == nil {
+		return t.plan, nil
 	}
-	t.mu.Lock()
-	t.epochStart = append(t.epochStart, now)
-	hooks := t.onEpochStart // append-only: the prefix is stable outside the lock
-	t.mu.Unlock()
-
-	for _, h := range hooks {
-		h(epoch, now)
+	mb := t.cfg.MBSchedule(epoch, now)
+	if mb < 1 {
+		mb = t.cfg.MicroBatches
 	}
-	t.run.Release(plan)
-}
-
-// endEpoch is the runner's barrier callback: the last stage has finished the
-// epoch, so close it and open the next (or finish training).
-func (t *Trainer) endEpoch(epoch int) {
-	now := t.eng.Now()
-	t.mu.Lock()
-	t.epochEnd = append(t.epochEnd, now)
-	hooks := t.onEpochEnd
-	t.mu.Unlock()
-
-	for _, h := range hooks {
-		h(epoch, now)
-	}
-	if epoch+1 >= t.cfg.Epochs {
-		t.done.Set()
-		return
-	}
-	t.beginEpoch(epoch + 1)
-}
-
-// fail records the first training failure.
-func (t *Trainer) fail(err error) {
-	t.mu.Lock()
-	if t.failed == nil {
-		t.failed = err
-	}
-	t.mu.Unlock()
-}
-
-func (t *Trainer) opFailed(stage int, op Op, err error) {
-	t.fail(fmt.Errorf("pipeline: stage %d %v mb %d: %w", stage, op.Kind, op.MB, err))
+	return t.planFor(min(mb, t.cfg.MBCap))
 }
 
 func (t *Trainer) recordOp(stage int, span OpSpan) {

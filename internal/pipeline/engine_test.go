@@ -56,7 +56,7 @@ func TestTrainingCompletesWithExpectedSpan(t *testing.T) {
 	cfg := Config{Model: model.NanoGPT3B, Stages: 4, MicroBatches: 4, Epochs: 3}
 	r := newRig(t, cfg)
 	r.run(t)
-	starts, ends := r.trainer.EpochTimes()
+	starts, ends := r.trainer.CycleTimes()
 	if len(starts) != 3 || len(ends) != 3 {
 		t.Fatalf("epochs recorded = %d/%d, want 3/3", len(starts), len(ends))
 	}
@@ -73,7 +73,7 @@ func TestEpochsAreRepetitive(t *testing.T) {
 	cfg := Config{Model: model.NanoGPT3B, Stages: 4, MicroBatches: 4, Epochs: 5}
 	r := newRig(t, cfg)
 	r.run(t)
-	starts, ends := r.trainer.EpochTimes()
+	starts, ends := r.trainer.CycleTimes()
 	first := ends[0] - starts[0]
 	for e := 1; e < 5; e++ {
 		span := ends[e] - starts[e]
@@ -89,7 +89,7 @@ func TestBubbleRateMatchesPaper(t *testing.T) {
 	cfg := Config{Model: model.NanoGPT3B, Stages: 4, MicroBatches: 4, Epochs: 2}
 	r := newRig(t, cfg)
 	r.run(t)
-	starts, ends := r.trainer.EpochTimes()
+	starts, ends := r.trainer.CycleTimes()
 	span := ends[1] - starts[1]
 	for s := 0; s < 4; s++ {
 		busy := r.devices[s].Occupancy().Integrate(starts[1], ends[1])
@@ -104,7 +104,7 @@ func TestMicroBatch8DropsBubbleRate(t *testing.T) {
 	cfg := Config{Model: model.NanoGPT3B, Stages: 4, MicroBatches: 8, Epochs: 2}
 	r := newRig(t, cfg)
 	r.run(t)
-	starts, ends := r.trainer.EpochTimes()
+	starts, ends := r.trainer.CycleTimes()
 	span := ends[1] - starts[1]
 	busy := r.devices[0].Occupancy().Integrate(starts[1], ends[1])
 	rate := 1 - busy/span.Seconds()
@@ -118,7 +118,7 @@ func TestGPipeHasLargerBubbles(t *testing.T) {
 		cfg := Config{Model: model.NanoGPT3B, Stages: 4, MicroBatches: 4, Epochs: 1, Schedule: kind}
 		r := newRig(t, cfg)
 		r.run(t)
-		starts, ends := r.trainer.EpochTimes()
+		starts, ends := r.trainer.CycleTimes()
 		span := ends[0] - starts[0]
 		busy := r.devices[1].Occupancy().Integrate(starts[0], ends[0])
 		return 1 - busy/span.Seconds()
@@ -190,7 +190,7 @@ func TestTypeABubbleGrowsWithStage(t *testing.T) {
 	cfg := Config{Model: model.NanoGPT3B, Stages: 4, MicroBatches: 4, Epochs: 1, RecordOps: true}
 	r := newRig(t, cfg)
 	r.run(t)
-	starts, _ := r.trainer.EpochTimes()
+	starts, _ := r.trainer.CycleTimes()
 	prev := time.Duration(-1)
 	for s := 0; s < 4; s++ {
 		log := r.trainer.OpLog(s)
@@ -239,8 +239,8 @@ func TestEpochHooksFire(t *testing.T) {
 	cfg := Config{Model: model.NanoGPT3B, Stages: 4, MicroBatches: 4, Epochs: 3}
 	r := newRig(t, cfg)
 	var started, ended []int
-	r.trainer.OnEpochStart(func(e int, ts time.Duration) { started = append(started, e) })
-	r.trainer.OnEpochEnd(func(e int, ts time.Duration) { ended = append(ended, e) })
+	r.trainer.OnCycleStart(func(e int, ts time.Duration) { started = append(started, e) })
+	r.trainer.OnCycleEnd(func(e int, ts time.Duration) { ended = append(ended, e) })
 	r.run(t)
 	if len(started) != 3 || len(ended) != 3 {
 		t.Fatalf("hooks fired %d/%d times, want 3/3", len(started), len(ended))
@@ -290,7 +290,7 @@ func TestTwoStagePipeline(t *testing.T) {
 		t.Fatalf("2-stage training failed: %v", tr.Err())
 	}
 	// Bubble rate ~ (S-1)/(M+S-1) = 1/5 = 20%.
-	starts, ends := tr.EpochTimes()
+	starts, ends := tr.CycleTimes()
 	span := ends[1] - starts[1]
 	busy := devices[0].Occupancy().Integrate(starts[1], ends[1])
 	rate := 1 - busy/span.Seconds()
@@ -319,7 +319,7 @@ func TestEightStagePipeline(t *testing.T) {
 		t.Fatalf("8-stage training failed: %v", tr.Err())
 	}
 	// Deeper pipelines have a higher bubble rate: (S-1)/(M+S-1) = 7/11.
-	starts, ends := tr.EpochTimes()
+	starts, ends := tr.CycleTimes()
 	span := ends[0] - starts[0]
 	busy := devices[0].Occupancy().Integrate(starts[0], ends[0])
 	rate := 1 - busy/span.Seconds()
@@ -341,7 +341,7 @@ func TestSingleStageNoBubbles(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Drain(10_000_000)
-	starts, ends := tr.EpochTimes()
+	starts, ends := tr.CycleTimes()
 	span := ends[0] - starts[0]
 	busy := devices[0].Occupancy().Integrate(starts[0], ends[0])
 	rate := 1 - busy/span.Seconds()
@@ -380,7 +380,7 @@ func TestInterleavedScheduleReducesBubbles(t *testing.T) {
 		}
 		r := newRig(t, cfg)
 		r.run(t)
-		starts, ends := r.trainer.EpochTimes()
+		starts, ends := r.trainer.CycleTimes()
 		span := ends[1] - starts[1]
 		busy := r.devices[1].Occupancy().Integrate(starts[1], ends[1])
 		return 1 - busy/span.Seconds()
@@ -428,7 +428,7 @@ func simBubbleRate(t *testing.T, kind ScheduleKind, stages, mbs, virtual int) fl
 	}
 	r := newRig(t, cfg)
 	r.run(t)
-	starts, ends := r.trainer.EpochTimes()
+	starts, ends := r.trainer.CycleTimes()
 	span := ends[1] - starts[1]
 	var sum float64
 	for s := 0; s < stages; s++ {
@@ -541,7 +541,7 @@ func TestInterleavedFirstClassKind(t *testing.T) {
 		t.Fatalf("interleaved defaulted V=%d, want 2", got)
 	}
 	r.run(t)
-	starts, ends := r.trainer.EpochTimes()
+	starts, ends := r.trainer.CycleTimes()
 	span := ends[1] - starts[1]
 	busy := r.devices[1].Occupancy().Integrate(starts[1], ends[1])
 	rate := 1 - busy/span.Seconds()
@@ -566,7 +566,7 @@ func TestMBScheduleResizesEpochs(t *testing.T) {
 	}
 	r := newRig(t, cfg)
 	r.run(t)
-	starts, ends := r.trainer.EpochTimes()
+	starts, ends := r.trainer.CycleTimes()
 	want4 := model.NanoGPT3B.EpochSpan(4, 4)
 	want8 := model.NanoGPT3B.EpochSpan(4, 8)
 	if got := ends[0] - starts[0]; got < want4 || got > want4+100*time.Millisecond {
@@ -589,8 +589,8 @@ func TestMBScheduleConstantHookBitIdentical(t *testing.T) {
 	hooked.MBSchedule = func(int, time.Duration) int { return 4 }
 	r2 := newRig(t, hooked)
 	r2.run(t)
-	s1, e1 := r1.trainer.EpochTimes()
-	s2, e2 := r2.trainer.EpochTimes()
+	s1, e1 := r1.trainer.CycleTimes()
+	s2, e2 := r2.trainer.CycleTimes()
 	for i := range s1 {
 		if s1[i] != s2[i] || e1[i] != e2[i] {
 			t.Fatalf("epoch %d times diverged: (%v,%v) vs (%v,%v)", i, s1[i], e1[i], s2[i], e2[i])

@@ -80,7 +80,7 @@ func trainerDigest(tr *Trainer) string {
 			put(int64(sp.End))
 		}
 	}
-	starts, ends := tr.EpochTimes()
+	starts, ends := tr.CycleTimes()
 	put(int64(len(starts)))
 	for _, v := range starts {
 		put(int64(v))

@@ -83,7 +83,7 @@ func TestSteadyStateEpochAllocFree(t *testing.T) {
 		})
 		warmEngine(r.eng)
 		epochs := 0
-		r.trainer.OnEpochEnd(func(int, time.Duration) { epochs++ })
+		r.trainer.OnCycleEnd(func(int, time.Duration) { epochs++ })
 		if err := r.trainer.Start(); err != nil {
 			t.Fatal(err)
 		}

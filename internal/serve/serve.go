@@ -53,11 +53,6 @@ func (c *Config) normalize() error {
 	return nil
 }
 
-// numBatches is the trace's batch count (the last batch may be partial).
-func (c Config) numBatches() int {
-	return (len(c.Arrivals) + c.BatchSize - 1) / c.BatchSize
-}
-
 // Stats is the per-request latency distribution and SLO accounting of a
 // completed run. All fields are plain values, so results stay comparable
 // with reflect.DeepEqual (the determinism and oracle tests rely on it).
@@ -76,41 +71,16 @@ type Stats struct {
 	TotalTime time.Duration
 }
 
-// Server drives the forward-only batch cycle over one device per stage: the
-// batch-cycle driver of pipeline.Runner, the same plan runner the trainer
-// drives per epoch. The runner owns the stage machines and every
-// cross-stage dependency; the server owns the arrival gate — when the next
-// batch may be released — and the latency accounting.
+// Server is the forward-only batch cycle over one device per stage:
+// pipeline.Driver with cycle = request batch, the same driver the trainer
+// runs per epoch. It keeps only what is serving's — the arrival gate (when
+// the next batch may be released) and the latency accounting.
 type Server struct {
-	cfg     Config
-	eng     simtime.Engine
-	procs   *simproc.Runtime
-	devices []*simgpu.Device
+	pipeline.Driver
+	cfg Config
 
-	// Immutable after Start:
-	clients []*simgpu.Client
-	plan    *pipeline.Plan
-	run     *pipeline.Runner
-	// readyAt[b] is when batch b's last request has arrived — the earliest
-	// the batch may dispatch.
-	readyAt []time.Duration
-
-	// The arrival gate: one reusable timer and its pre-bound callback
-	// dispatch batch `next` (engine context only).
-	next    int
-	gate    *simtime.Timer
-	beginFn func()
-
-	mu           sync.Mutex
-	batchStart   []time.Duration
-	batchEnd     []time.Duration
-	latencies    []time.Duration
-	onBatchStart []func(batch int, ts time.Duration)
-	onBatchEnd   []func(batch int, ts time.Duration)
-	started      bool
-	failed       error
-
-	done *simproc.Latch
+	mu        sync.Mutex
+	latencies []time.Duration
 }
 
 // New builds a server over one device per stage.
@@ -118,86 +88,58 @@ func New(eng simtime.Engine, procs *simproc.Runtime, devices []*simgpu.Device, c
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	if len(devices) != cfg.Stages {
-		return nil, fmt.Errorf("serve: %d devices for %d stages", len(devices), cfg.Stages)
+	plan, err := pipeline.BuildServingPlan(cfg.Stages, cfg.MicroBatches)
+	if err != nil {
+		return nil, err
 	}
-	nb := cfg.numBatches()
-	return &Server{
-		cfg:     cfg,
-		eng:     eng,
-		procs:   procs,
-		devices: devices,
-		done:    simproc.NewLatch(eng),
-		// Sized up front: a steady-state batch appends without allocating.
-		batchStart: make([]time.Duration, 0, nb),
-		batchEnd:   make([]time.Duration, 0, nb),
-		latencies:  make([]time.Duration, 0, len(cfg.Arrivals)),
-	}, nil
+	// readyAt[b] is when batch b's last request has arrived — the earliest
+	// the batch may dispatch (the last batch may be partial).
+	readyAt := make([]time.Duration, (len(cfg.Arrivals)+cfg.BatchSize-1)/cfg.BatchSize)
+	for b := range readyAt {
+		readyAt[b] = cfg.Arrivals[min((b+1)*cfg.BatchSize, len(cfg.Arrivals))-1]
+	}
+	mem := cfg.Model.ServeStageMemUsed(cfg.MicroBatches)
+	s := &Server{cfg: cfg, latencies: make([]time.Duration, 0, len(cfg.Arrivals))}
+	w := pipeline.Workload{
+		RunnerConfig: pipeline.RunnerConfig{
+			Stages:          cfg.Stages,
+			VirtualPerStage: 1,
+			Cycles:          len(readyAt),
+			MBAlloc:         cfg.MicroBatches,
+			Comm:            cfg.Model.CommLatency,
+			ProcName:        "serve-s",
+			Label:           "infer",
+		},
+		Name:         "serve",
+		ClientPrefix: "serve-s",
+		StageMem:     func(int) int64 { return mem },
+		Plan:         func(int, time.Duration) (*pipeline.Plan, error) { return plan, nil },
+		ReadyAt:      func(b int) time.Duration { return readyAt[b] },
+		Close:        s.scoreBatch,
+	}
+	w.Durations[pipeline.OpForward] = cfg.Model.FPPerMB
+	if err := s.Init(eng, procs, devices, w); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
-
-// OnBatchStart registers a hook invoked (in engine context) when each batch
-// dispatches — the serving analogue of the trainer's epoch-start
-// instrumentation point; the request-driven bubble reporter hangs off it.
-func (s *Server) OnBatchStart(fn func(batch int, ts time.Duration)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.onBatchStart = append(s.onBatchStart, fn)
-}
-
-// OnBatchEnd registers a hook invoked when each batch fully drains.
-func (s *Server) OnBatchEnd(fn func(batch int, ts time.Duration)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.onBatchEnd = append(s.onBatchEnd, fn)
-}
-
-// Done returns a latch set when the last batch has drained.
-func (s *Server) Done() *simproc.Latch { return s.done }
 
 // Config returns the serving configuration.
 func (s *Server) Config() Config { return s.cfg }
 
-// Client returns the serving GPU client of a stage (valid after Start).
-func (s *Server) Client(stage int) *simgpu.Client { return s.clients[stage] }
-
-// Device returns the GPU device of a stage.
-func (s *Server) Device(stage int) *simgpu.Device { return s.devices[stage] }
-
-// Err reports a serving failure (e.g. OOM during setup).
-func (s *Server) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.failed
-}
-
 // BatchTimes returns per-batch (dispatch, drain) pairs recorded so far.
-func (s *Server) BatchTimes() (starts, ends []time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	starts = append([]time.Duration(nil), s.batchStart...)
-	ends = append([]time.Duration(nil), s.batchEnd...)
-	return starts, ends
-}
-
-// TotalTime reports the makespan from first dispatch to last drain.
-func (s *Server) TotalTime() time.Duration {
-	starts, ends := s.BatchTimes()
-	if len(starts) == 0 || len(ends) == 0 {
-		return 0
-	}
-	return ends[len(ends)-1] - starts[0]
-}
+func (s *Server) BatchTimes() (starts, ends []time.Duration) { return s.CycleTimes() }
 
 // Stats computes the latency distribution of the completed run.
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	lat := append([]time.Duration(nil), s.latencies...)
-	batches := len(s.batchEnd)
 	s.mu.Unlock()
 	st := Stats{
 		Requests: len(lat),
-		Batches:  batches,
-		SLO:      s.cfg.SLO,
+		// A batch's requests are scored together as it drains.
+		Batches: (len(lat) + s.cfg.BatchSize - 1) / s.cfg.BatchSize,
+		SLO:     s.cfg.SLO,
 	}
 	if len(lat) == 0 {
 		return st
@@ -230,113 +172,14 @@ func quantile(sorted []time.Duration, q float64) time.Duration {
 	return sorted[idx]
 }
 
-// Start allocates serving memory on every stage, spawns the stage
-// processes and schedules the first batch at its arrival-readiness
-// instant. It returns immediately; completion is observable via Done.
-func (s *Server) Start() error {
-	s.mu.Lock()
-	if s.started {
-		s.mu.Unlock()
-		return fmt.Errorf("serve: already started")
-	}
-	s.started = true
-	s.mu.Unlock()
-
-	plan, err := pipeline.BuildServingPlan(s.cfg.Stages, s.cfg.MicroBatches)
-	if err != nil {
-		return err
-	}
-	mem := s.cfg.Model.ServeStageMemUsed(s.cfg.MicroBatches)
-	clients, err := pipeline.NewStageClients(s.devices, "serve-s", func(int) int64 { return mem })
-	if err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	s.clients = clients
-	s.plan = plan
-
-	nb := s.cfg.numBatches()
-	s.readyAt = make([]time.Duration, nb)
-	for b := 0; b < nb; b++ {
-		last := (b+1)*s.cfg.BatchSize - 1
-		if last >= len(s.cfg.Arrivals) {
-			last = len(s.cfg.Arrivals) - 1
-		}
-		s.readyAt[b] = s.cfg.Arrivals[last]
-	}
-	s.beginFn = s.beginBatch
-
-	rc := pipeline.RunnerConfig{
-		Stages:          s.cfg.Stages,
-		VirtualPerStage: 1,
-		Cycles:          nb,
-		MBAlloc:         s.cfg.MicroBatches,
-		Comm:            s.cfg.Model.CommLatency,
-		ProcName:        "serve-s",
-		Label:           "infer",
-		CycleDone:       s.endBatch,
-		Failed:          s.opFailed,
-	}
-	rc.Durations[pipeline.OpForward] = s.cfg.Model.FPPerMB
-	s.run = pipeline.NewRunner(s.procs, clients, rc)
-	s.scheduleBatch()
-	return nil
-}
-
-// scheduleBatch dispatches the next batch now if its last request has
-// arrived, or arms the gate timer for the arrival instant (the open-loop
-// gate: the pipeline idles — harvestably — until the batch fills).
-func (s *Server) scheduleBatch() {
-	now := s.eng.Now()
-	if at := s.readyAt[s.next]; at > now {
-		s.gate = simtime.Reschedule(s.eng, s.gate, at-now, "serve-batch", s.beginFn)
-		return
-	}
-	s.beginBatch()
-}
-
-// beginBatch records the dispatch, fires the instrumentation hooks and
-// releases the stages. Runs in engine-callback or Start context.
-func (s *Server) beginBatch() {
-	now := s.eng.Now()
-	s.mu.Lock()
-	s.batchStart = append(s.batchStart, now)
-	hooks := s.onBatchStart // append-only: the prefix is stable outside the lock
-	s.mu.Unlock()
-	for _, h := range hooks {
-		h(s.next, now)
-	}
-	s.run.Release(s.plan)
-}
-
-// endBatch is the runner's barrier callback: the last stage has drained
-// batch b, so score its requests' latencies and gate the next batch (or
-// finish serving).
-func (s *Server) endBatch(b int) {
-	now := s.eng.Now()
+// scoreBatch closes batch b as it drains: its requests' latencies are the
+// drain instant minus their arrivals.
+func (s *Server) scoreBatch(b int, now time.Duration) {
 	first := b * s.cfg.BatchSize
 	last := min(first+s.cfg.BatchSize, len(s.cfg.Arrivals))
 	s.mu.Lock()
-	s.batchEnd = append(s.batchEnd, now)
 	for _, at := range s.cfg.Arrivals[first:last] {
 		s.latencies = append(s.latencies, now-at)
-	}
-	hooks := s.onBatchEnd
-	s.mu.Unlock()
-
-	for _, h := range hooks {
-		h(b, now)
-	}
-	if s.next = b + 1; s.next >= s.cfg.numBatches() {
-		s.done.Set()
-		return
-	}
-	s.scheduleBatch()
-}
-
-func (s *Server) opFailed(stage int, op pipeline.Op, err error) {
-	s.mu.Lock()
-	if s.failed == nil {
-		s.failed = fmt.Errorf("serve: stage %d mb %d: %w", stage, op.MB, err)
 	}
 	s.mu.Unlock()
 }

@@ -135,9 +135,9 @@ func TestBatchHookOrder(t *testing.T) {
 		at    time.Duration
 	}
 	var got []ev
-	r.srv.OnBatchStart(func(b int, ts time.Duration) { got = append(got, ev{"start", b, ts}) })
-	r.srv.OnBatchEnd(func(b int, ts time.Duration) { got = append(got, ev{"end", b, ts}) })
-	r.srv.OnBatchStart(func(b int, ts time.Duration) { got = append(got, ev{"start2", b, ts}) })
+	r.srv.OnCycleStart(func(b int, ts time.Duration) { got = append(got, ev{"start", b, ts}) })
+	r.srv.OnCycleEnd(func(b int, ts time.Duration) { got = append(got, ev{"end", b, ts}) })
+	r.srv.OnCycleStart(func(b int, ts time.Duration) { got = append(got, ev{"start2", b, ts}) })
 	r.run(t)
 	starts, ends := r.srv.BatchTimes()
 	var want []ev
@@ -215,8 +215,8 @@ func TestSteadyStateBatchAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	batches := 0
-	srv.OnBatchStart(func(int, time.Duration) {})
-	srv.OnBatchEnd(func(int, time.Duration) { batches++ })
+	srv.OnCycleStart(func(int, time.Duration) {})
+	srv.OnCycleEnd(func(int, time.Duration) { batches++ })
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
