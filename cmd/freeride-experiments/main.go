@@ -9,10 +9,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"time"
 
@@ -73,8 +75,8 @@ func run(args []string) error {
 	seed := fs.Int64("seed", 1, "simulation seed (per-cell seeds of every sweep derive from it)")
 	realWork := fs.Bool("realwork", false, "run real side-task computation during sweeps (slower)")
 	list := fs.Bool("list", false, "list experiment ids and exit")
-	cross := fs.Bool("cross", false, "widen grid sweeps to their full cross product (schedules, serving)")
-	shard := fs.String("shard", "", "run only shard k of n of every grid sweep, as k/n (faults, drift, schedules, serving)")
+	cross := fs.Bool("cross", false, "widen the sweeps that have a fast default slice to their full cross product (schedules, serving)")
+	shard := fs.String("shard", "", "run only shard k of n of every experiment's grid, as k/n: the cells whose index mod n is k (fig1 has no grid)")
 	fs.StringVar(&csvDir, "csv", "", "directory to write per-sweep CSV files into (every experiment with a CSV emitter)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -88,7 +90,12 @@ func run(args []string) error {
 		opts.WorkScale = sidetask.WorkSmall
 	}
 	if *shard != "" {
-		if _, err := fmt.Sscanf(*shard, "%d/%d", &opts.Shard, &opts.ShardCount); err != nil {
+		// Atoi, not Sscanf: the whole of each half must be a number.
+		k, n, _ := strings.Cut(*shard, "/")
+		var errK, errN error
+		opts.Shard, errK = strconv.Atoi(k)
+		opts.ShardCount, errN = strconv.Atoi(n)
+		if err := errors.Join(errK, errN); err != nil {
 			return fmt.Errorf("bad -shard %q (want k/n): %w", *shard, err)
 		}
 		if opts.ShardCount < 1 || opts.Shard < 0 || opts.Shard >= opts.ShardCount {

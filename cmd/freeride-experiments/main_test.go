@@ -46,3 +46,17 @@ func TestRunServingSharded(t *testing.T) {
 		t.Fatalf("serving shard: %v", err)
 	}
 }
+
+// TestRunShardFlag: every experiment's grid honours -shard (Table 2 ran in
+// full on every shard before), and a shard that is out of range or not
+// exactly k/n is refused before anything runs.
+func TestRunShardFlag(t *testing.T) {
+	if err := run([]string{"-run", "table2,fig9", "-epochs", "4", "-shard", "1/2"}); err != nil {
+		t.Fatalf("table2,fig9 shard 1/2: %v", err)
+	}
+	for _, bad := range []string{"2/2", "-1/2", "0/0", "1/2x", "1x/2", "1", "1/2/3", "/"} {
+		if err := run([]string{"-run", "table2", "-epochs", "4", "-shard", bad}); err == nil {
+			t.Errorf("-shard %q accepted", bad)
+		}
+	}
+}

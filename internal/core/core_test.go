@@ -119,20 +119,6 @@ func TestAlgorithm1BalancesLoad(t *testing.T) {
 	r.eng.RunFor(time.Second)
 }
 
-func TestMaxQueuePerWorkerCap(t *testing.T) {
-	eng := simtime.NewVirtual()
-	mgr := NewManager(eng, ManagerOptions{MaxQueuePerWorker: 1})
-	a, _ := freerpc.MemPipe(eng, 0)
-	peer := freerpc.NewPeer(eng, a, nil)
-	mgr.AddWorker("w0", 0, 22*model.GiB, peer)
-	if err := mgr.Submit(spec("t1", model.ResNet18, sidetask.ModeIterative)); err != nil {
-		t.Fatalf("first Submit: %v", err)
-	}
-	if err := mgr.Submit(spec("t2", model.ResNet18, sidetask.ModeIterative)); err == nil {
-		t.Fatal("second Submit accepted despite cap")
-	}
-}
-
 // endToEnd drives a full task lifecycle with scripted bubbles and returns
 // the harness counters.
 func TestAlgorithm2ServesBubbles(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 	"freeride/internal/bubble"
 	"freeride/internal/fifo"
 	"freeride/internal/freerpc"
-	"freeride/internal/profiler"
 	"freeride/internal/sidetask"
 	"freeride/internal/simgpu"
 	"freeride/internal/simtime"
@@ -60,10 +59,6 @@ type ManagerOptions struct {
 	// setting its MPS limit (allocator headroom). Admission requires
 	// MemBytes+MemSlack to fit in the worker's available memory.
 	MemSlack int64
-	// MaxQueuePerWorker caps placement per worker (0 = unlimited). The
-	// paper's experiments run one task per worker; the cap enables the
-	// §8 "co-locating multiple side tasks" extension when raised.
-	MaxQueuePerWorker int
 	// Lease enables the self-healing manager: each worker is pinged every
 	// Lease/2, and a worker with no sign of life (ping reply, state push,
 	// exit report) for a full Lease is declared dead — its tasks are
@@ -313,8 +308,8 @@ type workerMeta struct {
 	leaseName  string
 
 	// Online re-profiling state (replan-armed managers only). est is this
-	// worker's drift estimator, cached from the manager's profiler
-	// registry; gpuMem0 keeps the one-shot profile's memory figure for the
+	// worker's drift estimator (nil until the worker is baselined);
+	// gpuMem0 keeps the one-shot profile's memory figure for the
 	// stale-admission comparison after gpuMem is re-profiled; lastMem is
 	// the most recent bubble report's MemAvailable, folded into gpuMem
 	// only at re-plan time (so zero-drift admission arithmetic never moves).
@@ -371,9 +366,6 @@ type Manager struct {
 	// rng drives recovery backoff jitter (recovery-armed managers only);
 	// seeded from ManagerOptions.Seed so fault runs are reproducible.
 	rng *rand.Rand
-	// prof is the online bubble-profile registry (replan-armed managers
-	// only): one drift estimator per baselined worker, fed from AddBubble.
-	prof *profiler.Online
 	// taskOrder keeps submission order for every pass over all tasks
 	// (re-plan, Tasks, Stop, StopAll): map iteration order is
 	// nondeterministic, and the RPCs a pass issues must not be.
@@ -399,9 +391,6 @@ func NewManager(eng simtime.Engine, opts ManagerOptions) *Manager {
 	}
 	if opts.Lease > 0 || opts.Replan != nil {
 		m.rng = rand.New(rand.NewSource(opts.Seed))
-	}
-	if opts.Replan != nil {
-		m.prof = profiler.NewOnline(opts.Replan.Detector)
 	}
 	m.mu.Bind(eng)
 	m.callPool.Bind(eng)
@@ -717,13 +706,6 @@ func isInfraFault(exitErr string) bool {
 	return strings.Contains(exitErr, simgpu.InjectedFaultMsg)
 }
 
-// WorkerCount reports the number of registered workers.
-func (m *Manager) WorkerCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.workers)
-}
-
 // Stats snapshots the manager counters.
 func (m *Manager) Stats() ManagerStats {
 	m.mu.Lock()
@@ -829,9 +811,6 @@ func (m *Manager) placeLocked(spec TaskSpec) int {
 		} else if !AdmitsMem(w.gpuMem, spec.Profile.MemBytes, m.opts.MemSlack) {
 			continue
 		}
-		if m.opts.MaxQueuePerWorker > 0 && w.numTasks() >= m.opts.MaxQueuePerWorker {
-			continue
-		}
 		if n := w.numTasks(); n < minTasks {
 			minTasks = n
 			selected = i
@@ -904,8 +883,8 @@ func (m *Manager) AddBubble(b bubble.Bubble) {
 		if w.stage != b.Stage {
 			continue
 		}
-		if m.prof != nil {
-			// Feed the online profiler. Detection re-plans inline: the
+		if m.opts.Replan != nil {
+			// Feed the worker's drift estimator. Detection re-plans inline: the
 			// report, the detection and the demote/admit decisions all land
 			// on the same engine instant, before the drifted bubbles they
 			// describe begin (reports precede their bubbles).

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"time"
 
+	"freeride/internal/bubble"
 	"freeride/internal/sidetask"
 	"freeride/internal/simproc"
 )
@@ -39,12 +40,12 @@ func isGraceKill(exitErr string) bool {
 func (m *Manager) SetBubbleBaseline(name string, perEpoch time.Duration, reports int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.prof == nil || perEpoch <= 0 || reports <= 0 {
+	if m.opts.Replan == nil || perEpoch <= 0 || reports <= 0 {
 		return
 	}
 	for _, w := range m.workers {
 		if w.name == name {
-			w.est = m.prof.Track(name, perEpoch, reports)
+			w.est = bubble.NewEstimator(m.opts.Replan.Detector, perEpoch, reports)
 			return
 		}
 	}
@@ -58,7 +59,7 @@ func (m *Manager) SetBubbleBaseline(name string, perEpoch time.Duration, reports
 func (m *Manager) ProfileUpdate(d ProfileUpdateDTO) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.prof == nil {
+	if m.opts.Replan == nil {
 		return
 	}
 	for _, su := range d.Stages {
@@ -70,7 +71,7 @@ func (m *Manager) ProfileUpdate(d ProfileUpdateDTO) {
 				continue
 			}
 			if w.est == nil {
-				w.est = m.prof.Track(w.name, time.Duration(su.BubbleNs), su.Reports)
+				w.est = bubble.NewEstimator(m.opts.Replan.Detector, time.Duration(su.BubbleNs), su.Reports)
 			}
 			w.est.Rebase(time.Duration(su.BubbleNs), su.Reports)
 			if su.MemAvail > 0 {

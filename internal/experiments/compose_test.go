@@ -14,8 +14,7 @@ import (
 // servingFaultCfg is the composed plane's test cell: a bursty open-loop trace
 // under an SLO guard, FreeRide iterative, fault plane per the caller.
 func servingFaultCfg(requests int, faults *simfault.Schedule) freeride.Config {
-	cfg := oracleOpts().baseConfig()
-	cfg.Method = freeride.MethodIterative
+	cfg := oracleOpts().baseConfig(freeride.MethodIterative)
 	cfg.Serving = &freeride.ServingConfig{
 		Trace: freeride.TraceBursty, Burstiness: 3, Requests: requests, Guard: 1,
 	}

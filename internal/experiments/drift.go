@@ -1,10 +1,9 @@
 package experiments
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
-	"strconv"
+	"slices"
 	"time"
 
 	"freeride"
@@ -85,6 +84,10 @@ var driftDetectors = []struct {
 	{"slow", bubble.SlowDetector()},
 }
 
+// driftWorkload places exactly one Graph-SGD instance, so its journey (home
+// stage, demotion, re-admission) is attributable.
+var driftWorkload = placed(placement{model.GraphSGD, 0})
+
 // driftEventFor builds the sweep's canonical single-event schedule for a
 // kind: the drift lands a third of the way through training and targets
 // the stage that shrinks the workload's home bubbles while leaving a
@@ -118,22 +121,19 @@ func driftEventFor(kind bubble.DriftKind, mag float64, horizon time.Duration) bu
 // the profile-once arm rides the stale plan down.
 func RunDriftSweep(opts Options) (*DriftSweepResult, error) {
 	opts.normalize()
-	baseCfg := opts.baseConfig()
-	baseCfg.Method = freeride.MethodIterative
+	baseCfg := opts.baseConfig(freeride.MethodIterative)
 	if baseCfg.Epochs < 12 {
 		// The sweep needs room for drift ~1/3 in, slow-arm detection
 		// latency, and a post-replan harvest phase.
 		baseCfg.Epochs = 12
 	}
-	task := model.GraphSGD
-
 	// Zero-drift reference: full drift plane wired (empty schedule,
 	// detector armed), bit-identical to an unarmed run by the drift oracle.
 	refCfg := baseCfg
 	refCfg.Drift = &bubble.DriftSchedule{Seed: opts.Seed}
 	det := bubble.DetectorConfig{}
 	refCfg.Replan = &det
-	ref, err := runDriftCell(refCfg, task)
+	ref, err := runSession(refCfg, driftWorkload)
 	if err != nil {
 		return nil, fmt.Errorf("drift sweep baseline: %w", err)
 	}
@@ -141,23 +141,31 @@ func RunDriftSweep(opts Options) (*DriftSweepResult, error) {
 
 	// The skeleton is kind × magnitude, kind-major. The profile-once arm is
 	// shared by a cell's detector rows, so the cell is the shard unit.
-	kinds, mags := bubble.AllDriftKinds(), driftSweepMagnitudes
-	rows, err := runCells(opts, len(kinds)*len(mags), func(i int) string {
-		return fmt.Sprintf("drift sweep %v f=%.2g", kinds[i/len(mags)], mags[i%len(mags)])
-	}, func(i int) (rows []DriftSweepRow, _ error) {
-		ki, mi := i/len(mags), i%len(mags)
-		kind, mag := kinds[ki], mags[mi]
-		seed := opts.Seed*1000 + int64(ki)*10 + int64(mi)
+	type driftCell struct {
+		ki, mi int
+		kind   bubble.DriftKind
+		mag    float64
+	}
+	var cells []driftCell
+	for ki, kind := range bubble.AllDriftKinds() {
+		for mi, mag := range driftSweepMagnitudes {
+			cells = append(cells, driftCell{ki, mi, kind, mag})
+		}
+	}
+	perCell, err := runCells(opts, cells, func(c driftCell) string {
+		return fmt.Sprintf("drift sweep %v f=%.2g", c.kind, c.mag)
+	}, func(c driftCell) (rows []DriftSweepRow, _ error) {
+		seed := opts.Seed*1000 + int64(c.ki)*10 + int64(c.mi)
 		sched := &bubble.DriftSchedule{
 			Seed:   seed,
-			Events: []bubble.DriftEvent{driftEventFor(kind, mag, ref.TrainTime)},
+			Events: []bubble.DriftEvent{driftEventFor(c.kind, c.mag, ref.TrainTime)},
 		}
 
 		// Profile-once arm: same drift, no detector — shared across the
 		// detector axis.
 		onceCfg := baseCfg
 		onceCfg.Drift = sched
-		once, err := runDriftCell(onceCfg, task)
+		once, err := runSession(onceCfg, driftWorkload)
 		if err != nil {
 			return nil, fmt.Errorf("once: %w", err)
 		}
@@ -167,14 +175,14 @@ func RunDriftSweep(opts Options) (*DriftSweepResult, error) {
 			cfg.Drift = sched
 			dc := d.cfg
 			cfg.Replan = &dc
-			res, err := runDriftCell(cfg, task)
+			res, err := runSession(cfg, driftWorkload)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", d.name, err)
 			}
 			st := res.ManagerStats
 			rows = append(rows, DriftSweepRow{
-				Kind:            kind,
-				Magnitude:       mag,
+				Kind:            c.kind,
+				Magnitude:       c.mag,
 				Detector:        d.name,
 				TrainTime:       res.TrainTime,
 				BaseTime:        ref.TrainTime,
@@ -200,30 +208,7 @@ func RunDriftSweep(opts Options) (*DriftSweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DriftSweepResult{Opts: opts, Rows: rows}, nil
-}
-
-// runDriftCell is runOne for a single-instance workload: the sweep places
-// exactly one task so its journey (home stage, demotion, re-admission) is
-// attributable.
-func runDriftCell(cfg freeride.Config, task model.TaskProfile) (*freeride.Result, error) {
-	tNo, err := freeride.BaselineTrainTime(cfg)
-	if err != nil {
-		return nil, err
-	}
-	sess, err := freeride.NewSession(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := sess.Submit(task, 0); err != nil {
-		return nil, fmt.Errorf("submit %s: %w", task.Name, err)
-	}
-	res, err := sess.Run()
-	if err != nil {
-		return nil, err
-	}
-	res.CostReport(tNo)
-	return res, nil
+	return &DriftSweepResult{Opts: opts, Rows: slices.Concat(perCell...)}, nil
 }
 
 func insuffWait(res *freeride.Result) time.Duration {
@@ -242,65 +227,35 @@ func graceKills(res *freeride.Result) uint64 {
 	return sum
 }
 
+var driftColumns = []column[DriftSweepRow]{
+	{"kind", func(r DriftSweepRow) cell { return text(r.Kind.String()) }, both},
+	{"magnitude", func(r DriftSweepRow) cell { return num(r.Magnitude) }, both},
+	{"detector", func(r DriftSweepRow) cell { return text(r.Detector) }, both},
+	{"harvest_s", func(r DriftSweepRow) cell { return dur(r.Harvested) }, both},
+	{"once_harvest_s", func(r DriftSweepRow) cell { return dur(r.OnceHarvested) }, both},
+	{"base_harvest_s", func(r DriftSweepRow) cell { return dur(r.BaseHarvest) }, both},
+	{"gain_s", func(r DriftSweepRow) cell { return dur(r.OnlineGain()) }, both},
+	{"train_s", func(r DriftSweepRow) cell { return dur(r.TrainTime) }, csvOnly},
+	{"base_train_s", func(r DriftSweepRow) cell { return dur(r.BaseTime) }, csvOnly},
+	{"stale_wait_s", func(r DriftSweepRow) cell { return dur(r.StaleWait) }, both},
+	{"once_stale_wait_s", func(r DriftSweepRow) cell { return dur(r.OnceStaleWait) }, both},
+	{"grace_kills", func(r DriftSweepRow) cell { return count(r.GraceKills) }, csvOnly},
+	{"once_grace_kills", func(r DriftSweepRow) cell { return count(r.OnceGraceKills) }, csvOnly},
+	{"drift_events", func(r DriftSweepRow) cell { return count(r.DriftEvents) }, both},
+	{"replans", func(r DriftSweepRow) cell { return count(r.Replans) }, both},
+	{"demotions", func(r DriftSweepRow) cell { return count(r.Demotions) }, both},
+	{"revivals", func(r DriftSweepRow) cell { return count(r.Revivals) }, both},
+	{"stale_admissions", func(r DriftSweepRow) cell { return count(r.StaleAdmissions) }, both},
+	{"restarted", func(r DriftSweepRow) cell { return count(r.Restarted) }, csvOnly},
+	{"parked", func(r DriftSweepRow) cell { return count(r.Parked) }, both},
+	{"lostwork_s", func(r DriftSweepRow) cell { return dur(r.LostWork) }, both},
+}
+
 // Render prints the sweep as a text table.
 func (r *DriftSweepResult) Render() string {
-	t := &Table{
-		Title: "Drift sweep — online re-profiling vs profile-once " +
-			"(zero-drift detector-armed baseline)",
-		Header: []string{"kind", "mag", "detector", "harvest_s", "once_s",
-			"base_s", "gain_s", "stale_wait_s", "once_stale_s", "detects",
-			"replans", "demoted", "revived", "stale_adm", "parked", "lostwork_s"},
-	}
-	for _, row := range r.Rows {
-		t.AddRow(
-			row.Kind.String(), fmtF(row.Magnitude), row.Detector,
-			secs(row.Harvested), secs(row.OnceHarvested), secs(row.BaseHarvest),
-			secs(row.OnlineGain()),
-			secs(row.StaleWait), secs(row.OnceStaleWait),
-			strconv.FormatUint(row.DriftEvents, 10),
-			strconv.FormatUint(row.Replans, 10),
-			strconv.FormatUint(row.Demotions, 10),
-			strconv.FormatUint(row.Revivals, 10),
-			strconv.FormatUint(row.StaleAdmissions, 10),
-			strconv.FormatUint(row.Parked, 10),
-			secs(row.LostWork),
-		)
-	}
-	return t.Render()
+	return renderTable("Drift sweep — online re-profiling vs profile-once "+
+		"(zero-drift detector-armed baseline)", driftColumns, r.Rows)
 }
 
 // WriteCSV emits one row per sweep cell.
-func (r *DriftSweepResult) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"kind", "magnitude", "detector", "harvest_s",
-		"once_harvest_s", "base_harvest_s", "gain_s", "train_s", "base_train_s",
-		"stale_wait_s", "once_stale_wait_s", "grace_kills", "once_grace_kills",
-		"drift_events", "replans", "demotions", "revivals", "stale_admissions",
-		"restarted", "parked", "lostwork_s"}); err != nil {
-		return err
-	}
-	for _, row := range r.Rows {
-		rec := []string{
-			row.Kind.String(), fmtF(row.Magnitude), row.Detector,
-			fmtF(row.Harvested.Seconds()), fmtF(row.OnceHarvested.Seconds()),
-			fmtF(row.BaseHarvest.Seconds()), fmtF(row.OnlineGain().Seconds()),
-			fmtF(row.TrainTime.Seconds()), fmtF(row.BaseTime.Seconds()),
-			fmtF(row.StaleWait.Seconds()), fmtF(row.OnceStaleWait.Seconds()),
-			strconv.FormatUint(row.GraceKills, 10),
-			strconv.FormatUint(row.OnceGraceKills, 10),
-			strconv.FormatUint(row.DriftEvents, 10),
-			strconv.FormatUint(row.Replans, 10),
-			strconv.FormatUint(row.Demotions, 10),
-			strconv.FormatUint(row.Revivals, 10),
-			strconv.FormatUint(row.StaleAdmissions, 10),
-			strconv.FormatUint(row.Restarted, 10),
-			strconv.FormatUint(row.Parked, 10),
-			fmtF(row.LostWork.Seconds()),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
+func (r *DriftSweepResult) WriteCSV(w io.Writer) error { return writeCSV(w, driftColumns, r.Rows) }

@@ -2,12 +2,17 @@
 // evaluation (§2.2 and §6) on the simulated testbed. Each harness returns a
 // typed result plus a text rendering that prints the same rows/series the
 // paper reports (ROADMAP.md states the models, benchmark/README.md the numbers).
+//
+// The one rule of the package: each of the three jobs every harness has is
+// written once. A tabular result declares its columns once (columns.go) and
+// both its Render table and its WriteCSV file derive from that list;
+// runSession is the only function that runs a session; runCells (pool.go) is
+// the only way a grid runs, so every grid is sharded, ordered and labelled
+// alike. A new harness adds a row type, a column list and a cell function.
 package experiments
 
 import (
 	"fmt"
-	"strings"
-	"time"
 
 	"freeride"
 	"freeride/internal/model"
@@ -29,12 +34,13 @@ type Options struct {
 	// isolated and identically seeded, so results are independent of the
 	// worker count; only wall-clock changes.
 	Parallelism int
-	// Cross widens grid sweeps that support it (currently the schedule
-	// sweep) from their fast default slice to the full cross product.
+	// Cross widens the sweeps that have a fast default slice (schedules,
+	// serving) to their full cross product.
 	Cross bool
-	// Shard/ShardCount split a grid sweep across CI jobs: shard k of n runs
+	// Shard/ShardCount split every grid across CI jobs: shard k of n runs
 	// only cells whose index mod n equals k. The cell skeleton (and thus the
 	// index → cell mapping) is deterministic, so shards partition exactly.
+	// ShardCount 0 means 1; a Shard outside [0, ShardCount) is an error.
 	Shard      int
 	ShardCount int
 }
@@ -54,133 +60,113 @@ func (o *Options) normalize() {
 	if o.ShardCount <= 0 {
 		o.ShardCount = 1
 	}
-	if o.Shard < 0 || o.Shard >= o.ShardCount {
-		o.Shard = 0
-	}
 }
 
-func (o Options) baseConfig() freeride.Config {
+// baseConfig is the paper's default setup at the suite's scale, under one
+// co-location method.
+func (o Options) baseConfig(method freeride.Method) freeride.Config {
 	cfg := freeride.DefaultConfig()
+	cfg.Method = method
 	cfg.Epochs = o.Epochs
 	cfg.WorkScale = o.WorkScale
 	cfg.Seed = o.Seed
 	return cfg
 }
 
-// runOne executes a single co-location run and returns the result plus its
-// cost report against the matching no-side-task baseline.
-func runOne(cfg freeride.Config, tasks []model.TaskProfile) (*freeride.Result, error) {
-	tNo, err := freeride.BaselineTrainTime(cfg)
-	if err != nil {
-		return nil, err
-	}
+// runSession is the one way this package runs a session — nothing else here
+// calls Session.Run: the session, whatever submit places on it, the run, and
+// the cost report against the (memoized) no-side-task baseline. A serving
+// session has no training baseline (its cost is request latency, reported in
+// Result.ServingStats), so its Result carries no cost report.
+func runSession(cfg freeride.Config, submit func(*freeride.Session) error) (*freeride.Result, error) {
 	sess, err := freeride.NewSession(cfg)
 	if err != nil {
 		return nil, err
 	}
-	for _, task := range tasks {
-		if _, err := sess.SubmitEverywhere(task); err != nil {
-			return nil, fmt.Errorf("submit %s: %w", task.Name, err)
-		}
+	if err := submit(sess); err != nil {
+		return nil, err
 	}
 	res, err := sess.Run()
 	if err != nil {
 		return nil, err
 	}
+	if cfg.Serving != nil {
+		return res, nil
+	}
+	tNo, err := freeride.BaselineTrainTime(cfg)
+	if err != nil {
+		return nil, err
+	}
 	res.CostReport(tNo)
 	return res, nil
+}
+
+// everywhere submits one instance of each task to every stage it fits on.
+func everywhere(tasks ...model.TaskProfile) func(*freeride.Session) error {
+	return func(sess *freeride.Session) error {
+		for _, task := range tasks {
+			if _, err := sess.SubmitEverywhere(task); err != nil {
+				return fmt.Errorf("submit %s: %w", task.Name, err)
+			}
+		}
+		return nil
+	}
+}
+
+// placement is one explicit Submit. The stage binds the baselines (MPS,
+// naive); the FreeRide methods leave the choice to Algorithm 1.
+type placement struct {
+	task  model.TaskProfile
+	stage int
+}
+
+// placed submits one instance per placement, in order.
+func placed(ps ...placement) func(*freeride.Session) error {
+	return func(sess *freeride.Session) error {
+		for _, p := range ps {
+			if err := sess.Submit(p.task, p.stage); err != nil {
+				return fmt.Errorf("submit %s: %w", p.task.Name, err)
+			}
+		}
+		return nil
+	}
+}
+
+// runOne executes a single co-location run — the tasks submitted everywhere
+// they fit; none makes it the no-side-task run — and returns the result with
+// its cost report against the matching baseline.
+func runOne(cfg freeride.Config, tasks ...model.TaskProfile) (*freeride.Result, error) {
+	return runSession(cfg, everywhere(tasks...))
 }
 
 // runMixed executes the paper's mixed workload: PageRank, ResNet18, Image
 // and VGG19, one instance each; Algorithm 1's memory filter and least-loaded
 // choice land them on stages 0–3 respectively.
 func runMixed(cfg freeride.Config) (*freeride.Result, error) {
-	tNo, err := freeride.BaselineTrainTime(cfg)
-	if err != nil {
-		return nil, err
-	}
-	sess, err := freeride.NewSession(cfg)
-	if err != nil {
-		return nil, err
-	}
-	// Submission order matters for the baselines (explicit stages) and is
-	// resolved by Algorithm 1 for the FreeRide methods.
-	mix := []struct {
-		task  model.TaskProfile
-		stage int
-	}{
-		{model.PageRank, 0},
-		{model.ResNet18, 1},
-		{model.Image, 2},
-		{model.VGG19, 3},
-	}
-	for _, m := range mix {
-		if err := sess.Submit(m.task, m.stage); err != nil {
-			return nil, fmt.Errorf("submit %s: %w", m.task.Name, err)
-		}
-	}
-	res, err := sess.Run()
-	if err != nil {
-		return nil, err
-	}
-	res.CostReport(tNo)
-	return res, nil
+	return runSession(cfg, placed(placement{model.PageRank, 0}, placement{model.ResNet18, 1},
+		placement{model.Image, 2}, placement{model.VGG19, 3}))
 }
-
-// Table is a minimal text-table renderer for experiment output.
-type Table struct {
-	Title  string
-	Header []string
-	Rows   [][]string
-}
-
-// AddRow appends one row.
-func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
-
-// Render produces an aligned text table.
-func (t *Table) Render() string {
-	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
-		widths[i] = len(h)
-	}
-	for _, row := range t.Rows {
-		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "%s\n", t.Title)
-	}
-	line := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		b.WriteByte('\n')
-	}
-	line(t.Header)
-	sep := make([]string, len(t.Header))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	line(sep)
-	for _, row := range t.Rows {
-		line(row)
-	}
-	return b.String()
-}
-
-func pct(f float64) string { return fmt.Sprintf("%.1f%%", 100*f) }
-
-func secs(d time.Duration) string { return fmt.Sprintf("%.2fs", d.Seconds()) }
 
 // evalTasks are the six side tasks of paper §6.1.4 in Table-2 order.
 var evalTasks = []model.TaskProfile{
 	model.ResNet18, model.ResNet50, model.VGG19,
 	model.PageRank, model.GraphSGD, model.Image,
+}
+
+// workload is one row of Table 2 and Figure 9: what runs beside the main job.
+type workload struct {
+	name string
+	run  func(freeride.Config) (*freeride.Result, error)
+}
+
+// evalWorkloads are the six side tasks, each everywhere it fits, then the
+// mixed workload.
+func evalWorkloads() []workload {
+	var ws []workload
+	for _, task := range evalTasks {
+		ws = append(ws, workload{task.Name, func(cfg freeride.Config) (*freeride.Result, error) {
+			return runOne(cfg, task)
+		}})
+	}
+	return append(ws, workload{"mixed", runMixed})
 }

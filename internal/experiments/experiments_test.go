@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"freeride"
 	"freeride/internal/sidetask"
@@ -350,14 +351,33 @@ func TestCSVExports(t *testing.T) {
 		t.Fatalf("figure2 CSV missing micro-batch-8 stat:\n%s", b.String())
 	}
 
-	tbl := &Table{Header: []string{"a", "b"}}
-	tbl.AddRow("1", "2")
-	b.Reset()
-	if err := tbl.WriteCSV(&b); err != nil {
+}
+
+// TestColumnsDriveBothOutputs pins the one renderer on a toy list: both
+// outputs carry a column under the same name, and each mark keeps a column
+// out of one of them.
+func TestColumnsDriveBothOutputs(t *testing.T) {
+	type row struct {
+		name string
+		d    time.Duration
+	}
+	cols := []column[row]{
+		{"name", func(r row) cell { return text(r.name) }, both},
+		{"took_s", func(r row) cell { return dur(r.d) }, both},
+		{"ns", func(r row) cell { return count(int64(r.d)) }, csvOnly},
+		{"slow", func(r row) cell { return flagged(r.d > time.Second, "SLOW") }, textOnly},
+	}
+	rows := []row{{"a", 1500 * time.Millisecond}, {"bb", time.Millisecond}}
+	var b strings.Builder
+	if err := writeCSV(&b, cols, rows); err != nil {
 		t.Fatal(err)
 	}
-	if b.String() != "a,b\n1,2\n" {
-		t.Fatalf("table CSV = %q", b.String())
+	if want := "name,took_s,ns\na,1.5,1500000000\nbb,0.001,1000000\n"; b.String() != want {
+		t.Errorf("CSV = %q, want %q", b.String(), want)
+	}
+	want := "T\nname  took_s  slow\n----  ------  ----\na     1.50s   SLOW\nbb    0.00s       \n"
+	if got := renderTable("T", cols, rows); got != want {
+		t.Errorf("table =\n%q, want\n%q", got, want)
 	}
 }
 

@@ -45,8 +45,7 @@ func TestZeroFaultOracleBitIdentical(t *testing.T) {
 // deadline that was met, none for a lease that was refreshed.
 func TestZeroFaultDetectorEventBudget(t *testing.T) {
 	run := func(armed bool) (events, pings uint64, workers int) {
-		cfg := oracleOpts().baseConfig()
-		cfg.Method = freeride.MethodIterative
+		cfg := oracleOpts().baseConfig(freeride.MethodIterative)
 		if armed {
 			cfg.Faults = &simfault.Schedule{}
 		}
@@ -252,18 +251,17 @@ func TestChaosScheduleSuiteGreen(t *testing.T) {
 		seed = v
 	}
 	opts := faultOpts(seed)
-	cfg := opts.baseConfig()
-	cfg.Method = freeride.MethodIterative
+	cfg := opts.baseConfig(freeride.MethodIterative)
 
 	// Horizon from a fault-free probe run, then a dense all-kinds schedule.
 	probe := cfg
 	probe.Faults = &simfault.Schedule{}
-	ref, err := runOne(probe, []model.TaskProfile{model.ResNet18})
+	ref, err := runOne(probe, model.ResNet18)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Faults = simfault.Generate(seed, ref.TrainTime, 12, nil, cfg.Stages)
-	res, err := runOne(cfg, []model.TaskProfile{model.ResNet18})
+	res, err := runOne(cfg, model.ResNet18)
 	if err != nil {
 		t.Fatal(err)
 	}

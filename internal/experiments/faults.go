@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
-	"strconv"
 	"time"
 
 	"freeride"
@@ -63,37 +61,42 @@ var faultSweepCounts = []int{1, 3}
 // is attributable to the injected events alone.
 func RunFaultSweep(opts Options) (*FaultSweepResult, error) {
 	opts.normalize()
-	baseCfg := opts.baseConfig()
-	baseCfg.Method = freeride.MethodIterative
-	tasks := []model.TaskProfile{model.ResNet18}
+	baseCfg := opts.baseConfig(freeride.MethodIterative)
 
 	// Zero-fault reference: hooks wired, empty schedule.
 	refCfg := baseCfg
 	refCfg.Faults = &simfault.Schedule{Seed: opts.Seed}
-	ref, err := runOne(refCfg, tasks)
+	ref, err := runOne(refCfg, model.ResNet18)
 	if err != nil {
 		return nil, fmt.Errorf("fault sweep baseline: %w", err)
 	}
 	baseHarvest := harvestedKernelTime(ref)
 
 	// The skeleton is kind × count, kind-major.
-	kinds, counts := simfault.AllKinds(), faultSweepCounts
-	rows, err := runCells(opts, len(kinds)*len(counts), func(i int) string {
-		return fmt.Sprintf("fault sweep %v×%d", kinds[i/len(counts)], counts[i%len(counts)])
-	}, func(i int) ([]FaultSweepRow, error) {
-		ki, n := i/len(counts), counts[i%len(counts)]
-		kind := kinds[ki]
+	type faultCell struct {
+		ki, n int
+		kind  simfault.Kind
+	}
+	var cells []faultCell
+	for ki, kind := range simfault.AllKinds() {
+		for _, n := range faultSweepCounts {
+			cells = append(cells, faultCell{ki, n, kind})
+		}
+	}
+	rows, err := runCells(opts, cells, func(c faultCell) string {
+		return fmt.Sprintf("fault sweep %v×%d", c.kind, c.n)
+	}, func(c faultCell) (FaultSweepRow, error) {
 		cfg := baseCfg
-		seed := opts.Seed*1000 + int64(ki)*10 + int64(n)
-		cfg.Faults = simfault.Generate(seed, ref.TrainTime, n,
-			[]simfault.Kind{kind}, cfg.Stages)
-		res, err := runOne(cfg, tasks)
+		seed := opts.Seed*1000 + int64(c.ki)*10 + int64(c.n)
+		cfg.Faults = simfault.Generate(seed, ref.TrainTime, c.n,
+			[]simfault.Kind{c.kind}, cfg.Stages)
+		res, err := runOne(cfg, model.ResNet18)
 		if err != nil {
-			return nil, err
+			return FaultSweepRow{}, err
 		}
 		row := FaultSweepRow{
-			Kind:         kind,
-			Events:       n,
+			Kind:         c.kind,
+			Events:       c.n,
 			Injected:     res.FaultStats.Total(),
 			TrainTime:    res.TrainTime,
 			BaseTime:     ref.TrainTime,
@@ -110,7 +113,7 @@ func RunFaultSweep(opts Options) (*FaultSweepResult, error) {
 				row.RetiredForever++
 			}
 		}
-		return []FaultSweepRow{row}, nil
+		return row, nil
 	})
 	if err != nil {
 		return nil, err
@@ -126,58 +129,28 @@ func harvestedKernelTime(res *freeride.Result) time.Duration {
 	return sum
 }
 
+var faultColumns = []column[FaultSweepRow]{
+	{"kind", func(r FaultSweepRow) cell { return text(r.Kind.String()) }, both},
+	{"events", func(r FaultSweepRow) cell { return count(r.Events) }, both},
+	{"injected", func(r FaultSweepRow) cell { return count(r.Injected) }, csvOnly},
+	{"harvest_s", func(r FaultSweepRow) cell { return dur(r.Harvested) }, both},
+	{"base_harvest_s", func(r FaultSweepRow) cell { return dur(r.BaseHarvest) }, both},
+	{"train_s", func(r FaultSweepRow) cell { return dur(r.TrainTime) }, both},
+	{"base_train_s", func(r FaultSweepRow) cell { return dur(r.BaseTime) }, csvOnly},
+	{"overhead_s", func(r FaultSweepRow) cell { return dur(r.RecoveryOverhead()) }, both},
+	{"workers_lost", func(r FaultSweepRow) cell { return count(r.WorkersLost) }, both},
+	{"restarted", func(r FaultSweepRow) cell { return count(r.Restarted) }, both},
+	{"replacements", func(r FaultSweepRow) cell { return count(r.Replacements) }, both},
+	{"parked", func(r FaultSweepRow) cell { return count(r.Parked) }, both},
+	{"lostwork_s", func(r FaultSweepRow) cell { return dur(r.LostWork) }, both},
+	{"retired_forever", func(r FaultSweepRow) cell { return count(r.RetiredForever) }, both},
+}
+
 // Render prints the sweep as a text table.
 func (r *FaultSweepResult) Render() string {
-	t := &Table{
-		Title: "Fault sweep — harvested GPU seconds vs recovery overhead " +
-			"(zero-fault lease-enabled baseline)",
-		Header: []string{"kind", "events", "harvest_s", "base_harvest_s",
-			"train_s", "overhead_s", "lost", "restarted", "replacements",
-			"parked", "lostwork_s", "retired"},
-	}
-	for _, row := range r.Rows {
-		t.AddRow(
-			row.Kind.String(), strconv.Itoa(row.Events),
-			secs(row.Harvested), secs(row.BaseHarvest),
-			secs(row.TrainTime), secs(row.RecoveryOverhead()),
-			strconv.FormatUint(row.WorkersLost, 10),
-			strconv.FormatUint(row.Restarted, 10),
-			strconv.FormatUint(row.Replacements, 10),
-			strconv.FormatUint(row.Parked, 10),
-			secs(row.LostWork),
-			strconv.Itoa(row.RetiredForever),
-		)
-	}
-	return t.Render()
+	return renderTable("Fault sweep — harvested GPU seconds vs recovery overhead "+
+		"(zero-fault lease-enabled baseline)", faultColumns, r.Rows)
 }
 
 // WriteCSV emits one row per sweep cell.
-func (r *FaultSweepResult) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"kind", "events", "injected", "harvest_s",
-		"base_harvest_s", "train_s", "base_train_s", "overhead_s",
-		"workers_lost", "restarted", "replacements", "parked", "lostwork_s",
-		"retired_forever"}); err != nil {
-		return err
-	}
-	for _, row := range r.Rows {
-		rec := []string{
-			row.Kind.String(), strconv.Itoa(row.Events),
-			strconv.FormatUint(row.Injected, 10),
-			fmtF(row.Harvested.Seconds()), fmtF(row.BaseHarvest.Seconds()),
-			fmtF(row.TrainTime.Seconds()), fmtF(row.BaseTime.Seconds()),
-			fmtF(row.RecoveryOverhead().Seconds()),
-			strconv.FormatUint(row.WorkersLost, 10),
-			strconv.FormatUint(row.Restarted, 10),
-			strconv.FormatUint(row.Replacements, 10),
-			strconv.FormatUint(row.Parked, 10),
-			fmtF(row.LostWork.Seconds()),
-			strconv.Itoa(row.RetiredForever),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
+func (r *FaultSweepResult) WriteCSV(w io.Writer) error { return writeCSV(w, faultColumns, r.Rows) }

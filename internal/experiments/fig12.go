@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
@@ -145,41 +146,33 @@ type Figure2Result struct {
 }
 
 // RunFigure2 profiles bubbles for 1.2B/3.6B/6B at 4 micro-batches and for
-// 3.6B at 8 micro-batches. The four profiling runs are independent (each
-// spins up a private session) and execute on the bounded worker pool
-// (Options.Parallelism); results are assembled in config order afterwards,
-// so the output is identical to the sequential run.
+// 3.6B at 8 micro-batches; the scatter takes the 4-micro-batch profiles only.
 func RunFigure2(opts Options) (*Figure2Result, error) {
 	opts.normalize()
-	configs := []struct {
+	type config struct {
 		llm model.LLM
 		mbs int
-	}{
+	}
+	type profiled struct {
+		points []Figure2Point
+		stat   Figure2Stat
+	}
+	cells, err := runCells(opts, []config{
 		{model.NanoGPT1B, 4},
 		{model.NanoGPT3B, 4},
 		{model.NanoGPT6B, 4},
 		{model.NanoGPT3B, 8},
-	}
-	profs := make([]*bubble.Profile, len(configs))
-	err := forEachIndex(opts.Parallelism, len(configs), func(i int) error {
-		c := configs[i]
+	}, func(c config) string {
+		return fmt.Sprintf("fig2 %s/mb%d", c.llm.Name, c.mbs)
+	}, func(c config) (out profiled, _ error) {
 		prof, err := profileFor(c.llm, c.mbs)
 		if err != nil {
-			return fmt.Errorf("fig2 %s/mb%d: %w", c.llm.Name, c.mbs, err)
+			return out, err
 		}
-		profs[i] = prof
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &Figure2Result{}
-	for i, c := range configs {
-		prof := profs[i]
 		if c.mbs == 4 {
 			for _, sp := range prof.Stages {
 				for _, tpl := range sp.Templates {
-					out.Points = append(out.Points, Figure2Point{
+					out.points = append(out.points, Figure2Point{
 						Model:    c.llm.Name,
 						Duration: tpl.Duration,
 						MemAvail: sp.MemAvailable,
@@ -189,14 +182,22 @@ func RunFigure2(opts Options) (*Figure2Result, error) {
 				}
 			}
 		}
-		meanBubble := prof.TotalBubbleTime() / time.Duration(len(prof.Stages))
-		out.Stats = append(out.Stats, Figure2Stat{
+		out.stat = Figure2Stat{
 			Model:      c.llm.Name,
 			MicroBatch: c.mbs,
 			EpochTime:  prof.EpochSpan,
-			BubbleTime: meanBubble,
+			BubbleTime: prof.TotalBubbleTime() / time.Duration(len(prof.Stages)),
 			BubbleRate: prof.BubbleRate(),
-		})
+		}
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := &Figure2Result{}
+	for _, c := range cells {
+		out.Points = append(out.Points, c.points...)
+		out.Stats = append(out.Stats, c.stat)
 	}
 	return out, nil
 }
@@ -214,23 +215,37 @@ func profileFor(llm model.LLM, mbs int) (*bubble.Profile, error) {
 	return sess.Profile, nil
 }
 
+// Figure 2's two panels are two tables; its CSV stacks them, told apart by
+// the section column.
+var fig2PointColumns = []column[Figure2Point]{
+	{"section", func(Figure2Point) cell { return text("point") }, csvOnly},
+	{"model", func(p Figure2Point) cell { return text(p.Model) }, both},
+	// Panel (a) is the 4-micro-batch profiles; its table does not say so on
+	// every line.
+	{"microbatches", func(Figure2Point) cell { return count(4) }, csvOnly},
+	{"stage", func(p Figure2Point) cell { return count(p.Stage) }, both},
+	{"type", func(p Figure2Point) cell { return text(p.Type.String()) }, both},
+	{"duration_s", func(p Figure2Point) cell { return dur(p.Duration) }, both},
+	{"mem_avail_gib", func(p Figure2Point) cell { return fixed(float64(p.MemAvail)/float64(model.GiB), 1) }, textOnly},
+	{"mem_avail_bytes", func(p Figure2Point) cell { return count(p.MemAvail) }, csvOnly},
+}
+
+var fig2StatColumns = []column[Figure2Stat]{
+	{"section", func(Figure2Stat) cell { return text("stat") }, csvOnly},
+	{"model", func(s Figure2Stat) cell { return text(s.Model) }, both},
+	{"microbatches", func(s Figure2Stat) cell { return count(s.MicroBatch) }, both},
+	{"epoch_s", func(s Figure2Stat) cell { return dur(s.EpochTime) }, both},
+	{"bubble_s", func(s Figure2Stat) cell { return dur(s.BubbleTime) }, both},
+	{"bubble_rate", func(s Figure2Stat) cell { return ratio(s.BubbleRate) }, both},
+}
+
 // Render prints the distribution summary and the statistics bars.
 func (r *Figure2Result) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 2(a): bubble shapes under different model sizes\n")
-	t := &Table{Header: []string{"model", "stage", "type", "duration", "avail mem (GB)"}}
-	for _, p := range r.Points {
-		t.AddRow(p.Model, fmt.Sprintf("%d", p.Stage), p.Type.String(),
-			fmt.Sprintf("%.2fs", p.Duration.Seconds()),
-			fmt.Sprintf("%.1f", float64(p.MemAvail)/float64(model.GiB)))
-	}
-	b.WriteString(t.Render())
-	fmt.Fprintf(&b, "\nFigure 2(b): durations and bubble rates\n")
-	t2 := &Table{Header: []string{"model", "micro-batches", "epoch time", "bubble time", "bubble rate"}}
-	for _, s := range r.Stats {
-		t2.AddRow(s.Model, fmt.Sprintf("%d", s.MicroBatch), secs(s.EpochTime),
-			secs(s.BubbleTime), pct(s.BubbleRate))
-	}
-	b.WriteString(t2.Render())
-	return b.String()
+	return renderTable("Figure 2(a): bubble shapes under different model sizes", fig2PointColumns, r.Points) +
+		renderTable("\nFigure 2(b): durations and bubble rates", fig2StatColumns, r.Stats)
+}
+
+// WriteCSV emits the bubble scatter and statistics (two sections).
+func (r *Figure2Result) WriteCSV(w io.Writer) error {
+	return writeRecords(w, stack(records(fig2PointColumns, r.Points, csvOnly), records(fig2StatColumns, r.Stats, csvOnly)))
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 
 	"freeride"
 	"freeride/internal/model"
@@ -25,135 +26,94 @@ type Figure7Result struct {
 	Rows  []Figure7Row
 }
 
-// RunFigure7BatchSize reproduces Figure 7(a,b): FreeRide-iterative with
-// model-training side tasks at batch sizes 16..128.
-func RunFigure7BatchSize(opts Options) (*Figure7Result, error) {
-	opts.normalize()
-	batches := []int{16, 32, 64, 96, 128}
-	bases := []model.TaskProfile{model.ResNet18, model.ResNet50, model.VGG19}
-	type job struct {
-		base model.TaskProfile
-		bs   int
-	}
-	var jobs []job
-	for _, base := range bases {
-		for _, bs := range batches {
-			jobs = append(jobs, job{base: base, bs: bs})
-		}
-	}
-	rows := make([]Figure7Row, len(jobs))
-	err := forEachIndex(opts.Parallelism, len(jobs), func(i int) error {
-		j := jobs[i]
-		task := j.base.WithBatch(j.bs)
-		cfg := opts.baseConfig()
-		cfg.Method = freeride.MethodIterative
-		res, err := runOne(cfg, []model.TaskProfile{task})
+// fig7Job is one bar: FreeRide-iterative running task under cfg, reported
+// under the row name (the profile's own name, whatever its batch size) at x.
+type fig7Job struct {
+	row  string
+	x    string
+	task model.TaskProfile
+	cfg  freeride.Config
+}
+
+// runFigure7 runs one panel's bars; id is the panel's experiment id.
+func runFigure7(opts Options, id, panel string, jobs []fig7Job) (*Figure7Result, error) {
+	rows, err := runCells(opts, jobs, func(j fig7Job) string {
+		return fmt.Sprintf("%s %s/%s", id, j.row, j.x)
+	}, func(j fig7Job) (Figure7Row, error) {
+		res, err := runOne(j.cfg, j.task)
 		if err != nil {
-			return fmt.Errorf("fig7ab %s: %w", task.Name, err)
+			return Figure7Row{}, err
 		}
-		_, fits := task.StepTimeOn(model.ServerII)
-		rows[i] = Figure7Row{
-			Task: j.base.Name,
-			X:    fmt.Sprintf("b%d", j.bs),
-			I:    res.Cost.I,
-			S:    res.Cost.S,
-			OOM:  !fits,
-		}
-		return nil
+		_, fits := j.task.StepTimeOn(model.ServerII)
+		return Figure7Row{Task: j.row, X: j.x, I: res.Cost.I, S: res.Cost.S, OOM: !fits}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Figure7Result{Panel: "fig7ab: batch size sensitivity", Rows: rows}, nil
+	return &Figure7Result{Panel: id + ": " + panel, Rows: rows}, nil
+}
+
+// RunFigure7BatchSize reproduces Figure 7(a,b): FreeRide-iterative with
+// model-training side tasks at batch sizes 16..128.
+func RunFigure7BatchSize(opts Options) (*Figure7Result, error) {
+	opts.normalize()
+	cfg := opts.baseConfig(freeride.MethodIterative)
+	var jobs []fig7Job
+	for _, base := range []model.TaskProfile{model.ResNet18, model.ResNet50, model.VGG19} {
+		for _, bs := range []int{16, 32, 64, 96, 128} {
+			jobs = append(jobs, fig7Job{base.Name, fmt.Sprintf("b%d", bs), base.WithBatch(bs), cfg})
+		}
+	}
+	return runFigure7(opts, "fig7ab", "batch size sensitivity", jobs)
 }
 
 // RunFigure7ModelSize reproduces Figure 7(c,d): all six side tasks against
 // 1.2B/3.6B/6B main models.
 func RunFigure7ModelSize(opts Options) (*Figure7Result, error) {
 	opts.normalize()
-	type job struct {
-		task model.TaskProfile
-		llm  model.LLM
-	}
-	var jobs []job
+	cfg := opts.baseConfig(freeride.MethodIterative)
+	var jobs []fig7Job
 	for _, task := range evalTasks {
 		for _, llm := range model.LLMPresets {
-			jobs = append(jobs, job{task: task, llm: llm})
+			cfg.LLM = llm
+			jobs = append(jobs, fig7Job{task.Name, fmt.Sprintf("%.1fB", llm.ParamsB), task, cfg})
 		}
 	}
-	rows := make([]Figure7Row, len(jobs))
-	err := forEachIndex(opts.Parallelism, len(jobs), func(i int) error {
-		j := jobs[i]
-		cfg := opts.baseConfig()
-		cfg.Method = freeride.MethodIterative
-		cfg.LLM = j.llm
-		res, err := runOne(cfg, []model.TaskProfile{j.task})
-		if err != nil {
-			return fmt.Errorf("fig7cd %s/%s: %w", j.task.Name, j.llm.Name, err)
-		}
-		rows[i] = Figure7Row{
-			Task: j.task.Name,
-			X:    fmt.Sprintf("%.1fB", j.llm.ParamsB),
-			I:    res.Cost.I,
-			S:    res.Cost.S,
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Figure7Result{Panel: "fig7cd: model size sensitivity", Rows: rows}, nil
+	return runFigure7(opts, "fig7cd", "model size sensitivity", jobs)
 }
 
 // RunFigure7MicroBatch reproduces Figure 7(e,f): micro-batch counts 4/6/8.
 func RunFigure7MicroBatch(opts Options) (*Figure7Result, error) {
 	opts.normalize()
-	type job struct {
-		task model.TaskProfile
-		mbs  int
-	}
-	var jobs []job
+	cfg := opts.baseConfig(freeride.MethodIterative)
+	var jobs []fig7Job
 	for _, task := range evalTasks {
 		for _, mbs := range []int{4, 6, 8} {
-			jobs = append(jobs, job{task: task, mbs: mbs})
+			cfg.MicroBatches = mbs
+			jobs = append(jobs, fig7Job{task.Name, fmt.Sprintf("mb%d", mbs), task, cfg})
 		}
 	}
-	rows := make([]Figure7Row, len(jobs))
-	err := forEachIndex(opts.Parallelism, len(jobs), func(i int) error {
-		j := jobs[i]
-		cfg := opts.baseConfig()
-		cfg.Method = freeride.MethodIterative
-		cfg.MicroBatches = j.mbs
-		res, err := runOne(cfg, []model.TaskProfile{j.task})
-		if err != nil {
-			return fmt.Errorf("fig7ef %s/mb%d: %w", j.task.Name, j.mbs, err)
+	return runFigure7(opts, "fig7ef", "micro-batch count sensitivity", jobs)
+}
+
+var fig7Columns = []column[Figure7Row]{
+	{"task", func(r Figure7Row) cell { return text(r.Task) }, both},
+	{"x", func(r Figure7Row) cell { return text(r.X) }, both},
+	{"time_increase", func(r Figure7Row) cell { return ratio(r.I) }, both},
+	{"cost_savings", func(r Figure7Row) cell {
+		c := ratio(r.S)
+		if r.OOM {
+			c.text = "OOM" // the paper's annotation; the CSV says so in its own column
 		}
-		rows[i] = Figure7Row{
-			Task: j.task.Name,
-			X:    fmt.Sprintf("mb%d", j.mbs),
-			I:    res.Cost.I,
-			S:    res.Cost.S,
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Figure7Result{Panel: "fig7ef: micro-batch count sensitivity", Rows: rows}, nil
+		return c
+	}, both},
+	{"oom", func(r Figure7Row) cell { return flagged(r.OOM, "OOM") }, csvOnly},
 }
 
 // Render prints the panel.
 func (r *Figure7Result) Render() string {
-	t := &Table{
-		Title:  "Figure 7 panel — " + r.Panel,
-		Header: []string{"task", "x", "time increase I", "cost savings S"},
-	}
-	for _, row := range r.Rows {
-		s := pct(row.S)
-		if row.OOM {
-			s = "OOM"
-		}
-		t.AddRow(row.Task, row.X, pct(row.I), s)
-	}
-	return t.Render()
+	return renderTable("Figure 7 panel — "+r.Panel, fig7Columns, r.Rows)
 }
+
+// WriteCSV emits one row per sensitivity point.
+func (r *Figure7Result) WriteCSV(w io.Writer) error { return writeCSV(w, fig7Columns, r.Rows) }

@@ -111,21 +111,23 @@ func newFig8Rig(enforce bool, factory core.HarnessFactory) *fig8Rig {
 
 // RunFigure8 executes both limit scenarios, each with and without the
 // corresponding mechanism. The four scenarios build fully private rigs
-// (engine, device, manager, worker — nothing shared), so they run as
-// independent jobs on the bounded worker pool (Options.Parallelism), each
-// writing only its own result fields.
+// (engine, device, manager, worker — nothing shared) and each writes only
+// its own result fields, so they run as independent cells.
 func RunFigure8(opts Options) (*Figure8Result, error) {
 	opts.normalize()
 	out := &Figure8Result{MemCap: 8 * model.GiB}
-	scenarios := []func() error{
-		func() error { return fig8TimeLimit(opts, true, out) },
-		func() error { return fig8TimeLimit(opts, false, out) },
-		func() error { return fig8MemLimit(opts, true, out) },
-		func() error { return fig8MemLimit(opts, false, out) },
+	type scenario struct {
+		run     func(Options, bool, *Figure8Result) error
+		limited bool
 	}
-	if err := forEachIndex(opts.Parallelism, len(scenarios), func(i int) error {
-		return scenarios[i]()
-	}); err != nil {
+	_, err := runCells(opts, []scenario{
+		{fig8TimeLimit, true}, {fig8TimeLimit, false}, {fig8MemLimit, true}, {fig8MemLimit, false},
+	}, func(scenario) string {
+		return "fig8" // the scenarios name their panel in their own errors
+	}, func(s scenario) (struct{}, error) {
+		return struct{}{}, s.run(opts, s.limited, out)
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil

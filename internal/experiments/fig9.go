@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
@@ -30,41 +32,18 @@ type Figure9Result struct {
 }
 
 // RunFigure9 measures the bubble-time breakdown for each side task (and the
-// mixed workload) under the iterative interface. The per-task runs are
-// independent simulations and execute on the bounded worker pool
-// (Options.Parallelism); each job writes only its own row, so the output is
-// identical to the sequential run.
+// mixed workload) under the iterative interface.
 func RunFigure9(opts Options) (*Figure9Result, error) {
 	opts.normalize()
-	n := len(evalTasks) + 1 // six tasks + mixed
-	rows := make([]Figure9Row, n)
-	err := forEachIndex(opts.Parallelism, n, func(i int) error {
-		cfg := opts.baseConfig()
-		cfg.Method = freeride.MethodIterative
-		if i < len(evalTasks) {
-			task := evalTasks[i]
-			res, err := runOne(cfg, []model.TaskProfile{task})
-			if err != nil {
-				return fmt.Errorf("fig9 %s: %w", task.Name, err)
-			}
-			row, err := breakdown(task.Name, cfg, res, []model.TaskProfile{task})
-			if err != nil {
-				return err
-			}
-			rows[i] = row
-			return nil
-		}
-		res, err := runMixed(cfg)
+	cfg := opts.baseConfig(freeride.MethodIterative)
+	rows, err := runCells(opts, evalWorkloads(), func(w workload) string {
+		return "fig9 " + w.name
+	}, func(w workload) (Figure9Row, error) {
+		res, err := w.run(cfg)
 		if err != nil {
-			return fmt.Errorf("fig9 mixed: %w", err)
+			return Figure9Row{}, err
 		}
-		row, err := breakdown("mixed", cfg, res,
-			[]model.TaskProfile{model.PageRank, model.ResNet18, model.Image, model.VGG19})
-		if err != nil {
-			return err
-		}
-		rows[i] = row
-		return nil
+		return breakdown(w.name, res)
 	})
 	if err != nil {
 		return nil, err
@@ -80,22 +59,22 @@ func RunFigure9(opts Options) (*Figure9Result, error) {
 //     per-task runs, stages the task is ineligible for; for mixed, none).
 //   - Runtime: everything else — the interface's host time, state
 //     transitions and their RPC latency, and serving slack.
-func breakdown(name string, cfg freeride.Config, res *freeride.Result, tasks []model.TaskProfile) (Figure9Row, error) {
-	total := res.ManagerStats.BubbleTimeTotal
+func breakdown(name string, res *freeride.Result) (Figure9Row, error) {
+	cfg, total := res.Config, res.ManagerStats.BubbleTimeTotal
 	if total <= 0 {
-		return Figure9Row{}, fmt.Errorf("fig9 %s: no bubble time recorded", name)
+		return Figure9Row{}, errors.New("no bubble time recorded")
 	}
 
 	// Bubble time on stages no task could use (paper "No side task: OOM").
 	// Estimate stage shares from the session's profile-less view: recompute
 	// eligibility from the model memory layout.
 	eligible := map[int]bool{}
-	for _, task := range tasks {
+	for _, task := range res.Tasks {
 		for stage := 0; stage < cfg.Stages; stage++ {
 			avail := cfg.LLM.StageMemAvailable(model.ServerI.GPUMemBytes, stage, cfg.Stages, cfg.MicroBatches)
 			// Same predicate as Algorithm-1 admission (incl. MPS-limit
 			// slack): a stage the manager would reject must count as OOM.
-			if core.AdmitsMem(avail, task.MemBytes, core.DefaultMemSlack) {
+			if core.AdmitsMem(avail, task.Profile.MemBytes, core.DefaultMemSlack) {
 				eligible[stage] = true
 			}
 		}
@@ -150,3 +129,15 @@ func stackedBar(width int, fracs []float64, chars []byte) string {
 	}
 	return string(bar)
 }
+
+var fig9Columns = []column[Figure9Row]{
+	{"task", func(r Figure9Row) cell { return text(r.Task) }, both},
+	{"running", func(r Figure9Row) cell { return num(r.Running) }, both},
+	{"runtime", func(r Figure9Row) cell { return num(r.Runtime) }, both},
+	{"insufficient", func(r Figure9Row) cell { return num(r.Insufficient) }, both},
+	{"oom", func(r Figure9Row) cell { return num(r.OOM) }, both},
+	{"total_bubble_s", func(r Figure9Row) cell { return dur(r.TotalBubble) }, both},
+}
+
+// WriteCSV emits one row per breakdown bar (Render draws the bars instead).
+func (r *Figure9Result) WriteCSV(w io.Writer) error { return writeCSV(w, fig9Columns, r.Rows) }

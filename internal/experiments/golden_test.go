@@ -48,21 +48,19 @@ func goldenSweepCells(t *testing.T) map[string]*freeride.Result {
 		out[name] = res
 	}
 	opts := oracleOpts()
-	base := opts.baseConfig()
-	base.Method = freeride.MethodIterative
-	resnet := []model.TaskProfile{model.ResNet18}
+	base := opts.baseConfig(freeride.MethodIterative)
 
 	// faults: the zero-fault lease-enabled reference, then the sweep's first
 	// cell (one crash-worker event) generated against its horizon.
 	cfg := base
 	cfg.Faults = &simfault.Schedule{Seed: opts.Seed}
-	ref, err := runOne(cfg, resnet)
+	ref, err := runOne(cfg, model.ResNet18)
 	must("faults/zero-fault-ref", ref, err)
 	kind := simfault.AllKinds()[0]
 	cfg = base
 	cfg.Faults = simfault.Generate(opts.Seed*1000+int64(faultSweepCounts[0]), ref.TrainTime,
 		faultSweepCounts[0], []simfault.Kind{kind}, cfg.Stages)
-	res, err := runOne(cfg, resnet)
+	res, err := runOne(cfg, model.ResNet18)
 	must(fmt.Sprintf("faults/%v-x%d", kind, faultSweepCounts[0]), res, err)
 
 	// drift: the zero-drift detector-armed reference, then the first cell
@@ -72,7 +70,7 @@ func goldenSweepCells(t *testing.T) map[string]*freeride.Result {
 	cfg = dbase
 	cfg.Drift = &bubble.DriftSchedule{Seed: opts.Seed}
 	cfg.Replan = &bubble.DetectorConfig{}
-	ref, err = runDriftCell(cfg, model.GraphSGD)
+	ref, err = runSession(cfg, driftWorkload)
 	must("drift/zero-drift-ref", ref, err)
 	dkind, mag := bubble.AllDriftKinds()[0], driftSweepMagnitudes[0]
 	cfg = dbase
@@ -82,7 +80,7 @@ func goldenSweepCells(t *testing.T) map[string]*freeride.Result {
 	}
 	det := driftDetectors[0].cfg
 	cfg.Replan = &det
-	res, err = runDriftCell(cfg, model.GraphSGD)
+	res, err = runSession(cfg, driftWorkload)
 	must(fmt.Sprintf("drift/%v-f%g-%s", dkind, mag, driftDetectors[0].name), res, err)
 
 	// schedules: S=4, M=4 under every generator but 1F1B.
@@ -95,7 +93,7 @@ func goldenSweepCells(t *testing.T) map[string]*freeride.Result {
 		if sk == model.ScheduleInterleaved {
 			cfg.VirtualStages = 2
 		}
-		res, err = runOne(cfg, resnet)
+		res, err = runOne(cfg, model.ResNet18)
 		must(fmt.Sprintf("schedules/%v-S4-M4", sk), res, err)
 	}
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"freeride"
-	"freeride/internal/model"
 	"freeride/internal/sidetask"
 )
 
@@ -26,8 +25,7 @@ func oracleOpts() Options {
 func runOracleGrid(t *testing.T, tweak func(*freeride.Config)) map[string]*freeride.Result {
 	t.Helper()
 	cellCfg := func(method freeride.Method) freeride.Config {
-		cfg := oracleOpts().baseConfig()
-		cfg.Method = method
+		cfg := oracleOpts().baseConfig(method)
 		if tweak != nil {
 			tweak(&cfg)
 		}
@@ -36,7 +34,7 @@ func runOracleGrid(t *testing.T, tweak func(*freeride.Config)) map[string]*freer
 	out := make(map[string]*freeride.Result)
 	for _, method := range []freeride.Method{freeride.MethodIterative, freeride.MethodImperative} {
 		for i := range evalTasks {
-			res, err := runOne(cellCfg(method), []model.TaskProfile{evalTasks[i]})
+			res, err := runOne(cellCfg(method), evalTasks[i])
 			if err != nil {
 				t.Fatalf("%v/%s: %v", method, evalTasks[i].Name, err)
 			}

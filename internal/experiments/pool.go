@@ -67,29 +67,30 @@ func forEachIndex(parallel, n int, fn func(i int) error) error {
 	return firstErr
 }
 
-// runCells runs the cells of a sweep's n-cell skeleton that belong to this
+// runCells is how every grid in this package runs, and the only caller of
+// forEachIndex: it runs the cells of a grid's skeleton that belong to this
 // shard — cell i where i mod ShardCount == Shard; the skeleton order is
 // deterministic, so shards partition exactly — on the pool, Parallelism at a
-// time, and returns their rows in skeleton order. run(i) returns cell i's
-// rows, which land in the cell's own slot, so the output never depends on
-// scheduling; an error comes back prefixed with label(i).
-func runCells[R any](opts Options, n int, label func(i int) string, run func(i int) ([]R, error)) ([]R, error) {
-	var idxs []int
-	for i := 0; i < n; i++ {
+// time, and returns their results in skeleton order. Each result lands in
+// its cell's own slot, so the output never depends on scheduling; an error
+// comes back prefixed with the cell's label. A Shard outside [0, ShardCount)
+// is an error: run as some other shard, its rows would be counted twice.
+func runCells[C, R any](opts Options, cells []C, label func(C) string, run func(C) (R, error)) ([]R, error) {
+	if opts.Shard < 0 || opts.Shard >= opts.ShardCount {
+		return nil, fmt.Errorf("experiments: shard %d of %d is out of range", opts.Shard, opts.ShardCount)
+	}
+	var mine []C
+	for i, c := range cells {
 		if i%opts.ShardCount == opts.Shard {
-			idxs = append(idxs, i)
+			mine = append(mine, c)
 		}
 	}
-	slots := make([][]R, len(idxs))
-	err := forEachIndex(opts.Parallelism, len(idxs), func(j int) (err error) {
-		if slots[j], err = run(idxs[j]); err != nil {
-			return fmt.Errorf("%s: %w", label(idxs[j]), err)
+	out := make([]R, len(mine))
+	err := forEachIndex(opts.Parallelism, len(mine), func(j int) (err error) {
+		if out[j], err = run(mine[j]); err != nil {
+			return fmt.Errorf("%s: %w", label(mine[j]), err)
 		}
 		return nil
 	})
-	var rows []R
-	for _, s := range slots {
-		rows = append(rows, s...)
-	}
-	return rows, err
+	return out, err
 }

@@ -118,3 +118,39 @@ func TestParallelRunnerDeterminism(t *testing.T) {
 		t.Fatalf("parallel grid diverged from sequential:\nseq %+v\npar %+v", seq.Rows, par.Rows)
 	}
 }
+
+// TestPaperGridsShardsPartition: the grids that did not honour Shard before
+// they ran through runCells (Table 2 and a Figure 7 panel stand for them;
+// the sweeps have their own partition tests) now split exactly like the
+// sweeps do — shards 0/3, 1/3, 2/3 hold every row once, in order.
+func TestPaperGridsShardsPartition(t *testing.T) {
+	opts := Options{Epochs: 2, WorkScale: sidetask.WorkNone, Seed: 1}
+	shardsPartition(t, opts, 1, func(o Options) ([]Table2Row, error) {
+		r, err := RunTable2(o)
+		if err != nil {
+			return nil, err
+		}
+		return r.Rows, nil
+	})
+	shardsPartition(t, opts, 1, func(o Options) ([]Figure7Row, error) {
+		r, err := RunFigure7BatchSize(o)
+		if err != nil {
+			return nil, err
+		}
+		return r.Rows, nil
+	})
+}
+
+// TestShardOutOfRangeIsAnError: a mis-numbered shard (4 of 4) used to run as
+// shard 0, so its rows were counted twice; every grid must refuse it.
+func TestShardOutOfRangeIsAnError(t *testing.T) {
+	for _, shard := range []int{-1, 4} {
+		opts := Options{Epochs: 2, WorkScale: sidetask.WorkNone, Shard: shard, ShardCount: 4}
+		if _, err := RunTable2(opts); err == nil {
+			t.Errorf("RunTable2 accepted shard %d of 4", shard)
+		}
+		if _, err := RunFaultSweep(opts); err == nil {
+			t.Errorf("RunFaultSweep accepted shard %d of 4", shard)
+		}
+	}
+}

@@ -86,6 +86,14 @@ func (r *ablationSuiteResult) Render() string {
 	return strings.TrimRight(b.String(), "\n")
 }
 
+func (r *ablationSuiteResult) WriteCSV(w io.Writer) error {
+	var lines []ablationLine
+	for _, p := range r.parts {
+		lines = append(lines, p.lines()...)
+	}
+	return writeCSV(w, ablationColumns, lines)
+}
+
 func runAblationSuite(o Options) (Rendered, error) {
 	suite := &ablationSuiteResult{}
 	for _, f := range []func(Options) (*AblationResult, error){

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
-	"strconv"
 	"time"
 
 	"freeride"
@@ -105,17 +103,13 @@ func scheduleSweepCells(opts Options, llm model.LLM) []ScheduleSweepRow {
 // for CI parallelism (see runCells).
 func RunScheduleSweep(opts Options) (*ScheduleSweepResult, error) {
 	opts.normalize()
-	baseCfg := opts.baseConfig()
-	baseCfg.Method = freeride.MethodIterative
+	baseCfg := opts.baseConfig(freeride.MethodIterative)
 
 	cells := scheduleSweepCells(opts, baseCfg.LLM)
-	rows, err := runCells(opts, len(cells), func(i int) string {
-		return fmt.Sprintf("schedule sweep %v S=%d M=%d", cells[i].Kind, cells[i].Stages, cells[i].MicroBatches)
-	}, func(i int) (_ []ScheduleSweepRow, err error) {
-		if !cells[i].OOM {
-			err = runScheduleCell(baseCfg, &cells[i])
-		}
-		return cells[i : i+1], err
+	rows, err := runCells(opts, cells, func(c ScheduleSweepRow) string {
+		return fmt.Sprintf("schedule sweep %v S=%d M=%d", c.Kind, c.Stages, c.MicroBatches)
+	}, func(c ScheduleSweepRow) (ScheduleSweepRow, error) {
+		return runScheduleCell(baseCfg, c)
 	})
 	if err != nil {
 		return nil, err
@@ -123,66 +117,68 @@ func RunScheduleSweep(opts Options) (*ScheduleSweepResult, error) {
 	return &ScheduleSweepResult{Opts: opts, Rows: rows}, nil
 }
 
-// runScheduleCell executes one non-OOM cell and fills its measurements.
-func runScheduleCell(baseCfg freeride.Config, row *ScheduleSweepRow) error {
+// runScheduleCell executes one cell and fills its measurements; a cell the
+// memory model ruled out comes back as it is.
+func runScheduleCell(baseCfg freeride.Config, row ScheduleSweepRow) (ScheduleSweepRow, error) {
+	if row.OOM {
+		return row, nil
+	}
 	cfg := baseCfg
 	cfg.Schedule = row.Kind
 	cfg.Stages = row.Stages
 	cfg.MicroBatches = row.MicroBatches
 	cfg.VirtualStages = row.Virtual
 
-	tNo, err := freeride.BaselineTrainTime(cfg)
-	if err != nil {
+	res, err := runSession(cfg, func(sess *freeride.Session) (err error) {
+		row.BubbleSim = sess.Profile.BubbleRate()
+		row.Instances, err = sess.SubmitEverywhere(model.ResNet18)
 		return err
-	}
-	sess, err := freeride.NewSession(cfg)
+	})
 	if err != nil {
-		return err
+		return row, err
 	}
-	row.BubbleSim = sess.Profile.BubbleRate()
-	n, err := sess.SubmitEverywhere(model.ResNet18)
-	if err != nil {
-		return err
-	}
-	res, err := sess.Run()
-	if err != nil {
-		return err
-	}
-	res.CostReport(tNo)
 	row.TrainTime = res.TrainTime
-	row.BaseTime = tNo
+	row.BaseTime = res.Cost.TNo
 	row.Harvested = harvestedKernelTime(res)
 	row.Steps = res.TotalSteps()
-	row.Instances = n
-	return nil
+	return row, nil
+}
+
+// ran blanks a measured column's text in the rows the memory model ruled out
+// (the CSV keeps the zero beside its oom flag).
+func ran(get func(ScheduleSweepRow) cell) func(ScheduleSweepRow) cell {
+	return func(r ScheduleSweepRow) cell {
+		c := get(r)
+		if r.OOM {
+			c.text = "-"
+		}
+		return c
+	}
+}
+
+var scheduleColumns = []column[ScheduleSweepRow]{
+	{"schedule", func(r ScheduleSweepRow) cell { return text(r.Kind.String()) }, both},
+	{"stages", func(r ScheduleSweepRow) cell { return count(r.Stages) }, both},
+	{"micro_batches", func(r ScheduleSweepRow) cell { return count(r.MicroBatches) }, both},
+	{"virtual", func(r ScheduleSweepRow) cell { return count(r.Virtual) }, both},
+	{"oom", func(r ScheduleSweepRow) cell { return flagged(r.OOM, "OOM") }, csvOnly},
+	{"bubble_sim", ran(func(r ScheduleSweepRow) cell { return ratio(r.BubbleSim) }), both},
+	{"bubble_est", func(r ScheduleSweepRow) cell { return ratio(r.BubbleEst) }, both},
+	{"harvest_s", ran(func(r ScheduleSweepRow) cell { return dur(r.Harvested) }), both},
+	{"harvest_rate", ran(func(r ScheduleSweepRow) cell { return num(r.HarvestRate()) }), both},
+	{"train_s", ran(func(r ScheduleSweepRow) cell { return dur(r.TrainTime) }), both},
+	{"base_train_s", ran(func(r ScheduleSweepRow) cell { return dur(r.BaseTime) }), both},
+	{"steps", ran(func(r ScheduleSweepRow) cell { return count(r.Steps) }), both},
+	{"instances", ran(func(r ScheduleSweepRow) cell { return count(r.Instances) }), both},
+	// The text table flags an OOM row at its end, after the dashes.
+	{"oom", func(r ScheduleSweepRow) cell { return flagged(r.OOM, "OOM") }, textOnly},
 }
 
 // Render prints the sweep as a text table plus the harvest-vs-bubble-ratio
 // readout the sweep exists for.
 func (r *ScheduleSweepResult) Render() string {
-	t := &Table{
-		Title: "Schedule sweep — harvest vs bubble ratio across the schedule zoo " +
-			"(ResNet18 everywhere, FreeRide iterative)",
-		Header: []string{"schedule", "S", "M", "V", "bubble_sim", "bubble_est",
-			"harvest_s", "harvest_rate", "train_s", "base_s", "steps", "tasks", "oom"},
-	}
-	for _, row := range r.Rows {
-		if row.OOM {
-			t.AddRow(row.Kind.String(), strconv.Itoa(row.Stages),
-				strconv.Itoa(row.MicroBatches), strconv.Itoa(row.Virtual),
-				"-", pct(row.BubbleEst), "-", "-", "-", "-", "-", "-", "OOM")
-			continue
-		}
-		t.AddRow(
-			row.Kind.String(), strconv.Itoa(row.Stages),
-			strconv.Itoa(row.MicroBatches), strconv.Itoa(row.Virtual),
-			pct(row.BubbleSim), pct(row.BubbleEst),
-			secs(row.Harvested), fmtF(row.HarvestRate()),
-			secs(row.TrainTime), secs(row.BaseTime),
-			strconv.FormatUint(row.Steps, 10), strconv.Itoa(row.Instances), "",
-		)
-	}
-	out := t.Render()
+	out := renderTable("Schedule sweep — harvest vs bubble ratio across the schedule zoo "+
+		"(ResNet18 everywhere, FreeRide iterative)", scheduleColumns, r.Rows)
 
 	// The headline comparison: for each (S, M) that ran both, how much of
 	// 1F1B's harvest survives under the schedule with the smallest bubble
@@ -220,26 +216,5 @@ func (r *ScheduleSweepResult) Render() string {
 
 // WriteCSV emits one row per sweep cell (OOM cells included, flagged).
 func (r *ScheduleSweepResult) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"schedule", "stages", "micro_batches", "virtual",
-		"oom", "bubble_sim", "bubble_est", "harvest_s", "harvest_rate",
-		"train_s", "base_train_s", "steps", "instances"}); err != nil {
-		return err
-	}
-	for _, row := range r.Rows {
-		rec := []string{
-			row.Kind.String(), strconv.Itoa(row.Stages),
-			strconv.Itoa(row.MicroBatches), strconv.Itoa(row.Virtual),
-			strconv.FormatBool(row.OOM),
-			fmtF(row.BubbleSim), fmtF(row.BubbleEst),
-			fmtF(row.Harvested.Seconds()), fmtF(row.HarvestRate()),
-			fmtF(row.TrainTime.Seconds()), fmtF(row.BaseTime.Seconds()),
-			strconv.FormatUint(row.Steps, 10), strconv.Itoa(row.Instances),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return writeCSV(w, scheduleColumns, r.Rows)
 }

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
-	"strconv"
 	"time"
 
 	"freeride"
@@ -76,32 +74,24 @@ type ServingSweepResult struct {
 // bursty 3) over rates {2,4} req/s, SLOs {6s,4s}, guards {0,1,4}; Cross
 // adds the diurnal trace and a tighter 3s SLO.
 func servingSweepCells(opts Options) []ServingSweepRow {
-	traces := []struct {
-		kind  serve.TraceKind
-		burst float64
-	}{
-		{serve.TracePoisson, 0},
-		{serve.TraceBursty, 3},
+	traces := []ServingSweepRow{
+		{Trace: serve.TracePoisson},
+		{Trace: serve.TraceBursty, Burstiness: 3},
 	}
 	rates := []float64{2, 4}
 	slos := []time.Duration{6 * time.Second, 4 * time.Second}
 	guards := []float64{0, 1, 4}
 	if opts.Cross {
-		traces = append(traces, struct {
-			kind  serve.TraceKind
-			burst float64
-		}{serve.TraceDiurnal, 2})
+		traces = append(traces, ServingSweepRow{Trace: serve.TraceDiurnal, Burstiness: 2})
 		slos = append(slos, 3*time.Second)
 	}
 	var cells []ServingSweepRow
-	for _, tr := range traces {
+	for _, c := range traces {
 		for _, rate := range rates {
 			for _, slo := range slos {
 				for _, g := range guards {
-					cells = append(cells, ServingSweepRow{
-						Trace: tr.kind, Rate: rate, Burstiness: tr.burst,
-						SLO: slo, Guard: g,
-					})
+					c.Rate, c.SLO, c.Guard = rate, slo, g
+					cells = append(cells, c)
 				}
 			}
 		}
@@ -117,15 +107,12 @@ func servingSweepCells(opts Options) []ServingSweepRow {
 // directly comparable. Shard/ShardCount split the grid (see runCells).
 func RunServingSweep(opts Options) (*ServingSweepResult, error) {
 	opts.normalize()
-	baseCfg := opts.baseConfig()
-	baseCfg.Method = freeride.MethodIterative
+	baseCfg := opts.baseConfig(freeride.MethodIterative)
 
-	cells := servingSweepCells(opts)
-	rows, err := runCells(opts, len(cells), func(i int) string {
-		return fmt.Sprintf("serving sweep %v rate=%g slo=%v g=%g",
-			cells[i].Trace, cells[i].Rate, cells[i].SLO, cells[i].Guard)
-	}, func(i int) ([]ServingSweepRow, error) {
-		return cells[i : i+1], runServingCell(baseCfg, &cells[i])
+	rows, err := runCells(opts, servingSweepCells(opts), func(c ServingSweepRow) string {
+		return fmt.Sprintf("serving sweep %v rate=%g slo=%v g=%g", c.Trace, c.Rate, c.SLO, c.Guard)
+	}, func(c ServingSweepRow) (ServingSweepRow, error) {
+		return runServingCell(baseCfg, c)
 	})
 	if err != nil {
 		return nil, err
@@ -136,7 +123,7 @@ func RunServingSweep(opts Options) (*ServingSweepResult, error) {
 // runServingCell executes one cell: the harvesting arm (FreeRide iterative,
 // one ResNet18 per eligible stage) and the MethodNone baseline on the same
 // trace, filling the row's measurements.
-func runServingCell(baseCfg freeride.Config, row *ServingSweepRow) error {
+func runServingCell(baseCfg freeride.Config, row ServingSweepRow) (ServingSweepRow, error) {
 	sc := freeride.ServingConfig{
 		Trace:      row.Trace,
 		Rate:       row.Rate,
@@ -147,17 +134,12 @@ func runServingCell(baseCfg freeride.Config, row *ServingSweepRow) error {
 
 	cfg := baseCfg
 	cfg.Serving = &sc
-	sess, err := freeride.NewSession(cfg)
-	if err != nil {
+	res, err := runSession(cfg, func(sess *freeride.Session) (err error) {
+		row.Instances, err = sess.SubmitEverywhere(model.ResNet18)
 		return err
-	}
-	n, err := sess.SubmitEverywhere(model.ResNet18)
+	})
 	if err != nil {
-		return err
-	}
-	res, err := sess.Run()
-	if err != nil {
-		return err
+		return row, err
 	}
 	st := res.ServingStats
 	row.Requests = st.Requests
@@ -167,7 +149,6 @@ func runServingCell(baseCfg freeride.Config, row *ServingSweepRow) error {
 	row.Harvested = harvestedKernelTime(res)
 	row.Steps = res.TotalSteps()
 	row.SLODeferred = res.ManagerStats.SLODeferred
-	row.Instances = n
 	row.TotalTime = st.TotalTime
 
 	// Baseline: same trace and SLO, no side tasks, no residency tax.
@@ -176,42 +157,50 @@ func runServingCell(baseCfg freeride.Config, row *ServingSweepRow) error {
 	bsc := sc
 	bsc.Guard = 0
 	bcfg.Serving = &bsc
-	bsess, err := freeride.NewSession(bcfg)
+	bres, err := runOne(bcfg)
 	if err != nil {
-		return err
-	}
-	bres, err := bsess.Run()
-	if err != nil {
-		return err
+		return row, err
 	}
 	bst := bres.ServingStats
 	row.BaseP50, row.BaseP99 = bst.P50, bst.P99
 	row.BaseViolations = bst.Violations
-	return nil
+	return row, nil
+}
+
+// servingColumns: the text table pairs each latency figure with its baseline
+// and ends on the request count, where the CSV groups each arm's figures; the
+// three columns the two outputs place differently appear once per output.
+var servingColumns = []column[ServingSweepRow]{
+	{"trace", func(r ServingSweepRow) cell { return text(r.Trace.String()) }, both},
+	{"rate", func(r ServingSweepRow) cell { return num(r.Rate) }, both},
+	{"burstiness", func(r ServingSweepRow) cell { return num(r.Burstiness) }, csvOnly},
+	{"slo_s", func(r ServingSweepRow) cell { return num(r.SLO.Seconds()) }, both},
+	{"guard", func(r ServingSweepRow) cell { return num(r.Guard) }, both},
+	{"requests", func(r ServingSweepRow) cell { return count(r.Requests) }, csvOnly},
+	{"batches", func(r ServingSweepRow) cell { return count(r.Batches) }, csvOnly},
+	{"p50_s", func(r ServingSweepRow) cell { return dur(r.P50) }, csvOnly},
+	{"p99_s", func(r ServingSweepRow) cell { return dur(r.P99) }, both},
+	{"base_p99_s", func(r ServingSweepRow) cell { return dur(r.BaseP99) }, textOnly},
+	{"max_s", func(r ServingSweepRow) cell { return dur(r.Max) }, csvOnly},
+	{"violations", func(r ServingSweepRow) cell { return count(r.Violations) }, both},
+	{"base_p50_s", func(r ServingSweepRow) cell { return dur(r.BaseP50) }, csvOnly},
+	{"base_p99_s", func(r ServingSweepRow) cell { return dur(r.BaseP99) }, csvOnly},
+	{"base_violations", func(r ServingSweepRow) cell { return count(r.BaseViolations) }, both},
+	{"slo_deferred", func(r ServingSweepRow) cell { return count(r.SLODeferred) }, textOnly},
+	{"harvest_s", func(r ServingSweepRow) cell { return dur(r.Harvested) }, both},
+	{"harvest_rate", func(r ServingSweepRow) cell { return num(r.HarvestRate()) }, both},
+	{"steps", func(r ServingSweepRow) cell { return count(r.Steps) }, both},
+	{"slo_deferred", func(r ServingSweepRow) cell { return count(r.SLODeferred) }, csvOnly},
+	{"instances", func(r ServingSweepRow) cell { return count(r.Instances) }, both},
+	{"requests", func(r ServingSweepRow) cell { return count(r.Requests) }, textOnly},
+	{"span_s", func(r ServingSweepRow) cell { return dur(r.TotalTime) }, both},
 }
 
 // Render prints the sweep as a text table plus the harvest-vs-violations
 // readout the sweep exists for.
 func (r *ServingSweepResult) Render() string {
-	t := &Table{
-		Title: "Serving sweep — harvested GPU-seconds vs p99 SLO violations " +
-			"(ResNet18 everywhere, FreeRide iterative vs no-side-task baseline)",
-		Header: []string{"trace", "rate", "slo_s", "guard", "p99_s", "base_p99_s",
-			"viol", "base_viol", "deferred", "harvest_s", "harvest_rate", "steps",
-			"tasks", "reqs", "span_s"},
-	}
-	for _, row := range r.Rows {
-		t.AddRow(
-			row.Trace.String(), fmtF(row.Rate), fmtF(row.SLO.Seconds()), fmtF(row.Guard),
-			secs(row.P99), secs(row.BaseP99),
-			strconv.Itoa(row.Violations), strconv.Itoa(row.BaseViolations),
-			strconv.FormatUint(row.SLODeferred, 10),
-			secs(row.Harvested), fmtF(row.HarvestRate()),
-			strconv.FormatUint(row.Steps, 10), strconv.Itoa(row.Instances),
-			strconv.Itoa(row.Requests), secs(row.TotalTime),
-		)
-	}
-	out := t.Render()
+	out := renderTable("Serving sweep — harvested GPU-seconds vs p99 SLO violations "+
+		"(ResNet18 everywhere, FreeRide iterative vs no-side-task baseline)", servingColumns, r.Rows)
 
 	// The headline tradeoff: aggregated over (trace, rate, SLO) groups,
 	// what does tightening the guard from 0 to its max cost in harvest and
@@ -248,33 +237,4 @@ func (r *ServingSweepResult) Render() string {
 }
 
 // WriteCSV emits one row per sweep cell.
-func (r *ServingSweepResult) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"trace", "rate", "burstiness", "slo_s", "guard",
-		"requests", "batches", "p50_s", "p99_s", "max_s", "violations",
-		"base_p50_s", "base_p99_s", "base_violations", "harvest_s",
-		"harvest_rate", "steps", "slo_deferred", "instances", "span_s"}); err != nil {
-		return err
-	}
-	for _, row := range r.Rows {
-		rec := []string{
-			row.Trace.String(), fmtF(row.Rate), fmtF(row.Burstiness),
-			fmtF(row.SLO.Seconds()), fmtF(row.Guard),
-			strconv.Itoa(row.Requests), strconv.Itoa(row.Batches),
-			fmtF(row.P50.Seconds()), fmtF(row.P99.Seconds()), fmtF(row.Max.Seconds()),
-			strconv.Itoa(row.Violations),
-			fmtF(row.BaseP50.Seconds()), fmtF(row.BaseP99.Seconds()),
-			strconv.Itoa(row.BaseViolations),
-			fmtF(row.Harvested.Seconds()), fmtF(row.HarvestRate()),
-			strconv.FormatUint(row.Steps, 10),
-			strconv.FormatUint(row.SLODeferred, 10),
-			strconv.Itoa(row.Instances),
-			fmtF(row.TotalTime.Seconds()),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
+func (r *ServingSweepResult) WriteCSV(w io.Writer) error { return writeCSV(w, servingColumns, r.Rows) }

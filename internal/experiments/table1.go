@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"fmt"
+	"io"
 
 	"freeride"
 	"freeride/internal/model"
@@ -46,13 +46,13 @@ type Table1Result struct {
 // iterative interface and compares with Server-II / Server-CPU.
 func RunTable1(opts Options) (*Table1Result, error) {
 	opts.normalize()
-	out := &Table1Result{}
-	for _, task := range evalTasks {
-		cfg := opts.baseConfig()
-		cfg.Method = freeride.MethodIterative
-		res, err := runOne(cfg, []model.TaskProfile{task})
+	cfg := opts.baseConfig(freeride.MethodIterative)
+	rows, err := runCells(opts, evalTasks, func(task model.TaskProfile) string {
+		return "table1 " + task.Name
+	}, func(task model.TaskProfile) (Table1Row, error) {
+		res, err := runOne(cfg, task)
 		if err != nil {
-			return nil, fmt.Errorf("table1 %s: %w", task.Name, err)
+			return Table1Row{}, err
 		}
 		workers := 0
 		for _, tw := range res.Tasks {
@@ -60,31 +60,35 @@ func RunTable1(opts Options) (*Table1Result, error) {
 				workers++
 			}
 		}
-		out.Rows = append(out.Rows, Table1Row{
+		return Table1Row{
 			Task:      task.Name,
 			Bubbles:   float64(res.TotalSteps()) / res.TrainTime.Seconds(),
 			ServerII:  task.ThroughputOn(model.ServerII),
 			ServerCPU: task.ThroughputOn(model.ServerCPU),
 			Workers:   workers,
-		})
+		}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return &Table1Result{Rows: rows}, nil
 }
 
-// Render prints the table in the paper's layout plus the derived ratios.
-func (r *Table1Result) Render() string {
-	t := &Table{
-		Title:  "Table 1: side task throughput (steps/s) on different platforms",
-		Header: []string{"Side task", "Iterative(bubbles)", "Server-II", "Server-CPU", "x vs II", "x vs CPU"},
-	}
-	for _, row := range r.Rows {
-		t.AddRow(row.Task,
-			fmt.Sprintf("%.2f", row.Bubbles),
-			fmt.Sprintf("%.2f", row.ServerII),
-			fmt.Sprintf("%.2f", row.ServerCPU),
-			fmt.Sprintf("%.2f", row.RatioII()),
-			fmt.Sprintf("%.1f", row.RatioCPU()),
-		)
-	}
-	return t.Render()
+// table1Columns follow the paper's layout (steps/s per platform) plus the
+// derived ratios.
+var table1Columns = []column[Table1Row]{
+	{"task", func(r Table1Row) cell { return text(r.Task) }, both},
+	{"bubbles_steps_per_s", func(r Table1Row) cell { return fixed(r.Bubbles, 2) }, both},
+	{"server_ii_steps_per_s", func(r Table1Row) cell { return fixed(r.ServerII, 2) }, both},
+	{"server_cpu_steps_per_s", func(r Table1Row) cell { return fixed(r.ServerCPU, 2) }, both},
+	{"ratio_vs_ii", func(r Table1Row) cell { return fixed(r.RatioII(), 2) }, both},
+	{"ratio_vs_cpu", func(r Table1Row) cell { return fixed(r.RatioCPU(), 1) }, both},
 }
+
+// Render prints the table.
+func (r *Table1Result) Render() string {
+	return renderTable("Table 1: side task throughput (steps/s) on different platforms", table1Columns, r.Rows)
+}
+
+// WriteCSV emits the same rows.
+func (r *Table1Result) WriteCSV(w io.Writer) error { return writeCSV(w, table1Columns, r.Rows) }

@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"freeride"
-	"freeride/internal/model"
 )
 
 // Table2Row is one cell pair of paper Table 2.
@@ -45,38 +45,23 @@ func RunTable2(opts Options) (*Table2Result, error) {
 	opts.normalize()
 	type job struct {
 		method freeride.Method
-		task   *model.TaskProfile // nil = mixed workload
+		workload
 	}
 	var jobs []job
 	for _, method := range Table2Methods {
-		for i := range evalTasks {
-			jobs = append(jobs, job{method: method, task: &evalTasks[i]})
+		for _, w := range evalWorkloads() {
+			jobs = append(jobs, job{method, w})
 		}
-		jobs = append(jobs, job{method: method})
 	}
-
-	rows := make([]Table2Row, len(jobs))
-	err := forEachIndex(opts.Parallelism, len(jobs), func(i int) error {
-		j := jobs[i]
-		cfg := opts.baseConfig()
-		cfg.Method = j.method
-		var (
-			res  *freeride.Result
-			err  error
-			name string
-		)
-		if j.task != nil {
-			name = j.task.Name
-			res, err = runOne(cfg, []model.TaskProfile{*j.task})
-		} else {
-			name = "mixed"
-			res, err = runMixed(cfg)
-		}
+	rows, err := runCells(opts, jobs, func(j job) string {
+		return fmt.Sprintf("table2 %v/%s", j.method, j.name)
+	}, func(j job) (Table2Row, error) {
+		res, err := j.run(opts.baseConfig(j.method))
 		if err != nil {
-			return fmt.Errorf("table2 %v/%s: %w", j.method, name, err)
+			return Table2Row{}, err
 		}
-		rows[i] = Table2Row{
-			Task:       name,
+		return Table2Row{
+			Task:       j.name,
 			Method:     j.method,
 			I:          res.Cost.I,
 			S:          res.Cost.S,
@@ -84,8 +69,7 @@ func RunTable2(opts Options) (*Table2Result, error) {
 			StepEvents: res.TotalStepEvents(),
 			TNo:        res.Cost.TNo,
 			TWith:      res.Cost.TWith,
-		}
-		return nil
+		}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -121,35 +105,44 @@ func (r *Table2Result) Averages(method freeride.Method) (meanI, meanS float64) {
 	return meanI / float64(n), meanS / float64(n)
 }
 
-// Render prints the table in the paper's layout.
+// Render prints the table in the paper's layout: one line per workload, an
+// I and an S column per method. A cell another shard ran prints "-".
 func (r *Table2Result) Render() string {
-	t := &Table{
-		Title: "Table 2: time increase I and cost savings S of running DeepSpeed with side tasks",
-		Header: []string{"Side task",
-			"Iterative I", "S", "Imperative I", "S", "MPS I", "S", "Naive I", "S"},
-	}
-	tasks := append([]string{}, taskNames(evalTasks)...)
-	tasks = append(tasks, "mixed")
-	for _, task := range tasks {
-		cells := []string{task}
-		for _, m := range Table2Methods {
-			row, ok := r.Row(task, m)
-			if !ok {
-				cells = append(cells, "-", "-")
-				continue
+	cols := []column[string]{{"Side task", text, both}}
+	for _, m := range Table2Methods {
+		pick := func(v func(Table2Row) float64) func(string) cell {
+			return func(task string) cell {
+				if row, ok := r.Row(task, m); ok {
+					return ratio(v(row))
+				}
+				return text("-")
 			}
-			cells = append(cells, pct(row.I), pct(row.S))
 		}
-		t.AddRow(cells...)
+		cols = append(cols,
+			column[string]{m.String() + " I", pick(func(row Table2Row) float64 { return row.I }), both},
+			column[string]{"S", pick(func(row Table2Row) float64 { return row.S }), both})
+	}
+	var tasks []string
+	for _, w := range evalWorkloads() {
+		tasks = append(tasks, w.name)
 	}
 	iter, iterS := r.Averages(freeride.MethodIterative)
-	return t.Render() + fmt.Sprintf("average (iterative, excl. mixed): I=%s S=%s\n", pct(iter), pct(iterS))
+	return renderTable("Table 2: time increase I and cost savings S of running DeepSpeed with side tasks",
+		cols, tasks) +
+		fmt.Sprintf("average (iterative, excl. mixed): I=%s S=%s\n", pct(iter), pct(iterS))
 }
 
-func taskNames(ps []model.TaskProfile) []string {
-	out := make([]string, len(ps))
-	for i, p := range ps {
-		out[i] = p.Name
-	}
-	return out
+// table2Columns are the long form of the same cells, one row per (task,
+// method), for the CSV.
+var table2Columns = []column[Table2Row]{
+	{"task", func(r Table2Row) cell { return text(r.Task) }, both},
+	{"method", func(r Table2Row) cell { return text(r.Method.String()) }, both},
+	{"time_increase", func(r Table2Row) cell { return ratio(r.I) }, both},
+	{"cost_savings", func(r Table2Row) cell { return ratio(r.S) }, both},
+	{"steps", func(r Table2Row) cell { return count(r.Steps) }, both},
+	{"t_no_s", func(r Table2Row) cell { return dur(r.TNo) }, both},
+	{"t_with_s", func(r Table2Row) cell { return dur(r.TWith) }, both},
 }
+
+// WriteCSV emits one row per (task, method) cell.
+func (r *Table2Result) WriteCSV(w io.Writer) error { return writeCSV(w, table2Columns, r.Rows) }
