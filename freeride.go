@@ -124,9 +124,6 @@ type Config struct {
 	Seed int64
 	// RecordOps retains the op timeline for figure rendering.
 	RecordOps bool
-	// Oracle arms a dormant plane that must leave results bit-identical
-	// (see OracleConfig).
-	Oracle OracleConfig
 	// Serving switches the session from the closed training job to the
 	// open-loop inference-serving workload: a seeded request-arrival trace
 	// drives the pipeline in per-batch fill/execute/drain cycles, the
@@ -168,21 +165,6 @@ type Config struct {
 	Replan *bubble.DetectorConfig
 }
 
-// OracleConfig holds the dormant-plane toggles: planes wired into a session
-// at their zero configuration, which must change nothing (no alternate
-// implementation hides behind them). The dormant drift plane needs no field:
-// zero-valued Config.Drift and Config.Replan arm it, which is what
-// FREERIDE_ORACLE_DRIFT=on does suite-wide.
-type OracleConfig struct {
-	// ServingGuard wires the manager's SLO admission guard into a training
-	// session with a zero guard factor — the dormant serving plane. A zero
-	// guard is a structural identity (every bubble the reconcile loop acts
-	// on has strictly positive remaining time), so the Table 2 grid must
-	// stay bit-identical (FREERIDE_ORACLE_SERVING=on; the zero-serving
-	// oracle). Serving sessions carry their real guard in ServingConfig.
-	ServingGuard bool
-}
-
 // ServingConfig describes the open-loop inference-serving workload
 // (Config.Serving). Requests arrive on a seeded trace, are grouped into
 // fixed-size batches, and each batch runs a forward-only fill/execute/drain
@@ -213,7 +195,7 @@ type ServingConfig struct {
 	// least Guard × the task's pause fit (profile step + jitter + host
 	// overhead). 0 admits into any open bubble (maximum harvest, maximum
 	// SLO risk); raising it trades harvested GPU-seconds for fewer
-	// violations. See core.SLOOptions.
+	// violations. See core.ManagerOptions.SLOGuard.
 	Guard float64
 }
 
@@ -293,7 +275,6 @@ func (c *Config) normalize() error {
 	if c.Schedule == pipeline.ScheduleZeroBubble && c.VirtualStages > 1 {
 		return fmt.Errorf("freeride: zero-bubble schedule does not compose with virtual stages")
 	}
-	c.Oracle.ServingGuard = c.Oracle.ServingGuard || oracle.Env().ServingArmed
 	if c.Method == 0 {
 		c.Method = MethodIterative
 	}
@@ -518,7 +499,7 @@ func (s *Session) assembleControlPlane() error {
 		RetryBackoff: cfg.RetryBackoff,
 		Seed:         cfg.Seed,
 		Replan:       replan,
-		SLO:          s.w.slo,
+		SLOGuard:     s.w.sloGuard,
 	})
 	if cfg.Faults != nil {
 		s.injector = simfault.NewInjector(s.Eng, cfg.Faults)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"freeride/internal/bubble"
-	"freeride/internal/core"
 	"freeride/internal/model"
 	"freeride/internal/pipeline"
 	"freeride/internal/serve"
@@ -19,11 +18,9 @@ type workload struct {
 	driver *pipeline.Driver
 	// stageMem is the GPU memory a stage leaves to side tasks (closed form).
 	stageMem func(stage int) int64
-	// slo is the manager's SLO admission guard: serving's configured factor,
-	// or — the dormant-serving oracle — a zero factor on a training session,
-	// a structural identity (every bubble the reconcile loop starts tasks
-	// into has strictly positive remaining time, which a zero guard admits).
-	slo *core.SLOOptions
+	// sloGuard is the manager's SLO admission factor: serving's configured
+	// guard, zero (admit into any open bubble) for training.
+	sloGuard float64
 	// source builds the workload's bubble source over sink and registers its
 	// cycle-start / cycle-end methods on the driver.
 	source func(sink func(bubble.Bubble))
@@ -65,9 +62,6 @@ func (s *Session) newTraining() error {
 		},
 		source:  s.trainingSource,
 		collect: func(*Result) {},
-	}
-	if cfg.Oracle.ServingGuard {
-		s.w.slo = &core.SLOOptions{}
 	}
 	return nil
 }
@@ -122,7 +116,7 @@ func (s *Session) newServing() error {
 	s.w = workload{
 		driver:   &srv.Driver,
 		stageMem: func(int) int64 { return mem },
-		slo:      &core.SLOOptions{Guard: sc.Guard},
+		sloGuard: sc.Guard,
 		source:   s.servingSource,
 		collect:  func(res *Result) { res.ServingStats = srv.Stats() },
 	}

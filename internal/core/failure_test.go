@@ -1,16 +1,12 @@
 package core
 
 import (
-	"encoding/json"
-	"strings"
 	"testing"
 	"time"
 
 	"freeride/internal/bubble"
-	"freeride/internal/freerpc"
 	"freeride/internal/model"
 	"freeride/internal/sidetask"
-	"freeride/internal/simtime"
 )
 
 func TestWorkerDisconnectRetiresItsTasks(t *testing.T) {
@@ -213,34 +209,6 @@ func taskView(t *testing.T, m *Manager, name string) TaskView {
 	}
 	t.Fatalf("task %q not found", name)
 	return TaskView{}
-}
-
-// TestStopRPCFailureRetiresRecord pins the StopAll limbo fix: a failed
-// Worker.Stop call retires the manager's record instead of leaving it
-// forever non-exited — symmetric to the Init/Pause failure paths.
-func TestStopRPCFailureRetiresRecord(t *testing.T) {
-	eng := simtime.NewVirtual()
-	mgr := NewManager(eng, ManagerOptions{Tick: time.Millisecond})
-	// A worker stub that creates tasks fine but has no Worker.Stop method,
-	// so every stop fails at the RPC layer.
-	wmux := freerpc.NewMux()
-	wmux.Handle("Worker.Create", func(json.RawMessage) (any, error) {
-		return map[string]string{"status": "ok"}, nil
-	})
-	a, b := freerpc.MemPipe(eng, 100*time.Microsecond)
-	peer := freerpc.NewPeer(eng, a, mgr.Mux())
-	freerpc.NewPeer(eng, b, wmux)
-	mgr.AddWorker("w0", 0, 22*model.GiB, peer)
-	if err := mgr.Submit(spec("t", model.ResNet18, sidetask.ModeIterative)); err != nil {
-		t.Fatal(err)
-	}
-	eng.RunFor(time.Second)
-	mgr.StopAll()
-	eng.RunFor(2 * time.Second)
-	tv := taskView(t, mgr, "t")
-	if !tv.Exited || !strings.Contains(tv.ExitErr, "stop failed") {
-		t.Fatalf("task after failed Stop = %+v, want retired with stop-failed", tv)
-	}
 }
 
 // TestSubmitRacingWorkerDisconnect closes the worker link in the same

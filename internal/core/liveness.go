@@ -1,0 +1,140 @@
+package core
+
+import (
+	"freeride/internal/freerpc"
+	"freeride/internal/sidetask"
+	"freeride/internal/simtime"
+)
+
+// armLeaseLocked (re)starts w's failure detector: the lease begins now and
+// the worker is pinged every Lease/2. No-op unless the manager is running
+// with a lease configured.
+//
+// The lease check itself is armed by the ping tick, and only for an instant
+// at which, if nothing else happens first, the worker is dead: a tick at
+// `now` arms it at e = lastSeen+Lease when e ≤ now+Lease/2. Every possible
+// expiry e has exactly one tick in [e−Lease/2, e); if the worker is going to
+// die at e, lastSeen is already final at that tick, so the check runs at e —
+// and a worker that keeps answering never has one armed (its lastSeen is
+// younger than Lease/2 at every tick). Tie order: the tick arms the check
+// before it re-arms itself, so a check due at the instant of the next tick
+// runs first and a worker dead at that instant is not pinged again. (On the
+// wall engine a tick can only run late; one that overshoots e arms the check
+// with a delay clamped to zero, so detection is late by that jitter at most.)
+func (m *Manager) armLeaseLocked(w *workerMeta) {
+	if m.opts.Lease <= 0 || !m.running || !w.alive {
+		return
+	}
+	w.lastSeen = m.eng.Now()
+	w.pingTimer = simtime.Reschedule(m.eng, w.pingTimer, m.opts.Lease/2, w.pingName, w.pingFn)
+}
+
+// pingWorker is the ping tick: it arms the lease check if the lease can run
+// out before the next tick (see armLeaseLocked), re-arms itself, and probes
+// w for liveness. The reply refreshes the lease and doubles as anti-entropy:
+// its status snapshot heals state a faulted link dropped.
+func (m *Manager) pingWorker(w *workerMeta) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !m.running || !w.alive {
+		return
+	}
+	if expiry, now := w.lastSeen+m.opts.Lease, m.eng.Now(); expiry <= now+m.opts.Lease/2 {
+		w.leaseTimer = simtime.Reschedule(m.eng, w.leaseTimer, expiry-now, w.leaseName, w.leaseFn)
+	}
+	w.pingTimer = simtime.Reschedule(m.eng, w.pingTimer, m.opts.Lease/2, w.pingName, w.pingFn)
+	m.stats.Pings++
+	w.peer.Go("Worker.Ping", nil, m.opts.Lease/2, w.pingDone)
+}
+
+// pingReplied completes a Worker.Ping (w.pingDone, built once per worker).
+func (m *Manager) pingReplied(w *workerMeta, result any, err error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err != nil || !w.alive {
+		return
+	}
+	w.lastSeen = m.eng.Now()
+	if reply, derr := freerpc.DecodeResult[pingReply](result); derr == nil {
+		for _, st := range reply.Tasks {
+			m.applyPingStatusLocked(st)
+		}
+	}
+}
+
+// checkLease fires at the instant the lease the arming tick saw would run
+// out: a worker with no sign of life for a full Lease is declared dead. A
+// worker refreshed since is left alone — the tick that covers its new expiry
+// arms the next check, so this one never re-arms itself.
+func (m *Manager) checkLease(w *workerMeta) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !m.running || !w.alive || m.opts.Lease <= 0 {
+		return
+	}
+	if m.eng.Now()-w.lastSeen >= m.opts.Lease {
+		m.workerLostLocked(w, "lease expired")
+	}
+}
+
+// applyPingStatusLocked folds one ping-reply status into the manager's
+// record. Anti-entropy is forward-only: per-link FIFO delivery means a state
+// push always arrives no later than a ping reply sampling the same
+// transition, so in fault-free runs the snapshot can never be newer than the
+// record — only transitions a lost push would have carried are applied (an
+// exit, or the init-completion PAUSED the manager has not yet seen). A stale
+// reply can therefore never regress an optimistic record.
+func (m *Manager) applyPingStatusLocked(st taskStatus) {
+	rec, w := m.liveLocked(st.Name, st.Incarnation)
+	if rec == nil {
+		return
+	}
+	if st.Exited {
+		m.taskExitedLocked(rec, st)
+		m.wakeLocked(w)
+		return
+	}
+	if sidetask.State(st.State) == sidetask.StatePaused && rec.state == sidetask.StateCreated {
+		rec.state = sidetask.StatePaused
+		m.wakeLocked(w)
+	}
+}
+
+// liveLocked resolves a worker's report about a task (a state push, an exit
+// push, a ping-reply status) to its record and worker, or nil if it is about
+// nothing live: an unknown task, one that has exited or parked, or a dead
+// incarnation (a crashed worker's report racing the re-placement). A live
+// report is a sign of life and refreshes the worker's lease.
+func (m *Manager) liveLocked(name string, incarnation int) (*taskRecord, *workerMeta) {
+	rec, ok := m.tasks[name]
+	if !ok || rec.exited || rec.parked || incarnation != rec.incarnation {
+		return nil, nil
+	}
+	w := m.workers[rec.workerIdx]
+	if m.opts.Lease > 0 {
+		w.lastSeen = m.eng.Now()
+	}
+	return rec, w
+}
+
+// onTaskState handles the worker's state push (Manager.TaskState).
+func (m *Manager) onTaskState(st taskStatus) (any, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if rec, w := m.liveLocked(st.Name, st.Incarnation); rec != nil {
+		rec.state = sidetask.State(st.State)
+		m.wakeLocked(w)
+	}
+	return nil, nil
+}
+
+// onTaskExited handles the worker's exit notification (Manager.TaskExited).
+func (m *Manager) onTaskExited(st taskStatus) (any, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if rec, w := m.liveLocked(st.Name, st.Incarnation); rec != nil {
+		m.taskExitedLocked(rec, st)
+		m.wakeLocked(w)
+	}
+	return nil, nil
+}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -85,139 +84,6 @@ func TestOutOfOrderBubbleReportsNotStarved(t *testing.T) {
 		h, _ := r.workers[0].Harness("rn18")
 		if h.Counters().Steps == 0 {
 			t.Fatal("no steps ran in the begun bubble")
-		}
-	})
-}
-
-// flakyWorker is a scripted worker-side RPC surface: Create/Init succeed
-// (Init pushes the PAUSED transition back like a real worker), Start fails a
-// configurable number of times before succeeding, Pause always fails. It
-// exercises the manager's RPC error paths without a real task underneath.
-type flakyWorker struct {
-	mux        *freerpc.Mux
-	notify     func(method string, params any)
-	initFails  int
-	initCalls  int
-	startFails int
-	startCalls int
-	pauseCalls int
-}
-
-func newFlakyWorker(startFails int) *flakyWorker {
-	f := &flakyWorker{mux: freerpc.NewMux(), startFails: startFails}
-	freerpc.HandleFunc(f.mux, "Worker.Create", func(a createArgs) (any, error) {
-		return taskStatus{Name: a.Spec.Name, State: int(sidetask.StateCreated)}, nil
-	})
-	freerpc.HandleFunc(f.mux, "Worker.Init", func(ref taskRef) (any, error) {
-		f.initCalls++
-		if f.initCalls <= f.initFails {
-			return nil, fmt.Errorf("transient init failure %d", f.initCalls)
-		}
-		f.notify("Manager.TaskState", taskStatus{Name: ref.Name, State: int(sidetask.StatePaused)})
-		return taskStatus{Name: ref.Name, State: int(sidetask.StateCreated)}, nil
-	})
-	freerpc.HandleFunc(f.mux, "Worker.Start", func(a startArgs) (any, error) {
-		f.startCalls++
-		if f.startCalls <= f.startFails {
-			return nil, fmt.Errorf("transient start failure %d", f.startCalls)
-		}
-		return taskStatus{Name: a.Name, State: int(sidetask.StateRunning), Started: true}, nil
-	})
-	freerpc.HandleFunc(f.mux, "Worker.Pause", func(ref taskRef) (any, error) {
-		f.pauseCalls++
-		return nil, errors.New("pause lost")
-	})
-	freerpc.HandleFunc(f.mux, "Worker.Stop", func(ref taskRef) (any, error) {
-		return taskStatus{Name: ref.Name, State: int(sidetask.StateStopped)}, nil
-	})
-	return f
-}
-
-func newFlakyRig(t *testing.T, startFails int) (*simtime.Virtual, *Manager, *flakyWorker) {
-	t.Helper()
-	eng := simtime.NewVirtual()
-	mgr := NewManager(eng, ManagerOptions{Tick: time.Millisecond})
-	mgrSide, workerSide := freerpc.MemPipe(eng, 200*time.Microsecond)
-	mgrPeer := freerpc.NewPeer(eng, mgrSide, mgr.Mux())
-	f := newFlakyWorker(startFails)
-	workerPeer := freerpc.NewPeer(eng, workerSide, f.mux)
-	f.notify = func(method string, params any) { _ = workerPeer.Notify(method, params) }
-	mgr.AddWorker("w0", 0, 22*model.GiB, mgrPeer)
-	return eng, mgr, f
-}
-
-// TestFailedStartUnpinsBubbleForRetry: a failed Worker.Start used to leave
-// startedForBubble pinned, so the bubble was never retried; the error path
-// must clear it and the next pass must retry into the same bubble.
-func TestFailedStartUnpinsBubbleForRetry(t *testing.T) {
-	eventDriven(t, func(t *testing.T) {
-		eng, mgr, f := newFlakyRig(t, 2)
-		if err := mgr.Submit(spec("task", model.ResNet18, sidetask.ModeIterative)); err != nil {
-			t.Fatal(err)
-		}
-		mgr.Start()
-		eng.RunFor(100 * time.Millisecond) // create + init + paused push
-		base := eng.Now()
-		mgr.AddBubble(bubble.Bubble{
-			Stage: 0, Start: base, Duration: 200 * time.Millisecond,
-			MemAvailable: 22 * model.GiB,
-		})
-		eng.RunFor(100 * time.Millisecond)
-		if f.startCalls != 3 {
-			t.Fatalf("startCalls = %d, want 3 (two failures then success)", f.startCalls)
-		}
-		if got := mgr.Stats().BubblesServed; got != 1 {
-			t.Fatalf("BubblesServed = %d, want 1 after retries", got)
-		}
-		if tv := mgr.Tasks()[0]; tv.State != sidetask.StateRunning {
-			t.Fatalf("task state = %v, want RUNNING", tv.State)
-		}
-	})
-}
-
-// TestFailedInitRetried: a failed Worker.Init used to leave initSent pinned
-// with the task stuck in CREATED, starving the worker's queue forever; the
-// error path must unpin it so a later pass retries.
-func TestFailedInitRetried(t *testing.T) {
-	eventDriven(t, func(t *testing.T) {
-		eng, mgr, f := newFlakyRig(t, 0)
-		f.initFails = 2
-		if err := mgr.Submit(spec("task", model.ResNet18, sidetask.ModeIterative)); err != nil {
-			t.Fatal(err)
-		}
-		mgr.Start()
-		eng.RunFor(100 * time.Millisecond)
-		if f.initCalls != 3 {
-			t.Fatalf("initCalls = %d, want 3 (two failures then success)", f.initCalls)
-		}
-		if tv := mgr.Tasks()[0]; tv.State != sidetask.StatePaused {
-			t.Fatalf("task state = %v, want PAUSED after init retries", tv.State)
-		}
-	})
-}
-
-// TestFailedPauseCorrectsOptimisticState: pauseLocked records PAUSED
-// optimistically; when the pause RPC fails the record must be corrected back
-// to RUNNING instead of lying forever.
-func TestFailedPauseCorrectsOptimisticState(t *testing.T) {
-	eventDriven(t, func(t *testing.T) {
-		eng, mgr, f := newFlakyRig(t, 0)
-		if err := mgr.Submit(spec("task", model.ResNet18, sidetask.ModeIterative)); err != nil {
-			t.Fatal(err)
-		}
-		mgr.Start()
-		eng.RunFor(100 * time.Millisecond)
-		base := eng.Now()
-		mgr.AddBubble(bubble.Bubble{
-			Stage: 0, Start: base, Duration: 50 * time.Millisecond,
-			MemAvailable: 22 * model.GiB,
-		})
-		eng.RunFor(200 * time.Millisecond) // bubble ends, pause sent and lost
-		if f.pauseCalls == 0 {
-			t.Fatal("pause never attempted")
-		}
-		if tv := mgr.Tasks()[0]; tv.State != sidetask.StateRunning {
-			t.Fatalf("task state = %v after lost pause, want RUNNING (worker truth)", tv.State)
 		}
 	})
 }

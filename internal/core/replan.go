@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"time"
 
@@ -110,12 +111,9 @@ func (m *Manager) replanLocked(w *workerMeta) {
 	if rec := w.current; rec != nil && !m.fitsOnlineLocked(w, rec.spec) {
 		m.demoteLocked(w, rec)
 	}
-	if len(w.queue) > 0 {
-		queued := append([]*taskRecord(nil), w.queue...)
-		for _, rec := range queued {
-			if !m.fitsOnlineLocked(w, rec.spec) {
-				m.demoteLocked(w, rec)
-			}
+	for _, rec := range slices.Clone(w.queue) { // demotions edit the queue
+		if !m.fitsOnlineLocked(w, rec.spec) {
+			m.demoteLocked(w, rec)
 		}
 	}
 	m.reviveParkedLocked()
@@ -132,20 +130,12 @@ func (m *Manager) demoteLocked(w *workerMeta, rec *taskRecord) {
 		return
 	}
 	m.stats.Demotions++
-	if rec.serving && w.hasBubble {
+	if w.hasBubble {
 		// The partial serve of the in-flight bubble is real GPU time the
 		// checkpoint will not cover; account it before planning recovery.
-		served := m.eng.Now() - rec.servedFrom
-		if served > w.bubble.Duration {
-			served = w.bubble.Duration
-		}
-		if served > 0 {
-			m.stats.BubbleTimeServed += served
-			rec.servedSinceCkpt += served
-		}
+		m.accountServedLocked(rec, &w.bubble, m.eng.Now())
 	}
-	m.stats.RPCs++
-	w.peer.Go("Worker.Stop", rec.refArgs, m.opts.RPCTimeout, func(any, error) {})
+	m.goLocked(callStop, w, rec)
 	m.detachLocked(rec)
 	m.planRecoveryLocked(rec, "replan demotion: bubble supply no longer fits")
 	m.wakeLocked(w)

@@ -247,9 +247,7 @@ func (w *Worker) Crash() {
 	w.tasks = make(map[string]*workerTask)
 	w.mu.Unlock()
 	for _, t := range dead {
-		if t.grace != nil {
-			t.grace.Cancel()
-		}
+		t.grace.Cancel()
 		t.cont.Kill()
 	}
 }

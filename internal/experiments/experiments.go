@@ -45,11 +45,6 @@ type Options struct {
 	ShardCount int
 }
 
-// DefaultOptions returns the fast-suite defaults.
-func DefaultOptions() Options {
-	return Options{Epochs: 16, WorkScale: sidetask.WorkSmall, Seed: 1}
-}
-
 func (o *Options) normalize() {
 	if o.Epochs <= 0 {
 		o.Epochs = 16

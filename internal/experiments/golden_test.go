@@ -126,8 +126,8 @@ func goldenSweepCells(t *testing.T) map[string]*freeride.Result {
 // share-cache and step-fuse switches to cross-check the default arm against.
 // Regenerate deliberately with -update-golden.
 //
-// The dormant planes hold the digests too: every cell must reproduce under
-// FREERIDE_ORACLE_SERVING=on and under FREERIDE_ORACLE_DRIFT=on. No cell is
+// The dormant drift plane holds the digests too: every cell must reproduce
+// under FREERIDE_ORACLE_DRIFT=on. No cell is
 // exempt: the drift arm would legitimately move a fault cell whose schedule
 // drops or delays bubble reports (they shift the detector's epoch windows),
 // and the one fault cell pinned here — a worker crash — does neither.

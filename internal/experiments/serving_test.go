@@ -3,29 +3,7 @@ package experiments
 import (
 	"reflect"
 	"testing"
-
-	"freeride"
 )
-
-// TestZeroServingOracleBitIdentical is the dormant-plane gate: arming the
-// SLO admission guard in its zero configuration (Oracle.ServingGuard — the
-// FREERIDE_ORACLE_SERVING row) on the full training grid must be
-// bit-identical to the unarmed grid. Guard 0 is structural identity: the
-// reconcile loop's guard clause requires a positive guard before it can
-// defer a fit, so the armed manager takes every decision the unarmed one
-// does.
-func TestZeroServingOracleBitIdentical(t *testing.T) {
-	base := runOracleGrid(t, nil)
-	armed := runOracleGrid(t, func(cfg *freeride.Config) {
-		cfg.Oracle.ServingGuard = true
-	})
-	compareOracleGrids(t, base, armed, "serving guard armed vs unarmed")
-	for key, res := range armed {
-		if res.ManagerStats.SLODeferred != 0 {
-			t.Errorf("%s: zero guard deferred %d fits", key, res.ManagerStats.SLODeferred)
-		}
-	}
-}
 
 func TestServingSweepDeterministic(t *testing.T) {
 	opts := Options{Epochs: 4, Seed: 1}

@@ -504,9 +504,7 @@ func (p *Peer) failAll() {
 	pending := p.pending
 	p.pending = make(map[uint64]*pendingCall)
 	p.deadlines = nil
-	if p.deadlineTimer != nil {
-		p.deadlineTimer.Cancel()
-	}
+	p.deadlineTimer.Cancel()
 	p.mu.Unlock()
 	for _, id := range slices.Sorted(maps.Keys(pending)) {
 		pending[id].done(nil, ErrClosed)

@@ -47,19 +47,3 @@ func (m LLM) ServeBatchSpan(stages, microBatches int) time.Duration {
 	return time.Duration(stages-1)*(m.FPPerMB+m.CommLatency) +
 		time.Duration(microBatches)*m.FPPerMB
 }
-
-// ServeBubbleRateEstimate is the closed-form fraction of a batch span each
-// stage idles in its fill and drain cascades — the serving analogue of
-// BubbleRateEstimate, and the floor of the harvesting opportunity (the
-// inter-batch gaps under a given arrival rate come on top).
-func (m LLM) ServeBubbleRateEstimate(stages, microBatches int) float64 {
-	span := m.ServeBatchSpan(stages, microBatches)
-	if span <= 0 || stages <= 0 {
-		return 0
-	}
-	var idle time.Duration
-	for s := 0; s < stages; s++ {
-		idle += m.ServeFillTime(s) + m.ServeDrainTime(s, stages)
-	}
-	return float64(idle) / (float64(stages) * float64(span))
-}

@@ -1,10 +1,9 @@
 // Package oracle resolves the FREERIDE_ORACLE_* environment overrides: CI's
-// way of re-running the whole tier-1 suite with a dormant plane armed. Both
-// planes wire machinery into every training session at its zero
-// configuration — the drift detector over an empty drift schedule, the SLO
-// admission guard at factor zero — and every result must stay bit-identical;
-// no alternate implementation hides behind either. Package freeride is the
-// only consumer.
+// way of re-running the whole tier-1 suite with a dormant plane armed. The
+// one plane left, FREERIDE_ORACLE_DRIFT, wires machinery into every training
+// session at its zero configuration — the drift detector over an empty drift
+// schedule — and every result must stay bit-identical; no alternate
+// implementation hides behind it. Package freeride is the only consumer.
 //
 // The resolver is strict: a bad value, or any other FREERIDE_ORACLE_*
 // variable (a typo, or a row naming an arm that no longer exists), panics at
@@ -20,9 +19,8 @@ import (
 )
 
 const (
-	prefix     = "FREERIDE_ORACLE_"
-	driftKey   = prefix + "DRIFT"
-	servingKey = prefix + "SERVING"
+	prefix   = "FREERIDE_ORACLE_"
+	driftKey = prefix + "DRIFT"
 )
 
 // Overrides is the parsed-once view of the FREERIDE_ORACLE_* environment.
@@ -30,10 +28,6 @@ type Overrides struct {
 	// DriftArmed: FREERIDE_ORACLE_DRIFT=on arms the drift detector (with an
 	// empty drift schedule) in every session without its own drift plane.
 	DriftArmed bool
-	// ServingArmed: FREERIDE_ORACLE_SERVING=on wires the manager's SLO
-	// admission guard (with a zero guard factor) into every training
-	// session.
-	ServingArmed bool
 }
 
 // Env returns the process-wide parsed overrides. The environment is read
@@ -48,10 +42,8 @@ func resolve(environ []string) Overrides {
 		switch {
 		case key == driftKey:
 			o.DriftArmed = armed(key, val)
-		case key == servingKey:
-			o.ServingArmed = armed(key, val)
 		case strings.HasPrefix(key, prefix):
-			panic(fmt.Sprintf("oracle: unknown variable %s=%q (want %s or %s)", key, val, driftKey, servingKey))
+			panic(fmt.Sprintf("oracle: unknown variable %s=%q (want %s)", key, val, driftKey))
 		}
 	}
 	return o

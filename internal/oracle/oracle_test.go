@@ -17,10 +17,10 @@ func TestResolve(t *testing.T) {
 		{"unrelated variables", []string{"PATH=/bin", "FREERIDE_CHAOS_SEED=2", "FREERIDE_ORACLE=x"}, Overrides{}},
 		{"drift on", []string{"FREERIDE_ORACLE_DRIFT=on"}, Overrides{DriftArmed: true}},
 		{"drift 1", []string{"FREERIDE_ORACLE_DRIFT=1"}, Overrides{DriftArmed: true}},
-		{"serving on", []string{"FREERIDE_ORACLE_SERVING=on"}, Overrides{ServingArmed: true}},
-		{"both", []string{"FREERIDE_ORACLE_SERVING=1", "FREERIDE_ORACLE_DRIFT=on"}, Overrides{DriftArmed: true, ServingArmed: true}},
-		{"disarmed spellings", []string{"FREERIDE_ORACLE_DRIFT=off", "FREERIDE_ORACLE_SERVING=0"}, Overrides{}},
-		{"set but empty", []string{"FREERIDE_ORACLE_DRIFT=", "FREERIDE_ORACLE_SERVING"}, Overrides{}},
+		{"drift off", []string{"FREERIDE_ORACLE_DRIFT=off"}, Overrides{}},
+		{"drift 0", []string{"FREERIDE_ORACLE_DRIFT=0"}, Overrides{}},
+		{"set but empty", []string{"FREERIDE_ORACLE_DRIFT="}, Overrides{}},
+		{"no equals sign", []string{"FREERIDE_ORACLE_DRIFT"}, Overrides{}},
 	} {
 		if got := resolve(tc.environ); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: resolve(%q) = %+v, want %+v", tc.name, tc.environ, got, tc.want)
@@ -38,7 +38,9 @@ func TestResolvePanicsNamingTheVariable(t *testing.T) {
 		mention string
 	}{
 		{"bad value", []string{"FREERIDE_ORACLE_DRIFT=yes"}, "FREERIDE_ORACLE_DRIFT"},
-		{"bad value after a good one", []string{"FREERIDE_ORACLE_DRIFT=on", "FREERIDE_ORACLE_SERVING=armed"}, "FREERIDE_ORACLE_SERVING"},
+		{"bad value after a good one", []string{"FREERIDE_ORACLE_DRIFT=on", "FREERIDE_ORACLE_DRIFT=armed"}, "FREERIDE_ORACLE_DRIFT"},
+		{"retired serving arm", []string{"FREERIDE_ORACLE_SERVING=on"}, "FREERIDE_ORACLE_SERVING"},
+		{"retired serving arm, disarmed", []string{"FREERIDE_ORACLE_DRIFT=on", "FREERIDE_ORACLE_SERVING=off"}, "FREERIDE_ORACLE_SERVING"},
 		{"misspelt name", []string{"FREERIDE_ORACLE_DRFIT=on"}, "FREERIDE_ORACLE_DRFIT"},
 		{"retired arm", []string{"PATH=/bin", "FREERIDE_ORACLE_MANAGER=polling"}, "FREERIDE_ORACLE_MANAGER"},
 		{"retired arm at its old default", []string{"FREERIDE_ORACLE_STEPFUSE=on"}, "FREERIDE_ORACLE_STEPFUSE"},

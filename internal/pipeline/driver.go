@@ -61,7 +61,7 @@ type Driver struct {
 	started    bool
 	failed     error
 
-	done *simproc.Latch
+	done simproc.Latch
 }
 
 // Init binds the driver to its engine, devices and workload.
@@ -70,7 +70,6 @@ func (d *Driver) Init(eng simtime.Engine, procs *simproc.Runtime, devices []*sim
 		return fmt.Errorf("%s: %d devices for %d stages", w.Name, len(devices), w.Stages)
 	}
 	d.w, d.eng, d.procs, d.devices = w, eng, procs, devices
-	d.done = simproc.NewLatch(eng)
 	if w.ReadyAt != nil {
 		d.beginFn = d.begin
 	}
@@ -97,7 +96,7 @@ func (d *Driver) OnCycleEnd(fn func(cycle int, ts time.Duration)) {
 }
 
 // Done returns a latch set when the last cycle has retired.
-func (d *Driver) Done() *simproc.Latch { return d.done }
+func (d *Driver) Done() *simproc.Latch { return &d.done }
 
 // Cycles is the run's cycle count.
 func (d *Driver) Cycles() int { return d.w.Cycles }

@@ -2,6 +2,7 @@ package sidetask
 
 import (
 	"fmt"
+	"slices"
 
 	"freeride/internal/graph"
 	"freeride/internal/imageproc"
@@ -21,36 +22,69 @@ const (
 	WorkSmall WorkScale = 1
 )
 
-// trainTask adapts a real nn.Trainer to the iterative interface with the
-// ResNet/VGG cost profile — the Go translation of the paper's Figure 6.
-type trainTask struct {
+// builtinTask adapts one of the real algorithms in internal/{nn,graph,
+// imageproc} to the iterative interface under its cost profile — the Go
+// translation of the paper's Figure 6. The built-ins differ only in what
+// CreateSideTask builds and what a step calls (see builtins).
+type builtinTask struct {
 	profile model.TaskProfile
 	scale   WorkScale
-	trainer *nn.Trainer
+	// build loads the real workload from one seed and returns its step.
+	build func(seed int64) (step func() error, err error)
+	// step is nil under WorkNone: pure cost-model simulation.
+	step func() error
 }
 
 var (
-	_ Iterative = (*trainTask)(nil)
-	_ Stepper   = (*trainTask)(nil)
+	_ Iterative = (*builtinTask)(nil)
+	_ Stepper   = (*builtinTask)(nil)
 )
 
-func (t *trainTask) CreateSideTask(ctx *Ctx) error {
-	// "Load the dataset, data loader, loss function and optimizer states
-	// in CPU memory" — the real model and synthetic dataset are built here.
-	if t.scale == WorkNone {
-		return nil
+// builtins is the constructor table: which profiles share an implementation,
+// and what it builds. Each builder consumes exactly one seed.
+var builtins = []struct {
+	names []string
+	build func(seed int64) (step func() error, err error)
+}{
+	// A real nn.Trainer with the ResNet/VGG cost profile: "load the dataset,
+	// data loader, loss function and optimizer states in CPU memory" — the
+	// real model and synthetic dataset are built here.
+	{[]string{"resnet18", "resnet50", "vgg19"}, func(seed int64) (func() error, error) {
+		trainer, err := nn.NewTrainer([]int{32, 64, 10}, 2048, 32, 0.005, seed)
+		return func() error { _, err := trainer.TrainStep(); return err }, err
+	}},
+	// Real PageRank iterations on a synthetic power-law graph (the Orkut
+	// stand-in).
+	{[]string{"pagerank"}, func(seed int64) (func() error, error) {
+		pr := graph.NewPageRank(graph.RMAT(graph.RMATConfig{Nodes: 1 << 10, EdgeFactor: 8, Seed: seed}), 0.85)
+		return func() error { pr.Step(); return nil }, nil
+	}},
+	// Real SGD matrix factorization passes.
+	{[]string{"graphsgd"}, func(seed int64) (func() error, error) {
+		ratings := graph.SyntheticRatings(128, 128, 4096, 8, seed)
+		mf := graph.NewSGDMF(graph.SGDMFConfig{Users: 128, Items: 128, K: 8, Seed: seed + 1}, ratings)
+		return func() error { mf.Step(); return nil }, nil
+	}},
+	// Resizes and watermarks real synthetic images.
+	{[]string{"image"}, func(seed int64) (func() error, error) {
+		pipe := imageproc.NewPipeline(96, 64, 48, 32, seed)
+		return func() error { _, err := pipe.Step(); return err }, nil
+	}},
+}
+
+func (t *builtinTask) CreateSideTask(ctx *Ctx) (err error) {
+	if t.scale != WorkNone {
+		t.step, err = t.build(ctx.Rng.Int63())
 	}
-	var err error
-	t.trainer, err = nn.NewTrainer([]int{32, 64, 10}, 2048, 32, 0.005, ctx.Rng.Int63())
 	return err
 }
 
-func (t *trainTask) InitSideTask(ctx *Ctx) error {
+func (t *builtinTask) InitSideTask(ctx *Ctx) error {
 	// Move context into GPU memory.
 	return ctx.GPU.AllocMem(t.profile.MemBytes)
 }
 
-func (t *trainTask) RunNextStep(ctx *Ctx) error {
+func (t *builtinTask) RunNextStep(ctx *Ctx) error {
 	ctx.HostWork(t.profile.HostOverhead)
 	if err := t.StepWork(ctx); err != nil {
 		return err
@@ -59,157 +93,14 @@ func (t *trainTask) RunNextStep(ctx *Ctx) error {
 }
 
 // StepWork is the step's CPU-side work (Stepper; runs on the event loop).
-func (t *trainTask) StepWork(*Ctx) error {
-	if t.trainer != nil {
-		if _, err := t.trainer.TrainStep(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (t *trainTask) StopSideTask(ctx *Ctx) error {
-	ctx.GPU.FreeMem(t.profile.MemBytes)
-	return nil
-}
-
-// pagerankTask runs real PageRank iterations on a synthetic power-law
-// graph (the Orkut stand-in).
-type pagerankTask struct {
-	profile model.TaskProfile
-	scale   WorkScale
-	pr      *graph.PageRank
-}
-
-var (
-	_ Iterative = (*pagerankTask)(nil)
-	_ Stepper   = (*pagerankTask)(nil)
-)
-
-func (t *pagerankTask) CreateSideTask(ctx *Ctx) error {
-	if t.scale == WorkNone {
+func (t *builtinTask) StepWork(*Ctx) error {
+	if t.step == nil {
 		return nil
 	}
-	g := graph.RMAT(graph.RMATConfig{Nodes: 1 << 10, EdgeFactor: 8, Seed: ctx.Rng.Int63()})
-	t.pr = graph.NewPageRank(g, 0.85)
-	return nil
+	return t.step()
 }
 
-func (t *pagerankTask) InitSideTask(ctx *Ctx) error {
-	return ctx.GPU.AllocMem(t.profile.MemBytes)
-}
-
-func (t *pagerankTask) RunNextStep(ctx *Ctx) error {
-	ctx.HostWork(t.profile.HostOverhead)
-	if err := t.StepWork(ctx); err != nil {
-		return err
-	}
-	return ctx.ExecStepKernel()
-}
-
-// StepWork is the step's CPU-side work (Stepper; runs on the event loop).
-func (t *pagerankTask) StepWork(*Ctx) error {
-	if t.pr != nil {
-		t.pr.Step()
-	}
-	return nil
-}
-
-func (t *pagerankTask) StopSideTask(ctx *Ctx) error {
-	ctx.GPU.FreeMem(t.profile.MemBytes)
-	return nil
-}
-
-// sgdTask runs real SGD matrix factorization passes.
-type sgdTask struct {
-	profile model.TaskProfile
-	scale   WorkScale
-	mf      *graph.SGDMF
-}
-
-var (
-	_ Iterative = (*sgdTask)(nil)
-	_ Stepper   = (*sgdTask)(nil)
-)
-
-func (t *sgdTask) CreateSideTask(ctx *Ctx) error {
-	if t.scale == WorkNone {
-		return nil
-	}
-	seed := ctx.Rng.Int63()
-	ratings := graph.SyntheticRatings(128, 128, 4096, 8, seed)
-	t.mf = graph.NewSGDMF(graph.SGDMFConfig{Users: 128, Items: 128, K: 8, Seed: seed + 1}, ratings)
-	return nil
-}
-
-func (t *sgdTask) InitSideTask(ctx *Ctx) error {
-	return ctx.GPU.AllocMem(t.profile.MemBytes)
-}
-
-func (t *sgdTask) RunNextStep(ctx *Ctx) error {
-	ctx.HostWork(t.profile.HostOverhead)
-	if err := t.StepWork(ctx); err != nil {
-		return err
-	}
-	return ctx.ExecStepKernel()
-}
-
-// StepWork is the step's CPU-side work (Stepper; runs on the event loop).
-func (t *sgdTask) StepWork(*Ctx) error {
-	if t.mf != nil {
-		t.mf.Step()
-	}
-	return nil
-}
-
-func (t *sgdTask) StopSideTask(ctx *Ctx) error {
-	ctx.GPU.FreeMem(t.profile.MemBytes)
-	return nil
-}
-
-// imageTask resizes and watermarks real synthetic images.
-type imageTask struct {
-	profile model.TaskProfile
-	scale   WorkScale
-	pipe    *imageproc.Pipeline
-}
-
-var (
-	_ Iterative = (*imageTask)(nil)
-	_ Stepper   = (*imageTask)(nil)
-)
-
-func (t *imageTask) CreateSideTask(ctx *Ctx) error {
-	if t.scale == WorkNone {
-		return nil
-	}
-	t.pipe = imageproc.NewPipeline(96, 64, 48, 32, ctx.Rng.Int63())
-	return nil
-}
-
-func (t *imageTask) InitSideTask(ctx *Ctx) error {
-	return ctx.GPU.AllocMem(t.profile.MemBytes)
-}
-
-func (t *imageTask) RunNextStep(ctx *Ctx) error {
-	ctx.HostWork(t.profile.HostOverhead)
-	if err := t.StepWork(ctx); err != nil {
-		return err
-	}
-	return ctx.ExecStepKernel()
-}
-
-// StepWork is the step's CPU-side work (Stepper; runs on the event loop).
-func (t *imageTask) StepWork(*Ctx) error {
-	if t.pipe != nil {
-		if _, err := t.pipe.Step(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (t *imageTask) StopSideTask(ctx *Ctx) error {
+func (t *builtinTask) StopSideTask(ctx *Ctx) error {
 	ctx.GPU.FreeMem(t.profile.MemBytes)
 	return nil
 }
@@ -254,22 +145,19 @@ func (a *imperativeAdapter) RunGpuWorkload(ctx *Ctx) error {
 // NewBuiltin constructs a harness for one of the paper's six side tasks in
 // the given mode. The profile may be batch-rescaled beforehand.
 func NewBuiltin(profile model.TaskProfile, mode Mode, scale WorkScale, seed int64) (*Harness, error) {
-	var impl Iterative
 	base := profile.Name
 	if profile.BatchScalable {
 		// Batch-suffixed profiles ("resnet18-b96") share the base impl.
 		base, _, _ = cutBatchSuffix(profile.Name)
 	}
-	switch base {
-	case "resnet18", "resnet50", "vgg19":
-		impl = &trainTask{profile: profile, scale: scale}
-	case "pagerank":
-		impl = &pagerankTask{profile: profile, scale: scale}
-	case "graphsgd":
-		impl = &sgdTask{profile: profile, scale: scale}
-	case "image":
-		impl = &imageTask{profile: profile, scale: scale}
-	default:
+	impl := &builtinTask{profile: profile, scale: scale}
+	for _, b := range builtins {
+		if slices.Contains(b.names, base) {
+			impl.build = b.build
+			break
+		}
+	}
+	if impl.build == nil {
 		return nil, fmt.Errorf("sidetask: no built-in implementation for %q", profile.Name)
 	}
 	switch mode {

@@ -592,7 +592,7 @@ func (c *Client) Destroy() {
 	c.closed = true
 	aborted := make([]*kernel, 0, len(c.queue)+1)
 	if cur := c.current; cur != nil {
-		cur.cancelTimer()
+		cur.timer.Cancel()
 		if cur.leading {
 			// A pending (or held) lead was never in the running set.
 			if !cur.held {

@@ -88,12 +88,6 @@ type kernel struct {
 	leadDeadline time.Duration
 }
 
-func (k *kernel) cancelTimer() {
-	if k.timer != nil {
-		k.timer.Cancel()
-	}
-}
-
 // popKernelLocked recycles a kernel struct from the pool (or allocates one),
 // resetting only the fields a launch mutates: the completion timer and its
 // closure survive recycling, and retirement already cleared the delivery
@@ -387,7 +381,7 @@ func (d *Device) rebalanceFullLocked() {
 			}
 		}
 		k.lastUpdate = now
-		k.cancelTimer()
+		k.timer.Cancel()
 	}
 
 	d.assignAllocations(running)
@@ -520,7 +514,7 @@ func clientWeightOf(k *kernel) float64 {
 // Caller holds d.mu.
 func (d *Device) scheduleCompletionLocked(k *kernel) {
 	if k.alloc <= 0 {
-		k.cancelTimer() // no rate: park the completion (full path already did)
+		k.timer.Cancel() // no rate: park the completion (full path already did)
 		return
 	}
 	secs := k.work / k.alloc
@@ -538,7 +532,7 @@ func (d *Device) scheduleCompletionLocked(k *kernel) {
 // holds d.mu.
 func (d *Device) scheduleCompletionAtLocked(k *kernel, at time.Duration, firing *kernel) bool {
 	if k.alloc <= 0 {
-		k.cancelTimer() // no rate: park the completion
+		k.timer.Cancel() // no rate: park the completion
 		return false
 	}
 	secs := k.work / k.alloc

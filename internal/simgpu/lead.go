@@ -254,7 +254,7 @@ func (c *Client) HoldLead() {
 	k := c.current
 	if k != nil && k.leading && !k.held {
 		k.held = true
-		k.cancelTimer()
+		k.timer.Cancel()
 		k.leadDeadline = -1
 		d.leadsRemoveLocked(k)
 	}

@@ -87,7 +87,7 @@ func TestInlineSleepAllocFree(t *testing.T) {
 	}
 }
 
-// TestLatchMailboxSteadyStateAllocFree pins the synchronization primitives'
+// TestMailboxWakePathAllocFree pins the synchronization primitives'
 // wake paths: an inline sender/receiver pair ping-ponging through a Mailbox
 // allocates nothing per message beyond the boxed payload it sends.
 func TestMailboxWakePathAllocFree(t *testing.T) {

@@ -236,7 +236,7 @@ func (rt *Runtime) Spawn(name string, fn func(p *Process) error) *Process {
 
 // SpawnInline starts an event-loop process: start runs as an engine event at
 // the current instant, on the engine goroutine. The body expresses blocking
-// through the *Then primitives (SleepThen, Latch.WaitThen, Mailbox.RecvThen,
+// through the *Then primitives (SleepThen, Mailbox.RecvThen,
 // simgpu's ExecThen, or BeginWait/EndWait directly) and terminates by
 // calling p.Exit.
 func (rt *Runtime) SpawnInline(name string, start func(p *Process)) *Process {
@@ -306,9 +306,6 @@ func (p *Process) Engine() simtime.Engine { return p.rt.eng }
 
 // Now reports the current engine time.
 func (p *Process) Now() time.Duration { return p.rt.eng.Now() }
-
-// Inline reports whether this is an event-loop process.
-func (p *Process) Inline() bool { return p.inline }
 
 // State reports the process state.
 func (p *Process) State() State {
@@ -720,14 +717,3 @@ func (p *Process) WaitEvent(reason string, setup func(wake func(data any))) any 
 	setup(p.wakeAny)
 	return p.Await(reason)
 }
-
-// WaitEventThen is the inline form of WaitEvent: k receives the wake's data.
-func (p *Process) WaitEventThen(reason string, setup func(wake func(data any)), k func(any)) {
-	p.BeginWait(k)
-	setup(p.wakeAny)
-	p.EndWait(reason)
-}
-
-// Yield parks and immediately reschedules the process at the current
-// instant, letting other same-time events run first.
-func (p *Process) Yield() { p.Sleep(0) }

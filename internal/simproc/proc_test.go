@@ -324,7 +324,7 @@ func TestYieldPreservesFIFO(t *testing.T) {
 	var order []int
 	rt.Spawn("a", func(p *Process) error {
 		order = append(order, 1)
-		p.Yield()
+		p.Sleep(0) // a zero sleep yields: same-instant events queued earlier run first
 		order = append(order, 3)
 		return nil
 	})

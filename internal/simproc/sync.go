@@ -7,85 +7,20 @@ import (
 	"freeride/internal/simtime"
 )
 
-// Latch is a one-shot condition: processes wait until it is set. The
-// pipeline drivers publish completion through one (Trainer.Done,
-// Server.Done); per-op dependency edges use pipeline.Runner's scoreboard.
-// Waiters are recorded as processes, not closures: Set wakes each one
-// through its wait slot, so waiting is allocation-free beyond the waiter
-// list itself. IsSet is a single atomic load — the training-done latch is
-// polled once per simulated event by the session drain loop.
+// Latch is a one-shot flag: the pipeline drivers publish completion through
+// one (Trainer.Done, Server.Done); per-op dependency edges use
+// pipeline.Runner's scoreboard. Nothing waits on a latch — IsSet is a single
+// atomic load, polled once per simulated event by the session drain loop —
+// so the zero Latch is ready to use and Set needs no lock.
 type Latch struct {
-	mu      simtime.Guard
-	set     atomic.Bool
-	waiters []*Process
+	set atomic.Bool
 }
 
-// NewLatch returns an unset latch whose lock rides eng's ownership regime
-// (see simtime.Guard). A nil engine yields an always-locked latch.
-func NewLatch(eng simtime.Engine) *Latch {
-	l := &Latch{}
-	if eng != nil {
-		l.mu.Bind(eng)
-	}
-	return l
-}
-
-// Set releases all current and future waiters. Must be called from
-// engine-callback or process context. Setting twice is a no-op.
-func (l *Latch) Set() {
-	l.mu.Lock()
-	if l.set.Load() {
-		l.mu.Unlock()
-		return
-	}
-	l.set.Store(true)
-	waiters := l.waiters
-	l.waiters = nil
-	l.mu.Unlock()
-	for _, p := range waiters {
-		p.Wake(nil)
-	}
-}
+// Set sets the latch. Setting twice is a no-op.
+func (l *Latch) Set() { l.set.Store(true) }
 
 // IsSet reports whether the latch has been set.
-func (l *Latch) IsSet() bool {
-	return l.set.Load()
-}
-
-// register enrolls an armed waiter, waking it immediately if Set raced in
-// between the caller's check and the registration.
-func (l *Latch) register(p *Process) {
-	l.mu.Lock()
-	if l.set.Load() {
-		l.mu.Unlock()
-		p.Wake(nil)
-		return
-	}
-	l.waiters = append(l.waiters, p)
-	l.mu.Unlock()
-}
-
-// Wait parks p until the latch is set (returns immediately if already set).
-func (l *Latch) Wait(p *Process) {
-	if l.set.Load() {
-		return
-	}
-	p.BeginWait(nil)
-	l.register(p)
-	p.Await("latch")
-}
-
-// WaitThen is the inline form of Wait: k runs once the latch is set —
-// immediately (and synchronously) if it already is.
-func (l *Latch) WaitThen(p *Process, k func(any)) {
-	if l.set.Load() {
-		k(nil)
-		return
-	}
-	p.BeginWait(k)
-	l.register(p)
-	p.EndWait("latch")
-}
+func (l *Latch) IsSet() bool { return l.set.Load() }
 
 // Mailbox is an unbounded FIFO queue of T with blocking receive, used for
 // inter-process messages (a side task's state-transition commands). It is

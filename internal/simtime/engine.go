@@ -93,9 +93,7 @@ func Reschedule(eng Engine, t *Timer, delay time.Duration, name string, fn func(
 	if r, ok := eng.(Rescheduler); ok {
 		return r.Reschedule(t, delay, name, fn)
 	}
-	if t != nil {
-		t.Cancel()
-	}
+	t.Cancel()
 	return eng.Schedule(delay, name, fn)
 }
 
@@ -139,12 +137,9 @@ type Timer struct {
 	// pooled marks detached timers eligible for free-list recycling after
 	// they fire. A raw *Timer to a pooled timer is inherently stale-prone
 	// (the allocation is reused for unrelated events), so the plain Cancel
-	// and Pending methods refuse pooled timers; cancellation goes through a
-	// generation-checked DetachedRef instead.
+	// and Pending methods refuse pooled timers: a detached event cannot be
+	// canceled.
 	pooled bool
-	// gen counts incarnations of a pooled timer: bumped each time it is
-	// recycled, it is what lets a DetachedRef detect that its event is gone.
-	gen uint64
 }
 
 // When reports the absolute engine time the timer is scheduled for.
@@ -157,11 +152,10 @@ func (t *Timer) Name() string { return t.name }
 // cancellation won: false means the callback already ran or is running.
 // Canceling an already-canceled timer returns false. On a pooled (detached)
 // timer Cancel is always a no-op: the *Timer may already back an unrelated
-// recycled event, and killing that one would be a silent corruption — use
-// the DetachedRef returned by ScheduleDetachedRef, whose generation check
-// makes stale cancels harmless.
+// recycled event, and killing that one would be a silent corruption. So is
+// Cancel on a nil Timer — a reusable Reschedule handle that was never armed.
 func (t *Timer) Cancel() bool {
-	if t.pooled {
+	if t == nil || t.pooled {
 		return false
 	}
 	if !t.state.CompareAndSwap(timerPending, timerCanceled) {

@@ -64,9 +64,8 @@ import (
 // pure heap's, a property pinned against the container/heap reference model.
 //
 // Detached events (ScheduleDetached) draw their Timers from a free-list,
-// making the hottest schedule→fire loop allocation-free; recycled timers are
-// generation-stamped so a stale handle can never cancel an unrelated event
-// (see DetachedRef).
+// making the hottest schedule→fire loop allocation-free; no handle to one
+// escapes, so a stale handle can never cancel an unrelated event.
 type Virtual struct {
 	// now is read lock-free (Now is the single most-called function in the
 	// simulator) and written only under the queue lock by the dispatcher.
@@ -103,8 +102,8 @@ type Virtual struct {
 	// free is the Timer free-list. Only detached timers are recycled: a
 	// *Timer returned by Schedule may be retained by the caller forever,
 	// and a stale Cancel on a recycled handle would kill an unrelated
-	// event. Pooled timers are therefore inert to the plain Timer methods
-	// and cancelable only through a generation-checked DetachedRef.
+	// event. Pooled timers are therefore inert to the plain Timer methods:
+	// a detached event cannot be canceled.
 	free []*Timer
 
 	// dead stages the last-fired pooled timer for recycling. It is touched
@@ -210,19 +209,6 @@ func (v *Virtual) Schedule(delay time.Duration, name string, fn func()) *Timer {
 // the free-list. With no handle escaping, the timer is recycled as soon as
 // its callback returns.
 func (v *Virtual) ScheduleDetached(delay time.Duration, name string, fn func()) {
-	v.scheduleDetached(delay, name, fn)
-}
-
-// ScheduleDetachedRef is ScheduleDetached returning a generation-checked
-// handle that remains safe to use after the timer is recycled: Cancel and
-// Pending on a DetachedRef whose event already fired (and whose Timer now
-// backs some unrelated event) are no-ops.
-func (v *Virtual) ScheduleDetachedRef(delay time.Duration, name string, fn func()) DetachedRef {
-	t := v.scheduleDetached(delay, name, fn)
-	return DetachedRef{t: t, gen: t.gen}
-}
-
-func (v *Virtual) scheduleDetached(delay time.Duration, name string, fn func()) *Timer {
 	if fn == nil {
 		panic("simtime: ScheduleDetached with nil callback")
 	}
@@ -232,7 +218,6 @@ func (v *Virtual) scheduleDetached(delay time.Duration, name string, fn func()) 
 		t = v.free[n-1]
 		v.free[n-1] = nil
 		v.free = v.free[:n-1]
-		t.gen++ // invalidate any DetachedRef to the previous incarnation
 		t.state.Store(timerPending)
 	} else {
 		t = &Timer{vq: v, pooled: true}
@@ -241,7 +226,6 @@ func (v *Virtual) scheduleDetached(delay time.Duration, name string, fn func()) 
 	v.seq++
 	v.enqueueLocked(t)
 	v.unlock()
-	return t
 }
 
 // Reschedule re-arms t — a timer previously returned by this engine's
@@ -337,9 +321,8 @@ func (v *Virtual) Step() bool {
 			v.unlock()
 			return false
 		}
-		// Pooled timers are only ever canceled under this lock (via their
-		// DetachedRef), which removes them from the queue eagerly: a popped
-		// pooled timer is always live, so the claim CAS is skipped.
+		// Pooled timers are never canceled: a popped pooled timer is always
+		// live, so the claim CAS is skipped.
 		if !t.pooled && !t.claim() {
 			// Cancel won the race after we popped; its remove() saw
 			// pos == -1 and did nothing. Skip without advancing time.
@@ -413,62 +396,13 @@ func (v *Virtual) MustDrain(maxEvents uint64) uint64 {
 
 // remove deletes a canceled timer from the queue (called from Timer.Cancel,
 // possibly concurrently with the dispatcher in the escalated regime). Never
-// called for pooled timers: their cancel path (DetachedRef) removes and
-// recycles under the queue lock directly.
+// called for pooled timers, which cannot be canceled.
 func (v *Virtual) remove(t *Timer) {
 	v.lock()
 	if t.pos >= 0 {
 		v.unlinkLocked(t)
 	}
 	v.unlock()
-}
-
-// DetachedRef is a generation-checked handle to a detached event. Unlike a
-// raw *Timer — which for pooled timers is recycled after firing and must
-// therefore never be canceled through — a DetachedRef captured at schedule
-// time stays safe forever: once the event fires and its Timer is recycled
-// into some unrelated event, Cancel and Pending on the old ref observe the
-// generation mismatch and do nothing. The zero DetachedRef is inert.
-type DetachedRef struct {
-	t   *Timer
-	gen uint64
-}
-
-// Cancel prevents the referenced detached event from running, reporting
-// whether it won. A ref whose event already fired (or whose Timer has been
-// recycled since) returns false and touches nothing.
-func (r DetachedRef) Cancel() bool {
-	t := r.t
-	if t == nil {
-		return false
-	}
-	v := t.vq
-	v.lock()
-	if t.gen != r.gen || t.pos < 0 {
-		v.unlock()
-		return false
-	}
-	v.unlinkLocked(t)
-	t.state.Store(timerCanceled)
-	t.fn = nil
-	t.name = ""
-	t.gen++ // outstanding refs (including this one) go stale immediately
-	v.free = append(v.free, t)
-	v.unlock()
-	return true
-}
-
-// Pending reports whether the referenced event is still queued.
-func (r DetachedRef) Pending() bool {
-	t := r.t
-	if t == nil {
-		return false
-	}
-	v := t.vq
-	v.lock()
-	ok := t.gen == r.gen && t.pos >= 0
-	v.unlock()
-	return ok
 }
 
 // --- queue routing ---------------------------------------------------------

@@ -210,23 +210,14 @@ func TestVirtualEscalatedConcurrentScheduling(t *testing.T) {
 
 // TestDetachedTimerRecycleSafety is the regression test for the pooled-Timer
 // recycle hazard: once a detached event fires and its Timer goes back to the
-// free-list, any stale reference to it — a raw *Timer or an old DetachedRef
-// — must be inert. Before generation checking, a stale Cancel would have
-// silently killed whatever unrelated event the recycled Timer was backing.
+// free-list, a stale raw *Timer to it must be inert. A stale Cancel would
+// otherwise silently kill whatever unrelated event the recycled Timer is
+// backing.
 func TestDetachedTimerRecycleSafety(t *testing.T) {
 	v := NewVirtual()
 
-	ref := v.ScheduleDetachedRef(time.Second, "first", func() {})
-	if !ref.Pending() {
-		t.Fatal("fresh detached ref not pending")
-	}
+	v.ScheduleDetached(time.Second, "first", func() {})
 	v.MustDrain(10)
-	if ref.Pending() {
-		t.Fatal("fired detached ref still pending")
-	}
-	if ref.Cancel() {
-		t.Fatal("Cancel on a fired detached ref reported success")
-	}
 
 	// The timer is now in the free-list; grab it white-box and let a new
 	// event recycle it.
@@ -247,48 +238,9 @@ func TestDetachedTimerRecycleSafety(t *testing.T) {
 	if recycled.Pending() {
 		t.Fatal("raw Pending on a recycled pooled timer reported true")
 	}
-	// Stale generation-checked handle: a no-op against the new incarnation.
-	if ref.Cancel() {
-		t.Fatal("stale DetachedRef.Cancel canceled a recycled timer's new event")
-	}
-	if ref.Pending() {
-		t.Fatal("stale DetachedRef.Pending observed a recycled timer's new event")
-	}
 	v.MustDrain(10)
 	if !fired {
 		t.Fatal("the recycled timer's event was killed by a stale handle")
-	}
-}
-
-// TestDetachedRefCancel covers the live side of the handle: canceling a
-// pending detached event removes it eagerly and recycles its timer.
-func TestDetachedRefCancel(t *testing.T) {
-	v := NewVirtual()
-	fired := false
-	ref := v.ScheduleDetachedRef(time.Second, "doomed", func() { fired = true })
-	other := v.Schedule(2*time.Second, "other", func() {})
-	_ = other
-	if !ref.Cancel() {
-		t.Fatal("Cancel on a pending detached ref failed")
-	}
-	if ref.Cancel() || ref.Pending() {
-		t.Fatal("canceled detached ref still live")
-	}
-	if v.FreeListLen() != 1 {
-		t.Fatalf("canceled pooled timer not recycled: free list = %d", v.FreeListLen())
-	}
-	v.MustDrain(10)
-	if fired {
-		t.Fatal("canceled detached event fired")
-	}
-	if v.Now() != 2*time.Second {
-		t.Fatalf("clock = %v, want 2s (only the surviving event)", v.Now())
-	}
-
-	// The zero ref is inert.
-	var zero DetachedRef
-	if zero.Cancel() || zero.Pending() {
-		t.Fatal("zero DetachedRef not inert")
 	}
 }
 
