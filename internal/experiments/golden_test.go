@@ -15,6 +15,7 @@ import (
 	"freeride/internal/bubble"
 	"freeride/internal/model"
 	"freeride/internal/serve"
+	"freeride/internal/sidetask"
 	"freeride/internal/simfault"
 )
 
@@ -30,6 +31,66 @@ func sessionDigest(res *freeride.Result) string {
 	fmt.Fprintf(h, "%d|%+v|%+v|%+v|%+v|%+v|%+v", res.TrainTime, res.Tasks, res.Cost,
 		res.ManagerStats, res.WorkerStats, res.FaultStats, res.ServingStats)
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// shellTask is a user-written side task with no Stepper face: its blocking
+// RunNextStep puts it on the goroutine shell, the way RegisterCustom runs
+// anything a FreeRide user writes against the iterative interface.
+type shellTask struct{}
+
+func (shellTask) CreateSideTask(*sidetask.Ctx) error { return nil }
+func (shellTask) InitSideTask(ctx *sidetask.Ctx) error {
+	return ctx.GPU.AllocMem(ctx.Profile.MemBytes)
+}
+func (shellTask) RunNextStep(ctx *sidetask.Ctx) error {
+	ctx.HostWork(ctx.Profile.HostOverhead)
+	return ctx.ExecStepKernel()
+}
+func (shellTask) StopSideTask(ctx *sidetask.Ctx) error {
+	ctx.GPU.FreeMem(ctx.Profile.MemBytes)
+	return nil
+}
+
+// goldenShellCells pins the goroutine shell inside whole sessions: the
+// custom task on every stage it fits on, then the same session with worker 0
+// crashed a third of the way in — its shell is killed while parked, the task
+// is re-placed and a fresh incarnation's process runs to the end.
+func goldenShellCells(t *testing.T) map[string]*freeride.Result {
+	t.Helper()
+	profile := model.ResNet18
+	profile.Name = "shell-custom"
+	profile.BatchScalable = false // batch suffixes belong to the built-ins
+	submit := func(sess *freeride.Session) error {
+		build := func(int64) sidetask.Iterative { return shellTask{} }
+		if err := sess.RegisterCustom(profile, build); err != nil {
+			return err
+		}
+		_, err := sess.SubmitEverywhere(profile)
+		return err
+	}
+	cfg := oracleOpts().baseConfig(freeride.MethodIterative)
+	ref, err := runSession(cfg, submit)
+	if err != nil {
+		t.Fatalf("shell/custom-everywhere: %v", err)
+	}
+	cfg.Faults = &simfault.Schedule{Events: []simfault.Event{
+		{At: ref.TrainTime / 3, Kind: simfault.KindCrashWorker, Worker: 0},
+	}}
+	crashed, err := runSession(cfg, submit)
+	if err != nil {
+		t.Fatalf("shell/custom-crash-worker: %v", err)
+	}
+	if ref.TotalSteps() == 0 {
+		t.Error("shell/custom-everywhere ran no side-task steps")
+	}
+	if st := crashed.ManagerStats; st.WorkersLost != 1 || st.RestartedTasks == 0 {
+		t.Errorf("shell/custom-crash-worker: %d workers lost, %d tasks restarted; want 1 and > 0",
+			st.WorkersLost, st.RestartedTasks)
+	}
+	return map[string]*freeride.Result{
+		"shell/custom-everywhere":   ref,
+		"shell/custom-crash-worker": crashed,
+	}
 }
 
 // goldenSweepCells runs one default cell of every registered sweep — built
@@ -119,8 +180,8 @@ func goldenSweepCells(t *testing.T) map[string]*freeride.Result {
 	return out
 }
 
-// TestGoldenSessionDigests pins whole sessions: every Table 2 FreeRide cell
-// and a default cell of each sweep must report the same Result to the last
+// TestGoldenSessionDigests pins whole sessions: every Table 2 FreeRide cell,
+// a default cell of each sweep and two goroutine-shell sessions must report the same Result to the last
 // bit as on the commit the digests were captured on — the last one that
 // still had a polling manager driver, legacy schedule emitters and the
 // share-cache and step-fuse switches to cross-check the default arm against.
@@ -137,6 +198,9 @@ func TestGoldenSessionDigests(t *testing.T) {
 		got["table2/"+name] = sessionDigest(res)
 	}
 	for name, res := range goldenSweepCells(t) {
+		got[name] = sessionDigest(res)
+	}
+	for name, res := range goldenShellCells(t) {
 		got[name] = sessionDigest(res)
 	}
 	if *updateGolden {
