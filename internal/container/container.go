@@ -67,8 +67,9 @@ func NewRuntime(procs *simproc.Runtime) *Runtime {
 	return &Runtime{procs: procs, containers: make(map[string]*Container)}
 }
 
-// Run creates and starts a container whose body is a goroutine process. The
-// body begins executing at the current engine time.
+// Run creates and starts a container whose body is a goroutine process — a
+// coroutine of the dispatcher, so it leaves the engine's ownership regime
+// alone. The body begins executing at the current engine time.
 func (rt *Runtime) Run(spec Spec, body Body) (*Container, error) {
 	c, gpu, err := rt.create(spec)
 	if err != nil {

@@ -311,7 +311,8 @@ func (w *Worker) handleCreate(args createArgs) (any, error) {
 	}
 	// Event-loop-capable harnesses (all built-in tasks) run inline on the
 	// engine goroutine; arbitrary user implementations keep the goroutine
-	// shell.
+	// shell (a coroutine of the dispatcher: two switches per blocking call,
+	// the same ownership regime).
 	var cont *container.Container
 	if harness.CanInline() {
 		cont, err = w.ctrs.RunInline(cspec, harness.Start)

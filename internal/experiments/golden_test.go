@@ -181,10 +181,12 @@ func goldenSweepCells(t *testing.T) map[string]*freeride.Result {
 }
 
 // TestGoldenSessionDigests pins whole sessions: every Table 2 FreeRide cell,
-// a default cell of each sweep and two goroutine-shell sessions must report the same Result to the last
-// bit as on the commit the digests were captured on — the last one that
-// still had a polling manager driver, legacy schedule emitters and the
-// share-cache and step-fuse switches to cross-check the default arm against.
+// a default cell of each sweep and two goroutine-shell sessions must report
+// the same Result to the last bit as on the commit the digests were captured
+// on — the last one that still had a polling manager driver, legacy schedule
+// emitters and the share-cache and step-fuse switches to cross-check the
+// default arm against (the shell sessions: the last one whose shell was a
+// goroutine behind a channel handshake on an escalated engine).
 // Regenerate deliberately with -update-golden.
 //
 // The dormant drift plane holds the digests too: every cell must reproduce

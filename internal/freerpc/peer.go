@@ -171,8 +171,7 @@ type Peer struct {
 	mux   *Mux
 
 	// mu rides the engine ownership regime (see simtime.Guard): free in
-	// single-owner simulations, a real mutex under goroutine shells and
-	// live transports.
+	// single-owner simulations, a real mutex under live transports.
 	mu      simtime.Guard
 	nextID  uint64
 	pending map[uint64]*pendingCall

@@ -46,6 +46,10 @@ type Ctx struct {
 	Rng     *rand.Rand
 
 	h *Harness
+	// spec is the reusable step-kernel spec: the kernel keeps the pointer,
+	// so a spec built per step escapes to the heap; Exec has returned before
+	// ExecStepKernel writes it again.
+	spec simgpu.KernelSpec
 }
 
 // ExecStepKernel charges one profile-shaped step's GPU work (with jitter)
@@ -71,17 +75,17 @@ func (c *Ctx) ExecStepKernel() error {
 	// last part absorbs the remainder so the parts sum exactly to d.
 	per := d / time.Duration(parts)
 	last := d - time.Duration(parts-1)*per
-	spec := simgpu.KernelSpec{
+	c.spec = simgpu.KernelSpec{
 		Name:   c.h.stepKernelName,
 		Demand: c.Profile.Demand,
 		Weight: c.Profile.Weight,
 	}
 	for i := 0; i < parts; i++ {
-		spec.Duration = per
+		c.spec.Duration = per
 		if i == parts-1 {
-			spec.Duration = last
+			c.spec.Duration = last
 		}
-		if err := c.GPU.Exec(c.Proc, &spec); err != nil {
+		if err := c.GPU.Exec(c.Proc, &c.spec); err != nil {
 			return err
 		}
 	}

@@ -123,8 +123,8 @@ type Device struct {
 	cfg DeviceConfig
 
 	// mu guards all device and client state. It is an ownership-regime
-	// guard: free while the engine is single-owner (the all-inline grids),
-	// a real mutex once goroutine shells or live transports exist.
+	// guard: free while the engine is single-owner (every simulated
+	// session), a real mutex once a live transport exists.
 	mu      simtime.Guard
 	clients map[string]*Client
 	// order lists clients in creation order: the full-recompute oracle

@@ -12,9 +12,9 @@ import (
 // sleep→park→wake→resume cycle, the WaitEvent slot path, and an inline
 // process's continuation cycle must not allocate.
 
-// TestParkResumeAllocFree pins the futex handshake: each engine step fires
-// one sleep wake, runs the full park/resume rendezvous, and re-schedules the
-// next sleep.
+// TestParkResumeAllocFree pins the coroutine round trip: each engine step
+// fires one sleep wake, switches into the body and back at its next park,
+// and re-schedules the next sleep.
 func TestParkResumeAllocFree(t *testing.T) {
 	eng := simtime.NewVirtual()
 	rt := NewRuntime(eng)

@@ -10,9 +10,19 @@
 //   - Goroutine processes (Spawn) run user code on a dedicated goroutine and
 //     hand control back to the engine whenever they block, so arbitrary
 //     imperative bodies work unchanged (examples, live mode, the imperative
-//     side-task interface). The park/resume rendezvous is a futex-style
-//     handshake: a single atomic state word plus two one-slot semaphores,
-//     touched only when the counterpart is actually blocked.
+//     side-task interface). Such a process is a coroutine of whoever wakes
+//     it (iter.Pull): the body runs only between a resumer's next and its
+//     own next park, with the resumer suspended for exactly that interval,
+//     so under either engine it never runs beside the dispatcher and needs
+//     neither a lock nor an engine escalation — the coroutine switch is the
+//     happens-before edge. next is called from engine-callback context only
+//     (the dispatcher, or another body that is itself inside someone's
+//     next: a nested resume); resumeMu still serializes resumers, because
+//     wall-engine callers that break that rule must queue behind the
+//     running body rather than re-enter it. In return a body must not hand
+//     its Process — or anything that reaches the engine through it, like
+//     sidetask's Ctx or a simgpu client — to goroutines it starts itself:
+//     those would run beside the dispatcher, which nothing here guards.
 //
 // Both flavours share one wake path: each Process owns a reusable,
 // generation-checked wait slot, and every wake source (timers, kernel
@@ -37,9 +47,10 @@ package simproc
 import (
 	"errors"
 	"fmt"
-	"runtime"
+	"iter"
+	"maps"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"freeride/internal/simtime"
@@ -79,20 +90,6 @@ var ErrKilled = errors.New("simproc: killed")
 // further blocking calls re-panic immediately so cleanup cannot stall.
 type killedPanic struct{ p *Process }
 
-// resumeMsg wakes a parked goroutine process.
-type resumeMsg struct {
-	kill bool
-	data any
-}
-
-// Handshake states of the futex word (goroutine processes only).
-const (
-	hsRun     int32 = iota // process executing; engine side not waiting
-	hsParked               // process blocked on procGate
-	hsEngWait              // engine side blocked on engGate awaiting a park
-	hsDead                 // process terminated
-)
-
 // Runtime creates and tracks processes on one engine.
 type Runtime struct {
 	eng simtime.Engine
@@ -114,13 +111,15 @@ func (rt *Runtime) Engine() simtime.Engine { return rt.eng }
 func (rt *Runtime) Live() []*Process {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	out := make([]*Process, 0, len(rt.procs))
-	for p := range rt.procs {
-		if st := p.State(); st == StateRunning || st == StateStopped {
-			out = append(out, p)
-		}
-	}
-	return out
+	return slices.Collect(maps.Keys(rt.procs))
+}
+
+// forget drops a terminated process, so a restart-heavy session does not pin
+// every dead incarnation until the runtime itself is dropped.
+func (rt *Runtime) forget(p *Process) {
+	rt.mu.Lock()
+	delete(rt.procs, p)
+	rt.mu.Unlock()
 }
 
 // Process is one simulated process. Goroutine-process bodies must interact
@@ -140,21 +139,21 @@ type Process struct {
 	// setups, so registering a wake source allocates nothing.
 	wakeAny func(any)
 
-	// Futex-style handshake (goroutine processes): hs is the state word;
-	// the gates are one-slot semaphores only touched when the peer is (or
-	// is about to be) blocked. wakeMsg is the single deposit slot, written
-	// by the waker before it posts procGate (resumeMu keeps at most one
-	// wake in flight).
-	hs       atomic.Int32
-	procGate chan struct{}
-	engGate  chan struct{}
-	wakeMsg  resumeMsg
+	// Coroutine (goroutine processes): next runs the body up to its next
+	// park or its return and stop unwinds a parked body, both on the
+	// resumer's side; yield is the body's side of the same switch. wakeMsg
+	// is the single deposit slot, written by the waker before next and read
+	// back by park (resumeMu keeps at most one resumer in the coroutine).
+	next     func() (struct{}, bool)
+	stop     func()
+	yield    func(struct{}) bool
+	wakeMsg  any
 	resumeMu sync.Mutex
 
 	// mu guards the lifecycle and wait-slot state. It rides the engine
-	// ownership regime: free for inline processes in single-owner grids,
-	// a real mutex once the engine escalates (goroutine shells always run
-	// escalated — Spawn is what escalates).
+	// ownership regime: free on a single-owner virtual engine — for both
+	// flavours, a goroutine shell being a coroutine of the dispatcher — and
+	// a real mutex once the engine escalates or under the wall engine.
 	mu         simtime.Guard
 	state      State
 	exitErr    error
@@ -201,12 +200,6 @@ func (rt *Runtime) newProcess(name string, inline bool) *Process {
 		state:  StateRunning,
 	}
 	p.mu.Bind(rt.eng)
-	if !inline {
-		// One-slot gates: strict alternation of park and wake (enforced by
-		// resumeMu) means deposits never block.
-		p.procGate = make(chan struct{}, 1)
-		p.engGate = make(chan struct{}, 1)
-	}
 	p.wakeName = "wake:" + p.name
 	p.wakeFn = func() { p.Wake(nil) }
 	p.wakeAny = p.Wake
@@ -219,18 +212,16 @@ func (rt *Runtime) newProcess(name string, inline bool) *Process {
 // engine-time Now() (as a scheduled event). The returned Process can be
 // signaled and observed immediately.
 //
-// Spawn declares the shared concurrency regime: the body's goroutine calls
-// Schedule/Now while the dispatcher is blocked awaiting its park, so the
-// engine escalates out of its single-owner fast path before the goroutine
-// can exist. Inline processes (SpawnInline) stay on the dispatcher and
-// leave the regime untouched.
+// Spawn leaves the engine's concurrency regime untouched, exactly like
+// SpawnInline: the body calls Schedule/Now only while its resumer is
+// suspended in next, so it is one more continuation of the single owner.
 func (rt *Runtime) Spawn(name string, fn func(p *Process) error) *Process {
-	simtime.EscalateShared(rt.eng)
 	p := rt.newProcess(name, false)
-	simtime.Detached(rt.eng, 0, "spawn:"+p.name, func() {
-		go p.run(fn)
-		p.waitForPark() // wait until the body parks or exits
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		p.run(fn)
 	})
+	simtime.Detached(rt.eng, 0, "spawn:"+p.name, func() { p.resume(nil, false) })
 	return p
 }
 
@@ -280,16 +271,13 @@ func (p *Process) run(fn func(p *Process) error) {
 	hooks := p.onExit
 	p.onExit = nil
 	p.mu.Unlock()
+	p.rt.forget(p)
 
 	for _, h := range hooks {
 		h(err)
 	}
-	// Publish termination; release the engine side if it is blocked in
-	// waitForPark. Future wakes observe hsDead (and the dead state) and
-	// return immediately.
-	if p.hs.Swap(hsDead) == hsEngWait {
-		p.engGate <- struct{}{}
-	}
+	// Returning ends the coroutine's sequence, which hands control back to
+	// the resumer; future wakes observe the dead state and return at once.
 }
 
 // Name reports the unique process name.
@@ -406,6 +394,7 @@ func (p *Process) exitInline(err error) {
 	hooks := p.onExit
 	p.onExit = nil
 	p.mu.Unlock()
+	p.rt.forget(p)
 	for _, h := range hooks {
 		h(err)
 	}
@@ -543,7 +532,7 @@ func (p *Process) deliver(data any, chained bool) {
 			k(data)
 			return
 		}
-		p.resume(resumeMsg{data: data})
+		p.resume(data, false)
 		return
 	}
 	k := p.cont
@@ -582,10 +571,10 @@ func (p *Process) ChainWait(reason string, k func(any)) bool {
 	return true
 }
 
-// --- goroutine park/resume (futex handshake) -------------------------------
+// --- goroutine park/resume (coroutine switch) --------------------------------
 
-// park blocks the process goroutine until a wake deposit arrives. Must only
-// be called from the process's own goroutine. Returns the wake payload.
+// park hands control back to the resumer until a wake deposit arrives. Must
+// only be called from the process's own goroutine. Returns the wake payload.
 func (p *Process) park(reason string) any {
 	p.mu.Lock()
 	if p.killed {
@@ -596,35 +585,30 @@ func (p *Process) park(reason string) any {
 	p.parkReason = reason
 	p.mu.Unlock()
 
-	// Publish the park; release the engine side if it is blocked awaiting
-	// it. The Swap plus the conditional send is the whole "I am parked"
-	// half of the handshake — no channel operation when nobody waits.
-	if p.hs.Swap(hsParked) == hsEngWait {
-		p.engGate <- struct{}{}
-	}
-	<-p.procGate // semaphore park until a wake is deposited
-	msg := p.wakeMsg
-	p.wakeMsg = resumeMsg{}
+	alive := p.yield(struct{}{}) // false: the resumer called stop — a kill
+	data := p.wakeMsg
+	p.wakeMsg = nil
 
 	p.mu.Lock()
 	p.parked = false
 	p.parkReason = ""
 	p.mu.Unlock()
 
-	if msg.kill {
+	if !alive {
 		panic(killedPanic{p})
 	}
-	return msg.data
+	return data
 }
 
-// resume wakes a parked goroutine process and waits until it parks again or
-// exits. Must be called from engine-callback context (never from the
-// process's own goroutine).
-func (p *Process) resume(msg resumeMsg) {
+// resume runs a goroutine process — from its start, or from its park with
+// data as the wake payload, or unwinding it when kill is set — and returns
+// once it parks again or exits. Must be called from engine-callback context
+// (never from the process's own goroutine).
+func (p *Process) resume(data any, kill bool) {
 	// Early-out for terminated processes BEFORE taking resumeMu: exit hooks
 	// may trigger wake callbacks for the dying process from its own
 	// goroutine (e.g. aborting its in-flight kernels) while the killer's
-	// resume still holds resumeMu waiting for the final park signal.
+	// resume still holds resumeMu waiting for the body to return.
 	p.mu.Lock()
 	if p.state == StateExited || p.state == StateKilled {
 		p.mu.Unlock()
@@ -642,27 +626,12 @@ func (p *Process) resume(msg resumeMsg) {
 	}
 	p.mu.Unlock()
 
-	// Claim the parked token. Under the virtual engine the process is
-	// always fully parked by the time a wake fires; the spin only triggers
-	// under the wall engine when a waker races the final instructions of
-	// park's publish.
-	for !p.hs.CompareAndSwap(hsParked, hsRun) {
-		if p.hs.Load() == hsDead {
-			return
-		}
-		runtime.Gosched()
+	if kill {
+		p.stop()
+		return
 	}
-	p.wakeMsg = msg
-	p.procGate <- struct{}{}
-	p.waitForPark()
-}
-
-// waitForPark blocks the engine side until the process parks (or exits).
-// The fast path is a single failed CAS when the park already happened.
-func (p *Process) waitForPark() {
-	if p.hs.CompareAndSwap(hsRun, hsEngWait) {
-		<-p.engGate
-	}
+	p.wakeMsg = data
+	p.next()
 }
 
 // --- signals (see signal.go for Signal) ------------------------------------
@@ -686,7 +655,7 @@ func (p *Process) deliverPending() {
 		k(data)
 		return
 	}
-	p.resume(resumeMsg{data: data})
+	p.resume(data, false)
 }
 
 // --- blocking primitives ---------------------------------------------------

@@ -291,6 +291,7 @@ func TestLive(t *testing.T) {
 	eng, rt := newRT()
 	rt.Spawn("a", func(p *Process) error { p.Sleep(time.Hour); return nil })
 	rt.Spawn("b", func(p *Process) error { return nil })
+	rt.SpawnInline("c", func(p *Process) { p.Exit(nil) })
 	eng.RunUntil(time.Second)
 	live := rt.Live()
 	if len(live) != 1 {
@@ -298,6 +299,13 @@ func TestLive(t *testing.T) {
 	}
 	if live[0].ParkReason() != "sleep" {
 		t.Fatalf("ParkReason = %q, want sleep", live[0].ParkReason())
+	}
+	// Live does not filter by state: b and c are absent because exiting
+	// removed them from the runtime (either flavour), and a kill removes a
+	// parked process on the spot.
+	live[0].Signal(SigKill)
+	if n := len(rt.Live()); n != 0 {
+		t.Fatalf("Live = %d procs after the kill, want 0", n)
 	}
 }
 

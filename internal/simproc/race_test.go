@@ -7,12 +7,13 @@ import (
 	"freeride/internal/simtime"
 )
 
-// TestFutexHandshakeStressStopContKill hammers the futex park/resume
-// handshake from genuinely concurrent wakers: under the wall engine, timer
-// callbacks fire from their own goroutines while the process goroutines
-// park and wake, and Stop/Cont/Kill signals land at arbitrary points of the
-// handshake. Run with -race this validates the atomic state word, the gate
-// semaphores and the stopped/killed transitions.
+// TestFutexHandshakeStressStopContKill (the name predates the coroutine)
+// hammers park/resume from many wakers: under the wall engine, timer
+// callbacks fire from their own goroutines, so each process's coroutine is
+// entered from a different goroutine every time, and Stop/Cont/Kill signals
+// land between arbitrary parks. Run with -race this validates that the
+// coroutine switch orders every resumer against the body, and the
+// stopped/killed transitions.
 func TestFutexHandshakeStressStopContKill(t *testing.T) {
 	eng := simtime.NewWall()
 	rt := NewRuntime(eng)

@@ -91,7 +91,7 @@ func (p *Process) Signal(sig Signal) {
 		parked := p.parked
 		p.mu.Unlock()
 		if parked {
-			p.resume(resumeMsg{kill: true})
+			p.resume(nil, true)
 		}
 		// If not parked (running under the wall engine, or being resumed),
 		// the kill flag fires at the next park.

@@ -64,12 +64,12 @@ type Rescheduler interface {
 // Escalator is the engine ownership hook: engines that start in a
 // single-owner (lock-free) regime implement it so components can declare
 // when they introduce concurrency. Any component that creates a goroutine
-// able to reach the engine — a goroutine-process shell (simproc.Spawn), a
-// network read pump (freerpc.NewNetConn) — must escalate first, before that
-// goroutine exists. Inherently concurrent engines (Wall) implement it as a
-// no-op; components that stay on the dispatcher goroutine (simproc
-// SpawnInline bodies, the pipeline's stage machines, inline side tasks)
-// declare their regime by not calling it.
+// able to reach the engine beside the dispatcher — a network read pump
+// (freerpc.NewNetConn) — must escalate first, before that goroutine exists.
+// Inherently concurrent engines (Wall) implement it as a no-op; components
+// that run on the dispatcher or as its coroutines (simproc SpawnInline
+// bodies and Spawn's goroutine shells, the pipeline's stage machines, side
+// tasks of either kind) declare their regime by not calling it.
 type Escalator interface {
 	// EscalateShared switches the engine to its mutex-guarded regime.
 	// One-way; idempotent.

@@ -5,24 +5,25 @@ import "sync"
 // Guard is a mutex that rides the engine ownership regime: bound to a
 // virtual engine, it is free (no atomic, one predicted branch) while the
 // engine is in its single-owner regime — where, by the regime's definition,
-// every component entry point runs on the one dispatcher goroutine and
-// mutual exclusion is vacuous — and becomes a real mutex the moment the
-// engine escalates. Unbound (or bound to a non-virtual engine, e.g. the
-// inherently concurrent Wall), it always locks.
+// every component entry point runs on the dispatcher or on a process
+// coroutine it is suspended in, and mutual exclusion is vacuous — and
+// becomes a real mutex the moment the engine escalates. Unbound (or bound to
+// a non-virtual engine, e.g. the inherently concurrent Wall), it always
+// locks.
 //
 // This is how the simulation data plane (simgpu devices, simproc processes
 // and sync primitives, freerpc peers and pipes) sheds its lock traffic in
-// the all-inline experiment grids without giving up safety under goroutine
-// shells or live daemons: the same EscalateShared call that arms the
-// engine's own mutex arms every Guard bound to it, before the first
-// concurrent goroutine exists.
+// every simulated session — goroutine shells included: they are inside the
+// single-owner regime — without giving up safety under a live transport:
+// the same EscalateShared call (freerpc.NewNetConn's) that arms the engine's
+// own mutex arms every Guard bound to it, before the first concurrent
+// goroutine exists.
 //
 // The invariant Guards inherit from the engine: escalation must not happen
 // while the escalating goroutine is inside a Guard-protected critical
-// section (no component calls simproc.Spawn or freerpc.NewNetConn with a
-// Guard held — callbacks and wakes are invoked outside locks throughout).
-// A violation fails loudly: Unlock of a mutex the matching Lock skipped
-// panics.
+// section (no component calls freerpc.NewNetConn with a Guard held —
+// callbacks and wakes are invoked outside locks throughout). A violation
+// fails loudly: Unlock of a mutex the matching Lock skipped panics.
 type Guard struct {
 	mu sync.Mutex
 	v  *Virtual // non-nil: skip the mutex while v is single-owner

@@ -19,29 +19,30 @@ import (
 //
 //   - Single-owner (the initial regime): every entry point — Schedule,
 //     ScheduleDetached, Reschedule, Step, Timer.Cancel, the observers — is
-//     called from one goroutine at a time: the dispatcher goroutine itself
-//     (event callbacks, and code between Step calls). This is the all-inline
-//     case every experiment grid hits: pipeline stages, side tasks and the
-//     control plane all run as event-loop continuations on the dispatcher
-//     (simproc.SpawnInline), so nothing else can touch the queue. In this
+//     called from one thread of control at a time: the dispatcher (event
+//     callbacks, and code between Step calls) or a coroutine it is
+//     suspended in. This is the case every simulated session hits: pipeline
+//     stages, side tasks and the control plane run as event-loop
+//     continuations on the dispatcher (simproc.SpawnInline), and a
+//     goroutine-process shell (simproc.Runtime.Spawn) is a coroutine of its
+//     resumer — its body calls Schedule and Now only between a callback's
+//     switch into it and its own next park, the coroutine switch being the
+//     happens-before edge — so nothing else can touch the queue. In this
 //     regime the queue mutex is skipped entirely; Now stays lock-free as
 //     always.
-//   - Escalated (shared): the first component that introduces a second
-//     goroutine able to reach the engine — simproc.Runtime.Spawn creating a
-//     goroutine-process shell, freerpc.NewNetConn starting a read pump —
-//     must call EscalateShared before that goroutine exists. From then on
-//     all queue operations serialize on the mutex. Escalation is one-way
-//     and must itself happen on the owning goroutine (or before any
-//     concurrent use): the happens-before edge of starting the new
-//     goroutine is what publishes the regime change.
+//   - Escalated (shared): a component that introduces a goroutine able to
+//     reach the engine beside the dispatcher — freerpc.NewNetConn starting
+//     a read pump is the one in this tree — must call EscalateShared before
+//     that goroutine exists. From then on all queue operations serialize on
+//     the mutex. Escalation is one-way and must itself happen on the owning
+//     goroutine (or before any concurrent use): the happens-before edge of
+//     starting the new goroutine is what publishes the regime change.
 //
-// Callbacks may hand control to simulated process goroutines (see
-// internal/simproc); those goroutines may call Schedule and Now while the
-// dispatcher is blocked waiting for them to park — that is exactly the
-// escalated regime. Who may call what from where, in short: in single-owner
-// mode, only the dispatcher goroutine (and the inline continuations it
-// runs); after escalation, any goroutine, serialized by the queue mutex,
-// with dispatch itself still exclusive to the one Run/Step caller.
+// Who may call what from where, in short: in single-owner mode, only the
+// dispatcher goroutine, the inline continuations it runs and the process
+// coroutines it (transitively) resumes; after escalation, any goroutine,
+// serialized by the queue mutex, with dispatch itself still exclusive to
+// the one Run/Step caller.
 //
 // # Queue structure: near-term calendar wheel + 4-ary heap
 //
