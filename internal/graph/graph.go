@@ -3,7 +3,9 @@
 // deterministic RMAT-style generator standing in for the Orkut dataset
 // (which is not redistributable here), PageRank, and SGD matrix
 // factorization. The algorithms run for real on the host; the simulated GPU
-// is charged their kernel cost by the side-task layer.
+// is charged their kernel cost by the side-task layer. A step allocates
+// nothing: PageRank swaps its two rank vectors, and SGDMF reshuffles its one
+// pass-order buffer in place with rand.Perm's own draws.
 package graph
 
 import (

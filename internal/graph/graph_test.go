@@ -188,6 +188,58 @@ func TestSGDMFDeterministicWithSeed(t *testing.T) {
 	}
 }
 
+// refSGDMFStep is Step as it was while it drew its order from rand.Perm: a
+// fresh permutation per pass.
+func refSGDMFStep(m *SGDMF) float64 {
+	n := len(m.ratings)
+	var sqErr float64
+	for _, idx := range m.rng.Perm(n) {
+		r := m.ratings[idx]
+		pu := m.p[int(r.User)*m.k : int(r.User)*m.k+m.k]
+		qi := m.q[int(r.Item)*m.k : int(r.Item)*m.k+m.k]
+		var pred float64
+		for j := 0; j < m.k; j++ {
+			pred += pu[j] * qi[j]
+		}
+		err := float64(r.Value) - pred
+		sqErr += err * err
+		for j := 0; j < m.k; j++ {
+			pj, qj := pu[j], qi[j]
+			pu[j] += m.lr * (err*qj - m.reg*pj)
+			qi[j] += m.lr * (err*pj - m.reg*qj)
+		}
+	}
+	return math.Sqrt(sqErr / float64(n))
+}
+
+// The reused order buffer draws what rand.Perm draws: every pass visits the
+// ratings in the same order and ends on the same RMSE and factors, bit for
+// bit, and allocates nothing.
+func TestSGDMFStepMatchesPermReferenceAllocFree(t *testing.T) {
+	ratings := SyntheticRatings(128, 128, 4096, 8, 7)
+	cfg := SGDMFConfig{Users: 128, Items: 128, K: 8, Seed: 8}
+	m, ref := NewSGDMF(cfg, ratings), NewSGDMF(cfg, ratings)
+	for pass := 0; pass < 50; pass++ {
+		got, want := m.Step(), refSGDMFStep(ref)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("pass %d: RMSE %v, rand.Perm reference %v", pass, got, want)
+		}
+	}
+	for _, f := range []struct {
+		name      string
+		got, want []float64
+	}{{"p", m.p, ref.p}, {"q", m.q, ref.q}} {
+		for i := range f.want {
+			if math.Float64bits(f.got[i]) != math.Float64bits(f.want[i]) {
+				t.Fatalf("%s[%d] = %v, reference %v", f.name, i, f.got[i], f.want[i])
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() { m.Step() }); n != 0 {
+		t.Fatalf("Step allocates %v times per pass, want 0", n)
+	}
+}
+
 func BenchmarkPageRankStep(b *testing.B) {
 	g := RMAT(RMATConfig{Nodes: 1 << 12, EdgeFactor: 16, Seed: 1})
 	pr := NewPageRank(g, 0.85)

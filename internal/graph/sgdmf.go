@@ -14,6 +14,7 @@ type SGDMF struct {
 	p, q            []float64 // row-major latent factors
 	lr, reg         float64
 	rng             *rand.Rand
+	perm            []int // the pass order, reshuffled in place by every Step
 	epochs          int
 	lastRMSE        float64
 }
@@ -58,6 +59,7 @@ func NewSGDMF(cfg SGDMFConfig, ratings []Rating) *SGDMF {
 		q:       make([]float64, cfg.Items*cfg.K),
 		lr:      cfg.LearnRate, reg: cfg.Reg,
 		rng:      rng,
+		perm:     make([]int, len(ratings)),
 		lastRMSE: math.Inf(1),
 	}
 	scale := 1.0 / math.Sqrt(float64(cfg.K))
@@ -97,12 +99,18 @@ func SyntheticRatings(users, items, count, k int, seed int64) []Rating {
 }
 
 // Step performs one SGD pass over all ratings (in shuffled order) and
-// returns the RMSE observed during the pass.
+// returns the RMSE observed during the pass. The order is rand.Perm's own
+// recurrence — the same draws, the same permutation — written into the
+// model's one buffer, so a pass allocates nothing.
 func (m *SGDMF) Step() float64 {
 	n := len(m.ratings)
 	var sqErr float64
-	perm := m.rng.Perm(n)
-	for _, idx := range perm {
+	for i := range m.perm {
+		j := m.rng.Intn(i + 1)
+		m.perm[i] = m.perm[j]
+		m.perm[j] = i
+	}
+	for _, idx := range m.perm {
 		r := m.ratings[idx]
 		pu := m.p[int(r.User)*m.k : int(r.User)*m.k+m.k]
 		qi := m.q[int(r.Item)*m.k : int(r.Item)*m.k+m.k]

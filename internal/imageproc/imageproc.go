@@ -3,13 +3,14 @@
 // bilinear interpolation and alpha-blends a watermark onto it, on real
 // pixel data generated deterministically (the stand-in for Nvidia's sample
 // inputs). The simulated GPU is charged the kernel cost by the side-task
-// layer; the pixel math here keeps the code path real.
+// layer; the pixel math here keeps the code path real. The free functions
+// return fresh images; Pipeline keeps one source, one destination and one
+// generator and hands out its destination, valid until its next Step.
 package imageproc
 
 import (
 	"fmt"
 	"image"
-	"image/color"
 	"math/rand"
 )
 
@@ -17,17 +18,27 @@ import (
 // and seeded noise, so resizing has real structure to interpolate.
 func Synthetic(w, h int, seed int64) *image.RGBA {
 	img := image.NewRGBA(image.Rect(0, 0, w, h))
-	rng := rand.New(rand.NewSource(seed))
+	synthesize(img, rand.New(rand.NewSource(seed)))
+	return img
+}
+
+// synthesize fills img, whose bounds start at the origin, drawing the noise
+// level from rng.
+func synthesize(img *image.RGBA, rng *rand.Rand) {
 	noise := uint8(rng.Intn(32))
+	w, h := img.Rect.Dx(), img.Rect.Dy()
+	xDiv, yDiv, xyDiv := max(1, w-1), max(1, h-1), max(1, w+h-2)
 	for y := 0; y < h; y++ {
+		row := img.Pix[y*img.Stride:][:4*w]
+		g := uint8((y * 255) / yDiv)
 		for x := 0; x < w; x++ {
-			r := uint8((x * 255) / max(1, w-1))
-			g := uint8((y * 255) / max(1, h-1))
-			b := uint8(((x + y) * 255) / max(1, w+h-2))
-			img.SetRGBA(x, y, color.RGBA{R: r + noise, G: g, B: b, A: 255})
+			px := row[4*x:][:4]
+			px[0] = uint8((x*255)/xDiv) + noise
+			px[1] = g
+			px[2] = uint8(((x + y) * 255) / xyDiv)
+			px[3] = 255
 		}
 	}
-	return img
 }
 
 // Resize scales src to (w, h) with bilinear interpolation.
@@ -35,12 +46,19 @@ func Resize(src *image.RGBA, w, h int) (*image.RGBA, error) {
 	if w <= 0 || h <= 0 {
 		return nil, fmt.Errorf("imageproc: invalid target %dx%d", w, h)
 	}
-	sb := src.Bounds()
-	sw, sh := sb.Dx(), sb.Dy()
-	if sw == 0 || sh == 0 {
+	if src.Rect.Empty() {
 		return nil, fmt.Errorf("imageproc: empty source")
 	}
 	dst := image.NewRGBA(image.Rect(0, 0, w, h))
+	resize(dst, src)
+	return dst, nil
+}
+
+// resize fills dst, whose bounds start at the origin and are not empty, from
+// the non-empty src.
+func resize(dst, src *image.RGBA) {
+	w, h := dst.Rect.Dx(), dst.Rect.Dy()
+	sw, sh := src.Rect.Dx(), src.Rect.Dy()
 	xRatio := float64(sw-1) / float64(max(1, w-1))
 	yRatio := float64(sh-1) / float64(max(1, h-1))
 	for y := 0; y < h; y++ {
@@ -48,123 +66,99 @@ func Resize(src *image.RGBA, w, h int) (*image.RGBA, error) {
 		y0 := int(sy)
 		y1 := min(y0+1, sh-1)
 		fy := sy - float64(y0)
+		gy := 1 - fy
+		top, bot := src.Pix[y0*src.Stride:][:4*sw], src.Pix[y1*src.Stride:][:4*sw]
+		row := dst.Pix[y*dst.Stride:][:4*w]
 		for x := 0; x < w; x++ {
 			sx := float64(x) * xRatio
 			x0 := int(sx)
 			x1 := min(x0+1, sw-1)
 			fx := sx - float64(x0)
-
-			c00 := src.RGBAAt(sb.Min.X+x0, sb.Min.Y+y0)
-			c10 := src.RGBAAt(sb.Min.X+x1, sb.Min.Y+y0)
-			c01 := src.RGBAAt(sb.Min.X+x0, sb.Min.Y+y1)
-			c11 := src.RGBAAt(sb.Min.X+x1, sb.Min.Y+y1)
-
-			lerp2 := func(a, b, c, d uint8) uint8 {
-				top := float64(a)*(1-fx) + float64(b)*fx
-				bot := float64(c)*(1-fx) + float64(d)*fx
-				return uint8(top*(1-fy) + bot*fy + 0.5)
+			gx := 1 - fx
+			c00, c10 := top[4*x0:][:4], top[4*x1:][:4]
+			c01, c11 := bot[4*x0:][:4], bot[4*x1:][:4]
+			px := row[4*x:][:4]
+			for c := range px {
+				t := float64(c00[c])*gx + float64(c10[c])*fx
+				b := float64(c01[c])*gx + float64(c11[c])*fx
+				px[c] = uint8(t*gy + b*fy + 0.5)
 			}
-			dst.SetRGBA(x, y, color.RGBA{
-				R: lerp2(c00.R, c10.R, c01.R, c11.R),
-				G: lerp2(c00.G, c10.G, c01.G, c11.G),
-				B: lerp2(c00.B, c10.B, c01.B, c11.B),
-				A: lerp2(c00.A, c10.A, c01.A, c11.A),
-			})
 		}
 	}
-	return dst, nil
 }
 
 // Watermark alpha-blends mark onto dst at (ox, oy), clipping to bounds.
 // opacity is in [0,1].
 func Watermark(dst *image.RGBA, mark *image.RGBA, ox, oy int, opacity float64) {
-	if opacity < 0 {
-		opacity = 0
-	}
-	if opacity > 1 {
-		opacity = 1
-	}
-	db := dst.Bounds()
-	mb := mark.Bounds()
-	for my := 0; my < mb.Dy(); my++ {
-		dy := oy + my
-		if dy < db.Min.Y || dy >= db.Max.Y {
-			continue
-		}
-		for mx := 0; mx < mb.Dx(); mx++ {
-			dx := ox + mx
-			if dx < db.Min.X || dx >= db.Max.X {
-				continue
-			}
-			m := mark.RGBAAt(mb.Min.X+mx, mb.Min.Y+my)
-			alpha := opacity * float64(m.A) / 255.0
+	opacity = min(max(opacity, 0), 1)
+	// The part of the mark, in its own coordinates, that lands inside dst.
+	clip := dst.Rect.Sub(image.Pt(ox, oy)).Intersect(image.Rect(0, 0, mark.Rect.Dx(), mark.Rect.Dy()))
+	for my := clip.Min.Y; my < clip.Max.Y; my++ {
+		mrow := mark.Pix[my*mark.Stride:]
+		drow := dst.Pix[(oy+my-dst.Rect.Min.Y)*dst.Stride:]
+		for mx := clip.Min.X; mx < clip.Max.X; mx++ {
+			m := mrow[4*mx:][:4]
+			alpha := opacity * float64(m[3]) / 255.0
 			if alpha == 0 {
 				continue
 			}
-			d := dst.RGBAAt(dx, dy)
-			blend := func(dc, mc uint8) uint8 {
-				return uint8(float64(dc)*(1-alpha) + float64(mc)*alpha + 0.5)
+			d := drow[4*(ox+mx-dst.Rect.Min.X):][:4]
+			for c := range 3 {
+				d[c] = uint8(float64(d[c])*(1-alpha) + float64(m[c])*alpha + 0.5)
 			}
-			dst.SetRGBA(dx, dy, color.RGBA{
-				R: blend(d.R, m.R),
-				G: blend(d.G, m.G),
-				B: blend(d.B, m.B),
-				A: 255,
-			})
+			d[3] = 255
 		}
 	}
 }
 
 // Pipeline is the step-wise side-task workload: one Step() resizes the next
 // synthetic image and stamps the watermark, mirroring Nvidia's
-// resize-and-watermark sample [41].
+// resize-and-watermark sample [41]. It reuses one source image, one
+// destination image and one random generator, re-seeded per image, so a
+// warmed Step allocates nothing.
 type Pipeline struct {
-	srcW, srcH int
-	dstW, dstH int
-	mark       *image.RGBA
-	seed       int64
-	processed  int
-	lastOut    *image.RGBA
+	src, dst  *image.RGBA
+	mark      *image.RGBA
+	rng       *rand.Rand
+	seed      int64
+	processed int
+	// err is what every Step returns when the dimensions cannot be processed.
+	err error
 }
 
 // NewPipeline builds the workload. The watermark is a small translucent
 // badge rendered once.
 func NewPipeline(srcW, srcH, dstW, dstH int, seed int64) *Pipeline {
 	mark := image.NewRGBA(image.Rect(0, 0, 32, 16))
-	for y := 0; y < 16; y++ {
-		for x := 0; x < 32; x++ {
-			mark.SetRGBA(x, y, color.RGBA{R: 255, G: 255, B: 255, A: 128})
-		}
+	for i := 0; i < len(mark.Pix); i += 4 {
+		copy(mark.Pix[i:], []uint8{255, 255, 255, 128})
 	}
-	return &Pipeline{srcW: srcW, srcH: srcH, dstW: dstW, dstH: dstH, mark: mark, seed: seed}
+	p := &Pipeline{mark: mark, rng: rand.New(rand.NewSource(seed)), seed: seed}
+	switch {
+	case dstW <= 0 || dstH <= 0:
+		p.err = fmt.Errorf("imageproc: invalid target %dx%d", dstW, dstH)
+	case srcW <= 0 || srcH <= 0:
+		p.err = fmt.Errorf("imageproc: empty source")
+	default:
+		p.src = image.NewRGBA(image.Rect(0, 0, srcW, srcH))
+		p.dst = image.NewRGBA(image.Rect(0, 0, dstW, dstH))
+	}
+	return p
 }
 
-// Step processes one image and returns it.
+// Step processes one image and returns it. The image is the pipeline's own
+// and is valid until the next Step, which overwrites it.
 func (p *Pipeline) Step() (*image.RGBA, error) {
-	src := Synthetic(p.srcW, p.srcH, p.seed+int64(p.processed))
-	out, err := Resize(src, p.dstW, p.dstH)
-	if err != nil {
-		return nil, err
+	if p.err != nil {
+		return nil, p.err
 	}
-	Watermark(out, p.mark, p.dstW-40, p.dstH-24, 0.6)
+	p.rng.Seed(p.seed + int64(p.processed))
+	synthesize(p.src, p.rng)
+	resize(p.dst, p.src)
+	Watermark(p.dst, p.mark, p.dst.Rect.Dx()-40, p.dst.Rect.Dy()-24, 0.6)
 	p.processed++
-	p.lastOut = out
-	return out, nil
+	return p.dst, nil
 }
 
 // Processed reports the number of images completed.
 func (p *Pipeline) Processed() int { return p.processed }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

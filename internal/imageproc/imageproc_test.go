@@ -2,6 +2,8 @@ package imageproc
 
 import (
 	"image"
+	"image/color"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -159,6 +161,190 @@ func TestPipelineSteps(t *testing.T) {
 		}
 		if p.Processed() != i {
 			t.Fatalf("Processed = %d, want %d", p.Processed(), i)
+		}
+	}
+}
+
+// The reference pixel math: Synthetic, Resize and Watermark as they were
+// while every pixel went through RGBAAt / SetRGBA and every image had its own
+// random source.
+
+func refSynthetic(w, h int, seed int64) *image.RGBA {
+	img := image.NewRGBA(image.Rect(0, 0, w, h))
+	rng := rand.New(rand.NewSource(seed))
+	noise := uint8(rng.Intn(32))
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			r := uint8((x * 255) / max(1, w-1))
+			g := uint8((y * 255) / max(1, h-1))
+			b := uint8(((x + y) * 255) / max(1, w+h-2))
+			img.SetRGBA(x, y, color.RGBA{R: r + noise, G: g, B: b, A: 255})
+		}
+	}
+	return img
+}
+
+func refResize(src *image.RGBA, w, h int) *image.RGBA {
+	sb := src.Bounds()
+	sw, sh := sb.Dx(), sb.Dy()
+	dst := image.NewRGBA(image.Rect(0, 0, w, h))
+	xRatio := float64(sw-1) / float64(max(1, w-1))
+	yRatio := float64(sh-1) / float64(max(1, h-1))
+	for y := 0; y < h; y++ {
+		sy := float64(y) * yRatio
+		y0 := int(sy)
+		y1 := min(y0+1, sh-1)
+		fy := sy - float64(y0)
+		for x := 0; x < w; x++ {
+			sx := float64(x) * xRatio
+			x0 := int(sx)
+			x1 := min(x0+1, sw-1)
+			fx := sx - float64(x0)
+
+			c00 := src.RGBAAt(sb.Min.X+x0, sb.Min.Y+y0)
+			c10 := src.RGBAAt(sb.Min.X+x1, sb.Min.Y+y0)
+			c01 := src.RGBAAt(sb.Min.X+x0, sb.Min.Y+y1)
+			c11 := src.RGBAAt(sb.Min.X+x1, sb.Min.Y+y1)
+
+			lerp2 := func(a, b, c, d uint8) uint8 {
+				top := float64(a)*(1-fx) + float64(b)*fx
+				bot := float64(c)*(1-fx) + float64(d)*fx
+				return uint8(top*(1-fy) + bot*fy + 0.5)
+			}
+			dst.SetRGBA(x, y, color.RGBA{
+				R: lerp2(c00.R, c10.R, c01.R, c11.R),
+				G: lerp2(c00.G, c10.G, c01.G, c11.G),
+				B: lerp2(c00.B, c10.B, c01.B, c11.B),
+				A: lerp2(c00.A, c10.A, c01.A, c11.A),
+			})
+		}
+	}
+	return dst
+}
+
+func refWatermark(dst *image.RGBA, mark *image.RGBA, ox, oy int, opacity float64) {
+	if opacity < 0 {
+		opacity = 0
+	}
+	if opacity > 1 {
+		opacity = 1
+	}
+	db := dst.Bounds()
+	mb := mark.Bounds()
+	for my := 0; my < mb.Dy(); my++ {
+		dy := oy + my
+		if dy < db.Min.Y || dy >= db.Max.Y {
+			continue
+		}
+		for mx := 0; mx < mb.Dx(); mx++ {
+			dx := ox + mx
+			if dx < db.Min.X || dx >= db.Max.X {
+				continue
+			}
+			m := mark.RGBAAt(mb.Min.X+mx, mb.Min.Y+my)
+			alpha := opacity * float64(m.A) / 255.0
+			if alpha == 0 {
+				continue
+			}
+			d := dst.RGBAAt(dx, dy)
+			blend := func(dc, mc uint8) uint8 {
+				return uint8(float64(dc)*(1-alpha) + float64(mc)*alpha + 0.5)
+			}
+			dst.SetRGBA(dx, dy, color.RGBA{
+				R: blend(d.R, m.R),
+				G: blend(d.G, m.G),
+				B: blend(d.B, m.B),
+				A: 255,
+			})
+		}
+	}
+}
+
+func samePixels(t *testing.T, what string, got, want *image.RGBA) {
+	t.Helper()
+	if got.Rect != want.Rect {
+		t.Fatalf("%s: bounds %v, want %v", what, got.Rect, want.Rect)
+	}
+	for y := want.Rect.Min.Y; y < want.Rect.Max.Y; y++ {
+		for x := want.Rect.Min.X; x < want.Rect.Max.X; x++ {
+			if g, w := got.RGBAAt(x, y), want.RGBAAt(x, y); g != w {
+				t.Fatalf("%s: pixel (%d,%d) = %v, want %v", what, x, y, g, w)
+			}
+		}
+	}
+}
+
+// The free functions address Pix directly now; their pixels are the
+// reference's, on sub-images with bounds off the origin, on one-pixel images
+// and on marks clipped at every edge too.
+func TestFreeFunctionsMatchReference(t *testing.T) {
+	for _, c := range []struct{ sw, sh, w, h int }{
+		{96, 64, 48, 32}, {64, 64, 64, 64}, {17, 5, 40, 23}, {1, 1, 3, 2}, {9, 7, 1, 1}, {2, 30, 31, 2},
+	} {
+		for seed := int64(0); seed < 3; seed++ {
+			src, ref := Synthetic(c.sw, c.sh, seed), refSynthetic(c.sw, c.sh, seed)
+			samePixels(t, "Synthetic", src, ref)
+			dst, err := Resize(src, c.w, c.h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			samePixels(t, "Resize", dst, refResize(ref, c.w, c.h))
+		}
+	}
+
+	big := Synthetic(40, 30, 4)
+	sub := big.SubImage(image.Rect(5, 6, 29, 25)).(*image.RGBA)
+	dst, err := Resize(sub, 13, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePixels(t, "Resize of a sub-image", dst, refResize(sub, 13, 11))
+
+	mark := Synthetic(8, 6, 9).SubImage(image.Rect(1, 1, 7, 6)).(*image.RGBA)
+	for _, at := range []image.Point{{10, 12}, {-3, -2}, {36, 27}, {-3, 27}, {100, 100}, {5, 6}, {2, 3}} {
+		for _, opacity := range []float64{-1, 0, 0.3, 0.6, 1, 2} {
+			got, want := Synthetic(40, 30, 4), refSynthetic(40, 30, 4)
+			gotSub := got.SubImage(image.Rect(5, 6, 29, 25)).(*image.RGBA)
+			wantSub := want.SubImage(image.Rect(5, 6, 29, 25)).(*image.RGBA)
+			Watermark(got, mark, at.X, at.Y, opacity)
+			refWatermark(want, mark, at.X, at.Y, opacity)
+			samePixels(t, "Watermark", got, want)
+			Watermark(gotSub, mark, at.X, at.Y, opacity)
+			refWatermark(wantSub, mark, at.X, at.Y, opacity)
+			samePixels(t, "Watermark onto a sub-image", got, want)
+		}
+	}
+}
+
+// The pipeline reuses one source, one destination and one re-seeded
+// generator: every step's pixels are what the per-image functions produce,
+// and a warmed Step allocates nothing.
+func TestPipelineMatchesReferenceAllocFree(t *testing.T) {
+	const seed = 21
+	p := NewPipeline(96, 64, 48, 32, seed)
+	for i := 0; i < 20; i++ {
+		got, err := p.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := refResize(refSynthetic(96, 64, seed+int64(i)), 48, 32)
+		refWatermark(want, p.mark, 48-40, 32-24, 0.6)
+		samePixels(t, "step", got, want)
+	}
+	n := testing.AllocsPerRun(20, func() {
+		if _, err := p.Step(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != 0 {
+		t.Fatalf("warmed Step allocates %v times, want 0", n)
+	}
+}
+
+func TestPipelineRejectsBadDimensions(t *testing.T) {
+	for _, d := range [][4]int{{0, 8, 4, 4}, {8, -1, 4, 4}, {8, 8, 0, 4}, {8, 8, 4, -2}} {
+		if _, err := NewPipeline(d[0], d[1], d[2], d[3], 1).Step(); err == nil {
+			t.Fatalf("dimensions %v accepted", d)
 		}
 	}
 }

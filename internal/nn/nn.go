@@ -8,9 +8,35 @@
 // proportional MLP. The step-wise structure — load batch, forward, loss,
 // backward, optimizer update — is the part FreeRide's iterative interface
 // depends on, and it is fully real.
+//
+// # Buffers
+//
+// A buffer belongs to whoever produces it and is resized only when the batch
+// shape changes, so a warmed Trainer.TrainStep allocates nothing: Dense owns
+// its output and its input gradient, ReLU its output and its gated gradient,
+// Trainer its batch (x, y) and the logits gradient. A matrix a layer returns
+// is valid until the same layer's next call of that method, and the layer
+// may read it again (ReLU.Backward gates by ReLU's output, Dense.Backward
+// reads the input Forward was given), so a caller neither keeps it across
+// steps nor writes into it; MLP and Trainer rely on that and nothing more.
+// MLP.Backward asks layers[0] for parameter gradients only: nobody reads
+// dL/dx of the network's input.
+//
+// # Summation order
+//
+// Every product is one of three in-place kernels — A·B, Aᵀ·B, A·Bᵀ — that
+// read a transposed operand where it lies. Each out[i][j] starts at +0 and
+// adds a_ik·b_kj in ascending k, skipping every k whose a_ik == 0 (ReLU
+// leaves about half of them zero), one left-associated addition per term;
+// folding four k into a pass changes how often the output is loaded and
+// stored, not the order of one addition. Tests compare math.Float64bits
+// against the naive triple loop (nn_test.go) rather than leave the order to
+// taste: the repository's spine is bit-identical determinism — result
+// digests, golden sessions — and an exact test holds where a tolerance drifts.
 package nn
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -33,25 +59,31 @@ func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 // Set writes the element (i, j).
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
-// MatMul computes a @ b.
+// row returns row i.
+func (m *Matrix) row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
+
+// resize reshapes m, keeping its storage when it is large enough. The
+// contents are unspecified afterwards.
+func (m *Matrix) resize(rows, cols int) {
+	if n := rows * cols; cap(m.Data) < n {
+		m.Data = make([]float64, n)
+	} else {
+		m.Data = m.Data[:n]
+	}
+	m.Rows, m.Cols = rows, cols
+}
+
+func shapeErr(ar, ac, br, bc int) error {
+	return fmt.Errorf("nn: matmul %dx%d @ %dx%d", ar, ac, br, bc)
+}
+
+// MatMul computes a @ b into a fresh matrix.
 func MatMul(a, b *Matrix) (*Matrix, error) {
 	if a.Cols != b.Rows {
-		return nil, fmt.Errorf("nn: matmul %dx%d @ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
+		return nil, shapeErr(a.Rows, a.Cols, b.Rows, b.Cols)
 	}
 	out := NewMatrix(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := out.Data[i*b.Cols : (i+1)*b.Cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
+	mulAB(out, a, b)
 	return out, nil
 }
 
@@ -66,16 +98,115 @@ func Transpose(m *Matrix) *Matrix {
 	return out
 }
 
+// gatherSeg is how many k of a row one scan gathers: the (k, a_ik) buffers
+// are arrays on the kernel's stack, so longer rows take several scans.
+const gatherSeg = 64
+
+// nonzeros is the gather buffer: the k and a_ik of one row segment of op(A)
+// with a_ik != 0, in ascending k.
+type nonzeros struct {
+	k [gatherSeg]int
+	v [gatherSeg]float64
+}
+
+// gather scans a.Data[p], a.Data[p+dk], … for k in [k0, k1) and returns how
+// many were kept. Half the elements behind a ReLU are zero in no order a
+// branch predictor learns, so the scan stores every element and advances the
+// count by a comparison's result instead of jumping on it.
+func (z *nonzeros) gather(a []float64, p, dk, k0, k1 int) int {
+	c := 0
+	for k := k0; k < k1; k, p = k+1, p+dk {
+		v := a[p]
+		z.k[c], z.v[c] = k, v
+		if v != 0 {
+			c++
+		}
+	}
+	return c
+}
+
+// mulAB computes out = A·B; out is already a.Rows × b.Cols.
+func mulAB(out, a, b *Matrix) { mul(out, a, b, a.Rows, a.Cols, a.Cols, 1) }
+
+// mulAtB computes out = Aᵀ·B; out is already a.Cols × b.Cols.
+func mulAtB(out, a, b *Matrix) { mul(out, a, b, a.Cols, a.Rows, 1, a.Cols) }
+
+// mul is the kernel behind A·B and Aᵀ·B: row i of op(A) has inner elements,
+// starts at a.Data[i*di] and steps by dk. Every four gathered a_ik make one
+// pass over the output row.
+func mul(out, a, b *Matrix, rows, inner, di, dk int) {
+	var z nonzeros
+	for i := 0; i < rows; i++ {
+		o := out.row(i)
+		clear(o)
+		for k0 := 0; k0 < inner; k0 += gatherSeg {
+			c := z.gather(a.Data, i*di+k0*dk, dk, k0, min(k0+gatherSeg, inner))
+			t := 0
+			for ; t+4 <= c; t += 4 {
+				a0, a1, a2, a3 := z.v[t], z.v[t+1], z.v[t+2], z.v[t+3]
+				// Resliced to len(o) so the pass checks no bounds.
+				b0, b1 := b.row(z.k[t])[:len(o)], b.row(z.k[t+1])[:len(o)]
+				b2, b3 := b.row(z.k[t+2])[:len(o)], b.row(z.k[t+3])[:len(o)]
+				for j := range o {
+					o[j] = o[j] + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+				}
+			}
+			for ; t < c; t++ {
+				a0, b0 := z.v[t], b.row(z.k[t])[:len(o)]
+				for j := range o {
+					o[j] += a0 * b0[j]
+				}
+			}
+		}
+	}
+}
+
+// mulABt computes out = A·Bᵀ; out is already a.Rows × b.Rows. Four rows of B
+// are four independent dot products against the gathered row of A.
+func mulABt(out, a, b *Matrix) {
+	var z nonzeros
+	inner, n := a.Cols, b.Rows
+	for i := 0; i < a.Rows; i++ {
+		o := out.row(i)
+		clear(o)
+		for k0 := 0; k0 < inner; k0 += gatherSeg {
+			c := z.gather(a.Data, i*inner+k0, 1, k0, min(k0+gatherSeg, inner))
+			ks, vs := z.k[:c], z.v[:c]
+			j := 0
+			for ; j+4 <= n; j += 4 {
+				b0, b1, b2, b3 := b.row(j), b.row(j+1), b.row(j+2), b.row(j+3)
+				s0, s1, s2, s3 := o[j], o[j+1], o[j+2], o[j+3]
+				for t, k := range ks {
+					v := vs[t]
+					s0 += v * b0[k]
+					s1 += v * b1[k]
+					s2 += v * b2[k]
+					s3 += v * b3[k]
+				}
+				o[j], o[j+1], o[j+2], o[j+3] = s0, s1, s2, s3
+			}
+			for ; j < n; j++ {
+				b0, s := b.row(j), o[j]
+				for t, k := range ks {
+					s += vs[t] * b0[k]
+				}
+				o[j] = s
+			}
+		}
+	}
+}
+
 // Dense is a fully connected layer with bias.
 type Dense struct {
 	W *Matrix // in x out
 	B []float64
 
-	// cached for backward
-	lastIn *Matrix
-
 	GradW *Matrix
 	GradB []float64
+
+	// lastIn is the caller's matrix, read again by Backward.
+	lastIn      *Matrix
+	out, gradIn Matrix
 }
 
 // NewDense initializes with He-uniform weights from the seeded rng.
@@ -93,84 +224,119 @@ func NewDense(in, out int, rng *rand.Rand) *Dense {
 	return d
 }
 
-// Forward computes x@W + b.
+// Forward computes x@W + b. The result is valid until the next Forward.
 func (d *Dense) Forward(x *Matrix) (*Matrix, error) {
-	out, err := MatMul(x, d.W)
-	if err != nil {
-		return nil, err
+	if x.Cols != d.W.Rows {
+		return nil, shapeErr(x.Rows, x.Cols, d.W.Rows, d.W.Cols)
 	}
-	for i := 0; i < out.Rows; i++ {
-		for j := 0; j < out.Cols; j++ {
-			out.Data[i*out.Cols+j] += d.B[j]
+	d.out.resize(x.Rows, d.W.Cols)
+	mulAB(&d.out, x, d.W)
+	for i := 0; i < x.Rows; i++ {
+		o := d.out.row(i)
+		for j, bias := range d.B {
+			o[j] += bias
 		}
 	}
 	d.lastIn = x
-	return out, nil
+	return &d.out, nil
 }
 
-// Backward accumulates parameter gradients and returns dL/dx.
+// Backward stores the parameter gradients in GradW and GradB and returns
+// dL/dx, valid until the next Backward.
 func (d *Dense) Backward(gradOut *Matrix) (*Matrix, error) {
-	xt := Transpose(d.lastIn)
-	gw, err := MatMul(xt, gradOut)
-	if err != nil {
+	if err := d.backwardParams(gradOut); err != nil {
 		return nil, err
 	}
-	copy(d.GradW.Data, gw.Data)
-	for j := 0; j < gradOut.Cols; j++ {
-		var sum float64
-		for i := 0; i < gradOut.Rows; i++ {
-			sum += gradOut.At(i, j)
-		}
-		d.GradB[j] = sum
+	d.gradIn.resize(gradOut.Rows, d.W.Rows)
+	mulABt(&d.gradIn, gradOut, d.W)
+	return &d.gradIn, nil
+}
+
+// backwardParams is Backward without dL/dx.
+func (d *Dense) backwardParams(gradOut *Matrix) error {
+	x := d.lastIn
+	if x == nil {
+		return errors.New("nn: Dense.Backward before Forward")
 	}
-	wt := Transpose(d.W)
-	return MatMul(gradOut, wt)
+	if x.Rows != gradOut.Rows {
+		return shapeErr(x.Cols, x.Rows, gradOut.Rows, gradOut.Cols)
+	}
+	if gradOut.Cols != d.W.Cols {
+		return shapeErr(gradOut.Rows, gradOut.Cols, d.W.Cols, d.W.Rows)
+	}
+	mulAtB(d.GradW, x, gradOut)
+	clear(d.GradB)
+	for i := 0; i < gradOut.Rows; i++ {
+		for j, g := range gradOut.row(i) {
+			d.GradB[j] += g
+		}
+	}
+	return nil
 }
 
 // ReLU is the rectified-linear activation.
-type ReLU struct {
-	mask []bool
-}
+type ReLU struct{ out, gradIn Matrix }
 
-// Forward clamps negatives to zero.
+// posInf is the bit pattern of +Inf: as integers, the bit patterns of the
+// floats above zero are exactly 1 … posInf (negatives carry the sign bit,
+// NaNs lie above posInf).
+const posInf = 0x7FF0000000000000
+
+// Forward clamps everything that is not above zero to +0. The result is
+// valid until the next Forward, and Backward gates by it. Which elements
+// pass is as unpredictable here as in gather, so both directions select on
+// bit patterns rather than branch.
 func (r *ReLU) Forward(x *Matrix) *Matrix {
-	out := NewMatrix(x.Rows, x.Cols)
-	if cap(r.mask) < len(x.Data) {
-		r.mask = make([]bool, len(x.Data))
-	}
-	r.mask = r.mask[:len(x.Data)]
+	r.out.resize(x.Rows, x.Cols)
+	out := r.out.Data
 	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
-			r.mask[i] = true
-		} else {
-			r.mask[i] = false
+		bits, keep := math.Float64bits(v), uint64(0)
+		if bits-1 < posInf { // v > 0
+			keep = bits
 		}
+		out[i] = math.Float64frombits(keep)
 	}
-	return out
+	return &r.out
 }
 
-// Backward gates gradients by the forward mask.
+// Backward passes the gradient where Forward's input was above zero, and +0
+// elsewhere. The result is valid until the next Backward.
 func (r *ReLU) Backward(gradOut *Matrix) *Matrix {
-	out := NewMatrix(gradOut.Rows, gradOut.Cols)
+	r.gradIn.resize(gradOut.Rows, gradOut.Cols)
+	out, gradIn := r.out.Data[:len(gradOut.Data)], r.gradIn.Data[:len(gradOut.Data)]
 	for i, v := range gradOut.Data {
-		if r.mask[i] {
-			out.Data[i] = v
+		bits, keep := math.Float64bits(v), uint64(0)
+		if math.Float64bits(out[i]) != 0 { // Forward left +0 or a float above zero
+			keep = bits
 		}
+		gradIn[i] = math.Float64frombits(keep)
 	}
-	return out
+	return &r.gradIn
 }
 
 // SoftmaxCrossEntropy computes the mean loss and the logits gradient for
-// integer class labels.
+// integer class labels into a fresh matrix.
 func SoftmaxCrossEntropy(logits *Matrix, labels []int) (loss float64, grad *Matrix, err error) {
-	if len(labels) != logits.Rows {
-		return 0, nil, fmt.Errorf("nn: %d labels for %d rows", len(labels), logits.Rows)
+	grad = &Matrix{}
+	if loss, err = softmaxCrossEntropy(grad, logits, labels); err != nil {
+		return 0, nil, err
 	}
-	grad = NewMatrix(logits.Rows, logits.Cols)
+	return loss, grad, nil
+}
+
+// softmaxCrossEntropy writes the logits gradient into grad, resized to the
+// logits' shape.
+func softmaxCrossEntropy(grad, logits *Matrix, labels []int) (loss float64, err error) {
+	if len(labels) != logits.Rows {
+		return 0, fmt.Errorf("nn: %d labels for %d rows", len(labels), logits.Rows)
+	}
+	if logits.Rows < 1 || logits.Cols < 1 {
+		return 0, fmt.Errorf("nn: softmax over %dx%d logits", logits.Rows, logits.Cols)
+	}
+	grad.resize(logits.Rows, logits.Cols)
 	n := float64(logits.Rows)
 	for i := 0; i < logits.Rows; i++ {
-		row := logits.Data[i*logits.Cols : (i+1)*logits.Cols]
+		row := logits.row(i)
 		maxV := row[0]
 		for _, v := range row {
 			if v > maxV {
@@ -178,7 +344,7 @@ func SoftmaxCrossEntropy(logits *Matrix, labels []int) (loss float64, grad *Matr
 			}
 		}
 		var sum float64
-		probs := grad.Data[i*logits.Cols : (i+1)*logits.Cols]
+		probs := grad.row(i)
 		for j, v := range row {
 			e := math.Exp(v - maxV)
 			probs[j] = e
@@ -186,7 +352,7 @@ func SoftmaxCrossEntropy(logits *Matrix, labels []int) (loss float64, grad *Matr
 		}
 		label := labels[i]
 		if label < 0 || label >= logits.Cols {
-			return 0, nil, fmt.Errorf("nn: label %d out of range [0,%d)", label, logits.Cols)
+			return 0, fmt.Errorf("nn: label %d out of range [0,%d)", label, logits.Cols)
 		}
 		for j := range probs {
 			probs[j] /= sum
@@ -197,5 +363,5 @@ func SoftmaxCrossEntropy(logits *Matrix, labels []int) (loss float64, grad *Matr
 			probs[j] /= n
 		}
 	}
-	return loss / n, grad, nil
+	return loss / n, nil
 }

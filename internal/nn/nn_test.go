@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -210,11 +211,360 @@ func TestDatasetBatchShape(t *testing.T) {
 	}
 }
 
+// The reference arithmetic: the package's products and layers as they were
+// before the in-place kernels — a fresh matrix from every op, materialised
+// transposes, one k per pass over the output row. The kernels and the trainer
+// must reproduce it bit for bit on whatever GOARCH the test runs on (where
+// the compiler fuses x*y + z, it fuses both sides alike or this file says so).
+
+func refMatMul(a, b *Matrix) *Matrix {
+	out := NewMatrix(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
+		orow := out.Data[i*b.Cols : (i+1)*b.Cols]
+		for k, av := range arow {
+			if av == 0 {
+				continue
+			}
+			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
+			for j, bv := range brow {
+				orow[j] += av * bv
+			}
+		}
+	}
+	return out
+}
+
+func refTranspose(m *Matrix) *Matrix {
+	out := NewMatrix(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			out.Data[j*m.Rows+i] = m.Data[i*m.Cols+j]
+		}
+	}
+	return out
+}
+
+// refLayer runs the old Dense / ReLU bodies over a real Dense's parameters.
+type refLayer struct {
+	d      *Dense
+	lastIn *Matrix
+	mask   []bool
+}
+
+func (l *refLayer) forward(x *Matrix) *Matrix {
+	out := refMatMul(x, l.d.W)
+	for i := 0; i < out.Rows; i++ {
+		for j := 0; j < out.Cols; j++ {
+			out.Data[i*out.Cols+j] += l.d.B[j]
+		}
+	}
+	l.lastIn = x
+	return out
+}
+
+func (l *refLayer) backward(gradOut *Matrix) *Matrix {
+	copy(l.d.GradW.Data, refMatMul(refTranspose(l.lastIn), gradOut).Data)
+	for j := 0; j < gradOut.Cols; j++ {
+		var sum float64
+		for i := 0; i < gradOut.Rows; i++ {
+			sum += gradOut.At(i, j)
+		}
+		l.d.GradB[j] = sum
+	}
+	return refMatMul(gradOut, refTranspose(l.d.W))
+}
+
+func (l *refLayer) relu(x *Matrix) *Matrix {
+	out := NewMatrix(x.Rows, x.Cols)
+	l.mask = make([]bool, len(x.Data))
+	for i, v := range x.Data {
+		if v > 0 {
+			out.Data[i] = v
+			l.mask[i] = true
+		}
+	}
+	return out
+}
+
+func (l *refLayer) reluBackward(gradOut *Matrix) *Matrix {
+	out := NewMatrix(gradOut.Rows, gradOut.Cols)
+	for i, v := range gradOut.Data {
+		if l.mask[i] {
+			out.Data[i] = v
+		}
+	}
+	return out
+}
+
+// refTrainStep is the old Trainer.TrainStep over tr's model, data and
+// optimizer: every layer, the first included, computes its dL/dx.
+func refTrainStep(t *testing.T, tr *Trainer, layers []*refLayer) float64 {
+	t.Helper()
+	h, y := tr.data.Batch(len(tr.y))
+	for i, l := range layers {
+		h = l.forward(h)
+		if i+1 < len(layers) {
+			h = l.relu(h)
+		}
+	}
+	loss, g, err := SoftmaxCrossEntropy(h, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := len(layers) - 1; i >= 0; i-- {
+		if i+1 < len(layers) {
+			g = layers[i].reluBackward(g)
+		}
+		g = layers[i].backward(g)
+	}
+	tr.opt.Tick()
+	for _, l := range layers {
+		tr.opt.Update(l.d)
+	}
+	return loss
+}
+
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d] = %v (%#x), want %v (%#x)", what, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// randomMatrix draws a matrix whose entries are zero (of either sign) with
+// probability zeros, and whose row zeroRow, if it exists, is all zero.
+func randomMatrix(rng *rand.Rand, rows, cols int, zeros float64, zeroRow int) *Matrix {
+	m := NewMatrix(rows, cols)
+	for i := range m.Data {
+		switch {
+		case i/cols == zeroRow || rng.Float64() < zeros:
+			m.Data[i] = math.Copysign(0, rng.Float64()-0.5)
+		default:
+			m.Data[i] = rng.NormFloat64()
+		}
+	}
+	return m
+}
+
+func TestKernelsMatchReferenceBitForBit(t *testing.T) {
+	check := func(name string, a, b *Matrix) {
+		t.Helper()
+		want := refMatMul(a, b).Data
+		at, bt := refTranspose(a), refTranspose(b)
+		for _, k := range []struct {
+			name string
+			run  func(out *Matrix)
+		}{
+			{"A·B", func(out *Matrix) { mulAB(out, a, b) }},
+			{"Aᵀ·B", func(out *Matrix) { mulAtB(out, at, b) }},
+			{"A·Bᵀ", func(out *Matrix) { mulABt(out, a, bt) }},
+		} {
+			// A kernel overwrites whatever its output held.
+			out := NewMatrix(a.Rows, b.Cols)
+			for i := range out.Data {
+				out.Data[i] = math.NaN()
+			}
+			k.run(out)
+			sameBits(t, name+": "+k.name, out.Data, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(23))
+	// Every dimension runs over 1…70, so k and j counts that are 0–3 mod 4
+	// and rows longer than one gather segment all occur.
+	for n := 0; n < 400; n++ {
+		rows, inner, cols := 1+rng.Intn(70), 1+rng.Intn(70), 1+rng.Intn(70)
+		if n < 70 {
+			rows, inner, cols = 1+(n*7)%5, n+1, 70-n
+		}
+		zeros := []float64{0, 0.5, 0.9, 1}[n%4]
+		a := randomMatrix(rng, rows, inner, zeros, rng.Intn(2*rows))
+		b := randomMatrix(rng, inner, cols, 0.2, -1)
+		if n%8 >= 4 {
+			// x + 0·b is x for every finite b, so only an infinite b shows
+			// whether a zero a_ik was skipped (0·Inf is NaN).
+			b.Data[rng.Intn(len(b.Data))] = math.Inf(1)
+			b.Data[rng.Intn(len(b.Data))] = math.Inf(-1)
+		}
+		check(fmt.Sprintf("#%d %dx%dx%d zeros %.1f", n, rows, inner, cols, zeros), a, b)
+	}
+	// One non-zero in a row, at every position of a four-group and across the
+	// segment boundary; inner 1 is the 1×1 product.
+	for _, inner := range []int{1, 2, 3, 4, 5, 63, 64, 65, 70} {
+		for k := 0; k < inner; k++ {
+			a := NewMatrix(1, inner)
+			a.Data[k] = -1.5
+			b := randomMatrix(rng, inner, 1+k%7, 0.2, -1)
+			check(fmt.Sprintf("single non-zero %d of %d", k, inner), a, b)
+		}
+	}
+}
+
+func TestTrainerMatchesReferenceBitForBit(t *testing.T) {
+	for _, dims := range [][]int{{32, 64, 10}, {16, 32, 4}, {8, 16, 16, 5}, {7, 3}} {
+		tr, err := NewTrainer(dims, 2048, 32, 0.005, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := NewTrainer(dims, 2048, 32, 0.005, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var layers []*refLayer
+		for _, d := range ref.model.Layers() {
+			layers = append(layers, &refLayer{d: d})
+		}
+		for step := 0; step < 300; step++ {
+			got, err := tr.TrainStep()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := refTrainStep(t, ref, layers)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("dims %v step %d: loss %v, reference %v", dims, step, got, want)
+			}
+		}
+		// The dL/dx that layers[0] no longer computes must change nothing
+		// else: every parameter and every gradient, GradW of layers[0]
+		// included, is the reference's.
+		for i, d := range tr.model.Layers() {
+			r := layers[i].d
+			name := fmt.Sprintf("dims %v layer %d ", dims, i)
+			sameBits(t, name+"W", d.W.Data, r.W.Data)
+			sameBits(t, name+"B", d.B, r.B)
+			sameBits(t, name+"GradW", d.GradW.Data, r.GradW.Data)
+			sameBits(t, name+"GradB", d.GradB, r.GradB)
+		}
+	}
+}
+
+func TestTrainStepAllocFree(t *testing.T) {
+	tr, err := NewTrainer([]int{32, 64, 10}, 2048, 32, 0.005, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func() {
+		if _, err := tr.TrainStep(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step() // warm: layer buffers, optimizer state
+	if n := testing.AllocsPerRun(50, step); n != 0 {
+		t.Fatalf("warmed TrainStep allocates %v times per step, want 0", n)
+	}
+}
+
+// A layer's result lives until the same layer's next call: a second Forward
+// with another batch size reshapes the buffer it returned before, and both
+// results are the reference's.
+func TestForwardBufferReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	m, err := NewMLP([]int{6, 9, 4}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var layers []*refLayer
+	for _, d := range m.Layers() {
+		layers = append(layers, &refLayer{d: d})
+	}
+	var first *Matrix
+	for _, batch := range []int{8, 3, 20, 8} {
+		x := randomMatrix(rng, batch, 6, 0.1, -1)
+		got, err := m.Forward(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := layers[1].forward(layers[0].relu(layers[0].forward(x)))
+		if got.Rows != batch || got.Cols != 4 {
+			t.Fatalf("batch %d: logits %dx%d", batch, got.Rows, got.Cols)
+		}
+		sameBits(t, fmt.Sprintf("batch %d logits", batch), got.Data, want.Data)
+		if first == nil {
+			first = got
+		} else if got != first {
+			t.Fatalf("batch %d: Forward returned a second buffer", batch)
+		}
+		// Backward at the new shape reads the buffers Forward just resized.
+		_, grad, err := SoftmaxCrossEntropy(got, make([]int, batch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Backward(grad); err != nil {
+			t.Fatal(err)
+		}
+		wantW1 := refMatMul(refTranspose(layers[1].lastIn), grad)
+		sameBits(t, fmt.Sprintf("batch %d GradW", batch), m.Layers()[1].GradW.Data, wantW1.Data)
+	}
+}
+
+// Inputs that used to panic (or answer NaN) at a distance are errors at the
+// call that can know.
+func TestFrontDoorsReturnErrors(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	cases := []struct {
+		name string
+		call func() error
+	}{
+		{"Dense.Backward before Forward", func() error {
+			_, err := NewDense(3, 2, rng).Backward(NewMatrix(4, 2))
+			return err
+		}},
+		{"SoftmaxCrossEntropy on 0 columns", func() error {
+			_, _, err := SoftmaxCrossEntropy(NewMatrix(2, 0), []int{0, 0})
+			return err
+		}},
+		{"SoftmaxCrossEntropy on 0 rows", func() error {
+			_, _, err := SoftmaxCrossEntropy(NewMatrix(0, 3), nil)
+			return err
+		}},
+		{"NewTrainer with an empty dataset", func() error {
+			_, err := NewTrainer([]int{4, 3}, 0, 8, 0.01, 1)
+			return err
+		}},
+		{"NewTrainer with batch 0", func() error {
+			_, err := NewTrainer([]int{4, 3}, 64, 0, 0.01, 1)
+			return err
+		}},
+		{"NewTrainer with a dimension below 1", func() error {
+			_, err := NewTrainer([]int{4, 0, 3}, 64, 8, 0.01, 1)
+			return err
+		}},
+	}
+	for _, c := range cases {
+		if err := c.call(); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+	}
+
+	// Shape mismatches keep the matmul text.
+	d := NewDense(3, 2, rng)
+	if _, err := d.Forward(NewMatrix(4, 5)); err == nil || err.Error() != "nn: matmul 4x5 @ 3x2" {
+		t.Errorf("Forward with 5 columns into a 3-input layer: %v", err)
+	}
+	if _, err := d.Forward(NewMatrix(4, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Backward(NewMatrix(5, 2)); err == nil || err.Error() != "nn: matmul 3x4 @ 5x2" {
+		t.Errorf("Backward with 5 rows after a 4-row Forward: %v", err)
+	}
+	if _, err := d.Backward(NewMatrix(4, 7)); err == nil || err.Error() != "nn: matmul 4x7 @ 2x3" {
+		t.Errorf("Backward with 7 columns out of a 2-output layer: %v", err)
+	}
+}
+
 func BenchmarkTrainStep(b *testing.B) {
-	tr, err := NewTrainer([]int{32, 64, 8}, 1024, 32, 0.005, 3)
+	// The dimensions of sidetask's built-in training tasks.
+	tr, err := NewTrainer([]int{32, 64, 10}, 2048, 32, 0.005, 3)
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := tr.TrainStep(); err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Optimizer updates a Dense layer from its accumulated gradients.
@@ -110,6 +111,9 @@ func NewMLP(dims []int, rng *rand.Rand) (*MLP, error) {
 	if len(dims) < 2 {
 		return nil, fmt.Errorf("nn: MLP needs at least 2 dims, got %v", dims)
 	}
+	if slices.Min(dims) < 1 {
+		return nil, fmt.Errorf("nn: MLP dims must be positive, got %v", dims)
+	}
 	m := &MLP{}
 	for i := 0; i+1 < len(dims); i++ {
 		m.layers = append(m.layers, NewDense(dims[i], dims[i+1], rng))
@@ -120,7 +124,7 @@ func NewMLP(dims []int, rng *rand.Rand) (*MLP, error) {
 	return m, nil
 }
 
-// Forward computes logits.
+// Forward computes logits, valid until the next Forward.
 func (m *MLP) Forward(x *Matrix) (*Matrix, error) {
 	h := x
 	var err error
@@ -136,20 +140,22 @@ func (m *MLP) Forward(x *Matrix) (*Matrix, error) {
 	return h, nil
 }
 
-// Backward propagates the logits gradient through all layers.
+// Backward propagates the logits gradient through all layers. The first
+// layer computes its parameter gradients only.
 func (m *MLP) Backward(grad *Matrix) error {
 	g := grad
-	var err error
-	for i := len(m.layers) - 1; i >= 0; i-- {
+	for i := len(m.layers) - 1; ; i-- {
 		if i < len(m.relus) {
 			g = m.relus[i].Backward(g)
 		}
-		g, err = m.layers[i].Backward(g)
-		if err != nil {
+		if i == 0 {
+			return m.layers[0].backwardParams(g)
+		}
+		var err error
+		if g, err = m.layers[i].Backward(g); err != nil {
 			return err
 		}
 	}
-	return nil
 }
 
 // Layers exposes the trainable layers for the optimizer.
@@ -184,16 +190,21 @@ func SyntheticDataset(n, dim, k int, seed int64) *Dataset {
 	return &Dataset{X: x, Y: y, classes: k, rng: rng}
 }
 
-// Batch samples a batch with replacement.
+// Batch samples a fresh batch with replacement.
 func (d *Dataset) Batch(size int) (*Matrix, []int) {
-	x := NewMatrix(size, d.X.Cols)
-	y := make([]int, size)
-	for i := 0; i < size; i++ {
+	x, y := &Matrix{}, make([]int, size)
+	d.fill(x, y)
+	return x, y
+}
+
+// fill samples len(y) rows with replacement into x (resized) and y.
+func (d *Dataset) fill(x *Matrix, y []int) {
+	x.resize(len(y), d.X.Cols)
+	for i := range y {
 		idx := d.rng.Intn(d.X.Rows)
-		copy(x.Data[i*x.Cols:(i+1)*x.Cols], d.X.Data[idx*d.X.Cols:(idx+1)*d.X.Cols])
+		copy(x.row(i), d.X.row(idx))
 		y[i] = d.Y[idx]
 	}
-	return x, y
 }
 
 // Trainer bundles model, data and optimizer into the step-wise workload the
@@ -203,13 +214,19 @@ type Trainer struct {
 	model *MLP
 	data  *Dataset
 	opt   *Adam
-	batch int
 	steps int
 	loss  float64
+
+	// The batch and the logits gradient, reused by every step.
+	x, grad Matrix
+	y       []int
 }
 
 // NewTrainer assembles a training side-task workload.
 func NewTrainer(dims []int, dataN, batch int, lr float64, seed int64) (*Trainer, error) {
+	if dataN < 1 || batch < 1 {
+		return nil, fmt.Errorf("nn: trainer needs a positive dataset and batch size, got %d and %d", dataN, batch)
+	}
 	rng := rand.New(rand.NewSource(seed))
 	m, err := NewMLP(dims, rng)
 	if err != nil {
@@ -219,22 +236,22 @@ func NewTrainer(dims []int, dataN, batch int, lr float64, seed int64) (*Trainer,
 		model: m,
 		data:  SyntheticDataset(dataN, dims[0], dims[len(dims)-1], seed+1),
 		opt:   NewAdam(lr),
-		batch: batch,
+		y:     make([]int, batch),
 	}, nil
 }
 
 // TrainStep runs one optimization step and returns the batch loss.
 func (t *Trainer) TrainStep() (float64, error) {
-	x, y := t.data.Batch(t.batch)
-	logits, err := t.model.Forward(x)
+	t.data.fill(&t.x, t.y)
+	logits, err := t.model.Forward(&t.x)
 	if err != nil {
 		return 0, err
 	}
-	loss, grad, err := SoftmaxCrossEntropy(logits, y)
+	loss, err := softmaxCrossEntropy(&t.grad, logits, t.y)
 	if err != nil {
 		return 0, err
 	}
-	if err := t.model.Backward(grad); err != nil {
+	if err := t.model.Backward(&t.grad); err != nil {
 		return 0, err
 	}
 	t.opt.Tick()

@@ -343,6 +343,28 @@ func TestBuiltinRealWorkRuns(t *testing.T) {
 	}
 }
 
+// TestBuiltinStepAllocFree pins the real work under WorkSmall: every row of
+// builtins, built from a seed and warmed, steps without allocating — the
+// trainer's buffers, SGD's pass order and the image pipeline's images are
+// each kept by the workload that fills them.
+func TestBuiltinStepAllocFree(t *testing.T) {
+	for _, b := range builtins {
+		step, err := b.build(42)
+		if err != nil {
+			t.Fatalf("%v: %v", b.names, err)
+		}
+		run := func() {
+			if err := step(); err != nil {
+				t.Fatalf("%v: %v", b.names, err)
+			}
+		}
+		run()
+		if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+			t.Errorf("%v: a warmed step allocates %.1f objects, want 0", b.names, allocs)
+		}
+	}
+}
+
 func TestModeString(t *testing.T) {
 	if ModeIterative.String() != "iterative" || ModeImperative.String() != "imperative" {
 		t.Fatal("Mode.String mismatch")
