@@ -702,12 +702,7 @@ func (s *Session) submitBaseline(name string, p model.TaskProfile, stage int, se
 		Device: s.Devices[stage],
 		// Baselines impose no MPS memory limit (naive) / a permissive one.
 	}
-	if h.CanInline() {
-		_, err = ctrs.RunInline(cspec, h.Start)
-	} else {
-		_, err = ctrs.Run(cspec, h.Run)
-	}
-	if err != nil {
+	if _, err := h.Launch(ctrs, cspec); err != nil {
 		return err
 	}
 	// Script the lifecycle: init immediately, then run forever.

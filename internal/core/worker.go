@@ -309,16 +309,7 @@ func (w *Worker) handleCreate(args createArgs) (any, error) {
 	} else {
 		w.mu.Unlock()
 	}
-	// Event-loop-capable harnesses (all built-in tasks) run inline on the
-	// engine goroutine; arbitrary user implementations keep the goroutine
-	// shell (a coroutine of the dispatcher: two switches per blocking call,
-	// the same ownership regime).
-	var cont *container.Container
-	if harness.CanInline() {
-		cont, err = w.ctrs.RunInline(cspec, harness.Start)
-	} else {
-		cont, err = w.ctrs.Run(cspec, harness.Run)
-	}
+	cont, err := harness.Launch(w.ctrs, cspec)
 	if err != nil {
 		return nil, fmt.Errorf("worker %s: container: %w", w.cfg.Name, err)
 	}

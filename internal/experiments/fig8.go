@@ -207,7 +207,7 @@ func fig8MemLimit(opts Options, withCap bool, out *Figure8Result) error {
 		}
 		procs := simproc.NewRuntime(rig.eng)
 		ctrs := container.NewRuntime(procs)
-		c, err := ctrs.Run(container.Spec{Name: "leaky-nolimit", Device: rig.dev}, h.Run)
+		c, err := h.Launch(ctrs, container.Spec{Name: "leaky-nolimit", Device: rig.dev})
 		if err != nil {
 			return err
 		}

@@ -84,7 +84,7 @@ func Profile(factory HarnessFactory, opts Options) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("profiler: build harness: %w", err)
 	}
-	cont, err := ctr.Run(container.Spec{Name: "profilee", Device: dev}, h.Run)
+	cont, err := h.Launch(ctr, container.Spec{Name: "profilee", Device: dev})
 	if err != nil {
 		return Result{}, fmt.Errorf("profiler: start container: %w", err)
 	}

@@ -110,8 +110,6 @@ func (t *builtinTask) StopSideTask(ctx *Ctx) error {
 // interface. Pausing relies entirely on SIGTSTP from the worker.
 type imperativeAdapter struct {
 	inner Iterative
-	// maxSteps bounds the workload (0 = run forever until stopped/killed).
-	maxSteps int
 }
 
 var _ Imperative = (*imperativeAdapter)(nil)
@@ -119,27 +117,15 @@ var _ Imperative = (*imperativeAdapter)(nil)
 func (a *imperativeAdapter) CreateSideTask(ctx *Ctx) error { return a.inner.CreateSideTask(ctx) }
 func (a *imperativeAdapter) InitSideTask(ctx *Ctx) error   { return a.inner.InitSideTask(ctx) }
 
+// RunGpuWorkload steps until stopped or killed.
 func (a *imperativeAdapter) RunGpuWorkload(ctx *Ctx) error {
-	for i := 0; a.maxSteps == 0 || i < a.maxSteps; i++ {
+	for {
+		start := ctx.Proc.Now()
 		if err := a.inner.RunNextStep(ctx); err != nil {
 			return err
 		}
-		ctx.h.mu.Lock()
-		// Charge the jittered duration ExecStepKernel actually issued (the
-		// nominal StepTime would drift from the simulated work under
-		// StepJitter); fall back to the nominal cost for custom inner
-		// implementations that bypass ExecStepKernel.
-		kt := ctx.h.lastStepDur
-		if kt == 0 {
-			kt = ctx.Profile.StepTime
-		}
-		ctx.h.counters.Steps++
-		ctx.h.counters.KernelTime += kt
-		ctx.h.counters.HostTime += ctx.Profile.HostOverhead
-		ctx.h.counters.StepEvents += uint64(ctx.h.kernelParts) + 1
-		ctx.h.mu.Unlock()
+		ctx.h.stepDone(ctx.Proc.Now() - start)
 	}
-	return nil
 }
 
 // NewBuiltin constructs a harness for one of the paper's six side tasks in

@@ -1,6 +1,7 @@
 package sidetask
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -92,6 +93,17 @@ type midStepResult struct {
 // a kernel fault before the first step's launch.
 func runMidStepRig(t *testing.T, mode Mode, sub midStepSubstrate, fault bool) midStepResult {
 	t.Helper()
+	var faultAt time.Duration
+	if fault {
+		faultAt = 290 * time.Millisecond
+	}
+	return runMidStepRigFaultAt(t, mode, sub, faultAt)
+}
+
+// runMidStepRigFaultAt is runMidStepRig with the kernel fault armed at
+// faultAt (0: no fault).
+func runMidStepRigFaultAt(t *testing.T, mode Mode, sub midStepSubstrate, faultAt time.Duration) midStepResult {
+	t.Helper()
 	eng := simtime.NewVirtual()
 	procs := simproc.NewRuntime(eng)
 	dev := substrateDevice(t, eng, sub)
@@ -130,11 +142,14 @@ func runMidStepRig(t *testing.T, mode Mode, sub midStepSubstrate, fault bool) mi
 		res.exitErr = err
 	})
 
-	if fault {
-		// Armed before the first step launches at 300ms: the fused launch
-		// consumes it at the step start, the unfused arms at the host-sleep
-		// boundary — all must deliver it at 350ms.
-		eng.Schedule(290*time.Millisecond, "arm-fault", func() {
+	if faultAt > 0 {
+		// Armed before the first step launches at 300ms, the fused launch
+		// consumes it at the step start; armed at 320ms, inside the host phase
+		// [300, 350), the pending lead takes it at its launch instant. The
+		// unfused arms consume it at the host-sleep boundary either way — all
+		// must deliver it there: at 350ms, or at the 600ms SIGCONT when the
+		// 330ms SIGTSTP deferred the boundary.
+		eng.Schedule(faultAt, "arm-fault", func() {
 			dev.InjectKernelFault("")
 		})
 	}
@@ -255,20 +270,27 @@ func TestMidStepPauseEquivalence(t *testing.T) {
 }
 
 // TestFusedStepFaultEquivalence injects a kernel fault into the first fused
-// launch: the fused arm consumes it at the step start but must deliver it at
-// the host-phase boundary — the same instant, same error, same exit as both
-// unfused arms, in both interfaces.
+// launch — armed before the step starts, and armed while its host lead is
+// pending: either way the fused arm must deliver it at the host-phase
+// boundary — the same instant, same error, same exit as both unfused arms,
+// in both interfaces.
 func TestFusedStepFaultEquivalence(t *testing.T) {
-	for _, mode := range []Mode{ModeIterative, ModeImperative} {
-		ground := runMidStepRig(t, mode, subGoroutine, true)
-		unfused := runMidStepRig(t, mode, subInlineUnfused, true)
-		fused := runMidStepRig(t, mode, subInlineFused, true)
-		if ground.exitErr == nil || fused.exitErr == nil {
-			t.Fatalf("mode %v: injected fault produced no error exit (%v / %v)",
-				mode, ground.exitErr, fused.exitErr)
+	for _, faultAt := range []time.Duration{290 * time.Millisecond, 320 * time.Millisecond} {
+		for _, mode := range []Mode{ModeIterative, ModeImperative} {
+			what := fmt.Sprintf("%v fault@%v", mode, faultAt)
+			ground := runMidStepRigFaultAt(t, mode, subGoroutine, faultAt)
+			unfused := runMidStepRigFaultAt(t, mode, subInlineUnfused, faultAt)
+			fused := runMidStepRigFaultAt(t, mode, subInlineFused, faultAt)
+			if ground.exitErr == nil || fused.exitErr == nil {
+				t.Fatalf("%s: injected fault produced no error exit (%v / %v)",
+					what, ground.exitErr, fused.exitErr)
+			}
+			if ground.c.Steps != 0 {
+				t.Fatalf("%s: the faulted first step completed on the shell (%d steps)", what, ground.c.Steps)
+			}
+			compareMidStepArms(t, what+": goroutine vs inline-unfused", ground, unfused)
+			compareMidStepArms(t, what+": goroutine vs inline-fused", ground, fused)
 		}
-		compareMidStepArms(t, mode.String()+" fault: goroutine vs inline-unfused", ground, unfused)
-		compareMidStepArms(t, mode.String()+" fault: goroutine vs inline-fused", ground, fused)
 	}
 }
 
@@ -310,18 +332,19 @@ func TestStepKernelPartsSumToJitteredDuration(t *testing.T) {
 	prof.StepJitter = 0.3
 	h := NewIterativeHarness("rem", prof, fuseStepper{}, 7)
 	h.kernelParts = 3
-	r := &inlineRun{h: h, ctx: &Ctx{Profile: prof, Rng: rand.New(rand.NewSource(7)), h: h}}
+	c := &Ctx{Profile: prof, Rng: rand.New(rand.NewSource(7)), h: h}
 	sawRemainder := false
 	for i := 0; i < 200; i++ {
-		r.computeStep()
-		if got := 2*r.perKernel + r.lastKernel; got != r.stepDur {
-			t.Fatalf("parts sum to %v, want %v (per=%v last=%v)", got, r.stepDur, r.perKernel, r.lastKernel)
+		c.beginKernels()
+		stepDur := h.lastStepDur
+		if got := 2*c.perKernel + c.lastKernel; got != stepDur {
+			t.Fatalf("parts sum to %v, want %v (per=%v last=%v)", got, stepDur, c.perKernel, c.lastKernel)
 		}
-		if r.stepDur%3 != 0 {
+		if stepDur%3 != 0 {
 			sawRemainder = true
-			if r.lastKernel == r.perKernel {
+			if c.lastKernel == c.perKernel {
 				t.Fatalf("non-divisible %v: last part %v equals per-part %v; remainder dropped",
-					r.stepDur, r.lastKernel, r.perKernel)
+					stepDur, c.lastKernel, c.perKernel)
 			}
 		}
 	}

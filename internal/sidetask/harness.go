@@ -1,7 +1,6 @@
 package sidetask
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -46,10 +45,30 @@ type Ctx struct {
 	Rng     *rand.Rand
 
 	h *Harness
-	// spec is the reusable step-kernel spec: the kernel keeps the pointer,
-	// so a spec built per step escapes to the heap; Exec has returned before
-	// ExecStepKernel writes it again.
-	spec simgpu.KernelSpec
+	// spec is the reusable step-kernel spec, threaded by pointer through
+	// every launch: the kernel keeps the pointer, so a spec built per step
+	// escapes to the heap. Only Duration changes, between launches (see
+	// simgpu.KernelSpec). The step's remaining kernels are partsLeft-1 of
+	// perKernel and a final lastKernel.
+	spec                  simgpu.KernelSpec
+	partsLeft             int
+	perKernel, lastKernel time.Duration
+}
+
+// newCtx builds the task's context on its process and GPU client.
+func (h *Harness) newCtx(p *simproc.Process, gpu *simgpu.Client) *Ctx {
+	return &Ctx{
+		Proc:    p,
+		GPU:     gpu,
+		Profile: h.profile,
+		Rng:     rand.New(rand.NewSource(h.seed)),
+		h:       h,
+		spec: simgpu.KernelSpec{
+			Name:   h.stepKernelName,
+			Demand: h.profile.Demand,
+			Weight: h.profile.Weight,
+		},
+	}
 }
 
 // ExecStepKernel charges one profile-shaped step's GPU work (with jitter)
@@ -59,32 +78,7 @@ type Ctx struct {
 // in-flight *kernel* — not the whole step — drains past a pause, exactly
 // the asynchronous-kernel behaviour of paper §5.
 func (c *Ctx) ExecStepKernel() error {
-	d := c.Profile.StepTime
-	if c.Profile.StepJitter > 0 {
-		f := 1 + c.Profile.StepJitter*(2*c.Rng.Float64()-1)
-		d = time.Duration(float64(d) * f)
-	}
-	c.h.mu.Lock()
-	c.h.lastStepDur = d
-	c.h.mu.Unlock()
-	parts := c.h.kernelParts
-	if parts < 1 {
-		parts = 1
-	}
-	// Integer division drops up to parts-1 ns of the jittered duration; the
-	// last part absorbs the remainder so the parts sum exactly to d.
-	per := d / time.Duration(parts)
-	last := d - time.Duration(parts-1)*per
-	c.spec = simgpu.KernelSpec{
-		Name:   c.h.stepKernelName,
-		Demand: c.Profile.Demand,
-		Weight: c.Profile.Weight,
-	}
-	for i := 0; i < parts; i++ {
-		c.spec.Duration = per
-		if i == parts-1 {
-			c.spec.Duration = last
-		}
+	for c.beginKernels(); c.nextKernel(); {
 		if err := c.GPU.Exec(c.Proc, &c.spec); err != nil {
 			return err
 		}
@@ -92,11 +86,28 @@ func (c *Ctx) ExecStepKernel() error {
 	return nil
 }
 
+// beginKernels plans the step's kernels (Harness.drawStep).
+func (c *Ctx) beginKernels() {
+	c.perKernel, c.lastKernel = c.h.drawStep(c.Rng)
+	c.partsLeft = c.h.kernelParts
+}
+
+// nextKernel points spec at the step's next kernel, reporting false once all
+// of them have been issued.
+func (c *Ctx) nextKernel() bool {
+	if c.partsLeft == 0 {
+		return false
+	}
+	c.spec.Duration = c.perKernel
+	if c.partsLeft == 1 {
+		c.spec.Duration = c.lastKernel
+	}
+	c.partsLeft--
+	return true
+}
+
 // HostWork models CPU-side time (data loading, the interface loop).
 func (c *Ctx) HostWork(d time.Duration) { c.Proc.Sleep(d) }
-
-// Steps reports completed steps so far.
-func (c *Ctx) Steps() int { return int(c.h.Counters().Steps) }
 
 // Iterative is the user-facing iterative interface (paper Figure 6): the
 // programmer overrides the state-transition bodies; the harness owns the
@@ -157,9 +168,10 @@ type Counters struct {
 	LastPaused  time.Duration // timestamp of the last acknowledged pause
 	StartedRuns uint64        // number of StartSideTask transitions
 	// StepEvents counts the engine events the step loop dispatched for the
-	// completed steps: kernelParts per fused inline step, kernelParts+1
-	// (the separate host-overhead sleep) otherwise. The bench report's
-	// sidetask_events_per_step metric is StepEvents/Steps.
+	// completed steps: kernelParts per step on the event loop over a device
+	// that can lead, kernelParts+1 (the separate host-overhead sleep)
+	// otherwise. The bench report's sidetask_events_per_step metric is
+	// StepEvents/Steps.
 	StepEvents uint64
 }
 
@@ -194,10 +206,12 @@ type Harness struct {
 	// stepKernelName is the precomputed step-kernel label (millions of
 	// launches per run; the concat must not happen per step).
 	stepKernelName string
-	// lastStepDur is the most recent jittered step duration ExecStepKernel
-	// issued; the imperative adapter charges it to KernelTime so jittered
-	// profiles don't drift from the simulated work.
+	// lastStepDur is the most recent jittered step duration drawStep issued;
+	// the imperative interface charges it to KernelTime (see stepDone).
 	lastStepDur time.Duration
+	// stepEvents is what one completed step adds to Counters.StepEvents on
+	// the substrate the harness was started on.
+	stepEvents uint64
 }
 
 // NewIterativeHarness wraps an Iterative implementation.
@@ -310,184 +324,45 @@ func (h *Harness) setState(s State, now time.Duration) {
 	}
 }
 
-// errStopped unwinds the run loop on TransitionStop.
-var errStopped = errors.New("sidetask: stopped")
-
-// Run is the container body: it executes the full life cycle and returns
-// when the task is stopped (or its process is killed / hits an OOM).
+// Run is the goroutine-shell container body: it executes the full life
+// cycle through the blocking primitives and returns when the task is stopped
+// (or its process is killed / hits an OOM).
 func (h *Harness) Run(p *simproc.Process, gpu *simgpu.Client) error {
-	ctx := &Ctx{
-		Proc:    p,
-		GPU:     gpu,
-		Profile: h.profile,
-		Rng:     rand.New(rand.NewSource(h.seed)),
-		h:       h,
-	}
+	ctx := h.newCtx(p, gpu)
+	h.stepEvents = uint64(h.kernelParts) + 1 // the host-overhead sleep, then every kernel
 
-	// SUBMITTED -> CREATED: load context into host memory.
 	ctx.HostWork(h.profile.CreateTime)
-	if err := h.create(ctx); err != nil {
-		return fmt.Errorf("sidetask %s: create: %w", h.name, err)
+	if err := h.created(ctx); err != nil {
+		return err
 	}
-	h.setState(StateCreated, p.Now())
-
-	err := h.commandLoop(ctx)
-	if errors.Is(err, errStopped) {
-		return nil
-	}
-	return err
-}
-
-// commandLoop processes worker commands until stop.
-func (h *Harness) commandLoop(ctx *Ctx) error {
-	p := ctx.Proc
-	for {
-		cmd, ok := h.inbox.Recv(p)
-		if !ok {
-			return fmt.Errorf("sidetask %s: command channel closed", h.name)
-		}
-		if err := h.handle(ctx, cmd); err != nil {
-			return err
-		}
-	}
-}
-
-// handle applies one command in the current state.
-func (h *Harness) handle(ctx *Ctx, cmd Command) error {
-	p := ctx.Proc
-	switch cmd.Transition {
-	case TransitionInit:
-		if h.State() != StateCreated {
-			return nil // tolerate duplicate/err-ordered commands
-		}
-		ctx.HostWork(h.profile.InitTime)
-		if err := h.init(ctx); err != nil {
-			return fmt.Errorf("sidetask %s: init: %w", h.name, err)
-		}
-		h.setState(StatePaused, p.Now())
-		return nil
-
-	case TransitionStart:
-		if h.State() != StatePaused {
-			return nil
-		}
-		h.mu.Lock()
-		h.bubbleEnd = cmd.BubbleEnd
-		h.counters.StartedRuns++
-		h.mu.Unlock()
-		h.setState(StateRunning, p.Now())
-		if h.mode == ModeImperative {
-			// The imperative body runs to completion; pause/resume happen
-			// via SIGTSTP/SIGCONT outside our control (paper §4.2).
-			err := h.imper.RunGpuWorkload(ctx)
-			h.setState(StateStopped, p.Now())
-			if err != nil {
-				return fmt.Errorf("sidetask %s: workload: %w", h.name, err)
-			}
-			return errStopped
-		}
-		return h.runIterative(ctx)
-
-	case TransitionPause:
-		// Only meaningful mid-run; handled inside runIterative. Arriving
-		// here means we are already paused.
-		return nil
-
-	case TransitionStop:
-		return h.stop(ctx)
-	}
-	return nil
-}
-
-// runIterative is the RUNNING-state loop of the iterative interface:
-// between steps it checks for worker transitions, and before each step the
-// program-directed mechanism verifies the remaining bubble time (paper
-// §4.5).
-func (h *Harness) runIterative(ctx *Ctx) error {
-	p := ctx.Proc
-	for {
-		// Worker transitions take priority over the next step.
-		if cmd, ok := h.inbox.TryRecv(); ok {
-			switch cmd.Transition {
-			case TransitionPause:
-				h.setState(StatePaused, p.Now())
-				return nil
-			case TransitionStop:
-				return h.stop(ctx)
-			case TransitionStart:
-				// Bubble extension / refresh.
-				h.mu.Lock()
-				h.bubbleEnd = cmd.BubbleEnd
-				h.mu.Unlock()
-			}
-			continue
-		}
-
-		h.mu.Lock()
-		deadline := h.bubbleEnd
-		estimate := h.stepEstimate
-		h.mu.Unlock()
-		remaining := deadline - p.Now()
-		if remaining < estimate {
-			// Program-directed limit: not enough bubble left for another
-			// step. Account the unusable remainder and wait for the next
-			// command (normally the manager's pause, then a new start).
-			if remaining > 0 {
-				h.mu.Lock()
-				h.counters.InsuffWait += remaining
-				h.mu.Unlock()
-			}
+	for act := actRecv; ; {
+		switch act {
+		case actRecv:
 			cmd, ok := h.inbox.Recv(p)
 			if !ok {
-				return fmt.Errorf("sidetask %s: command channel closed", h.name)
+				return h.closedErr()
 			}
-			switch cmd.Transition {
-			case TransitionPause:
-				h.setState(StatePaused, p.Now())
-				return nil
-			case TransitionStop:
-				return h.stop(ctx)
-			case TransitionStart:
-				h.mu.Lock()
-				h.bubbleEnd = cmd.BubbleEnd
-				h.mu.Unlock()
+			act = h.command(cmd, p.Now())
+		case actInit:
+			ctx.HostWork(h.profile.InitTime)
+			if err := h.initialized(ctx); err != nil {
+				return err
 			}
-			continue
-		}
-
-		stepStart := p.Now()
-		if err := h.iter.RunNextStep(ctx); err != nil {
-			return fmt.Errorf("sidetask %s: step: %w", h.name, err)
-		}
-		h.mu.Lock()
-		h.counters.Steps++
-		h.counters.KernelTime += p.Now() - stepStart - h.profile.HostOverhead
-		h.counters.HostTime += h.profile.HostOverhead
-		h.counters.StepEvents += uint64(h.kernelParts) + 1
-		h.mu.Unlock()
-	}
-}
-
-func (h *Harness) create(ctx *Ctx) error {
-	if h.mode == ModeImperative {
-		return h.imper.CreateSideTask(ctx)
-	}
-	return h.iter.CreateSideTask(ctx)
-}
-
-func (h *Harness) init(ctx *Ctx) error {
-	if h.mode == ModeImperative {
-		return h.imper.InitSideTask(ctx)
-	}
-	return h.iter.InitSideTask(ctx)
-}
-
-func (h *Harness) stop(ctx *Ctx) error {
-	if h.mode == ModeIterative {
-		if err := h.iter.StopSideTask(ctx); err != nil {
-			return fmt.Errorf("sidetask %s: stop: %w", h.name, err)
+			act = actRecv
+		case actStep:
+			if h.mode == ModeImperative {
+				// The imperative body runs to completion; pause/resume happen
+				// via SIGTSTP/SIGCONT outside our control (paper §4.2).
+				return h.runEnded(h.imper.RunGpuWorkload(ctx), p.Now())
+			}
+			start := p.Now()
+			if err := h.iter.RunNextStep(ctx); err != nil {
+				return h.runEnded(err, p.Now())
+			}
+			h.stepDone(p.Now() - start)
+			act = h.head(p.Now())
+		case actStop:
+			return h.stopTask(ctx)
 		}
 	}
-	h.setState(StateStopped, ctx.Proc.Now())
-	return errStopped
 }

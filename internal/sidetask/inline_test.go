@@ -174,3 +174,45 @@ func (customIter) RunNextStep(ctx *Ctx) error {
 	return ctx.ExecStepKernel()
 }
 func (customIter) StopSideTask(*Ctx) error { return nil }
+
+// TestLaunchPicksSubstrate pins the one deployment entry: a Stepper goes to
+// the event loop (one engine event per step on a device that can lead), the
+// same body with its Stepper hidden goes to the goroutine shell (two), and
+// the observable life cycle is the same.
+func TestLaunchPicksSubstrate(t *testing.T) {
+	run := func(impl Iterative) midStepResult {
+		eng := simtime.NewVirtual()
+		dev := simgpu.NewDevice(eng, simgpu.DeviceConfig{Name: "gpu0"})
+		ctrs := container.NewRuntime(simproc.NewRuntime(eng))
+		h := NewIterativeHarness("launch", fuseProfile, impl, 1)
+		res := midStepResult{exitAt: -1}
+		h.SetStateListener(func(s State) {
+			res.events = append(res.events, stateEvent{State: s, At: eng.Now()})
+		})
+		cont, err := h.Launch(ctrs, container.Spec{Name: "launch", Device: dev})
+		if err != nil {
+			t.Fatalf("Launch: %v", err)
+		}
+		cont.Process().OnExit(func(err error) { res.exitAt, res.exitErr = eng.Now(), err })
+		eng.Schedule(200*time.Millisecond, "init", func() {
+			h.Deliver(Command{Transition: TransitionInit})
+			h.Deliver(Command{Transition: TransitionStart, BubbleEnd: 700 * time.Millisecond})
+		})
+		eng.Schedule(900*time.Millisecond, "stop", func() { h.Deliver(Command{Transition: TransitionStop}) })
+		eng.RunUntil(2 * time.Second)
+		res.c, res.mem = h.Counters(), dev.MemUsed()
+		return res
+	}
+	inline := run(fuseStepper{})
+	shell := run(struct{ Iterative }{fuseStepper{}})
+	if inline.c.Steps == 0 || inline.exitAt < 0 {
+		t.Fatalf("scripted life cycle ran %d steps and exited at %v", inline.c.Steps, inline.exitAt)
+	}
+	if got, want := inline.c.StepEvents, inline.c.Steps; got != want {
+		t.Errorf("Stepper: %d step events over %d steps — not the event loop", got, want)
+	}
+	if got, want := shell.c.StepEvents, 2*shell.c.Steps; got != want {
+		t.Errorf("hidden Stepper: %d step events over %d steps — not the goroutine shell", got, shell.c.Steps)
+	}
+	compareMidStepArms(t, "inline vs shell", inline, shell)
+}

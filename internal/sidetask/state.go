@@ -3,6 +3,33 @@
 // iterative interface (step-wise execution with the program-directed time
 // limit) and the imperative interface (transparent pause/resume through
 // SIGTSTP/SIGCONT), plus the six built-in side tasks of the evaluation.
+//
+// The package has one rule: every decision of the life cycle lives on
+// Harness (lifecycle.go), and a substrate only blocks. What a command does
+// in each state (command), what RUNNING does next (head), the
+// program-directed admission check and its InsuffWait charge (admit), the
+// jittered step draw and its kernel split (drawStep), the per-step accounting
+// (stepDone), the transitions' bodies and their error wrapping (created,
+// initialized, stopTask, runEnded) are each written once; every state change
+// goes through setState and every completed step through stepDone, which is
+// where a recorder hooks. A decision never blocks: it returns an action, and
+// the substrate performs it — Run through Recv / Sleep / Exec on the
+// goroutine shell, inlineRun through RecvThen / SleepThen / ExecLeadThen on
+// the event loop. How a step's host lead is realised (one engine event, or a
+// sleep and a launch) is simgpu's business alone.
+//
+// Who may call what, from where:
+//   - A deployer (core.Worker, the session's baselines, the profiler, the
+//     experiment rigs) builds a harness, optionally calls BindEngine,
+//     Restore and SetStepEstimate, then Launch — which picks the substrate —
+//     and from then on talks to it from engine-callback context only:
+//     SetStateListener, Deliver, State, Counters, and signals on the
+//     container.
+//   - A substrate (Run, Start) calls the decisions, and only from its own
+//     process's context; nothing else may.
+//   - Task code sees the Ctx it is handed. On the shell it may block through
+//     Ctx.HostWork and Ctx.ExecStepKernel; a Stepper's bodies run on the event
+//     loop and must not block at all.
 package sidetask
 
 import "fmt"

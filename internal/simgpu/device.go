@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 
 	"freeride/internal/simtime"
 	"freeride/internal/trace"
@@ -634,18 +635,42 @@ func (c *Client) Destroy() {
 	}
 }
 
-// InjectKernelFault arms a one-shot kernel fault: the next kernel launched
-// by a client whose name starts with prefix completes immediately with
-// ErrInjectedFault instead of executing. Side-task containers name their
-// clients "ctr/..." while pipeline training stages use "train-s...", so a
-// "ctr/" prefix faults only harvested work — the fault plane never touches
-// the main job. Re-arming before the previous fault fires just extends the
-// prefix; arming is idempotent per pending fault.
+// InjectKernelFault arms a one-shot kernel fault: the first kernel launched
+// at or after this instant by a client whose name starts with prefix
+// completes immediately with ErrInjectedFault instead of executing. Side-task
+// containers name their clients "ctr/..." while pipeline training stages use
+// "train-s...", so a "ctr/" prefix faults only harvested work — the fault
+// plane never touches the main job. Re-arming before the previous fault fires
+// just extends the prefix; arming is idempotent per pending fault.
 func (d *Device) InjectKernelFault(prefix string) {
 	d.mu.Lock()
+	// Leads whose host phase has elapsed launched before this instant.
+	d.flushFusionLocked()
+	d.matureLeadsLocked(nil)
 	d.faultErr = ErrInjectedFault
 	d.faultPrefix = prefix
+	// A still-pending host lead launches at its leadUntil: wake it there, not
+	// at its completion (armLeadLocked), so it can take the fault on time.
+	d.refreshLeadsLocked()
 	d.mu.Unlock()
+}
+
+// faultArmedLocked reports whether a launch by c would fail now. Caller
+// holds d.mu.
+func (d *Device) faultArmedLocked(c *Client) bool {
+	return d.faultErr != nil && strings.HasPrefix(c.cfg.Name, d.faultPrefix)
+}
+
+// takeFaultLocked consumes the armed kernel fault on behalf of a launch by c
+// (nil: none armed for c). Caller holds d.mu.
+func (d *Device) takeFaultLocked(c *Client) error {
+	if !d.faultArmedLocked(c) {
+		return nil
+	}
+	err := d.faultErr
+	d.faultErr = nil
+	d.faultsFired++
+	return err
 }
 
 // InjectedKernelFaults reports how many armed faults have been delivered.

@@ -3,7 +3,6 @@ package simgpu
 import (
 	"fmt"
 	"math"
-	"strings"
 	"time"
 
 	"freeride/internal/simproc"
@@ -155,12 +154,9 @@ func (c *Client) launch(spec *KernelSpec, onComplete func(error), waiter *simpro
 		}
 		return ErrClientClosed
 	}
-	if d.faultErr != nil && strings.HasPrefix(c.cfg.Name, d.faultPrefix) {
+	if err := d.takeFaultLocked(c); err != nil {
 		// Armed kernel fault: deliver the failure through the same path a
 		// closed client uses, never touching the device's running set.
-		err := d.faultErr
-		d.faultErr = nil
-		d.faultsFired++
 		d.mu.Unlock()
 		if waiter != nil {
 			waiter.Wake(err)

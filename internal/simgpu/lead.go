@@ -2,7 +2,6 @@ package simgpu
 
 import (
 	"math"
-	"strings"
 	"time"
 
 	"freeride/internal/simproc"
@@ -34,61 +33,63 @@ import (
 // A lead whose host phase already elapsed matures on hold, so in-flight
 // kernels keep running through a pause, exactly as the paper's asynchronous
 // kernels do (§5).
+//
+// The fault boundary: an armed kernel fault (InjectKernelFault) fails the
+// first matching launch at or after its arming, and a lead's launch instant
+// is its leadUntil (a held lead's: its release). A fault found armed at the
+// step's start is consumed there and delivered at leadUntil; one armed while
+// the lead is pending moves the lead's timer from the completion hypothesis
+// to leadUntil, where maturation takes it — unless another client's plain
+// launch got there first.
 
-// LeadCapable reports whether the device supports host-lead launches:
-// virtual engine, incremental rebalance (the full-recompute oracle never
-// sees leads; callers fall back to their unfused two-event path, which is
-// bit-identical by construction).
+// LeadCapable reports whether the device realises a host lead as one engine
+// event: virtual engine, incremental rebalance. Elsewhere (the wall engine,
+// the full-recompute oracle) ExecLeadThen spends the lead as the caller's own
+// sleep — two events, bit-identical by construction.
 func (d *Device) LeadCapable() bool { return d.fusable }
 
 // ExecLeadThen is ExecThen with a host-lead offset: the kernel becomes
 // runnable at now+lead and k receives the completion payload (nil or error)
-// when it finishes. lead <= 0 degenerates to a plain ExecThen.
+// when it finishes. lead <= 0 degenerates to a plain ExecThen. The client's
+// stream must be idle and stay the caller's alone until k runs: a host phase
+// cannot overlap the same stream's in-flight kernel (the side-task step loop
+// is strictly serial).
 func (c *Client) ExecLeadThen(p *simproc.Process, spec *KernelSpec, lead time.Duration, k func(any)) {
-	if lead <= 0 {
+	switch {
+	case lead <= 0:
 		c.ExecThen(p, spec, k)
-		return
+	case !c.dev.fusable:
+		// The host phase is the process's own sleep, so a SIGTSTP defers its
+		// wake — and with it the launch — to the SIGCONT. (A closure per step:
+		// these devices are the live daemons' and the oracle's.)
+		p.SleepThen(lead, func(any) { c.ExecThen(p, spec, k) })
+	case p.ChainWait(spec.Name, k):
+		c.launchLead(spec, lead, p)
+	default:
+		p.BeginWait(k)
+		c.launchLead(spec, lead, p)
+		p.EndWait(spec.Name)
 	}
-	if p.ChainWait(spec.Name, k) {
-		_ = c.launchLead(spec, lead, p)
-		return
-	}
-	p.BeginWait(k)
-	_ = c.launchLead(spec, lead, p)
-	p.EndWait(spec.Name)
 }
 
-// launchLead creates a lead kernel maturing at now+lead. The client's
-// stream must be idle: a host phase cannot overlap the same stream's
-// in-flight kernel (the side-task step loop is strictly serial).
-func (c *Client) launchLead(spec *KernelSpec, lead time.Duration, waiter *simproc.Process) error {
+// launchLead creates a lead kernel maturing at now+lead; the completion (or
+// the failure) reaches waiter's armed wait.
+func (c *Client) launchLead(spec *KernelSpec, lead time.Duration, waiter *simproc.Process) {
 	spec.normalize()
 	d := c.dev
-	if !d.fusable {
-		// No lead machinery on this device (full-recompute oracle or wall
-		// engine): fall back to the unfused shape — host phase as a plain
-		// delay, then an ordinary launch waking the registered waiter.
-		w := waiter
-		simtime.Detached(d.eng, lead, spec.Name, func() { _ = c.launch(spec, nil, w) })
-		return nil
-	}
 	d.mu.Lock()
 	if c.closed {
 		d.mu.Unlock()
 		waiter.Wake(ErrClientClosed)
-		return ErrClientClosed
+		return
 	}
-	if d.faultErr != nil && strings.HasPrefix(c.cfg.Name, d.faultPrefix) {
+	if err := d.takeFaultLocked(c); err != nil {
 		// Armed kernel fault: consume it now, deliver it when the host
 		// phase ends — the instant the unfused arm's launch would have
 		// consumed and delivered it.
-		err := d.faultErr
-		d.faultErr = nil
-		d.faultsFired++
 		d.mu.Unlock()
-		w := waiter
-		simtime.Detached(d.eng, lead, spec.Name, func() { w.Wake(err) })
-		return err
+		simtime.Detached(d.eng, lead, spec.Name, func() { waiter.Wake(err) })
+		return
 	}
 	if c.current != nil {
 		d.mu.Unlock()
@@ -107,7 +108,6 @@ func (c *Client) launchLead(spec *KernelSpec, lead time.Duration, waiter *simpro
 	d.leadsInsertLocked(k)
 	d.armLeadLocked(k)
 	d.mu.Unlock()
-	return nil
 }
 
 // leadsInsertLocked adds k to the pending-leads list, keeping leadUntil
@@ -153,6 +153,19 @@ func (d *Device) matureLeadsLocked(firing *kernel) (stale bool) {
 		last := len(d.leads) - 1
 		d.leads[last] = nil
 		d.leads = d.leads[:last]
+		if err := d.takeFaultLocked(k.client); err != nil {
+			// A fault armed during the host phase: the launch at leadUntil
+			// fails, never touching the running set (the serial stream has
+			// nothing queued behind a lead). Delivered as an event of this
+			// instant — d.mu is held, and the failure may destroy the client.
+			w := k.waiter
+			k.timer.Cancel()
+			k.waiter, k.client.current, k.client = nil, nil, nil
+			d.kernelPool = append(d.kernelPool, k)
+			simtime.Detached(d.eng, 0, k.doneName, func() { w.Wake(err) })
+			stale = stale || k == firing
+			continue
+		}
 		k.leading = false
 		k.started = k.leadUntil
 		k.startSet = true
@@ -232,6 +245,10 @@ func (d *Device) armLeadLocked(k *kernel) {
 	}
 
 	deadline := k.leadUntil + time.Duration(math.Ceil(k.work/hyp*1e9))
+	if d.faultArmedLocked(k.client) {
+		// The lead's launch is about to fail: fire at the launch instant.
+		deadline = k.leadUntil
+	}
 	if deadline == k.leadDeadline {
 		// Unchanged hypothesis (the steady-state fused completion→relaunch
 		// fold restores the same fingerprint): the armed timer stands.
@@ -246,6 +263,12 @@ func (d *Device) armLeadLocked(k *kernel) {
 // its kernel is in flight and keeps running through the pause, exactly as
 // the unfused arm's asynchronously launched kernel would. No-op without a
 // pending lead.
+//
+// The tie rule: a signal landing on exactly leadUntil counts the host phase
+// as elapsed. The two-event form breaks the same tie by event sequence — the
+// sleep's wake against the signal's event, whichever was scheduled first — so
+// on that one instant the two may differ, and differential tests keep their
+// signals off it.
 func (c *Client) HoldLead() {
 	d := c.dev
 	d.mu.Lock()

@@ -199,6 +199,69 @@ func TestExecLeadThenFaultDelivery(t *testing.T) {
 	}
 }
 
+// TestFaultArmedDuringLead pins the reference semantics of a fault armed
+// while a host lead is pending: the first matching launch at or after the
+// arming instant fails, and a lead launches at its leadUntil (a held lead: at
+// its release). The lead is 10ms of host phase, then a 5ms kernel.
+func TestFaultArmedDuringLead(t *testing.T) {
+	const ms = time.Millisecond
+	for _, tc := range []struct {
+		name     string
+		armAt    time.Duration
+		other    time.Duration // another client's plain launch (0: none)
+		hold     bool          // HoldLead at 6ms, ReleaseLead at 20ms
+		doneAt   time.Duration
+		failed   bool
+		otherErr bool
+	}{
+		{name: "inside the host phase", armAt: 4 * ms, doneAt: 10 * ms, failed: true},
+		{name: "another launch comes first", armAt: 4 * ms, other: 6 * ms, doneAt: 15 * ms, otherErr: true},
+		{name: "another launch comes later", armAt: 4 * ms, other: 12 * ms, doneAt: 10 * ms, failed: true},
+		{name: "host phase already elapsed", armAt: 12 * ms, doneAt: 15 * ms},
+		{name: "held across the arming", armAt: 8 * ms, hold: true, doneAt: 20 * ms, failed: true},
+	} {
+		eng, procs, dev, c := newLeadRig(t)
+		other, err := dev.NewClient(ClientConfig{Name: "other"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := &KernelSpec{Name: "k", Duration: 5 * ms, Demand: 0.4}
+		doneAt, gotErr := time.Duration(-1), error(nil)
+		procs.SpawnInline("t", func(p *simproc.Process) {
+			c.ExecLeadThen(p, spec, 10*ms, func(res any) {
+				doneAt = eng.Now()
+				gotErr, _ = res.(error)
+				p.Exit(nil)
+			})
+		})
+		eng.Schedule(tc.armAt, "arm", func() { dev.InjectKernelFault("") })
+		var otherErr error
+		if tc.other > 0 {
+			eng.Schedule(tc.other, "other", func() {
+				otherErr = other.Launch(&KernelSpec{Name: "o", Duration: ms, Demand: 0.4}, nil)
+			})
+		}
+		if tc.hold {
+			eng.Schedule(6*ms, "hold", c.HoldLead)
+			eng.Schedule(20*ms, "release", c.ReleaseLead)
+		}
+		eng.RunUntil(50 * ms)
+		if doneAt != tc.doneAt || (gotErr != nil) != tc.failed {
+			t.Errorf("%s: lead ended at %v with %v, want at %v, failed=%v", tc.name, doneAt, gotErr, tc.doneAt, tc.failed)
+		}
+		if (otherErr != nil) != tc.otherErr {
+			t.Errorf("%s: the other client's launch returned %v, want failure=%v", tc.name, otherErr, tc.otherErr)
+		}
+		want := uint64(0) // "already elapsed": the fault stays armed
+		if tc.failed || tc.otherErr {
+			want = 1
+		}
+		if got := dev.InjectedKernelFaults(); got != want {
+			t.Errorf("%s: InjectedKernelFaults = %d, want %d", tc.name, got, want)
+		}
+	}
+}
+
 // TestExecLeadThenAllocFree pins the tentpole guarantee for the fused step
 // dispatch: a steady host-lead self-loop — completion via the chained wake,
 // lead insert/arm/mature, the completion-hypothesis water-fill in scratch

@@ -128,7 +128,6 @@ func (rt *Runtime) forget(p *Process) {
 type Process struct {
 	rt     *Runtime
 	name   string
-	id     int
 	inline bool
 	// wakeName/wakeFn are the precomputed sleep-event label and callback:
 	// Sleep is the hottest schedule site in the simulator and must not
@@ -195,7 +194,6 @@ func (rt *Runtime) newProcess(name string, inline bool) *Process {
 	p := &Process{
 		rt:     rt,
 		name:   fmt.Sprintf("%s#%d", name, rt.seq),
-		id:     rt.seq,
 		inline: inline,
 		state:  StateRunning,
 	}
@@ -282,12 +280,6 @@ func (p *Process) run(fn func(p *Process) error) {
 
 // Name reports the unique process name.
 func (p *Process) Name() string { return p.name }
-
-// ID reports the runtime-unique numeric id (a simulated PID).
-func (p *Process) ID() int { return p.id }
-
-// Runtime returns the owning runtime.
-func (p *Process) Runtime() *Runtime { return p.rt }
 
 // Engine returns the engine the process runs on.
 func (p *Process) Engine() simtime.Engine { return p.rt.eng }

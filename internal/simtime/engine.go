@@ -142,9 +142,6 @@ type Timer struct {
 	pooled bool
 }
 
-// When reports the absolute engine time the timer is scheduled for.
-func (t *Timer) When() time.Duration { return t.when }
-
 // Name reports the debug label the timer was scheduled with.
 func (t *Timer) Name() string { return t.name }
 
@@ -175,7 +172,7 @@ func (t *Timer) Stopped() bool { return t.state.Load() == timerCanceled }
 
 // Pending reports whether the timer is armed and has neither fired nor been
 // canceled. Owners of a reusable Reschedule handle use this to skip re-arming
-// a deadline that is already set: When() then reports the armed deadline.
+// a deadline that is already set.
 // Like Cancel, Pending refuses pooled timers (always false): a recycled
 // *Timer would otherwise report some unrelated event's state.
 func (t *Timer) Pending() bool { return !t.pooled && t.state.Load() == timerPending }
