@@ -93,6 +93,43 @@ func goldenShellCells(t *testing.T) map[string]*freeride.Result {
 	}
 }
 
+// goldenWorkSmallCells pins sessions whose side tasks do real host work
+// (WorkSmall): the paper's mixed placement, then ResNet18 everywhere with
+// worker 0 crashed a third of the way in — the dead incarnation's step is
+// abandoned and the re-placed one builds a fresh model.
+func goldenWorkSmallCells(t *testing.T) map[string]*freeride.Result {
+	t.Helper()
+	cfg := oracleOpts().baseConfig(freeride.MethodIterative)
+	cfg.WorkScale = sidetask.WorkSmall
+	mixed, err := runMixed(cfg)
+	if err != nil {
+		t.Fatalf("worksmall/mixed: %v", err)
+	}
+	ref, err := runOne(cfg, model.ResNet18)
+	if err != nil {
+		t.Fatalf("worksmall/resnet18 reference: %v", err)
+	}
+	cfg.Faults = &simfault.Schedule{Events: []simfault.Event{
+		{At: ref.TrainTime / 3, Kind: simfault.KindCrashWorker, Worker: 0},
+	}}
+	crashed, err := runOne(cfg, model.ResNet18)
+	if err != nil {
+		t.Fatalf("worksmall/resnet18-crash-worker: %v", err)
+	}
+	if mixed.TotalSteps() == 0 || crashed.TotalSteps() == 0 {
+		t.Errorf("worksmall cells ran %d and %d side-task steps; want both > 0",
+			mixed.TotalSteps(), crashed.TotalSteps())
+	}
+	if st := crashed.ManagerStats; st.WorkersLost != 1 || st.RestartedTasks == 0 {
+		t.Errorf("worksmall/resnet18-crash-worker: %d workers lost, %d tasks restarted; want 1 and > 0",
+			st.WorkersLost, st.RestartedTasks)
+	}
+	return map[string]*freeride.Result{
+		"worksmall/mixed":                 mixed,
+		"worksmall/resnet18-crash-worker": crashed,
+	}
+}
+
 // goldenSweepCells runs one default cell of every registered sweep — built
 // the way the sweep builds it — and returns the full Results keyed
 // "<sweep>/<cell>". The schedule sweep contributes one cell per generator
@@ -181,13 +218,16 @@ func goldenSweepCells(t *testing.T) map[string]*freeride.Result {
 }
 
 // TestGoldenSessionDigests pins whole sessions: every Table 2 FreeRide cell,
-// a default cell of each sweep and two goroutine-shell sessions must report
-// the same Result to the last bit as on the commit the digests were captured
-// on — the last one that still had a polling manager driver, legacy schedule
-// emitters and the share-cache and step-fuse switches to cross-check the
-// default arm against (the shell sessions: the last one whose shell was a
-// goroutine behind a channel handshake on an escalated engine).
-// Regenerate deliberately with -update-golden.
+// a default cell of each sweep, two goroutine-shell sessions
+// (shell/custom-everywhere, shell/custom-crash-worker) and two sessions with
+// real side-task work (worksmall/mixed, worksmall/resnet18-crash-worker) must
+// report the same Result to the last bit as on the commit the digests were
+// captured on — the last one that still had a polling manager driver, legacy
+// schedule emitters and the share-cache and step-fuse switches to
+// cross-check the default arm against (the shell sessions: the last one whose
+// shell was a goroutine behind a channel handshake on an escalated engine;
+// the worksmall sessions: the last one that ran every built-in step's
+// arithmetic on the event loop). Regenerate deliberately with -update-golden.
 //
 // The dormant drift plane holds the digests too: every cell must reproduce
 // under FREERIDE_ORACLE_DRIFT=on. No cell is
@@ -203,6 +243,9 @@ func TestGoldenSessionDigests(t *testing.T) {
 		got[name] = sessionDigest(res)
 	}
 	for name, res := range goldenShellCells(t) {
+		got[name] = sessionDigest(res)
+	}
+	for name, res := range goldenWorkSmallCells(t) {
 		got[name] = sessionDigest(res)
 	}
 	if *updateGolden {
