@@ -33,6 +33,12 @@ type builtinTask struct {
 	build func(seed int64) (step func() error, err error)
 	// step is nil under WorkNone: pure cost-model simulation.
 	step func() error
+	// next is the one-slot result of the step computing ahead on its own
+	// goroutine (runAhead, bound once so that a step allocates nothing);
+	// ahead reports that one is in flight.
+	next     chan error
+	runAhead func()
+	ahead    bool
 }
 
 var (
@@ -75,6 +81,8 @@ var builtins = []struct {
 func (t *builtinTask) CreateSideTask(ctx *Ctx) (err error) {
 	if t.scale != WorkNone {
 		t.step, err = t.build(ctx.Rng.Int63())
+		t.next = make(chan error, 1)
+		t.runAhead = func() { t.next <- t.step() }
 	}
 	return err
 }
@@ -92,12 +100,37 @@ func (t *builtinTask) RunNextStep(ctx *Ctx) error {
 	return ctx.ExecStepKernel()
 }
 
-// StepWork is the step's CPU-side work (Stepper; runs on the event loop).
+// StepWork is the step's CPU-side work (Stepper). Its arithmetic runs one
+// step ahead of the simulation, off the event loop: the k-th call returns
+// step k's result from the goroutine that computed it while step k-1 was
+// being simulated (waiting only if it has not finished; the first call
+// computes inline) and, when that result is nil, starts step k+1. The
+// simulation cannot tell:
+//   - a task's steps still run one at a time, in order, on the same state —
+//     each starts after its predecessor's result was received — so every
+//     model, graph and image is bit-identical;
+//   - step k's error is returned by the k-th call, at the same simulated
+//     instant, and a failed step starts no successor;
+//   - the goroutine touches only the task's own real state, never the Ctx, a
+//     Guard or the engine, so nothing escalates;
+//   - a task that stops, is grace-killed or loses its worker leaves at most
+//     one step computing into next, which nobody reads; it then exits, having
+//     advanced only state nothing reads (the steps discard their outputs).
 func (t *builtinTask) StepWork(*Ctx) error {
 	if t.step == nil {
 		return nil
 	}
-	return t.step()
+	var err error
+	if t.ahead {
+		err = <-t.next
+	} else {
+		err = t.step()
+	}
+	t.ahead = err == nil
+	if t.ahead {
+		go t.runAhead()
+	}
+	return err
 }
 
 func (t *builtinTask) StopSideTask(ctx *Ctx) error {

@@ -145,7 +145,9 @@ type Imperative interface {
 // switches and zero allocations. Implementations must keep CreateSideTask,
 // InitSideTask, StopSideTask and StepWork non-blocking (no Ctx.HostWork /
 // Ctx.ExecStepKernel / GPU.Exec calls — memory AllocMem/FreeMem are fine).
-// All built-in tasks implement it.
+// The harness calls StepWork on the event loop, so a user body may read its
+// Ctx. All built-in tasks implement it; theirs runs the arithmetic one step
+// ahead on the task's own goroutine (builtinTask.StepWork).
 type Stepper interface {
 	StepWork(ctx *Ctx) error
 }

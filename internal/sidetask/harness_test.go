@@ -346,7 +346,9 @@ func TestBuiltinRealWorkRuns(t *testing.T) {
 // TestBuiltinStepAllocFree pins the real work under WorkSmall: every row of
 // builtins, built from a seed and warmed, steps without allocating — the
 // trainer's buffers, SGD's pass order and the image pipeline's images are
-// each kept by the workload that fills them.
+// each kept by the workload that fills them — and so does StepWork, which
+// joins the step computed ahead and starts the next through a func bound
+// once.
 func TestBuiltinStepAllocFree(t *testing.T) {
 	for _, b := range builtins {
 		step, err := b.build(42)
@@ -362,6 +364,19 @@ func TestBuiltinStepAllocFree(t *testing.T) {
 		if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
 			t.Errorf("%v: a warmed step allocates %.1f objects, want 0", b.names, allocs)
 		}
+
+		task := newWorkSmall(t, b.build)
+		work := func() {
+			if err := task.StepWork(nil); err != nil {
+				t.Fatalf("%v: %v", b.names, err)
+			}
+		}
+		work()
+		work()
+		if allocs := testing.AllocsPerRun(20, work); allocs != 0 {
+			t.Errorf("%v: a warmed StepWork allocates %.1f objects, want 0", b.names, allocs)
+		}
+		task.join()
 	}
 }
 

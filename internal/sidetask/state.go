@@ -30,6 +30,8 @@
 //   - Task code sees the Ctx it is handed. On the shell it may block through
 //     Ctx.HostWork and Ctx.ExecStepKernel; a Stepper's bodies run on the event
 //     loop and must not block at all.
+//   - A built-in's real step may run one step ahead on its own goroutine; it
+//     touches only the task's own state, never a Ctx, a Guard or the engine.
 package sidetask
 
 import "fmt"

@@ -468,8 +468,8 @@ func (d *Device) shareCacheStoreLocked(running []*kernel, taxed bool) {
 }
 
 // ShareCacheStats reports water-fill cache hits and misses (for tests and
-// measurement; both zero when the cache is disabled or the device runs the
-// full-recompute oracle).
+// measurement; both zero only on a FullRebalance device, which recomputes
+// every pass instead).
 func (d *Device) ShareCacheStats() (hits, misses uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -61,15 +61,15 @@ type Rescheduler interface {
 	Reschedule(t *Timer, delay time.Duration, name string, fn func()) *Timer
 }
 
-// Escalator is the engine ownership hook: engines that start in a
-// single-owner (lock-free) regime implement it so components can declare
-// when they introduce concurrency. Any component that creates a goroutine
-// able to reach the engine beside the dispatcher — a network read pump
-// (freerpc.NewNetConn) — must escalate first, before that goroutine exists.
-// Inherently concurrent engines (Wall) implement it as a no-op; components
-// that run on the dispatcher or as its coroutines (simproc SpawnInline
-// bodies and Spawn's goroutine shells, the pipeline's stage machines, side
-// tasks of either kind) declare their regime by not calling it.
+// Escalator is the engine ownership hook: a single-owner (lock-free) engine
+// implements it so components can declare the concurrency they introduce. A
+// goroutine able to reach the engine beside the dispatcher (the read pump of
+// freerpc.NewNetConn) is created only after escalating; Wall implements it as
+// a no-op; the dispatcher and its coroutines (SpawnInline bodies, Spawn's
+// shells, stage machines, side tasks of either kind) never call it. A
+// goroutine that cannot reach the engine needs no escalation; the first is a
+// built-in side task's step computed one ahead (sidetask's
+// builtinTask.StepWork), which touches only the task's own state.
 type Escalator interface {
 	// EscalateShared switches the engine to its mutex-guarded regime.
 	// One-way; idempotent.
