@@ -72,6 +72,29 @@ func TestSteadyStatePingAllocFree(t *testing.T) {
 	}
 }
 
+// TestSteadyStatePingPeriodEvents pins what the failure detector costs the
+// engine: on a 4-worker rig with nothing else to do, a ping period dispatches
+// exactly three events — the manager's one liveness tick, the batch that
+// delivers its four requests and the batch that delivers the four replies —
+// where a ping timer per worker, each message its own event, cost twelve.
+func TestSteadyStatePingPeriodEvents(t *testing.T) {
+	gib := int64(22 * model.GiB)
+	r := newRigOpts(t, 4, []int64{gib, gib, gib, gib}, WorkerConfig{}, leaseOpts())
+	period := leaseOpts().Lease / 2
+	r.mgr.Start()
+	r.eng.RunFor(4 * period) // past the first tick's lease checks
+	for i := 0; i < 8; i++ {
+		events, pings := r.eng.Dispatched(), r.mgr.Stats().Pings
+		r.eng.RunFor(period)
+		if got := r.eng.Dispatched() - events; got != 3 {
+			t.Fatalf("period %d dispatched %d events, want 3 (tick, request batch, reply batch)", i, got)
+		}
+		if got := r.mgr.Stats().Pings - pings; got != 4 {
+			t.Fatalf("period %d sent %d pings, want one per worker", i, got)
+		}
+	}
+}
+
 // TestSteadyStateBubbleCycleAllocFree pins Algorithm 2's cycle in the shape
 // of the benchmark's core.bubble_cycle_ns driver: a pooled bubble report over
 // its own link, adoption, Worker.Start, the state pushes, the bubble-end

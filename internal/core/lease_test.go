@@ -151,3 +151,72 @@ func TestLeaseDetectorMatchesReferenceOnRandomTraces(t *testing.T) {
 		t.Fatalf("%d deaths, %d survivals: the traces do not exercise both outcomes", deaths, survivals)
 	}
 }
+
+// pingStub attaches a worker that answers Worker.Ping, over a link whose
+// manager side the returned fault can silence.
+func pingStub(eng *simtime.Virtual, mgr *Manager, name string) *freerpc.LinkFault {
+	mgrSide, workerSide := freerpc.MemPipe(eng, 200*time.Microsecond)
+	mux := freerpc.NewMux()
+	freerpc.HandleFunc(mux, "Worker.Ping", func(struct{}) (any, error) {
+		return pingReply{Name: name}, nil
+	})
+	freerpc.NewPeer(eng, workerSide, mux)
+	mgr.AddWorker(name, 0, 22*model.GiB, freerpc.NewPeer(eng, mgrSide, mgr.Mux()))
+	return freerpc.InjectFaults(mgrSide)
+}
+
+// TestLivenessTickEdges pins the one manager tick at its edges: once every
+// worker is dead nothing is queued; a worker added to the running manager
+// restarts the tick, is pinged on the next grid instant and, silenced, is
+// declared dead exactly one lease after its last sign of life; Stop cancels
+// the tick.
+func TestLivenessTickEdges(t *testing.T) {
+	eng := simtime.NewVirtual()
+	opts := leaseOpts()
+	half := opts.Lease / 2
+	mgr := NewManager(eng, opts)
+	faults := []*freerpc.LinkFault{pingStub(eng, mgr, "w0"), pingStub(eng, mgr, "w1")}
+	mgr.Start()
+	eng.RunFor(3 * half)
+	for _, f := range faults {
+		f.DropFor(time.Hour)
+	}
+	eng.RunFor(4 * half)
+	if st := mgr.Stats(); st.WorkersLost != 2 {
+		t.Fatalf("WorkersLost = %d after silencing both workers, want 2", st.WorkersLost)
+	}
+	if mgr.pingTimer.Pending() || eng.Pending() != 0 {
+		t.Fatalf("every worker dead: tick pending = %v, %d events queued; want none", mgr.pingTimer.Pending(), eng.Pending())
+	}
+
+	eng.RunFor(half / 3) // off the grid
+	fault := pingStub(eng, mgr, "w2")
+	r := &leaseRig{eng: eng, mgr: mgr, w: mgr.workers[2], fault: fault, lease: opts.Lease}
+	grid := mgr.epoch + (eng.Now()-mgr.epoch)/half*half + half
+	pings := mgr.Stats().Pings
+	for mgr.Stats().Pings == pings {
+		if !eng.Step() {
+			t.Fatal("engine ran dry before the added worker was pinged")
+		}
+	}
+	if now := eng.Now(); now != grid {
+		t.Fatalf("added worker first pinged at %v, want the next grid instant %v", now, grid)
+	}
+	eng.RunFor(time.Millisecond) // the reply lands
+	if r.w.lastSeen <= grid {
+		t.Fatalf("lastSeen = %v: the ping at %v was not answered", r.w.lastSeen, grid)
+	}
+	fault.DropFor(time.Hour)
+	if died := r.runToDeath(t, eng.Now()+2*opts.Lease); died == 0 {
+		t.Fatal("silenced worker never declared dead")
+	}
+
+	pingStub(eng, mgr, "w3")
+	if !mgr.pingTimer.Pending() {
+		t.Fatal("a worker added to the running manager did not restart the tick")
+	}
+	mgr.Stop()
+	if mgr.pingTimer.Pending() {
+		t.Fatal("Stop left the liveness tick queued")
+	}
+}

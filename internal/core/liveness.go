@@ -7,44 +7,73 @@ import (
 )
 
 // armLeaseLocked (re)starts w's failure detector: the lease begins now and
-// the worker is pinged every Lease/2. No-op unless the manager is running
-// with a lease configured.
+// w joins the manager's liveness tick, which pings every alive worker on the
+// grid epoch+k·Lease/2. No-op unless the manager is running with a lease
+// configured. Start arms every worker at the epoch, so the tick instants are
+// the ones a per-worker Lease/2 ping timer would hit; a worker added to a
+// running manager (live mode) is pinged from the next grid instant on, and
+// restarts the tick if it had stopped with the last alive worker.
 //
-// The lease check itself is armed by the ping tick, and only for an instant
-// at which, if nothing else happens first, the worker is dead: a tick at
-// `now` arms it at e = lastSeen+Lease when e ≤ now+Lease/2. Every possible
-// expiry e has exactly one tick in [e−Lease/2, e); if the worker is going to
-// die at e, lastSeen is already final at that tick, so the check runs at e —
-// and a worker that keeps answering never has one armed (its lastSeen is
-// younger than Lease/2 at every tick). Tie order: the tick arms the check
-// before it re-arms itself, so a check due at the instant of the next tick
-// runs first and a worker dead at that instant is not pinged again. (On the
-// wall engine a tick can only run late; one that overshoots e arms the check
-// with a delay clamped to zero, so detection is late by that jitter at most.)
+// The lease check itself is armed by the tick, and only for an instant at
+// which, if nothing else happens first, the worker is dead: a tick at `now`
+// arms it at e = lastSeen+Lease when e ≤ now+Lease/2. Every possible expiry
+// e has exactly one tick in [e−Lease/2, e); if the worker is going to die at
+// e, lastSeen is already final at that tick, so the check runs at e — and a
+// worker that keeps answering never has one armed (its lastSeen is younger
+// than Lease/2 at every tick). Tie order: the tick arms the checks before it
+// re-arms itself, so a check due at the instant of the next tick runs first
+// and a worker dead at that instant is not pinged again. (On the wall engine
+// a tick can only run late; one that overshoots e arms the check with a
+// delay clamped to zero, so detection is late by that jitter at most.)
 func (m *Manager) armLeaseLocked(w *workerMeta) {
 	if m.opts.Lease <= 0 || !m.running || !w.alive {
 		return
 	}
 	w.lastSeen = m.eng.Now()
-	w.pingTimer = simtime.Reschedule(m.eng, w.pingTimer, m.opts.Lease/2, w.pingName, w.pingFn)
+	if t := m.pingTimer; t == nil || !t.Pending() {
+		m.armPingLocked()
+	}
 }
 
-// pingWorker is the ping tick: it arms the lease check if the lease can run
-// out before the next tick (see armLeaseLocked), re-arms itself, and probes
-// w for liveness. The reply refreshes the lease and doubles as anti-entropy:
-// its status snapshot heals state a faulted link dropped.
-func (m *Manager) pingWorker(w *workerMeta) {
+// armPingLocked arms the liveness tick for the first grid instant after now.
+func (m *Manager) armPingLocked() {
+	half := m.opts.Lease / 2
+	now := m.eng.Now()
+	at := m.epoch + ((now-m.epoch)/half+1)*half
+	m.pingTimer = simtime.Reschedule(m.eng, m.pingTimer, at-now, "manager-ping", m.pingFn)
+}
+
+// pingTick is the liveness tick: it arms the lease check of every alive
+// worker whose lease can run out before the next tick (see armLeaseLocked),
+// re-arms itself, and probes the alive workers in registration order. A
+// reply refreshes the lease and doubles as anti-entropy: its status snapshot
+// heals state a faulted link dropped. With no worker alive the tick stops.
+func (m *Manager) pingTick() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !m.running || !w.alive {
+	if !m.running {
 		return
 	}
-	if expiry, now := w.lastSeen+m.opts.Lease, m.eng.Now(); expiry <= now+m.opts.Lease/2 {
-		w.leaseTimer = simtime.Reschedule(m.eng, w.leaseTimer, expiry-now, w.leaseName, w.leaseFn)
+	now, alive := m.eng.Now(), false
+	for _, w := range m.workers {
+		if !w.alive {
+			continue
+		}
+		alive = true
+		if expiry := w.lastSeen + m.opts.Lease; expiry <= now+m.opts.Lease/2 {
+			w.leaseTimer = simtime.Reschedule(m.eng, w.leaseTimer, expiry-now, w.leaseName, w.leaseFn)
+		}
 	}
-	w.pingTimer = simtime.Reschedule(m.eng, w.pingTimer, m.opts.Lease/2, w.pingName, w.pingFn)
-	m.stats.Pings++
-	w.peer.Go("Worker.Ping", nil, m.opts.Lease/2, w.pingDone)
+	if !alive {
+		return
+	}
+	m.armPingLocked()
+	for _, w := range m.workers {
+		if w.alive {
+			m.stats.Pings++
+			w.peer.Go("Worker.Ping", nil, m.opts.Lease/2, w.pingDone)
+		}
+	}
 }
 
 // pingReplied completes a Worker.Ping (w.pingDone, built once per worker).

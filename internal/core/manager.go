@@ -283,14 +283,11 @@ type workerMeta struct {
 
 	// Failure-detector state (lease-enabled managers only). lastSeen is
 	// the last instant the worker proved it was alive (ping reply or push);
-	// pingTimer fires every Lease/2, leaseTimer only when a tick finds the
-	// lease able to run out before the next one (see armLeaseLocked). Both
-	// are reusable Reschedule handles with pre-built callbacks.
+	// leaseTimer fires only when the manager's liveness tick finds the lease
+	// able to run out before the next tick (see armLeaseLocked). It is a
+	// reusable Reschedule handle with a pre-built callback.
 	lastSeen   time.Duration
-	pingTimer  *simtime.Timer
-	pingFn     func()
 	pingDone   func(result any, err error)
-	pingName   string
 	leaseTimer *simtime.Timer
 	leaseFn    func()
 	leaseName  string
@@ -317,7 +314,7 @@ func (w *workerMeta) numTasks() int {
 // cancelTimersLocked disarms the worker's reconcile timers (handles are kept
 // for Reschedule reuse).
 func (w *workerMeta) cancelTimersLocked() {
-	for _, t := range [...]*simtime.Timer{w.endTimer, w.startTimer, w.kickTimer, w.pingTimer, w.leaseTimer} {
+	for _, t := range [...]*simtime.Timer{w.endTimer, w.startTimer, w.kickTimer, w.leaseTimer} {
 		t.Cancel()
 	}
 }
@@ -353,6 +350,10 @@ type Manager struct {
 	// allocates nothing.
 	callPool  freerpc.Pool[workerCall]
 	startPool freerpc.Pool[startArgs]
+	// pingTimer is the liveness tick on the Lease/2 grid (lease-enabled
+	// managers only; see armLeaseLocked), a reusable Reschedule handle.
+	pingTimer *simtime.Timer
+	pingFn    func()
 }
 
 // NewManager builds a manager. Its RPC methods (bubble reports, task
@@ -368,6 +369,7 @@ func NewManager(eng simtime.Engine, opts ManagerOptions) *Manager {
 	if opts.Lease > 0 || opts.Replan != nil {
 		m.rng = rand.New(rand.NewSource(opts.Seed))
 	}
+	m.pingFn = m.pingTick
 	m.mu.Bind(eng)
 	m.callPool.Bind(eng)
 	m.startPool.Bind(eng)
@@ -406,11 +408,9 @@ func (m *Manager) AddWorker(name string, stage int, gpuMem int64, peer *freerpc.
 		endName:   "manager-bubble-end:" + name,
 		startName: "manager-bubble-start:" + name,
 		kickName:  "manager-kick:" + name,
-		pingName:  "manager-ping:" + name,
 		leaseName: "manager-lease:" + name,
 	}
 	w.reconcileFn = func() { m.reconcile(w) }
-	w.pingFn = func() { m.pingWorker(w) }
 	w.pingDone = func(result any, err error) { m.pingReplied(w, result, err) }
 	w.leaseFn = func() { m.checkLease(w) }
 	m.mu.Lock()
@@ -450,6 +450,7 @@ func (m *Manager) Stop() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.running = false
+	m.pingTimer.Cancel()
 	for _, w := range m.workers {
 		w.cancelTimersLocked()
 	}

@@ -39,9 +39,10 @@ func TestZeroFaultOracleBitIdentical(t *testing.T) {
 }
 
 // TestZeroFaultDetectorEventBudget bounds what the armed failure detector
-// costs the engine when nothing fails: a ping is three events (tick, request,
-// reply), and the lease check runs once per worker — the first tick cannot
-// yet know the worker answers — and never again. No event for a ping
+// costs the engine when nothing fails: a ping is at most three events (tick,
+// request, reply — fewer since one tick pings every worker and same-instant
+// deliveries share an event), and the lease check runs once per worker — the
+// first tick cannot yet know the worker answers — and never again. No event for a ping
 // deadline that was met, none for a lease that was refreshed.
 func TestZeroFaultDetectorEventBudget(t *testing.T) {
 	run := func(armed bool) (events, pings uint64, workers int) {

@@ -17,10 +17,13 @@
 //
 // The split means the simulator pays only for what the paper's system pays
 // for: the modelled RPC latency (part of the "FreeRide runtime" in the
-// Fig. 9 bubble-time breakdown) is preserved exactly — delivery of a typed
-// Msg is scheduled identically to a frame — while the serialization cost,
-// which the paper's gRPC substitute never modelled, is gone from the
-// simulation hot path.
+// Fig. 9 bubble-time breakdown) is preserved exactly — a typed Msg is
+// delivered at the instant and in the order a frame would be — while the
+// serialization cost, which the paper's gRPC substitute never modelled, is
+// gone from the simulation hot path. On the virtual engine, Msg deliveries
+// due at the same instant share one engine event (simtime.Virtual's
+// ScheduleJoin), which changes how many events the engine dispatches, never
+// the order in which the deliveries run.
 package freerpc
 
 import (
@@ -161,8 +164,11 @@ func (c *memConn) Send(frame []byte) error {
 }
 
 // SendMsg delivers a typed message to the peer after one latency — the same
-// scheduling as Send, minus the serialization. Delivery events come from the
-// sender's pool, so steady-state messaging allocates nothing.
+// instant and order as Send, minus the serialization. Delivery events come
+// from the sender's pool, and on the virtual engine a delivery joins the
+// other deliveries due at its instant in one engine event, so steady-state
+// messaging allocates nothing and bursts (a ping to every worker, their
+// replies) cost one event each.
 func (c *memConn) SendMsg(m Msg) error {
 	c.mu.Lock()
 	if c.closed {
@@ -189,7 +195,11 @@ func (c *memConn) SendMsg(m Msg) error {
 	e.m = m
 	c.mu.Unlock()
 
-	simtime.Detached(c.eng, lat, "rpc-deliver", e.fire)
+	if v, ok := c.eng.(*simtime.Virtual); ok {
+		v.ScheduleJoin(lat, "rpc-deliver", e.fire)
+	} else {
+		simtime.Detached(c.eng, lat, "rpc-deliver", e.fire)
+	}
 	return nil
 }
 

@@ -67,6 +67,21 @@ import (
 // Detached events (ScheduleDetached) draw their Timers from a free-list,
 // making the hottest schedule→fire loop allocation-free; no handle to one
 // escapes, so a stale handle can never cancel an unrelated event.
+//
+// # Delivery batches
+//
+// ScheduleJoin is ScheduleDetached for bursts of same-instant deliveries
+// (freerpc's typed messages): the callback joins the open batch — one queued
+// event that runs its members in arrival order — when the batch is due at
+// the same instant and no queued event at that instant has a higher
+// sequence number than the batch. Then running the callback last in the
+// batch is running it exactly where a fresh (when, seq) event would run:
+// everything queued at that instant before it runs before the batch, and
+// everything scheduled there after it gets a higher seq and runs after the
+// batch. The rule is checked by one scan of the batch's wheel bucket; a
+// deadline beyond the wheel horizon gets its own event. So batching changes
+// how many events carry the callbacks, never their order, and Dispatched
+// counts events — a batch once, however many members it ran.
 type Virtual struct {
 	// now is read lock-free (Now is the single most-called function in the
 	// simulator) and written only under the queue lock by the dispatcher.
@@ -111,6 +126,11 @@ type Virtual struct {
 	// only by the dispatching goroutine outside the lock and folded into
 	// free under the next Step's lock, saving a lock round-trip per event.
 	dead *Timer
+
+	// open is the batch ScheduleJoin may still add to (nil once it fires);
+	// batches is the free-list of fired ones, kept with their member slices.
+	open    *batch
+	batches []*batch
 
 	// dispatched counts events whose callbacks ran, for tests and stats.
 	dispatched uint64
@@ -214,6 +234,13 @@ func (v *Virtual) ScheduleDetached(delay time.Duration, name string, fn func()) 
 		panic("simtime: ScheduleDetached with nil callback")
 	}
 	v.lock()
+	v.detachLocked(v.deadlineLocked(delay), name, fn)
+	v.unlock()
+}
+
+// detachLocked enqueues a pooled event at when and returns its Timer, which
+// stays the engine's. Caller holds the queue lock.
+func (v *Virtual) detachLocked(when time.Duration, name string, fn func()) *Timer {
 	var t *Timer
 	if n := len(v.free); n > 0 {
 		t = v.free[n-1]
@@ -223,9 +250,92 @@ func (v *Virtual) ScheduleDetached(delay time.Duration, name string, fn func()) 
 	} else {
 		t = &Timer{vq: v, pooled: true}
 	}
-	t.when, t.seq, t.name, t.fn = v.deadlineLocked(delay), v.seq, name, fn
+	t.when, t.seq, t.name, t.fn = when, v.seq, name, fn
 	v.seq++
 	v.enqueueLocked(t)
+	return t
+}
+
+// batch is one queued event running several joined callbacks (see
+// ScheduleJoin). Batches and their member slices are recycled, so a
+// steady-state delivery burst allocates nothing.
+type batch struct {
+	v    *Virtual
+	t    *Timer // the batch's event; valid while the batch is open
+	fns  []func()
+	fire func() // b.run, bound once
+}
+
+// ScheduleJoin schedules a fire-and-forget callback like ScheduleDetached,
+// but lets it ride in the open delivery batch when that keeps the dispatch
+// order (the join rule in the type's doc). It reports whether fn joined an
+// already-queued batch — one event fewer than ScheduleDetached would cost.
+// Otherwise fn opens a new batch, or, beyond the wheel horizon, gets a plain
+// detached event.
+func (v *Virtual) ScheduleJoin(delay time.Duration, name string, fn func()) bool {
+	if fn == nil {
+		panic("simtime: ScheduleJoin with nil callback")
+	}
+	v.lock()
+	defer v.unlock()
+	when := v.deadlineLocked(delay)
+	if b := v.open; b != nil && b.t.when == when && v.lastAtInstantLocked(b.t) {
+		b.fns = append(b.fns, fn)
+		return true
+	}
+	if v.wheelSlotFor(when) < 0 {
+		v.detachLocked(when, name, fn)
+		return false
+	}
+	var b *batch
+	if n := len(v.batches); n > 0 {
+		b = v.batches[n-1]
+		v.batches[n-1] = nil
+		v.batches = v.batches[:n-1]
+	} else {
+		b = &batch{v: v}
+		b.fire = b.run
+	}
+	b.fns = append(b.fns, fn)
+	b.t = v.detachLocked(when, name, b.fire)
+	v.open = b
+	return false
+}
+
+// lastAtInstantLocked reports whether no queued event due at t's instant has
+// a higher seq than t. t is in the wheel (a batch opens only within the
+// horizon and the horizon only moves forward), so every event at its
+// instant that was scheduled after it shares its bucket. In the escalated
+// regime t may already be dequeued for dispatch, its batch not yet closed:
+// t.slot still names the bucket, and a join then runs before anything else
+// at the instant, as its own event would. Caller holds the queue lock.
+func (v *Virtual) lastAtInstantLocked(t *Timer) bool {
+	for _, u := range v.wheel[t.slot] {
+		if u.when == t.when && u.seq > t.seq {
+			return false
+		}
+	}
+	return true
+}
+
+// run is a batch's event callback: it closes the batch to joins, runs the
+// members in arrival order and returns the batch to the free-list. Whatever
+// a member schedules at this instant gets a fresh seq and runs after the
+// batch, as it would after the member's own event.
+func (b *batch) run() {
+	v := b.v
+	v.lock()
+	if v.open == b {
+		v.open = nil
+	}
+	v.unlock()
+	for i, fn := range b.fns {
+		b.fns[i] = nil
+		fn()
+	}
+	b.fns = b.fns[:0]
+	v.lock()
+	v.batches = append(v.batches, b)
 	v.unlock()
 }
 
@@ -278,7 +388,8 @@ func (v *Virtual) deadlineLocked(delay time.Duration) time.Duration {
 	return now
 }
 
-// Dispatched reports how many event callbacks have run so far.
+// Dispatched reports how many events have run so far; a delivery batch
+// counts once (see ScheduleJoin).
 func (v *Virtual) Dispatched() uint64 {
 	v.lock()
 	defer v.unlock()

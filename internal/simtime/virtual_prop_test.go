@@ -3,6 +3,7 @@ package simtime
 import (
 	"container/heap"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -282,4 +283,161 @@ func TestVirtualReschedule(t *testing.T) {
 	if got := v.Now(); got != 5*time.Second+3*time.Second {
 		t.Fatalf("clock = %v, want 8s", got)
 	}
+}
+
+// Operations of a join script (see TestScheduleJoinKeepsDetachedOrder).
+const (
+	opPlain = iota
+	opDetached
+	opJoin
+	opReschedule
+	opCancel
+	opStep // top level only: one Step of the joining engine
+)
+
+// joinOp is one scripted engine call. The schedule kinds fire event id,
+// which then applies children — so joins are also issued from inside firing
+// events and batches. Reschedule and Cancel act on the handle of the plain
+// event target, when it has been scheduled.
+type joinOp struct {
+	kind, id, target int
+	delay            time.Duration
+	children         []joinOp
+}
+
+// joinDelays collide constantly on a millisecond grid; 400ms is beyond the
+// wheel horizon, where a join gets its own event.
+var joinDelays = []time.Duration{0, 0, time.Millisecond, time.Millisecond, 2 * time.Millisecond, 400 * time.Millisecond}
+
+// joinKinds weights the draw towards joins, with a step every few calls.
+var joinKinds = []int{opPlain, opDetached, opJoin, opJoin, opJoin, opJoin, opReschedule, opCancel, opStep, opStep}
+
+// genJoinOps draws n ops (children when depth > 0), numbering the events
+// they fire from *next and remembering plain ones as later targets.
+func genJoinOps(rng *rand.Rand, n, depth int, next *int, plain *[]int) []joinOp {
+	ops := make([]joinOp, 0, n)
+	for i := 0; i < n; i++ {
+		op := joinOp{kind: joinKinds[rng.Intn(len(joinKinds))], delay: joinDelays[rng.Intn(len(joinDelays))]}
+		if depth > 0 && op.kind == opStep {
+			op.kind = opJoin
+		}
+		switch op.kind {
+		case opReschedule, opCancel:
+			if len(*plain) == 0 {
+				op.kind = opJoin
+			} else {
+				op.target = (*plain)[rng.Intn(len(*plain))]
+			}
+		}
+		switch op.kind {
+		case opPlain, opDetached, opJoin, opReschedule:
+			op.id = *next
+			*next++
+			if op.kind == opPlain {
+				*plain = append(*plain, op.id)
+			}
+			if depth < 2 && rng.Intn(3) == 0 {
+				op.children = genJoinOps(rng, 1+rng.Intn(3), depth+1, next, plain)
+			}
+		}
+		ops = append(ops, op)
+	}
+	return ops
+}
+
+// joinRunner applies a join script to one engine. With join false every
+// opJoin is a plain ScheduleDetached: the reference.
+type joinRunner struct {
+	v       *Virtual
+	join    bool
+	order   []int
+	handles map[int]*Timer
+	joins   uint64
+}
+
+func (r *joinRunner) apply(op joinOp) {
+	fire := func() {
+		r.order = append(r.order, op.id)
+		for _, c := range op.children {
+			r.apply(c)
+		}
+	}
+	switch op.kind {
+	case opPlain:
+		r.handles[op.id] = r.v.Schedule(op.delay, "plain", fire)
+	case opDetached:
+		r.v.ScheduleDetached(op.delay, "detached", fire)
+	case opJoin:
+		if !r.join {
+			r.v.ScheduleDetached(op.delay, "join", fire)
+		} else if r.v.ScheduleJoin(op.delay, "join", fire) {
+			r.joins++
+		}
+	case opReschedule:
+		if h := r.handles[op.target]; h != nil {
+			r.handles[op.target] = r.v.Reschedule(h, op.delay, "moved", fire)
+		}
+	case opCancel:
+		r.handles[op.target].Cancel()
+	}
+}
+
+// TestScheduleJoinKeepsDetachedOrder holds delivery batches to their
+// contract on random scripts mixing plain, detached and joinable schedules
+// at colliding instants — with reschedules and cancels onto and off a
+// batch's instant between joins, joins beyond the wheel horizon and joins
+// from inside firing events and batches, on single-owner and hand-escalated
+// engines: every callback runs in the order it runs when each join is a
+// plain ScheduleDetached, and the engine dispatches one event fewer per
+// join. After each Step of the joining engine (which may run a whole batch)
+// the reference steps until it has run as many callbacks, so the top-level
+// calls between steps land at the same point of both runs.
+func TestScheduleJoinKeepsDetachedOrder(t *testing.T) {
+	var joins, events uint64
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var next int
+		var plain []int
+		script := genJoinOps(rng, 300, 0, &next, &plain)
+		got := &joinRunner{v: NewVirtual(), join: true, handles: map[int]*Timer{}}
+		want := &joinRunner{v: NewVirtual(), handles: map[int]*Timer{}}
+		if seed%2 == 1 {
+			got.v.EscalateShared()
+			want.v.EscalateShared()
+		}
+		step := func() bool {
+			ok := got.v.Step()
+			for len(want.order) < len(got.order) && want.v.Step() {
+			}
+			if got.v.Now() != want.v.Now() {
+				t.Fatalf("seed %d: clock %v, reference %v", seed, got.v.Now(), want.v.Now())
+			}
+			return ok
+		}
+		for _, op := range script {
+			if op.kind == opStep {
+				step()
+				continue
+			}
+			got.apply(op)
+			want.apply(op)
+		}
+		for step() {
+		}
+		if want.v.Step() {
+			t.Fatalf("seed %d: the reference has events left after the joining engine ran dry", seed)
+		}
+		if !slices.Equal(got.order, want.order) {
+			t.Fatalf("seed %d: fire order diverges\ngot  %v\nwant %v", seed, got.order, want.order)
+		}
+		if g, w := got.v.Dispatched(), want.v.Dispatched(); g != w-got.joins {
+			t.Fatalf("seed %d: %d events dispatched, want the reference's %d minus %d joins", seed, g, w, got.joins)
+		}
+		joins += got.joins
+		events += want.v.Dispatched()
+	}
+	if joins < events/10 {
+		t.Fatalf("%d joins in %d events: the scripts barely exercise batching", joins, events)
+	}
+	t.Logf("%d of %d callbacks joined a batch", joins, events)
 }
