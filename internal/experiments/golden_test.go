@@ -130,6 +130,34 @@ func goldenWorkSmallCells(t *testing.T) map[string]*freeride.Result {
 	}
 }
 
+// goldenZeroCommCells pins sessions whose model moves activations between
+// stages for free (CommLatency 0): the paper's mixed placement under
+// training, and the serving sweep's first cell with side tasks everywhere.
+// A zero-length transfer is still an engine event at the current instant, so
+// what else is due at that instant runs ahead of the stage's launch.
+func goldenZeroCommCells(t *testing.T) map[string]*freeride.Result {
+	t.Helper()
+	cfg := oracleOpts().baseConfig(freeride.MethodIterative)
+	cfg.LLM.CommLatency = 0
+	mixed, err := runMixed(cfg)
+	if err != nil {
+		t.Fatalf("zerocomm/mixed: %v", err)
+	}
+	cfg.Serving = &freeride.ServingConfig{Trace: serve.TracePoisson, Rate: 2, SLO: 6 * time.Second}
+	serving, err := runOne(cfg, model.ResNet18)
+	if err != nil {
+		t.Fatalf("zerocomm/serving-poisson-r2-slo6: %v", err)
+	}
+	if mixed.TotalSteps() == 0 || serving.TotalSteps() == 0 {
+		t.Errorf("zerocomm cells ran %d and %d side-task steps; want both > 0",
+			mixed.TotalSteps(), serving.TotalSteps())
+	}
+	return map[string]*freeride.Result{
+		"zerocomm/mixed":                   mixed,
+		"zerocomm/serving-poisson-r2-slo6": serving,
+	}
+}
+
 // goldenSweepCells runs one default cell of every registered sweep — built
 // the way the sweep builds it — and returns the full Results keyed
 // "<sweep>/<cell>". The schedule sweep contributes one cell per generator
@@ -220,14 +248,16 @@ func goldenSweepCells(t *testing.T) map[string]*freeride.Result {
 // TestGoldenSessionDigests pins whole sessions: every Table 2 FreeRide cell,
 // a default cell of each sweep, two goroutine-shell sessions
 // (shell/custom-everywhere, shell/custom-crash-worker) and two sessions with
-// real side-task work (worksmall/mixed, worksmall/resnet18-crash-worker) must
-// report the same Result to the last bit as on the commit the digests were
+// real side-task work (worksmall/mixed, worksmall/resnet18-crash-worker) and
+// two with free stage transfers (zerocomm/mixed, zerocomm/serving-poisson-r2-slo6)
+// must report the same Result to the last bit as on the commit the digests were
 // captured on — the last one that still had a polling manager driver, legacy
 // schedule emitters and the share-cache and step-fuse switches to
 // cross-check the default arm against (the shell sessions: the last one whose
 // shell was a goroutine behind a channel handshake on an escalated engine;
 // the worksmall sessions: the last one that ran every built-in step's
-// arithmetic on the event loop). Regenerate deliberately with -update-golden.
+// arithmetic on the event loop; the zerocomm sessions: the last one whose
+// stage machines slept every transfer before launching). Regenerate deliberately with -update-golden.
 //
 // The dormant drift plane holds the digests too: every cell must reproduce
 // under FREERIDE_ORACLE_DRIFT=on. No cell is
@@ -246,6 +276,9 @@ func TestGoldenSessionDigests(t *testing.T) {
 		got[name] = sessionDigest(res)
 	}
 	for name, res := range goldenWorkSmallCells(t) {
+		got[name] = sessionDigest(res)
+	}
+	for name, res := range goldenZeroCommCells(t) {
 		got[name] = sessionDigest(res)
 	}
 	if *updateGolden {
