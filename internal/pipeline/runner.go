@@ -50,7 +50,8 @@ type RunnerConfig struct {
 	// the scoreboard is sized for it once.
 	MBAlloc int
 	// Durations is each op's kernel duration by kind; Comm is the
-	// activation/gradient transfer an op pays after a cross-chunk wait.
+	// activation/gradient transfer an op pays after a cross-chunk wait —
+	// the kernel's host lead when VirtualPerStage == 1 (see Runner).
 	Durations [NumOpKinds]time.Duration
 	Comm      time.Duration
 	// ProcName prefixes the chunk process names ("pipe-v" → "pipe-v3").
@@ -68,10 +69,12 @@ type RunnerConfig struct {
 }
 
 // Runner replays a Plan cycle after cycle: one inline stage machine per
-// virtual chunk runs nextOp → cross-chunk wait → comm sleep → kernel →
-// retire. With VirtualPerStage == 1 chunk v is physical stage v; otherwise
-// chunk v runs on device v mod Stages, its kernels FIFO-interleaving with
-// the device's other chunks.
+// virtual chunk runs nextOp → cross-chunk wait → transfer → kernel → retire.
+// With VirtualPerStage == 1 chunk v is physical stage v and owns its stream,
+// so the transfer is the kernel's host lead (simgpu.ExecLeadThen: one engine
+// event per op on a lead-capable device); otherwise chunk v runs on device
+// v mod Stages, sleeps the transfer and then launches, its kernels
+// FIFO-interleaving with the device's other chunks.
 //
 // Cross-chunk ordering is a flat scoreboard instead of a synchronisation
 // object per edge: slot (board, chunk, mb) holds cycle+1 of the op's last
@@ -234,9 +237,25 @@ func (c *chunk) nextOp() {
 	c.execOp(nil)
 }
 
-// afterDep runs once the op's cross-chunk dependency is satisfied: model the
-// activation/gradient transfer, then execute.
-func (c *chunk) afterDep(any) { c.p.SleepThen(c.r.cfg.Comm, c.execOpFn) }
+// afterDep runs once the op's cross-chunk dependency is satisfied: the
+// activation/gradient transfer, then the kernel. A chunk that owns its
+// stage's stream (VirtualPerStage == 1) launches the kernel with the transfer
+// as its host lead — one engine event where the device can fuse it. Chunks
+// sharing a stream sleep the transfer first, since another chunk may launch
+// during it; so does a zero-length transfer, whose sleep is an event at this
+// instant that lets the instant's other callbacks run ahead of the launch.
+func (c *chunk) afterDep(any) {
+	cfg := &c.r.cfg
+	if cfg.Comm <= 0 || cfg.VirtualPerStage > 1 {
+		c.p.SleepThen(cfg.Comm, c.execOpFn)
+		return
+	}
+	if cfg.Record != nil {
+		c.opStart = c.p.Now() + cfg.Comm
+	}
+	c.bindSpec()
+	c.client.ExecLeadThen(c.p, &c.spec, cfg.Comm, c.afterExecFn)
+}
 
 // execOp issues the op's kernel (directly, or as the transfer sleep's
 // continuation).
@@ -244,9 +263,14 @@ func (c *chunk) execOp(any) {
 	if c.r.cfg.Record != nil {
 		c.opStart = c.p.Now()
 	}
+	c.bindSpec()
+	c.client.ExecThen(c.p, &c.spec, c.afterExecFn)
+}
+
+// bindSpec points the reusable kernel spec at ops[i].
+func (c *chunk) bindSpec() {
 	c.spec.Name = c.names[c.i]
 	c.spec.Duration = c.r.cfg.Durations[c.ops[c.i].Kind]
-	c.client.ExecThen(c.p, &c.spec, c.afterExecFn)
 }
 
 // afterExec retires the op: record its span, stamp its slot and wake the

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -40,15 +41,16 @@ func TestChunkLabelsMatchSprintf(t *testing.T) {
 }
 
 // quietRig is newRig on trace-less devices: nothing but the stage machines
-// and the engine's pooled timers runs per op.
-func quietRig(t testing.TB, cfg Config) *rig {
+// and the engine's pooled timers runs per op. full puts the stages on
+// FullRebalance devices, where a transfer is a sleep before the launch.
+func quietRig(t testing.TB, cfg Config, full bool) *rig {
 	t.Helper()
 	eng := simtime.NewVirtual()
 	procs := simproc.NewRuntime(eng)
 	devices := make([]*simgpu.Device, cfg.Stages)
 	for i := range devices {
 		devices[i] = simgpu.NewDevice(eng, simgpu.DeviceConfig{
-			Name: fmt.Sprintf("gpu%d", i), MemBytes: 1 << 40, NoTraces: true,
+			Name: fmt.Sprintf("gpu%d", i), MemBytes: 1 << 40, NoTraces: true, FullRebalance: full,
 		})
 	}
 	tr, err := New(eng, procs, devices, cfg)
@@ -72,35 +74,85 @@ func warmEngine(eng *simtime.Virtual) {
 	}
 }
 
-// TestSteadyStateEpochAllocFree pins the plan runner: once the kernel pools,
-// timer free-list and cycle-waiter lists are warm, a whole epoch — every
-// dependency wait and wake, transfer sleep, kernel and the epoch barrier —
-// allocates nothing.
-func TestSteadyStateEpochAllocFree(t *testing.T) {
-	for _, kind := range []ScheduleKind{Schedule1F1B, ScheduleZeroBubble} {
-		r := quietRig(t, Config{
-			Model: model.NanoGPT3B, Stages: 16, MicroBatches: 32, Epochs: 8, Schedule: kind,
-		})
-		warmEngine(r.eng)
-		epochs := 0
-		r.trainer.OnCycleEnd(func(int, time.Duration) { epochs++ })
-		if err := r.trainer.Start(); err != nil {
-			t.Fatal(err)
-		}
-		runEpoch := func() {
-			for target := epochs + 1; epochs < target; {
-				if !r.eng.Step() {
-					t.Fatalf("%v: engine ran dry after %d epochs", kind, epochs)
-				}
+// runEpochFn returns a function that steps r's engine through one more
+// epoch. r's trainer must not have started yet.
+func runEpochFn(t testing.TB, r *rig) func() {
+	t.Helper()
+	epochs := 0
+	r.trainer.OnCycleEnd(func(int, time.Duration) { epochs++ })
+	if err := r.trainer.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return func() {
+		for target := epochs + 1; epochs < target; {
+			if !r.eng.Step() {
+				t.Fatalf("engine ran dry after %d epochs", epochs)
 			}
 		}
-		runEpoch()
-		runEpoch()
-		if allocs := testing.AllocsPerRun(4, runEpoch); allocs != 0 {
-			t.Errorf("%v: a steady-state epoch allocates %.0f objects, want 0", kind, allocs)
+	}
+}
+
+// TestSteadyStateEpochAllocFree pins the plan runner: once the kernel pools,
+// timer free-list and cycle-waiter lists are warm, a whole epoch — every
+// dependency wait and wake, transfer, kernel and the epoch barrier —
+// allocates nothing, whether the transfer is a host lead or (on a
+// FullRebalance device) a sleep before the launch.
+func TestSteadyStateEpochAllocFree(t *testing.T) {
+	for _, kind := range []ScheduleKind{Schedule1F1B, ScheduleZeroBubble} {
+		for _, full := range []bool{false, true} {
+			r := quietRig(t, Config{
+				Model: model.NanoGPT3B, Stages: 16, MicroBatches: 32, Epochs: 8, Schedule: kind,
+			}, full)
+			warmEngine(r.eng)
+			runEpoch := runEpochFn(t, r)
+			runEpoch()
+			runEpoch()
+			if allocs := testing.AllocsPerRun(4, runEpoch); allocs != 0 {
+				t.Errorf("%v (full rebalance %v): a steady-state epoch allocates %.0f objects, want 0", kind, full, allocs)
+			}
+			if err := r.trainer.Err(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := r.trainer.Err(); err != nil {
-			t.Fatal(err)
+	}
+}
+
+// TestSteadyStateEpochEvents pins what a steady epoch costs the engine at
+// S=4, M=8. A 1F1B epoch runs 68 kernels in 68 events: every transfer is its
+// kernel's host lead and the barrier releases the next epoch inside its own
+// callback, at no event. An interleaved epoch (V=2) runs 136 kernels in 248
+// events: its 112 dependency-carrying ops sleep their transfer first. With
+// a zero-length transfer the 1F1B epoch keeps the sleep as well — 48
+// dependency-carrying ops, 116 events — so the instant's other callbacks
+// still run ahead of each launch.
+func TestSteadyStateEpochEvents(t *testing.T) {
+	free := model.NanoGPT3B
+	free.CommLatency = 0
+	for _, c := range []struct {
+		name            string
+		cfg             Config
+		kernels, events uint64
+	}{
+		{"1f1b", Config{Model: model.NanoGPT3B, Schedule: Schedule1F1B}, 68, 68},
+		{"interleaved", Config{Model: model.NanoGPT3B, Schedule: ScheduleInterleaved}, 136, 248},
+		{"1f1b-zero-comm", Config{Model: free, Schedule: Schedule1F1B}, 68, 116},
+	} {
+		c.cfg.Stages, c.cfg.MicroBatches, c.cfg.Epochs = 4, 8, 6
+		r := quietRig(t, c.cfg, false)
+		runEpoch := runEpochFn(t, r)
+		runEpoch()
+		runEpoch()
+		kernels := func() (n uint64) {
+			for _, d := range r.devices {
+				n += d.KernelsCompleted()
+			}
+			return n
+		}
+		k0, e0 := kernels(), r.eng.Dispatched()
+		runEpoch()
+		if k, e := kernels()-k0, r.eng.Dispatched()-e0; k != c.kernels || e != c.events {
+			t.Errorf("%s: a steady epoch runs %d kernels in %d engine events, want %d in %d",
+				c.name, k, e, c.kernels, c.events)
 		}
 	}
 }
@@ -109,7 +161,7 @@ func TestSteadyStateEpochAllocFree(t *testing.T) {
 // 0…s-1 holding their clients and memory.
 func TestFailedStartReleasesDevices(t *testing.T) {
 	cfg := Config{Model: model.NanoGPT3B, Stages: 4, MicroBatches: 4, Epochs: 1}
-	r := quietRig(t, cfg)
+	r := quietRig(t, cfg, false)
 	// Give the last stage a device one byte too small.
 	need := cfg.Model.StageMemUsedSched(Schedule1F1B, 3, 4, 4, 1)
 	r.devices[3] = simgpu.NewDevice(r.eng, simgpu.DeviceConfig{Name: "small", MemBytes: need - 1})
@@ -183,6 +235,200 @@ func runBesideShell(t *testing.T, escalate bool) {
 		for i := range a {
 			if a[i].Op != b[i].Op {
 				t.Fatalf("stage %d op %d: %v vs %v", s, i, a[i].Op, b[i].Op)
+			}
+		}
+	}
+}
+
+// leadRun is what one stage-machine run left behind: every stage's op spans
+// and kernel count, the engine events it dispatched and how many ops waited
+// on a cross-chunk dependency.
+type leadRun struct {
+	spans   [][]OpSpan
+	kernels []uint64
+	events  uint64
+	depOps  uint64
+}
+
+// runPlan drives a V=1 plan for cycles cycles straight through the Runner,
+// each cycle released inside the previous one's barrier. full puts every
+// stage on a FullRebalance device (ExecLeadThen's two-event fallback); side
+// adds an MPS side-task client to every device, stepping until the pipeline
+// is done.
+func runPlan(t *testing.T, plan *Plan, durs [NumOpKinds]time.Duration, comm time.Duration, cycles int, full, side bool) leadRun {
+	t.Helper()
+	eng := simtime.NewVirtual()
+	procs := simproc.NewRuntime(eng)
+	devices := make([]*simgpu.Device, plan.Stages)
+	for i := range devices {
+		devices[i] = simgpu.NewDevice(eng, simgpu.DeviceConfig{
+			Name: fmt.Sprintf("gpu%d", i), MemBytes: 1 << 40,
+			ResidencyTax: simgpu.DefaultResidencyTax, FullRebalance: full,
+		})
+	}
+	clients, err := NewStageClients(devices, "s", func(int) int64 { return 1 << 30 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := leadRun{spans: make([][]OpSpan, plan.Stages)}
+	for _, deps := range plan.Deps {
+		for _, d := range deps {
+			if d.Chunk >= 0 {
+				out.depOps += uint64(cycles)
+			}
+		}
+	}
+	var run *Runner
+	done := false
+	run = NewRunner(procs, clients, RunnerConfig{
+		Stages: plan.Stages, VirtualPerStage: 1, Cycles: cycles, MBAlloc: plan.MicroBatches,
+		Durations: durs, Comm: comm, ProcName: "pipe-v",
+		CycleDone: func(c int) {
+			if done = c+1 == cycles; !done {
+				run.Release(plan)
+			}
+		},
+		Failed: func(s int, op Op, err error) { t.Errorf("stage %d %v: %v", s, op, err) },
+		Record: func(s int, sp OpSpan) { out.spans[s] = append(out.spans[s], sp) },
+	})
+	if side {
+		for i, dev := range devices {
+			c, err := dev.NewClient(simgpu.ClientConfig{Name: "side"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Host phases and kernels on a 0.5 ms grid, so side launches
+			// and completions land on the stages' transfer ends.
+			spec := &simgpu.KernelSpec{Name: "side", Duration: time.Duration(1+i%3) * time.Millisecond, Demand: 0.6, Weight: 1}
+			procs.SpawnInline(fmt.Sprintf("side%d", i), func(p *simproc.Process) {
+				var step func(any)
+				launch := func(any) { c.ExecThen(p, spec, step) }
+				step = func(any) {
+					if done {
+						p.Exit(nil)
+						return
+					}
+					p.SleepThen(500*time.Microsecond, launch)
+				}
+				step(nil)
+			})
+		}
+	}
+	run.Release(plan)
+	eng.Drain(0)
+	if !done {
+		t.Fatal("the run did not retire its last cycle")
+	}
+	for _, d := range devices {
+		out.kernels = append(out.kernels, d.KernelsCompleted())
+	}
+	out.events = eng.Dispatched()
+	return out
+}
+
+// checkTransferStarts is the two-event form's timing, derived from the plan:
+// an op starts when its predecessor retires (the cycle's release for the
+// first), and an op with a cross-chunk dependency a transfer after the later
+// of that and its producer's retirement.
+func checkTransferStarts(t *testing.T, desc string, plan *Plan, spans [][]OpSpan, comm time.Duration) {
+	t.Helper()
+	// at[v][slot] is the index of the op a dependency on (kind, mb) names.
+	at := make([]map[[2]int]int, len(plan.Chunks))
+	key := func(k OpKind, mb int) [2]int {
+		if k != OpForward {
+			k = OpBackward
+		}
+		return [2]int{int(k), mb}
+	}
+	for v, ops := range plan.Chunks {
+		at[v] = make(map[[2]int]int)
+		for i, op := range ops {
+			if op.Kind != OpBackwardWeight && op.Kind != OpOptimize {
+				at[v][key(op.Kind, op.MB)] = i
+			}
+		}
+	}
+	release := time.Duration(0)
+	for c := 0; c*len(plan.Chunks[0]) < len(spans[0]); c++ {
+		var retire time.Duration
+		for v, ops := range plan.Chunks {
+			prev := release
+			for i, dep := range plan.Deps[v] {
+				sp := spans[v][c*len(ops)+i]
+				want := prev
+				if dep.Chunk >= 0 {
+					src := spans[dep.Chunk][c*len(plan.Chunks[dep.Chunk])+at[dep.Chunk][key(dep.On, dep.MB)]]
+					want = max(prev, src.End) + comm
+				}
+				if sp.Start != want {
+					t.Fatalf("%s: cycle %d chunk %d op %d (%v) starts at %v, want %v", desc, c, v, i, sp.Op, sp.Start, want)
+				}
+				prev = sp.End
+			}
+			retire = max(retire, prev)
+		}
+		release = retire
+	}
+}
+
+// TestCommLeadMatchesTwoEventForm pins the stage transfer as the kernel's
+// host lead: on a lead-capable device every V=1 schedule — training and the
+// serving plan, alone and beside an MPS side task — runs exactly the spans
+// and kernels of the two-event form a FullRebalance device falls back to,
+// alone in one engine event fewer per dependency-carrying op, and those spans
+// are the ones the two-event form's timing rule derives.
+func TestCommLeadMatchesTwoEventForm(t *testing.T) {
+	m := model.NanoGPT3B
+	var train, serving [NumOpKinds]time.Duration
+	train[OpForward], train[OpBackward], train[OpOptimize] = m.FPPerMB, m.BPPerMB, m.OptStep
+	train[OpBackwardInput] = m.BPPerMB / 2
+	train[OpBackwardWeight] = m.BPPerMB - m.BPPerMB/2
+	serving[OpForward] = m.FPPerMB
+	for _, s := range []int{2, 4, 8} {
+		for _, mbs := range []int{s, 2 * s} {
+			type planCase struct {
+				name string
+				plan *Plan
+				durs [NumOpKinds]time.Duration
+			}
+			var cases []planCase
+			for _, kind := range []ScheduleKind{Schedule1F1B, ScheduleGPipe, ScheduleZeroBubble} {
+				plan, err := BuildPlan(kind, s, mbs, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cases = append(cases, planCase{kind.String(), plan, train})
+			}
+			plan, err := BuildServingPlan(s, mbs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cases = append(cases, planCase{"serving", plan, serving})
+			for _, pc := range cases {
+				for _, side := range []bool{false, true} {
+					desc := fmt.Sprintf("%s/S%d-M%d/side=%v", pc.name, s, mbs, side)
+					lead := runPlan(t, pc.plan, pc.durs, m.CommLatency, 3, false, side)
+					two := runPlan(t, pc.plan, pc.durs, m.CommLatency, 3, true, side)
+					for st := range lead.spans {
+						if !slices.Equal(lead.spans[st], two.spans[st]) {
+							t.Fatalf("%s: stage %d spans differ between the lead and two-event forms", desc, st)
+						}
+					}
+					if !slices.Equal(lead.kernels, two.kernels) {
+						t.Fatalf("%s: kernels completed %v, two-event form %v", desc, lead.kernels, two.kernels)
+					}
+					// Alone, each transfer's wake event is gone. Beside a side
+					// task, a side kernel's completion can be the first device
+					// transition after a lead elapses: it matures the lead, finds
+					// itself pushed later and re-arms — one premature fire in
+					// place of the wake. The lead form still saves events.
+					saved := two.events - lead.events
+					if lead.events >= two.events || saved > lead.depOps || (!side && saved != lead.depOps) {
+						t.Fatalf("%s: %d engine events, two-event form %d, %d dependency-carrying ops",
+							desc, lead.events, two.events, lead.depOps)
+					}
+					checkTransferStarts(t, desc, pc.plan, lead.spans, m.CommLatency)
+				}
 			}
 		}
 	}

@@ -306,6 +306,9 @@ type Client struct {
 	// resident mirrors the ResidencyTax predicate (memUsed > 0 or a kernel
 	// in flight) so transitions can maintain dev.resident in O(1).
 	resident bool
+	// lead is ExecLeadThen's pending launch where the device takes the
+	// two-event fallback (engine context only, like the caller's process).
+	lead sleptLead
 }
 
 // NewClient registers a client context on the device.

@@ -14,7 +14,10 @@ import (
 // set, consuming no SM share — until now+lead, when it *matures*: joins the
 // running set and rebalances exactly as a plain launch at that instant
 // would. One engine event (the armed completion hypothesis) replaces the
-// caller's sleep(lead) + launch pair.
+// caller's sleep(lead) + launch pair. Two loops launch this way: the side
+// task's step loop (the lead is the step's host overhead) and the pipeline
+// stage machine of a chunk that owns its stage's stream (the lead is the
+// activation/gradient transfer ahead of the op's kernel).
 //
 // Maturation is lazy: it runs at the first device transition at-or-after
 // leadUntil, rebalancing *as of leadUntil* (rebalanceAtLocked), which
@@ -50,19 +53,27 @@ func (d *Device) LeadCapable() bool { return d.fusable }
 
 // ExecLeadThen is ExecThen with a host-lead offset: the kernel becomes
 // runnable at now+lead and k receives the completion payload (nil or error)
-// when it finishes. lead <= 0 degenerates to a plain ExecThen. The client's
-// stream must be idle and stay the caller's alone until k runs: a host phase
-// cannot overlap the same stream's in-flight kernel (the side-task step loop
-// is strictly serial).
+// when it finishes. lead <= 0 degenerates to a plain ExecThen, launched at
+// once (no event at this instant). The client's stream must be idle and stay
+// the caller's alone until k runs: a host phase cannot overlap the same
+// stream's in-flight kernel. Both callers are strictly serial on their
+// stream — the side-task step loop and the pipeline stage machine of a chunk
+// that owns its stage (VirtualPerStage == 1, the transfer as the lead) — and
+// *spec must stay unchanged until k runs.
 func (c *Client) ExecLeadThen(p *simproc.Process, spec *KernelSpec, lead time.Duration, k func(any)) {
 	switch {
 	case lead <= 0:
 		c.ExecThen(p, spec, k)
 	case !c.dev.fusable:
 		// The host phase is the process's own sleep, so a SIGTSTP defers its
-		// wake — and with it the launch — to the SIGCONT. (A closure per step:
-		// these devices are the live daemons' and the oracle's.)
-		p.SleepThen(lead, func(any) { c.ExecThen(p, spec, k) })
+		// wake — and with it the launch — to the SIGCONT. The launch it
+		// continues into is pre-bound on the client: one pending lead each.
+		l := &c.lead
+		if l.fn == nil {
+			l.fn = c.launchAfterLead
+		}
+		l.p, l.spec, l.k = p, spec, k
+		p.SleepThen(lead, l.fn)
 	case p.ChainWait(spec.Name, k):
 		c.launchLead(spec, lead, p)
 	default:
@@ -70,6 +81,24 @@ func (c *Client) ExecLeadThen(p *simproc.Process, spec *KernelSpec, lead time.Du
 		c.launchLead(spec, lead, p)
 		p.EndWait(spec.Name)
 	}
+}
+
+// sleptLead is the client's pending lead on a device that is not
+// LeadCapable: what the host-phase sleep's continuation launches.
+type sleptLead struct {
+	p    *simproc.Process
+	spec *KernelSpec
+	k    func(any)
+	fn   func(any) // launchAfterLead, bound on first use
+}
+
+// launchAfterLead ends a slept host phase: it launches the pending lead's
+// kernel as a plain ExecThen.
+func (c *Client) launchAfterLead(any) {
+	l := &c.lead
+	p, spec, k := l.p, l.spec, l.k
+	l.p, l.spec, l.k = nil, nil, nil
+	c.ExecThen(p, spec, k)
 }
 
 // launchLead creates a lead kernel maturing at now+lead; the completion (or
