@@ -173,7 +173,7 @@ func (t *Trainer) epochPlan(epoch int, now time.Duration) (*Plan, error) {
 	return t.planFor(min(mb, t.cfg.MBCap))
 }
 
-func (t *Trainer) recordOp(stage int, span OpSpan) {
+func (t *Trainer) recordOp(stage, _ int, span OpSpan) {
 	t.mu.Lock()
 	t.opLog[stage] = append(t.opLog[stage], span)
 	t.mu.Unlock()

@@ -51,7 +51,7 @@ type RunnerConfig struct {
 	MBAlloc int
 	// Durations is each op's kernel duration by kind; Comm is the
 	// activation/gradient transfer an op pays after a cross-chunk wait —
-	// the kernel's host lead when VirtualPerStage == 1 (see Runner).
+	// the kernel's host lead (see Runner).
 	Durations [NumOpKinds]time.Duration
 	Comm      time.Duration
 	// ProcName prefixes the chunk process names ("pipe-v" → "pipe-v3").
@@ -64,17 +64,18 @@ type RunnerConfig struct {
 	// Failed reports an op whose kernel completed with an error; the chunk's
 	// process exits and the run stalls there.
 	Failed func(stage int, op Op, err error)
-	// Record, when non-nil, receives every retired op.
-	Record func(stage int, span OpSpan)
+	// Record, when non-nil, receives every retired op with its stage and
+	// virtual chunk.
+	Record func(stage, chunk int, span OpSpan)
 }
 
 // Runner replays a Plan cycle after cycle: one inline stage machine per
 // virtual chunk runs nextOp → cross-chunk wait → transfer → kernel → retire.
-// With VirtualPerStage == 1 chunk v is physical stage v and owns its stream,
-// so the transfer is the kernel's host lead (simgpu.ExecLeadThen: one engine
-// event per op on a lead-capable device); otherwise chunk v runs on device
-// v mod Stages, sleeps the transfer and then launches, its kernels
-// FIFO-interleaving with the device's other chunks.
+// Chunk v runs on device v mod Stages; with VirtualPerStage > 1 the stage's
+// chunks share its stream, their kernels FIFO-interleaving. The transfer is
+// the kernel's host lead (simgpu.ExecLeadThen): one engine event per op on a
+// lead-capable device, the lead reaching the shared stream where and when
+// the sleep-then-launch it replaces would have.
 //
 // Cross-chunk ordering is a flat scoreboard instead of a synchronisation
 // object per edge: slot (board, chunk, mb) holds cycle+1 of the op's last
@@ -238,15 +239,14 @@ func (c *chunk) nextOp() {
 }
 
 // afterDep runs once the op's cross-chunk dependency is satisfied: the
-// activation/gradient transfer, then the kernel. A chunk that owns its
-// stage's stream (VirtualPerStage == 1) launches the kernel with the transfer
-// as its host lead — one engine event where the device can fuse it. Chunks
-// sharing a stream sleep the transfer first, since another chunk may launch
-// during it; so does a zero-length transfer, whose sleep is an event at this
+// activation/gradient transfer, then the kernel, launched with the transfer
+// as its host lead — one engine event where the device can lead, whether the
+// chunk owns its stage's stream or shares it with the stage's other chunks.
+// A zero-length transfer sleeps instead: its sleep is an event at this
 // instant that lets the instant's other callbacks run ahead of the launch.
 func (c *chunk) afterDep(any) {
 	cfg := &c.r.cfg
-	if cfg.Comm <= 0 || cfg.VirtualPerStage > 1 {
+	if cfg.Comm <= 0 {
 		c.p.SleepThen(cfg.Comm, c.execOpFn)
 		return
 	}
@@ -288,7 +288,7 @@ func (c *chunk) afterExec(res any) {
 		return
 	}
 	if r.cfg.Record != nil {
-		r.cfg.Record(c.phys, OpSpan{Op: op, Start: c.opStart, End: c.p.Now()})
+		r.cfg.Record(c.phys, c.v, OpSpan{Op: op, Start: c.opStart, End: c.p.Now()})
 	}
 	switch op.Kind {
 	case OpForward, OpBackward, OpBackwardInput:

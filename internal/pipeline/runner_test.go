@@ -1,7 +1,9 @@
 package pipeline
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 	"time"
@@ -96,9 +98,10 @@ func runEpochFn(t testing.TB, r *rig) func() {
 // timer free-list and cycle-waiter lists are warm, a whole epoch — every
 // dependency wait and wake, transfer, kernel and the epoch barrier —
 // allocates nothing, whether the transfer is a host lead or (on a
-// FullRebalance device) a sleep before the launch.
+// FullRebalance device) a sleep before the launch, and whether the chunk owns
+// its stream or shares it (interleaved).
 func TestSteadyStateEpochAllocFree(t *testing.T) {
-	for _, kind := range []ScheduleKind{Schedule1F1B, ScheduleZeroBubble} {
+	for _, kind := range []ScheduleKind{Schedule1F1B, ScheduleZeroBubble, ScheduleInterleaved} {
 		for _, full := range []bool{false, true} {
 			r := quietRig(t, Config{
 				Model: model.NanoGPT3B, Stages: 16, MicroBatches: 32, Epochs: 8, Schedule: kind,
@@ -120,11 +123,12 @@ func TestSteadyStateEpochAllocFree(t *testing.T) {
 // TestSteadyStateEpochEvents pins what a steady epoch costs the engine at
 // S=4, M=8. A 1F1B epoch runs 68 kernels in 68 events: every transfer is its
 // kernel's host lead and the barrier releases the next epoch inside its own
-// callback, at no event. An interleaved epoch (V=2) runs 136 kernels in 248
-// events: its 112 dependency-carrying ops sleep their transfer first. With
-// a zero-length transfer the 1F1B epoch keeps the sleep as well — 48
-// dependency-carrying ops, 116 events — so the instant's other callbacks
-// still run ahead of each launch.
+// callback, at no event. An interleaved epoch (V=2) runs 136 kernels in 136
+// events: its 112 dependency-carrying ops lead onto the stage's shared
+// stream, and a lead that finds the stream busy waits in its FIFO for the
+// completion that frees it, arming nothing of its own. With a zero-length
+// transfer the 1F1B epoch keeps the sleep — 48 dependency-carrying ops, 116
+// events — so the instant's other callbacks still run ahead of each launch.
 func TestSteadyStateEpochEvents(t *testing.T) {
 	free := model.NanoGPT3B
 	free.CommLatency = 0
@@ -134,7 +138,7 @@ func TestSteadyStateEpochEvents(t *testing.T) {
 		kernels, events uint64
 	}{
 		{"1f1b", Config{Model: model.NanoGPT3B, Schedule: Schedule1F1B}, 68, 68},
-		{"interleaved", Config{Model: model.NanoGPT3B, Schedule: ScheduleInterleaved}, 136, 248},
+		{"interleaved", Config{Model: model.NanoGPT3B, Schedule: ScheduleInterleaved}, 136, 136},
 		{"1f1b-zero-comm", Config{Model: free, Schedule: Schedule1F1B}, 68, 116},
 	} {
 		c.cfg.Stages, c.cfg.MicroBatches, c.cfg.Epochs = 4, 8, 6
@@ -240,9 +244,9 @@ func runBesideShell(t *testing.T, escalate bool) {
 	}
 }
 
-// leadRun is what one stage-machine run left behind: every stage's op spans
-// and kernel count, the engine events it dispatched and how many ops waited
-// on a cross-chunk dependency.
+// leadRun is what one stage-machine run left behind: every chunk's op spans,
+// every device's kernel count, the engine events it dispatched and how many
+// ops waited on a cross-chunk dependency.
 type leadRun struct {
 	spans   [][]OpSpan
 	kernels []uint64
@@ -250,11 +254,11 @@ type leadRun struct {
 	depOps  uint64
 }
 
-// runPlan drives a V=1 plan for cycles cycles straight through the Runner,
-// each cycle released inside the previous one's barrier. full puts every
-// stage on a FullRebalance device (ExecLeadThen's two-event fallback); side
-// adds an MPS side-task client to every device, stepping until the pipeline
-// is done.
+// runPlan drives a plan for cycles cycles straight through the Runner, each
+// cycle released inside the previous one's barrier; under VirtualPerStage > 1
+// a stage's chunks share its client. full puts every stage on a
+// FullRebalance device (ExecLeadThen's two-event fallback); side adds an MPS
+// side-task client to every device, stepping until the pipeline is done.
 func runPlan(t *testing.T, plan *Plan, durs [NumOpKinds]time.Duration, comm time.Duration, cycles int, full, side bool) leadRun {
 	t.Helper()
 	eng := simtime.NewVirtual()
@@ -270,7 +274,7 @@ func runPlan(t *testing.T, plan *Plan, durs [NumOpKinds]time.Duration, comm time
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := leadRun{spans: make([][]OpSpan, plan.Stages)}
+	out := leadRun{spans: make([][]OpSpan, plan.NumVirtual())}
 	for _, deps := range plan.Deps {
 		for _, d := range deps {
 			if d.Chunk >= 0 {
@@ -281,7 +285,7 @@ func runPlan(t *testing.T, plan *Plan, durs [NumOpKinds]time.Duration, comm time
 	var run *Runner
 	done := false
 	run = NewRunner(procs, clients, RunnerConfig{
-		Stages: plan.Stages, VirtualPerStage: 1, Cycles: cycles, MBAlloc: plan.MicroBatches,
+		Stages: plan.Stages, VirtualPerStage: plan.VirtualPerStage, Cycles: cycles, MBAlloc: plan.MicroBatches,
 		Durations: durs, Comm: comm, ProcName: "pipe-v",
 		CycleDone: func(c int) {
 			if done = c+1 == cycles; !done {
@@ -289,7 +293,7 @@ func runPlan(t *testing.T, plan *Plan, durs [NumOpKinds]time.Duration, comm time
 			}
 		},
 		Failed: func(s int, op Op, err error) { t.Errorf("stage %d %v: %v", s, op, err) },
-		Record: func(s int, sp OpSpan) { out.spans[s] = append(out.spans[s], sp) },
+		Record: func(_, v int, sp OpSpan) { out.spans[v] = append(out.spans[v], sp) },
 	})
 	if side {
 		for i, dev := range devices {
@@ -326,11 +330,21 @@ func runPlan(t *testing.T, plan *Plan, durs [NumOpKinds]time.Duration, comm time
 	return out
 }
 
-// checkTransferStarts is the two-event form's timing, derived from the plan:
-// an op starts when its predecessor retires (the cycle's release for the
-// first), and an op with a cross-chunk dependency a transfer after the later
-// of that and its producer's retirement.
-func checkTransferStarts(t *testing.T, desc string, plan *Plan, spans [][]OpSpan, comm time.Duration) {
+// kernelTime is how long a kernel of duration d runs alone on a reference
+// device: the device's ceil(work/alloc) at full allocation.
+func kernelTime(d time.Duration) time.Duration {
+	return time.Duration(math.Ceil(d.Seconds() * 1e9))
+}
+
+// checkTransferStarts is the two-event form's timing, derived from the plan.
+// An op is launched when its chunk's previous op retires (the cycle's release
+// for the first), and an op with a cross-chunk dependency a transfer after
+// the later of that and its producer's retirement; the span's Start is that
+// launch. Its kernel starts at the later of the launch and the moment its
+// stream frees — the retirement of the kernel before it on the stage, which
+// the stage's chunks share under interleaving — so alone (exact) it retires
+// its kernel's run time later, and beside a side task no earlier.
+func checkTransferStarts(t *testing.T, desc string, plan *Plan, spans [][]OpSpan, durs [NumOpKinds]time.Duration, comm time.Duration, exact bool) {
 	t.Helper()
 	// at[v][slot] is the index of the op a dependency on (kind, mb) names.
 	at := make([]map[[2]int]int, len(plan.Chunks))
@@ -361,7 +375,7 @@ func checkTransferStarts(t *testing.T, desc string, plan *Plan, spans [][]OpSpan
 					want = max(prev, src.End) + comm
 				}
 				if sp.Start != want {
-					t.Fatalf("%s: cycle %d chunk %d op %d (%v) starts at %v, want %v", desc, c, v, i, sp.Op, sp.Start, want)
+					t.Fatalf("%s: cycle %d chunk %d op %d (%v) launches at %v, want %v", desc, c, v, i, sp.Op, sp.Start, want)
 				}
 				prev = sp.End
 			}
@@ -369,14 +383,31 @@ func checkTransferStarts(t *testing.T, desc string, plan *Plan, spans [][]OpSpan
 		}
 		release = retire
 	}
+	for s := 0; s < plan.Stages; s++ {
+		var stream []OpSpan
+		for v := s; v < len(spans); v += plan.Stages {
+			stream = append(stream, spans[v]...)
+		}
+		slices.SortFunc(stream, func(a, b OpSpan) int { return cmp.Compare(a.End, b.End) })
+		free := time.Duration(0)
+		for _, sp := range stream {
+			want := max(sp.Start, free) + kernelTime(durs[sp.Op.Kind])
+			if sp.End < want || (exact && sp.End != want) {
+				t.Fatalf("%s: stage %d op %v launched at %v retires at %v, want %v (stream free at %v)",
+					desc, s, sp.Op, sp.Start, sp.End, want, free)
+			}
+			free = sp.End
+		}
+	}
 }
 
 // TestCommLeadMatchesTwoEventForm pins the stage transfer as the kernel's
-// host lead: on a lead-capable device every V=1 schedule — training and the
-// serving plan, alone and beside an MPS side task — runs exactly the spans
-// and kernels of the two-event form a FullRebalance device falls back to,
-// alone in one engine event fewer per dependency-carrying op, and those spans
-// are the ones the two-event form's timing rule derives.
+// host lead: on a lead-capable device every schedule — training with V=1,
+// interleaved with V ∈ {2, 3} on shared stage streams, and the serving plan,
+// alone and beside an MPS side task — runs exactly the spans and kernels of
+// the two-event form a FullRebalance device falls back to, alone in one
+// engine event fewer per dependency-carrying op, and those spans are the
+// ones the two-event form's timing rule derives.
 func TestCommLeadMatchesTwoEventForm(t *testing.T) {
 	m := model.NanoGPT3B
 	var train, serving [NumOpKinds]time.Duration
@@ -399,6 +430,18 @@ func TestCommLeadMatchesTwoEventForm(t *testing.T) {
 				}
 				cases = append(cases, planCase{kind.String(), plan, train})
 			}
+			for _, v := range []int{2, 3} {
+				plan, err := BuildPlan(ScheduleInterleaved, s, mbs, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Durations ÷V per chunk, as the trainer runs them.
+				var durs [NumOpKinds]time.Duration
+				for k, d := range train {
+					durs[k] = d / time.Duration(v)
+				}
+				cases = append(cases, planCase{fmt.Sprintf("interleaved-V%d", v), plan, durs})
+			}
 			plan, err := BuildServingPlan(s, mbs)
 			if err != nil {
 				t.Fatal(err)
@@ -409,9 +452,9 @@ func TestCommLeadMatchesTwoEventForm(t *testing.T) {
 					desc := fmt.Sprintf("%s/S%d-M%d/side=%v", pc.name, s, mbs, side)
 					lead := runPlan(t, pc.plan, pc.durs, m.CommLatency, 3, false, side)
 					two := runPlan(t, pc.plan, pc.durs, m.CommLatency, 3, true, side)
-					for st := range lead.spans {
-						if !slices.Equal(lead.spans[st], two.spans[st]) {
-							t.Fatalf("%s: stage %d spans differ between the lead and two-event forms", desc, st)
+					for v := range lead.spans {
+						if !slices.Equal(lead.spans[v], two.spans[v]) {
+							t.Fatalf("%s: chunk %d spans differ between the lead and two-event forms", desc, v)
 						}
 					}
 					if !slices.Equal(lead.kernels, two.kernels) {
@@ -419,7 +462,7 @@ func TestCommLeadMatchesTwoEventForm(t *testing.T) {
 					}
 					// Alone, each transfer's wake event is gone. Beside a side
 					// task, a side kernel's completion can be the first device
-					// transition after a lead elapses: it matures the lead, finds
+					// transition after a lead's wake: it matures the lead, finds
 					// itself pushed later and re-arms — one premature fire in
 					// place of the wake. The lead form still saves events.
 					saved := two.events - lead.events
@@ -427,7 +470,7 @@ func TestCommLeadMatchesTwoEventForm(t *testing.T) {
 						t.Fatalf("%s: %d engine events, two-event form %d, %d dependency-carrying ops",
 							desc, lead.events, two.events, lead.depOps)
 					}
-					checkTransferStarts(t, desc, pc.plan, lead.spans, m.CommLatency)
+					checkTransferStarts(t, desc, pc.plan, lead.spans, pc.durs, m.CommLatency, !side)
 				}
 			}
 		}

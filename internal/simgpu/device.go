@@ -182,12 +182,16 @@ type Device struct {
 	// relaunch, which is what makes the fused single rebalance exact), and
 	// the full-recompute oracle never fuses.
 	fusable bool
+	// virt is the engine as a *simtime.Virtual (nil on the wall engine): the
+	// host leads' wakes and keyed re-arms live there.
+	virt *simtime.Virtual
 
-	// leads are pending host-lead kernels (ExecLeadThen), ordered by
-	// leadUntil: created but not yet runnable, they join the running set
-	// lazily at the first device transition at-or-after their lead elapses
-	// (matureLeadsLocked). Held leads (HoldLead) are parked off-list.
+	// leads are pending host-lead kernels (ExecLeadThen), in wake order:
+	// created but not yet launched, they reach their stream lazily at the
+	// first device transition after the dispatch order passes their wake
+	// (matureLeadsLocked). Held leads (HoldLead) wait in held instead.
 	leads []*kernel
+	held  []*kernel
 
 	// scratch buffers reused across rebalances to keep the hot path
 	// allocation-free.
@@ -232,8 +236,8 @@ func NewDevice(eng simtime.Engine, cfg DeviceConfig) *Device {
 		occ:     trace.NewSeries(cfg.Name + "/sm"),
 		mem:     trace.NewSeries(cfg.Name + "/mem"),
 	}
-	_, virtual := eng.(*simtime.Virtual)
-	d.fusable = virtual && !cfg.FullRebalance
+	d.virt, _ = eng.(*simtime.Virtual)
+	d.fusable = d.virt != nil && !cfg.FullRebalance
 	d.mu.Bind(eng)
 	return d
 }
@@ -306,9 +310,10 @@ type Client struct {
 	// resident mirrors the ResidencyTax predicate (memUsed > 0 or a kernel
 	// in flight) so transitions can maintain dev.resident in O(1).
 	resident bool
-	// lead is ExecLeadThen's pending launch where the device takes the
-	// two-event fallback (engine context only, like the caller's process).
-	lead sleptLead
+	// slept is the free-list of ExecLeadThen's pending launches where the
+	// device takes the two-event fallback (engine context only, like the
+	// callers' processes).
+	slept []*sleptLead
 }
 
 // NewClient registers a client context on the device.
@@ -344,10 +349,10 @@ func (d *Device) NewClient(cfg ClientConfig) (*Client, error) {
 // memory or kernel state and folds the delta into the device count. Caller
 // holds d.mu.
 func (d *Device) residencyChangedLocked(c *Client) {
-	// A host lead is not resident kernel state: the equivalent unfused
-	// client would still be in its host phase with nothing submitted, so
-	// the MPS tax predicate must not see it until maturation.
-	r := !c.closed && (c.memUsed > 0 || (c.current != nil && !c.current.leading))
+	// A host lead is not resident kernel state until it reaches the stream:
+	// the equivalent unfused client would still be in its host phase with
+	// nothing submitted.
+	r := !c.closed && (c.memUsed > 0 || c.current != nil)
 	if r != c.resident {
 		c.resident = r
 		if r {
@@ -597,19 +602,26 @@ func (c *Client) Destroy() {
 	aborted := make([]*kernel, 0, len(c.queue)+1)
 	if cur := c.current; cur != nil {
 		cur.timer.Cancel()
-		if cur.leading {
-			// A pending (or held) lead was never in the running set.
-			if !cur.held {
-				d.leadsRemoveLocked(cur)
-			}
-		} else {
-			d.runningRemoveLocked(cur)
-		}
+		d.runningRemoveLocked(cur)
 		aborted = append(aborted, cur)
 		c.current = nil
 	}
 	aborted = append(aborted, c.queue...)
 	c.queue = nil
+	// A pending (or held) lead never reached the stream.
+	for _, list := range []*[]*kernel{&d.leads, &d.held} {
+		for i := 0; i < len(*list); {
+			k := (*list)[i]
+			if k.client != c {
+				i++
+				continue
+			}
+			k.timer.Cancel()
+			k.wake.Cancel()
+			*list = removeKernel(*list, k)
+			aborted = append(aborted, k)
+		}
+	}
 	d.memUsed -= c.memUsed
 	c.memUsed = 0
 	d.residencyChangedLocked(c)

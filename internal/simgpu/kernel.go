@@ -74,17 +74,18 @@ type kernel struct {
 	// while queued, leading or retired.
 	runIdx int32
 
-	// Host-lead state (ExecLeadThen). A leading kernel is not yet runnable:
-	// it joins the running set at leadUntil (maturation), standing in for
-	// the caller's host-side step phase without a separate sleep event.
-	// held marks a lead frozen by HoldLead (SIGTSTP landing inside the host
-	// phase); the remaining lead resumes on ReleaseLead. leadDeadline
-	// caches the armed no-further-events completion hypothesis so lead
-	// refreshes skip no-op timer re-arms.
-	leading      bool
-	held         bool
+	// Host-lead state (ExecLeadThen). A lead (on the device's leads or held
+	// list) is not yet launched: it reaches the stream at leadUntil (maturation), when
+	// the dispatch order passes wake, standing in for the caller's host phase
+	// without a separate sleep event. A lead frozen by HoldLead (SIGTSTP
+	// landing inside the host phase) waits on the held list until
+	// ReleaseLead. leadDeadline and leadIdx cache the armed no-further-events completion
+	// hypothesis (-1: none armed) so lead refreshes skip no-op timer re-arms.
+	// The wake lives in the kernel, so it survives recycling.
 	leadUntil    time.Duration
 	leadDeadline time.Duration
+	leadIdx      int
+	wake         simtime.Timer
 }
 
 // popKernelLocked recycles a kernel struct from the pool (or allocates one),
@@ -108,8 +109,6 @@ func (d *Device) popKernelLocked(c *Client, spec *KernelSpec, onComplete func(er
 		k.runIdx = -1
 		k.started = 0
 		k.startSet = false
-		k.leading = false
-		k.held = false
 		k.leadUntil = 0
 		k.leadDeadline = -1
 	} else {
@@ -165,8 +164,8 @@ func (c *Client) launch(spec *KernelSpec, onComplete func(error), waiter *simpro
 		}
 		return err
 	}
-	// Leads due at-or-before this instant join the running set first, so
-	// this launch's rebalance sees exactly the set an unfused arm would.
+	// Leads whose wakes have passed reach their streams first, so this
+	// launch's rebalance sees exactly the set an unfused arm would.
 	d.matureLeadsLocked(nil)
 	k := d.popKernelLocked(c, spec, onComplete, waiter)
 	if c.current == nil {
@@ -233,7 +232,11 @@ func execResult(res any) error {
 	return err
 }
 
-// QueueDepth reports the number of kernels waiting behind the running one.
+// QueueDepth reports how many kernels are on the client's stream: the
+// running one and those queued behind it. A host lead counts once the
+// dispatch order has passed its wake (and it is not held), matured or not:
+// before that the equivalent unfused caller is still in its host phase with
+// nothing submitted.
 func (c *Client) QueueDepth() int {
 	c.dev.mu.Lock()
 	defer c.dev.mu.Unlock()
@@ -241,25 +244,30 @@ func (c *Client) QueueDepth() int {
 	if c.current != nil {
 		n++
 	}
-	return n
+	return n + c.launchedLeadsLocked()
 }
 
 // Busy reports whether the client has a kernel in flight on the device. A
-// host-lead kernel counts only once its lead has elapsed: before leadUntil
-// (or while held) the equivalent unfused client would still be in its
+// host lead counts only once the dispatch order has passed its wake: before
+// that (or while held) the equivalent unfused client would still be in its
 // host-side phase with nothing submitted, and the worker's grace-kill check
 // relies on exactly that distinction.
 func (c *Client) Busy() bool {
 	c.dev.mu.Lock()
 	defer c.dev.mu.Unlock()
-	k := c.current
-	if k == nil {
-		return false
+	return c.current != nil || c.launchedLeadsLocked() > 0
+}
+
+// launchedLeadsLocked counts the client's leads whose launch the dispatch
+// order has passed but no device transition has carried out yet. Caller
+// holds d.mu.
+func (c *Client) launchedLeadsLocked() (n int) {
+	for _, k := range c.dev.leads {
+		if k.client == c && k.wake.Passed() {
+			n++
+		}
 	}
-	if k.leading {
-		return !k.held && k.leadUntil <= c.dev.eng.Now()
-	}
-	return true
+	return n
 }
 
 // rebalanceLocked recomputes every running kernel's SM allocation after any
@@ -271,7 +279,7 @@ func (d *Device) rebalanceLocked() {
 		d.rebalanceFullLocked()
 		return
 	}
-	d.rebalanceAtLocked(d.eng.Now(), nil)
+	d.rebalanceAtLocked(d.eng.Now(), nil, nil)
 	d.refreshLeadsLocked()
 }
 
@@ -279,7 +287,7 @@ func (d *Device) rebalanceLocked() {
 // instant the triggering transition happened at. For ordinary transitions at
 // is the current engine time; for a host-lead maturation it is the lead's
 // leadUntil — possibly in the past of the engine clock, because maturation
-// runs lazily at the first device event at-or-after the lead elapses. All
+// runs lazily at the first device event after the lead's wake passes. All
 // arithmetic (accrual, water-fill, tax, trace points, completion deadlines)
 // is computed as of at, so a lazy maturation reproduces bit-exactly the
 // rebalance an eager launch at leadUntil would have performed; completion
@@ -297,12 +305,17 @@ func (d *Device) rebalanceLocked() {
 // exactly as the full pass computes it, which is what the float-exact
 // differential oracle asserts.
 //
+// wake, when non-nil, is the maturing lead's virtual wake: the pass stands
+// in for a launch inside it, so every completion it re-arms is keyed as the
+// i-th timer armed there (simtime.Virtual.RescheduleAs), i its running-set
+// index — the order an eager launch's pass would arm them in.
+//
 // firing, when non-nil, is the kernel whose completion dispatch this pass
 // runs under (a due lead maturing inside completeKernel). The return value
 // reports whether firing's completion moved later than the dispatch instant
 // — the fire was premature and has been re-armed, so the caller must abandon
 // the in-flight completion. Caller holds d.mu.
-func (d *Device) rebalanceAtLocked(at time.Duration, firing *kernel) (stale bool) {
+func (d *Device) rebalanceAtLocked(at time.Duration, wake *simtime.Timer, firing *kernel) (stale bool) {
 	running := d.running
 
 	// Accrue progress under the old allocations.
@@ -332,9 +345,9 @@ func (d *Device) rebalanceAtLocked(at time.Duration, firing *kernel) (stale bool
 	}
 
 	var total float64
-	for _, k := range running {
+	for i, k := range running {
 		total += k.alloc
-		if d.scheduleCompletionAtLocked(k, at, firing) {
+		if d.scheduleCompletionAtLocked(k, i, at, wake, firing) {
 			stale = true
 		}
 	}
@@ -343,7 +356,7 @@ func (d *Device) rebalanceAtLocked(at time.Duration, firing *kernel) (stale bool
 			k.client.occTr.Add(at, k.alloc)
 		}
 		for _, c := range d.order {
-			if c.current == nil || c.current.leading {
+			if c.current == nil {
 				c.occTr.Add(at, 0)
 			}
 		}
@@ -519,24 +532,30 @@ func (d *Device) scheduleCompletionLocked(k *kernel) {
 }
 
 // scheduleCompletionAtLocked is scheduleCompletionLocked as of instant at:
-// the completion lands at at + ceil(work/alloc), expressed as a delay on the
-// real engine clock — the same absolute (when) an eager rebalance at at
-// would have armed. When k is the kernel whose completion dispatch this pass
-// runs under (firing), a deadline at-or-before the dispatch instant lets the
-// in-flight completion proceed (re-arming it would push a duplicate event),
-// and a later deadline re-arms the timer and reports the fire stale. Caller
-// holds d.mu.
-func (d *Device) scheduleCompletionAtLocked(k *kernel, at time.Duration, firing *kernel) bool {
+// the completion lands at at + ceil(work/alloc) — the same absolute (when)
+// an eager rebalance at at would have armed — keyed as the i-th timer armed
+// inside wake when one is given (see rebalanceAtLocked). When k is the
+// kernel whose completion dispatch this pass runs under (firing), a deadline
+// at-or-before the dispatch instant lets the in-flight completion proceed
+// (re-arming it would push a duplicate event), and a later deadline re-arms
+// the timer and reports the fire stale. Caller holds d.mu.
+func (d *Device) scheduleCompletionAtLocked(k *kernel, i int, at time.Duration, wake *simtime.Timer, firing *kernel) bool {
 	if k.alloc <= 0 {
 		k.timer.Cancel() // no rate: park the completion
 		return false
 	}
 	secs := k.work / k.alloc
 	delay := time.Duration(math.Ceil(secs*1e9)) + (at - d.eng.Now())
-	if k == firing && delay <= 0 {
+	if k == firing && delay <= 0 && (wake == nil || k.timer.ArmedAs(wake, i)) {
 		return false
 	}
-	k.timer = simtime.Reschedule(d.eng, k.timer, delay, k.doneName, k.completeFn)
+	// A fire at the right instant but keyed ahead of the wake's launch came
+	// too early in the instant: it is re-armed where that launch puts it.
+	if wake != nil {
+		k.timer = d.virt.RescheduleAs(k.timer, wake, i, d.eng.Now()+delay, k.doneName, k.completeFn)
+	} else {
+		k.timer = simtime.Reschedule(d.eng, k.timer, delay, k.doneName, k.completeFn)
+	}
 	return k == firing
 }
 
@@ -555,23 +574,12 @@ func (d *Device) scheduleCompletionAtLocked(k *kernel, at time.Duration, firing 
 func (d *Device) completeKernel(k *kernel) {
 	d.mu.Lock()
 	c := k.client
-	if c == nil || c.current != k {
-		// Stale completion (aborted); ignore.
-		d.mu.Unlock()
-		return
-	}
-	// Leads due at-or-before this instant mature first — including k
-	// itself, if this fire is its armed lead hypothesis. A maturation that
-	// pushed k's true completion later has re-armed its timer: the fire was
-	// premature, abandon it.
-	if d.matureLeadsLocked(k) {
-		d.mu.Unlock()
-		return
-	}
-	if k.leading {
-		// Still inside its host lead (held, or the lead has not elapsed):
-		// nothing can complete yet. Armed hypothesis deadlines always lie
-		// beyond leadUntil, so this is a defensive guard.
+	// Leads whose wakes have passed mature first — including k itself, if
+	// this fire is its armed lead hypothesis (which sorts after the wake).
+	// A maturation that pushed k's true completion later, or queued k, has
+	// re-armed or parked its timer: the fire was premature, abandon it.
+	if c == nil || d.matureLeadsLocked(k) || c.current != k {
+		// Stale completion (aborted) or abandoned; ignore.
 		d.mu.Unlock()
 		return
 	}

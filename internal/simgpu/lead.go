@@ -8,34 +8,46 @@ import (
 	"freeride/internal/simtime"
 )
 
-// Host-lead launches: ExecLeadThen fuses a caller-side host phase (the side
-// task's per-step CPU overhead) into the kernel's completion event. The
-// kernel is created at launch time but stays a *lead* — outside the running
-// set, consuming no SM share — until now+lead, when it *matures*: joins the
-// running set and rebalances exactly as a plain launch at that instant
-// would. One engine event (the armed completion hypothesis) replaces the
-// caller's sleep(lead) + launch pair. Two loops launch this way: the side
-// task's step loop (the lead is the step's host overhead) and the pipeline
-// stage machine of a chunk that owns its stage's stream (the lead is the
-// activation/gradient transfer ahead of the op's kernel).
+// Host-lead launches: ExecLeadThen fuses a caller-side host phase into the
+// kernel's completion event. Two loops launch this way: the side task's step
+// loop (the lead is the step's host overhead) and the pipeline stage machine
+// (the lead is the activation/gradient transfer ahead of the op's kernel). The
+// kernel is created at launch time but stays a *lead* — off its client's
+// stream, consuming no SM share — until its host phase ends at leadUntil,
+// when it *matures*: it starts at once if the stream is idle then,
+// rebalancing exactly as a plain launch at that instant would, and otherwise
+// joins the stream's FIFO behind what is already there. One engine event (the
+// armed completion) replaces the caller's sleep(lead) + launch pair.
 //
-// Maturation is lazy: it runs at the first device transition at-or-after
-// leadUntil, rebalancing *as of leadUntil* (rebalanceAtLocked), which
-// reproduces bit-exactly the accrual/water-fill/trace/deadline arithmetic of
-// an eager launch. The armed completion timer is a hypothesis — the exact
-// completion if no further device events intervene. Device transitions
-// after arming can only push the true completion later (they are themselves
-// rebalance points that refresh the hypothesis), so the timer fires
-// early-never-late; a premature fire matures the lead, detects the
-// staleness and re-arms (rebalanceAtLocked's firing contract).
+// The end of the host phase is a virtual wake (simtime.Virtual.Reserve): the
+// (when, seq) slot the caller's sleep would have taken, which the engine
+// orders like an event and never dispatches. Maturation is lazy: it runs at
+// the first device transition after the dispatch order has passed the slot,
+// in slot order, and rebalances as of leadUntil (rebalanceAtLocked), with
+// every timer it re-arms keyed as if armed inside the wake
+// (simtime.Virtual.RescheduleAs). That reproduces bit-exactly the accrual,
+// water-fill, trace and deadline arithmetic of an eager launch, and the
+// (when, seq) order of everything it arms. So the stream may be shared — the
+// interleaved schedule's V chunks lead onto one stage client — and a
+// same-instant tie resolves as the engine orders the sleep's wake: two
+// transfers ending together join the FIFO in slot order; a transfer ending
+// just as its stream's kernel completes queues behind it, or ahead of what
+// the completion's continuation launches, as its slot sorts; consumers of
+// kernels that finish together lead in the order those completions ran.
+//
+// The armed completion timer is a hypothesis — the exact completion if no
+// further device events intervene. Every device transition refreshes it, so
+// it fires early-never-late; a premature fire matures the lead, detects the
+// staleness and re-arms (rebalanceAtLocked's firing contract). A lead whose
+// stream is busy (a kernel in flight or queued, or a lead of the client due
+// first) arms nothing: the transition that frees the stream matures it.
 //
 // The Stop/Pause boundary: HoldLead freezes a lead whose host phase a
 // SIGTSTP interrupted (the unfused arm's sleep would have frozen the same
-// way), ReleaseLead resumes it with leadUntil pushed to at least the resume
-// instant — matching the deferred sleep-wake delivery of a stopped process.
-// A lead whose host phase already elapsed matures on hold, so in-flight
-// kernels keep running through a pause, exactly as the paper's asynchronous
-// kernels do (§5).
+// way), ReleaseLead resumes it — matching the deferred sleep-wake delivery of
+// a stopped process. A lead whose wake the dispatch order already passed
+// matures on hold, so in-flight kernels keep running through a pause, exactly
+// as the paper's asynchronous kernels do (§5).
 //
 // The fault boundary: an armed kernel fault (InjectKernelFault) fails the
 // first matching launch at or after its arming, and a lead's launch instant
@@ -51,15 +63,14 @@ import (
 // sleep — two events, bit-identical by construction.
 func (d *Device) LeadCapable() bool { return d.fusable }
 
-// ExecLeadThen is ExecThen with a host-lead offset: the kernel becomes
-// runnable at now+lead and k receives the completion payload (nil or error)
-// when it finishes. lead <= 0 degenerates to a plain ExecThen, launched at
-// once (no event at this instant). The client's stream must be idle and stay
-// the caller's alone until k runs: a host phase cannot overlap the same
-// stream's in-flight kernel. Both callers are strictly serial on their
-// stream — the side-task step loop and the pipeline stage machine of a chunk
-// that owns its stage (VirtualPerStage == 1, the transfer as the lead) — and
-// *spec must stay unchanged until k runs.
+// ExecLeadThen is ExecThen with a host-lead offset: the kernel is launched at
+// now+lead and k receives the completion payload (nil or error) when it
+// finishes. lead <= 0 degenerates to a plain ExecThen, launched at once (no
+// event at this instant). The stream may be shared: other callers may launch
+// on the client, or lead onto it, while the host phase runs, and the kernel
+// queues behind whatever the stream holds when the phase ends. Same-instant
+// ties follow the engine's order of the sleep the lead replaces (see the
+// package's host-lead notes). *spec must stay unchanged until k runs.
 func (c *Client) ExecLeadThen(p *simproc.Process, spec *KernelSpec, lead time.Duration, k func(any)) {
 	switch {
 	case lead <= 0:
@@ -67,10 +78,15 @@ func (c *Client) ExecLeadThen(p *simproc.Process, spec *KernelSpec, lead time.Du
 	case !c.dev.fusable:
 		// The host phase is the process's own sleep, so a SIGTSTP defers its
 		// wake — and with it the launch — to the SIGCONT. The launch it
-		// continues into is pre-bound on the client: one pending lead each.
-		l := &c.lead
-		if l.fn == nil {
-			l.fn = c.launchAfterLead
+		// continues into is pre-bound on a slot of the client's free-list:
+		// one per lead in flight, since several callers may share the stream.
+		var l *sleptLead
+		if n := len(c.slept); n > 0 {
+			l = c.slept[n-1]
+			c.slept = c.slept[:n-1]
+		} else {
+			l = &sleptLead{c: c}
+			l.fn = l.launch
 		}
 		l.p, l.spec, l.k = p, spec, k
 		p.SleepThen(lead, l.fn)
@@ -83,26 +99,28 @@ func (c *Client) ExecLeadThen(p *simproc.Process, spec *KernelSpec, lead time.Du
 	}
 }
 
-// sleptLead is the client's pending lead on a device that is not
-// LeadCapable: what the host-phase sleep's continuation launches.
+// sleptLead is one pending lead on a device that is not LeadCapable: what
+// the host-phase sleep's continuation launches. Engine context only, like
+// the caller's process.
 type sleptLead struct {
+	c    *Client
 	p    *simproc.Process
 	spec *KernelSpec
 	k    func(any)
-	fn   func(any) // launchAfterLead, bound on first use
+	fn   func(any) // l.launch, bound once
 }
 
-// launchAfterLead ends a slept host phase: it launches the pending lead's
-// kernel as a plain ExecThen.
-func (c *Client) launchAfterLead(any) {
-	l := &c.lead
-	p, spec, k := l.p, l.spec, l.k
+// launch ends a slept host phase: it returns the slot to the client's
+// free-list and launches the kernel as a plain ExecThen.
+func (l *sleptLead) launch(any) {
+	c, p, spec, k := l.c, l.p, l.spec, l.k
 	l.p, l.spec, l.k = nil, nil, nil
+	c.slept = append(c.slept, l)
 	c.ExecThen(p, spec, k)
 }
 
-// launchLead creates a lead kernel maturing at now+lead; the completion (or
-// the failure) reaches waiter's armed wait.
+// launchLead creates a lead kernel whose host phase ends at now+lead; the
+// completion (or the failure) reaches waiter's armed wait.
 func (c *Client) launchLead(spec *KernelSpec, lead time.Duration, waiter *simproc.Process) {
 	spec.normalize()
 	d := c.dev
@@ -120,30 +138,25 @@ func (c *Client) launchLead(spec *KernelSpec, lead time.Duration, waiter *simpro
 		simtime.Detached(d.eng, lead, spec.Name, func() { waiter.Wake(err) })
 		return
 	}
-	if c.current != nil {
-		d.mu.Unlock()
-		panic("simgpu: ExecLeadThen on a busy client")
-	}
 	// The unfused arm's continuation would sleep here without touching the
 	// device, so an open fusion window settles now (flush, not fold — there
-	// is no launch rebalance at this instant to fold into), and leads due
-	// at this instant mature.
+	// is no launch rebalance at this instant to fold into), and leads whose
+	// wakes have passed mature. The sleep's wake takes the next slot.
 	d.flushFusionLocked()
 	d.matureLeadsLocked(nil)
 	k := d.popKernelLocked(c, spec, nil, waiter)
-	k.leading = true
 	k.leadUntil = d.eng.Now() + lead
-	c.current = k
+	d.virt.Reserve(&k.wake, lead)
 	d.leadsInsertLocked(k)
 	d.armLeadLocked(k)
 	d.mu.Unlock()
 }
 
-// leadsInsertLocked adds k to the pending-leads list, keeping leadUntil
-// order. Caller holds d.mu.
+// leadsInsertLocked adds k to the pending-leads list, keeping wake order.
+// Caller holds d.mu.
 func (d *Device) leadsInsertLocked(k *kernel) {
 	i := len(d.leads)
-	for i > 0 && d.leads[i-1].leadUntil > k.leadUntil {
+	for i > 0 && k.wake.Before(&d.leads[i-1].wake) {
 		i--
 	}
 	d.leads = append(d.leads, nil)
@@ -151,56 +164,29 @@ func (d *Device) leadsInsertLocked(k *kernel) {
 	d.leads[i] = k
 }
 
-// leadsRemoveLocked drops k from the pending-leads list. Caller holds d.mu.
-func (d *Device) leadsRemoveLocked(k *kernel) {
-	for i, lk := range d.leads {
+// removeKernel deletes k from list, keeping order.
+func removeKernel(list []*kernel, k *kernel) []*kernel {
+	for i, lk := range list {
 		if lk == k {
-			copy(d.leads[i:], d.leads[i+1:])
-			last := len(d.leads) - 1
-			d.leads[last] = nil
-			d.leads = d.leads[:last]
-			return
+			copy(list[i:], list[i+1:])
+			list[len(list)-1] = nil
+			return list[:len(list)-1]
 		}
 	}
+	return list
 }
 
-// matureLeadsLocked promotes every lead whose host phase has elapsed into
-// the running set, in leadUntil order, each with a rebalance as of its own
-// leadUntil — replicating the event sequence the unfused arm's launches
-// would have produced. firing follows the rebalanceAtLocked contract; the
-// return value reports whether firing's completion was re-armed (the
-// in-flight fire is stale). Caller holds d.mu.
+// matureLeadsLocked launches every lead whose wake the dispatch order has
+// passed, in wake order, each as of its own wake — replicating the event
+// sequence the unfused arm's launches would have produced. firing follows
+// the rebalanceAtLocked contract; the return value reports whether firing's
+// in-flight completion went stale. Caller holds d.mu.
 func (d *Device) matureLeadsLocked(firing *kernel) (stale bool) {
-	if len(d.leads) == 0 {
-		return false
-	}
-	now := d.eng.Now()
 	matured := false
-	for len(d.leads) > 0 && d.leads[0].leadUntil <= now {
+	for len(d.leads) > 0 && d.leads[0].wake.Passed() {
 		k := d.leads[0]
-		copy(d.leads, d.leads[1:])
-		last := len(d.leads) - 1
-		d.leads[last] = nil
-		d.leads = d.leads[:last]
-		if err := d.takeFaultLocked(k.client); err != nil {
-			// A fault armed during the host phase: the launch at leadUntil
-			// fails, never touching the running set (the serial stream has
-			// nothing queued behind a lead). Delivered as an event of this
-			// instant — d.mu is held, and the failure may destroy the client.
-			w := k.waiter
-			k.timer.Cancel()
-			k.waiter, k.client.current, k.client = nil, nil, nil
-			d.kernelPool = append(d.kernelPool, k)
-			simtime.Detached(d.eng, 0, k.doneName, func() { w.Wake(err) })
-			stale = stale || k == firing
-			continue
-		}
-		k.leading = false
-		k.started = k.leadUntil
-		k.startSet = true
-		d.runningInsertLocked(k)
-		d.residencyChangedLocked(k.client)
-		if d.rebalanceAtLocked(k.leadUntil, firing) {
+		d.leads = removeKernel(d.leads, k)
+		if d.startLeadLocked(k, &k.wake, firing) {
 			stale = true
 		}
 		matured = true
@@ -209,6 +195,37 @@ func (d *Device) matureLeadsLocked(firing *kernel) (stale bool) {
 		d.refreshLeadsLocked()
 	}
 	return stale
+}
+
+// startLeadLocked is the launch that ends k's host phase, at k.leadUntil: an
+// armed fault fails it there, a busy stream queues it, an idle one starts it
+// with a rebalance whose re-armed timers sort as if armed inside wake (nil:
+// at the current dispatch point). It reports whether firing's in-flight
+// completion went stale. Caller holds d.mu; k is off the leads lists.
+func (d *Device) startLeadLocked(k *kernel, wake *simtime.Timer, firing *kernel) bool {
+	c := k.client
+	if err := d.takeFaultLocked(c); err != nil {
+		// A fault armed during the host phase: the launch fails, never
+		// touching the stream. Delivered as an event of this instant — d.mu
+		// is held, and the failure may destroy the client.
+		w := k.waiter
+		k.timer.Cancel()
+		k.waiter, k.client = nil, nil
+		d.kernelPool = append(d.kernelPool, k)
+		simtime.Detached(d.eng, 0, k.doneName, func() { w.Wake(err) })
+		return k == firing
+	}
+	if c.current != nil {
+		k.timer.Cancel()
+		c.queue = append(c.queue, k)
+		return k == firing
+	}
+	c.current = k
+	k.started = k.leadUntil
+	k.startSet = true
+	d.runningInsertLocked(k)
+	d.residencyChangedLocked(c)
+	return d.rebalanceAtLocked(k.leadUntil, wake, firing)
 }
 
 // refreshLeadsLocked re-derives every pending lead's completion hypothesis
@@ -220,19 +237,71 @@ func (d *Device) refreshLeadsLocked() {
 	}
 }
 
+// streamTakenLocked reports whether k would queue if its host phase ended
+// now: the client has a kernel in flight, or another pending lead due first.
+// Caller holds d.mu.
+func (c *Client) streamTakenLocked(k *kernel) bool {
+	if c.current != nil {
+		return true
+	}
+	for _, o := range c.dev.leads {
+		if o != k && o.client == c && o.wake.Before(&k.wake) {
+			return true
+		}
+	}
+	return false
+}
+
 // armLeadLocked computes k's completion hypothesis — the exact completion
 // instant if no further device events intervene before leadUntil — and arms
-// its timer at it. The hypothesis inserts k into a copy of the running set
-// at its client-order position and runs the same water-fill + residency-tax
+// its timer there, keyed as the idx-th timer the maturation rebalance arms.
+// The hypothesis inserts k into a copy of the running set at its
+// client-order position and runs the same water-fill + residency-tax
 // arithmetic the maturation rebalance will run, so in the no-event case the
-// armed (when) IS the completion, bit-exactly. The share cache is bypassed
-// in both directions: hypothesis lookups would perturb the hit/miss stream
-// and MRU order away from the unfused arm's. Caller holds d.mu.
+// armed (when, seq) IS the completion's, bit-exactly. The share cache is
+// bypassed in both directions: hypothesis lookups would perturb the hit/miss
+// stream and MRU order away from the unfused arm's. A lead that would queue
+// arms nothing. Caller holds d.mu.
 func (d *Device) armLeadLocked(k *kernel) {
+	// A lead whose launch is about to fail fires at the launch instant.
+	deadline, idx := k.leadUntil, 0
+	if !d.faultArmedLocked(k.client) {
+		if k.client.streamTakenLocked(k) {
+			// The transition that frees the stream matures k.
+			if k.leadDeadline != -1 {
+				k.timer.Cancel()
+				k.leadDeadline = -1
+			}
+			return
+		}
+		var hyp float64
+		var soonest time.Duration
+		hyp, idx, soonest = d.hypothesisLocked(k)
+		if hyp <= 0 {
+			hyp = minAlloc
+		}
+		deadline = min(deadline+time.Duration(math.Ceil(k.work/hyp*1e9)), soonest)
+	}
+	if deadline == k.leadDeadline && idx == k.leadIdx {
+		// Unchanged hypothesis (the steady-state fused completion→relaunch
+		// fold restores the same fingerprint): the armed timer stands.
+		return
+	}
+	k.leadDeadline, k.leadIdx = deadline, idx
+	k.timer = d.virt.RescheduleAs(k.timer, &k.wake, idx, deadline, k.doneName, k.completeFn)
+}
+
+// hypothesisLocked runs the maturation rebalance of lead k dry: k's
+// allocation and running-set index if it started at leadUntil with nothing
+// else changing, and the soonest completion that rebalance would re-round a
+// running kernel's onto, where that is earlier than the one armed
+// (MaxInt64: none). Caller holds d.mu.
+func (d *Device) hypothesisLocked(k *kernel) (alloc float64, idx int, soonest time.Duration) {
+	soonest = time.Duration(math.MaxInt64)
 	// Hypothetical running set with k at its insertion position: the
 	// water-fill iterates in slice order, so position affects float
 	// summation order and must match runningInsertLocked's.
-	idx := len(d.running)
+	idx = len(d.running)
 	for i, rk := range d.running {
 		if rk.client.orderIdx > k.client.orderIdx {
 			idx = i
@@ -265,74 +334,81 @@ func (d *Device) armLeadLocked(k *kernel) {
 			rk.alloc *= scale
 		}
 	}
-	hyp := k.alloc
+	// The maturation re-rounds every running kernel's completion as of
+	// leadUntil, which can land a nanosecond before the armed completion
+	// (where the rate stands, or the kernel is all but done): fire there
+	// instead, to mature k in time.
+	for i, rk := range run {
+		if rk == k || allocs[i] <= 0 || rk.alloc <= 0 {
+			continue
+		}
+		work := rk.work - allocs[i]*(k.leadUntil-rk.lastUpdate).Seconds()
+		if work < 0 {
+			work = 0
+		}
+		at := k.leadUntil + time.Duration(math.Ceil(work/rk.alloc*1e9))
+		if at < rk.lastUpdate+time.Duration(math.Ceil(rk.work/allocs[i]*1e9)) {
+			soonest = min(soonest, at)
+		}
+	}
+	alloc = k.alloc
 	for i, rk := range run {
 		rk.alloc = allocs[i]
 	}
-	if hyp <= 0 {
-		hyp = minAlloc
-	}
-
-	deadline := k.leadUntil + time.Duration(math.Ceil(k.work/hyp*1e9))
-	if d.faultArmedLocked(k.client) {
-		// The lead's launch is about to fail: fire at the launch instant.
-		deadline = k.leadUntil
-	}
-	if deadline == k.leadDeadline {
-		// Unchanged hypothesis (the steady-state fused completion→relaunch
-		// fold restores the same fingerprint): the armed timer stands.
-		return
-	}
-	k.leadDeadline = deadline
-	k.timer = simtime.Reschedule(d.eng, k.timer, deadline-d.eng.Now(), k.doneName, k.completeFn)
+	return alloc, idx, soonest
 }
 
-// HoldLead freezes the client's pending host lead (SIGTSTP landed inside
-// the host phase). A lead whose host phase already elapsed matures instead:
-// its kernel is in flight and keeps running through the pause, exactly as
-// the unfused arm's asynchronously launched kernel would. No-op without a
-// pending lead.
-//
-// The tie rule: a signal landing on exactly leadUntil counts the host phase
-// as elapsed. The two-event form breaks the same tie by event sequence — the
-// sleep's wake against the signal's event, whichever was scheduled first — so
-// on that one instant the two may differ, and differential tests keep their
-// signals off it.
+// HoldLead freezes the client's pending host leads (SIGTSTP landed inside
+// their host phase): no hypothesis stays armed, and each wake keeps its
+// place in the engine's order, as the stopped process's sleep would. A lead
+// whose wake the dispatch order already passed matures instead: its kernel
+// is in flight (or queued) and keeps going through the pause, exactly as the
+// unfused arm's asynchronously launched kernel would. So a signal landing at
+// a lead's leadUntil finds the host phase elapsed exactly when its event
+// sorts after the wake. No-op without a pending lead.
 func (c *Client) HoldLead() {
 	d := c.dev
 	d.mu.Lock()
 	d.flushFusionLocked()
 	d.matureLeadsLocked(nil)
-	k := c.current
-	if k != nil && k.leading && !k.held {
-		k.held = true
+	for i := 0; i < len(d.leads); {
+		k := d.leads[i]
+		if k.client != c {
+			i++
+			continue
+		}
 		k.timer.Cancel()
 		k.leadDeadline = -1
-		d.leadsRemoveLocked(k)
+		d.leads = removeKernel(d.leads, k)
+		d.held = append(d.held, k)
 	}
 	d.mu.Unlock()
 }
 
-// ReleaseLead resumes a held lead (SIGCONT): the remaining host phase
-// re-arms with leadUntil pushed to at least the resume instant — the
-// deferred sleep-wake of a stopped unfused process delivers at exactly the
-// same boundary. No-op without a held lead.
+// ReleaseLead resumes held leads (SIGCONT). One whose wake is still ahead in
+// the dispatch order re-arms and matures there; one whose wake passed while
+// held launches now — the deferred sleep-wake of a stopped unfused process
+// delivers at exactly the resume. No-op without a held lead.
 func (c *Client) ReleaseLead() {
 	d := c.dev
 	d.mu.Lock()
 	d.flushFusionLocked()
-	k := c.current
-	if k != nil && k.leading && k.held {
-		k.held = false
-		if now := d.eng.Now(); k.leadUntil < now {
-			k.leadUntil = now
+	d.matureLeadsLocked(nil)
+	for i := 0; i < len(d.held); {
+		k := d.held[i]
+		if k.client != c {
+			i++
+			continue
+		}
+		d.held = removeKernel(d.held, k)
+		if k.wake.Passed() {
+			k.leadUntil = d.eng.Now()
+			d.startLeadLocked(k, nil, nil)
+			d.refreshLeadsLocked()
+			continue
 		}
 		d.leadsInsertLocked(k)
-		if k.leadUntil <= d.eng.Now() {
-			d.matureLeadsLocked(nil)
-		} else {
-			d.armLeadLocked(k)
-		}
+		d.armLeadLocked(k)
 	}
 	d.mu.Unlock()
 }

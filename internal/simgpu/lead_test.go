@@ -296,3 +296,40 @@ func TestExecLeadThenAllocFree(t *testing.T) {
 		t.Fatalf("fused ExecLeadThen dispatch allocates %.2f objects/op, want 0", allocs)
 	}
 }
+
+// TestQueueDepthCountsLaunchedKernels pins what QueueDepth and Busy report
+// around host phases, on a lead-capable and a FullRebalance device alike:
+// nothing while both leads on one shared client are still in their host
+// phase (the two-event form's sleeps), the running kernel once the first
+// transfer ends, and the second queued behind it once its transfer ends too.
+func TestQueueDepthCountsLaunchedKernels(t *testing.T) {
+	const ms = time.Millisecond
+	for _, full := range []bool{false, true} {
+		eng := simtime.NewVirtual()
+		procs := simproc.NewRuntime(eng)
+		dev := NewDevice(eng, DeviceConfig{Name: "gpu", NoTraces: true, FullRebalance: full})
+		c := mustClient(t, dev, ClientConfig{Name: "task"})
+		specs := []KernelSpec{{Name: "a", Duration: 5 * ms, Demand: 1}, {Name: "b", Duration: 5 * ms, Demand: 1}}
+		for i := range specs {
+			procs.SpawnInline(specs[i].Name, func(p *simproc.Process) {
+				c.ExecLeadThen(p, &specs[i], time.Duration(2+i)*ms, func(any) { p.Exit(nil) })
+			})
+		}
+		for _, want := range []struct {
+			at    time.Duration
+			depth int
+			busy  bool
+		}{
+			{1 * ms, 0, false},     // both in their host phase
+			{2*ms + ms/2, 1, true}, // a's transfer ended at 2ms: running
+			{3*ms + ms/2, 2, true}, // b's at 3ms: queued behind a
+			{7*ms + ms/2, 1, true}, // a retired at 7ms, b running
+			{13 * ms, 0, false},    // b retired at 12ms
+		} {
+			eng.RunUntil(want.at)
+			if depth, busy := c.QueueDepth(), c.Busy(); depth != want.depth || busy != want.busy {
+				t.Errorf("full rebalance %v, at %v: QueueDepth %d, Busy %v; want %d, %v", full, want.at, depth, busy, want.depth, want.busy)
+			}
+		}
+	}
+}

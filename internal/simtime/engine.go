@@ -7,6 +7,13 @@
 // engines. Under the virtual engine, time advances only when the event queue
 // is drained up to the next event, which makes multi-hour training runs
 // simulate in milliseconds and makes every experiment bit-reproducible.
+//
+// The virtual engine also keeps *virtual wakes* (Virtual.Reserve): slots in
+// its (when, seq) dispatch order that no callback occupies. A component that
+// acts lazily instead of sleeping — simgpu's host leads — asks whether the
+// dispatch order has passed its wake, and arms timers as if from inside it
+// (Virtual.RescheduleAs), so it keeps the sleep's exact ordering without the
+// sleep's event.
 package simtime
 
 import (
@@ -116,6 +123,8 @@ type Timer struct {
 	fn   func()
 
 	state atomic.Int32
+	// vkey orders timers armed as of virtual wakes (see wake below).
+	vkey uint32
 
 	// stop cancels the underlying wall-clock timer, if any.
 	stop func() bool
@@ -140,6 +149,20 @@ type Timer struct {
 	// and Pending methods refuse pooled timers: a detached event cannot be
 	// canceled.
 	pooled bool
+
+	// Virtual wakes (Virtual.Reserve, Virtual.RescheduleAs). wake marks a
+	// reserved slot: queued like an event, never dispatched. Once the
+	// dispatch order passes it, its seq becomes the seq the next scheduling
+	// takes (its base) and vkey its rank<<16 among the wakes passed at that
+	// base. A timer armed as of a wake carries vkey = rank<<16 | index+1 (0:
+	// an ordinary timer) and, as of a passed wake, the wake's base as its
+	// seq; as of a pending one, seq MaxUint64 and link naming the wake, whose
+	// link names it back until the pass settles its key. A wake's state stays
+	// pending when it passes (a recycled wake re-queues without an atomic
+	// write); passed, guarded by the queue lock, records the pass.
+	wake   bool
+	passed bool
+	link   *Timer
 }
 
 // Name reports the debug label the timer was scheduled with.
@@ -154,6 +177,9 @@ func (t *Timer) Name() string { return t.name }
 func (t *Timer) Cancel() bool {
 	if t == nil || t.pooled {
 		return false
+	}
+	if t.wake {
+		return t.vq.cancelWake(t)
 	}
 	if !t.state.CompareAndSwap(timerPending, timerCanceled) {
 		return false
@@ -179,6 +205,35 @@ func (t *Timer) Pending() bool { return !t.pooled && t.state.Load() == timerPend
 
 // Fired reports whether the callback has already run (or started running).
 func (t *Timer) Fired() bool { return t.state.Load() == timerFired }
+
+// Passed reports whether the dispatch order has moved past a reserved wake
+// (Virtual.Reserve): every event due before its (when, seq) slot has run, and
+// none due after it. False for an ordinary timer and for a canceled wake.
+func (t *Timer) Passed() bool {
+	if !t.wake {
+		return false
+	}
+	t.vq.lock()
+	p := t.passed
+	t.vq.unlock()
+	return p
+}
+
+// Before reports whether t's slot comes before u's in the virtual engine's
+// dispatch order; both must be queued or pending wakes.
+func (t *Timer) Before(u *Timer) bool { return timerLess(t, u) }
+
+// ArmedAs reports whether t carries the order key Virtual.RescheduleAs(t, w,
+// index, …) gives it — whether, firing now, t fires where a timer armed as
+// of the wake w would.
+func (t *Timer) ArmedAs(w *Timer, index int) bool {
+	w.vq.lock()
+	defer w.vq.unlock()
+	if w.passed {
+		return t.link == nil && t.seq == w.seq && t.vkey == w.vkey|uint32(index+1)
+	}
+	return t.link == w && t.vkey == uint32(index+1)
+}
 
 // claim transitions the timer to fired; the dispatcher must only invoke the
 // callback when claim succeeds.

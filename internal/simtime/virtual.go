@@ -2,6 +2,7 @@ package simtime
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -82,6 +83,25 @@ import (
 // deadline beyond the wheel horizon gets its own event. So batching changes
 // how many events carry the callbacks, never their order, and Dispatched
 // counts events — a batch once, however many members it ran.
+//
+// # Virtual wakes
+//
+// Reserve queues a wake: a (when, seq) slot taken exactly as Schedule would
+// take it, whose "event" never runs — the dispatcher passes it on its way to
+// the next real event, Dispatched and Pending leave it out, and Passed
+// reports whether the dispatch order has moved beyond it. A component that
+// replaces a sleep-then-act pair by acting lazily (simgpu's host leads) keeps
+// the pair's exact order with it: RescheduleAs arms a timer as if it had
+// been armed inside an event at the wake's slot — after everything
+// scheduled before the dispatch order passed the wake, before everything
+// scheduled after — whether the arming happens before the wake passes or at
+// any later point before the timer is due. Keys stay totally ordered
+// without renumbering: a passed wake records the seq the next scheduling
+// would take (base); a timer armed as of it sorts before the real event
+// holding that seq, behind earlier wakes passed at the same base, in arming
+// order. Until its wake passes, such a timer sorts after every real seq and
+// is due no earlier than the wake, so the pass always settles its key (and
+// re-sifts it) before it can be dispatched.
 type Virtual struct {
 	// now is read lock-free (Now is the single most-called function in the
 	// simulator) and written only under the queue lock by the dispatcher.
@@ -134,6 +154,16 @@ type Virtual struct {
 
 	// dispatched counts events whose callbacks ran, for tests and stats.
 	dispatched uint64
+
+	// wakes[wakeHead:] are the pending virtual wakes in (when, seq) order,
+	// apart from the event queue: the dispatcher passes the ones due before
+	// each event it pops, advancing wakeHead (the passed prefix is dropped
+	// when the list empties or would grow). passSeq and passRank rank the
+	// wakes passed at one seq.
+	wakes    []*Timer
+	wakeHead int
+	passSeq  uint64
+	passRank uint32
 }
 
 // Calendar-wheel geometry. Slot width is 2^20ns ≈ 1.05ms — the manager's
@@ -311,7 +341,12 @@ func (v *Virtual) ScheduleJoin(delay time.Duration, name string, fn func()) bool
 // at the instant, as its own event would. Caller holds the queue lock.
 func (v *Virtual) lastAtInstantLocked(t *Timer) bool {
 	for _, u := range v.wheel[t.slot] {
-		if u.when == t.when && u.seq > t.seq {
+		if u.when == t.when && timerLess(t, u) {
+			return false
+		}
+	}
+	for _, w := range v.wakes[v.wakeHead:] {
+		if w.when == t.when && timerLess(t, w) {
 			return false
 		}
 	}
@@ -363,6 +398,7 @@ func (v *Virtual) Reschedule(t *Timer, delay time.Duration, name string, fn func
 		// pending timer is fully ours. Equivalent to cancel+push — the
 		// event gets a fresh seq either way — minus the queue churn.
 		t.when, t.seq, t.name, t.fn = v.deadlineLocked(delay), v.seq, name, fn
+		t.vkey, t.link = 0, nil
 		v.seq++
 		v.rearmLocked(t)
 		v.unlock()
@@ -373,10 +409,177 @@ func (v *Virtual) Reschedule(t *Timer, delay time.Duration, name string, fn func
 	v.lock()
 	t.state.Store(timerPending)
 	t.when, t.seq, t.name, t.fn = v.deadlineLocked(delay), v.seq, name, fn
+	t.vkey, t.link = 0, nil
 	v.seq++
 	v.enqueueLocked(t)
 	v.unlock()
 	return t
+}
+
+// Reserve queues a virtual wake at Now()+delay (see the type's doc) and
+// returns its handle, reusing w when non-nil: a zero Timer (one embedded in
+// its owner) becomes a wake, a passed or canceled wake is queued afresh, a
+// pending one moves. The wake takes the seq Schedule would have taken.
+// Cancel withdraws it (false once it has passed); ask a wake Passed, not
+// Fired or Pending. A timer still armed as of a pending w must not outlive
+// the move: re-arm or cancel it.
+func (v *Virtual) Reserve(w *Timer, delay time.Duration) *Timer {
+	v.lock()
+	if w == nil {
+		w = &Timer{}
+	}
+	if w.vq == nil {
+		w.vq, w.wake, w.pos = v, true, -1
+	} else if !w.passed && w.state.Load() == timerPending {
+		if b := w.link; b != nil && b.link == w && b.state.Load() == timerPending {
+			panic("simtime: Reserve moves a wake a pending timer is armed as of")
+		}
+		v.dropWakeLocked(w)
+	}
+	w.when, w.seq, w.vkey, w.link, w.passed = v.deadlineLocked(delay), v.seq, 0, nil, false
+	v.seq++
+	if w.state.Load() != timerPending {
+		w.state.Store(timerPending)
+	}
+	n := len(v.wakes)
+	if n == cap(v.wakes) && v.wakeHead > 0 {
+		// Reclaim the passed prefix instead of growing.
+		n = copy(v.wakes, v.wakes[v.wakeHead:])
+		clear(v.wakes[n:])
+		v.wakes, v.wakeHead = v.wakes[:n], 0
+	}
+	v.wakes = append(v.wakes, w)
+	// Wakes mostly arrive in order; an earlier one sinks into place.
+	for i := n; i > v.wakeHead && timerLess(w, v.wakes[i-1]); i-- {
+		v.wakes[i], v.wakes[i-1] = v.wakes[i-1], w
+	}
+	v.unlock()
+	return w
+}
+
+// dropWakeLocked takes w off the pending wakes, if it is there. Caller holds
+// the queue lock.
+func (v *Virtual) dropWakeLocked(w *Timer) {
+	for i := v.wakeHead; i < len(v.wakes); i++ {
+		if v.wakes[i] == w {
+			copy(v.wakes[i:], v.wakes[i+1:])
+			v.wakes[len(v.wakes)-1] = nil
+			v.wakes = v.wakes[:len(v.wakes)-1]
+			return
+		}
+	}
+}
+
+// cancelWake withdraws a pending wake (Timer.Cancel): false when it has
+// passed or was canceled already.
+func (v *Virtual) cancelWake(w *Timer) bool {
+	v.lock()
+	defer v.unlock()
+	if w.passed || !w.state.CompareAndSwap(timerPending, timerCanceled) {
+		return false
+	}
+	v.dropWakeLocked(w)
+	return true
+}
+
+// wakeDueLocked reports whether a pending wake comes before t in the
+// dispatch order. Caller holds the queue lock.
+func (v *Virtual) wakeDueLocked(t *Timer) bool {
+	return v.wakeHead < len(v.wakes) && timerLess(v.wakes[v.wakeHead], t)
+}
+
+// passWakesLocked passes every pending wake whose slot comes before t's (all
+// of them up to until, for t nil). Caller holds the queue lock.
+func (v *Virtual) passWakesLocked(t *Timer, until time.Duration) {
+	for ; v.wakeHead < len(v.wakes); v.wakeHead++ {
+		w := v.wakes[v.wakeHead]
+		if t != nil && !timerLess(w, t) || t == nil && w.when > until {
+			break
+		}
+		v.passLocked(w)
+	}
+	if v.wakeHead == len(v.wakes) {
+		v.wakes, v.wakeHead = v.wakes[:0], 0
+	}
+}
+
+// RescheduleAs re-arms t (nil: a new timer) at the absolute instant when,
+// clamped to Now, keyed as the index-th timer armed inside an event at the
+// wake w's slot would be (see the type's doc). w must be pending or passed.
+// At most one timer at a time may be armed as of a pending wake.
+func (v *Virtual) RescheduleAs(t, w *Timer, index int, when time.Duration, name string, fn func()) *Timer {
+	if fn == nil {
+		panic("simtime: RescheduleAs with nil callback")
+	}
+	if index+1 >= 1<<16 {
+		panic("simtime: RescheduleAs index out of range")
+	}
+	v.lock()
+	if t == nil {
+		t = &Timer{vq: v, pos: -1}
+	}
+	if now := time.Duration(v.now.Load()); when < now {
+		when = now
+	}
+	t.when, t.name, t.fn = when, name, fn
+	switch {
+	case w.passed:
+		t.seq, t.vkey, t.link = w.seq, w.vkey|uint32(index+1), nil
+	case w.state.Load() == timerPending:
+		// An event at the wake's slot could arm nothing earlier than the
+		// wake; due no earlier, t settles before it can be dispatched.
+		if when < w.when {
+			t.when = w.when
+		}
+		t.seq, t.vkey, t.link = math.MaxUint64, uint32(index+1), w
+		if w.link != t {
+			w.link = t
+		}
+	default:
+		v.unlock()
+		panic("simtime: RescheduleAs as of a canceled wake")
+	}
+	if t.pos >= 0 && t.state.Load() == timerPending {
+		v.rearmLocked(t)
+	} else {
+		t.state.Store(timerPending)
+		v.enqueueLocked(t)
+	}
+	v.unlock()
+	return t
+}
+
+// passLocked moves the dispatch order past the wake w: w counts as passed,
+// its seq becomes its base, and the timer armed as of it while it was
+// pending takes its final key. Every seq handed out so far is below base, so
+// the settled key keeps the timer's place among the queued real events; it
+// is re-sifted to take its place ahead of the timers still armed as of
+// pending wakes. Caller holds the queue lock and takes w off the pending
+// wakes.
+func (v *Virtual) passLocked(w *Timer) {
+	w.passed = true
+	if v.seq != v.passSeq {
+		v.passSeq, v.passRank = v.seq, 0
+	} else {
+		v.passRank++
+	}
+	w.seq, w.vkey = v.seq, v.passRank<<16
+	// A timer armed as of w later may land between the open batch and a
+	// callback joining it from now on: close the batch to joins.
+	if v.open != nil {
+		v.open = nil
+	}
+	if b := w.link; b != nil {
+		w.link = nil
+		if b.link == w {
+			b.seq, b.vkey, b.link = w.seq, b.vkey|w.vkey, nil
+			// Its key only fell. Wheel buckets are unordered; in the heap it
+			// may have to rise (unless it is the event being dispatched).
+			if b.slot < 0 && b.pos >= 0 {
+				v.siftUpLocked(int(b.pos))
+			}
+		}
+	}
 }
 
 // deadlineLocked clamps delay to now. Caller holds the queue lock.
@@ -389,15 +592,16 @@ func (v *Virtual) deadlineLocked(delay time.Duration) time.Duration {
 }
 
 // Dispatched reports how many events have run so far; a delivery batch
-// counts once (see ScheduleJoin).
+// counts once (see ScheduleJoin), a virtual wake never (see Reserve).
 func (v *Virtual) Dispatched() uint64 {
 	v.lock()
 	defer v.unlock()
 	return v.dispatched
 }
 
-// Pending reports how many events are queued. Canceled events leave the
-// queue at Cancel time, so every queued event is live.
+// Pending reports how many events are queued (reserved wakes are not
+// events). Canceled events leave the queue at Cancel time, so every queued
+// event is live.
 func (v *Virtual) Pending() int {
 	v.lock()
 	defer v.unlock()
@@ -433,6 +637,9 @@ func (v *Virtual) Step() bool {
 			v.unlock()
 			return false
 		}
+		if v.wakeDueLocked(t) {
+			v.passWakesLocked(t, 0)
+		}
 		// Pooled timers are never canceled: a popped pooled timer is always
 		// live, so the claim CAS is skipped.
 		if !t.pooled && !t.claim() {
@@ -464,6 +671,7 @@ func (v *Virtual) RunUntil(until time.Duration) {
 	for {
 		v.lock()
 		if t := v.peekMinLocked(); t == nil || t.when > until {
+			v.passWakesLocked(nil, until)
 			if time.Duration(v.now.Load()) < until {
 				v.now.Store(int64(until))
 			}
@@ -708,11 +916,20 @@ func bucketMin(b []*Timer) *Timer {
 
 const heapArity = 4
 
+// timerLess orders by (when, seq). Only timers armed as of virtual wakes
+// share a seq: those (vkey > 0) sort ahead of the real event holding their
+// seq, and among themselves by wake rank and arming index. Timers armed as
+// of still-pending wakes (seq MaxUint64) are never compared for dispatch
+// before their wakes pass (see passLocked), so their order among themselves
+// only has to be deterministic.
 func timerLess(a, b *Timer) bool {
 	if a.when != b.when {
 		return a.when < b.when
 	}
-	return a.seq < b.seq
+	if a.seq != b.seq {
+		return a.seq < b.seq
+	}
+	return a.vkey-1 < b.vkey-1
 }
 
 // heapPushLocked appends t and restores the heap property. Caller holds the
