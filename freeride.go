@@ -727,8 +727,11 @@ type TaskWork struct {
 	HostTime   time.Duration
 	InsuffWait time.Duration
 	// StepEvents counts the engine events the step loop dispatched for the
-	// completed steps (see sidetask.Counters.StepEvents): one per step on
-	// the fused inline loop every simulated session runs.
+	// completed steps (see sidetask.Counters.StepEvents): one per
+	// single-kernel step in every simulated session, on the inline loop of
+	// the built-in tasks and on the goroutine shell of a RegisterCustom task
+	// alike. It is substrate accounting, not a result: a re-placed task
+	// resumes Steps from its checkpoint but not StepEvents.
 	StepEvents uint64
 	Exited     bool
 	ExitErr    string

@@ -41,26 +41,58 @@ var fuseProfile = model.TaskProfile{
 	Weight:       1.0,
 }
 
-// midStepSubstrate selects the execution arm of runMidStepRig.
+// midStepSubstrate selects the execution arm of runMidStepRig: the goroutine
+// shell or the event loop, each over a device that can lead (the fused,
+// one-event step) or one that cannot (a host sleep, then the launch).
 type midStepSubstrate int
 
 const (
-	subGoroutine     midStepSubstrate = iota // goroutine shell (ground truth)
+	subShellUnfused  midStepSubstrate = iota // goroutine shell, two-event step (ground truth)
+	subShellFused                            // goroutine shell, HostWork as the kernel's host lead
 	subInlineUnfused                         // event loop, two-event step form
 	subInlineFused                           // event loop, fused host-lead step
 )
 
-// substrateDevice builds the arm's device. The inline loop fuses exactly
-// when the device can lead, so the two-event arm runs on a device that
-// cannot: a full-rebalance one, which keeps the comparison on the virtual
-// clock (the wall engine is the other non-lead-capable platform).
+// allSubstrates lists every arm, the ground truth first.
+var allSubstrates = []midStepSubstrate{subShellUnfused, subShellFused, subInlineUnfused, subInlineFused}
+
+func (s midStepSubstrate) shell() bool { return s == subShellUnfused || s == subShellFused }
+func (s midStepSubstrate) fused() bool { return s == subShellFused || s == subInlineFused }
+
+func (s midStepSubstrate) String() string {
+	return [...]string{"shell-unfused", "shell-fused", "inline-unfused", "inline-fused"}[s]
+}
+
+// substrateDevice builds the arm's device. A step fuses exactly when the
+// device can lead, so the two-event arms run on a device that cannot: a
+// full-rebalance one, which keeps the comparison on the virtual clock (the
+// wall engine is the other non-lead-capable platform).
 func substrateDevice(t *testing.T, eng simtime.Engine, sub midStepSubstrate) *simgpu.Device {
 	t.Helper()
-	dev := simgpu.NewDevice(eng, simgpu.DeviceConfig{Name: "gpu0", FullRebalance: sub == subInlineUnfused})
-	if got, want := dev.LeadCapable(), sub != subInlineUnfused; got != want {
-		t.Fatalf("substrate %d: device LeadCapable = %v, want %v", sub, got, want)
+	dev := simgpu.NewDevice(eng, simgpu.DeviceConfig{Name: "gpu0", FullRebalance: !sub.fused()})
+	if got, want := dev.LeadCapable(), sub.fused(); got != want {
+		t.Fatalf("substrate %v: device LeadCapable = %v, want %v", sub, got, want)
 	}
 	return dev
+}
+
+// runOn deploys h on the arm's substrate.
+func runOn(t *testing.T, ctrs *container.Runtime, spec container.Spec, h *Harness, sub midStepSubstrate) *container.Container {
+	t.Helper()
+	var cont *container.Container
+	var err error
+	if sub.shell() {
+		cont, err = ctrs.Run(spec, h.Run)
+	} else {
+		if !h.CanInline() {
+			t.Fatalf("%s (mode %v) should be inline-capable", h.Name(), h.Mode())
+		}
+		cont, err = ctrs.RunInline(spec, h.Start)
+	}
+	if err != nil {
+		t.Fatalf("container: %v", err)
+	}
+	return cont
 }
 
 // requireUnfusedRan fails unless the two-event arm dispatched strictly more
@@ -97,12 +129,12 @@ func runMidStepRig(t *testing.T, mode Mode, sub midStepSubstrate, fault bool) mi
 	if fault {
 		faultAt = 290 * time.Millisecond
 	}
-	return runMidStepRigFaultAt(t, mode, sub, faultAt)
+	return runMidStepRigFaultAt(t, mode, sub, faultAt, fuseStepper{})
 }
 
 // runMidStepRigFaultAt is runMidStepRig with the kernel fault armed at
-// faultAt (0: no fault).
-func runMidStepRigFaultAt(t *testing.T, mode Mode, sub midStepSubstrate, faultAt time.Duration) midStepResult {
+// faultAt (0: no fault) and impl as the task.
+func runMidStepRigFaultAt(t *testing.T, mode Mode, sub midStepSubstrate, faultAt time.Duration, impl Iterative) midStepResult {
 	t.Helper()
 	eng := simtime.NewVirtual()
 	procs := simproc.NewRuntime(eng)
@@ -110,9 +142,9 @@ func runMidStepRigFaultAt(t *testing.T, mode Mode, sub midStepSubstrate, faultAt
 	ctr := container.NewRuntime(procs)
 	var h *Harness
 	if mode == ModeImperative {
-		h = NewImperativeHarness("fuse-test", fuseProfile, &imperativeAdapter{inner: fuseStepper{}}, 1)
+		h = NewImperativeHarness("fuse-test", fuseProfile, &imperativeAdapter{inner: impl}, 1)
 	} else {
-		h = NewIterativeHarness("fuse-test", fuseProfile, fuseStepper{}, 1)
+		h = NewIterativeHarness("fuse-test", fuseProfile, impl, 1)
 	}
 	res := midStepResult{exitAt: -1}
 	h.SetStateListener(func(s State) {
@@ -124,19 +156,7 @@ func runMidStepRigFaultAt(t *testing.T, mode Mode, sub midStepSubstrate, faultAt
 		GPUMemLimit: fuseProfile.MemBytes + model.GiB,
 		GPUWeight:   fuseProfile.Weight,
 	}
-	var cont *container.Container
-	var err error
-	if sub == subGoroutine {
-		cont, err = ctr.Run(spec, h.Run)
-	} else {
-		if !h.CanInline() {
-			t.Fatalf("fuseStepper (mode %v) should be inline-capable", mode)
-		}
-		cont, err = ctr.RunInline(spec, h.Start)
-	}
-	if err != nil {
-		t.Fatalf("container: %v", err)
-	}
+	cont := runOn(t, ctr, spec, h, sub)
 	cont.Process().OnExit(func(err error) {
 		res.exitAt = eng.Now()
 		res.exitErr = err
@@ -252,51 +272,53 @@ func compareMidStepArms(t *testing.T, what string, a, b midStepResult) {
 }
 
 // TestMidStepPauseEquivalence pins the fused Pause/Stop boundary: signals
-// landing inside the (now fused) host phase and inside the kernel phase must
-// produce bit-identical lifecycles across the goroutine shell, the unfused
-// inline loop and the fused inline loop — both interfaces.
+// landing inside the host phase and inside the kernel phase must produce
+// bit-identical lifecycles on all four arms — both interfaces.
 func TestMidStepPauseEquivalence(t *testing.T) {
 	for _, mode := range []Mode{ModeIterative, ModeImperative} {
-		ground := runMidStepRig(t, mode, subGoroutine, false)
-		unfused := runMidStepRig(t, mode, subInlineUnfused, false)
-		fused := runMidStepRig(t, mode, subInlineFused, false)
-		if ground.c.Steps == 0 {
+		var arms [4]midStepResult
+		for _, sub := range allSubstrates {
+			arms[sub] = runMidStepRig(t, mode, sub, false)
+		}
+		if arms[subShellUnfused].c.Steps == 0 {
 			t.Fatalf("mode %v: scripted lifecycle ran no steps", mode)
 		}
-		requireUnfusedRan(t, mode.String(), unfused.c, fused.c)
-		compareMidStepArms(t, mode.String()+": goroutine vs inline-unfused", ground, unfused)
-		compareMidStepArms(t, mode.String()+": goroutine vs inline-fused", ground, fused)
+		requireUnfusedRan(t, mode.String()+" shell", arms[subShellUnfused].c, arms[subShellFused].c)
+		requireUnfusedRan(t, mode.String()+" inline", arms[subInlineUnfused].c, arms[subInlineFused].c)
+		for _, sub := range allSubstrates[1:] {
+			compareMidStepArms(t, fmt.Sprintf("%v: %v vs %v", mode, subShellUnfused, sub), arms[subShellUnfused], arms[sub])
+		}
 	}
 }
 
 // TestFusedStepFaultEquivalence injects a kernel fault into the first fused
 // launch — armed before the step starts, and armed while its host lead is
-// pending: either way the fused arm must deliver it at the host-phase
+// pending: either way the fused arms must deliver it at the host-phase
 // boundary — the same instant, same error, same exit as both unfused arms,
 // in both interfaces.
 func TestFusedStepFaultEquivalence(t *testing.T) {
 	for _, faultAt := range []time.Duration{290 * time.Millisecond, 320 * time.Millisecond} {
 		for _, mode := range []Mode{ModeIterative, ModeImperative} {
 			what := fmt.Sprintf("%v fault@%v", mode, faultAt)
-			ground := runMidStepRigFaultAt(t, mode, subGoroutine, faultAt)
-			unfused := runMidStepRigFaultAt(t, mode, subInlineUnfused, faultAt)
-			fused := runMidStepRigFaultAt(t, mode, subInlineFused, faultAt)
-			if ground.exitErr == nil || fused.exitErr == nil {
-				t.Fatalf("%s: injected fault produced no error exit (%v / %v)",
-					what, ground.exitErr, fused.exitErr)
+			ground := runMidStepRigFaultAt(t, mode, subShellUnfused, faultAt, fuseStepper{})
+			if ground.exitErr == nil {
+				t.Fatalf("%s: injected fault produced no error exit", what)
 			}
 			if ground.c.Steps != 0 {
 				t.Fatalf("%s: the faulted first step completed on the shell (%d steps)", what, ground.c.Steps)
 			}
-			compareMidStepArms(t, what+": goroutine vs inline-unfused", ground, unfused)
-			compareMidStepArms(t, what+": goroutine vs inline-fused", ground, fused)
+			for _, sub := range allSubstrates[1:] {
+				got := runMidStepRigFaultAt(t, mode, sub, faultAt, fuseStepper{})
+				compareMidStepArms(t, fmt.Sprintf("%s: %v vs %v", what, subShellUnfused, sub), ground, got)
+			}
 		}
 	}
 }
 
-// TestFusedEventsPerStep pins the tentpole's accounting: the fused inline
-// loop dispatches kernelParts engine events per step (ONE for the paper's
-// single-kernel iterative steps), the unfused forms kernelParts+1.
+// TestFusedEventsPerStep pins the step accounting: a fused arm — the event
+// loop or the shell over a lead-capable device — dispatches kernelParts
+// engine events per step (ONE for the paper's single-kernel iterative
+// steps), an unfused one kernelParts+1.
 func TestFusedEventsPerStep(t *testing.T) {
 	for _, tc := range []struct {
 		mode  Mode
@@ -305,20 +327,16 @@ func TestFusedEventsPerStep(t *testing.T) {
 		{ModeIterative, 1},
 		{ModeImperative, imperativeKernelParts},
 	} {
-		fused := runMidStepRig(t, tc.mode, subInlineFused, false)
-		unfused := runMidStepRig(t, tc.mode, subInlineUnfused, false)
-		ground := runMidStepRig(t, tc.mode, subGoroutine, false)
-		if got, want := fused.c.StepEvents, tc.parts*fused.c.Steps; got != want {
-			t.Errorf("mode %v: fused StepEvents = %d over %d steps, want %d",
-				tc.mode, got, fused.c.Steps, want)
-		}
-		if got, want := unfused.c.StepEvents, (tc.parts+1)*unfused.c.Steps; got != want {
-			t.Errorf("mode %v: unfused StepEvents = %d over %d steps, want %d",
-				tc.mode, got, unfused.c.Steps, want)
-		}
-		if got, want := ground.c.StepEvents, (tc.parts+1)*ground.c.Steps; got != want {
-			t.Errorf("mode %v: goroutine StepEvents = %d over %d steps, want %d",
-				tc.mode, got, ground.c.Steps, want)
+		for _, sub := range allSubstrates {
+			res := runMidStepRig(t, tc.mode, sub, false)
+			want := tc.parts * res.c.Steps
+			if !sub.fused() {
+				want += res.c.Steps
+			}
+			if res.c.StepEvents != want {
+				t.Errorf("mode %v, %v: StepEvents = %d over %d steps, want %d",
+					tc.mode, sub, res.c.StepEvents, res.c.Steps, want)
+			}
 		}
 	}
 }
@@ -361,8 +379,8 @@ func TestStepKernelPartsSumToJitteredDuration(t *testing.T) {
 func TestKernelPartsRemainderEndToEnd(t *testing.T) {
 	prof := fuseProfile
 	prof.StepTime = 10000001 * time.Nanosecond // % 3 == 2
-	var arms [3]Counters
-	for _, sub := range []midStepSubstrate{subGoroutine, subInlineUnfused, subInlineFused} {
+	var arms [4]Counters
+	for _, sub := range allSubstrates {
 		eng := simtime.NewVirtual()
 		procs := simproc.NewRuntime(eng)
 		dev := substrateDevice(t, eng, sub)
@@ -375,15 +393,7 @@ func TestKernelPartsRemainderEndToEnd(t *testing.T) {
 			GPUMemLimit: prof.MemBytes + model.GiB,
 			GPUWeight:   prof.Weight,
 		}
-		var err error
-		if sub == subGoroutine {
-			_, err = ctr.Run(spec, h.Run)
-		} else {
-			_, err = ctr.RunInline(spec, h.Start)
-		}
-		if err != nil {
-			t.Fatalf("container: %v", err)
-		}
+		runOn(t, ctr, spec, h, sub)
 		eng.Schedule(200*time.Millisecond, "init", func() {
 			h.Deliver(Command{Transition: TransitionInit})
 		})
@@ -397,14 +407,15 @@ func TestKernelPartsRemainderEndToEnd(t *testing.T) {
 		c := h.Counters()
 		arms[sub] = c
 		if c.Steps == 0 {
-			t.Fatalf("substrate %d: ran no steps", sub)
+			t.Fatalf("substrate %v: ran no steps", sub)
 		}
 		if want := time.Duration(c.Steps) * prof.StepTime; c.KernelTime != want {
-			t.Errorf("substrate %d: KernelTime = %v over %d steps, want exactly %v (remainder lost)",
+			t.Errorf("substrate %v: KernelTime = %v over %d steps, want exactly %v (remainder lost)",
 				sub, c.KernelTime, c.Steps, want)
 		}
 	}
-	requireUnfusedRan(t, "remainder", arms[subInlineUnfused], arms[subInlineFused])
+	requireUnfusedRan(t, "remainder, shell", arms[subShellUnfused], arms[subShellFused])
+	requireUnfusedRan(t, "remainder, inline", arms[subInlineUnfused], arms[subInlineFused])
 }
 
 // TestImperativeKernelTimeJittered pins the second satellite bugfix: the

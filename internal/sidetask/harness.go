@@ -55,8 +55,29 @@ type Ctx struct {
 	perKernel, lastKernel time.Duration
 }
 
-// newCtx builds the task's context on its process and GPU client.
+// newCtx builds the task's context for either substrate. A step's host
+// overhead rides its first kernel as a host lead: kernelParts engine events
+// per step where the device can lead, one more (the host sleep) elsewhere.
 func (h *Harness) newCtx(p *simproc.Process, gpu *simgpu.Client) *Ctx {
+	h.stepEvents = uint64(h.kernelParts) + 1
+	if gpu != nil {
+		if gpu.Device().LeadCapable() {
+			h.stepEvents--
+		}
+		// A lead must observe SIGTSTP exactly where a host sleep would: hold
+		// a still-pending host lead on stop (a kernel already past its lead
+		// keeps running through the pause, like an asynchronous CUDA kernel),
+		// and release it on continue so the remaining host phase resumes from
+		// the stop instant. Both are no-ops without a pending lead.
+		p.SetSignalHook(func(sig simproc.Signal) {
+			switch sig {
+			case simproc.SigStop:
+				gpu.HoldLead()
+			case simproc.SigCont:
+				gpu.ReleaseLead()
+			}
+		})
+	}
 	return &Ctx{
 		Proc:    p,
 		GPU:     gpu,
@@ -106,8 +127,12 @@ func (c *Ctx) nextKernel() bool {
 	return true
 }
 
-// HostWork models CPU-side time (data loading, the interface loop).
-func (c *Ctx) HostWork(d time.Duration) { c.Proc.Sleep(d) }
+// HostWork models CPU-side time (data loading, the interface loop) as a
+// deferred sleep (simproc.Process.DeferSleep) that the next ExecStepKernel
+// or GPU.Exec takes as its kernel's host lead: one engine event, as an
+// inline step. Code between HostWork and the body's next blocking call or
+// clock read runs at the start of the host phase, as StepWork does.
+func (c *Ctx) HostWork(d time.Duration) { c.Proc.DeferSleep(d) }
 
 // Iterative is the user-facing iterative interface (paper Figure 6): the
 // programmer overrides the state-transition bodies; the harness owns the
@@ -170,10 +195,10 @@ type Counters struct {
 	LastPaused  time.Duration // timestamp of the last acknowledged pause
 	StartedRuns uint64        // number of StartSideTask transitions
 	// StepEvents counts the engine events the step loop dispatched for the
-	// completed steps: kernelParts per step on the event loop over a device
-	// that can lead, kernelParts+1 (the separate host-overhead sleep)
-	// otherwise. The bench report's sidetask_events_per_step metric is
-	// StepEvents/Steps.
+	// completed steps: kernelParts per step over a device that can lead, on
+	// either substrate, kernelParts+1 (the host-overhead sleep) otherwise.
+	// On the shell it assumes the Stepper-shaped step (HostWork, then the
+	// kernels). The bench report's sidetask_events_per_step is StepEvents/Steps.
 	StepEvents uint64
 }
 
@@ -331,9 +356,9 @@ func (h *Harness) setState(s State, now time.Duration) {
 // (or its process is killed / hits an OOM).
 func (h *Harness) Run(p *simproc.Process, gpu *simgpu.Client) error {
 	ctx := h.newCtx(p, gpu)
-	h.stepEvents = uint64(h.kernelParts) + 1 // the host-overhead sleep, then every kernel
-
-	ctx.HostWork(h.profile.CreateTime)
+	// The life-cycle sleeps are eager, as inlineRun's SleepThen: a deferred
+	// InitTime would let InitSideTask's AllocMem act at the phase's start.
+	p.Sleep(h.profile.CreateTime)
 	if err := h.created(ctx); err != nil {
 		return err
 	}
@@ -346,7 +371,7 @@ func (h *Harness) Run(p *simproc.Process, gpu *simgpu.Client) error {
 			}
 			act = h.command(cmd, p.Now())
 		case actInit:
-			ctx.HostWork(h.profile.InitTime)
+			p.Sleep(h.profile.InitTime)
 			if err := h.initialized(ctx); err != nil {
 				return err
 			}

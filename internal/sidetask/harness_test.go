@@ -388,35 +388,3 @@ func TestModeString(t *testing.T) {
 		t.Fatal("String mismatch")
 	}
 }
-
-// TestSteadyStateShellStepAllocFree pins the goroutine shell's step loop: a
-// warmed RunNextStep written against the blocking interface (HostWork, then
-// ExecStepKernel) costs two coroutine round trips and no allocation — the
-// step-kernel spec lives on the Ctx, not on the heap once per step.
-func TestSteadyStateShellStepAllocFree(t *testing.T) {
-	eng := simtime.NewVirtual()
-	dev := simgpu.NewDevice(eng, simgpu.DeviceConfig{Name: "gpu0", NoTraces: true})
-	h := NewIterativeHarness("fuse-test", fuseProfile, fuseStepper{}, 1)
-	h.BindEngine(eng)
-	ctr := container.NewRuntime(simproc.NewRuntime(eng))
-	if _, err := ctr.Run(container.Spec{Name: fuseProfile.Name, Device: dev}, h.Run); err != nil {
-		t.Fatal(err)
-	}
-	eng.Schedule(0, "init", func() {
-		h.Deliver(Command{Transition: TransitionInit})
-		h.Deliver(Command{Transition: TransitionStart, BubbleEnd: 1 << 62})
-	})
-	step := func() {
-		for before := h.Counters().Steps; h.Counters().Steps == before; {
-			if !eng.Step() {
-				t.Fatal("engine ran dry before the next step completed")
-			}
-		}
-	}
-	for i := 0; i < 8; i++ {
-		step()
-	}
-	if allocs := testing.AllocsPerRun(2000, step); allocs != 0 {
-		t.Fatalf("a goroutine-shell step allocates %.1f objects, want 0", allocs)
-	}
-}

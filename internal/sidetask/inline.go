@@ -44,30 +44,6 @@ func (h *Harness) Start(p *simproc.Process, gpu *simgpu.Client) {
 	r.afterInitFn = r.afterInit
 	r.afterKernelFn = r.afterKernel
 	r.failFn = r.stepFail
-
-	// A step's host overhead rides its kernel launch as a host lead
-	// (simgpu.ExecLeadThen): one engine event per step where the device can
-	// lead, the host sleep plus the completion where it cannot.
-	h.stepEvents = uint64(h.kernelParts) + 1
-	if gpu != nil {
-		if gpu.Device().LeadCapable() {
-			h.stepEvents--
-		}
-		// A lead must observe SIGTSTP exactly where a host sleep would: hold
-		// a still-pending host lead on stop (a kernel already past its lead
-		// keeps running through the pause, like an asynchronous CUDA kernel),
-		// and release it on continue so the remaining host phase resumes from
-		// the stop instant. Both are no-ops without a pending lead.
-		p.SetSignalHook(func(sig simproc.Signal) {
-			switch sig {
-			case simproc.SigStop:
-				gpu.HoldLead()
-			case simproc.SigCont:
-				gpu.ReleaseLead()
-			}
-		})
-	}
-
 	p.SleepThen(h.profile.CreateTime, r.afterCreateFn)
 }
 

@@ -1,6 +1,7 @@
 package sidetask
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -110,9 +111,9 @@ func TestInlineMatchesGoroutineIterative(t *testing.T) {
 	if !reflect.DeepEqual(gEvents, iEvents) {
 		t.Errorf("state transitions diverge:\ngoroutine %+v\ninline    %+v", gEvents, iEvents)
 	}
-	// StepEvents is substrate accounting by design: the goroutine body
-	// always dispatches the unfused sleep+kernel pair, the inline loop
-	// fuses them. Everything else must match to the bit.
+	// StepEvents is substrate accounting by design: it counts what a step
+	// costs the engine, not what it does. Everything else must match to the
+	// bit.
 	gCounters.StepEvents, iCounters.StepEvents = 0, 0
 	if gCounters != iCounters {
 		t.Errorf("counters diverge:\ngoroutine %+v\ninline    %+v", gCounters, iCounters)
@@ -175,15 +176,33 @@ func (customIter) RunNextStep(ctx *Ctx) error {
 }
 func (customIter) StopSideTask(*Ctx) error { return nil }
 
-// TestLaunchPicksSubstrate pins the one deployment entry: a Stepper goes to
-// the event loop (one engine event per step on a device that can lead), the
-// same body with its Stepper hidden goes to the goroutine shell (two), and
-// the observable life cycle is the same.
+// countedStepper is fuseStepper counting its RunNextStep calls, which only
+// the goroutine shell makes.
+type countedStepper struct {
+	fuseStepper
+	calls *uint64
+}
+
+func (c countedStepper) RunNextStep(ctx *Ctx) error {
+	*c.calls++
+	return c.fuseStepper.RunNextStep(ctx)
+}
+
+// TestLaunchPicksSubstrate pins the one deployment entry on all four arms: a
+// Stepper goes to the event loop, the same body with its Stepper hidden goes
+// to the goroutine shell (the only caller of RunNextStep). A step costs one
+// engine event on a device that can lead and two on one that cannot, on
+// either substrate, and the observable life cycle is the same everywhere.
 func TestLaunchPicksSubstrate(t *testing.T) {
-	run := func(impl Iterative) midStepResult {
+	run := func(sub midStepSubstrate) midStepResult {
 		eng := simtime.NewVirtual()
-		dev := simgpu.NewDevice(eng, simgpu.DeviceConfig{Name: "gpu0"})
+		dev := substrateDevice(t, eng, sub)
 		ctrs := container.NewRuntime(simproc.NewRuntime(eng))
+		var calls uint64
+		var impl Iterative = countedStepper{calls: &calls}
+		if sub.shell() {
+			impl = struct{ Iterative }{impl}
+		}
 		h := NewIterativeHarness("launch", fuseProfile, impl, 1)
 		res := midStepResult{exitAt: -1}
 		h.SetStateListener(func(s State) {
@@ -201,18 +220,27 @@ func TestLaunchPicksSubstrate(t *testing.T) {
 		eng.Schedule(900*time.Millisecond, "stop", func() { h.Deliver(Command{Transition: TransitionStop}) })
 		eng.RunUntil(2 * time.Second)
 		res.c, res.mem = h.Counters(), dev.MemUsed()
+		wantCalls, perStep := uint64(0), uint64(2)
+		if sub.shell() {
+			wantCalls = res.c.Steps
+		}
+		if sub.fused() {
+			perStep = 1
+		}
+		if calls != wantCalls {
+			t.Errorf("%v: RunNextStep ran %d times over %d steps, want %d — the wrong substrate",
+				sub, calls, res.c.Steps, wantCalls)
+		}
+		if want := perStep * res.c.Steps; res.c.StepEvents != want {
+			t.Errorf("%v: %d step events over %d steps, want %d", sub, res.c.StepEvents, res.c.Steps, want)
+		}
 		return res
 	}
-	inline := run(fuseStepper{})
-	shell := run(struct{ Iterative }{fuseStepper{}})
-	if inline.c.Steps == 0 || inline.exitAt < 0 {
-		t.Fatalf("scripted life cycle ran %d steps and exited at %v", inline.c.Steps, inline.exitAt)
+	ground := run(subShellUnfused)
+	if ground.c.Steps == 0 || ground.exitAt < 0 {
+		t.Fatalf("scripted life cycle ran %d steps and exited at %v", ground.c.Steps, ground.exitAt)
 	}
-	if got, want := inline.c.StepEvents, inline.c.Steps; got != want {
-		t.Errorf("Stepper: %d step events over %d steps — not the event loop", got, want)
+	for _, sub := range allSubstrates[1:] {
+		compareMidStepArms(t, fmt.Sprintf("%v vs %v", subShellUnfused, sub), ground, run(sub))
 	}
-	if got, want := shell.c.StepEvents, 2*shell.c.Steps; got != want {
-		t.Errorf("hidden Stepper: %d step events over %d steps — not the goroutine shell", got, shell.c.Steps)
-	}
-	compareMidStepArms(t, "inline vs shell", inline, shell)
 }

@@ -3,6 +3,8 @@ package sidetask
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -17,6 +19,10 @@ type fuzzOp struct {
 	at     time.Duration
 	kind   int           // index into fuzzKinds
 	bubble time.Duration // Start only: BubbleEnd - at
+	// late schedules the op from an event 1ns before at, so it sorts after
+	// every engine event already due at its instant — a host lead's wake
+	// included — instead of before them.
+	late bool
 }
 
 // fuzzKinds names the script alphabet; a kind occupies as many slots as its
@@ -26,28 +32,42 @@ var fuzzKinds = []string{
 	"sigtstp", "sigtstp", "sigcont", "sigcont", "sigcont", "stop", "fault",
 }
 
+// fuzzGrid is the step-boundary grid: every phase of fuseProfile lasts a
+// multiple of it, so with no step jitter an op drawn on it from a start drawn
+// on it lands exactly on a phase boundary — a host lead's leadUntil, a
+// kernel's completion — whenever one is due there.
+const fuzzGrid = 10 * time.Millisecond
+
 // fuzzScript draws a command script from seed: an early Init so most scripts
-// get somewhere, then anything at nanosecond-granular instants — the profile's
-// phase boundaries sit on round instants, which a drawn one practically never
-// hits — and a final Stop with the worker's grace kill behind it.
+// get somewhere, then anything — a quarter of it at nanosecond-granular
+// instants, which practically never meet a phase boundary, the rest on
+// fuzzGrid, where ties with the substrate's own events are common (about a
+// third of the jitter-free scripts have one) — and a final Stop with
+// the worker's grace kill behind it. The grid and late draws come from a
+// second source, so an op left off the grid keeps the instant, kind and
+// bubble the corpus's older seeds were found with.
 func fuzzScript(seed int64) []fuzzOp {
 	rng := rand.New(rand.NewSource(seed))
+	bias := rand.New(rand.NewSource(^seed))
 	script := []fuzzOp{{at: 1 + time.Duration(rng.Int63n(int64(400*time.Millisecond)))}}
 	for n := 3 + rng.Intn(12); n > 0; n-- {
-		script = append(script, fuzzOp{
+		op := fuzzOp{
 			at:     1 + time.Duration(rng.Int63n(int64(1500*time.Millisecond))),
 			kind:   rng.Intn(len(fuzzKinds)),
 			bubble: time.Duration(rng.Int63n(int64(400 * time.Millisecond))),
-		})
+			late:   bias.Intn(2) == 0,
+		}
+		if bias.Intn(4) != 0 {
+			op.at = op.at.Truncate(fuzzGrid) + fuzzGrid
+			op.bubble = op.bubble.Truncate(fuzzGrid)
+		}
+		script = append(script, op)
 	}
 	return script
 }
 
-// runFuzzArm plays script against one harness on one substrate. tie reports
-// that a second engine event shared an instant with a script op: the order of
-// the two is then the substrate's to choose (see simgpu.HoldLead), and the
-// arms need not agree.
-func runFuzzArm(t *testing.T, mode Mode, jitter float64, sub midStepSubstrate, script []fuzzOp) (res midStepResult, tie bool) {
+// runFuzzArm plays script against one harness on one substrate.
+func runFuzzArm(t *testing.T, mode Mode, jitter float64, sub midStepSubstrate, script []fuzzOp) midStepResult {
 	t.Helper()
 	eng := simtime.NewVirtual()
 	dev := substrateDevice(t, eng, sub)
@@ -58,73 +78,62 @@ func runFuzzArm(t *testing.T, mode Mode, jitter float64, sub midStepSubstrate, s
 	if mode == ModeImperative {
 		h = NewImperativeHarness("fuzz", prof, &imperativeAdapter{inner: fuseStepper{}}, 1)
 	}
-	res.exitAt = -1
+	res := midStepResult{exitAt: -1}
 	h.SetStateListener(func(s State) {
 		res.events = append(res.events, stateEvent{State: s, At: eng.Now()})
 	})
-	spec := container.Spec{Name: "fuzz", Device: dev, GPUMemLimit: 2 * model.GiB}
-	var cont *container.Container
-	var err error
-	if sub == subGoroutine {
-		cont, err = ctrs.Run(spec, h.Run)
-	} else {
-		cont, err = ctrs.RunInline(spec, h.Start)
-	}
-	if err != nil {
-		t.Fatalf("container: %v", err)
-	}
+	cont := runOn(t, ctrs, container.Spec{Name: "fuzz", Device: dev, GPUMemLimit: 2 * model.GiB}, h, sub)
 	cont.Process().OnExit(func(err error) {
 		res.exitAt = eng.Now()
 		res.exitErr = err
 	})
 
-	opsAt := map[time.Duration]int{}
-	play := func(at time.Duration, fn func()) {
-		opsAt[at] = 0
-		eng.Schedule(at, "op", fn)
-	}
 	for _, op := range script {
+		var fn func()
 		switch fuzzKinds[op.kind] {
 		case "init":
-			play(op.at, func() { h.Deliver(Command{Transition: TransitionInit}) })
+			fn = func() { h.Deliver(Command{Transition: TransitionInit}) }
 		case "start":
-			play(op.at, func() { h.Deliver(Command{Transition: TransitionStart, BubbleEnd: op.at + op.bubble}) })
+			fn = func() { h.Deliver(Command{Transition: TransitionStart, BubbleEnd: op.at + op.bubble}) }
 		case "pause":
-			play(op.at, func() { h.Deliver(Command{Transition: TransitionPause}) })
+			fn = func() { h.Deliver(Command{Transition: TransitionPause}) }
 		case "sigtstp":
-			play(op.at, cont.Stop)
+			fn = cont.Stop
 		case "sigcont":
-			play(op.at, cont.Cont)
+			fn = cont.Cont
 		case "stop":
-			play(op.at, func() { h.Deliver(Command{Transition: TransitionStop}) })
+			fn = func() { h.Deliver(Command{Transition: TransitionStop}) }
 		case "fault":
-			play(op.at, func() { dev.InjectKernelFault("") })
+			fn = func() { dev.InjectKernelFault("") }
+		}
+		if op.late {
+			eng.Schedule(op.at-1, "op-arm", func() { simtime.Detached(eng, 1, "op", fn) })
+		} else {
+			eng.Schedule(op.at, "op", fn)
 		}
 	}
-	play(1600*time.Millisecond+7, func() {
+	eng.Schedule(1600*time.Millisecond+7, "op", func() {
 		cont.Cont()
 		h.Deliver(Command{Transition: TransitionStop})
 	})
-	play(1700*time.Millisecond+11, cont.Kill)
+	eng.Schedule(1700*time.Millisecond+11, "op", cont.Kill)
 
 	for eng.Step() {
-		if n, op := opsAt[eng.Now()]; op {
-			opsAt[eng.Now()] = n + 1
-			tie = tie || n > 0
-		}
 	}
 	res.c = h.Counters()
 	res.mem = dev.MemUsed()
-	return res, tie
+	return res
 }
 
 // FuzzLifecycleSubstratesAgree is the differential behind the package's one
-// rule (decisions live on Harness, a substrate only blocks): a seeded script
-// of commands, signals and kernel faults produces the same state transitions
-// at the same instants, the same counters, device memory, exit instant and
-// exit error on the goroutine shell, on the event loop over a lead-capable
-// device, and on the event loop over a device that cannot lead — in both
-// interfaces, with step jitter on and off.
+// rule (decisions live on Harness, a substrate only blocks) and behind the
+// host lead: a seeded script of commands, signals and kernel faults produces
+// the same state transitions at the same instants, the same counters, device
+// memory, exit instant and exit error on all four arms — the goroutine shell
+// and the event loop, each over a device that can lead and one that cannot —
+// in both interfaces, with step jitter on and off. With jitter off, grid ops
+// land exactly on step boundaries, scheduled before or after the events due
+// there; such a tie resolves in the engine's order on every arm.
 func FuzzLifecycleSubstratesAgree(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {
 		f.Add(seed)
@@ -133,15 +142,69 @@ func FuzzLifecycleSubstratesAgree(f *testing.F) {
 		script := fuzzScript(seed)
 		for _, mode := range []Mode{ModeIterative, ModeImperative} {
 			for _, jitter := range []float64{0, 0.3} {
-				ground, tie := runFuzzArm(t, mode, jitter, subGoroutine, script)
-				if tie {
-					t.Skip("script op tied with an engine event")
-				}
-				for _, sub := range []midStepSubstrate{subInlineUnfused, subInlineFused} {
-					got, _ := runFuzzArm(t, mode, jitter, sub, script)
-					compareMidStepArms(t, fmt.Sprintf("seed %d, %v, jitter %v: shell vs substrate %d", seed, mode, jitter, sub), ground, got)
+				ground := runFuzzArm(t, mode, jitter, subShellUnfused, script)
+				for _, sub := range allSubstrates[1:] {
+					got := runFuzzArm(t, mode, jitter, sub, script)
+					compareMidStepArms(t, fmt.Sprintf("seed %d, %v, jitter %v: %v vs %v",
+						seed, mode, jitter, subShellUnfused, sub), ground, got)
 				}
 			}
 		}
 	})
+}
+
+// TestLeadUntilTies hand-builds the ties a host lead must resolve in the
+// engine's order: a SIGTSTP, a Pause and a kernel fault landing exactly on
+// the first step's leadUntil (the step starts at 300ms; its 50ms host phase
+// ends at 350ms). Each is scheduled once before the lead starts — its event
+// sorts ahead of the host phase's end — and once after, from an event at
+// 350ms-1ns, so it sorts behind. A Pause follows at 360ms and a SIGCONT at
+// 400ms. All four arms must agree with the shell's two-event form, and where
+// the order changes what the two-event form does, the two orders must differ
+// there too, so the tie is not inert.
+func TestLeadUntilTies(t *testing.T) {
+	kind := func(name string) int { return slices.Index(fuzzKinds, name) }
+	for _, tc := range []struct {
+		op     string
+		mode   Mode
+		differ bool // the two orders must diverge on the ground truth
+	}{
+		// Ahead: the host sleep's wake is deferred, so the launch waits for
+		// the SIGCONT and the step ends at 420ms. Behind: the kernel launched
+		// at 350ms and runs through the stop; its completion waits for the
+		// SIGCONT, and the step ends at 400ms. The Pause shows the instant.
+		{"sigtstp", ModeIterative, true},
+		{"sigtstp", ModeImperative, false},
+		// The Pause waits in the inbox until the step ends either way.
+		{"pause", ModeIterative, false},
+		// Ahead: the step's launch takes the fault. Behind: the launch went
+		// first, and the fault waits for the next one — none before the
+		// Pause under the iterative interface, the second kernel part under
+		// the imperative one.
+		{"fault", ModeIterative, true},
+		{"fault", ModeImperative, true},
+	} {
+		var grounds [2]midStepResult
+		for i, late := range []bool{false, true} {
+			script := []fuzzOp{
+				{at: 200 * time.Millisecond, kind: kind("init")},
+				{at: 300 * time.Millisecond, kind: kind("start"), bubble: 500 * time.Millisecond},
+				{at: 350 * time.Millisecond, kind: kind(tc.op), late: late},
+				{at: 360 * time.Millisecond, kind: kind("pause")},
+				{at: 400 * time.Millisecond, kind: kind("sigcont")},
+			}
+			what := fmt.Sprintf("%s, %v, late %v", tc.op, tc.mode, late)
+			grounds[i] = runFuzzArm(t, tc.mode, 0, subShellUnfused, script)
+			if grounds[i].c.Steps == 0 && grounds[i].exitErr == nil {
+				t.Fatalf("%s: the script ran no step", what)
+			}
+			for _, sub := range allSubstrates[1:] {
+				got := runFuzzArm(t, tc.mode, 0, sub, script)
+				compareMidStepArms(t, fmt.Sprintf("%s: %v vs %v", what, subShellUnfused, sub), grounds[i], got)
+			}
+		}
+		if tc.differ && reflect.DeepEqual(grounds[0], grounds[1]) {
+			t.Errorf("%s, %v: both orders of the tie give the same run — the tie is inert", tc.op, tc.mode)
+		}
+	}
 }

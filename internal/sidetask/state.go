@@ -15,8 +15,10 @@
 // where a recorder hooks. A decision never blocks: it returns an action, and
 // the substrate performs it — Run through Recv / Sleep / Exec on the
 // goroutine shell, inlineRun through RecvThen / SleepThen / ExecLeadThen on
-// the event loop. How a step's host lead is realised (one engine event, or a
-// sleep and a launch) is simgpu's business alone.
+// the event loop. On both, a step's host overhead is its first kernel's host
+// lead (on the shell: the deferred HostWork sleep that Exec takes). How a
+// lead is realised (one engine event, or a sleep and a launch) is simgpu's
+// business alone.
 //
 // Who may call what, from where:
 //   - A deployer (core.Worker, the session's baselines, the profiler, the
@@ -27,9 +29,11 @@
 //     container.
 //   - A substrate (Run, Start) calls the decisions, and only from its own
 //     process's context; nothing else may.
-//   - Task code sees the Ctx it is handed. On the shell it may block through
-//     Ctx.HostWork and Ctx.ExecStepKernel; a Stepper's bodies run on the event
-//     loop and must not block at all.
+//   - Task code sees the Ctx it is handed. On the shell it may spend time
+//     through Ctx.HostWork and block through Ctx.ExecStepKernel; HostWork
+//     does not park, so code between it and the next blocking call or clock
+//     read runs at the start of the host phase. A Stepper's bodies run on the
+//     event loop and must not block at all.
 //   - A built-in's real step may run one step ahead on its own goroutine; it
 //     touches only the task's own state, never a Ctx, a Guard or the engine.
 package sidetask

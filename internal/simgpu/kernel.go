@@ -193,12 +193,25 @@ func (c *Client) launch(spec *KernelSpec, onComplete func(error), waiter *simpro
 // returning the kernel's completion error. This is the blocking API side
 // tasks use; the completion delivers straight into the process's wait slot,
 // so the whole launch→park→complete→wake cycle allocates nothing.
+//
+// On a LeadCapable device the process's deferred sleep
+// (simproc.Process.DeferSleep), if any, becomes the kernel's host lead: the
+// sleep and the launch cost one engine event and one park, as ExecLeadThen's
+// do. Elsewhere BeginWait spends it as the sleep itself.
 func (c *Client) Exec(p *simproc.Process, spec *KernelSpec) error {
+	var lead time.Duration
+	if c.dev.fusable {
+		lead = p.TakeDeferredSleep()
+	}
+	p.BeginWait(nil)
+	if lead > 0 {
+		c.launchLead(spec, lead, p)
+	} else {
+		_ = c.launch(spec, nil, p)
+	}
 	// spec.Name is used verbatim as the park label: Exec runs once per
 	// simulated kernel and a "kernel:" prefix concat here shows up in
 	// profiles.
-	p.BeginWait(nil)
-	_ = c.launch(spec, nil, p)
 	return execResult(p.Await(spec.Name))
 }
 

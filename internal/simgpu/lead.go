@@ -9,9 +9,11 @@ import (
 )
 
 // Host-lead launches: ExecLeadThen fuses a caller-side host phase into the
-// kernel's completion event. Two loops launch this way: the side task's step
-// loop (the lead is the step's host overhead) and the pipeline stage machine
-// (the lead is the activation/gradient transfer ahead of the op's kernel). The
+// kernel's completion event. Three callers launch this way: the side task's
+// step loop (the lead is the step's host overhead), the pipeline stage
+// machine (the lead is the activation/gradient transfer ahead of the op's
+// kernel), and a goroutine process's blocking Exec, whose deferred sleep
+// (simproc.Process.DeferSleep: a shell step's HostWork) becomes the lead. The
 // kernel is created at launch time but stays a *lead* — off its client's
 // stream, consuming no SM share — until its host phase ends at leadUntil,
 // when it *matures*: it starts at once if the stream is idle then,

@@ -125,6 +125,16 @@ func (rt *Runtime) forget(p *Process) {
 // Process is one simulated process. Goroutine-process bodies must interact
 // with time only through the blocking primitives; inline bodies only through
 // the *Then continuation primitives.
+//
+// A goroutine body may defer a sleep (DeferSleep): the process records it as
+// a pending host phase and keeps running. The next blocking kernel launch on
+// a device that can lead takes the phase whole as the kernel's host lead
+// (TakeDeferredSleep, simgpu's Exec), which costs one engine event and one
+// coroutine round trip instead of two of each. Anything else that observes
+// time spends the phase first as the exact Sleep it replaces: any wait the
+// process arms (BeginWait, and so Sleep, Recv, WaitEvent and a launch that
+// cannot lead), a clock read (Now), another DeferSleep, or the body's return.
+// Code between DeferSleep and that point runs at the start of the phase.
 type Process struct {
 	rt     *Runtime
 	name   string
@@ -148,6 +158,10 @@ type Process struct {
 	yield    func(struct{}) bool
 	wakeMsg  any
 	resumeMu sync.Mutex
+	// deferred is the pending host phase of DeferSleep (0: none). Written
+	// only by the body's own goroutine, so it needs no lock: it is non-zero
+	// only while the body runs, when nothing else touches the process.
+	deferred time.Duration
 
 	// mu guards the lifecycle and wait-slot state. It rides the engine
 	// ownership regime: free on a single-owner virtual engine — for both
@@ -257,7 +271,9 @@ func (p *Process) run(fn func(p *Process) error) {
 			}
 		}()
 		err = fn(p)
+		p.spendDeferred() // a body returning mid-phase exits where it ends
 	}()
+	p.deferred = 0 // a panic left it pending
 
 	p.mu.Lock()
 	if errors.Is(err, ErrKilled) {
@@ -284,8 +300,14 @@ func (p *Process) Name() string { return p.name }
 // Engine returns the engine the process runs on.
 func (p *Process) Engine() simtime.Engine { return p.rt.eng }
 
-// Now reports the current engine time.
-func (p *Process) Now() time.Duration { return p.rt.eng.Now() }
+// Now reports the current engine time. A goroutine body's deferred sleep is
+// spent first, so the body reads the clock the sleep would have left.
+func (p *Process) Now() time.Duration {
+	if p.deferred > 0 {
+		p.spendDeferred()
+	}
+	return p.rt.eng.Now()
+}
 
 // State reports the process state.
 func (p *Process) State() State {
@@ -399,8 +421,11 @@ func (p *Process) exitInline(err error) {
 // nil and park in Await. Between BeginWait and Await/EndWait the caller
 // registers exactly one wake source that will invoke p.Wake — a source may
 // also deliver synchronously during registration, in which case the process
-// never blocks.
+// never blocks. A deferred sleep is spent before the wait is armed.
 func (p *Process) BeginWait(k func(any)) {
+	if p.deferred > 0 {
+		p.spendDeferred()
+	}
 	p.mu.Lock()
 	if p.inline && (k == nil) {
 		p.mu.Unlock()
@@ -658,6 +683,38 @@ func (p *Process) Sleep(d time.Duration) {
 	p.BeginWait(nil)
 	simtime.Detached(p.rt.eng, d, p.wakeName, p.wakeFn)
 	p.Await("sleep")
+}
+
+// DeferSleep is Sleep without the park: d becomes the goroutine body's
+// pending host phase (see Process), and the body runs on at the current
+// instant. A phase already pending is spent first; d <= 0 sleeps at once, so
+// a zero phase still yields.
+func (p *Process) DeferSleep(d time.Duration) {
+	if p.inline {
+		panic("simproc: DeferSleep on an inline process")
+	}
+	p.spendDeferred()
+	if d <= 0 {
+		p.Sleep(d)
+		return
+	}
+	p.deferred = d
+}
+
+// TakeDeferredSleep hands the pending host phase to the caller, which
+// realises it (simgpu's Exec: as a kernel's host lead), and reports 0 when
+// none is pending. Called from the body's own goroutine.
+func (p *Process) TakeDeferredSleep() time.Duration {
+	d := p.deferred
+	p.deferred = 0
+	return d
+}
+
+// spendDeferred sleeps out the pending host phase, if any.
+func (p *Process) spendDeferred() {
+	if d := p.TakeDeferredSleep(); d > 0 {
+		p.Sleep(d)
+	}
 }
 
 // SleepThen is the inline form of Sleep: k runs after d of engine time.

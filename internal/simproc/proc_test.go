@@ -2,6 +2,7 @@ package simproc
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -369,5 +370,75 @@ func TestWaitEventSynchronousWake(t *testing.T) {
 	eng.MustDrain(100)
 	if got != "now" {
 		t.Fatalf("WaitEvent sync = %v, want now", got)
+	}
+}
+
+// TestDeferSleepSpentAsSleep pins where a deferred sleep is spent when
+// nothing takes it as a kernel's host lead: each body must leave the same
+// observations, exit instant and engine event count with DeferSleep as with
+// Sleep. A receive is spent ahead of even when its message is already
+// waiting, and a body that returns mid-phase exits where the phase ends.
+func TestDeferSleepSpentAsSleep(t *testing.T) {
+	const d = 10 * time.Millisecond
+	for _, tc := range []struct {
+		name string
+		body func(p *Process, host func(time.Duration), in, out *Mailbox[time.Duration])
+	}{
+		{"return", func(p *Process, host func(time.Duration), in, out *Mailbox[time.Duration]) {
+			host(d)
+		}},
+		{"Recv with a message waiting", func(p *Process, host func(time.Duration), in, out *Mailbox[time.Duration]) {
+			host(d)
+			v, _ := in.Recv(p)
+			out.Send(v)
+		}},
+		{"Now", func(p *Process, host func(time.Duration), in, out *Mailbox[time.Duration]) {
+			host(d)
+			out.Send(p.Now())
+		}},
+		{"twice, then a zero", func(p *Process, host func(time.Duration), in, out *Mailbox[time.Duration]) {
+			host(d)
+			host(2 * d)
+			host(0)
+			out.Send(-1)
+		}},
+		{"WaitEvent", func(p *Process, host func(time.Duration), in, out *Mailbox[time.Duration]) {
+			host(d)
+			out.Send(p.WaitEvent("event", func(wake func(any)) {
+				simtime.Detached(p.Engine(), d, "wake", func() { wake(3 * d) })
+			}).(time.Duration))
+		}},
+	} {
+		run := func(deferred bool) (log []time.Duration, exitAt time.Duration, events uint64) {
+			eng, rt := newRT()
+			in, out := NewMailbox[time.Duration](), NewMailbox[time.Duration]()
+			in.Send(7)
+			p := rt.Spawn("body", func(p *Process) error {
+				host := p.Sleep
+				if deferred {
+					host = p.DeferSleep
+				}
+				tc.body(p, host, in, out)
+				return nil
+			})
+			p.OnExit(func(error) { exitAt = eng.Now() })
+			rt.Spawn("observer", func(p *Process) error {
+				for {
+					v, ok := out.Recv(p)
+					if !ok {
+						return nil
+					}
+					log = append(log, v, p.Now())
+				}
+			})
+			eng.MustDrain(100)
+			return log, exitAt, eng.Dispatched()
+		}
+		wantLog, wantExit, wantEvents := run(false)
+		gotLog, gotExit, gotEvents := run(true)
+		if !slices.Equal(gotLog, wantLog) || gotExit != wantExit || gotEvents != wantEvents {
+			t.Errorf("%s: DeferSleep gives observations %v, exit at %v, %d events; Sleep %v, %v, %d",
+				tc.name, gotLog, gotExit, gotEvents, wantLog, wantExit, wantEvents)
+		}
 	}
 }

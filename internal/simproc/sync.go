@@ -126,8 +126,10 @@ func (m *Mailbox[T]) register(p *Process) {
 
 // Recv parks p until a message is available. ok is false if the mailbox was
 // closed while waiting (or already closed and drained). Only one process may
-// block on a mailbox at a time.
+// block on a mailbox at a time. A deferred sleep is spent first, even when a
+// message is already waiting: the sleep would have come before the receive.
 func (m *Mailbox[T]) Recv(p *Process) (msg T, ok bool) {
+	p.spendDeferred()
 	for {
 		m.mu.Lock()
 		if m.queue.Len() > 0 {
