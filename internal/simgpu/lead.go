@@ -209,7 +209,10 @@ func (d *Device) startLeadLocked(k *kernel, wake *simtime.Timer, firing *kernel)
 	if err := d.takeFaultLocked(c); err != nil {
 		// A fault armed during the host phase: the launch fails, never
 		// touching the stream. Delivered as an event of this instant — d.mu
-		// is held, and the failure may destroy the client.
+		// is held, and the failure may destroy the client — so a signal
+		// queued behind the wake at this instant reaches the process first,
+		// where the two-event form's wake handed the failure over ahead of
+		// it (the one tie ROADMAP keeps as unverified).
 		w := k.waiter
 		k.timer.Cancel()
 		k.waiter, k.client = nil, nil
