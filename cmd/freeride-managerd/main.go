@@ -47,6 +47,9 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	if *workers == "" {
+		return fmt.Errorf("-workers names no worker endpoint")
+	}
 	logger := log.New(os.Stdout, "managerd ", log.Ltime|log.Lmicroseconds)
 
 	d, err := livemode.StartManager(livemode.ManagerConfig{
@@ -54,7 +57,7 @@ func run(args []string) error {
 		Model:      llm,
 		MicroBatch: *mbs,
 		Lease:      *lease,
-		Logf:       func(f string, a ...any) { logger.Printf(f, a...) },
+		Logf:       logger.Printf,
 	})
 	if err != nil {
 		return err
@@ -62,29 +65,31 @@ func run(args []string) error {
 	defer d.Close()
 	logger.Printf("listening on %s", d.Addr())
 
-	if *workers != "" {
-		addrs := strings.Split(*workers, ",")
-		deadline := time.Now().Add(*retry)
-		for {
-			err := d.ConnectWorkers(addrs)
-			if err == nil {
-				break
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("connect workers: %w", err)
-			}
-			logger.Printf("workers not ready (%v); retrying...", err)
-			time.Sleep(time.Second)
+	addrs, deadline := strings.Split(*workers, ","), time.Now().Add(*retry)
+	for err := d.ConnectWorkers(addrs); err != nil; err = d.ConnectWorkers(addrs) {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("connect workers: %w", err)
 		}
+		logger.Printf("workers not ready (%v); retrying...", err)
+		time.Sleep(time.Second)
 	}
-	if *tasks != "" {
-		d.SubmitTasks(strings.Split(*tasks, ","))
+	for _, name := range strings.Split(*tasks, ",") {
+		if name = strings.TrimSpace(name); name == "" {
+			continue
+		}
+		p, err := model.TaskByName(name)
+		if err == nil {
+			err = d.Session.Submit(p, 0)
+		}
+		if err != nil {
+			logger.Printf("submit %s rejected: %v", name, err)
+		}
 	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
-	st := d.Manager.Stats()
+	st := d.Session.Manager.Stats()
 	logger.Printf("shutting down: %d bubbles received (%.1fs), %d served, %d RPCs",
 		st.BubblesAdded, st.BubbleTimeTotal.Seconds(), st.BubblesServed, st.RPCs)
 	return nil

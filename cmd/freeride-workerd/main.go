@@ -45,7 +45,10 @@ func run(args []string) error {
 	}
 	var addrs []string
 	for _, p := range strings.Split(*ports, ",") {
-		addrs = append(addrs, ":"+strings.TrimSpace(p))
+		if p = strings.TrimSpace(p); p == "" {
+			return fmt.Errorf("-ports %q has an empty entry", *ports)
+		}
+		addrs = append(addrs, ":"+p)
 	}
 	logger := log.New(os.Stdout, "workerd  ", log.Ltime|log.Lmicroseconds)
 
@@ -56,21 +59,21 @@ func run(args []string) error {
 		MicroBatch:  *mbs,
 		Epochs:      *epochs,
 		StartDelay:  *delay,
-		Logf:        func(f string, a ...any) { logger.Printf(f, a...) },
+		Logf:        logger.Printf,
 	})
 	if err != nil {
 		return err
 	}
 	defer node.Close()
-	logger.Printf("workers listening on %s", strings.Join(node.WorkerAddrs(), ", "))
+	logger.Printf("workers listening on %s", strings.Join(node.WorkerAddrs, ", "))
 
-	<-node.TrainDone()
+	<-node.TrainDone
 	time.Sleep(500 * time.Millisecond) // let the final pause land
-	if err := node.Trainer().Err(); err != nil {
+	if err := node.Session.Trainer.Err(); err != nil {
 		return fmt.Errorf("training failed: %w", err)
 	}
-	logger.Printf("training complete in %.2fs", node.Trainer().TotalTime().Seconds())
-	for i, w := range node.Workers() {
+	logger.Printf("training complete in %.2fs", node.Session.Trainer.TotalTime().Seconds())
+	for i, w := range node.Session.Workers {
 		st := w.Stats()
 		logger.Printf("worker%d: %d created, %d starts, %d pauses, %d kills",
 			i, st.Created, st.Starts, st.Pauses, st.GraceKills+st.InitKills)

@@ -393,9 +393,10 @@ type Session struct {
 	cfg Config
 
 	Eng     *simtime.Virtual
+	eng     simtime.Engine // Eng, or a live daemon's wall clock
 	Procs   *simproc.Runtime
 	Devices []*simgpu.Device
-	// Trainer or Server is the workload NewSession picked (the other is nil);
+	// Trainer or Server is the workload assembled (the other is nil);
 	// w is all the session itself asks of it.
 	Trainer *pipeline.Trainer
 	Server  *serve.Server
@@ -407,10 +408,6 @@ type Session struct {
 	Profile *bubble.Profile
 	// injector drives the deterministic fault plane (nil without cfg.Faults).
 	injector *simfault.Injector
-	// memSlack is the MPS-limit headroom handed to the manager; the
-	// eligibility filter uses the same value so EligibleStages and
-	// Algorithm-1 admission can never disagree.
-	memSlack int64
 	// workerIdx maps worker name → index in Workers, built at assembly so
 	// Submit resolves placements in O(1) instead of scanning.
 	workerIdx map[string]int
@@ -432,103 +429,151 @@ type CustomTask func(seed int64) sidetask.Iterative
 
 // NewSession assembles the devices, the workload — the trainer, or the server
 // under Config.Serving — and, for the FreeRide methods, the manager and the
-// workers fed by the workload's bubble source.
+// workers fed by the workload's bubble source, all on one virtual engine.
 func NewSession(cfg Config) (*Session, error) {
+	s := &Session{Eng: simtime.NewVirtual()}
+	return s.assemble(cfg, s.Eng, memLinks{s}, true, true)
+}
+
+// NewNodeSession assembles on eng the GPU node of a session whose manager
+// runs in another process (paper §8): devices, workload, workers and bubble
+// reporter, linked to the manager by links. The caller starts the workload.
+func NewNodeSession(cfg Config, eng simtime.Engine, links Links) (*Session, error) {
+	return new(Session).assemble(cfg, eng, links, true, false)
+}
+
+// NewManagerSession assembles on eng the manager of a session whose GPU node
+// runs in another process, linked to the workers by links; the caller starts it.
+func NewManagerSession(cfg Config, eng simtime.Engine, links Links) (*Session, error) {
+	return new(Session).assemble(cfg, eng, links, false, true)
+}
+
+// Links makes a session's control-plane links (paper §4.6): Link(stage) the
+// one between the manager and the stage's worker, Link(-1) the one on which
+// the workload reports bubbles. Link gets the handler table of each end this
+// process assembles (nil for the other process's end; the reporter's end
+// serves none) and returns those ends' peers. A simulated session makes both
+// ends in memory (memLinks); a live daemon its own over TCP (livemode).
+type Links interface {
+	Link(stage int, mgr, far *freerpc.Mux) (mgrEnd, farEnd *freerpc.Peer, err error)
+}
+
+// memLinks makes both ends of every link in memory; typed DTOs cross as-is.
+type memLinks struct{ s *Session }
+
+func (l memLinks) Link(_ int, mgr, far *freerpc.Mux) (*freerpc.Peer, *freerpc.Peer, error) {
+	a, b := freerpc.MemPipe(l.s.eng, l.s.cfg.RPCLatency)
+	return freerpc.NewPeer(l.s.eng, a, mgr), freerpc.NewPeer(l.s.eng, b, far), nil
+}
+
+// assemble builds on eng the node part of a session, its manager, or both,
+// linked by links.
+func (s *Session) assemble(cfg Config, eng simtime.Engine, links Links, node, manager bool) (*Session, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	eng := simtime.NewVirtual()
-	procs := simproc.NewRuntime(eng)
-
-	policy := simgpu.PolicyMPS
-	if cfg.Method == MethodNaive {
-		policy = simgpu.PolicyTimeSlice
-	}
-	tax := cfg.ResidencyTax
-	if cfg.Method == MethodNaive || cfg.Method == MethodNone {
-		tax = 0
-	}
-	devices := make([]*simgpu.Device, cfg.Stages)
-	for i := range devices {
-		devices[i] = simgpu.NewDevice(eng, simgpu.DeviceConfig{
-			Name:         fmt.Sprintf("gpu%d", i),
-			MemBytes:     model.ServerI.GPUMemBytes,
-			Policy:       policy,
-			ResidencyTax: tax,
-			// Occupancy/memory series are only consumed by profiling and
-			// figure-rendering runs; measurement sessions skip recording.
-			NoTraces: !cfg.RecordOps,
-		})
-	}
-	s := &Session{
-		cfg:      cfg,
-		Eng:      eng,
-		Procs:    procs,
-		Devices:  devices,
-		memSlack: core.DefaultMemSlack,
-	}
-	// The one place a session asks which workload it runs.
-	newWorkload := s.newTraining
-	if cfg.Serving != nil {
-		newWorkload = s.newServing
-	}
-	if err := newWorkload(); err != nil {
-		return nil, err
+	s.cfg, s.eng = cfg, eng
+	if node {
+		s.Procs = simproc.NewRuntime(eng)
+		policy := simgpu.PolicyMPS
+		if cfg.Method == MethodNaive {
+			policy = simgpu.PolicyTimeSlice
+		}
+		tax := cfg.ResidencyTax
+		if cfg.Method == MethodNaive || cfg.Method == MethodNone {
+			tax = 0
+		}
+		s.Devices = make([]*simgpu.Device, cfg.Stages)
+		for i := range s.Devices {
+			s.Devices[i] = simgpu.NewDevice(eng, simgpu.DeviceConfig{
+				Name:         fmt.Sprintf("gpu%d", i),
+				MemBytes:     model.ServerI.GPUMemBytes,
+				Policy:       policy,
+				ResidencyTax: tax,
+				// Occupancy/memory series are only consumed by profiling and
+				// figure-rendering runs; measurement sessions skip recording.
+				NoTraces: !cfg.RecordOps,
+			})
+		}
+		// The one place a session asks which workload it runs.
+		newWorkload := s.newTraining
+		if cfg.Serving != nil {
+			newWorkload = s.newServing
+		}
+		if err := newWorkload(); err != nil {
+			return nil, err
+		}
 	}
 	if cfg.Method.harvests() {
-		if err := s.assembleControlPlane(); err != nil {
+		if err := s.assembleControlPlane(links, manager); err != nil {
 			return nil, err
 		}
 	}
 	return s, nil
 }
 
-// assembleControlPlane wires manager, workers and the workload's bubble
-// source over in-memory RPC links.
-func (s *Session) assembleControlPlane() error {
+// assembleControlPlane builds the manager (if this process holds it) and the
+// workers (if it holds the devices), links them, and feeds the workload's
+// bubble source to the manager.
+func (s *Session) assembleControlPlane(links Links, manager bool) error {
 	cfg := s.cfg
-	var replan *core.ReplanOptions
-	if cfg.Replan != nil {
-		replan = &core.ReplanOptions{Detector: *cfg.Replan}
-	}
-	s.Manager = core.NewManager(s.Eng, core.ManagerOptions{
-		Tick:         cfg.Tick,
-		MemSlack:     s.memSlack,
-		Lease:        cfg.Lease,
-		MaxRestarts:  cfg.MaxRestarts,
-		RetryBackoff: cfg.RetryBackoff,
-		Seed:         cfg.Seed,
-		Replan:       replan,
-		SLOGuard:     s.w.sloGuard,
-	})
-	if cfg.Faults != nil {
-		s.injector = simfault.NewInjector(s.Eng, cfg.Faults)
-	}
-	s.workerIdx = make(map[string]int, len(s.Devices))
-	for i, dev := range s.Devices {
-		ctrs := container.NewRuntime(s.Procs)
-		w := core.NewWorker(s.Eng, dev, ctrs, core.WorkerConfig{
-			Name:    fmt.Sprintf("worker%d", i),
-			Grace:   cfg.Grace,
-			Factory: s.taskFactory,
+	var mgrMux *freerpc.Mux
+	if manager {
+		var replan *core.ReplanOptions
+		if cfg.Replan != nil {
+			replan = &core.ReplanOptions{Detector: *cfg.Replan}
+		}
+		var guard float64
+		if cfg.Serving != nil {
+			guard = cfg.Serving.Guard
+		}
+		s.Manager = core.NewManager(s.eng, core.ManagerOptions{
+			Tick:         cfg.Tick,
+			MemSlack:     core.DefaultMemSlack,
+			Lease:        cfg.Lease,
+			MaxRestarts:  cfg.MaxRestarts,
+			RetryBackoff: cfg.RetryBackoff,
+			Seed:         cfg.Seed,
+			Replan:       replan,
+			SLOGuard:     guard,
 		})
-		wmux := freerpc.NewMux()
-		w.RegisterOn(wmux)
-		mgrEnd, wEnd := freerpc.MemPipe(s.Eng, cfg.RPCLatency)
-		mgrPeer := freerpc.NewPeer(s.Eng, mgrEnd, s.Manager.Mux())
-		wPeer := freerpc.NewPeer(s.Eng, wEnd, wmux)
-		w.SetNotify(func(method string, params any) {
-			_ = wPeer.Notify(method, params)
-		})
-		s.Manager.AddWorker(w.Name(), i, s.w.stageMem(i), mgrPeer)
-		s.workerIdx[w.Name()] = i
-		s.Workers = append(s.Workers, w)
+		mgrMux = s.Manager.Mux()
+		if cfg.Faults != nil {
+			s.injector = simfault.NewInjector(s.eng, cfg.Faults)
+		}
+	}
+	s.workerIdx = make(map[string]int, cfg.Stages)
+	for i := 0; i < cfg.Stages; i++ {
+		name := fmt.Sprintf("worker%d", i)
+		var w *core.Worker
+		var wmux *freerpc.Mux
+		if s.Devices != nil {
+			w = core.NewWorker(s.eng, s.Devices[i], container.NewRuntime(s.Procs), core.WorkerConfig{
+				Name:    name,
+				Grace:   cfg.Grace,
+				Factory: s.taskFactory,
+			})
+			wmux = freerpc.NewMux()
+			w.RegisterOn(wmux)
+		}
+		mgrPeer, wPeer, err := links.Link(i, mgrMux, wmux)
+		if err != nil {
+			return err
+		}
+		if w != nil {
+			w.SetNotify(func(method string, params any) { _ = wPeer.Notify(method, params) })
+			s.Workers = append(s.Workers, w)
+		}
+		if manager {
+			s.Manager.AddWorker(name, i, s.stageMem(i), mgrPeer)
+		}
+		s.workerIdx[name] = i
 		if s.injector != nil {
 			// Transport-level faults hook the manager↔worker link; kernel
 			// faults target only side-task GPU clients ("ctr/" prefix), never
 			// the training clients; crash/wedge act on the worker itself.
-			lf := freerpc.InjectFaults(mgrEnd)
-			wrk, device := w, dev
+			lf := freerpc.InjectFaults(mgrPeer.Conn())
+			wrk, device := w, s.Devices[i]
 			s.injector.Bind(i, simfault.Hooks{
 				CrashWorker: func() {
 					wrk.Crash()
@@ -544,27 +589,38 @@ func (s *Session) assembleControlPlane() error {
 	}
 
 	// The instrumented workload reports bubbles to the manager over its own
-	// RPC link (paper step ➎). The typed DTO crosses the MemPipe as-is — the
-	// manager's handler receives it without any JSON round-trip.
-	s.w.source(s.newBubbleSink())
+	// RPC link (paper step ➎).
+	_, reporter, err := links.Link(-1, mgrMux, nil)
+	if err != nil || s.Devices == nil {
+		return err
+	}
+	s.w.source(s.newBubbleSink(reporter))
 	return nil
 }
 
-// newBubbleSink opens the workload→manager bubble-report link (its own
-// MemPipe, like every control-plane link) and returns the emit function.
-// Reports are pooled: the manager's peer hands each one back once the
-// handler has read it (see freerpc.Msg).
-func (s *Session) newBubbleSink() func(bubble.Bubble) {
-	pipeEnd, mgrEnd := freerpc.MemPipe(s.Eng, s.cfg.RPCLatency)
-	pipePeer := freerpc.NewPeer(s.Eng, pipeEnd, nil)
-	freerpc.NewPeer(s.Eng, mgrEnd, s.Manager.Mux())
+// newBubbleSink returns the emit function of the bubble-report link whose
+// reporter end is reporter. Reports are pooled: the manager's end of an
+// in-memory link hands each one back once the handler has read it, a wire end
+// once it has marshalled it (see freerpc.Msg).
+func (s *Session) newBubbleSink(reporter *freerpc.Peer) func(bubble.Bubble) {
 	reports := new(freerpc.Pool[core.BubbleDTO])
-	reports.Bind(s.Eng)
+	reports.Bind(s.eng)
 	return func(b bubble.Bubble) {
 		d := reports.Get()
 		d.V = core.ToBubbleDTO(b)
-		_ = pipePeer.Notify("Manager.AddBubble", d)
+		_ = reporter.Notify("Manager.AddBubble", d)
 	}
+}
+
+// stageMem is the GPU memory stage leaves to side tasks. It is a closed form
+// of the Config, so a manager assembled apart from its workload has it too.
+func (s *Session) stageMem(stage int) int64 {
+	c := &s.cfg
+	if c.Serving != nil {
+		return c.LLM.ServeStageMemAvailable(model.ServerI.GPUMemBytes, c.MicroBatches)
+	}
+	return c.LLM.StageMemAvailableSched(model.ServerI.GPUMemBytes, c.Schedule,
+		stage, c.Stages, c.MicroBatches, c.VirtualStages)
 }
 
 // taskFactory resolves harnesses on the worker side: custom registrations
@@ -611,7 +667,7 @@ func (s *Session) RegisterCustom(profile model.TaskProfile, build CustomTask) er
 func (s *Session) EligibleStages(p model.TaskProfile) []int {
 	var out []int
 	for stage := 0; stage < s.cfg.Stages; stage++ {
-		if core.AdmitsMem(s.w.stageMem(stage), p.MemBytes, s.memSlack) {
+		if core.AdmitsMem(s.stageMem(stage), p.MemBytes, core.DefaultMemSlack) {
 			out = append(out, stage)
 		}
 	}
@@ -695,7 +751,7 @@ func (s *Session) submitBaseline(name string, p model.TaskProfile, stage int, se
 	if err != nil {
 		return err
 	}
-	h.BindEngine(s.Eng)
+	h.BindEngine(s.eng)
 	ctrs := container.NewRuntime(s.Procs)
 	cspec := container.Spec{
 		Name:   name,
@@ -706,7 +762,7 @@ func (s *Session) submitBaseline(name string, p model.TaskProfile, stage int, se
 		return err
 	}
 	// Script the lifecycle: init immediately, then run forever.
-	s.Eng.Schedule(0, "baseline-init:"+name, func() {
+	s.eng.Schedule(0, "baseline-init:"+name, func() {
 		h.Deliver(sidetask.Command{Transition: sidetask.TransitionInit})
 		h.Deliver(sidetask.Command{Transition: sidetask.TransitionStart, BubbleEnd: 1 << 62})
 	})
@@ -778,9 +834,9 @@ func (r *Result) TotalStepEvents() uint64 {
 	return sum
 }
 
-// Run starts the workload (and the manager and fault injector), drains the
-// simulation until the last cycle — epoch or request batch — retires, and
-// collects all measurements.
+// Run starts the workload of a NewSession (and the manager and fault
+// injector), drains the simulation until the last cycle — epoch or request
+// batch — retires, and collects all measurements.
 func (s *Session) Run() (*Result, error) {
 	s.mu.Lock()
 	if s.started {
@@ -932,53 +988,38 @@ func (r *Result) CostReport(tNoSideTask time.Duration) cost.Report {
 }
 
 // --- memoized offline passes (profile, baseline) ---------------------------
-//
-// Both caches are singleflight-guarded: the parallel experiment runner fires
-// many sessions that share a configuration, and exactly one of them should
-// pay for the profiling (or baseline) run while the rest wait for its
-// result.
 
-// flightCache memoizes fn-per-key with duplicate-call suppression. Failed
-// computations are not cached; the next caller retries.
+// flightCache memoizes fn per key. Concurrent callers of one key — the
+// parallel experiment runner's sessions sharing a configuration — share a
+// single computation; a failed one is dropped, so the next caller retries.
 type flightCache[K comparable, V any] struct {
-	mu       sync.Mutex
-	done     map[K]V
-	inflight map[K]chan struct{}
+	mu sync.Mutex
+	m  map[K]*flight[V]
 }
 
-func newFlightCache[K comparable, V any]() *flightCache[K, V] {
-	return &flightCache[K, V]{done: map[K]V{}, inflight: map[K]chan struct{}{}}
+type flight[V any] struct {
+	once sync.Once
+	v    V
+	err  error
 }
 
 func (c *flightCache[K, V]) get(key K, fn func() (V, error)) (V, error) {
 	c.mu.Lock()
-	for {
-		if v, ok := c.done[key]; ok {
-			c.mu.Unlock()
-			return v, nil
-		}
-		ch, ok := c.inflight[key]
-		if !ok {
-			break
+	f := c.m[key]
+	if f == nil {
+		f = new(flight[V])
+		c.m[key] = f
+	}
+	c.mu.Unlock()
+	f.once.Do(func() { f.v, f.err = fn() })
+	if f.err != nil {
+		c.mu.Lock()
+		if c.m[key] == f {
+			delete(c.m, key)
 		}
 		c.mu.Unlock()
-		<-ch
-		c.mu.Lock()
 	}
-	ch := make(chan struct{})
-	c.inflight[key] = ch
-	c.mu.Unlock()
-
-	v, err := fn()
-
-	c.mu.Lock()
-	delete(c.inflight, key)
-	if err == nil {
-		c.done[key] = v
-	}
-	close(ch)
-	c.mu.Unlock()
-	return v, err
+	return f.v, f.err
 }
 
 type profileKey struct {
@@ -989,7 +1030,7 @@ type profileKey struct {
 	virtual  int
 }
 
-var profCache = newFlightCache[profileKey, *bubble.Profile]()
+var profCache = flightCache[profileKey, *bubble.Profile]{m: map[profileKey]*flight[*bubble.Profile]{}}
 
 // offlineBubbleProfile runs a short RecordOps training on a private engine
 // and extracts the per-stage bubble templates — the paper's one-time
@@ -1061,4 +1102,4 @@ type baselineKey struct {
 	mbplan   string
 }
 
-var baseCache = newFlightCache[baselineKey, time.Duration]()
+var baseCache = flightCache[baselineKey, time.Duration]{m: map[baselineKey]*flight[time.Duration]{}}

@@ -5,22 +5,17 @@ import (
 	"time"
 
 	"freeride/internal/bubble"
-	"freeride/internal/model"
 	"freeride/internal/pipeline"
 	"freeride/internal/serve"
 )
 
-// workload is the session's one workload seam. NewSession picks training or
-// serving here, and nothing after it asks which: the manager is handed
-// bubbles and never learns what produced them (paper §3.2 step ➎, §4.6).
+// workload is the session's one workload seam. The assembly picks training or
+// serving here, and nothing after it asks which but the manager's closed forms
+// (Session.stageMem): the manager is handed bubbles and never learns what
+// produced them (paper §3.2 step ➎, §4.6).
 type workload struct {
 	// driver runs the pipeline cycle after cycle — epochs or request batches.
 	driver *pipeline.Driver
-	// stageMem is the GPU memory a stage leaves to side tasks (closed form).
-	stageMem func(stage int) int64
-	// sloGuard is the manager's SLO admission factor: serving's configured
-	// guard, zero (admit into any open bubble) for training.
-	sloGuard float64
 	// source builds the workload's bubble source over sink and registers its
 	// cycle-start / cycle-end methods on the driver.
 	source func(sink func(bubble.Bubble))
@@ -33,7 +28,7 @@ type workload struct {
 func (s *Session) newTraining() error {
 	cfg := s.cfg
 	mbSched, mbCap := mbScheduleFromDrift(cfg)
-	tr, err := pipeline.New(s.Eng, s.Procs, s.Devices, pipeline.Config{
+	tr, err := pipeline.New(s.eng, s.Procs, s.Devices, pipeline.Config{
 		Model:           cfg.LLM,
 		Stages:          cfg.Stages,
 		MicroBatches:    cfg.MicroBatches,
@@ -54,12 +49,7 @@ func (s *Session) newTraining() error {
 	}
 	s.Trainer = tr
 	s.w = workload{
-		driver: &tr.Driver,
-		stageMem: func(stage int) int64 {
-			c := &s.cfg // not the local copy: the closure lives as long as the session
-			return c.LLM.StageMemAvailableSched(model.ServerI.GPUMemBytes, c.Schedule,
-				stage, c.Stages, c.MicroBatches, c.VirtualStages)
-		},
+		driver:  &tr.Driver,
 		source:  s.trainingSource,
 		collect: func(*Result) {},
 	}
@@ -74,9 +64,10 @@ func (s *Session) trainingSource(sink func(bubble.Bubble)) {
 	if cfg.Drift != nil {
 		rep.SetDrift(bubble.NewDrifter(cfg.Drift, cfg.Stages))
 	}
-	if cfg.Replan != nil {
+	if cfg.Replan != nil && s.Manager != nil {
 		// Baseline each worker's drift estimator from the reporter's own
 		// emission arithmetic, so a zero-drift epoch matches it to the bit.
+		// (A manager in another process goes without; its detectors stay off.)
 		for i, w := range s.Workers {
 			total, reports := rep.StageBaseline(i)
 			s.Manager.SetBubbleBaseline(w.Name(), total, reports)
@@ -100,7 +91,7 @@ func (s *Session) newServing() error {
 	if err != nil {
 		return err
 	}
-	srv, err := serve.New(s.Eng, s.Procs, s.Devices, serve.Config{
+	srv, err := serve.New(s.eng, s.Procs, s.Devices, serve.Config{
 		Model:        cfg.LLM,
 		Stages:       cfg.Stages,
 		MicroBatches: cfg.MicroBatches,
@@ -111,14 +102,11 @@ func (s *Session) newServing() error {
 	if err != nil {
 		return err
 	}
-	mem := cfg.LLM.ServeStageMemAvailable(model.ServerI.GPUMemBytes, cfg.MicroBatches)
 	s.Server = srv
 	s.w = workload{
-		driver:   &srv.Driver,
-		stageMem: func(int) int64 { return mem },
-		sloGuard: sc.Guard,
-		source:   s.servingSource,
-		collect:  func(res *Result) { res.ServingStats = srv.Stats() },
+		driver:  &srv.Driver,
+		source:  s.servingSource,
+		collect: func(res *Result) { res.ServingStats = srv.Stats() },
 	}
 	return nil
 }
@@ -134,7 +122,7 @@ func (s *Session) servingSource(sink func(bubble.Bubble)) {
 	for i := range fill {
 		fill[i] = m.ServeFillTime(i)
 		drain[i] = m.ServeDrainTime(i, stages)
-		memAvail[i] = s.w.stageMem(i)
+		memAvail[i] = s.stageMem(i)
 	}
 	rep := bubble.NewServeReporter(fill, drain,
 		m.ServeBatchSpan(stages, s.cfg.MicroBatches), memAvail, s.cfg.SafetyMargin)

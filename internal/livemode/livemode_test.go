@@ -1,38 +1,36 @@
 package livemode
 
 import (
+	"net"
 	"testing"
 	"time"
 
 	"freeride/internal/model"
 )
 
-// TestLiveModeEndToEnd runs the distributed control plane over real TCP
-// loopback with the wall-clock engine: a node hosting 4 simulated GPUs and
-// a 2-epoch training run, and a manager daemon harvesting its bubbles with
-// a ResNet18 side task. Runs in real time (~12 s).
+// TestLiveModeEndToEnd runs one session across the two daemons over loopback
+// TCP on the wall-clock engine: a node hosting 4 simulated GPUs and one
+// training epoch, and a manager harvesting its bubbles with a ResNet18 side
+// task. A stray client that writes half a frame to the manager's listener and
+// hangs up must not disturb the harvest. Runs in real time (~6 s).
 func TestLiveModeEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live mode runs in real time")
 	}
-	// Phase 1: manager listens.
-	mgr, err := StartManager(ManagerConfig{
-		ListenAddr: "127.0.0.1:0",
-		Logf:       t.Logf,
-	})
+	mgr, err := StartManager(ManagerConfig{ListenAddr: "127.0.0.1:0", Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("manager: %v", err)
 	}
 	defer mgr.Close()
 
-	// Phase 2: the GPU node boots, dials the manager, and schedules
-	// training to start after a delay.
+	// The GPU node boots, dials the manager, and schedules training to start
+	// after a delay.
 	node, err := StartNode(NodeConfig{
 		ListenAddrs: []string{"127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0"},
 		ManagerAddr: mgr.Addr(),
+		StartDelay:  500 * time.Millisecond,
 		Model:       model.NanoGPT3B,
-		Epochs:      2,
-		StartDelay:  2 * time.Second,
+		Epochs:      1,
 		Logf:        t.Logf,
 	})
 	if err != nil {
@@ -40,34 +38,47 @@ func TestLiveModeEndToEnd(t *testing.T) {
 	}
 	defer node.Close()
 
-	// Phase 3: the manager connects to the node's workers and submits a
-	// side task before training begins.
-	if err := mgr.ConnectWorkers(node.WorkerAddrs()); err != nil {
+	// The manager connects to the node's workers and submits a side task
+	// before training begins.
+	if err := mgr.ConnectWorkers(node.WorkerAddrs); err != nil {
 		t.Fatalf("connect workers: %v", err)
 	}
-	mgr.SubmitTasks([]string{"resnet18"})
+	if err := mgr.Session.Submit(model.ResNet18, 0); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+
+	// A peer that disconnects mid-frame: the manager drops the malformed
+	// tail, and the EOF closes that connection alone.
+	stray, err := net.Dial("tcp", mgr.Addr())
+	if err != nil {
+		t.Fatalf("stray dial: %v", err)
+	}
+	if _, err := stray.Write([]byte(`{"method":"Manager.AddBubble","params":{"stage":0,"dur`)); err != nil {
+		t.Fatalf("stray write: %v", err)
+	}
+	_ = stray.Close()
 
 	select {
-	case <-node.TrainDone():
-	case <-time.After(60 * time.Second):
-		t.Fatal("training did not finish within 60s")
+	case <-node.TrainDone:
+	case <-time.After(30 * time.Second):
+		t.Fatal("training did not finish within 30s")
 	}
 	// Let the final pause land.
 	time.Sleep(300 * time.Millisecond)
 
-	if err := node.Trainer().Err(); err != nil {
+	if err := node.Session.Trainer.Err(); err != nil {
 		t.Fatalf("training failed: %v", err)
 	}
 	var steps uint64
-	for _, w := range node.Workers() {
-		if h, ok := w.Harness("resnet18-0"); ok {
+	for _, w := range node.Session.Workers {
+		if h, ok := w.Harness("resnet18-1"); ok {
 			steps += h.Counters().Steps
 		}
 	}
 	if steps == 0 {
 		t.Fatal("no side-task steps harvested over live TCP control plane")
 	}
-	st := mgr.Manager.Stats()
+	st := mgr.Session.Manager.Stats()
 	if st.BubblesAdded == 0 || st.BubblesServed == 0 {
 		t.Fatalf("manager stats: %+v — bubbles not flowing over TCP", st)
 	}
@@ -75,7 +86,7 @@ func TestLiveModeEndToEnd(t *testing.T) {
 }
 
 func TestStartNodeRequiresAddrs(t *testing.T) {
-	if _, err := StartNode(NodeConfig{ManagerAddr: "127.0.0.1:1"}); err == nil {
+	if _, err := StartNode(NodeConfig{ManagerAddr: "127.0.0.1:1", Logf: t.Logf}); err == nil {
 		t.Fatal("node started without listen addresses")
 	}
 }
@@ -84,6 +95,7 @@ func TestStartNodeRequiresManager(t *testing.T) {
 	_, err := StartNode(NodeConfig{
 		ListenAddrs: []string{"127.0.0.1:0"},
 		ManagerAddr: "127.0.0.1:1", // nothing listens here
+		Logf:        t.Logf,
 	})
 	if err == nil {
 		t.Fatal("node started without a reachable manager")
