@@ -838,6 +838,9 @@ func (r *Result) TotalStepEvents() uint64 {
 // injector), drains the simulation until the last cycle — epoch or request
 // batch — retires, and collects all measurements.
 func (s *Session) Run() (*Result, error) {
+	if s.Eng == nil {
+		return nil, fmt.Errorf("freeride: Run drives a session's virtual engine; a node or manager session runs on its caller's engine")
+	}
 	s.mu.Lock()
 	if s.started {
 		s.mu.Unlock()

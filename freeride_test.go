@@ -15,6 +15,7 @@ import (
 	"freeride/internal/sidetask"
 	"freeride/internal/simfault"
 	"freeride/internal/simgpu"
+	"freeride/internal/simtime"
 )
 
 func fastCfg(method freeride.Method) freeride.Config {
@@ -161,6 +162,35 @@ func TestSessionRejectsDoubleRun(t *testing.T) {
 	}
 	if _, err := sess.Run(); err == nil {
 		t.Fatal("second Run accepted")
+	}
+}
+
+// TestRunRefusesSessionsOnTheCallersEngine: Run drives a session's own
+// virtual engine. A node or manager session lives on its caller's engine, so
+// Run returns an error before anything starts.
+func TestRunRefusesSessionsOnTheCallersEngine(t *testing.T) {
+	cfg := fastCfg(freeride.MethodNone)
+	node, err := freeride.NewNodeSession(cfg, simtime.NewWall(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := node.Run(); err == nil {
+		t.Fatal("Run on a node session returned no error")
+	}
+	for i, d := range node.Devices {
+		if used := d.MemUsed(); used != 0 {
+			t.Fatalf("stage %d holds %d bytes: Run started the trainer", i, used)
+		}
+	}
+	if starts, _ := node.Trainer.CycleTimes(); len(starts) != 0 {
+		t.Fatalf("the trainer began %d cycles", len(starts))
+	}
+	mgr, err := freeride.NewManagerSession(cfg, simtime.NewWall(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mgr.Run(); err == nil {
+		t.Fatal("Run on a manager session returned no error")
 	}
 }
 

@@ -68,8 +68,7 @@ func NewRuntime(procs *simproc.Runtime) *Runtime {
 }
 
 // Run creates and starts a container whose body is a goroutine process — a
-// coroutine of the dispatcher, so it leaves the engine's ownership regime
-// alone. The body begins executing at the current engine time.
+// coroutine of the dispatcher, so the engine keeps its one owner. The body begins executing at the current engine time.
 func (rt *Runtime) Run(spec Spec, body Body) (*Container, error) {
 	c, gpu, err := rt.create(spec)
 	if err != nil {

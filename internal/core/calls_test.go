@@ -448,7 +448,7 @@ func TestStopRPCFailureRetiresRecord(t *testing.T) {
 	// A worker stub that creates tasks fine but has no Worker.Stop method,
 	// so every stop fails at the RPC layer.
 	wmux := freerpc.NewMux()
-	wmux.Handle("Worker.Create", func(json.RawMessage) (any, error) {
+	freerpc.HandleFunc(wmux, "Worker.Create", func(json.RawMessage) (any, error) {
 		return map[string]string{"status": "ok"}, nil
 	})
 	a, b := freerpc.MemPipe(eng, 100*time.Microsecond)

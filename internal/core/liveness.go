@@ -3,7 +3,6 @@ package core
 import (
 	"freeride/internal/freerpc"
 	"freeride/internal/sidetask"
-	"freeride/internal/simtime"
 )
 
 // armLeaseLocked (re)starts w's failure detector: the lease begins now and
@@ -40,7 +39,7 @@ func (m *Manager) armPingLocked() {
 	half := m.opts.Lease / 2
 	now := m.eng.Now()
 	at := m.epoch + ((now-m.epoch)/half+1)*half
-	m.pingTimer = simtime.Reschedule(m.eng, m.pingTimer, at-now, "manager-ping", m.pingFn)
+	m.pingTimer = m.eng.Reschedule(m.pingTimer, at-now, "manager-ping", m.pingFn)
 }
 
 // pingTick is the liveness tick: it arms the lease check of every alive
@@ -61,7 +60,7 @@ func (m *Manager) pingTick() {
 		}
 		alive = true
 		if expiry := w.lastSeen + m.opts.Lease; expiry <= now+m.opts.Lease/2 {
-			w.leaseTimer = simtime.Reschedule(m.eng, w.leaseTimer, expiry-now, w.leaseName, w.leaseFn)
+			w.leaseTimer = m.eng.Reschedule(w.leaseTimer, expiry-now, w.leaseName, w.leaseFn)
 		}
 	}
 	if !alive {

@@ -327,7 +327,7 @@ type Manager struct {
 	opts ManagerOptions
 	mux  *freerpc.Mux
 
-	// mu rides the engine ownership regime (see simtime.Guard).
+	// mu is free on a virtual engine (see simtime.Guard).
 	mu      simtime.Guard
 	workers []*workerMeta
 	tasks   map[string]*taskRecord

@@ -111,7 +111,7 @@ func (m *Manager) kickLocked(w *workerMeta, at time.Duration) {
 	if t := w.kickTimer; t != nil && t.Pending() && w.kickAt <= at {
 		return
 	}
-	w.kickTimer = simtime.Reschedule(m.eng, w.kickTimer, at-m.eng.Now(), w.kickName, w.reconcileFn)
+	w.kickTimer = m.eng.Reschedule(w.kickTimer, at-m.eng.Now(), w.kickName, w.reconcileFn)
 	w.kickAt = at
 }
 
@@ -149,7 +149,7 @@ func (m *Manager) armLocked(t *simtime.Timer, armedAt *time.Duration, at time.Du
 		return t
 	}
 	*armedAt = at
-	return simtime.Reschedule(m.eng, t, at-m.eng.Now(), name, fn)
+	return m.eng.Reschedule(t, at-m.eng.Now(), name, fn)
 }
 
 // --- Algorithm 2 ----------------------------------------------------------

@@ -8,7 +8,6 @@ import (
 	"freeride/internal/fifo"
 	"freeride/internal/sidetask"
 	"freeride/internal/simgpu"
-	"freeride/internal/simtime"
 )
 
 // workerLost handles a closed worker link: the worker is declared dead.
@@ -74,7 +73,7 @@ func (m *Manager) planRecoveryLocked(rec *taskRecord, cause string) {
 	}
 	backoff := m.opts.RetryBackoff << min(rec.restarts-1, 16)
 	delay := backoff + time.Duration(m.rng.Int63n(int64(backoff/2)+1))
-	rec.retryTimer = simtime.Reschedule(m.eng, rec.retryTimer, delay,
+	rec.retryTimer = m.eng.Reschedule(rec.retryTimer, delay,
 		"task-retry:"+rec.spec.Name, func() { m.replaceTask(rec) })
 }
 

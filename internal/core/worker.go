@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -97,7 +96,7 @@ type Worker struct {
 	device *simgpu.Device
 	ctrs   *container.Runtime
 
-	// mu rides the engine ownership regime (see simtime.Guard).
+	// mu is free on a virtual engine (see simtime.Guard).
 	mu    simtime.Guard
 	tasks map[string]*workerTask
 	// roster lists tasks in create order: Worker.Ping snapshots walk it
@@ -179,7 +178,7 @@ func (w *Worker) RegisterOn(mux *freerpc.Mux) {
 	freerpc.HandleFunc(mux, "Worker.Pause", w.handlePause)
 	freerpc.HandleFunc(mux, "Worker.Stop", w.handleStop)
 	freerpc.HandleFunc(mux, "Worker.Query", w.handleQuery)
-	mux.Handle("Worker.Info", func(json.RawMessage) (any, error) {
+	freerpc.HandleFunc(mux, "Worker.Info", func(struct{}) (any, error) {
 		w.mu.Lock()
 		defer w.mu.Unlock()
 		return workerInfo{Name: w.cfg.Name, GPUMem: w.device.MemFree(), NumTasks: len(w.tasks)}, nil
@@ -384,7 +383,7 @@ func (w *Worker) handleInit(ref taskRef) (any, error) {
 		// CreateSideTask, so the hang budget covers both phases.
 		timeout = t.spec.Profile.CreateTime + 3*t.spec.Profile.InitTime + w.cfg.Grace
 	}
-	simtime.Detached(w.eng, timeout, "init-check:"+ref.Name, func() {
+	w.eng.ScheduleDetached(timeout, "init-check:"+ref.Name, func() {
 		if t.harness.State() == sidetask.StateCreated && t.cont.Alive() {
 			w.mu.Lock()
 			w.stats.InitKills++
@@ -490,7 +489,7 @@ func (w *Worker) handlePause(ref taskRef) (any, error) {
 			}
 		}
 	}
-	t.grace = simtime.Reschedule(w.eng, t.grace, w.cfg.Grace, t.graceName, t.graceFn)
+	t.grace = w.eng.Reschedule(t.grace, w.cfg.Grace, t.graceName, t.graceFn)
 	return w.statusReply(t), nil
 }
 
@@ -508,7 +507,7 @@ func (w *Worker) handleStop(ref taskRef) (any, error) {
 	w.mu.Lock()
 	w.stats.Stops++
 	w.mu.Unlock()
-	simtime.Detached(w.eng, w.cfg.Grace, "stop-check:"+ref.Name, func() {
+	w.eng.ScheduleDetached(w.cfg.Grace, "stop-check:"+ref.Name, func() {
 		if t.cont.Alive() {
 			t.cont.Kill()
 		}

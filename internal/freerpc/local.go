@@ -68,7 +68,7 @@ func recycle(v any) {
 // handlers (HandleFunc[T]) and DecodeResult[T] read through it, and on the
 // wire it marshals exactly as its V. A caller may keep its private per-call
 // contexts in one too, calling Recycle itself when done has run. The zero
-// Pool is ready to use; Bind lets its lock ride an engine's ownership regime.
+// Pool is ready to use; Bind makes its lock free on a virtual engine.
 type Pool[T any] struct {
 	mu   simtime.Guard
 	free []*Pooled[T]
@@ -81,7 +81,7 @@ type Pooled[T any] struct {
 	pool *Pool[T]
 }
 
-// Bind ties the pool's lock to eng's ownership regime (see simtime.Guard).
+// Bind ties the pool's lock to eng (see simtime.Guard).
 // Call at construction time, before the pool is shared.
 func (p *Pool[T]) Bind(eng simtime.Engine) { p.mu.Bind(eng) }
 

@@ -71,36 +71,6 @@ func TestLocalForeignParamsBridge(t *testing.T) {
 	}
 }
 
-// TestLocalRawHandlerBridge verifies raw (Handle-registered) handlers still
-// serve fast-path requests via the JSON bridge.
-func TestLocalRawHandlerBridge(t *testing.T) {
-	eng := simtime.NewVirtual()
-	mux := NewMux()
-	mux.Handle("Raw", func(raw json.RawMessage) (any, error) {
-		var p localArgs
-		if err := json.Unmarshal(raw, &p); err != nil {
-			return nil, err
-		}
-		return p.N * 2, nil
-	})
-	c1, c2 := MemPipe(eng, time.Millisecond)
-	client := NewPeer(eng, c1, nil)
-	NewPeer(eng, c2, mux)
-
-	var result any
-	client.Go("Raw", localArgs{N: 21}, 0, func(res any, err error) {
-		if err != nil {
-			t.Fatalf("Go: %v", err)
-		}
-		result = res
-	})
-	eng.MustDrain(10)
-	n, err := DecodeResult[int](result)
-	if err != nil || n != 42 {
-		t.Fatalf("DecodeResult = %d, %v; want 42", n, err)
-	}
-}
-
 // TestDecodeResult covers the three result shapes: typed value, raw JSON,
 // and a foreign type needing the bridge.
 func TestDecodeResult(t *testing.T) {

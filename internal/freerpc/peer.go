@@ -15,10 +15,9 @@ import (
 	"freeride/internal/simtime"
 )
 
-// Handler serves one RPC method from the wire: params arrive as raw JSON.
-// Handlers run in engine-callback context and must not block; long work
-// should be scheduled or handed to a process.
-type Handler func(params json.RawMessage) (any, error)
+// wireHandler serves one RPC method from the wire: params arrive as raw
+// JSON.
+type wireHandler func(params json.RawMessage) (any, error)
 
 // typedHandler serves one RPC method from the in-memory fast path: params
 // arrive as the live value the caller passed (or as raw JSON when a foreign
@@ -35,58 +34,30 @@ type typedHandler func(params any) (any, error)
 // which pays for JSON anyway, reads under mu.
 type Mux struct {
 	mu       sync.RWMutex // guards handlers; serialises replacements of local
-	handlers map[string]Handler
-	// local serves the fast path: HandleFunc's typed dispatcher, or Handle's
-	// JSON bridge, both built once at registration. The map it points to is
-	// never written again.
+	handlers map[string]wireHandler
+	// local serves the fast path: HandleFunc's typed dispatcher, built once
+	// at registration. The map it points to is never written again.
 	local atomic.Pointer[map[string]typedHandler]
 }
 
 // NewMux returns an empty dispatch table.
 func NewMux() *Mux {
-	m := &Mux{handlers: make(map[string]Handler)}
+	m := &Mux{handlers: make(map[string]wireHandler)}
 	m.local.Store(&map[string]typedHandler{})
 	return m
 }
 
-// register installs both forms of a method's handler.
-func (m *Mux) register(method string, h Handler, th typedHandler) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.handlers[method] = h
-	local := maps.Clone(*m.local.Load())
-	local[method] = th
-	m.local.Store(&local)
-}
-
-// Handle registers h for method, replacing any previous registration. Local
-// fast-path requests to a raw handler are bridged through JSON; register
-// with HandleFunc to serve them without serialization.
-func (m *Mux) Handle(method string, h Handler) {
-	m.register(method, h, func(params any) (any, error) {
-		var raw json.RawMessage
-		if params != nil {
-			if r, isRaw := params.(json.RawMessage); isRaw {
-				raw = r
-			} else {
-				b, err := json.Marshal(params)
-				if err != nil {
-					return nil, fmt.Errorf("freerpc: bad params for %s: %w", method, err)
-				}
-				raw = b
-			}
-		}
-		return h(raw)
-	})
-}
-
-// HandleFunc registers a typed handler: wire requests are unmarshalled into
-// a fresh P; in-memory requests whose params are already a P or a pooled P
-// (the common case — both ends share the DTO type) are dispatched with zero
-// JSON work. fn receives P by value: a pooled params value is recycled as
-// soon as fn returns, and the copy is all fn may keep.
+// HandleFunc registers a typed handler for method, replacing any previous
+// registration: wire requests are unmarshalled into a fresh P; in-memory
+// requests whose params are already a P or a pooled P (the common case —
+// both ends share the DTO type) are dispatched with zero JSON work. fn
+// receives P by value: a pooled params value is recycled as soon as fn
+// returns, and the copy is all fn may keep. Handlers run in engine-callback
+// context and must not block; long work should be scheduled or handed to a
+// process. A method without params takes P = struct{}, one that decodes its
+// params itself P = json.RawMessage.
 func HandleFunc[P any](m *Mux, method string, fn func(params P) (any, error)) {
-	m.register(method, func(raw json.RawMessage) (any, error) {
+	wire := func(raw json.RawMessage) (any, error) {
 		var p P
 		if len(raw) > 0 {
 			if err := json.Unmarshal(raw, &p); err != nil {
@@ -94,7 +65,8 @@ func HandleFunc[P any](m *Mux, method string, fn func(params P) (any, error)) {
 			}
 		}
 		return fn(p)
-	}, func(params any) (any, error) {
+	}
+	typed := func(params any) (any, error) {
 		switch p := params.(type) {
 		case nil:
 			var zero P
@@ -124,10 +96,16 @@ func HandleFunc[P any](m *Mux, method string, fn func(params P) (any, error)) {
 			}
 			return fn(decoded)
 		}
-	})
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.handlers[method] = wire
+	local := maps.Clone(*m.local.Load())
+	local[method] = typed
+	m.local.Store(&local)
 }
 
-func (m *Mux) lookup(method string) (Handler, bool) {
+func (m *Mux) lookup(method string) (wireHandler, bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	h, ok := m.handlers[method]
@@ -170,8 +148,8 @@ type Peer struct {
 	local LocalConn // non-nil when conn supports the typed fast path
 	mux   *Mux
 
-	// mu rides the engine ownership regime (see simtime.Guard): free in
-	// single-owner simulations, a real mutex under live transports.
+	// mu is free on a virtual engine and a real mutex on the wall engine the
+	// live transports run on (see simtime.Guard).
 	mu      simtime.Guard
 	nextID  uint64
 	pending map[uint64]*pendingCall
@@ -305,7 +283,7 @@ func (p *Peer) moveTimerLocked() {
 	}
 	if at := p.deadlines[0].at; !armed || p.deadlineAt != at {
 		p.deadlineAt = at
-		p.deadlineTimer = simtime.Reschedule(p.eng, p.deadlineTimer, at-p.eng.Now(), "rpc-timeouts", p.deadlineFn)
+		p.deadlineTimer = p.eng.Reschedule(p.deadlineTimer, at-p.eng.Now(), "rpc-timeouts", p.deadlineFn)
 	}
 }
 
@@ -577,7 +555,7 @@ func (p *Peer) Go(method string, params any, timeout time.Duration, done func(re
 // failAsync delivers a call failure from engine-callback context, upholding
 // Go's no-synchronous-completion contract.
 func (p *Peer) failAsync(done func(result any, err error), err error) {
-	simtime.Detached(p.eng, 0, "rpc-fail", func() { done(nil, err) })
+	p.eng.ScheduleDetached(0, "rpc-fail", func() { done(nil, err) })
 }
 
 // Notify sends a one-way message (no response, no delivery guarantee beyond
@@ -664,7 +642,7 @@ func decodeInto(method string, val, dst any) error {
 // Serve accepts connections from ln and wires each to a new Peer over mux.
 // It returns when the listener fails (e.g. is closed). Each accepted peer
 // is reported through onPeer (may be nil).
-func Serve(eng simtime.Engine, ln net.Listener, mux *Mux, onPeer func(*Peer)) error {
+func Serve(eng *simtime.Wall, ln net.Listener, mux *Mux, onPeer func(*Peer)) error {
 	for {
 		nc, err := ln.Accept()
 		if err != nil {
@@ -678,7 +656,7 @@ func Serve(eng simtime.Engine, ln net.Listener, mux *Mux, onPeer func(*Peer)) er
 }
 
 // Dial connects to a live RPC server over TCP.
-func Dial(eng simtime.Engine, network, addr string, mux *Mux) (*Peer, error) {
+func Dial(eng *simtime.Wall, network, addr string, mux *Mux) (*Peer, error) {
 	nc, err := net.Dial(network, addr)
 	if err != nil {
 		return nil, fmt.Errorf("freerpc: dial %s: %w", addr, err)

@@ -54,7 +54,7 @@ func TestCallRoundTrip(t *testing.T) {
 
 func TestCallRemoteError(t *testing.T) {
 	eng, procs, client, _, mux := newPair(0)
-	mux.Handle("Fail", func(json.RawMessage) (any, error) {
+	HandleFunc(mux, "Fail", func(json.RawMessage) (any, error) {
 		return nil, errors.New("nope")
 	})
 	var callErr error
@@ -88,7 +88,7 @@ func TestCallUnknownMethod(t *testing.T) {
 
 func TestCallTimeout(t *testing.T) {
 	eng, procs, client, _, mux := newPair(time.Second) // very slow link
-	mux.Handle("Slow", func(json.RawMessage) (any, error) { return "done", nil })
+	HandleFunc(mux, "Slow", func(json.RawMessage) (any, error) { return "done", nil })
 	var callErr error
 	var at time.Duration
 	procs.Spawn("caller", func(p *simproc.Process) error {
@@ -107,7 +107,7 @@ func TestCallTimeout(t *testing.T) {
 
 func TestLateResponseAfterTimeoutIgnored(t *testing.T) {
 	eng, procs, client, _, mux := newPair(time.Second)
-	mux.Handle("Slow", func(json.RawMessage) (any, error) { return 1, nil })
+	HandleFunc(mux, "Slow", func(json.RawMessage) (any, error) { return 1, nil })
 	calls := 0
 	procs.Spawn("caller", func(p *simproc.Process) error {
 		_ = client.Call(p, "Slow", nil, nil, 100*time.Millisecond)
@@ -142,7 +142,7 @@ func TestNotify(t *testing.T) {
 
 func TestCloseFailsPendingCalls(t *testing.T) {
 	eng, procs, client, server, mux := newPair(50 * time.Millisecond)
-	mux.Handle("Hang", func(json.RawMessage) (any, error) { return nil, nil })
+	HandleFunc(mux, "Hang", func(json.RawMessage) (any, error) { return nil, nil })
 	var callErr error
 	procs.Spawn("caller", func(p *simproc.Process) error {
 		callErr = client.Call(p, "Hang", nil, nil, 0)
@@ -362,7 +362,7 @@ func TestMuxLateRegistrationConcurrentLookup(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 50; i++ {
-		mux.Handle(fmt.Sprintf("Late%d", i), func(json.RawMessage) (any, error) { return nil, nil })
+		HandleFunc(mux, fmt.Sprintf("Late%d", i), func(json.RawMessage) (any, error) { return nil, nil })
 	}
 	wg.Wait()
 	for i := 0; i < 50; i++ {

@@ -12,8 +12,9 @@
 //     when the types match, and a one-time JSON bridge otherwise. Who may
 //     reuse such a value, and when, is the ownership rule stated on Msg.
 //   - NewNetConn: a real net.Conn carrying newline-delimited JSON frames
-//     (the live freeride-managerd / freeride-workerd daemons). This is the
-//     wire protocol; HandleFunc's raw-JSON path serves it.
+//     (the live freeride-managerd / freeride-workerd daemons, on the wall
+//     engine). This is the wire protocol; HandleFunc's raw-JSON path serves
+//     it.
 //
 // The split means the simulator pays only for what the paper's system pays
 // for: the modelled RPC latency (part of the "FreeRide runtime" in the
@@ -66,7 +67,7 @@ type memConn struct {
 	eng     simtime.Engine
 	latency time.Duration
 
-	// mu rides the engine ownership regime (see simtime.Guard).
+	// mu is free on a virtual engine (see simtime.Guard).
 	mu      simtime.Guard
 	peer    *memConn
 	recv    func([]byte)
@@ -151,7 +152,7 @@ func (c *memConn) Send(frame []byte) error {
 	// Copy: the sender may reuse the buffer.
 	buf := make([]byte, len(frame))
 	copy(buf, frame)
-	simtime.Detached(c.eng, lat, "rpc-deliver", func() {
+	c.eng.ScheduleDetached(lat, "rpc-deliver", func() {
 		peer.mu.Lock()
 		closed, recv := peer.closed, peer.recv
 		peer.mu.Unlock()
@@ -198,7 +199,7 @@ func (c *memConn) SendMsg(m Msg) error {
 	if v, ok := c.eng.(*simtime.Virtual); ok {
 		v.ScheduleJoin(lat, "rpc-deliver", e.fire)
 	} else {
-		simtime.Detached(c.eng, lat, "rpc-deliver", e.fire)
+		c.eng.ScheduleDetached(lat, "rpc-deliver", e.fire)
 	}
 	return nil
 }
@@ -246,7 +247,7 @@ func (c *memConn) Close() error {
 	c.closeLocal()
 	// Propagate to the peer after one latency (FIN in flight).
 	peer := c.peer
-	simtime.Detached(c.eng, c.latency, "rpc-close", peer.closeLocal)
+	c.eng.ScheduleDetached(c.latency, "rpc-close", peer.closeLocal)
 	return nil
 }
 
@@ -269,7 +270,7 @@ func (c *memConn) closeLocal() {
 // newline-delimited frames. Incoming frames are re-dispatched through the
 // engine so handlers keep the single-threaded callback guarantee.
 type netConn struct {
-	eng simtime.Engine
+	eng *simtime.Wall
 	nc  net.Conn
 
 	writeMu sync.Mutex
@@ -285,10 +286,9 @@ var _ Conn = (*netConn)(nil)
 
 // NewNetConn wraps nc. The read loop starts at the first SetRecvHandler.
 // A net-backed conn schedules frame delivery from its read-pump goroutine,
-// so it declares the shared engine regime up front (a no-op on the wall
-// engine the live daemons run on).
-func NewNetConn(eng simtime.Engine, nc net.Conn) Conn {
-	simtime.EscalateShared(eng)
+// so it runs on the wall engine: a virtual engine has one owner, and the
+// pump is not it.
+func NewNetConn(eng *simtime.Wall, nc net.Conn) Conn {
 	return &netConn{eng: eng, nc: nc}
 }
 
@@ -327,7 +327,7 @@ func (c *netConn) readLoop() {
 	for scanner.Scan() {
 		line := make([]byte, len(scanner.Bytes()))
 		copy(line, scanner.Bytes())
-		simtime.Detached(c.eng, 0, "rpc-recv", func() {
+		c.eng.ScheduleDetached(0, "rpc-recv", func() {
 			c.mu.Lock()
 			recv, closed := c.recv, c.closed
 			c.mu.Unlock()
@@ -336,7 +336,7 @@ func (c *netConn) readLoop() {
 			}
 		})
 	}
-	simtime.Detached(c.eng, 0, "rpc-eof", func() { c.closeLocal() })
+	c.eng.ScheduleDetached(0, "rpc-eof", func() { c.closeLocal() })
 }
 
 func (c *netConn) OnClose(fn func()) {

@@ -163,7 +163,7 @@ func (d *Driver) Start() error {
 func (d *Driver) release() {
 	if d.w.ReadyAt != nil {
 		if wait := d.w.ReadyAt(d.next) - d.eng.Now(); wait > 0 {
-			d.gate = simtime.Reschedule(d.eng, d.gate, wait, "cycle-gate", d.beginFn)
+			d.gate = d.eng.Reschedule(d.gate, wait, "cycle-gate", d.beginFn)
 			return
 		}
 	}

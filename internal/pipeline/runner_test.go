@@ -188,29 +188,17 @@ func TestFailedStartReleasesDevices(t *testing.T) {
 
 // TestRunnerBesideGoroutineShell drives the unguarded scoreboard the way a
 // custom-task session does: a goroutine-shell process keeps taking the
-// dispatcher over and handing it back while the stage machines run. The
-// shell is a coroutine of the dispatcher, so the engine stays single-owner.
-// Under -race this is the check of the runner's single-owner claim.
-func TestRunnerBesideGoroutineShell(t *testing.T) { runBesideShell(t, false) }
-
-// TestRunnerUnderEscalatedEngine is the same session on an engine escalated
-// by hand, as a live connection would: every Guard around the scoreboard is
-// a real mutex, and the scoreboard itself still carries none.
-func TestRunnerUnderEscalatedEngine(t *testing.T) { runBesideShell(t, true) }
-
-// runBesideShell runs an interleaved session with a blocking side task on
-// stage 1's device and checks the engine's regime at the end and the op
-// order against the same session alone.
-func runBesideShell(t *testing.T, escalate bool) {
-	t.Helper()
+// dispatcher over and handing it back while the stage machines run, a
+// blocking side task on stage 1's device. The shell is a coroutine of the
+// dispatcher, so the engine keeps its one owner. Under -race this is the
+// check of the runner's single-owner claim; the op order every stage
+// executes must match the same session alone.
+func TestRunnerBesideGoroutineShell(t *testing.T) {
 	base := Config{Model: model.NanoGPT3B, Stages: 4, MicroBatches: 8, Epochs: 3, Schedule: ScheduleInterleaved}
 	plain := newRig(t, base)
 	plain.run(t)
 
 	r := newRig(t, base)
-	if escalate {
-		simtime.EscalateShared(r.eng)
-	}
 	c, err := r.devices[1].NewClient(simgpu.ClientConfig{Name: "side"})
 	if err != nil {
 		t.Fatal(err)
@@ -226,9 +214,6 @@ func runBesideShell(t *testing.T, escalate bool) {
 		return nil
 	})
 	r.run(t)
-	if r.eng.Shared() != escalate {
-		t.Fatalf("engine shared = %v after the run, want %v (a shell must not escalate)", r.eng.Shared(), escalate)
-	}
 	// The side task contends for a device, so times move; the op order every
 	// stage executes must not.
 	for s := 0; s < base.Stages; s++ {

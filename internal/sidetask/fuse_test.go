@@ -227,7 +227,7 @@ func runMidStepRigFaultAt(t *testing.T, mode Mode, sub midStepSubstrate, faultAt
 		}
 		h.Deliver(Command{Transition: TransitionStop})
 		if mode == ModeImperative {
-			simtime.Detached(eng, 500*time.Millisecond, "stop-kill", func() {
+			eng.ScheduleDetached(500*time.Millisecond, "stop-kill", func() {
 				if cont.Alive() {
 					cont.Kill()
 				}

@@ -214,7 +214,7 @@ type Harness struct {
 
 	inbox *simproc.Mailbox[Command]
 
-	// mu rides the engine ownership regime once BindEngine is called (the
+	// mu is free on a virtual engine once BindEngine is called (the
 	// worker binds each deployed harness to its engine at create time);
 	// unbound harnesses (tests, ad-hoc rigs) keep a real mutex.
 	mu        simtime.Guard
@@ -320,9 +320,8 @@ func (h *Harness) Restore(c Counters) {
 	h.counters.StepEvents = c.StepEvents
 }
 
-// BindEngine ties the harness's lock and inbox to eng's ownership regime
-// (see simtime.Guard): free in single-owner simulations, real mutexes once
-// the engine escalates. The deployer calls it right after construction,
+// BindEngine ties the harness's lock and inbox to eng (see simtime.Guard):
+// free on a virtual engine, real mutexes on the wall engine. The deployer calls it right after construction,
 // before the harness is started or shared.
 func (h *Harness) BindEngine(eng simtime.Engine) {
 	h.mu.Bind(eng)

@@ -90,7 +90,7 @@ func runScriptedLifecycle(t *testing.T, mode Mode, inline bool) ([]stateEvent, C
 		if mode == ModeImperative {
 			// The imperative body never reads its inbox mid-run; kill it
 			// after a grace, like the worker does.
-			simtime.Detached(eng, 500*time.Millisecond, "stop-kill", func() {
+			eng.ScheduleDetached(500*time.Millisecond, "stop-kill", func() {
 				if cont.Alive() {
 					cont.Kill()
 				}

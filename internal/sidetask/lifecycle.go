@@ -27,7 +27,7 @@ const (
 // Launch deploys the harness as a container of ctrs on the substrate it
 // qualifies for: the event loop when CanInline, the goroutine shell (a
 // coroutine of the dispatcher: two switches per blocking call, HostWork not
-// being one; the same ownership regime) for arbitrary user implementations.
+// being one; the same one owner) for arbitrary user implementations.
 // The observable life cycle is the same either way.
 func (h *Harness) Launch(ctrs *container.Runtime, spec container.Spec) (*container.Container, error) {
 	if h.CanInline() {

@@ -109,7 +109,7 @@ func runFuzzArm(t *testing.T, mode Mode, jitter float64, sub midStepSubstrate, s
 			fn = func() { dev.InjectKernelFault("") }
 		}
 		if op.late {
-			eng.Schedule(op.at-1, "op-arm", func() { simtime.Detached(eng, 1, "op", fn) })
+			eng.Schedule(op.at-1, "op-arm", func() { eng.ScheduleDetached(1, "op", fn) })
 		} else {
 			eng.Schedule(op.at, "op", fn)
 		}

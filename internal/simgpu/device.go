@@ -123,9 +123,9 @@ type Device struct {
 	eng simtime.Engine
 	cfg DeviceConfig
 
-	// mu guards all device and client state. It is an ownership-regime
-	// guard: free while the engine is single-owner (every simulated
-	// session), a real mutex once a live transport exists.
+	// mu guards all device and client state: free on a virtual engine
+	// (every simulated session), a real mutex on the wall engine (live
+	// mode).
 	mu      simtime.Guard
 	clients map[string]*Client
 	// order lists clients in creation order: the full-recompute oracle

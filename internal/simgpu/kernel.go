@@ -541,7 +541,7 @@ func (d *Device) scheduleCompletionLocked(k *kernel) {
 	}
 	secs := k.work / k.alloc
 	delay := time.Duration(math.Ceil(secs * 1e9))
-	k.timer = simtime.Reschedule(d.eng, k.timer, delay, k.doneName, k.completeFn)
+	k.timer = d.eng.Reschedule(k.timer, delay, k.doneName, k.completeFn)
 }
 
 // scheduleCompletionAtLocked is scheduleCompletionLocked as of instant at:
@@ -567,7 +567,7 @@ func (d *Device) scheduleCompletionAtLocked(k *kernel, i int, at time.Duration, 
 	if wake != nil {
 		k.timer = d.virt.RescheduleAs(k.timer, wake, i, d.eng.Now()+delay, k.doneName, k.completeFn)
 	} else {
-		k.timer = simtime.Reschedule(d.eng, k.timer, delay, k.doneName, k.completeFn)
+		k.timer = d.eng.Reschedule(k.timer, delay, k.doneName, k.completeFn)
 	}
 	return k == firing
 }

@@ -137,7 +137,7 @@ func (c *Client) launchLead(spec *KernelSpec, lead time.Duration, waiter *simpro
 		// phase ends — the instant the unfused arm's launch would have
 		// consumed and delivered it.
 		d.mu.Unlock()
-		simtime.Detached(d.eng, lead, spec.Name, func() { waiter.Wake(err) })
+		d.eng.ScheduleDetached(lead, spec.Name, func() { waiter.Wake(err) })
 		return
 	}
 	// The unfused arm's continuation would sleep here without touching the
@@ -217,7 +217,7 @@ func (d *Device) startLeadLocked(k *kernel, wake *simtime.Timer, firing *kernel)
 		k.timer.Cancel()
 		k.waiter, k.client = nil, nil
 		d.kernelPool = append(d.kernelPool, k)
-		simtime.Detached(d.eng, 0, k.doneName, func() { w.Wake(err) })
+		d.eng.ScheduleDetached(0, k.doneName, func() { w.Wake(err) })
 		return k == firing
 	}
 	if c.current != nil {

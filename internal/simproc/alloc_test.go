@@ -44,7 +44,7 @@ func TestWaitEventAllocFree(t *testing.T) {
 	rt.Spawn("waiter", func(p *Process) error {
 		for {
 			got := p.WaitEvent("ext", func(wake func(any)) {
-				simtime.Detached(eng, time.Microsecond, "fire", func() { wake(nil) })
+				eng.ScheduleDetached(time.Microsecond, "fire", func() { wake(nil) })
 			})
 			if got != nil {
 				return nil
@@ -106,9 +106,9 @@ func TestMailboxWakePathAllocFree(t *testing.T) {
 	var send func()
 	send = func() {
 		mb.Send(msg)
-		simtime.Detached(eng, time.Microsecond, "send", send)
+		eng.ScheduleDetached(time.Microsecond, "send", send)
 	}
-	simtime.Detached(eng, time.Microsecond, "send", send)
+	eng.ScheduleDetached(time.Microsecond, "send", send)
 	for i := 0; i < 16; i++ {
 		eng.Step()
 	}

@@ -147,7 +147,7 @@ func TestWakeChainedGoroutineProcess(t *testing.T) {
 	p := rt.Spawn("goro", func(p *Process) error {
 		got = p.WaitEvent("wait", func(wake func(any)) {
 			// Deliver later via the chained entry point.
-			simtime.Detached(eng, 0, "kick", func() { p.WakeChained("resumed") })
+			eng.ScheduleDetached(0, "kick", func() { p.WakeChained("resumed") })
 		})
 		return nil
 	})

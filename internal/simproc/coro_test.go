@@ -25,9 +25,6 @@ func onBothEngines(t *testing.T, scenario func(t *testing.T, rt *Runtime, setup 
 		scenario(t, NewRuntime(eng),
 			func(fn func()) { fn() },
 			func(...*Process) { eng.MustDrain(1000) })
-		if eng.Shared() {
-			t.Fatal("the scenario escalated the virtual engine")
-		}
 	})
 	t.Run("wall", func(t *testing.T) {
 		eng := simtime.NewWall()

@@ -14,12 +14,12 @@
 //     it (iter.Pull): the body runs only between a resumer's next and its
 //     own next park, with the resumer suspended for exactly that interval,
 //     so under either engine it never runs beside the dispatcher and needs
-//     neither a lock nor an engine escalation — the coroutine switch is the
-//     happens-before edge. next is called from engine-callback context only
-//     (the dispatcher, or another body that is itself inside someone's
-//     next: a nested resume); resumeMu still serializes resumers, because
-//     wall-engine callers that break that rule must queue behind the
-//     running body rather than re-enter it. In return a body must not hand
+//     no lock — the coroutine switch is the happens-before edge. next is
+//     called from engine-callback context only (the dispatcher, or another
+//     body that is itself inside someone's next: a nested resume);
+//     resumeMu still serializes resumers, because wall-engine callers that
+//     break that rule must queue behind the running body rather than
+//     re-enter it. In return a body must not hand
 //     its Process — or anything that reaches the engine through it, like
 //     sidetask's Ctx or a simgpu client — to goroutines it starts itself:
 //     those would run beside the dispatcher, which nothing here guards.
@@ -163,10 +163,9 @@ type Process struct {
 	// only while the body runs, when nothing else touches the process.
 	deferred time.Duration
 
-	// mu guards the lifecycle and wait-slot state. It rides the engine
-	// ownership regime: free on a single-owner virtual engine — for both
-	// flavours, a goroutine shell being a coroutine of the dispatcher — and
-	// a real mutex once the engine escalates or under the wall engine.
+	// mu guards the lifecycle and wait-slot state. It is free on a virtual
+	// engine — for both flavours, a goroutine shell being a coroutine of the
+	// dispatcher — and a real mutex under the wall engine.
 	mu         simtime.Guard
 	state      State
 	exitErr    error
@@ -224,16 +223,16 @@ func (rt *Runtime) newProcess(name string, inline bool) *Process {
 // engine-time Now() (as a scheduled event). The returned Process can be
 // signaled and observed immediately.
 //
-// Spawn leaves the engine's concurrency regime untouched, exactly like
-// SpawnInline: the body calls Schedule/Now only while its resumer is
-// suspended in next, so it is one more continuation of the single owner.
+// Like SpawnInline, Spawn keeps the engine's one owner: the body calls
+// Schedule/Now only while its resumer is suspended in next, so it is one
+// more continuation of that owner.
 func (rt *Runtime) Spawn(name string, fn func(p *Process) error) *Process {
 	p := rt.newProcess(name, false)
 	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
 		p.run(fn)
 	})
-	simtime.Detached(rt.eng, 0, "spawn:"+p.name, func() { p.resume(nil, false) })
+	rt.eng.ScheduleDetached(0, "spawn:"+p.name, func() { p.resume(nil, false) })
 	return p
 }
 
@@ -244,7 +243,7 @@ func (rt *Runtime) Spawn(name string, fn func(p *Process) error) *Process {
 // calling p.Exit.
 func (rt *Runtime) SpawnInline(name string, start func(p *Process)) *Process {
 	p := rt.newProcess(name, true)
-	simtime.Detached(rt.eng, 0, "spawn:"+p.name, func() {
+	rt.eng.ScheduleDetached(0, "spawn:"+p.name, func() {
 		p.mu.Lock()
 		dead := p.state == StateExited || p.state == StateKilled
 		p.mu.Unlock()
@@ -681,7 +680,7 @@ func (p *Process) deliverPending() {
 // yield (re-enter the event queue at the current instant).
 func (p *Process) Sleep(d time.Duration) {
 	p.BeginWait(nil)
-	simtime.Detached(p.rt.eng, d, p.wakeName, p.wakeFn)
+	p.rt.eng.ScheduleDetached(d, p.wakeName, p.wakeFn)
 	p.Await("sleep")
 }
 
@@ -720,7 +719,7 @@ func (p *Process) spendDeferred() {
 // SleepThen is the inline form of Sleep: k runs after d of engine time.
 func (p *Process) SleepThen(d time.Duration, k func(any)) {
 	p.BeginWait(k)
-	simtime.Detached(p.rt.eng, d, p.wakeName, p.wakeFn)
+	p.rt.eng.ScheduleDetached(d, p.wakeName, p.wakeFn)
 	p.EndWait("sleep")
 }
 

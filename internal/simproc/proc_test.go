@@ -405,7 +405,7 @@ func TestDeferSleepSpentAsSleep(t *testing.T) {
 		{"WaitEvent", func(p *Process, host func(time.Duration), in, out *Mailbox[time.Duration]) {
 			host(d)
 			out.Send(p.WaitEvent("event", func(wake func(any)) {
-				simtime.Detached(p.Engine(), d, "wake", func() { wake(3 * d) })
+				p.Engine().ScheduleDetached(d, "wake", func() { wake(3 * d) })
 			}).(time.Duration))
 		}},
 	} {

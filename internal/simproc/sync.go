@@ -34,11 +34,11 @@ type Mailbox[T any] struct {
 	closed bool
 }
 
-// NewMailbox returns an empty (always-locked) mailbox; Bind ties it to an
-// engine's ownership regime when one is available.
+// NewMailbox returns an empty (always-locked) mailbox; Bind makes its lock
+// free on a virtual engine.
 func NewMailbox[T any]() *Mailbox[T] { return &Mailbox[T]{} }
 
-// Bind ties the mailbox lock to eng's ownership regime (see simtime.Guard).
+// Bind ties the mailbox lock to eng (see simtime.Guard).
 // Call before the mailbox is reachable from more than one goroutine, from
 // outside any mailbox operation.
 func (m *Mailbox[T]) Bind(eng simtime.Engine) {

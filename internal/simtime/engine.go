@@ -8,6 +8,11 @@
 // is drained up to the next event, which makes multi-hour training runs
 // simulate in milliseconds and makes every experiment bit-reproducible.
 //
+// A virtual engine has one owner — its dispatcher and the coroutines it
+// resumes — and takes no lock. The wall engine is the only engine goroutines
+// share: its callbacks fire from timer goroutines, and a socket's read pump
+// schedules onto it.
+//
 // The virtual engine also keeps *virtual wakes* (Virtual.Reserve): slots in
 // its (when, seq) dispatch order that no callback occupies. A component that
 // acts lazily instead of sleeping — simgpu's host leads — asks whether the
@@ -25,9 +30,9 @@ import (
 //
 // Implementations must guarantee that callbacks scheduled through the same
 // Engine never run concurrently with one another: the virtual engine runs
-// them on the single Run goroutine, and the wall-clock engine serializes them
-// with an internal dispatch lock. Components may therefore mutate their state
-// inside callbacks without additional locking, provided all their entry
+// them on its one owner's goroutine, and the wall-clock engine serializes
+// them with an internal dispatch lock. Components may therefore mutate their
+// state inside callbacks without additional locking, provided all their entry
 // points are engine callbacks.
 type Engine interface {
 	// Now reports the current time as an offset from the engine epoch.
@@ -37,71 +42,19 @@ type Engine interface {
 	// delay schedules fn "as soon as possible" while preserving FIFO order
 	// among equal-time events. The name is used for debugging and tracing.
 	Schedule(delay time.Duration, name string, fn func()) *Timer
-}
 
-// Detacher is implemented by engines that offer an allocation-free fast path
-// for fire-and-forget events: no Timer handle is returned, which lets the
-// engine recycle the timer through a free-list after the callback runs.
-type Detacher interface {
-	// ScheduleDetached behaves like Schedule but returns no handle; the
-	// event cannot be canceled or observed.
+	// ScheduleDetached behaves like Schedule but returns no handle, so the
+	// event cannot be canceled or observed and the engine recycles its timer
+	// after the callback runs. Hot paths that discard the handle (RPC frame
+	// delivery, process sleep wake-ups) use it: a handle that escapes can
+	// never be safely recycled, a handle that is never created can.
 	ScheduleDetached(delay time.Duration, name string, fn func())
-}
 
-// Detached schedules a fire-and-forget event, taking the engine's pooled
-// fast path when available. Hot paths that discard the *Timer handle (RPC
-// frame delivery, process sleep wake-ups) should prefer this over Schedule:
-// a handle that escapes can never be safely recycled, a handle that is never
-// created can.
-func Detached(eng Engine, delay time.Duration, name string, fn func()) {
-	if d, ok := eng.(Detacher); ok {
-		d.ScheduleDetached(delay, name, fn)
-		return
-	}
-	eng.Schedule(delay, name, fn)
-}
-
-// Rescheduler is implemented by engines that can re-arm a fired or canceled
-// timer in place, reusing its allocation (and, on the wall engine, the
-// underlying runtime timer).
-type Rescheduler interface {
+	// Reschedule re-arms t — nil, or a timer this engine's Schedule or
+	// Reschedule returned, whose handle the caller exclusively owns — with a
+	// new deadline, name and callback, reusing its allocation (and, on the
+	// wall engine, its runtime timer). A pending t is canceled first.
 	Reschedule(t *Timer, delay time.Duration, name string, fn func()) *Timer
-}
-
-// Escalator is the engine ownership hook: a single-owner (lock-free) engine
-// implements it so components can declare the concurrency they introduce. A
-// goroutine able to reach the engine beside the dispatcher (the read pump of
-// freerpc.NewNetConn) is created only after escalating; Wall implements it as
-// a no-op; the dispatcher and its coroutines (SpawnInline bodies, Spawn's
-// shells, stage machines, side tasks of either kind) never call it. A
-// goroutine that cannot reach the engine needs no escalation; the first is a
-// built-in side task's step computed one ahead (sidetask's
-// builtinTask.StepWork), which touches only the task's own state.
-type Escalator interface {
-	// EscalateShared switches the engine to its mutex-guarded regime.
-	// One-way; idempotent.
-	EscalateShared()
-}
-
-// EscalateShared declares that eng is about to be shared between
-// goroutines, taking the engine's ownership hook when it has one. Call it
-// before creating any goroutine that can touch the engine.
-func EscalateShared(eng Engine) {
-	if e, ok := eng.(Escalator); ok {
-		e.EscalateShared()
-	}
-}
-
-// Reschedule re-arms a fired, canceled or nil timer whose handle the caller
-// exclusively owns, reusing its allocation when the engine supports it
-// (both Virtual and Wall do). On other engines it cancels t and schedules
-// afresh.
-func Reschedule(eng Engine, t *Timer, delay time.Duration, name string, fn func()) *Timer {
-	if r, ok := eng.(Rescheduler); ok {
-		return r.Reschedule(t, delay, name, fn)
-	}
-	t.Cancel()
-	return eng.Schedule(delay, name, fn)
 }
 
 // Timer states, advanced monotonically with compare-and-swap so that Cancel
@@ -159,7 +112,7 @@ type Timer struct {
 	// seq; as of a pending one, seq MaxUint64 and link naming the wake, whose
 	// link names it back until the pass settles its key. A wake's state stays
 	// pending when it passes (a recycled wake re-queues without an atomic
-	// write); passed, guarded by the queue lock, records the pass.
+	// write); passed records the pass.
 	wake   bool
 	passed bool
 	link   *Timer
@@ -209,15 +162,7 @@ func (t *Timer) Fired() bool { return t.state.Load() == timerFired }
 // Passed reports whether the dispatch order has moved past a reserved wake
 // (Virtual.Reserve): every event due before its (when, seq) slot has run, and
 // none due after it. False for an ordinary timer and for a canceled wake.
-func (t *Timer) Passed() bool {
-	if !t.wake {
-		return false
-	}
-	t.vq.lock()
-	p := t.passed
-	t.vq.unlock()
-	return p
-}
+func (t *Timer) Passed() bool { return t.passed }
 
 // Before reports whether t's slot comes before u's in the virtual engine's
 // dispatch order; both must be queued or pending wakes.
@@ -227,16 +172,8 @@ func (t *Timer) Before(u *Timer) bool { return timerLess(t, u) }
 // index, …) gives it — whether, firing now, t fires where a timer armed as
 // of the wake w would.
 func (t *Timer) ArmedAs(w *Timer, index int) bool {
-	w.vq.lock()
-	defer w.vq.unlock()
 	if w.passed {
 		return t.link == nil && t.seq == w.seq && t.vkey == w.vkey|uint32(index+1)
 	}
 	return t.link == w && t.vkey == uint32(index+1)
-}
-
-// claim transitions the timer to fired; the dispatcher must only invoke the
-// callback when claim succeeds.
-func (t *Timer) claim() bool {
-	return t.state.CompareAndSwap(timerPending, timerFired)
 }

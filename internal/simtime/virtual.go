@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -13,37 +12,20 @@ import (
 // the goroutine that calls Run/RunUntil/Step; between events, virtual time
 // jumps directly to the next deadline.
 //
-// # Concurrency contract: single-owner and escalated regimes
+// # One owner
 //
-// The engine runs in one of two regimes, declared by its users through the
-// ownership hook (EscalateShared / the package-level EscalateShared helper):
-//
-//   - Single-owner (the initial regime): every entry point — Schedule,
-//     ScheduleDetached, Reschedule, Step, Timer.Cancel, the observers — is
-//     called from one thread of control at a time: the dispatcher (event
-//     callbacks, and code between Step calls) or a coroutine it is
-//     suspended in. This is the case every simulated session hits: pipeline
-//     stages, side tasks and the control plane run as event-loop
-//     continuations on the dispatcher (simproc.SpawnInline), and a
-//     goroutine-process shell (simproc.Runtime.Spawn) is a coroutine of its
-//     resumer — its body calls Schedule and Now only between a callback's
-//     switch into it and its own next park, the coroutine switch being the
-//     happens-before edge — so nothing else can touch the queue. In this
-//     regime the queue mutex is skipped entirely; Now stays lock-free as
-//     always.
-//   - Escalated (shared): a component that introduces a goroutine able to
-//     reach the engine beside the dispatcher — freerpc.NewNetConn starting
-//     a read pump is the one in this tree — must call EscalateShared before
-//     that goroutine exists. From then on all queue operations serialize on
-//     the mutex. Escalation is one-way and must itself happen on the owning
-//     goroutine (or before any concurrent use): the happens-before edge of
-//     starting the new goroutine is what publishes the regime change.
-//
-// Who may call what from where, in short: in single-owner mode, only the
-// dispatcher goroutine, the inline continuations it runs and the process
-// coroutines it (transitively) resumes; after escalation, any goroutine,
-// serialized by the queue mutex, with dispatch itself still exclusive to
-// the one Run/Step caller.
+// A virtual engine has exactly one owner: every entry point — Schedule,
+// ScheduleDetached, Reschedule, Step, Timer.Cancel, the observers — is
+// called from one thread of control at a time: the dispatcher (event
+// callbacks, and code between Step calls) or a coroutine it is suspended in.
+// Pipeline stages, side tasks and the control plane run as event-loop
+// continuations on the dispatcher (simproc.SpawnInline), and a
+// goroutine-process shell (simproc.Runtime.Spawn) is a coroutine of its
+// resumer — its body calls Schedule and Now only between a callback's switch
+// into it and its own next park, the coroutine switch being the
+// happens-before edge. So the queue takes no lock. A goroutine that can reach
+// an engine beside its dispatcher — a socket's read pump — runs on the wall
+// engine only (freerpc.NewNetConn takes a *Wall).
 //
 // # Queue structure: near-term calendar wheel + 4-ary heap
 //
@@ -103,17 +85,10 @@ import (
 // is due no earlier than the wake, so the pass always settles its key (and
 // re-sifts it) before it can be dispatched.
 type Virtual struct {
-	// now is read lock-free (Now is the single most-called function in the
-	// simulator) and written only under the queue lock by the dispatcher.
+	// now is written only by the dispatcher (Now is the single most-called
+	// function in the simulator).
 	now atomic.Int64
 
-	// shared is false in the single-owner regime, where lock/unlock are
-	// no-ops. It is flipped (once, by the owner) by EscalateShared; the
-	// goroutine that makes concurrent access possible is always created
-	// after the flip, which publishes it.
-	shared bool
-
-	mu    sync.Mutex
 	queue []*Timer
 	seq   uint64
 
@@ -141,11 +116,6 @@ type Virtual struct {
 	// event. Pooled timers are therefore inert to the plain Timer methods:
 	// a detached event cannot be canceled.
 	free []*Timer
-
-	// dead stages the last-fired pooled timer for recycling. It is touched
-	// only by the dispatching goroutine outside the lock and folded into
-	// free under the next Step's lock, saving a lock round-trip per event.
-	dead *Timer
 
 	// open is the batch ScheduleJoin may still add to (nil once it fires);
 	// batches is the free-list of fired ones, kept with their member slices.
@@ -181,16 +151,12 @@ const (
 	wheelBucketCap = 4
 )
 
-var (
-	_ Engine    = (*Virtual)(nil)
-	_ Detacher  = (*Virtual)(nil)
-	_ Escalator = (*Virtual)(nil)
-)
+var _ Engine = (*Virtual)(nil)
 
-// NewVirtual returns a virtual engine positioned at time zero, in the
-// single-owner regime. The wheel's buckets start as capacity-limited windows
-// of one slab, so a session's first pass over the wheel costs one allocation
-// instead of one (and its regrowths) per bucket touched.
+// NewVirtual returns a virtual engine positioned at time zero. The wheel's
+// buckets start as capacity-limited windows of one slab, so a session's first
+// pass over the wheel costs one allocation instead of one (and its regrowths)
+// per bucket touched.
 func NewVirtual() *Virtual {
 	v := &Virtual{}
 	slab := make([]*Timer, wheelSlots*wheelBucketCap)
@@ -199,42 +165,6 @@ func NewVirtual() *Virtual {
 		v.wheel[i] = slab[lo : lo : lo+wheelBucketCap]
 	}
 	return v
-}
-
-// EscalateShared switches the engine to the escalated (mutex-guarded)
-// regime. It must be called before the first additional goroutine that can
-// reach the engine is created, from a context where no such goroutine exists
-// yet. One-way; calling it again is a no-op.
-func (v *Virtual) EscalateShared() {
-	if v.shared {
-		return
-	}
-	// Taking the mutex is not needed for correctness (the caller owns the
-	// engine at this instant, and the new goroutine's creation publishes
-	// the write), but it keeps the flip ordered against a concurrently
-	// completing critical section if a caller escalates from a callback.
-	v.mu.Lock()
-	v.shared = true
-	v.mu.Unlock()
-}
-
-// Shared reports whether the engine has escalated to the mutex regime.
-func (v *Virtual) Shared() bool { return v.shared }
-
-// lock/unlock guard the queue in the escalated regime and cost one branch in
-// the single-owner regime. The shared flag cannot flip between a lock and
-// its matching unlock: only the owner flips it, and the owner is never
-// inside one of these critical sections while doing so.
-func (v *Virtual) lock() {
-	if v.shared {
-		v.mu.Lock()
-	}
-}
-
-func (v *Virtual) unlock() {
-	if v.shared {
-		v.mu.Unlock()
-	}
 }
 
 // Now reports the current virtual time.
@@ -248,11 +178,9 @@ func (v *Virtual) Schedule(delay time.Duration, name string, fn func()) *Timer {
 	if fn == nil {
 		panic("simtime: Schedule with nil callback")
 	}
-	v.lock()
-	t := &Timer{when: v.deadlineLocked(delay), seq: v.seq, name: name, fn: fn, vq: v}
+	t := &Timer{when: v.deadline(delay), seq: v.seq, name: name, fn: fn, vq: v}
 	v.seq++
-	v.enqueueLocked(t)
-	v.unlock()
+	v.enqueue(t)
 	return t
 }
 
@@ -263,26 +191,23 @@ func (v *Virtual) ScheduleDetached(delay time.Duration, name string, fn func()) 
 	if fn == nil {
 		panic("simtime: ScheduleDetached with nil callback")
 	}
-	v.lock()
-	v.detachLocked(v.deadlineLocked(delay), name, fn)
-	v.unlock()
+	v.detach(v.deadline(delay), name, fn)
 }
 
-// detachLocked enqueues a pooled event at when and returns its Timer, which
-// stays the engine's. Caller holds the queue lock.
-func (v *Virtual) detachLocked(when time.Duration, name string, fn func()) *Timer {
+// detach enqueues a pooled event at when and returns its Timer, which
+// stays the engine's.
+func (v *Virtual) detach(when time.Duration, name string, fn func()) *Timer {
 	var t *Timer
 	if n := len(v.free); n > 0 {
 		t = v.free[n-1]
 		v.free[n-1] = nil
 		v.free = v.free[:n-1]
-		t.state.Store(timerPending)
 	} else {
 		t = &Timer{vq: v, pooled: true}
 	}
 	t.when, t.seq, t.name, t.fn = when, v.seq, name, fn
 	v.seq++
-	v.enqueueLocked(t)
+	v.enqueue(t)
 	return t
 }
 
@@ -306,15 +231,13 @@ func (v *Virtual) ScheduleJoin(delay time.Duration, name string, fn func()) bool
 	if fn == nil {
 		panic("simtime: ScheduleJoin with nil callback")
 	}
-	v.lock()
-	defer v.unlock()
-	when := v.deadlineLocked(delay)
-	if b := v.open; b != nil && b.t.when == when && v.lastAtInstantLocked(b.t) {
+	when := v.deadline(delay)
+	if b := v.open; b != nil && b.t.when == when && v.lastAtInstant(b.t) {
 		b.fns = append(b.fns, fn)
 		return true
 	}
 	if v.wheelSlotFor(when) < 0 {
-		v.detachLocked(when, name, fn)
+		v.detach(when, name, fn)
 		return false
 	}
 	var b *batch
@@ -327,19 +250,16 @@ func (v *Virtual) ScheduleJoin(delay time.Duration, name string, fn func()) bool
 		b.fire = b.run
 	}
 	b.fns = append(b.fns, fn)
-	b.t = v.detachLocked(when, name, b.fire)
+	b.t = v.detach(when, name, b.fire)
 	v.open = b
 	return false
 }
 
-// lastAtInstantLocked reports whether no queued event due at t's instant has
+// lastAtInstant reports whether no queued event due at t's instant has
 // a higher seq than t. t is in the wheel (a batch opens only within the
 // horizon and the horizon only moves forward), so every event at its
-// instant that was scheduled after it shares its bucket. In the escalated
-// regime t may already be dequeued for dispatch, its batch not yet closed:
-// t.slot still names the bucket, and a join then runs before anything else
-// at the instant, as its own event would. Caller holds the queue lock.
-func (v *Virtual) lastAtInstantLocked(t *Timer) bool {
+// instant that was scheduled after it shares its bucket.
+func (v *Virtual) lastAtInstant(t *Timer) bool {
 	for _, u := range v.wheel[t.slot] {
 		if u.when == t.when && timerLess(t, u) {
 			return false
@@ -359,19 +279,15 @@ func (v *Virtual) lastAtInstantLocked(t *Timer) bool {
 // batch, as it would after the member's own event.
 func (b *batch) run() {
 	v := b.v
-	v.lock()
 	if v.open == b {
 		v.open = nil
 	}
-	v.unlock()
 	for i, fn := range b.fns {
 		b.fns[i] = nil
 		fn()
 	}
 	b.fns = b.fns[:0]
-	v.lock()
 	v.batches = append(v.batches, b)
-	v.unlock()
 }
 
 // Reschedule re-arms t — a timer previously returned by this engine's
@@ -391,28 +307,17 @@ func (v *Virtual) Reschedule(t *Timer, delay time.Duration, name string, fn func
 	if fn == nil {
 		panic("simtime: Reschedule with nil callback")
 	}
-	v.lock()
-	if t.pos >= 0 && t.state.Load() == timerPending {
-		// In place: the exclusive-holder contract means no Cancel can race
-		// us, and the dispatcher only pops under this lock, so a queued
-		// pending timer is fully ours. Equivalent to cancel+push — the
-		// event gets a fresh seq either way — minus the queue churn.
-		t.when, t.seq, t.name, t.fn = v.deadlineLocked(delay), v.seq, name, fn
-		t.vkey, t.link = 0, nil
-		v.seq++
-		v.rearmLocked(t)
-		v.unlock()
-		return t
-	}
-	v.unlock()
-	t.Cancel() // no-op unless a canceled-elsewhere t is mid-removal
-	v.lock()
-	t.state.Store(timerPending)
-	t.when, t.seq, t.name, t.fn = v.deadlineLocked(delay), v.seq, name, fn
+	t.when, t.seq, t.name, t.fn = v.deadline(delay), v.seq, name, fn
 	t.vkey, t.link = 0, nil
 	v.seq++
-	v.enqueueLocked(t)
-	v.unlock()
+	if t.pos >= 0 {
+		// In place: equivalent to cancel+push — the event gets a fresh seq
+		// either way — minus the queue churn.
+		v.rearm(t)
+	} else {
+		t.state.Store(timerPending)
+		v.enqueue(t)
+	}
 	return t
 }
 
@@ -424,7 +329,6 @@ func (v *Virtual) Reschedule(t *Timer, delay time.Duration, name string, fn func
 // Fired or Pending. A timer still armed as of a pending w must not outlive
 // the move: re-arm or cancel it.
 func (v *Virtual) Reserve(w *Timer, delay time.Duration) *Timer {
-	v.lock()
 	if w == nil {
 		w = &Timer{}
 	}
@@ -434,9 +338,9 @@ func (v *Virtual) Reserve(w *Timer, delay time.Duration) *Timer {
 		if b := w.link; b != nil && b.link == w && b.state.Load() == timerPending {
 			panic("simtime: Reserve moves a wake a pending timer is armed as of")
 		}
-		v.dropWakeLocked(w)
+		v.dropWake(w)
 	}
-	w.when, w.seq, w.vkey, w.link, w.passed = v.deadlineLocked(delay), v.seq, 0, nil, false
+	w.when, w.seq, w.vkey, w.link, w.passed = v.deadline(delay), v.seq, 0, nil, false
 	v.seq++
 	if w.state.Load() != timerPending {
 		w.state.Store(timerPending)
@@ -453,13 +357,11 @@ func (v *Virtual) Reserve(w *Timer, delay time.Duration) *Timer {
 	for i := n; i > v.wakeHead && timerLess(w, v.wakes[i-1]); i-- {
 		v.wakes[i], v.wakes[i-1] = v.wakes[i-1], w
 	}
-	v.unlock()
 	return w
 }
 
-// dropWakeLocked takes w off the pending wakes, if it is there. Caller holds
-// the queue lock.
-func (v *Virtual) dropWakeLocked(w *Timer) {
+// dropWake takes w off the pending wakes, if it is there.
+func (v *Virtual) dropWake(w *Timer) {
 	for i := v.wakeHead; i < len(v.wakes); i++ {
 		if v.wakes[i] == w {
 			copy(v.wakes[i:], v.wakes[i+1:])
@@ -473,30 +375,28 @@ func (v *Virtual) dropWakeLocked(w *Timer) {
 // cancelWake withdraws a pending wake (Timer.Cancel): false when it has
 // passed or was canceled already.
 func (v *Virtual) cancelWake(w *Timer) bool {
-	v.lock()
-	defer v.unlock()
 	if w.passed || !w.state.CompareAndSwap(timerPending, timerCanceled) {
 		return false
 	}
-	v.dropWakeLocked(w)
+	v.dropWake(w)
 	return true
 }
 
-// wakeDueLocked reports whether a pending wake comes before t in the
-// dispatch order. Caller holds the queue lock.
-func (v *Virtual) wakeDueLocked(t *Timer) bool {
+// wakeDue reports whether a pending wake comes before t in the
+// dispatch order.
+func (v *Virtual) wakeDue(t *Timer) bool {
 	return v.wakeHead < len(v.wakes) && timerLess(v.wakes[v.wakeHead], t)
 }
 
-// passWakesLocked passes every pending wake whose slot comes before t's (all
-// of them up to until, for t nil). Caller holds the queue lock.
-func (v *Virtual) passWakesLocked(t *Timer, until time.Duration) {
+// passWakes passes every pending wake whose slot comes before t's (all
+// of them up to until, for t nil).
+func (v *Virtual) passWakes(t *Timer, until time.Duration) {
 	for ; v.wakeHead < len(v.wakes); v.wakeHead++ {
 		w := v.wakes[v.wakeHead]
 		if t != nil && !timerLess(w, t) || t == nil && w.when > until {
 			break
 		}
-		v.passLocked(w)
+		v.pass(w)
 	}
 	if v.wakeHead == len(v.wakes) {
 		v.wakes, v.wakeHead = v.wakes[:0], 0
@@ -514,7 +414,6 @@ func (v *Virtual) RescheduleAs(t, w *Timer, index int, when time.Duration, name 
 	if index+1 >= 1<<16 {
 		panic("simtime: RescheduleAs index out of range")
 	}
-	v.lock()
 	if t == nil {
 		t = &Timer{vq: v, pos: -1}
 	}
@@ -536,27 +435,24 @@ func (v *Virtual) RescheduleAs(t, w *Timer, index int, when time.Duration, name 
 			w.link = t
 		}
 	default:
-		v.unlock()
 		panic("simtime: RescheduleAs as of a canceled wake")
 	}
-	if t.pos >= 0 && t.state.Load() == timerPending {
-		v.rearmLocked(t)
+	if t.pos >= 0 {
+		v.rearm(t)
 	} else {
 		t.state.Store(timerPending)
-		v.enqueueLocked(t)
+		v.enqueue(t)
 	}
-	v.unlock()
 	return t
 }
 
-// passLocked moves the dispatch order past the wake w: w counts as passed,
+// pass moves the dispatch order past the wake w: w counts as passed,
 // its seq becomes its base, and the timer armed as of it while it was
 // pending takes its final key. Every seq handed out so far is below base, so
 // the settled key keeps the timer's place among the queued real events; it
 // is re-sifted to take its place ahead of the timers still armed as of
-// pending wakes. Caller holds the queue lock and takes w off the pending
-// wakes.
-func (v *Virtual) passLocked(w *Timer) {
+// pending wakes. The caller takes w off the pending wakes.
+func (v *Virtual) pass(w *Timer) {
 	w.passed = true
 	if v.seq != v.passSeq {
 		v.passSeq, v.passRank = v.seq, 0
@@ -576,14 +472,14 @@ func (v *Virtual) passLocked(w *Timer) {
 			// Its key only fell. Wheel buckets are unordered; in the heap it
 			// may have to rise (unless it is the event being dispatched).
 			if b.slot < 0 && b.pos >= 0 {
-				v.siftUpLocked(int(b.pos))
+				v.siftUp(int(b.pos))
 			}
 		}
 	}
 }
 
-// deadlineLocked clamps delay to now. Caller holds the queue lock.
-func (v *Virtual) deadlineLocked(delay time.Duration) time.Duration {
+// deadline clamps delay to now.
+func (v *Virtual) deadline(delay time.Duration) time.Duration {
 	now := time.Duration(v.now.Load())
 	if delay > 0 {
 		return now + delay
@@ -594,8 +490,6 @@ func (v *Virtual) deadlineLocked(delay time.Duration) time.Duration {
 // Dispatched reports how many events have run so far; a delivery batch
 // counts once (see ScheduleJoin), a virtual wake never (see Reserve).
 func (v *Virtual) Dispatched() uint64 {
-	v.lock()
-	defer v.unlock()
 	return v.dispatched
 }
 
@@ -603,65 +497,44 @@ func (v *Virtual) Dispatched() uint64 {
 // events). Canceled events leave the queue at Cancel time, so every queued
 // event is live.
 func (v *Virtual) Pending() int {
-	v.lock()
-	defer v.unlock()
 	return len(v.queue) + v.wheelLen
 }
 
 // WheelLen reports how many events currently sit in the calendar wheel (for
 // tests).
 func (v *Virtual) WheelLen() int {
-	v.lock()
-	defer v.unlock()
 	return v.wheelLen
 }
 
 // FreeListLen reports the current Timer free-list size (for tests).
 func (v *Virtual) FreeListLen() int {
-	v.lock()
-	defer v.unlock()
 	return len(v.free)
 }
 
 // Step runs the single next event, advancing time to its deadline. It
 // reports false when the queue is empty.
 func (v *Virtual) Step() bool {
-	for {
-		v.lock()
-		if d := v.dead; d != nil {
-			v.dead = nil
-			v.free = append(v.free, d)
-		}
-		t := v.dequeueMinLocked()
-		if t == nil {
-			v.unlock()
-			return false
-		}
-		if v.wakeDueLocked(t) {
-			v.passWakesLocked(t, 0)
-		}
-		// Pooled timers are never canceled: a popped pooled timer is always
-		// live, so the claim CAS is skipped.
-		if !t.pooled && !t.claim() {
-			// Cancel won the race after we popped; its remove() saw
-			// pos == -1 and did nothing. Skip without advancing time.
-			v.unlock()
-			continue
-		}
-		if t.when > time.Duration(v.now.Load()) {
-			v.now.Store(int64(t.when))
-		}
-		v.dispatched++
-		fn := t.fn
-		v.unlock()
-		fn()
-		if t.pooled {
-			t.fn = nil
-			t.name = ""
-			v.dead = t
-		}
+	t := v.dequeueMin()
+	if t == nil {
+		return false
+	}
+	if v.wakeDue(t) {
+		v.passWakes(t, 0)
+	}
+	if t.when > time.Duration(v.now.Load()) {
+		v.now.Store(int64(t.when))
+	}
+	v.dispatched++
+	if !t.pooled {
+		// Cancel takes a timer off the queue, so a queued one is pending.
+		t.state.Store(timerFired)
+		t.fn()
 		return true
 	}
+	t.fn()
+	t.fn, t.name = nil, ""
+	v.free = append(v.free, t)
+	return true
 }
 
 // RunUntil executes events with deadlines <= until, then advances the clock
@@ -669,16 +542,13 @@ func (v *Virtual) Step() bool {
 // within the horizon.
 func (v *Virtual) RunUntil(until time.Duration) {
 	for {
-		v.lock()
-		if t := v.peekMinLocked(); t == nil || t.when > until {
-			v.passWakesLocked(nil, until)
+		if t := v.peekMin(); t == nil || t.when > until {
+			v.passWakes(nil, until)
 			if time.Duration(v.now.Load()) < until {
 				v.now.Store(int64(until))
 			}
-			v.unlock()
 			return
 		}
-		v.unlock()
 		v.Step()
 	}
 }
@@ -714,15 +584,12 @@ func (v *Virtual) MustDrain(maxEvents uint64) uint64 {
 	return n
 }
 
-// remove deletes a canceled timer from the queue (called from Timer.Cancel,
-// possibly concurrently with the dispatcher in the escalated regime). Never
-// called for pooled timers, which cannot be canceled.
+// remove deletes a canceled timer from the queue (called from Timer.Cancel).
+// Never called for pooled timers, which cannot be canceled.
 func (v *Virtual) remove(t *Timer) {
-	v.lock()
 	if t.pos >= 0 {
-		v.unlinkLocked(t)
+		v.unlink(t)
 	}
-	v.unlock()
 }
 
 // --- queue routing ---------------------------------------------------------
@@ -733,9 +600,8 @@ func (v *Virtual) remove(t *Timer) {
 // either structure resets pos to -1.
 
 // wheelSlotFor reports the absolute wheel slot a deadline belongs to, or -1
-// if it is beyond the wheel horizon (heap territory). Caller holds the queue
-// lock. All queued events satisfy when >= now, so the slot delta is never
-// negative.
+// if it is beyond the wheel horizon (heap territory). All queued events
+// satisfy when >= now, so the slot delta is never negative.
 func (v *Virtual) wheelSlotFor(when time.Duration) int64 {
 	s := int64(when) >> wheelSlotShift
 	if s-(v.now.Load()>>wheelSlotShift) < wheelSlots {
@@ -744,61 +610,58 @@ func (v *Virtual) wheelSlotFor(when time.Duration) int64 {
 	return -1
 }
 
-// enqueueLocked places t (when/seq already set) in the wheel or the heap.
-// Caller holds the queue lock.
-func (v *Virtual) enqueueLocked(t *Timer) {
+// enqueue places t (when/seq already set) in the wheel or the heap.
+func (v *Virtual) enqueue(t *Timer) {
 	if s := v.wheelSlotFor(t.when); s >= 0 {
-		v.wheelInsertLocked(t, int(s&wheelMask))
+		v.wheelInsert(t, int(s&wheelMask))
 		return
 	}
 	t.slot = -1
-	v.heapPushLocked(t)
+	v.heapPush(t)
 }
 
-// unlinkLocked removes a queued t from whichever structure holds it. Caller
-// holds the queue lock; t.pos >= 0.
-func (v *Virtual) unlinkLocked(t *Timer) {
+// unlink removes a queued t from whichever structure holds it. t.pos >= 0.
+func (v *Virtual) unlink(t *Timer) {
 	if t.slot >= 0 {
-		v.wheelRemoveLocked(t)
+		v.wheelRemove(t)
 		return
 	}
-	v.heapDeleteLocked(int(t.pos))
+	v.heapDelete(int(t.pos))
 }
 
-// rearmLocked repositions a queued t after its deadline changed (Reschedule
+// rearm repositions a queued t after its deadline changed (Reschedule
 // in-place fast path). A wheel event staying in its slot costs nothing; slot
 // hops and wheel↔heap migrations are O(1) plus at most one sift on the heap
-// side. Caller holds the queue lock; t.pos >= 0.
-func (v *Virtual) rearmLocked(t *Timer) {
+// side. t.pos >= 0.
+func (v *Virtual) rearm(t *Timer) {
 	s := v.wheelSlotFor(t.when)
 	if t.slot >= 0 {
 		if s >= 0 {
 			if slot := int32(s & wheelMask); slot != t.slot {
-				v.wheelRemoveLocked(t)
-				v.wheelInsertLocked(t, int(slot))
+				v.wheelRemove(t)
+				v.wheelInsert(t, int(slot))
 			}
 			// Same slot: buckets are unordered, nothing moves.
 			return
 		}
-		v.wheelRemoveLocked(t)
+		v.wheelRemove(t)
 		t.slot = -1
-		v.heapPushLocked(t)
+		v.heapPush(t)
 		return
 	}
 	if s >= 0 {
-		v.heapDeleteLocked(int(t.pos))
-		v.wheelInsertLocked(t, int(s&wheelMask))
+		v.heapDelete(int(t.pos))
+		v.wheelInsert(t, int(s&wheelMask))
 		return
 	}
-	v.siftUpLocked(int(t.pos))
-	v.siftDownLocked(int(t.pos))
+	v.siftUp(int(t.pos))
+	v.siftDown(int(t.pos))
 }
 
-// peekMinLocked reports the next event to fire — the (when, seq) minimum
+// peekMin reports the next event to fire — the (when, seq) minimum
 // across the wheel and the heap — without removing it, or nil when empty.
-// Caller holds the queue lock.
-func (v *Virtual) peekMinLocked() *Timer {
-	t := v.wheelMinLocked()
+func (v *Virtual) peekMin() *Timer {
+	t := v.wheelMin()
 	if len(v.queue) > 0 {
 		if h := v.queue[0]; t == nil || timerLess(h, t) {
 			return h
@@ -807,26 +670,25 @@ func (v *Virtual) peekMinLocked() *Timer {
 	return t
 }
 
-// dequeueMinLocked removes and returns the next event to fire, or nil when
-// empty. Caller holds the queue lock.
-func (v *Virtual) dequeueMinLocked() *Timer {
-	t := v.wheelMinLocked()
+// dequeueMin removes and returns the next event to fire, or nil when
+// empty.
+func (v *Virtual) dequeueMin() *Timer {
+	t := v.wheelMin()
 	if len(v.queue) > 0 {
 		if h := v.queue[0]; t == nil || timerLess(h, t) {
-			return v.heapPopLocked()
+			return v.heapPop()
 		}
 	}
 	if t != nil {
-		v.wheelRemoveLocked(t)
+		v.wheelRemove(t)
 	}
 	return t
 }
 
 // --- calendar wheel --------------------------------------------------------
 
-// wheelInsertLocked appends t to the bucket of absolute-slot index slot.
-// Caller holds the queue lock.
-func (v *Virtual) wheelInsertLocked(t *Timer, slot int) {
+// wheelInsert appends t to the bucket of absolute-slot index slot.
+func (v *Virtual) wheelInsert(t *Timer, slot int) {
 	t.slot = int32(slot)
 	b := v.wheel[slot]
 	t.pos = int32(len(b))
@@ -838,9 +700,9 @@ func (v *Virtual) wheelInsertLocked(t *Timer, slot int) {
 	}
 }
 
-// wheelRemoveLocked unlinks t from its bucket (swap-with-last; buckets are
-// unordered). Caller holds the queue lock.
-func (v *Virtual) wheelRemoveLocked(t *Timer) {
+// wheelRemove unlinks t from its bucket (swap-with-last; buckets are
+// unordered).
+func (v *Virtual) wheelRemove(t *Timer) {
 	slot := int(t.slot)
 	b := v.wheel[slot]
 	last := len(b) - 1
@@ -857,13 +719,12 @@ func (v *Virtual) wheelRemoveLocked(t *Timer) {
 	t.pos = -1
 }
 
-// wheelMinLocked reports the earliest (when, seq) event in the wheel, or nil
+// wheelMin reports the earliest (when, seq) event in the wheel, or nil
 // when the wheel is empty: bitmap-scan buckets forward in time order from
 // now's slot (the wrap covers the bits before the start slot, which map to
 // the latest windows), then linear-scan the first occupied bucket — short by
-// construction, it holds only near-simultaneous events. Caller holds the
-// queue lock.
-func (v *Virtual) wheelMinLocked() *Timer {
+// construction, it holds only near-simultaneous events.
+func (v *Virtual) wheelMin() *Timer {
 	if v.wheelLen == 0 {
 		return nil
 	}
@@ -920,7 +781,7 @@ const heapArity = 4
 // share a seq: those (vkey > 0) sort ahead of the real event holding their
 // seq, and among themselves by wake rank and arming index. Timers armed as
 // of still-pending wakes (seq MaxUint64) are never compared for dispatch
-// before their wakes pass (see passLocked), so their order among themselves
+// before their wakes pass (see pass), so their order among themselves
 // only has to be deterministic.
 func timerLess(a, b *Timer) bool {
 	if a.when != b.when {
@@ -932,16 +793,15 @@ func timerLess(a, b *Timer) bool {
 	return a.vkey-1 < b.vkey-1
 }
 
-// heapPushLocked appends t and restores the heap property. Caller holds the
-// queue lock.
-func (v *Virtual) heapPushLocked(t *Timer) {
+// heapPush appends t and restores the heap property.
+func (v *Virtual) heapPush(t *Timer) {
 	t.pos = int32(len(v.queue))
 	v.queue = append(v.queue, t)
-	v.siftUpLocked(int(t.pos))
+	v.siftUp(int(t.pos))
 }
 
-// heapPopLocked removes and returns the minimum. Caller holds the queue lock.
-func (v *Virtual) heapPopLocked() *Timer {
+// heapPop removes and returns the minimum.
+func (v *Virtual) heapPop() *Timer {
 	q := v.queue
 	t := q[0]
 	last := len(q) - 1
@@ -950,15 +810,14 @@ func (v *Virtual) heapPopLocked() *Timer {
 	q[last] = nil
 	v.queue = q[:last]
 	if last > 0 {
-		v.siftDownLocked(0)
+		v.siftDown(0)
 	}
 	t.pos = -1
 	return t
 }
 
-// heapDeleteLocked removes the element at index i. Caller holds the queue
-// lock.
-func (v *Virtual) heapDeleteLocked(i int) {
+// heapDelete removes the element at index i.
+func (v *Virtual) heapDelete(i int) {
 	q := v.queue
 	last := len(q) - 1
 	t := q[i]
@@ -970,13 +829,13 @@ func (v *Virtual) heapDeleteLocked(i int) {
 	v.queue = q[:last]
 	if i < last {
 		// The swapped-in element may need to move either direction.
-		v.siftDownLocked(i)
-		v.siftUpLocked(int(v.queue[i].pos))
+		v.siftDown(i)
+		v.siftUp(int(v.queue[i].pos))
 	}
 	t.pos = -1
 }
 
-func (v *Virtual) siftUpLocked(i int) {
+func (v *Virtual) siftUp(i int) {
 	q := v.queue
 	t := q[i]
 	for i > 0 {
@@ -993,7 +852,7 @@ func (v *Virtual) siftUpLocked(i int) {
 	t.pos = int32(i)
 }
 
-func (v *Virtual) siftDownLocked(i int) {
+func (v *Virtual) siftDown(i int) {
 	q := v.queue
 	n := len(q)
 	t := q[i]

@@ -386,8 +386,7 @@ func (r *joinRunner) apply(op joinOp) {
 // contract on random scripts mixing plain, detached and joinable schedules
 // at colliding instants — with reschedules and cancels onto and off a
 // batch's instant between joins, joins beyond the wheel horizon and joins
-// from inside firing events and batches, on single-owner and hand-escalated
-// engines: every callback runs in the order it runs when each join is a
+// from inside firing events and batches: every callback runs in the order it runs when each join is a
 // plain ScheduleDetached, and the engine dispatches one event fewer per
 // join. After each Step of the joining engine (which may run a whole batch)
 // the reference steps until it has run as many callbacks, so the top-level
@@ -401,10 +400,6 @@ func TestScheduleJoinKeepsDetachedOrder(t *testing.T) {
 		script := genJoinOps(rng, 300, 0, &next, &plain)
 		got := &joinRunner{v: NewVirtual(), join: true, handles: map[int]*Timer{}}
 		want := &joinRunner{v: NewVirtual(), handles: map[int]*Timer{}}
-		if seed%2 == 1 {
-			got.v.EscalateShared()
-			want.v.EscalateShared()
-		}
 		step := func() bool {
 			ok := got.v.Step()
 			for len(want.order) < len(got.order) && want.v.Step() {

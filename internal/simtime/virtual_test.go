@@ -233,6 +233,59 @@ func TestVirtualScheduleNilPanics(t *testing.T) {
 	NewVirtual().Schedule(0, "nil", nil)
 }
 
+// TestDetachedTimerRecycleSafety is the regression test for the pooled-Timer
+// recycle hazard: once a detached event fires and its Timer goes back to the
+// free-list, a stale raw *Timer to it must be inert. A stale Cancel would
+// otherwise silently kill whatever unrelated event the recycled Timer is
+// backing.
+func TestDetachedTimerRecycleSafety(t *testing.T) {
+	v := NewVirtual()
+
+	v.ScheduleDetached(time.Second, "first", func() {})
+	v.MustDrain(10)
+
+	// The timer is now in the free-list; grab it white-box and let a new
+	// event recycle it.
+	if v.FreeListLen() != 1 {
+		t.Fatalf("free list = %d, want 1", v.FreeListLen())
+	}
+	recycled := v.free[0]
+	fired := false
+	v.ScheduleDetached(time.Second, "second", func() { fired = true })
+	if v.FreeListLen() != 0 {
+		t.Fatal("detached schedule did not take the pooled timer")
+	}
+
+	// Stale raw handle: pooled timers refuse the plain Timer methods.
+	if recycled.Cancel() {
+		t.Fatal("raw Cancel on a recycled pooled timer reported success")
+	}
+	if recycled.Pending() {
+		t.Fatal("raw Pending on a recycled pooled timer reported true")
+	}
+	v.MustDrain(10)
+	if !fired {
+		t.Fatal("the recycled timer's event was killed by a stale handle")
+	}
+}
+
+// TestVirtualRescheduleInPlaceKeepsFIFO pins the in-place re-arm fast path's
+// tie-break behavior: re-arming a pending timer must behave exactly like
+// cancel+schedule — the event goes to the back of its deadline's FIFO.
+func TestVirtualRescheduleInPlaceKeepsFIFO(t *testing.T) {
+	v := NewVirtual()
+	var order []string
+	a := v.Schedule(time.Second, "a", func() { order = append(order, "a") })
+	v.Schedule(time.Second, "b", func() { order = append(order, "b") })
+	// Re-arm a (still pending) to the same deadline: it must now fire
+	// after b, exactly as cancel+schedule would order it.
+	v.Reschedule(a, time.Second, "a2", func() { order = append(order, "a2") })
+	v.MustDrain(10)
+	if len(order) != 2 || order[0] != "b" || order[1] != "a2" {
+		t.Fatalf("order = %v, want [b a2]", order)
+	}
+}
+
 func BenchmarkVirtualScheduleAndDispatch(b *testing.B) {
 	v := NewVirtual()
 	b.ReportAllocs()

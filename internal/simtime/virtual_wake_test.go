@@ -228,8 +228,7 @@ func (r *wakeRunner) apply(op wakeOp) {
 // TestVirtualWakeOrder holds virtual wakes to their contract on random
 // scripts of plain, detached and joinable schedules, reschedules, cancels,
 // wakes and wake cancels at colliding instants, made at top level and from
-// inside firing events, on single-owner and hand-escalated engines, against
-// a reference where every wake is a real event arming its timers: every
+// inside firing events, against a reference where every wake is a real event arming its timers: every
 // callback — ordinary or armed as of a wake, early or late — runs in the
 // reference's order at the reference's instant, a wake has passed exactly
 // when the reference's wake event has run, and Dispatched counts the
@@ -242,10 +241,6 @@ func TestVirtualWakeOrder(t *testing.T) {
 		var plain, wakeIDs []int
 		script := genWakeOps(rng, 200, 0, &next, &plain, &wakeIDs)
 		got, want := newWakeRunner(true), newWakeRunner(false)
-		if seed%2 == 1 {
-			got.v.EscalateShared()
-			want.v.EscalateShared()
-		}
 		check := func() {
 			if got.v.Now() != want.v.Now() {
 				t.Fatalf("seed %d: clock %v, reference %v", seed, got.v.Now(), want.v.Now())

@@ -22,118 +22,161 @@ var wheelDelays = []time.Duration{
 
 // TestVirtualWheelMatchesReferenceModel drives Virtual — wheel plus overflow
 // heap — and the container/heap reference model through identical random
-// interleavings of schedule, cancel, reschedule and drain operations whose
-// deadlines span the wheel horizon, in both ownership regimes. Fire order
-// (strict (when, seq), FIFO among equal deadlines, across both structures)
-// and clock movement must match the pure heap exactly: the wheel is a
-// placement strategy, never an ordering semantic.
+// interleavings of schedule, detached schedule, cancel, reschedule (of a live
+// handle, and of a reusable handle that may be nil, fired or pending) and
+// drain operations whose deadlines span the wheel horizon. Fire order (strict
+// (when, seq), FIFO among equal deadlines, across both structures) and clock
+// movement must match the pure heap exactly: the wheel is a placement
+// strategy, never an ordering semantic.
 func TestVirtualWheelMatchesReferenceModel(t *testing.T) {
-	for _, escalated := range []bool{false, true} {
-		for seed := int64(0); seed < 30; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			v := NewVirtual()
-			if escalated {
-				v.EscalateShared()
-			}
-			ref := &refModel{}
+	var rearms [3]int // nil, fired and pending loop handles re-armed
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		v := NewVirtual()
+		ref := &refModel{}
 
-			var gotOrder, wantOrder []int
-			timers := map[int]*Timer{}
-			events := map[int]*refEvent{}
-			var liveIDs []int
-			nextID := 0
+		var gotOrder, wantOrder []int
+		timers := map[int]*Timer{}
+		events := map[int]*refEvent{}
+		var liveIDs []int
+		nextID := 0
+		// loops and loopEvents are reusable Reschedule handles (the manager
+		// deadline and kernel completion shape) and their reference events.
+		var loops [4]*Timer
+		var loopEvents [4]*refEvent
 
-			schedule := func() {
-				delay := wheelDelays[rng.Intn(len(wheelDelays))]
-				id := nextID
-				nextID++
-				gotID := id
-				timers[id] = v.Schedule(delay, "wheel-prop", func() { gotOrder = append(gotOrder, gotID) })
-				events[id] = ref.schedule(delay, id)
-				liveIDs = append(liveIDs, id)
-			}
+		record := func(id int) func() { return func() { gotOrder = append(gotOrder, id) } }
 
-			cancel := func() {
-				if len(liveIDs) == 0 {
-					return
-				}
-				i := rng.Intn(len(liveIDs))
-				id := liveIDs[i]
-				liveIDs = append(liveIDs[:i], liveIDs[i+1:]...)
-				if timers[id].Cancel() {
-					events[id].canceled = true
-				}
-			}
+		schedule := func() {
+			delay := wheelDelays[rng.Intn(len(wheelDelays))]
+			id := nextID
+			nextID++
+			timers[id] = v.Schedule(delay, "wheel-prop", record(id))
+			events[id] = ref.schedule(delay, id)
+			liveIDs = append(liveIDs, id)
+		}
 
-			// Reschedule a still-live handle: semantically cancel+schedule
-			// with a fresh seq, but exercising the in-place re-arm — same
-			// slot, slot hop, wheel→heap and heap→wheel migrations.
-			reschedule := func() {
-				if len(liveIDs) == 0 {
-					return
-				}
-				i := rng.Intn(len(liveIDs))
-				old := liveIDs[i]
-				liveIDs = append(liveIDs[:i], liveIDs[i+1:]...)
-				delay := wheelDelays[rng.Intn(len(wheelDelays))]
-				id := nextID
-				nextID++
-				gotID := id
-				timers[id] = v.Reschedule(timers[old], delay, "wheel-rearm",
-					func() { gotOrder = append(gotOrder, gotID) })
-				events[old].canceled = true
-				events[id] = ref.schedule(delay, id)
-				liveIDs = append(liveIDs, id)
-			}
+		detached := func() {
+			delay := wheelDelays[rng.Intn(len(wheelDelays))]
+			id := nextID
+			nextID++
+			v.ScheduleDetached(delay, "wheel-detached", record(id))
+			ref.schedule(delay, id)
+		}
 
-			stepBoth := func() {
-				want := ref.step()
-				stepped := v.Step()
-				if (want >= 0) != stepped {
-					t.Fatalf("escalated=%v seed %d: Step() = %v, reference id %d", escalated, seed, stepped, want)
-				}
-				if want >= 0 {
-					wantOrder = append(wantOrder, want)
-					for i, id := range liveIDs {
-						if id == want {
-							liveIDs = append(liveIDs[:i], liveIDs[i+1:]...)
-							break
-						}
-					}
-				}
-				if v.Now() != ref.now {
-					t.Fatalf("escalated=%v seed %d: clock %v != reference %v", escalated, seed, v.Now(), ref.now)
-				}
+		cancel := func() {
+			if len(liveIDs) == 0 {
+				return
 			}
-
-			for op := 0; op < 500; op++ {
-				switch r := rng.Intn(10); {
-				case r < 4:
-					schedule()
-				case r < 5:
-					cancel()
-				case r < 7:
-					reschedule()
-				default:
-					stepBoth()
-				}
-			}
-			for ref.queue.Len() > 0 || v.Pending() > 0 {
-				stepBoth()
-			}
-
-			if len(gotOrder) != len(wantOrder) {
-				t.Fatalf("escalated=%v seed %d: fired %d events, reference fired %d",
-					escalated, seed, len(gotOrder), len(wantOrder))
-			}
-			for i := range gotOrder {
-				if gotOrder[i] != wantOrder[i] {
-					t.Fatalf("escalated=%v seed %d: fire order diverges at %d: got %d want %d",
-						escalated, seed, i, gotOrder[i], wantOrder[i])
-				}
+			i := rng.Intn(len(liveIDs))
+			id := liveIDs[i]
+			liveIDs = append(liveIDs[:i], liveIDs[i+1:]...)
+			if timers[id].Cancel() {
+				events[id].canceled = true
 			}
 		}
+
+		// Reschedule a still-live handle: semantically cancel+schedule
+		// with a fresh seq, but exercising the in-place re-arm — same
+		// slot, slot hop, wheel→heap and heap→wheel migrations.
+		reschedule := func() {
+			if len(liveIDs) == 0 {
+				return
+			}
+			i := rng.Intn(len(liveIDs))
+			old := liveIDs[i]
+			liveIDs = append(liveIDs[:i], liveIDs[i+1:]...)
+			delay := wheelDelays[rng.Intn(len(wheelDelays))]
+			id := nextID
+			nextID++
+			timers[id] = v.Reschedule(timers[old], delay, "wheel-rearm", record(id))
+			events[old].canceled = true
+			events[id] = ref.schedule(delay, id)
+			liveIDs = append(liveIDs, id)
+		}
+
+		// Re-arm a reusable handle whatever its state: a nil handle is a
+		// fresh Schedule, a fired one is re-pushed, a pending one moves.
+		rescheduleLoop := func() {
+			slot := rng.Intn(len(loops))
+			delay := wheelDelays[rng.Intn(len(wheelDelays))]
+			id := nextID
+			nextID++
+			old := loops[slot]
+			switch {
+			case old == nil:
+				rearms[0]++
+			case old.Fired():
+				rearms[1]++
+			default:
+				rearms[2]++
+			}
+			loops[slot] = v.Reschedule(old, delay, "wheel-loop", record(id))
+			if old != nil && loops[slot] != old {
+				t.Fatalf("seed %d: Reschedule dropped its reusable handle", seed)
+			}
+			if e := loopEvents[slot]; e != nil {
+				e.canceled = true
+			}
+			loopEvents[slot] = ref.schedule(delay, id)
+		}
+
+		stepBoth := func() {
+			want := ref.step()
+			stepped := v.Step()
+			if (want >= 0) != stepped {
+				t.Fatalf("seed %d: Step() = %v, reference id %d", seed, stepped, want)
+			}
+			if want >= 0 {
+				wantOrder = append(wantOrder, want)
+				for i, id := range liveIDs {
+					if id == want {
+						liveIDs = append(liveIDs[:i], liveIDs[i+1:]...)
+						break
+					}
+				}
+			}
+			if v.Now() != ref.now {
+				t.Fatalf("seed %d: clock %v != reference %v", seed, v.Now(), ref.now)
+			}
+		}
+
+		for op := 0; op < 500; op++ {
+			switch r := rng.Intn(12); {
+			case r < 3:
+				schedule()
+			case r < 5:
+				detached()
+			case r < 6:
+				cancel()
+			case r < 7:
+				reschedule()
+			case r < 8:
+				rescheduleLoop()
+			default:
+				stepBoth()
+			}
+		}
+		for ref.queue.Len() > 0 || v.Pending() > 0 {
+			stepBoth()
+		}
+
+		if len(gotOrder) != len(wantOrder) {
+			t.Fatalf("seed %d: fired %d events, reference fired %d", seed, len(gotOrder), len(wantOrder))
+		}
+		for i := range gotOrder {
+			if gotOrder[i] != wantOrder[i] {
+				t.Fatalf("seed %d: fire order diverges at %d: got %d want %d", seed, i, gotOrder[i], wantOrder[i])
+			}
+		}
+		if got, want := v.Dispatched(), uint64(len(wantOrder)); got != want {
+			t.Fatalf("seed %d: dispatched %d events, reference fired %d", seed, got, want)
+		}
 	}
+	if rearms[0] == 0 || rearms[1] < 100 || rearms[2] < 100 {
+		t.Fatalf("re-armed %d nil, %d fired and %d pending loop handles: the scripts barely exercise reuse", rearms[0], rearms[1], rearms[2])
+	}
+	t.Logf("re-armed %d nil, %d fired and %d pending loop handles", rearms[0], rearms[1], rearms[2])
 }
 
 // TestVirtualWheelPlacementAndMigration pins the routing policy white-box:

@@ -34,21 +34,12 @@ type Wall struct {
 	free []*Timer
 }
 
-var (
-	_ Engine    = (*Wall)(nil)
-	_ Detacher  = (*Wall)(nil)
-	_ Escalator = (*Wall)(nil)
-)
+var _ Engine = (*Wall)(nil)
 
 // NewWall returns a wall-clock engine whose epoch is the moment of creation.
 func NewWall() *Wall {
 	return &Wall{epoch: time.Now()}
 }
-
-// EscalateShared implements Escalator as a no-op: the wall engine is
-// inherently shared (callbacks fire from timer goroutines) and always
-// guards its state with locks.
-func (w *Wall) EscalateShared() {}
 
 // Now reports time elapsed since the engine epoch.
 func (w *Wall) Now() time.Duration {
