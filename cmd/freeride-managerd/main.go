@@ -73,24 +73,28 @@ func run(args []string) error {
 		logger.Printf("workers not ready (%v); retrying...", err)
 		time.Sleep(time.Second)
 	}
-	for _, name := range strings.Split(*tasks, ",") {
-		if name = strings.TrimSpace(name); name == "" {
-			continue
+	d.Eng.Do(func() {
+		for _, name := range strings.Split(*tasks, ",") {
+			if name = strings.TrimSpace(name); name == "" {
+				continue
+			}
+			p, err := model.TaskByName(name)
+			if err == nil {
+				err = d.Session.Submit(p, 0)
+			}
+			if err != nil {
+				logger.Printf("submit %s rejected: %v", name, err)
+			}
 		}
-		p, err := model.TaskByName(name)
-		if err == nil {
-			err = d.Session.Submit(p, 0)
-		}
-		if err != nil {
-			logger.Printf("submit %s rejected: %v", name, err)
-		}
-	}
+	})
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
-	st := d.Session.Manager.Stats()
-	logger.Printf("shutting down: %d bubbles received (%.1fs), %d served, %d RPCs",
-		st.BubblesAdded, st.BubbleTimeTotal.Seconds(), st.BubblesServed, st.RPCs)
+	d.Eng.Do(func() {
+		st := d.Session.Manager.Stats()
+		logger.Printf("shutting down: %d bubbles received (%.1fs), %d served, %d RPCs",
+			st.BubblesAdded, st.BubbleTimeTotal.Seconds(), st.BubblesServed, st.RPCs)
+	})
 	return nil
 }

@@ -69,14 +69,19 @@ func run(args []string) error {
 
 	<-node.TrainDone
 	time.Sleep(500 * time.Millisecond) // let the final pause land
-	if err := node.Session.Trainer.Err(); err != nil {
+	node.Eng.Do(func() {
+		if err = node.Session.Trainer.Err(); err != nil {
+			return
+		}
+		logger.Printf("training complete in %.2fs", node.Session.Trainer.TotalTime().Seconds())
+		for i, w := range node.Session.Workers {
+			st := w.Stats()
+			logger.Printf("worker%d: %d created, %d starts, %d pauses, %d kills",
+				i, st.Created, st.Starts, st.Pauses, st.GraceKills+st.InitKills)
+		}
+	})
+	if err != nil {
 		return fmt.Errorf("training failed: %w", err)
-	}
-	logger.Printf("training complete in %.2fs", node.Session.Trainer.TotalTime().Seconds())
-	for i, w := range node.Session.Workers {
-		st := w.Stats()
-		logger.Printf("worker%d: %d created, %d starts, %d pauses, %d kills",
-			i, st.Created, st.Starts, st.Pauses, st.GraceKills+st.InitKills)
 	}
 	return nil
 }

@@ -105,9 +105,6 @@ type Config struct {
 	VirtualStages int
 	// Method selects the co-location approach.
 	Method Method
-	// Tick is the manager's Algorithm-2 loop period: the manager acts only
-	// on multiples of Tick after its start (core.ManagerOptions.Tick).
-	Tick time.Duration
 	// Grace is the worker's framework-enforced kill delay.
 	Grace time.Duration
 	// RPCLatency is the one-way latency of the simulated control-plane
@@ -115,9 +112,6 @@ type Config struct {
 	RPCLatency time.Duration
 	// SafetyMargin shrinks reported bubble durations (reporter-side).
 	SafetyMargin time.Duration
-	// ResidencyTax is the MPS context-multiplexing overhead; negative
-	// disables, zero selects simgpu.DefaultResidencyTax.
-	ResidencyTax float64
 	// WorkScale selects how much real computation side tasks perform.
 	WorkScale sidetask.WorkScale
 	// Seed drives all task-level randomness.
@@ -147,9 +141,8 @@ type Config struct {
 	// Lease is the manager's failure-detector lease; 0 with Faults set
 	// selects core.DefaultLease. See core.ManagerOptions.Lease.
 	Lease time.Duration
-	// MaxRestarts / RetryBackoff tune task recovery (0 = core defaults).
-	MaxRestarts  int
-	RetryBackoff time.Duration
+	// MaxRestarts tunes task recovery (0 = core.DefaultMaxRestarts).
+	MaxRestarts int
 	// Drift is the seeded bubble-drift schedule: the trainer's reported
 	// bubble trace is reshaped on the virtual clock (parameter-freeze stage
 	// shrink, elastic micro-batch resize, stage rebalance, straggler
@@ -245,7 +238,6 @@ func DefaultConfig() Config {
 		Epochs:       16,
 		Schedule:     pipeline.Schedule1F1B,
 		Method:       MethodIterative,
-		Tick:         time.Millisecond,
 		Grace:        core.DefaultGrace,
 		RPCLatency:   200 * time.Microsecond,
 		WorkScale:    sidetask.WorkSmall,
@@ -278,20 +270,11 @@ func (c *Config) normalize() error {
 	if c.Method == 0 {
 		c.Method = MethodIterative
 	}
-	if c.Tick <= 0 {
-		c.Tick = time.Millisecond
-	}
 	if c.Grace <= 0 {
 		c.Grace = core.DefaultGrace
 	}
 	if c.RPCLatency < 0 {
 		return fmt.Errorf("freeride: negative RPC latency")
-	}
-	if c.ResidencyTax == 0 {
-		c.ResidencyTax = simgpu.DefaultResidencyTax
-	}
-	if c.ResidencyTax < 0 {
-		c.ResidencyTax = 0
 	}
 	if c.Faults != nil && c.Lease == 0 {
 		c.Lease = core.DefaultLease
@@ -412,7 +395,6 @@ type Session struct {
 	// Submit resolves placements in O(1) instead of scanning.
 	workerIdx map[string]int
 
-	mu                sync.Mutex
 	placements        []TaskPlacement
 	baselineHarnesses []*sidetask.Harness
 	finalCounters     map[string]sidetask.Counters
@@ -479,7 +461,7 @@ func (s *Session) assemble(cfg Config, eng simtime.Engine, links Links, node, ma
 		if cfg.Method == MethodNaive {
 			policy = simgpu.PolicyTimeSlice
 		}
-		tax := cfg.ResidencyTax
+		tax := simgpu.DefaultResidencyTax
 		if cfg.Method == MethodNaive || cfg.Method == MethodNone {
 			tax = 0
 		}
@@ -528,14 +510,12 @@ func (s *Session) assembleControlPlane(links Links, manager bool) error {
 			guard = cfg.Serving.Guard
 		}
 		s.Manager = core.NewManager(s.eng, core.ManagerOptions{
-			Tick:         cfg.Tick,
-			MemSlack:     core.DefaultMemSlack,
-			Lease:        cfg.Lease,
-			MaxRestarts:  cfg.MaxRestarts,
-			RetryBackoff: cfg.RetryBackoff,
-			Seed:         cfg.Seed,
-			Replan:       replan,
-			SLOGuard:     guard,
+			MemSlack:    core.DefaultMemSlack,
+			Lease:       cfg.Lease,
+			MaxRestarts: cfg.MaxRestarts,
+			Seed:        cfg.Seed,
+			Replan:      replan,
+			SLOGuard:    guard,
 		})
 		mgrMux = s.Manager.Mux()
 		if cfg.Faults != nil {
@@ -604,7 +584,6 @@ func (s *Session) assembleControlPlane(links Links, manager bool) error {
 // once it has marshalled it (see freerpc.Msg).
 func (s *Session) newBubbleSink(reporter *freerpc.Peer) func(bubble.Bubble) {
 	reports := new(freerpc.Pool[core.BubbleDTO])
-	reports.Bind(s.eng)
 	return func(b bubble.Bubble) {
 		d := reports.Get()
 		d.V = core.ToBubbleDTO(b)
@@ -627,10 +606,7 @@ func (s *Session) stageMem(stage int) int64 {
 // first (matched by the profile name carried in the spec), then the six
 // built-in tasks.
 func (s *Session) taskFactory(spec core.TaskSpec) (*sidetask.Harness, error) {
-	s.mu.Lock()
-	build, ok := s.customTasks[spec.Profile.Name]
-	s.mu.Unlock()
-	if ok {
+	if build, ok := s.customTasks[spec.Profile.Name]; ok {
 		return sidetask.NewIterativeHarness(spec.Name, spec.Profile, build(spec.Seed), spec.Seed), nil
 	}
 	return core.BuiltinHarnessFactory(spec)
@@ -648,8 +624,6 @@ func (s *Session) RegisterCustom(profile model.TaskProfile, build CustomTask) er
 	if build == nil {
 		return fmt.Errorf("freeride: custom task %q needs a constructor", profile.Name)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.customTasks == nil {
 		s.customTasks = make(map[string]CustomTask)
 	}
@@ -682,11 +656,9 @@ func (s *Session) Submit(p model.TaskProfile, stage int) error {
 	if s.cfg.Method == MethodImperative {
 		mode = sidetask.ModeImperative
 	}
-	s.mu.Lock()
 	s.nameSeq++
 	name := fmt.Sprintf("%s-%d", p.Name, s.nameSeq)
 	seed := s.cfg.Seed + int64(s.nameSeq)*7919
-	s.mu.Unlock()
 
 	switch s.cfg.Method {
 	case MethodIterative, MethodImperative:
@@ -705,11 +677,9 @@ func (s *Session) Submit(p model.TaskProfile, stage int) error {
 		if i, ok := s.workerIdx[placed]; ok {
 			widx = i
 		}
-		s.mu.Lock()
 		s.placements = append(s.placements, TaskPlacement{
 			Name: name, Profile: p, Mode: mode, Worker: widx,
 		})
-		s.mu.Unlock()
 		return nil
 	case MethodMPS, MethodNaive:
 		return s.submitBaseline(name, p, stage, seed)
@@ -751,7 +721,6 @@ func (s *Session) submitBaseline(name string, p model.TaskProfile, stage int, se
 	if err != nil {
 		return err
 	}
-	h.BindEngine(s.eng)
 	ctrs := container.NewRuntime(s.Procs)
 	cspec := container.Spec{
 		Name:   name,
@@ -766,12 +735,10 @@ func (s *Session) submitBaseline(name string, p model.TaskProfile, stage int, se
 		h.Deliver(sidetask.Command{Transition: sidetask.TransitionInit})
 		h.Deliver(sidetask.Command{Transition: sidetask.TransitionStart, BubbleEnd: 1 << 62})
 	})
-	s.mu.Lock()
 	s.placements = append(s.placements, TaskPlacement{
 		Name: name, Profile: p, Mode: sidetask.ModeIterative, Worker: stage,
 	})
 	s.baselineHarnesses = append(s.baselineHarnesses, h)
-	s.mu.Unlock()
 	return nil
 }
 
@@ -841,13 +808,10 @@ func (s *Session) Run() (*Result, error) {
 	if s.Eng == nil {
 		return nil, fmt.Errorf("freeride: Run drives a session's virtual engine; a node or manager session runs on its caller's engine")
 	}
-	s.mu.Lock()
 	if s.started {
-		s.mu.Unlock()
 		return nil, fmt.Errorf("freeride: session already ran")
 	}
 	s.started = true
-	s.mu.Unlock()
 
 	// Freeze every task's counters at the instant the final cycle ends: only
 	// work completed during the run counts, exactly as in the paper's
@@ -918,13 +882,9 @@ func (s *Session) collectResult(trainTime time.Duration) *Result {
 	if s.injector != nil {
 		res.FaultStats = s.injector.Stats()
 	}
-	s.mu.Lock()
-	placements := append([]TaskPlacement{}, s.placements...)
-	counters := s.finalCounters
-	s.mu.Unlock()
-	for _, pl := range placements {
+	for _, pl := range s.placements {
 		tw := TaskWork{TaskPlacement: pl}
-		if c, ok := counters[pl.Name]; ok {
+		if c, ok := s.finalCounters[pl.Name]; ok {
 			tw.Steps = c.Steps
 			tw.KernelTime = c.KernelTime
 			tw.HostTime = c.HostTime
@@ -944,8 +904,6 @@ func (s *Session) collectResult(trainTime time.Duration) *Result {
 
 // snapshotCounters freezes task counters (engine-callback context).
 func (s *Session) snapshotCounters() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.finalCounters = make(map[string]sidetask.Counters, len(s.placements))
 	for i, pl := range s.placements {
 		var h *sidetask.Harness

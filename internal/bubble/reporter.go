@@ -1,7 +1,6 @@
 package bubble
 
 import (
-	"sync"
 	"time"
 )
 
@@ -16,7 +15,6 @@ type Reporter struct {
 	// tasks slightly before the training op really needs the GPU.
 	safety time.Duration
 
-	mu    sync.Mutex
 	sink  func(Bubble)
 	drift *Drifter
 }
@@ -29,8 +27,6 @@ func NewReporter(profile *Profile, safety time.Duration) *Reporter {
 
 // SetSink installs the bubble consumer (engine-callback context).
 func (r *Reporter) SetSink(sink func(Bubble)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.sink = sink
 }
 
@@ -39,8 +35,6 @@ func (r *Reporter) SetSink(sink func(Bubble)) {
 // Nil (the default) and identity scales leave the emitted bubbles
 // untouched by the exact arithmetic the undrifted path uses.
 func (r *Reporter) SetDrift(d *Drifter) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.drift = d
 }
 
@@ -72,10 +66,8 @@ func (r *Reporter) CycleStart(_ int, ts time.Duration) { r.EmitEpoch(ts) }
 // EmitEpoch stamps and delivers all profiled bubbles for an epoch starting
 // at ts.
 func (r *Reporter) EmitEpoch(ts time.Duration) {
-	r.mu.Lock()
 	sink := r.sink
 	drift := r.drift
-	r.mu.Unlock()
 	if sink == nil {
 		return
 	}

@@ -1,7 +1,6 @@
 package bubble
 
 import (
-	"sync"
 	"time"
 )
 
@@ -30,7 +29,6 @@ type ServeReporter struct {
 	memAvail []int64
 	safety   time.Duration
 
-	mu      sync.Mutex
 	sink    func(Bubble)
 	lastEnd time.Duration
 	haveEnd bool
@@ -55,8 +53,6 @@ func NewServeReporter(fill, drain []time.Duration, span time.Duration, memAvail 
 
 // SetSink installs the bubble consumer (the manager link).
 func (r *ServeReporter) SetSink(fn func(Bubble)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.sink = fn
 }
 
@@ -64,7 +60,6 @@ func (r *ServeReporter) SetSink(fn func(Bubble)) {
 // the realized drain→dispatch gap into the predictor and emits the batch's
 // fill and drain bubbles.
 func (r *ServeReporter) CycleStart(_ int, ts time.Duration) {
-	r.mu.Lock()
 	if r.haveEnd {
 		gap := ts - r.lastEnd
 		if gap < 0 {
@@ -78,7 +73,6 @@ func (r *ServeReporter) CycleStart(_ int, ts time.Duration) {
 		}
 	}
 	sink := r.sink
-	r.mu.Unlock()
 	if sink == nil {
 		return
 	}
@@ -97,17 +91,13 @@ func (r *ServeReporter) CycleStart(_ int, ts time.Duration) {
 // before the first gap has been observed — the predictor starts causal and
 // empty).
 func (r *ServeReporter) CycleEnd(_ int, ts time.Duration) {
-	r.mu.Lock()
 	r.lastEnd = ts
 	r.haveEnd = true
-	pred := r.gapEWMA
-	have := r.haveGap
 	sink := r.sink
-	r.mu.Unlock()
-	if sink == nil || !have {
+	if sink == nil || !r.haveGap {
 		return
 	}
-	if d := pred - r.safety; d > 0 {
+	if d := r.gapEWMA - r.safety; d > 0 {
 		for s := range r.fill {
 			sink(Bubble{Stage: s, Type: TypeC, Start: ts, Duration: d, MemAvailable: r.memAvail[s]})
 		}

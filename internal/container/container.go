@@ -11,8 +11,6 @@ package container
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"time"
 
 	"freeride/internal/simgpu"
 	"freeride/internal/simproc"
@@ -33,8 +31,6 @@ type Spec struct {
 	// GPUMemLimit is the MPS memory cap for the container's GPU client;
 	// 0 means unlimited.
 	GPUMemLimit int64
-	// GPUWeight optionally overrides the client scheduling weight.
-	GPUWeight float64
 }
 
 // Body is the containerized program. It receives the process handle and the
@@ -47,18 +43,13 @@ type Container struct {
 	proc *simproc.Process
 	gpu  *simgpu.Client
 
-	mu        sync.Mutex
-	startedAt time.Duration
-	exitedAt  time.Duration
-	exited    bool
-	exitErr   error
+	exited  bool
+	exitErr error
 }
 
-// Runtime creates and tracks containers over one process runtime.
+// Runtime creates and names containers over one process runtime.
 type Runtime struct {
-	procs *simproc.Runtime
-
-	mu         sync.Mutex
+	procs      *simproc.Runtime
 	containers map[string]*Container
 }
 
@@ -107,15 +98,12 @@ func (rt *Runtime) create(spec Spec) (*Container, *simgpu.Client, error) {
 	if spec.Name == "" {
 		return nil, nil, errors.New("container: empty name")
 	}
-	rt.mu.Lock()
 	if _, dup := rt.containers[spec.Name]; dup {
-		rt.mu.Unlock()
 		return nil, nil, fmt.Errorf("%w: %s", ErrDuplicate, spec.Name)
 	}
-	// Reserve the name before spawning so concurrent Runs cannot collide.
+	// Reserve the name; a GPU client that cannot be made releases it.
 	c := &Container{name: spec.Name}
 	rt.containers[spec.Name] = c
-	rt.mu.Unlock()
 
 	var gpu *simgpu.Client
 	if spec.Device != nil {
@@ -123,17 +111,13 @@ func (rt *Runtime) create(spec Spec) (*Container, *simgpu.Client, error) {
 		gpu, err = spec.Device.NewClient(simgpu.ClientConfig{
 			Name:          "ctr/" + spec.Name,
 			MemLimitBytes: spec.GPUMemLimit,
-			Weight:        spec.GPUWeight,
 		})
 		if err != nil {
-			rt.mu.Lock()
 			delete(rt.containers, spec.Name)
-			rt.mu.Unlock()
 			return nil, nil, fmt.Errorf("container %s: gpu client: %w", spec.Name, err)
 		}
 	}
 	c.gpu = gpu
-	c.startedAt = rt.procs.Engine().Now()
 	return c, gpu, nil
 }
 
@@ -145,41 +129,14 @@ func (rt *Runtime) watch(c *Container, gpu *simgpu.Client) {
 		if gpu != nil {
 			gpu.Destroy()
 		}
-		c.mu.Lock()
 		c.exited = true
 		c.exitErr = err
-		c.exitedAt = rt.procs.Engine().Now()
-		c.mu.Unlock()
 	})
-}
-
-// Get looks up a container by name.
-func (rt *Runtime) Get(name string) (*Container, error) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	c, ok := rt.containers[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
-	}
-	return c, nil
-}
-
-// List returns all containers, running and exited.
-func (rt *Runtime) List() []*Container {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	out := make([]*Container, 0, len(rt.containers))
-	for _, c := range rt.containers {
-		out = append(out, c)
-	}
-	return out
 }
 
 // Remove deletes an exited container's record. Removing a live container
 // fails; kill it first.
 func (rt *Runtime) Remove(name string) error {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	c, ok := rt.containers[name]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, name)
@@ -205,17 +162,8 @@ func (c *Container) GPU() *simgpu.Client { return c.gpu }
 func (c *Container) Alive() bool { return c.proc.Alive() }
 
 // ExitInfo reports termination state: exited=false means still running.
-func (c *Container) ExitInfo() (exited bool, err error, at time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.exited, c.exitErr, c.exitedAt
-}
-
-// StartedAt reports the engine time the container started.
-func (c *Container) StartedAt() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.startedAt
+func (c *Container) ExitInfo() (exited bool, err error) {
+	return c.exited, c.exitErr
 }
 
 // Stop delivers SIGTSTP to the containerized process.

@@ -38,7 +38,7 @@ func TestContainerRunsBody(t *testing.T) {
 	if !ran {
 		t.Fatal("body did not run with GPU client")
 	}
-	exited, exitErr, _ := c.ExitInfo()
+	exited, exitErr := c.ExitInfo()
 	if !exited || exitErr != nil {
 		t.Fatalf("ExitInfo = %v/%v, want exited cleanly", exited, exitErr)
 	}
@@ -66,6 +66,8 @@ func TestKillDestroysGPUContext(t *testing.T) {
 			}
 			return gpu.Exec(p, &simgpu.KernelSpec{Name: "hog", Duration: time.Hour})
 		})
+	var exitAt time.Duration
+	c.Process().OnExit(func(error) { exitAt = f.eng.Now() })
 	f.eng.RunUntil(time.Second)
 	if f.dev.MemUsed() != 4<<30 {
 		t.Fatalf("device mem = %d, want 4GiB", f.dev.MemUsed())
@@ -78,12 +80,12 @@ func TestKillDestroysGPUContext(t *testing.T) {
 	if f.dev.MemUsed() != 0 {
 		t.Fatalf("device mem = %d after kill, want 0 (context destroyed)", f.dev.MemUsed())
 	}
-	exited, err, at := c.ExitInfo()
+	exited, err := c.ExitInfo()
 	if !exited || !errors.Is(err, simproc.ErrKilled) {
 		t.Fatalf("ExitInfo = %v/%v, want killed", exited, err)
 	}
-	if at != time.Second {
-		t.Fatalf("exit at %v, want 1s", at)
+	if exitAt != time.Second {
+		t.Fatalf("exit at %v, want 1s", exitAt)
 	}
 }
 
@@ -99,7 +101,7 @@ func TestOOMExitReleasesEverything(t *testing.T) {
 			}
 		})
 	f.eng.RunUntil(10 * time.Second)
-	exited, err, _ := c.ExitInfo()
+	exited, err := c.ExitInfo()
 	if !exited || !errors.Is(err, simgpu.ErrClientOOM) {
 		t.Fatalf("ExitInfo = %v/%v, want client OOM", exited, err)
 	}
@@ -167,27 +169,8 @@ func TestRemoveLifecycle(t *testing.T) {
 	if err := f.rt.Remove("x"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("second Remove = %v, want ErrNotFound", err)
 	}
-	if _, err := f.rt.Get("x"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Get after remove = %v, want ErrNotFound", err)
-	}
-}
-
-func TestList(t *testing.T) {
-	f := newFixture(t)
-	f.rt.Run(Spec{Name: "a"}, func(*simproc.Process, *simgpu.Client) error { return nil })
-	f.rt.Run(Spec{Name: "b"}, func(p *simproc.Process, _ *simgpu.Client) error {
-		p.Sleep(time.Hour)
-		return nil
-	})
-	f.eng.RunUntil(time.Second)
-	if got := len(f.rt.List()); got != 2 {
-		t.Fatalf("List = %d containers, want 2", got)
-	}
-	c, err := f.rt.Get("b")
-	if err != nil || !c.Alive() {
-		t.Fatalf("Get(b) = %v/%v, want alive", c, err)
-	}
-	if c.StartedAt() != 0 {
-		t.Fatalf("StartedAt = %v, want 0", c.StartedAt())
+	// The name is free again.
+	if _, err := f.rt.Run(Spec{Name: "x"}, func(*simproc.Process, *simgpu.Client) error { return nil }); err != nil {
+		t.Fatalf("Run after remove: %v", err)
 	}
 }

@@ -106,7 +106,6 @@ func TestSteadyStateBubbleCycleAllocFree(t *testing.T) {
 	pipePeer := freerpc.NewPeer(r.eng, pipeEnd, nil)
 	freerpc.NewPeer(r.eng, mgrEnd, r.mgr.Mux())
 	var reports freerpc.Pool[BubbleDTO]
-	reports.Bind(r.eng)
 	cycle := func() {
 		d := reports.Get()
 		d.V = ToBubbleDTO(bubble.Bubble{Stage: 0, Start: r.eng.Now(), Duration: 20 * time.Millisecond})

@@ -51,7 +51,7 @@ const (
 	markCreated   // SUBMITTED→CREATED happened on the worker
 	markStarted   // RUNNING and serving from now — or, not Started, whatever state the worker reports
 	checkpoint    // an acknowledged pause is a consistent cut of the task's progress
-	exitTask      // the reply reports the task's exit (see taskExitedLocked)
+	exitTask      // the reply reports the task's exit (see taskExited)
 	recoverOrStop // a failed create: another attempt under recovery, retired without
 	stopFailed    // a failed stop retires the record instead of leaving it in limbo
 	wakeWorker    // only schedule a pass
@@ -111,10 +111,10 @@ type workerCall struct {
 	done func(result any, err error)
 }
 
-// goLocked issues one call about rec to its worker w, on a pooled context:
+// goCall issues one call about rec to its worker w, on a pooled context:
 // Init, Start and Pause run once per bubble and allocate nothing; Create and
 // Stop run once per incarnation and allocate only Create's parameters.
-func (m *Manager) goLocked(kind callKind, w *workerMeta, rec *taskRecord) {
+func (m *Manager) goCall(kind callKind, w *workerMeta, rec *taskRecord) {
 	pc := m.callPool.Get()
 	c := &pc.V
 	if c.done == nil {
@@ -122,7 +122,7 @@ func (m *Manager) goLocked(kind callKind, w *workerMeta, rec *taskRecord) {
 	}
 	c.kind, c.w, c.rec, c.inc, c.seq = kind, w, rec, rec.incarnation, w.bubbleSeq
 	row := &callTable[kind]
-	m.applyLocked(row.issued, c, taskStatus{}, nil)
+	m.apply(row.issued, c, taskStatus{}, nil)
 	params := rec.refArgs
 	switch kind {
 	case callCreate:
@@ -151,17 +151,15 @@ func (m *Manager) goLocked(kind callKind, w *workerMeta, rec *taskRecord) {
 // table declares for that outcome.
 func (m *Manager) complete(pc *freerpc.Pooled[workerCall], result any, err error) {
 	c := &pc.V
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if rec, row := c.rec, &callTable[c.kind]; rec.incarnation != c.inc {
 		// About a dead incarnation (a crashed or demoted deployment).
 	} else if rec.exited || rec.parked {
 		if err != nil {
-			m.applyLocked(row.failedDead, c, taskStatus{}, err)
+			m.apply(row.failedDead, c, taskStatus{}, err)
 		}
 	} else {
 		out, st := classify(result, err)
-		m.applyLocked(row.on[out], c, st, err)
+		m.apply(row.on[out], c, st, err)
 	}
 	c.w, c.rec = nil, nil
 	pc.Recycle()
@@ -186,9 +184,9 @@ func classify(result any, err error) (outcome, taskStatus) {
 	return outAcked, st
 }
 
-// applyLocked carries out one cell for call c; st is the decoded reply (for
+// apply carries out one cell for call c; st is the decoded reply (for
 // outExited and outAcked), err the call's error (for outFailed).
-func (m *Manager) applyLocked(a action, c *workerCall, st taskStatus, err error) {
+func (m *Manager) apply(a action, c *workerCall, st taskStatus, err error) {
 	rec, wake := c.rec, false
 	switch a {
 	case pinInit:
@@ -240,42 +238,40 @@ func (m *Manager) applyLocked(a action, c *workerCall, st taskStatus, err error)
 		rec.hasCkpt = true
 		rec.servedSinceCkpt = 0
 	case exitTask:
-		m.taskExitedLocked(rec, st)
+		m.taskExited(rec, st)
 		wake = true
 	case recoverOrStop:
 		// Under recovery a failed create consumes an attempt and re-enters the
 		// backoff cycle; with recovery disabled it retires the task, the
 		// pre-lease behaviour.
 		if m.recoveryArmed() && m.running {
-			m.detachLocked(rec)
-			m.planRecoveryLocked(rec, "create failed: "+err.Error())
+			m.detach(rec)
+			m.planRecovery(rec, "create failed: "+err.Error())
 		} else {
-			m.retireLocked(rec, err.Error())
+			m.retire(rec, err.Error())
 			wake = true
 		}
 	case stopFailed:
-		m.retireLocked(rec, "stop failed: "+err.Error())
+		m.retire(rec, "stop failed: "+err.Error())
 	case wakeWorker:
 		wake = true
 	}
 	if wake {
-		m.wakeLocked(c.w)
+		m.wake(c.w)
 	}
 }
 
 // StopAll asks every worker to stop its tasks (end of run), in submission
 // order — the Stop RPCs take call ids and engine sequence numbers.
 func (m *Manager) StopAll() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for _, rec := range m.taskOrder {
 		if rec.exited {
 			continue
 		}
 		rec.retryTimer.Cancel()
-		if rec.parked || !m.placedLocked(rec) {
+		if rec.parked || !m.placed(rec) {
 			continue
 		}
-		m.goLocked(callStop, m.workers[rec.workerIdx], rec)
+		m.goCall(callStop, m.workers[rec.workerIdx], rec)
 	}
 }

@@ -233,8 +233,6 @@ func (r *callRig) kicked() bool { return r.w.kickTimer != nil && r.w.kickTimer.P
 func (r *callRig) issue(t *testing.T, kind callKind, out outcome) {
 	t.Helper()
 	m, w, rec := r.mgr, r.w, r.rec
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	switch kind {
 	case callCreate:
 		rec.state = sidetask.StateSubmitted
@@ -250,7 +248,7 @@ func (r *callRig) issue(t *testing.T, kind callKind, out outcome) {
 	}
 	r.f.script[callTable[kind].method] = replyFor(kind, out)
 	before := m.stats.RPCs
-	m.goLocked(kind, w, rec)
+	m.goCall(kind, w, rec)
 	if m.stats.RPCs != before+1 {
 		t.Errorf("issuing bumped RPCs by %d, want 1", m.stats.RPCs-before)
 	}
@@ -475,7 +473,7 @@ func TestDeadWorkerQueuesNoBubbles(t *testing.T) {
 	r.mgr.Start()
 	r.eng.RunFor(10 * time.Millisecond)
 	w := r.mgr.workers[0]
-	r.mgr.workerLost(w)
+	r.mgr.workerLost(w, "worker lost")
 	const n = 32
 	for i := 0; i < n; i++ {
 		r.mgr.AddBubble(bubble.Bubble{Stage: 0, Start: r.eng.Now() + time.Duration(i)*time.Second, Duration: time.Second})

@@ -329,11 +329,7 @@ func TestImperativePauseResumeViaSignals(t *testing.T) {
 	if stepsAfterFirst == 0 {
 		t.Fatal("imperative task ran no steps in first bubble")
 	}
-	cont, err := r.workers[0].ctrs.Get("worker0/sgd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cont.Process().Stopped() {
+	if !r.workers[0].tasks["sgd"].cont.Process().Stopped() {
 		t.Fatal("imperative task not suspended between bubbles")
 	}
 	r.eng.RunFor(2 * time.Second)

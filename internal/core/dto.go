@@ -6,13 +6,13 @@
 // so the same code runs in-process over the in-memory transport (simulation)
 // and across machines over TCP (freeride-managerd / freeride-workerd).
 //
-// The manager (manager.go: types, options, constructor) is one lock over five
-// concerns, a file each: placement.go (Alg. 1), reconcile.go (the Tick grid
-// and Alg. 2), calls.go (the side-task state machine as the manager drives
-// it), liveness.go (leases, pings, what workers report) and recovery.go (lost
-// workers, backoff, re-placement, retirement); replan.go is the online
-// re-profiling plane on top. One rule: a manager→worker call about a task is
-// a row of callTable, and its completion is guarded against the record and
+// The manager (manager.go: types, options, constructor) is one engine's state
+// over five concerns, a file each: placement.go (Alg. 1), reconcile.go (the
+// Tick grid and Alg. 2), calls.go (the side-task state machine as the manager
+// drives it), liveness.go (leases, pings, what workers report) and recovery.go
+// (lost workers, backoff, re-placement, retirement); replan.go is the online
+// re-profiling plane on top. One rule: a manager→worker call about a task is a
+// row of callTable, and its completion is guarded against the record and
 // decoded once, in complete — a new call, or a new reaction to a reply, is a
 // table entry, never a handler of its own.
 package core

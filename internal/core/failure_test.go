@@ -70,8 +70,6 @@ func TestWorkerDisconnectRetiresItsTasks(t *testing.T) {
 // workerPeer digs out the manager-side peer of worker i (test helper).
 func (m *Manager) workerPeer(t *testing.T, i int) interface{ Close() } {
 	t.Helper()
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.workers[i].peer
 }
 
@@ -250,10 +248,8 @@ func TestLeaseExpiryReplacesTaskWithCheckpoint(t *testing.T) {
 	r.mgr.AddBubble(bubble.Bubble{Stage: 0, Start: base, Duration: 500 * time.Millisecond})
 	r.mgr.AddBubble(bubble.Bubble{Stage: 0, Start: base + time.Second, Duration: 500 * time.Millisecond})
 	r.eng.RunFor(2 * time.Second)
-	r.mgr.mu.Lock()
 	ck := r.mgr.tasks["t0"].ckpt
 	hasCkpt := r.mgr.tasks["t0"].hasCkpt
-	r.mgr.mu.Unlock()
 	if !hasCkpt || ck.Steps == 0 {
 		t.Fatalf("no checkpoint after served bubbles: hasCkpt=%v ckpt=%+v", hasCkpt, ck)
 	}

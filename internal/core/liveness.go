@@ -5,7 +5,7 @@ import (
 	"freeride/internal/sidetask"
 )
 
-// armLeaseLocked (re)starts w's failure detector: the lease begins now and
+// armLease (re)starts w's failure detector: the lease begins now and
 // w joins the manager's liveness tick, which pings every alive worker on the
 // grid epoch+k·Lease/2. No-op unless the manager is running with a lease
 // configured. Start arms every worker at the epoch, so the tick instants are
@@ -24,18 +24,18 @@ import (
 // and a worker dead at that instant is not pinged again. (On the wall engine
 // a tick can only run late; one that overshoots e arms the check with a
 // delay clamped to zero, so detection is late by that jitter at most.)
-func (m *Manager) armLeaseLocked(w *workerMeta) {
+func (m *Manager) armLease(w *workerMeta) {
 	if m.opts.Lease <= 0 || !m.running || !w.alive {
 		return
 	}
 	w.lastSeen = m.eng.Now()
 	if t := m.pingTimer; t == nil || !t.Pending() {
-		m.armPingLocked()
+		m.armPing()
 	}
 }
 
-// armPingLocked arms the liveness tick for the first grid instant after now.
-func (m *Manager) armPingLocked() {
+// armPing arms the liveness tick for the first grid instant after now.
+func (m *Manager) armPing() {
 	half := m.opts.Lease / 2
 	now := m.eng.Now()
 	at := m.epoch + ((now-m.epoch)/half+1)*half
@@ -43,13 +43,11 @@ func (m *Manager) armPingLocked() {
 }
 
 // pingTick is the liveness tick: it arms the lease check of every alive
-// worker whose lease can run out before the next tick (see armLeaseLocked),
+// worker whose lease can run out before the next tick (see armLease),
 // re-arms itself, and probes the alive workers in registration order. A
 // reply refreshes the lease and doubles as anti-entropy: its status snapshot
 // heals state a faulted link dropped. With no worker alive the tick stops.
 func (m *Manager) pingTick() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if !m.running {
 		return
 	}
@@ -66,7 +64,7 @@ func (m *Manager) pingTick() {
 	if !alive {
 		return
 	}
-	m.armPingLocked()
+	m.armPing()
 	for _, w := range m.workers {
 		if w.alive {
 			m.stats.Pings++
@@ -77,15 +75,13 @@ func (m *Manager) pingTick() {
 
 // pingReplied completes a Worker.Ping (w.pingDone, built once per worker).
 func (m *Manager) pingReplied(w *workerMeta, result any, err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if err != nil || !w.alive {
 		return
 	}
 	w.lastSeen = m.eng.Now()
 	if reply, derr := freerpc.DecodeResult[pingReply](result); derr == nil {
 		for _, st := range reply.Tasks {
-			m.applyPingStatusLocked(st)
+			m.applyPingStatus(st)
 		}
 	}
 }
@@ -95,45 +91,43 @@ func (m *Manager) pingReplied(w *workerMeta, result any, err error) {
 // worker refreshed since is left alone — the tick that covers its new expiry
 // arms the next check, so this one never re-arms itself.
 func (m *Manager) checkLease(w *workerMeta) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if !m.running || !w.alive || m.opts.Lease <= 0 {
 		return
 	}
 	if m.eng.Now()-w.lastSeen >= m.opts.Lease {
-		m.workerLostLocked(w, "lease expired")
+		m.workerLost(w, "lease expired")
 	}
 }
 
-// applyPingStatusLocked folds one ping-reply status into the manager's
+// applyPingStatus folds one ping-reply status into the manager's
 // record. Anti-entropy is forward-only: per-link FIFO delivery means a state
 // push always arrives no later than a ping reply sampling the same
 // transition, so in fault-free runs the snapshot can never be newer than the
 // record — only transitions a lost push would have carried are applied (an
 // exit, or the init-completion PAUSED the manager has not yet seen). A stale
 // reply can therefore never regress an optimistic record.
-func (m *Manager) applyPingStatusLocked(st taskStatus) {
-	rec, w := m.liveLocked(st.Name, st.Incarnation)
+func (m *Manager) applyPingStatus(st taskStatus) {
+	rec, w := m.live(st.Name, st.Incarnation)
 	if rec == nil {
 		return
 	}
 	if st.Exited {
-		m.taskExitedLocked(rec, st)
-		m.wakeLocked(w)
+		m.taskExited(rec, st)
+		m.wake(w)
 		return
 	}
 	if sidetask.State(st.State) == sidetask.StatePaused && rec.state == sidetask.StateCreated {
 		rec.state = sidetask.StatePaused
-		m.wakeLocked(w)
+		m.wake(w)
 	}
 }
 
-// liveLocked resolves a worker's report about a task (a state push, an exit
+// live resolves a worker's report about a task (a state push, an exit
 // push, a ping-reply status) to its record and worker, or nil if it is about
 // nothing live: an unknown task, one that has exited or parked, or a dead
 // incarnation (a crashed worker's report racing the re-placement). A live
 // report is a sign of life and refreshes the worker's lease.
-func (m *Manager) liveLocked(name string, incarnation int) (*taskRecord, *workerMeta) {
+func (m *Manager) live(name string, incarnation int) (*taskRecord, *workerMeta) {
 	rec, ok := m.tasks[name]
 	if !ok || rec.exited || rec.parked || incarnation != rec.incarnation {
 		return nil, nil
@@ -147,22 +141,18 @@ func (m *Manager) liveLocked(name string, incarnation int) (*taskRecord, *worker
 
 // onTaskState handles the worker's state push (Manager.TaskState).
 func (m *Manager) onTaskState(st taskStatus) (any, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if rec, w := m.liveLocked(st.Name, st.Incarnation); rec != nil {
+	if rec, w := m.live(st.Name, st.Incarnation); rec != nil {
 		rec.state = sidetask.State(st.State)
-		m.wakeLocked(w)
+		m.wake(w)
 	}
 	return nil, nil
 }
 
 // onTaskExited handles the worker's exit notification (Manager.TaskExited).
 func (m *Manager) onTaskExited(st taskStatus) (any, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if rec, w := m.liveLocked(st.Name, st.Incarnation); rec != nil {
-		m.taskExitedLocked(rec, st)
-		m.wakeLocked(w)
+	if rec, w := m.live(st.Name, st.Incarnation); rec != nil {
+		m.taskExited(rec, st)
+		m.wake(w)
 	}
 	return nil, nil
 }

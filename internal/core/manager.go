@@ -284,7 +284,7 @@ type workerMeta struct {
 	// Failure-detector state (lease-enabled managers only). lastSeen is
 	// the last instant the worker proved it was alive (ping reply or push);
 	// leaseTimer fires only when the manager's liveness tick finds the lease
-	// able to run out before the next tick (see armLeaseLocked). It is a
+	// able to run out before the next tick (see armLease). It is a
 	// reusable Reschedule handle with a pre-built callback.
 	lastSeen   time.Duration
 	pingDone   func(result any, err error)
@@ -311,9 +311,9 @@ func (w *workerMeta) numTasks() int {
 	return n
 }
 
-// cancelTimersLocked disarms the worker's reconcile timers (handles are kept
+// cancelTimers disarms the worker's reconcile timers (handles are kept
 // for Reschedule reuse).
-func (w *workerMeta) cancelTimersLocked() {
+func (w *workerMeta) cancelTimers() {
 	for _, t := range [...]*simtime.Timer{w.endTimer, w.startTimer, w.kickTimer, w.leaseTimer} {
 		t.Cancel()
 	}
@@ -327,8 +327,6 @@ type Manager struct {
 	opts ManagerOptions
 	mux  *freerpc.Mux
 
-	// mu is free on a virtual engine (see simtime.Guard).
-	mu      simtime.Guard
 	workers []*workerMeta
 	tasks   map[string]*taskRecord
 	stats   ManagerStats
@@ -351,7 +349,7 @@ type Manager struct {
 	callPool  freerpc.Pool[workerCall]
 	startPool freerpc.Pool[startArgs]
 	// pingTimer is the liveness tick on the Lease/2 grid (lease-enabled
-	// managers only; see armLeaseLocked), a reusable Reschedule handle.
+	// managers only; see armLease), a reusable Reschedule handle.
 	pingTimer *simtime.Timer
 	pingFn    func()
 }
@@ -370,9 +368,6 @@ func NewManager(eng simtime.Engine, opts ManagerOptions) *Manager {
 		m.rng = rand.New(rand.NewSource(opts.Seed))
 	}
 	m.pingFn = m.pingTick
-	m.mu.Bind(eng)
-	m.callPool.Bind(eng)
-	m.startPool.Bind(eng)
 	freerpc.HandleFunc(m.mux, "Manager.AddBubble", func(d BubbleDTO) (any, error) {
 		m.AddBubble(FromBubbleDTO(d))
 		return nil, nil
@@ -413,46 +408,40 @@ func (m *Manager) AddWorker(name string, stage int, gpuMem int64, peer *freerpc.
 	w.reconcileFn = func() { m.reconcile(w) }
 	w.pingDone = func(result any, err error) { m.pingReplied(w, result, err) }
 	w.leaseFn = func() { m.checkLease(w) }
-	m.mu.Lock()
 	m.workers = append(m.workers, w)
 	// Workers may join a running manager (livemode): fold them into the
 	// reconcile schedule at the next grid instant.
-	m.wakeLocked(w)
-	m.armLeaseLocked(w)
-	m.mu.Unlock()
-	peer.Conn().OnClose(func() { m.workerLost(w) })
+	m.wake(w)
+	m.armLease(w)
+	peer.Conn().OnClose(func() { m.workerLost(w, "worker lost") })
 }
 
 // Start begins serving Algorithm 2: it anchors the Tick grid and arms the
 // per-worker reconcile schedule.
 func (m *Manager) Start() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.running {
 		return
 	}
 	m.running = true
 	m.epoch = m.eng.Now()
 	for _, w := range m.workers {
-		m.armLeaseLocked(w)
+		m.armLease(w)
 	}
 	// One pass per worker on the first grid instant; reconciles cascade
 	// from there, driven purely by events and armed deadlines.
 	for _, w := range m.workers {
 		if w.alive {
-			m.kickLocked(w, m.eventInstantLocked(m.epoch))
+			m.kick(w, m.eventInstant(m.epoch))
 		}
 	}
 }
 
 // Stop halts the loop (tasks keep their current state).
 func (m *Manager) Stop() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.running = false
 	m.pingTimer.Cancel()
 	for _, w := range m.workers {
-		w.cancelTimersLocked()
+		w.cancelTimers()
 	}
 	for _, rec := range m.taskOrder {
 		rec.retryTimer.Cancel()
@@ -461,15 +450,11 @@ func (m *Manager) Stop() {
 
 // Stats snapshots the manager counters.
 func (m *Manager) Stats() ManagerStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.stats
 }
 
 // Tasks snapshots all task records, in submission order.
 func (m *Manager) Tasks() []TaskView {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	out := make([]TaskView, 0, len(m.taskOrder))
 	for _, r := range m.taskOrder {
 		out = append(out, TaskView{
@@ -490,10 +475,8 @@ func (m *Manager) Tasks() []TaskView {
 // false when the task is unknown or detached mid-recovery (backoff, parked).
 // Exited tasks report their last host.
 func (m *Manager) TaskWorker(name string) (string, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	rec, ok := m.tasks[name]
-	if !ok || (!rec.exited && !m.placedLocked(rec)) {
+	if !ok || (!rec.exited && !m.placed(rec)) {
 		return "", false
 	}
 	return m.workers[rec.workerIdx].name, true

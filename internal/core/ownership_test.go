@@ -136,7 +136,6 @@ func newTapRig(t *testing.T, faults []simfault.Event) *tapRig {
 	pipePeer := freerpc.NewPeer(eng, pipeEnd, nil)
 	freerpc.NewPeer(eng, sinkEnd, r.mgr.Mux())
 	var reports freerpc.Pool[BubbleDTO]
-	reports.Bind(eng)
 	r.report = func(b bubble.Bubble) {
 		d := reports.Get()
 		d.V = ToBubbleDTO(b)

@@ -19,14 +19,12 @@ func (m *Manager) Submit(spec TaskSpec) error {
 // merely matches the profiled footprint cannot honor the limit
 // MemBytes+MemSlack.
 func (m *Manager) SubmitAndPlace(spec TaskSpec) (string, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if _, dup := m.tasks[spec.Name]; dup {
 		return "", fmt.Errorf("core: duplicate task name %q", spec.Name)
 	}
 	m.stats.Submitted++
 
-	selected := m.placeLocked(spec)
+	selected := m.place(spec)
 	if selected < 0 {
 		m.stats.Rejected++
 		return "", ErrRejected
@@ -35,26 +33,26 @@ func (m *Manager) SubmitAndPlace(spec TaskSpec) (string, error) {
 	rec := &taskRecord{spec: spec, submittedAt: m.eng.Now(), refArgs: taskRef{Name: spec.Name}}
 	m.tasks[spec.Name] = rec
 	m.taskOrder = append(m.taskOrder, rec)
-	return m.deployLocked(rec, selected).name, nil
+	return m.deploy(rec, selected).name, nil
 }
 
-// deployLocked queues rec's current incarnation on the selected worker and
+// deploy queues rec's current incarnation on the selected worker and
 // asks it to create the task (SUBMITTED→CREATED happens on the worker) —
 // shared by submission and recovery re-placement.
-func (m *Manager) deployLocked(rec *taskRecord, selected int) *workerMeta {
+func (m *Manager) deploy(rec *taskRecord, selected int) *workerMeta {
 	rec.workerIdx = selected
 	rec.state = sidetask.StateSubmitted
 	w := m.workers[selected]
 	w.queue = append(w.queue, rec)
-	m.wakeLocked(w)
-	m.goLocked(callCreate, w, rec)
+	m.wake(w)
+	m.goCall(callCreate, w, rec)
 	return w
 }
 
-// placeLocked is the Algorithm-1 selection loop, shared by Submit and
+// place is the Algorithm-1 selection loop, shared by Submit and
 // recovery re-placement: among live workers passing the AdmitsMem predicate
 // (and the queue cap), the one with the fewest tasks; -1 if none qualifies.
-func (m *Manager) placeLocked(spec TaskSpec) int {
+func (m *Manager) place(spec TaskSpec) int {
 	minTasks := int(^uint(0) >> 1)
 	selected := -1
 	for i, w := range m.workers {
@@ -67,7 +65,7 @@ func (m *Manager) placeLocked(spec TaskSpec) int {
 			// fit from the estimator). Count the placements the stale
 			// profile would have made — those are the bad admissions
 			// re-planning avoids.
-			if !m.fitsOnlineLocked(w, spec) {
+			if !m.fitsOnline(w, spec) {
 				if AdmitsMem(w.gpuMem0, spec.Profile.MemBytes, m.opts.MemSlack) {
 					m.stats.StaleAdmissions++
 				}

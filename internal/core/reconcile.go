@@ -14,8 +14,6 @@ import (
 // manager"). The report is inserted in Start order and the worker's
 // reconcile schedule is updated.
 func (m *Manager) AddBubble(b bubble.Bubble) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.stats.BubblesAdded++
 	m.stats.BubbleTimeTotal += b.Duration
 	for _, w := range m.workers {
@@ -31,7 +29,7 @@ func (m *Manager) AddBubble(b bubble.Bubble) {
 			if w.est != nil {
 				if dir := w.est.Observe(b.Duration); dir != bubble.DriftNone {
 					m.stats.DriftEvents++
-					m.replanLocked(w)
+					m.replan(w)
 				}
 			}
 		}
@@ -39,13 +37,13 @@ func (m *Manager) AddBubble(b bubble.Bubble) {
 			// A dead worker never revives and nothing pops its queue.
 			return
 		}
-		pb := pendingBubble{b: b, visibleAt: m.eventInstantLocked(m.eng.Now())}
+		pb := pendingBubble{b: b, visibleAt: m.eventInstant(m.eng.Now())}
 		w.pending.Push(pb)
 		for i := w.pending.Len() - 1; i > 0 && w.pending.At(i-1).b.Start > b.Start; i-- {
 			*w.pending.At(i) = *w.pending.At(i - 1)
 			*w.pending.At(i - 1) = pb
 		}
-		m.wakeLocked(w)
+		m.wake(w)
 		return
 	}
 	// No worker for this stage: the bubble goes unharvested.
@@ -62,17 +60,17 @@ func (m *Manager) AddBubble(b bubble.Bubble) {
 // identity assumes control-plane messages are in flight for less than one
 // Tick (RPC latency < Tick, the shipped configurations).
 
-// eventInstantLocked reports the first instant the loop may act on an event
+// eventInstant reports the first instant the loop may act on an event
 // processed at engine-time t.
-func (m *Manager) eventInstantLocked(t time.Duration) time.Duration {
+func (m *Manager) eventInstant(t time.Duration) time.Duration {
 	k := (max(t, m.epoch) - m.epoch) / m.opts.Tick
 	return m.epoch + (k+1)*m.opts.Tick
 }
 
-// deadlineInstantLocked reports the first instant the loop may act on a
+// deadlineInstant reports the first instant the loop may act on a
 // known deadline d (a bubble start or end): the first grid instant at or
 // after d.
-func (m *Manager) deadlineInstantLocked(d time.Duration) time.Duration {
+func (m *Manager) deadlineInstant(d time.Duration) time.Duration {
 	k := max(1, (d-m.epoch+m.opts.Tick-1)/m.opts.Tick)
 	return m.epoch + k*m.opts.Tick
 }
@@ -82,32 +80,30 @@ func (m *Manager) deadlineInstantLocked(d time.Duration) time.Duration {
 // reconcile is the shared timer callback: one full Algorithm-2 pass for w at
 // the current (grid-aligned) instant, then re-arm whatever deadlines remain.
 func (m *Manager) reconcile(w *workerMeta) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if !m.running || !w.alive {
 		return
 	}
 	now := m.eng.Now()
-	m.reconcileWorkerLocked(w, now)
-	m.armWorkerLocked(w, now)
+	m.reconcileWorker(w, now)
+	m.armWorker(w, now)
 }
 
-// wakeLocked notes a control-plane event for w: a reconcile is scheduled at
+// wake notes a control-plane event for w: a reconcile is scheduled at
 // the first grid instant that may act on it, and the deadline timers are
 // refreshed. No-op while the manager is stopped (Start arms the initial
 // pass).
-func (m *Manager) wakeLocked(w *workerMeta) {
+func (m *Manager) wake(w *workerMeta) {
 	if !m.running || !w.alive {
 		return
 	}
 	now := m.eng.Now()
-	m.kickLocked(w, m.eventInstantLocked(now))
-	m.armWorkerLocked(w, now)
+	m.kick(w, m.eventInstant(now))
+	m.armWorker(w, now)
 }
 
-// kickLocked arms w's kick timer for instant at, unless an earlier (or
+// kick arms w's kick timer for instant at, unless an earlier (or
 // equal) kick is already pending.
-func (m *Manager) kickLocked(w *workerMeta, at time.Duration) {
+func (m *Manager) kick(w *workerMeta, at time.Duration) {
 	if t := w.kickTimer; t != nil && t.Pending() && w.kickAt <= at {
 		return
 	}
@@ -115,36 +111,36 @@ func (m *Manager) kickLocked(w *workerMeta, at time.Duration) {
 	w.kickAt = at
 }
 
-// armWorkerLocked refreshes w's two deadline timers from its state: the
+// armWorker refreshes w's two deadline timers from its state: the
 // current bubble's end (the pause point) and the front pending bubble's
 // adoption instant. Both reuse their handles; re-arming an unchanged
 // deadline is a no-op.
-func (m *Manager) armWorkerLocked(w *workerMeta, now time.Duration) {
+func (m *Manager) armWorker(w *workerMeta, now time.Duration) {
 	if !m.running || !w.alive {
 		return
 	}
 	if w.hasBubble {
-		w.endTimer = m.armLocked(w.endTimer, &w.endAt, m.deadlineInstantLocked(w.bubble.End()), w.endName, w.reconcileFn)
+		w.endTimer = m.arm(w.endTimer, &w.endAt, m.deadlineInstant(w.bubble.End()), w.endName, w.reconcileFn)
 	}
 	if w.pending.Len() > 0 {
 		front := w.pending.At(0)
-		at := max(front.visibleAt, m.deadlineInstantLocked(front.b.Start))
+		at := max(front.visibleAt, m.deadlineInstant(front.b.Start))
 		// An already-adoptable front (at <= now) is blocked only by the
 		// current bubble; the end-timer pass adopts it, so no timer is due.
 		if at > now {
-			w.startTimer = m.armLocked(w.startTimer, &w.startAt, at, w.startName, w.reconcileFn)
+			w.startTimer = m.arm(w.startTimer, &w.startAt, at, w.startName, w.reconcileFn)
 		}
 	}
 	// An idle worker with queued tasks promotes the next one on the next
 	// grid instant (Algorithm 2's queue pop).
 	if w.current == nil && len(w.queue) > 0 {
-		m.kickLocked(w, m.eventInstantLocked(now))
+		m.kick(w, m.eventInstant(now))
 	}
 }
 
-// armLocked re-arms t (which the manager exclusively owns) for instant at,
+// arm re-arms t (which the manager exclusively owns) for instant at,
 // reusing the handle; a pending timer already set to at is left alone.
-func (m *Manager) armLocked(t *simtime.Timer, armedAt *time.Duration, at time.Duration, name string, fn func()) *simtime.Timer {
+func (m *Manager) arm(t *simtime.Timer, armedAt *time.Duration, at time.Duration, name string, fn func()) *simtime.Timer {
 	if t != nil && t.Pending() && *armedAt == at {
 		return t
 	}
@@ -154,19 +150,19 @@ func (m *Manager) armLocked(t *simtime.Timer, armedAt *time.Duration, at time.Du
 
 // --- Algorithm 2 ----------------------------------------------------------
 
-// reconcileWorkerLocked is the per-worker body of Algorithm 2.
-func (m *Manager) reconcileWorkerLocked(w *workerMeta, now time.Duration) {
+// reconcileWorker is the per-worker body of Algorithm 2.
+func (m *Manager) reconcileWorker(w *workerMeta, now time.Duration) {
 	// Lines 4–8: current bubble ended → pause the current task.
 	if w.hasBubble && now >= w.bubble.End() {
 		if w.current != nil && w.current.serving {
-			m.accountServedLocked(w.current, &w.bubble, w.bubble.End())
-			m.goLocked(callPause, w, w.current)
+			m.accountServed(w.current, &w.bubble, w.bubble.End())
+			m.goCall(callPause, w, w.current)
 		}
 		w.hasBubble = false
 	}
 	// Lines 9–10: adopt a newly begun bubble.
 	if !w.hasBubble {
-		m.adoptBubbleLocked(w, now)
+		m.adoptBubble(w, now)
 	}
 	// Lines 11–15: pick the next task if idle.
 	if w.current == nil {
@@ -187,7 +183,7 @@ func (m *Manager) reconcileWorkerLocked(w *workerMeta, now time.Duration) {
 	}
 	// Lines 16–17: initialize a created task.
 	if cur.state == sidetask.StateCreated && !cur.initSent {
-		m.goLocked(callInit, w, cur)
+		m.goCall(callInit, w, cur)
 		return
 	}
 	// Lines 18–19: start a paused task into the current bubble.
@@ -204,15 +200,15 @@ func (m *Manager) reconcileWorkerLocked(w *workerMeta, now time.Duration) {
 				return
 			}
 		}
-		m.goLocked(callStart, w, cur)
+		m.goCall(callStart, w, cur)
 	}
 }
 
-// adoptBubbleLocked makes the front pending bubble w's current one if it has
+// adoptBubble makes the front pending bubble w's current one if it has
 // begun, is visible, and has not ended; expired fronts are dropped. pending
 // is Start-ordered, so an ineligible front means nothing behind it is
 // eligible either.
-func (m *Manager) adoptBubbleLocked(w *workerMeta, now time.Duration) {
+func (m *Manager) adoptBubble(w *workerMeta, now time.Duration) {
 	for w.pending.Len() > 0 {
 		if front := w.pending.At(0); now < front.visibleAt || front.b.Start > now {
 			return // front not yet adoptable
@@ -228,9 +224,9 @@ func (m *Manager) adoptBubbleLocked(w *workerMeta, now time.Duration) {
 	}
 }
 
-// accountServedLocked credits rec with the part of bubble b it has served
+// accountServed credits rec with the part of bubble b it has served
 // up to until — the bubble's end at a pause, now at a demotion.
-func (m *Manager) accountServedLocked(rec *taskRecord, b *bubble.Bubble, until time.Duration) {
+func (m *Manager) accountServed(rec *taskRecord, b *bubble.Bubble, until time.Duration) {
 	if !rec.serving {
 		return
 	}

@@ -10,18 +10,11 @@ import (
 	"freeride/internal/simgpu"
 )
 
-// workerLost handles a closed worker link: the worker is declared dead.
-func (m *Manager) workerLost(w *workerMeta) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.workerLostLocked(w, "worker lost")
-}
-
-// workerLostLocked declares a worker dead — shared by the link-close path
+// workerLost declares a worker dead — shared by the link-close path
 // and the lease-expiry path. With recovery disabled (Lease == 0) its tasks
 // are retired forever, the pre-lease behaviour; with a lease configured
 // each orphaned task enters the backoff/re-place cycle.
-func (m *Manager) workerLostLocked(w *workerMeta, cause string) {
+func (m *Manager) workerLost(w *workerMeta, cause string) {
 	if !w.alive {
 		return
 	}
@@ -37,25 +30,25 @@ func (m *Manager) workerLostLocked(w *workerMeta, cause string) {
 	w.queue = nil
 	w.hasBubble = false
 	w.pending = fifo.Queue[pendingBubble]{}
-	w.cancelTimersLocked()
+	w.cancelTimers()
 	for _, rec := range orphans {
 		if rec.exited || rec.parked {
 			continue
 		}
 		if m.opts.Lease <= 0 || !m.running {
-			m.retireLocked(rec, cause)
+			m.retire(rec, cause)
 			continue
 		}
-		m.planRecoveryLocked(rec, cause)
+		m.planRecovery(rec, cause)
 	}
 }
 
-// planRecoveryLocked moves rec into the backoff/re-place cycle after its
+// planRecovery moves rec into the backoff/re-place cycle after its
 // deployment died (worker lost, create failure, injected kernel fault). The
 // attempt counter is charged here; an exhausted budget parks the task
 // instead of thrashing. All timing comes from the engine clock plus the
 // seeded rng — never wall time — so same-seed fault runs are bit-identical.
-func (m *Manager) planRecoveryLocked(rec *taskRecord, cause string) {
+func (m *Manager) planRecovery(rec *taskRecord, cause string) {
 	m.stats.LostWork += rec.servedSinceCkpt
 	rec.servedSinceCkpt = 0
 	rec.serving = false
@@ -81,18 +74,12 @@ func (m *Manager) planRecoveryLocked(rec *taskRecord, cause string) {
 // expires. No eligible worker re-enters the backoff cycle (consuming another
 // attempt) rather than busy-retrying.
 func (m *Manager) replaceTask(rec *taskRecord) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.replaceTaskLocked(rec)
-}
-
-func (m *Manager) replaceTaskLocked(rec *taskRecord) {
-	if !m.running || rec.exited || rec.parked || m.placedLocked(rec) {
+	if !m.running || rec.exited || rec.parked || m.placed(rec) {
 		return
 	}
-	selected := m.placeLocked(rec.spec)
+	selected := m.place(rec.spec)
 	if selected < 0 {
-		m.planRecoveryLocked(rec, "no eligible worker")
+		m.planRecovery(rec, "no eligible worker")
 		return
 	}
 	m.stats.Replacements++
@@ -100,18 +87,18 @@ func (m *Manager) replaceTaskLocked(rec *taskRecord) {
 		rec.everRestarted = true
 		m.stats.RestartedTasks++
 	}
-	m.deployLocked(rec, selected)
+	m.deploy(rec, selected)
 }
 
-// placedLocked reports whether rec is attached (current or queued) to a live
+// placed reports whether rec is attached (current or queued) to a live
 // worker.
-func (m *Manager) placedLocked(rec *taskRecord) bool {
+func (m *Manager) placed(rec *taskRecord) bool {
 	w := m.workers[rec.workerIdx]
 	return w.alive && (w.current == rec || slices.Contains(w.queue, rec))
 }
 
-// detachLocked removes rec from its worker's current/queue slots.
-func (m *Manager) detachLocked(rec *taskRecord) {
+// detach removes rec from its worker's current/queue slots.
+func (m *Manager) detach(rec *taskRecord) {
 	w := m.workers[rec.workerIdx]
 	if w.current == rec {
 		w.current = nil
@@ -128,32 +115,32 @@ func isInfraFault(exitErr string) bool {
 	return strings.Contains(exitErr, simgpu.InjectedFaultMsg)
 }
 
-// taskExitedLocked applies a task exit: injected infrastructure faults
+// taskExited applies a task exit: injected infrastructure faults
 // enter the recovery cycle (the task's own work is intact — the platform
 // failed it), and so does a pause-overrun grace kill on a worker whose
 // bubble supply is contracting (a stale admission, not a task bug — the
 // drift-aware classification); every other exit is the task's outcome and
 // stays terminal.
-func (m *Manager) taskExitedLocked(rec *taskRecord, st taskStatus) {
+func (m *Manager) taskExited(rec *taskRecord, st taskStatus) {
 	w := m.workers[rec.workerIdx]
-	m.detachLocked(rec)
+	m.detach(rec)
 	if m.running {
 		if m.opts.Lease > 0 && isInfraFault(st.ExitErr) {
-			m.planRecoveryLocked(rec, st.ExitErr)
+			m.planRecovery(rec, st.ExitErr)
 			return
 		}
 		if m.opts.Replan != nil && isGraceKill(st.ExitErr) &&
 			w.est != nil && w.est.ShrinkSuspected() {
-			m.planRecoveryLocked(rec, st.ExitErr+" (bubble shrank: replan demotion)")
+			m.planRecovery(rec, st.ExitErr+" (bubble shrank: replan demotion)")
 			return
 		}
 	}
-	m.retireLocked(rec, st.ExitErr)
+	m.retire(rec, st.ExitErr)
 }
 
-// retireLocked ends rec for good: exited with cause, out of service. The
+// retire ends rec for good: exited with cause, out of service. The
 // only place a record is retired.
-func (m *Manager) retireLocked(rec *taskRecord, cause string) {
+func (m *Manager) retire(rec *taskRecord, cause string) {
 	rec.exited = true
 	rec.exitErr = cause
 	rec.state = sidetask.StateStopped

@@ -17,8 +17,8 @@ import (
 // filter against the online estimates. Tasks whose bubbles shrank below
 // their pause-time fit are demoted through the same checkpoint-restart
 // backoff cycle a crash uses; tasks parked for lack of anywhere to run are
-// revived when the profile grows back. Everything runs on the engine clock
-// under the manager lock, so same-seed drift runs are bit-identical, and a
+// revived when the profile grows back. Everything runs on the engine clock,
+// in the engine's callbacks, so same-seed drift runs are bit-identical, and a
 // zero-drift run never fires the detector at all.
 
 // recoveryArmed reports whether the backoff/re-placement cycle is wired:
@@ -39,8 +39,6 @@ func isGraceKill(exitErr string) bool {
 // unless re-planning is armed. Until a worker is baselined its detector is
 // off and the one-shot profile stays authoritative.
 func (m *Manager) SetBubbleBaseline(name string, perEpoch time.Duration, reports int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.opts.Replan == nil || perEpoch <= 0 || reports <= 0 {
 		return
 	}
@@ -58,8 +56,6 @@ func (m *Manager) SetBubbleBaseline(name string, perEpoch time.Duration, reports
 // onto the pushed level — superseding the one-shot profile — and the stage
 // is re-planned immediately. Served on "Manager.ProfileUpdate".
 func (m *Manager) ProfileUpdate(d ProfileUpdateDTO) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.opts.Replan == nil {
 		return
 	}
@@ -78,19 +74,19 @@ func (m *Manager) ProfileUpdate(d ProfileUpdateDTO) {
 			if su.MemAvail > 0 {
 				w.lastMem = su.MemAvail
 			}
-			m.replanLocked(w)
+			m.replan(w)
 			break
 		}
 	}
 }
 
-// fitsOnlineLocked is the online admission predicate: the re-profiled
+// fitsOnline is the online admission predicate: the re-profiled
 // memory must admit the task AND the estimated mean bubble must cover its
 // worst-case pause-time fit (one jittered step plus host overhead). Callers
 // gate it on est.Drifted() — until a detection the one-shot profile is
 // authoritative and this predicate must not be consulted, which is what
 // keeps zero-drift admission bit-identical.
-func (m *Manager) fitsOnlineLocked(w *workerMeta, spec TaskSpec) bool {
+func (m *Manager) fitsOnline(w *workerMeta, spec TaskSpec) bool {
 	if !AdmitsMem(w.gpuMem, spec.Profile.MemBytes, m.opts.MemSlack) {
 		return false
 	}
@@ -98,34 +94,34 @@ func (m *Manager) fitsOnlineLocked(w *workerMeta, spec TaskSpec) bool {
 	return fit <= 0 || w.est == nil || w.est.MeanBubble() >= fit
 }
 
-// replanLocked is the drift response for one worker: fold the reported
+// replan is the drift response for one worker: fold the reported
 // memory into the admission figure, demote every attached task the online
 // profile no longer fits, then revive parked tasks the re-profiled cluster
 // fits again (a grown stage may now hold a task that exhausted its budget
 // against the old shape).
-func (m *Manager) replanLocked(w *workerMeta) {
+func (m *Manager) replan(w *workerMeta) {
 	m.stats.Replans++
 	if w.lastMem > 0 {
 		w.gpuMem = w.lastMem
 	}
-	if rec := w.current; rec != nil && !m.fitsOnlineLocked(w, rec.spec) {
-		m.demoteLocked(w, rec)
+	if rec := w.current; rec != nil && !m.fitsOnline(w, rec.spec) {
+		m.demote(w, rec)
 	}
 	for _, rec := range slices.Clone(w.queue) { // demotions edit the queue
-		if !m.fitsOnlineLocked(w, rec.spec) {
-			m.demoteLocked(w, rec)
+		if !m.fitsOnline(w, rec.spec) {
+			m.demote(w, rec)
 		}
 	}
-	m.reviveParkedLocked()
+	m.reviveParked()
 }
 
-// demoteLocked pulls rec off w because the online profile no longer fits
+// demote pulls rec off w because the online profile no longer fits
 // it: the live incarnation is stopped (its eventual exit report carries a
 // stale incarnation and is discarded) and the task enters the same
 // checkpoint-restart backoff cycle a crash uses. Work served since the
 // last acknowledged pause is charged to LostWork exactly like crash
 // re-placement — a demotion loses the un-checkpointed tail too.
-func (m *Manager) demoteLocked(w *workerMeta, rec *taskRecord) {
+func (m *Manager) demote(w *workerMeta, rec *taskRecord) {
 	if rec.exited || rec.parked {
 		return
 	}
@@ -133,25 +129,25 @@ func (m *Manager) demoteLocked(w *workerMeta, rec *taskRecord) {
 	if w.hasBubble {
 		// The partial serve of the in-flight bubble is real GPU time the
 		// checkpoint will not cover; account it before planning recovery.
-		m.accountServedLocked(rec, &w.bubble, m.eng.Now())
+		m.accountServed(rec, &w.bubble, m.eng.Now())
 	}
-	m.goLocked(callStop, w, rec)
-	m.detachLocked(rec)
-	m.planRecoveryLocked(rec, "replan demotion: bubble supply no longer fits")
-	m.wakeLocked(w)
+	m.goCall(callStop, w, rec)
+	m.detach(rec)
+	m.planRecovery(rec, "replan demotion: bubble supply no longer fits")
+	m.wake(w)
 }
 
-// reviveParkedLocked re-admits parked tasks the current online profile
+// reviveParked re-admits parked tasks the current online profile
 // fits somewhere. A revived task gets a fresh restart budget: parking was
 // the old profile's verdict, and the re-plan that revives it is planning
 // against new information. Iteration follows submission order — map order
 // would be nondeterministic.
-func (m *Manager) reviveParkedLocked() {
+func (m *Manager) reviveParked() {
 	for _, rec := range m.taskOrder {
 		if !rec.parked || rec.exited {
 			continue
 		}
-		if m.placeLocked(rec.spec) < 0 {
+		if m.place(rec.spec) < 0 {
 			continue
 		}
 		rec.parked = false
@@ -159,6 +155,6 @@ func (m *Manager) reviveParkedLocked() {
 		rec.exitErr = ""
 		rec.state = sidetask.StateSubmitted
 		m.stats.Revivals++
-		m.replaceTaskLocked(rec)
+		m.replaceTask(rec)
 	}
 }

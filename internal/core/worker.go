@@ -96,8 +96,6 @@ type Worker struct {
 	device *simgpu.Device
 	ctrs   *container.Runtime
 
-	// mu is free on a virtual engine (see simtime.Guard).
-	mu    simtime.Guard
 	tasks map[string]*workerTask
 	// roster lists tasks in create order: Worker.Ping snapshots walk it
 	// instead of the map so reply order is deterministic.
@@ -139,9 +137,6 @@ func NewWorker(eng simtime.Engine, device *simgpu.Device, ctrs *container.Runtim
 
 		errCrashed: fmt.Errorf("worker %s: crashed", cfg.Name),
 	}
-	w.mu.Bind(eng)
-	w.statusPool.Bind(eng)
-	w.pingPool.Bind(eng)
 	return w
 }
 
@@ -153,16 +148,12 @@ func (w *Worker) Device() *simgpu.Device { return w.device }
 
 // Stats snapshots the worker counters.
 func (w *Worker) Stats() WorkerStats {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	return w.stats
 }
 
 // Harness exposes a deployed task's harness for measurement (simulation
 // only; the live daemons report over RPC instead).
 func (w *Worker) Harness(name string) (*sidetask.Harness, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	t, ok := w.tasks[name]
 	if !ok {
 		return nil, false
@@ -179,8 +170,6 @@ func (w *Worker) RegisterOn(mux *freerpc.Mux) {
 	freerpc.HandleFunc(mux, "Worker.Stop", w.handleStop)
 	freerpc.HandleFunc(mux, "Worker.Query", w.handleQuery)
 	freerpc.HandleFunc(mux, "Worker.Info", func(struct{}) (any, error) {
-		w.mu.Lock()
-		defer w.mu.Unlock()
 		return workerInfo{Name: w.cfg.Name, GPUMem: w.device.MemFree(), NumTasks: len(w.tasks)}, nil
 	})
 	freerpc.HandleFunc(mux, "Worker.Ping", func(struct{}) (any, error) {
@@ -195,8 +184,6 @@ func (w *Worker) RegisterOn(mux *freerpc.Mux) {
 // wedged worker (notifications suppressed) still answers: the snapshot is
 // the anti-entropy that heals the pushes the wedge swallowed.
 func (w *Worker) pingStatus() (any, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.crashed {
 		return nil, w.errCrashed
 	}
@@ -212,18 +199,14 @@ func (w *Worker) pingStatus() (any, error) {
 // SetNotify installs the channel for worker→manager notifications (task
 // exits). The function must be safe to call from engine context.
 func (w *Worker) SetNotify(fn func(method string, params any)) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	w.notifyFn = fn
 }
 
 func (w *Worker) notify(method string, params any) {
-	w.mu.Lock()
 	fn := w.notifyFn
 	if w.crashed || w.eng.Now() < w.wedgeUntil {
 		fn = nil
 	}
-	w.mu.Unlock()
 	if fn != nil {
 		fn(method, params)
 	}
@@ -235,16 +218,13 @@ func (w *Worker) notify(method string, params any) {
 // manager learns of the death through its link closing or its lease
 // expiring, exactly like a dead host.
 func (w *Worker) Crash() {
-	w.mu.Lock()
 	if w.crashed {
-		w.mu.Unlock()
 		return
 	}
 	w.crashed = true
 	dead := w.roster
 	w.roster = nil
 	w.tasks = make(map[string]*workerTask)
-	w.mu.Unlock()
 	for _, t := range dead {
 		t.grace.Cancel()
 		t.cont.Kill()
@@ -255,11 +235,9 @@ func (w *Worker) Crash() {
 // (fault plane: a wedged reporter). Tasks keep executing; the manager's
 // cache goes stale until the window ends or a ping snapshot heals it.
 func (w *Worker) WedgeFor(window time.Duration) {
-	w.mu.Lock()
 	if until := w.eng.Now() + window; until > w.wedgeUntil {
 		w.wedgeUntil = until
 	}
-	w.mu.Unlock()
 }
 
 // handleCreate implements SUBMITTED→CREATED: build the harness, wrap it in
@@ -269,7 +247,6 @@ func (w *Worker) handleCreate(args createArgs) (any, error) {
 	if err != nil {
 		return nil, fmt.Errorf("worker %s: factory: %w", w.cfg.Name, err)
 	}
-	harness.BindEngine(w.eng)
 	if args.Ckpt != nil {
 		// Restart-from-checkpoint: the new incarnation resumes from the
 		// last progress the manager checkpointed.
@@ -284,15 +261,12 @@ func (w *Worker) handleCreate(args createArgs) (any, error) {
 		Name:        w.cfg.Name + "/" + args.Spec.Name,
 		Device:      w.device,
 		GPUMemLimit: args.MemLimitBytes,
-		GPUWeight:   0, // kernels carry their own weight
 	}
-	w.mu.Lock()
 	if old, dup := w.tasks[args.Spec.Name]; dup {
 		// A newer incarnation may re-land on a worker that still holds the
 		// exited remains of an older one (e.g. after an injected kernel
 		// fault); only a live duplicate is an error.
 		if old.cont.Alive() {
-			w.mu.Unlock()
 			return nil, fmt.Errorf("worker %s: duplicate task %q", w.cfg.Name, args.Spec.Name)
 		}
 		delete(w.tasks, args.Spec.Name)
@@ -302,11 +276,8 @@ func (w *Worker) handleCreate(args createArgs) (any, error) {
 				break
 			}
 		}
-		w.mu.Unlock()
 		// Free the exited container's name for the new incarnation.
 		_ = w.ctrs.Remove(cspec.Name)
-	} else {
-		w.mu.Unlock()
 	}
 	cont, err := harness.Launch(w.ctrs, cspec)
 	if err != nil {
@@ -317,11 +288,9 @@ func (w *Worker) handleCreate(args createArgs) (any, error) {
 		t.stateArgs[s] = taskStatus{Name: args.Spec.Name, State: int(s), Incarnation: args.Incarnation}
 	}
 	t.exitOK = taskStatus{Name: args.Spec.Name, Exited: true, Incarnation: args.Incarnation}
-	w.mu.Lock()
 	w.tasks[args.Spec.Name] = t
 	w.roster = append(w.roster, t)
 	w.stats.Created++
-	w.mu.Unlock()
 
 	// Push every state change to the manager so its cache never goes
 	// stale (the paper's manager likewise learns transitions through its
@@ -331,12 +300,10 @@ func (w *Worker) handleCreate(args createArgs) (any, error) {
 	})
 
 	cont.Process().OnExit(func(err error) {
-		w.mu.Lock()
 		w.stats.TaskExits++
 		if err != nil {
 			w.stats.TaskErrExit++
 		}
-		w.mu.Unlock()
 		if err == nil {
 			w.notify("Manager.TaskExited", t.exitOK)
 			return
@@ -347,8 +314,6 @@ func (w *Worker) handleCreate(args createArgs) (any, error) {
 }
 
 func (w *Worker) lookup(name string) (*workerTask, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	t, ok := w.tasks[name]
 	if !ok {
 		return nil, fmt.Errorf("worker %s: unknown task %q", w.cfg.Name, name)
@@ -370,9 +335,7 @@ func (w *Worker) handleInit(ref taskRef) (any, error) {
 		return w.statusReply(t), nil
 	}
 	t.harness.Deliver(sidetask.Command{Transition: sidetask.TransitionInit})
-	w.mu.Lock()
 	w.stats.Inits++
-	w.mu.Unlock()
 
 	if w.cfg.DisableEnforcement {
 		return w.statusReply(t), nil
@@ -385,9 +348,7 @@ func (w *Worker) handleInit(ref taskRef) (any, error) {
 	}
 	w.eng.ScheduleDetached(timeout, "init-check:"+ref.Name, func() {
 		if t.harness.State() == sidetask.StateCreated && t.cont.Alive() {
-			w.mu.Lock()
 			w.stats.InitKills++
-			w.mu.Unlock()
 			t.cont.Kill()
 		}
 	})
@@ -428,9 +389,7 @@ func (w *Worker) handleStart(args startArgs) (any, error) {
 				BubbleEnd:  time.Duration(args.BubbleEndNs),
 			})
 		}
-		w.mu.Lock()
 		w.stats.Starts++
-		w.mu.Unlock()
 		s := w.statusReply(t)
 		s.V.Started = true
 		return s, nil
@@ -458,9 +417,7 @@ func (w *Worker) handlePause(ref taskRef) (any, error) {
 	} else {
 		t.harness.Deliver(sidetask.Command{Transition: sidetask.TransitionPause})
 	}
-	w.mu.Lock()
 	w.stats.Pauses++
-	w.mu.Unlock()
 
 	if w.cfg.DisableEnforcement {
 		return w.statusReply(t), nil
@@ -482,9 +439,7 @@ func (w *Worker) handlePause(ref taskRef) (any, error) {
 					(gpu != nil && gpu.Busy())
 			}
 			if misbehaving {
-				w.mu.Lock()
 				w.stats.GraceKills++
-				w.mu.Unlock()
 				t.cont.Kill()
 			}
 		}
@@ -504,9 +459,7 @@ func (w *Worker) handleStop(ref taskRef) (any, error) {
 		t.cont.Cont() // let it observe the stop... or die trying
 	}
 	t.harness.Deliver(sidetask.Command{Transition: sidetask.TransitionStop})
-	w.mu.Lock()
 	w.stats.Stops++
-	w.mu.Unlock()
 	w.eng.ScheduleDetached(w.cfg.Grace, "stop-check:"+ref.Name, func() {
 		if t.cont.Alive() {
 			t.cont.Kill()
@@ -533,7 +486,7 @@ func (w *Worker) statusReply(t *workerTask) *freerpc.Pooled[taskStatus] {
 
 func (w *Worker) status(t *workerTask) taskStatus {
 	c := t.harness.Counters()
-	exited, exitErr, _ := t.cont.ExitInfo()
+	exited, exitErr := t.cont.ExitInfo()
 	msg := ""
 	if exitErr != nil {
 		msg = exitErr.Error()

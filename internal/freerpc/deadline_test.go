@@ -215,22 +215,26 @@ func TestFailAllCompletesInCallOrder(t *testing.T) {
 // lose: on the wall engine the timer's fire and the reply's delivery are
 // separate goroutines, and timeouts spread around the measured round trip
 // make each win some of the time. Every call must complete exactly once — a
-// reply or ErrTimeout, never both, never neither. Run under -race in CI.
+// reply or ErrTimeout, never both, never neither. The callers are goroutines
+// of their own and enter the engine through Do. Run under -race in CI.
 func TestWallDeadlineRacesReply(t *testing.T) {
 	eng := simtime.NewWall()
-	client := echoPair(eng, 100*time.Microsecond)
+	var client *Peer
+	eng.Do(func() { client = echoPair(eng, 100*time.Microsecond) })
 
 	// call issues one call and waits for its completion.
 	call := func(n int, timeout time.Duration, done func(error)) bool {
 		completed := make(chan struct{})
 		var completions atomic.Int32
-		client.Go("Echo", n, timeout, func(_ any, err error) {
-			if completions.Add(1) > 1 {
-				t.Errorf("call %d (timeout %v) completed twice, the second time with err = %v", n, timeout, err)
-				return
-			}
-			done(err)
-			close(completed)
+		eng.Do(func() {
+			client.Go("Echo", n, timeout, func(_ any, err error) {
+				if completions.Add(1) > 1 {
+					t.Errorf("call %d (timeout %v) completed twice, the second time with err = %v", n, timeout, err)
+					return
+				}
+				done(err)
+				close(completed)
+			})
 		})
 		select {
 		case <-completed:
@@ -283,9 +287,8 @@ func TestWallDeadlineRacesReply(t *testing.T) {
 	// lost the race to the last reply may still be in flight, and must find
 	// nothing to expire when it lands.
 	time.Sleep(2 * rtt)
-	client.mu.Lock()
-	pending, entries := len(client.pending), len(client.deadlines)
-	client.mu.Unlock()
+	var pending, entries int
+	eng.Do(func() { pending, entries = len(client.pending), len(client.deadlines) })
 	if pending != 0 || entries != 0 {
 		t.Fatalf("at rest: %d pending calls, %d heap entries; want none", pending, entries)
 	}

@@ -26,9 +26,7 @@ func InjectFaults(c Conn) *LinkFault {
 	}
 	f := &LinkFault{ends: [2]*memConn{mc, mc.peer}}
 	for _, e := range f.ends {
-		e.mu.Lock()
 		e.faulty = true
-		e.mu.Unlock()
 	}
 	return f
 }
@@ -39,11 +37,9 @@ func InjectFaults(c Conn) *LinkFault {
 func (f *LinkFault) DropFor(window time.Duration) {
 	until := f.ends[0].eng.Now() + window
 	for _, e := range f.ends {
-		e.mu.Lock()
 		if until > e.dropUntil {
 			e.dropUntil = until
 		}
-		e.mu.Unlock()
 	}
 }
 
@@ -52,12 +48,10 @@ func (f *LinkFault) DropFor(window time.Duration) {
 func (f *LinkFault) DelayFor(window, extra time.Duration) {
 	until := f.ends[0].eng.Now() + window
 	for _, e := range f.ends {
-		e.mu.Lock()
 		if until > e.delayUntil {
 			e.delayUntil = until
 		}
 		e.extraDelay = extra
-		e.mu.Unlock()
 	}
 }
 
@@ -69,9 +63,7 @@ func (f *LinkFault) Sever() { _ = f.ends[0].Close() }
 func (f *LinkFault) Dropped() uint64 {
 	var n uint64
 	for _, e := range f.ends {
-		e.mu.Lock()
 		n += e.dropped
-		e.mu.Unlock()
 	}
 	return n
 }

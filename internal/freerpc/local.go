@@ -3,8 +3,6 @@ package freerpc
 import (
 	"encoding/json"
 	"fmt"
-
-	"freeride/internal/simtime"
 )
 
 // Msg is the typed envelope of the in-memory fast path: the analogue of the
@@ -68,9 +66,8 @@ func recycle(v any) {
 // handlers (HandleFunc[T]) and DecodeResult[T] read through it, and on the
 // wire it marshals exactly as its V. A caller may keep its private per-call
 // contexts in one too, calling Recycle itself when done has run. The zero
-// Pool is ready to use; Bind makes its lock free on a virtual engine.
+// Pool is ready to use.
 type Pool[T any] struct {
-	mu   simtime.Guard
 	free []*Pooled[T]
 }
 
@@ -81,14 +78,8 @@ type Pooled[T any] struct {
 	pool *Pool[T]
 }
 
-// Bind ties the pool's lock to eng (see simtime.Guard).
-// Call at construction time, before the pool is shared.
-func (p *Pool[T]) Bind(eng simtime.Engine) { p.mu.Bind(eng) }
-
 // Get takes a value from the free list, or a fresh one when it is empty.
 func (p *Pool[T]) Get() *Pooled[T] {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if n := len(p.free); n > 0 {
 		v := p.free[n-1]
 		p.free[n-1] = nil
@@ -101,9 +92,7 @@ func (p *Pool[T]) Get() *Pooled[T] {
 // Recycle implements Recycler.
 func (v *Pooled[T]) Recycle() {
 	p := v.pool
-	p.mu.Lock()
 	p.free = append(p.free, v)
-	p.mu.Unlock()
 }
 
 // MarshalJSON makes a pooled value indistinguishable from its V on the wire.

@@ -7,8 +7,6 @@ import (
 	"net"
 	"reflect"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"freeride/internal/simproc"
@@ -24,27 +22,19 @@ type wireHandler func(params json.RawMessage) (any, error)
 // caller still serialized).
 type typedHandler func(params any) (any, error)
 
-// Mux is a method dispatch table shared by any number of peers (the worker
-// registers its methods once and serves every manager connection with them).
-//
-// Registration may happen at any time, but is expected to be rare (every
-// assembly in this repository registers before NewPeer): the in-memory fast
-// path resolves a handler with one atomic load of an immutable table that
-// each registration replaces, so a request pays no lock; only the wire path,
-// which pays for JSON anyway, reads under mu.
+// Mux is a method dispatch table shared by any number of peers on one engine
+// (the worker registers its methods once and serves every manager connection
+// with them).
 type Mux struct {
-	mu       sync.RWMutex // guards handlers; serialises replacements of local
 	handlers map[string]wireHandler
 	// local serves the fast path: HandleFunc's typed dispatcher, built once
-	// at registration. The map it points to is never written again.
-	local atomic.Pointer[map[string]typedHandler]
+	// at registration.
+	local map[string]typedHandler
 }
 
 // NewMux returns an empty dispatch table.
 func NewMux() *Mux {
-	m := &Mux{handlers: make(map[string]wireHandler)}
-	m.local.Store(&map[string]typedHandler{})
-	return m
+	return &Mux{handlers: make(map[string]wireHandler), local: make(map[string]typedHandler)}
 }
 
 // HandleFunc registers a typed handler for method, replacing any previous
@@ -97,25 +87,8 @@ func HandleFunc[P any](m *Mux, method string, fn func(params P) (any, error)) {
 			return fn(decoded)
 		}
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.handlers[method] = wire
-	local := maps.Clone(*m.local.Load())
-	local[method] = typed
-	m.local.Store(&local)
-}
-
-func (m *Mux) lookup(method string) (wireHandler, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	h, ok := m.handlers[method]
-	return h, ok
-}
-
-// lookupLocal resolves a method for the fast path without taking mu.
-func (m *Mux) lookupLocal(method string) (typedHandler, bool) {
-	th, ok := (*m.local.Load())[method]
-	return th, ok
+	m.local[method] = typed
 }
 
 // envelope is the wire message: requests carry Method, responses don't.
@@ -148,9 +121,6 @@ type Peer struct {
 	local LocalConn // non-nil when conn supports the typed fast path
 	mux   *Mux
 
-	// mu is free on a virtual engine and a real mutex on the wall engine the
-	// live transports run on (see simtime.Guard).
-	mu      simtime.Guard
 	nextID  uint64
 	pending map[uint64]*pendingCall
 	closed  bool
@@ -167,7 +137,7 @@ type Peer struct {
 	// armed at exactly that deadline — or the heap is empty and the timer is
 	// disarmed — so the timer only ever fires to expire a real call. A call
 	// that completes while its entry is the top takes the entry with it and
-	// moves the timer on (settleDeadlineLocked); an entry further down stays
+	// moves the timer on (settleDeadline); an entry further down stays
 	// behind and is dropped, without an engine event, when it surfaces.
 	deadlines     []deadlineEntry
 	deadlineTimer *simtime.Timer
@@ -198,20 +168,21 @@ var noopDone = func(any, error) {}
 // NewPeer wraps conn. mux may be nil for call-only endpoints.
 func NewPeer(eng simtime.Engine, conn Conn, mux *Mux) *Peer {
 	p := &Peer{eng: eng, conn: conn, mux: mux, pending: make(map[uint64]*pendingCall)}
-	p.mu.Bind(eng)
 	p.deadlineFn = p.expireDeadlines
+	// Before the receive handler, which starts a socket's read pump: a
+	// hang-up the pump reports must find failAll registered.
+	conn.OnClose(p.failAll)
 	if lc, ok := conn.(LocalConn); ok {
 		p.local = lc
 		lc.SetMsgHandler(p.onMsg)
 	} else {
 		conn.SetRecvHandler(p.onFrame)
 	}
-	conn.OnClose(p.failAll)
 	return p
 }
 
-// newCallLocked takes a pendingCall from the free-list. Caller holds p.mu.
-func (p *Peer) newCallLocked() *pendingCall {
+// newCall takes a pendingCall from the free-list.
+func (p *Peer) newCall() *pendingCall {
 	if n := len(p.callFree); n > 0 {
 		c := p.callFree[n-1]
 		p.callFree[n-1] = nil
@@ -221,10 +192,10 @@ func (p *Peer) newCallLocked() *pendingCall {
 	return &pendingCall{}
 }
 
-// recycleLocked clears and pools a completed call record. The caller must
-// already have removed it from pending and copied out what it needs — once
-// recycled, the record may immediately back a new call. Caller holds p.mu.
-func (p *Peer) recycleLocked(c *pendingCall) {
+// freeCall clears and pools a completed call record. The caller must already
+// have removed it from pending and copied out what it needs — once recycled,
+// the record may immediately back a new call.
+func (p *Peer) freeCall(c *pendingCall) {
 	c.method = ""
 	c.done = nil
 	c.timeout = 0
@@ -239,41 +210,41 @@ func (p *Peer) Close() { _ = p.conn.Close() }
 
 // --- deadline heap ---------------------------------------------------------
 
-// armDeadlineLocked records a call deadline and keeps the timer armed at the
-// earliest outstanding one. Caller holds p.mu.
-func (p *Peer) armDeadlineLocked(id uint64, at time.Duration) {
-	p.deadlinePushLocked(deadlineEntry{at: at, id: id})
+// armDeadline records a call deadline and keeps the timer armed at the
+// earliest outstanding one.
+func (p *Peer) armDeadline(id uint64, at time.Duration) {
+	p.deadlinePush(deadlineEntry{at: at, id: id})
 	// The top is live without looking: the old top was, and the new entry is.
-	p.moveTimerLocked()
+	p.moveTimer()
 }
 
-// settleDeadlineLocked is called when call id has left pending by any path
-// but expiry (reply, send error). If its entry is the heap's top, the entry
-// goes with it and the timer moves to the next live deadline; otherwise
-// there is no entry, or it is dropped when it surfaces. Caller holds p.mu.
-func (p *Peer) settleDeadlineLocked(id uint64) {
+// settleDeadline is called when call id has left pending by any path but
+// expiry (reply, send error). If its entry is the heap's top, the entry goes
+// with it and the timer moves to the next live deadline; otherwise there is no
+// entry, or it is dropped when it surfaces.
+func (p *Peer) settleDeadline(id uint64) {
 	if len(p.deadlines) > 0 && p.deadlines[0].id == id {
-		p.deadlinePopLocked()
-		p.retimeLocked()
+		p.deadlinePop()
+		p.retime()
 	}
 }
 
-// retimeLocked restores the invariant after entries left the top of the
-// heap: entries of completed calls that surfaced are dropped, then the timer
-// follows the new top. Caller holds p.mu.
-func (p *Peer) retimeLocked() {
+// retime restores the invariant after entries left the top of the heap:
+// entries of completed calls that surfaced are dropped, then the timer follows
+// the new top.
+func (p *Peer) retime() {
 	for len(p.deadlines) > 0 {
 		if _, live := p.pending[p.deadlines[0].id]; live {
 			break
 		}
-		p.deadlinePopLocked()
+		p.deadlinePop()
 	}
-	p.moveTimerLocked()
+	p.moveTimer()
 }
 
-// moveTimerLocked arms the timer at the top's deadline unless it already is,
-// or cancels it when the heap is empty. Caller holds p.mu.
-func (p *Peer) moveTimerLocked() {
+// moveTimer arms the timer at the top's deadline unless it already is, or
+// cancels it when the heap is empty.
+func (p *Peer) moveTimer() {
 	armed := p.deadlineTimer != nil && p.deadlineTimer.Pending()
 	if len(p.deadlines) == 0 {
 		if armed {
@@ -290,7 +261,7 @@ func (p *Peer) moveTimerLocked() {
 // expireDeadlines is the timer callback: it times out every still-pending
 // call whose deadline has passed and re-arms for the next live deadline. It
 // assumes nothing about why it ran: on the wall engine a fire can race the
-// cancel (or the move) of settleDeadlineLocked and arrive with nothing due,
+// cancel (or the move) of settleDeadline and arrive with nothing due,
 // in which case it only re-establishes the invariant.
 func (p *Peer) expireDeadlines() {
 	// Expiries are rare (a measurement run never times out), so the
@@ -301,26 +272,23 @@ func (p *Peer) expireDeadlines() {
 		timeout time.Duration
 	}
 	var expired []expiry
-	p.mu.Lock()
 	now := p.eng.Now()
 	for len(p.deadlines) > 0 && p.deadlines[0].at <= now {
-		e := p.deadlinePopLocked()
+		e := p.deadlinePop()
 		if call, ok := p.pending[e.id]; ok {
 			delete(p.pending, e.id)
 			expired = append(expired, expiry{done: call.done, method: call.method, timeout: call.timeout})
-			p.recycleLocked(call)
+			p.freeCall(call)
 		}
 	}
-	p.retimeLocked()
-	p.mu.Unlock()
+	p.retime()
 	for _, e := range expired {
 		e.done(nil, fmt.Errorf("%w: %s after %v", ErrTimeout, e.method, e.timeout))
 	}
 }
 
-// deadlinePushLocked / deadlinePopLocked maintain the (at, id) min-heap.
-// Caller holds p.mu.
-func (p *Peer) deadlinePushLocked(e deadlineEntry) {
+// deadlinePush / deadlinePop maintain the (at, id) min-heap.
+func (p *Peer) deadlinePush(e deadlineEntry) {
 	p.deadlines = append(p.deadlines, e)
 	i := len(p.deadlines) - 1
 	for i > 0 {
@@ -333,7 +301,7 @@ func (p *Peer) deadlinePushLocked(e deadlineEntry) {
 	}
 }
 
-func (p *Peer) deadlinePopLocked() deadlineEntry {
+func (p *Peer) deadlinePop() deadlineEntry {
 	h := p.deadlines
 	top := h[0]
 	last := len(h) - 1
@@ -370,10 +338,8 @@ func entryLess(a, b deadlineEntry) bool {
 
 // resolve completes the pending call for a response (from either path).
 func (p *Peer) resolve(id uint64, result any, errMsg string) {
-	p.mu.Lock()
 	call, ok := p.pending[id]
 	if !ok {
-		p.mu.Unlock()
 		return // response to a timed-out or unknown call
 	}
 	delete(p.pending, id)
@@ -381,9 +347,8 @@ func (p *Peer) resolve(id uint64, result any, errMsg string) {
 	// Recycle before running done: the record is out of the map, so even a
 	// duplicate reply for this id can no longer reach it, and done itself
 	// may issue a new call that reuses it.
-	p.recycleLocked(call)
-	p.settleDeadlineLocked(id)
-	p.mu.Unlock()
+	p.freeCall(call)
+	p.settleDeadline(id)
 	if errMsg != "" {
 		done(nil, &RemoteError{Method: method, Msg: errMsg})
 		return
@@ -408,7 +373,7 @@ func (p *Peer) serveLocal(m Msg) {
 	var errMsg string
 	if p.mux == nil {
 		errMsg = "no handler table"
-	} else if th, ok := p.mux.lookupLocal(m.Method); !ok {
+	} else if th, ok := p.mux.local[m.Method]; !ok {
 		errMsg = fmt.Sprintf("unknown method %q", m.Method)
 	} else {
 		r, err := th(m.Params)
@@ -442,7 +407,7 @@ func (p *Peer) serveRequest(env *envelope) {
 	resp.ID = env.ID
 	if p.mux == nil {
 		resp.Error = "no handler table"
-	} else if h, ok := p.mux.lookup(env.Method); !ok {
+	} else if h, ok := p.mux.handlers[env.Method]; !ok {
 		resp.Error = fmt.Sprintf("unknown method %q", env.Method)
 	} else {
 		result, err := h(env.Params)
@@ -472,9 +437,7 @@ func (p *Peer) serveRequest(env *envelope) {
 // failure callbacks may draw from a seeded rng (the manager's retry jitter),
 // so their order must not be the map's.
 func (p *Peer) failAll() {
-	p.mu.Lock()
 	if p.closed {
-		p.mu.Unlock()
 		return
 	}
 	p.closed = true
@@ -482,16 +445,15 @@ func (p *Peer) failAll() {
 	p.pending = make(map[uint64]*pendingCall)
 	p.deadlines = nil
 	p.deadlineTimer.Cancel()
-	p.mu.Unlock()
 	for _, id := range slices.Sorted(maps.Keys(pending)) {
 		pending[id].done(nil, ErrClosed)
 	}
 }
 
 // Go issues an asynchronous call; done fires in engine-callback context,
-// never synchronously from inside Go itself — callers may hold their own
-// locks across the call (the manager does) and immediate failures (closed
-// peer, send error) are delivered through the engine like any reply.
+// never synchronously from inside Go itself — callers may be half-way
+// through updating their own state (the manager is) and immediate failures
+// (closed peer, send error) are delivered through the engine like any reply.
 // The result is a live value when the connection is in-memory and raw JSON
 // (json.RawMessage) when it crossed the wire — use DecodeResult to consume
 // it uniformly. A zero timeout means no deadline.
@@ -504,21 +466,18 @@ func (p *Peer) Go(method string, params any, timeout time.Duration, done func(re
 	if done == nil {
 		done = noopDone
 	}
-	p.mu.Lock()
 	if p.closed {
-		p.mu.Unlock()
 		p.failAsync(done, ErrClosed)
 		return
 	}
 	p.nextID++
 	id := p.nextID
-	call := p.newCallLocked()
+	call := p.newCall()
 	call.method, call.done, call.timeout = method, done, timeout
 	p.pending[id] = call
 	if timeout > 0 {
-		p.armDeadlineLocked(id, p.eng.Now()+timeout)
+		p.armDeadline(id, p.eng.Now()+timeout)
 	}
-	p.mu.Unlock()
 
 	var err error
 	if p.local != nil {
@@ -538,14 +497,12 @@ func (p *Peer) Go(method string, params any, timeout time.Duration, done func(re
 		}
 	}
 	if err != nil {
-		p.mu.Lock()
 		c, still := p.pending[id]
 		if still {
 			delete(p.pending, id)
-			p.recycleLocked(c)
-			p.settleDeadlineLocked(id)
+			p.freeCall(c)
+			p.settleDeadline(id)
 		}
-		p.mu.Unlock()
 		if still {
 			p.failAsync(done, err)
 		}
@@ -641,21 +598,25 @@ func decodeInto(method string, val, dst any) error {
 
 // Serve accepts connections from ln and wires each to a new Peer over mux.
 // It returns when the listener fails (e.g. is closed). Each accepted peer
-// is reported through onPeer (may be nil).
+// is built, and reported through onPeer (may be nil), inside eng.Do.
 func Serve(eng *simtime.Wall, ln net.Listener, mux *Mux, onPeer func(*Peer)) error {
 	for {
 		nc, err := ln.Accept()
 		if err != nil {
 			return err
 		}
-		peer := NewPeer(eng, NewNetConn(eng, nc), mux)
-		if onPeer != nil {
-			onPeer(peer)
-		}
+		eng.Do(func() {
+			peer := NewPeer(eng, NewNetConn(eng, nc), mux)
+			if onPeer != nil {
+				onPeer(peer)
+			}
+		})
 	}
 }
 
-// Dial connects to a live RPC server over TCP.
+// Dial connects to a live RPC server over TCP. Like every entry into a
+// wall-engine component, it is called from a callback of eng or inside
+// eng.Do.
 func Dial(eng *simtime.Wall, network, addr string, mux *Mux) (*Peer, error) {
 	nc, err := net.Dial(network, addr)
 	if err != nil {

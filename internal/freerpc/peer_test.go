@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -242,18 +243,21 @@ func TestTCPTransportLive(t *testing.T) {
 	defer ln.Close()
 	go func() { _ = Serve(eng, ln, mux, nil) }()
 
-	client, err := Dial(eng, "tcp", ln.Addr().String(), nil)
+	var client *Peer
+	eng.Do(func() { client, err = Dial(eng, "tcp", ln.Addr().String(), nil) })
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	defer client.Close()
+	defer eng.Do(client.Close)
 
 	done := make(chan error, 1)
 	var got echoArgs
-	procs.Spawn("caller", func(p *simproc.Process) error {
-		err := client.Call(p, "Echo", echoArgs{Text: "live", N: 1}, &got, 5*time.Second)
-		done <- err
-		return err
+	eng.Do(func() {
+		procs.Spawn("caller", func(p *simproc.Process) error {
+			err := client.Call(p, "Echo", echoArgs{Text: "live", N: 1}, &got, 5*time.Second)
+			done <- err
+			return err
+		})
 	})
 	select {
 	case err := <-done:
@@ -292,18 +296,22 @@ func TestTCPServerManyClients(t *testing.T) {
 		name := fmt.Sprintf("client%d", i)
 		go func() {
 			defer wg.Done()
-			c, err := Dial(eng, "tcp", ln.Addr().String(), nil)
+			var c *Peer
+			var err error
+			eng.Do(func() { c, err = Dial(eng, "tcp", ln.Addr().String(), nil) })
 			if err != nil {
 				t.Errorf("dial: %v", err)
 				return
 			}
-			defer c.Close()
+			defer eng.Do(c.Close)
 			ok := make(chan struct{})
-			c.Go("Hello", name, 5*time.Second, func(res any, err error) {
-				if err != nil {
-					t.Errorf("call: %v", err)
-				}
-				close(ok)
+			eng.Do(func() {
+				c.Go("Hello", name, 5*time.Second, func(res any, err error) {
+					if err != nil {
+						t.Errorf("call: %v", err)
+					}
+					close(ok)
+				})
 			})
 			select {
 			case <-ok:
@@ -317,6 +325,55 @@ func TestTCPServerManyClients(t *testing.T) {
 	defer mu.Unlock()
 	if len(seen) != 4 {
 		t.Fatalf("server saw %d clients, want 4", len(seen))
+	}
+}
+
+// TestTCPImmediateHangUp: a client that hangs up as soon as it has connected
+// closes the server's peer exactly once, and a call issued on that peer
+// afterwards, through Do, fails with ErrClosed.
+func TestTCPImmediateHangUp(t *testing.T) {
+	eng := simtime.NewWall()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer ln.Close()
+	var closes atomic.Int32
+	closed := make(chan *Peer, 1)
+	go func() {
+		_ = Serve(eng, ln, nil, func(p *Peer) {
+			p.Conn().OnClose(func() {
+				if closes.Add(1) == 1 {
+					closed <- p
+				}
+			})
+		})
+	}()
+
+	nc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	nc.Close()
+	var srv *Peer
+	select {
+	case srv = <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the server's peer never saw the hang-up")
+	}
+	eng.Do(srv.Close) // already closed: no second close
+	failed := make(chan error, 1)
+	eng.Do(func() { srv.Go("Echo", nil, 0, func(_ any, err error) { failed <- err }) })
+	select {
+	case err := <-failed:
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("call on the hung-up peer: err = %v, want ErrClosed", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("call on the hung-up peer never completed")
+	}
+	if n := closes.Load(); n != 1 {
+		t.Fatalf("server peer closed %d times, want 1", n)
 	}
 }
 
@@ -343,33 +400,22 @@ func BenchmarkMemPipeCall(b *testing.B) {
 	eng.Drain(0)
 }
 
-// TestMuxLateRegistrationConcurrentLookup registers methods while the fast
-// path resolves others on another goroutine (a live-mode peer serving on a
-// wall-engine timer goroutine). The fast path takes no lock, so the table it
-// reads must be immutable: under -race this fails on a shared map.
-func TestMuxLateRegistrationConcurrentLookup(t *testing.T) {
+// TestMuxLateRegistration registers methods into a table already in use:
+// every registration is served on both paths, and none displaces another.
+func TestMuxLateRegistration(t *testing.T) {
 	mux := NewMux()
 	HandleFunc(mux, "First", func(echoArgs) (any, error) { return nil, nil })
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 1000; i++ {
-			if _, ok := mux.lookupLocal("First"); !ok {
-				t.Error("a registered method vanished from the fast path")
-				return
-			}
-		}
-	}()
 	for i := 0; i < 50; i++ {
 		HandleFunc(mux, fmt.Sprintf("Late%d", i), func(json.RawMessage) (any, error) { return nil, nil })
+		if _, ok := mux.local["First"]; !ok {
+			t.Fatal("a registered method vanished from the fast path")
+		}
 	}
-	wg.Wait()
 	for i := 0; i < 50; i++ {
-		if _, ok := mux.lookupLocal(fmt.Sprintf("Late%d", i)); !ok {
+		if _, ok := mux.local[fmt.Sprintf("Late%d", i)]; !ok {
 			t.Fatalf("Late%d not served on the fast path", i)
 		}
-		if _, ok := mux.lookup(fmt.Sprintf("Late%d", i)); !ok {
+		if _, ok := mux.handlers[fmt.Sprintf("Late%d", i)]; !ok {
 			t.Fatalf("Late%d not served on the wire path", i)
 		}
 	}

@@ -14,7 +14,10 @@
 //   - NewNetConn: a real net.Conn carrying newline-delimited JSON frames
 //     (the live freeride-managerd / freeride-workerd daemons, on the wall
 //     engine). This is the wire protocol; HandleFunc's raw-JSON path serves
-//     it.
+//     it. A socket's read pump only schedules each frame onto the engine;
+//     every other use of a peer, its conn and its Mux runs in the engine's
+//     callbacks or inside simtime.Wall.Do (Serve builds each accepted peer
+//     there), so none of them takes a lock.
 //
 // The split means the simulator pays only for what the paper's system pays
 // for: the modelled RPC latency (part of the "FreeRide runtime" in the
@@ -32,7 +35,6 @@ import (
 	"bytes"
 	"errors"
 	"net"
-	"sync"
 	"time"
 
 	"freeride/internal/simtime"
@@ -67,8 +69,6 @@ type memConn struct {
 	eng     simtime.Engine
 	latency time.Duration
 
-	// mu is free on a virtual engine (see simtime.Guard).
-	mu      simtime.Guard
 	peer    *memConn
 	recv    func([]byte)
 	recvMsg func(Msg)
@@ -103,20 +103,12 @@ func (e *msgEvent) deliver() {
 	c := e.conn
 	m := e.m
 	e.m = Msg{}
-	c.mu.Lock()
 	// Recycle before invoking the receiver: the handler may send again
 	// (request → response) and reuse this very event.
 	c.msgPool = append(c.msgPool, e)
-	peer := c.peer
-	c.mu.Unlock()
-
-	peer.mu.Lock()
-	closed, recv := peer.closed, peer.recvMsg
-	peer.mu.Unlock()
-	if closed || recv == nil {
-		return
+	if peer := c.peer; !peer.closed && peer.recvMsg != nil {
+		peer.recvMsg(m)
 	}
-	recv(m)
 }
 
 var _ LocalConn = (*memConn)(nil)
@@ -126,40 +118,30 @@ var _ LocalConn = (*memConn)(nil)
 func MemPipe(eng simtime.Engine, latency time.Duration) (Conn, Conn) {
 	a := &memConn{eng: eng, latency: latency}
 	b := &memConn{eng: eng, latency: latency}
-	a.mu.Bind(eng)
-	b.mu.Bind(eng)
 	a.peer, b.peer = b, a
 	return a, b
 }
 
 func (c *memConn) Send(frame []byte) error {
-	c.mu.Lock()
 	if c.closed {
-		c.mu.Unlock()
 		return ErrClosed
 	}
 	lat := c.latency
 	if c.faulty {
 		var dropped bool
-		if lat, dropped = c.faultLatencyLocked(lat); dropped {
-			c.mu.Unlock()
+		if lat, dropped = c.faultLatency(lat); dropped {
 			return nil
 		}
 	}
 	peer := c.peer
-	c.mu.Unlock()
 
 	// Copy: the sender may reuse the buffer.
 	buf := make([]byte, len(frame))
 	copy(buf, frame)
 	c.eng.ScheduleDetached(lat, "rpc-deliver", func() {
-		peer.mu.Lock()
-		closed, recv := peer.closed, peer.recv
-		peer.mu.Unlock()
-		if closed || recv == nil {
-			return
+		if !peer.closed && peer.recv != nil {
+			peer.recv(buf)
 		}
-		recv(buf)
 	})
 	return nil
 }
@@ -171,16 +153,13 @@ func (c *memConn) Send(frame []byte) error {
 // messaging allocates nothing and bursts (a ping to every worker, their
 // replies) cost one event each.
 func (c *memConn) SendMsg(m Msg) error {
-	c.mu.Lock()
 	if c.closed {
-		c.mu.Unlock()
 		return ErrClosed
 	}
 	lat := c.latency
 	if c.faulty {
 		var dropped bool
-		if lat, dropped = c.faultLatencyLocked(lat); dropped {
-			c.mu.Unlock()
+		if lat, dropped = c.faultLatency(lat); dropped {
 			return nil
 		}
 	}
@@ -194,7 +173,6 @@ func (c *memConn) SendMsg(m Msg) error {
 		e.fire = e.deliver
 	}
 	e.m = m
-	c.mu.Unlock()
 
 	if v, ok := c.eng.(*simtime.Virtual); ok {
 		v.ScheduleJoin(lat, "rpc-deliver", e.fire)
@@ -204,11 +182,11 @@ func (c *memConn) SendMsg(m Msg) error {
 	return nil
 }
 
-// faultLatencyLocked applies the injected link fault to one outgoing
-// message: inside a drop window the message is silently discarded (the
-// sender sees success — exactly a lost frame), inside a delay window the
-// one-way latency is inflated. Caller holds c.mu and has checked c.faulty.
-func (c *memConn) faultLatencyLocked(lat time.Duration) (time.Duration, bool) {
+// faultLatency applies the injected link fault to one outgoing message:
+// inside a drop window the message is silently discarded (the sender sees
+// success — exactly a lost frame), inside a delay window the one-way latency
+// is inflated. The caller has checked c.faulty.
+func (c *memConn) faultLatency(lat time.Duration) (time.Duration, bool) {
 	now := c.eng.Now()
 	if now < c.dropUntil {
 		c.dropped++
@@ -221,26 +199,19 @@ func (c *memConn) faultLatencyLocked(lat time.Duration) (time.Duration, bool) {
 }
 
 func (c *memConn) SetRecvHandler(fn func([]byte)) {
-	c.mu.Lock()
 	c.recv = fn
-	c.mu.Unlock()
 }
 
 func (c *memConn) SetMsgHandler(fn func(Msg)) {
-	c.mu.Lock()
 	c.recvMsg = fn
-	c.mu.Unlock()
 }
 
 func (c *memConn) OnClose(fn func()) {
-	c.mu.Lock()
 	if c.closed {
-		c.mu.Unlock()
 		fn()
 		return
 	}
 	c.onClose = append(c.onClose, fn)
-	c.mu.Unlock()
 }
 
 func (c *memConn) Close() error {
@@ -252,15 +223,12 @@ func (c *memConn) Close() error {
 }
 
 func (c *memConn) closeLocal() {
-	c.mu.Lock()
 	if c.closed {
-		c.mu.Unlock()
 		return
 	}
 	c.closed = true
 	hooks := c.onClose
 	c.onClose = nil
-	c.mu.Unlock()
 	for _, h := range hooks {
 		h()
 	}
@@ -268,14 +236,11 @@ func (c *memConn) closeLocal() {
 
 // netConn adapts a real net.Conn to the Conn interface with
 // newline-delimited frames. Incoming frames are re-dispatched through the
-// engine so handlers keep the single-threaded callback guarantee.
+// engine so handlers keep the single-threaded callback guarantee; the read
+// pump touches nothing else, so every other field is the engine's.
 type netConn struct {
-	eng *simtime.Wall
-	nc  net.Conn
-
-	writeMu sync.Mutex
-
-	mu      sync.Mutex
+	eng     *simtime.Wall
+	nc      net.Conn
 	recv    func([]byte)
 	closed  bool
 	onClose []func()
@@ -296,14 +261,9 @@ func (c *netConn) Send(frame []byte) error {
 	if bytes.IndexByte(frame, '\n') >= 0 {
 		return errors.New("freerpc: frame contains newline")
 	}
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
+	if c.closed {
 		return ErrClosed
 	}
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
 	if _, err := c.nc.Write(append(frame, '\n')); err != nil {
 		return err
 	}
@@ -311,12 +271,9 @@ func (c *netConn) Send(frame []byte) error {
 }
 
 func (c *netConn) SetRecvHandler(fn func([]byte)) {
-	c.mu.Lock()
 	c.recv = fn
-	start := !c.started
-	c.started = true
-	c.mu.Unlock()
-	if start {
+	if !c.started {
+		c.started = true
 		go c.readLoop()
 	}
 }
@@ -328,11 +285,8 @@ func (c *netConn) readLoop() {
 		line := make([]byte, len(scanner.Bytes()))
 		copy(line, scanner.Bytes())
 		c.eng.ScheduleDetached(0, "rpc-recv", func() {
-			c.mu.Lock()
-			recv, closed := c.recv, c.closed
-			c.mu.Unlock()
-			if !closed && recv != nil {
-				recv(line)
+			if !c.closed && c.recv != nil {
+				c.recv(line)
 			}
 		})
 	}
@@ -340,14 +294,11 @@ func (c *netConn) readLoop() {
 }
 
 func (c *netConn) OnClose(fn func()) {
-	c.mu.Lock()
 	if c.closed {
-		c.mu.Unlock()
 		fn()
 		return
 	}
 	c.onClose = append(c.onClose, fn)
-	c.mu.Unlock()
 }
 
 func (c *netConn) Close() error {
@@ -356,15 +307,12 @@ func (c *netConn) Close() error {
 }
 
 func (c *netConn) closeLocal() {
-	c.mu.Lock()
 	if c.closed {
-		c.mu.Unlock()
 		return
 	}
 	c.closed = true
 	hooks := c.onClose
 	c.onClose = nil
-	c.mu.Unlock()
 	_ = c.nc.Close()
 	for _, h := range hooks {
 		h()

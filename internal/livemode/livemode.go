@@ -4,6 +4,10 @@
 // (freeride.NewNodeSession, freeride.NewManagerSession) on the wall-clock
 // engine: the GPUs and the training job stay simulated, the middleware meets
 // real sockets. This package owns only the listens, the dials and the log.
+//
+// Each daemon's components belong to its wall engine (Eng): they run in the
+// engine's callbacks, and a daemon's own goroutine — assembly, Close, a task
+// submission, an end-of-run read — reaches them only through Eng.Do.
 package livemode
 
 import (
@@ -34,14 +38,16 @@ type Node struct {
 	Session     *freeride.Session // devices, trainer and workers
 	WorkerAddrs []string          // resolved listen addresses, stage order
 	TrainDone   chan struct{}     // closed when the final epoch completes
+	Eng         *simtime.Wall     // the node's engine; enter it through Eng.Do
 
-	eng       *simtime.Wall
 	mgr       *freerpc.Peer
 	listeners []net.Listener
 }
 
 // Close shuts the node down.
-func (n *Node) Close() {
+func (n *Node) Close() { n.Eng.Do(n.close) }
+
+func (n *Node) close() {
 	for _, ln := range n.listeners {
 		_ = ln.Close()
 	}
@@ -54,26 +60,36 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	if len(cfg.ListenAddrs) == 0 {
 		return nil, fmt.Errorf("livemode: no worker listen addresses")
 	}
-	eng := simtime.NewWall()
-	mgr, err := freerpc.Dial(eng, "tcp", cfg.ManagerAddr, nil)
+	n := &Node{TrainDone: make(chan struct{}), Eng: simtime.NewWall()}
+	var err error
+	n.Eng.Do(func() { err = n.start(cfg) })
 	if err != nil {
-		return nil, fmt.Errorf("livemode: dial manager: %w", err)
+		return nil, err
 	}
-	n := &Node{TrainDone: make(chan struct{}), eng: eng, mgr: mgr}
+	return n, nil
+}
+
+// start is StartNode's body, run inside n.Eng.Do.
+func (n *Node) start(cfg NodeConfig) error {
+	mgr, err := freerpc.Dial(n.Eng, "tcp", cfg.ManagerAddr, nil)
+	if err != nil {
+		return fmt.Errorf("livemode: dial manager: %w", err)
+	}
+	n.mgr = mgr
 	for _, addr := range cfg.ListenAddrs {
 		ln, err := net.Listen("tcp", addr)
 		if err != nil {
-			n.Close()
-			return nil, fmt.Errorf("livemode: listen %s: %w", addr, err)
+			n.close()
+			return fmt.Errorf("livemode: listen %s: %w", addr, err)
 		}
 		n.listeners = append(n.listeners, ln)
 		n.WorkerAddrs = append(n.WorkerAddrs, ln.Addr().String())
 	}
 	sc := freeride.DefaultConfig()
 	sc.LLM, sc.Stages, sc.MicroBatches, sc.Epochs = cfg.Model, len(n.listeners), cfg.MicroBatch, cfg.Epochs
-	if n.Session, err = freeride.NewNodeSession(sc, eng, nodeLinks{n}); err != nil {
-		n.Close()
-		return nil, err
+	if n.Session, err = freeride.NewNodeSession(sc, n.Eng, nodeLinks{n}); err != nil {
+		n.close()
+		return err
 	}
 	tr := n.Session.Trainer
 	last := tr.Cycles() - 1
@@ -83,12 +99,12 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 			close(n.TrainDone)
 		}
 	})
-	eng.Schedule(cfg.StartDelay, "train-start", func() {
+	n.Eng.Schedule(cfg.StartDelay, "train-start", func() {
 		if err := tr.Start(); err != nil {
 			cfg.Logf("trainer start failed: %v", err)
 		}
 	})
-	return n, nil
+	return nil
 }
 
 // nodeLinks makes the node's ends: each worker serves on its own listener and
@@ -98,7 +114,7 @@ type nodeLinks struct{ n *Node }
 func (l nodeLinks) Link(stage int, _, mux *freerpc.Mux) (*freerpc.Peer, *freerpc.Peer, error) {
 	if stage >= 0 {
 		ln := l.n.listeners[stage]
-		go func() { _ = freerpc.Serve(l.n.eng, ln, mux, nil) }()
+		go func() { _ = freerpc.Serve(l.n.Eng, ln, mux, nil) }()
 	}
 	return nil, l.n.mgr, nil
 }
@@ -117,9 +133,9 @@ type ManagerConfig struct {
 // ManagerDaemon is a running manager daemon.
 type ManagerDaemon struct {
 	Session *freeride.Session // the manager, once ConnectWorkers assembled it
+	Eng     *simtime.Wall     // the manager's engine; enter it through Eng.Do
 
 	cfg   ManagerConfig
-	eng   *simtime.Wall
 	ln    net.Listener
 	peers []*freerpc.Peer // dialed worker links
 }
@@ -129,11 +145,13 @@ func (d *ManagerDaemon) Addr() string { return d.ln.Addr().String() }
 
 // Close shuts the daemon down.
 func (d *ManagerDaemon) Close() {
-	if d.Session != nil {
-		d.Session.Manager.Stop()
-	}
-	_ = d.ln.Close()
-	d.closePeers()
+	d.Eng.Do(func() {
+		if d.Session != nil {
+			d.Session.Manager.Stop()
+		}
+		_ = d.ln.Close()
+		d.closePeers()
+	})
 }
 
 func (d *ManagerDaemon) closePeers() {
@@ -150,49 +168,66 @@ func StartManager(cfg ManagerConfig) (*ManagerDaemon, error) {
 	if err != nil {
 		return nil, fmt.Errorf("livemode: manager listen: %w", err)
 	}
-	return &ManagerDaemon{cfg: cfg, eng: simtime.NewWall(), ln: ln}, nil
+	return &ManagerDaemon{cfg: cfg, Eng: simtime.NewWall(), ln: ln}, nil
 }
 
 // ConnectWorkers assembles the manager, linked to the node's worker endpoints
 // (stage order, at least one), and starts Algorithm 2; tasks then go in with
 // Session.Submit. A failed call closes what it dialed and may be retried.
+//
+// The Worker.Info replies run in the engine's callbacks, so they are awaited
+// between two Do calls: one that assembles and asks, one that starts the
+// manager (and serves the node's link) or closes the peers.
 func (d *ManagerDaemon) ConnectWorkers(addrs []string) error {
 	sc := freeride.DefaultConfig()
 	sc.LLM, sc.Stages, sc.MicroBatches, sc.Lease = d.cfg.Model, len(addrs), d.cfg.MicroBatch, d.cfg.Lease
-	sess, err := freeride.NewManagerSession(sc, d.eng, managerLinks{d, addrs})
-	if err != nil {
-		d.closePeers()
-		return err
+	l := &managerLinks{d: d, addrs: addrs}
+	var sess *freeride.Session
+	var err error
+	d.Eng.Do(func() { sess, err = freeride.NewManagerSession(sc, d.Eng, l) })
+	for stage := 0; err == nil && stage < len(l.infos); stage++ {
+		if err = <-l.infos[stage]; err != nil {
+			err = fmt.Errorf("livemode: worker info %s: %w", addrs[stage], err)
+		} else {
+			d.cfg.Logf("linked stage %d to the worker at %s", stage, addrs[stage])
+		}
 	}
-	d.Session = sess
-	sess.Manager.Start()
-	return nil
+	d.Eng.Do(func() {
+		if err != nil {
+			d.closePeers()
+			return
+		}
+		d.Session = sess
+		sess.Manager.Start()
+		go func() { _ = freerpc.Serve(d.Eng, d.ln, l.reports, nil) }()
+	})
+	return err
 }
 
 // managerLinks makes the manager's end of each link: it dials every worker
-// endpoint with the manager's handlers and checks that it answers
-// Worker.Info, and serves the node's link on the daemon's listener.
+// endpoint with the manager's handlers and asks it for Worker.Info (the
+// replies land in infos), and keeps the handlers of the node's link, which
+// ConnectWorkers serves on the daemon's listener once every worker answered.
 type managerLinks struct {
-	d     *ManagerDaemon
-	addrs []string
+	d       *ManagerDaemon
+	addrs   []string
+	infos   []chan error
+	reports *freerpc.Mux
 }
 
-func (l managerLinks) Link(stage int, mux, _ *freerpc.Mux) (*freerpc.Peer, *freerpc.Peer, error) {
+func (l *managerLinks) Link(stage int, mux, _ *freerpc.Mux) (*freerpc.Peer, *freerpc.Peer, error) {
 	if stage < 0 {
-		go func() { _ = freerpc.Serve(l.d.eng, l.d.ln, mux, nil) }()
+		l.reports = mux
 		return nil, nil, nil
 	}
 	addr := l.addrs[stage]
-	peer, err := freerpc.Dial(l.d.eng, "tcp", addr, mux)
+	peer, err := freerpc.Dial(l.d.Eng, "tcp", addr, mux)
 	if err != nil {
 		return nil, nil, fmt.Errorf("livemode: dial worker %s: %w", addr, err)
 	}
 	l.d.peers = append(l.d.peers, peer)
-	done := make(chan error, 1)
-	peer.Go("Worker.Info", nil, 5*time.Second, func(_ any, err error) { done <- err })
-	if err := <-done; err != nil {
-		return nil, nil, fmt.Errorf("livemode: worker info %s: %w", addr, err)
-	}
-	l.d.cfg.Logf("linked stage %d to the worker at %s", stage, addr)
+	info := make(chan error, 1)
+	peer.Go("Worker.Info", nil, 5*time.Second, func(_ any, err error) { info <- err })
+	l.infos = append(l.infos, info)
 	return peer, nil, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"freeride/internal/core"
 	"freeride/internal/model"
 )
 
@@ -12,7 +13,8 @@ import (
 // TCP on the wall-clock engine: a node hosting 4 simulated GPUs and one
 // training epoch, and a manager harvesting its bubbles with a ResNet18 side
 // task. A stray client that writes half a frame to the manager's listener and
-// hangs up must not disturb the harvest. Runs in real time (~6 s).
+// hangs up must not disturb the harvest. The test goroutine reaches either
+// daemon's components only through its engine's Do. Runs in real time (~6 s).
 func TestLiveModeEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live mode runs in real time")
@@ -43,7 +45,8 @@ func TestLiveModeEndToEnd(t *testing.T) {
 	if err := mgr.ConnectWorkers(node.WorkerAddrs); err != nil {
 		t.Fatalf("connect workers: %v", err)
 	}
-	if err := mgr.Session.Submit(model.ResNet18, 0); err != nil {
+	mgr.Eng.Do(func() { err = mgr.Session.Submit(model.ResNet18, 0) })
+	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
 
@@ -66,19 +69,23 @@ func TestLiveModeEndToEnd(t *testing.T) {
 	// Let the final pause land.
 	time.Sleep(300 * time.Millisecond)
 
-	if err := node.Session.Trainer.Err(); err != nil {
-		t.Fatalf("training failed: %v", err)
-	}
 	var steps uint64
-	for _, w := range node.Session.Workers {
-		if h, ok := w.Harness("resnet18-1"); ok {
-			steps += h.Counters().Steps
+	node.Eng.Do(func() {
+		err = node.Session.Trainer.Err()
+		for _, w := range node.Session.Workers {
+			if h, ok := w.Harness("resnet18-1"); ok {
+				steps += h.Counters().Steps
+			}
 		}
+	})
+	if err != nil {
+		t.Fatalf("training failed: %v", err)
 	}
 	if steps == 0 {
 		t.Fatal("no side-task steps harvested over live TCP control plane")
 	}
-	st := mgr.Session.Manager.Stats()
+	var st core.ManagerStats
+	mgr.Eng.Do(func() { st = mgr.Session.Manager.Stats() })
 	if st.BubblesAdded == 0 || st.BubblesServed == 0 {
 		t.Fatalf("manager stats: %+v — bubbles not flowing over TCP", st)
 	}

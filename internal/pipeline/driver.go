@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"freeride/internal/simgpu"
@@ -53,7 +52,6 @@ type Driver struct {
 	gate    *simtime.Timer
 	beginFn func()
 
-	mu         sync.Mutex
 	cycleStart []time.Duration
 	cycleEnd   []time.Duration
 	onStart    []func(cycle int, ts time.Duration)
@@ -83,15 +81,11 @@ func (d *Driver) Init(eng simtime.Engine, procs *simproc.Runtime, devices []*sim
 // is released — an epoch begins, a batch dispatches. This is one of the three
 // instrumentation points of paper §4.6; the bubble sources hang off it.
 func (d *Driver) OnCycleStart(fn func(cycle int, ts time.Duration)) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.onStart = append(d.onStart, fn)
 }
 
 // OnCycleEnd registers a hook invoked when each cycle's barrier completes.
 func (d *Driver) OnCycleEnd(fn func(cycle int, ts time.Duration)) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.onEnd = append(d.onEnd, fn)
 }
 
@@ -109,15 +103,11 @@ func (d *Driver) Device(stage int) *simgpu.Device { return d.devices[stage] }
 
 // Err reports a failed run (a kernel error, an unbuildable plan).
 func (d *Driver) Err() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.failed
 }
 
 // CycleTimes returns per-cycle (release, retire) pairs recorded so far.
 func (d *Driver) CycleTimes() (starts, ends []time.Duration) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	starts = append([]time.Duration(nil), d.cycleStart...)
 	ends = append([]time.Duration(nil), d.cycleEnd...)
 	return starts, ends
@@ -125,8 +115,6 @@ func (d *Driver) CycleTimes() (starts, ends []time.Duration) {
 
 // TotalTime reports the makespan from the first release to the last retire.
 func (d *Driver) TotalTime() time.Duration {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if len(d.cycleEnd) == 0 {
 		return 0
 	}
@@ -138,13 +126,10 @@ func (d *Driver) TotalTime() time.Duration {
 // It returns immediately; completion is observable via Done. On the wall
 // engine it must be called from an engine callback (see Runner).
 func (d *Driver) Start() error {
-	d.mu.Lock()
 	if d.started {
-		d.mu.Unlock()
 		return fmt.Errorf("%s: already started", d.w.Name)
 	}
 	d.started = true
-	d.mu.Unlock()
 
 	clients, err := NewStageClients(d.devices, d.w.ClientPrefix, d.w.StageMem)
 	if err != nil {
@@ -179,12 +164,8 @@ func (d *Driver) begin() {
 		d.fail(err)
 		return
 	}
-	d.mu.Lock()
 	d.cycleStart = append(d.cycleStart, now)
-	hooks := d.onStart // append-only: the prefix is stable outside the lock
-	d.mu.Unlock()
-
-	for _, h := range hooks {
+	for _, h := range d.onStart {
 		h(d.next, now)
 	}
 	d.run.Release(plan)
@@ -197,12 +178,8 @@ func (d *Driver) end(cycle int) {
 	if d.w.Close != nil {
 		d.w.Close(cycle, now)
 	}
-	d.mu.Lock()
 	d.cycleEnd = append(d.cycleEnd, now)
-	hooks := d.onEnd
-	d.mu.Unlock()
-
-	for _, h := range hooks {
+	for _, h := range d.onEnd {
 		h(cycle, now)
 	}
 	if d.next = cycle + 1; d.next >= d.w.Cycles {
@@ -214,11 +191,9 @@ func (d *Driver) end(cycle int) {
 
 // fail records the run's first failure.
 func (d *Driver) fail(err error) {
-	d.mu.Lock()
 	if d.failed == nil {
 		d.failed = err
 	}
-	d.mu.Unlock()
 }
 
 func (d *Driver) opFailed(stage int, op Op, err error) {

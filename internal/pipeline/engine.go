@@ -84,7 +84,7 @@ type Trainer struct {
 	// planCache memoizes re-generated plans per micro-batch count (engine
 	// context only; MBSchedule only).
 	planCache map[int]*Plan
-	opLog     [][]OpSpan // per stage; guarded by the driver's lock
+	opLog     [][]OpSpan // per stage
 }
 
 // New builds a trainer over one device per stage.
@@ -138,8 +138,6 @@ func (t *Trainer) Config() Config { return t.cfg }
 
 // OpLog returns the recorded op timeline for a stage (RecordOps only).
 func (t *Trainer) OpLog(stage int) []OpSpan {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return append([]OpSpan(nil), t.opLog[stage]...)
 }
 
@@ -174,7 +172,5 @@ func (t *Trainer) epochPlan(epoch int, now time.Duration) (*Plan, error) {
 }
 
 func (t *Trainer) recordOp(stage, _ int, span OpSpan) {
-	t.mu.Lock()
 	t.opLog[stage] = append(t.opLog[stage], span)
-	t.mu.Unlock()
 }

@@ -86,7 +86,7 @@ type RunnerConfig struct {
 // Engine-goroutine-only, and unguarded: the chunk machines are SpawnInline
 // processes, so every access is an engine callback (serialized on any
 // engine), plus Release from the driver's Start, which on the wall engine
-// must itself run in an engine callback.
+// must itself run in an engine callback or inside simtime.Wall.Do.
 type Runner struct {
 	cfg     RunnerConfig
 	nv      int

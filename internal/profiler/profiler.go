@@ -94,7 +94,7 @@ func Profile(factory HarnessFactory, opts Options) (Result, error) {
 
 	// Phase 1: wait for CREATED.
 	for eng.Now() < deadline && h.State() != sidetask.StateCreated {
-		if exited, exitErr, _ := cont.ExitInfo(); exited {
+		if exited, exitErr := cont.ExitInfo(); exited {
 			return Result{}, fmt.Errorf("profiler: task exited during create: %w", exitErr)
 		}
 		eng.RunFor(10 * time.Millisecond)
@@ -108,7 +108,7 @@ func Profile(factory HarnessFactory, opts Options) (Result, error) {
 	initStart := eng.Now()
 	h.Deliver(sidetask.Command{Transition: sidetask.TransitionInit})
 	for eng.Now() < deadline && h.State() != sidetask.StatePaused {
-		if exited, exitErr, _ := cont.ExitInfo(); exited {
+		if exited, exitErr := cont.ExitInfo(); exited {
 			return Result{}, fmt.Errorf("profiler: task exited during init: %w", exitErr)
 		}
 		eng.RunFor(10 * time.Millisecond)

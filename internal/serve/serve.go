@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"freeride/internal/model"
@@ -79,7 +78,6 @@ type Server struct {
 	pipeline.Driver
 	cfg Config
 
-	mu        sync.Mutex
 	latencies []time.Duration
 }
 
@@ -132,9 +130,7 @@ func (s *Server) BatchTimes() (starts, ends []time.Duration) { return s.CycleTim
 
 // Stats computes the latency distribution of the completed run.
 func (s *Server) Stats() Stats {
-	s.mu.Lock()
 	lat := append([]time.Duration(nil), s.latencies...)
-	s.mu.Unlock()
 	st := Stats{
 		Requests: len(lat),
 		// A batch's requests are scored together as it drains.
@@ -177,9 +173,7 @@ func quantile(sorted []time.Duration, q float64) time.Duration {
 func (s *Server) scoreBatch(b int, now time.Duration) {
 	first := b * s.cfg.BatchSize
 	last := min(first+s.cfg.BatchSize, len(s.cfg.Arrivals))
-	s.mu.Lock()
 	for _, at := range s.cfg.Arrivals[first:last] {
 		s.latencies = append(s.latencies, now-at)
 	}
-	s.mu.Unlock()
 }

@@ -111,8 +111,8 @@ func (t *builtinTask) RunNextStep(ctx *Ctx) error {
 //     model, graph and image is bit-identical;
 //   - step k's error is returned by the k-th call, at the same simulated
 //     instant, and a failed step starts no successor;
-//   - the goroutine touches only the task's own real state, never the Ctx, a
-//     Guard or the engine, so the engine keeps its one owner;
+//   - the goroutine touches only the task's own real state, never the Ctx,
+//     a component or the engine, so the engine keeps its one owner;
 //   - a task that stops, is grace-killed or loses its worker leaves at most
 //     one step computing into next, which nobody reads; it then exits, having
 //     advanced only state nothing reads (the steps discard their outputs).

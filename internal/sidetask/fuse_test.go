@@ -154,7 +154,6 @@ func runMidStepRigFaultAt(t *testing.T, mode Mode, sub midStepSubstrate, faultAt
 		Name:        fuseProfile.Name,
 		Device:      dev,
 		GPUMemLimit: fuseProfile.MemBytes + model.GiB,
-		GPUWeight:   fuseProfile.Weight,
 	}
 	cont := runOn(t, ctr, spec, h, sub)
 	cont.Process().OnExit(func(err error) {
@@ -391,7 +390,6 @@ func TestKernelPartsRemainderEndToEnd(t *testing.T) {
 			Name:        prof.Name,
 			Device:      dev,
 			GPUMemLimit: prof.MemBytes + model.GiB,
-			GPUWeight:   prof.Weight,
 		}
 		runOn(t, ctr, spec, h, sub)
 		eng.Schedule(200*time.Millisecond, "init", func() {

@@ -214,10 +214,6 @@ type Harness struct {
 
 	inbox *simproc.Mailbox[Command]
 
-	// mu is free on a virtual engine once BindEngine is called (the
-	// worker binds each deployed harness to its engine at create time);
-	// unbound harnesses (tests, ad-hoc rigs) keep a real mutex.
-	mu        simtime.Guard
 	state     State
 	bubbleEnd time.Duration
 	counters  Counters
@@ -277,26 +273,20 @@ func (h *Harness) Mode() Mode { return h.mode }
 // Profile reports the task profile.
 func (h *Harness) Profile() model.TaskProfile { return h.profile }
 
-// State reports the current life-cycle state (thread-safe; the worker polls
-// it for IsCreated/IsPaused, paper Alg. 2 lines 16–19).
+// State reports the current life-cycle state (the worker polls it for
+// IsCreated/IsPaused, paper Alg. 2 lines 16–19).
 func (h *Harness) State() State {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.state
 }
 
 // Counters returns a snapshot of the bookkeeping counters.
 func (h *Harness) Counters() Counters {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.counters
 }
 
 // SetStepEstimate overrides the per-step duration used by the
 // program-directed limit (the automated profiler calls this).
 func (h *Harness) SetStepEstimate(d time.Duration) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if d > 0 {
 		h.stepEstimate = d
 	}
@@ -311,8 +301,6 @@ func (h *Harness) Deliver(cmd Command) { h.inbox.Send(cmd) }
 // over; run-local bookkeeping (LastPaused, StartedRuns) starts fresh with
 // the new incarnation. Call before the harness runs.
 func (h *Harness) Restore(c Counters) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	h.counters.Steps = c.Steps
 	h.counters.KernelTime = c.KernelTime
 	h.counters.HostTime = c.HostTime
@@ -320,31 +308,23 @@ func (h *Harness) Restore(c Counters) {
 	h.counters.StepEvents = c.StepEvents
 }
 
-// BindEngine ties the harness's lock and inbox to eng (see simtime.Guard):
-// free on a virtual engine, real mutexes on the wall engine. The deployer calls it right after construction,
-// before the harness is started or shared.
-func (h *Harness) BindEngine(eng simtime.Engine) {
-	h.mu.Bind(eng)
-	h.inbox.Bind(eng)
-}
+// BindEngine does nothing: a harness takes no lock on either engine, so
+// there is nothing to tie to eng. It remains for existing callers.
+func (*Harness) BindEngine(simtime.Engine) {}
 
 // SetStateListener installs a callback fired on every state change, from
 // the task process's context. The worker uses it to keep the manager's
 // cached task states in sync without polling.
 func (h *Harness) SetStateListener(fn func(State)) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	h.onState = fn
 }
 
 func (h *Harness) setState(s State, now time.Duration) {
-	h.mu.Lock()
 	if s == StatePaused && h.state == StateRunning {
 		h.counters.LastPaused = now
 	}
 	h.state = s
 	fn := h.onState
-	h.mu.Unlock()
 	if fn != nil {
 		fn(s)
 	}

@@ -115,7 +115,6 @@ func newTaskRig(t *testing.T, profile model.TaskProfile, mode Mode) *taskRig {
 		Name:        profile.Name,
 		Device:      dev,
 		GPUMemLimit: profile.MemBytes + model.GiB,
-		GPUWeight:   profile.Weight,
 	}, h.Run)
 	if err != nil {
 		t.Fatalf("container.Run: %v", err)
@@ -288,7 +287,7 @@ func TestHarnessOOMKillsOnlyTask(t *testing.T) {
 	eng.RunUntil(5 * time.Second)
 	eng.Schedule(0, "init", func() { h.Deliver(Command{Transition: TransitionInit}) })
 	eng.RunFor(5 * time.Second)
-	exited, exitErr, _ := cont.ExitInfo()
+	exited, exitErr := cont.ExitInfo()
 	if !exited || exitErr == nil {
 		t.Fatalf("ExitInfo = %v/%v, want OOM exit", exited, exitErr)
 	}

@@ -34,7 +34,6 @@ func steadyShell(t *testing.T, impl Iterative, full bool) (*simtime.Virtual, fun
 	eng := simtime.NewVirtual()
 	dev := simgpu.NewDevice(eng, simgpu.DeviceConfig{Name: "gpu0", NoTraces: true, FullRebalance: full})
 	h := NewIterativeHarness("fuse-test", fuseProfile, impl, 1)
-	h.BindEngine(eng)
 	ctr := container.NewRuntime(simproc.NewRuntime(eng))
 	if _, err := ctr.Run(container.Spec{Name: fuseProfile.Name, Device: dev}, h.Run); err != nil {
 		t.Fatal(err)

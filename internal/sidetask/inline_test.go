@@ -41,7 +41,6 @@ func runScriptedLifecycle(t *testing.T, mode Mode, inline bool) ([]stateEvent, C
 		Name:        profile.Name,
 		Device:      dev,
 		GPUMemLimit: profile.MemBytes + model.GiB,
-		GPUWeight:   profile.Weight,
 	}
 	var cont *container.Container
 	if inline {

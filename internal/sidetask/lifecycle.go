@@ -54,13 +54,9 @@ func (h *Harness) command(cmd Command, now time.Duration) action {
 		if state != StatePaused && state != StateRunning {
 			break
 		}
-		h.mu.Lock()
 		h.bubbleEnd = cmd.BubbleEnd // while RUNNING: a bubble extension / refresh
 		if state == StatePaused {
 			h.counters.StartedRuns++
-		}
-		h.mu.Unlock()
-		if state == StatePaused {
 			h.setState(StateRunning, now)
 		}
 		return h.head(now)
@@ -97,8 +93,6 @@ func (h *Harness) head(now time.Duration) action {
 // remainder is charged to InsuffWait and the task waits for the next command
 // (normally the manager's pause, then a new start).
 func (h *Harness) admit(now time.Duration) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	remaining := h.bubbleEnd - now
 	if remaining >= h.stepEstimate {
 		return true
@@ -119,9 +113,7 @@ func (h *Harness) drawStep(rng *rand.Rand) (per, last time.Duration) {
 		f := 1 + h.profile.StepJitter*(2*rng.Float64()-1)
 		d = time.Duration(float64(d) * f)
 	}
-	h.mu.Lock()
 	h.lastStepDur = d
-	h.mu.Unlock()
 	parts := time.Duration(h.kernelParts)
 	per = d / parts
 	return per, d - (parts-1)*per
@@ -130,7 +122,6 @@ func (h *Harness) drawStep(rng *rand.Rand) (per, last time.Duration) {
 // stepDone is the one accounting site of a completed step; elapsed is its
 // duration on the process's clock.
 func (h *Harness) stepDone(elapsed time.Duration) {
-	h.mu.Lock()
 	kernel := elapsed - h.profile.HostOverhead
 	if h.mode == ModeImperative {
 		// A SIGTSTP may have stretched the step, so nothing measured is
@@ -146,7 +137,6 @@ func (h *Harness) stepDone(elapsed time.Duration) {
 	h.counters.KernelTime += kernel
 	h.counters.HostTime += h.profile.HostOverhead
 	h.counters.StepEvents += h.stepEvents
-	h.mu.Unlock()
 }
 
 // impl is the user's implementation of the two transitions both interfaces

@@ -22,8 +22,8 @@
 //
 // Who may call what, from where:
 //   - A deployer (core.Worker, the session's baselines, the profiler, the
-//     experiment rigs) builds a harness, optionally calls BindEngine,
-//     Restore and SetStepEstimate, then Launch — which picks the substrate —
+//     experiment rigs) builds a harness, optionally calls Restore and
+//     SetStepEstimate, then Launch — which picks the substrate —
 //     and from then on talks to it from engine-callback context only:
 //     SetStateListener, Deliver, State, Counters, and signals on the
 //     container.
@@ -35,7 +35,8 @@
 //     read runs at the start of the host phase. A Stepper's bodies run on the
 //     event loop and must not block at all.
 //   - A built-in's real step may run one step ahead on its own goroutine; it
-//     touches only the task's own state, never a Ctx, a Guard or the engine.
+//     touches only the task's own state, never a Ctx, a component or the
+//     engine.
 package sidetask
 
 import "fmt"

@@ -104,7 +104,7 @@ type DeviceConfig struct {
 	// per rebalance for the whole run and dominate allocation volume.
 	NoTraces bool
 	// FullRebalance forces the original full-recompute scheduler pass
-	// (rebalanceFullLocked) on every kernel event instead of the
+	// (rebalanceFull) on every kernel event instead of the
 	// incremental pass that reuses the device's running-set, residency and
 	// share caches and fuses same-instant completion→relaunch rebalances.
 	// The two are float-exact equivalents; the full pass never consults
@@ -123,10 +123,6 @@ type Device struct {
 	eng simtime.Engine
 	cfg DeviceConfig
 
-	// mu guards all device and client state: free on a virtual engine
-	// (every simulated session), a real mutex on the wall engine (live
-	// mode).
-	mu      simtime.Guard
 	clients map[string]*Client
 	// order lists clients in creation order: the full-recompute oracle
 	// walks it instead of iterating the map (faster, and deterministic).
@@ -173,7 +169,7 @@ type Device struct {
 	// hope that the completion's continuation immediately launches a
 	// successor at the same instant, folding both transitions into one
 	// pass. Every state-observing or -mutating entry point flushes the
-	// window first (flushFusionLocked); completeKernel flushes on return,
+	// window first (flushFusion); completeKernel flushes on return,
 	// so a window never outlives its dispatch.
 	fusing bool
 
@@ -189,7 +185,7 @@ type Device struct {
 	// leads are pending host-lead kernels (ExecLeadThen), in wake order:
 	// created but not yet launched, they reach their stream lazily at the
 	// first device transition after the dispatch order passes their wake
-	// (matureLeadsLocked). Held leads (HoldLead) wait in held instead.
+	// (matureLeads). Held leads (HoldLead) wait in held instead.
 	leads []*kernel
 	held  []*kernel
 
@@ -198,7 +194,7 @@ type Device struct {
 	scratchRun   []*kernel
 	scratchSlots []allocSlot
 	// scratchAllocs saves the running set's true allocations across a lead
-	// hypothesis dry run (armLeadLocked).
+	// hypothesis dry run (armLead).
 	scratchAllocs []float64
 	// kernelPool recycles kernel structs (and their completion timers and
 	// closures) across launches; a device retires millions of kernels per
@@ -238,7 +234,6 @@ func NewDevice(eng simtime.Engine, cfg DeviceConfig) *Device {
 	}
 	d.virt, _ = eng.(*simtime.Virtual)
 	d.fusable = d.virt != nil && !cfg.FullRebalance
-	d.mu.Bind(eng)
 	return d
 }
 
@@ -250,8 +245,6 @@ func (d *Device) MemBytes() int64 { return d.cfg.MemBytes }
 
 // MemUsed reports currently allocated memory across all clients.
 func (d *Device) MemUsed() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.memUsed
 }
 
@@ -269,15 +262,11 @@ func (d *Device) MemTrace() *trace.Series { return d.mem }
 
 // KernelsCompleted reports how many kernels have finished on this device.
 func (d *Device) KernelsCompleted() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.kernels
 }
 
 // WorkDone reports completed work in reference-GPU SM-seconds.
 func (d *Device) WorkDone() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.workDone
 }
 
@@ -297,7 +286,6 @@ type Client struct {
 	dev *Device
 	cfg ClientConfig
 
-	// guarded by dev.mu:
 	closed  bool
 	memUsed int64
 	current *kernel
@@ -318,8 +306,6 @@ type Client struct {
 
 // NewClient registers a client context on the device.
 func (d *Device) NewClient(cfg ClientConfig) (*Client, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if cfg.Name == "" {
 		cfg.Name = fmt.Sprintf("client%d", len(d.clients))
 	}
@@ -342,13 +328,12 @@ func (d *Device) NewClient(cfg ClientConfig) (*Client, error) {
 //
 // The running set and the residency count are maintained at every transition
 // (launch, completion, Destroy, memory traffic) so the rebalance pass needs
-// neither a client-list walk nor a residency recount. rebalanceFullLocked
+// neither a client-list walk nor a residency recount. rebalanceFull
 // ignores both caches and rederives everything — the differential oracle.
 
-// residencyChangedLocked re-evaluates c's residency after any change to its
-// memory or kernel state and folds the delta into the device count. Caller
-// holds d.mu.
-func (d *Device) residencyChangedLocked(c *Client) {
+// residencyChanged re-evaluates c's residency after any change to its memory
+// or kernel state and folds the delta into the device count.
+func (d *Device) residencyChanged(c *Client) {
 	// A host lead is not resident kernel state until it reaches the stream:
 	// the equivalent unfused client would still be in its host phase with
 	// nothing submitted.
@@ -363,9 +348,9 @@ func (d *Device) residencyChangedLocked(c *Client) {
 	}
 }
 
-// runningInsertLocked adds k (its client's new current) to the running set,
-// keeping client creation order. Caller holds d.mu.
-func (d *Device) runningInsertLocked(k *kernel) {
+// runningInsert adds k (its client's new current) to the running set, keeping
+// client creation order.
+func (d *Device) runningInsert(k *kernel) {
 	i := len(d.running)
 	for i > 0 && d.running[i-1].client.orderIdx > k.client.orderIdx {
 		i--
@@ -378,8 +363,8 @@ func (d *Device) runningInsertLocked(k *kernel) {
 	}
 }
 
-// runningRemoveLocked drops k from the running set. Caller holds d.mu.
-func (d *Device) runningRemoveLocked(k *kernel) {
+// runningRemove drops k from the running set.
+func (d *Device) runningRemove(k *kernel) {
 	i := int(k.runIdx)
 	copy(d.running[i:], d.running[i+1:])
 	last := len(d.running) - 1
@@ -391,9 +376,9 @@ func (d *Device) runningRemoveLocked(k *kernel) {
 	k.runIdx = -1
 }
 
-// runningReplaceLocked swaps a completed kernel for its client's promoted
-// successor in the same slot (same client, same position). Caller holds d.mu.
-func (d *Device) runningReplaceLocked(old, next *kernel) {
+// runningReplace swaps a completed kernel for its client's promoted successor
+// in the same slot (same client, same position).
+func (d *Device) runningReplace(old, next *kernel) {
 	i := old.runIdx
 	d.running[i] = next
 	next.runIdx = i
@@ -440,10 +425,9 @@ func (e *shareEntry) matches(running []*kernel, taxed bool) bool {
 	return true
 }
 
-// shareCacheHitLocked looks the running set up in the two-way cache and, on
-// a match, installs the cached post-tax allocation vector (promoting the
-// entry to MRU). Caller holds d.mu.
-func (d *Device) shareCacheHitLocked(running []*kernel, taxed bool) bool {
+// shareCacheHit looks the running set up in the two-way cache and, on a match,
+// installs the cached post-tax allocation vector (promoting the entry to MRU).
+func (d *Device) shareCacheHit(running []*kernel, taxed bool) bool {
 	e := &d.shares[0]
 	if !e.matches(running, taxed) {
 		if !d.shares[1].matches(running, taxed) {
@@ -459,10 +443,9 @@ func (d *Device) shareCacheHitLocked(running []*kernel, taxed bool) bool {
 	return true
 }
 
-// shareCacheStoreLocked records the just-computed allocation vector under
-// the running set's fingerprint, evicting the LRU entry (whose slices are
-// reused). Caller holds d.mu.
-func (d *Device) shareCacheStoreLocked(running []*kernel, taxed bool) {
+// shareCacheStore records the just-computed allocation vector under the
+// running set's fingerprint, evicting the LRU entry (whose slices are reused).
+func (d *Device) shareCacheStore(running []*kernel, taxed bool) {
 	d.shares[0], d.shares[1] = d.shares[1], d.shares[0]
 	e := &d.shares[0]
 	key, allocs := e.key[:0], e.allocs[:0]
@@ -479,32 +462,27 @@ func (d *Device) shareCacheStoreLocked(running []*kernel, taxed bool) {
 // measurement; both zero only on a FullRebalance device, which recomputes
 // every pass instead).
 func (d *Device) ShareCacheStats() (hits, misses uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.shareHits, d.shareMisses
 }
 
 // FusedFolds reports how many completion→relaunch fusion windows were folded
 // into a launch's rebalance (for tests and measurement).
 func (d *Device) FusedFolds() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.fusedFolds
 }
 
-// flushFusionLocked settles an open completion→relaunch fusion window by
-// running the deferred rebalance. Called at the top of every device entry
-// point that observes or mutates scheduler state — a launch that merely
-// queues, memory traffic, Destroy — and by completeKernel after the
-// completion delivery returns, so a window never outlives the dispatch that
-// opened it. (NewClient needs no flush: a fresh client is neither resident
-// nor running, so it cannot interact with the deferred transition.) The
-// immediate-launch path folds the window into its own rebalance instead.
-// Caller holds d.mu.
-func (d *Device) flushFusionLocked() {
+// flushFusion settles an open completion→relaunch fusion window by running the
+// deferred rebalance. Called at the top of every device entry point that
+// observes or mutates scheduler state — a launch that merely queues, memory
+// traffic, Destroy — and by completeKernel after the completion delivery
+// returns, so a window never outlives the dispatch that opened it. (NewClient
+// needs no flush: a fresh client is neither resident nor running, so it cannot
+// interact with the deferred transition.) The immediate-launch path folds the
+// window into its own rebalance instead.
+func (d *Device) flushFusion() {
 	if d.fusing {
 		d.fusing = false
-		d.rebalanceLocked()
+		d.rebalance()
 	}
 }
 
@@ -519,8 +497,6 @@ func (c *Client) MemLimit() int64 { return c.cfg.MemLimitBytes }
 
 // MemUsed reports the client's current allocation.
 func (c *Client) MemUsed() int64 {
-	c.dev.mu.Lock()
-	defer c.dev.mu.Unlock()
 	return c.memUsed
 }
 
@@ -537,10 +513,8 @@ func (c *Client) AllocMem(n int64) error {
 		return fmt.Errorf("simgpu: negative allocation %d", n)
 	}
 	d := c.dev
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.flushFusionLocked()
-	d.matureLeadsLocked(nil)
+	d.flushFusion()
+	d.matureLeads(nil)
 	if c.closed {
 		return ErrClientClosed
 	}
@@ -554,9 +528,9 @@ func (c *Client) AllocMem(n int64) error {
 	}
 	c.memUsed += n
 	d.memUsed += n
-	d.residencyChangedLocked(c)
+	d.residencyChanged(c)
 	// Residency feeds the pending leads' tax hypotheses.
-	d.refreshLeadsLocked()
+	d.refreshLeads()
 	if !d.cfg.NoTraces {
 		now := d.eng.Now()
 		c.memTr.Add(now, float64(c.memUsed))
@@ -568,17 +542,15 @@ func (c *Client) AllocMem(n int64) error {
 // FreeMem releases n bytes (clamped to the current allocation).
 func (c *Client) FreeMem(n int64) {
 	d := c.dev
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.flushFusionLocked()
-	d.matureLeadsLocked(nil)
+	d.flushFusion()
+	d.matureLeads(nil)
 	if n > c.memUsed {
 		n = c.memUsed
 	}
 	c.memUsed -= n
 	d.memUsed -= n
-	d.residencyChangedLocked(c)
-	d.refreshLeadsLocked()
+	d.residencyChanged(c)
+	d.refreshLeads()
 	if !d.cfg.NoTraces {
 		now := d.eng.Now()
 		c.memTr.Add(now, float64(c.memUsed))
@@ -591,18 +563,16 @@ func (c *Client) FreeMem(n int64) {
 // (its CUDA context dies with it).
 func (c *Client) Destroy() {
 	d := c.dev
-	d.mu.Lock()
 	if c.closed {
-		d.mu.Unlock()
 		return
 	}
-	d.flushFusionLocked()
-	d.matureLeadsLocked(nil)
+	d.flushFusion()
+	d.matureLeads(nil)
 	c.closed = true
 	aborted := make([]*kernel, 0, len(c.queue)+1)
 	if cur := c.current; cur != nil {
 		cur.timer.Cancel()
-		d.runningRemoveLocked(cur)
+		d.runningRemove(cur)
 		aborted = append(aborted, cur)
 		c.current = nil
 	}
@@ -624,7 +594,7 @@ func (c *Client) Destroy() {
 	}
 	d.memUsed -= c.memUsed
 	c.memUsed = 0
-	d.residencyChangedLocked(c)
+	d.residencyChanged(c)
 	if !d.cfg.NoTraces {
 		now := d.eng.Now()
 		c.memTr.Add(now, 0)
@@ -635,8 +605,7 @@ func (c *Client) Destroy() {
 	for i := c.orderIdx; i < len(d.order); i++ {
 		d.order[i].orderIdx = i
 	}
-	d.rebalanceLocked()
-	d.mu.Unlock()
+	d.rebalance()
 
 	for _, k := range aborted {
 		if k.waiter != nil {
@@ -658,28 +627,25 @@ func (c *Client) Destroy() {
 // plane never touches the main job. Re-arming before the previous fault fires
 // just extends the prefix; arming is idempotent per pending fault.
 func (d *Device) InjectKernelFault(prefix string) {
-	d.mu.Lock()
 	// Leads whose host phase has elapsed launched before this instant.
-	d.flushFusionLocked()
-	d.matureLeadsLocked(nil)
+	d.flushFusion()
+	d.matureLeads(nil)
 	d.faultErr = ErrInjectedFault
 	d.faultPrefix = prefix
 	// A still-pending host lead launches at its leadUntil: wake it there, not
-	// at its completion (armLeadLocked), so it can take the fault on time.
-	d.refreshLeadsLocked()
-	d.mu.Unlock()
+	// at its completion (armLead), so it can take the fault on time.
+	d.refreshLeads()
 }
 
-// faultArmedLocked reports whether a launch by c would fail now. Caller
-// holds d.mu.
-func (d *Device) faultArmedLocked(c *Client) bool {
+// faultArmed reports whether a launch by c would fail now.
+func (d *Device) faultArmed(c *Client) bool {
 	return d.faultErr != nil && strings.HasPrefix(c.cfg.Name, d.faultPrefix)
 }
 
-// takeFaultLocked consumes the armed kernel fault on behalf of a launch by c
-// (nil: none armed for c). Caller holds d.mu.
-func (d *Device) takeFaultLocked(c *Client) error {
-	if !d.faultArmedLocked(c) {
+// takeFault consumes the armed kernel fault on behalf of a launch by c (nil:
+// none armed for c).
+func (d *Device) takeFault(c *Client) error {
+	if !d.faultArmed(c) {
 		return nil
 	}
 	err := d.faultErr
@@ -690,7 +656,5 @@ func (d *Device) takeFaultLocked(c *Client) error {
 
 // InjectedKernelFaults reports how many armed faults have been delivered.
 func (d *Device) InjectedKernelFaults() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.faultsFired
 }

@@ -88,12 +88,12 @@ type kernel struct {
 	wake         simtime.Timer
 }
 
-// popKernelLocked recycles a kernel struct from the pool (or allocates one),
+// popKernel recycles a kernel struct from the pool (or allocates one),
 // resetting only the fields a launch mutates: the completion timer and its
 // closure survive recycling, and retirement already cleared the delivery
-// fields. This per-field reset replaces a full struct re-zero that copied
-// ~130 bytes per launch. Caller holds d.mu.
-func (d *Device) popKernelLocked(c *Client, spec *KernelSpec, onComplete func(error), waiter *simproc.Process) *kernel {
+// fields. This per-field reset replaces a full struct re-zero that copied ~130
+// bytes per launch.
+func (d *Device) popKernel(c *Client, spec *KernelSpec, onComplete func(error), waiter *simproc.Process) *kernel {
 	var k *kernel
 	if n := len(d.kernelPool); n > 0 {
 		k = d.kernelPool[n-1]
@@ -143,9 +143,7 @@ func (c *Client) Launch(spec *KernelSpec, onComplete func(error)) error {
 func (c *Client) launch(spec *KernelSpec, onComplete func(error), waiter *simproc.Process) error {
 	spec.normalize()
 	d := c.dev
-	d.mu.Lock()
 	if c.closed {
-		d.mu.Unlock()
 		if waiter != nil {
 			waiter.Wake(ErrClientClosed)
 		} else if onComplete != nil {
@@ -153,10 +151,9 @@ func (c *Client) launch(spec *KernelSpec, onComplete func(error), waiter *simpro
 		}
 		return ErrClientClosed
 	}
-	if err := d.takeFaultLocked(c); err != nil {
+	if err := d.takeFault(c); err != nil {
 		// Armed kernel fault: deliver the failure through the same path a
 		// closed client uses, never touching the device's running set.
-		d.mu.Unlock()
 		if waiter != nil {
 			waiter.Wake(err)
 		} else if onComplete != nil {
@@ -166,26 +163,25 @@ func (c *Client) launch(spec *KernelSpec, onComplete func(error), waiter *simpro
 	}
 	// Leads whose wakes have passed reach their streams first, so this
 	// launch's rebalance sees exactly the set an unfused arm would.
-	d.matureLeadsLocked(nil)
-	k := d.popKernelLocked(c, spec, onComplete, waiter)
+	d.matureLeads(nil)
+	k := d.popKernel(c, spec, onComplete, waiter)
 	if c.current == nil {
 		c.current = k
 		k.started = d.eng.Now()
 		k.startSet = true
-		d.runningInsertLocked(k)
-		d.residencyChangedLocked(c)
+		d.runningInsert(k)
+		d.residencyChanged(c)
 		// Fold an open fusion window: this launch's rebalance covers the
 		// deferred completion transition too (both at the same instant).
 		if d.fusing {
 			d.fusing = false
 			d.fusedFolds++
 		}
-		d.rebalanceLocked()
+		d.rebalance()
 	} else {
-		d.flushFusionLocked()
+		d.flushFusion()
 		c.queue = append(c.queue, k)
 	}
-	d.mu.Unlock()
 	return nil
 }
 
@@ -251,13 +247,11 @@ func execResult(res any) error {
 // before that the equivalent unfused caller is still in its host phase with
 // nothing submitted.
 func (c *Client) QueueDepth() int {
-	c.dev.mu.Lock()
-	defer c.dev.mu.Unlock()
 	n := len(c.queue)
 	if c.current != nil {
 		n++
 	}
-	return n + c.launchedLeadsLocked()
+	return n + c.launchedLeads()
 }
 
 // Busy reports whether the client has a kernel in flight on the device. A
@@ -266,15 +260,12 @@ func (c *Client) QueueDepth() int {
 // host-side phase with nothing submitted, and the worker's grace-kill check
 // relies on exactly that distinction.
 func (c *Client) Busy() bool {
-	c.dev.mu.Lock()
-	defer c.dev.mu.Unlock()
-	return c.current != nil || c.launchedLeadsLocked() > 0
+	return c.current != nil || c.launchedLeads() > 0
 }
 
-// launchedLeadsLocked counts the client's leads whose launch the dispatch
-// order has passed but no device transition has carried out yet. Caller
-// holds d.mu.
-func (c *Client) launchedLeadsLocked() (n int) {
+// launchedLeads counts the client's leads whose launch the dispatch order has
+// passed but no device transition has carried out yet.
+func (c *Client) launchedLeads() (n int) {
 	for _, k := range c.dev.leads {
 		if k.client == c && k.wake.Passed() {
 			n++
@@ -283,20 +274,20 @@ func (c *Client) launchedLeadsLocked() (n int) {
 	return n
 }
 
-// rebalanceLocked recomputes every running kernel's SM allocation after any
-// change in the running set, accrues progress, updates traces, and
-// reschedules completion events; pending host-lead hypotheses are refreshed
-// against the new allocation state. Caller holds d.mu.
-func (d *Device) rebalanceLocked() {
+// rebalance recomputes every running kernel's SM allocation after any change
+// in the running set, accrues progress, updates traces, and reschedules
+// completion events; pending host-lead hypotheses are refreshed against the
+// new allocation state.
+func (d *Device) rebalance() {
 	if d.cfg.FullRebalance {
-		d.rebalanceFullLocked()
+		d.rebalanceFull()
 		return
 	}
-	d.rebalanceAtLocked(d.eng.Now(), nil, nil)
-	d.refreshLeadsLocked()
+	d.rebalanceAt(d.eng.Now(), nil, nil)
+	d.refreshLeads()
 }
 
-// rebalanceAtLocked is the incremental scheduler pass, parameterized by the
+// rebalanceAt is the incremental scheduler pass, parameterized by the
 // instant the triggering transition happened at. For ordinary transitions at
 // is the current engine time; for a host-lead maturation it is the lead's
 // leadUntil — possibly in the past of the engine clock, because maturation
@@ -323,12 +314,12 @@ func (d *Device) rebalanceLocked() {
 // i-th timer armed there (simtime.Virtual.RescheduleAs), i its running-set
 // index — the order an eager launch's pass would arm them in.
 //
-// firing, when non-nil, is the kernel whose completion dispatch this pass
-// runs under (a due lead maturing inside completeKernel). The return value
-// reports whether firing's completion moved later than the dispatch instant
-// — the fire was premature and has been re-armed, so the caller must abandon
-// the in-flight completion. Caller holds d.mu.
-func (d *Device) rebalanceAtLocked(at time.Duration, wake *simtime.Timer, firing *kernel) (stale bool) {
+// firing, when non-nil, is the kernel whose completion dispatch this pass runs
+// under (a due lead maturing inside completeKernel). The return value reports
+// whether firing's completion moved later than the dispatch instant — the fire
+// was premature and has been re-armed, so the caller must abandon the
+// in-flight completion.
+func (d *Device) rebalanceAt(at time.Duration, wake *simtime.Timer, firing *kernel) (stale bool) {
 	running := d.running
 
 	// Accrue progress under the old allocations.
@@ -346,7 +337,7 @@ func (d *Device) rebalanceAtLocked(at time.Duration, wake *simtime.Timer, firing
 	// resident client contexts, every kernel pays a small scheduling
 	// overhead.
 	taxed := d.cfg.ResidencyTax > 0 && d.cfg.Policy == PolicyMPS && d.resident >= 2
-	if !d.shareCacheHitLocked(running, taxed) {
+	if !d.shareCacheHit(running, taxed) {
 		d.assignAllocations(running)
 		if taxed {
 			scale := 1 / (1 + d.cfg.ResidencyTax)
@@ -354,13 +345,13 @@ func (d *Device) rebalanceAtLocked(at time.Duration, wake *simtime.Timer, firing
 				k.alloc *= scale
 			}
 		}
-		d.shareCacheStoreLocked(running, taxed)
+		d.shareCacheStore(running, taxed)
 	}
 
 	var total float64
 	for i, k := range running {
 		total += k.alloc
-		if d.scheduleCompletionAtLocked(k, i, at, wake, firing) {
+		if d.scheduleCompletionAt(k, i, at, wake, firing) {
 			stale = true
 		}
 	}
@@ -378,12 +369,12 @@ func (d *Device) rebalanceAtLocked(at time.Duration, wake *simtime.Timer, firing
 	return stale
 }
 
-// rebalanceFullLocked is the original full recompute: it rederives the
-// running set by walking the client list, recounts residency, cancels and
-// re-pushes every completion timer. Kept verbatim as the differential oracle
-// for the incremental pass (DeviceConfig.FullRebalance); host leads never
-// exist on a full-rebalance device (LeadCapable is false). Caller holds d.mu.
-func (d *Device) rebalanceFullLocked() {
+// rebalanceFull is the original full recompute: it rederives the running set
+// by walking the client list, recounts residency, cancels and re-pushes every
+// completion timer. Kept verbatim as the differential oracle for the
+// incremental pass (DeviceConfig.FullRebalance); host leads never exist on a
+// full-rebalance device (LeadCapable is false).
+func (d *Device) rebalanceFull() {
 	now := d.eng.Now()
 
 	running := d.scratchRun[:0]
@@ -428,7 +419,7 @@ func (d *Device) rebalanceFullLocked() {
 	var total float64
 	for _, k := range running {
 		total += k.alloc
-		d.scheduleCompletionLocked(k)
+		d.scheduleCompletion(k)
 	}
 	if !d.cfg.NoTraces {
 		for _, k := range running {
@@ -529,12 +520,11 @@ func clientWeightOf(k *kernel) float64 {
 	return 1
 }
 
-// scheduleCompletionLocked (re)schedules the kernel's completion under its
-// current rate: a fresh push on the full-recompute path (the timer was
-// canceled during accrual), an in-place re-arm on the incremental path (the
-// timer is still pending) — identical (when, seq) outcomes either way.
-// Caller holds d.mu.
-func (d *Device) scheduleCompletionLocked(k *kernel) {
+// scheduleCompletion (re)schedules the kernel's completion under its current
+// rate: a fresh push on the full-recompute path (the timer was canceled during
+// accrual), an in-place re-arm on the incremental path (the timer is still
+// pending) — identical (when, seq) outcomes either way.
+func (d *Device) scheduleCompletion(k *kernel) {
 	if k.alloc <= 0 {
 		k.timer.Cancel() // no rate: park the completion (full path already did)
 		return
@@ -544,15 +534,14 @@ func (d *Device) scheduleCompletionLocked(k *kernel) {
 	k.timer = d.eng.Reschedule(k.timer, delay, k.doneName, k.completeFn)
 }
 
-// scheduleCompletionAtLocked is scheduleCompletionLocked as of instant at:
-// the completion lands at at + ceil(work/alloc) — the same absolute (when)
-// an eager rebalance at at would have armed — keyed as the i-th timer armed
-// inside wake when one is given (see rebalanceAtLocked). When k is the
-// kernel whose completion dispatch this pass runs under (firing), a deadline
-// at-or-before the dispatch instant lets the in-flight completion proceed
-// (re-arming it would push a duplicate event), and a later deadline re-arms
-// the timer and reports the fire stale. Caller holds d.mu.
-func (d *Device) scheduleCompletionAtLocked(k *kernel, i int, at time.Duration, wake *simtime.Timer, firing *kernel) bool {
+// scheduleCompletionAt is scheduleCompletion as of instant at: the completion
+// lands at at + ceil(work/alloc) — the same absolute (when) an eager rebalance
+// at at would have armed — keyed as the i-th timer armed inside wake when one
+// is given (see rebalanceAt). When k is the kernel whose completion dispatch
+// this pass runs under (firing), a deadline at-or-before the dispatch instant
+// lets the in-flight completion proceed (re-arming it would push a duplicate
+// event), and a later deadline re-arms the timer and reports the fire stale.
+func (d *Device) scheduleCompletionAt(k *kernel, i int, at time.Duration, wake *simtime.Timer, firing *kernel) bool {
 	if k.alloc <= 0 {
 		k.timer.Cancel() // no rate: park the completion
 		return false
@@ -585,15 +574,13 @@ func (d *Device) scheduleCompletionAtLocked(k *kernel, i int, at time.Duration, 
 // way the final state is bit-identical to the unfused sequence (same-instant
 // trace points overwrite, rescheduled timers keep their relative order).
 func (d *Device) completeKernel(k *kernel) {
-	d.mu.Lock()
 	c := k.client
 	// Leads whose wakes have passed mature first — including k itself, if
 	// this fire is its armed lead hypothesis (which sorts after the wake).
 	// A maturation that pushed k's true completion later, or queued k, has
 	// re-armed or parked its timer: the fire was premature, abandon it.
-	if c == nil || d.matureLeadsLocked(k) || c.current != k {
+	if c == nil || d.matureLeads(k) || c.current != k {
 		// Stale completion (aborted) or abandoned; ignore.
-		d.mu.Unlock()
 		return
 	}
 	d.kernels++
@@ -609,27 +596,26 @@ func (d *Device) completeKernel(k *kernel) {
 		c.queue = c.queue[:n]
 		c.current.started = d.eng.Now()
 		c.current.startSet = true
-		d.runningReplaceLocked(k, c.current)
+		d.runningReplace(k, c.current)
 	} else {
-		d.runningRemoveLocked(k)
+		d.runningRemove(k)
 	}
-	d.residencyChangedLocked(c)
+	d.residencyChanged(c)
 	fused := d.fusable
 	if fused {
 		d.fusing = true
 	} else {
-		d.rebalanceLocked()
+		d.rebalance()
 	}
-	// Retire k into the pool while the lock is held; after Unlock this
-	// function must not touch k again — the completion delivery below may
-	// launch a new kernel that reuses it.
+	// Retire k into the pool now; from here on this function must not
+	// touch k again — the completion delivery below may launch a new kernel
+	// that reuses it.
 	cb := k.onComplete
 	w := k.waiter
 	k.onComplete = nil
 	k.waiter = nil
 	k.client = nil
 	d.kernelPool = append(d.kernelPool, k)
-	d.mu.Unlock()
 
 	if w != nil {
 		// Chained delivery: the wait slot stays armed while the
@@ -641,8 +627,6 @@ func (d *Device) completeKernel(k *kernel) {
 	}
 
 	if fused {
-		d.mu.Lock()
-		d.flushFusionLocked()
-		d.mu.Unlock()
+		d.flushFusion()
 	}
 }

@@ -25,7 +25,7 @@ import (
 // (when, seq) slot the caller's sleep would have taken, which the engine
 // orders like an event and never dispatches. Maturation is lazy: it runs at
 // the first device transition after the dispatch order has passed the slot,
-// in slot order, and rebalances as of leadUntil (rebalanceAtLocked), with
+// in slot order, and rebalances as of leadUntil (rebalanceAt), with
 // every timer it re-arms keyed as if armed inside the wake
 // (simtime.Virtual.RescheduleAs). That reproduces bit-exactly the accrual,
 // water-fill, trace and deadline arithmetic of an eager launch, and the
@@ -40,7 +40,7 @@ import (
 // The armed completion timer is a hypothesis — the exact completion if no
 // further device events intervene. Every device transition refreshes it, so
 // it fires early-never-late; a premature fire matures the lead, detects the
-// staleness and re-arms (rebalanceAtLocked's firing contract). A lead whose
+// staleness and re-arms (rebalanceAt's firing contract). A lead whose
 // stream is busy (a kernel in flight or queued, or a lead of the client due
 // first) arms nothing: the transition that frees the stream matures it.
 //
@@ -126,17 +126,14 @@ func (l *sleptLead) launch(any) {
 func (c *Client) launchLead(spec *KernelSpec, lead time.Duration, waiter *simproc.Process) {
 	spec.normalize()
 	d := c.dev
-	d.mu.Lock()
 	if c.closed {
-		d.mu.Unlock()
 		waiter.Wake(ErrClientClosed)
 		return
 	}
-	if err := d.takeFaultLocked(c); err != nil {
+	if err := d.takeFault(c); err != nil {
 		// Armed kernel fault: consume it now, deliver it when the host
 		// phase ends — the instant the unfused arm's launch would have
 		// consumed and delivered it.
-		d.mu.Unlock()
 		d.eng.ScheduleDetached(lead, spec.Name, func() { waiter.Wake(err) })
 		return
 	}
@@ -144,19 +141,17 @@ func (c *Client) launchLead(spec *KernelSpec, lead time.Duration, waiter *simpro
 	// device, so an open fusion window settles now (flush, not fold — there
 	// is no launch rebalance at this instant to fold into), and leads whose
 	// wakes have passed mature. The sleep's wake takes the next slot.
-	d.flushFusionLocked()
-	d.matureLeadsLocked(nil)
-	k := d.popKernelLocked(c, spec, nil, waiter)
+	d.flushFusion()
+	d.matureLeads(nil)
+	k := d.popKernel(c, spec, nil, waiter)
 	k.leadUntil = d.eng.Now() + lead
 	d.virt.Reserve(&k.wake, lead)
-	d.leadsInsertLocked(k)
-	d.armLeadLocked(k)
-	d.mu.Unlock()
+	d.leadsInsert(k)
+	d.armLead(k)
 }
 
-// leadsInsertLocked adds k to the pending-leads list, keeping wake order.
-// Caller holds d.mu.
-func (d *Device) leadsInsertLocked(k *kernel) {
+// leadsInsert adds k to the pending-leads list, keeping wake order.
+func (d *Device) leadsInsert(k *kernel) {
 	i := len(d.leads)
 	for i > 0 && k.wake.Before(&d.leads[i-1].wake) {
 		i--
@@ -178,41 +173,41 @@ func removeKernel(list []*kernel, k *kernel) []*kernel {
 	return list
 }
 
-// matureLeadsLocked launches every lead whose wake the dispatch order has
-// passed, in wake order, each as of its own wake — replicating the event
-// sequence the unfused arm's launches would have produced. firing follows
-// the rebalanceAtLocked contract; the return value reports whether firing's
-// in-flight completion went stale. Caller holds d.mu.
-func (d *Device) matureLeadsLocked(firing *kernel) (stale bool) {
+// matureLeads launches every lead whose wake the dispatch order has passed, in
+// wake order, each as of its own wake — replicating the event sequence the
+// unfused arm's launches would have produced. firing follows the rebalanceAt
+// contract; the return value reports whether firing's in-flight completion
+// went stale.
+func (d *Device) matureLeads(firing *kernel) (stale bool) {
 	matured := false
 	for len(d.leads) > 0 && d.leads[0].wake.Passed() {
 		k := d.leads[0]
 		d.leads = removeKernel(d.leads, k)
-		if d.startLeadLocked(k, &k.wake, firing) {
+		if d.startLead(k, &k.wake, firing) {
 			stale = true
 		}
 		matured = true
 	}
 	if matured {
-		d.refreshLeadsLocked()
+		d.refreshLeads()
 	}
 	return stale
 }
 
-// startLeadLocked is the launch that ends k's host phase, at k.leadUntil: an
+// startLead is the launch that ends k's host phase, at k.leadUntil: an
 // armed fault fails it there, a busy stream queues it, an idle one starts it
 // with a rebalance whose re-armed timers sort as if armed inside wake (nil:
 // at the current dispatch point). It reports whether firing's in-flight
-// completion went stale. Caller holds d.mu; k is off the leads lists.
-func (d *Device) startLeadLocked(k *kernel, wake *simtime.Timer, firing *kernel) bool {
+// completion went stale. The caller has taken k off the leads lists.
+func (d *Device) startLead(k *kernel, wake *simtime.Timer, firing *kernel) bool {
 	c := k.client
-	if err := d.takeFaultLocked(c); err != nil {
+	if err := d.takeFault(c); err != nil {
 		// A fault armed during the host phase: the launch fails, never
-		// touching the stream. Delivered as an event of this instant — d.mu
-		// is held, and the failure may destroy the client — so a signal
-		// queued behind the wake at this instant reaches the process first,
-		// where the two-event form's wake handed the failure over ahead of
-		// it (the one tie ROADMAP keeps as unverified).
+		// touching the stream. Delivered as an event of this instant — the
+		// failure may destroy the client — so a signal queued behind the
+		// wake at this instant reaches the process first, where the
+		// two-event form's wake handed the failure over ahead of it (the one
+		// tie ROADMAP keeps as unverified).
 		w := k.waiter
 		k.timer.Cancel()
 		k.waiter, k.client = nil, nil
@@ -228,24 +223,22 @@ func (d *Device) startLeadLocked(k *kernel, wake *simtime.Timer, firing *kernel)
 	c.current = k
 	k.started = k.leadUntil
 	k.startSet = true
-	d.runningInsertLocked(k)
-	d.residencyChangedLocked(c)
-	return d.rebalanceAtLocked(k.leadUntil, wake, firing)
+	d.runningInsert(k)
+	d.residencyChanged(c)
+	return d.rebalanceAt(k.leadUntil, wake, firing)
 }
 
-// refreshLeadsLocked re-derives every pending lead's completion hypothesis
-// after a change to the allocation state (running set, residency). Caller
-// holds d.mu.
-func (d *Device) refreshLeadsLocked() {
+// refreshLeads re-derives every pending lead's completion hypothesis after a
+// change to the allocation state (running set, residency).
+func (d *Device) refreshLeads() {
 	for _, k := range d.leads {
-		d.armLeadLocked(k)
+		d.armLead(k)
 	}
 }
 
-// streamTakenLocked reports whether k would queue if its host phase ended
-// now: the client has a kernel in flight, or another pending lead due first.
-// Caller holds d.mu.
-func (c *Client) streamTakenLocked(k *kernel) bool {
+// streamTaken reports whether k would queue if its host phase ended now: the
+// client has a kernel in flight, or another pending lead due first.
+func (c *Client) streamTaken(k *kernel) bool {
 	if c.current != nil {
 		return true
 	}
@@ -257,21 +250,20 @@ func (c *Client) streamTakenLocked(k *kernel) bool {
 	return false
 }
 
-// armLeadLocked computes k's completion hypothesis — the exact completion
-// instant if no further device events intervene before leadUntil — and arms
-// its timer there, keyed as the idx-th timer the maturation rebalance arms.
-// The hypothesis inserts k into a copy of the running set at its
-// client-order position and runs the same water-fill + residency-tax
-// arithmetic the maturation rebalance will run, so in the no-event case the
-// armed (when, seq) IS the completion's, bit-exactly. The share cache is
-// bypassed in both directions: hypothesis lookups would perturb the hit/miss
-// stream and MRU order away from the unfused arm's. A lead that would queue
-// arms nothing. Caller holds d.mu.
-func (d *Device) armLeadLocked(k *kernel) {
+// armLead computes k's completion hypothesis — the exact completion instant if
+// no further device events intervene before leadUntil — and arms its timer
+// there, keyed as the idx-th timer the maturation rebalance arms. The
+// hypothesis inserts k into a copy of the running set at its client-order
+// position and runs the same water-fill + residency-tax arithmetic the
+// maturation rebalance will run, so in the no-event case the armed (when, seq)
+// IS the completion's, bit-exactly. The share cache is bypassed in both
+// directions: hypothesis lookups would perturb the hit/miss stream and MRU
+// order away from the unfused arm's. A lead that would queue arms nothing.
+func (d *Device) armLead(k *kernel) {
 	// A lead whose launch is about to fail fires at the launch instant.
 	deadline, idx := k.leadUntil, 0
-	if !d.faultArmedLocked(k.client) {
-		if k.client.streamTakenLocked(k) {
+	if !d.faultArmed(k.client) {
+		if k.client.streamTaken(k) {
 			// The transition that frees the stream matures k.
 			if k.leadDeadline != -1 {
 				k.timer.Cancel()
@@ -281,7 +273,7 @@ func (d *Device) armLeadLocked(k *kernel) {
 		}
 		var hyp float64
 		var soonest time.Duration
-		hyp, idx, soonest = d.hypothesisLocked(k)
+		hyp, idx, soonest = d.hypothesis(k)
 		if hyp <= 0 {
 			hyp = minAlloc
 		}
@@ -296,16 +288,15 @@ func (d *Device) armLeadLocked(k *kernel) {
 	k.timer = d.virt.RescheduleAs(k.timer, &k.wake, idx, deadline, k.doneName, k.completeFn)
 }
 
-// hypothesisLocked runs the maturation rebalance of lead k dry: k's
-// allocation and running-set index if it started at leadUntil with nothing
-// else changing, and the soonest completion that rebalance would re-round a
-// running kernel's onto, where that is earlier than the one armed
-// (MaxInt64: none). Caller holds d.mu.
-func (d *Device) hypothesisLocked(k *kernel) (alloc float64, idx int, soonest time.Duration) {
+// hypothesis runs the maturation rebalance of lead k dry: k's allocation and
+// running-set index if it started at leadUntil with nothing else changing, and
+// the soonest completion that rebalance would re-round a running kernel's
+// onto, where that is earlier than the one armed (MaxInt64: none).
+func (d *Device) hypothesis(k *kernel) (alloc float64, idx int, soonest time.Duration) {
 	soonest = time.Duration(math.MaxInt64)
 	// Hypothetical running set with k at its insertion position: the
 	// water-fill iterates in slice order, so position affects float
-	// summation order and must match runningInsertLocked's.
+	// summation order and must match runningInsert's.
 	idx = len(d.running)
 	for i, rk := range d.running {
 		if rk.client.orderIdx > k.client.orderIdx {
@@ -373,9 +364,8 @@ func (d *Device) hypothesisLocked(k *kernel) (alloc float64, idx int, soonest ti
 // sorts after the wake. No-op without a pending lead.
 func (c *Client) HoldLead() {
 	d := c.dev
-	d.mu.Lock()
-	d.flushFusionLocked()
-	d.matureLeadsLocked(nil)
+	d.flushFusion()
+	d.matureLeads(nil)
 	for i := 0; i < len(d.leads); {
 		k := d.leads[i]
 		if k.client != c {
@@ -387,7 +377,6 @@ func (c *Client) HoldLead() {
 		d.leads = removeKernel(d.leads, k)
 		d.held = append(d.held, k)
 	}
-	d.mu.Unlock()
 }
 
 // ReleaseLead resumes held leads (SIGCONT). One whose wake is still ahead in
@@ -396,9 +385,8 @@ func (c *Client) HoldLead() {
 // delivers at exactly the resume. No-op without a held lead.
 func (c *Client) ReleaseLead() {
 	d := c.dev
-	d.mu.Lock()
-	d.flushFusionLocked()
-	d.matureLeadsLocked(nil)
+	d.flushFusion()
+	d.matureLeads(nil)
 	for i := 0; i < len(d.held); {
 		k := d.held[i]
 		if k.client != c {
@@ -408,12 +396,11 @@ func (c *Client) ReleaseLead() {
 		d.held = removeKernel(d.held, k)
 		if k.wake.Passed() {
 			k.leadUntil = d.eng.Now()
-			d.startLeadLocked(k, nil, nil)
-			d.refreshLeadsLocked()
+			d.startLead(k, nil, nil)
+			d.refreshLeads()
 			continue
 		}
-		d.leadsInsertLocked(k)
-		d.armLeadLocked(k)
+		d.leadsInsert(k)
+		d.armLead(k)
 	}
-	d.mu.Unlock()
 }

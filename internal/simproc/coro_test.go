@@ -17,8 +17,8 @@ import (
 // onBothEngines runs scenario once on a virtual and once on a wall engine.
 // setup is how the scenario starts its processes: it returns once fn has run
 // in a context where Spawn and Signal are ordered against every engine
-// callback — the owner's, or a callback of its own. finish returns once the
-// given processes have terminated.
+// callback — the owner's, or the wall engine's Do. finish returns once the
+// given processes have terminated, also read through Do.
 func onBothEngines(t *testing.T, scenario func(t *testing.T, rt *Runtime, setup func(fn func()), finish func(ps ...*Process))) {
 	t.Run("virtual", func(t *testing.T) {
 		eng := simtime.NewVirtual()
@@ -29,19 +29,21 @@ func onBothEngines(t *testing.T, scenario func(t *testing.T, rt *Runtime, setup 
 	t.Run("wall", func(t *testing.T) {
 		eng := simtime.NewWall()
 		scenario(t, NewRuntime(eng),
-			func(fn func()) {
-				ran := make(chan struct{})
-				eng.Schedule(0, "setup", func() { fn(); close(ran) })
-				<-ran
-			},
+			eng.Do,
 			func(ps ...*Process) {
 				deadline := time.Now().Add(5 * time.Second)
 				for _, p := range ps {
-					for p.Alive() && time.Now().Before(deadline) {
+					var alive bool
+					var reason string
+					for {
+						eng.Do(func() { alive, reason = p.Alive(), p.ParkReason() })
+						if !alive || !time.Now().Before(deadline) {
+							break
+						}
 						time.Sleep(100 * time.Microsecond)
 					}
-					if p.Alive() {
-						t.Fatalf("process %s still alive (parked on %q)", p.Name(), p.ParkReason())
+					if alive {
+						t.Fatalf("process %s still alive (parked on %q)", p.Name(), reason)
 					}
 				}
 			})
@@ -55,7 +57,6 @@ func onBothEngines(t *testing.T, scenario func(t *testing.T, rt *Runtime, setup 
 func TestNestedResumeFromProcessBody(t *testing.T) {
 	onBothEngines(t, func(t *testing.T, rt *Runtime, setup func(func()), finish func(...*Process)) {
 		box := NewMailbox[string]()
-		box.Bind(rt.Engine())
 		var order []string
 		var a, b *Process
 		setup(func() {

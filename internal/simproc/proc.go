@@ -16,13 +16,12 @@
 //     so under either engine it never runs beside the dispatcher and needs
 //     no lock — the coroutine switch is the happens-before edge. next is
 //     called from engine-callback context only (the dispatcher, or another
-//     body that is itself inside someone's next: a nested resume);
-//     resumeMu still serializes resumers, because wall-engine callers that
-//     break that rule must queue behind the running body rather than
-//     re-enter it. In return a body must not hand
-//     its Process — or anything that reaches the engine through it, like
-//     sidetask's Ctx or a simgpu client — to goroutines it starts itself:
-//     those would run beside the dispatcher, which nothing here guards.
+//     body that is itself inside someone's next: a nested resume), which on
+//     the wall engine includes simtime.Wall.Do. In return a body must not
+//     hand its Process — or anything that reaches the engine through it,
+//     like sidetask's Ctx or a simgpu client — to goroutines it starts
+//     itself: those would run beside the dispatcher, which nothing here
+//     guards.
 //
 // Both flavours share one wake path: each Process owns a reusable,
 // generation-checked wait slot, and every wake source (timers, kernel
@@ -48,9 +47,6 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"maps"
-	"slices"
-	"sync"
 	"time"
 
 	"freeride/internal/simtime"
@@ -90,37 +86,19 @@ var ErrKilled = errors.New("simproc: killed")
 // further blocking calls re-panic immediately so cleanup cannot stall.
 type killedPanic struct{ p *Process }
 
-// Runtime creates and tracks processes on one engine.
+// Runtime creates processes on one engine.
 type Runtime struct {
 	eng simtime.Engine
-
-	mu    sync.Mutex
-	procs map[*Process]struct{}
-	seq   int
+	seq int
 }
 
 // NewRuntime returns a process runtime bound to eng.
 func NewRuntime(eng simtime.Engine) *Runtime {
-	return &Runtime{eng: eng, procs: make(map[*Process]struct{})}
+	return &Runtime{eng: eng}
 }
 
 // Engine returns the engine the runtime schedules on.
 func (rt *Runtime) Engine() simtime.Engine { return rt.eng }
-
-// Live returns the processes that have not terminated yet.
-func (rt *Runtime) Live() []*Process {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return slices.Collect(maps.Keys(rt.procs))
-}
-
-// forget drops a terminated process, so a restart-heavy session does not pin
-// every dead incarnation until the runtime itself is dropped.
-func (rt *Runtime) forget(p *Process) {
-	rt.mu.Lock()
-	delete(rt.procs, p)
-	rt.mu.Unlock()
-}
 
 // Process is one simulated process. Goroutine-process bodies must interact
 // with time only through the blocking primitives; inline bodies only through
@@ -152,21 +130,17 @@ type Process struct {
 	// park or its return and stop unwinds a parked body, both on the
 	// resumer's side; yield is the body's side of the same switch. wakeMsg
 	// is the single deposit slot, written by the waker before next and read
-	// back by park (resumeMu keeps at most one resumer in the coroutine).
-	next     func() (struct{}, bool)
-	stop     func()
-	yield    func(struct{}) bool
-	wakeMsg  any
-	resumeMu sync.Mutex
+	// back by park.
+	next    func() (struct{}, bool)
+	stop    func()
+	yield   func(struct{}) bool
+	wakeMsg any
 	// deferred is the pending host phase of DeferSleep (0: none). Written
 	// only by the body's own goroutine, so it needs no lock: it is non-zero
 	// only while the body runs, when nothing else touches the process.
 	deferred time.Duration
 
-	// mu guards the lifecycle and wait-slot state. It is free on a virtual
-	// engine — for both flavours, a goroutine shell being a coroutine of the
-	// dispatcher — and a real mutex under the wall engine.
-	mu         simtime.Guard
+	// Lifecycle state.
 	state      State
 	exitErr    error
 	parked     bool
@@ -202,7 +176,6 @@ type Process struct {
 
 // newProcess allocates the shared process core.
 func (rt *Runtime) newProcess(name string, inline bool) *Process {
-	rt.mu.Lock()
 	rt.seq++
 	p := &Process{
 		rt:     rt,
@@ -210,12 +183,9 @@ func (rt *Runtime) newProcess(name string, inline bool) *Process {
 		inline: inline,
 		state:  StateRunning,
 	}
-	p.mu.Bind(rt.eng)
 	p.wakeName = "wake:" + p.name
 	p.wakeFn = func() { p.Wake(nil) }
 	p.wakeAny = p.Wake
-	rt.procs[p] = struct{}{}
-	rt.mu.Unlock()
 	return p
 }
 
@@ -244,10 +214,7 @@ func (rt *Runtime) Spawn(name string, fn func(p *Process) error) *Process {
 func (rt *Runtime) SpawnInline(name string, start func(p *Process)) *Process {
 	p := rt.newProcess(name, true)
 	rt.eng.ScheduleDetached(0, "spawn:"+p.name, func() {
-		p.mu.Lock()
-		dead := p.state == StateExited || p.state == StateKilled
-		p.mu.Unlock()
-		if dead {
+		if p.state == StateExited || p.state == StateKilled {
 			return // killed before the start event fired
 		}
 		start(p)
@@ -274,7 +241,6 @@ func (p *Process) run(fn func(p *Process) error) {
 	}()
 	p.deferred = 0 // a panic left it pending
 
-	p.mu.Lock()
 	if errors.Is(err, ErrKilled) {
 		p.state = StateKilled
 	} else {
@@ -283,8 +249,6 @@ func (p *Process) run(fn func(p *Process) error) {
 	p.exitErr = err
 	hooks := p.onExit
 	p.onExit = nil
-	p.mu.Unlock()
-	p.rt.forget(p)
 
 	for _, h := range hooks {
 		h(err)
@@ -310,15 +274,11 @@ func (p *Process) Now() time.Duration {
 
 // State reports the process state.
 func (p *Process) State() State {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.state
 }
 
 // ExitErr reports the body's return value (or ErrKilled) once terminated.
 func (p *Process) ExitErr() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.exitErr
 }
 
@@ -330,16 +290,12 @@ func (p *Process) Alive() bool {
 
 // ParkReason reports what the process is blocked on, for debugging.
 func (p *Process) ParkReason() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.parkReason
 }
 
 // WaitGen reports how many waits the process has armed so far (diagnostics
 // for the exactly-once wake audit).
 func (p *Process) WaitGen() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.waitGen
 }
 
@@ -347,15 +303,11 @@ func (p *Process) WaitGen() uint64 {
 // returns) when the process terminates. If the process has already
 // terminated the hook runs immediately.
 func (p *Process) OnExit(h func(err error)) {
-	p.mu.Lock()
 	if p.state == StateExited || p.state == StateKilled {
-		err := p.exitErr
-		p.mu.Unlock()
-		h(err)
+		h(p.exitErr)
 		return
 	}
 	p.onExit = append(p.onExit, h)
-	p.mu.Unlock()
 }
 
 // SetSignalHook registers fn to observe SigStop/SigCont deliveries that
@@ -366,9 +318,7 @@ func (p *Process) OnExit(h func(err error)) {
 // (a held host-lead kernel) the resumed continuation depends on. At most one
 // hook; nil clears it.
 func (p *Process) SetSignalHook(fn func(Signal)) {
-	p.mu.Lock()
 	p.sigHook = fn
-	p.mu.Unlock()
 }
 
 // Exit terminates an inline process: it records the exit error, runs the
@@ -384,9 +334,7 @@ func (p *Process) Exit(err error) {
 
 // exitInline is the inline termination path (also used by SigKill).
 func (p *Process) exitInline(err error) {
-	p.mu.Lock()
 	if p.state == StateExited || p.state == StateKilled {
-		p.mu.Unlock()
 		return
 	}
 	if errors.Is(err, ErrKilled) {
@@ -406,8 +354,6 @@ func (p *Process) exitInline(err error) {
 	p.pendingData = nil
 	hooks := p.onExit
 	p.onExit = nil
-	p.mu.Unlock()
-	p.rt.forget(p)
 	for _, h := range hooks {
 		h(err)
 	}
@@ -425,9 +371,7 @@ func (p *Process) BeginWait(k func(any)) {
 	if p.deferred > 0 {
 		p.spendDeferred()
 	}
-	p.mu.Lock()
 	if p.inline && (k == nil) {
-		p.mu.Unlock()
 		panic("simproc: BeginWait(nil) on an inline process")
 	}
 	p.waitGen++
@@ -439,23 +383,19 @@ func (p *Process) BeginWait(k func(any)) {
 	// Arming a fresh wait from inside a chained delivery supersedes the
 	// chain: the epilogue must not disarm the new wait.
 	p.chainOpen = false
-	p.mu.Unlock()
 }
 
 // Await completes a goroutine process's wait: it parks until the armed wake
 // arrives (or returns immediately if it already did) and returns the wake's
 // data.
 func (p *Process) Await(reason string) any {
-	p.mu.Lock()
 	p.waitOpen = false
 	if p.waitDone {
 		data := p.waitData
 		p.waitDone = false
 		p.waitData = nil
-		p.mu.Unlock()
 		return data
 	}
-	p.mu.Unlock()
 	return p.park(reason)
 }
 
@@ -464,7 +404,6 @@ func (p *Process) Await(reason string) any {
 // otherwise the process returns to the engine and the continuation runs when
 // Wake is called.
 func (p *Process) EndWait(reason string) {
-	p.mu.Lock()
 	p.waitOpen = false
 	if p.waitDone {
 		p.waitDone = false
@@ -472,14 +411,12 @@ func (p *Process) EndWait(reason string) {
 		p.waitData = nil
 		k := p.cont
 		p.cont = nil
-		p.mu.Unlock()
 		k(data)
 		return
 	}
 	if p.waitArmed {
 		p.parkReason = reason
 	}
-	p.mu.Unlock()
 }
 
 // Wake delivers data to the process's currently armed wait. It is the single
@@ -508,15 +445,12 @@ func (p *Process) WakeChained(data any) {
 // two differ only in how an inline continuation's slot is handled (disarm
 // before invoking vs keep armed for ChainWait).
 func (p *Process) deliver(data any, chained bool) {
-	p.mu.Lock()
 	if p.state == StateExited || p.state == StateKilled {
-		p.mu.Unlock()
 		return
 	}
 	if !p.waitArmed || p.chainOpen {
 		// No wait armed — or the armed wait's wake is being delivered right
 		// now (chained delivery in flight): either way this wake is stale.
-		p.mu.Unlock()
 		return
 	}
 	if p.waitOpen {
@@ -527,7 +461,6 @@ func (p *Process) deliver(data any, chained bool) {
 		p.waitDone = true
 		p.waitData = data
 		p.waitArmed = false
-		p.mu.Unlock()
 		return
 	}
 	if p.stopped {
@@ -535,7 +468,6 @@ func (p *Process) deliver(data any, chained bool) {
 		// has happened, but the process must not run until SIGCONT.
 		p.pendingData = data
 		p.hasPending = true
-		p.mu.Unlock()
 		return
 	}
 	if !p.inline || !chained {
@@ -543,7 +475,6 @@ func (p *Process) deliver(data any, chained bool) {
 		p.parkReason = ""
 		k := p.cont
 		p.cont = nil
-		p.mu.Unlock()
 		if p.inline {
 			k(data)
 			return
@@ -553,9 +484,7 @@ func (p *Process) deliver(data any, chained bool) {
 	}
 	k := p.cont
 	p.chainOpen = true
-	p.mu.Unlock()
 	k(data)
-	p.mu.Lock()
 	if p.chainOpen {
 		// The continuation neither chained nor armed a new wait: settle the
 		// slot to the disarmed state a plain Wake leaves behind.
@@ -564,7 +493,6 @@ func (p *Process) deliver(data any, chained bool) {
 		p.cont = nil
 		p.parkReason = ""
 	}
-	p.mu.Unlock()
 }
 
 // ChainWait re-arms the wait slot from inside a chained wake delivery
@@ -574,16 +502,13 @@ func (p *Process) deliver(data any, chained bool) {
 // self-loop shape. False means no chained delivery is in flight and the
 // caller must arm normally.
 func (p *Process) ChainWait(reason string, k func(any)) bool {
-	p.mu.Lock()
 	if !p.chainOpen {
-		p.mu.Unlock()
 		return false
 	}
 	p.chainOpen = false
 	p.waitGen++
 	p.cont = k
 	p.parkReason = reason
-	p.mu.Unlock()
 	return true
 }
 
@@ -592,23 +517,18 @@ func (p *Process) ChainWait(reason string, k func(any)) bool {
 // park hands control back to the resumer until a wake deposit arrives. Must
 // only be called from the process's own goroutine. Returns the wake payload.
 func (p *Process) park(reason string) any {
-	p.mu.Lock()
 	if p.killed {
-		p.mu.Unlock()
 		panic(killedPanic{p})
 	}
 	p.parked = true
 	p.parkReason = reason
-	p.mu.Unlock()
 
 	alive := p.yield(struct{}{}) // false: the resumer called stop — a kill
 	data := p.wakeMsg
 	p.wakeMsg = nil
 
-	p.mu.Lock()
 	p.parked = false
 	p.parkReason = ""
-	p.mu.Unlock()
 
 	if !alive {
 		panic(killedPanic{p})
@@ -621,26 +541,12 @@ func (p *Process) park(reason string) any {
 // once it parks again or exits. Must be called from engine-callback context
 // (never from the process's own goroutine).
 func (p *Process) resume(data any, kill bool) {
-	// Early-out for terminated processes BEFORE taking resumeMu: exit hooks
-	// may trigger wake callbacks for the dying process from its own
-	// goroutine (e.g. aborting its in-flight kernels) while the killer's
-	// resume still holds resumeMu waiting for the body to return.
-	p.mu.Lock()
+	// Exit hooks may trigger wake callbacks for the dying process from its
+	// own goroutine (e.g. aborting its in-flight kernels) while the
+	// killer's resume waits for the body to return: those find it dead.
 	if p.state == StateExited || p.state == StateKilled {
-		p.mu.Unlock()
 		return
 	}
-	p.mu.Unlock()
-
-	p.resumeMu.Lock()
-	defer p.resumeMu.Unlock()
-
-	p.mu.Lock()
-	if p.state == StateExited || p.state == StateKilled {
-		p.mu.Unlock()
-		return
-	}
-	p.mu.Unlock()
 
 	if kill {
 		p.stop()
@@ -654,9 +560,7 @@ func (p *Process) resume(data any, kill bool) {
 
 // deliverPending re-delivers a wake deferred by SIGTSTP (engine context).
 func (p *Process) deliverPending() {
-	p.mu.Lock()
 	if !p.hasPending {
-		p.mu.Unlock()
 		return
 	}
 	data := p.pendingData
@@ -666,7 +570,6 @@ func (p *Process) deliverPending() {
 	p.parkReason = ""
 	k := p.cont
 	p.cont = nil
-	p.mu.Unlock()
 	if p.inline {
 		k(data)
 		return

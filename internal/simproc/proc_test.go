@@ -290,23 +290,21 @@ func TestOnExitAfterTermination(t *testing.T) {
 
 func TestLive(t *testing.T) {
 	eng, rt := newRT()
-	rt.Spawn("a", func(p *Process) error { p.Sleep(time.Hour); return nil })
-	rt.Spawn("b", func(p *Process) error { return nil })
-	rt.SpawnInline("c", func(p *Process) { p.Exit(nil) })
+	a := rt.Spawn("a", func(p *Process) error { p.Sleep(time.Hour); return nil })
+	b := rt.Spawn("b", func(p *Process) error { return nil })
+	c := rt.SpawnInline("c", func(p *Process) { p.Exit(nil) })
 	eng.RunUntil(time.Second)
-	live := rt.Live()
-	if len(live) != 1 {
-		t.Fatalf("Live = %d procs, want 1", len(live))
+	if !a.Alive() || b.Alive() || c.Alive() {
+		t.Fatalf("alive: a %v, b %v, c %v; want only a", a.Alive(), b.Alive(), c.Alive())
 	}
-	if live[0].ParkReason() != "sleep" {
-		t.Fatalf("ParkReason = %q, want sleep", live[0].ParkReason())
+	if a.ParkReason() != "sleep" {
+		t.Fatalf("ParkReason = %q, want sleep", a.ParkReason())
 	}
-	// Live does not filter by state: b and c are absent because exiting
-	// removed them from the runtime (either flavour), and a kill removes a
-	// parked process on the spot.
-	live[0].Signal(SigKill)
-	if n := len(rt.Live()); n != 0 {
-		t.Fatalf("Live = %d procs after the kill, want 0", n)
+	// Exiting ends either flavour, and a kill ends a parked process on the
+	// spot.
+	a.Signal(SigKill)
+	if a.Alive() {
+		t.Fatal("a parked process is alive after the kill")
 	}
 }
 

@@ -13,20 +13,23 @@ import (
 // entered from a different goroutine every time, and Stop/Cont/Kill signals
 // land between arbitrary parks. Run with -race this validates that the
 // coroutine switch orders every resumer against the body, and the
-// stopped/killed transitions.
+// stopped/killed transitions. The test goroutine itself enters the engine
+// through Do.
 func TestFutexHandshakeStressStopContKill(t *testing.T) {
 	eng := simtime.NewWall()
 	rt := NewRuntime(eng)
 
 	const procs = 8
 	targets := make([]*Process, procs)
-	for i := 0; i < procs; i++ {
-		targets[i] = rt.Spawn("worker", func(p *Process) error {
-			for {
-				p.Sleep(200 * time.Microsecond)
-			}
-		})
-	}
+	eng.Do(func() {
+		for i := 0; i < procs; i++ {
+			targets[i] = rt.Spawn("worker", func(p *Process) error {
+				for {
+					p.Sleep(200 * time.Microsecond)
+				}
+			})
+		}
+	})
 
 	// Signal storms, delivered from engine-callback context as required.
 	var storm func(round int)
@@ -69,15 +72,21 @@ func TestFutexHandshakeStressStopContKill(t *testing.T) {
 	// park, woken by its in-flight sleep timer).
 	deadline := time.Now().Add(5 * time.Second)
 	for _, p := range targets {
-		for p.Alive() && time.Now().Before(deadline) {
+		var state State
+		var reason string
+		for {
+			eng.Do(func() { state, reason = p.State(), p.ParkReason() })
+			if (state != StateRunning && state != StateStopped) || !time.Now().Before(deadline) {
+				break
+			}
 			time.Sleep(time.Millisecond)
 		}
-		if p.Alive() {
+		if state == StateRunning || state == StateStopped {
 			t.Fatalf("process %s still alive after kill (state %v, parked on %q)",
-				p.Name(), p.State(), p.ParkReason())
+				p.Name(), state, reason)
 		}
-		if p.State() != StateKilled {
-			t.Fatalf("process %s state = %v, want killed", p.Name(), p.State())
+		if state != StateKilled {
+			t.Fatalf("process %s state = %v, want killed", p.Name(), state)
 		}
 	}
 }

@@ -41,28 +41,23 @@ func (s Signal) String() string {
 func (p *Process) Signal(sig Signal) {
 	switch sig {
 	case SigStop:
-		p.mu.Lock()
 		var hook func(Signal)
 		if p.state == StateRunning {
 			p.state = StateStopped
 			p.stopped = true
 			hook = p.sigHook
 		}
-		p.mu.Unlock()
 		if hook != nil {
 			hook(SigStop)
 		}
 
 	case SigCont:
-		p.mu.Lock()
 		if p.state != StateStopped {
-			p.mu.Unlock()
 			return
 		}
 		p.state = StateRunning
 		p.stopped = false
 		hook := p.sigHook
-		p.mu.Unlock()
 		if hook != nil {
 			// Before draining the deferred wake: the hook may need to
 			// restore state (a held host lead) the continuation reads.
@@ -71,9 +66,7 @@ func (p *Process) Signal(sig Signal) {
 		p.deliverPending()
 
 	case SigKill:
-		p.mu.Lock()
 		if p.state == StateExited || p.state == StateKilled {
-			p.mu.Unlock()
 			return
 		}
 		p.killed = true
@@ -81,16 +74,13 @@ func (p *Process) Signal(sig Signal) {
 		p.hasPending = false
 		p.pendingData = nil
 		if p.inline {
-			p.mu.Unlock()
 			// Inline processes are always at a blocking boundary when an
 			// engine callback runs, so the kill takes effect immediately:
 			// drop the armed wait and run the exit hooks now.
 			p.exitInline(ErrKilled)
 			return
 		}
-		parked := p.parked
-		p.mu.Unlock()
-		if parked {
+		if p.parked {
 			p.resume(nil, true)
 		}
 		// If not parked (running under the wall engine, or being resumed),
@@ -100,7 +90,5 @@ func (p *Process) Signal(sig Signal) {
 
 // Stopped reports whether the process is currently suspended by SigStop.
 func (p *Process) Stopped() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.stopped
 }

@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"freeride/internal/fifo"
-	"freeride/internal/simtime"
 )
 
 // Latch is a one-shot flag: the pipeline drivers publish completion through
@@ -28,24 +27,13 @@ func (l *Latch) IsSet() bool { return l.set.Load() }
 // the woken receiver pops for itself, so a message that arrives while the
 // receiving process is stopped simply waits in line behind the deferred wake.
 type Mailbox[T any] struct {
-	mu     simtime.Guard
 	queue  fifo.Queue[T]
 	waiter *Process // at most one blocked receiver
 	closed bool
 }
 
-// NewMailbox returns an empty (always-locked) mailbox; Bind makes its lock
-// free on a virtual engine.
+// NewMailbox returns an empty mailbox.
 func NewMailbox[T any]() *Mailbox[T] { return &Mailbox[T]{} }
-
-// Bind ties the mailbox lock to eng (see simtime.Guard).
-// Call before the mailbox is reachable from more than one goroutine, from
-// outside any mailbox operation.
-func (m *Mailbox[T]) Bind(eng simtime.Engine) {
-	if eng != nil {
-		m.mu.Bind(eng)
-	}
-}
 
 // Closed is the wake payload a RecvThen continuation observes when the
 // mailbox is closed with nothing left to receive; Recv translates it to
@@ -55,15 +43,12 @@ type Closed struct{}
 // Send enqueues msg, waking a blocked receiver if any. Send to a closed
 // mailbox is dropped.
 func (m *Mailbox[T]) Send(msg T) {
-	m.mu.Lock()
 	if m.closed {
-		m.mu.Unlock()
 		return
 	}
 	m.queue.Push(msg)
 	w := m.waiter
 	m.waiter = nil
-	m.mu.Unlock()
 	if w != nil {
 		w.Wake(nil)
 	}
@@ -71,15 +56,12 @@ func (m *Mailbox[T]) Send(msg T) {
 
 // Close marks the mailbox closed; a blocked receiver wakes with ok=false.
 func (m *Mailbox[T]) Close() {
-	m.mu.Lock()
 	if m.closed {
-		m.mu.Unlock()
 		return
 	}
 	m.closed = true
 	w := m.waiter
 	m.waiter = nil
-	m.mu.Unlock()
 	if w != nil {
 		w.Wake(Closed{})
 	}
@@ -87,8 +69,6 @@ func (m *Mailbox[T]) Close() {
 
 // TryRecv dequeues without blocking; ok is false when empty.
 func (m *Mailbox[T]) TryRecv() (msg T, ok bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.queue.Len() == 0 {
 		return msg, false
 	}
@@ -97,31 +77,24 @@ func (m *Mailbox[T]) TryRecv() (msg T, ok bool) {
 
 // Len reports the number of queued messages.
 func (m *Mailbox[T]) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.queue.Len()
 }
 
 // register enrolls an armed receiver, waking it at once if a message (or the
 // close) raced in between the caller's check and the registration.
 func (m *Mailbox[T]) register(p *Process) {
-	m.mu.Lock()
 	if m.queue.Len() > 0 {
-		m.mu.Unlock()
 		p.Wake(nil)
 		return
 	}
 	if m.closed {
-		m.mu.Unlock()
 		p.Wake(Closed{})
 		return
 	}
 	if m.waiter != nil {
-		m.mu.Unlock()
 		panic("simproc: concurrent Recv on Mailbox")
 	}
 	m.waiter = p
-	m.mu.Unlock()
 }
 
 // Recv parks p until a message is available. ok is false if the mailbox was
@@ -131,15 +104,11 @@ func (m *Mailbox[T]) register(p *Process) {
 func (m *Mailbox[T]) Recv(p *Process) (msg T, ok bool) {
 	p.spendDeferred()
 	for {
-		m.mu.Lock()
 		if m.queue.Len() > 0 {
 			msg = m.queue.Pop()
-			m.mu.Unlock()
 			return msg, true
 		}
-		closed := m.closed
-		m.mu.Unlock()
-		if closed {
+		if m.closed {
 			return msg, false
 		}
 		p.BeginWait(nil)

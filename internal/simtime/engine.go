@@ -8,10 +8,12 @@
 // is drained up to the next event, which makes multi-hour training runs
 // simulate in milliseconds and makes every experiment bit-reproducible.
 //
-// A virtual engine has one owner — its dispatcher and the coroutines it
-// resumes — and takes no lock. The wall engine is the only engine goroutines
-// share: its callbacks fire from timer goroutines, and a socket's read pump
-// schedules onto it.
+// Every engine has one owner, and the components on it take no lock of their
+// own. A virtual engine's owner is its dispatcher and the coroutines it
+// resumes. The wall engine is the only engine goroutines share: its callbacks
+// fire from timer goroutines and a socket's read pump schedules onto it, but
+// each callback runs under the engine's dispatch mutex, and any other
+// goroutine enters through Wall.Do, which takes the same mutex.
 //
 // The virtual engine also keeps *virtual wakes* (Virtual.Reserve): slots in
 // its (when, seq) dispatch order that no callback occupies. A component that
@@ -33,7 +35,7 @@ import (
 // them on its one owner's goroutine, and the wall-clock engine serializes
 // them with an internal dispatch lock. Components may therefore mutate their
 // state inside callbacks without additional locking, provided all their entry
-// points are engine callbacks.
+// points are engine callbacks (or, on the wall engine, run inside Wall.Do).
 type Engine interface {
 	// Now reports the current time as an offset from the engine epoch.
 	Now() time.Duration

@@ -7,8 +7,10 @@ import (
 
 // Wall is the wall-clock engine used by the live manager/worker daemons.
 // Callbacks fire from time.AfterFunc goroutines but are serialized with a
-// dispatch mutex so components keep the same no-concurrent-callbacks
-// guarantee they enjoy under the virtual engine.
+// dispatch mutex, and that mutex is the only lock the components on a wall
+// engine have: like the virtual engine's dispatcher, it makes them one
+// owner's. A goroutine that is not one of the engine's callbacks — a daemon's
+// own, a test's, an accept loop — reaches those components only through Do.
 //
 // Like the virtual engine, Wall offers allocation-lean fast paths for the
 // two hottest schedule shapes of a live daemon:
@@ -126,6 +128,17 @@ func (w *Wall) Reschedule(t *Timer, delay time.Duration, name string, fn func())
 	w.mu.Unlock()
 	t.wt.Reset(delay)
 	return t
+}
+
+// Do runs fn under the dispatch mutex, serialized with every callback of this
+// engine: it is the only way into a wall-engine component from a goroutine
+// that is not one of its callbacks. fn must not wait for another callback
+// (an RPC reply, a timer), which would need the mutex fn holds; it must not
+// call Do either.
+func (w *Wall) Do(fn func()) {
+	w.dispatchMu.Lock()
+	defer w.dispatchMu.Unlock()
+	fn()
 }
 
 // fire claims and dispatches a wall timer, returning pooled timers to the

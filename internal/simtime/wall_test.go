@@ -69,6 +69,38 @@ func TestWallCallbacksSerialized(t *testing.T) {
 	}
 }
 
+// TestWallDoSerializesWithCallbacks: goroutines that enter through Do and
+// zero-delay callbacks increment one plain counter. Do is their only
+// ordering, so under -race a Do that ran beside a callback is reported (and
+// without -race the total can come up short).
+func TestWallDoSerializesWithCallbacks(t *testing.T) {
+	w := NewWall()
+	const goroutines, perGoroutine, callbacks = 4, 500, 2000
+	counter := 0
+	var wg sync.WaitGroup
+	wg.Add(goroutines + callbacks)
+	for i := 0; i < callbacks; i++ {
+		w.ScheduleDetached(0, "inc", func() {
+			counter++
+			wg.Done()
+		})
+	}
+	for g := 0; g < goroutines; g++ {
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perGoroutine; i++ {
+				w.Do(func() { counter++ })
+			}
+		}()
+	}
+	wg.Wait()
+	var total int
+	w.Do(func() { total = counter })
+	if want := goroutines*perGoroutine + callbacks; total != want {
+		t.Fatalf("counter = %d, want %d", total, want)
+	}
+}
+
 func TestWallNegativeDelayFiresSoon(t *testing.T) {
 	w := NewWall()
 	done := make(chan struct{})
