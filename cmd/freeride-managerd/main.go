@@ -51,6 +51,9 @@ func run(args []string) error {
 		return fmt.Errorf("-workers names no worker endpoint")
 	}
 	logger := log.New(os.Stdout, "managerd ", log.Ltime|log.Lmicroseconds)
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(sig)
 
 	d, err := livemode.StartManager(livemode.ManagerConfig{
 		ListenAddr: *listen,
@@ -71,7 +74,12 @@ func run(args []string) error {
 			return fmt.Errorf("connect workers: %w", err)
 		}
 		logger.Printf("workers not ready (%v); retrying...", err)
-		time.Sleep(time.Second)
+		select {
+		case s := <-sig:
+			logger.Printf("%v: shutting down before the workers were linked", s)
+			return nil
+		case <-time.After(time.Second):
+		}
 	}
 	d.Eng.Do(func() {
 		for _, name := range strings.Split(*tasks, ",") {
@@ -88,8 +96,6 @@ func run(args []string) error {
 		}
 	})
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 	d.Eng.Do(func() {
 		st := d.Session.Manager.Stats()

@@ -2,8 +2,13 @@ package main
 
 import (
 	"net"
+	"os"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
+
+	"freeride/internal/livemode"
 )
 
 // TestRunRejectsBadArgs: each bad argument is an error naming its cause,
@@ -29,4 +34,74 @@ func TestRunRejectsBadArgs(t *testing.T) {
 			t.Errorf("run %q = %v, want an error containing %q", tc.args, err, tc.want)
 		}
 	}
+}
+
+// TestRunReturnsOnSIGTERM: a running daemon — workers linked, a task
+// deployed — shuts down on SIGTERM: run returns nil, and its listen address
+// refuses connections.
+func TestRunReturnsOnSIGTERM(t *testing.T) {
+	listen := freeAddr(t)
+	workers := []string{freeAddr(t), freeAddr(t), freeAddr(t), freeAddr(t)}
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"-listen", listen, "-workers", strings.Join(workers, ","), "-tasks", "resnet18", "-retry", "30s"})
+	}()
+
+	// A GPU node whose training never starts: once the daemon has linked it
+	// and deployed the task, run only waits for a signal.
+	var node *livemode.Node
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		var err error
+		node, err = livemode.StartNode(livemode.NodeConfig{ListenAddrs: workers, ManagerAddr: listen, StartDelay: time.Hour, Logf: t.Logf})
+		if err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("node: %v", err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	defer node.Close()
+	for created := uint64(0); created == 0; {
+		select {
+		case err := <-done:
+			t.Fatalf("run returned before deploying its task: %v", err)
+		case <-time.After(10 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the daemon never deployed its task")
+		}
+		node.Eng.Do(func() {
+			for _, w := range node.Session.Workers {
+				created += w.Stats().Created
+			}
+		})
+	}
+
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run after SIGTERM = %v, want nil", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run did not return after SIGTERM")
+	}
+	if c, err := net.Dial("tcp", listen); err == nil {
+		c.Close()
+		t.Errorf("%s still accepts connections after shutdown", listen)
+	}
+}
+
+// freeAddr returns a loopback address nothing listens on.
+func freeAddr(t *testing.T) string {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	return ln.Addr().String()
 }

@@ -2,7 +2,8 @@
 // simulated 4-GPU server — the pipeline-parallel training job and one side
 // task worker per GPU — and exposes the workers to freeride-managerd over
 // TCP. Training starts after -start-delay; when it completes, the daemon
-// prints the harvest summary and exits.
+// prints the harvest summary and exits. SIGINT or SIGTERM shuts it down
+// earlier, without a summary.
 //
 // Example:
 //
@@ -14,7 +15,9 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"freeride/internal/livemode"
@@ -51,6 +54,9 @@ func run(args []string) error {
 		addrs = append(addrs, ":"+p)
 	}
 	logger := log.New(os.Stdout, "workerd  ", log.Ltime|log.Lmicroseconds)
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(sig)
 
 	node, err := livemode.StartNode(livemode.NodeConfig{
 		ListenAddrs: addrs,
@@ -67,7 +73,12 @@ func run(args []string) error {
 	defer node.Close()
 	logger.Printf("workers listening on %s", strings.Join(node.WorkerAddrs, ", "))
 
-	<-node.TrainDone
+	select {
+	case <-node.TrainDone:
+	case s := <-sig:
+		logger.Printf("%v: shutting down before training completed", s)
+		return nil
+	}
 	time.Sleep(500 * time.Millisecond) // let the final pause land
 	node.Eng.Do(func() {
 		if err = node.Session.Trainer.Err(); err != nil {

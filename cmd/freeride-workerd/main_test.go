@@ -2,7 +2,9 @@ package main
 
 import (
 	"net"
+	"os"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -35,4 +37,64 @@ func TestRunRejectsBadArgs(t *testing.T) {
 		c.Close()
 		t.Error("a rejected run dialed the manager")
 	}
+}
+
+// TestRunReturnsOnSIGTERM: SIGTERM before training ends shuts the daemon
+// down: run returns nil, and its worker ports refuse connections.
+func TestRunReturnsOnSIGTERM(t *testing.T) {
+	mgr, err := net.Listen("tcp", "127.0.0.1:0") // stands in for the manager daemon
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	var ports, addrs []string
+	for range 4 {
+		addr := freeAddr(t)
+		_, port, _ := net.SplitHostPort(addr)
+		ports, addrs = append(ports, port), append(addrs, addr)
+	}
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"-manager", mgr.Addr().String(), "-ports", strings.Join(ports, ","), "-start-delay", "1h"})
+	}()
+	for _, addr := range addrs {
+		for c, err := net.Dial("tcp", addr); ; c, err = net.Dial("tcp", addr) {
+			if err == nil {
+				c.Close()
+				break
+			}
+			select {
+			case err := <-done:
+				t.Fatalf("run returned before listening on %s: %v", addr, err)
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+	}
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run after SIGTERM = %v, want nil", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run did not return after SIGTERM")
+	}
+	for _, addr := range addrs {
+		if c, err := net.Dial("tcp", addr); err == nil {
+			c.Close()
+			t.Errorf("%s still accepts connections after shutdown", addr)
+		}
+	}
+}
+
+// freeAddr returns a loopback address nothing listens on.
+func freeAddr(t *testing.T) string {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	return ln.Addr().String()
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -446,8 +445,8 @@ func TestStopRPCFailureRetiresRecord(t *testing.T) {
 	// A worker stub that creates tasks fine but has no Worker.Stop method,
 	// so every stop fails at the RPC layer.
 	wmux := freerpc.NewMux()
-	freerpc.HandleFunc(wmux, "Worker.Create", func(json.RawMessage) (any, error) {
-		return map[string]string{"status": "ok"}, nil
+	freerpc.HandleFunc(wmux, "Worker.Create", func(createArgs) (any, error) {
+		return taskStatus{}, nil
 	})
 	a, b := freerpc.MemPipe(eng, 100*time.Microsecond)
 	peer := freerpc.NewPeer(eng, a, mgr.Mux())

@@ -340,31 +340,31 @@ func TestImperativePauseResumeViaSignals(t *testing.T) {
 
 func TestWorkerInfoRPC(t *testing.T) {
 	r := newRig(t, 1, []int64{22 * model.GiB}, WorkerConfig{})
+	// A direct peer to the worker for the query.
+	wmux := freerpc.NewMux()
+	r.workers[0].RegisterOn(wmux)
+	a, b := freerpc.MemPipe(r.eng, 0)
+	client := freerpc.NewPeer(r.eng, a, nil)
+	freerpc.NewPeer(r.eng, b, wmux)
 	var info workerInfo
+	var err error
 	done := false
-	r.procs.Spawn("query", func(p *simproc.Process) error {
-		// Build a direct peer to the worker for the query.
-		wmux := freerpc.NewMux()
-		r.workers[0].RegisterOn(wmux)
-		a, b := freerpc.MemPipe(r.eng, 0)
-		client := freerpc.NewPeer(r.eng, a, nil)
-		freerpc.NewPeer(r.eng, b, wmux)
-		if err := client.Call(p, "Worker.Info", nil, &info, time.Second); err != nil {
-			return err
+	client.Go("Worker.Info", nil, time.Second, func(res any, cerr error) {
+		if err = cerr; err == nil {
+			info, err = freerpc.DecodeResult[workerInfo](res)
 		}
 		done = true
-		return nil
 	})
 	r.eng.RunFor(time.Second)
-	if !done || info.Name != "worker0" {
-		t.Fatalf("Worker.Info = %+v (done=%v)", info, done)
+	if !done || err != nil || info.Name != "worker0" {
+		t.Fatalf("Worker.Info = %+v, %v (done=%v)", info, err, done)
 	}
 }
 
 // stopTap records, in send order, the task named by every Worker.Stop request
 // crossing the manager's end of a link.
 type stopTap struct {
-	freerpc.LocalConn
+	freerpc.Conn
 	stops *[]string
 }
 
@@ -372,7 +372,7 @@ func (c stopTap) SendMsg(m freerpc.Msg) error {
 	if m.Method == "Worker.Stop" {
 		*c.stops = append(*c.stops, m.Params.(taskRef).Name)
 	}
-	return c.LocalConn.SendMsg(m)
+	return c.Conn.SendMsg(m)
 }
 
 // TestTasksAndStopAllFollowSubmissionOrder: every pass over all tasks walks
@@ -388,7 +388,7 @@ func TestTasksAndStopAllFollowSubmissionOrder(t *testing.T) {
 	w.RegisterOn(wmux)
 	mgrEnd, wEnd := freerpc.MemPipe(eng, 200*time.Microsecond)
 	var stops []string
-	mgrPeer := freerpc.NewPeer(eng, stopTap{mgrEnd.(freerpc.LocalConn), &stops}, mgr.Mux())
+	mgrPeer := freerpc.NewPeer(eng, stopTap{mgrEnd, &stops}, mgr.Mux())
 	wPeer := freerpc.NewPeer(eng, wEnd, wmux)
 	w.SetNotify(func(method string, params any) { _ = wPeer.Notify(method, params) })
 	mgr.AddWorker("worker0", 0, 64*model.GiB, mgrPeer)

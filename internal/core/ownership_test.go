@@ -24,7 +24,7 @@ import (
 // window, overtaken, after its call timed out — arrives different from what
 // was sent.
 type tapConn struct {
-	freerpc.LocalConn
+	freerpc.Conn
 	t *testing.T
 }
 
@@ -63,11 +63,11 @@ func (c *tapConn) unwrap(m freerpc.Msg, v any) any {
 
 func (c *tapConn) SendMsg(m freerpc.Msg) error {
 	m.Params, m.Result = c.wrap(m.Params), c.wrap(m.Result)
-	return c.LocalConn.SendMsg(m)
+	return c.Conn.SendMsg(m)
 }
 
 func (c *tapConn) SetMsgHandler(fn func(freerpc.Msg)) {
-	c.LocalConn.SetMsgHandler(func(m freerpc.Msg) {
+	c.Conn.SetMsgHandler(func(m freerpc.Msg) {
 		m.Params, m.Result = c.unwrap(m, m.Params), c.unwrap(m, m.Result)
 		fn(m)
 	})
@@ -75,7 +75,7 @@ func (c *tapConn) SetMsgHandler(fn func(freerpc.Msg)) {
 
 func tapPipe(t *testing.T, eng simtime.Engine, latency time.Duration) (a, b freerpc.Conn, faults *freerpc.LinkFault) {
 	x, y := freerpc.MemPipe(eng, latency)
-	return &tapConn{LocalConn: x.(freerpc.LocalConn), t: t}, &tapConn{LocalConn: y.(freerpc.LocalConn), t: t},
+	return &tapConn{Conn: x, t: t}, &tapConn{Conn: y, t: t},
 		freerpc.InjectFaults(x)
 }
 

@@ -18,22 +18,22 @@ import (
 	"freeride/internal/simtime"
 )
 
-// wireRig is one Peer over a MemPipe end whose typed fast path is hidden, so
-// the peer reads and writes JSON frames, with the other end held raw by the
-// test: request lines go in as written, response lines come out as the bytes
-// a previous build's daemon would read. The engine is virtual and stepped by
-// the test, so every frame is deterministic.
+// wireRig is one Peer on a Wire over a FramePipe end, so the peer reads and
+// writes JSON frames, with the other end held raw by the test: request lines
+// go in as written, response lines come out as the bytes a previous build's
+// daemon would read. The engine is virtual and stepped by the test, so every
+// frame is deterministic.
 type wireRig struct {
 	t     *testing.T
 	eng   *simtime.Virtual
-	raw   freerpc.Conn
+	raw   freerpc.FrameConn
 	lines []string
 }
 
 func newWireRig(t *testing.T, eng *simtime.Virtual, mux *freerpc.Mux) (*wireRig, *freerpc.Peer) {
 	t.Helper()
-	raw, served := freerpc.MemPipe(eng, 0)
-	peer := freerpc.NewPeer(eng, struct{ freerpc.Conn }{served}, mux)
+	raw, served := freerpc.FramePipe(eng, 0)
+	peer := freerpc.NewPeer(eng, freerpc.Wire(served), mux)
 	r := &wireRig{t: t, eng: eng, raw: raw}
 	raw.SetRecvHandler(func(frame []byte) { r.lines = append(r.lines, string(frame)) })
 	return r, peer

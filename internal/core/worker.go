@@ -31,9 +31,6 @@ type WorkerConfig struct {
 	Name string
 	// Grace is the framework-enforced kill delay; DefaultGrace if zero.
 	Grace time.Duration
-	// InitTimeout bounds InitSideTask before the framework-enforced kill;
-	// defaults to 3×profile.InitTime + Grace.
-	InitTimeout time.Duration
 	// Factory builds harnesses; BuiltinHarnessFactory if nil.
 	Factory HarnessFactory
 	// DisableEnforcement turns off the framework-enforced kill checks
@@ -340,12 +337,9 @@ func (w *Worker) handleInit(ref taskRef) (any, error) {
 	if w.cfg.DisableEnforcement {
 		return w.statusReply(t), nil
 	}
-	timeout := w.cfg.InitTimeout
-	if timeout <= 0 {
-		// The init command may be queued behind a still-running
-		// CreateSideTask, so the hang budget covers both phases.
-		timeout = t.spec.Profile.CreateTime + 3*t.spec.Profile.InitTime + w.cfg.Grace
-	}
+	// The init command may be queued behind a still-running CreateSideTask,
+	// so the hang budget covers both phases.
+	timeout := t.spec.Profile.CreateTime + 3*t.spec.Profile.InitTime + w.cfg.Grace
 	w.eng.ScheduleDetached(timeout, "init-check:"+ref.Name, func() {
 		if t.harness.State() == sidetask.StateCreated && t.cont.Alive() {
 			w.stats.InitKills++

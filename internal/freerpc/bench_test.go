@@ -25,8 +25,8 @@ func benchPair(b *testing.B) (*simtime.Virtual, *Peer, *Peer, *Mux) {
 }
 
 // BenchmarkRPC measures a full Go round-trip (request + typed response)
-// over the in-memory transport — the manager↔worker hot path. With the
-// typed fast path this involves no JSON at all.
+// over the in-memory transport — the manager↔worker hot path. On a MemPipe
+// this involves no JSON at all.
 func BenchmarkRPC(b *testing.B) {
 	eng, client, _, mux := benchPair(b)
 	HandleFunc(mux, "Echo", func(p benchParams) (any, error) { return p, nil })

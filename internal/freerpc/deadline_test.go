@@ -125,17 +125,17 @@ func TestUnansweredCallExpiresBesideAnsweredNeighbour(t *testing.T) {
 	}
 }
 
-// refusingConn is a frame transport that goes nowhere: Send returns refuse,
+// refusingConn is a transport that goes nowhere: SendMsg returns refuse,
 // and sever closes it.
 type refusingConn struct {
 	refuse  error
 	onClose []func()
 }
 
-func (c *refusingConn) Send([]byte) error           { return c.refuse }
-func (c *refusingConn) SetRecvHandler(func([]byte)) {}
-func (c *refusingConn) Close() error                { return nil }
-func (c *refusingConn) OnClose(fn func())           { c.onClose = append(c.onClose, fn) }
+func (c *refusingConn) SendMsg(Msg) error       { return c.refuse }
+func (c *refusingConn) SetMsgHandler(func(Msg)) {}
+func (c *refusingConn) Close() error            { return nil }
+func (c *refusingConn) OnClose(fn func())       { c.onClose = append(c.onClose, fn) }
 func (c *refusingConn) sever() {
 	for _, fn := range c.onClose {
 		fn()

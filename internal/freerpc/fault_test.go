@@ -9,13 +9,13 @@ import (
 
 func TestLinkFaultDropWindow(t *testing.T) {
 	eng := simtime.NewVirtual()
-	a, b := MemPipe(eng, time.Millisecond)
+	a, b := FramePipe(eng, time.Millisecond)
 	var got []string
 	b.SetRecvHandler(func(f []byte) { got = append(got, string(f)) })
 
 	lf := InjectFaults(a)
 	if lf == nil {
-		t.Fatalf("InjectFaults returned nil for a MemPipe conn")
+		t.Fatalf("InjectFaults returned nil for a FramePipe end")
 	}
 
 	// One frame before the window, two inside, one after.
@@ -38,7 +38,7 @@ func TestLinkFaultDropWindow(t *testing.T) {
 
 func TestLinkFaultDelayWindow(t *testing.T) {
 	eng := simtime.NewVirtual()
-	a, b := MemPipe(eng, time.Millisecond)
+	a, b := FramePipe(eng, time.Millisecond)
 	var arrivals []time.Duration
 	b.SetRecvHandler(func([]byte) { arrivals = append(arrivals, eng.Now()) })
 
@@ -56,7 +56,7 @@ func TestLinkFaultDelayWindow(t *testing.T) {
 
 func TestLinkFaultSeverClosesBothEnds(t *testing.T) {
 	eng := simtime.NewVirtual()
-	a, b := MemPipe(eng, time.Millisecond)
+	a, b := FramePipe(eng, time.Millisecond)
 	closed := 0
 	a.OnClose(func() { closed++ })
 	b.OnClose(func() { closed++ })
@@ -74,7 +74,7 @@ func TestLinkFaultSeverClosesBothEnds(t *testing.T) {
 func TestInjectFaultsIdleIsInert(t *testing.T) {
 	// An installed-but-idle LinkFault must not perturb delivery at all.
 	eng := simtime.NewVirtual()
-	a, b := MemPipe(eng, time.Millisecond)
+	a, b := FramePipe(eng, time.Millisecond)
 	var at time.Duration
 	b.SetRecvHandler(func([]byte) { at = eng.Now() })
 	InjectFaults(a)
@@ -82,5 +82,27 @@ func TestInjectFaultsIdleIsInert(t *testing.T) {
 	eng.RunFor(10 * time.Millisecond)
 	if at != time.Millisecond {
 		t.Fatalf("delivery at %v, want 1ms", at)
+	}
+}
+
+// TestInjectFaultsOnWireEnd: a Wire on a FramePipe end hooks the pipe below
+// it, and a conn that is no in-memory link gets no hook.
+func TestInjectFaultsOnWireEnd(t *testing.T) {
+	eng := simtime.NewVirtual()
+	a, b := FramePipe(eng, time.Millisecond)
+	var got int
+	b.SetRecvHandler(func([]byte) { got++ })
+	lf := InjectFaults(Wire(a))
+	if lf == nil {
+		t.Fatal("InjectFaults returned nil for a Wire on a FramePipe end")
+	}
+	lf.DropFor(time.Second)
+	_ = a.Send([]byte("x"))
+	eng.RunFor(10 * time.Millisecond)
+	if got != 0 || lf.Dropped() != 1 {
+		t.Fatalf("%d frames delivered, %d dropped; want 0 and 1", got, lf.Dropped())
+	}
+	if InjectFaults(&refusingConn{}) != nil {
+		t.Fatal("InjectFaults hooked a conn that is no in-memory link")
 	}
 }

@@ -2,10 +2,10 @@ package freerpc
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
-	"freeride/internal/simproc"
 	"freeride/internal/simtime"
 )
 
@@ -43,36 +43,29 @@ func TestLocalFastPathTyped(t *testing.T) {
 	}
 	got, ok := result.(localArgs)
 	if !ok {
-		t.Fatalf("result is %T, want localArgs (typed fast path)", result)
+		t.Fatalf("result is %T, want localArgs (typed, as sent)", result)
 	}
 	if got.N != 42 || got.S != "hi!" {
 		t.Fatalf("result = %#v", got)
 	}
 }
 
-// TestLocalForeignParamsBridge verifies that mismatched param types (e.g. a
-// hand-rolled map) still reach a typed handler over the fast path, bridged
-// through JSON once.
-func TestLocalForeignParamsBridge(t *testing.T) {
-	eng := simtime.NewVirtual()
-	mux := NewMux()
-	var got localArgs
-	HandleFunc(mux, "Take", func(p localArgs) (any, error) { got = p; return nil, nil })
-	c1, c2 := MemPipe(eng, time.Millisecond)
-	client := NewPeer(eng, c1, nil)
-	NewPeer(eng, c2, mux)
-
-	if err := client.Notify("Take", map[string]any{"n": 7, "s": "map"}); err != nil {
-		t.Fatal(err)
-	}
+// TestForeignParamsRejected: params that are neither the handler's type, a
+// pooled one, nor raw JSON fail the call with an error naming both types.
+func TestForeignParamsRejected(t *testing.T) {
+	eng, client, _, mux := newPair(time.Millisecond)
+	called := false
+	HandleFunc(mux, "Take", func(localArgs) (any, error) { called = true; return nil, nil })
+	r := goCall[any](client, "Take", map[string]any{"n": 7}, 0)
 	eng.MustDrain(10)
-	if got.N != 7 || got.S != "map" {
-		t.Fatalf("bridged params = %#v", got)
+	want := "params for Take are map[string]interface {}, want freerpc.localArgs"
+	if called || r.err == nil || !strings.Contains(r.err.Error(), want) {
+		t.Fatalf("handler called = %v, err = %v; want no call and an error containing %q", called, r.err, want)
 	}
 }
 
-// TestDecodeResult covers the three result shapes: typed value, raw JSON,
-// and a foreign type needing the bridge.
+// TestDecodeResult covers the result shapes: typed value, raw JSON, nil,
+// and a foreign type, which is an error naming both types.
 func TestDecodeResult(t *testing.T) {
 	if v, err := DecodeResult[int](7); v != 7 || err != nil {
 		t.Fatalf("typed: %d, %v", v, err)
@@ -80,16 +73,17 @@ func TestDecodeResult(t *testing.T) {
 	if v, err := DecodeResult[int](json.RawMessage("9")); v != 9 || err != nil {
 		t.Fatalf("raw: %d, %v", v, err)
 	}
-	if v, err := DecodeResult[localArgs](map[string]any{"n": 3}); v.N != 3 || err != nil {
-		t.Fatalf("bridge: %#v, %v", v, err)
+	if _, err := DecodeResult[localArgs](map[string]any{"n": 3}); err == nil ||
+		!strings.Contains(err.Error(), "result is map[string]interface {}, want freerpc.localArgs") {
+		t.Fatalf("foreign: %v, want an error naming both types", err)
 	}
 	if v, err := DecodeResult[int](nil); v != 0 || err != nil {
 		t.Fatalf("nil: %d, %v", v, err)
 	}
 }
 
-// TestLocalCallTypedResult verifies the blocking Call API decodes a typed
-// fast-path result into the caller's pointer without JSON.
+// TestLocalCallTypedResult verifies DecodeResult hands a typed in-memory
+// result to the caller as it is.
 func TestLocalCallTypedResult(t *testing.T) {
 	eng := simtime.NewVirtual()
 	mux := NewMux()
@@ -100,18 +94,12 @@ func TestLocalCallTypedResult(t *testing.T) {
 	client := NewPeer(eng, c1, nil)
 	NewPeer(eng, c2, mux)
 
-	procs := simproc.NewRuntime(eng)
-	var out localArgs
-	var callErr error
-	procs.Spawn("caller", func(p *simproc.Process) error {
-		callErr = client.Call(p, "Get", localArgs{N: 4}, &out, 0)
-		return nil
-	})
+	r := goCall[localArgs](client, "Get", localArgs{N: 4}, 0)
 	eng.MustDrain(100)
-	if callErr != nil {
-		t.Fatal(callErr)
+	if r.err != nil {
+		t.Fatal(r.err)
 	}
-	if out.N != 40 {
-		t.Fatalf("out.N = %d, want 40", out.N)
+	if r.v.N != 40 {
+		t.Fatalf("out.N = %d, want 40", r.v.N)
 	}
 }

@@ -5,58 +5,40 @@ import (
 	"fmt"
 	"maps"
 	"net"
-	"reflect"
 	"slices"
 	"time"
 
-	"freeride/internal/simproc"
 	"freeride/internal/simtime"
 )
 
-// wireHandler serves one RPC method from the wire: params arrive as raw
-// JSON.
-type wireHandler func(params json.RawMessage) (any, error)
-
-// typedHandler serves one RPC method from the in-memory fast path: params
-// arrive as the live value the caller passed (or as raw JSON when a foreign
-// caller still serialized).
+// typedHandler serves one RPC method: params arrive as the value the caller
+// passed, or as raw JSON when they crossed a Wire.
 type typedHandler func(params any) (any, error)
 
 // Mux is a method dispatch table shared by any number of peers on one engine
 // (the worker registers its methods once and serves every manager connection
 // with them).
 type Mux struct {
-	handlers map[string]wireHandler
-	// local serves the fast path: HandleFunc's typed dispatcher, built once
-	// at registration.
-	local map[string]typedHandler
+	handlers map[string]typedHandler
 }
 
 // NewMux returns an empty dispatch table.
 func NewMux() *Mux {
-	return &Mux{handlers: make(map[string]wireHandler), local: make(map[string]typedHandler)}
+	return &Mux{handlers: make(map[string]typedHandler)}
 }
 
 // HandleFunc registers a typed handler for method, replacing any previous
-// registration: wire requests are unmarshalled into a fresh P; in-memory
-// requests whose params are already a P or a pooled P (the common case —
-// both ends share the DTO type) are dispatched with zero JSON work. fn
-// receives P by value: a pooled params value is recycled as soon as fn
-// returns, and the copy is all fn may keep. Handlers run in engine-callback
-// context and must not block; long work should be scheduled or handed to a
-// process. A method without params takes P = struct{}, one that decodes its
-// params itself P = json.RawMessage.
+// registration. P is the caller's params type: a request whose params are a
+// P or a pooled P (both ends share the DTO type) is dispatched with zero
+// JSON work, and one that crossed a Wire arrives as raw JSON and is
+// unmarshalled into a fresh P. Params of any other type fail the call with
+// an error naming both types. fn receives P by value: a pooled params value
+// is recycled as soon as fn returns, and the copy is all fn may keep.
+// Handlers run in engine-callback context and must not block; long work
+// should be scheduled or handed to a process. A method without params takes
+// P = struct{}, one that decodes its params itself P = json.RawMessage.
 func HandleFunc[P any](m *Mux, method string, fn func(params P) (any, error)) {
-	wire := func(raw json.RawMessage) (any, error) {
-		var p P
-		if len(raw) > 0 {
-			if err := json.Unmarshal(raw, &p); err != nil {
-				return nil, fmt.Errorf("freerpc: bad params for %s: %w", method, err)
-			}
-		}
-		return fn(p)
-	}
-	typed := func(params any) (any, error) {
+	m.handlers[method] = func(params any) (any, error) {
 		switch p := params.(type) {
 		case nil:
 			var zero P
@@ -66,6 +48,8 @@ func HandleFunc[P any](m *Mux, method string, fn func(params P) (any, error)) {
 		case *Pooled[P]:
 			return fn(p.V)
 		case json.RawMessage:
+			// Its own variable: the address taken here must not move the
+			// live cases' P to the heap.
 			var decoded P
 			if len(p) > 0 {
 				if err := json.Unmarshal(p, &decoded); err != nil {
@@ -73,31 +57,10 @@ func HandleFunc[P any](m *Mux, method string, fn func(params P) (any, error)) {
 				}
 			}
 			return fn(decoded)
-		default:
-			// Foreign-typed local params (e.g. a hand-rolled map): bridge
-			// through JSON once rather than reject.
-			raw, err := json.Marshal(params)
-			if err != nil {
-				return nil, fmt.Errorf("freerpc: bad params for %s: %w", method, err)
-			}
-			var decoded P
-			if err := json.Unmarshal(raw, &decoded); err != nil {
-				return nil, fmt.Errorf("freerpc: bad params for %s: %w", method, err)
-			}
-			return fn(decoded)
 		}
+		var want P
+		return nil, fmt.Errorf("freerpc: params for %s are %T, want %T", method, params, want)
 	}
-	m.handlers[method] = wire
-	m.local[method] = typed
-}
-
-// envelope is the wire message: requests carry Method, responses don't.
-type envelope struct {
-	ID     uint64          `json:"id,omitempty"`
-	Method string          `json:"method,omitempty"`
-	Params json.RawMessage `json:"params,omitempty"`
-	Result json.RawMessage `json:"result,omitempty"`
-	Error  string          `json:"error,omitempty"`
 }
 
 // RemoteError is a failure reported by the remote handler.
@@ -112,14 +75,13 @@ func (e *RemoteError) Error() string {
 }
 
 // Peer is one endpoint of an RPC connection: it can both serve methods (via
-// its Mux) and issue calls. On a LocalConn (MemPipe) every call and
-// notification crosses as a typed Msg with zero JSON work; on a net.Conn
-// the newline-delimited JSON wire protocol is used.
+// its Mux) and issue calls. It sends and receives only typed Msg values;
+// whether they cross as they are (MemPipe) or as JSON frames (Wire) is its
+// Conn's business.
 type Peer struct {
-	eng   simtime.Engine
-	conn  Conn
-	local LocalConn // non-nil when conn supports the typed fast path
-	mux   *Mux
+	eng  simtime.Engine
+	conn Conn
+	mux  *Mux
 
 	nextID  uint64
 	pending map[uint64]*pendingCall
@@ -172,12 +134,7 @@ func NewPeer(eng simtime.Engine, conn Conn, mux *Mux) *Peer {
 	// Before the receive handler, which starts a socket's read pump: a
 	// hang-up the pump reports must find failAll registered.
 	conn.OnClose(p.failAll)
-	if lc, ok := conn.(LocalConn); ok {
-		p.local = lc
-		lc.SetMsgHandler(p.onMsg)
-	} else {
-		conn.SetRecvHandler(p.onFrame)
-	}
+	conn.SetMsgHandler(p.onMsg)
 	return p
 }
 
@@ -336,7 +293,7 @@ func entryLess(a, b deadlineEntry) bool {
 	return a.id < b.id
 }
 
-// resolve completes the pending call for a response (from either path).
+// resolve completes the pending call for a response.
 func (p *Peer) resolve(id uint64, result any, errMsg string) {
 	call, ok := p.pending[id]
 	if !ok {
@@ -357,26 +314,26 @@ func (p *Peer) resolve(id uint64, result any, errMsg string) {
 	recycle(result) // consumed: done has returned (see Msg)
 }
 
-// onMsg receives typed messages from a LocalConn.
+// onMsg receives one message from the conn.
 func (p *Peer) onMsg(m Msg) {
 	if m.Method != "" {
-		p.serveLocal(m)
+		p.serve(m)
 		return
 	}
 	p.resolve(m.ID, m.Result, m.Err)
 }
 
-// serveLocal dispatches a fast-path request and responds in kind. The
-// params are recycled once the handler has returned (see Msg).
-func (p *Peer) serveLocal(m Msg) {
+// serve dispatches a request and responds in kind. The params are recycled
+// once the handler has returned (see Msg).
+func (p *Peer) serve(m Msg) {
 	var result any
 	var errMsg string
 	if p.mux == nil {
 		errMsg = "no handler table"
-	} else if th, ok := p.mux.local[m.Method]; !ok {
+	} else if h, ok := p.mux.handlers[m.Method]; !ok {
 		errMsg = fmt.Sprintf("unknown method %q", m.Method)
 	} else {
-		r, err := th(m.Params)
+		r, err := h(m.Params)
 		if err != nil {
 			errMsg = err.Error()
 		} else {
@@ -387,50 +344,7 @@ func (p *Peer) serveLocal(m Msg) {
 	if m.ID == 0 {
 		return // notification: no response
 	}
-	_ = p.local.SendMsg(Msg{ID: m.ID, Result: result, Err: errMsg})
-}
-
-func (p *Peer) onFrame(frame []byte) {
-	var env envelope
-	if err := json.Unmarshal(frame, &env); err != nil {
-		return // malformed frame: drop
-	}
-	if env.Method != "" {
-		p.serveRequest(&env)
-		return
-	}
-	p.resolve(env.ID, env.Result, env.Error)
-}
-
-func (p *Peer) serveRequest(env *envelope) {
-	var resp envelope
-	resp.ID = env.ID
-	if p.mux == nil {
-		resp.Error = "no handler table"
-	} else if h, ok := p.mux.handlers[env.Method]; !ok {
-		resp.Error = fmt.Sprintf("unknown method %q", env.Method)
-	} else {
-		result, err := h(env.Params)
-		if err != nil {
-			resp.Error = err.Error()
-		} else if result != nil {
-			raw, merr := json.Marshal(result)
-			recycle(result) // the wire carries the bytes, not the value
-			if merr != nil {
-				resp.Error = fmt.Sprintf("marshal result: %v", merr)
-			} else {
-				resp.Result = raw
-			}
-		}
-	}
-	if env.ID == 0 {
-		return // notification: no response
-	}
-	frame, err := json.Marshal(resp)
-	if err != nil {
-		return
-	}
-	_ = p.conn.Send(frame)
+	_ = p.conn.SendMsg(Msg{ID: m.ID, Result: result, Err: errMsg})
 }
 
 // failAll fails every pending call with ErrClosed, in issue order: the
@@ -454,9 +368,9 @@ func (p *Peer) failAll() {
 // never synchronously from inside Go itself — callers may be half-way
 // through updating their own state (the manager is) and immediate failures
 // (closed peer, send error) are delivered through the engine like any reply.
-// The result is a live value when the connection is in-memory and raw JSON
-// (json.RawMessage) when it crossed the wire — use DecodeResult to consume
-// it uniformly. A zero timeout means no deadline.
+// The result is the handler's value when the connection is in-memory and
+// raw JSON (json.RawMessage) when it crossed a Wire — use DecodeResult to
+// consume it uniformly. A zero timeout means no deadline.
 //
 // Ownership (see Msg): params belong to the link from here on — a pooled
 // value is recycled by whoever consumes it, never by the caller, not even
@@ -479,31 +393,12 @@ func (p *Peer) Go(method string, params any, timeout time.Duration, done func(re
 		p.armDeadline(id, p.eng.Now()+timeout)
 	}
 
-	var err error
-	if p.local != nil {
-		err = p.local.SendMsg(Msg{ID: id, Method: method, Params: params})
-	} else {
-		var raw json.RawMessage
-		if params != nil {
-			raw, err = json.Marshal(params)
-			recycle(params) // the wire carries the bytes, not the value
-		}
-		if err == nil {
-			var wire []byte
-			wire, err = json.Marshal(envelope{ID: id, Method: method, Params: raw})
-			if err == nil {
-				err = p.conn.Send(wire)
-			}
-		}
-	}
-	if err != nil {
-		c, still := p.pending[id]
-		if still {
+	if err := p.conn.SendMsg(Msg{ID: id, Method: method, Params: params}); err != nil {
+		// A conn that closed inside SendMsg has failed the call already.
+		if c, still := p.pending[id]; still {
 			delete(p.pending, id)
 			p.freeCall(c)
 			p.settleDeadline(id)
-		}
-		if still {
 			p.failAsync(done, err)
 		}
 	}
@@ -518,82 +413,7 @@ func (p *Peer) failAsync(done func(result any, err error), err error) {
 // Notify sends a one-way message (no response, no delivery guarantee beyond
 // the transport's).
 func (p *Peer) Notify(method string, params any) error {
-	if p.local != nil {
-		return p.local.SendMsg(Msg{Method: method, Params: params})
-	}
-	var raw json.RawMessage
-	if params != nil {
-		b, err := json.Marshal(params)
-		recycle(params) // the wire carries the bytes, not the value
-		if err != nil {
-			return fmt.Errorf("freerpc: marshal params: %w", err)
-		}
-		raw = b
-	}
-	frame, err := json.Marshal(envelope{Method: method, Params: raw})
-	if err != nil {
-		return err
-	}
-	return p.conn.Send(frame)
-}
-
-// Call issues a blocking call from process context, decoding the reply into
-// result (a pointer, may be nil). A zero timeout means no deadline. The
-// reply is decoded inside the done callback, before the caller is woken: a
-// pooled result is gone by the time a stopped process would get to read it.
-func (p *Peer) Call(proc *simproc.Process, method string, params, result any, timeout time.Duration) error {
-	got := proc.WaitEvent("rpc:"+method, func(wake func(any)) {
-		p.Go(method, params, timeout, func(val any, err error) {
-			if err == nil {
-				err = decodeInto(method, val, result)
-			}
-			wake(err)
-		})
-	})
-	if got == nil {
-		return nil
-	}
-	err, ok := got.(error)
-	if !ok {
-		return fmt.Errorf("freerpc: unexpected wake payload %T", got)
-	}
-	return err
-}
-
-// decodeInto stores an RPC result (live or raw JSON) through the pointer dst.
-func decodeInto(method string, val, dst any) error {
-	if dst == nil || val == nil {
-		return nil
-	}
-	switch v := val.(type) {
-	case json.RawMessage:
-		if len(v) == 0 {
-			return nil
-		}
-		if err := json.Unmarshal(v, dst); err != nil {
-			return fmt.Errorf("freerpc: unmarshal result of %s: %w", method, err)
-		}
-		return nil
-	default:
-		// Fast-path result: assign directly when the types line up, bridge
-		// through JSON otherwise (e.g. caller decodes into its own DTO).
-		d := reflect.ValueOf(dst)
-		if d.Kind() == reflect.Pointer && !d.IsNil() {
-			sv := reflect.ValueOf(v)
-			if sv.Type().AssignableTo(d.Elem().Type()) {
-				d.Elem().Set(sv)
-				return nil
-			}
-		}
-		raw, err := json.Marshal(v)
-		if err != nil {
-			return fmt.Errorf("freerpc: bridge result of %s: %w", method, err)
-		}
-		if err := json.Unmarshal(raw, dst); err != nil {
-			return fmt.Errorf("freerpc: unmarshal result of %s: %w", method, err)
-		}
-		return nil
-	}
+	return p.conn.SendMsg(Msg{Method: method, Params: params})
 }
 
 // Serve accepts connections from ln and wires each to a new Peer over mux.
@@ -606,7 +426,7 @@ func Serve(eng *simtime.Wall, ln net.Listener, mux *Mux, onPeer func(*Peer)) err
 			return err
 		}
 		eng.Do(func() {
-			peer := NewPeer(eng, NewNetConn(eng, nc), mux)
+			peer := NewPeer(eng, Wire(NewNetConn(eng, nc)), mux)
 			if onPeer != nil {
 				onPeer(peer)
 			}
@@ -622,5 +442,5 @@ func Dial(eng *simtime.Wall, network, addr string, mux *Mux) (*Peer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("freerpc: dial %s: %w", addr, err)
 	}
-	return NewPeer(eng, NewNetConn(eng, nc), mux), nil
+	return NewPeer(eng, Wire(NewNetConn(eng, nc)), mux), nil
 }

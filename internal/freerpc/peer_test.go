@@ -11,7 +11,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"freeride/internal/simproc"
 	"freeride/internal/simtime"
 )
 
@@ -20,53 +19,61 @@ type echoArgs struct {
 	N    int    `json:"n"`
 }
 
-func newPair(latency time.Duration) (*simtime.Virtual, *simproc.Runtime, *Peer, *Peer, *Mux) {
+func newPair(latency time.Duration) (*simtime.Virtual, *Peer, *Peer, *Mux) {
 	eng := simtime.NewVirtual()
-	procs := simproc.NewRuntime(eng)
 	serverMux := NewMux()
 	a, b := MemPipe(eng, latency)
 	client := NewPeer(eng, a, nil)
 	server := NewPeer(eng, b, serverMux)
-	return eng, procs, client, server, serverMux
+	return eng, client, server, serverMux
+}
+
+// reply is the outcome of one call issued by goCall.
+type reply[T any] struct {
+	v   T
+	err error
+	at  time.Duration // when done ran
+	n   int           // how often done ran
+}
+
+// goCall issues method on c and decodes the result into a T once done runs.
+func goCall[T any](c *Peer, method string, params any, timeout time.Duration) *reply[T] {
+	r := new(reply[T])
+	c.Go(method, params, timeout, func(res any, err error) {
+		if err == nil {
+			r.v, err = DecodeResult[T](res)
+		}
+		r.err, r.at = err, c.eng.Now()
+		r.n++
+	})
+	return r
 }
 
 func TestCallRoundTrip(t *testing.T) {
-	eng, procs, client, _, mux := newPair(200 * time.Microsecond)
+	eng, client, _, mux := newPair(200 * time.Microsecond)
 	HandleFunc(mux, "Echo", func(p echoArgs) (any, error) {
 		return echoArgs{Text: p.Text + "!", N: p.N * 2}, nil
 	})
-	var got echoArgs
-	var at time.Duration
-	procs.Spawn("caller", func(p *simproc.Process) error {
-		if err := client.Call(p, "Echo", echoArgs{Text: "hi", N: 21}, &got, 0); err != nil {
-			return err
-		}
-		at = p.Now()
-		return nil
-	})
+	r := goCall[echoArgs](client, "Echo", echoArgs{Text: "hi", N: 21}, 0)
 	eng.MustDrain(100)
-	if got.Text != "hi!" || got.N != 42 {
-		t.Fatalf("Echo = %+v", got)
+	if r.err != nil || r.v.Text != "hi!" || r.v.N != 42 {
+		t.Fatalf("Echo = %+v, %v", r.v, r.err)
 	}
-	if at != 400*time.Microsecond {
-		t.Fatalf("round trip took %v, want 400µs (2 hops)", at)
+	if r.at != 400*time.Microsecond {
+		t.Fatalf("round trip took %v, want 400µs (2 hops)", r.at)
 	}
 }
 
 func TestCallRemoteError(t *testing.T) {
-	eng, procs, client, _, mux := newPair(0)
+	eng, client, _, mux := newPair(0)
 	HandleFunc(mux, "Fail", func(json.RawMessage) (any, error) {
 		return nil, errors.New("nope")
 	})
-	var callErr error
-	procs.Spawn("caller", func(p *simproc.Process) error {
-		callErr = client.Call(p, "Fail", nil, nil, 0)
-		return nil
-	})
+	callErr := goCall[any](client, "Fail", nil, 0)
 	eng.MustDrain(100)
 	var re *RemoteError
-	if !errors.As(callErr, &re) {
-		t.Fatalf("err = %v, want RemoteError", callErr)
+	if !errors.As(callErr.err, &re) {
+		t.Fatalf("err = %v, want RemoteError", callErr.err)
 	}
 	if re.Msg != "nope" || re.Method != "Fail" {
 		t.Fatalf("RemoteError = %+v", re)
@@ -74,57 +81,40 @@ func TestCallRemoteError(t *testing.T) {
 }
 
 func TestCallUnknownMethod(t *testing.T) {
-	eng, procs, client, _, _ := newPair(0)
-	var callErr error
-	procs.Spawn("caller", func(p *simproc.Process) error {
-		callErr = client.Call(p, "Nope", nil, nil, 0)
-		return nil
-	})
+	eng, client, _, _ := newPair(0)
+	r := goCall[any](client, "Nope", nil, 0)
 	eng.MustDrain(100)
 	var re *RemoteError
-	if !errors.As(callErr, &re) {
-		t.Fatalf("err = %v, want RemoteError for unknown method", callErr)
+	if !errors.As(r.err, &re) {
+		t.Fatalf("err = %v, want RemoteError for unknown method", r.err)
 	}
 }
 
 func TestCallTimeout(t *testing.T) {
-	eng, procs, client, _, mux := newPair(time.Second) // very slow link
+	eng, client, _, mux := newPair(time.Second) // very slow link
 	HandleFunc(mux, "Slow", func(json.RawMessage) (any, error) { return "done", nil })
-	var callErr error
-	var at time.Duration
-	procs.Spawn("caller", func(p *simproc.Process) error {
-		callErr = client.Call(p, "Slow", nil, nil, 500*time.Millisecond)
-		at = p.Now()
-		return nil
-	})
+	r := goCall[string](client, "Slow", nil, 500*time.Millisecond)
 	eng.MustDrain(100)
-	if !errors.Is(callErr, ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout", callErr)
+	if !errors.Is(r.err, ErrTimeout) {
+		t.Fatalf("err = %v, want ErrTimeout", r.err)
 	}
-	if at != 500*time.Millisecond {
-		t.Fatalf("timed out at %v, want 500ms", at)
+	if r.at != 500*time.Millisecond {
+		t.Fatalf("timed out at %v, want 500ms", r.at)
 	}
 }
 
 func TestLateResponseAfterTimeoutIgnored(t *testing.T) {
-	eng, procs, client, _, mux := newPair(time.Second)
+	eng, client, _, mux := newPair(time.Second)
 	HandleFunc(mux, "Slow", func(json.RawMessage) (any, error) { return 1, nil })
-	calls := 0
-	procs.Spawn("caller", func(p *simproc.Process) error {
-		_ = client.Call(p, "Slow", nil, nil, 100*time.Millisecond)
-		calls++
-		p.Sleep(10 * time.Second) // outlive the late response
-		calls++
-		return nil
-	})
-	eng.MustDrain(100)
-	if calls != 2 {
-		t.Fatalf("calls = %d, want 2 (late response must not wake anything)", calls)
+	r := goCall[int](client, "Slow", nil, 100*time.Millisecond)
+	eng.MustDrain(100) // outlives the late response
+	if r.n != 1 || !errors.Is(r.err, ErrTimeout) {
+		t.Fatalf("done ran %d times, last with %v; want once, timed out (late response must not complete it again)", r.n, r.err)
 	}
 }
 
 func TestNotify(t *testing.T) {
-	eng, _, client, _, mux := newPair(time.Millisecond)
+	eng, client, _, mux := newPair(time.Millisecond)
 	var got []int
 	HandleFunc(mux, "Push", func(n int) (any, error) {
 		got = append(got, n)
@@ -142,46 +132,35 @@ func TestNotify(t *testing.T) {
 }
 
 func TestCloseFailsPendingCalls(t *testing.T) {
-	eng, procs, client, server, mux := newPair(50 * time.Millisecond)
+	eng, client, _, mux := newPair(50 * time.Millisecond)
 	HandleFunc(mux, "Hang", func(json.RawMessage) (any, error) { return nil, nil })
-	var callErr error
-	procs.Spawn("caller", func(p *simproc.Process) error {
-		callErr = client.Call(p, "Hang", nil, nil, 0)
-		return nil
-	})
+	r := goCall[any](client, "Hang", nil, 0)
 	// Close the client side before the response can arrive.
 	eng.Schedule(10*time.Millisecond, "close", func() { client.Close() })
 	eng.MustDrain(100)
-	if !errors.Is(callErr, ErrClosed) {
-		t.Fatalf("err = %v, want ErrClosed", callErr)
+	if !errors.Is(r.err, ErrClosed) {
+		t.Fatalf("err = %v, want ErrClosed", r.err)
 	}
-	_ = server
 }
 
 func TestBidirectionalCalls(t *testing.T) {
 	eng := simtime.NewVirtual()
-	procs := simproc.NewRuntime(eng)
 	muxA, muxB := NewMux(), NewMux()
 	ca, cb := MemPipe(eng, time.Millisecond)
 	peerA := NewPeer(eng, ca, muxA)
 	peerB := NewPeer(eng, cb, muxB)
 	HandleFunc(muxA, "A.Name", func(struct{}) (any, error) { return "A", nil })
 	HandleFunc(muxB, "B.Name", func(struct{}) (any, error) { return "B", nil })
-	var fromA, fromB string
-	procs.Spawn("x", func(p *simproc.Process) error {
-		if err := peerA.Call(p, "B.Name", struct{}{}, &fromB, 0); err != nil {
-			return err
-		}
-		return peerB.Call(p, "A.Name", struct{}{}, &fromA, 0)
-	})
+	fromB := goCall[string](peerA, "B.Name", struct{}{}, 0)
+	fromA := goCall[string](peerB, "A.Name", struct{}{}, 0)
 	eng.MustDrain(100)
-	if fromA != "A" || fromB != "B" {
-		t.Fatalf("bidirectional = %q/%q, want A/B", fromA, fromB)
+	if fromA.v != "A" || fromB.v != "B" || fromA.err != nil || fromB.err != nil {
+		t.Fatalf("bidirectional = %q/%q (%v, %v), want A/B", fromA.v, fromB.v, fromA.err, fromB.err)
 	}
 }
 
 func TestGoAsync(t *testing.T) {
-	eng, _, client, _, mux := newPair(time.Millisecond)
+	eng, client, _, mux := newPair(time.Millisecond)
 	HandleFunc(mux, "Add", func(p echoArgs) (any, error) { return p.N + 1, nil })
 	var result int
 	client.Go("Add", echoArgs{N: 41}, 0, func(res any, err error) {
@@ -201,27 +180,48 @@ func TestGoAsync(t *testing.T) {
 	}
 }
 
-// Property: the envelope codec round-trips arbitrary payload strings.
+// Property: a request, a notification and an error response cross a pair
+// of Wires over a FramePipe with their IDs, methods and errors, and with
+// params and results that decode to what was sent.
 func TestEnvelopeRoundTrip(t *testing.T) {
+	eng := simtime.NewVirtual()
+	a, b := FramePipe(eng, 0)
+	tx, rx := Wire(a), Wire(b)
+	var got []Msg
+	tx.SetMsgHandler(func(Msg) {})
+	rx.SetMsgHandler(func(m Msg) { got = append(got, m) })
+	decodes := func(v any, want string) bool {
+		s, err := DecodeResult[string](v)
+		return err == nil && s == want
+	}
 	f := func(id uint64, method, payload string) bool {
-		raw, err := json.Marshal(payload)
-		if err != nil {
+		method = "M." + method // a request's method is never empty
+		sent := []Msg{
+			{ID: id, Method: method, Params: payload},
+			{Method: method, Params: payload},
+			{ID: id, Result: payload},
+			{ID: id, Err: "e: " + payload},
+		}
+		got = got[:0]
+		for _, m := range sent {
+			if err := tx.SendMsg(m); err != nil {
+				return false
+			}
+		}
+		eng.MustDrain(uint64(len(sent)))
+		if len(got) != len(sent) {
 			return false
 		}
-		env := envelope{ID: id, Method: method, Params: raw}
-		b, err := json.Marshal(env)
-		if err != nil {
-			return false
+		for i, m := range sent {
+			g := got[i]
+			if g.ID != m.ID || g.Method != m.Method || g.Err != m.Err {
+				return false
+			}
+			if m.Params != nil && !decodes(g.Params, payload) || m.Result != nil && !decodes(g.Result, payload) {
+				return false
+			}
 		}
-		var back envelope
-		if err := json.Unmarshal(b, &back); err != nil {
-			return false
-		}
-		var p2 string
-		if err := json.Unmarshal(back.Params, &p2); err != nil {
-			return false
-		}
-		return back.ID == id && back.Method == method && p2 == payload
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -231,7 +231,6 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 func TestTCPTransportLive(t *testing.T) {
 	// Live-mode integration: wall-clock engine, real TCP loopback.
 	eng := simtime.NewWall()
-	procs := simproc.NewRuntime(eng)
 	mux := NewMux()
 	HandleFunc(mux, "Echo", func(p echoArgs) (any, error) {
 		return echoArgs{Text: p.Text, N: p.N + 1}, nil
@@ -253,10 +252,11 @@ func TestTCPTransportLive(t *testing.T) {
 	done := make(chan error, 1)
 	var got echoArgs
 	eng.Do(func() {
-		procs.Spawn("caller", func(p *simproc.Process) error {
-			err := client.Call(p, "Echo", echoArgs{Text: "live", N: 1}, &got, 5*time.Second)
+		client.Go("Echo", echoArgs{Text: "live", N: 1}, 5*time.Second, func(res any, err error) {
+			if err == nil {
+				got, err = DecodeResult[echoArgs](res)
+			}
 			done <- err
-			return err
 		})
 	})
 	select {
@@ -378,45 +378,33 @@ func TestTCPImmediateHangUp(t *testing.T) {
 }
 
 func BenchmarkMemPipeCall(b *testing.B) {
-	eng := simtime.NewVirtual()
-	procs := simproc.NewRuntime(eng)
-	mux := NewMux()
+	eng, client, _, mux := newPair(100 * time.Microsecond)
 	HandleFunc(mux, "Echo", func(p echoArgs) (any, error) { return p, nil })
-	ca, cb := MemPipe(eng, 100*time.Microsecond)
-	client := NewPeer(eng, ca, nil)
-	NewPeer(eng, cb, mux)
 	b.ReportAllocs()
 	b.ResetTimer()
-	procs.Spawn("bench", func(p *simproc.Process) error {
-		for i := 0; i < b.N; i++ {
-			var out echoArgs
-			if err := client.Call(p, "Echo", echoArgs{Text: "x", N: i}, &out, 0); err != nil {
-				b.Error(err)
-				return err
-			}
+	for i := 0; i < b.N; i++ {
+		r := goCall[echoArgs](client, "Echo", echoArgs{Text: "x", N: i}, 0)
+		eng.MustDrain(4)
+		if r.err != nil {
+			b.Fatal(r.err)
 		}
-		return nil
-	})
-	eng.Drain(0)
+	}
 }
 
 // TestMuxLateRegistration registers methods into a table already in use:
-// every registration is served on both paths, and none displaces another.
+// every registration is served, and none displaces another.
 func TestMuxLateRegistration(t *testing.T) {
 	mux := NewMux()
 	HandleFunc(mux, "First", func(echoArgs) (any, error) { return nil, nil })
 	for i := 0; i < 50; i++ {
 		HandleFunc(mux, fmt.Sprintf("Late%d", i), func(json.RawMessage) (any, error) { return nil, nil })
-		if _, ok := mux.local["First"]; !ok {
-			t.Fatal("a registered method vanished from the fast path")
+		if _, ok := mux.handlers["First"]; !ok {
+			t.Fatal("a registered method vanished from the table")
 		}
 	}
 	for i := 0; i < 50; i++ {
-		if _, ok := mux.local[fmt.Sprintf("Late%d", i)]; !ok {
-			t.Fatalf("Late%d not served on the fast path", i)
-		}
 		if _, ok := mux.handlers[fmt.Sprintf("Late%d", i)]; !ok {
-			t.Fatalf("Late%d not served on the wire path", i)
+			t.Fatalf("Late%d not served", i)
 		}
 	}
 }

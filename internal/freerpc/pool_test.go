@@ -148,8 +148,8 @@ func TestPooledAbandonOnLoss(t *testing.T) {
 	})
 }
 
-// TestPooledMarshalsAsValue: on the wire (and through any JSON bridge) a
-// pooled value is its V, byte for byte.
+// TestPooledMarshalsAsValue: on the wire a pooled value is its V, byte for
+// byte.
 func TestPooledMarshalsAsValue(t *testing.T) {
 	var p Pool[poolArgs]
 	v := p.Get()

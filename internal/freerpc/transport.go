@@ -1,33 +1,36 @@
 // Package freerpc is FreeRide's RPC layer — the stdlib substitute for the
-// paper's gRPC (§4.6). Communication among the pipeline training system,
-// the side task manager, and the side task workers uses request/response
-// messages over a Conn, with two transports:
+// paper's gRPC (§4.6). The pipeline training system, the side task manager
+// and the side task workers talk through Peers, and a Peer has one message
+// path: it sends and receives typed Msg values over a Conn. Two Conns carry
+// them:
 //
-//   - MemPipe: an in-memory pipe whose delivery is scheduled on the
-//     simulation engine with a configurable one-way latency (deterministic
-//     experiments). MemPipe conns implement LocalConn, so peers exchange
-//     typed Msg envelopes directly — params structs (bubble DTOs, task
-//     specs, worker stats) and results cross without any JSON marshalling.
-//     Handlers registered with HandleFunc receive the caller's value as-is
-//     when the types match, and a one-time JSON bridge otherwise. Who may
-//     reuse such a value, and when, is the ownership rule stated on Msg.
-//   - NewNetConn: a real net.Conn carrying newline-delimited JSON frames
-//     (the live freeride-managerd / freeride-workerd daemons, on the wall
-//     engine). This is the wire protocol; HandleFunc's raw-JSON path serves
-//     it. A socket's read pump only schedules each frame onto the engine;
-//     every other use of a peer, its conn and its Mux runs in the engine's
-//     callbacks or inside simtime.Wall.Do (Serve builds each accepted peer
-//     there), so none of them takes a lock.
+//   - MemPipe: an in-memory pipe whose delivery is scheduled on the engine
+//     with a configurable one-way latency. Params structs (bubble DTOs,
+//     task specs, worker stats) and results cross as the values the sender
+//     built, with no JSON work; who may reuse such a value, and when, is the
+//     ownership rule stated on Msg. Every simulated session runs on it.
+//   - Wire: the one codec. It turns each Msg into a newline-free JSON frame
+//     on any FrameConn and back, so a handler registered with HandleFunc
+//     receives raw JSON and unmarshals it into its own params type. Its
+//     frames run over a socket (NewNetConn: the live freeride-managerd /
+//     freeride-workerd daemons, on the wall engine) or over a FramePipe, the
+//     frame face of a MemPipe, which carries them on the virtual clock with
+//     the MemPipe's delivery, joins and fault windows — so a whole simulated
+//     session can run through the real codec, deterministically.
 //
-// The split means the simulator pays only for what the paper's system pays
-// for: the modelled RPC latency (part of the "FreeRide runtime" in the
-// Fig. 9 bubble-time breakdown) is preserved exactly — a typed Msg is
-// delivered at the instant and in the order a frame would be — while the
-// serialization cost, which the paper's gRPC substitute never modelled, is
-// gone from the simulation hot path. On the virtual engine, Msg deliveries
-// due at the same instant share one engine event (simtime.Virtual's
-// ScheduleJoin), which changes how many events the engine dispatches, never
-// the order in which the deliveries run.
+// A socket's read pump only schedules each frame onto the engine; every
+// other use of a peer, its conn and its Mux runs in the engine's callbacks
+// or inside simtime.Wall.Do (Serve builds each accepted peer there), so
+// none of them takes a lock.
+//
+// The simulator pays only for what the paper's system pays for: the
+// modelled RPC latency (part of the "FreeRide runtime" in the Fig. 9
+// bubble-time breakdown) is the same on either Conn, while the serialization
+// cost, which the paper's gRPC substitute never modelled, is off the
+// simulation hot path. On the virtual engine, deliveries due at the same
+// instant share one engine event (simtime.Virtual's ScheduleJoin), which
+// changes how many events the engine dispatches, never the order in which
+// the deliveries run.
 package freerpc
 
 import (
@@ -46,31 +49,40 @@ var (
 	ErrTimeout = errors.New("freerpc: call timed out")
 )
 
-// Conn is a bidirectional frame transport. Recv handlers are always invoked
-// from engine-callback context.
+// Conn is a bidirectional message transport, what a Peer speaks. Handlers
+// are always invoked from engine-callback context.
 type Conn interface {
-	// Send transmits one frame asynchronously.
-	Send(frame []byte) error
-	// SetRecvHandler installs the frame receiver. Must be set before the
-	// first frame arrives; calls are serialized by the engine.
-	SetRecvHandler(fn func(frame []byte))
+	// SendMsg transmits one message asynchronously.
+	SendMsg(m Msg) error
+	// SetMsgHandler installs the receiver. Must be set before the first
+	// message arrives; calls are serialized by the engine.
+	SetMsgHandler(fn func(m Msg))
 	// Close tears the connection down; the peer's handler receives no
-	// further frames and its OnClose fires.
+	// further messages and its OnClose fires.
 	Close() error
 	// OnClose registers a callback fired once when the connection closes
 	// (locally or remotely), from engine-callback context.
 	OnClose(fn func())
 }
 
-// memConn is one end of an in-memory pipe. It is a LocalConn: peers hand
-// typed Msg values straight across (zero JSON); the frame-based Send remains
-// for transport-level tests and foreign users.
+// FrameConn is a bidirectional byte-frame transport, what a Wire runs on.
+type FrameConn interface {
+	// Send transmits one frame asynchronously.
+	Send(frame []byte) error
+	// SetRecvHandler installs the frame receiver, with SetMsgHandler's rules.
+	SetRecvHandler(fn func(frame []byte))
+	// Close and OnClose are Conn's.
+	Close() error
+	OnClose(fn func())
+}
+
+// memConn is one end of an in-memory pipe: messages cross as the values
+// the sender built.
 type memConn struct {
 	eng     simtime.Engine
 	latency time.Duration
 
 	peer    *memConn
-	recv    func([]byte)
 	recvMsg func(Msg)
 	closed  bool
 	onClose []func()
@@ -111,8 +123,6 @@ func (e *msgEvent) deliver() {
 	}
 }
 
-var _ LocalConn = (*memConn)(nil)
-
 // MemPipe returns a connected pair of in-memory Conns with the given one-way
 // delivery latency.
 func MemPipe(eng simtime.Engine, latency time.Duration) (Conn, Conn) {
@@ -122,33 +132,8 @@ func MemPipe(eng simtime.Engine, latency time.Duration) (Conn, Conn) {
 	return a, b
 }
 
-func (c *memConn) Send(frame []byte) error {
-	if c.closed {
-		return ErrClosed
-	}
-	lat := c.latency
-	if c.faulty {
-		var dropped bool
-		if lat, dropped = c.faultLatency(lat); dropped {
-			return nil
-		}
-	}
-	peer := c.peer
-
-	// Copy: the sender may reuse the buffer.
-	buf := make([]byte, len(frame))
-	copy(buf, frame)
-	c.eng.ScheduleDetached(lat, "rpc-deliver", func() {
-		if !peer.closed && peer.recv != nil {
-			peer.recv(buf)
-		}
-	})
-	return nil
-}
-
-// SendMsg delivers a typed message to the peer after one latency — the same
-// instant and order as Send, minus the serialization. Delivery events come
-// from the sender's pool, and on the virtual engine a delivery joins the
+// SendMsg delivers a message to the peer after one latency. Delivery events
+// come from the sender's pool, and on the virtual engine a delivery joins the
 // other deliveries due at its instant in one engine event, so steady-state
 // messaging allocates nothing and bursts (a ping to every worker, their
 // replies) cost one event each.
@@ -198,10 +183,6 @@ func (c *memConn) faultLatency(lat time.Duration) (time.Duration, bool) {
 	return lat, false
 }
 
-func (c *memConn) SetRecvHandler(fn func([]byte)) {
-	c.recv = fn
-}
-
 func (c *memConn) SetMsgHandler(fn func(Msg)) {
 	c.recvMsg = fn
 }
@@ -234,7 +215,32 @@ func (c *memConn) closeLocal() {
 	}
 }
 
-// netConn adapts a real net.Conn to the Conn interface with
+// FramePipe returns a connected pair of in-memory FrameConns with the given
+// one-way delivery latency: the frame face of a MemPipe. A frame is copied
+// and crosses as a Msg, on the MemPipe's one delivery path, so a pair of
+// Wires on it delivers when a MemPipe would, and InjectFaults takes either
+// end, or a Wire on one.
+func FramePipe(eng simtime.Engine, latency time.Duration) (FrameConn, FrameConn) {
+	a, b := MemPipe(eng, latency)
+	return frameEnd{a.(*memConn)}, frameEnd{b.(*memConn)}
+}
+
+// frameEnd is one end of a FramePipe.
+type frameEnd struct{ *memConn }
+
+func (f frameEnd) Send(frame []byte) error {
+	// Copy: the sender may reuse the buffer.
+	return f.SendMsg(Msg{Params: bytes.Clone(frame)})
+}
+
+func (f frameEnd) SetRecvHandler(fn func([]byte)) {
+	f.SetMsgHandler(func(m Msg) {
+		frame, _ := m.Params.([]byte)
+		fn(frame)
+	})
+}
+
+// netConn adapts a real net.Conn to the FrameConn interface with
 // newline-delimited frames. Incoming frames are re-dispatched through the
 // engine so handlers keep the single-threaded callback guarantee; the read
 // pump touches nothing else, so every other field is the engine's.
@@ -247,13 +253,11 @@ type netConn struct {
 	started bool
 }
 
-var _ Conn = (*netConn)(nil)
-
 // NewNetConn wraps nc. The read loop starts at the first SetRecvHandler.
 // A net-backed conn schedules frame delivery from its read-pump goroutine,
 // so it runs on the wall engine: a virtual engine has one owner, and the
 // pump is not it.
-func NewNetConn(eng *simtime.Wall, nc net.Conn) Conn {
+func NewNetConn(eng *simtime.Wall, nc net.Conn) FrameConn {
 	return &netConn{eng: eng, nc: nc}
 }
 

@@ -170,7 +170,7 @@ func TestReplyBeatsDeadline(t *testing.T) {
 }
 
 // TestGoRoundTripAllocFree pins the measurement-run contract: a Peer.Go
-// round-trip over a LocalConn — pre-boxed params, armed deadline, typed
+// round-trip over a MemPipe — pre-boxed params, armed deadline, typed
 // handler, engine-delivered reply — allocates nothing once pools are warm.
 // This is the NoTraces-equivalent setting of the grids: timeouts are armed
 // (the manager always sets one) but never fire.
@@ -207,7 +207,7 @@ func TestGoRoundTripAllocFree(t *testing.T) {
 }
 
 // TestNotifyAllocFree pins the worker→manager push path: a pre-boxed
-// notification over a LocalConn allocates nothing.
+// notification over a MemPipe allocates nothing.
 func TestNotifyAllocFree(t *testing.T) {
 	eng := simtime.NewVirtual()
 	mux := NewMux()
