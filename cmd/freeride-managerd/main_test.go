@@ -3,6 +3,7 @@ package main
 import (
 	"net"
 	"os"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
@@ -37,8 +38,9 @@ func TestRunRejectsBadArgs(t *testing.T) {
 }
 
 // TestRunReturnsOnSIGTERM: a running daemon — workers linked, a task
-// deployed — shuts down on SIGTERM: run returns nil, and its listen address
-// refuses connections.
+// deployed — shuts down on SIGTERM: run returns nil, its listen address
+// refuses connections, and none of its goroutines outlives run. The stand-in
+// node lives in the test's process and is closed last.
 func TestRunReturnsOnSIGTERM(t *testing.T) {
 	listen := freeAddr(t)
 	workers := []string{freeAddr(t), freeAddr(t), freeAddr(t), freeAddr(t)}
@@ -93,6 +95,35 @@ func TestRunReturnsOnSIGTERM(t *testing.T) {
 	if c, err := net.Dial("tcp", listen); err == nil {
 		c.Close()
 		t.Errorf("%s still accepts connections after shutdown", listen)
+	}
+	// The daemon hangs up every link, so each read pump ends, the node's
+	// included; then, with the node closed, nothing of the module runs.
+	awaitNoGoroutines(t, "freeride/internal/freerpc.(*netConn).readLoop")
+	node.Close()
+	awaitNoGoroutines(t, "freeride/")
+}
+
+// awaitNoGoroutines fails t unless, within 2 s, no goroutine but the
+// caller's holds a frame whose function name starts with prefix.
+func awaitNoGoroutines(t *testing.T, prefix string) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		buf := make([]byte, 1<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		var stray []string
+		for _, g := range strings.Split(string(buf), "\n\n")[1:] { // [0] is the caller
+			if strings.Contains("\n"+g, "\n"+prefix) {
+				stray = append(stray, g)
+			}
+		}
+		if len(stray) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines in %s outlived run; the first:\n%s", len(stray), prefix, stray[0])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

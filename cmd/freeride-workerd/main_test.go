@@ -3,6 +3,7 @@ package main
 import (
 	"net"
 	"os"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
@@ -40,7 +41,9 @@ func TestRunRejectsBadArgs(t *testing.T) {
 }
 
 // TestRunReturnsOnSIGTERM: SIGTERM before training ends shuts the daemon
-// down: run returns nil, and its worker ports refuse connections.
+// down: run returns nil, its worker ports refuse connections, and none of
+// its goroutines outlives run — a worker link whose far end stays open
+// included.
 func TestRunReturnsOnSIGTERM(t *testing.T) {
 	mgr, err := net.Listen("tcp", "127.0.0.1:0") // stands in for the manager daemon
 	if err != nil {
@@ -60,7 +63,7 @@ func TestRunReturnsOnSIGTERM(t *testing.T) {
 	for _, addr := range addrs {
 		for c, err := net.Dial("tcp", addr); ; c, err = net.Dial("tcp", addr) {
 			if err == nil {
-				c.Close()
+				defer c.Close()
 				break
 			}
 			select {
@@ -86,6 +89,31 @@ func TestRunReturnsOnSIGTERM(t *testing.T) {
 			c.Close()
 			t.Errorf("%s still accepts connections after shutdown", addr)
 		}
+	}
+	awaitNoGoroutines(t, "freeride/")
+}
+
+// awaitNoGoroutines fails t unless, within 2 s, no goroutine but the
+// caller's holds a frame whose function name starts with prefix.
+func awaitNoGoroutines(t *testing.T, prefix string) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		buf := make([]byte, 1<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		var stray []string
+		for _, g := range strings.Split(string(buf), "\n\n")[1:] { // [0] is the caller
+			if strings.Contains("\n"+g, "\n"+prefix) {
+				stray = append(stray, g)
+			}
+		}
+		if len(stray) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines in %s outlived run; the first:\n%s", len(stray), prefix, stray[0])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -376,7 +376,7 @@ type Session struct {
 	cfg Config
 
 	Eng     *simtime.Virtual
-	eng     simtime.Engine // Eng, or a live daemon's wall clock
+	eng     *simtime.Virtual // Eng, or the engine a live daemon paces
 	Procs   *simproc.Runtime
 	Devices []*simgpu.Device
 	// Trainer or Server is the workload assembled (the other is nil);
@@ -420,13 +420,13 @@ func NewSession(cfg Config) (*Session, error) {
 // NewNodeSession assembles on eng the GPU node of a session whose manager
 // runs in another process (paper §8): devices, workload, workers and bubble
 // reporter, linked to the manager by links. The caller starts the workload.
-func NewNodeSession(cfg Config, eng simtime.Engine, links Links) (*Session, error) {
+func NewNodeSession(cfg Config, eng *simtime.Virtual, links Links) (*Session, error) {
 	return new(Session).assemble(cfg, eng, links, true, false)
 }
 
 // NewManagerSession assembles on eng the manager of a session whose GPU node
 // runs in another process, linked to the workers by links; the caller starts it.
-func NewManagerSession(cfg Config, eng simtime.Engine, links Links) (*Session, error) {
+func NewManagerSession(cfg Config, eng *simtime.Virtual, links Links) (*Session, error) {
 	return new(Session).assemble(cfg, eng, links, false, true)
 }
 
@@ -450,7 +450,7 @@ func (l memLinks) Link(_ int, mgr, far *freerpc.Mux) (*freerpc.Peer, *freerpc.Pe
 
 // assemble builds on eng the node part of a session, its manager, or both,
 // linked by links.
-func (s *Session) assemble(cfg Config, eng simtime.Engine, links Links, node, manager bool) (*Session, error) {
+func (s *Session) assemble(cfg Config, eng *simtime.Virtual, links Links, node, manager bool) (*Session, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}

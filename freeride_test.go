@@ -170,7 +170,7 @@ func TestSessionRejectsDoubleRun(t *testing.T) {
 // Run returns an error before anything starts.
 func TestRunRefusesSessionsOnTheCallersEngine(t *testing.T) {
 	cfg := fastCfg(freeride.MethodNone)
-	node, err := freeride.NewNodeSession(cfg, simtime.NewWall(), nil)
+	node, err := freeride.NewNodeSession(cfg, simtime.NewVirtual(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestRunRefusesSessionsOnTheCallersEngine(t *testing.T) {
 	if starts, _ := node.Trainer.CycleTimes(); len(starts) != 0 {
 		t.Fatalf("the trainer began %d cycles", len(starts))
 	}
-	mgr, err := freeride.NewManagerSession(cfg, simtime.NewWall(), nil)
+	mgr, err := freeride.NewManagerSession(cfg, simtime.NewVirtual(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,9 +21,9 @@ import (
 // worker that keeps answering never has one armed (its lastSeen is younger
 // than Lease/2 at every tick). Tie order: the tick arms the checks before it
 // re-arms itself, so a check due at the instant of the next tick runs first
-// and a worker dead at that instant is not pinged again. (On the wall engine
-// a tick can only run late; one that overshoots e arms the check with a
-// delay clamped to zero, so detection is late by that jitter at most.)
+// and a worker dead at that instant is not pinged again. (A live daemon's
+// paced engine runs the same ticks at the same engine instants, each no
+// earlier than its instant in real time.)
 func (m *Manager) armLease(w *workerMeta) {
 	if m.opts.Lease <= 0 || !m.running || !w.alive {
 		return

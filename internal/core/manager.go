@@ -267,9 +267,8 @@ type workerMeta struct {
 	// state push / RPC completion. All three reuse their Timer allocation
 	// through simtime.Reschedule and share reconcileFn, so the steady
 	// state allocates nothing. The *At fields record each
-	// timer's intended instant (valid while it is Pending) so re-arming an
-	// unchanged deadline is a no-op on the wall engine too, where
-	// Timer.When drifts by the arming latency.
+	// timer's instant (valid while it is Pending) so re-arming an unchanged
+	// deadline is a no-op.
 	endTimer    *simtime.Timer
 	startTimer  *simtime.Timer
 	kickTimer   *simtime.Timer
@@ -323,7 +322,7 @@ func (w *workerMeta) cancelTimers() {
 // submitted tasks on workers (Alg. 1) and serves side tasks during bubbles
 // (Alg. 2).
 type Manager struct {
-	eng  simtime.Engine
+	eng  *simtime.Virtual
 	opts ManagerOptions
 	mux  *freerpc.Mux
 
@@ -356,7 +355,7 @@ type Manager struct {
 
 // NewManager builds a manager. Its RPC methods (bubble reports, task
 // submission) are served on Mux().
-func NewManager(eng simtime.Engine, opts ManagerOptions) *Manager {
+func NewManager(eng *simtime.Virtual, opts ManagerOptions) *Manager {
 	opts.normalize()
 	m := &Manager{
 		eng:   eng,

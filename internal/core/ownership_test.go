@@ -73,7 +73,7 @@ func (c *tapConn) SetMsgHandler(fn func(freerpc.Msg)) {
 	})
 }
 
-func tapPipe(t *testing.T, eng simtime.Engine, latency time.Duration) (a, b freerpc.Conn, faults *freerpc.LinkFault) {
+func tapPipe(t *testing.T, eng *simtime.Virtual, latency time.Duration) (a, b freerpc.Conn, faults *freerpc.LinkFault) {
 	x, y := freerpc.MemPipe(eng, latency)
 	return &tapConn{Conn: x, t: t}, &tapConn{Conn: y, t: t},
 		freerpc.InjectFaults(x)

@@ -88,7 +88,7 @@ func (t *workerTask) stateBox(s sidetask.State) any {
 // of the MPS memory limits, relays the manager's state transitions, and
 // enforces the execution-time limits.
 type Worker struct {
-	eng    simtime.Engine
+	eng    *simtime.Virtual
 	cfg    WorkerConfig
 	device *simgpu.Device
 	ctrs   *container.Runtime
@@ -115,7 +115,7 @@ type Worker struct {
 }
 
 // NewWorker builds a worker for one device.
-func NewWorker(eng simtime.Engine, device *simgpu.Device, ctrs *container.Runtime, cfg WorkerConfig) *Worker {
+func NewWorker(eng *simtime.Virtual, device *simgpu.Device, ctrs *container.Runtime, cfg WorkerConfig) *Worker {
 	if cfg.Grace <= 0 {
 		cfg.Grace = DefaultGrace
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 // echoPair is a client/server pair over a MemPipe whose server answers "Echo".
-func echoPair(eng simtime.Engine, latency time.Duration) *Peer {
+func echoPair(eng *simtime.Virtual, latency time.Duration) *Peer {
 	mux := NewMux()
 	HandleFunc(mux, "Echo", func(p int) (any, error) { return p, nil })
 	c1, c2 := MemPipe(eng, latency)
@@ -211,16 +211,17 @@ func TestFailAllCompletesInCallOrder(t *testing.T) {
 	}
 }
 
-// TestWallDeadlineRacesReply runs the cancel-on-reply path where it can
-// lose: on the wall engine the timer's fire and the reply's delivery are
-// separate goroutines, and timeouts spread around the measured round trip
-// make each win some of the time. Every call must complete exactly once — a
-// reply or ErrTimeout, never both, never neither. The callers are goroutines
-// of their own and enter the engine through Do. Run under -race in CI.
+// TestWallDeadlineRacesReply runs the cancel-on-reply path on a paced engine,
+// with timeouts spread around the measured round trip so that each of the
+// reply and the deadline wins some of the time. One engine orders the two —
+// whichever goroutine dispatches them — and every call must still complete
+// exactly once: a reply or ErrTimeout, never both, never neither. The callers
+// are goroutines of their own and enter the engine through Do. Run under
+// -race in CI.
 func TestWallDeadlineRacesReply(t *testing.T) {
 	eng := simtime.NewWall()
 	var client *Peer
-	eng.Do(func() { client = echoPair(eng, 100*time.Microsecond) })
+	eng.Do(func() { client = echoPair(eng.Engine(), 100*time.Microsecond) })
 
 	// call issues one call and waits for its completion.
 	call := func(n int, timeout time.Duration, done func(error)) bool {
@@ -283,9 +284,8 @@ func TestWallDeadlineRacesReply(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	// Nothing is outstanding, so the heap must be empty; a timer fire that
-	// lost the race to the last reply may still be in flight, and must find
-	// nothing to expire when it lands.
+	// Nothing is outstanding, so the heap must be empty; a deadline fire
+	// still queued behind the last reply must find nothing to expire.
 	time.Sleep(2 * rtt)
 	var pending, entries int
 	eng.Do(func() { pending, entries = len(client.pending), len(client.deadlines) })

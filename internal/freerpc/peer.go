@@ -79,7 +79,7 @@ func (e *RemoteError) Error() string {
 // whether they cross as they are (MemPipe) or as JSON frames (Wire) is its
 // Conn's business.
 type Peer struct {
-	eng  simtime.Engine
+	eng  *simtime.Virtual
 	conn Conn
 	mux  *Mux
 
@@ -104,8 +104,7 @@ type Peer struct {
 	deadlines     []deadlineEntry
 	deadlineTimer *simtime.Timer
 	// deadlineAt records the armed instant while deadlineTimer is pending
-	// (the wall engine's Timer.When drifts by arming latency, so the timer
-	// itself can't be asked).
+	// (a Timer does not report its deadline).
 	deadlineAt time.Duration
 	// deadlineFn is the timer callback, built once per peer.
 	deadlineFn func()
@@ -128,7 +127,7 @@ type deadlineEntry struct {
 var noopDone = func(any, error) {}
 
 // NewPeer wraps conn. mux may be nil for call-only endpoints.
-func NewPeer(eng simtime.Engine, conn Conn, mux *Mux) *Peer {
+func NewPeer(eng *simtime.Virtual, conn Conn, mux *Mux) *Peer {
 	p := &Peer{eng: eng, conn: conn, mux: mux, pending: make(map[uint64]*pendingCall)}
 	p.deadlineFn = p.expireDeadlines
 	// Before the receive handler, which starts a socket's read pump: a
@@ -217,9 +216,8 @@ func (p *Peer) moveTimer() {
 
 // expireDeadlines is the timer callback: it times out every still-pending
 // call whose deadline has passed and re-arms for the next live deadline. It
-// assumes nothing about why it ran: on the wall engine a fire can race the
-// cancel (or the move) of settleDeadline and arrive with nothing due,
-// in which case it only re-establishes the invariant.
+// assumes nothing about why it ran: with nothing due it only re-establishes
+// the invariant.
 func (p *Peer) expireDeadlines() {
 	// Expiries are rare (a measurement run never times out), so the
 	// collection slice is allocated on demand.
@@ -416,9 +414,10 @@ func (p *Peer) Notify(method string, params any) error {
 	return p.conn.SendMsg(Msg{Method: method, Params: params})
 }
 
-// Serve accepts connections from ln and wires each to a new Peer over mux.
-// It returns when the listener fails (e.g. is closed). Each accepted peer
-// is built, and reported through onPeer (may be nil), inside eng.Do.
+// Serve accepts connections from ln and wires each to a new Peer over mux,
+// on the engine eng paces. It returns when the listener fails (e.g. is
+// closed). Each accepted peer is built, and reported through onPeer (may be
+// nil), inside eng.Do.
 func Serve(eng *simtime.Wall, ln net.Listener, mux *Mux, onPeer func(*Peer)) error {
 	for {
 		nc, err := ln.Accept()
@@ -426,7 +425,7 @@ func Serve(eng *simtime.Wall, ln net.Listener, mux *Mux, onPeer func(*Peer)) err
 			return err
 		}
 		eng.Do(func() {
-			peer := NewPeer(eng, Wire(NewNetConn(eng, nc)), mux)
+			peer := NewPeer(eng.Engine(), Wire(NewNetConn(eng, nc)), mux)
 			if onPeer != nil {
 				onPeer(peer)
 			}
@@ -434,13 +433,13 @@ func Serve(eng *simtime.Wall, ln net.Listener, mux *Mux, onPeer func(*Peer)) err
 	}
 }
 
-// Dial connects to a live RPC server over TCP. Like every entry into a
-// wall-engine component, it is called from a callback of eng or inside
-// eng.Do.
+// Dial connects to a live RPC server over TCP, with a peer on the engine eng
+// paces. Like every entry into a component on that engine, it is called from
+// one of its callbacks or inside eng.Do.
 func Dial(eng *simtime.Wall, network, addr string, mux *Mux) (*Peer, error) {
 	nc, err := net.Dial(network, addr)
 	if err != nil {
 		return nil, fmt.Errorf("freerpc: dial %s: %w", addr, err)
 	}
-	return NewPeer(eng, Wire(NewNetConn(eng, nc)), mux), nil
+	return NewPeer(eng.Engine(), Wire(NewNetConn(eng, nc)), mux), nil
 }

@@ -229,7 +229,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 }
 
 func TestTCPTransportLive(t *testing.T) {
-	// Live-mode integration: wall-clock engine, real TCP loopback.
+	// Live-mode integration: a paced engine, real TCP loopback.
 	eng := simtime.NewWall()
 	mux := NewMux()
 	HandleFunc(mux, "Echo", func(p echoArgs) (any, error) {

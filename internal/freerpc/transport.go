@@ -13,24 +13,25 @@
 //     on any FrameConn and back, so a handler registered with HandleFunc
 //     receives raw JSON and unmarshals it into its own params type. Its
 //     frames run over a socket (NewNetConn: the live freeride-managerd /
-//     freeride-workerd daemons, on the wall engine) or over a FramePipe, the
-//     frame face of a MemPipe, which carries them on the virtual clock with
-//     the MemPipe's delivery, joins and fault windows — so a whole simulated
-//     session can run through the real codec, deterministically.
+//     freeride-workerd daemons, on an engine a simtime.Wall paces) or over
+//     a FramePipe, the frame face of a MemPipe, which carries them on the
+//     virtual clock with the MemPipe's delivery, joins and fault windows —
+//     so a whole simulated session can run through the real codec,
+//     deterministically.
 //
-// A socket's read pump only schedules each frame onto the engine; every
-// other use of a peer, its conn and its Mux runs in the engine's callbacks
-// or inside simtime.Wall.Do (Serve builds each accepted peer there), so
-// none of them takes a lock.
+// A socket's read pump only hands each frame to simtime.Wall.Do; every other
+// use of a peer, its conn and its Mux runs in the engine's callbacks or
+// inside Do too (Serve builds each accepted peer there), so none of them
+// takes a lock. Sockets aside, a live daemon's peers are a simulated
+// session's: one engine dispatches both.
 //
 // The simulator pays only for what the paper's system pays for: the
 // modelled RPC latency (part of the "FreeRide runtime" in the Fig. 9
 // bubble-time breakdown) is the same on either Conn, while the serialization
 // cost, which the paper's gRPC substitute never modelled, is off the
-// simulation hot path. On the virtual engine, deliveries due at the same
-// instant share one engine event (simtime.Virtual's ScheduleJoin), which
-// changes how many events the engine dispatches, never the order in which
-// the deliveries run.
+// simulation hot path. Deliveries due at the same instant share one engine
+// event (simtime.Virtual's ScheduleJoin), which changes how many events the
+// engine dispatches, never the order in which the deliveries run.
 package freerpc
 
 import (
@@ -79,7 +80,7 @@ type FrameConn interface {
 // memConn is one end of an in-memory pipe: messages cross as the values
 // the sender built.
 type memConn struct {
-	eng     simtime.Engine
+	eng     *simtime.Virtual
 	latency time.Duration
 
 	peer    *memConn
@@ -125,7 +126,7 @@ func (e *msgEvent) deliver() {
 
 // MemPipe returns a connected pair of in-memory Conns with the given one-way
 // delivery latency.
-func MemPipe(eng simtime.Engine, latency time.Duration) (Conn, Conn) {
+func MemPipe(eng *simtime.Virtual, latency time.Duration) (Conn, Conn) {
 	a := &memConn{eng: eng, latency: latency}
 	b := &memConn{eng: eng, latency: latency}
 	a.peer, b.peer = b, a
@@ -133,10 +134,10 @@ func MemPipe(eng simtime.Engine, latency time.Duration) (Conn, Conn) {
 }
 
 // SendMsg delivers a message to the peer after one latency. Delivery events
-// come from the sender's pool, and on the virtual engine a delivery joins the
-// other deliveries due at its instant in one engine event, so steady-state
-// messaging allocates nothing and bursts (a ping to every worker, their
-// replies) cost one event each.
+// come from the sender's pool, and a delivery joins the other deliveries due
+// at its instant in one engine event, so steady-state messaging allocates
+// nothing and bursts (a ping to every worker, their replies) cost one event
+// each.
 func (c *memConn) SendMsg(m Msg) error {
 	if c.closed {
 		return ErrClosed
@@ -159,11 +160,7 @@ func (c *memConn) SendMsg(m Msg) error {
 	}
 	e.m = m
 
-	if v, ok := c.eng.(*simtime.Virtual); ok {
-		v.ScheduleJoin(lat, "rpc-deliver", e.fire)
-	} else {
-		c.eng.ScheduleDetached(lat, "rpc-deliver", e.fire)
-	}
+	c.eng.ScheduleJoin(lat, "rpc-deliver", e.fire)
 	return nil
 }
 
@@ -220,7 +217,7 @@ func (c *memConn) closeLocal() {
 // and crosses as a Msg, on the MemPipe's one delivery path, so a pair of
 // Wires on it delivers when a MemPipe would, and InjectFaults takes either
 // end, or a Wire on one.
-func FramePipe(eng simtime.Engine, latency time.Duration) (FrameConn, FrameConn) {
+func FramePipe(eng *simtime.Virtual, latency time.Duration) (FrameConn, FrameConn) {
 	a, b := MemPipe(eng, latency)
 	return frameEnd{a.(*memConn)}, frameEnd{b.(*memConn)}
 }
@@ -241,9 +238,10 @@ func (f frameEnd) SetRecvHandler(fn func([]byte)) {
 }
 
 // netConn adapts a real net.Conn to the FrameConn interface with
-// newline-delimited frames. Incoming frames are re-dispatched through the
-// engine so handlers keep the single-threaded callback guarantee; the read
-// pump touches nothing else, so every other field is the engine's.
+// newline-delimited frames. The read pump delivers each frame, and the EOF,
+// inside the Wall's Do, so handlers keep the single-threaded callback
+// guarantee; the pump touches nothing else, so every other field is the
+// engine's.
 type netConn struct {
 	eng     *simtime.Wall
 	nc      net.Conn
@@ -254,9 +252,9 @@ type netConn struct {
 }
 
 // NewNetConn wraps nc. The read loop starts at the first SetRecvHandler.
-// A net-backed conn schedules frame delivery from its read-pump goroutine,
-// so it runs on the wall engine: a virtual engine has one owner, and the
-// pump is not it.
+// Its read pump is a goroutine of its own, so the conn takes the Wall that
+// paces the engine its peer runs on: the pump enters that engine through
+// eng.Do.
 func NewNetConn(eng *simtime.Wall, nc net.Conn) FrameConn {
 	return &netConn{eng: eng, nc: nc}
 }
@@ -286,15 +284,14 @@ func (c *netConn) readLoop() {
 	scanner := bufio.NewScanner(c.nc)
 	scanner.Buffer(make([]byte, 64<<10), 16<<20)
 	for scanner.Scan() {
-		line := make([]byte, len(scanner.Bytes()))
-		copy(line, scanner.Bytes())
-		c.eng.ScheduleDetached(0, "rpc-recv", func() {
+		line := bytes.Clone(scanner.Bytes())
+		c.eng.Do(func() {
 			if !c.closed && c.recv != nil {
 				c.recv(line)
 			}
 		})
 	}
-	c.eng.ScheduleDetached(0, "rpc-eof", func() { c.closeLocal() })
+	c.eng.Do(c.closeLocal)
 }
 
 func (c *netConn) OnClose(fn func()) {

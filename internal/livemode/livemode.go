@@ -1,13 +1,16 @@
 // Package livemode runs one FreeRide session across two processes over TCP
 // (paper §8). The GPU-node daemon (freeride-workerd) and the manager daemon
 // (freeride-managerd) each assemble their part through the session assembly
-// (freeride.NewNodeSession, freeride.NewManagerSession) on the wall-clock
-// engine: the GPUs and the training job stay simulated, the middleware meets
-// real sockets. This package owns only the listens, the dials and the log.
+// (freeride.NewNodeSession, freeride.NewManagerSession) on a virtual engine
+// paced to the wall clock (Eng, a simtime.Wall): the GPUs and the training
+// job stay simulated and run exactly as in a simulated session, and only the
+// middleware's frames cross real sockets. This package owns only the listens,
+// the dials and the log.
 //
-// Each daemon's components belong to its wall engine (Eng): they run in the
-// engine's callbacks, and a daemon's own goroutine — assembly, Close, a task
-// submission, an end-of-run read — reaches them only through Eng.Do.
+// Each daemon's components belong to its engine: they run in the engine's
+// callbacks, and every other goroutine — the daemon's own (assembly, Close, a
+// task submission, an end-of-run read), a socket's read pump — reaches them
+// only through Eng.Do.
 package livemode
 
 import (
@@ -42,6 +45,7 @@ type Node struct {
 
 	mgr       *freerpc.Peer
 	listeners []net.Listener
+	links     peerSet // the link to the manager and the manager's to the workers
 }
 
 // Close shuts the node down.
@@ -51,7 +55,7 @@ func (n *Node) close() {
 	for _, ln := range n.listeners {
 		_ = ln.Close()
 	}
-	n.mgr.Close()
+	n.links.close(true)
 }
 
 // StartNode dials the manager, opens one worker listener per stage and
@@ -76,6 +80,7 @@ func (n *Node) start(cfg NodeConfig) error {
 		return fmt.Errorf("livemode: dial manager: %w", err)
 	}
 	n.mgr = mgr
+	n.links.add(mgr)
 	for _, addr := range cfg.ListenAddrs {
 		ln, err := net.Listen("tcp", addr)
 		if err != nil {
@@ -87,7 +92,7 @@ func (n *Node) start(cfg NodeConfig) error {
 	}
 	sc := freeride.DefaultConfig()
 	sc.LLM, sc.Stages, sc.MicroBatches, sc.Epochs = cfg.Model, len(n.listeners), cfg.MicroBatch, cfg.Epochs
-	if n.Session, err = freeride.NewNodeSession(sc, n.Eng, nodeLinks{n}); err != nil {
+	if n.Session, err = freeride.NewNodeSession(sc, n.Eng.Engine(), nodeLinks{n}); err != nil {
 		n.close()
 		return err
 	}
@@ -99,7 +104,7 @@ func (n *Node) start(cfg NodeConfig) error {
 			close(n.TrainDone)
 		}
 	})
-	n.Eng.Schedule(cfg.StartDelay, "train-start", func() {
+	n.Eng.Engine().Schedule(cfg.StartDelay, "train-start", func() {
 		if err := tr.Start(); err != nil {
 			cfg.Logf("trainer start failed: %v", err)
 		}
@@ -114,7 +119,7 @@ type nodeLinks struct{ n *Node }
 func (l nodeLinks) Link(stage int, _, mux *freerpc.Mux) (*freerpc.Peer, *freerpc.Peer, error) {
 	if stage >= 0 {
 		ln := l.n.listeners[stage]
-		go func() { _ = freerpc.Serve(l.n.Eng, ln, mux, nil) }()
+		go func() { _ = freerpc.Serve(l.n.Eng, ln, mux, l.n.links.add) }()
 	}
 	return nil, l.n.mgr, nil
 }
@@ -137,7 +142,7 @@ type ManagerDaemon struct {
 
 	cfg   ManagerConfig
 	ln    net.Listener
-	peers []*freerpc.Peer // dialed worker links
+	peers peerSet // the links to the workers and the node's link
 }
 
 // Addr reports the listener address.
@@ -150,15 +155,8 @@ func (d *ManagerDaemon) Close() {
 			d.Session.Manager.Stop()
 		}
 		_ = d.ln.Close()
-		d.closePeers()
+		d.peers.close(true)
 	})
-}
-
-func (d *ManagerDaemon) closePeers() {
-	for _, p := range d.peers {
-		p.Close()
-	}
-	d.peers = nil
 }
 
 // StartManager opens the manager daemon's listener; the node's frames wait in
@@ -184,7 +182,7 @@ func (d *ManagerDaemon) ConnectWorkers(addrs []string) error {
 	l := &managerLinks{d: d, addrs: addrs}
 	var sess *freeride.Session
 	var err error
-	d.Eng.Do(func() { sess, err = freeride.NewManagerSession(sc, d.Eng, l) })
+	d.Eng.Do(func() { sess, err = freeride.NewManagerSession(sc, d.Eng.Engine(), l) })
 	for stage := 0; err == nil && stage < len(l.infos); stage++ {
 		if err = <-l.infos[stage]; err != nil {
 			err = fmt.Errorf("livemode: worker info %s: %w", addrs[stage], err)
@@ -194,12 +192,12 @@ func (d *ManagerDaemon) ConnectWorkers(addrs []string) error {
 	}
 	d.Eng.Do(func() {
 		if err != nil {
-			d.closePeers()
+			d.peers.close(false)
 			return
 		}
 		d.Session = sess
 		sess.Manager.Start()
-		go func() { _ = freerpc.Serve(d.Eng, d.ln, l.reports, nil) }()
+		go func() { _ = freerpc.Serve(d.Eng, d.ln, l.reports, d.peers.add) }()
 	})
 	return err
 }
@@ -225,9 +223,32 @@ func (l *managerLinks) Link(stage int, mux, _ *freerpc.Mux) (*freerpc.Peer, *fre
 	if err != nil {
 		return nil, nil, fmt.Errorf("livemode: dial worker %s: %w", addr, err)
 	}
-	l.d.peers = append(l.d.peers, peer)
+	l.d.peers.add(peer)
 	info := make(chan error, 1)
 	peer.Go("Worker.Info", nil, 5*time.Second, func(_ any, err error) { info <- err })
 	l.infos = append(l.infos, info)
 	return peer, nil, nil
+}
+
+// peerSet is the links a daemon hangs up when it closes. A link accepted
+// after that is hung up at once. Its methods run inside the daemon's Eng.Do.
+type peerSet struct {
+	peers  []*freerpc.Peer
+	closed bool
+}
+
+func (s *peerSet) add(p *freerpc.Peer) {
+	if s.closed {
+		p.Close()
+		return
+	}
+	s.peers = append(s.peers, p)
+}
+
+// close hangs every link up; final keeps later links from staying open.
+func (s *peerSet) close(final bool) {
+	for _, p := range s.peers {
+		p.Close()
+	}
+	s.peers, s.closed = nil, final
 }

@@ -10,11 +10,13 @@ import (
 )
 
 // TestLiveModeEndToEnd runs one session across the two daemons over loopback
-// TCP on the wall-clock engine: a node hosting 4 simulated GPUs and one
-// training epoch, and a manager harvesting its bubbles with a ResNet18 side
-// task. A stray client that writes half a frame to the manager's listener and
-// hangs up must not disturb the harvest. The test goroutine reaches either
-// daemon's components only through its engine's Do. Runs in real time (~6 s).
+// TCP, each on a virtual engine paced to the wall clock: a node hosting 4
+// simulated GPUs and one training epoch, and a manager harvesting its bubbles
+// with a ResNet18 side task. A stray client that writes half a frame to the
+// manager's listener and hangs up must not disturb the harvest. The node
+// takes the simulated path: its devices lead, and the harvested task spends
+// one engine event per step. The test goroutine reaches either daemon's
+// components only through its engine's Do. Runs in real time (~6 s).
 func TestLiveModeEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live mode runs in real time")
@@ -69,12 +71,19 @@ func TestLiveModeEndToEnd(t *testing.T) {
 	// Let the final pause land.
 	time.Sleep(300 * time.Millisecond)
 
-	var steps uint64
+	var steps, stepEvents uint64
+	var leading int
 	node.Eng.Do(func() {
 		err = node.Session.Trainer.Err()
 		for _, w := range node.Session.Workers {
 			if h, ok := w.Harness("resnet18-1"); ok {
 				steps += h.Counters().Steps
+				stepEvents += h.Counters().StepEvents
+			}
+		}
+		for _, d := range node.Session.Devices {
+			if d.LeadCapable() {
+				leading++
 			}
 		}
 	})
@@ -83,6 +92,12 @@ func TestLiveModeEndToEnd(t *testing.T) {
 	}
 	if steps == 0 {
 		t.Fatal("no side-task steps harvested over live TCP control plane")
+	}
+	if stepEvents != steps {
+		t.Errorf("harvested task spent %d engine events on %d steps, want one per step", stepEvents, steps)
+	}
+	if n := len(node.Session.Devices); leading != n {
+		t.Errorf("%d of %d node devices lead, want all", leading, n)
 	}
 	var st core.ManagerStats
 	mgr.Eng.Do(func() { st = mgr.Session.Manager.Stats() })

@@ -215,7 +215,6 @@ type Trainer struct {
 	data  *Dataset
 	opt   *Adam
 	steps int
-	loss  float64
 
 	// The batch and the logits gradient, reused by every step.
 	x, grad Matrix
@@ -259,12 +258,8 @@ func (t *Trainer) TrainStep() (float64, error) {
 		t.opt.Update(l)
 	}
 	t.steps++
-	t.loss = loss
 	return loss, nil
 }
 
 // Steps reports completed train steps.
 func (t *Trainer) Steps() int { return t.steps }
-
-// Loss reports the last batch loss.
-func (t *Trainer) Loss() float64 { return t.loss }

@@ -38,7 +38,7 @@ type Workload struct {
 // keep only what is theirs.
 type Driver struct {
 	w       Workload
-	eng     simtime.Engine
+	eng     *simtime.Virtual
 	procs   *simproc.Runtime
 	devices []*simgpu.Device
 
@@ -63,7 +63,7 @@ type Driver struct {
 }
 
 // Init binds the driver to its engine, devices and workload.
-func (d *Driver) Init(eng simtime.Engine, procs *simproc.Runtime, devices []*simgpu.Device, w Workload) error {
+func (d *Driver) Init(eng *simtime.Virtual, procs *simproc.Runtime, devices []*simgpu.Device, w Workload) error {
 	if len(devices) != w.Stages {
 		return fmt.Errorf("%s: %d devices for %d stages", w.Name, len(devices), w.Stages)
 	}
@@ -123,8 +123,9 @@ func (d *Driver) TotalTime() time.Duration {
 
 // Start allocates the workload's memory on every stage, spawns the stage
 // processes and releases the first cycle (at its ReadyAt instant, if any).
-// It returns immediately; completion is observable via Done. On the wall
-// engine it must be called from an engine callback (see Runner).
+// It returns immediately; completion is observable via Done. It is called
+// from an engine callback, or on a paced engine inside simtime.Wall.Do (see
+// Runner).
 func (d *Driver) Start() error {
 	if d.started {
 		return fmt.Errorf("%s: already started", d.w.Name)

@@ -88,7 +88,7 @@ type Trainer struct {
 }
 
 // New builds a trainer over one device per stage.
-func New(eng simtime.Engine, procs *simproc.Runtime, devices []*simgpu.Device, cfg Config) (*Trainer, error) {
+func New(eng *simtime.Virtual, procs *simproc.Runtime, devices []*simgpu.Device, cfg Config) (*Trainer, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}

@@ -85,8 +85,8 @@ type RunnerConfig struct {
 //
 // Engine-goroutine-only, and unguarded: the chunk machines are SpawnInline
 // processes, so every access is an engine callback (serialized on any
-// engine), plus Release from the driver's Start, which on the wall engine
-// must itself run in an engine callback or inside simtime.Wall.Do.
+// engine), plus Release from the driver's Start, which must itself run in
+// an engine callback or, on a paced engine, inside simtime.Wall.Do.
 type Runner struct {
 	cfg     RunnerConfig
 	nv      int

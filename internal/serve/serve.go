@@ -82,7 +82,7 @@ type Server struct {
 }
 
 // New builds a server over one device per stage.
-func New(eng simtime.Engine, procs *simproc.Runtime, devices []*simgpu.Device, cfg Config) (*Server, error) {
+func New(eng *simtime.Virtual, procs *simproc.Runtime, devices []*simgpu.Device, cfg Config) (*Server, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}

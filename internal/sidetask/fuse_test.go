@@ -65,9 +65,8 @@ func (s midStepSubstrate) String() string {
 
 // substrateDevice builds the arm's device. A step fuses exactly when the
 // device can lead, so the two-event arms run on a device that cannot: a
-// full-rebalance one, which keeps the comparison on the virtual clock (the
-// wall engine is the other non-lead-capable platform).
-func substrateDevice(t *testing.T, eng simtime.Engine, sub midStepSubstrate) *simgpu.Device {
+// full-rebalance one, the only kind.
+func substrateDevice(t *testing.T, eng *simtime.Virtual, sub midStepSubstrate) *simgpu.Device {
 	t.Helper()
 	dev := simgpu.NewDevice(eng, simgpu.DeviceConfig{Name: "gpu0", FullRebalance: !sub.fused()})
 	if got, want := dev.LeadCapable(), sub.fused(); got != want {

@@ -308,9 +308,9 @@ func (h *Harness) Restore(c Counters) {
 	h.counters.StepEvents = c.StepEvents
 }
 
-// BindEngine does nothing: a harness takes no lock on either engine, so
-// there is nothing to tie to eng. It remains for existing callers.
-func (*Harness) BindEngine(simtime.Engine) {}
+// BindEngine does nothing: a harness takes no lock, so there is nothing to
+// tie to eng. It remains for existing callers.
+func (*Harness) BindEngine(eng *simtime.Virtual) {}
 
 // SetStateListener installs a callback fired on every state change, from
 // the task process's context. The worker uses it to keep the manager's

@@ -203,14 +203,14 @@ func (s Stats) Count(k Kind) uint64 {
 // during assembly (before the engine runs), so no locking is needed — after
 // Start everything happens inside engine callbacks.
 type Injector struct {
-	eng   simtime.Engine
+	eng   *simtime.Virtual
 	sched *Schedule
 	hooks map[int]Hooks
 	stats Stats
 }
 
 // NewInjector builds an injector for sched on eng.
-func NewInjector(eng simtime.Engine, sched *Schedule) *Injector {
+func NewInjector(eng *simtime.Virtual, sched *Schedule) *Injector {
 	return &Injector{eng: eng, sched: sched, hooks: make(map[int]Hooks)}
 }
 

@@ -120,7 +120,7 @@ const DefaultResidencyTax = 0.010
 
 // Device is one simulated GPU.
 type Device struct {
-	eng simtime.Engine
+	eng *simtime.Virtual
 	cfg DeviceConfig
 
 	clients map[string]*Client
@@ -173,14 +173,12 @@ type Device struct {
 	// so a window never outlives its dispatch.
 	fusing bool
 
-	// fusable gates the fusion window: only virtual engines qualify (no
-	// wall-clock time can pass between a completion and its continuation's
-	// relaunch, which is what makes the fused single rebalance exact), and
-	// the full-recompute oracle never fuses.
+	// fusable gates the fusion window and the host leads: the
+	// full-recompute oracle neither fuses nor leads. No engine time passes
+	// between a completion and its continuation's relaunch — a callback's
+	// Now is its deadline, on a paced engine too — which is what makes the
+	// fused single rebalance exact.
 	fusable bool
-	// virt is the engine as a *simtime.Virtual (nil on the wall engine): the
-	// host leads' wakes and keyed re-arms live there.
-	virt *simtime.Virtual
 
 	// leads are pending host-lead kernels (ExecLeadThen), in wake order:
 	// created but not yet launched, they reach their stream lazily at the
@@ -212,7 +210,7 @@ type Device struct {
 
 // NewDevice creates a device on the engine. Zero-valued config fields get
 // defaults: 48 GiB memory, capacity 1.0, PolicyMPS.
-func NewDevice(eng simtime.Engine, cfg DeviceConfig) *Device {
+func NewDevice(eng *simtime.Virtual, cfg DeviceConfig) *Device {
 	if cfg.MemBytes == 0 {
 		cfg.MemBytes = 48 << 30
 	}
@@ -232,8 +230,7 @@ func NewDevice(eng simtime.Engine, cfg DeviceConfig) *Device {
 		occ:     trace.NewSeries(cfg.Name + "/sm"),
 		mem:     trace.NewSeries(cfg.Name + "/mem"),
 	}
-	d.virt, _ = eng.(*simtime.Virtual)
-	d.fusable = d.virt != nil && !cfg.FullRebalance
+	d.fusable = !cfg.FullRebalance
 	return d
 }
 
@@ -491,9 +488,6 @@ func (c *Client) Name() string { return c.cfg.Name }
 
 // Device returns the owning device.
 func (c *Client) Device() *Device { return c.dev }
-
-// MemLimit reports the client's memory cap (0 = unlimited).
-func (c *Client) MemLimit() int64 { return c.cfg.MemLimitBytes }
 
 // MemUsed reports the client's current allocation.
 func (c *Client) MemUsed() int64 {

@@ -554,7 +554,7 @@ func (d *Device) scheduleCompletionAt(k *kernel, i int, at time.Duration, wake *
 	// A fire at the right instant but keyed ahead of the wake's launch came
 	// too early in the instant: it is re-armed where that launch puts it.
 	if wake != nil {
-		k.timer = d.virt.RescheduleAs(k.timer, wake, i, d.eng.Now()+delay, k.doneName, k.completeFn)
+		k.timer = d.eng.RescheduleAs(k.timer, wake, i, d.eng.Now()+delay, k.doneName, k.completeFn)
 	} else {
 		k.timer = d.eng.Reschedule(k.timer, delay, k.doneName, k.completeFn)
 	}

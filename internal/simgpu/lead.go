@@ -60,9 +60,9 @@ import (
 // launch got there first.
 
 // LeadCapable reports whether the device realises a host lead as one engine
-// event: virtual engine, incremental rebalance. Elsewhere (the wall engine,
-// the full-recompute oracle) ExecLeadThen spends the lead as the caller's own
-// sleep — two events, bit-identical by construction.
+// event: every device but the full-recompute oracle (FullRebalance), where
+// ExecLeadThen spends the lead as the caller's own sleep — two events,
+// bit-identical by construction.
 func (d *Device) LeadCapable() bool { return d.fusable }
 
 // ExecLeadThen is ExecThen with a host-lead offset: the kernel is launched at
@@ -145,7 +145,7 @@ func (c *Client) launchLead(spec *KernelSpec, lead time.Duration, waiter *simpro
 	d.matureLeads(nil)
 	k := d.popKernel(c, spec, nil, waiter)
 	k.leadUntil = d.eng.Now() + lead
-	d.virt.Reserve(&k.wake, lead)
+	d.eng.Reserve(&k.wake, lead)
 	d.leadsInsert(k)
 	d.armLead(k)
 }
@@ -285,7 +285,7 @@ func (d *Device) armLead(k *kernel) {
 		return
 	}
 	k.leadDeadline, k.leadIdx = deadline, idx
-	k.timer = d.virt.RescheduleAs(k.timer, &k.wake, idx, deadline, k.doneName, k.completeFn)
+	k.timer = d.eng.RescheduleAs(k.timer, &k.wake, idx, deadline, k.doneName, k.completeFn)
 }
 
 // hypothesis runs the maturation rebalance of lead k dry: k's allocation and

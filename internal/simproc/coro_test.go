@@ -10,15 +10,15 @@ import (
 )
 
 // What a goroutine process being a coroutine of its resumer makes newly
-// interesting, under both engines (and, in CI, under -race): the coroutine
+// interesting, unpaced and paced (and, in CI, under -race): the coroutine
 // entered from another body's goroutine, and a kill that lands before the
 // coroutine has ever been entered.
 
-// onBothEngines runs scenario once on a virtual and once on a wall engine.
-// setup is how the scenario starts its processes: it returns once fn has run
-// in a context where Spawn and Signal are ordered against every engine
-// callback — the owner's, or the wall engine's Do. finish returns once the
-// given processes have terminated, also read through Do.
+// onBothEngines runs scenario once on a virtual engine and once on one a
+// simtime.Wall paces. setup is how the scenario starts its processes: it
+// returns once fn has run in a context where Spawn and Signal are ordered
+// against every engine callback — the owner's, or the Wall's Do. finish
+// returns once the given processes have terminated, also read through Do.
 func onBothEngines(t *testing.T, scenario func(t *testing.T, rt *Runtime, setup func(fn func()), finish func(ps ...*Process))) {
 	t.Run("virtual", func(t *testing.T) {
 		eng := simtime.NewVirtual()
@@ -28,7 +28,7 @@ func onBothEngines(t *testing.T, scenario func(t *testing.T, rt *Runtime, setup 
 	})
 	t.Run("wall", func(t *testing.T) {
 		eng := simtime.NewWall()
-		scenario(t, NewRuntime(eng),
+		scenario(t, NewRuntime(eng.Engine()),
 			eng.Do,
 			func(ps ...*Process) {
 				deadline := time.Now().Add(5 * time.Second)

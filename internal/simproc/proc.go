@@ -1,5 +1,6 @@
-// Package simproc implements simulated OS processes on top of a
-// simtime.Engine. A process exists in one of two flavours:
+// Package simproc implements simulated OS processes on top of a simtime
+// engine — a simulation's own, or one a live daemon's simtime.Wall paces; a
+// process cannot tell them apart. A process exists in one of two flavours:
 //
 //   - Event-loop (inline) processes run entirely on the engine goroutine as
 //     continuation-passing state machines (SpawnInline): a blocking point is
@@ -13,11 +14,11 @@
 //     side-task interface). Such a process is a coroutine of whoever wakes
 //     it (iter.Pull): the body runs only between a resumer's next and its
 //     own next park, with the resumer suspended for exactly that interval,
-//     so under either engine it never runs beside the dispatcher and needs
-//     no lock — the coroutine switch is the happens-before edge. next is
-//     called from engine-callback context only (the dispatcher, or another
-//     body that is itself inside someone's next: a nested resume), which on
-//     the wall engine includes simtime.Wall.Do. In return a body must not
+//     so it never runs beside the dispatcher and needs no lock — the
+//     coroutine switch is the happens-before edge. next is called from
+//     engine-callback context only (the dispatcher, or another body that is
+//     itself inside someone's next: a nested resume), which on a paced
+//     engine includes simtime.Wall.Do. In return a body must not
 //     hand its Process — or anything that reaches the engine through it,
 //     like sidetask's Ctx or a simgpu client — to goroutines it starts
 //     itself: those would run beside the dispatcher, which nothing here
@@ -88,17 +89,17 @@ type killedPanic struct{ p *Process }
 
 // Runtime creates processes on one engine.
 type Runtime struct {
-	eng simtime.Engine
+	eng *simtime.Virtual
 	seq int
 }
 
 // NewRuntime returns a process runtime bound to eng.
-func NewRuntime(eng simtime.Engine) *Runtime {
+func NewRuntime(eng *simtime.Virtual) *Runtime {
 	return &Runtime{eng: eng}
 }
 
 // Engine returns the engine the runtime schedules on.
-func (rt *Runtime) Engine() simtime.Engine { return rt.eng }
+func (rt *Runtime) Engine() *simtime.Virtual { return rt.eng }
 
 // Process is one simulated process. Goroutine-process bodies must interact
 // with time only through the blocking primitives; inline bodies only through
@@ -261,7 +262,7 @@ func (p *Process) run(fn func(p *Process) error) {
 func (p *Process) Name() string { return p.name }
 
 // Engine returns the engine the process runs on.
-func (p *Process) Engine() simtime.Engine { return p.rt.eng }
+func (p *Process) Engine() *simtime.Virtual { return p.rt.eng }
 
 // Now reports the current engine time. A goroutine body's deferred sleep is
 // spent first, so the body reads the clock the sleep would have left.

@@ -8,16 +8,17 @@ import (
 )
 
 // TestFutexHandshakeStressStopContKill (the name predates the coroutine)
-// hammers park/resume from many wakers: under the wall engine, timer
-// callbacks fire from their own goroutines, so each process's coroutine is
-// entered from a different goroutine every time, and Stop/Cont/Kill signals
-// land between arbitrary parks. Run with -race this validates that the
+// hammers park/resume from many wakers: on a paced engine, events are
+// dispatched from the runtime timer's goroutines and the test's own, so each
+// process's coroutine is entered from a different goroutine every time, and
+// Stop/Cont/Kill signals land between arbitrary parks. Run with -race this validates that the
 // coroutine switch orders every resumer against the body, and the
 // stopped/killed transitions. The test goroutine itself enters the engine
 // through Do.
 func TestFutexHandshakeStressStopContKill(t *testing.T) {
 	eng := simtime.NewWall()
-	rt := NewRuntime(eng)
+	v := eng.Engine()
+	rt := NewRuntime(v)
 
 	const procs = 8
 	targets := make([]*Process, procs)
@@ -46,20 +47,21 @@ func TestFutexHandshakeStressStopContKill(t *testing.T) {
 			}
 		}
 		if round < 30 {
-			eng.Schedule(300*time.Microsecond, "storm", func() { storm(round + 1) })
+			v.Schedule(300*time.Microsecond, "storm", func() { storm(round + 1) })
 		}
 	}
-	eng.Schedule(time.Millisecond, "storm", func() { storm(0) })
-
 	// Give the storm time to interleave with the sleep/wake cycles, then
 	// kill everything — some processes mid-park, some stopped, some with a
 	// deferred pending wake.
 	done := make(chan struct{})
-	eng.Schedule(30*time.Millisecond, "killall", func() {
-		for _, p := range targets {
-			p.Signal(SigKill)
-		}
-		close(done)
+	eng.Do(func() {
+		v.Schedule(time.Millisecond, "storm", func() { storm(0) })
+		v.Schedule(30*time.Millisecond, "killall", func() {
+			for _, p := range targets {
+				p.Signal(SigKill)
+			}
+			close(done)
+		})
 	})
 	select {
 	case <-done:

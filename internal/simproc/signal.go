@@ -83,8 +83,8 @@ func (p *Process) Signal(sig Signal) {
 		if p.parked {
 			p.resume(nil, true)
 		}
-		// If not parked (running under the wall engine, or being resumed),
-		// the kill flag fires at the next park.
+		// If not parked (running: the signal comes from its own body, or
+		// from a body it resumed), the kill flag fires at the next park.
 	}
 }
 

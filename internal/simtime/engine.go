@@ -1,66 +1,33 @@
 // Package simtime provides the time substrate every FreeRide component runs
-// on: a deterministic discrete-event (virtual-time) engine for simulation and
-// experiments, and a wall-clock engine for the live manager/worker daemons.
+// on: one deterministic discrete-event engine (Virtual), which a simulation
+// drives as fast as its events allow and a live manager/worker daemon paces
+// to the wall clock (Wall).
 //
-// All components express time-dependent behaviour exclusively through the
-// Engine interface, so the same middleware code runs unchanged under both
-// engines. Under the virtual engine, time advances only when the event queue
-// is drained up to the next event, which makes multi-hour training runs
-// simulate in milliseconds and makes every experiment bit-reproducible.
+// Time advances only when the event queue is drained up to the next event,
+// which makes multi-hour training runs simulate in milliseconds and makes
+// every experiment bit-reproducible. A paced engine runs the same events in
+// the same order, each no earlier than its deadline in real time, and every
+// callback sees Now equal to its own deadline however late the host runs it:
+// a live daemon's components behave exactly as a simulated session's.
 //
 // Every engine has one owner, and the components on it take no lock of their
 // own. A virtual engine's owner is its dispatcher and the coroutines it
-// resumes. The wall engine is the only engine goroutines share: its callbacks
-// fire from timer goroutines and a socket's read pump schedules onto it, but
-// each callback runs under the engine's dispatch mutex, and any other
-// goroutine enters through Wall.Do, which takes the same mutex.
+// resumes. A paced engine's dispatcher is whoever holds its Wall's mutex: a
+// runtime timer's goroutine when the next event falls due, a socket's read
+// pump delivering a frame, a daemon's own goroutine — each enters through
+// Wall.Do.
 //
-// The virtual engine also keeps *virtual wakes* (Virtual.Reserve): slots in
-// its (when, seq) dispatch order that no callback occupies. A component that
+// The engine also keeps *virtual wakes* (Virtual.Reserve): slots in its
+// (when, seq) dispatch order that no callback occupies. A component that
 // acts lazily instead of sleeping — simgpu's host leads — asks whether the
 // dispatch order has passed its wake, and arms timers as if from inside it
 // (Virtual.RescheduleAs), so it keeps the sleep's exact ordering without the
 // sleep's event.
 package simtime
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
-// Engine abstracts a clock plus deferred execution.
-//
-// Implementations must guarantee that callbacks scheduled through the same
-// Engine never run concurrently with one another: the virtual engine runs
-// them on its one owner's goroutine, and the wall-clock engine serializes
-// them with an internal dispatch lock. Components may therefore mutate their
-// state inside callbacks without additional locking, provided all their entry
-// points are engine callbacks (or, on the wall engine, run inside Wall.Do).
-type Engine interface {
-	// Now reports the current time as an offset from the engine epoch.
-	Now() time.Duration
-
-	// Schedule arranges for fn to run at Now()+delay. A zero or negative
-	// delay schedules fn "as soon as possible" while preserving FIFO order
-	// among equal-time events. The name is used for debugging and tracing.
-	Schedule(delay time.Duration, name string, fn func()) *Timer
-
-	// ScheduleDetached behaves like Schedule but returns no handle, so the
-	// event cannot be canceled or observed and the engine recycles its timer
-	// after the callback runs. Hot paths that discard the handle (RPC frame
-	// delivery, process sleep wake-ups) use it: a handle that escapes can
-	// never be safely recycled, a handle that is never created can.
-	ScheduleDetached(delay time.Duration, name string, fn func())
-
-	// Reschedule re-arms t — nil, or a timer this engine's Schedule or
-	// Reschedule returned, whose handle the caller exclusively owns — with a
-	// new deadline, name and callback, reusing its allocation (and, on the
-	// wall engine, its runtime timer). A pending t is canceled first.
-	Reschedule(t *Timer, delay time.Duration, name string, fn func()) *Timer
-}
-
-// Timer states, advanced monotonically with compare-and-swap so that Cancel
-// racing with the dispatch path resolves to exactly one outcome.
+// Timer states, advanced monotonically: pending, then canceled or fired.
 const (
 	timerPending int32 = iota
 	timerCanceled
@@ -77,17 +44,9 @@ type Timer struct {
 	name string
 	fn   func()
 
-	state atomic.Int32
+	state int32
 	// vkey orders timers armed as of virtual wakes (see wake below).
 	vkey uint32
-
-	// stop cancels the underlying wall-clock timer, if any.
-	stop func() bool
-
-	// weng/wt tie a wall-engine timer to its runtime timer so Reschedule
-	// and the detached free-list can re-arm it in place.
-	weng *Wall
-	wt   *time.Timer
 
 	// vq is the owning virtual engine; Cancel removes the timer from its
 	// queue eagerly instead of leaving a dead entry for the dispatcher.
@@ -113,8 +72,7 @@ type Timer struct {
 	// an ordinary timer) and, as of a passed wake, the wake's base as its
 	// seq; as of a pending one, seq MaxUint64 and link naming the wake, whose
 	// link names it back until the pass settles its key. A wake's state stays
-	// pending when it passes (a recycled wake re-queues without an atomic
-	// write); passed records the pass.
+	// pending when it passes; passed records the pass.
 	wake   bool
 	passed bool
 	link   *Timer
@@ -136,30 +94,26 @@ func (t *Timer) Cancel() bool {
 	if t.wake {
 		return t.vq.cancelWake(t)
 	}
-	if !t.state.CompareAndSwap(timerPending, timerCanceled) {
+	if t.state != timerPending {
 		return false
 	}
-	if t.stop != nil {
-		t.stop()
-	}
-	if t.vq != nil {
-		t.vq.remove(t)
-	}
+	t.state = timerCanceled
+	t.vq.remove(t)
 	return true
 }
 
 // Stopped reports whether the timer was canceled before firing.
-func (t *Timer) Stopped() bool { return t.state.Load() == timerCanceled }
+func (t *Timer) Stopped() bool { return t.state == timerCanceled }
 
 // Pending reports whether the timer is armed and has neither fired nor been
 // canceled. Owners of a reusable Reschedule handle use this to skip re-arming
 // a deadline that is already set.
 // Like Cancel, Pending refuses pooled timers (always false): a recycled
 // *Timer would otherwise report some unrelated event's state.
-func (t *Timer) Pending() bool { return !t.pooled && t.state.Load() == timerPending }
+func (t *Timer) Pending() bool { return !t.pooled && t.state == timerPending }
 
 // Fired reports whether the callback has already run (or started running).
-func (t *Timer) Fired() bool { return t.state.Load() == timerFired }
+func (t *Timer) Fired() bool { return t.state == timerFired }
 
 // Passed reports whether the dispatch order has moved past a reserved wake
 // (Virtual.Reserve): every event due before its (when, seq) slot has run, and

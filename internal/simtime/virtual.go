@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync/atomic"
 	"time"
 )
 
@@ -23,9 +22,10 @@ import (
 // goroutine-process shell (simproc.Runtime.Spawn) is a coroutine of its
 // resumer — its body calls Schedule and Now only between a callback's switch
 // into it and its own next park, the coroutine switch being the
-// happens-before edge. So the queue takes no lock. A goroutine that can reach
-// an engine beside its dispatcher — a socket's read pump — runs on the wall
-// engine only (freerpc.NewNetConn takes a *Wall).
+// happens-before edge. So the queue takes no lock. On an engine a Wall paces,
+// the dispatcher is whoever holds the Wall's mutex, and every other
+// goroutine — a socket's read pump, a daemon's own — enters through Wall.Do
+// (freerpc.NewNetConn takes the *Wall for that).
 //
 // # Queue structure: near-term calendar wheel + 4-ary heap
 //
@@ -85,9 +85,9 @@ import (
 // is due no earlier than the wake, so the pass always settles its key (and
 // re-sifts it) before it can be dispatched.
 type Virtual struct {
-	// now is written only by the dispatcher (Now is the single most-called
-	// function in the simulator).
-	now atomic.Int64
+	// now is the dispatch clock: the deadline of the event running, or the
+	// horizon of the last RunUntil.
+	now time.Duration
 
 	queue []*Timer
 	seq   uint64
@@ -151,8 +151,6 @@ const (
 	wheelBucketCap = 4
 )
 
-var _ Engine = (*Virtual)(nil)
-
 // NewVirtual returns a virtual engine positioned at time zero. The wheel's
 // buckets start as capacity-limited windows of one slab, so a session's first
 // pass over the wheel costs one allocation instead of one (and its regrowths)
@@ -169,7 +167,7 @@ func NewVirtual() *Virtual {
 
 // Now reports the current virtual time.
 func (v *Virtual) Now() time.Duration {
-	return time.Duration(v.now.Load())
+	return v.now
 }
 
 // Schedule enqueues fn at Now()+delay. Negative delays are clamped to "now":
@@ -315,7 +313,7 @@ func (v *Virtual) Reschedule(t *Timer, delay time.Duration, name string, fn func
 		// either way — minus the queue churn.
 		v.rearm(t)
 	} else {
-		t.state.Store(timerPending)
+		t.state = timerPending
 		v.enqueue(t)
 	}
 	return t
@@ -334,17 +332,15 @@ func (v *Virtual) Reserve(w *Timer, delay time.Duration) *Timer {
 	}
 	if w.vq == nil {
 		w.vq, w.wake, w.pos = v, true, -1
-	} else if !w.passed && w.state.Load() == timerPending {
-		if b := w.link; b != nil && b.link == w && b.state.Load() == timerPending {
+	} else if !w.passed && w.state == timerPending {
+		if b := w.link; b != nil && b.link == w && b.state == timerPending {
 			panic("simtime: Reserve moves a wake a pending timer is armed as of")
 		}
 		v.dropWake(w)
 	}
 	w.when, w.seq, w.vkey, w.link, w.passed = v.deadline(delay), v.seq, 0, nil, false
 	v.seq++
-	if w.state.Load() != timerPending {
-		w.state.Store(timerPending)
-	}
+	w.state = timerPending
 	n := len(v.wakes)
 	if n == cap(v.wakes) && v.wakeHead > 0 {
 		// Reclaim the passed prefix instead of growing.
@@ -375,9 +371,10 @@ func (v *Virtual) dropWake(w *Timer) {
 // cancelWake withdraws a pending wake (Timer.Cancel): false when it has
 // passed or was canceled already.
 func (v *Virtual) cancelWake(w *Timer) bool {
-	if w.passed || !w.state.CompareAndSwap(timerPending, timerCanceled) {
+	if w.passed || w.state != timerPending {
 		return false
 	}
+	w.state = timerCanceled
 	v.dropWake(w)
 	return true
 }
@@ -417,14 +414,14 @@ func (v *Virtual) RescheduleAs(t, w *Timer, index int, when time.Duration, name 
 	if t == nil {
 		t = &Timer{vq: v, pos: -1}
 	}
-	if now := time.Duration(v.now.Load()); when < now {
-		when = now
+	if when < v.now {
+		when = v.now
 	}
 	t.when, t.name, t.fn = when, name, fn
 	switch {
 	case w.passed:
 		t.seq, t.vkey, t.link = w.seq, w.vkey|uint32(index+1), nil
-	case w.state.Load() == timerPending:
+	case w.state == timerPending:
 		// An event at the wake's slot could arm nothing earlier than the
 		// wake; due no earlier, t settles before it can be dispatched.
 		if when < w.when {
@@ -440,7 +437,7 @@ func (v *Virtual) RescheduleAs(t, w *Timer, index int, when time.Duration, name 
 	if t.pos >= 0 {
 		v.rearm(t)
 	} else {
-		t.state.Store(timerPending)
+		t.state = timerPending
 		v.enqueue(t)
 	}
 	return t
@@ -480,7 +477,7 @@ func (v *Virtual) pass(w *Timer) {
 
 // deadline clamps delay to now.
 func (v *Virtual) deadline(delay time.Duration) time.Duration {
-	now := time.Duration(v.now.Load())
+	now := v.now
 	if delay > 0 {
 		return now + delay
 	}
@@ -521,13 +518,13 @@ func (v *Virtual) Step() bool {
 	if v.wakeDue(t) {
 		v.passWakes(t, 0)
 	}
-	if t.when > time.Duration(v.now.Load()) {
-		v.now.Store(int64(t.when))
+	if t.when > v.now {
+		v.now = t.when
 	}
 	v.dispatched++
 	if !t.pooled {
 		// Cancel takes a timer off the queue, so a queued one is pending.
-		t.state.Store(timerFired)
+		t.state = timerFired
 		t.fn()
 		return true
 	}
@@ -544,8 +541,8 @@ func (v *Virtual) RunUntil(until time.Duration) {
 	for {
 		if t := v.peekMin(); t == nil || t.when > until {
 			v.passWakes(nil, until)
-			if time.Duration(v.now.Load()) < until {
-				v.now.Store(int64(until))
+			if v.now < until {
+				v.now = until
 			}
 			return
 		}
@@ -604,7 +601,7 @@ func (v *Virtual) remove(t *Timer) {
 // satisfy when >= now, so the slot delta is never negative.
 func (v *Virtual) wheelSlotFor(when time.Duration) int64 {
 	s := int64(when) >> wheelSlotShift
-	if s-(v.now.Load()>>wheelSlotShift) < wheelSlots {
+	if s-(int64(v.now)>>wheelSlotShift) < wheelSlots {
 		return s
 	}
 	return -1
@@ -728,7 +725,7 @@ func (v *Virtual) wheelMin() *Timer {
 	if v.wheelLen == 0 {
 		return nil
 	}
-	if cur := v.now.Load() >> wheelSlotShift; v.wheelHint < cur {
+	if cur := int64(v.now) >> wheelSlotShift; v.wheelHint < cur {
 		v.wheelHint = cur
 	}
 	// Hinted probe: if the hinted bucket still holds events of the hinted
