@@ -136,7 +136,8 @@ type Config struct {
 	// — even empty — wires them and enables the manager's lease-based
 	// self-healing; nil leaves the control plane exactly as before. An empty
 	// schedule with hooks wired must reproduce the no-fault metrics
-	// bit-identically, training or serving (the zero-fault oracle).
+	// bit-identically, training or serving (the zero-fault oracle). Only
+	// NewSession takes one: a node or manager session refuses it.
 	Faults *simfault.Schedule
 	// Lease is the manager's failure-detector lease; 0 with Faults set
 	// selects core.DefaultLease. See core.ManagerOptions.Lease.
@@ -453,6 +454,10 @@ func (l memLinks) Link(_ int, mgr, far *freerpc.Mux) (*freerpc.Peer, *freerpc.Pe
 func (s *Session) assemble(cfg Config, eng *simtime.Virtual, links Links, node, manager bool) (*Session, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
+	}
+	if cfg.Faults != nil && !(node && manager) {
+		// The injector binds each fault to both ends of a worker's link.
+		return nil, fmt.Errorf("freeride: a fault schedule needs the node and the manager in one session")
 	}
 	s.cfg, s.eng = cfg, eng
 	if node {
@@ -835,7 +840,7 @@ func (s *Session) Run() (*Result, error) {
 	}
 	// Generous event budget: aborts runaway simulations loudly. The drain
 	// stops at the exact event that sets Done — the per-event flag check is
-	// one atomic load — so the teardown below (StopAll and its grace
+	// one bool load — so the teardown below (StopAll and its grace
 	// window) always begins at the same virtual instant regardless of how
 	// many bookkeeping events happen to be queued. Batch-draining here used
 	// to overshoot Done by up to a batch, which made teardown timing (and

@@ -10,6 +10,7 @@ import (
 
 	"freeride"
 	"freeride/internal/bubble"
+	"freeride/internal/freerpc"
 	"freeride/internal/model"
 	"freeride/internal/serve"
 	"freeride/internal/sidetask"
@@ -192,6 +193,30 @@ func TestRunRefusesSessionsOnTheCallersEngine(t *testing.T) {
 	if _, err := mgr.Run(); err == nil {
 		t.Fatal("Run on a manager session returned no error")
 	}
+}
+
+// TestSplitSessionsRefuseFaults: the fault plane hooks both ends of every
+// manager↔worker link, so a node or manager session alone refuses a fault
+// schedule instead of dropping it or binding half a hook.
+func TestSplitSessionsRefuseFaults(t *testing.T) {
+	cfg := fastCfg(freeride.MethodIterative)
+	cfg.Faults = &simfault.Schedule{}
+	eng := simtime.NewVirtual()
+	if _, err := freeride.NewNodeSession(cfg, eng, pipeLinks{eng}); err == nil {
+		t.Error("NewNodeSession accepted a fault schedule")
+	}
+	eng = simtime.NewVirtual()
+	if _, err := freeride.NewManagerSession(cfg, eng, pipeLinks{eng}); err == nil {
+		t.Error("NewManagerSession accepted a fault schedule")
+	}
+}
+
+// pipeLinks makes both ends of every link in memory on eng.
+type pipeLinks struct{ eng *simtime.Virtual }
+
+func (l pipeLinks) Link(_ int, mgr, far *freerpc.Mux) (*freerpc.Peer, *freerpc.Peer, error) {
+	a, b := freerpc.MemPipe(l.eng, 0)
+	return freerpc.NewPeer(l.eng, a, mgr), freerpc.NewPeer(l.eng, b, far), nil
 }
 
 func TestMethodNoneRejectsTasks(t *testing.T) {

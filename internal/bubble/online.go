@@ -188,23 +188,6 @@ func (e *Estimator) Observe(d time.Duration) Drift {
 	return dir
 }
 
-// Rebase replaces the baseline wholesale (a pushed profile update) and
-// marks the estimator drifted: the manager now plans against this level,
-// not the one-shot profile.
-func (e *Estimator) Rebase(perEpoch time.Duration, reports int) {
-	if reports < 1 {
-		reports = 1
-	}
-	e.reports = reports
-	e.baseline = float64(perEpoch)
-	e.ewma = float64(perEpoch)
-	e.winSum, e.winCount = 0, 0
-	e.cpos, e.cneg = 0, 0
-	e.cool = e.cfg.Hysteresis
-	e.drifted = true
-	e.last = DriftNone
-}
-
 // Estimate is the current per-epoch bubble-supply estimate.
 func (e *Estimator) Estimate() time.Duration { return time.Duration(e.ewma) }
 
@@ -220,9 +203,9 @@ func (e *Estimator) Baseline() time.Duration { return time.Duration(e.baseline) 
 // Windows reports how many complete windows have been observed.
 func (e *Estimator) Windows() int { return e.windows }
 
-// Drifted reports whether the estimator has ever detected drift (or been
-// re-based by a pushed profile update): until then the one-shot profile is
-// authoritative and online admission must not second-guess it.
+// Drifted reports whether the estimator has ever detected drift: until then
+// the one-shot profile is authoritative and online admission must not
+// second-guess it.
 func (e *Estimator) Drifted() bool { return e.drifted }
 
 // ShrinkSuspected reports whether the evidence points at a contracting

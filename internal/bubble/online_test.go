@@ -176,33 +176,6 @@ func TestEstimatorHysteresisQuietAfterFire(t *testing.T) {
 	}
 }
 
-// TestEstimatorRebase: a pushed profile update replaces the baseline,
-// marks the estimator drifted, and holds the detector quiet while the
-// stream settles onto the pushed level.
-func TestEstimatorRebase(t *testing.T) {
-	e := NewEstimator(DetectorConfig{}, 4*time.Second, 4)
-	feedWindow(t, e, time.Second, 4)
-	e.Rebase(8*time.Second, 2)
-	if !e.Drifted() {
-		t.Error("Rebase must mark the estimator drifted")
-	}
-	if e.ShrinkSuspected() {
-		t.Error("Rebase must clear shrink evidence")
-	}
-	if got := e.Baseline(); got != 8*time.Second {
-		t.Errorf("Baseline() = %v, want 8s", got)
-	}
-	if got := e.MeanBubble(); got != 4*time.Second {
-		t.Errorf("MeanBubble() = %v, want 4s (8s over 2 reports)", got)
-	}
-	// The stream now matches the pushed profile: no further firings.
-	for w := 0; w < 6; w++ {
-		if got := feedWindow(t, e, 4*time.Second, 2); got != DriftNone {
-			t.Fatalf("window %d after rebase fired %v", w, got)
-		}
-	}
-}
-
 // TestDriftKindDetectionLatency closes the loop between the drift generator
 // and the detector: for every kind, scaling the home stage's window sums by
 // the Drifter's own ScaleAt must fire the fast detector within one epoch of

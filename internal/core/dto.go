@@ -146,22 +146,3 @@ func FromBubbleDTO(d BubbleDTO) bubble.Bubble {
 		MemAvailable: d.MemAvail,
 	}
 }
-
-// StageUpdateDTO is one stage's entry in a pushed profile update: the
-// re-measured per-epoch bubble supply (and how many reports carry it), plus
-// optionally the re-measured side-task-available memory.
-type StageUpdateDTO struct {
-	Stage    int   `json:"stage"`
-	BubbleNs int64 `json:"bubbleNs"`
-	Reports  int   `json:"reports"`
-	MemAvail int64 `json:"memAvail,omitempty"`
-}
-
-// ProfileUpdateDTO is the wire form of an online re-profile push
-// ("Manager.ProfileUpdate"): an external profiling pass re-measured the
-// pipeline and the manager should re-base its estimators and re-plan. The
-// simulated sessions learn the same facts from the report stream; this DTO
-// is the live-mode / operator path.
-type ProfileUpdateDTO struct {
-	Stages []StageUpdateDTO `json:"stages"`
-}

@@ -190,11 +190,10 @@ func TestDuplicateSubmitRejected(t *testing.T) {
 // leaseOpts is the standard lease-enabled manager config for recovery tests.
 func leaseOpts() ManagerOptions {
 	return ManagerOptions{
-		Tick:         time.Millisecond,
-		Lease:        250 * time.Millisecond,
-		MaxRestarts:  3,
-		RetryBackoff: 50 * time.Millisecond,
-		Seed:         1,
+		Tick:        time.Millisecond,
+		Lease:       250 * time.Millisecond,
+		MaxRestarts: 3,
+		Seed:        1,
 	}
 }
 

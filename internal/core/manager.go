@@ -66,9 +66,6 @@ type ManagerOptions struct {
 	// MaxRestarts bounds recovery attempts per task; once exhausted the
 	// task parks instead of thrashing. 0 = DefaultMaxRestarts.
 	MaxRestarts int
-	// RetryBackoff is the base re-placement delay, doubled per attempt with
-	// deterministic jitter. 0 = DefaultRetryBackoff.
-	RetryBackoff time.Duration
 	// Seed drives the recovery jitter rng. All recovery timing comes from
 	// the engine clock plus this seed — never from wall time — so
 	// same-seed fault runs are bit-identical. 0 = 1.
@@ -111,9 +108,6 @@ func (o *ManagerOptions) normalize() {
 	if o.Lease > 0 || o.Replan != nil {
 		if o.MaxRestarts <= 0 {
 			o.MaxRestarts = DefaultMaxRestarts
-		}
-		if o.RetryBackoff <= 0 {
-			o.RetryBackoff = DefaultRetryBackoff
 		}
 		if o.Seed == 0 {
 			o.Seed = 1
@@ -171,12 +165,12 @@ type ManagerStats struct {
 	// Drift counters (replan-armed managers only; all zero otherwise, and
 	// all zero under a zero-drift schedule — the drift oracle pins that).
 	// DriftEvents counts detector firings across workers; Replans counts
-	// re-plan passes (every detection plus every pushed profile update);
-	// Demotions counts tasks pulled off a worker because the online profile
-	// no longer fits them; Revivals counts parked tasks re-admitted after
-	// the profile grew back; StaleAdmissions counts placement attempts the
-	// stale one-shot profile would have accepted but the online profile
-	// rejected — the bad admissions re-planning avoided.
+	// re-plan passes (one per detection); Demotions counts tasks pulled off
+	// a worker because the online profile no longer fits them; Revivals
+	// counts parked tasks re-admitted after the profile grew back;
+	// StaleAdmissions counts placement attempts the stale one-shot profile
+	// would have accepted but the online profile rejected — the bad
+	// admissions re-planning avoided.
 	DriftEvents     uint64
 	Replans         uint64
 	Demotions       uint64
@@ -378,10 +372,6 @@ func NewManager(eng *simtime.Virtual, opts ManagerOptions) *Manager {
 		return map[string]string{"status": "accepted"}, nil
 	})
 	freerpc.HandleFunc(m.mux, "Manager.TaskExited", m.onTaskExited)
-	freerpc.HandleFunc(m.mux, "Manager.ProfileUpdate", func(d ProfileUpdateDTO) (any, error) {
-		m.ProfileUpdate(d)
-		return nil, nil
-	})
 	freerpc.HandleFunc(m.mux, "Manager.TaskState", m.onTaskState)
 	return m
 }

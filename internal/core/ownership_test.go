@@ -107,7 +107,7 @@ func newTapRig(t *testing.T, faults []simfault.Event) *tapRig {
 	r := &tapRig{t: t, eng: eng}
 	r.mgr = NewManager(eng, ManagerOptions{
 		Tick: time.Millisecond, Lease: tapLease, RPCTimeout: tapRPCTimeout,
-		MaxRestarts: 1, RetryBackoff: 50 * time.Millisecond, Seed: 1,
+		MaxRestarts: 1, Seed: 1,
 	})
 	dev := simgpu.NewDevice(eng, simgpu.DeviceConfig{Name: "gpu0", MemBytes: model.ServerI.GPUMemBytes})
 	r.worker = NewWorker(eng, dev, container.NewRuntime(simproc.NewRuntime(eng)), WorkerConfig{Name: "worker0"})

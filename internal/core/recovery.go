@@ -64,7 +64,7 @@ func (m *Manager) planRecovery(rec *taskRecord, cause string) {
 		m.stats.ParkedTasks++
 		return
 	}
-	backoff := m.opts.RetryBackoff << min(rec.restarts-1, 16)
+	backoff := DefaultRetryBackoff << min(rec.restarts-1, 16)
 	delay := backoff + time.Duration(m.rng.Int63n(int64(backoff/2)+1))
 	rec.retryTimer = m.eng.Reschedule(rec.retryTimer, delay,
 		"task-retry:"+rec.spec.Name, func() { m.replaceTask(rec) })

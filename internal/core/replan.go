@@ -50,36 +50,6 @@ func (m *Manager) SetBubbleBaseline(name string, perEpoch time.Duration, reports
 	}
 }
 
-// ProfileUpdate applies an externally pushed re-profile (the live-mode
-// path: an operator or profiling job re-measures the pipeline and pushes
-// the new per-stage supply). Each updated stage's estimator is re-based
-// onto the pushed level — superseding the one-shot profile — and the stage
-// is re-planned immediately. Served on "Manager.ProfileUpdate".
-func (m *Manager) ProfileUpdate(d ProfileUpdateDTO) {
-	if m.opts.Replan == nil {
-		return
-	}
-	for _, su := range d.Stages {
-		if su.BubbleNs <= 0 || su.Reports <= 0 {
-			continue
-		}
-		for _, w := range m.workers {
-			if w.stage != su.Stage || !w.alive {
-				continue
-			}
-			if w.est == nil {
-				w.est = bubble.NewEstimator(m.opts.Replan.Detector, time.Duration(su.BubbleNs), su.Reports)
-			}
-			w.est.Rebase(time.Duration(su.BubbleNs), su.Reports)
-			if su.MemAvail > 0 {
-				w.lastMem = su.MemAvail
-			}
-			m.replan(w)
-			break
-		}
-	}
-}
-
 // fitsOnline is the online admission predicate: the re-profiled
 // memory must admit the task AND the estimated mean bubble must cover its
 // worst-case pause-time fit (one jittered step plus host overhead). Callers

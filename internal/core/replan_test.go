@@ -139,36 +139,6 @@ func TestGraceKillClassification(t *testing.T) {
 	})
 }
 
-// TestProfileUpdatePushReplans is the live re-profiling path: a pushed
-// per-stage profile supersedes the one-shot baseline and re-plans the stage
-// immediately — no detection latency, no drift schedule.
-func TestProfileUpdatePushReplans(t *testing.T) {
-	r := newRigOpts(t, 2, []int64{22 * model.GiB, 22 * model.GiB}, WorkerConfig{},
-		replanOpts(bubble.DetectorConfig{}))
-	if err := r.mgr.Submit(spec("t0", model.GraphSGD, sidetask.ModeIterative)); err != nil {
-		t.Fatal(err)
-	}
-	r.mgr.Start()
-	r.eng.RunFor(6 * time.Second)
-	if w, _ := r.mgr.TaskWorker("t0"); w != "worker0" {
-		t.Fatalf("task on %q, want worker0", w)
-	}
-
-	// Push: stage 0 now supplies 100ms bubbles — below GraphSGD's fit.
-	r.mgr.ProfileUpdate(ProfileUpdateDTO{Stages: []StageUpdateDTO{
-		{Stage: 0, BubbleNs: (100 * time.Millisecond).Nanoseconds(), Reports: 1},
-	}})
-	r.eng.RunFor(6 * time.Second)
-
-	if w, ok := r.mgr.TaskWorker("t0"); !ok || w != "worker1" {
-		t.Fatalf("TaskWorker = %q/%v, want worker1 after pushed re-profile", w, ok)
-	}
-	st := r.mgr.Stats()
-	if st.Replans != 1 || st.Demotions != 1 || st.DriftEvents != 0 {
-		t.Fatalf("stats = %+v, want 1 replan / 1 demotion / 0 detector events (push path)", st)
-	}
-}
-
 // TestReplanRevivesParkedTask closes the demote/park/revive cycle: a task
 // demoted into parking (no stage fits the shrunken profile, repeated stale
 // admissions counted) is revived with a fresh budget when the supply grows

@@ -246,7 +246,6 @@ func managerSeedFrames(tb testing.TB) []string {
 		`{"id":1,"method":"Manager.Submit","params":{"name":"t1","profile":` + string(resnet18) + `,"mode":2,"workScale":0,"seed":7}}`,
 		`{"method":"Manager.TaskState","params":{"name":"t0","state":4,"exited":false,"steps":3,"kernelTimeNs":1000,"hostTimeNs":1000,"insuffNs":0}}`,
 		`{"method":"Manager.TaskExited","params":{"name":"t0","state":5,"exited":true,"exitErr":"boom","steps":0,"kernelTimeNs":0,"hostTimeNs":0,"insuffNs":0}}`,
-		`{"id":2,"method":"Manager.ProfileUpdate","params":{"stages":[{"stage":0,"bubbleNs":40000000,"reports":4,"memAvail":1073741824}]}}`,
 	}
 }
 

@@ -165,7 +165,6 @@ func (w *Worker) RegisterOn(mux *freerpc.Mux) {
 	freerpc.HandleFunc(mux, "Worker.Start", w.handleStart)
 	freerpc.HandleFunc(mux, "Worker.Pause", w.handlePause)
 	freerpc.HandleFunc(mux, "Worker.Stop", w.handleStop)
-	freerpc.HandleFunc(mux, "Worker.Query", w.handleQuery)
 	freerpc.HandleFunc(mux, "Worker.Info", func(struct{}) (any, error) {
 		return workerInfo{Name: w.cfg.Name, GPUMem: w.device.MemFree(), NumTasks: len(w.tasks)}, nil
 	})
@@ -459,15 +458,6 @@ func (w *Worker) handleStop(ref taskRef) (any, error) {
 			t.cont.Kill()
 		}
 	})
-	return w.statusReply(t), nil
-}
-
-// handleQuery reports a task's state and counters.
-func (w *Worker) handleQuery(ref taskRef) (any, error) {
-	t, err := w.lookup(ref.Name)
-	if err != nil {
-		return nil, err
-	}
 	return w.statusReply(t), nil
 }
 

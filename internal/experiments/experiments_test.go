@@ -260,6 +260,17 @@ func TestFigure8LimitMechanisms(t *testing.T) {
 	if !res.OOMKilled {
 		t.Error("capped leaky task not OOM-killed")
 	}
+	// The cap is profiled memory plus the manager's slack: the leak grows
+	// to exactly MemCap and is killed at its next allocation.
+	var maxCap float64
+	for _, p := range res.MemWithLimit.Points {
+		if p.V > maxCap {
+			maxCap = p.V
+		}
+	}
+	if maxCap != float64(res.MemCap) {
+		t.Errorf("capped leak peaked at %.3f GB, want exactly the %.0f GB cap", maxCap/float64(1<<30), float64(res.MemCap)/float64(1<<30))
+	}
 	var maxNoCap float64
 	for _, p := range res.MemWithoutLimit.Points {
 		if p.V > maxNoCap {

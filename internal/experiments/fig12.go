@@ -10,9 +10,6 @@ import (
 	"freeride/internal/bubble"
 	"freeride/internal/model"
 	"freeride/internal/pipeline"
-	"freeride/internal/simgpu"
-	"freeride/internal/simproc"
-	"freeride/internal/simtime"
 	"freeride/internal/trace"
 )
 
@@ -33,30 +30,19 @@ type Figure1Result struct {
 }
 
 // RunFigure1 trains two epochs of the 3.6B model and extracts the second.
-func RunFigure1(opts Options) (*Figure1Result, error) {
-	opts.normalize()
-	eng := simtime.NewVirtual()
-	procs := simproc.NewRuntime(eng)
-	devices := make([]*simgpu.Device, 4)
-	for i := range devices {
-		devices[i] = simgpu.NewDevice(eng, simgpu.DeviceConfig{
-			Name:     fmt.Sprintf("gpu%d", i),
-			MemBytes: model.ServerI.GPUMemBytes,
-		})
-	}
-	tr, err := pipeline.New(eng, procs, devices, pipeline.Config{
-		Model: model.NanoGPT3B, Stages: 4, MicroBatches: 4, Epochs: 2, RecordOps: true,
-	})
-	if err != nil {
+func RunFigure1(Options) (*Figure1Result, error) {
+	// The offline bubble profile's run: training alone, op timeline on.
+	var sess *freeride.Session
+	if _, err := runSession(freeride.Config{
+		LLM: model.NanoGPT3B, Stages: 4, MicroBatches: 4, Epochs: 2,
+		Method: freeride.MethodNone, RecordOps: true,
+	}, func(s *freeride.Session) error {
+		sess = s
+		return nil
+	}); err != nil {
 		return nil, err
 	}
-	if err := tr.Start(); err != nil {
-		return nil, err
-	}
-	eng.Drain(10_000_000)
-	if !tr.Done().IsSet() {
-		return nil, fmt.Errorf("fig1: training incomplete")
-	}
+	tr := sess.Trainer
 	starts, ends := tr.CycleTimes()
 	out := &Figure1Result{EpochStart: starts[1], EpochEnd: ends[1]}
 	for s := 0; s < 4; s++ {

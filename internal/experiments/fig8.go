@@ -92,7 +92,7 @@ func newFig8Rig(enforce bool, factory core.HarnessFactory) *fig8Rig {
 	procs := simproc.NewRuntime(eng)
 	dev := simgpu.NewDevice(eng, simgpu.DeviceConfig{Name: "gpu0", MemBytes: model.ServerI.GPUMemBytes})
 	ctrs := container.NewRuntime(procs)
-	mgr := core.NewManager(eng, core.ManagerOptions{Tick: time.Millisecond})
+	mgr := core.NewManager(eng, core.ManagerOptions{MemSlack: core.DefaultMemSlack})
 	w := core.NewWorker(eng, dev, ctrs, core.WorkerConfig{
 		Name:               "worker0",
 		Grace:              300 * time.Millisecond,

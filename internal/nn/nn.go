@@ -1,5 +1,5 @@
 // Package nn is a small, real neural-network training substrate: dense
-// layers, ReLU, softmax cross-entropy, SGD and Adam, over float64 matrices.
+// layers, ReLU, softmax cross-entropy and Adam, over float64 matrices.
 //
 // The paper's model-training side tasks (ResNet18/50, VGG19) run real
 // PyTorch training; reproducing cuDNN is out of scope here, so the

@@ -175,23 +175,6 @@ func TestTrainerLossDecreases(t *testing.T) {
 	}
 }
 
-func TestSGDMomentumMoves(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	layer := NewDense(2, 2, rng)
-	for i := range layer.GradW.Data {
-		layer.GradW.Data[i] = 1.0
-	}
-	opt := NewSGD(0.1, 0.9)
-	before := layer.W.Data[0]
-	opt.Update(layer)
-	step1 := before - layer.W.Data[0]
-	opt.Update(layer)
-	step2 := (before - step1) - layer.W.Data[0]
-	if step2 <= step1 {
-		t.Fatalf("momentum did not accelerate: step1=%v step2=%v", step1, step2)
-	}
-}
-
 func TestMLPValidation(t *testing.T) {
 	if _, err := NewMLP([]int{5}, rand.New(rand.NewSource(1))); err == nil {
 		t.Fatal("single-dim MLP accepted")

@@ -7,46 +7,6 @@ import (
 	"slices"
 )
 
-// Optimizer updates a Dense layer from its accumulated gradients.
-type Optimizer interface {
-	Update(layer *Dense)
-}
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-
-	velocity map[*Dense]*sgdState
-}
-
-type sgdState struct {
-	vW []float64
-	vB []float64
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[*Dense]*sgdState)}
-}
-
-// Update applies one SGD step.
-func (s *SGD) Update(layer *Dense) {
-	st, ok := s.velocity[layer]
-	if !ok {
-		st = &sgdState{vW: make([]float64, len(layer.W.Data)), vB: make([]float64, len(layer.B))}
-		s.velocity[layer] = st
-	}
-	for i := range layer.W.Data {
-		st.vW[i] = s.Momentum*st.vW[i] - s.LR*layer.GradW.Data[i]
-		layer.W.Data[i] += st.vW[i]
-	}
-	for i := range layer.B {
-		st.vB[i] = s.Momentum*st.vB[i] - s.LR*layer.GradB[i]
-		layer.B[i] += st.vB[i]
-	}
-}
-
 // Adam is the Adam optimizer (the paper's side-task example uses Adam).
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64

@@ -153,19 +153,6 @@ func BuildPlan(kind ScheduleKind, stages, microBatches, virtualPerStage int) (*P
 	return p, nil
 }
 
-// ChunkOps generates the op list of one chunk — the per-stage view of
-// BuildPlan, kept for tests and tooling.
-func ChunkOps(kind ScheduleKind, chunk, stages, microBatches, virtualPerStage int) ([]Op, error) {
-	p, err := BuildPlan(kind, stages, microBatches, virtualPerStage)
-	if err != nil {
-		return nil, err
-	}
-	if chunk < 0 || chunk >= len(p.Chunks) {
-		return nil, fmt.Errorf("pipeline: chunk %d out of range [0,%d)", chunk, len(p.Chunks))
-	}
-	return p.Chunks[chunk], nil
-}
-
 // depsFor derives the cross-chunk edges of one chunk's op list: a forward at
 // chunk v waits for the upstream forward of the same micro-batch, an
 // activation-gradient backward (fused or split) waits for the downstream

@@ -6,10 +6,11 @@ import (
 
 func TestScheduleGeneration1F1B(t *testing.T) {
 	// Stage 3 of 4 (last): warmup 1 → FP0 BP0 FP1 BP1 ... OPT.
-	ops, err := ChunkOps(Schedule1F1B, 3, 4, 4, 1)
+	plan, err := BuildPlan(Schedule1F1B, 4, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ops := plan.Chunks[3]
 	want := []Op{
 		{OpForward, 0}, {OpBackward, 0}, {OpForward, 1}, {OpBackward, 1},
 		{OpForward, 2}, {OpBackward, 2}, {OpForward, 3}, {OpBackward, 3},
@@ -24,7 +25,7 @@ func TestScheduleGeneration1F1B(t *testing.T) {
 		}
 	}
 	// Stage 0 of 4: all 4 warmup forwards first.
-	ops0, _ := ChunkOps(Schedule1F1B, 0, 4, 4, 1)
+	ops0 := plan.Chunks[0]
 	for i := 0; i < 4; i++ {
 		if ops0[i].Kind != OpForward {
 			t.Fatalf("stage0 op %d = %v, want forward", i, ops0[i])
@@ -36,10 +37,10 @@ func TestScheduleGeneration1F1B(t *testing.T) {
 // micro-batch (fused or split backward).
 func backwardOf(k OpKind) bool { return k == OpBackward || k == OpBackwardInput }
 
-// checkChunkOps validates one chunk's op list in isolation: exact op
+// checkChunk validates one chunk's op list in isolation: exact op
 // counts, F(m) before its backward, W(m) after its B(m), micro-batch order
 // ascending per kind, optimizer exactly once and last.
-func checkChunkOps(t *testing.T, desc string, ops []Op, mbs int, zb bool) {
+func checkChunk(t *testing.T, desc string, ops []Op, mbs int, zb bool) {
 	t.Helper()
 	fpAt := map[int]int{}
 	bpAt := map[int]int{}
@@ -177,7 +178,7 @@ func TestSchedulePropertyGrid(t *testing.T) {
 						t.Fatalf("%s S=%d M=%d V=%d: %d chunks", desc, stages, mbs, virtual, got)
 					}
 					for v, ops := range plan.Chunks {
-						checkChunkOps(t,
+						checkChunk(t,
 							desc+" chunk", ops, mbs, kind == ScheduleZeroBubble)
 						if len(plan.Deps[v]) != len(ops) {
 							t.Fatalf("%s chunk %d: %d deps for %d ops", desc, v, len(plan.Deps[v]), len(ops))
@@ -202,8 +203,5 @@ func TestScheduleRejectsBadArgs(t *testing.T) {
 	}
 	if _, err := BuildPlan(ScheduleZeroBubble, 4, 4, 2); err == nil {
 		t.Fatal("zero-bubble with virtual stages accepted")
-	}
-	if _, err := ChunkOps(Schedule1F1B, 4, 4, 4, 1); err == nil {
-		t.Fatal("out-of-range chunk accepted")
 	}
 }

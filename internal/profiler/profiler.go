@@ -43,8 +43,6 @@ type Options struct {
 	Steps int
 	// MaxRunTime bounds the profiling run.
 	MaxRunTime time.Duration
-	// DeviceMem is the profiling GPU's memory size.
-	DeviceMem int64
 	// Seed makes the profile deterministic.
 	Seed int64
 }
@@ -55,9 +53,6 @@ func (o *Options) normalize() {
 	}
 	if o.MaxRunTime <= 0 {
 		o.MaxRunTime = 10 * time.Minute
-	}
-	if o.DeviceMem <= 0 {
-		o.DeviceMem = 48 * model.GiB
 	}
 }
 
@@ -77,7 +72,7 @@ func Profile(factory HarnessFactory, opts Options) (Result, error) {
 	opts.normalize()
 	eng := simtime.NewVirtual()
 	procs := simproc.NewRuntime(eng)
-	dev := simgpu.NewDevice(eng, simgpu.DeviceConfig{Name: "profiler-gpu", MemBytes: opts.DeviceMem})
+	dev := simgpu.NewDevice(eng, simgpu.DeviceConfig{Name: "profiler-gpu"}) // the default 48 GiB
 	ctr := container.NewRuntime(procs)
 
 	h, err := factory(opts.Seed)

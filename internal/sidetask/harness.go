@@ -217,10 +217,7 @@ type Harness struct {
 	state     State
 	bubbleEnd time.Duration
 	counters  Counters
-	// stepEstimate is the profiled per-step duration the program-directed
-	// check uses; the automated profiler fills it (paper §4.3).
-	stepEstimate time.Duration
-	onState      func(State)
+	onState   func(State)
 
 	// kernelParts is how many consecutive kernels one step issues
 	// (imperative mode uses several, giving SIGTSTP kernel-granular
@@ -242,7 +239,6 @@ func NewIterativeHarness(name string, profile model.TaskProfile, impl Iterative,
 	return &Harness{
 		name: name, mode: ModeIterative, profile: profile, iter: impl,
 		seed: seed, inbox: simproc.NewMailbox[Command](), state: StateSubmitted,
-		stepEstimate:   profile.StepTime + profile.HostOverhead,
 		kernelParts:    1,
 		stepKernelName: profile.Name + "-step",
 	}
@@ -253,7 +249,6 @@ func NewImperativeHarness(name string, profile model.TaskProfile, impl Imperativ
 	return &Harness{
 		name: name, mode: ModeImperative, profile: profile, imper: impl,
 		seed: seed, inbox: simproc.NewMailbox[Command](), state: StateSubmitted,
-		stepEstimate:   profile.StepTime + profile.HostOverhead,
 		kernelParts:    imperativeKernelParts,
 		stepKernelName: profile.Name + "-step",
 	}
@@ -282,14 +277,6 @@ func (h *Harness) State() State {
 // Counters returns a snapshot of the bookkeeping counters.
 func (h *Harness) Counters() Counters {
 	return h.counters
-}
-
-// SetStepEstimate overrides the per-step duration used by the
-// program-directed limit (the automated profiler calls this).
-func (h *Harness) SetStepEstimate(d time.Duration) {
-	if d > 0 {
-		h.stepEstimate = d
-	}
 }
 
 // Deliver sends a state-transition command to the harness (worker side).

@@ -2,7 +2,6 @@ package sidetask
 
 import (
 	"testing"
-	"testing/quick"
 	"time"
 
 	"freeride/internal/container"
@@ -11,87 +10,6 @@ import (
 	"freeride/internal/simproc"
 	"freeride/internal/simtime"
 )
-
-func TestStateMachineLegalEdges(t *testing.T) {
-	tests := []struct {
-		from State
-		tr   Transition
-		want State
-	}{
-		{StateSubmitted, TransitionCreate, StateCreated},
-		{StateCreated, TransitionInit, StatePaused},
-		{StatePaused, TransitionStart, StateRunning},
-		{StateRunning, TransitionPause, StatePaused},
-		{StateRunning, TransitionRunNextStep, StateRunning},
-		{StateCreated, TransitionStop, StateStopped},
-		{StatePaused, TransitionStop, StateStopped},
-		{StateRunning, TransitionStop, StateStopped},
-	}
-	for _, tc := range tests {
-		got, err := Next(tc.from, tc.tr)
-		if err != nil || got != tc.want {
-			t.Errorf("Next(%v,%v) = %v/%v, want %v", tc.from, tc.tr, got, err, tc.want)
-		}
-	}
-}
-
-func TestStateMachineRejectsIllegal(t *testing.T) {
-	illegal := []struct {
-		from State
-		tr   Transition
-	}{
-		{StateSubmitted, TransitionStart},
-		{StateSubmitted, TransitionStop},
-		{StateCreated, TransitionStart},
-		{StatePaused, TransitionPause},
-		{StateStopped, TransitionStart},
-		{StateStopped, TransitionStop},
-		{StatePaused, TransitionInit},
-	}
-	for _, tc := range illegal {
-		if _, err := Next(tc.from, tc.tr); err == nil {
-			t.Errorf("Next(%v,%v) accepted", tc.from, tc.tr)
-		}
-	}
-}
-
-// Property: from any state, any transition either errors or lands on a
-// state from which STOPPED remains reachable (no livelock states).
-func TestStateMachineStoppedReachable(t *testing.T) {
-	reachStop := func(s State) bool {
-		seen := map[State]bool{}
-		frontier := []State{s}
-		for len(frontier) > 0 {
-			cur := frontier[0]
-			frontier = frontier[1:]
-			if cur == StateStopped {
-				return true
-			}
-			if seen[cur] {
-				continue
-			}
-			seen[cur] = true
-			for tr := TransitionCreate; tr <= TransitionStop; tr++ {
-				if next, err := Next(cur, tr); err == nil {
-					frontier = append(frontier, next)
-				}
-			}
-		}
-		return false
-	}
-	f := func(stateRaw, trRaw uint8) bool {
-		s := State(stateRaw%5) + 1
-		tr := Transition(trRaw%6) + 1
-		next, err := Next(s, tr)
-		if err != nil {
-			return true
-		}
-		return reachStop(next)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 type taskRig struct {
 	eng  *simtime.Virtual

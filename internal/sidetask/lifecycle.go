@@ -89,12 +89,13 @@ func (h *Harness) head(now time.Duration) action {
 }
 
 // admit is the program-directed execution-time limit (paper §4.5): a step
-// that cannot finish by the bubble's end is not begun. The unusable
-// remainder is charged to InsuffWait and the task waits for the next command
-// (normally the manager's pause, then a new start).
+// that the profile's estimate (StepTime + HostOverhead) says cannot finish by
+// the bubble's end is not begun. The unusable remainder is charged to
+// InsuffWait and the task waits for the next command (normally the manager's
+// pause, then a new start).
 func (h *Harness) admit(now time.Duration) bool {
 	remaining := h.bubbleEnd - now
-	if remaining >= h.stepEstimate {
+	if remaining >= h.profile.StepTime+h.profile.HostOverhead {
 		return true
 	}
 	if remaining > 0 {

@@ -123,39 +123,3 @@ func TestCounterConsistencyProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestStepEstimateOverrideTightensAdmission(t *testing.T) {
-	// Doubling the step estimate halves the admitted steps in a bubble.
-	run := func(estimate time.Duration) uint64 {
-		eng := simtime.NewVirtual()
-		procs := simproc.NewRuntime(eng)
-		dev := simgpu.NewDevice(eng, simgpu.DeviceConfig{Name: "gpu"})
-		ctrs := container.NewRuntime(procs)
-		profile := model.ResNet18
-		profile.StepJitter = 0
-		profile.CreateTime = 10 * time.Millisecond
-		profile.InitTime = 10 * time.Millisecond
-		h, _ := NewBuiltin(profile, ModeIterative, WorkNone, 1)
-		if estimate > 0 {
-			h.SetStepEstimate(estimate)
-		}
-		ctrs.Run(container.Spec{Name: "t", Device: dev}, h.Run)
-		eng.RunUntil(100 * time.Millisecond)
-		eng.Schedule(0, "init", func() { h.Deliver(Command{Transition: TransitionInit}) })
-		eng.RunFor(100 * time.Millisecond)
-		end := eng.Now() + 300*time.Millisecond
-		eng.Schedule(0, "start", func() {
-			h.Deliver(Command{Transition: TransitionStart, BubbleEnd: end})
-		})
-		eng.RunFor(time.Second)
-		return h.Counters().Steps
-	}
-	normal := run(0)
-	conservative := run(150 * time.Millisecond)
-	if conservative >= normal {
-		t.Fatalf("conservative estimate admitted %d steps >= normal %d", conservative, normal)
-	}
-	if conservative == 0 {
-		t.Fatal("conservative estimate admitted nothing in a 300ms bubble")
-	}
-}

@@ -22,9 +22,9 @@
 //
 // Who may call what, from where:
 //   - A deployer (core.Worker, the session's baselines, the profiler, the
-//     experiment rigs) builds a harness, optionally calls Restore and
-//     SetStepEstimate, then Launch — which picks the substrate —
-//     and from then on talks to it from engine-callback context only:
+//     experiment rigs) builds a harness, optionally calls Restore, then
+//     Launch — which picks the substrate — and from then on talks to it
+//     from engine-callback context only:
 //     SetStateListener, Deliver, State, Counters, and signals on the
 //     container.
 //   - A substrate (Run, Start) calls the decisions, and only from its own
@@ -107,31 +107,4 @@ func (t Transition) String() string {
 	default:
 		return fmt.Sprintf("Transition(%d)", int(t))
 	}
-}
-
-// legalTransitions encodes Figure 4a's edges.
-var legalTransitions = map[Transition][2]State{
-	TransitionCreate:      {StateSubmitted, StateCreated},
-	TransitionInit:        {StateCreated, StatePaused},
-	TransitionStart:       {StatePaused, StateRunning},
-	TransitionPause:       {StateRunning, StatePaused},
-	TransitionRunNextStep: {StateRunning, StateRunning},
-}
-
-// Next validates a transition from state s and returns the successor state.
-// TransitionStop is legal from CREATED, PAUSED and RUNNING.
-func Next(s State, t Transition) (State, error) {
-	if t == TransitionStop {
-		switch s {
-		case StateCreated, StatePaused, StateRunning:
-			return StateStopped, nil
-		default:
-			return 0, fmt.Errorf("sidetask: illegal %v from %v", t, s)
-		}
-	}
-	edge, ok := legalTransitions[t]
-	if !ok || edge[0] != s {
-		return 0, fmt.Errorf("sidetask: illegal %v from %v", t, s)
-	}
-	return edge[1], nil
 }

@@ -84,10 +84,6 @@ type DeviceConfig struct {
 	Name string
 	// MemBytes is physical device memory (e.g. 48 GiB for RTX 6000 Ada).
 	MemBytes int64
-	// Capacity is aggregate SM throughput; 1.0 = reference GPU
-	// (the paper's Server-I RTX 6000 Ada). A slower device (Server-II's
-	// RTX 3080) has capacity < 1: kernels take proportionally longer.
-	Capacity float64
 	// Policy selects the co-location sharing model. Default PolicyMPS.
 	Policy Policy
 	// ResidencyTax is the fractional slowdown applied to every kernel
@@ -146,11 +142,11 @@ type Device struct {
 	// Water-fill share cache: converged post-tax allocation vectors of
 	// recent incremental rebalances, fingerprinted by the running set's
 	// shape — per slot the client identity and the weight/demand bits that
-	// (with the immutable policy and capacity) fully determine the
-	// assignAllocations output — plus the residency-tax predicate. A
-	// steady-state co-location rebalance, where a completed kernel is
-	// replaced by an identically shaped successor, becomes a fingerprint
-	// compare and a copy instead of an iterative water-fill. The cache is
+	// (with the immutable policy) fully determine the assignAllocations
+	// output — plus the residency-tax predicate. A steady-state
+	// co-location rebalance, where a completed kernel is replaced by an
+	// identically shaped successor, becomes a fingerprint compare and a
+	// copy instead of an iterative water-fill. The cache is
 	// two-way (MRU first) because the steady state alternates between two
 	// shapes: the set with a completed kernel removed, and the set with its
 	// successor launched. Any membership, weight, demand or residency
@@ -209,13 +205,10 @@ type Device struct {
 }
 
 // NewDevice creates a device on the engine. Zero-valued config fields get
-// defaults: 48 GiB memory, capacity 1.0, PolicyMPS.
+// defaults: 48 GiB memory, PolicyMPS.
 func NewDevice(eng *simtime.Virtual, cfg DeviceConfig) *Device {
 	if cfg.MemBytes == 0 {
 		cfg.MemBytes = 48 << 30
-	}
-	if cfg.Capacity == 0 {
-		cfg.Capacity = 1.0
 	}
 	if cfg.Policy == 0 {
 		cfg.Policy = PolicyMPS
@@ -384,9 +377,9 @@ func (d *Device) runningReplace(old, next *kernel) {
 
 // shareKey is one slot of the share-cache fingerprint: the client identity
 // plus the bits of the kernel weight and demand that, with the device's
-// immutable policy and capacity, determine its allocation under either
-// policy (the client's own weight override is a function of the client
-// identity). Clients are never recycled, so pointer identity is exact.
+// immutable policy, determine its allocation under either policy (the
+// client's own weight override is a function of the client identity).
+// Clients are never recycled, so pointer identity is exact.
 type shareKey struct {
 	c    *Client
 	w, d uint64

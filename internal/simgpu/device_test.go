@@ -65,17 +65,6 @@ func TestPartialDemandKernelSameDuration(t *testing.T) {
 	}
 }
 
-func TestSlowerDeviceStretchesKernels(t *testing.T) {
-	eng, d := newDev(t, DeviceConfig{Capacity: 0.5})
-	c := mustClient(t, d, ClientConfig{Name: "x"})
-	var doneAt time.Duration
-	c.Launch(&KernelSpec{Name: "k", Duration: time.Second}, func(error) { doneAt = eng.Now() })
-	eng.MustDrain(100)
-	if doneAt != 2*time.Second {
-		t.Fatalf("finished at %v, want 2s on half-capacity device", doneAt)
-	}
-}
-
 func TestClientKernelsSerializeFIFO(t *testing.T) {
 	eng, d := newDev(t, DeviceConfig{})
 	c := mustClient(t, d, ClientConfig{Name: "x"})

@@ -435,8 +435,8 @@ func (d *Device) rebalanceFull() {
 }
 
 // assignAllocations computes per-kernel SM fractions under the device
-// policy. Rates are in reference-GPU units: a device with Capacity 0.5 can
-// grant at most 0.5 total.
+// policy. Rates are in reference-GPU units: a device grants at most 1.0
+// total.
 func (d *Device) assignAllocations(running []*kernel) {
 	switch d.cfg.Policy {
 	case PolicyTimeSlice:
@@ -451,7 +451,7 @@ func (d *Device) assignAllocations(running []*kernel) {
 		}
 		for _, k := range running {
 			share := clientWeightOf(k) / totalW
-			k.alloc = math.Max(minAlloc, k.spec.Demand*d.cfg.Capacity*share)
+			k.alloc = math.Max(minAlloc, k.spec.Demand*share)
 		}
 	default: // PolicyMPS: weighted water-filling capped by demand.
 		slots := d.scratchSlots[:0]
@@ -463,7 +463,7 @@ func (d *Device) assignAllocations(running []*kernel) {
 			slots = append(slots, allocSlot{k: k, w: w})
 		}
 		d.scratchSlots = slots
-		remaining := d.cfg.Capacity
+		remaining := 1.0
 		for {
 			var totalW float64
 			for _, s := range slots {
@@ -481,7 +481,7 @@ func (d *Device) assignAllocations(running []*kernel) {
 					continue
 				}
 				share := s.w / totalW * remaining
-				demand := s.k.spec.Demand * d.cfg.Capacity
+				demand := s.k.spec.Demand
 				if demand <= share {
 					s.k.alloc = math.Max(minAlloc, demand)
 					remaining -= demand

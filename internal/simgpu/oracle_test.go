@@ -43,7 +43,6 @@ func buildOracleWorkload(t *testing.T, seed int64, full bool) *oracleRig {
 	cfg := DeviceConfig{
 		Name:          "oracle",
 		Policy:        policy,
-		Capacity:      0.25 + float64(rng.Intn(4))*0.25,
 		ResidencyTax:  DefaultResidencyTax, // exercised whenever ≥2 clients are resident
 		MemBytes:      1 << 30,
 		FullRebalance: full,

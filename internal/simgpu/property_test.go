@@ -14,15 +14,14 @@ import (
 // scheduler (a) completes every kernel, (b) conserves work, (c) never
 // exceeds device capacity, and (d) preserves per-client FIFO order.
 func TestSchedulerRandomWorkloadInvariants(t *testing.T) {
-	f := func(seed int64, policyRaw, clientsRaw, kernelsRaw uint8, capRaw uint8) bool {
+	f := func(seed int64, policyRaw, clientsRaw, kernelsRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		policy := PolicyMPS
 		if policyRaw%2 == 1 {
 			policy = PolicyTimeSlice
 		}
-		capacity := 0.25 + float64(capRaw%4)*0.25
 		eng := simtime.NewVirtual()
-		d := NewDevice(eng, DeviceConfig{Policy: policy, Capacity: capacity})
+		d := NewDevice(eng, DeviceConfig{Policy: policy})
 
 		nClients := int(clientsRaw%4) + 1
 		nKernels := int(kernelsRaw%12) + 1
@@ -81,7 +80,7 @@ func TestSchedulerRandomWorkloadInvariants(t *testing.T) {
 		}
 		// (c) capacity never exceeded (small epsilon for float noise)
 		for _, p := range d.Occupancy().Points() {
-			if p.V > capacity+1e-6 {
+			if p.V > 1+1e-6 {
 				return false
 			}
 		}

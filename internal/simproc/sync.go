@@ -1,25 +1,22 @@
 package simproc
 
-import (
-	"sync/atomic"
-
-	"freeride/internal/fifo"
-)
+import "freeride/internal/fifo"
 
 // Latch is a one-shot flag: the pipeline drivers publish completion through
 // one (Trainer.Done, Server.Done); per-op dependency edges use
-// pipeline.Runner's scoreboard. Nothing waits on a latch — IsSet is a single
-// atomic load, polled once per simulated event by the session drain loop —
-// so the zero Latch is ready to use and Set needs no lock.
+// pipeline.Runner's scoreboard. Nothing waits on a latch — the session drain
+// loop polls IsSet once per simulated event — and, like everything on an
+// engine, it is touched only from its owner's goroutine, so it is a plain
+// bool and the zero Latch is ready to use.
 type Latch struct {
-	set atomic.Bool
+	set bool
 }
 
 // Set sets the latch. Setting twice is a no-op.
-func (l *Latch) Set() { l.set.Store(true) }
+func (l *Latch) Set() { l.set = true }
 
 // IsSet reports whether the latch has been set.
-func (l *Latch) IsSet() bool { return l.set.Load() }
+func (l *Latch) IsSet() bool { return l.set }
 
 // Mailbox is an unbounded FIFO queue of T with blocking receive, used for
 // inter-process messages (a side task's state-transition commands). It is
