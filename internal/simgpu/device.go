@@ -24,7 +24,6 @@ package simgpu
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 
 	"freeride/internal/simtime"
@@ -147,14 +146,17 @@ type Device struct {
 	// co-location rebalance, where a completed kernel is replaced by an
 	// identically shaped successor, becomes a fingerprint compare and a
 	// copy instead of an iterative water-fill. The cache is
-	// two-way (MRU first) because the steady state alternates between two
-	// shapes: the set with a completed kernel removed, and the set with its
-	// successor launched. Any membership, weight, demand or residency
-	// transition changes the fingerprint, so invalidation is implicit in
-	// the compare; the cached floats are the exact bits the recompute would
-	// produce. shareHits/shareMisses let tests assert the fast path
+	// two-way (shares[mru] is the most recently used entry) because the
+	// steady state alternates between two shapes: the set with a completed
+	// kernel removed, and the set with its successor launched. Any
+	// membership, weight, demand or residency transition changes the
+	// fingerprint, so invalidation is implicit in the compare; the cached
+	// floats are the exact bits the recompute would produce. A lead
+	// hypothesis reads the cache without promoting or counting
+	// (shareCachePeek). shareHits/shareMisses let tests assert the fast path
 	// actually engages.
 	shares      [2]shareEntry
+	mru         int
 	shareHits   uint64
 	shareMisses uint64
 
@@ -187,8 +189,8 @@ type Device struct {
 	// allocation-free.
 	scratchRun   []*kernel
 	scratchSlots []allocSlot
-	// scratchAllocs saves the running set's true allocations across a lead
-	// hypothesis dry run (armLead).
+	// scratchAllocs holds a lead hypothesis dry run's allocation vector
+	// (dryRun).
 	scratchAllocs []float64
 	// kernelPool recycles kernel structs (and their completion timers and
 	// closures) across launches; a device retires millions of kernels per
@@ -385,15 +387,6 @@ type shareKey struct {
 	w, d uint64
 }
 
-// shareKeyOf builds the fingerprint slot for a running kernel.
-func shareKeyOf(k *kernel) shareKey {
-	return shareKey{
-		c: k.client,
-		w: math.Float64bits(k.spec.Weight),
-		d: math.Float64bits(k.spec.Demand),
-	}
-}
-
 // shareEntry is one cached (fingerprint, allocation vector) pair.
 type shareEntry struct {
 	key    []shareKey
@@ -408,7 +401,26 @@ func (e *shareEntry) matches(running []*kernel, taxed bool) bool {
 		return false
 	}
 	for i, k := range running {
-		if e.key[i] != shareKeyOf(k) {
+		if e.key[i] != k.key {
+			return false
+		}
+	}
+	return true
+}
+
+// matchesWith reports whether the entry's fingerprint equals that of running
+// with k inserted at idx, without building that set.
+func (e *shareEntry) matchesWith(running []*kernel, k *kernel, idx int, taxed bool) bool {
+	if !e.valid || e.taxed != taxed || len(e.key) != len(running)+1 || e.key[idx] != k.key {
+		return false
+	}
+	for i, rk := range running[:idx] {
+		if e.key[i] != rk.key {
+			return false
+		}
+	}
+	for i, rk := range running[idx:] {
+		if e.key[idx+1+i] != rk.key {
 			return false
 		}
 	}
@@ -418,29 +430,45 @@ func (e *shareEntry) matches(running []*kernel, taxed bool) bool {
 // shareCacheHit looks the running set up in the two-way cache and, on a match,
 // installs the cached post-tax allocation vector (promoting the entry to MRU).
 func (d *Device) shareCacheHit(running []*kernel, taxed bool) bool {
-	e := &d.shares[0]
-	if !e.matches(running, taxed) {
-		if !d.shares[1].matches(running, taxed) {
+	i := d.mru
+	if !d.shares[i].matches(running, taxed) {
+		i ^= 1
+		if !d.shares[i].matches(running, taxed) {
 			d.shareMisses++
 			return false
 		}
-		d.shares[0], d.shares[1] = d.shares[1], d.shares[0]
+		d.mru = i
 	}
-	for i, k := range running {
-		k.alloc = d.shares[0].allocs[i]
+	for j, k := range running {
+		k.alloc = d.shares[i].allocs[j]
 	}
 	d.shareHits++
 	return true
 }
 
+// shareCachePeek looks up the running set with k inserted at idx and returns
+// the matching entry's allocation vector (nil: a miss). It is a pure read: no
+// promotion and no hit or miss counted, so the cache evolves exactly as the
+// rebalances alone drive it.
+func (d *Device) shareCachePeek(k *kernel, idx int, taxed bool) []float64 {
+	i := d.mru
+	if !d.shares[i].matchesWith(d.running, k, idx, taxed) {
+		i ^= 1
+		if !d.shares[i].matchesWith(d.running, k, idx, taxed) {
+			return nil
+		}
+	}
+	return d.shares[i].allocs
+}
+
 // shareCacheStore records the just-computed allocation vector under the
 // running set's fingerprint, evicting the LRU entry (whose slices are reused).
 func (d *Device) shareCacheStore(running []*kernel, taxed bool) {
-	d.shares[0], d.shares[1] = d.shares[1], d.shares[0]
-	e := &d.shares[0]
+	d.mru ^= 1
+	e := &d.shares[d.mru]
 	key, allocs := e.key[:0], e.allocs[:0]
 	for _, k := range running {
-		key = append(key, shareKeyOf(k))
+		key = append(key, k.key)
 		allocs = append(allocs, k.alloc)
 	}
 	e.key, e.allocs = key, allocs

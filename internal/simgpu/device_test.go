@@ -354,11 +354,14 @@ func BenchmarkKernelChurn(b *testing.B) {
 	d := NewDevice(eng, DeviceConfig{})
 	a, _ := d.NewClient(ClientConfig{Name: "a"})
 	c, _ := d.NewClient(ClientConfig{Name: "b"})
+	// Hoisted, so allocs/op counts the device's allocations, not the loop's.
+	specA := &KernelSpec{Name: "k", Duration: time.Millisecond, Demand: 0.5}
+	specC := &KernelSpec{Name: "k", Duration: time.Millisecond, Demand: 0.7}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Launch(&KernelSpec{Name: "k", Duration: time.Millisecond, Demand: 0.5}, nil)
-		c.Launch(&KernelSpec{Name: "k", Duration: time.Millisecond, Demand: 0.7}, nil)
+		a.Launch(specA, nil)
+		c.Launch(specC, nil)
 		if i%256 == 255 {
 			eng.Drain(0)
 		}

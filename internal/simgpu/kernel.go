@@ -15,10 +15,11 @@ import (
 // Specs travel by pointer through the whole launch path (Launch, Exec,
 // ExecThen, ExecLeadThen) so hot loops can keep one spec alive and mutate
 // Name/Duration between launches instead of copying the struct per call.
-// The device reads the spec at launch (work sizing) and at retirement
-// (throughput accounting), both of which happen before the completion is
-// delivered — so mutating a spec from a completion continuation is safe,
-// but a spec must not change while its kernel is still in flight.
+// The device reads the spec only at launch: the kernel keeps its work, its
+// share-cache fingerprint and its timer label from there on. So a spec may
+// change once the call that launched it returns — except ExecLeadThen's on a
+// device that is not LeadCapable, which launches when the host phase ends
+// and so needs the spec unchanged until its continuation runs.
 type KernelSpec struct {
 	Name string
 	// Duration is the kernel's solo run time on an unshared reference GPU.
@@ -47,9 +48,13 @@ func (s *KernelSpec) normalize() {
 // kernel is an in-flight kernel.
 type kernel struct {
 	client *Client
-	spec   *KernelSpec
+	// key is the kernel's share-cache fingerprint slot: its client and the
+	// bits of its spec's Weight and Demand, taken at launch.
+	key shareKey
 
-	// work remaining in reference SM-seconds; total = Demand * Duration.
+	// size is the kernel's total work in reference SM-seconds, Demand ×
+	// Duration at launch; work is what remains of it.
+	size float64
 	work float64
 	// alloc is the current SM fraction granted.
 	alloc float64
@@ -67,9 +72,9 @@ type kernel struct {
 	// waiter, when set, receives the completion (nil or an error) through
 	// its wait slot instead of onComplete. This is the blocking/inline Exec
 	// path: delivering to a pre-bound process wait costs no closure.
-	waiter   *simproc.Process
-	started  time.Duration
-	startSet bool
+	waiter *simproc.Process
+	// started is when the kernel reached the head of its stream.
+	started time.Duration
 	// runIdx is the kernel's slot in the device's running-set cache, -1
 	// while queued, leading or retired.
 	runIdx int32
@@ -100,22 +105,17 @@ func (d *Device) popKernel(c *Client, spec *KernelSpec, onComplete func(error), 
 		d.kernelPool[n-1] = nil
 		d.kernelPool = d.kernelPool[:n-1]
 		k.client = c
-		k.spec = spec
-		k.work = spec.Demand * spec.Duration.Seconds()
 		k.alloc = 0
 		k.lastUpdate = 0
 		k.onComplete = onComplete
 		k.waiter = waiter
 		k.runIdx = -1
 		k.started = 0
-		k.startSet = false
 		k.leadUntil = 0
 		k.leadDeadline = -1
 	} else {
 		k = &kernel{
 			client:       c,
-			spec:         spec,
-			work:         spec.Demand * spec.Duration.Seconds(),
 			onComplete:   onComplete,
 			waiter:       waiter,
 			runIdx:       -1,
@@ -123,11 +123,18 @@ func (d *Device) popKernel(c *Client, spec *KernelSpec, onComplete func(error), 
 		}
 		k.completeFn = func() { d.completeKernel(k) }
 	}
+	k.key = shareKey{c: c, w: math.Float64bits(spec.Weight), d: math.Float64bits(spec.Demand)}
+	k.size = spec.Demand * spec.Duration.Seconds()
+	k.work = k.size
 	// The timer label is a debug string only; reusing spec.Name avoids a
 	// per-launch concat.
 	k.doneName = spec.Name
 	return k
 }
+
+// demand and weight are the kernel's spec values as of launch.
+func (k *kernel) demand() float64 { return math.Float64frombits(k.key.d) }
+func (k *kernel) weight() float64 { return math.Float64frombits(k.key.w) }
 
 // Launch enqueues a kernel on the client's (serial) stream. onComplete fires
 // from engine-callback context when the kernel finishes or is aborted; it
@@ -168,7 +175,6 @@ func (c *Client) launch(spec *KernelSpec, onComplete func(error), waiter *simpro
 	if c.current == nil {
 		c.current = k
 		k.started = d.eng.Now()
-		k.startSet = true
 		d.runningInsert(k)
 		d.residencyChanged(c)
 		// Fold an open fusion window: this launch's rebalance covers the
@@ -333,18 +339,9 @@ func (d *Device) rebalanceAt(at time.Duration, wake *simtime.Timer, firing *kern
 		k.lastUpdate = at
 	}
 
-	// taxed is the MPS context-multiplexing predicate: with two or more
-	// resident client contexts, every kernel pays a small scheduling
-	// overhead.
-	taxed := d.cfg.ResidencyTax > 0 && d.cfg.Policy == PolicyMPS && d.resident >= 2
+	taxed := d.taxed(d.resident)
 	if !d.shareCacheHit(running, taxed) {
-		d.assignAllocations(running)
-		if taxed {
-			scale := 1 / (1 + d.cfg.ResidencyTax)
-			for _, k := range running {
-				k.alloc *= scale
-			}
-		}
+		d.fill(running, taxed)
 		d.shareCacheStore(running, taxed)
 	}
 
@@ -434,6 +431,26 @@ func (d *Device) rebalanceFull() {
 	}
 }
 
+// taxed is the MPS context-multiplexing predicate of the incremental passes:
+// with two or more resident client contexts, every kernel pays a small
+// scheduling overhead.
+func (d *Device) taxed(resident int) bool {
+	return d.cfg.ResidencyTax > 0 && d.cfg.Policy == PolicyMPS && resident >= 2
+}
+
+// fill computes set's post-tax allocation vector into its kernels: the
+// water-fill, then the residency tax when taxed. It is the incremental
+// pass's cache miss and the lead hypothesis's dry run.
+func (d *Device) fill(set []*kernel, taxed bool) {
+	d.assignAllocations(set)
+	if taxed {
+		scale := 1 / (1 + d.cfg.ResidencyTax)
+		for _, k := range set {
+			k.alloc *= scale
+		}
+	}
+}
+
 // assignAllocations computes per-kernel SM fractions under the device
 // policy. Rates are in reference-GPU units: a device grants at most 1.0
 // total.
@@ -451,12 +468,12 @@ func (d *Device) assignAllocations(running []*kernel) {
 		}
 		for _, k := range running {
 			share := clientWeightOf(k) / totalW
-			k.alloc = math.Max(minAlloc, k.spec.Demand*share)
+			k.alloc = math.Max(minAlloc, k.demand()*share)
 		}
 	default: // PolicyMPS: weighted water-filling capped by demand.
 		slots := d.scratchSlots[:0]
 		for _, k := range running {
-			w := k.spec.Weight
+			w := k.weight()
 			if k.client.cfg.Weight > 0 {
 				w = k.client.cfg.Weight
 			}
@@ -481,7 +498,7 @@ func (d *Device) assignAllocations(running []*kernel) {
 					continue
 				}
 				share := s.w / totalW * remaining
-				demand := s.k.spec.Demand
+				demand := s.k.demand()
 				if demand <= share {
 					s.k.alloc = math.Max(minAlloc, demand)
 					remaining -= demand
@@ -584,7 +601,7 @@ func (d *Device) completeKernel(k *kernel) {
 		return
 	}
 	d.kernels++
-	d.workDone += k.spec.Demand * k.spec.Duration.Seconds()
+	d.workDone += k.size
 	c.current = nil
 	if len(c.queue) > 0 {
 		// Compact in place: sliding the slice head would shed capacity on
@@ -595,7 +612,6 @@ func (d *Device) completeKernel(k *kernel) {
 		c.queue[n] = nil
 		c.queue = c.queue[:n]
 		c.current.started = d.eng.Now()
-		c.current.startSet = true
 		d.runningReplace(k, c.current)
 	} else {
 		d.runningRemove(k)

@@ -222,7 +222,6 @@ func (d *Device) startLead(k *kernel, wake *simtime.Timer, firing *kernel) bool 
 	}
 	c.current = k
 	k.started = k.leadUntil
-	k.startSet = true
 	d.runningInsert(k)
 	d.residencyChanged(c)
 	return d.rebalanceAt(k.leadUntil, wake, firing)
@@ -253,12 +252,12 @@ func (c *Client) streamTaken(k *kernel) bool {
 // armLead computes k's completion hypothesis — the exact completion instant if
 // no further device events intervene before leadUntil — and arms its timer
 // there, keyed as the idx-th timer the maturation rebalance arms. The
-// hypothesis inserts k into a copy of the running set at its client-order
-// position and runs the same water-fill + residency-tax arithmetic the
-// maturation rebalance will run, so in the no-event case the armed (when, seq)
-// IS the completion's, bit-exactly. The share cache is bypassed in both
-// directions: hypothesis lookups would perturb the hit/miss stream and MRU
-// order away from the unfused arm's. A lead that would queue arms nothing.
+// hypothesis is the allocation vector the maturation rebalance will install
+// for the running set with k at its client-order position, so in the
+// no-event case the armed (when, seq) IS the completion's, bit-exactly. It
+// reads the share cache and never writes it: no entry is stored or promoted
+// and no hit or miss counted, so the cache's state and statistics stay those
+// of the rebalances alone. A lead that would queue arms nothing.
 func (d *Device) armLead(k *kernel) {
 	// A lead whose launch is about to fail fires at the launch instant.
 	deadline, idx := k.leadUntil, 0
@@ -288,15 +287,24 @@ func (d *Device) armLead(k *kernel) {
 	k.timer = d.eng.RescheduleAs(k.timer, &k.wake, idx, deadline, k.doneName, k.completeFn)
 }
 
-// hypothesis runs the maturation rebalance of lead k dry: k's allocation and
-// running-set index if it started at leadUntil with nothing else changing, and
-// the soonest completion that rebalance would re-round a running kernel's
-// onto, where that is earlier than the one armed (MaxInt64: none).
+// hypothesis is lead k's maturation rebalance as if k started at leadUntil
+// with nothing else changing: k's allocation, its running-set index and the
+// soonest re-rounded completion (soonest). The allocation vector comes from
+// the share cache when it holds the set, and from a dry run otherwise.
 func (d *Device) hypothesis(k *kernel) (alloc float64, idx int, soonest time.Duration) {
-	soonest = time.Duration(math.MaxInt64)
-	// Hypothetical running set with k at its insertion position: the
-	// water-fill iterates in slice order, so position affects float
-	// summation order and must match runningInsert's.
+	idx, taxed := d.leadSet(k)
+	hyp := d.shareCachePeek(k, idx, taxed)
+	if hyp == nil {
+		hyp = d.dryRun(k, idx, taxed)
+	}
+	return hyp[idx], idx, d.soonest(k, idx, hyp)
+}
+
+// leadSet reports where lead k enters the running set when it matures — the
+// water-fill iterates in slice order, so position affects float summation
+// order and must match runningInsert's — and whether that set pays the
+// residency tax.
+func (d *Device) leadSet(k *kernel) (idx int, taxed bool) {
 	idx = len(d.running)
 	for i, rk := range d.running {
 		if rk.client.orderIdx > k.client.orderIdx {
@@ -304,54 +312,62 @@ func (d *Device) hypothesis(k *kernel) (alloc float64, idx int, soonest time.Dur
 			break
 		}
 	}
+	resident := d.resident
+	if !k.client.resident {
+		resident++
+	}
+	return idx, d.taxed(resident)
+}
+
+// dryRun computes the allocation vector of the running set with k inserted
+// at idx, as the maturation's cache miss would (fill), and returns it; every
+// kernel keeps its true allocation. The vector is d.scratchAllocs.
+func (d *Device) dryRun(k *kernel, idx int, taxed bool) []float64 {
 	run := d.scratchRun[:0]
 	run = append(run, d.running[:idx]...)
 	run = append(run, k)
 	run = append(run, d.running[idx:]...)
 	d.scratchRun = run
-
-	// Save the real allocations: assignAllocations writes k.alloc for the
-	// whole hypothetical set, and the running kernels' true allocations
-	// must survive the dry run.
-	allocs := d.scratchAllocs[:0]
+	saved := d.scratchAllocs[:0]
 	for _, rk := range run {
-		allocs = append(allocs, rk.alloc)
+		saved = append(saved, rk.alloc)
 	}
-	d.scratchAllocs = allocs
-
-	d.assignAllocations(run)
-	resident := d.resident
-	if !k.client.resident {
-		resident++
-	}
-	if d.cfg.ResidencyTax > 0 && d.cfg.Policy == PolicyMPS && resident >= 2 {
-		scale := 1 / (1 + d.cfg.ResidencyTax)
-		for _, rk := range run {
-			rk.alloc *= scale
-		}
-	}
-	// The maturation re-rounds every running kernel's completion as of
-	// leadUntil, which can land a nanosecond before the armed completion
-	// (where the rate stands, or the kernel is all but done): fire there
-	// instead, to mature k in time.
+	d.fill(run, taxed)
+	// Swap: the kernels get their true allocations back, the scratch keeps
+	// the hypothetical ones.
 	for i, rk := range run {
-		if rk == k || allocs[i] <= 0 || rk.alloc <= 0 {
+		saved[i], rk.alloc = rk.alloc, saved[i]
+	}
+	d.scratchAllocs = saved
+	return saved
+}
+
+// soonest is the soonest completion lead k's maturation (allocation vector
+// hyp, k at idx) would re-round a running kernel's onto, where that is
+// earlier than the one armed (MaxInt64: none). The maturation re-rounds every
+// running kernel's completion as of leadUntil, which can land a nanosecond
+// before the armed completion (where the rate stands, or the kernel is all
+// but done): the lead fires there instead, to mature in time.
+func (d *Device) soonest(k *kernel, idx int, hyp []float64) time.Duration {
+	soonest := time.Duration(math.MaxInt64)
+	for i, rk := range d.running {
+		h := hyp[i]
+		if i >= idx {
+			h = hyp[i+1]
+		}
+		if rk.alloc <= 0 || h <= 0 {
 			continue
 		}
-		work := rk.work - allocs[i]*(k.leadUntil-rk.lastUpdate).Seconds()
+		work := rk.work - rk.alloc*(k.leadUntil-rk.lastUpdate).Seconds()
 		if work < 0 {
 			work = 0
 		}
-		at := k.leadUntil + time.Duration(math.Ceil(work/rk.alloc*1e9))
-		if at < rk.lastUpdate+time.Duration(math.Ceil(rk.work/allocs[i]*1e9)) {
+		at := k.leadUntil + time.Duration(math.Ceil(work/h*1e9))
+		if at < rk.lastUpdate+time.Duration(math.Ceil(rk.work/rk.alloc*1e9)) {
 			soonest = min(soonest, at)
 		}
 	}
-	alloc = k.alloc
-	for i, rk := range run {
-		rk.alloc = allocs[i]
-	}
-	return alloc, idx, soonest
+	return soonest
 }
 
 // HoldLead freezes the client's pending host leads (SIGTSTP landed inside

@@ -1,7 +1,11 @@
 package simgpu
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -264,8 +268,8 @@ func TestFaultArmedDuringLead(t *testing.T) {
 
 // TestExecLeadThenAllocFree pins the tentpole guarantee for the fused step
 // dispatch: a steady host-lead self-loop — completion via the chained wake,
-// lead insert/arm/mature, the completion-hypothesis water-fill in scratch
-// space — runs at 0 allocs/op.
+// lead insert/arm/mature, the completion hypothesis read from the share
+// cache — runs at 0 allocs/op.
 func TestExecLeadThenAllocFree(t *testing.T) {
 	eng, _, a, b := newTwoClientRig(t)
 	procs := simproc.NewRuntime(eng)
@@ -331,5 +335,180 @@ func TestQueueDepthCountsLaunchedKernels(t *testing.T) {
 				t.Errorf("full rebalance %v, at %v: QueueDepth %d, Busy %v; want %d, %v", full, want.at, depth, busy, want.depth, want.busy)
 			}
 		}
+	}
+}
+
+// shareSnapshot is a deep copy of a device's share cache: both entries, the
+// MRU index and the hit/miss counters.
+type shareSnapshot struct {
+	keys         [2][]shareKey
+	allocs       [2][]float64
+	taxed, valid [2]bool
+	mru          int
+	hits, misses uint64
+}
+
+func snapshotShares(d *Device) shareSnapshot {
+	s := shareSnapshot{mru: d.mru}
+	s.hits, s.misses = d.ShareCacheStats()
+	for i, e := range d.shares {
+		s.keys[i] = slices.Clone(e.key)
+		s.allocs[i] = slices.Clone(e.allocs)
+		s.taxed[i], s.valid[i] = e.taxed, e.valid
+	}
+	return s
+}
+
+func (s shareSnapshot) equal(o shareSnapshot) bool {
+	for i := range s.keys {
+		if !slices.Equal(s.keys[i], o.keys[i]) || !slices.Equal(s.allocs[i], o.allocs[i]) {
+			return false
+		}
+	}
+	return s.taxed == o.taxed && s.valid == o.valid && s.mru == o.mru && s.hits == o.hits && s.misses == o.misses
+}
+
+// TestLeadHypothesisMatchesDryRun pins the lead hypothesis's share-cache
+// read. On random devices — 1–4 self-looping clients, some launching through
+// host leads, under MPS or time-slicing, with the residency tax on or off and
+// random demand, weight and residency — every pending lead's hypothesis must
+// equal the forced dry run's (alloc, idx, soonest) bit for bit, arming a lead
+// must leave the cache's entries, MRU order and hit/miss counts as they were,
+// and after every engine step the MRU entry must be the running set's.
+func TestLeadHypothesisMatchesDryRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var hits, misses int
+	for trial := 0; trial < 200; trial++ {
+		cfg := DeviceConfig{Name: "gpu", NoTraces: true, Policy: PolicyMPS}
+		if rng.Intn(2) == 0 {
+			cfg.Policy = PolicyTimeSlice
+		}
+		if rng.Intn(2) == 0 {
+			cfg.ResidencyTax = DefaultResidencyTax
+		}
+		eng := simtime.NewVirtual()
+		procs := simproc.NewRuntime(eng)
+		dev := NewDevice(eng, cfg)
+		n := 1 + rng.Intn(4)
+		leader := rng.Intn(n) // at least one client launches through leads
+		for i := 0; i < n; i++ {
+			cc := ClientConfig{Name: fmt.Sprintf("c%d", i)}
+			if rng.Intn(3) == 0 {
+				cc.Weight = 0.25 + 2*rng.Float64()
+			}
+			c := mustClient(t, dev, cc)
+			if rng.Intn(2) == 0 {
+				if err := c.AllocMem(1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Two specs per client: a launch picks one at random, so the
+			// hypothetical set is sometimes cached and sometimes not.
+			specs := make([]KernelSpec, 2)
+			for j := range specs {
+				specs[j] = KernelSpec{
+					Name:     fmt.Sprintf("k%d.%d", i, j),
+					Duration: time.Duration(1+rng.Intn(50)) * time.Microsecond,
+					Demand:   rng.Float64(),
+					Weight:   2 * rng.Float64(),
+				}
+			}
+			leads := i == leader || rng.Intn(2) == 0
+			procs.SpawnInline(c.Name(), func(p *simproc.Process) {
+				var k func(any)
+				k = func(any) {
+					spec := &specs[rng.Intn(len(specs))]
+					if leads {
+						c.ExecLeadThen(p, spec, time.Duration(1+rng.Intn(20))*time.Microsecond, k)
+					} else {
+						c.ExecThen(p, spec, k)
+					}
+				}
+				k(nil)
+			})
+		}
+		for step := 0; step < 300; step++ {
+			eng.Step()
+			// Every rebalance leaves its own set's entry MRU, and only a
+			// rebalance may: a hypothesis that promoted would leave its own.
+			if (dev.shares[0].valid || dev.shares[1].valid) && !dev.shares[dev.mru].matches(dev.running, dev.taxed(dev.resident)) {
+				t.Fatalf("trial %d step %d: the MRU share entry is not the running set's", trial, step)
+			}
+			for _, k := range dev.leads {
+				if k.client.streamTaken(k) {
+					continue
+				}
+				running := make([]float64, len(dev.running))
+				for i, rk := range dev.running {
+					running[i] = rk.alloc
+				}
+				before := snapshotShares(dev)
+				idx, taxed := dev.leadSet(k)
+				if dev.shareCachePeek(k, idx, taxed) != nil {
+					hits++
+				} else {
+					misses++
+				}
+				alloc, gotIdx, soonest := dev.hypothesis(k)
+				dry := dev.dryRun(k, idx, taxed)
+				dryAlloc, drySoonest := dry[idx], dev.soonest(k, idx, dry)
+				if math.Float64bits(alloc) != math.Float64bits(dryAlloc) || gotIdx != idx || soonest != drySoonest {
+					t.Fatalf("trial %d step %d: hypothesis (%v, %d, %v), dry run (%v, %d, %v)",
+						trial, step, alloc, gotIdx, soonest, dryAlloc, idx, drySoonest)
+				}
+				dev.armLead(k)
+				if after := snapshotShares(dev); !after.equal(before) {
+					t.Fatalf("trial %d step %d: arming a lead changed the share cache:\nbefore %+v\nafter  %+v", trial, step, before, after)
+				}
+				for i, rk := range dev.running {
+					if math.Float64bits(rk.alloc) != math.Float64bits(running[i]) {
+						t.Fatalf("trial %d step %d: the hypothesis moved running kernel %d's allocation", trial, step, i)
+					}
+				}
+			}
+		}
+	}
+	// Both paths must be exercised, the cache read most of all.
+	if hits < 1000 || misses < 100 {
+		t.Fatalf("%d cache hits and %d misses among the hypotheses, want ≥ 1000 and ≥ 100", hits, misses)
+	}
+	t.Logf("%d hypotheses read from the cache, %d dry runs", hits, misses)
+}
+
+// BenchmarkExecLead is a host-lead self-loop (a 1 µs lead before every 30 µs
+// kernel) beside a plain self-loop on one device, on the event loop: the
+// fused side-task step against co-running training kernels. One op is one
+// engine step.
+func BenchmarkExecLead(b *testing.B) {
+	eng := simtime.NewVirtual()
+	procs := simproc.NewRuntime(eng)
+	dev := NewDevice(eng, DeviceConfig{Name: "gpu", NoTraces: true, ResidencyTax: DefaultResidencyTax})
+	lead, err := dev.NewClient(ClientConfig{Name: "lead"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	plain, err := dev.NewClient(ClientConfig{Name: "plain"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	leadSpec := &KernelSpec{Name: "side", Duration: 30 * time.Microsecond, Demand: 0.5, Weight: 0.5}
+	plainSpec := &KernelSpec{Name: "main", Duration: 37 * time.Microsecond, Demand: 1, Weight: 1}
+	procs.SpawnInline("lead", func(p *simproc.Process) {
+		var k func(any)
+		k = func(any) { lead.ExecLeadThen(p, leadSpec, time.Microsecond, k) }
+		k(nil)
+	})
+	procs.SpawnInline("plain", func(p *simproc.Process) {
+		var k func(any)
+		k = func(any) { plain.ExecThen(p, plainSpec, k) }
+		k(nil)
+	})
+	for i := 0; i < 64; i++ {
+		eng.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Step()
 	}
 }
