@@ -116,8 +116,6 @@ type Config struct {
 	WorkScale sidetask.WorkScale
 	// Seed drives all task-level randomness.
 	Seed int64
-	// RecordOps retains the op timeline for figure rendering.
-	RecordOps bool
 	// Serving switches the session from the closed training job to the
 	// open-loop inference-serving workload: a seeded request-arrival trace
 	// drives the pipeline in per-batch fill/execute/drain cycles, the
@@ -157,6 +155,10 @@ type Config struct {
 	// one-shot profile forever, the paper's behaviour. The zero value of
 	// the config selects the detector defaults.
 	Replan *bubble.DetectorConfig
+
+	// record turns on the op log and the GPU occupancy/memory series. Only
+	// ProfileSession sets it: no other session records.
+	record bool
 }
 
 // ServingConfig describes the open-loop inference-serving workload
@@ -477,9 +479,7 @@ func (s *Session) assemble(cfg Config, eng *simtime.Virtual, links Links, node, 
 				MemBytes:     model.ServerI.GPUMemBytes,
 				Policy:       policy,
 				ResidencyTax: tax,
-				// Occupancy/memory series are only consumed by profiling and
-				// figure-rendering runs; measurement sessions skip recording.
-				NoTraces: !cfg.RecordOps,
+				NoTraces:     !cfg.record,
 			})
 		}
 		// The one place a session asks which workload it runs.
@@ -998,9 +998,9 @@ type profileKey struct {
 
 var profCache = flightCache[profileKey, *bubble.Profile]{m: map[profileKey]*flight[*bubble.Profile]{}}
 
-// offlineBubbleProfile runs a short RecordOps training on a private engine
-// and extracts the per-stage bubble templates — the paper's one-time
-// offline profiling pass (§4.3), memoized per configuration.
+// offlineBubbleProfile extracts the per-stage bubble templates from
+// ProfileSession — the paper's one-time offline profiling pass (§4.3),
+// memoized per configuration.
 func offlineBubbleProfile(cfg Config) (*bubble.Profile, error) {
 	key := profileKey{cfg.LLM.Name, cfg.Stages, cfg.MicroBatches, cfg.Schedule, cfg.VirtualStages}
 	return profCache.get(key, func() (*bubble.Profile, error) {
@@ -1008,23 +1008,11 @@ func offlineBubbleProfile(cfg Config) (*bubble.Profile, error) {
 	})
 }
 
-// runBubbleProfile is the uncached profiling pass: a two-epoch MethodNone
-// session with the op timeline on, read by the profiler.
+// runBubbleProfile is the uncached profiling pass: ProfileSession, read by the
+// profiler.
 func runBubbleProfile(cfg Config) (*bubble.Profile, error) {
-	sess, err := NewSession(Config{
-		LLM:           cfg.LLM,
-		Stages:        cfg.Stages,
-		MicroBatches:  cfg.MicroBatches,
-		Epochs:        2,
-		Schedule:      cfg.Schedule,
-		VirtualStages: cfg.VirtualStages,
-		Method:        MethodNone,
-		RecordOps:     true,
-	})
+	sess, err := ProfileSession(cfg)
 	if err != nil {
-		return nil, err
-	}
-	if _, err := sess.Run(); err != nil {
 		return nil, err
 	}
 	if cfg.VirtualStages > 1 {
@@ -1036,6 +1024,33 @@ func runBubbleProfile(cfg Config) (*bubble.Profile, error) {
 	return bubble.ProfileTrainer(sess.Trainer, 1, 0)
 }
 
+// ProfileSession runs the offline profiling pass's session (paper §4.3) for
+// cfg's pipeline shape — model, stages, micro-batches, schedule and virtual
+// stages; every other field is ignored: two epochs of training alone
+// (MethodNone) with the per-stage op log and the GPU occupancy and memory
+// series recorded. It is the only session that records, and it is not
+// memoized. The session is returned finished; Trainer and Devices hold what
+// it recorded.
+func ProfileSession(cfg Config) (*Session, error) {
+	sess, err := NewSession(Config{
+		LLM:           cfg.LLM,
+		Stages:        cfg.Stages,
+		MicroBatches:  cfg.MicroBatches,
+		Epochs:        2,
+		Schedule:      cfg.Schedule,
+		VirtualStages: cfg.VirtualStages,
+		Method:        MethodNone,
+		record:        true,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if _, err := sess.Run(); err != nil {
+		return nil, err
+	}
+	return sess, nil
+}
+
 // BaselineTrainTime runs (and memoizes, with singleflight) the no-side-task
 // training for a config, returning T_noSideTask.
 func BaselineTrainTime(cfg Config) (time.Duration, error) {
@@ -1043,7 +1058,6 @@ func BaselineTrainTime(cfg Config) (time.Duration, error) {
 		return 0, fmt.Errorf("freeride: BaselineTrainTime is the training baseline; run a MethodNone serving session instead")
 	}
 	cfg.Method = MethodNone
-	cfg.RecordOps = false
 	key := baselineKey{cfg.LLM.Name, cfg.Stages, cfg.MicroBatches, cfg.Epochs, cfg.Schedule, cfg.VirtualStages, mbPlanKey(cfg)}
 	return baseCache.get(key, func() (time.Duration, error) {
 		sess, err := NewSession(cfg)

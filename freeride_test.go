@@ -40,6 +40,48 @@ func TestBaselineTrainTimeMatchesAnalyticSpan(t *testing.T) {
 	}
 }
 
+// TestOnlyProfileSessionRecords pins the one recording seam: the offline
+// profiling session records the op log and the GPU series, and a measurement
+// session built from the same config records neither.
+func TestOnlyProfileSessionRecords(t *testing.T) {
+	cfg := fastCfg(freeride.MethodIterative)
+	prof, err := freeride.ProfileSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if starts, _ := prof.Trainer.CycleTimes(); len(starts) != 2 || prof.Manager != nil {
+		t.Fatalf("profile session ran %d epochs (manager %v), want 2 epochs of training alone", len(starts), prof.Manager != nil)
+	}
+	sess, err := freeride.NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < cfg.Stages; s++ {
+		recorded := func(x *freeride.Session) []int {
+			return []int{
+				len(x.Trainer.OpLog(s)),
+				len(x.Devices[s].Occupancy().Points()),
+				len(x.Devices[s].MemTrace().Points()),
+				len(x.Trainer.Client(s).OccTrace().Points()),
+				len(x.Trainer.Client(s).MemTrace().Points()),
+			}
+		}
+		for i, n := range recorded(prof) {
+			if n == 0 {
+				t.Errorf("stage %d: profile session left recording %d empty", s, i)
+			}
+		}
+		for i, n := range recorded(sess) {
+			if n != 0 {
+				t.Errorf("stage %d: measurement session recorded %d entries in recording %d", s, n, i)
+			}
+		}
+	}
+}
+
 func TestSessionIterativeEndToEnd(t *testing.T) {
 	cfg := fastCfg(freeride.MethodIterative)
 	sess, err := freeride.NewSession(cfg)

@@ -35,7 +35,7 @@ func (s *Session) newTraining() error {
 		Epochs:          cfg.Epochs,
 		Schedule:        cfg.Schedule,
 		VirtualPerStage: cfg.VirtualStages,
-		RecordOps:       cfg.RecordOps,
+		RecordOps:       cfg.record,
 		MBSchedule:      mbSched,
 		MBCap:           mbCap,
 	})

@@ -20,26 +20,19 @@ type Figure1Result struct {
 	EpochEnd   time.Duration
 	// Ops per stage within the epoch.
 	Ops [][]pipeline.OpSpan
-	// Occupancy traces per stage (training client).
-	Occ []*trace.Series
 	// MemUsed / MemTotal per stage.
 	MemUsed  []int64
 	MemTotal []int64
-	// Bubbles recovered from the traces, per stage.
+	// Bubbles recovered from the training clients' SM-occupancy series, per
+	// stage.
 	Bubbles []trace.IntervalSet
 }
 
-// RunFigure1 trains two epochs of the 3.6B model and extracts the second.
+// RunFigure1 draws the second epoch of the 3.6B model's offline profiling
+// session — the run the bubble profiler measures.
 func RunFigure1(Options) (*Figure1Result, error) {
-	// The offline bubble profile's run: training alone, op timeline on.
-	var sess *freeride.Session
-	if _, err := runSession(freeride.Config{
-		LLM: model.NanoGPT3B, Stages: 4, MicroBatches: 4, Epochs: 2,
-		Method: freeride.MethodNone, RecordOps: true,
-	}, func(s *freeride.Session) error {
-		sess = s
-		return nil
-	}); err != nil {
+	sess, err := freeride.ProfileSession(freeride.Config{LLM: model.NanoGPT3B, Stages: 4, MicroBatches: 4})
+	if err != nil {
 		return nil, err
 	}
 	tr := sess.Trainer
@@ -53,11 +46,9 @@ func RunFigure1(Options) (*Figure1Result, error) {
 			}
 		}
 		out.Ops = append(out.Ops, ops)
-		occ := tr.Client(s).OccTrace()
-		out.Occ = append(out.Occ, occ)
 		out.MemUsed = append(out.MemUsed, model.NanoGPT3B.StageMemUsed(s, 4, 4))
 		out.MemTotal = append(out.MemTotal, model.ServerI.GPUMemBytes)
-		out.Bubbles = append(out.Bubbles, occ.Below(0.05, starts[1], ends[1]))
+		out.Bubbles = append(out.Bubbles, tr.Client(s).OccTrace().Below(0.05, starts[1], ends[1]))
 	}
 	return out, nil
 }

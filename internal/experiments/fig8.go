@@ -225,15 +225,12 @@ func fig8MemLimit(opts Options, withCap bool, out *Figure8Result) error {
 	}
 	rig.eng.RunFor(6 * time.Second)
 
-	var tr *trace.Series
-	if withCap {
-		// The managed container's client trace.
-		tr = rig.dev.MemTrace()
-	} else {
+	// With the cap, the managed container is the device's only tenant, so
+	// the device series is its memory; without it, read the raw container's
+	// client series.
+	tr := rig.dev.MemTrace()
+	if !withCap {
 		tr = cont.GPU().MemTrace()
-		if tr == nil {
-			tr = rig.dev.MemTrace()
-		}
 	}
 	pts := sampleSeries(tr, 0, rig.eng.Now(), 100*time.Millisecond)
 	if withCap {

@@ -11,6 +11,7 @@ package profiler
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"freeride/internal/container"
@@ -147,11 +148,5 @@ func peakMem(cont *container.Container) int64 {
 	if gpu == nil {
 		return 0
 	}
-	var peak int64
-	for _, p := range gpu.MemTrace().Points() {
-		if int64(p.V) > peak {
-			peak = int64(p.V)
-		}
-	}
-	return peak
+	return int64(gpu.MemTrace().Max(0, math.MaxInt64))
 }

@@ -1,6 +1,7 @@
 package simgpu
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -110,5 +111,35 @@ func TestQueuedLaunchAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("queued launch cycle allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+var (
+	sinkDevice *Device
+	sinkClient *Client
+)
+
+// TestNewDeviceAndClientAllocs pins what building a device and a client costs
+// when nothing records: the occupancy and memory series are held by value and
+// allocate nothing until their first point, so a device is its struct and its
+// client map, and a client is its struct plus its place in the device's map
+// and order list.
+func TestNewDeviceAndClientAllocs(t *testing.T) {
+	eng := simtime.NewVirtual()
+	cfg := DeviceConfig{Name: "gpu", NoTraces: true}
+	dev := testing.AllocsPerRun(100, func() { sinkDevice = NewDevice(eng, cfg) })
+	names := make([]string, 101)
+	for i := range names {
+		names[i] = fmt.Sprintf("c%d", i)
+	}
+	i := 0
+	both := testing.AllocsPerRun(100, func() {
+		sinkDevice = NewDevice(eng, cfg)
+		sinkClient, _ = sinkDevice.NewClient(ClientConfig{Name: names[i]})
+		i++
+	})
+	t.Logf("NewDevice %.0f allocs, NewClient %.0f", dev, both-dev)
+	if dev > 2 || both-dev > 3 {
+		t.Fatalf("NewDevice allocates %.0f objects, NewClient %.0f; want at most 2 and 3", dev, both-dev)
 	}
 }

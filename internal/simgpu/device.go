@@ -123,10 +123,10 @@ type Device struct {
 	// walks it instead of iterating the map (faster, and deterministic).
 	order    []*Client
 	memUsed  int64
-	occ      *trace.Series // total SM allocation over time
-	mem      *trace.Series // total memory bytes over time
-	kernels  uint64        // completed kernel count
-	workDone float64       // completed SM-seconds (at reference speed)
+	occ      trace.Series // total SM allocation over time
+	mem      trace.Series // total memory bytes over time
+	kernels  uint64       // completed kernel count
+	workDone float64      // completed SM-seconds (at reference speed)
 
 	// running caches the in-flight kernel set (each client's current, in
 	// client creation order — the same order the full recompute derives by
@@ -222,8 +222,6 @@ func NewDevice(eng *simtime.Virtual, cfg DeviceConfig) *Device {
 		eng:     eng,
 		cfg:     cfg,
 		clients: make(map[string]*Client),
-		occ:     trace.NewSeries(cfg.Name + "/sm"),
-		mem:     trace.NewSeries(cfg.Name + "/mem"),
 	}
 	d.fusable = !cfg.FullRebalance
 	return d
@@ -247,10 +245,10 @@ func (d *Device) MemFree() int64 { return d.MemBytes() - d.MemUsed() }
 func (d *Device) Policy() Policy { return d.cfg.Policy }
 
 // Occupancy returns the total-SM-allocation trace.
-func (d *Device) Occupancy() *trace.Series { return d.occ }
+func (d *Device) Occupancy() *trace.Series { return &d.occ }
 
 // MemTrace returns the total-memory trace.
-func (d *Device) MemTrace() *trace.Series { return d.mem }
+func (d *Device) MemTrace() *trace.Series { return &d.mem }
 
 // KernelsCompleted reports how many kernels have finished on this device.
 func (d *Device) KernelsCompleted() uint64 {
@@ -282,8 +280,8 @@ type Client struct {
 	memUsed int64
 	current *kernel
 	queue   []*kernel
-	memTr   *trace.Series
-	occTr   *trace.Series
+	memTr   trace.Series
+	occTr   trace.Series
 	// orderIdx is the client's index in dev.order, kept current across
 	// Destroys; the running-set cache sorts by it.
 	orderIdx int
@@ -307,8 +305,6 @@ func (d *Device) NewClient(cfg ClientConfig) (*Client, error) {
 	c := &Client{
 		dev:      d,
 		cfg:      cfg,
-		memTr:    trace.NewSeries(d.cfg.Name + "/" + cfg.Name + "/mem"),
-		occTr:    trace.NewSeries(d.cfg.Name + "/" + cfg.Name + "/sm"),
 		orderIdx: len(d.order),
 	}
 	d.clients[cfg.Name] = c
@@ -516,10 +512,10 @@ func (c *Client) MemUsed() int64 {
 }
 
 // MemTrace returns the client's memory trace.
-func (c *Client) MemTrace() *trace.Series { return c.memTr }
+func (c *Client) MemTrace() *trace.Series { return &c.memTr }
 
 // OccTrace returns the client's SM-allocation trace.
-func (c *Client) OccTrace() *trace.Series { return c.occTr }
+func (c *Client) OccTrace() *trace.Series { return &c.occTr }
 
 // AllocMem charges n bytes to the client, enforcing the MPS client limit
 // and physical capacity. On error nothing is charged.
@@ -611,8 +607,11 @@ func (c *Client) Destroy() {
 	c.memUsed = 0
 	d.residencyChanged(c)
 	if !d.cfg.NoTraces {
+		// The client leaves d.order below, so no rebalance steps its SM
+		// series again: close it here, as its memory.
 		now := d.eng.Now()
 		c.memTr.Add(now, 0)
+		c.occTr.Add(now, 0)
 		d.mem.Add(now, float64(d.memUsed))
 	}
 	delete(d.clients, c.cfg.Name)

@@ -396,3 +396,28 @@ func TestResidencyTaxNotAppliedSolo(t *testing.T) {
 		t.Fatalf("solo kernel finished at %v, want 1s (no tax)", doneAt)
 	}
 }
+
+func TestDestroyStepsClientSeriesToZero(t *testing.T) {
+	// Killing a process ends its SM allocation at the kill instant, on its
+	// client's series as on the device's (and as its memory already does).
+	eng, d := newDev(t, DeviceConfig{})
+	c := mustClient(t, d, ClientConfig{Name: "x"})
+	c.AllocMem(1 << 20)
+	c.Launch(&KernelSpec{Name: "k", Duration: time.Second}, nil)
+	eng.RunUntil(100 * time.Millisecond)
+	c.Destroy()
+	eng.RunUntil(200 * time.Millisecond)
+	at := 150 * time.Millisecond
+	if got := d.Occupancy().At(at); got != 0 {
+		t.Errorf("device occupancy after destroy = %v, want 0", got)
+	}
+	if got := c.OccTrace().At(at); got != 0 {
+		t.Errorf("client occupancy after destroy = %v, want 0", got)
+	}
+	if got := c.OccTrace().At(50 * time.Millisecond); got != 1 {
+		t.Errorf("client occupancy before destroy = %v, want 1", got)
+	}
+	if got := c.MemTrace().At(at); got != 0 {
+		t.Errorf("client memory after destroy = %v, want 0", got)
+	}
+}

@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 // Interval is a half-open time range [Start, End).
 type Interval struct {
@@ -19,27 +16,6 @@ func (iv Interval) Duration() time.Duration {
 	return iv.End - iv.Start
 }
 
-// Contains reports whether t lies within [Start, End).
-func (iv Interval) Contains(t time.Duration) bool {
-	return t >= iv.Start && t < iv.End
-}
-
-// Overlap returns the overlapping duration of two intervals.
-func (iv Interval) Overlap(other Interval) time.Duration {
-	start := iv.Start
-	if other.Start > start {
-		start = other.Start
-	}
-	end := iv.End
-	if other.End < end {
-		end = other.End
-	}
-	if end <= start {
-		return 0
-	}
-	return end - start
-}
-
 // IntervalSet is an ordered list of intervals, typically non-overlapping.
 type IntervalSet []Interval
 
@@ -50,84 +26,4 @@ func (s IntervalSet) Total() time.Duration {
 		sum += iv.Duration()
 	}
 	return sum
-}
-
-// Normalize sorts the set and merges overlapping or touching intervals.
-func (s IntervalSet) Normalize() IntervalSet {
-	if len(s) == 0 {
-		return nil
-	}
-	sorted := make(IntervalSet, 0, len(s))
-	for _, iv := range s {
-		if iv.Duration() > 0 {
-			sorted = append(sorted, iv)
-		}
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Start < sorted[j].Start })
-	var out IntervalSet
-	for _, iv := range sorted {
-		if n := len(out); n > 0 && iv.Start <= out[n-1].End {
-			if iv.End > out[n-1].End {
-				out[n-1].End = iv.End
-			}
-			continue
-		}
-		out = append(out, iv)
-	}
-	return out
-}
-
-// Complement returns the gaps of s within the window [t0, t1). The receiver
-// must be normalized.
-func (s IntervalSet) Complement(t0, t1 time.Duration) IntervalSet {
-	var out IntervalSet
-	cur := t0
-	for _, iv := range s {
-		if iv.End <= t0 {
-			continue
-		}
-		if iv.Start >= t1 {
-			break
-		}
-		start := iv.Start
-		if start > cur {
-			out = append(out, Interval{Start: cur, End: start})
-		}
-		if iv.End > cur {
-			cur = iv.End
-		}
-	}
-	if cur < t1 {
-		out = append(out, Interval{Start: cur, End: t1})
-	}
-	return out
-}
-
-// Clip restricts all intervals to the window [t0, t1).
-func (s IntervalSet) Clip(t0, t1 time.Duration) IntervalSet {
-	var out IntervalSet
-	for _, iv := range s {
-		start, end := iv.Start, iv.End
-		if start < t0 {
-			start = t0
-		}
-		if end > t1 {
-			end = t1
-		}
-		if end > start {
-			out = append(out, Interval{Start: start, End: end})
-		}
-	}
-	return out
-}
-
-// Longest returns the longest interval in the set (zero Interval if empty).
-func (s IntervalSet) Longest() Interval {
-	var best Interval
-	for _, iv := range s {
-		if iv.Duration() > best.Duration() {
-			best = iv
-		}
-	}
-	return best
 }

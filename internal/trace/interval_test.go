@@ -2,7 +2,6 @@ package trace
 
 import (
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -22,146 +21,9 @@ func TestIntervalDuration(t *testing.T) {
 	}
 }
 
-func TestIntervalContains(t *testing.T) {
-	x := iv(100, 200)
-	if !x.Contains(100 * time.Millisecond) {
-		t.Fatal("start should be contained")
-	}
-	if x.Contains(200 * time.Millisecond) {
-		t.Fatal("end should not be contained (half-open)")
-	}
-}
-
-func TestIntervalOverlap(t *testing.T) {
-	tests := []struct {
-		a, b Interval
-		want time.Duration
-	}{
-		{iv(0, 100), iv(50, 150), 50 * time.Millisecond},
-		{iv(0, 100), iv(100, 200), 0},
-		{iv(0, 100), iv(200, 300), 0},
-		{iv(0, 300), iv(100, 200), 100 * time.Millisecond},
-	}
-	for _, tc := range tests {
-		if got := tc.a.Overlap(tc.b); got != tc.want {
-			t.Errorf("Overlap(%v,%v) = %v, want %v", tc.a, tc.b, got, tc.want)
-		}
-		if got := tc.b.Overlap(tc.a); got != tc.want {
-			t.Errorf("Overlap symmetric (%v,%v) = %v, want %v", tc.b, tc.a, got, tc.want)
-		}
-	}
-}
-
-func TestNormalizeMergesOverlaps(t *testing.T) {
-	s := IntervalSet{iv(100, 200), iv(150, 300), iv(400, 500), iv(300, 400)}
-	got := s.Normalize()
-	want := IntervalSet{iv(100, 500)}
-	if len(got) != 1 || got[0] != want[0] {
-		t.Fatalf("Normalize = %v, want %v", got, want)
-	}
-}
-
-func TestNormalizeDropsEmpty(t *testing.T) {
-	s := IntervalSet{iv(100, 100), iv(300, 200)}
-	if got := s.Normalize(); len(got) != 0 {
-		t.Fatalf("Normalize = %v, want empty", got)
-	}
-}
-
-func TestComplement(t *testing.T) {
-	s := IntervalSet{iv(100, 200), iv(300, 400)}
-	got := s.Complement(0, 500*time.Millisecond)
-	want := IntervalSet{iv(0, 100), iv(200, 300), iv(400, 500)}
-	if len(got) != len(want) {
-		t.Fatalf("Complement = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Complement[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestComplementFullCoverage(t *testing.T) {
-	s := IntervalSet{iv(0, 500)}
-	if got := s.Complement(0, 500*time.Millisecond); len(got) != 0 {
-		t.Fatalf("Complement of full coverage = %v, want empty", got)
-	}
-}
-
-func TestClip(t *testing.T) {
-	s := IntervalSet{iv(0, 100), iv(150, 350), iv(400, 600)}
-	got := s.Clip(50*time.Millisecond, 450*time.Millisecond)
-	want := IntervalSet{iv(50, 100), iv(150, 350), iv(400, 450)}
-	if len(got) != len(want) {
-		t.Fatalf("Clip = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Clip[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestLongest(t *testing.T) {
-	s := IntervalSet{iv(0, 50), iv(100, 400), iv(500, 600)}
-	if got := s.Longest(); got != iv(100, 400) {
-		t.Fatalf("Longest = %v, want [100,400)", got)
-	}
-}
-
-// Property: set total + complement total = window length, for normalized
-// sets clipped to the window.
-func TestComplementConservation(t *testing.T) {
-	f := func(bounds []uint16) bool {
-		var s IntervalSet
-		for i := 0; i+1 < len(bounds); i += 2 {
-			a := time.Duration(bounds[i]) * time.Millisecond
-			b := time.Duration(bounds[i+1]) * time.Millisecond
-			if b < a {
-				a, b = b, a
-			}
-			s = append(s, Interval{Start: a, End: b})
-		}
-		window := 70 * time.Second
-		norm := s.Normalize().Clip(0, window)
-		comp := norm.Complement(0, window)
-		return norm.Total()+comp.Total() == window
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	sum := Summarize([]float64{1, 2, 3, 4, 5})
-	if sum.N != 5 || sum.Mean != 3 || sum.Min != 1 || sum.Max != 5 || sum.P50 != 3 {
-		t.Fatalf("Summarize = %+v", sum)
-	}
-	if sum.StdDev < 1.41 || sum.StdDev > 1.42 {
-		t.Fatalf("StdDev = %v, want ~1.414", sum.StdDev)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	if got := Summarize(nil); got.N != 0 {
-		t.Fatalf("Summarize(nil).N = %d, want 0", got.N)
-	}
-}
-
-func TestSummarizeDurations(t *testing.T) {
-	sum := SummarizeDurations([]time.Duration{time.Second, 3 * time.Second})
-	if sum.Mean != 2.0 {
-		t.Fatalf("Mean = %v, want 2.0", sum.Mean)
-	}
-}
-
-func TestQuantileInterpolation(t *testing.T) {
-	sum := Summarize([]float64{0, 10})
-	if sum.P50 != 5 {
-		t.Fatalf("P50 = %v, want 5 (interpolated)", sum.P50)
-	}
-	if sum.P90 != 9 {
-		t.Fatalf("P90 = %v, want 9", sum.P90)
+func TestIntervalSetTotal(t *testing.T) {
+	s := IntervalSet{iv(0, 50), iv(100, 400), iv(500, 500)}
+	if got := s.Total(); got != 350*time.Millisecond {
+		t.Fatalf("Total = %v, want 350ms", got)
 	}
 }

@@ -1,7 +1,7 @@
 // Package trace records time-evolving quantities of the simulation — GPU SM
 // occupancy, memory consumption, pipeline op activity — as step-function time
-// series, and provides the interval algebra and summary statistics the
-// bubble profiler and the figure harnesses are built on.
+// series, and recovers from them the below-threshold intervals the bubble
+// profiler and the figure harnesses read.
 //
 // It plays the role the PyTorch profiler plays in the paper (§4.3): the
 // source of SM-occupancy and memory curves from which bubbles are measured
@@ -10,9 +10,7 @@ package trace
 
 import (
 	"fmt"
-	"math"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -23,23 +21,12 @@ type Point struct {
 	V float64
 }
 
-// Series is an append-only step-function time series. The zero value is an
-// empty series whose value is 0 everywhere.
+// Series is an append-only step-function time series, held by value: the zero
+// value is an empty series whose value is 0 everywhere, and it allocates
+// nothing until its first Add.
 type Series struct {
-	name   string
 	points []Point
 }
-
-// NewSeries returns an empty named series.
-func NewSeries(name string) *Series {
-	return &Series{name: name}
-}
-
-// Name reports the series label.
-func (s *Series) Name() string { return s.name }
-
-// Len reports the number of recorded points.
-func (s *Series) Len() int { return len(s.points) }
 
 // Add appends a (t, v) step. Appends must be in nondecreasing time order; a
 // point at the same instant as the previous one overwrites it (last writer
@@ -49,7 +36,7 @@ func (s *Series) Add(t time.Duration, v float64) {
 	if n > 0 {
 		last := s.points[n-1]
 		if t < last.T {
-			panic(fmt.Sprintf("trace: series %q: Add(%v) before last point %v", s.name, t, last.T))
+			panic(fmt.Sprintf("trace: Add(%v) before last point %v", t, last.T))
 		}
 		if t == last.T {
 			s.points[n-1].V = v
@@ -114,37 +101,20 @@ func (s *Series) Integrate(t0, t1 time.Duration) float64 {
 	return sum
 }
 
-// Mean returns the time-weighted mean over [t0, t1).
-func (s *Series) Mean(t0, t1 time.Duration) float64 {
-	if t1 <= t0 {
-		return 0
-	}
-	return s.Integrate(t0, t1) / (t1 - t0).Seconds()
-}
-
 // Max returns the maximum value attained in [t0, t1), or 0 for an empty
 // window. The value in force at t0 (set before t0) counts.
 func (s *Series) Max(t0, t1 time.Duration) float64 {
 	if t1 <= t0 {
 		return 0
 	}
-	maxV := math.Inf(-1)
-	seen := false
-	if v := s.At(t0); true {
-		maxV = v
-		seen = true
-	}
+	maxV := s.At(t0)
 	for _, p := range s.points {
 		if p.T >= t1 {
 			break
 		}
 		if p.T >= t0 && p.V > maxV {
 			maxV = p.V
-			seen = true
 		}
-	}
-	if !seen {
-		return 0
 	}
 	return maxV
 }
@@ -180,14 +150,4 @@ func (s *Series) Below(threshold float64, t0, t1 time.Duration) IntervalSet {
 		out = append(out, Interval{Start: open, End: t1})
 	}
 	return out
-}
-
-// String renders a short, human-readable summary of the series.
-func (s *Series) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "series %q (%d pts)", s.name, len(s.points))
-	if len(s.points) > 0 {
-		fmt.Fprintf(&b, " [%v .. %v]", s.points[0].T, s.points[len(s.points)-1].T)
-	}
-	return b.String()
 }

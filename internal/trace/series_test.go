@@ -8,14 +8,14 @@ import (
 )
 
 func TestSeriesAtEmptyIsZero(t *testing.T) {
-	s := NewSeries("empty")
+	var s Series
 	if got := s.At(5 * time.Second); got != 0 {
 		t.Fatalf("At on empty = %v, want 0", got)
 	}
 }
 
 func TestSeriesStepSemantics(t *testing.T) {
-	s := NewSeries("occ")
+	var s Series
 	s.Add(1*time.Second, 1.0)
 	s.Add(3*time.Second, 0.0)
 	s.Add(5*time.Second, 0.5)
@@ -40,24 +40,24 @@ func TestSeriesStepSemantics(t *testing.T) {
 }
 
 func TestSeriesSameInstantOverwrites(t *testing.T) {
-	s := NewSeries("x")
+	var s Series
 	s.Add(time.Second, 1.0)
 	s.Add(time.Second, 2.0)
 	if got := s.At(time.Second); got != 2.0 {
 		t.Fatalf("At(1s) = %v, want 2 (last write wins)", got)
 	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", s.Len())
+	if n := len(s.Points()); n != 1 {
+		t.Fatalf("%d points, want 1", n)
 	}
 }
 
 func TestSeriesCoalescesEqualValues(t *testing.T) {
-	s := NewSeries("x")
+	var s Series
 	s.Add(1*time.Second, 1.0)
 	s.Add(2*time.Second, 1.0)
 	s.Add(3*time.Second, 1.0)
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d, want 1 (equal steps coalesced)", s.Len())
+	if n := len(s.Points()); n != 1 {
+		t.Fatalf("%d points, want 1 (equal steps coalesced)", n)
 	}
 }
 
@@ -67,13 +67,13 @@ func TestSeriesAddBackwardsPanics(t *testing.T) {
 			t.Fatal("expected panic on backwards Add")
 		}
 	}()
-	s := NewSeries("x")
+	var s Series
 	s.Add(2*time.Second, 1)
 	s.Add(1*time.Second, 2)
 }
 
 func TestSeriesIntegrate(t *testing.T) {
-	s := NewSeries("occ")
+	var s Series
 	s.Add(0, 1.0)
 	s.Add(2*time.Second, 0.5)
 	s.Add(4*time.Second, 0.0)
@@ -91,17 +91,8 @@ func TestSeriesIntegrate(t *testing.T) {
 	}
 }
 
-func TestSeriesMean(t *testing.T) {
-	s := NewSeries("m")
-	s.Add(0, 2.0)
-	s.Add(1*time.Second, 4.0)
-	if got := s.Mean(0, 2*time.Second); math.Abs(got-3.0) > 1e-9 {
-		t.Fatalf("Mean = %v, want 3", got)
-	}
-}
-
 func TestSeriesMax(t *testing.T) {
-	s := NewSeries("m")
+	var s Series
 	s.Add(0, 1.0)
 	s.Add(1*time.Second, 5.0)
 	s.Add(2*time.Second, 2.0)
@@ -115,7 +106,7 @@ func TestSeriesMax(t *testing.T) {
 
 func TestSeriesBelowFindsGaps(t *testing.T) {
 	// Occupancy: busy(1.0) 0-2s, idle 2-3s, busy 3-5s, idle 5-6s.
-	s := NewSeries("occ")
+	var s Series
 	s.Add(0, 1.0)
 	s.Add(2*time.Second, 0.0)
 	s.Add(3*time.Second, 1.0)
@@ -136,7 +127,7 @@ func TestSeriesBelowFindsGaps(t *testing.T) {
 }
 
 func TestSeriesBelowStartsIdle(t *testing.T) {
-	s := NewSeries("occ")
+	var s Series
 	s.Add(2*time.Second, 1.0)
 	gaps := s.Below(0.5, 0, 4*time.Second)
 	if len(gaps) != 1 || gaps[0] != (Interval{Start: 0, End: 2 * time.Second}) {
@@ -148,7 +139,7 @@ func TestSeriesBelowStartsIdle(t *testing.T) {
 // a window equals the sum over subwindows (additivity).
 func TestSeriesIntegralAdditivity(t *testing.T) {
 	f := func(stepsMs []uint8, vals []uint8) bool {
-		s := NewSeries("p")
+		var s Series
 		tcur := time.Duration(0)
 		n := len(stepsMs)
 		if len(vals) < n {
@@ -169,25 +160,69 @@ func TestSeriesIntegralAdditivity(t *testing.T) {
 	}
 }
 
-// Property: Below(threshold) intervals plus their complement tile the window.
-func TestSeriesBelowComplementTiles(t *testing.T) {
-	f := func(stepsMs []uint8, vals []uint8) bool {
-		s := NewSeries("p")
+// Property: over a random step series and window, Below's intervals are
+// exactly the window's maximal below-threshold runs. They are sorted,
+// nonempty, disjoint and inside [t0, t1); the series is below threshold
+// throughout each; each is maximal (at an end inside the window the value is
+// at least threshold, and just before a start after t0 too); and every
+// below-threshold instant of the window is covered. A step series is constant
+// between its points, so checking t0 and every point instant decides coverage.
+func TestSeriesBelowIntervalsAreMaximalRuns(t *testing.T) {
+	f := func(stepsMs []uint8, vals []uint8, thr, lo, hi uint16) bool {
+		var s Series
 		tcur := time.Duration(0)
-		n := len(stepsMs)
-		if len(vals) < n {
-			n = len(vals)
-		}
+		n := min(len(stepsMs), len(vals))
 		for i := 0; i < n; i++ {
-			tcur += time.Duration(stepsMs[i]+1) * time.Millisecond
-			s.Add(tcur, float64(vals[i]%2))
+			tcur += time.Duration(stepsMs[i]%16) * time.Millisecond
+			s.Add(tcur, float64(vals[i]%4))
 		}
-		end := tcur + 10*time.Millisecond
-		below := s.Below(0.5, 0, end)
-		comp := below.Normalize().Complement(0, end)
-		return below.Total()+comp.Total() == end
+		// Thresholds land on the values as well as between them.
+		threshold := float64(thr%9) / 2
+		span := tcur + 10*time.Millisecond
+		t0 := time.Duration(lo) * time.Millisecond % span
+		t1 := t0 + time.Duration(hi)*time.Millisecond%span
+		below := s.Below(threshold, t0, t1)
+		in := func(x time.Duration) bool {
+			for _, iv := range below {
+				if iv.Start <= x && x < iv.End {
+					return true
+				}
+			}
+			return false
+		}
+		for i, iv := range below {
+			if iv.Start < t0 || iv.End > t1 || iv.Start >= iv.End {
+				return false
+			}
+			if i > 0 && below[i-1].End >= iv.Start {
+				return false // unsorted, overlapping or touching
+			}
+			if s.At(iv.Start) >= threshold {
+				return false
+			}
+			for _, p := range s.Points() {
+				if p.T > iv.Start && p.T < iv.End && p.V >= threshold {
+					return false
+				}
+			}
+			if iv.End < t1 && s.At(iv.End) < threshold {
+				return false
+			}
+			if iv.Start > t0 && s.At(iv.Start-1) < threshold {
+				return false
+			}
+		}
+		if t0 < t1 && s.At(t0) < threshold && !in(t0) {
+			return false
+		}
+		for _, p := range s.Points() {
+			if p.T > t0 && p.T < t1 && p.V < threshold && !in(p.T) {
+				return false
+			}
+		}
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }
