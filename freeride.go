@@ -24,7 +24,7 @@ package freeride
 
 import (
 	"fmt"
-	"sort"
+	"math"
 	"sync"
 	"time"
 
@@ -34,7 +34,6 @@ import (
 	"freeride/internal/cost"
 	"freeride/internal/freerpc"
 	"freeride/internal/model"
-	"freeride/internal/oracle"
 	"freeride/internal/pipeline"
 	"freeride/internal/serve"
 	"freeride/internal/sidetask"
@@ -145,9 +144,11 @@ type Config struct {
 	// Drift is the seeded bubble-drift schedule: the trainer's reported
 	// bubble trace is reshaped on the virtual clock (parameter-freeze stage
 	// shrink, elastic micro-batch resize, stage rebalance, straggler
-	// windows). Nil leaves the reporter untouched; an empty schedule wires
-	// the drift plane with identity scaling and must reproduce the no-drift
-	// metrics bit-identically (the zero-drift oracle).
+	// windows); the training itself is untouched. Nil leaves the reporter
+	// untouched; an empty schedule wires the drift plane with identity
+	// scaling and must reproduce the no-drift metrics bit-identically (the
+	// zero-drift oracle). A schedule that fails DriftSchedule.Validate is
+	// refused.
 	Drift *bubble.DriftSchedule
 	// Replan arms the manager's online re-profiling: per-worker EWMA+CUSUM
 	// drift detectors over the bubble-report stream, and an Algorithm-1
@@ -204,6 +205,12 @@ const (
 )
 
 func (sc *ServingConfig) normalize(epochs int) error {
+	for _, v := range []float64{sc.Rate, sc.Burstiness, sc.Guard} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("freeride: serving rate %v, burstiness %v and SLO guard %v must be finite",
+				sc.Rate, sc.Burstiness, sc.Guard)
+		}
+	}
 	if sc.Trace == 0 {
 		sc.Trace = serve.TracePoisson
 	}
@@ -282,15 +289,10 @@ func (c *Config) normalize() error {
 	if c.Faults != nil && c.Lease == 0 {
 		c.Lease = core.DefaultLease
 	}
-	// CI's oracle matrix forces the detector on over a zero-drift schedule
-	// for the whole tier-1 suite. Only configurations with no drift plane of
-	// their own are touched, so tests exercising real drift (or deliberately
-	// unarmed profile-once arms) keep their configuration. Serving sessions
-	// are skipped: the drift/re-plan plane consumes the trainer's epoch
-	// stream, which a serving session does not produce.
-	if c.Serving == nil && c.Replan == nil && c.Drift == nil && oracle.Env().DriftArmed {
-		c.Replan = &bubble.DetectorConfig{}
-		c.Drift = &bubble.DriftSchedule{}
+	if c.Drift != nil {
+		if err := c.Drift.Validate(c.Stages); err != nil {
+			return err
+		}
 	}
 	if c.Serving != nil {
 		switch c.Method {
@@ -311,59 +313,6 @@ func (c *Config) normalize() error {
 		}
 	}
 	return nil
-}
-
-// mbScheduleFromDrift derives the trainer's per-epoch micro-batch hook from
-// resize drift events that carry an actual count (DriftEvent.MicroBatches).
-// It returns a nil hook when no event does — the byte-identical default —
-// plus the largest count the trainer must provision for.
-func mbScheduleFromDrift(cfg Config) (func(epoch int, start time.Duration) int, int) {
-	if cfg.Drift == nil {
-		return nil, 0
-	}
-	var evs []bubble.DriftEvent
-	for _, ev := range cfg.Drift.Events {
-		if ev.Kind == bubble.DriftResize && ev.MicroBatches > 0 {
-			evs = append(evs, ev)
-		}
-	}
-	if len(evs) == 0 {
-		return nil, 0
-	}
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
-	maxMB := cfg.MicroBatches
-	for _, ev := range evs {
-		if ev.MicroBatches > maxMB {
-			maxMB = ev.MicroBatches
-		}
-	}
-	base := cfg.MicroBatches
-	fn := func(epoch int, start time.Duration) int {
-		mb := base
-		for _, ev := range evs {
-			if ev.At <= start {
-				mb = ev.MicroBatches
-			}
-		}
-		return mb
-	}
-	return fn, maxMB
-}
-
-// mbPlanKey fingerprints the resize plan for the memoization keys (empty
-// without the hook, so pre-hook cache keys are unchanged).
-func mbPlanKey(cfg Config) string {
-	fn, _ := mbScheduleFromDrift(cfg)
-	if fn == nil {
-		return ""
-	}
-	var b []byte
-	for _, ev := range cfg.Drift.Events {
-		if ev.Kind == bubble.DriftResize && ev.MicroBatches > 0 {
-			b = fmt.Appendf(b, "%d@%d;", ev.MicroBatches, ev.At)
-		}
-	}
-	return string(b)
 }
 
 // TaskPlacement records where one task instance landed.
@@ -506,10 +455,6 @@ func (s *Session) assembleControlPlane(links Links, manager bool) error {
 	cfg := s.cfg
 	var mgrMux *freerpc.Mux
 	if manager {
-		var replan *core.ReplanOptions
-		if cfg.Replan != nil {
-			replan = &core.ReplanOptions{Detector: *cfg.Replan}
-		}
 		var guard float64
 		if cfg.Serving != nil {
 			guard = cfg.Serving.Guard
@@ -519,7 +464,7 @@ func (s *Session) assembleControlPlane(links Links, manager bool) error {
 			Lease:       cfg.Lease,
 			MaxRestarts: cfg.MaxRestarts,
 			Seed:        cfg.Seed,
-			Replan:      replan,
+			Replan:      cfg.Replan,
 			SLOGuard:    guard,
 		})
 		mgrMux = s.Manager.Mux()
@@ -1058,7 +1003,7 @@ func BaselineTrainTime(cfg Config) (time.Duration, error) {
 		return 0, fmt.Errorf("freeride: BaselineTrainTime is the training baseline; run a MethodNone serving session instead")
 	}
 	cfg.Method = MethodNone
-	key := baselineKey{cfg.LLM.Name, cfg.Stages, cfg.MicroBatches, cfg.Epochs, cfg.Schedule, cfg.VirtualStages, mbPlanKey(cfg)}
+	key := baselineKey{cfg.LLM.Name, cfg.Stages, cfg.MicroBatches, cfg.Epochs, cfg.Schedule, cfg.VirtualStages}
 	return baseCache.get(key, func() (time.Duration, error) {
 		sess, err := NewSession(cfg)
 		if err != nil {
@@ -1079,7 +1024,6 @@ type baselineKey struct {
 	epochs   int
 	schedule pipeline.ScheduleKind
 	virtual  int
-	mbplan   string
 }
 
 var baseCache = flightCache[baselineKey, time.Duration]{m: map[baselineKey]*flight[time.Duration]{}}

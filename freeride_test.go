@@ -3,6 +3,7 @@ package freeride_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -457,11 +458,10 @@ func TestRegisterCustomValidation(t *testing.T) {
 	}
 }
 
-// TestDriftResizeRegeneratesSchedule pins the drift→schedule plumbing: a
-// resize event that carries an actual micro-batch count regenerates the
-// pipeline's op lists from the event's epoch on (real schedule change, not
-// just report scaling), so training time grows by the extra per-epoch work.
-func TestDriftResizeRegeneratesSchedule(t *testing.T) {
+// TestDriftResizeLeavesTrainingAlone pins that drift reshapes only the
+// reported bubble trace: a resize event scales the reports, and the training
+// timeline stays bit-identical to the unarmed run's.
+func TestDriftResizeLeavesTrainingAlone(t *testing.T) {
 	run := func(cfg freeride.Config) time.Duration {
 		sess, err := freeride.NewSession(cfg)
 		if err != nil {
@@ -474,29 +474,77 @@ func TestDriftResizeRegeneratesSchedule(t *testing.T) {
 		return res.TrainTime
 	}
 	base := fastCfg(freeride.MethodNone)
-	plain := run(base)
-
-	resized := base
-	resized.Drift = &bubble.DriftSchedule{Seed: 1, Events: []bubble.DriftEvent{{
-		At: 10 * time.Second, Kind: bubble.DriftResize, Magnitude: 1, MicroBatches: 8,
-	}}}
-	grown := run(resized)
-
-	// Epochs starting after t=10s (3 of the 6 at ~4.07s each) run 8
-	// micro-batches instead of 4: each pays 4×(FP+BP) ≈ 2.64s extra.
-	extra := 3 * (model.NanoGPT3B.EpochSpan(4, 8) - model.NanoGPT3B.EpochSpan(4, 4))
-	if grown < plain+extra || grown > plain+extra+300*time.Millisecond {
-		t.Fatalf("resized train time %v, want ≈ %v + %v", grown, plain, extra)
-	}
-
-	// A resize event without a count only scales bubble reports — the
-	// training timeline must be bit-identical to the unarmed run.
 	scaled := base
 	scaled.Drift = &bubble.DriftSchedule{Seed: 1, Events: []bubble.DriftEvent{{
 		At: 10 * time.Second, Kind: bubble.DriftResize, Magnitude: 1,
 	}}}
-	if got := run(scaled); got != plain {
-		t.Fatalf("count-less resize changed training time: %v vs %v", got, plain)
+	if plain, got := run(base), run(scaled); got != plain {
+		t.Fatalf("resize drift changed training time: %v vs %v", got, plain)
+	}
+}
+
+// TestNewSessionRefusesMalformedDrift pins the drift plane's front door: an
+// event the drifter cannot evaluate is refused before the session is built,
+// not turned into a NaN-scaled bubble or a silent no-op. DriftResize ignores
+// its Stage, so an out-of-range one is accepted there.
+func TestNewSessionRefusesMalformedDrift(t *testing.T) {
+	ev := func(kind bubble.DriftKind, stage int, mag float64, window time.Duration) bubble.DriftEvent {
+		return bubble.DriftEvent{At: time.Second, Kind: kind, Stage: stage, Magnitude: mag, Window: window}
+	}
+	cases := []struct {
+		name string
+		ev   bubble.DriftEvent
+		ok   bool
+	}{
+		{"kind 0", ev(0, 1, 1, 0), false},
+		{"kind 99", ev(99, 1, 1, 0), false},
+		{"NaN magnitude", ev(bubble.DriftResize, 0, math.NaN(), 0), false},
+		{"+Inf magnitude", ev(bubble.DriftFreeze, 1, math.Inf(1), 0), false},
+		{"-Inf magnitude", ev(bubble.DriftStraggler, 1, math.Inf(-1), time.Second), false},
+		{"negative window", ev(bubble.DriftStraggler, 1, 1, -time.Second), false},
+		{"freeze stage -1", ev(bubble.DriftFreeze, -1, 1, 0), false},
+		{"rebalance stage 4 of 4", ev(bubble.DriftRebalance, 4, 1, 0), false},
+		{"straggler stage 4 of 4", ev(bubble.DriftStraggler, 4, 1, time.Second), false},
+		{"resize ignores its stage", ev(bubble.DriftResize, 99, 1, 0), true},
+		{"last stage", ev(bubble.DriftRebalance, 3, 1, 0), true},
+		{"negative magnitude", ev(bubble.DriftFreeze, 0, -0.5, 0), true},
+	}
+	for _, c := range cases {
+		cfg := fastCfg(freeride.MethodIterative)
+		cfg.Drift = &bubble.DriftSchedule{Events: []bubble.DriftEvent{c.ev}}
+		_, err := freeride.NewSession(cfg)
+		if ok := err == nil; ok != c.ok {
+			t.Errorf("%s: accepted = %v, want %v (err: %v)", c.name, ok, c.ok, err)
+		}
+	}
+	cfg := fastCfg(freeride.MethodIterative)
+	cfg.Drift = bubble.GenerateDrift(1, time.Minute, 64, nil, cfg.Stages)
+	if _, err := freeride.NewSession(cfg); err != nil {
+		t.Errorf("generated drift refused: %v", err)
+	}
+}
+
+// TestNewSessionRefusesNonFiniteServing pins that a serving trace's rate,
+// burstiness and SLO guard must be finite: a NaN rate or burstiness used to
+// run to completion with negative latencies and no SLO violations.
+func TestNewSessionRefusesNonFiniteServing(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, field := range []string{"rate", "burstiness", "guard"} {
+			sc := &freeride.ServingConfig{Trace: freeride.TraceBursty, Rate: 2, Burstiness: 2, Requests: 16}
+			switch field {
+			case "rate":
+				sc.Rate = bad
+			case "burstiness":
+				sc.Burstiness = bad
+			case "guard":
+				sc.Guard = bad
+			}
+			cfg := fastCfg(freeride.MethodIterative)
+			cfg.Serving = sc
+			if _, err := freeride.NewSession(cfg); err == nil {
+				t.Errorf("serving %s %v accepted", field, bad)
+			}
+		}
 	}
 }
 

@@ -27,7 +27,6 @@ type workload struct {
 // the FreeRide methods, the offline bubble profile its reporter replays.
 func (s *Session) newTraining() error {
 	cfg := s.cfg
-	mbSched, mbCap := mbScheduleFromDrift(cfg)
 	tr, err := pipeline.New(s.eng, s.Procs, s.Devices, pipeline.Config{
 		Model:           cfg.LLM,
 		Stages:          cfg.Stages,
@@ -36,8 +35,6 @@ func (s *Session) newTraining() error {
 		Schedule:        cfg.Schedule,
 		VirtualPerStage: cfg.VirtualStages,
 		RecordOps:       cfg.record,
-		MBSchedule:      mbSched,
-		MBCap:           mbCap,
 	})
 	if err != nil {
 		return err

@@ -2,6 +2,7 @@ package bubble
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"time"
@@ -95,12 +96,6 @@ type DriftEvent struct {
 	Magnitude float64
 	// Window bounds windowed kinds (straggler); 0 means permanent.
 	Window time.Duration
-	// MicroBatches, for DriftResize only, carries the actual new per-epoch
-	// micro-batch count: with it set (> 0) the schedule layer regenerates
-	// the real op lists from the event's At time onward (the drift→schedule
-	// regeneration hook), instead of only scaling the reported trace via
-	// Magnitude. 0 keeps the report-scaling-only behaviour.
-	MicroBatches int
 }
 
 // DriftSchedule is a seeded list of drift events. The zero value (empty
@@ -108,6 +103,26 @@ type DriftEvent struct {
 type DriftSchedule struct {
 	Seed   int64
 	Events []DriftEvent
+}
+
+// Validate refuses events the Drifter cannot evaluate for a `stages`-stage
+// pipeline: an unknown kind, a non-finite magnitude, a negative window, or a
+// stage outside [0, stages) on a kind that targets one (every kind but
+// DriftResize).
+func (s *DriftSchedule) Validate(stages int) error {
+	for i, ev := range s.Events {
+		switch {
+		case ev.Kind < 1 || ev.Kind > driftKindMax:
+			return fmt.Errorf("bubble: drift event %d: unknown kind %d", i, int(ev.Kind))
+		case math.IsNaN(ev.Magnitude) || math.IsInf(ev.Magnitude, 0):
+			return fmt.Errorf("bubble: drift event %d: non-finite magnitude %v", i, ev.Magnitude)
+		case ev.Window < 0:
+			return fmt.Errorf("bubble: drift event %d: negative window %v", i, ev.Window)
+		case ev.Kind != DriftResize && (ev.Stage < 0 || ev.Stage >= stages):
+			return fmt.Errorf("bubble: drift event %d: %v targets stage %d of %d", i, ev.Kind, ev.Stage, stages)
+		}
+	}
+	return nil
 }
 
 // GenerateDrift builds a reproducible random schedule: n events over

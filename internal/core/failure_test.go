@@ -361,7 +361,8 @@ func TestReplacementRerunsAdmission(t *testing.T) {
 // stale incarnation's late exit report discarded by incarnation number.
 func TestCrashDuringReplanWindowSingleRecoveryPath(t *testing.T) {
 	opts := leaseOpts()
-	opts.Replan = &ReplanOptions{Detector: bubble.FastDetector()}
+	det := bubble.FastDetector()
+	opts.Replan = &det
 	r := newRigOpts(t, 2, []int64{22 * model.GiB, 22 * model.GiB}, WorkerConfig{}, opts)
 	if err := r.mgr.Submit(spec("t0", model.GraphSGD, sidetask.ModeIterative)); err != nil {
 		t.Fatal(err)

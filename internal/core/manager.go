@@ -76,8 +76,9 @@ type ManagerOptions struct {
 	// fit, admit newly-fitting ones). Nil trusts the one-shot profile
 	// forever, the paper's behaviour. Arming Replan also arms the recovery
 	// machinery (backoff, incarnations, parking) demotions ride on, even
-	// without a Lease.
-	Replan *ReplanOptions
+	// without a Lease. The detector config's zero value selects the
+	// bubble-package defaults.
+	Replan *bubble.DetectorConfig
 	// SLOGuard is the serving workload's latency-aware admission guard: a
 	// paused side task is started into a bubble only when the bubble's
 	// remaining time is at least SLOGuard × the task's pause fit (profile step
@@ -89,13 +90,6 @@ type ManagerOptions struct {
 	// batches), larger factors trade harvested GPU-seconds for fewer SLO
 	// violations.
 	SLOGuard float64
-}
-
-// ReplanOptions tune the online re-profiling plane.
-type ReplanOptions struct {
-	// Detector tunes the per-worker EWMA+CUSUM estimator; the zero value
-	// selects the bubble-package defaults.
-	Detector bubble.DetectorConfig
 }
 
 func (o *ManagerOptions) normalize() {

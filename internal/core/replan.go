@@ -44,7 +44,7 @@ func (m *Manager) SetBubbleBaseline(name string, perEpoch time.Duration, reports
 	}
 	for _, w := range m.workers {
 		if w.name == name {
-			w.est = bubble.NewEstimator(m.opts.Replan.Detector, perEpoch, reports)
+			w.est = bubble.NewEstimator(*m.opts.Replan, perEpoch, reports)
 			return
 		}
 	}

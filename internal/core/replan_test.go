@@ -13,7 +13,7 @@ import (
 // replanOpts arms the re-plan plane with the given detector; normalize fills
 // in the restart budget and backoff the recovery cycle shares with leases.
 func replanOpts(det bubble.DetectorConfig) ManagerOptions {
-	return ManagerOptions{Tick: time.Millisecond, Replan: &ReplanOptions{Detector: det}}
+	return ManagerOptions{Tick: time.Millisecond, Replan: &det}
 }
 
 // TestDriftDemotionReplacesTaskAndChargesLostWork is the end-to-end demote

@@ -216,7 +216,7 @@ func FuzzWorkerFrames(f *testing.F) {
 func newWireManager(t *testing.T) (*wireRig, *Manager, *Worker) {
 	t.Helper()
 	eng := simtime.NewVirtual()
-	mgr := NewManager(eng, ManagerOptions{Tick: time.Millisecond, Replan: &ReplanOptions{}})
+	mgr := NewManager(eng, ManagerOptions{Tick: time.Millisecond, Replan: &bubble.DetectorConfig{}})
 	dev := simgpu.NewDevice(eng, simgpu.DeviceConfig{Name: "gpu0", MemBytes: model.ServerI.GPUMemBytes})
 	w := NewWorker(eng, dev, container.NewRuntime(simproc.NewRuntime(eng)), WorkerConfig{Name: "worker0"})
 	wmux := freerpc.NewMux()

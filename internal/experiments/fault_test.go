@@ -241,7 +241,10 @@ func TestCrashSweepRecovers(t *testing.T) {
 // FREERIDE_CHAOS_SEED (default 1) and asserts the system's liveness
 // invariants — the run completes, training finishes, and every task either
 // steps, parks, or exits for a reported reason. CI runs it under a seed
-// matrix; any seed must hold the invariants.
+// matrix; any seed must hold the invariants. The training arm runs twice:
+// plain, and with the drift plane armed at its zero configuration, where
+// faults that drop or delay bubble reports shift the detector's epoch
+// windows, so re-plans fire during fault recovery.
 func TestChaosScheduleSuiteGreen(t *testing.T) {
 	seed := int64(1)
 	if s := os.Getenv("FREERIDE_CHAOS_SEED"); s != "" {
@@ -262,22 +265,29 @@ func TestChaosScheduleSuiteGreen(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Faults = simfault.Generate(seed, ref.TrainTime, 12, nil, cfg.Stages)
-	res, err := runOne(cfg, model.ResNet18)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FaultStats.Total() != 12 {
-		t.Errorf("injected %d of 12 scheduled events", res.FaultStats.Total())
-	}
-	if res.TrainTime <= 0 {
-		t.Errorf("training did not complete: %v", res.TrainTime)
-	}
-	for _, tw := range res.Tasks {
-		if tw.Steps == 0 && !tw.Parked && !tw.Exited {
-			t.Errorf("task %s: no steps, not parked, not exited", tw.Name)
+	armed := cfg
+	armDrift(&armed)
+	for _, c := range []struct {
+		arm string
+		cfg freeride.Config
+	}{{"plain", cfg}, {"drift armed", armed}} {
+		res, err := runOne(c.cfg, model.ResNet18)
+		if err != nil {
+			t.Fatalf("%s: %v", c.arm, err)
 		}
-		if tw.Exited && !tw.Parked && tw.ExitErr != "" {
-			t.Errorf("task %s: retired forever: %s", tw.Name, tw.ExitErr)
+		if res.FaultStats.Total() != 12 {
+			t.Errorf("%s: injected %d of 12 scheduled events", c.arm, res.FaultStats.Total())
+		}
+		if res.TrainTime <= 0 {
+			t.Errorf("%s: training did not complete: %v", c.arm, res.TrainTime)
+		}
+		for _, tw := range res.Tasks {
+			if tw.Steps == 0 && !tw.Parked && !tw.Exited {
+				t.Errorf("%s: task %s: no steps, not parked, not exited", c.arm, tw.Name)
+			}
+			if tw.Exited && !tw.Parked && tw.ExitErr != "" {
+				t.Errorf("%s: task %s: retired forever: %s", c.arm, tw.Name, tw.ExitErr)
+			}
 		}
 	}
 

@@ -63,7 +63,7 @@ func (shellTask) StopSideTask(ctx *sidetask.Ctx) error {
 // custom task on every stage it fits on, then the same session with worker 0
 // crashed a third of the way in — its shell is killed while parked, the task
 // is re-placed and a fresh incarnation's process runs to the end.
-func goldenShellCells(t *testing.T) map[string]*freeride.Result {
+func goldenShellCells(t *testing.T, mutate func(*freeride.Config)) map[string]*freeride.Result {
 	t.Helper()
 	profile := model.ResNet18
 	profile.Name = "shell-custom"
@@ -77,14 +77,14 @@ func goldenShellCells(t *testing.T) map[string]*freeride.Result {
 		return err
 	}
 	cfg := oracleOpts().baseConfig(freeride.MethodIterative)
-	ref, err := runSession(cfg, submit)
+	ref, err := runSession(mutated(cfg, mutate), submit)
 	if err != nil {
 		t.Fatalf("shell/custom-everywhere: %v", err)
 	}
 	cfg.Faults = &simfault.Schedule{Events: []simfault.Event{
 		{At: ref.TrainTime / 3, Kind: simfault.KindCrashWorker, Worker: 0},
 	}}
-	crashed, err := runSession(cfg, submit)
+	crashed, err := runSession(mutated(cfg, mutate), submit)
 	if err != nil {
 		t.Fatalf("shell/custom-crash-worker: %v", err)
 	}
@@ -120,22 +120,22 @@ func goldenShellCells(t *testing.T) map[string]*freeride.Result {
 // (WorkSmall): the paper's mixed placement, then ResNet18 everywhere with
 // worker 0 crashed a third of the way in — the dead incarnation's step is
 // abandoned and the re-placed one builds a fresh model.
-func goldenWorkSmallCells(t *testing.T) map[string]*freeride.Result {
+func goldenWorkSmallCells(t *testing.T, mutate func(*freeride.Config)) map[string]*freeride.Result {
 	t.Helper()
 	cfg := oracleOpts().baseConfig(freeride.MethodIterative)
 	cfg.WorkScale = sidetask.WorkSmall
-	mixed, err := runMixed(cfg)
+	mixed, err := runMixed(mutated(cfg, mutate))
 	if err != nil {
 		t.Fatalf("worksmall/mixed: %v", err)
 	}
-	ref, err := runOne(cfg, model.ResNet18)
+	ref, err := runOne(mutated(cfg, mutate), model.ResNet18)
 	if err != nil {
 		t.Fatalf("worksmall/resnet18 reference: %v", err)
 	}
 	cfg.Faults = &simfault.Schedule{Events: []simfault.Event{
 		{At: ref.TrainTime / 3, Kind: simfault.KindCrashWorker, Worker: 0},
 	}}
-	crashed, err := runOne(cfg, model.ResNet18)
+	crashed, err := runOne(mutated(cfg, mutate), model.ResNet18)
 	if err != nil {
 		t.Fatalf("worksmall/resnet18-crash-worker: %v", err)
 	}
@@ -158,16 +158,16 @@ func goldenWorkSmallCells(t *testing.T) map[string]*freeride.Result {
 // training, and the serving sweep's first cell with side tasks everywhere.
 // A zero-length transfer is still an engine event at the current instant, so
 // what else is due at that instant runs ahead of the stage's launch.
-func goldenZeroCommCells(t *testing.T) map[string]*freeride.Result {
+func goldenZeroCommCells(t *testing.T, mutate func(*freeride.Config)) map[string]*freeride.Result {
 	t.Helper()
 	cfg := oracleOpts().baseConfig(freeride.MethodIterative)
 	cfg.LLM.CommLatency = 0
-	mixed, err := runMixed(cfg)
+	mixed, err := runMixed(mutated(cfg, mutate))
 	if err != nil {
 		t.Fatalf("zerocomm/mixed: %v", err)
 	}
 	cfg.Serving = &freeride.ServingConfig{Trace: serve.TracePoisson, Rate: 2, SLO: 6 * time.Second}
-	serving, err := runOne(cfg, model.ResNet18)
+	serving, err := runOne(mutated(cfg, mutate), model.ResNet18)
 	if err != nil {
 		t.Fatalf("zerocomm/serving-poisson-r2-slo6: %v", err)
 	}
@@ -186,7 +186,7 @@ func goldenZeroCommCells(t *testing.T) map[string]*freeride.Result {
 // "<sweep>/<cell>". The schedule sweep contributes one cell per generator
 // other than 1F1B: its first cell (1F1B, ResNet18 everywhere) is a Table 2
 // cell already.
-func goldenSweepCells(t *testing.T) map[string]*freeride.Result {
+func goldenSweepCells(t *testing.T, mutate func(*freeride.Config)) map[string]*freeride.Result {
 	t.Helper()
 	out := make(map[string]*freeride.Result)
 	must := func(name string, res *freeride.Result, err error) {
@@ -203,13 +203,13 @@ func goldenSweepCells(t *testing.T) map[string]*freeride.Result {
 	// cell (one crash-worker event) generated against its horizon.
 	cfg := base
 	cfg.Faults = &simfault.Schedule{Seed: opts.Seed}
-	ref, err := runOne(cfg, model.ResNet18)
+	ref, err := runOne(mutated(cfg, mutate), model.ResNet18)
 	must("faults/zero-fault-ref", ref, err)
 	kind := simfault.AllKinds()[0]
 	cfg = base
 	cfg.Faults = simfault.Generate(opts.Seed*1000+int64(faultSweepCounts[0]), ref.TrainTime,
 		faultSweepCounts[0], []simfault.Kind{kind}, cfg.Stages)
-	res, err := runOne(cfg, model.ResNet18)
+	res, err := runOne(mutated(cfg, mutate), model.ResNet18)
 	must(fmt.Sprintf("faults/%v-x%d", kind, faultSweepCounts[0]), res, err)
 
 	// drift: the zero-drift detector-armed reference, then the first cell
@@ -219,7 +219,7 @@ func goldenSweepCells(t *testing.T) map[string]*freeride.Result {
 	cfg = dbase
 	cfg.Drift = &bubble.DriftSchedule{Seed: opts.Seed}
 	cfg.Replan = &bubble.DetectorConfig{}
-	ref, err = runSession(cfg, driftWorkload)
+	ref, err = runSession(mutated(cfg, mutate), driftWorkload)
 	must("drift/zero-drift-ref", ref, err)
 	dkind, mag := bubble.AllDriftKinds()[0], driftSweepMagnitudes[0]
 	cfg = dbase
@@ -229,7 +229,7 @@ func goldenSweepCells(t *testing.T) map[string]*freeride.Result {
 	}
 	det := driftDetectors[0].cfg
 	cfg.Replan = &det
-	res, err = runSession(cfg, driftWorkload)
+	res, err = runSession(mutated(cfg, mutate), driftWorkload)
 	must(fmt.Sprintf("drift/%v-f%g-%s", dkind, mag, driftDetectors[0].name), res, err)
 
 	// schedules: S=4, M=4 under every generator but 1F1B.
@@ -242,7 +242,7 @@ func goldenSweepCells(t *testing.T) map[string]*freeride.Result {
 		if sk == model.ScheduleInterleaved {
 			cfg.VirtualStages = 2
 		}
-		res, err = runOne(cfg, model.ResNet18)
+		res, err = runOne(mutated(cfg, mutate), model.ResNet18)
 		must(fmt.Sprintf("schedules/%v-S4-M4", sk), res, err)
 	}
 
@@ -255,7 +255,7 @@ func goldenSweepCells(t *testing.T) map[string]*freeride.Result {
 			Trace: serve.TracePoisson, Rate: 2, SLO: 6 * time.Second, Guard: guard,
 		}
 		name := fmt.Sprintf("serving/poisson-r2-slo6-g%g", guard)
-		sess, err := freeride.NewSession(cfg)
+		sess, err := freeride.NewSession(mutated(cfg, mutate))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -266,6 +266,44 @@ func goldenSweepCells(t *testing.T) map[string]*freeride.Result {
 		must(name, res, err)
 	}
 	return out
+}
+
+// mutated returns cfg as mutate leaves it (cfg itself when mutate is nil).
+func mutated(cfg freeride.Config, mutate func(*freeride.Config)) freeride.Config {
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	return cfg
+}
+
+// armDrift wires the dormant drift plane into a training cell that has none
+// of its own: an empty drift schedule, and the detector and re-plan
+// machinery watching a driftless stream, which must never fire. Serving
+// cells stay as they are: the drift plane consumes the trainer's epoch
+// stream, which a serving session does not produce.
+func armDrift(cfg *freeride.Config) {
+	if cfg.Serving == nil && cfg.Drift == nil && cfg.Replan == nil {
+		cfg.Drift = &bubble.DriftSchedule{}
+		cfg.Replan = &bubble.DetectorConfig{}
+	}
+}
+
+// goldenDigests runs every pinned cell, each config passed through mutate
+// first, and digests the results.
+func goldenDigests(t *testing.T, mutate func(*freeride.Config)) map[string]string {
+	t.Helper()
+	got := make(map[string]string)
+	for name, res := range runOracleGrid(t, mutate) {
+		got["table2/"+name] = sessionDigest(res)
+	}
+	for _, cells := range []func(*testing.T, func(*freeride.Config)) map[string]*freeride.Result{
+		goldenSweepCells, goldenShellCells, goldenWorkSmallCells, goldenZeroCommCells,
+	} {
+		for name, res := range cells(t, mutate) {
+			got[name] = sessionDigest(res)
+		}
+	}
+	return got
 }
 
 // TestGoldenSessionDigests pins whole sessions: every Table 2 FreeRide cell,
@@ -282,28 +320,14 @@ func goldenSweepCells(t *testing.T) map[string]*freeride.Result {
 // arithmetic on the event loop; the zerocomm sessions: the last one whose
 // stage machines slept every transfer before launching). Regenerate deliberately with -update-golden.
 //
-// The dormant drift plane holds the digests too: every cell must reproduce
-// under FREERIDE_ORACLE_DRIFT=on. No cell is
-// exempt: the drift arm would legitimately move a fault cell whose schedule
-// drops or delays bubble reports (they shift the detector's epoch windows),
-// and the one fault cell pinned here — a worker crash — does neither.
+// The dormant drift plane holds the digests too: every cell runs a second
+// time under armDrift and must match the same stored digest. No training
+// cell is exempt: the drift arm would legitimately move a fault cell whose
+// schedule drops or delays bubble reports (they shift the detector's epoch
+// windows), and the one fault kind pinned here — a worker crash — does
+// neither.
 func TestGoldenSessionDigests(t *testing.T) {
-	got := make(map[string]string)
-	for name, res := range runOracleGrid(t, nil) {
-		got["table2/"+name] = sessionDigest(res)
-	}
-	for name, res := range goldenSweepCells(t) {
-		got[name] = sessionDigest(res)
-	}
-	for name, res := range goldenShellCells(t) {
-		got[name] = sessionDigest(res)
-	}
-	for name, res := range goldenWorkSmallCells(t) {
-		got[name] = sessionDigest(res)
-	}
-	for name, res := range goldenZeroCommCells(t) {
-		got[name] = sessionDigest(res)
-	}
+	got := goldenDigests(t, nil)
 	if *updateGolden {
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
@@ -334,6 +358,11 @@ func TestGoldenSessionDigests(t *testing.T) {
 			t.Errorf("%s: no golden digest", name)
 		} else if g != w {
 			t.Errorf("%s: digest %s, golden %s", name, g, w)
+		}
+	}
+	for name, g := range goldenDigests(t, armDrift) {
+		if w := want[name]; g != w {
+			t.Errorf("%s, drift plane armed: digest %s, golden %s", name, g, w)
 		}
 	}
 }

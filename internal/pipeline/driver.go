@@ -13,6 +13,9 @@ import (
 // Trainer, request batches for serve.Server. It carries only what differs
 // between the two; everything they do alike is the Driver's.
 type Workload struct {
+	// Plan is the schedule every cycle of the run replays; it fixes the
+	// pipeline's shape (stages, virtual chunks, micro-batches).
+	Plan *Plan
 	// RunnerConfig shapes the stage machines (Cycles is the run's cycle
 	// count); the driver owns its CycleDone and Failed callbacks.
 	RunnerConfig
@@ -21,8 +24,6 @@ type Workload struct {
 	Name, ClientPrefix string
 	// StageMem is the GPU memory the workload holds on a stage for the run.
 	StageMem func(stage int) int64
-	// Plan is the plan cycle c runs, asked at the instant it is released.
-	Plan func(cycle int, now time.Duration) (*Plan, error)
 	// ReadyAt, when set, is the earliest instant cycle c may be released; a
 	// cycle whose predecessor retires sooner waits on the driver's one gate
 	// timer. Nil releases each cycle inside its predecessor's barrier
@@ -32,7 +33,8 @@ type Workload struct {
 	Close func(cycle int, now time.Duration)
 }
 
-// Driver runs a Workload cycle after cycle over one device per stage. It owns
+// Driver runs a Workload's plan cycle after cycle over one device per stage —
+// the same plan every cycle, fixed when the workload is built. It owns
 // the stage clients, the Runner, the cycle stamps and hooks, and the run's
 // started/failed/done state; Trainer and serve.Server embed it by value and
 // keep only what is theirs.
@@ -64,8 +66,8 @@ type Driver struct {
 
 // Init binds the driver to its engine, devices and workload.
 func (d *Driver) Init(eng *simtime.Virtual, procs *simproc.Runtime, devices []*simgpu.Device, w Workload) error {
-	if len(devices) != w.Stages {
-		return fmt.Errorf("%s: %d devices for %d stages", w.Name, len(devices), w.Stages)
+	if len(devices) != w.Plan.Stages {
+		return fmt.Errorf("%s: %d devices for %d stages", w.Name, len(devices), w.Plan.Stages)
 	}
 	d.w, d.eng, d.procs, d.devices = w, eng, procs, devices
 	if w.ReadyAt != nil {
@@ -101,7 +103,8 @@ func (d *Driver) Client(stage int) *simgpu.Client { return d.clients[stage] }
 // Device returns the GPU device of a stage.
 func (d *Driver) Device(stage int) *simgpu.Device { return d.devices[stage] }
 
-// Err reports a failed run (a kernel error, an unbuildable plan).
+// Err reports a failed run: the first op whose kernel completed with an
+// error.
 func (d *Driver) Err() error {
 	return d.failed
 }
@@ -139,7 +142,7 @@ func (d *Driver) Start() error {
 	d.clients = clients
 	rc := d.w.RunnerConfig
 	rc.CycleDone, rc.Failed = d.end, d.opFailed
-	d.run = NewRunner(d.procs, clients, rc)
+	d.run = NewRunner(d.procs, clients, d.w.Plan, rc)
 	d.release()
 	return nil
 }
@@ -157,19 +160,14 @@ func (d *Driver) release() {
 }
 
 // begin stamps the cycle's start, fires the instrumentation hooks and
-// releases the stages on the cycle's plan. Engine-callback or Start context.
+// releases the stages. Engine-callback or Start context.
 func (d *Driver) begin() {
 	now := d.eng.Now()
-	plan, err := d.w.Plan(d.next, now)
-	if err != nil {
-		d.fail(err)
-		return
-	}
 	d.cycleStart = append(d.cycleStart, now)
 	for _, h := range d.onStart {
 		h(d.next, now)
 	}
-	d.run.Release(plan)
+	d.run.Release()
 }
 
 // end is the runner's barrier callback: the last stage has retired the cycle,
@@ -190,13 +188,9 @@ func (d *Driver) end(cycle int) {
 	d.release()
 }
 
-// fail records the run's first failure.
-func (d *Driver) fail(err error) {
-	if d.failed == nil {
-		d.failed = err
-	}
-}
-
+// opFailed records the run's first failure.
 func (d *Driver) opFailed(stage int, op Op, err error) {
-	d.fail(fmt.Errorf("%s: stage %d mb %d: %v kernel: %w", d.w.Name, stage, op.MB, op.Kind, err))
+	if d.failed == nil {
+		d.failed = fmt.Errorf("%s: stage %d mb %d: %v kernel: %w", d.w.Name, stage, op.MB, op.Kind, err)
+	}
 }

@@ -28,15 +28,6 @@ type Config struct {
 	VirtualPerStage int
 	// RecordOps enables the per-stage op timeline (Figure 1a).
 	RecordOps bool
-	// MBSchedule, when set, re-evaluates the epoch's micro-batch count at
-	// each epoch start (the drift→schedule regeneration hook: elastic
-	// micro-batch resizing recomputes the actual op lists, not just the
-	// reported trace). Values are clamped to [1, max(MicroBatches, MBCap)].
-	// Nil keeps the static MicroBatches — the byte-identical default path.
-	MBSchedule func(epoch int, start time.Duration) int
-	// MBCap bounds MBSchedule's values; the dependency scoreboard and
-	// activation memory are provisioned for max(MicroBatches, MBCap) up front.
-	MBCap int
 }
 
 func (c *Config) normalize() error {
@@ -61,9 +52,6 @@ func (c *Config) normalize() error {
 	if c.Schedule == ScheduleZeroBubble && c.VirtualPerStage > 1 {
 		return fmt.Errorf("pipeline: zero-bubble schedule does not compose with virtual stages (V=%d)", c.VirtualPerStage)
 	}
-	if c.MBCap < c.MicroBatches {
-		c.MBCap = c.MicroBatches
-	}
 	return nil
 }
 
@@ -75,16 +63,13 @@ type OpSpan struct {
 }
 
 // Trainer is one pipeline-parallel training run across a set of GPUs: the
-// Driver with cycle = epoch. It keeps only what is training's — the schedule
-// plan each epoch runs (re-generated under MBSchedule) and the op timeline.
+// Driver with cycle = epoch, every epoch replaying the plan generated once
+// from the config. It keeps only what is training's: the config and the op
+// timeline.
 type Trainer struct {
 	Driver
-	cfg  Config
-	plan *Plan // the generated schedule (base micro-batch count)
-	// planCache memoizes re-generated plans per micro-batch count (engine
-	// context only; MBSchedule only).
-	planCache map[int]*Plan
-	opLog     [][]OpSpan // per stage
+	cfg   Config
+	opLog [][]OpSpan // per stage
 }
 
 // New builds a trainer over one device per stage.
@@ -92,32 +77,26 @@ func New(eng *simtime.Virtual, procs *simproc.Runtime, devices []*simgpu.Device,
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	t := &Trainer{cfg: cfg, opLog: make([][]OpSpan, cfg.Stages)}
-	var err error
-	if t.plan, err = t.planFor(cfg.MicroBatches); err != nil {
+	plan, err := BuildPlan(cfg.Schedule, cfg.Stages, cfg.MicroBatches, cfg.VirtualPerStage)
+	if err != nil {
 		return nil, err
 	}
+	t := &Trainer{cfg: cfg, opLog: make([][]OpSpan, cfg.Stages)}
 	m := cfg.Model
 	chunks := time.Duration(cfg.VirtualPerStage)
 	bpDur := m.BPPerMB / chunks
 	w := Workload{
+		Plan: plan,
 		RunnerConfig: RunnerConfig{
-			Stages:          cfg.Stages,
-			VirtualPerStage: cfg.VirtualPerStage,
-			Cycles:          cfg.Epochs,
-			MBAlloc:         cfg.MBCap,
-			Comm:            m.CommLatency,
-			ProcName:        "pipe-v",
+			Cycles:   cfg.Epochs,
+			Comm:     m.CommLatency,
+			ProcName: "pipe-v",
 		},
 		Name:         "pipeline",
 		ClientPrefix: "train-s",
-		// Activation memory is provisioned for the largest micro-batch count
-		// the run can reach (MBCap == MicroBatches without the resize hook).
 		StageMem: func(s int) int64 {
-			c := &t.cfg
-			return c.Model.StageMemUsedSched(c.Schedule, s, c.Stages, c.MBCap, c.VirtualPerStage)
+			return m.StageMemUsedSched(cfg.Schedule, s, cfg.Stages, cfg.MicroBatches, cfg.VirtualPerStage)
 		},
-		Plan: t.epochPlan,
 	}
 	w.Durations[OpForward] = m.FPPerMB / chunks
 	w.Durations[OpBackward] = bpDur
@@ -139,36 +118,6 @@ func (t *Trainer) Config() Config { return t.cfg }
 // OpLog returns the recorded op timeline for a stage (RecordOps only).
 func (t *Trainer) OpLog(stage int) []OpSpan {
 	return append([]OpSpan(nil), t.opLog[stage]...)
-}
-
-// planFor builds (and memoizes) the schedule plan for a micro-batch count.
-// Engine context only.
-func (t *Trainer) planFor(mbs int) (*Plan, error) {
-	if p, ok := t.planCache[mbs]; ok {
-		return p, nil
-	}
-	p, err := BuildPlan(t.cfg.Schedule, t.cfg.Stages, mbs, t.cfg.VirtualPerStage)
-	if err != nil {
-		return nil, err
-	}
-	if t.planCache == nil {
-		t.planCache = make(map[int]*Plan)
-	}
-	t.planCache[mbs] = p
-	return p, nil
-}
-
-// epochPlan is the plan an epoch starting now runs: the base schedule, or the
-// one re-generated for the micro-batch count MBSchedule resizes the epoch to.
-func (t *Trainer) epochPlan(epoch int, now time.Duration) (*Plan, error) {
-	if t.cfg.MBSchedule == nil {
-		return t.plan, nil
-	}
-	mb := t.cfg.MBSchedule(epoch, now)
-	if mb < 1 {
-		mb = t.cfg.MicroBatches
-	}
-	return t.planFor(min(mb, t.cfg.MBCap))
 }
 
 func (t *Trainer) recordOp(stage, _ int, span OpSpan) {

@@ -551,53 +551,6 @@ func TestInterleavedFirstClassKind(t *testing.T) {
 	}
 }
 
-func TestMBScheduleResizesEpochs(t *testing.T) {
-	// The drift→schedule regeneration hook: epoch 0 runs M=4, later epochs
-	// M=8 — real op lists, so the epoch spans change accordingly.
-	cfg := Config{
-		Model: model.NanoGPT3B, Stages: 4, MicroBatches: 4, Epochs: 3,
-		MBCap: 8,
-		MBSchedule: func(epoch int, _ time.Duration) int {
-			if epoch == 0 {
-				return 4
-			}
-			return 8
-		},
-	}
-	r := newRig(t, cfg)
-	r.run(t)
-	starts, ends := r.trainer.CycleTimes()
-	want4 := model.NanoGPT3B.EpochSpan(4, 4)
-	want8 := model.NanoGPT3B.EpochSpan(4, 8)
-	if got := ends[0] - starts[0]; got < want4 || got > want4+100*time.Millisecond {
-		t.Fatalf("epoch 0 span %v, want ≈%v", got, want4)
-	}
-	for e := 1; e < 3; e++ {
-		if got := ends[e] - starts[e]; got < want8 || got > want8+100*time.Millisecond {
-			t.Fatalf("epoch %d span %v, want ≈%v", e, got, want8)
-		}
-	}
-}
-
-func TestMBScheduleConstantHookBitIdentical(t *testing.T) {
-	// A wired hook that never changes the count must reproduce the plain
-	// run's epoch times exactly — the zero-resize oracle.
-	base := Config{Model: model.NanoGPT3B, Stages: 4, MicroBatches: 4, Epochs: 3}
-	r1 := newRig(t, base)
-	r1.run(t)
-	hooked := base
-	hooked.MBSchedule = func(int, time.Duration) int { return 4 }
-	r2 := newRig(t, hooked)
-	r2.run(t)
-	s1, e1 := r1.trainer.CycleTimes()
-	s2, e2 := r2.trainer.CycleTimes()
-	for i := range s1 {
-		if s1[i] != s2[i] || e1[i] != e2[i] {
-			t.Fatalf("epoch %d times diverged: (%v,%v) vs (%v,%v)", i, s1[i], e1[i], s2[i], e2[i])
-		}
-	}
-}
-
 func TestInterleavedOpLogDependencies(t *testing.T) {
 	// FP of chunk v must still follow FP of chunk v-1 for each micro-batch
 	// (verified through the virtual latches by completion of training, and

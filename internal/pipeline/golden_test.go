@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"freeride/internal/model"
 )
@@ -41,23 +40,6 @@ func goldenCases() []goldenCase {
 				},
 			})
 		}
-	}
-	// A mid-run resize (4→2→4 micro-batches) forces the stage machines to
-	// rebind to a different plan between cycles and back again.
-	for _, kind := range []ScheduleKind{Schedule1F1B, ScheduleZeroBubble} {
-		cases = append(cases, goldenCase{
-			name: fmt.Sprintf("%v/S4-resize-4-2-4", kind),
-			cfg: Config{
-				Model: model.NanoGPT3B, Stages: 4, MicroBatches: 4,
-				Epochs: 3, Schedule: kind, RecordOps: true,
-				MBSchedule: func(epoch int, _ time.Duration) int {
-					if epoch == 1 {
-						return 2
-					}
-					return 4
-				},
-			},
-		})
 	}
 	return cases
 }

@@ -40,15 +40,11 @@ func NewStageClients(devices []*simgpu.Device, prefix string, mem func(stage int
 }
 
 // RunnerConfig is what a driver — the Trainer (cycle = epoch) or
-// serve.Server (cycle = request batch) — hands the plan runner.
+// serve.Server (cycle = request batch) — hands the plan runner beside the
+// plan itself.
 type RunnerConfig struct {
-	Stages          int
-	VirtualPerStage int
 	// Cycles is how many times the chunks run through their op lists.
 	Cycles int
-	// MBAlloc is the largest micro-batch count any cycle's plan may use;
-	// the scoreboard is sized for it once.
-	MBAlloc int
 	// Durations is each op's kernel duration by kind; Comm is the
 	// activation/gradient transfer an op pays after a cross-chunk wait —
 	// the kernel's host lead (see Runner).
@@ -69,10 +65,12 @@ type RunnerConfig struct {
 	Record func(stage, chunk int, span OpSpan)
 }
 
-// Runner replays a Plan cycle after cycle: one inline stage machine per
+// Runner replays one Plan cycle after cycle: one inline stage machine per
 // virtual chunk runs nextOp → cross-chunk wait → transfer → kernel → retire.
-// Chunk v runs on device v mod Stages; with VirtualPerStage > 1 the stage's
-// chunks share its stream, their kernels FIFO-interleaving. The transfer is
+// The plan is fixed for the run: each chunk binds its op list, dependency
+// edges and kernel names once, at spawn. Chunk v runs on device v mod
+// Stages; with VirtualPerStage > 1 the stage's chunks share its stream,
+// their kernels FIFO-interleaving. The transfer is
 // the kernel's host lead (simgpu.ExecLeadThen): one engine event per op on a
 // lead-capable device, the lead reaching the shared stream where and when
 // the sleep-then-launch it replaces would have.
@@ -90,10 +88,10 @@ type RunnerConfig struct {
 type Runner struct {
 	cfg     RunnerConfig
 	nv      int
-	plan    *Plan   // the released cycle's plan
+	mbs     int     // the plan's micro-batch count: a board's stride
 	stamp   int32   // released cycle + 1; what a completion writes
 	arrived int     // chunks that retired the released cycle
-	slots   []slot  // forward board, then backward board: nv × MBAlloc each
+	slots   []slot  // forward board, then backward board: nv × mbs each
 	chunks  []chunk // by virtual index
 	// waiting/spare are the chunks parked on the next Release, in arrival
 	// order, and the drained list it swaps with.
@@ -105,15 +103,18 @@ type slot struct {
 	parked int32 // index+1 of the chunk waiting on it, 0 if none
 }
 
-// NewRunner builds the runner over one client per physical stage and spawns
-// the chunk processes; each parks until the driver's first Release.
-func NewRunner(procs *simproc.Runtime, clients []*simgpu.Client, cfg RunnerConfig) *Runner {
-	r := &Runner{cfg: cfg, nv: cfg.Stages * cfg.VirtualPerStage}
-	r.slots = make([]slot, 2*r.nv*cfg.MBAlloc)
+// NewRunner builds the runner for plan over one client per physical stage
+// and spawns the chunk processes; each parks until the driver's first
+// Release.
+func NewRunner(procs *simproc.Runtime, clients []*simgpu.Client, plan *Plan, cfg RunnerConfig) *Runner {
+	r := &Runner{cfg: cfg, nv: plan.NumVirtual(), mbs: plan.MicroBatches}
+	r.slots = make([]slot, 2*r.nv*r.mbs)
 	r.chunks = make([]chunk, r.nv)
 	for v := range r.chunks {
+		phys := v % plan.Stages
 		c := &r.chunks[v]
-		*c = chunk{r: r, v: v, phys: v % cfg.Stages, client: clients[v%cfg.Stages]}
+		*c = chunk{r: r, v: v, phys: phys, client: clients[phys],
+			ops: plan.Chunks[v], deps: plan.Deps[v], names: chunkLabels(phys, plan.Chunks[v], cfg.Label)}
 		c.spec = simgpu.KernelSpec{Demand: 1.0, Weight: 1.0}
 		c.afterGoFn, c.afterDepFn = c.afterGo, c.afterDep
 		c.execOpFn, c.afterExecFn = c.execOp, c.afterExec
@@ -125,10 +126,9 @@ func NewRunner(procs *simproc.Runtime, clients []*simgpu.Client, cfg RunnerConfi
 	return r
 }
 
-// Release opens the next cycle on plan, waking the parked chunks in the order
-// they arrived. A chunk bound to a different plan rebinds as it wakes.
-func (r *Runner) Release(plan *Plan) {
-	r.plan = plan
+// Release opens the next cycle, waking the parked chunks in the order they
+// arrived.
+func (r *Runner) Release() {
 	r.stamp++
 	r.arrived = 0
 	woken := r.waiting
@@ -143,9 +143,9 @@ func (r *Runner) Release(plan *Plan) {
 // slotOf indexes the scoreboard: forward completions on the first board,
 // activation-gradient completions (fused or split backward) on the second.
 func (r *Runner) slotOf(on OpKind, chunk, mb int) *slot {
-	i := chunk*r.cfg.MBAlloc + mb
+	i := chunk*r.mbs + mb
 	if on != OpForward {
-		i += r.nv * r.cfg.MBAlloc
+		i += r.nv * r.mbs
 	}
 	return &r.slots[i]
 }
@@ -160,7 +160,6 @@ type chunk struct {
 	phys   int
 	client *simgpu.Client
 
-	plan *Plan // the plan ops/deps/names were bound from
 	ops  []Op
 	deps []Dep // the plan's cross-chunk edges, parallel to ops
 	// names are the per-op kernel labels, precomputed so the op loop never
@@ -195,11 +194,6 @@ func (c *chunk) waitCycle() {
 }
 
 func (c *chunk) afterGo(any) {
-	if plan := c.r.plan; plan != c.plan {
-		c.plan = plan
-		c.ops, c.deps = plan.Chunks[c.v], plan.Deps[c.v]
-		c.names = chunkLabels(c.phys, c.ops, c.r.cfg.Label)
-	}
 	c.i = 0
 	c.nextOp()
 }

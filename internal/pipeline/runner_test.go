@@ -269,12 +269,11 @@ func runPlan(t *testing.T, plan *Plan, durs [NumOpKinds]time.Duration, comm time
 	}
 	var run *Runner
 	done := false
-	run = NewRunner(procs, clients, RunnerConfig{
-		Stages: plan.Stages, VirtualPerStage: plan.VirtualPerStage, Cycles: cycles, MBAlloc: plan.MicroBatches,
-		Durations: durs, Comm: comm, ProcName: "pipe-v",
+	run = NewRunner(procs, clients, plan, RunnerConfig{
+		Cycles: cycles, Durations: durs, Comm: comm, ProcName: "pipe-v",
 		CycleDone: func(c int) {
 			if done = c+1 == cycles; !done {
-				run.Release(plan)
+				run.Release()
 			}
 		},
 		Failed: func(s int, op Op, err error) { t.Errorf("stage %d %v: %v", s, op, err) },
@@ -303,7 +302,7 @@ func runPlan(t *testing.T, plan *Plan, durs [NumOpKinds]time.Duration, comm time
 			})
 		}
 	}
-	run.Release(plan)
+	run.Release()
 	eng.Drain(0)
 	if !done {
 		t.Fatal("the run did not retire its last cycle")

@@ -99,19 +99,16 @@ func New(eng *simtime.Virtual, procs *simproc.Runtime, devices []*simgpu.Device,
 	mem := cfg.Model.ServeStageMemUsed(cfg.MicroBatches)
 	s := &Server{cfg: cfg, latencies: make([]time.Duration, 0, len(cfg.Arrivals))}
 	w := pipeline.Workload{
+		Plan: plan,
 		RunnerConfig: pipeline.RunnerConfig{
-			Stages:          cfg.Stages,
-			VirtualPerStage: 1,
-			Cycles:          len(readyAt),
-			MBAlloc:         cfg.MicroBatches,
-			Comm:            cfg.Model.CommLatency,
-			ProcName:        "serve-s",
-			Label:           "infer",
+			Cycles:   len(readyAt),
+			Comm:     cfg.Model.CommLatency,
+			ProcName: "serve-s",
+			Label:    "infer",
 		},
 		Name:         "serve",
 		ClientPrefix: "serve-s",
 		StageMem:     func(int) int64 { return mem },
-		Plan:         func(int, time.Duration) (*pipeline.Plan, error) { return plan, nil },
 		ReadyAt:      func(b int) time.Duration { return readyAt[b] },
 		Close:        s.scoreBatch,
 	}

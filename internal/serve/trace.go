@@ -73,11 +73,11 @@ func GenerateArrivals(cfg ArrivalConfig) ([]time.Duration, error) {
 	if cfg.Requests <= 0 {
 		return nil, fmt.Errorf("serve: trace needs a positive request count, got %d", cfg.Requests)
 	}
-	if cfg.Rate <= 0 {
-		return nil, fmt.Errorf("serve: trace needs a positive rate, got %g", cfg.Rate)
+	if !(cfg.Rate > 0) || math.IsInf(cfg.Rate, 1) {
+		return nil, fmt.Errorf("serve: trace needs a positive finite rate, got %g", cfg.Rate)
 	}
-	if cfg.Burstiness < 0 {
-		return nil, fmt.Errorf("serve: negative burstiness %g", cfg.Burstiness)
+	if !(cfg.Burstiness >= 0) || math.IsInf(cfg.Burstiness, 1) {
+		return nil, fmt.Errorf("serve: trace needs a finite non-negative burstiness, got %g", cfg.Burstiness)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	out := make([]time.Duration, 0, cfg.Requests)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -83,6 +84,10 @@ func TestGenerateArrivalsValidation(t *testing.T) {
 		{Kind: TracePoisson, Rate: 2, Requests: 0},
 		{Kind: TracePoisson, Rate: 2, Requests: 4, Burstiness: -1},
 		{Kind: TraceKind(99), Rate: 2, Requests: 4},
+		{Kind: TraceBursty, Rate: math.NaN(), Requests: 4, Burstiness: 1},
+		{Kind: TraceBursty, Rate: math.Inf(1), Requests: 4, Burstiness: 1},
+		{Kind: TraceBursty, Rate: 2, Requests: 4, Burstiness: math.NaN()},
+		{Kind: TraceBursty, Rate: 2, Requests: 4, Burstiness: math.Inf(1)},
 	}
 	for i, cfg := range bad {
 		if _, err := GenerateArrivals(cfg); err == nil {
