@@ -134,7 +134,8 @@ type Config struct {
 	// self-healing; nil leaves the control plane exactly as before. An empty
 	// schedule with hooks wired must reproduce the no-fault metrics
 	// bit-identically, training or serving (the zero-fault oracle). Only
-	// NewSession takes one: a node or manager session refuses it.
+	// NewSession takes one: a node or manager session refuses it. A schedule
+	// that fails simfault.Schedule.Validate is refused.
 	Faults *simfault.Schedule
 	// Lease is the manager's failure-detector lease; 0 with Faults set
 	// selects core.DefaultLease. See core.ManagerOptions.Lease.
@@ -286,8 +287,13 @@ func (c *Config) normalize() error {
 	if c.RPCLatency < 0 {
 		return fmt.Errorf("freeride: negative RPC latency")
 	}
-	if c.Faults != nil && c.Lease == 0 {
-		c.Lease = core.DefaultLease
+	if c.Faults != nil {
+		if err := c.Faults.Validate(c.Stages); err != nil {
+			return err
+		}
+		if c.Lease == 0 {
+			c.Lease = core.DefaultLease
+		}
 	}
 	if c.Drift != nil {
 		if err := c.Drift.Validate(c.Stages); err != nil {

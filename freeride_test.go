@@ -524,6 +524,48 @@ func TestNewSessionRefusesMalformedDrift(t *testing.T) {
 	}
 }
 
+// TestNewSessionRefusesMalformedFaults pins the fault plane's front door: an
+// event the injector cannot deliver as written is refused before the session
+// is built, not counted as skipped or clamped. A window or an extra latency
+// on a kind that ignores it is accepted.
+func TestNewSessionRefusesMalformedFaults(t *testing.T) {
+	ev := func(at time.Duration, kind simfault.Kind, worker int, window, extra time.Duration) simfault.Event {
+		return simfault.Event{At: at, Kind: kind, Worker: worker, Window: window, Extra: extra}
+	}
+	sec := time.Second
+	cases := []struct {
+		name string
+		ev   simfault.Event
+		ok   bool
+	}{
+		{"kind 0", ev(sec, 0, 0, 0, 0), false},
+		{"kind 99", ev(sec, 99, 0, 0, 0), false},
+		{"negative instant", ev(-sec, simfault.KindCrashWorker, 0, 0, 0), false},
+		{"worker -1", ev(sec, simfault.KindSeverLink, -1, 0, 0), false},
+		{"worker 4 of 4", ev(sec, simfault.KindFailKernel, 4, 0, 0), false},
+		{"drop negative window", ev(sec, simfault.KindDropRPC, 1, -sec, 0), false},
+		{"delay negative window", ev(sec, simfault.KindDelayRPC, 1, -sec, time.Millisecond), false},
+		{"wedge negative window", ev(sec, simfault.KindWedgeTask, 1, -sec, 0), false},
+		{"delay negative extra", ev(sec, simfault.KindDelayRPC, 1, sec, -time.Millisecond), false},
+		{"instant 0, last worker", ev(0, simfault.KindCrashWorker, 3, 0, 0), true},
+		{"crash ignores its window", ev(sec, simfault.KindCrashWorker, 0, -sec, 0), true},
+		{"drop ignores its extra", ev(sec, simfault.KindDropRPC, 0, sec, -sec), true},
+	}
+	for _, c := range cases {
+		cfg := fastCfg(freeride.MethodIterative)
+		cfg.Faults = &simfault.Schedule{Events: []simfault.Event{c.ev}}
+		_, err := freeride.NewSession(cfg)
+		if ok := err == nil; ok != c.ok {
+			t.Errorf("%s: accepted = %v, want %v (err: %v)", c.name, ok, c.ok, err)
+		}
+	}
+	cfg := fastCfg(freeride.MethodIterative)
+	cfg.Faults = simfault.Generate(1, time.Minute, 64, nil, cfg.Stages)
+	if _, err := freeride.NewSession(cfg); err != nil {
+		t.Errorf("generated faults refused: %v", err)
+	}
+}
+
 // TestNewSessionRefusesNonFiniteServing pins that a serving trace's rate,
 // burstiness and SLO guard must be finite: a NaN rate or burstiness used to
 // run to completion with negative latencies and no SLO violations.

@@ -2,7 +2,9 @@ package sidetask
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
+	"sync"
 
 	"freeride/internal/graph"
 	"freeride/internal/imageproc"
@@ -22,23 +24,44 @@ const (
 	WorkSmall WorkScale = 1
 )
 
+// runAheadDepth is how many steps past the last result StepWork returned a
+// WorkSmall built-in may compute on its own goroutine, given a spare core.
+// On a two-core Xeon, the benchmark's real-work workload read a median
+// wall_s of 0.080 at one step ahead, 0.069 at 4, 0.065 at 8, 0.064 at 16
+// and 0.067 at 32 (reference seconds, three runs each); a task that ends
+// wastes up to this many steps.
+const runAheadDepth = 16
+
 // builtinTask adapts one of the real algorithms in internal/{nn,graph,
 // imageproc} to the iterative interface under its cost profile — the Go
 // translation of the paper's Figure 6. The built-ins differ only in what
 // CreateSideTask builds and what a step calls (see builtins).
+//
+// Under WorkSmall the arithmetic runs ahead of the simulation on the task's
+// own goroutine (runAhead, bound once so that a step allocates nothing),
+// which computes the steps StepWork has reserved and exits once none is
+// left. next buffers their results in order; its capacity is the depth
+// (runAheadDepth, or 1 without a spare core), which bounds the steps
+// reserved, so a send never blocks. ahead reports that the next StepWork
+// receives from next rather than computing inline.
 type builtinTask struct {
 	profile model.TaskProfile
 	scale   WorkScale
 	// build loads the real workload from one seed and returns its step.
 	build func(seed int64) (step func() error, err error)
 	// step is nil under WorkNone: pure cost-model simulation.
-	step func() error
-	// next is the one-slot result of the step computing ahead on its own
-	// goroutine (runAhead, bound once so that a step allocates nothing);
-	// ahead reports that one is in flight.
+	step     func() error
 	next     chan error
 	runAhead func()
 	ahead    bool
+	// mu guards the handshake with the run-ahead goroutine: owed counts the
+	// reserved steps it has not begun, running that it is alive and will
+	// look at owed again before it exits, and withdrawn that a failed step
+	// or StopSideTask has ended the run for good.
+	mu        sync.Mutex
+	owed      int
+	running   bool
+	withdrawn bool
 }
 
 var (
@@ -81,8 +104,14 @@ var builtins = []struct {
 func (t *builtinTask) CreateSideTask(ctx *Ctx) (err error) {
 	if t.scale != WorkNone {
 		t.step, err = t.build(ctx.Rng.Int63())
-		t.next = make(chan error, 1)
-		t.runAhead = func() { t.next <- t.step() }
+		depth := runAheadDepth
+		if runtime.GOMAXPROCS(0) == 1 {
+			// No core to overlap on: every step computed ahead only delays
+			// the dispatcher, and a task that ends wastes them all.
+			depth = 1
+		}
+		t.next = make(chan error, depth)
+		t.runAhead = t.runReserved
 	}
 	return err
 }
@@ -100,40 +129,85 @@ func (t *builtinTask) RunNextStep(ctx *Ctx) error {
 	return ctx.ExecStepKernel()
 }
 
-// StepWork is the step's CPU-side work (Stepper). Its arithmetic runs one
-// step ahead of the simulation, off the event loop: the k-th call returns
-// step k's result from the goroutine that computed it while step k-1 was
-// being simulated (waiting only if it has not finished; the first call
-// computes inline) and, when that result is nil, starts step k+1. The
+// StepWork is the step's CPU-side work (Stepper). Its arithmetic runs up to
+// D steps ahead of the simulation, off the event loop, where D is the
+// capacity of next (runAheadDepth, or 1 without a spare core): the k-th call
+// returns step k's result, received from the goroutine that computed it while
+// earlier steps were being simulated (waiting only if it has not finished;
+// the first call computes inline), and, when that result is nil, reserves
+// steps up to k+D and starts the goroutine unless it is still running. The
 // simulation cannot tell:
 //   - a task's steps still run one at a time, in order, on the same state —
-//     each starts after its predecessor's result was received — so every
-//     model, graph and image is bit-identical;
+//     one goroutine at a time computes them, and a new one starts only after
+//     its predecessor's last result — so every model, graph and image is
+//     bit-identical;
 //   - step k's error is returned by the k-th call, at the same simulated
-//     instant, and a failed step starts no successor;
+//     instant, and a failed step begins no successor;
 //   - the goroutine touches only the task's own real state, never the Ctx,
 //     a component or the engine, so the engine keeps its one owner;
-//   - a task that stops, is grace-killed or loses its worker leaves at most
-//     one step computing into next, which nobody reads; it then exits, having
+//   - a failed step and StopSideTask withdraw the steps not yet begun, for
+//     good, so at most the one already begun finishes; a task that is
+//     grace-killed or loses its worker leaves at most D steps computing into
+//     next, which nobody reads. Either way the goroutine then exits, having
 //     advanced only state nothing reads (the steps discard their outputs).
 func (t *builtinTask) StepWork(*Ctx) error {
 	if t.step == nil {
 		return nil
 	}
 	var err error
+	reserve := 1
 	if t.ahead {
 		err = <-t.next
 	} else {
 		err = t.step()
+		reserve = cap(t.next)
 	}
 	t.ahead = err == nil
 	if t.ahead {
-		go t.runAhead()
+		t.mu.Lock()
+		if !t.withdrawn {
+			t.owed += reserve
+			if !t.running {
+				t.running = true
+				go t.runAhead()
+			}
+		}
+		t.mu.Unlock()
 	}
 	return err
 }
 
+// runReserved computes the reserved steps in order and exits once none is
+// left; a failed step withdraws the rest.
+func (t *builtinTask) runReserved() {
+	for {
+		t.mu.Lock()
+		if t.owed == 0 {
+			t.running = false
+			t.mu.Unlock()
+			return
+		}
+		t.owed--
+		t.mu.Unlock()
+		err := t.step()
+		if err != nil {
+			t.withdraw()
+		}
+		t.next <- err
+	}
+}
+
+// withdraw cancels the reserved steps the run-ahead has not begun, and every
+// later reservation.
+func (t *builtinTask) withdraw() {
+	t.mu.Lock()
+	t.owed = 0
+	t.withdrawn = true
+	t.mu.Unlock()
+}
+
 func (t *builtinTask) StopSideTask(ctx *Ctx) error {
+	t.withdraw()
 	ctx.GPU.FreeMem(t.profile.MemBytes)
 	return nil
 }

@@ -171,8 +171,9 @@ type Imperative interface {
 // InitSideTask, StopSideTask and StepWork non-blocking (no Ctx.HostWork /
 // Ctx.ExecStepKernel / GPU.Exec calls — memory AllocMem/FreeMem are fine).
 // The harness calls StepWork on the event loop, so a user body may read its
-// Ctx. All built-in tasks implement it; theirs runs the arithmetic one step
-// ahead on the task's own goroutine (builtinTask.StepWork).
+// Ctx. All built-in tasks implement it; theirs runs the arithmetic a bounded
+// run of steps ahead on the task's own goroutine — up to runAheadDepth, one
+// without a spare core (builtinTask.StepWork).
 type Stepper interface {
 	StepWork(ctx *Ctx) error
 }

@@ -34,9 +34,9 @@
 //     does not park, so code between it and the next blocking call or clock
 //     read runs at the start of the host phase. A Stepper's bodies run on the
 //     event loop and must not block at all.
-//   - A built-in's real step may run one step ahead on its own goroutine; it
-//     touches only the task's own state, never a Ctx, a component or the
-//     engine.
+//   - A built-in's real steps may run up to runAheadDepth steps ahead (one
+//     without a spare core) on the task's own goroutine; it touches only the
+//     task's own state, never a Ctx, a component or the engine.
 package sidetask
 
 import "fmt"

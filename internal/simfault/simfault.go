@@ -136,8 +136,7 @@ func Generate(seed int64, horizon time.Duration, n int, kinds []Kind, workers in
 			Kind:   kinds[rng.Intn(len(kinds))],
 			Worker: rng.Intn(workers),
 		}
-		switch ev.Kind {
-		case KindDropRPC, KindDelayRPC, KindWedgeTask:
+		if ev.Kind.windowed() {
 			lo, hi := int64(horizon)/20, int64(horizon)/5
 			ev.Window = time.Duration(lo + rng.Int63n(hi-lo+1))
 		}
@@ -148,6 +147,34 @@ func Generate(seed int64, horizon time.Duration, n int, kinds []Kind, workers in
 	}
 	sortEvents(s.Events)
 	return s
+}
+
+// windowed reports whether the kind lasts for its event's Window.
+func (k Kind) windowed() bool {
+	return k == KindDropRPC || k == KindDelayRPC || k == KindWedgeTask
+}
+
+// Validate refuses events the injector cannot deliver as written to a
+// `workers`-worker session: an unknown kind, a negative At, a worker outside
+// [0, workers), a negative window on a windowed kind (drop-rpc, delay-rpc,
+// wedge-task), or a negative extra latency on delay-rpc, which would cut the
+// link's latency below its base.
+func (s *Schedule) Validate(workers int) error {
+	for i, ev := range s.Events {
+		switch {
+		case ev.Kind < 1 || ev.Kind >= kindMax:
+			return fmt.Errorf("simfault: fault event %d: unknown kind %d", i, int(ev.Kind))
+		case ev.At < 0:
+			return fmt.Errorf("simfault: fault event %d: %v at negative instant %v", i, ev.Kind, ev.At)
+		case ev.Worker < 0 || ev.Worker >= workers:
+			return fmt.Errorf("simfault: fault event %d: %v targets worker %d of %d", i, ev.Kind, ev.Worker, workers)
+		case ev.Kind.windowed() && ev.Window < 0:
+			return fmt.Errorf("simfault: fault event %d: %v with negative window %v", i, ev.Kind, ev.Window)
+		case ev.Kind == KindDelayRPC && ev.Extra < 0:
+			return fmt.Errorf("simfault: fault event %d: %v with negative extra latency %v", i, ev.Kind, ev.Extra)
+		}
+	}
+	return nil
 }
 
 // sortEvents orders events by At, ties broken by insertion order (stable).
