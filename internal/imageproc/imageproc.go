@@ -18,24 +18,40 @@ import (
 // and seeded noise, so resizing has real structure to interpolate.
 func Synthetic(w, h int, seed int64) *image.RGBA {
 	img := image.NewRGBA(image.Rect(0, 0, w, h))
-	synthesize(img, rand.New(rand.NewSource(seed)))
+	synthesize(img, newRamps(w, h), rand.New(rand.NewSource(seed)))
 	return img
 }
 
-// synthesize fills img, whose bounds start at the origin, drawing the noise
-// level from rng.
-func synthesize(img *image.RGBA, rng *rand.Rand) {
+// ramps are a w×h synthetic image's gradients, the same for every image of
+// that size: red by x, green by y and blue by x+y.
+type ramps struct{ x, y, xy []uint8 }
+
+func newRamps(w, h int) ramps {
+	return ramps{x: ramp(w, w-1), y: ramp(h, h-1), xy: ramp(w+h-1, w+h-2)}
+}
+
+// ramp returns uint8(i*255/span) for i in [0, n), spreading 0…255 over span.
+func ramp(n, span int) []uint8 {
+	r := make([]uint8, max(0, n))
+	for i := range r {
+		r[i] = uint8((i * 255) / max(1, span))
+	}
+	return r
+}
+
+// synthesize fills img, whose bounds start at the origin and match r,
+// drawing the noise level from rng.
+func synthesize(img *image.RGBA, r ramps, rng *rand.Rand) {
 	noise := uint8(rng.Intn(32))
-	w, h := img.Rect.Dx(), img.Rect.Dy()
-	xDiv, yDiv, xyDiv := max(1, w-1), max(1, h-1), max(1, w+h-2)
-	for y := 0; y < h; y++ {
+	w := len(r.x)
+	for y, g := range r.y {
 		row := img.Pix[y*img.Stride:][:4*w]
-		g := uint8((y * 255) / yDiv)
-		for x := 0; x < w; x++ {
+		xy := r.xy[y:][:w]
+		for x, red := range r.x {
 			px := row[4*x:][:4]
-			px[0] = uint8((x*255)/xDiv) + noise
+			px[0] = red + noise
 			px[1] = g
-			px[2] = uint8(((x + y) * 255) / xyDiv)
+			px[2] = xy[x]
 			px[3] = 255
 		}
 	}
@@ -114,10 +130,11 @@ func Watermark(dst *image.RGBA, mark *image.RGBA, ox, oy int, opacity float64) {
 // Pipeline is the step-wise side-task workload: one Step() resizes the next
 // synthetic image and stamps the watermark, mirroring Nvidia's
 // resize-and-watermark sample [41]. It reuses one source image, one
-// destination image and one random generator, re-seeded per image, so a
-// warmed Step allocates nothing.
+// destination image, the source's gradients and one random generator,
+// re-seeded per image, so a warmed Step allocates nothing.
 type Pipeline struct {
 	src, dst  *image.RGBA
+	ramps     ramps
 	mark      *image.RGBA
 	rng       *rand.Rand
 	seed      int64
@@ -141,6 +158,7 @@ func NewPipeline(srcW, srcH, dstW, dstH int, seed int64) *Pipeline {
 		p.err = fmt.Errorf("imageproc: empty source")
 	default:
 		p.src = image.NewRGBA(image.Rect(0, 0, srcW, srcH))
+		p.ramps = newRamps(srcW, srcH)
 		p.dst = image.NewRGBA(image.Rect(0, 0, dstW, dstH))
 	}
 	return p
@@ -153,7 +171,7 @@ func (p *Pipeline) Step() (*image.RGBA, error) {
 		return nil, p.err
 	}
 	p.rng.Seed(p.seed + int64(p.processed))
-	synthesize(p.src, p.rng)
+	synthesize(p.src, p.ramps, p.rng)
 	resize(p.dst, p.src)
 	Watermark(p.dst, p.mark, p.dst.Rect.Dx()-40, p.dst.Rect.Dy()-24, 0.6)
 	p.processed++

@@ -13,19 +13,21 @@
 //
 // A buffer belongs to whoever produces it and is resized only when the batch
 // shape changes, so a warmed Trainer.TrainStep allocates nothing: Dense owns
-// its output and its input gradient, ReLU its output and its gated gradient,
-// Trainer its batch (x, y) and the logits gradient. A matrix a layer returns
-// is valid until the same layer's next call of that method, and the layer
-// may read it again (ReLU.Backward gates by ReLU's output, Dense.Backward
-// reads the input Forward was given), so a caller neither keeps it across
-// steps nor writes into it; MLP and Trainer rely on that and nothing more.
+// its output, its input gradient and a copy of Wᵀ, ReLU its output and its
+// gated gradient, Trainer its batch (x, y) and the logits gradient. A matrix
+// a layer returns is valid until the same layer's next call of that method,
+// and the layer may read it again (ReLU.Backward gates by ReLU's output,
+// Dense.Backward reads the input Forward was given), so a caller neither
+// keeps it across steps nor writes into it; MLP and Trainer rely on that and
+// nothing more.
 // MLP.Backward asks layers[0] for parameter gradients only: nobody reads
 // dL/dx of the network's input.
 //
 // # Summation order
 //
-// Every product is one of three in-place kernels — A·B, Aᵀ·B, A·Bᵀ — that
-// read a transposed operand where it lies. Each out[i][j] starts at +0 and
+// Every product is A·B or Aᵀ·B, one in-place kernel that reads Aᵀ where A
+// lies; Dense.Backward's dL/dx = G·Wᵀ multiplies by a copy of Wᵀ, which costs
+// one batch row's share of the product. Each out[i][j] starts at +0 and
 // adds a_ik·b_kj in ascending k, skipping every k whose a_ik == 0 (ReLU
 // leaves about half of them zero), one left-associated addition per term;
 // folding four k into a pass changes how often the output is loaded and
@@ -33,6 +35,12 @@
 // against the naive triple loop (nn_test.go) rather than leave the order to
 // taste: the repository's spine is bit-identical determinism — result
 // digests, golden sessions — and an exact test holds where a tolerance drifts.
+//
+// On amd64 the kernel's row pass and Adam's update are SSE2 assembly
+// (kernels_amd64.s): each lane of a packed instruction does one element's
+// scalar operation, in the same order and with no fused multiply-add, so
+// every bit matches the Go loops of kernels_generic.go, which other
+// platforms run.
 package nn
 
 import (
@@ -73,12 +81,26 @@ func (m *Matrix) resize(rows, cols int) {
 	m.Rows, m.Cols = rows, cols
 }
 
+// consistent returns an error unless each matrix's Data holds exactly
+// Rows×Cols elements: the kernels find a row where the dimensions put it.
+func consistent(ms ...*Matrix) error {
+	for _, m := range ms {
+		if m.Rows < 0 || m.Cols < 0 || m.Cols > 0 && m.Rows > math.MaxInt/m.Cols || len(m.Data) != m.Rows*m.Cols {
+			return fmt.Errorf("nn: %dx%d matrix holds %d elements", m.Rows, m.Cols, len(m.Data))
+		}
+	}
+	return nil
+}
+
 func shapeErr(ar, ac, br, bc int) error {
 	return fmt.Errorf("nn: matmul %dx%d @ %dx%d", ar, ac, br, bc)
 }
 
 // MatMul computes a @ b into a fresh matrix.
 func MatMul(a, b *Matrix) (*Matrix, error) {
+	if err := consistent(a, b); err != nil {
+		return nil, err
+	}
 	if a.Cols != b.Rows {
 		return nil, shapeErr(a.Rows, a.Cols, b.Rows, b.Cols)
 	}
@@ -89,13 +111,19 @@ func MatMul(a, b *Matrix) (*Matrix, error) {
 
 // Transpose returns mᵀ.
 func Transpose(m *Matrix) *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
+	out := &Matrix{}
+	transpose(out, m)
+	return out
+}
+
+// transpose writes mᵀ into out, resized.
+func transpose(out, m *Matrix) {
+	out.resize(m.Cols, m.Rows)
 	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
+		for j, v := range m.row(i) {
+			out.Data[j*m.Rows+i] = v
 		}
 	}
-	return out
 }
 
 // gatherSeg is how many k of a row one scan gathers: the (k, a_ik) buffers
@@ -132,66 +160,21 @@ func mulAB(out, a, b *Matrix) { mul(out, a, b, a.Rows, a.Cols, a.Cols, 1) }
 func mulAtB(out, a, b *Matrix) { mul(out, a, b, a.Cols, a.Rows, 1, a.Cols) }
 
 // mul is the kernel behind A·B and Aᵀ·B: row i of op(A) has inner elements,
-// starts at a.Data[i*di] and steps by dk. Every four gathered a_ik make one
-// pass over the output row.
+// starts at a.Data[i*di] and steps by dk. mulRow adds each gathered segment
+// into the output row. It reads B without bounds checks, so mul first checks
+// that every row of B a gathered k names lies in b.Data.
 func mul(out, a, b *Matrix, rows, inner, di, dk int) {
+	if cols := out.Cols; b.Cols != cols || cols > 0 && (len(b.Data)/cols < inner || len(out.Data)/cols < rows) {
+		panic(fmt.Sprintf("nn: %dx%d product of a %dx%d B into a %dx%d output",
+			rows, inner, b.Rows, b.Cols, out.Rows, out.Cols))
+	}
 	var z nonzeros
 	for i := 0; i < rows; i++ {
 		o := out.row(i)
 		clear(o)
 		for k0 := 0; k0 < inner; k0 += gatherSeg {
 			c := z.gather(a.Data, i*di+k0*dk, dk, k0, min(k0+gatherSeg, inner))
-			t := 0
-			for ; t+4 <= c; t += 4 {
-				a0, a1, a2, a3 := z.v[t], z.v[t+1], z.v[t+2], z.v[t+3]
-				// Resliced to len(o) so the pass checks no bounds.
-				b0, b1 := b.row(z.k[t])[:len(o)], b.row(z.k[t+1])[:len(o)]
-				b2, b3 := b.row(z.k[t+2])[:len(o)], b.row(z.k[t+3])[:len(o)]
-				for j := range o {
-					o[j] = o[j] + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-				}
-			}
-			for ; t < c; t++ {
-				a0, b0 := z.v[t], b.row(z.k[t])[:len(o)]
-				for j := range o {
-					o[j] += a0 * b0[j]
-				}
-			}
-		}
-	}
-}
-
-// mulABt computes out = A·Bᵀ; out is already a.Rows × b.Rows. Four rows of B
-// are four independent dot products against the gathered row of A.
-func mulABt(out, a, b *Matrix) {
-	var z nonzeros
-	inner, n := a.Cols, b.Rows
-	for i := 0; i < a.Rows; i++ {
-		o := out.row(i)
-		clear(o)
-		for k0 := 0; k0 < inner; k0 += gatherSeg {
-			c := z.gather(a.Data, i*inner+k0, 1, k0, min(k0+gatherSeg, inner))
-			ks, vs := z.k[:c], z.v[:c]
-			j := 0
-			for ; j+4 <= n; j += 4 {
-				b0, b1, b2, b3 := b.row(j), b.row(j+1), b.row(j+2), b.row(j+3)
-				s0, s1, s2, s3 := o[j], o[j+1], o[j+2], o[j+3]
-				for t, k := range ks {
-					v := vs[t]
-					s0 += v * b0[k]
-					s1 += v * b1[k]
-					s2 += v * b2[k]
-					s3 += v * b3[k]
-				}
-				o[j], o[j+1], o[j+2], o[j+3] = s0, s1, s2, s3
-			}
-			for ; j < n; j++ {
-				b0, s := b.row(j), o[j]
-				for t, k := range ks {
-					s += vs[t] * b0[k]
-				}
-				o[j] = s
-			}
+			mulRow(o, b.Data, z.k[:c], z.v[:c])
 		}
 	}
 }
@@ -207,6 +190,8 @@ type Dense struct {
 	// lastIn is the caller's matrix, read again by Backward.
 	lastIn      *Matrix
 	out, gradIn Matrix
+	// wT is Wᵀ, copied by every Backward: the kernel reads B by rows.
+	wT Matrix
 }
 
 // NewDense initializes with He-uniform weights from the seeded rng.
@@ -226,6 +211,9 @@ func NewDense(in, out int, rng *rand.Rand) *Dense {
 
 // Forward computes x@W + b. The result is valid until the next Forward.
 func (d *Dense) Forward(x *Matrix) (*Matrix, error) {
+	if err := consistent(x, d.W); err != nil {
+		return nil, err
+	}
 	if x.Cols != d.W.Rows {
 		return nil, shapeErr(x.Rows, x.Cols, d.W.Rows, d.W.Cols)
 	}
@@ -247,8 +235,9 @@ func (d *Dense) Backward(gradOut *Matrix) (*Matrix, error) {
 	if err := d.backwardParams(gradOut); err != nil {
 		return nil, err
 	}
+	transpose(&d.wT, d.W)
 	d.gradIn.resize(gradOut.Rows, d.W.Rows)
-	mulABt(&d.gradIn, gradOut, d.W)
+	mulAB(&d.gradIn, gradOut, &d.wT)
 	return &d.gradIn, nil
 }
 
@@ -257,6 +246,9 @@ func (d *Dense) backwardParams(gradOut *Matrix) error {
 	x := d.lastIn
 	if x == nil {
 		return errors.New("nn: Dense.Backward before Forward")
+	}
+	if err := consistent(gradOut, x, d.W, d.GradW); err != nil {
+		return err
 	}
 	if x.Rows != gradOut.Rows {
 		return shapeErr(x.Cols, x.Rows, gradOut.Rows, gradOut.Cols)

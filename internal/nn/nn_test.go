@@ -199,6 +199,8 @@ func TestDatasetBatchShape(t *testing.T) {
 // transposes, one k per pass over the output row. The kernels and the trainer
 // must reproduce it bit for bit on whatever GOARCH the test runs on (where
 // the compiler fuses x*y + z, it fuses both sides alike or this file says so).
+// On amd64 the kernels are SSE2 assembly, which never fuses, and the compiler
+// fuses nothing there at any GOAMD64 level; GOARCH=386 runs the Go loops.
 
 func refMatMul(a, b *Matrix) *Matrix {
 	out := NewMatrix(a.Rows, b.Cols)
@@ -303,9 +305,40 @@ func refTrainStep(t *testing.T, tr *Trainer, layers []*refLayer) float64 {
 	}
 	tr.opt.Tick()
 	for _, l := range layers {
-		tr.opt.Update(l.d)
+		refAdamUpdate(tr.opt, l.d)
 	}
 	return loss
+}
+
+// refAdamUpdate is the old Adam.Update: one scalar loop per parameter slice,
+// keeping its moments in a's state like Update does.
+func refAdamUpdate(a *Adam, layer *Dense) {
+	st, ok := a.state[layer]
+	if !ok {
+		st = &adamState{
+			mW: make([]float64, len(layer.W.Data)), vW: make([]float64, len(layer.W.Data)),
+			mB: make([]float64, len(layer.B)), vB: make([]float64, len(layer.B)),
+		}
+		a.state[layer] = st
+	}
+	t := float64(a.t)
+	if t < 1 {
+		t = 1
+	}
+	c1 := 1 - math.Pow(a.Beta1, t)
+	c2 := 1 - math.Pow(a.Beta2, t)
+	for i := range layer.W.Data {
+		g := layer.GradW.Data[i]
+		st.mW[i] = a.Beta1*st.mW[i] + (1-a.Beta1)*g
+		st.vW[i] = a.Beta2*st.vW[i] + (1-a.Beta2)*g*g
+		layer.W.Data[i] -= a.LR * (st.mW[i] / c1) / (math.Sqrt(st.vW[i]/c2) + a.Eps)
+	}
+	for i := range layer.B {
+		g := layer.GradB[i]
+		st.mB[i] = a.Beta1*st.mB[i] + (1-a.Beta1)*g
+		st.vB[i] = a.Beta2*st.vB[i] + (1-a.Beta2)*g*g
+		layer.B[i] -= a.LR * (st.mB[i] / c1) / (math.Sqrt(st.vB[i]/c2) + a.Eps)
+	}
 }
 
 func sameBits(t *testing.T, what string, got, want []float64) {
@@ -347,7 +380,11 @@ func TestKernelsMatchReferenceBitForBit(t *testing.T) {
 		}{
 			{"A·B", func(out *Matrix) { mulAB(out, a, b) }},
 			{"Aᵀ·B", func(out *Matrix) { mulAtB(out, at, b) }},
-			{"A·Bᵀ", func(out *Matrix) { mulABt(out, a, bt) }},
+			{"A·Bᵀ as Dense.Backward takes it", func(out *Matrix) {
+				var btt Matrix
+				transpose(&btt, bt)
+				mulAB(out, a, &btt)
+			}},
 		} {
 			// A kernel overwrites whatever its output held.
 			out := NewMatrix(a.Rows, b.Cols)
@@ -386,6 +423,35 @@ func TestKernelsMatchReferenceBitForBit(t *testing.T) {
 			b := randomMatrix(rng, inner, 1+k%7, 0.2, -1)
 			check(fmt.Sprintf("single non-zero %d of %d", k, inner), a, b)
 		}
+	}
+}
+
+// mul's check stands between the kernel's unchecked reads of B and a B that
+// is too short for the product: it panics before any row is read.
+func TestMulRefusesShortOperands(t *testing.T) {
+	ones := func(rows, cols int) *Matrix {
+		m := NewMatrix(rows, cols)
+		for i := range m.Data {
+			m.Data[i] = 1
+		}
+		return m
+	}
+	for _, c := range []struct {
+		name      string
+		out, a, b *Matrix
+	}{
+		{"B a row short", NewMatrix(2, 3), ones(2, 4), &Matrix{Rows: 4, Cols: 3, Data: make([]float64, 9)}},
+		{"B wider than the output", NewMatrix(2, 3), ones(2, 4), NewMatrix(4, 4)},
+		{"the output a row short", &Matrix{Rows: 2, Cols: 3, Data: make([]float64, 3)}, ones(2, 4), NewMatrix(4, 3)},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", c.name)
+				}
+			}()
+			mulAB(c.out, c.a, c.b)
+		}()
 	}
 }
 
@@ -522,6 +588,66 @@ func TestFrontDoorsReturnErrors(t *testing.T) {
 	for _, c := range cases {
 		if err := c.call(); err == nil {
 			t.Errorf("%s: accepted", c.name)
+		}
+	}
+
+	// A matrix whose Data is not Rows×Cols long is refused before any
+	// kernel reads a row where its dimensions put one.
+	short := func() *Matrix { return &Matrix{Rows: 2, Cols: 3, Data: make([]float64, 5)} }
+	long := func() *Matrix { return &Matrix{Rows: 3, Cols: 2, Data: make([]float64, 7)} }
+	negative := func() *Matrix { return &Matrix{Rows: -2, Cols: -3, Data: make([]float64, 6)} }
+	// Rows×Cols wraps to 0, the length of an empty Data.
+	overflow := func() *Matrix { return &Matrix{Rows: math.MaxInt/2 + 1, Cols: 4} }
+	for _, c := range []struct {
+		name, want string
+		call       func() error
+	}{
+		{"MatMul with a short A", "nn: 2x3 matrix holds 5 elements", func() error {
+			_, err := MatMul(short(), NewMatrix(3, 2))
+			return err
+		}},
+		{"MatMul with a long B", "nn: 3x2 matrix holds 7 elements", func() error {
+			_, err := MatMul(NewMatrix(2, 3), long())
+			return err
+		}},
+		{"MatMul with negative dimensions", "nn: -2x-3 matrix holds 6 elements", func() error {
+			_, err := MatMul(negative(), NewMatrix(3, 2))
+			return err
+		}},
+		{"MatMul with Rows×Cols past MaxInt", fmt.Sprintf("nn: %dx4 matrix holds 0 elements", math.MaxInt/2+1), func() error {
+			_, err := MatMul(overflow(), NewMatrix(4, 2))
+			return err
+		}},
+		{"Forward with a short input", "nn: 2x3 matrix holds 5 elements", func() error {
+			_, err := NewDense(3, 2, rng).Forward(short())
+			return err
+		}},
+		{"Forward with short weights", "nn: 2x3 matrix holds 5 elements", func() error {
+			d := NewDense(2, 3, rng)
+			d.W = short()
+			_, err := d.Forward(NewMatrix(4, 2))
+			return err
+		}},
+		{"Backward with a long gradient", "nn: 3x2 matrix holds 7 elements", func() error {
+			d := NewDense(4, 2, rng)
+			if _, err := d.Forward(NewMatrix(3, 4)); err != nil {
+				return err
+			}
+			_, err := d.Backward(long())
+			return err
+		}},
+		{"Backward after the input was cut short", "nn: 2x3 matrix holds 5 elements", func() error {
+			d, x := NewDense(3, 2, rng), NewMatrix(2, 3)
+			if _, err := d.Forward(x); err != nil {
+				return err
+			}
+			x.Data = x.Data[:5]
+			_, err := d.Backward(NewMatrix(2, 2))
+			return err
+		}},
+	} {
+		if err := c.call(); err == nil || err.Error() != c.want {
+			t.Errorf("%s: %v, want %q", c.name, err, c.want)
 		}
 	}
 

@@ -43,18 +43,9 @@ func (a *Adam) Update(layer *Dense) {
 	}
 	c1 := 1 - math.Pow(a.Beta1, t)
 	c2 := 1 - math.Pow(a.Beta2, t)
-	for i := range layer.W.Data {
-		g := layer.GradW.Data[i]
-		st.mW[i] = a.Beta1*st.mW[i] + (1-a.Beta1)*g
-		st.vW[i] = a.Beta2*st.vW[i] + (1-a.Beta2)*g*g
-		layer.W.Data[i] -= a.LR * (st.mW[i] / c1) / (math.Sqrt(st.vW[i]/c2) + a.Eps)
-	}
-	for i := range layer.B {
-		g := layer.GradB[i]
-		st.mB[i] = a.Beta1*st.mB[i] + (1-a.Beta1)*g
-		st.vB[i] = a.Beta2*st.vB[i] + (1-a.Beta2)*g*g
-		layer.B[i] -= a.LR * (st.mB[i] / c1) / (math.Sqrt(st.vB[i]/c2) + a.Eps)
-	}
+	w, b := layer.W.Data, layer.B
+	adamStep(w, layer.GradW.Data[:len(w)], st.mW[:len(w)], st.vW[:len(w)], a.Beta1, a.Beta2, a.LR, a.Eps, c1, c2)
+	adamStep(b, layer.GradB[:len(b)], st.mB[:len(b)], st.vB[:len(b)], a.Beta1, a.Beta2, a.LR, a.Eps, c1, c2)
 }
 
 // Tick advances Adam's bias-correction timestep; call once per train step.
