@@ -572,13 +572,17 @@ func (s *Session) taskFactory(spec core.TaskSpec) (*sidetask.Harness, error) {
 // profile.Name. Subsequent Submit/SubmitEverywhere calls with that profile
 // deploy the custom implementation instead of a built-in. The profile's
 // performance characteristics should come from the automated profiler
-// (internal/profiler) — the paper's step ➋.
+// (internal/profiler) — the paper's step ➋ — and must pass
+// model.TaskProfile.Validate.
 func (s *Session) RegisterCustom(profile model.TaskProfile, build CustomTask) error {
 	if profile.Name == "" {
 		return fmt.Errorf("freeride: custom task needs a profile name")
 	}
 	if build == nil {
 		return fmt.Errorf("freeride: custom task %q needs a constructor", profile.Name)
+	}
+	if err := profile.Validate(); err != nil {
+		return err
 	}
 	if s.customTasks == nil {
 		s.customTasks = make(map[string]CustomTask)
@@ -606,8 +610,13 @@ func (s *Session) EligibleStages(p model.TaskProfile) []int {
 
 // Submit places one instance of the task. For the FreeRide methods it goes
 // through the manager (Algorithm 1); for the baselines the instance is
-// pinned to the requested stage.
+// pinned to the requested stage. A profile model.TaskProfile.Validate
+// refuses is refused under every method.
 func (s *Session) Submit(p model.TaskProfile, stage int) error {
+	// Before the method switch: the baselines never reach the manager.
+	if err := p.Validate(); err != nil {
+		return err
+	}
 	mode := sidetask.ModeIterative
 	if s.cfg.Method == MethodImperative {
 		mode = sidetask.ModeImperative

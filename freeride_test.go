@@ -456,6 +456,32 @@ func TestRegisterCustomValidation(t *testing.T) {
 	if err := sess.RegisterCustom(model.TaskProfile{Name: "x"}, nil); err == nil {
 		t.Fatal("nil constructor accepted")
 	}
+	bad := model.ResNet18
+	bad.Name, bad.Demand = "no-demand", math.NaN()
+	if err := sess.RegisterCustom(bad, func(int64) sidetask.Iterative { return &countingTask{hits: new(int)} }); err == nil {
+		t.Fatal("custom task with a NaN demand accepted")
+	}
+}
+
+// TestSubmitRefusesMalformedProfiles pins that Submit validates a profile
+// under every method that takes side tasks, the baselines included, which
+// never reach the manager: a zero step with no host overhead would run a step
+// loop that never lets the clock move.
+func TestSubmitRefusesMalformedProfiles(t *testing.T) {
+	stalled := model.ResNet18
+	stalled.StepTime, stalled.HostOverhead = 0, 0
+	for _, method := range []freeride.Method{freeride.MethodIterative, freeride.MethodImperative, freeride.MethodMPS, freeride.MethodNaive} {
+		sess, err := freeride.NewSession(fastCfg(method))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := sess.SubmitEverywhere(stalled); err == nil {
+			t.Errorf("%v: a zero-step profile was placed on %d workers", method, n)
+		}
+		if err := sess.Submit(stalled, 0); err == nil {
+			t.Errorf("%v: Submit accepted a zero-step profile", method)
+		}
+	}
 }
 
 // TestDriftResizeLeavesTrainingAlone pins that drift reshapes only the

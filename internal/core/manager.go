@@ -360,6 +360,9 @@ func NewManager(eng *simtime.Virtual, opts ManagerOptions) *Manager {
 		return nil, nil
 	})
 	freerpc.HandleFunc(m.mux, "Manager.Submit", func(spec TaskSpec) (any, error) {
+		if err := spec.Profile.Validate(); err != nil {
+			return nil, err
+		}
 		if err := m.Submit(spec); err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 )
@@ -314,5 +315,45 @@ func TestEpochSpanComponents(t *testing.T) {
 	want := 3*(m.FPPerMB+m.BPPerMB) + 4*(m.FPPerMB+m.BPPerMB) + m.OptStep
 	if got := m.EpochSpan(4, 4); got != want {
 		t.Fatalf("EpochSpan = %v, want %v", got, want)
+	}
+}
+
+// TestTaskProfileValidate refuses every malformed profile field, one field
+// per case, and accepts every built-in profile and a ResNet18 copy that is
+// not batch-scalable.
+func TestTaskProfileValidate(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(p *TaskProfile)
+	}{
+		{"zero StepTime", func(p *TaskProfile) { p.StepTime = 0 }},
+		{"zero StepTime and HostOverhead", func(p *TaskProfile) { p.StepTime, p.HostOverhead = 0, 0 }},
+		{"negative StepTime", func(p *TaskProfile) { p.StepTime = -time.Millisecond }},
+		{"negative StepJitter", func(p *TaskProfile) { p.StepJitter = -0.1 }},
+		{"StepJitter 1", func(p *TaskProfile) { p.StepJitter = 1 }},
+		{"NaN StepJitter", func(p *TaskProfile) { p.StepJitter = math.NaN() }},
+		{"zero Demand", func(p *TaskProfile) { p.Demand = 0 }},
+		{"Demand above 1", func(p *TaskProfile) { p.Demand = 1.5 }},
+		{"NaN Demand", func(p *TaskProfile) { p.Demand = math.NaN() }},
+		{"negative Weight", func(p *TaskProfile) { p.Weight = -1 }},
+		{"infinite Weight", func(p *TaskProfile) { p.Weight = math.Inf(1) }},
+		{"NaN Weight", func(p *TaskProfile) { p.Weight = math.NaN() }},
+		{"negative HostOverhead", func(p *TaskProfile) { p.HostOverhead = -1 }},
+		{"negative CreateTime", func(p *TaskProfile) { p.CreateTime = -1 }},
+		{"negative InitTime", func(p *TaskProfile) { p.InitTime = -1 }},
+		{"negative MemBytes", func(p *TaskProfile) { p.MemBytes = -1 }},
+	} {
+		p := ResNet18
+		tc.edit(&p)
+		if err := p.Validate(); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	fixed := ResNet18
+	fixed.BatchScalable = false
+	for _, p := range append(slices.Clone(TaskProfiles), fixed) {
+		if err := p.Validate(); err != nil {
+			t.Errorf("%s (batch-scalable %v): %v", p.Name, p.BatchScalable, err)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -160,6 +161,37 @@ func TaskByName(name string) (TaskProfile, error) {
 		}
 	}
 	return TaskProfile{}, fmt.Errorf("model: unknown side task %q", name)
+}
+
+// Validate refuses a profile no side task can run under: StepTime must be
+// positive (a zero step with no host overhead is a step loop that never lets
+// the clock move), StepJitter in [0, 1) (at 1 a draw can reach a zero or
+// negative step), Demand in (0, 1], Weight finite and non-negative, and no
+// overhead, create or init time or memory footprint negative. NaN fails every
+// range.
+func (t TaskProfile) Validate() error {
+	bad := func(field string, v any, want string) error {
+		return fmt.Errorf("model: task %q: %s %v, want %s", t.Name, field, v, want)
+	}
+	switch {
+	case t.StepTime <= 0:
+		return bad("StepTime", t.StepTime, "> 0")
+	case !(t.StepJitter >= 0 && t.StepJitter < 1):
+		return bad("StepJitter", t.StepJitter, "in [0, 1)")
+	case !(t.Demand > 0 && t.Demand <= 1):
+		return bad("Demand", t.Demand, "in (0, 1]")
+	case !(t.Weight >= 0 && !math.IsInf(t.Weight, 1)):
+		return bad("Weight", t.Weight, "finite and >= 0")
+	case t.HostOverhead < 0:
+		return bad("HostOverhead", t.HostOverhead, ">= 0")
+	case t.CreateTime < 0:
+		return bad("CreateTime", t.CreateTime, ">= 0")
+	case t.InitTime < 0:
+		return bad("InitTime", t.InitTime, ">= 0")
+	case t.MemBytes < 0:
+		return bad("MemBytes", t.MemBytes, ">= 0")
+	}
+	return nil
 }
 
 // FitTime is the worst-case pause-time fit: the bubble duration a task

@@ -99,7 +99,7 @@ func (h *Harness) newCtx(p *simproc.Process, gpu *simgpu.Client) *Ctx {
 // in-flight *kernel* — not the whole step — drains past a pause, exactly
 // the asynchronous-kernel behaviour of paper §5.
 func (c *Ctx) ExecStepKernel() error {
-	for c.beginKernels(); c.nextKernel(); {
+	for c.beginKernels(); c.NextPart() != nil; {
 		if err := c.GPU.Exec(c.Proc, &c.spec); err != nil {
 			return err
 		}
@@ -113,18 +113,20 @@ func (c *Ctx) beginKernels() {
 	c.partsLeft = c.h.kernelParts
 }
 
-// nextKernel points spec at the step's next kernel, reporting false once all
-// of them have been issued.
-func (c *Ctx) nextKernel() bool {
+// NextPart points spec at the step's next kernel and returns it, or returns
+// nil once all of them have been issued. On the event loop it is the
+// client's part source too (simgpu.PartSource), which relaunches a part as
+// afterKernel would. Task code does not call it.
+func (c *Ctx) NextPart() *simgpu.KernelSpec {
 	if c.partsLeft == 0 {
-		return false
+		return nil
 	}
 	c.spec.Duration = c.perKernel
 	if c.partsLeft == 1 {
 		c.spec.Duration = c.lastKernel
 	}
 	c.partsLeft--
-	return true
+	return &c.spec
 }
 
 // HostWork models CPU-side time (data loading, the interface loop) as a

@@ -39,6 +39,9 @@ func (h *Harness) Start(p *simproc.Process, gpu *simgpu.Client) {
 		return
 	}
 	r := &inlineRun{h: h, p: p, ctx: h.newCtx(p, gpu), stepper: stepper}
+	if gpu != nil && h.kernelParts > 1 {
+		gpu.SetPartSource(r.ctx) // afterKernel keeps its contract
+	}
 	r.afterCreateFn = r.afterCreate
 	r.onCommandFn = r.onCommand
 	r.afterInitFn = r.afterInit
@@ -116,8 +119,7 @@ func (r *inlineRun) step() {
 		return
 	}
 	r.ctx.beginKernels()
-	r.ctx.nextKernel()
-	r.ctx.GPU.ExecLeadThen(r.p, &r.ctx.spec, r.h.profile.HostOverhead, r.afterKernelFn)
+	r.ctx.GPU.ExecLeadThen(r.p, r.ctx.NextPart(), r.h.profile.HostOverhead, r.afterKernelFn)
 }
 
 func (r *inlineRun) stepFail(any) {
@@ -134,9 +136,10 @@ func (r *inlineRun) afterKernel(res any) {
 		r.p.Exit(r.h.runEnded(err, now))
 		return
 	}
-	if r.ctx.nextKernel() {
-		// Parts 2..n launch back to back with no host lead.
-		r.ctx.GPU.ExecThen(r.p, &r.ctx.spec, r.afterKernelFn)
+	if spec := r.ctx.NextPart(); spec != nil {
+		// Parts 2..n launch back to back with no host lead; where the
+		// device relaunches them itself, this is all it skips.
+		r.ctx.GPU.ExecThen(r.p, spec, r.afterKernelFn)
 		return
 	}
 	r.h.stepDone(now - r.stepStart)

@@ -243,3 +243,40 @@ func TestLaunchPicksSubstrate(t *testing.T) {
 		compareMidStepArms(t, fmt.Sprintf("%v vs %v", subShellUnfused, sub), ground, run(sub))
 	}
 }
+
+// TestSteadyStateImperativeStepAllocFree pins the imperative step on the
+// event loop over a device that can lead: a warmed eight-part step allocates
+// nothing, and it reaches the device's two completion shortcuts — its host
+// lead retires as the device's lone lead, and parts 2..8 are relaunched in
+// place, through the Ctx as the client's part source.
+func TestSteadyStateImperativeStepAllocFree(t *testing.T) {
+	eng := simtime.NewVirtual()
+	dev := simgpu.NewDevice(eng, simgpu.DeviceConfig{Name: "gpu0", NoTraces: true})
+	h := NewImperativeHarness("imperative", fuseProfile, &imperativeAdapter{inner: fuseStepper{}}, 1)
+	ctr := container.NewRuntime(simproc.NewRuntime(eng))
+	if _, err := ctr.RunInline(container.Spec{Name: fuseProfile.Name, Device: dev}, h.Start); err != nil {
+		t.Fatal(err)
+	}
+	eng.Schedule(0, "init", func() {
+		h.Deliver(Command{Transition: TransitionInit})
+		h.Deliver(Command{Transition: TransitionStart, BubbleEnd: 1 << 62})
+	})
+	step := func() {
+		for before := h.Counters().Steps; h.Counters().Steps == before; {
+			if !eng.Step() {
+				t.Fatal("engine ran dry before the next step completed")
+			}
+		}
+	}
+	for i := 0; i < 8; i++ {
+		step()
+	}
+	lone, inPlace := dev.Shortcuts()
+	step()
+	if l, n := dev.Shortcuts(); l-lone != 1 || n-inPlace != imperativeKernelParts-1 {
+		t.Fatalf("a step took %d lone-lead and %d in-place shortcuts, want 1 and %d", l-lone, n-inPlace, imperativeKernelParts-1)
+	}
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Fatalf("an imperative step allocates %.2f objects, want 0", allocs)
+	}
+}

@@ -160,8 +160,13 @@ type Device struct {
 	shareHits   uint64
 	shareMisses uint64
 
-	// fusedFolds counts fusion windows folded into a launch rebalance.
-	fusedFolds uint64
+	// fusedFolds counts fusion windows folded into a launch rebalance;
+	// loneRetires and relaunches count the completions that skipped the round
+	// trip (completeKernel): lone leads retired without maturing, and step
+	// parts relaunched in place.
+	fusedFolds  uint64
+	loneRetires uint64
+	relaunches  uint64
 	// fusing marks an open completion→relaunch fusion window: the
 	// rebalance owed by the last kernel completion has been deferred in the
 	// hope that the completion's continuation immediately launches a
@@ -276,15 +281,16 @@ type Client struct {
 	dev *Device
 	cfg ClientConfig
 
-	closed  bool
 	memUsed int64
 	current *kernel
 	queue   []*kernel
 	memTr   trace.Series
 	occTr   trace.Series
 	// orderIdx is the client's index in dev.order, kept current across
-	// Destroys; the running-set cache sorts by it.
-	orderIdx int
+	// Destroys; the running-set cache sorts by it. It shares a word with
+	// the two flags: a client is allocated per side-task placement.
+	orderIdx int32
+	closed   bool
 	// resident mirrors the ResidencyTax predicate (memUsed > 0 or a kernel
 	// in flight) so transitions can maintain dev.resident in O(1).
 	resident bool
@@ -292,6 +298,8 @@ type Client struct {
 	// device takes the two-event fallback (engine context only, like the
 	// callers' processes).
 	slept []*sleptLead
+	// parts is the client's part source (SetPartSource), nil when none.
+	parts PartSource
 }
 
 // NewClient registers a client context on the device.
@@ -305,7 +313,7 @@ func (d *Device) NewClient(cfg ClientConfig) (*Client, error) {
 	c := &Client{
 		dev:      d,
 		cfg:      cfg,
-		orderIdx: len(d.order),
+		orderIdx: int32(len(d.order)),
 	}
 	d.clients[cfg.Name] = c
 	d.order = append(d.order, c)
@@ -485,6 +493,13 @@ func (d *Device) FusedFolds() uint64 {
 	return d.fusedFolds
 }
 
+// Shortcuts reports how many completions skipped the device round trip: lone
+// host leads retired without maturing, and step parts relaunched in place
+// (for tests and measurement).
+func (d *Device) Shortcuts() (loneLeads, inPlace uint64) {
+	return d.loneRetires, d.relaunches
+}
+
 // flushFusion settles an open completion→relaunch fusion window by running the
 // deferred rebalance. Called at the top of every device entry point that
 // observes or mutates scheduler state — a launch that merely queues, memory
@@ -616,8 +631,8 @@ func (c *Client) Destroy() {
 	}
 	delete(d.clients, c.cfg.Name)
 	d.order = append(d.order[:c.orderIdx], d.order[c.orderIdx+1:]...)
-	for i := c.orderIdx; i < len(d.order); i++ {
-		d.order[i].orderIdx = i
+	for i := int(c.orderIdx); i < len(d.order); i++ {
+		d.order[i].orderIdx = int32(i)
 	}
 	d.rebalance()
 

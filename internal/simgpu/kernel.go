@@ -85,11 +85,15 @@ type kernel struct {
 	// without a separate sleep event. A lead frozen by HoldLead (SIGTSTP
 	// landing inside the host phase) waits on the held list until
 	// ReleaseLead. leadDeadline and leadIdx cache the armed no-further-events completion
-	// hypothesis (-1: none armed) so lead refreshes skip no-op timer re-arms.
+	// hypothesis (-1: none armed) so lead refreshes skip no-op timer re-arms;
+	// leadExact records that the armed deadline is that completion itself,
+	// not the launch instant of a pending fault or a running kernel's
+	// re-rounded completion (armLead).
 	// The wake lives in the kernel, so it survives recycling.
 	leadUntil    time.Duration
 	leadDeadline time.Duration
 	leadIdx      int
+	leadExact    bool
 	wake         simtime.Timer
 }
 
@@ -113,6 +117,7 @@ func (d *Device) popKernel(c *Client, spec *KernelSpec, onComplete func(error), 
 		k.started = 0
 		k.leadUntil = 0
 		k.leadDeadline = -1
+		k.leadExact = false
 	} else {
 		k = &kernel{
 			client:       c,
@@ -123,13 +128,19 @@ func (d *Device) popKernel(c *Client, spec *KernelSpec, onComplete func(error), 
 		}
 		k.completeFn = func() { d.completeKernel(k) }
 	}
-	k.key = shareKey{c: c, w: math.Float64bits(spec.Weight), d: math.Float64bits(spec.Demand)}
+	k.load(spec)
+	return k
+}
+
+// load takes the kernel's constants from spec: its share-cache fingerprint,
+// its work and its timer label.
+func (k *kernel) load(spec *KernelSpec) {
+	k.key = shareKey{c: k.client, w: math.Float64bits(spec.Weight), d: math.Float64bits(spec.Demand)}
 	k.size = spec.Demand * spec.Duration.Seconds()
 	k.work = k.size
 	// The timer label is a debug string only; reusing spec.Name avoids a
 	// per-launch concat.
 	k.doneName = spec.Name
-	return k
 }
 
 // demand and weight are the kernel's spec values as of launch.
@@ -224,7 +235,10 @@ func (c *Client) Exec(p *simproc.Process, spec *KernelSpec) error {
 // pipeline-op continuation immediately issuing the next kernel), it takes
 // the fused path: the still-armed wait slot is re-armed in place
 // (ChainWait), and the launch folds the deferred completion rebalance into
-// its own — completion and relaunch become one dispatch.
+// its own — completion and relaunch become one dispatch. The next part of a
+// step whose client has a part source (SetPartSource) does not get here at
+// all: the device relaunches it inside the completion (see completeKernel),
+// which is exact because this call is all the continuation would do.
 func (c *Client) ExecThen(p *simproc.Process, spec *KernelSpec, k func(any)) {
 	if p.ChainWait(spec.Name, k) {
 		_ = c.launch(spec, nil, p)
@@ -234,6 +248,23 @@ func (c *Client) ExecThen(p *simproc.Process, spec *KernelSpec, k func(any)) {
 	_ = c.launch(spec, nil, p)
 	p.EndWait(spec.Name)
 }
+
+// PartSource supplies the kernels of a multi-part step after its first:
+// sidetask's imperative steps on the event loop, eight kernels per step.
+// Registering one on a client (SetPartSource) promises that a completion
+// delivered to an inline process waiting on one of the client's kernels
+// continues, whenever NextPart has a part left, with exactly an ExecThen of
+// that part on the client, with the continuation of the wait that completed.
+type PartSource interface {
+	// NextPart points the step's spec at its next kernel and returns it, or
+	// returns nil, changing nothing, once every part has been issued.
+	NextPart() *KernelSpec
+}
+
+// SetPartSource registers the client's part source (nil: none), which lets
+// the device relaunch a step's next part inside the previous part's
+// completion (completeKernel).
+func (c *Client) SetPartSource(src PartSource) { c.parts = src }
 
 // execResult converts a completion wake payload to the Exec error.
 func execResult(res any) error {
@@ -590,18 +621,49 @@ func (d *Device) scheduleCompletionAt(k *kernel, i int, at time.Duration, wake *
 // the flush after delivery settles the window at the same instant; either
 // way the final state is bit-identical to the unfused sequence (same-instant
 // trace points overwrite, rescheduled timers keep their relative order).
+//
+// Two shapes skip even that round trip, on a fusable device only:
+//
+//   - A lone host lead firing as its own completion (loneLead) retires
+//     without maturing: the maturation rebalance, the running-set insert and
+//     remove and the flush rebalance over an empty set change nothing but
+//     the share cache when nothing else is on the device.
+//   - An imperative step's next part is relaunched in place
+//     (relaunchInPlace), a lone lead's included: the kernel stays in (or
+//     takes) its running-set slot, takes the next part's constants and runs
+//     the launch's rebalance, with no delivery, pool round trip or
+//     residency flip in between.
+//
+// Neither moves an engine event: both run the same arithmetic on the same
+// timers at the same (when, seq), so only the share-cache statistics and the
+// fold count differ from the round trip.
 func (d *Device) completeKernel(k *kernel) {
 	c := k.client
-	// Leads whose wakes have passed mature first — including k itself, if
-	// this fire is its armed lead hypothesis (which sorts after the wake).
-	// A maturation that pushed k's true completion later, or queued k, has
-	// re-armed or parked its timer: the fire was premature, abandon it.
-	if c == nil || d.matureLeads(k) || c.current != k {
-		// Stale completion (aborted) or abandoned; ignore.
+	if c == nil {
+		return // stale completion (aborted)
+	}
+	lone := d.loneLead(k)
+	if lone {
+		d.loneRetires++
+		k.started = k.leadUntil
+		d.leads = removeKernel(d.leads, k)
+	} else if d.matureLeads(k) || c.current != k {
+		// Leads whose wakes have passed mature first — including k itself,
+		// if this fire is its armed lead hypothesis (which sorts after the
+		// wake). A maturation that pushed k's true completion later, or
+		// queued k, has re-armed or parked its timer: the fire was
+		// premature, abandon it.
 		return
 	}
 	d.kernels++
 	d.workDone += k.size
+	if len(c.queue) == 0 && d.relaunchInPlace(k) {
+		return
+	}
+	if lone {
+		d.retire(k)
+		return
+	}
 	c.current = nil
 	if len(c.queue) > 0 {
 		// Compact in place: sliding the slice head would shed capacity on
@@ -623,16 +685,19 @@ func (d *Device) completeKernel(k *kernel) {
 	} else {
 		d.rebalance()
 	}
-	// Retire k into the pool now; from here on this function must not
-	// touch k again — the completion delivery below may launch a new kernel
-	// that reuses it.
-	cb := k.onComplete
-	w := k.waiter
-	k.onComplete = nil
-	k.waiter = nil
-	k.client = nil
-	d.kernelPool = append(d.kernelPool, k)
+	d.retire(k)
+	if fused {
+		d.flushFusion()
+	}
+}
 
+// retire returns a completed kernel to the pool and delivers its completion.
+// The caller must not touch k again: the delivery may launch a new kernel
+// that reuses it.
+func (d *Device) retire(k *kernel) {
+	cb, w := k.onComplete, k.waiter
+	k.onComplete, k.waiter, k.client = nil, nil, nil
+	d.kernelPool = append(d.kernelPool, k)
 	if w != nil {
 		// Chained delivery: the wait slot stays armed while the
 		// continuation runs, so an immediate ExecThen re-arms it in place
@@ -641,8 +706,59 @@ func (d *Device) completeKernel(k *kernel) {
 	} else if cb != nil {
 		cb(nil)
 	}
+}
 
-	if fused {
-		d.flushFusion()
+// loneLead reports whether the firing lead k may retire without maturing:
+// it is the device's only pending lead and nothing runs (so its client's
+// stream is idle), no fault is armed for its client, the device records no
+// series, and its timer was armed at its exact completion (leadExact). Then
+// the round trip's maturation would start k at leadUntil as the only kernel,
+// find its completion due at this very dispatch (the armed hypothesis is that
+// rebalance's deadline, bit for bit), and the completion and the flush after
+// it would empty the device again: nothing but the share cache would change.
+// A deadline armed at leadUntil for a fault is not a completion: the fault
+// may since have gone to another client's launch, which refreshes no lead,
+// and k then matures with all its work ahead of it.
+func (d *Device) loneLead(k *kernel) bool {
+	return k.leadExact && len(d.leads) == 1 && d.leads[0] == k && len(d.running) == 0 &&
+		!d.faultArmed(k.client) && d.cfg.NoTraces
+}
+
+// relaunchInPlace launches the next part of k's step into k itself, inside
+// k's completion, and reports whether it did. It applies when the waiting
+// process would run its continuation at once (simproc.Process.ChainReady) and
+// the client's part source (SetPartSource) has a part left: that
+// continuation is, by the source's contract, an ExecThen of that part, which
+// would take k back from the pool and start it in the slot it just left, at
+// this instant, folding the completion into its launch rebalance. Here k
+// keeps its slot and its residency, takes the part's constants and runs that
+// rebalance; the process's wait is re-armed as ChainWait would
+// (simproc.Process.ChainInPlace). After a lone lead, which never took a
+// slot, k takes the one the launch would give it. An armed fault for the
+// client would fail the launch instead, and a queued successor would start
+// first; both take the round trip.
+func (d *Device) relaunchInPlace(k *kernel) bool {
+	c, p := k.client, k.waiter
+	if !d.fusable || c.parts == nil || p == nil || d.faultArmed(c) || !p.ChainReady() {
+		return false
 	}
+	spec := c.parts.NextPart()
+	if spec == nil {
+		return false
+	}
+	spec.normalize()
+	p.ChainInPlace(spec.Name)
+	d.relaunches++
+	if k.runIdx < 0 {
+		// A lone lead never reached the stream: the launch starts the part
+		// on the idle device.
+		c.current = k
+		d.runningInsert(k)
+		d.residencyChanged(c)
+	}
+	k.load(spec)
+	k.alloc = 0
+	k.started = d.eng.Now()
+	d.rebalance()
+	return true
 }

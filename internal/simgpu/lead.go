@@ -44,6 +44,19 @@ import (
 // stream is busy (a kernel in flight or queued, or a lead of the client due
 // first) arms nothing: the transition that frees the stream matures it.
 //
+// The lone lead: when the hypothesis fires as the device's only lead, with
+// nothing running, no fault armed for its client and no series recorded, and
+// was armed at the exact completion (leadExact), completeKernel retires it
+// without maturing it — started at leadUntil, counted, delivered (or, with
+// a step part left, relaunched in place). The maturation would install the
+// hypothesis's own allocation and find the completion due at this dispatch
+// (the armed deadline is that rebalance's bit for bit), and the completion
+// would empty the device again, so the skipped rebalances would change the
+// share cache alone. A deadline armed at leadUntil for a fault is not a
+// completion: another client's plain launch may take the fault first
+// without refreshing any lead, and the lead then matures at leadUntil with
+// all of its work ahead (TestShortcutsMatchFullRebalance).
+//
 // The Stop/Pause boundary: HoldLead freezes a lead whose host phase a
 // SIGTSTP interrupted (the unfused arm's sleep would have frozen the same
 // way), ReleaseLead resumes it — matching the deferred sleep-wake delivery of
@@ -257,13 +270,18 @@ func (c *Client) streamTaken(k *kernel) bool {
 // no-event case the armed (when, seq) IS the completion's, bit-exactly. It
 // reads the share cache and never writes it: no entry is stored or promoted
 // and no hit or miss counted, so the cache's state and statistics stay those
-// of the rebalances alone. A lead that would queue arms nothing.
+// of the rebalances alone. A lead that would queue arms nothing. leadExact
+// records whether the deadline is that completion: not when a fault is armed
+// (the deadline is then the launch instant, leadUntil) and not when a running
+// kernel's re-rounded completion comes first (soonest). A zero-length kernel's
+// completion is leadUntil too, so only the flag tells the two apart.
 func (d *Device) armLead(k *kernel) {
 	// A lead whose launch is about to fail fires at the launch instant.
-	deadline, idx := k.leadUntil, 0
+	deadline, idx, exact := k.leadUntil, 0, false
 	if !d.faultArmed(k.client) {
 		if k.client.streamTaken(k) {
 			// The transition that frees the stream matures k.
+			k.leadExact = false
 			if k.leadDeadline != -1 {
 				k.timer.Cancel()
 				k.leadDeadline = -1
@@ -273,11 +291,16 @@ func (d *Device) armLead(k *kernel) {
 		var hyp float64
 		var soonest time.Duration
 		hyp, idx, soonest = d.hypothesis(k)
-		if hyp <= 0 {
+		// A rate the maturation would not grant leaves only a fallback.
+		exact = hyp > 0
+		if !exact {
 			hyp = minAlloc
 		}
-		deadline = min(deadline+time.Duration(math.Ceil(k.work/hyp*1e9)), soonest)
+		done := deadline + time.Duration(math.Ceil(k.work/hyp*1e9))
+		exact = exact && done < soonest
+		deadline = min(done, soonest)
 	}
+	k.leadExact = exact
 	if deadline == k.leadDeadline && idx == k.leadIdx {
 		// Unchanged hypothesis (the steady-state fused completion→relaunch
 		// fold restores the same fingerprint): the armed timer stands.

@@ -149,6 +149,11 @@ var sharedTieSeeds = [][]byte{
 	// run 2-unit kernels from 0, on their home clients, then swapped.
 	{0, 0, 1, 0, 0x11, 1, 0x10, 3, 0, 0, 0x10, 0, 1, 0, 0x11, 9, 0x12},
 	{0, 0, 1, 12, 0x11, 9, 0x10, 3, 0, 0, 0x10, 0, 1, 8, 0x11, 9, 0x12},
+	// A lone lead: caller 0 leads 2 units onto the shared stream from 1
+	// while both other callers' kernels end at 1, so its kernel runs alone
+	// and retires without maturing. A retirement that forgets the kernel's
+	// start reports it started at 0.
+	{0, 1, 0, 2, 0x10},
 }
 
 // FuzzSharedStreamMatchesTwoEvent is the shared-stream differential: callers

@@ -159,3 +159,54 @@ func TestWakeChainedGoroutineProcess(t *testing.T) {
 		t.Fatalf("state = %v, want exited", p.State())
 	}
 }
+
+// TestChainReadyAndInPlace pins the predicate a wake source checks before
+// doing a continuation's re-arm itself — true only for an armed inline wait
+// whose chained delivery would run at once — and ChainInPlace's bookkeeping:
+// the wait stays armed with its continuation, counts one more arm and parks
+// on the new reason, as a ChainWait from the continuation would leave it.
+func TestChainReadyAndInPlace(t *testing.T) {
+	_, p, got := chainRig(t)
+	if !p.ChainReady() {
+		t.Fatal("an armed inline wait is not ChainReady")
+	}
+	gen := p.WaitGen()
+	p.ChainInPlace("next")
+	if p.WaitGen() != gen+1 || p.ParkReason() != "next" || !p.ChainReady() {
+		t.Fatalf("after ChainInPlace: WaitGen %d (want %d), reason %q, ready %v", p.WaitGen(), gen+1, p.ParkReason(), p.ChainReady())
+	}
+	p.Wake("done")
+	if len(*got) != 1 || (*got)[0] != "done" {
+		t.Fatalf("delivered %v, want [done] to the kept continuation", *got)
+	}
+	if p.ChainReady() {
+		t.Fatal("a disarmed wait is ChainReady")
+	}
+
+	_, p, _ = chainRig(t)
+	p.Signal(SigStop)
+	if p.ChainReady() {
+		t.Fatal("a stopped process is ChainReady")
+	}
+	p.Signal(SigCont)
+	if !p.ChainReady() {
+		t.Fatal("a continued process is not ChainReady")
+	}
+	p.Signal(SigKill)
+	if p.ChainReady() {
+		t.Fatal("a killed process is ChainReady")
+	}
+
+	eng := simtime.NewVirtual()
+	rt := NewRuntime(eng)
+	var inside []bool
+	q := rt.SpawnInline("chain", func(*Process) {})
+	eng.MustDrain(4)
+	q.BeginWait(func(any) { inside = append(inside, q.ChainReady()) })
+	inside = append(inside, q.ChainReady()) // registration in flight
+	q.EndWait("test")
+	q.WakeChained(nil) // a chained delivery in flight
+	if len(inside) != 2 || inside[0] || inside[1] {
+		t.Fatalf("ChainReady during registration and during a chained delivery: %v, want [false false]", inside)
+	}
+}

@@ -513,6 +513,25 @@ func (p *Process) ChainWait(reason string, k func(any)) bool {
 	return true
 }
 
+// ChainReady reports whether a chained wake delivered now would run the
+// armed continuation at once: the process is inline, running (alive and not
+// stopped), its wait is armed, and neither a registration nor a chained
+// delivery is in flight. A wake source that knows what that continuation
+// would do may then do it itself (see ChainInPlace).
+func (p *Process) ChainReady() bool {
+	return p.inline && p.state == StateRunning && p.waitArmed && !p.waitOpen && !p.chainOpen
+}
+
+// ChainInPlace is the bookkeeping of a chained wake whose continuation would
+// only have re-armed the same wait through ChainWait, done by the wake
+// source instead of a delivery: the wait stays armed with its continuation,
+// counts as re-armed and now waits for reason. simgpu relaunches an
+// imperative step's next kernel part this way. Call only when ChainReady.
+func (p *Process) ChainInPlace(reason string) {
+	p.waitGen++
+	p.parkReason = reason
+}
+
 // --- goroutine park/resume (coroutine switch) --------------------------------
 
 // park hands control back to the resumer until a wake deposit arrives. Must
