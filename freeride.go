@@ -539,10 +539,10 @@ func (s *Session) assembleControlPlane(links Links, manager bool) error {
 // in-memory link hands each one back once the handler has read it, a wire end
 // once it has marshalled it (see freerpc.Msg).
 func (s *Session) newBubbleSink(reporter *freerpc.Peer) func(bubble.Bubble) {
-	reports := new(freerpc.Pool[core.BubbleDTO])
+	reports := new(freerpc.Pool[bubble.Bubble])
 	return func(b bubble.Bubble) {
 		d := reports.Get()
-		d.V = core.ToBubbleDTO(b)
+		d.V = b
 		_ = reporter.Notify("Manager.AddBubble", d)
 	}
 }

@@ -43,13 +43,13 @@ func (t Type) String() string {
 
 // Bubble is one concrete idle period on one stage's GPU.
 type Bubble struct {
-	Stage    int
-	Type     Type
-	Start    time.Duration // absolute engine time
-	Duration time.Duration
+	Stage    int           `json:"stage"`
+	Type     Type          `json:"type"`
+	Start    time.Duration `json:"startNs"` // absolute engine time
+	Duration time.Duration `json:"durNs"`
 	// MemAvailable is the device memory not used by training during this
 	// bubble (constant within a stage, paper §2.2.1).
-	MemAvailable int64
+	MemAvailable int64 `json:"memAvail"`
 }
 
 // End reports Start+Duration.

@@ -105,10 +105,10 @@ func TestSteadyStateBubbleCycleAllocFree(t *testing.T) {
 	pipeEnd, mgrEnd := freerpc.MemPipe(r.eng, 200*time.Microsecond)
 	pipePeer := freerpc.NewPeer(r.eng, pipeEnd, nil)
 	freerpc.NewPeer(r.eng, mgrEnd, r.mgr.Mux())
-	var reports freerpc.Pool[BubbleDTO]
+	var reports freerpc.Pool[bubble.Bubble]
 	cycle := func() {
 		d := reports.Get()
-		d.V = ToBubbleDTO(bubble.Bubble{Stage: 0, Start: r.eng.Now(), Duration: 20 * time.Millisecond})
+		d.V = bubble.Bubble{Stage: 0, Start: r.eng.Now(), Duration: 20 * time.Millisecond}
 		if err := pipePeer.Notify("Manager.AddBubble", d); err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestDecodeResultLiveAllocFree(t *testing.T) {
 	var statuses freerpc.Pool[taskStatus]
 	var pings freerpc.Pool[pingReply]
 	ps, pp := statuses.Get(), pings.Get()
-	ps.V = taskStatus{Name: "t0", State: 3, Steps: 7}
+	ps.V = taskStatus{Name: "t0", State: 3, TaskCkpt: TaskCkpt{Steps: 7}}
 	pp.V = pingReply{Name: "worker0", Tasks: []taskStatus{ps.V}}
 	for _, tc := range []struct {
 		name   string

@@ -229,12 +229,7 @@ func (m *Manager) apply(a action, c *workerCall, st taskStatus, err error) {
 	case checkpoint:
 		// A later restart resumes from here; only work accrued past this point
 		// is lost.
-		rec.ckpt = TaskCkpt{
-			Steps:        st.Steps,
-			KernelTimeNs: st.KernelTimeNs,
-			HostTimeNs:   st.HostTimeNs,
-			InsuffNs:     st.InsuffNs,
-		}
+		rec.ckpt = st.TaskCkpt
 		rec.hasCkpt = true
 		rec.servedSinceCkpt = 0
 	case exitTask:

@@ -120,7 +120,7 @@ var ackStatus = [numCallKinds]taskStatus{
 	callCreate: {State: int(sidetask.StateCreated)},
 	callInit:   {State: int(sidetask.StateCreated)},
 	callStart:  {State: int(sidetask.StateRunning), Started: true},
-	callPause:  {State: int(sidetask.StatePaused), Steps: 7, KernelTimeNs: 70, HostTimeNs: 700, InsuffNs: 7000},
+	callPause:  {State: int(sidetask.StatePaused), TaskCkpt: TaskCkpt{Steps: 7, KernelTimeNs: 70, HostTimeNs: 700, InsuffNs: 7000}},
 	callStop:   {State: int(sidetask.StateStopped)},
 }
 

@@ -18,9 +18,6 @@
 package core
 
 import (
-	"time"
-
-	"freeride/internal/bubble"
 	"freeride/internal/model"
 	"freeride/internal/sidetask"
 )
@@ -90,11 +87,8 @@ type taskStatus struct {
 	// Incarnation echoes createArgs.Incarnation; the manager drops reports
 	// whose incarnation is not the current one.
 	Incarnation int `json:"incarnation,omitempty"`
-
-	Steps        uint64 `json:"steps"`
-	KernelTimeNs int64  `json:"kernelTimeNs"`
-	HostTimeNs   int64  `json:"hostTimeNs"`
-	InsuffNs     int64  `json:"insuffNs"`
+	// The task's counters; a pause's are the checkpoint the manager keeps.
+	TaskCkpt
 }
 
 // pingReply answers Worker.Ping: a liveness proof plus a status snapshot of
@@ -110,39 +104,4 @@ type workerInfo struct {
 	Name     string `json:"name"`
 	GPUMem   int64  `json:"gpuMem"`
 	NumTasks int    `json:"numTasks"`
-}
-
-// BubbleDTO is the wire form of a bubble report from the instrumented
-// trainer. It is exported so reporters outside core (the session assembly,
-// the live node daemon) send the exact type the manager's handler expects:
-// over a MemPipe that makes the report a zero-JSON typed handoff, over TCP
-// it marshals to the same JSON as always.
-type BubbleDTO struct {
-	Stage    int   `json:"stage"`
-	Type     int   `json:"type"`
-	StartNs  int64 `json:"startNs"`
-	DurNs    int64 `json:"durNs"`
-	MemAvail int64 `json:"memAvail"`
-}
-
-// ToBubbleDTO converts a bubble to its wire form.
-func ToBubbleDTO(b bubble.Bubble) BubbleDTO {
-	return BubbleDTO{
-		Stage:    b.Stage,
-		Type:     int(b.Type),
-		StartNs:  int64(b.Start),
-		DurNs:    int64(b.Duration),
-		MemAvail: b.MemAvailable,
-	}
-}
-
-// FromBubbleDTO converts a wire bubble back to the domain type.
-func FromBubbleDTO(d BubbleDTO) bubble.Bubble {
-	return bubble.Bubble{
-		Stage:        d.Stage,
-		Type:         bubble.Type(d.Type),
-		Start:        time.Duration(d.StartNs),
-		Duration:     time.Duration(d.DurNs),
-		MemAvailable: d.MemAvail,
-	}
 }

@@ -29,7 +29,7 @@ func (m *Manager) armLease(w *workerMeta) {
 		return
 	}
 	w.lastSeen = m.eng.Now()
-	if t := m.pingTimer; t == nil || !t.Pending() {
+	if !m.pingTimer.Pending() {
 		m.armPing()
 	}
 }

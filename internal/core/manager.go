@@ -254,15 +254,11 @@ type workerMeta struct {
 	// bubble becomes adoptable; kickTimer at the next grid instant after a
 	// state push / RPC completion. All three reuse their Timer allocation
 	// through simtime.Reschedule and share reconcileFn, so the steady
-	// state allocates nothing. The *At fields record each
-	// timer's instant (valid while it is Pending) so re-arming an unchanged
-	// deadline is a no-op.
+	// state allocates nothing. Each timer's When is its instant while it
+	// is Pending, so re-arming an unchanged deadline is a no-op.
 	endTimer    *simtime.Timer
 	startTimer  *simtime.Timer
 	kickTimer   *simtime.Timer
-	endAt       time.Duration
-	startAt     time.Duration
-	kickAt      time.Duration
 	reconcileFn func()
 	endName     string
 	startName   string
@@ -355,8 +351,8 @@ func NewManager(eng *simtime.Virtual, opts ManagerOptions) *Manager {
 		m.rng = rand.New(rand.NewSource(opts.Seed))
 	}
 	m.pingFn = m.pingTick
-	freerpc.HandleFunc(m.mux, "Manager.AddBubble", func(d BubbleDTO) (any, error) {
-		m.AddBubble(FromBubbleDTO(d))
+	freerpc.HandleFunc(m.mux, "Manager.AddBubble", func(b bubble.Bubble) (any, error) {
+		m.AddBubble(b)
 		return nil, nil
 	})
 	freerpc.HandleFunc(m.mux, "Manager.Submit", func(spec TaskSpec) (any, error) {

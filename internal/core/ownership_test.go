@@ -135,10 +135,10 @@ func newTapRig(t *testing.T, faults []simfault.Event) *tapRig {
 	pipeEnd, sinkEnd, _ := tapPipe(t, eng, tapLatency)
 	pipePeer := freerpc.NewPeer(eng, pipeEnd, nil)
 	freerpc.NewPeer(eng, sinkEnd, r.mgr.Mux())
-	var reports freerpc.Pool[BubbleDTO]
+	var reports freerpc.Pool[bubble.Bubble]
 	r.report = func(b bubble.Bubble) {
 		d := reports.Get()
-		d.V = ToBubbleDTO(b)
+		d.V = b
 		if err := pipePeer.Notify("Manager.AddBubble", d); err != nil {
 			t.Errorf("report: %v", err)
 		}

@@ -104,11 +104,10 @@ func (m *Manager) wake(w *workerMeta) {
 // kick arms w's kick timer for instant at, unless an earlier (or
 // equal) kick is already pending.
 func (m *Manager) kick(w *workerMeta, at time.Duration) {
-	if t := w.kickTimer; t != nil && t.Pending() && w.kickAt <= at {
+	if t := w.kickTimer; t.Pending() && t.When() <= at {
 		return
 	}
 	w.kickTimer = m.eng.Reschedule(w.kickTimer, at-m.eng.Now(), w.kickName, w.reconcileFn)
-	w.kickAt = at
 }
 
 // armWorker refreshes w's two deadline timers from its state: the
@@ -120,7 +119,7 @@ func (m *Manager) armWorker(w *workerMeta, now time.Duration) {
 		return
 	}
 	if w.hasBubble {
-		w.endTimer = m.arm(w.endTimer, &w.endAt, m.deadlineInstant(w.bubble.End()), w.endName, w.reconcileFn)
+		w.endTimer = m.arm(w.endTimer, m.deadlineInstant(w.bubble.End()), w.endName, w.reconcileFn)
 	}
 	if w.pending.Len() > 0 {
 		front := w.pending.At(0)
@@ -128,7 +127,7 @@ func (m *Manager) armWorker(w *workerMeta, now time.Duration) {
 		// An already-adoptable front (at <= now) is blocked only by the
 		// current bubble; the end-timer pass adopts it, so no timer is due.
 		if at > now {
-			w.startTimer = m.arm(w.startTimer, &w.startAt, at, w.startName, w.reconcileFn)
+			w.startTimer = m.arm(w.startTimer, at, w.startName, w.reconcileFn)
 		}
 	}
 	// An idle worker with queued tasks promotes the next one on the next
@@ -140,11 +139,15 @@ func (m *Manager) armWorker(w *workerMeta, now time.Duration) {
 
 // arm re-arms t (which the manager exclusively owns) for instant at,
 // reusing the handle; a pending timer already set to at is left alone.
-func (m *Manager) arm(t *simtime.Timer, armedAt *time.Duration, at time.Duration, name string, fn func()) *simtime.Timer {
-	if t != nil && t.Pending() && *armedAt == at {
+// Reschedule clamps a past instant to Now, so the compare with When is exact
+// only because neither caller passes one: the start timer is armed only for
+// at > now, and the end timer for the grid instant at or after the end of
+// the current bubble, which is adopted only before its end and dropped by
+// the first pass at or after it.
+func (m *Manager) arm(t *simtime.Timer, at time.Duration, name string, fn func()) *simtime.Timer {
+	if t.Pending() && t.When() == at {
 		return t
 	}
-	*armedAt = at
 	return m.eng.Reschedule(t, at-m.eng.Now(), name, fn)
 }
 

@@ -296,12 +296,12 @@ func FuzzManagerFrames(f *testing.F) {
 func TestBubbleReportWireFrame(t *testing.T) {
 	eng := simtime.NewVirtual()
 	wire, peer := newWireRig(t, eng, nil)
-	var reports freerpc.Pool[BubbleDTO]
+	var reports freerpc.Pool[bubble.Bubble]
 	d := reports.Get()
-	d.V = ToBubbleDTO(bubble.Bubble{
+	d.V = bubble.Bubble{
 		Stage: 2, Type: bubble.TypeB, Start: 1500 * time.Millisecond,
 		Duration: 20 * time.Millisecond, MemAvailable: 7 << 30,
-	})
+	}
 	if err := peer.Notify("Manager.AddBubble", d); err != nil {
 		t.Fatal(err)
 	}

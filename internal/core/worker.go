@@ -356,9 +356,7 @@ func (w *Worker) handleStart(args startArgs) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	if t.grace != nil {
-		t.grace.Cancel() // keep the handle: the next pause re-arms it
-	}
+	t.grace.Cancel() // keep the handle: the next pause re-arms it
 	st := t.harness.State()
 	switch st {
 	case sidetask.StatePaused, sidetask.StateRunning:
@@ -476,14 +474,16 @@ func (w *Worker) status(t *workerTask) taskStatus {
 		msg = exitErr.Error()
 	}
 	return taskStatus{
-		Name:         t.spec.Name,
-		State:        int(t.harness.State()),
-		Exited:       exited,
-		ExitErr:      msg,
-		Incarnation:  t.incarnation,
-		Steps:        c.Steps,
-		KernelTimeNs: int64(c.KernelTime),
-		HostTimeNs:   int64(c.HostTime),
-		InsuffNs:     int64(c.InsuffWait),
+		Name:        t.spec.Name,
+		State:       int(t.harness.State()),
+		Exited:      exited,
+		ExitErr:     msg,
+		Incarnation: t.incarnation,
+		TaskCkpt: TaskCkpt{
+			Steps:        c.Steps,
+			KernelTimeNs: int64(c.KernelTime),
+			HostTimeNs:   int64(c.HostTime),
+			InsuffNs:     int64(c.InsuffWait),
+		},
 	}
 }

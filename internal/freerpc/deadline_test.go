@@ -20,10 +20,10 @@ func echoPair(eng *simtime.Virtual, latency time.Duration) *Peer {
 	return client
 }
 
-// TestAnsweredCallLeavesNoTimerBehind is the cancel-on-top pin: a call with a
-// deadline that is answered costs its two deliveries and nothing else — the
-// timer is disarmed with the reply, not left to wake the engine at the
-// deadline and find nothing.
+// TestAnsweredCallLeavesNoTimerBehind: a call with a deadline that is
+// answered costs its two deliveries and nothing else — its timer is canceled
+// with the reply, not left to wake the engine at the deadline and find
+// nothing.
 func TestAnsweredCallLeavesNoTimerBehind(t *testing.T) {
 	eng := simtime.NewVirtual()
 	client := echoPair(eng, time.Microsecond)
@@ -45,15 +45,15 @@ func TestAnsweredCallLeavesNoTimerBehind(t *testing.T) {
 	if got := eng.Dispatched(); got != 2*n {
 		t.Fatalf("%d sequential calls dispatched %d events, want %d (request + reply each)", n, got, 2*n)
 	}
-	if eng.Pending() != 0 || len(client.deadlines) != 0 {
-		t.Fatalf("after the last reply: %d events queued, %d heap entries; want none", eng.Pending(), len(client.deadlines))
+	if eng.Pending() != 0 || len(client.pending) != 0 {
+		t.Fatalf("after the last reply: %d events queued, %d calls pending; want none", eng.Pending(), len(client.pending))
 	}
 }
 
 // TestRepliesInReverseOrderNeverFireTheTimer answers calls last-issued
-// first: every reply but the final one belongs to a non-top entry, which
-// stays in the heap; the final one takes the top and must sweep the rest
-// out with it instead of re-arming the timer on an entry nobody waits for.
+// first, so every reply but the final one leaves an earlier deadline armed:
+// each reply must cancel its own call's timer, and no other, so that once
+// all are answered nothing is left to wake the engine.
 func TestRepliesInReverseOrderNeverFireTheTimer(t *testing.T) {
 	eng := simtime.NewVirtual()
 	c1, _ := MemPipe(eng, time.Microsecond) // no server: the test answers
@@ -71,16 +71,16 @@ func TestRepliesInReverseOrderNeverFireTheTimer(t *testing.T) {
 	}
 	eng.RunUntil(time.Millisecond) // requests delivered into the void
 	for id := uint64(n); id >= 1; id-- {
-		if !client.deadlineTimer.Pending() || client.deadlineAt != time.Second {
-			t.Fatalf("before reply %d: timer pending=%v at %v, want armed at call 1's deadline", id, client.deadlineTimer.Pending(), client.deadlineAt)
+		if got := eng.Pending(); got != int(id) {
+			t.Fatalf("before reply %d: %d events queued, want %d (one deadline per unanswered call)", id, got, id)
 		}
 		client.onMsg(Msg{ID: id})
 	}
 	if replies != n {
 		t.Fatalf("%d replies, want %d", replies, n)
 	}
-	if eng.Pending() != 0 || len(client.deadlines) != 0 {
-		t.Fatalf("after the last reply: %d events queued, %d heap entries; want none", eng.Pending(), len(client.deadlines))
+	if eng.Pending() != 0 || len(client.pending) != 0 {
+		t.Fatalf("after the last reply: %d events queued, %d calls pending; want none", eng.Pending(), len(client.pending))
 	}
 	before := eng.Dispatched()
 	eng.RunUntil(10 * time.Second)
@@ -89,8 +89,8 @@ func TestRepliesInReverseOrderNeverFireTheTimer(t *testing.T) {
 	}
 }
 
-// TestUnansweredCallExpiresBesideAnsweredNeighbour: the timer moves from an
-// answered call's deadline to its unanswered neighbour's, which fails with
+// TestUnansweredCallExpiresBesideAnsweredNeighbour: an answered call's
+// deadline goes with its reply, and its unanswered neighbour fails with
 // ErrTimeout at exactly its own deadline — one timer event in all.
 func TestUnansweredCallExpiresBesideAnsweredNeighbour(t *testing.T) {
 	eng := simtime.NewVirtual()
@@ -112,8 +112,8 @@ func TestUnansweredCallExpiresBesideAnsweredNeighbour(t *testing.T) {
 	})
 	eng.RunUntil(time.Millisecond)
 	client.onMsg(Msg{ID: 1})
-	if !client.deadlineTimer.Pending() || client.deadlineAt != 2*time.Second {
-		t.Fatalf("after the reply: timer pending=%v at %v, want armed at 2s", client.deadlineTimer.Pending(), client.deadlineAt)
+	if eng.Pending() != 1 || len(client.pending) != 1 {
+		t.Fatalf("after the reply: %d events queued, %d calls pending; want the neighbour's deadline alone", eng.Pending(), len(client.pending))
 	}
 	before := eng.Dispatched()
 	eng.RunUntil(10 * time.Second)
@@ -122,6 +122,31 @@ func TestUnansweredCallExpiresBesideAnsweredNeighbour(t *testing.T) {
 	}
 	if fired := eng.Dispatched() - before; fired != 1 {
 		t.Fatalf("%d events after the reply, want 1 (the real expiry)", fired)
+	}
+}
+
+// TestReplyAtDeadlineLosesToIt pins the one tie rule: a reply delivered at
+// exactly its call's deadline is ordered against it by the engine's (when,
+// seq) alone. The deadline was armed when the call was issued, before the
+// reply's delivery was scheduled, so the call times out — whatever another
+// call on the same peer did in between (here A is answered first).
+func TestReplyAtDeadlineLosesToIt(t *testing.T) {
+	eng := simtime.NewVirtual()
+	c1, _ := MemPipe(eng, time.Microsecond) // no server: the test answers
+	client := NewPeer(eng, c1, nil)
+
+	var aErrs, bErrs []error
+	client.Go("A", nil, time.Second, func(_ any, err error) { aErrs = append(aErrs, err) })
+	client.Go("B", nil, 2*time.Second, func(_ any, err error) { bErrs = append(bErrs, err) })
+	eng.Schedule(500*time.Millisecond, "reply-A", func() { client.onMsg(Msg{ID: 1}) })
+	eng.Schedule(2*time.Second, "reply-B", func() { client.onMsg(Msg{ID: 2}) })
+	eng.RunUntil(10 * time.Second)
+
+	if len(aErrs) != 1 || aErrs[0] != nil {
+		t.Fatalf("A: errs = %v, want one reply", aErrs)
+	}
+	if len(bErrs) != 1 || !errors.Is(bErrs[0], ErrTimeout) {
+		t.Fatalf("B: errs = %v, want one ErrTimeout (its deadline sorts before the reply due at the same instant)", bErrs)
 	}
 }
 
@@ -155,8 +180,8 @@ func TestSendErrorDisarmsDeadline(t *testing.T) {
 	if len(errs) != 0 {
 		t.Fatal("Go completed synchronously")
 	}
-	if len(client.deadlines) != 0 || client.deadlineTimer.Pending() {
-		t.Fatalf("refused call left %d heap entries, timer pending=%v", len(client.deadlines), client.deadlineTimer.Pending())
+	if eng.Pending() != 1 || len(client.pending) != 0 {
+		t.Fatalf("refused call left %d events queued, %d calls pending; want its failure delivery alone", eng.Pending(), len(client.pending))
 	}
 	eng.RunUntil(5 * time.Second)
 	if len(errs) != 1 || !errors.Is(errs[0], refused) {
@@ -166,8 +191,8 @@ func TestSendErrorDisarmsDeadline(t *testing.T) {
 		t.Fatalf("%d events ran, want 1 (the failure delivery)", got)
 	}
 
-	// A refused call behind an accepted one is not the top: the accepted
-	// call's deadline stays armed and still fires.
+	// A refused call beside an accepted one cancels only its own deadline:
+	// the accepted call's stays armed and still fires.
 	conn.refuse = nil
 	client.Go("Kept", 1, time.Second, func(_ any, err error) { errs = append(errs, err) })
 	conn.refuse = refused
@@ -176,14 +201,15 @@ func TestSendErrorDisarmsDeadline(t *testing.T) {
 	if len(errs) != 3 || !errors.Is(errs[1], refused) || !errors.Is(errs[2], ErrTimeout) {
 		t.Fatalf("errs = %v, want [refused, refused, timeout]", errs)
 	}
-	if eng.Pending() != 0 || len(client.deadlines) != 0 {
-		t.Fatalf("at rest: %d events queued, %d heap entries; want none", eng.Pending(), len(client.deadlines))
+	if eng.Pending() != 0 || len(client.pending) != 0 {
+		t.Fatalf("at rest: %d events queued, %d calls pending; want none", eng.Pending(), len(client.pending))
 	}
 }
 
 // TestFailAllCompletesInCallOrder: a severed link fails the outstanding
 // calls in issue order, not map order — their callbacks may draw from a
-// seeded rng.
+// seeded rng — and once each: the deadlines of those that had one go with
+// them, none left to fire later.
 func TestFailAllCompletesInCallOrder(t *testing.T) {
 	const calls = 5
 	for round := 0; round < 100; round++ {
@@ -192,7 +218,8 @@ func TestFailAllCompletesInCallOrder(t *testing.T) {
 		client := NewPeer(eng, conn, nil)
 		var order []int
 		for i := 0; i < calls; i++ {
-			client.Go("Echo", nil, 0, func(_ any, err error) {
+			timeout := time.Duration(i%2) * time.Second // every other call has none
+			client.Go("Echo", nil, timeout, func(_ any, err error) {
 				if !errors.Is(err, ErrClosed) {
 					t.Fatalf("call %d: err = %v, want ErrClosed", i, err)
 				}
@@ -200,6 +227,10 @@ func TestFailAllCompletesInCallOrder(t *testing.T) {
 			})
 		}
 		conn.sever()
+		if got := eng.Pending(); got != 0 {
+			t.Fatalf("round %d: %d events queued after the hang-up, want none", round, got)
+		}
+		eng.RunUntil(10 * time.Second)
 		for i := range order {
 			if order[i] != i {
 				t.Fatalf("round %d: failure order %v, want issue order", round, order)
@@ -284,13 +315,19 @@ func TestWallDeadlineRacesReply(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	// Nothing is outstanding, so the heap must be empty; a deadline fire
-	// still queued behind the last reply must find nothing to expire.
-	time.Sleep(2 * rtt)
-	var pending, entries int
-	eng.Do(func() { pending, entries = len(client.pending), len(client.deadlines) })
-	if pending != 0 || entries != 0 {
-		t.Fatalf("at rest: %d pending calls, %d heap entries; want none", pending, entries)
+	// Nothing is outstanding, so no call record may hold an armed deadline:
+	// one left behind would complete a later call on the record.
+	var pending, armed int
+	eng.Do(func() {
+		pending = len(client.pending)
+		for _, c := range client.callFree {
+			if c.timer.Pending() {
+				armed++
+			}
+		}
+	})
+	if pending != 0 || armed != 0 {
+		t.Fatalf("at rest: %d pending calls, %d free records with a deadline armed; want none", pending, armed)
 	}
 	if got := replies.Load() + timeouts.Load(); got != callers*perCaller {
 		t.Fatalf("%d completions for %d calls", got, callers*perCaller)

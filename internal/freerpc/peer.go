@@ -78,6 +78,10 @@ func (e *RemoteError) Error() string {
 // its Mux) and issue calls. It sends and receives only typed Msg values;
 // whether they cross as they are (MemPipe) or as JSON frames (Wire) is its
 // Conn's business.
+//
+// A call with a timeout owns one engine timer, armed when the call is issued
+// and canceled when it completes by any other path; the engine alone orders
+// a reply against its deadline (see Go).
 type Peer struct {
 	eng  *simtime.Virtual
 	conn Conn
@@ -92,36 +96,20 @@ type Peer struct {
 	// stale reply to a completed call can never resolve the record's next
 	// incarnation — it simply misses the pending map.
 	callFree []*pendingCall
-
-	// Call deadlines: one engine timer per peer instead of one per call, over
-	// a min-heap of (at, id) entries with cancel-on-top. The invariant is that
-	// the heap's top belongs to a call that is still pending and the timer is
-	// armed at exactly that deadline — or the heap is empty and the timer is
-	// disarmed — so the timer only ever fires to expire a real call. A call
-	// that completes while its entry is the top takes the entry with it and
-	// moves the timer on (settleDeadline); an entry further down stays
-	// behind and is dropped, without an engine event, when it surfaces.
-	deadlines     []deadlineEntry
-	deadlineTimer *simtime.Timer
-	// deadlineAt records the armed instant while deadlineTimer is pending
-	// (a Timer does not report its deadline).
-	deadlineAt time.Duration
-	// deadlineFn is the timer callback, built once per peer.
-	deadlineFn func()
 }
 
 type pendingCall struct {
+	id     uint64
 	method string
 	done   func(result any, err error)
 	// timeout is the call's original deadline budget, kept for the expiry
 	// error message.
 	timeout time.Duration
-}
-
-// deadlineEntry is one heap entry: call id plus its absolute deadline.
-type deadlineEntry struct {
-	at time.Duration
-	id uint64
+	// timer is the call's deadline, a reusable Reschedule handle that
+	// survives recycling with the record, as does expireFn, its callback,
+	// bound to the record once.
+	timer    *simtime.Timer
+	expireFn func()
 }
 
 var noopDone = func(any, error) {}
@@ -129,7 +117,6 @@ var noopDone = func(any, error) {}
 // NewPeer wraps conn. mux may be nil for call-only endpoints.
 func NewPeer(eng *simtime.Virtual, conn Conn, mux *Mux) *Peer {
 	p := &Peer{eng: eng, conn: conn, mux: mux, pending: make(map[uint64]*pendingCall)}
-	p.deadlineFn = p.expireDeadlines
 	// Before the receive handler, which starts a socket's read pump: a
 	// hang-up the pump reports must find failAll registered.
 	conn.OnClose(p.failAll)
@@ -145,16 +132,17 @@ func (p *Peer) newCall() *pendingCall {
 		p.callFree = p.callFree[:n-1]
 		return c
 	}
-	return &pendingCall{}
+	c := &pendingCall{}
+	c.expireFn = func() { p.expire(c) }
+	return c
 }
 
-// freeCall clears and pools a completed call record. The caller must already
-// have removed it from pending and copied out what it needs — once recycled,
-// the record may immediately back a new call.
+// freeCall disarms, clears and pools a completed call record. The caller
+// must already have removed it from pending and copied out what it needs —
+// once recycled, the record may immediately back a new call.
 func (p *Peer) freeCall(c *pendingCall) {
-	c.method = ""
-	c.done = nil
-	c.timeout = 0
+	c.timer.Cancel()
+	c.id, c.method, c.done, c.timeout = 0, "", nil, 0
 	p.callFree = append(p.callFree, c)
 }
 
@@ -164,131 +152,13 @@ func (p *Peer) Conn() Conn { return p.conn }
 // Close tears down the connection; pending calls fail with ErrClosed.
 func (p *Peer) Close() { _ = p.conn.Close() }
 
-// --- deadline heap ---------------------------------------------------------
-
-// armDeadline records a call deadline and keeps the timer armed at the
-// earliest outstanding one.
-func (p *Peer) armDeadline(id uint64, at time.Duration) {
-	p.deadlinePush(deadlineEntry{at: at, id: id})
-	// The top is live without looking: the old top was, and the new entry is.
-	p.moveTimer()
-}
-
-// settleDeadline is called when call id has left pending by any path but
-// expiry (reply, send error). If its entry is the heap's top, the entry goes
-// with it and the timer moves to the next live deadline; otherwise there is no
-// entry, or it is dropped when it surfaces.
-func (p *Peer) settleDeadline(id uint64) {
-	if len(p.deadlines) > 0 && p.deadlines[0].id == id {
-		p.deadlinePop()
-		p.retime()
-	}
-}
-
-// retime restores the invariant after entries left the top of the heap:
-// entries of completed calls that surfaced are dropped, then the timer follows
-// the new top.
-func (p *Peer) retime() {
-	for len(p.deadlines) > 0 {
-		if _, live := p.pending[p.deadlines[0].id]; live {
-			break
-		}
-		p.deadlinePop()
-	}
-	p.moveTimer()
-}
-
-// moveTimer arms the timer at the top's deadline unless it already is, or
-// cancels it when the heap is empty.
-func (p *Peer) moveTimer() {
-	armed := p.deadlineTimer != nil && p.deadlineTimer.Pending()
-	if len(p.deadlines) == 0 {
-		if armed {
-			p.deadlineTimer.Cancel()
-		}
-		return
-	}
-	if at := p.deadlines[0].at; !armed || p.deadlineAt != at {
-		p.deadlineAt = at
-		p.deadlineTimer = p.eng.Reschedule(p.deadlineTimer, at-p.eng.Now(), "rpc-timeouts", p.deadlineFn)
-	}
-}
-
-// expireDeadlines is the timer callback: it times out every still-pending
-// call whose deadline has passed and re-arms for the next live deadline. It
-// assumes nothing about why it ran: with nothing due it only re-establishes
-// the invariant.
-func (p *Peer) expireDeadlines() {
-	// Expiries are rare (a measurement run never times out), so the
-	// collection slice is allocated on demand.
-	type expiry struct {
-		done    func(result any, err error)
-		method  string
-		timeout time.Duration
-	}
-	var expired []expiry
-	now := p.eng.Now()
-	for len(p.deadlines) > 0 && p.deadlines[0].at <= now {
-		e := p.deadlinePop()
-		if call, ok := p.pending[e.id]; ok {
-			delete(p.pending, e.id)
-			expired = append(expired, expiry{done: call.done, method: call.method, timeout: call.timeout})
-			p.freeCall(call)
-		}
-	}
-	p.retime()
-	for _, e := range expired {
-		e.done(nil, fmt.Errorf("%w: %s after %v", ErrTimeout, e.method, e.timeout))
-	}
-}
-
-// deadlinePush / deadlinePop maintain the (at, id) min-heap.
-func (p *Peer) deadlinePush(e deadlineEntry) {
-	p.deadlines = append(p.deadlines, e)
-	i := len(p.deadlines) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !entryLess(p.deadlines[i], p.deadlines[parent]) {
-			break
-		}
-		p.deadlines[i], p.deadlines[parent] = p.deadlines[parent], p.deadlines[i]
-		i = parent
-	}
-}
-
-func (p *Peer) deadlinePop() deadlineEntry {
-	h := p.deadlines
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	p.deadlines = h[:last]
-	h = p.deadlines
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < len(h) && entryLess(h[l], h[min]) {
-			min = l
-		}
-		if r < len(h) && entryLess(h[r], h[min]) {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
-	}
-	return top
-}
-
-// entryLess orders heap entries by deadline, ties by issue order, so
-// simultaneous expiries fire their callbacks deterministically.
-func entryLess(a, b deadlineEntry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.id < b.id
+// expire is a call's deadline: the call fails with ErrTimeout. Its timer is
+// canceled on every other exit, so the call is still pending.
+func (p *Peer) expire(c *pendingCall) {
+	delete(p.pending, c.id)
+	done, method, timeout := c.done, c.method, c.timeout
+	p.freeCall(c)
+	done(nil, fmt.Errorf("%w: %s after %v", ErrTimeout, method, timeout))
 }
 
 // resolve completes the pending call for a response.
@@ -303,7 +173,6 @@ func (p *Peer) resolve(id uint64, result any, errMsg string) {
 	// duplicate reply for this id can no longer reach it, and done itself
 	// may issue a new call that reuses it.
 	p.freeCall(call)
-	p.settleDeadline(id)
 	if errMsg != "" {
 		done(nil, &RemoteError{Method: method, Msg: errMsg})
 		return
@@ -355,9 +224,13 @@ func (p *Peer) failAll() {
 	p.closed = true
 	pending := p.pending
 	p.pending = make(map[uint64]*pendingCall)
-	p.deadlines = nil
-	p.deadlineTimer.Cancel()
-	for _, id := range slices.Sorted(maps.Keys(pending)) {
+	ids := slices.Sorted(maps.Keys(pending))
+	// Every deadline goes before any callback runs: a timer left armed
+	// would complete its call a second time.
+	for _, id := range ids {
+		pending[id].timer.Cancel()
+	}
+	for _, id := range ids {
 		pending[id].done(nil, ErrClosed)
 	}
 }
@@ -369,6 +242,12 @@ func (p *Peer) failAll() {
 // The result is the handler's value when the connection is in-memory and
 // raw JSON (json.RawMessage) when it crossed a Wire — use DecodeResult to
 // consume it uniformly. A zero timeout means no deadline.
+//
+// A timeout arms the call's own engine timer at Now()+timeout; the reply,
+// a send error or a hang-up cancels it, so an answered call costs no engine
+// event. A reply and the deadline due at one instant are ordered by the
+// engine's (when, seq) rule alone: the deadline was armed when the call was
+// issued, before the reply's delivery was scheduled, so the call times out.
 //
 // Ownership (see Msg): params belong to the link from here on — a pooled
 // value is recycled by whoever consumes it, never by the caller, not even
@@ -385,10 +264,10 @@ func (p *Peer) Go(method string, params any, timeout time.Duration, done func(re
 	p.nextID++
 	id := p.nextID
 	call := p.newCall()
-	call.method, call.done, call.timeout = method, done, timeout
+	call.id, call.method, call.done, call.timeout = id, method, done, timeout
 	p.pending[id] = call
 	if timeout > 0 {
-		p.armDeadline(id, p.eng.Now()+timeout)
+		call.timer = p.eng.Reschedule(call.timer, timeout, "rpc-timeout", call.expireFn)
 	}
 
 	if err := p.conn.SendMsg(Msg{ID: id, Method: method, Params: params}); err != nil {
@@ -396,7 +275,6 @@ func (p *Peer) Go(method string, params any, timeout time.Duration, done func(re
 		if c, still := p.pending[id]; still {
 			delete(p.pending, id)
 			p.freeCall(c)
-			p.settleDeadline(id)
 			p.failAsync(done, err)
 		}
 	}

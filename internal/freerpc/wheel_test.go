@@ -84,10 +84,10 @@ func TestPendingCallFreeListReuse(t *testing.T) {
 	}
 }
 
-// TestDeadlineWheelTimeoutOrdering covers the per-peer deadline heap: calls
-// with out-of-order timeouts must expire in deadline order, each at exactly
-// its own issue+timeout instant — including re-arming the shared timer when
-// a later call carries an earlier deadline.
+// TestDeadlineWheelTimeoutOrdering: calls with out-of-order timeouts, each
+// on its own engine timer, must expire in deadline order, each at exactly its
+// own issue+timeout instant — a later call carrying an earlier deadline
+// included.
 func TestDeadlineWheelTimeoutOrdering(t *testing.T) {
 	eng := simtime.NewVirtual()
 	// No peer on the far end: calls are sent into the void and can only
@@ -108,7 +108,7 @@ func TestDeadlineWheelTimeoutOrdering(t *testing.T) {
 			expiries = append(expiries, expiry{name: name, at: eng.Now()})
 		})
 	}
-	// A (3s) arms the timer; B (1s) must re-arm it earlier; C (2s) lands in
+	// A (3s) is issued first; B (1s) must expire before it; C (2s) lands in
 	// between.
 	call("A", 3*time.Second)
 	call("B", time.Second)
@@ -127,7 +127,8 @@ func TestDeadlineWheelTimeoutOrdering(t *testing.T) {
 }
 
 // TestDeadlineWheelSimultaneousExpiry pins the tie-break: calls sharing one
-// deadline expire in issue order, in a single expiry pass.
+// deadline expire in issue order, each as an event of its own (the engine's
+// (when, seq) order: each timer was armed when its call was issued).
 func TestDeadlineWheelSimultaneousExpiry(t *testing.T) {
 	eng := simtime.NewVirtual()
 	c1, _ := MemPipe(eng, time.Microsecond)

@@ -84,17 +84,16 @@ type kernel struct {
 	// the dispatch order passes wake, standing in for the caller's host phase
 	// without a separate sleep event. A lead frozen by HoldLead (SIGTSTP
 	// landing inside the host phase) waits on the held list until
-	// ReleaseLead. leadDeadline and leadIdx cache the armed no-further-events completion
-	// hypothesis (-1: none armed) so lead refreshes skip no-op timer re-arms;
+	// ReleaseLead. A lead's timer holds its armed no-further-events
+	// completion hypothesis (When, and ArmedAs its wake at the running-set
+	// index), so a refresh that finds both unchanged skips the re-arm;
 	// leadExact records that the armed deadline is that completion itself,
 	// not the launch instant of a pending fault or a running kernel's
 	// re-rounded completion (armLead).
 	// The wake lives in the kernel, so it survives recycling.
-	leadUntil    time.Duration
-	leadDeadline time.Duration
-	leadIdx      int
-	leadExact    bool
-	wake         simtime.Timer
+	leadUntil time.Duration
+	leadExact bool
+	wake      simtime.Timer
 }
 
 // popKernel recycles a kernel struct from the pool (or allocates one),
@@ -116,15 +115,13 @@ func (d *Device) popKernel(c *Client, spec *KernelSpec, onComplete func(error), 
 		k.runIdx = -1
 		k.started = 0
 		k.leadUntil = 0
-		k.leadDeadline = -1
 		k.leadExact = false
 	} else {
 		k = &kernel{
-			client:       c,
-			onComplete:   onComplete,
-			waiter:       waiter,
-			runIdx:       -1,
-			leadDeadline: -1,
+			client:     c,
+			onComplete: onComplete,
+			waiter:     waiter,
+			runIdx:     -1,
 		}
 		k.completeFn = func() { d.completeKernel(k) }
 	}

@@ -282,10 +282,7 @@ func (d *Device) armLead(k *kernel) {
 		if k.client.streamTaken(k) {
 			// The transition that frees the stream matures k.
 			k.leadExact = false
-			if k.leadDeadline != -1 {
-				k.timer.Cancel()
-				k.leadDeadline = -1
-			}
+			k.timer.Cancel()
 			return
 		}
 		var hyp float64
@@ -301,12 +298,11 @@ func (d *Device) armLead(k *kernel) {
 		deadline = min(done, soonest)
 	}
 	k.leadExact = exact
-	if deadline == k.leadDeadline && idx == k.leadIdx {
+	if t := k.timer; t.Pending() && t.When() == deadline && t.ArmedAs(&k.wake, idx) {
 		// Unchanged hypothesis (the steady-state fused completion→relaunch
 		// fold restores the same fingerprint): the armed timer stands.
 		return
 	}
-	k.leadDeadline, k.leadIdx = deadline, idx
 	k.timer = d.eng.RescheduleAs(k.timer, &k.wake, idx, deadline, k.doneName, k.completeFn)
 }
 
@@ -412,7 +408,6 @@ func (c *Client) HoldLead() {
 			continue
 		}
 		k.timer.Cancel()
-		k.leadDeadline = -1
 		d.leads = removeKernel(d.leads, k)
 		d.held = append(d.held, k)
 	}

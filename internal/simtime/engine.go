@@ -78,9 +78,6 @@ type Timer struct {
 	link   *Timer
 }
 
-// Name reports the debug label the timer was scheduled with.
-func (t *Timer) Name() string { return t.name }
-
 // Cancel prevents the callback from running. It reports whether the
 // cancellation won: false means the callback already ran or is running.
 // Canceling an already-canceled timer returns false. On a pooled (detached)
@@ -109,8 +106,19 @@ func (t *Timer) Stopped() bool { return t.state == timerCanceled }
 // canceled. Owners of a reusable Reschedule handle use this to skip re-arming
 // a deadline that is already set.
 // Like Cancel, Pending refuses pooled timers (always false): a recycled
-// *Timer would otherwise report some unrelated event's state.
-func (t *Timer) Pending() bool { return !t.pooled && t.state == timerPending }
+// *Timer would otherwise report some unrelated event's state. A nil Timer —
+// a handle never armed — is not pending.
+func (t *Timer) Pending() bool { return t != nil && !t.pooled && t.state == timerPending }
+
+// When reports the instant the timer is armed for: while it is pending, the
+// deadline it fires at (Reschedule's clamp to Now included). Zero for a nil
+// Timer.
+func (t *Timer) When() time.Duration {
+	if t == nil {
+		return 0
+	}
+	return t.when
+}
 
 // Fired reports whether the callback has already run (or started running).
 func (t *Timer) Fired() bool { return t.state == timerFired }
