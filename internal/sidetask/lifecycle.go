@@ -107,7 +107,7 @@ func (h *Harness) admit(now time.Duration) bool {
 // drawStep draws the next step's jittered kernel duration and splits it into
 // kernelParts: the last part absorbs the integer-division remainder, so the
 // parts sum exactly to the draw (a plain d/parts split loses up to parts-1 ns
-// per step).
+// per step). An iterative step is one part, the whole draw.
 func (h *Harness) drawStep(rng *rand.Rand) (per, last time.Duration) {
 	d := h.profile.StepTime
 	if h.profile.StepJitter > 0 {
@@ -115,6 +115,9 @@ func (h *Harness) drawStep(rng *rand.Rand) (per, last time.Duration) {
 		d = time.Duration(float64(d) * f)
 	}
 	h.lastStepDur = d
+	if h.kernelParts == 1 {
+		return d, d
+	}
 	parts := time.Duration(h.kernelParts)
 	per = d / parts
 	return per, d - (parts-1)*per

@@ -24,6 +24,7 @@ package simgpu
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"freeride/internal/simtime"
@@ -139,7 +140,9 @@ type Device struct {
 	resident int
 
 	// Water-fill share cache: converged post-tax allocation vectors of
-	// recent incremental rebalances, fingerprinted by the running set's
+	// recent incremental rebalances of two or more kernels (a kernel alone
+	// gets its share in closed form, loneShare, and never reaches the
+	// cache), fingerprinted by the running set's
 	// shape — per slot the client identity and the weight/demand bits that
 	// (with the immutable policy) fully determine the assignAllocations
 	// output — plus the residency-tax predicate. A steady-state
@@ -148,7 +151,8 @@ type Device struct {
 	// copy instead of an iterative water-fill. The cache is
 	// two-way (shares[mru] is the most recently used entry) because the
 	// steady state alternates between two shapes: the set with a completed
-	// kernel removed, and the set with its successor launched. Any
+	// kernel removed, and the set with its successor launched (a removal
+	// that leaves one kernel takes the closed form instead). Any
 	// membership, weight, demand or residency transition changes the
 	// fingerprint, so invalidation is implicit in the compare; the cached
 	// floats are the exact bits the recompute would produce. A lead
@@ -175,6 +179,11 @@ type Device struct {
 	// window first (flushFusion); completeKernel flushes on return,
 	// so a window never outlives its dispatch.
 	fusing bool
+
+	// taxScale is the residency tax's factor, 1/(1+ResidencyTax), computed
+	// once: fill and loneShare multiply by it (rebalanceFull, the
+	// reference, divides afresh; the bits are the same).
+	taxScale float64
 
 	// fusable gates the fusion window and the host leads: the
 	// full-recompute oracle neither fuses nor leads. No engine time passes
@@ -229,6 +238,7 @@ func NewDevice(eng *simtime.Virtual, cfg DeviceConfig) *Device {
 		clients: make(map[string]*Client),
 	}
 	d.fusable = !cfg.FullRebalance
+	d.taxScale = 1 / (1 + cfg.ResidencyTax)
 	return d
 }
 
@@ -272,6 +282,7 @@ type ClientConfig struct {
 	MemLimitBytes int64
 	// Weight is the client's default kernel scheduling weight under
 	// PolicyMPS; kernels may override it. Zero means "use kernel demand".
+	// NewClient refuses a weight that is not finite.
 	Weight float64
 }
 
@@ -309,6 +320,9 @@ func (d *Device) NewClient(cfg ClientConfig) (*Client, error) {
 	}
 	if _, dup := d.clients[cfg.Name]; dup {
 		return nil, fmt.Errorf("simgpu: duplicate client %q on %s", cfg.Name, d.cfg.Name)
+	}
+	if math.IsNaN(cfg.Weight) || math.IsInf(cfg.Weight, 0) {
+		return nil, fmt.Errorf("simgpu: client %q weight %v is not finite", cfg.Name, cfg.Weight)
 	}
 	c := &Client{
 		dev:      d,
@@ -391,7 +405,8 @@ type shareKey struct {
 	w, d uint64
 }
 
-// shareEntry is one cached (fingerprint, allocation vector) pair.
+// shareEntry is one cached (fingerprint, allocation vector) pair, for a set
+// of two or more kernels.
 type shareEntry struct {
 	key    []shareKey
 	allocs []float64
@@ -431,8 +446,9 @@ func (e *shareEntry) matchesWith(running []*kernel, k *kernel, idx int, taxed bo
 	return true
 }
 
-// shareCacheHit looks the running set up in the two-way cache and, on a match,
-// installs the cached post-tax allocation vector (promoting the entry to MRU).
+// shareCacheHit looks the running set (two or more kernels) up in the two-way
+// cache and, on a match, installs the cached post-tax allocation vector
+// (promoting the entry to MRU).
 func (d *Device) shareCacheHit(running []*kernel, taxed bool) bool {
 	i := d.mru
 	if !d.shares[i].matches(running, taxed) {
@@ -480,9 +496,11 @@ func (d *Device) shareCacheStore(running []*kernel, taxed bool) {
 	e.valid = true
 }
 
-// ShareCacheStats reports water-fill cache hits and misses (for tests and
-// measurement; both zero only on a FullRebalance device, which recomputes
-// every pass instead).
+// ShareCacheStats reports water-fill cache hits and misses among the
+// rebalances of two or more kernels (for tests and measurement). A set of one
+// kernel or none takes its share in closed form and counts as neither, so
+// both stay zero on a device that never co-locates, and on a FullRebalance
+// device, which recomputes every pass instead.
 func (d *Device) ShareCacheStats() (hits, misses uint64) {
 	return d.shareHits, d.shareMisses
 }

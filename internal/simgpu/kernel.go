@@ -15,11 +15,11 @@ import (
 // Specs travel by pointer through the whole launch path (Launch, Exec,
 // ExecThen, ExecLeadThen) so hot loops can keep one spec alive and mutate
 // Name/Duration between launches instead of copying the struct per call.
-// The device reads the spec only at launch: the kernel keeps its work, its
-// share-cache fingerprint and its timer label from there on. So a spec may
-// change once the call that launched it returns — except ExecLeadThen's on a
-// device that is not LeadCapable, which launches when the host phase ends
-// and so needs the spec unchanged until its continuation runs.
+// The device reads the spec only at launch: the kernel keeps its work and
+// its share-cache fingerprint from there on. So a spec may change once the
+// call that launched it returns — except ExecLeadThen's on a device that is
+// not LeadCapable, which launches when the host phase ends and so needs the
+// spec unchanged until its continuation runs.
 type KernelSpec struct {
 	Name string
 	// Duration is the kernel's solo run time on an unshared reference GPU.
@@ -33,11 +33,15 @@ type KernelSpec struct {
 	Weight float64
 }
 
+// normalize applies the defaults: a Demand outside (0, 1] or NaN is 1, and a
+// Weight that is not finite and positive is unset (Demand). The lone-kernel
+// closed form (loneShare) relies on both: with a NaN demand or an infinite
+// weight the water-fill's arithmetic yields NaN.
 func (s *KernelSpec) normalize() {
-	if s.Demand <= 0 || s.Demand > 1 {
+	if !(s.Demand > 0 && s.Demand <= 1) {
 		s.Demand = 1
 	}
-	if s.Weight <= 0 {
+	if !(s.Weight > 0 && s.Weight <= math.MaxFloat64) {
 		s.Weight = s.Demand
 	}
 	if s.Duration < 0 {
@@ -64,9 +68,8 @@ type kernel struct {
 	// timer is the completion event. Its handle never leaves the kernel,
 	// so reschedules after a rebalance reuse the same Timer allocation.
 	timer *simtime.Timer
-	// doneName and completeFn are precomputed once per kernel: completion
-	// is rescheduled on every rebalance and must not allocate.
-	doneName   string
+	// completeFn is bound once per kernel: completion is rescheduled on
+	// every rebalance and must not allocate.
 	completeFn func()
 	onComplete func(error)
 	// waiter, when set, receives the completion (nil or an error) through
@@ -129,15 +132,12 @@ func (d *Device) popKernel(c *Client, spec *KernelSpec, onComplete func(error), 
 	return k
 }
 
-// load takes the kernel's constants from spec: its share-cache fingerprint,
-// its work and its timer label.
+// load takes the kernel's constants from spec: its share-cache fingerprint
+// and its work.
 func (k *kernel) load(spec *KernelSpec) {
 	k.key = shareKey{c: k.client, w: math.Float64bits(spec.Weight), d: math.Float64bits(spec.Demand)}
 	k.size = spec.Demand * spec.Duration.Seconds()
 	k.work = k.size
-	// The timer label is a debug string only; reusing spec.Name avoids a
-	// per-launch concat.
-	k.doneName = spec.Name
 }
 
 // demand and weight are the kernel's spec values as of launch.
@@ -334,9 +334,11 @@ func (d *Device) rebalance() {
 // The pass trusts the device's transition-maintained caches: d.running
 // already reflects the launch/completion/abort/maturation that triggered the
 // rebalance (same kernels, same client order the full recompute would
-// derive), and d.resident already counts the ResidencyTax predicate. When
-// the running set's fingerprint is unchanged the converged allocation vector
-// comes straight from the share cache; each kernel's completion timer is
+// derive), and d.resident already counts the ResidencyTax predicate. A
+// kernel alone on the device gets its allocation in closed form (loneShare),
+// without touching the share cache; a set of two or more takes its converged
+// allocation vector straight from the cache when its fingerprint is there,
+// from the water-fill otherwise. Each kernel's completion timer is
 // re-armed in place (simtime's pending-timer Reschedule) rather than
 // canceled and re-pushed. Everything numeric — accrual, allocation, tax
 // scaling, completion deadlines and their (when, seq) ordering — is computed
@@ -368,7 +370,10 @@ func (d *Device) rebalanceAt(at time.Duration, wake *simtime.Timer, firing *kern
 	}
 
 	taxed := d.taxed(d.resident)
-	if !d.shareCacheHit(running, taxed) {
+	switch {
+	case len(running) == 1:
+		running[0].alloc = d.loneShare(running[0], taxed)
+	case len(running) > 1 && !d.shareCacheHit(running, taxed):
 		d.fill(running, taxed)
 		d.shareCacheStore(running, taxed)
 	}
@@ -468,15 +473,29 @@ func (d *Device) taxed(resident int) bool {
 
 // fill computes set's post-tax allocation vector into its kernels: the
 // water-fill, then the residency tax when taxed. It is the incremental
-// pass's cache miss and the lead hypothesis's dry run.
+// pass's cache miss and the lead hypothesis's dry run, for sets of two or
+// more kernels (loneShare covers one).
 func (d *Device) fill(set []*kernel, taxed bool) {
 	d.assignAllocations(set)
 	if taxed {
-		scale := 1 / (1 + d.cfg.ResidencyTax)
 		for _, k := range set {
-			k.alloc *= scale
+			k.alloc *= d.taxScale
 		}
 	}
+}
+
+// loneShare is fill's allocation for k running alone, in closed form: the
+// water-fill's only share is w/w·1.0 = 1.0 and time-slicing's cw/cw = 1.0 for
+// any finite positive weight (normalize and NewClient see to that), and a
+// demand never exceeds 1, so both policies grant max(minAlloc, demand), then
+// the residency tax. The operations and their order are fill's (the builtin
+// max is math.Max, inline), so the bits are too (TestLoneShareMatchesFill).
+func (d *Device) loneShare(k *kernel, taxed bool) float64 {
+	alloc := max(minAlloc, k.demand())
+	if taxed {
+		alloc *= d.taxScale
+	}
+	return alloc
 }
 
 // assignAllocations computes per-kernel SM fractions under the device
@@ -576,7 +595,7 @@ func (d *Device) scheduleCompletion(k *kernel) {
 	}
 	secs := k.work / k.alloc
 	delay := time.Duration(math.Ceil(secs * 1e9))
-	k.timer = d.eng.Reschedule(k.timer, delay, k.doneName, k.completeFn)
+	k.timer = d.eng.Reschedule(k.timer, delay, "", k.completeFn)
 }
 
 // scheduleCompletionAt is scheduleCompletion as of instant at: the completion
@@ -599,9 +618,9 @@ func (d *Device) scheduleCompletionAt(k *kernel, i int, at time.Duration, wake *
 	// A fire at the right instant but keyed ahead of the wake's launch came
 	// too early in the instant: it is re-armed where that launch puts it.
 	if wake != nil {
-		k.timer = d.eng.RescheduleAs(k.timer, wake, i, d.eng.Now()+delay, k.doneName, k.completeFn)
+		k.timer = d.eng.RescheduleAs(k.timer, wake, i, d.eng.Now()+delay, "", k.completeFn)
 	} else {
-		k.timer = d.eng.Reschedule(k.timer, delay, k.doneName, k.completeFn)
+		k.timer = d.eng.Reschedule(k.timer, delay, "", k.completeFn)
 	}
 	return k == firing
 }
@@ -623,8 +642,8 @@ func (d *Device) scheduleCompletionAt(k *kernel, i int, at time.Duration, wake *
 //
 //   - A lone host lead firing as its own completion (loneLead) retires
 //     without maturing: the maturation rebalance, the running-set insert and
-//     remove and the flush rebalance over an empty set change nothing but
-//     the share cache when nothing else is on the device.
+//     remove and the flush rebalance over an empty set change nothing when
+//     nothing else is on the device.
 //   - An imperative step's next part is relaunched in place
 //     (relaunchInPlace), a lone lead's included: the kernel stays in (or
 //     takes) its running-set slot, takes the next part's constants and runs
@@ -632,8 +651,9 @@ func (d *Device) scheduleCompletionAt(k *kernel, i int, at time.Duration, wake *
 //     residency flip in between.
 //
 // Neither moves an engine event: both run the same arithmetic on the same
-// timers at the same (when, seq), so only the share-cache statistics and the
-// fold count differ from the round trip.
+// timers at the same (when, seq), so only the fold count and, for a part
+// relaunched beside running kernels, the share-cache statistics differ from
+// the round trip.
 func (d *Device) completeKernel(k *kernel) {
 	c := k.client
 	if c == nil {
@@ -712,7 +732,7 @@ func (d *Device) retire(k *kernel) {
 // the round trip's maturation would start k at leadUntil as the only kernel,
 // find its completion due at this very dispatch (the armed hypothesis is that
 // rebalance's deadline, bit for bit), and the completion and the flush after
-// it would empty the device again: nothing but the share cache would change.
+// it would empty the device again, and nothing else would change.
 // A deadline armed at leadUntil for a fault is not a completion: the fault
 // may since have gone to another client's launch, which refreshes no lead,
 // and k then matures with all its work ahead of it.

@@ -51,8 +51,11 @@ import (
 // a step part left, relaunched in place). The maturation would install the
 // hypothesis's own allocation and find the completion due at this dispatch
 // (the armed deadline is that rebalance's bit for bit), and the completion
-// would empty the device again, so the skipped rebalances would change the
-// share cache alone. A deadline armed at leadUntil for a fault is not a
+// would empty the device again, so the skipped rebalances would change
+// nothing: a set of one kernel or none takes its allocation in closed form
+// (loneShare) and never touches the share cache. The lead's hypothesis is
+// that closed form too, so a lone lead's whole life reads and writes no
+// cache entry. A deadline armed at leadUntil for a fault is not a
 // completion: another client's plain launch may take the fault first
 // without refreshing any lead, and the lead then matures at leadUntil with
 // all of its work ahead (TestShortcutsMatchFullRebalance).
@@ -225,7 +228,7 @@ func (d *Device) startLead(k *kernel, wake *simtime.Timer, firing *kernel) bool 
 		k.timer.Cancel()
 		k.waiter, k.client = nil, nil
 		d.kernelPool = append(d.kernelPool, k)
-		d.eng.ScheduleDetached(0, k.doneName, func() { w.Wake(err) })
+		d.eng.ScheduleDetached(0, "", func() { w.Wake(err) })
 		return k == firing
 	}
 	if c.current != nil {
@@ -268,13 +271,14 @@ func (c *Client) streamTaken(k *kernel) bool {
 // hypothesis is the allocation vector the maturation rebalance will install
 // for the running set with k at its client-order position, so in the
 // no-event case the armed (when, seq) IS the completion's, bit-exactly. It
-// reads the share cache and never writes it: no entry is stored or promoted
-// and no hit or miss counted, so the cache's state and statistics stay those
-// of the rebalances alone. A lead that would queue arms nothing. leadExact
-// records whether the deadline is that completion: not when a fault is armed
-// (the deadline is then the launch instant, leadUntil) and not when a running
-// kernel's re-rounded completion comes first (soonest). A zero-length kernel's
-// completion is leadUntil too, so only the flag tells the two apart.
+// reads the share cache (for a lead joining running kernels) and never writes
+// it: no entry is stored or promoted and no hit or miss counted, so the
+// cache's state and statistics stay those of the rebalances alone. A lead
+// that would queue arms nothing. leadExact records whether the deadline is
+// that completion: not when a fault is armed (the deadline is then the launch
+// instant, leadUntil) and not when a running kernel's re-rounded completion
+// comes first (soonest). A zero-length kernel's completion is leadUntil too,
+// so only the flag tells the two apart.
 func (d *Device) armLead(k *kernel) {
 	// A lead whose launch is about to fail fires at the launch instant.
 	deadline, idx, exact := k.leadUntil, 0, false
@@ -303,15 +307,20 @@ func (d *Device) armLead(k *kernel) {
 		// fold restores the same fingerprint): the armed timer stands.
 		return
 	}
-	k.timer = d.eng.RescheduleAs(k.timer, &k.wake, idx, deadline, k.doneName, k.completeFn)
+	k.timer = d.eng.RescheduleAs(k.timer, &k.wake, idx, deadline, "", k.completeFn)
 }
 
 // hypothesis is lead k's maturation rebalance as if k started at leadUntil
 // with nothing else changing: k's allocation, its running-set index and the
-// soonest re-rounded completion (soonest). The allocation vector comes from
+// soonest re-rounded completion (soonest). A lead entering an idle device
+// runs alone: its allocation is the closed form (loneShare), at index 0, with
+// no running kernel to re-round. Otherwise the allocation vector comes from
 // the share cache when it holds the set, and from a dry run otherwise.
 func (d *Device) hypothesis(k *kernel) (alloc float64, idx int, soonest time.Duration) {
 	idx, taxed := d.leadSet(k)
+	if len(d.running) == 0 {
+		return d.loneShare(k, taxed), 0, math.MaxInt64
+	}
 	hyp := d.shareCachePeek(k, idx, taxed)
 	if hyp == nil {
 		hyp = d.dryRun(k, idx, taxed)

@@ -40,9 +40,7 @@ type Timer struct {
 	when time.Duration
 	// seq breaks ties among events with equal deadlines: lower runs first.
 	seq uint64
-	// name labels the event for debugging.
-	name string
-	fn   func()
+	fn  func()
 
 	state int32
 	// vkey orders timers armed as of virtual wakes (see wake below).

@@ -172,11 +172,16 @@ func (v *Virtual) Now() time.Duration {
 
 // Schedule enqueues fn at Now()+delay. Negative delays are clamped to "now":
 // virtual time never moves backwards.
+//
+// name is unused: a timer keeps no label, so a Timer is 64 bytes, one cache
+// line per queued event. The parameter stays on every scheduling method
+// because the benchmark driver passes it; slice A0's owner tag (ROADMAP) is
+// to take its slot.
 func (v *Virtual) Schedule(delay time.Duration, name string, fn func()) *Timer {
 	if fn == nil {
 		panic("simtime: Schedule with nil callback")
 	}
-	t := &Timer{when: v.deadline(delay), seq: v.seq, name: name, fn: fn, vq: v}
+	t := &Timer{when: v.deadline(delay), seq: v.seq, fn: fn, vq: v}
 	v.seq++
 	v.enqueue(t)
 	return t
@@ -184,17 +189,17 @@ func (v *Virtual) Schedule(delay time.Duration, name string, fn func()) *Timer {
 
 // ScheduleDetached enqueues a fire-and-forget event whose Timer comes from
 // the free-list. With no handle escaping, the timer is recycled as soon as
-// its callback returns.
+// its callback returns. name is unused, as Schedule's.
 func (v *Virtual) ScheduleDetached(delay time.Duration, name string, fn func()) {
 	if fn == nil {
 		panic("simtime: ScheduleDetached with nil callback")
 	}
-	v.detach(v.deadline(delay), name, fn)
+	v.detach(v.deadline(delay), fn)
 }
 
 // detach enqueues a pooled event at when and returns its Timer, which
 // stays the engine's.
-func (v *Virtual) detach(when time.Duration, name string, fn func()) *Timer {
+func (v *Virtual) detach(when time.Duration, fn func()) *Timer {
 	var t *Timer
 	if n := len(v.free); n > 0 {
 		t = v.free[n-1]
@@ -203,7 +208,7 @@ func (v *Virtual) detach(when time.Duration, name string, fn func()) *Timer {
 	} else {
 		t = &Timer{vq: v, pooled: true}
 	}
-	t.when, t.seq, t.name, t.fn = when, v.seq, name, fn
+	t.when, t.seq, t.fn = when, v.seq, fn
 	v.seq++
 	v.enqueue(t)
 	return t
@@ -224,7 +229,7 @@ type batch struct {
 // order (the join rule in the type's doc). It reports whether fn joined an
 // already-queued batch — one event fewer than ScheduleDetached would cost.
 // Otherwise fn opens a new batch, or, beyond the wheel horizon, gets a plain
-// detached event.
+// detached event. name is unused, as Schedule's.
 func (v *Virtual) ScheduleJoin(delay time.Duration, name string, fn func()) bool {
 	if fn == nil {
 		panic("simtime: ScheduleJoin with nil callback")
@@ -235,7 +240,7 @@ func (v *Virtual) ScheduleJoin(delay time.Duration, name string, fn func()) bool
 		return true
 	}
 	if v.wheelSlotFor(when) < 0 {
-		v.detach(when, name, fn)
+		v.detach(when, fn)
 		return false
 	}
 	var b *batch
@@ -248,7 +253,7 @@ func (v *Virtual) ScheduleJoin(delay time.Duration, name string, fn func()) bool
 		b.fire = b.run
 	}
 	b.fns = append(b.fns, fn)
-	b.t = v.detach(when, name, b.fire)
+	b.t = v.detach(when, b.fire)
 	v.open = b
 	return false
 }
@@ -289,10 +294,10 @@ func (b *batch) run() {
 }
 
 // Reschedule re-arms t — a timer previously returned by this engine's
-// Schedule — with a new deadline, name and callback, reusing the Timer
-// allocation. The caller must be the exclusive holder of the handle: any
-// other retained copy could Cancel the re-armed event. A still-pending t is
-// re-armed in place (a wheel event rewrites its deadline within its bucket
+// Schedule — with a new deadline and callback, reusing the Timer allocation
+// (name is unused, as Schedule's). The caller must be the exclusive holder
+// of the handle: any other retained copy could Cancel the re-armed event. A
+// still-pending t is re-armed in place (a wheel event rewrites its deadline within its bucket
 // or hops buckets in O(1); a heap event sifts, and may migrate into the
 // wheel); a fired or canceled t is re-pushed. A nil or foreign t falls back
 // to a fresh Schedule. This is the allocation-free path for the
@@ -305,7 +310,7 @@ func (v *Virtual) Reschedule(t *Timer, delay time.Duration, name string, fn func
 	if fn == nil {
 		panic("simtime: Reschedule with nil callback")
 	}
-	t.when, t.seq, t.name, t.fn = v.deadline(delay), v.seq, name, fn
+	t.when, t.seq, t.fn = v.deadline(delay), v.seq, fn
 	t.vkey, t.link = 0, nil
 	v.seq++
 	if t.pos >= 0 {
@@ -403,7 +408,8 @@ func (v *Virtual) passWakes(t *Timer, until time.Duration) {
 // RescheduleAs re-arms t (nil: a new timer) at the absolute instant when,
 // clamped to Now, keyed as the index-th timer armed inside an event at the
 // wake w's slot would be (see the type's doc). w must be pending or passed.
-// At most one timer at a time may be armed as of a pending wake.
+// At most one timer at a time may be armed as of a pending wake. name is
+// unused, as Schedule's.
 func (v *Virtual) RescheduleAs(t, w *Timer, index int, when time.Duration, name string, fn func()) *Timer {
 	if fn == nil {
 		panic("simtime: RescheduleAs with nil callback")
@@ -417,7 +423,7 @@ func (v *Virtual) RescheduleAs(t, w *Timer, index int, when time.Duration, name 
 	if when < v.now {
 		when = v.now
 	}
-	t.when, t.name, t.fn = when, name, fn
+	t.when, t.fn = when, fn
 	switch {
 	case w.passed:
 		t.seq, t.vkey, t.link = w.seq, w.vkey|uint32(index+1), nil
@@ -529,7 +535,7 @@ func (v *Virtual) Step() bool {
 		return true
 	}
 	t.fn()
-	t.fn, t.name = nil, ""
+	t.fn = nil
 	v.free = append(v.free, t)
 	return true
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestVirtualStartsAtZero(t *testing.T) {
@@ -296,4 +297,13 @@ func BenchmarkVirtualScheduleAndDispatch(b *testing.B) {
 		}
 	}
 	v.Drain(0)
+}
+
+// TestTimerFitsACacheLine pins the Timer at 64 bytes or less (on 64-bit
+// platforms exactly 64): one cache line per queued event. A field added to
+// it costs every event a second line.
+func TestTimerFitsACacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(Timer{}); n > 64 {
+		t.Fatalf("a Timer is %d bytes, want at most 64", n)
+	}
 }
