@@ -696,7 +696,7 @@ func (s *Session) submitBaseline(name string, p model.TaskProfile, stage int, se
 		return err
 	}
 	// Script the lifecycle: init immediately, then run forever.
-	s.eng.Schedule(0, "baseline-init:"+name, func() {
+	s.eng.Schedule(0, "", func() {
 		h.Deliver(sidetask.Command{Transition: sidetask.TransitionInit})
 		h.Deliver(sidetask.Command{Transition: sidetask.TransitionStart, BubbleEnd: 1 << 62})
 	})

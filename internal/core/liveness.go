@@ -58,7 +58,7 @@ func (m *Manager) pingTick() {
 		}
 		alive = true
 		if expiry := w.lastSeen + m.opts.Lease; expiry <= now+m.opts.Lease/2 {
-			w.leaseTimer = m.eng.Reschedule(w.leaseTimer, expiry-now, w.leaseName, w.leaseFn)
+			w.leaseTimer = m.eng.Reschedule(w.leaseTimer, expiry-now, "", w.leaseFn)
 		}
 	}
 	if !alive {

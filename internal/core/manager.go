@@ -260,9 +260,6 @@ type workerMeta struct {
 	startTimer  *simtime.Timer
 	kickTimer   *simtime.Timer
 	reconcileFn func()
-	endName     string
-	startName   string
-	kickName    string
 
 	// Failure-detector state (lease-enabled managers only). lastSeen is
 	// the last instant the worker proved it was alive (ping reply or push);
@@ -273,7 +270,6 @@ type workerMeta struct {
 	pingDone   func(result any, err error)
 	leaseTimer *simtime.Timer
 	leaseFn    func()
-	leaseName  string
 
 	// Online re-profiling state (replan-armed managers only). est is this
 	// worker's drift estimator (nil until the worker is baselined);
@@ -382,10 +378,6 @@ func (m *Manager) AddWorker(name string, stage int, gpuMem int64, peer *freerpc.
 	w := &workerMeta{
 		name: name, peer: peer, gpuMem: gpuMem, stage: stage, alive: true,
 		gpuMem0: gpuMem, lastMem: gpuMem,
-		endName:   "manager-bubble-end:" + name,
-		startName: "manager-bubble-start:" + name,
-		kickName:  "manager-kick:" + name,
-		leaseName: "manager-lease:" + name,
 	}
 	w.reconcileFn = func() { m.reconcile(w) }
 	w.pingDone = func(result any, err error) { m.pingReplied(w, result, err) }

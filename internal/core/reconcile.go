@@ -107,7 +107,7 @@ func (m *Manager) kick(w *workerMeta, at time.Duration) {
 	if t := w.kickTimer; t.Pending() && t.When() <= at {
 		return
 	}
-	w.kickTimer = m.eng.Reschedule(w.kickTimer, at-m.eng.Now(), w.kickName, w.reconcileFn)
+	w.kickTimer = m.eng.Reschedule(w.kickTimer, at-m.eng.Now(), "", w.reconcileFn)
 }
 
 // armWorker refreshes w's two deadline timers from its state: the
@@ -119,7 +119,7 @@ func (m *Manager) armWorker(w *workerMeta, now time.Duration) {
 		return
 	}
 	if w.hasBubble {
-		w.endTimer = m.arm(w.endTimer, m.deadlineInstant(w.bubble.End()), w.endName, w.reconcileFn)
+		w.endTimer = m.arm(w.endTimer, m.deadlineInstant(w.bubble.End()), w.reconcileFn)
 	}
 	if w.pending.Len() > 0 {
 		front := w.pending.At(0)
@@ -127,7 +127,7 @@ func (m *Manager) armWorker(w *workerMeta, now time.Duration) {
 		// An already-adoptable front (at <= now) is blocked only by the
 		// current bubble; the end-timer pass adopts it, so no timer is due.
 		if at > now {
-			w.startTimer = m.arm(w.startTimer, at, w.startName, w.reconcileFn)
+			w.startTimer = m.arm(w.startTimer, at, w.reconcileFn)
 		}
 	}
 	// An idle worker with queued tasks promotes the next one on the next
@@ -144,11 +144,11 @@ func (m *Manager) armWorker(w *workerMeta, now time.Duration) {
 // at > now, and the end timer for the grid instant at or after the end of
 // the current bubble, which is adopted only before its end and dropped by
 // the first pass at or after it.
-func (m *Manager) arm(t *simtime.Timer, at time.Duration, name string, fn func()) *simtime.Timer {
+func (m *Manager) arm(t *simtime.Timer, at time.Duration, fn func()) *simtime.Timer {
 	if t.Pending() && t.When() == at {
 		return t
 	}
-	return m.eng.Reschedule(t, at-m.eng.Now(), name, fn)
+	return m.eng.Reschedule(t, at-m.eng.Now(), "", fn)
 }
 
 // --- Algorithm 2 ----------------------------------------------------------

@@ -66,8 +66,7 @@ func (m *Manager) planRecovery(rec *taskRecord, cause string) {
 	}
 	backoff := DefaultRetryBackoff << min(rec.restarts-1, 16)
 	delay := backoff + time.Duration(m.rng.Int63n(int64(backoff/2)+1))
-	rec.retryTimer = m.eng.Reschedule(rec.retryTimer, delay,
-		"task-retry:"+rec.spec.Name, func() { m.replaceTask(rec) })
+	rec.retryTimer = m.eng.Reschedule(rec.retryTimer, delay, "", func() { m.replaceTask(rec) })
 }
 
 // replaceTask re-runs Algorithm 1 for a recovering task when its backoff

@@ -62,11 +62,10 @@ type workerTask struct {
 	cont        *container.Container
 	// grace is the task's reusable framework-enforcement timer: every
 	// pause re-arms the same handle (simtime.Reschedule) with the same
-	// pre-built callback and name, so a pause/start cycle costs no
-	// allocation and no event-queue surgery beyond the re-arm itself.
-	grace     *simtime.Timer
-	graceFn   func()
-	graceName string
+	// pre-built callback, so a pause/start cycle costs no allocation and no
+	// event-queue surgery beyond the re-arm itself.
+	grace   *simtime.Timer
+	graceFn func()
 	// stateArgs pre-boxes the Manager.TaskState payload for each life-cycle
 	// state, and exitOK the clean Manager.TaskExited payload: the worker
 	// pushes one notification per transition for the whole run and must not
@@ -339,7 +338,7 @@ func (w *Worker) handleInit(ref taskRef) (any, error) {
 	// The init command may be queued behind a still-running CreateSideTask,
 	// so the hang budget covers both phases.
 	timeout := t.spec.Profile.CreateTime + 3*t.spec.Profile.InitTime + w.cfg.Grace
-	w.eng.ScheduleDetached(timeout, "init-check:"+ref.Name, func() {
+	w.eng.ScheduleDetached(timeout, "", func() {
 		if t.harness.State() == sidetask.StateCreated && t.cont.Alive() {
 			w.stats.InitKills++
 			t.cont.Kill()
@@ -415,7 +414,6 @@ func (w *Worker) handlePause(ref taskRef) (any, error) {
 	}
 	if t.graceFn == nil {
 		gpu := t.cont.GPU()
-		t.graceName = "grace-check:" + ref.Name
 		t.graceFn = func() {
 			if !t.cont.Alive() {
 				return
@@ -435,7 +433,7 @@ func (w *Worker) handlePause(ref taskRef) (any, error) {
 			}
 		}
 	}
-	t.grace = w.eng.Reschedule(t.grace, w.cfg.Grace, t.graceName, t.graceFn)
+	t.grace = w.eng.Reschedule(t.grace, w.cfg.Grace, "", t.graceFn)
 	return w.statusReply(t), nil
 }
 
@@ -451,7 +449,7 @@ func (w *Worker) handleStop(ref taskRef) (any, error) {
 	}
 	t.harness.Deliver(sidetask.Command{Transition: sidetask.TransitionStop})
 	w.stats.Stops++
-	w.eng.ScheduleDetached(w.cfg.Grace, "stop-check:"+ref.Name, func() {
+	w.eng.ScheduleDetached(w.cfg.Grace, "", func() {
 		if t.cont.Alive() {
 			t.cont.Kill()
 		}

@@ -3,7 +3,6 @@ package freerpc
 import (
 	"encoding/json"
 	"fmt"
-	"maps"
 	"net"
 	"slices"
 	"time"
@@ -88,13 +87,13 @@ type Peer struct {
 	mux  *Mux
 
 	nextID  uint64
-	pending map[uint64]*pendingCall
+	pending []*pendingCall // in issue order: Go appends, ids are monotonic
 	closed  bool
 
 	// callFree recycles pendingCall records: the struct never escapes to
 	// callers, and call ids are never reused (nextID is monotonic), so a
 	// stale reply to a completed call can never resolve the record's next
-	// incarnation — it simply misses the pending map.
+	// incarnation — it simply misses the pending list.
 	callFree []*pendingCall
 }
 
@@ -116,7 +115,7 @@ var noopDone = func(any, error) {}
 
 // NewPeer wraps conn. mux may be nil for call-only endpoints.
 func NewPeer(eng *simtime.Virtual, conn Conn, mux *Mux) *Peer {
-	p := &Peer{eng: eng, conn: conn, mux: mux, pending: make(map[uint64]*pendingCall)}
+	p := &Peer{eng: eng, conn: conn, mux: mux}
 	// Before the receive handler, which starts a socket's read pump: a
 	// hang-up the pump reports must find failAll registered.
 	conn.OnClose(p.failAll)
@@ -146,6 +145,18 @@ func (p *Peer) freeCall(c *pendingCall) {
 	p.callFree = append(p.callFree, c)
 }
 
+// take removes call id from pending and returns it (nil: not pending). A
+// peer has a handful of calls in flight, so the scan costs less than a map.
+func (p *Peer) take(id uint64) *pendingCall {
+	for i, c := range p.pending {
+		if c.id == id {
+			p.pending = slices.Delete(p.pending, i, i+1)
+			return c
+		}
+	}
+	return nil
+}
+
 // Conn returns the underlying transport.
 func (p *Peer) Conn() Conn { return p.conn }
 
@@ -155,7 +166,7 @@ func (p *Peer) Close() { _ = p.conn.Close() }
 // expire is a call's deadline: the call fails with ErrTimeout. Its timer is
 // canceled on every other exit, so the call is still pending.
 func (p *Peer) expire(c *pendingCall) {
-	delete(p.pending, c.id)
+	p.take(c.id)
 	done, method, timeout := c.done, c.method, c.timeout
 	p.freeCall(c)
 	done(nil, fmt.Errorf("%w: %s after %v", ErrTimeout, method, timeout))
@@ -163,13 +174,12 @@ func (p *Peer) expire(c *pendingCall) {
 
 // resolve completes the pending call for a response.
 func (p *Peer) resolve(id uint64, result any, errMsg string) {
-	call, ok := p.pending[id]
-	if !ok {
+	call := p.take(id)
+	if call == nil {
 		return // response to a timed-out or unknown call
 	}
-	delete(p.pending, id)
 	done, method := call.done, call.method
-	// Recycle before running done: the record is out of the map, so even a
+	// Recycle before running done: the record is off the list, so even a
 	// duplicate reply for this id can no longer reach it, and done itself
 	// may issue a new call that reuses it.
 	p.freeCall(call)
@@ -215,23 +225,21 @@ func (p *Peer) serve(m Msg) {
 }
 
 // failAll fails every pending call with ErrClosed, in issue order: the
-// failure callbacks may draw from a seeded rng (the manager's retry jitter),
-// so their order must not be the map's.
+// failure callbacks may draw from a seeded rng (the manager's retry jitter).
 func (p *Peer) failAll() {
 	if p.closed {
 		return
 	}
 	p.closed = true
 	pending := p.pending
-	p.pending = make(map[uint64]*pendingCall)
-	ids := slices.Sorted(maps.Keys(pending))
+	p.pending = nil
 	// Every deadline goes before any callback runs: a timer left armed
 	// would complete its call a second time.
-	for _, id := range ids {
-		pending[id].timer.Cancel()
+	for _, c := range pending {
+		c.timer.Cancel()
 	}
-	for _, id := range ids {
-		pending[id].done(nil, ErrClosed)
+	for _, c := range pending {
+		c.done(nil, ErrClosed)
 	}
 }
 
@@ -265,15 +273,14 @@ func (p *Peer) Go(method string, params any, timeout time.Duration, done func(re
 	id := p.nextID
 	call := p.newCall()
 	call.id, call.method, call.done, call.timeout = id, method, done, timeout
-	p.pending[id] = call
+	p.pending = append(p.pending, call)
 	if timeout > 0 {
 		call.timer = p.eng.Reschedule(call.timer, timeout, "rpc-timeout", call.expireFn)
 	}
 
 	if err := p.conn.SendMsg(Msg{ID: id, Method: method, Params: params}); err != nil {
 		// A conn that closed inside SendMsg has failed the call already.
-		if c, still := p.pending[id]; still {
-			delete(p.pending, id)
+		if c := p.take(id); c != nil {
 			p.freeCall(c)
 			p.failAsync(done, err)
 		}

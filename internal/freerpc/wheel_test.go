@@ -11,7 +11,7 @@ import (
 // TestPendingCallRecycleStaleReply is the free-list recycle-safety test: a
 // stale (duplicate) reply carrying a completed call's id must not complete
 // the call that recycled its record. Ids are never reused, so the stale
-// reply has to miss the pending map entirely.
+// reply has to miss the pending list entirely.
 func TestPendingCallRecycleStaleReply(t *testing.T) {
 	eng := simtime.NewVirtual()
 	mux := NewMux()

@@ -252,7 +252,7 @@ func (in *Injector) Start() {
 	now := in.eng.Now()
 	for _, ev := range evs {
 		ev := ev
-		in.eng.Schedule(ev.At-now, "fault:"+ev.Kind.String(), func() { in.fire(ev) })
+		in.eng.Schedule(ev.At-now, "", func() { in.fire(ev) })
 	}
 }
 

@@ -165,12 +165,12 @@ type Device struct {
 	shareMisses uint64
 
 	// fusedFolds counts fusion windows folded into a launch rebalance;
-	// loneRetires and relaunches count the completions that skipped the round
-	// trip (completeKernel): lone leads retired without maturing, and step
-	// parts relaunched in place.
-	fusedFolds  uint64
-	loneRetires uint64
-	relaunches  uint64
+	// unmatured and relaunches count the completions that skipped the round
+	// trip (completeKernel): leads retired without maturing, alone or beside
+	// running kernels, and step parts relaunched in place.
+	fusedFolds uint64
+	unmatured  uint64
+	relaunches uint64
 	// fusing marks an open completion→relaunch fusion window: the
 	// rebalance owed by the last kernel completion has been deferred in the
 	// hope that the completion's continuation immediately launches a
@@ -195,9 +195,13 @@ type Device struct {
 	// leads are pending host-lead kernels (ExecLeadThen), in wake order:
 	// created but not yet launched, they reach their stream lazily at the
 	// first device transition after the dispatch order passes their wake
-	// (matureLeads). Held leads (HoldLead) wait in held instead.
-	leads []*kernel
-	held  []*kernel
+	// (matureLeads), or retire unmatured (completeKernel). The list starts in
+	// leadSlot, inside the device: a side task's device holds one lead at a
+	// time, and the struct's size class has room for one pointer (a second
+	// would cost the next class). Held leads (HoldLead) wait in held instead.
+	leads    []*kernel
+	leadSlot [1]*kernel
+	held     []*kernel
 
 	// scratch buffers reused across rebalances to keep the hot path
 	// allocation-free.
@@ -237,6 +241,7 @@ func NewDevice(eng *simtime.Virtual, cfg DeviceConfig) *Device {
 		cfg:     cfg,
 		clients: make(map[string]*Client),
 	}
+	d.leads = d.leadSlot[:0]
 	d.fusable = !cfg.FullRebalance
 	d.taxScale = 1 / (1 + cfg.ResidencyTax)
 	return d
@@ -511,11 +516,11 @@ func (d *Device) FusedFolds() uint64 {
 	return d.fusedFolds
 }
 
-// Shortcuts reports how many completions skipped the device round trip: lone
-// host leads retired without maturing, and step parts relaunched in place
-// (for tests and measurement).
-func (d *Device) Shortcuts() (loneLeads, inPlace uint64) {
-	return d.loneRetires, d.relaunches
+// Shortcuts reports how many completions skipped the device round trip: host
+// leads retired without maturing, alone or beside running kernels, and step
+// parts relaunched in place (for tests and measurement).
+func (d *Device) Shortcuts() (unmatured, inPlace uint64) {
+	return d.unmatured, d.relaunches
 }
 
 // flushFusion settles an open completion→relaunch fusion window by running the

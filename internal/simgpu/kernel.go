@@ -357,17 +357,7 @@ func (d *Device) rebalance() {
 // in-flight completion.
 func (d *Device) rebalanceAt(at time.Duration, wake *simtime.Timer, firing *kernel) (stale bool) {
 	running := d.running
-
-	// Accrue progress under the old allocations.
-	for _, k := range running {
-		if k.alloc > 0 {
-			k.work -= k.alloc * (at - k.lastUpdate).Seconds()
-			if k.work < 0 {
-				k.work = 0
-			}
-		}
-		k.lastUpdate = at
-	}
+	accrue(running, at)
 
 	taxed := d.taxed(d.resident)
 	switch {
@@ -397,6 +387,20 @@ func (d *Device) rebalanceAt(at time.Duration, wake *simtime.Timer, firing *kern
 		d.occ.Add(at, total)
 	}
 	return stale
+}
+
+// accrue advances every kernel of set to instant at under its current
+// allocation.
+func accrue(set []*kernel, at time.Duration) {
+	for _, k := range set {
+		if k.alloc > 0 {
+			k.work -= k.alloc * (at - k.lastUpdate).Seconds()
+			if k.work < 0 {
+				k.work = 0
+			}
+		}
+		k.lastUpdate = at
+	}
 }
 
 // rebalanceFull is the original full recompute: it rederives the running set
@@ -640,30 +644,35 @@ func (d *Device) scheduleCompletionAt(k *kernel, i int, at time.Duration, wake *
 //
 // Two shapes skip even that round trip, on a fusable device only:
 //
-//   - A lone host lead firing as its own completion (loneLead) retires
-//     without maturing: the maturation rebalance, the running-set insert and
-//     remove and the flush rebalance over an empty set change nothing when
-//     nothing else is on the device.
+//   - A host lead firing as its own completion (retiresUnmatured) retires
+//     without maturing: alone on the device, the maturation rebalance, the
+//     running-set insert and remove and the flush rebalance over an empty set
+//     change nothing; beside running kernels, the retire applies what the
+//     maturation would leave behind (settleUnmatured) and the completion's
+//     fusion window rebalances at this dispatch exactly as after it.
 //   - An imperative step's next part is relaunched in place
-//     (relaunchInPlace), a lone lead's included: the kernel stays in (or
-//     takes) its running-set slot, takes the next part's constants and runs
-//     the launch's rebalance, with no delivery, pool round trip or
+//     (relaunchInPlace), after an unmatured retire too: the kernel stays in
+//     (or takes) its running-set slot, takes the next part's constants and
+//     runs the launch's rebalance, with no delivery, pool round trip or
 //     residency flip in between.
 //
 // Neither moves an engine event: both run the same arithmetic on the same
-// timers at the same (when, seq), so only the fold count and, for a part
-// relaunched beside running kernels, the share-cache statistics differ from
-// the round trip.
+// timers at the same (when, seq), and an unmatured retire makes the
+// maturation's share-cache lookup, so only the fold count differs from the
+// round trip: a lead retired alone and a part relaunched in place open no
+// fusion window.
 func (d *Device) completeKernel(k *kernel) {
 	c := k.client
 	if c == nil {
 		return // stale completion (aborted)
 	}
-	lone := d.loneLead(k)
-	if lone {
-		d.loneRetires++
+	unmatured := d.retiresUnmatured(k)
+	if unmatured {
+		d.unmatured++
 		k.started = k.leadUntil
-		d.leads = removeKernel(d.leads, k)
+		d.leads[0] = nil
+		d.leads = d.leads[:0]
+		d.settleUnmatured(k)
 	} else if d.matureLeads(k) || c.current != k {
 		// Leads whose wakes have passed mature first — including k itself,
 		// if this fire is its armed lead hypothesis (which sorts after the
@@ -677,25 +686,28 @@ func (d *Device) completeKernel(k *kernel) {
 	if len(c.queue) == 0 && d.relaunchInPlace(k) {
 		return
 	}
-	if lone {
+	switch {
+	case !unmatured:
+		c.current = nil
+		if len(c.queue) > 0 {
+			// Compact in place: sliding the slice head would shed capacity on
+			// every pop (reallocating on the next push) and pin retired pooled
+			// kernels in the dead prefix. Queues are a few kernels deep.
+			c.current = c.queue[0]
+			n := copy(c.queue, c.queue[1:])
+			c.queue[n] = nil
+			c.queue = c.queue[:n]
+			c.current.started = d.eng.Now()
+			d.runningReplace(k, c.current)
+		} else {
+			d.runningRemove(k)
+		}
+		d.residencyChanged(c)
+	case len(d.running) == 0:
+		// Alone, an unmatured lead leaves nothing to settle.
 		d.retire(k)
 		return
 	}
-	c.current = nil
-	if len(c.queue) > 0 {
-		// Compact in place: sliding the slice head would shed capacity on
-		// every pop (reallocating on the next push) and pin retired pooled
-		// kernels in the dead prefix. Queues are a few kernels deep.
-		c.current = c.queue[0]
-		n := copy(c.queue, c.queue[1:])
-		c.queue[n] = nil
-		c.queue = c.queue[:n]
-		c.current.started = d.eng.Now()
-		d.runningReplace(k, c.current)
-	} else {
-		d.runningRemove(k)
-	}
-	d.residencyChanged(c)
 	fused := d.fusable
 	if fused {
 		d.fusing = true
@@ -725,20 +737,44 @@ func (d *Device) retire(k *kernel) {
 	}
 }
 
-// loneLead reports whether the firing lead k may retire without maturing:
-// it is the device's only pending lead and nothing runs (so its client's
-// stream is idle), no fault is armed for its client, the device records no
-// series, and its timer was armed at its exact completion (leadExact). Then
-// the round trip's maturation would start k at leadUntil as the only kernel,
-// find its completion due at this very dispatch (the armed hypothesis is that
-// rebalance's deadline, bit for bit), and the completion and the flush after
-// it would empty the device again, and nothing else would change.
+// retiresUnmatured reports whether the firing lead k may retire without
+// maturing: it is the device's only pending lead, no fault is armed for its
+// client, the device records no series, and its timer was armed at its exact
+// completion (leadExact), so its stream was idle when armed and every
+// transition since has re-armed it. Then the round trip's maturation would
+// start k at leadUntil, install the hypothesis's allocation vector (the armed
+// deadline is that rebalance's, bit for bit) and find k's completion due at
+// this very dispatch, with every running kernel's re-rounded completion
+// later (soonest); the completion would then take k off the device again and
+// rebalance at this instant, overwriting every re-arm the maturation made.
 // A deadline armed at leadUntil for a fault is not a completion: the fault
 // may since have gone to another client's launch, which refreshes no lead,
 // and k then matures with all its work ahead of it.
-func (d *Device) loneLead(k *kernel) bool {
-	return k.leadExact && len(d.leads) == 1 && d.leads[0] == k && len(d.running) == 0 &&
+func (d *Device) retiresUnmatured(k *kernel) bool {
+	return k.leadExact && len(d.leads) == 1 && d.leads[0] == k &&
 		!d.faultArmed(k.client) && d.cfg.NoTraces
+}
+
+// settleUnmatured applies to the running kernels what the skipped maturation
+// of lead k would have left behind once its completion's rebalance re-armed
+// their timers: each accrues to leadUntil under its current allocation and
+// takes the allocation that maturation installs, looked up as its rebalance
+// looks it up — a counted, promoting share-cache lookup of the set with k at
+// its leadSet index, and on a miss the water-fill and a store — so the cache
+// evolves exactly as through the maturation. k's own allocation is set too,
+// as the maturation sets it; nothing reads it before it is retired or
+// relaunched. Alone, k leaves nothing behind.
+func (d *Device) settleUnmatured(k *kernel) {
+	if len(d.running) == 0 {
+		return
+	}
+	accrue(d.running, k.leadUntil)
+	idx, taxed := d.leadSet(k)
+	run := d.withLead(k, idx)
+	if !d.shareCacheHit(run, taxed) {
+		d.fill(run, taxed)
+		d.shareCacheStore(run, taxed)
+	}
 }
 
 // relaunchInPlace launches the next part of k's step into k itself, inside
@@ -750,10 +786,10 @@ func (d *Device) loneLead(k *kernel) bool {
 // this instant, folding the completion into its launch rebalance. Here k
 // keeps its slot and its residency, takes the part's constants and runs that
 // rebalance; the process's wait is re-armed as ChainWait would
-// (simproc.Process.ChainInPlace). After a lone lead, which never took a
-// slot, k takes the one the launch would give it. An armed fault for the
-// client would fail the launch instead, and a queued successor would start
-// first; both take the round trip.
+// (simproc.Process.ChainInPlace). After an unmatured retire k has no slot
+// and takes the one the launch would give it, beside whatever runs. An armed
+// fault for the client would fail the launch instead, and a queued successor
+// would start first; both take the round trip.
 func (d *Device) relaunchInPlace(k *kernel) bool {
 	c, p := k.client, k.waiter
 	if !d.fusable || c.parts == nil || p == nil || d.faultArmed(c) || !p.ChainReady() {
@@ -767,8 +803,8 @@ func (d *Device) relaunchInPlace(k *kernel) bool {
 	p.ChainInPlace(spec.Name)
 	d.relaunches++
 	if k.runIdx < 0 {
-		// A lone lead never reached the stream: the launch starts the part
-		// on the idle device.
+		// An unmatured lead never reached the stream: the launch starts the
+		// part on its idle stream.
 		c.current = k
 		d.runningInsert(k)
 		d.residencyChanged(c)

@@ -44,21 +44,31 @@ import (
 // stream is busy (a kernel in flight or queued, or a lead of the client due
 // first) arms nothing: the transition that frees the stream matures it.
 //
-// The lone lead: when the hypothesis fires as the device's only lead, with
-// nothing running, no fault armed for its client and no series recorded, and
-// was armed at the exact completion (leadExact), completeKernel retires it
-// without maturing it — started at leadUntil, counted, delivered (or, with
-// a step part left, relaunched in place). The maturation would install the
-// hypothesis's own allocation and find the completion due at this dispatch
-// (the armed deadline is that rebalance's bit for bit), and the completion
-// would empty the device again, so the skipped rebalances would change
-// nothing: a set of one kernel or none takes its allocation in closed form
-// (loneShare) and never touches the share cache. The lead's hypothesis is
-// that closed form too, so a lone lead's whole life reads and writes no
-// cache entry. A deadline armed at leadUntil for a fault is not a
-// completion: another client's plain launch may take the fault first
-// without refreshing any lead, and the lead then matures at leadUntil with
-// all of its work ahead (TestShortcutsMatchFullRebalance).
+// The unmatured retire: when the hypothesis fires as the device's only lead,
+// with no fault armed for its client and no series recorded, and was armed at
+// the exact completion (leadExact), completeKernel retires it without
+// maturing it — started at leadUntil, counted, delivered (or, with a step
+// part left, relaunched in place). The maturation would install the
+// hypothesis's own allocation vector and find the completion due at this
+// dispatch (the armed deadline is that rebalance's bit for bit), and the
+// completion would take the kernel off the device again. Alone on the
+// device, the skipped rebalances would change nothing: a set of one kernel
+// or none takes its allocation in closed form (loneShare) and never touches
+// the share cache, and the lead's hypothesis is that closed form too, so a
+// lone lead's whole life reads and writes no cache entry. Beside running
+// kernels, a skipped maturation leaves exactly two things behind, which the
+// retire applies (settleUnmatured): each running kernel's accrual to
+// leadUntil under its old allocation, and the hypothesis's allocation for
+// it, looked up as the maturation's rebalance looks it up (a counted,
+// promoting cache lookup, a water-fill and a store on a miss), so the cache
+// evolves as through the maturation. The completion timers the maturation
+// would re-arm need nothing: soonest keeps every re-rounded completion after
+// the lead's, and the completion's own rebalance at this dispatch — its
+// fusion window, or the relaunch in place — re-arms every one of them
+// again. A deadline armed at leadUntil for a fault is not a completion:
+// another client's plain launch may take the fault first without refreshing
+// any lead, and the lead then matures at leadUntil with all of its work ahead
+// (TestShortcutsMatchFullRebalance).
 //
 // The Stop/Pause boundary: HoldLead freezes a lead whose host phase a
 // SIGTSTP interrupted (the unfused arm's sleep would have frozen the same
@@ -169,6 +179,10 @@ func (c *Client) launchLead(spec *KernelSpec, lead time.Duration, waiter *simpro
 // leadsInsert adds k to the pending-leads list, keeping wake order.
 func (d *Device) leadsInsert(k *kernel) {
 	i := len(d.leads)
+	if i == 0 {
+		d.leads = append(d.leads, k)
+		return
+	}
 	for i > 0 && k.wake.Before(&d.leads[i-1].wake) {
 		i--
 	}
@@ -273,7 +287,8 @@ func (c *Client) streamTaken(k *kernel) bool {
 // no-event case the armed (when, seq) IS the completion's, bit-exactly. It
 // reads the share cache (for a lead joining running kernels) and never writes
 // it: no entry is stored or promoted and no hit or miss counted, so the
-// cache's state and statistics stay those of the rebalances alone. A lead
+// cache's state and statistics stay those of the rebalances alone (an
+// unmatured retire's lookup stands in for its maturation's). A lead
 // that would queue arms nothing. leadExact records whether the deadline is
 // that completion: not when a fault is armed (the deadline is then the launch
 // instant, leadUntil) and not when a running kernel's re-rounded completion
@@ -351,11 +366,7 @@ func (d *Device) leadSet(k *kernel) (idx int, taxed bool) {
 // at idx, as the maturation's cache miss would (fill), and returns it; every
 // kernel keeps its true allocation. The vector is d.scratchAllocs.
 func (d *Device) dryRun(k *kernel, idx int, taxed bool) []float64 {
-	run := d.scratchRun[:0]
-	run = append(run, d.running[:idx]...)
-	run = append(run, k)
-	run = append(run, d.running[idx:]...)
-	d.scratchRun = run
+	run := d.withLead(k, idx)
 	saved := d.scratchAllocs[:0]
 	for _, rk := range run {
 		saved = append(saved, rk.alloc)
@@ -368,6 +379,17 @@ func (d *Device) dryRun(k *kernel, idx int, taxed bool) []float64 {
 	}
 	d.scratchAllocs = saved
 	return saved
+}
+
+// withLead builds the running set with lead k inserted at idx, in
+// d.scratchRun.
+func (d *Device) withLead(k *kernel, idx int) []*kernel {
+	run := d.scratchRun[:0]
+	run = append(run, d.running[:idx]...)
+	run = append(run, k)
+	run = append(run, d.running[idx:]...)
+	d.scratchRun = run
+	return run
 }
 
 // soonest is the soonest completion lead k's maturation (allocation vector

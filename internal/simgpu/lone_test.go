@@ -3,6 +3,7 @@ package simgpu
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -196,6 +197,106 @@ func TestLoneLeadStepAllocFree(t *testing.T) {
 // op is one engine step, one step.
 func BenchmarkLoneLeadStep(b *testing.B) {
 	eng, _ := loneLeadRig(b, time.Microsecond)
+	for i := 0; i < 64; i++ {
+		eng.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Step()
+	}
+}
+
+// leadBesideRig is one inline process's host-lead self-loop (a 1 µs lead
+// before every 30 µs kernel) beside one long plain kernel of another client,
+// on an MPS device with the residency tax, lead-capable or, with full,
+// FullRebalance. The loop exits after steps steps (0: never), appending each
+// kernel's end to ends when ends is not nil; the long kernel's end goes there
+// too.
+func leadBesideRig(tb testing.TB, full bool, steps int, long time.Duration, ends *[]time.Duration) (*simtime.Virtual, *Device) {
+	eng := simtime.NewVirtual()
+	procs := simproc.NewRuntime(eng)
+	dev := NewDevice(eng, DeviceConfig{Name: "gpu", NoTraces: true, FullRebalance: full, ResidencyTax: DefaultResidencyTax})
+	c, err := dev.NewClient(ClientConfig{Name: "task"})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	main, err := dev.NewClient(ClientConfig{Name: "main"})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	record := func() {
+		if ends != nil {
+			*ends = append(*ends, eng.Now())
+		}
+	}
+	_ = main.Launch(&KernelSpec{Name: "main", Duration: long, Demand: 1, Weight: 1}, func(error) { record() })
+	spec := &KernelSpec{Name: "step", Duration: 30 * time.Microsecond, Demand: 0.55, Weight: 0.3}
+	procs.SpawnInline("steps", func(p *simproc.Process) {
+		n := 0
+		var k func(any)
+		k = func(any) {
+			if n > 0 {
+				record()
+			}
+			if n++; steps > 0 && n > steps {
+				p.Exit(nil)
+				return
+			}
+			c.ExecLeadThen(p, spec, time.Microsecond, k)
+		}
+		k(nil)
+	})
+	return eng, dev
+}
+
+// TestLeadBesideKernelMatchesFullRebalance runs 1,000 steps of a host-lead
+// self-loop beside one long plain kernel. Every lead retires unmatured, every
+// kernel — the long one too — ends at the instant it ends on a FullRebalance
+// device, and the share cache counts what the maturations would: one miss at
+// the first step, one hit at every step after it.
+func TestLeadBesideKernelMatchesFullRebalance(t *testing.T) {
+	var lead, ref []time.Duration
+	eng, dev := leadBesideRig(t, false, 1000, time.Second, &lead)
+	eng.MustDrain(1 << 20)
+	refEng, _ := leadBesideRig(t, true, 1000, time.Second, &ref)
+	refEng.MustDrain(1 << 20)
+	if len(lead) != 1001 || !slices.Equal(lead, ref) {
+		t.Fatalf("%d kernel ends, want 1,001; lead-capable and FullRebalance ends differ: %v\nvs %v", len(lead), lead, ref)
+	}
+	if lead[999] >= lead[1000] {
+		t.Fatalf("the long kernel ended at %v, inside the steps (last %v)", lead[1000], lead[999])
+	}
+	if n, _ := dev.Shortcuts(); n != 1000 {
+		t.Fatalf("%d leads retired unmatured, want 1,000", n)
+	}
+	if hits, misses := dev.ShareCacheStats(); hits != 999 || misses != 1 {
+		t.Fatalf("share cache: %d hits, %d misses; want 999 and 1", hits, misses)
+	}
+}
+
+// TestLeadBesideKernelAllocFree pins BenchmarkLeadBesideKernel at 0 allocs/op.
+func TestLeadBesideKernelAllocFree(t *testing.T) {
+	eng, dev := leadBesideRig(t, false, 0, 24*time.Hour, nil)
+	for i := 0; i < 64; i++ {
+		eng.Step()
+	}
+	unmatured, _ := dev.Shortcuts()
+	allocs := testing.AllocsPerRun(2000, func() { eng.Step() })
+	if allocs != 0 {
+		t.Fatalf("a host-lead step beside a kernel allocates %.2f objects/op, want 0", allocs)
+	}
+	if n, _ := dev.Shortcuts(); n == unmatured {
+		t.Fatal("the pin did not retire a lead unmatured")
+	}
+}
+
+// BenchmarkLeadBesideKernel is the co-located side-task step of the Table 2
+// baselines: one inline process's host-lead self-loop beside a long kernel of
+// another client on a lead-capable MPS device. One op is one engine step, one
+// step.
+func BenchmarkLeadBesideKernel(b *testing.B) {
+	eng, _ := leadBesideRig(b, false, 0, 24*time.Hour, nil)
 	for i := 0; i < 64; i++ {
 		eng.Step()
 	}

@@ -41,42 +41,46 @@ type partEnd struct {
 
 // shortcutCase is one scripted scenario: a task runs steps of parts kernels
 // of dur each, the first after a host lead of lead, and stim schedules the
-// perturbations. The task's first step begins at 0.
+// perturbations; launch(i, d) launches a kernel of d on the i-th of two other
+// clients. The task's first step begins at 0.
 type shortcutCase struct {
 	name  string
 	lead  time.Duration
 	parts int
 	dur   time.Duration
-	stim  func(eng *simtime.Virtual, p *simproc.Process, dev *Device, launch func(time.Duration))
-	// lone and inPlace: the shortcut must engage on the lead-capable device.
-	lone, inPlace bool
+	stim  func(eng *simtime.Virtual, p *simproc.Process, dev *Device, launch func(i int, d time.Duration))
+	// unmatured and inPlace are the shortcuts the lead-capable device must
+	// take under PolicyMPS ([0]) and PolicyTimeSlice ([1]).
+	unmatured, inPlace [2]uint64
 }
 
 // shortcutRun is one arm's observable surface: the task's part ends, the
-// other client's kernel ends, the device's work and kernel counts and its
+// other clients' kernel ends, the device's work and kernel counts and its
 // shortcut counts.
 type shortcutRun struct {
-	ends     []partEnd
-	others   []time.Duration
-	work     float64
-	kernels  uint64
-	lone, in uint64
+	ends          []partEnd
+	others        []time.Duration
+	work          float64
+	kernels       uint64
+	unmatured, in uint64
 }
 
-// runShortcutArm plays tc on a lead-capable device or, with full, on a
-// FullRebalance one, where a lead is the process's own sleep and every part a
-// plain launch from the completion's continuation. Three steps run; the
-// process observes every part boundary through its part source, which the
+// runShortcutArm plays tc under policy on a lead-capable device or, with full,
+// on a FullRebalance one, where a lead is the process's own sleep and every
+// part a plain launch from the completion's continuation. Three steps run;
+// the process observes every part boundary through its part source, which the
 // device calls in place of the continuation where it relaunches in place, at
-// the same instant, and each step's last kernel's start at the step's end. A SIGTSTP holds a pending lead, as the side-task harness
-// arranges.
-func runShortcutArm(t *testing.T, full bool, tc shortcutCase) shortcutRun {
+// the same instant, and each step's last kernel's start at the step's end. A
+// SIGTSTP holds a pending lead, as the side-task harness arranges.
+func runShortcutArm(t *testing.T, policy Policy, full bool, tc shortcutCase) shortcutRun {
 	t.Helper()
 	eng := simtime.NewVirtual()
 	procs := simproc.NewRuntime(eng)
-	dev := NewDevice(eng, DeviceConfig{Name: "gpu", NoTraces: true, FullRebalance: full, ResidencyTax: DefaultResidencyTax})
+	dev := NewDevice(eng, DeviceConfig{Name: "gpu", Policy: policy, NoTraces: true, FullRebalance: full, ResidencyTax: DefaultResidencyTax})
+	// The task's client sits between the others in client order.
+	others := []*Client{mustClient(t, dev, ClientConfig{Name: "other0"}), nil}
 	task := mustClient(t, dev, ClientConfig{Name: "task"})
-	other := mustClient(t, dev, ClientConfig{Name: "other"})
+	others[1] = mustClient(t, dev, ClientConfig{Name: "other1"})
 	var run shortcutRun
 	record := func(started time.Duration, failed bool) {
 		run.ends = append(run.ends, partEnd{eng.Now(), started, failed})
@@ -120,14 +124,14 @@ func runShortcutArm(t *testing.T, full bool, tc shortcutCase) shortcutRun {
 			task.ReleaseLead()
 		}
 	})
-	tc.stim(eng, p, dev, func(d time.Duration) {
-		_ = other.Launch(&KernelSpec{Name: "o", Duration: d, Demand: 0.5, Weight: 0.5}, func(error) {
+	tc.stim(eng, p, dev, func(i int, d time.Duration) {
+		_ = others[i].Launch(&KernelSpec{Name: "o", Duration: d, Demand: 0.5, Weight: 0.5 + float64(i)}, func(error) {
 			run.others = append(run.others, eng.Now())
 		})
 	})
 	eng.MustDrain(1 << 20)
 	run.work, run.kernels = dev.WorkDone(), dev.KernelsCompleted()
-	run.lone, run.in = dev.Shortcuts()
+	run.unmatured, run.in = dev.Shortcuts()
 	return run
 }
 
@@ -142,83 +146,132 @@ func at(eng *simtime.Virtual, when time.Duration, late bool, fn func()) {
 	eng.Schedule(when, "stim", fn)
 }
 
-// TestShortcutsMatchFullRebalance pins both completion shortcuts — the lone
-// lead retired without maturing, the step part relaunched in place — against
-// the FullRebalance reference: the same part ends at the same instants, with
-// the same starts, failures, work done and kernel count, in the scenarios
-// where a shortcut that trusted less than it checks would go wrong. Each
-// case must engage the shortcuts it names on the lead-capable device, and
-// the reference takes neither.
+// TestShortcutsMatchFullRebalance pins both completion shortcuts — the lead
+// retired without maturing, alone or beside running kernels, and the step
+// part relaunched in place — against the FullRebalance reference, under both
+// policies: the same part ends at the same instants, with the same starts,
+// failures, work done and kernel count, and the other clients' kernels end at
+// the same instants, in the scenarios where a shortcut that trusted less than
+// it checks would go wrong. Each case takes exactly the shortcuts it counts
+// on the lead-capable device, and the reference takes none.
 func TestShortcutsMatchFullRebalance(t *testing.T) {
 	const ms = time.Millisecond
 	var cases []shortcutCase
 	for _, parts := range []int{1, 3} {
+		// counts is one shortcut's count with one-part and three-part steps
+		// under PolicyMPS, then under PolicyTimeSlice; n is the same count
+		// under both policies.
+		counts := func(mps1, mps3, ts1, ts3 uint64) [2]uint64 {
+			if parts == 1 {
+				return [2]uint64{mps1, ts1}
+			}
+			return [2]uint64{mps3, ts3}
+		}
+		n := func(one, three uint64) [2]uint64 { return counts(one, three, one, three) }
+		// Every part after a step's first, with none, or one, left to the
+		// round trip.
+		all, allBut1 := n(0, 6), n(0, 5)
 		cases = append(cases,
 			// The fault arms the lead's timer at leadUntil; the other
 			// client's launch takes it and refreshes no lead. The lead then
 			// matures at 10ms with all its work ahead: not a completion.
 			shortcutCase{name: "fault taken by another client in the host phase", lead: 10 * ms, parts: parts, dur: 5 * ms,
-				stim: func(eng *simtime.Virtual, _ *simproc.Process, dev *Device, launch func(time.Duration)) {
+				stim: func(eng *simtime.Virtual, _ *simproc.Process, dev *Device, launch func(int, time.Duration)) {
 					at(eng, 4*ms, false, func() { dev.InjectKernelFault("") })
-					at(eng, 6*ms, false, func() { launch(ms) })
-				}, lone: true, inPlace: parts > 1},
+					at(eng, 6*ms, false, func() { launch(0, ms) })
+				}, unmatured: n(2, 2), inPlace: all},
 			// A fault armed for the task at a part boundary fails the next
-			// part's launch: no relaunch in place there.
+			// launch: no relaunch in place there, and the task ends.
 			shortcutCase{name: "fault at a part boundary", lead: 10 * ms, parts: parts, dur: 5 * ms,
-				stim: func(eng *simtime.Virtual, _ *simproc.Process, dev *Device, _ func(time.Duration)) {
+				stim: func(eng *simtime.Virtual, _ *simproc.Process, dev *Device, _ func(int, time.Duration)) {
 					at(eng, 20*ms, false, func() { dev.InjectKernelFault("") })
-				}, lone: true, inPlace: parts > 1},
+				}, unmatured: n(1, 1), inPlace: n(0, 1)},
 		)
 		for _, late := range []bool{false, true} {
+			// pick is a count ahead of the stimulus's event, or behind it.
+			pick := func(ahead, behind [2]uint64) [2]uint64 {
+				if late {
+					return behind
+				}
+				return ahead
+			}
 			cases = append(cases,
 				// Ahead of the wake the hold freezes the host phase; behind
 				// it the lead matures and runs through the stop.
 				shortcutCase{name: fmt.Sprintf("SIGTSTP at leadUntil, late %v", late), lead: 10 * ms, parts: parts, dur: 5 * ms,
-					stim: func(eng *simtime.Virtual, p *simproc.Process, _ *Device, _ func(time.Duration)) {
+					stim: func(eng *simtime.Virtual, p *simproc.Process, _ *Device, _ func(int, time.Duration)) {
 						at(eng, 10*ms, late, func() { p.Signal(simproc.SigStop) })
 						at(eng, 30*ms, false, func() { p.Signal(simproc.SigCont) })
-					}, lone: true, inPlace: parts > 1},
+					}, unmatured: n(2, 2), inPlace: pick(all, allBut1)},
 				// A stop at a part boundary defers the delivery: no
-				// relaunch in place there.
+				// relaunch in place there. Ahead of the completion, the hold
+				// matures the lead.
 				shortcutCase{name: fmt.Sprintf("SIGTSTP at a part boundary, late %v", late), lead: 10 * ms, parts: parts, dur: 5 * ms,
-					stim: func(eng *simtime.Virtual, p *simproc.Process, _ *Device, _ func(time.Duration)) {
+					stim: func(eng *simtime.Virtual, p *simproc.Process, _ *Device, _ func(int, time.Duration)) {
 						at(eng, 15*ms, late, func() { p.Signal(simproc.SigStop) })
 						at(eng, 30*ms, false, func() { p.Signal(simproc.SigCont) })
-					}, lone: true, inPlace: parts > 1},
-				// Ahead of the lead's completion the launch matures the lead
-				// and shares the device; behind it the lead is lone.
+					}, unmatured: pick(n(2, 2), n(2, 3)), inPlace: allBut1},
+				// Ahead of the lead's completion the launch matures the lead;
+				// behind it the lead retires unmatured, alone.
 				shortcutCase{name: fmt.Sprintf("another client launches at the completion, late %v", late), lead: 10 * ms, parts: parts, dur: 5 * ms,
-					stim: func(eng *simtime.Virtual, _ *simproc.Process, _ *Device, launch func(time.Duration)) {
-						at(eng, 15*ms, late, func() { launch(2 * ms) })
-						at(eng, 35*ms, late, func() { launch(3 * ms) })
-					}, lone: true, inPlace: parts > 1},
+					stim: func(eng *simtime.Virtual, _ *simproc.Process, _ *Device, launch func(int, time.Duration)) {
+						at(eng, 15*ms, late, func() { launch(0, 2*ms) })
+						at(eng, 35*ms, late, func() { launch(0, 3*ms) })
+					}, unmatured: pick(n(2, 1), n(3, 2)), inPlace: all},
 				// The other client's kernel runs across the whole first
-				// kernel: the lead is the only lead but not alone, so it must
-				// mature, and the residency tax it brings slows the other.
+				// kernel: the lead is the only lead but not alone, so it
+				// retires unmatured beside the other's kernel, which it slows
+				// with the residency tax it brings, and the parts after it
+				// relaunch in place beside that kernel. Under time-slicing
+				// the other's kernel ends inside the first lead's, and that
+				// completion matures the lead.
 				shortcutCase{name: fmt.Sprintf("another client's kernel spans the lead's, late %v", late), lead: 10 * ms, parts: parts, dur: 5 * ms,
-					stim: func(eng *simtime.Virtual, _ *simproc.Process, _ *Device, launch func(time.Duration)) {
-						at(eng, 8*ms, late, func() { launch(12 * ms) })
-					}, lone: true, inPlace: parts > 1},
+					stim: func(eng *simtime.Virtual, _ *simproc.Process, _ *Device, launch func(int, time.Duration)) {
+						at(eng, 8*ms, late, func() { launch(0, 12*ms) })
+					}, unmatured: counts(3, 3, 2, 2), inPlace: all},
+				// Two other clients' kernels, of different weights, run
+				// across the lead and its kernel: the lead enters the set
+				// between them in client order. Under time-slicing their
+				// kernels end inside a lead's, maturing it, once or twice.
+				shortcutCase{name: fmt.Sprintf("two other clients' kernels span the lead's, late %v", late), lead: 10 * ms, parts: parts, dur: 5 * ms,
+					stim: func(eng *simtime.Virtual, _ *simproc.Process, _ *Device, launch func(int, time.Duration)) {
+						at(eng, 8*ms, late, func() { launch(0, 12*ms) })
+						at(eng, 9*ms, late, func() { launch(1, 30*ms) })
+					}, unmatured: counts(3, 3, 1, 2), inPlace: all},
 			)
 		}
-		cases = append(cases, shortcutCase{name: "zero-length kernels", lead: 10 * ms, parts: parts,
-			stim: func(*simtime.Virtual, *simproc.Process, *Device, func(time.Duration)) {}, lone: true, inPlace: parts > 1})
+		cases = append(cases,
+			// One long kernel spans all three steps: every lead retires
+			// unmatured beside it, and every part relaunches in place
+			// beside it.
+			shortcutCase{name: "a part relaunched in place beside a running kernel", lead: ms, parts: parts, dur: 2 * ms,
+				stim: func(eng *simtime.Virtual, _ *simproc.Process, _ *Device, launch func(int, time.Duration)) {
+					at(eng, 0, false, func() { launch(1, 100*ms) })
+				}, unmatured: n(3, 3), inPlace: all},
+			shortcutCase{name: "zero-length kernels", lead: 10 * ms, parts: parts,
+				stim:      func(*simtime.Virtual, *simproc.Process, *Device, func(int, time.Duration)) {},
+				unmatured: n(3, 3), inPlace: all},
+		)
 	}
-	for _, tc := range cases {
-		what := fmt.Sprintf("%s, %d parts", tc.name, tc.parts)
-		lead, ref := runShortcutArm(t, false, tc), runShortcutArm(t, true, tc)
-		if !slices.Equal(lead.ends, ref.ends) || !slices.Equal(lead.others, ref.others) {
-			t.Errorf("%s: kernel ends diverge\nlead-capable %v, other client %v\nreference    %v, other client %v",
-				what, lead.ends, lead.others, ref.ends, ref.others)
-		}
-		if lead.work != ref.work || lead.kernels != ref.kernels {
-			t.Errorf("%s: work %v in %d kernels, reference %v in %d", what, lead.work, lead.kernels, ref.work, ref.kernels)
-		}
-		if (lead.lone > 0) != tc.lone || (lead.in > 0) != tc.inPlace {
-			t.Errorf("%s: %d lone leads and %d relaunches in place, want any: %v, %v", what, lead.lone, lead.in, tc.lone, tc.inPlace)
-		}
-		if ref.lone != 0 || ref.in != 0 {
-			t.Errorf("%s: the reference took %d lone and %d in-place shortcuts", what, ref.lone, ref.in)
+	for _, policy := range []Policy{PolicyMPS, PolicyTimeSlice} {
+		for _, tc := range cases {
+			what := fmt.Sprintf("%v: %s, %d parts", policy, tc.name, tc.parts)
+			lead, ref := runShortcutArm(t, policy, false, tc), runShortcutArm(t, policy, true, tc)
+			if !slices.Equal(lead.ends, ref.ends) || !slices.Equal(lead.others, ref.others) {
+				t.Errorf("%s: kernel ends diverge\nlead-capable %v, other clients %v\nreference    %v, other clients %v",
+					what, lead.ends, lead.others, ref.ends, ref.others)
+			}
+			if lead.work != ref.work || lead.kernels != ref.kernels {
+				t.Errorf("%s: work %v in %d kernels, reference %v in %d", what, lead.work, lead.kernels, ref.work, ref.kernels)
+			}
+			i := int(policy - PolicyMPS)
+			if lead.unmatured != tc.unmatured[i] || lead.in != tc.inPlace[i] {
+				t.Errorf("%s: %d leads retired unmatured and %d parts relaunched in place, want %d and %d",
+					what, lead.unmatured, lead.in, tc.unmatured[i], tc.inPlace[i])
+			}
+			if ref.unmatured != 0 || ref.in != 0 {
+				t.Errorf("%s: the reference took %d unmatured and %d in-place shortcuts", what, ref.unmatured, ref.in)
+			}
 		}
 	}
 }
@@ -263,7 +316,7 @@ func imperativeStepRig(tb testing.TB) func() {
 }
 
 // BenchmarkImperativeStep is one eight-part step on the event loop over a
-// lead-capable device: a host lead retired as a lone lead, then seven parts
+// lead-capable device: a host lead retired unmatured, then seven parts
 // relaunched in place. One op is one step.
 func BenchmarkImperativeStep(b *testing.B) {
 	step := imperativeStepRig(b)

@@ -118,11 +118,9 @@ type Process struct {
 	rt     *Runtime
 	name   string
 	inline bool
-	// wakeName/wakeFn are the precomputed sleep-event label and callback:
-	// Sleep is the hottest schedule site in the simulator and must not
-	// allocate per call.
-	wakeName string
-	wakeFn   func()
+	// wakeFn is the precomputed sleep-event callback: Sleep is the hottest
+	// schedule site in the simulator and must not allocate per call.
+	wakeFn func()
 	// wakeAny is the precomputed func(any) form of Wake handed to WaitEvent
 	// setups, so registering a wake source allocates nothing.
 	wakeAny func(any)
@@ -184,7 +182,6 @@ func (rt *Runtime) newProcess(name string, inline bool) *Process {
 		inline: inline,
 		state:  StateRunning,
 	}
-	p.wakeName = "wake:" + p.name
 	p.wakeFn = func() { p.Wake(nil) }
 	p.wakeAny = p.Wake
 	return p
@@ -203,7 +200,7 @@ func (rt *Runtime) Spawn(name string, fn func(p *Process) error) *Process {
 		p.yield = yield
 		p.run(fn)
 	})
-	rt.eng.ScheduleDetached(0, "spawn:"+p.name, func() { p.resume(nil, false) })
+	rt.eng.ScheduleDetached(0, "", func() { p.resume(nil, false) })
 	return p
 }
 
@@ -214,7 +211,7 @@ func (rt *Runtime) Spawn(name string, fn func(p *Process) error) *Process {
 // calling p.Exit.
 func (rt *Runtime) SpawnInline(name string, start func(p *Process)) *Process {
 	p := rt.newProcess(name, true)
-	rt.eng.ScheduleDetached(0, "spawn:"+p.name, func() {
+	rt.eng.ScheduleDetached(0, "", func() {
 		if p.state == StateExited || p.state == StateKilled {
 			return // killed before the start event fired
 		}
@@ -603,7 +600,7 @@ func (p *Process) deliverPending() {
 // yield (re-enter the event queue at the current instant).
 func (p *Process) Sleep(d time.Duration) {
 	p.BeginWait(nil)
-	p.rt.eng.ScheduleDetached(d, p.wakeName, p.wakeFn)
+	p.rt.eng.ScheduleDetached(d, "", p.wakeFn)
 	p.Await("sleep")
 }
 
@@ -642,7 +639,7 @@ func (p *Process) spendDeferred() {
 // SleepThen is the inline form of Sleep: k runs after d of engine time.
 func (p *Process) SleepThen(d time.Duration, k func(any)) {
 	p.BeginWait(k)
-	p.rt.eng.ScheduleDetached(d, p.wakeName, p.wakeFn)
+	p.rt.eng.ScheduleDetached(d, "", p.wakeFn)
 	p.EndWait("sleep")
 }
 
