@@ -160,7 +160,7 @@ func (c *memConn) SendMsg(m Msg) error {
 	}
 	e.m = m
 
-	c.eng.ScheduleJoin(lat, "rpc-deliver", e.fire)
+	c.eng.ScheduleJoin(lat, e.fire)
 	return nil
 }
 

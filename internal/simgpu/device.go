@@ -102,11 +102,11 @@ type DeviceConfig struct {
 	// FullRebalance forces the original full-recompute scheduler pass
 	// (rebalanceFull) on every kernel event instead of the
 	// incremental pass that reuses the device's running-set, residency and
-	// share caches and fuses same-instant completion→relaunch rebalances.
-	// The two are float-exact equivalents; the full pass never consults
-	// the share cache either, so it is the reference this package's
-	// differential test (oracle_test.go) compares both against. No session
-	// sets it.
+	// share caches, and turns off the host leads and the completion
+	// shortcuts. The two are float-exact equivalents; the full pass never
+	// consults the share cache either, so it is the reference this
+	// package's differential test (oracle_test.go) compares both against.
+	// No session sets it.
 	FullRebalance bool
 }
 
@@ -164,33 +164,23 @@ type Device struct {
 	shareHits   uint64
 	shareMisses uint64
 
-	// fusedFolds counts fusion windows folded into a launch rebalance;
 	// unmatured and relaunches count the completions that skipped the round
 	// trip (completeKernel): leads retired without maturing, alone or beside
 	// running kernels, and step parts relaunched in place.
-	fusedFolds uint64
 	unmatured  uint64
 	relaunches uint64
-	// fusing marks an open completion→relaunch fusion window: the
-	// rebalance owed by the last kernel completion has been deferred in the
-	// hope that the completion's continuation immediately launches a
-	// successor at the same instant, folding both transitions into one
-	// pass. Every state-observing or -mutating entry point flushes the
-	// window first (flushFusion); completeKernel flushes on return,
-	// so a window never outlives its dispatch.
-	fusing bool
 
 	// taxScale is the residency tax's factor, 1/(1+ResidencyTax), computed
 	// once: fill and loneShare multiply by it (rebalanceFull, the
 	// reference, divides afresh; the bits are the same).
 	taxScale float64
 
-	// fusable gates the fusion window and the host leads: the
-	// full-recompute oracle neither fuses nor leads. No engine time passes
-	// between a completion and its continuation's relaunch — a callback's
-	// Now is its deadline, on a paced engine too — which is what makes the
-	// fused single rebalance exact.
-	fusable bool
+	// leadCapable gates the host leads and the in-place relaunch: the
+	// full-recompute oracle does neither. No engine time passes between a
+	// completion and its continuation's relaunch — a callback's Now is its
+	// deadline, on a paced engine too — which is what makes the relaunch
+	// inside the completion exact.
+	leadCapable bool
 
 	// leads are pending host-lead kernels (ExecLeadThen), in wake order:
 	// created but not yet launched, they reach their stream lazily at the
@@ -242,7 +232,7 @@ func NewDevice(eng *simtime.Virtual, cfg DeviceConfig) *Device {
 		clients: make(map[string]*Client),
 	}
 	d.leads = d.leadSlot[:0]
-	d.fusable = !cfg.FullRebalance
+	d.leadCapable = !cfg.FullRebalance
 	d.taxScale = 1 / (1 + cfg.ResidencyTax)
 	return d
 }
@@ -510,32 +500,16 @@ func (d *Device) ShareCacheStats() (hits, misses uint64) {
 	return d.shareHits, d.shareMisses
 }
 
-// FusedFolds reports how many completion→relaunch fusion windows were folded
-// into a launch's rebalance (for tests and measurement).
-func (d *Device) FusedFolds() uint64 {
-	return d.fusedFolds
-}
+// FusedFolds reports 0. A kernel completion rebalances before it delivers,
+// so there is no deferred rebalance for a launch to fold in; the method stays
+// only because the repository benchmark still reads it.
+func (d *Device) FusedFolds() uint64 { return 0 }
 
 // Shortcuts reports how many completions skipped the device round trip: host
 // leads retired without maturing, alone or beside running kernels, and step
 // parts relaunched in place (for tests and measurement).
 func (d *Device) Shortcuts() (unmatured, inPlace uint64) {
 	return d.unmatured, d.relaunches
-}
-
-// flushFusion settles an open completion→relaunch fusion window by running the
-// deferred rebalance. Called at the top of every device entry point that
-// observes or mutates scheduler state — a launch that merely queues, memory
-// traffic, Destroy — and by completeKernel after the completion delivery
-// returns, so a window never outlives the dispatch that opened it. (NewClient
-// needs no flush: a fresh client is neither resident nor running, so it cannot
-// interact with the deferred transition.) The immediate-launch path folds the
-// window into its own rebalance instead.
-func (d *Device) flushFusion() {
-	if d.fusing {
-		d.fusing = false
-		d.rebalance()
-	}
 }
 
 // Name reports the client name.
@@ -562,7 +536,6 @@ func (c *Client) AllocMem(n int64) error {
 		return fmt.Errorf("simgpu: negative allocation %d", n)
 	}
 	d := c.dev
-	d.flushFusion()
 	d.matureLeads(nil)
 	if c.closed {
 		return ErrClientClosed
@@ -591,7 +564,6 @@ func (c *Client) AllocMem(n int64) error {
 // FreeMem releases n bytes (clamped to the current allocation).
 func (c *Client) FreeMem(n int64) {
 	d := c.dev
-	d.flushFusion()
 	d.matureLeads(nil)
 	if n > c.memUsed {
 		n = c.memUsed
@@ -615,7 +587,6 @@ func (c *Client) Destroy() {
 	if c.closed {
 		return
 	}
-	d.flushFusion()
 	d.matureLeads(nil)
 	c.closed = true
 	aborted := make([]*kernel, 0, len(c.queue)+1)
@@ -680,7 +651,6 @@ func (c *Client) Destroy() {
 // just extends the prefix; arming is idempotent per pending fault.
 func (d *Device) InjectKernelFault(prefix string) {
 	// Leads whose host phase has elapsed launched before this instant.
-	d.flushFusion()
 	d.matureLeads(nil)
 	d.faultErr = ErrInjectedFault
 	d.faultPrefix = prefix

@@ -185,15 +185,8 @@ func (c *Client) launch(spec *KernelSpec, onComplete func(error), waiter *simpro
 		k.started = d.eng.Now()
 		d.runningInsert(k)
 		d.residencyChanged(c)
-		// Fold an open fusion window: this launch's rebalance covers the
-		// deferred completion transition too (both at the same instant).
-		if d.fusing {
-			d.fusing = false
-			d.fusedFolds++
-		}
 		d.rebalance()
 	} else {
-		d.flushFusion()
 		c.queue = append(c.queue, k)
 	}
 	return nil
@@ -210,7 +203,7 @@ func (c *Client) launch(spec *KernelSpec, onComplete func(error), waiter *simpro
 // do. Elsewhere BeginWait spends it as the sleep itself.
 func (c *Client) Exec(p *simproc.Process, spec *KernelSpec) error {
 	var lead time.Duration
-	if c.dev.fusable {
+	if c.dev.leadCapable {
 		lead = p.TakeDeferredSleep()
 	}
 	p.BeginWait(nil)
@@ -229,13 +222,12 @@ func (c *Client) Exec(p *simproc.Process, spec *KernelSpec) error {
 // (nil on success, otherwise an error) once the kernel finishes.
 //
 // Called from within a kernel-completion delivery (the self-loop: a step or
-// pipeline-op continuation immediately issuing the next kernel), it takes
-// the fused path: the still-armed wait slot is re-armed in place
-// (ChainWait), and the launch folds the deferred completion rebalance into
-// its own — completion and relaunch become one dispatch. The next part of a
-// step whose client has a part source (SetPartSource) does not get here at
-// all: the device relaunches it inside the completion (see completeKernel),
-// which is exact because this call is all the continuation would do.
+// pipeline-op continuation immediately issuing the next kernel), it re-arms
+// the still-armed wait slot in place (ChainWait), so completion and relaunch
+// are one dispatch. The next part of a step whose client has a part source
+// (SetPartSource) does not get here at all: the device relaunches it inside
+// the completion (see completeKernel), which is exact because this call is
+// all the continuation would do.
 func (c *Client) ExecThen(p *simproc.Process, spec *KernelSpec, k func(any)) {
 	if p.ChainWait(spec.Name, k) {
 		_ = c.launch(spec, nil, p)
@@ -622,7 +614,7 @@ func (d *Device) scheduleCompletionAt(k *kernel, i int, at time.Duration, wake *
 	// A fire at the right instant but keyed ahead of the wake's launch came
 	// too early in the instant: it is re-armed where that launch puts it.
 	if wake != nil {
-		k.timer = d.eng.RescheduleAs(k.timer, wake, i, d.eng.Now()+delay, "", k.completeFn)
+		k.timer = d.eng.RescheduleAs(k.timer, wake, i, d.eng.Now()+delay, k.completeFn)
 	} else {
 		k.timer = d.eng.Reschedule(k.timer, delay, "", k.completeFn)
 	}
@@ -630,26 +622,21 @@ func (d *Device) scheduleCompletionAt(k *kernel, i int, at time.Duration, wake *
 }
 
 // completeKernel retires a finished kernel, promotes the client's next
-// queued kernel, and rebalances — or, on a fusable device, defers the
-// rebalance into a fusion window: the completion delivery below runs at the
-// same virtual instant, and when its continuation immediately launches the
-// next kernel (the ExecThen self-loop, the pipeline's op chain), the launch
-// folds the deferred completion transition into its own single rebalance —
-// one accrual, one water-fill (typically a share-cache hit, since the
-// steady-state successor has the same fingerprint), one completion-timer
-// pass, where the unfused path pays all three twice. If nothing relaunches,
-// the flush after delivery settles the window at the same instant; either
-// way the final state is bit-identical to the unfused sequence (same-instant
-// trace points overwrite, rescheduled timers keep their relative order).
+// queued kernel, rebalances and then delivers the completion, on every
+// device: the re-armed completions of the kernels still running take their
+// seqs ahead of whatever the delivery schedules, as the full recompute's do.
+// A continuation that launches at once rebalances again at the same instant,
+// which leaves the state of a single pass over both transitions (same-instant
+// trace points overwrite, an accrual over no time changes no work).
 //
-// Two shapes skip even that round trip, on a fusable device only:
+// Two shapes skip the round trip, on a LeadCapable device only:
 //
 //   - A host lead firing as its own completion (retiresUnmatured) retires
 //     without maturing: alone on the device, the maturation rebalance, the
-//     running-set insert and remove and the flush rebalance over an empty set
-//     change nothing; beside running kernels, the retire applies what the
-//     maturation would leave behind (settleUnmatured) and the completion's
-//     fusion window rebalances at this dispatch exactly as after it.
+//     running-set insert and remove and the completion's rebalance over an
+//     empty set change nothing; beside running kernels, the retire applies
+//     what the maturation would leave behind (settleUnmatured) and the
+//     completion's rebalance runs at this dispatch as after a maturation.
 //   - An imperative step's next part is relaunched in place
 //     (relaunchInPlace), after an unmatured retire too: the kernel stays in
 //     (or takes) its running-set slot, takes the next part's constants and
@@ -658,9 +645,7 @@ func (d *Device) scheduleCompletionAt(k *kernel, i int, at time.Duration, wake *
 //
 // Neither moves an engine event: both run the same arithmetic on the same
 // timers at the same (when, seq), and an unmatured retire makes the
-// maturation's share-cache lookup, so only the fold count differs from the
-// round trip: a lead retired alone and a part relaunched in place open no
-// fusion window.
+// maturation's share-cache lookup.
 func (d *Device) completeKernel(k *kernel) {
 	c := k.client
 	if c == nil {
@@ -708,16 +693,8 @@ func (d *Device) completeKernel(k *kernel) {
 		d.retire(k)
 		return
 	}
-	fused := d.fusable
-	if fused {
-		d.fusing = true
-	} else {
-		d.rebalance()
-	}
+	d.rebalance()
 	d.retire(k)
-	if fused {
-		d.flushFusion()
-	}
 }
 
 // retire returns a completed kernel to the pool and delivers its completion.
@@ -783,16 +760,17 @@ func (d *Device) settleUnmatured(k *kernel) {
 // the client's part source (SetPartSource) has a part left: that
 // continuation is, by the source's contract, an ExecThen of that part, which
 // would take k back from the pool and start it in the slot it just left, at
-// this instant, folding the completion into its launch rebalance. Here k
-// keeps its slot and its residency, takes the part's constants and runs that
-// rebalance; the process's wait is re-armed as ChainWait would
+// this instant, with nothing scheduled in between: its rebalance re-arms
+// every timer the completion's rebalance re-armed. Here k keeps its slot and
+// its residency, takes the part's constants and runs that launch's rebalance
+// only; the process's wait is re-armed as ChainWait would
 // (simproc.Process.ChainInPlace). After an unmatured retire k has no slot
 // and takes the one the launch would give it, beside whatever runs. An armed
 // fault for the client would fail the launch instead, and a queued successor
 // would start first; both take the round trip.
 func (d *Device) relaunchInPlace(k *kernel) bool {
 	c, p := k.client, k.waiter
-	if !d.fusable || c.parts == nil || p == nil || d.faultArmed(c) || !p.ChainReady() {
+	if !d.leadCapable || c.parts == nil || p == nil || d.faultArmed(c) || !p.ChainReady() {
 		return false
 	}
 	spec := c.parts.NextPart()

@@ -63,11 +63,11 @@ import (
 // promoting cache lookup, a water-fill and a store on a miss), so the cache
 // evolves as through the maturation. The completion timers the maturation
 // would re-arm need nothing: soonest keeps every re-rounded completion after
-// the lead's, and the completion's own rebalance at this dispatch — its
-// fusion window, or the relaunch in place — re-arms every one of them
-// again. A deadline armed at leadUntil for a fault is not a completion:
-// another client's plain launch may take the fault first without refreshing
-// any lead, and the lead then matures at leadUntil with all of its work ahead
+// the lead's, and the rebalance this dispatch runs before it delivers (or
+// the relaunch in place's) re-arms every one of them again. A deadline armed
+// at leadUntil for a fault is not a completion: another client's plain
+// launch may take the fault first without refreshing any lead, and the lead
+// then matures at leadUntil with all of its work ahead
 // (TestShortcutsMatchFullRebalance).
 //
 // The Stop/Pause boundary: HoldLead freezes a lead whose host phase a
@@ -89,7 +89,7 @@ import (
 // event: every device but the full-recompute oracle (FullRebalance), where
 // ExecLeadThen spends the lead as the caller's own sleep — two events,
 // bit-identical by construction.
-func (d *Device) LeadCapable() bool { return d.fusable }
+func (d *Device) LeadCapable() bool { return d.leadCapable }
 
 // ExecLeadThen is ExecThen with a host-lead offset: the kernel is launched at
 // now+lead and k receives the completion payload (nil or error) when it
@@ -103,7 +103,7 @@ func (c *Client) ExecLeadThen(p *simproc.Process, spec *KernelSpec, lead time.Du
 	switch {
 	case lead <= 0:
 		c.ExecThen(p, spec, k)
-	case !c.dev.fusable:
+	case !c.dev.leadCapable:
 		// The host phase is the process's own sleep, so a SIGTSTP defers its
 		// wake — and with it the launch — to the SIGCONT. The launch it
 		// continues into is pre-bound on a slot of the client's free-list:
@@ -164,10 +164,8 @@ func (c *Client) launchLead(spec *KernelSpec, lead time.Duration, waiter *simpro
 		return
 	}
 	// The unfused arm's continuation would sleep here without touching the
-	// device, so an open fusion window settles now (flush, not fold — there
-	// is no launch rebalance at this instant to fold into), and leads whose
-	// wakes have passed mature. The sleep's wake takes the next slot.
-	d.flushFusion()
+	// device, so only leads whose wakes have passed mature. The sleep's wake
+	// takes the next slot.
 	d.matureLeads(nil)
 	k := d.popKernel(c, spec, nil, waiter)
 	k.leadUntil = d.eng.Now() + lead
@@ -318,11 +316,11 @@ func (d *Device) armLead(k *kernel) {
 	}
 	k.leadExact = exact
 	if t := k.timer; t.Pending() && t.When() == deadline && t.ArmedAs(&k.wake, idx) {
-		// Unchanged hypothesis (the steady-state fused completion→relaunch
-		// fold restores the same fingerprint): the armed timer stands.
+		// Unchanged hypothesis (a relaunch in place of an identically shaped
+		// part leaves the lead's set as it was): the armed timer stands.
 		return
 	}
-	k.timer = d.eng.RescheduleAs(k.timer, &k.wake, idx, deadline, "", k.completeFn)
+	k.timer = d.eng.RescheduleAs(k.timer, &k.wake, idx, deadline, k.completeFn)
 }
 
 // hypothesis is lead k's maturation rebalance as if k started at leadUntil
@@ -430,7 +428,6 @@ func (d *Device) soonest(k *kernel, idx int, hyp []float64) time.Duration {
 // sorts after the wake. No-op without a pending lead.
 func (c *Client) HoldLead() {
 	d := c.dev
-	d.flushFusion()
 	d.matureLeads(nil)
 	for i := 0; i < len(d.leads); {
 		k := d.leads[i]
@@ -450,7 +447,6 @@ func (c *Client) HoldLead() {
 // delivers at exactly the resume. No-op without a held lead.
 func (c *Client) ReleaseLead() {
 	d := c.dev
-	d.flushFusion()
 	d.matureLeads(nil)
 	for i := 0; i < len(d.held); {
 		k := d.held[i]

@@ -110,8 +110,8 @@ func TestNonFiniteSpecsComplete(t *testing.T) {
 // every 30 µs kernel) alone on a lead-capable device with the residency tax
 // on: with a 1 µs lead, the iterative side-task step inside a bubble, one
 // engine event per step whose completion retires a lone lead; with none, a
-// plain ExecThen self-loop, whose every completion folds into the next
-// launch's rebalance of the one-kernel set.
+// plain ExecThen self-loop, whose every completion rebalances the empty set
+// and whose every launch the one-kernel set.
 func loneLeadRig(tb testing.TB, lead time.Duration) (*simtime.Virtual, *Device) {
 	eng := simtime.NewVirtual()
 	procs := simproc.NewRuntime(eng)

@@ -1,11 +1,14 @@
 package simgpu
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
+	"freeride/internal/simproc"
 	"freeride/internal/simtime"
 	"freeride/internal/trace"
 )
@@ -69,12 +72,12 @@ func buildOracleWorkload(t *testing.T, seed int64, full bool) *oracleRig {
 	for c, cl := range r.clients {
 		c, cl := c, cl
 		// Some clients run a self-loop: the completion callback immediately
-		// relaunches the next kernel, the shape that exercises the
-		// completion→relaunch fusion window (folded on the incremental arm,
-		// never opened on the full oracle) and the share cache's steady
-		// hit/miss interleavings — sometimes with an identical spec
-		// (fingerprint hit), sometimes alternating two specs (the two-way
-		// cache), sometimes with a fresh random spec (guaranteed miss).
+		// relaunches the next kernel, the shape that exercises two
+		// rebalances at one instant (the completion's, then the launch's)
+		// and the share cache's steady hit/miss interleavings — sometimes
+		// with an identical spec (fingerprint hit), sometimes alternating
+		// two specs (the two-way cache), sometimes with a fresh random spec
+		// (guaranteed miss).
 		if rng.Intn(2) == 0 {
 			loops := nKernels
 			specs := [2]KernelSpec{{
@@ -241,5 +244,83 @@ func TestLaunchCompleteAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("two-client launch/complete cycle allocates %.2f objects/op, want 0", allocs)
+	}
+}
+
+// tieRec is one callback of a tie run and the instant it ran at.
+type tieRec struct {
+	what string
+	at   time.Duration
+}
+
+// runTie runs one same-instant tie on a device with the given policy,
+// lead-capable or, with full, FullRebalance, and returns the callbacks in the
+// order they ran, each with its instant. Client a runs a 2 s kernel beside
+// client b's, both at demand 0.5. b's kernel runs 1 s, or, with lead, 900 ms
+// after a 100 ms host lead (retired unmatured beside a's on a lead-capable
+// device); it ends first, and its delivery schedules x 1 s later, where a's
+// re-armed completion falls too. With alloc the delivery then charges a's
+// client 1 MiB.
+func runTie(t *testing.T, policy Policy, full, lead, alloc bool) ([]tieRec, *Device, *Client) {
+	t.Helper()
+	eng, dev := newDev(t, DeviceConfig{Name: "gpu", Policy: policy, NoTraces: true, FullRebalance: full})
+	a := mustClient(t, dev, ClientConfig{Name: "a"})
+	b := mustClient(t, dev, ClientConfig{Name: "b"})
+	var order []tieRec
+	log := func(what string) { order = append(order, tieRec{what, eng.Now()}) }
+	_ = a.Launch(&KernelSpec{Name: "a", Duration: 2 * time.Second, Demand: 0.5}, func(error) { log("a-done") })
+	done := func() {
+		log("b-done")
+		eng.Schedule(time.Second, "x", func() { log("x") })
+		if alloc {
+			if err := a.AllocMem(1 << 20); err != nil {
+				t.Errorf("AllocMem inside the delivery: %v", err)
+			}
+		}
+	}
+	if !lead {
+		_ = b.Launch(&KernelSpec{Name: "b", Duration: time.Second, Demand: 0.5}, func(error) { done() })
+	} else {
+		spec := &KernelSpec{Name: "b", Duration: 900 * time.Millisecond, Demand: 0.5}
+		simproc.NewRuntime(eng).SpawnInline("b", func(p *simproc.Process) {
+			b.ExecLeadThen(p, spec, 100*time.Millisecond, func(any) {
+				done()
+				p.Exit(nil)
+			})
+		})
+	}
+	eng.MustDrain(100)
+	return order, dev, a
+}
+
+// TestCompletionTieMatchesFullRebalance holds a completion's delivery to the
+// reference's order: a running kernel's completion that the completion
+// re-arms onto the instant of an event its delivery schedules runs first, as
+// on a FullRebalance device, under both policies — after a plain completion,
+// after a host lead retired unmatured beside the running kernel, and when the
+// delivery touches the device after scheduling, which then finds the memory
+// charged.
+func TestCompletionTieMatchesFullRebalance(t *testing.T) {
+	for _, policy := range []Policy{PolicyMPS, PolicyTimeSlice} {
+		for _, shape := range []struct {
+			name        string
+			lead, alloc bool
+		}{{"plain", false, false}, {"unmatured lead", true, false}, {"alloc in delivery", false, true}} {
+			what := fmt.Sprintf("%v, %s", policy, shape.name)
+			got, dev, a := runTie(t, policy, false, shape.lead, shape.alloc)
+			want, _, _ := runTie(t, policy, true, shape.lead, shape.alloc)
+			if !slices.Equal(got, want) {
+				t.Errorf("%s: callbacks ran %v on the lead-capable device, %v on FullRebalance", what, got, want)
+			}
+			if len(want) != 3 || want[1].what != "a-done" || want[1].at != want[2].at {
+				t.Errorf("%s: the reference ran %v, want b-done, then a-done and x at one instant", what, want)
+			}
+			if n, _ := dev.Shortcuts(); shape.lead && n != 1 {
+				t.Errorf("%s: %d leads retired unmatured, want 1", what, n)
+			}
+			if shape.alloc && a.MemUsed() != 1<<20 {
+				t.Errorf("%s: client a holds %d bytes, want %d", what, a.MemUsed(), 1<<20)
+			}
+		}
 	}
 }

@@ -174,9 +174,9 @@ func (v *Virtual) Now() time.Duration {
 // virtual time never moves backwards.
 //
 // name is unused: a timer keeps no label, so a Timer is 64 bytes, one cache
-// line per queued event. The parameter stays on every scheduling method
-// because the benchmark driver passes it; slice A0's owner tag (ROADMAP) is
-// to take its slot.
+// line per queued event. The parameter stays on Schedule, ScheduleDetached
+// and Reschedule because the benchmark driver passes it to them; slice A0's
+// owner tag (ROADMAP) is to take its slot.
 func (v *Virtual) Schedule(delay time.Duration, name string, fn func()) *Timer {
 	if fn == nil {
 		panic("simtime: Schedule with nil callback")
@@ -229,8 +229,8 @@ type batch struct {
 // order (the join rule in the type's doc). It reports whether fn joined an
 // already-queued batch — one event fewer than ScheduleDetached would cost.
 // Otherwise fn opens a new batch, or, beyond the wheel horizon, gets a plain
-// detached event. name is unused, as Schedule's.
-func (v *Virtual) ScheduleJoin(delay time.Duration, name string, fn func()) bool {
+// detached event.
+func (v *Virtual) ScheduleJoin(delay time.Duration, fn func()) bool {
 	if fn == nil {
 		panic("simtime: ScheduleJoin with nil callback")
 	}
@@ -408,9 +408,8 @@ func (v *Virtual) passWakes(t *Timer, until time.Duration) {
 // RescheduleAs re-arms t (nil: a new timer) at the absolute instant when,
 // clamped to Now, keyed as the index-th timer armed inside an event at the
 // wake w's slot would be (see the type's doc). w must be pending or passed.
-// At most one timer at a time may be armed as of a pending wake. name is
-// unused, as Schedule's.
-func (v *Virtual) RescheduleAs(t, w *Timer, index int, when time.Duration, name string, fn func()) *Timer {
+// At most one timer at a time may be armed as of a pending wake.
+func (v *Virtual) RescheduleAs(t, w *Timer, index int, when time.Duration, fn func()) *Timer {
 	if fn == nil {
 		panic("simtime: RescheduleAs with nil callback")
 	}
