@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -268,6 +269,44 @@ func BenchmarkEpoch(b *testing.B) {
 		b.Fatal(err)
 	}
 	eng.Drain(0)
+}
+
+// BenchmarkEpochLadder runs the benchmark's schedule-ladder shape at S=64
+// in-package, one epoch per iteration: M=128 (V=2 for interleaved) on
+// trace-less devices, the 3.6B preset's memory scaled by 4/S and 4/M so
+// the hold-all-M schedules fit. Its 64–128 chunks are what BenchmarkEpoch's
+// four are too few to show: a stage machine's per-op state leaves the cache
+// between two of its ops.
+func BenchmarkEpochLadder(b *testing.B) {
+	const stages, mbs = 64, 128
+	m := model.NanoGPT3B
+	m.WeightMemPerStage = m.WeightMemPerStage * 4 / stages
+	m.ActMemPerMB = m.ActMemPerMB * 4 / mbs
+	for _, kind := range model.AllSchedules() {
+		b.Run(kind.String(), func(b *testing.B) {
+			eng := simtime.NewVirtual()
+			procs := simproc.NewRuntime(eng)
+			devices := make([]*simgpu.Device, stages)
+			for i := range devices {
+				devices[i] = simgpu.NewDevice(eng, simgpu.DeviceConfig{
+					Name: fmt.Sprintf("gpu%d", i), MemBytes: model.ServerI.GPUMemBytes, NoTraces: true,
+				})
+			}
+			tr, err := New(eng, procs, devices, Config{Model: m, Stages: stages, MicroBatches: mbs, Epochs: b.N, Schedule: kind})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := tr.Start(); err != nil {
+				b.Fatal(err)
+			}
+			eng.Drain(0)
+			if err := tr.Err(); err != nil || !tr.Done().IsSet() {
+				b.Fatalf("%v: the run did not finish: %v", kind, err)
+			}
+		})
+	}
 }
 
 func TestTwoStagePipeline(t *testing.T) {

@@ -67,8 +67,11 @@ type RunnerConfig struct {
 
 // Runner replays one Plan cycle after cycle: one inline stage machine per
 // virtual chunk runs nextOp → cross-chunk wait → transfer → kernel → retire.
-// The plan is fixed for the run: each chunk binds its op list, dependency
-// edges and kernel names once, at spawn. Chunk v runs on device v mod
+// The plan is fixed for the run: NewRunner packs each op into a 16-byte step
+// record — its kind, its label's end, the slot it waits on and the slot it
+// stamps — so a chunk walks one table, four ops per cache line, instead of
+// three parallel arrays (ops, dependency edges, kernel names) that the engine
+// evicts between two of its ops. Chunk v runs on device v mod
 // Stages; with VirtualPerStage > 1 the stage's chunks share its stream,
 // their kernels FIFO-interleaving. The transfer is
 // the kernel's host lead (simgpu.ExecLeadThen): one engine event per op on a
@@ -88,7 +91,6 @@ type RunnerConfig struct {
 type Runner struct {
 	cfg     RunnerConfig
 	nv      int
-	mbs     int     // the plan's micro-batch count: a board's stride
 	stamp   int32   // released cycle + 1; what a completion writes
 	arrived int     // chunks that retired the released cycle
 	slots   []slot  // forward board, then backward board: nv × mbs each
@@ -107,14 +109,14 @@ type slot struct {
 // and spawns the chunk processes; each parks until the driver's first
 // Release.
 func NewRunner(procs *simproc.Runtime, clients []*simgpu.Client, plan *Plan, cfg RunnerConfig) *Runner {
-	r := &Runner{cfg: cfg, nv: plan.NumVirtual(), mbs: plan.MicroBatches}
-	r.slots = make([]slot, 2*r.nv*r.mbs)
+	r := &Runner{cfg: cfg, nv: plan.NumVirtual()}
+	r.slots = make([]slot, 2*r.nv*plan.MicroBatches)
 	r.chunks = make([]chunk, r.nv)
+	bindSteps(r.chunks, plan, cfg.Label)
 	for v := range r.chunks {
 		phys := v % plan.Stages
 		c := &r.chunks[v]
-		*c = chunk{r: r, v: v, phys: phys, client: clients[phys],
-			ops: plan.Chunks[v], deps: plan.Deps[v], names: chunkLabels(phys, plan.Chunks[v], cfg.Label)}
+		c.r, c.v, c.phys, c.client, c.ops = r, v, phys, clients[phys], plan.Chunks[v]
 		c.spec = simgpu.KernelSpec{Demand: 1.0, Weight: 1.0}
 		c.afterGoFn, c.afterDepFn = c.afterGo, c.afterDep
 		c.execOpFn, c.afterExecFn = c.execOp, c.afterExec
@@ -140,16 +142,6 @@ func (r *Runner) Release() {
 	r.spare = woken[:0]
 }
 
-// slotOf indexes the scoreboard: forward completions on the first board,
-// activation-gradient completions (fused or split backward) on the second.
-func (r *Runner) slotOf(on OpKind, chunk, mb int) *slot {
-	i := chunk*r.mbs + mb
-	if on != OpForward {
-		i += r.nv * r.mbs
-	}
-	return &r.slots[i]
-}
-
 // chunk is the continuation-passing machine of one virtual chunk. It runs
 // entirely on the engine goroutine, with no process-goroutine handshake per
 // dependency, transfer or kernel.
@@ -160,14 +152,16 @@ type chunk struct {
 	phys   int
 	client *simgpu.Client
 
-	ops  []Op
-	deps []Dep // the plan's cross-chunk edges, parallel to ops
-	// names are the per-op kernel labels, precomputed so the op loop never
-	// formats strings.
-	names []string
+	// steps is the chunk's op table, a window of the runner's one slab;
+	// labels is the chunk's window of the runner's one label string, which
+	// the records' ends cut into kernel names. ops, parallel to steps, is
+	// read only by the cold Record and Failed paths.
+	steps  []step
+	labels string
+	ops    []Op
 
 	cycle   int
-	i       int // index into ops
+	i       int // index into steps
 	opStart time.Duration
 
 	// spec is the reusable kernel spec of the op loop; Name/Duration are
@@ -198,11 +192,11 @@ func (c *chunk) afterGo(any) {
 	c.nextOp()
 }
 
-// nextOp dispatches ops[i], or arrives at the cycle barrier when the list is
+// nextOp dispatches op i, or arrives at the cycle barrier when the list is
 // done; the last arrival hands the cycle to the driver.
 func (c *chunk) nextOp() {
 	r := c.r
-	if c.i >= len(c.ops) {
+	if c.i >= len(c.steps) {
 		cycle := c.cycle
 		c.cycle++
 		if r.arrived++; r.arrived == r.nv {
@@ -215,8 +209,8 @@ func (c *chunk) nextOp() {
 		c.waitCycle()
 		return
 	}
-	if dep := c.deps[c.i]; dep.Chunk >= 0 {
-		s := r.slotOf(dep.On, dep.Chunk, dep.MB)
+	if w := c.steps[c.i].wait; w != 0 {
+		s := &r.slots[w-1]
 		if s.done == r.stamp {
 			c.afterDep(nil)
 			return
@@ -261,34 +255,40 @@ func (c *chunk) execOp(any) {
 	c.client.ExecThen(c.p, &c.spec, c.afterExecFn)
 }
 
-// bindSpec points the reusable kernel spec at ops[i].
+// bindSpec points the reusable kernel spec at op i.
 func (c *chunk) bindSpec() {
-	c.spec.Name = c.names[c.i]
-	c.spec.Duration = c.r.cfg.Durations[c.ops[c.i].Kind]
+	c.spec.Name = c.label(c.i)
+	c.spec.Duration = c.r.cfg.Durations[c.steps[c.i].kind]
+}
+
+// label is op i's kernel name: its window of the chunk's labels, from the
+// previous record's end to its own.
+func (c *chunk) label(i int) string {
+	lo := int32(0)
+	if i > 0 {
+		lo = c.steps[i-1].end
+	}
+	return c.labels[lo:c.steps[i].end]
 }
 
 // afterExec retires the op: record its span, stamp its slot and wake the
 // dependent parked there, advance.
 func (c *chunk) afterExec(res any) {
 	r := c.r
-	op := c.ops[c.i]
 	if res != nil {
 		err, ok := res.(error)
 		if !ok {
 			err = fmt.Errorf("pipeline: unexpected completion payload %T", res)
 		}
-		r.cfg.Failed(c.phys, op, err)
+		r.cfg.Failed(c.phys, c.ops[c.i], err)
 		c.p.Exit(err)
 		return
 	}
 	if r.cfg.Record != nil {
-		r.cfg.Record(c.phys, c.v, OpSpan{Op: op, Start: c.opStart, End: c.p.Now()})
+		r.cfg.Record(c.phys, c.v, OpSpan{Op: c.ops[c.i], Start: c.opStart, End: c.p.Now()})
 	}
-	switch op.Kind {
-	case OpForward, OpBackward, OpBackwardInput:
-		// The activation gradient is what the upstream chunk waits on; the
-		// weight-gradient W half and the optimizer signal nothing.
-		s := r.slotOf(op.Kind, c.v, op.MB)
+	if p := c.steps[c.i].post; p != 0 {
+		s := &r.slots[p-1]
 		s.done = r.stamp
 		if w := s.parked; w != 0 {
 			s.parked = 0
@@ -299,31 +299,87 @@ func (c *chunk) afterExec(res any) {
 	c.nextOp()
 }
 
-// chunkLabels builds the kernel names of one chunk's ops —
-// "s<stage>-<kind>-<mb>", or "s<stage>-<label>-<mb>" under a fixed label —
-// as substrings of a single backing string.
-func chunkLabels(phys int, ops []Op, label string) []string {
-	prefix := "s" + strconv.Itoa(phys) + "-"
-	var all strings.Builder
-	all.Grow(len(ops) * (len(prefix) + len(label) + 7))
-	names := make([]string, len(ops))
-	ends := make([]int32, len(ops))
-	var digits [20]byte
-	for i, op := range ops {
-		all.WriteString(prefix)
-		if label != "" {
-			all.WriteString(label)
-		} else {
-			all.WriteString(op.Kind.String())
+// step is one op's record in its chunk's table: 16 bytes, four to a cache
+// line, so the op loop's per-op state — the kernel's name and duration, the
+// scoreboard slot it waits on, the slot it stamps — is one load.
+type step struct {
+	end  int32 // end of the op's label in the chunk's labels
+	wait int32 // index+1 of the slot the op waits on; 0: no cross-chunk wait
+	post int32 // index+1 of the slot the op stamps at retire; 0: none
+	kind uint8 // the op kind, indexing RunnerConfig.Durations
+}
+
+// bindSteps builds every chunk's op table from plan in two allocations, the
+// slab of all chunks' records and the string of all their kernel names
+// (appendLabel's), and points each chunk's steps and labels at its window
+// of them.
+//
+// The scoreboard has two boards of nv × mbs slots: forward completions on
+// the first, activation-gradient completions (fused or split backward) on
+// the second. A forward or activation-gradient op stamps its own slot; the
+// weight-gradient W half and the optimizer stamp none.
+func bindSteps(chunks []chunk, plan *Plan, label string) {
+	nv, mbs := plan.NumVirtual(), plan.MicroBatches
+	slotOf := func(on OpKind, chunk, mb int) int32 {
+		i := chunk*mbs + mb
+		if on != OpForward {
+			i += nv * mbs
 		}
-		all.WriteByte('-')
-		all.Write(strconv.AppendInt(digits[:0], int64(op.MB), 10))
-		ends[i] = int32(all.Len())
+		return int32(i) + 1
 	}
-	off := int32(0)
-	for i, end := range ends {
-		names[i] = all.String()[off:end]
-		off = end
+	total := 0
+	for _, ops := range plan.Chunks {
+		total += len(ops)
 	}
-	return names
+	slab := make([]step, total)
+	var buf [64]byte
+	size := 0
+	for v, ops := range plan.Chunks {
+		c := &chunks[v]
+		c.steps, slab = slab[:len(ops):len(ops)], slab[len(ops):]
+		end := 0
+		for i, op := range ops {
+			end += len(appendLabel(buf[:0], v%plan.Stages, op, label))
+			st := step{end: int32(end), kind: uint8(op.Kind)}
+			if d := plan.Deps[v][i]; d.Chunk >= 0 {
+				st.wait = slotOf(d.On, d.Chunk, d.MB)
+			}
+			switch op.Kind {
+			case OpForward, OpBackward, OpBackwardInput:
+				st.post = slotOf(op.Kind, v, op.MB)
+			}
+			c.steps[i] = st
+		}
+		size += end
+	}
+	var all strings.Builder
+	all.Grow(size)
+	for v, ops := range plan.Chunks {
+		for _, op := range ops {
+			all.Write(appendLabel(buf[:0], v%plan.Stages, op, label))
+		}
+	}
+	labels := all.String()
+	for v := range plan.Chunks {
+		c := &chunks[v]
+		n := 0
+		if len(c.steps) > 0 {
+			n = int(c.steps[len(c.steps)-1].end)
+		}
+		c.labels, labels = labels[:n], labels[n:]
+	}
+}
+
+// appendLabel appends op's kernel name to dst: "s<stage>-<kind>-<mb>", or
+// "s<stage>-<label>-<mb>" under a fixed label.
+func appendLabel(dst []byte, stage int, op Op, label string) []byte {
+	if label == "" {
+		label = op.Kind.String()
+	}
+	dst = append(dst, 's')
+	dst = strconv.AppendInt(dst, int64(stage), 10)
+	dst = append(dst, '-')
+	dst = append(dst, label...)
+	dst = append(dst, '-')
+	return strconv.AppendInt(dst, int64(op.MB), 10)
 }

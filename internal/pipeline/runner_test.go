@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"freeride/internal/model"
 	"freeride/internal/simgpu"
@@ -14,8 +15,10 @@ import (
 	"freeride/internal/simtime"
 )
 
-// TestChunkLabelsMatchSprintf pins the strconv-built kernel names to the
-// fmt.Sprintf forms they replaced, for every op of every schedule kind.
+// TestChunkLabelsMatchSprintf holds the packed op table to what it replaced,
+// for every op of every schedule kind: each record's kernel name to the
+// fmt.Sprintf form, its duration to Durations[kind], and its wait and post
+// slots to the scoreboard indices derived from the plan (checkSteps).
 func TestChunkLabelsMatchSprintf(t *testing.T) {
 	for _, kind := range []ScheduleKind{Schedule1F1B, ScheduleGPipe, ScheduleInterleaved, ScheduleZeroBubble} {
 		v := 1
@@ -26,16 +29,96 @@ func TestChunkLabelsMatchSprintf(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for c, ops := range plan.Chunks {
-			phys := c % plan.Stages
-			train := chunkLabels(phys, ops, "")
-			infer := chunkLabels(phys, ops, "infer")
+		if err := checkSteps(plan); err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+	}
+}
+
+// checkSteps builds plan's op tables under the training names and under the
+// serving label "infer", and reports the first record that disagrees with
+// the plan: a kernel name other than the fmt.Sprintf form, a duration other
+// than Durations[kind], a wait slot other than the one Deps[v][i] names (0
+// without a dependency), or a post slot other than the one the op stamps
+// (0 for W and optimizer ops). The slots are spelt out here independently of
+// the builder: forward board first, then the activation-gradient board, nv ×
+// mbs slots each, stored as index+1.
+func checkSteps(plan *Plan) error {
+	nv, mbs := plan.NumVirtual(), plan.MicroBatches
+	slot := func(on OpKind, chunk, mb int) int32 {
+		board := 0
+		if on != OpForward {
+			board = 1
+		}
+		return int32((board*nv+chunk)*mbs+mb) + 1
+	}
+	var durs [NumOpKinds]time.Duration
+	for k := range durs {
+		durs[k] = time.Duration(k+1) * time.Millisecond
+	}
+	for _, label := range []string{"", "infer"} {
+		r := &Runner{cfg: RunnerConfig{Durations: durs, Label: label}}
+		chunks := make([]chunk, nv)
+		bindSteps(chunks, plan, label)
+		for v, ops := range plan.Chunks {
+			c := &chunks[v]
+			c.r = r
+			if len(c.steps) != len(ops) {
+				return fmt.Errorf("chunk %d: %d records for %d ops", v, len(c.steps), len(ops))
+			}
+			phys := v % plan.Stages
 			for i, op := range ops {
-				if want := fmt.Sprintf("s%d-%v-%d", phys, op.Kind, op.MB); train[i] != want {
-					t.Fatalf("%v chunk %d op %d: label %q, want %q", kind, c, i, train[i], want)
+				c.i = i
+				c.bindSpec()
+				want := fmt.Sprintf("s%d-%v-%d", phys, op.Kind, op.MB)
+				if label != "" {
+					want = fmt.Sprintf("s%d-%s-%d", phys, label, op.MB)
 				}
-				if want := fmt.Sprintf("s%d-infer-%d", phys, op.MB); infer[i] != want {
-					t.Fatalf("%v chunk %d op %d: label %q, want %q", kind, c, i, infer[i], want)
+				if c.spec.Name != want {
+					return fmt.Errorf("chunk %d op %d: label %q, want %q", v, i, c.spec.Name, want)
+				}
+				if c.spec.Duration != durs[op.Kind] {
+					return fmt.Errorf("chunk %d op %d (%v): duration %v, want %v", v, i, op, c.spec.Duration, durs[op.Kind])
+				}
+				var wait, post int32
+				if d := plan.Deps[v][i]; d.Chunk >= 0 {
+					wait = slot(d.On, d.Chunk, d.MB)
+				}
+				if op.Kind != OpBackwardWeight && op.Kind != OpOptimize {
+					post = slot(op.Kind, v, op.MB)
+				}
+				if st := c.steps[i]; st.wait != wait || st.post != post {
+					return fmt.Errorf("chunk %d op %d (%v): waits on %d and stamps %d, want %d and %d",
+						v, i, op, st.wait, st.post, wait, post)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// TestStepTablesAllocateTwice pins the table build at two allocations —
+// the slab of every chunk's records and the string of every kernel name —
+// whatever the chunk count, for every schedule kind, training and serving.
+func TestStepTablesAllocateTwice(t *testing.T) {
+	if size := unsafe.Sizeof(step{}); size > 16 {
+		t.Fatalf("a step record takes %d bytes, want at most 16 (four to a cache line)", size)
+	}
+	for _, kind := range []ScheduleKind{Schedule1F1B, ScheduleGPipe, ScheduleInterleaved, ScheduleZeroBubble} {
+		for _, s := range []int{16, 64} {
+			v := 1
+			if kind == ScheduleInterleaved {
+				v = 2
+			}
+			plan, err := BuildPlan(kind, s, 2*s, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			chunks := make([]chunk, plan.NumVirtual())
+			for _, label := range []string{"", "infer"} {
+				if allocs := testing.AllocsPerRun(10, func() { bindSteps(chunks, plan, label) }); allocs != 2 {
+					t.Errorf("%v S=%d label %q: building %d chunks' tables allocates %.0f objects, want 2",
+						kind, s, label, len(chunks), allocs)
 				}
 			}
 		}

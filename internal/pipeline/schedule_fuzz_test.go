@@ -139,7 +139,8 @@ func TestCheckPlanCatchesBrokenPlans(t *testing.T) {
 // contract: kind × S ≤ 64 × M ≤ 128 × V ≤ 4 either errors or yields a plan
 // whose static replay retires every op of every chunk, with no slot ever
 // holding two parked chunks and every dependency naming an op its producer
-// emits. Seeded with the golden shapes.
+// emits, and whose packed op tables agree with it record by record
+// (checkSteps). Seeded with the golden shapes.
 func FuzzBuildPlan(f *testing.F) {
 	for kind := byte(0); kind < 4; kind++ {
 		for _, sm := range [][2]byte{{4, 4}, {8, 16}, {16, 32}} {
@@ -158,6 +159,9 @@ func FuzzBuildPlan(f *testing.F) {
 		}
 		if err := checkPlan(plan); err != nil {
 			t.Fatalf("%v S=%d M=%d V=%d: %v", k, stages, mbs, virtual, err)
+		}
+		if err := checkSteps(plan); err != nil {
+			t.Fatalf("%v S=%d M=%d V=%d: op table: %v", k, stages, mbs, virtual, err)
 		}
 	})
 }
