@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -686,5 +687,47 @@ func TestAcceptedConfigsRun(t *testing.T) {
 	t.Logf("%d ran to completion, %d refused", ran, refused)
 	if ran < 16 {
 		t.Errorf("only %d of 48 configurations ran — the generator is mostly producing rejects", ran)
+	}
+}
+
+// TestDispatchedByOwner: a Table 2 session, the same under a worker crash
+// and a serving session each dispatch every event under an owner its call
+// site named — the per-owner counts sum to the engine's total exactly, every
+// owner the session has is non-zero, and no event is left to OwnerOther.
+func TestDispatchedByOwner(t *testing.T) {
+	crashed := fastCfg(freeride.MethodIterative)
+	crashed.Faults = simfault.Generate(1, 8*time.Second, 1, []simfault.Kind{simfault.KindCrashWorker}, crashed.Stages)
+	served := fastCfg(freeride.MethodIterative)
+	served.Serving = &freeride.ServingConfig{Guard: 1}
+	for _, tc := range []struct {
+		name string
+		cfg  freeride.Config
+		uses []simtime.Owner
+	}{
+		{"table2", fastCfg(freeride.MethodIterative), []simtime.Owner{simtime.OwnerPipeline, simtime.OwnerSideTask, simtime.OwnerRPC, simtime.OwnerManager}},
+		{"table2-crash", crashed, []simtime.Owner{simtime.OwnerPipeline, simtime.OwnerSideTask, simtime.OwnerRPC, simtime.OwnerManager, simtime.OwnerLiveness, simtime.OwnerFault}},
+		{"serving", served, []simtime.Owner{simtime.OwnerSideTask, simtime.OwnerRPC, simtime.OwnerManager, simtime.OwnerServe}},
+	} {
+		sess, err := freeride.NewSession(tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if _, err := sess.SubmitEverywhere(model.ResNet18); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if _, err := sess.Run(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		by := sess.Eng.DispatchedBy()
+		var sum uint64
+		for o, n := range by {
+			sum += n
+			if used := slices.Contains(tc.uses, simtime.Owner(o)); used != (n > 0) {
+				t.Errorf("%s: owner %d dispatched %d events, want them only for owners %v", tc.name, o, n, tc.uses)
+			}
+		}
+		if sum != sess.Eng.Dispatched() {
+			t.Errorf("%s: per-owner counts %v sum to %d, Dispatched is %d", tc.name, by, sum, sess.Eng.Dispatched())
+		}
 	}
 }

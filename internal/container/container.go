@@ -14,6 +14,7 @@ import (
 
 	"freeride/internal/simgpu"
 	"freeride/internal/simproc"
+	"freeride/internal/simtime"
 )
 
 // Errors returned by the runtime.
@@ -53,9 +54,10 @@ type Runtime struct {
 	containers map[string]*Container
 }
 
-// NewRuntime returns a container runtime.
+// NewRuntime returns a container runtime. Its containers' events are
+// simtime.OwnerSideTask's.
 func NewRuntime(procs *simproc.Runtime) *Runtime {
-	return &Runtime{procs: procs, containers: make(map[string]*Container)}
+	return &Runtime{procs: procs.As(simtime.OwnerSideTask), containers: make(map[string]*Container)}
 }
 
 // Run creates and starts a container whose body is a goroutine process — a

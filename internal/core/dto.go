@@ -4,7 +4,8 @@
 // workers that own task containers and enforce the GPU resource limits
 // (§4.4–4.6). Manager and workers communicate exclusively through freerpc,
 // so the same code runs in-process over the in-memory transport (simulation)
-// and across machines over TCP (freeride-managerd / freeride-workerd).
+// and across machines over TCP (the `freeride-sim manager` and `worker`
+// daemons).
 //
 // The manager (manager.go: types, options, constructor) is one engine's state
 // over five concerns, a file each: placement.go (Alg. 1), reconcile.go (the

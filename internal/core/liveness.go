@@ -3,6 +3,7 @@ package core
 import (
 	"freeride/internal/freerpc"
 	"freeride/internal/sidetask"
+	"freeride/internal/simtime"
 )
 
 // armLease (re)starts w's failure detector: the lease begins now and
@@ -39,7 +40,7 @@ func (m *Manager) armPing() {
 	half := m.opts.Lease / 2
 	now := m.eng.Now()
 	at := m.epoch + ((now-m.epoch)/half+1)*half
-	m.pingTimer = m.eng.Reschedule(m.pingTimer, at-now, "manager-ping", m.pingFn)
+	m.pingTimer = m.eng.RescheduleBy(simtime.OwnerLiveness, m.pingTimer, at-now, m.pingFn)
 }
 
 // pingTick is the liveness tick: it arms the lease check of every alive
@@ -58,7 +59,7 @@ func (m *Manager) pingTick() {
 		}
 		alive = true
 		if expiry := w.lastSeen + m.opts.Lease; expiry <= now+m.opts.Lease/2 {
-			w.leaseTimer = m.eng.Reschedule(w.leaseTimer, expiry-now, "", w.leaseFn)
+			w.leaseTimer = m.eng.RescheduleBy(simtime.OwnerLiveness, w.leaseTimer, expiry-now, w.leaseFn)
 		}
 	}
 	if !alive {

@@ -107,7 +107,7 @@ func (m *Manager) kick(w *workerMeta, at time.Duration) {
 	if t := w.kickTimer; t.Pending() && t.When() <= at {
 		return
 	}
-	w.kickTimer = m.eng.Reschedule(w.kickTimer, at-m.eng.Now(), "", w.reconcileFn)
+	w.kickTimer = m.eng.RescheduleBy(simtime.OwnerManager, w.kickTimer, at-m.eng.Now(), w.reconcileFn)
 }
 
 // armWorker refreshes w's two deadline timers from its state: the
@@ -148,7 +148,7 @@ func (m *Manager) arm(t *simtime.Timer, at time.Duration, fn func()) *simtime.Ti
 	if t.Pending() && t.When() == at {
 		return t
 	}
-	return m.eng.Reschedule(t, at-m.eng.Now(), "", fn)
+	return m.eng.RescheduleBy(simtime.OwnerManager, t, at-m.eng.Now(), fn)
 }
 
 // --- Algorithm 2 ----------------------------------------------------------

@@ -8,6 +8,7 @@ import (
 	"freeride/internal/fifo"
 	"freeride/internal/sidetask"
 	"freeride/internal/simgpu"
+	"freeride/internal/simtime"
 )
 
 // workerLost declares a worker dead — shared by the link-close path
@@ -66,7 +67,7 @@ func (m *Manager) planRecovery(rec *taskRecord, cause string) {
 	}
 	backoff := DefaultRetryBackoff << min(rec.restarts-1, 16)
 	delay := backoff + time.Duration(m.rng.Int63n(int64(backoff/2)+1))
-	rec.retryTimer = m.eng.Reschedule(rec.retryTimer, delay, "", func() { m.replaceTask(rec) })
+	rec.retryTimer = m.eng.RescheduleBy(simtime.OwnerManager, rec.retryTimer, delay, func() { m.replaceTask(rec) })
 }
 
 // replaceTask re-runs Algorithm 1 for a recovering task when its backoff

@@ -142,8 +142,8 @@ func newWireWorker(t *testing.T) (*wireRig, *Worker) {
 // TestWireFramesGolden pins the JSON frames of the calls this repository's
 // daemons exchange every bubble cycle and every ping, byte for byte as the
 // previous build wrote them: pooled replies and params must be
-// indistinguishable from plain ones on the wire, or a freeride-managerd and
-// a freeride-workerd of different builds stop interoperating.
+// indistinguishable from plain ones on the wire, or a manager daemon and a
+// worker daemon of different builds stop interoperating.
 func TestWireFramesGolden(t *testing.T) {
 	wire, w := newWireWorker(t)
 	for _, step := range goldenWireSteps(t) {

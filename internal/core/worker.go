@@ -338,7 +338,7 @@ func (w *Worker) handleInit(ref taskRef) (any, error) {
 	// The init command may be queued behind a still-running CreateSideTask,
 	// so the hang budget covers both phases.
 	timeout := t.spec.Profile.CreateTime + 3*t.spec.Profile.InitTime + w.cfg.Grace
-	w.eng.ScheduleDetached(timeout, "", func() {
+	w.eng.ScheduleDetachedBy(simtime.OwnerManager, timeout, func() {
 		if t.harness.State() == sidetask.StateCreated && t.cont.Alive() {
 			w.stats.InitKills++
 			t.cont.Kill()
@@ -433,7 +433,7 @@ func (w *Worker) handlePause(ref taskRef) (any, error) {
 			}
 		}
 	}
-	t.grace = w.eng.Reschedule(t.grace, w.cfg.Grace, "", t.graceFn)
+	t.grace = w.eng.RescheduleBy(simtime.OwnerManager, t.grace, w.cfg.Grace, t.graceFn)
 	return w.statusReply(t), nil
 }
 
@@ -449,7 +449,7 @@ func (w *Worker) handleStop(ref taskRef) (any, error) {
 	}
 	t.harness.Deliver(sidetask.Command{Transition: sidetask.TransitionStop})
 	w.stats.Stops++
-	w.eng.ScheduleDetached(w.cfg.Grace, "", func() {
+	w.eng.ScheduleDetachedBy(simtime.OwnerManager, w.cfg.Grace, func() {
 		if t.cont.Alive() {
 			t.cont.Kill()
 		}

@@ -15,7 +15,7 @@ const (
 )
 
 // TestCSVGolden pins every registered experiment's CSV byte for byte, at the
-// options CI's sweep smoke uses (`freeride-experiments -epochs 4 -seed 1`,
+// options CI's sweep smoke uses (`freeride-sim experiments -epochs 4 -seed 1`,
 // plus -cross for the two sweeps it widens). The files are the contract with
 // whoever plots from them: a header that is respelt, a column that moves or
 // a value that is formatted differently fails here. Regenerate deliberately

@@ -212,7 +212,7 @@ func fig8MemLimit(opts Options, withCap bool, out *Figure8Result) error {
 			return err
 		}
 		cont = c
-		rig.eng.Schedule(200*time.Millisecond, "kick", func() {
+		rig.eng.ScheduleBy(simtime.OwnerSideTask, 200*time.Millisecond, func() {
 			h.Deliver(sidetask.Command{Transition: sidetask.TransitionInit})
 			h.Deliver(sidetask.Command{Transition: sidetask.TransitionStart, BubbleEnd: 1 << 62})
 		})

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"io"
 	"strings"
 )
@@ -27,27 +26,28 @@ type Entry struct {
 	Run  func(Options) (Rendered, error)
 }
 
-// registry preserves registration order — the order `-run all` executes in
-// and `-run list` prints.
-var registry []Entry
-
-// Register adds an experiment runner under a unique id. It panics on a
-// duplicate id: registration happens at init time, so a collision is a
-// programming error, not a runtime condition.
-func Register(name, desc string, run func(Options) (Rendered, error)) {
-	for _, e := range registry {
-		if e.Name == name {
-			panic(fmt.Sprintf("experiments: duplicate id %q", name))
-		}
-	}
-	registry = append(registry, Entry{Name: name, Desc: desc, Run: run})
+// registry is every experiment, in the order `-run all` executes them and
+// `-run list` prints them.
+var registry = []Entry{
+	{"table1", "side-task throughput across platforms", wrap(RunTable1)},
+	{"table2", "time increase and cost savings per method", wrap(RunTable2)},
+	{"fig1", "epoch timeline, SM occupancy and per-stage memory", wrap(RunFigure1)},
+	{"fig2", "bubble shapes and rates across model sizes", wrap(RunFigure2)},
+	{"fig7ab", "sensitivity to side-task batch size", wrap(RunFigure7BatchSize)},
+	{"fig7cd", "sensitivity to main model size", wrap(RunFigure7ModelSize)},
+	{"fig7ef", "sensitivity to micro-batch count", wrap(RunFigure7MicroBatch)},
+	{"fig8", "GPU resource limit demonstrations", wrap(RunFigure8)},
+	{"fig9", "bubble time breakdown", wrap(RunFigure9)},
+	{"faults", "fault-injection sweep: harvest vs recovery overhead", wrap(RunFaultSweep)},
+	{"drift", "dynamic-bubble drift sweep: online re-profiling vs profile-once", wrap(RunDriftSweep)},
+	{"schedules", "schedule-zoo sweep: harvest vs bubble ratio per schedule", wrap(RunScheduleSweep)},
+	{"ablations", "grace period / RPC latency / safety margin sweeps", runAblationSuite},
+	{"serving", "inference-serving sweep: harvested GPU-seconds vs p99 SLO violations", wrap(RunServingSweep)},
 }
 
-// Registered returns the experiments in registration order.
+// Registered returns the experiments in registry order.
 func Registered() []Entry {
-	out := make([]Entry, len(registry))
-	copy(out, registry)
-	return out
+	return append([]Entry(nil), registry...)
 }
 
 // Lookup finds an experiment by id.
@@ -110,21 +110,4 @@ func runAblationSuite(o Options) (Rendered, error) {
 		suite.parts = append(suite.parts, r)
 	}
 	return suite, nil
-}
-
-func init() {
-	Register("table1", "side-task throughput across platforms", wrap(RunTable1))
-	Register("table2", "time increase and cost savings per method", wrap(RunTable2))
-	Register("fig1", "epoch timeline, SM occupancy and per-stage memory", wrap(RunFigure1))
-	Register("fig2", "bubble shapes and rates across model sizes", wrap(RunFigure2))
-	Register("fig7ab", "sensitivity to side-task batch size", wrap(RunFigure7BatchSize))
-	Register("fig7cd", "sensitivity to main model size", wrap(RunFigure7ModelSize))
-	Register("fig7ef", "sensitivity to micro-batch count", wrap(RunFigure7MicroBatch))
-	Register("fig8", "GPU resource limit demonstrations", wrap(RunFigure8))
-	Register("fig9", "bubble time breakdown", wrap(RunFigure9))
-	Register("faults", "fault-injection sweep: harvest vs recovery overhead", wrap(RunFaultSweep))
-	Register("drift", "dynamic-bubble drift sweep: online re-profiling vs profile-once", wrap(RunDriftSweep))
-	Register("schedules", "schedule-zoo sweep: harvest vs bubble ratio per schedule", wrap(RunScheduleSweep))
-	Register("ablations", "grace period / RPC latency / safety margin sweeps", runAblationSuite)
-	Register("serving", "inference-serving sweep: harvested GPU-seconds vs p99 SLO violations", wrap(RunServingSweep))
 }

@@ -275,7 +275,7 @@ func (p *Peer) Go(method string, params any, timeout time.Duration, done func(re
 	call.id, call.method, call.done, call.timeout = id, method, done, timeout
 	p.pending = append(p.pending, call)
 	if timeout > 0 {
-		call.timer = p.eng.Reschedule(call.timer, timeout, "rpc-timeout", call.expireFn)
+		call.timer = p.eng.RescheduleBy(simtime.OwnerRPC, call.timer, timeout, call.expireFn)
 	}
 
 	if err := p.conn.SendMsg(Msg{ID: id, Method: method, Params: params}); err != nil {
@@ -290,7 +290,7 @@ func (p *Peer) Go(method string, params any, timeout time.Duration, done func(re
 // failAsync delivers a call failure from engine-callback context, upholding
 // Go's no-synchronous-completion contract.
 func (p *Peer) failAsync(done func(result any, err error), err error) {
-	p.eng.ScheduleDetached(0, "rpc-fail", func() { done(nil, err) })
+	p.eng.ScheduleDetachedBy(simtime.OwnerRPC, 0, func() { done(nil, err) })
 }
 
 // Notify sends a one-way message (no response, no delivery guarantee beyond

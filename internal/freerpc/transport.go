@@ -12,10 +12,10 @@
 //   - Wire: the one codec. It turns each Msg into a newline-free JSON frame
 //     on any FrameConn and back, so a handler registered with HandleFunc
 //     receives raw JSON and unmarshals it into its own params type. Its
-//     frames run over a socket (NewNetConn: the live freeride-managerd /
-//     freeride-workerd daemons, on an engine a simtime.Wall paces) or over
-//     a FramePipe, the frame face of a MemPipe, which carries them on the
-//     virtual clock with the MemPipe's delivery, joins and fault windows —
+//     frames run over a socket (NewNetConn: the live `freeride-sim manager`
+//     and `freeride-sim worker` daemons, on an engine a simtime.Wall paces)
+//     or over a FramePipe, the frame face of a MemPipe, which carries them on
+//     the virtual clock with the MemPipe's delivery, joins and fault windows —
 //     so a whole simulated session can run through the real codec,
 //     deterministically.
 //
@@ -160,7 +160,7 @@ func (c *memConn) SendMsg(m Msg) error {
 	}
 	e.m = m
 
-	c.eng.ScheduleJoin(lat, e.fire)
+	c.eng.ScheduleJoin(simtime.OwnerRPC, lat, e.fire)
 	return nil
 }
 
@@ -196,7 +196,7 @@ func (c *memConn) Close() error {
 	c.closeLocal()
 	// Propagate to the peer after one latency (FIN in flight).
 	peer := c.peer
-	c.eng.ScheduleDetached(c.latency, "rpc-close", peer.closeLocal)
+	c.eng.ScheduleDetachedBy(simtime.OwnerRPC, c.latency, peer.closeLocal)
 	return nil
 }
 

@@ -1,11 +1,11 @@
 // Package livemode runs one FreeRide session across two processes over TCP
-// (paper §8). The GPU-node daemon (freeride-workerd) and the manager daemon
-// (freeride-managerd) each assemble their part through the session assembly
-// (freeride.NewNodeSession, freeride.NewManagerSession) on a virtual engine
-// paced to the wall clock (Eng, a simtime.Wall): the GPUs and the training
-// job stay simulated and run exactly as in a simulated session, and only the
-// middleware's frames cross real sockets. This package owns only the listens,
-// the dials and the log.
+// (paper §8). The GPU-node daemon (`freeride-sim worker`) and the manager
+// daemon (`freeride-sim manager`) each assemble their part through the
+// session assembly (freeride.NewNodeSession, freeride.NewManagerSession) on a
+// virtual engine paced to the wall clock (Eng, a simtime.Wall): the GPUs and
+// the training job stay simulated and run exactly as in a simulated session,
+// and only the middleware's frames cross real sockets. This package owns only
+// the listens, the dials and the log.
 //
 // Each daemon's components belong to its engine: they run in the engine's
 // callbacks, and every other goroutine — the daemon's own (assembly, Close, a
@@ -104,7 +104,7 @@ func (n *Node) start(cfg NodeConfig) error {
 			close(n.TrainDone)
 		}
 	})
-	n.Eng.Engine().Schedule(cfg.StartDelay, "train-start", func() {
+	n.Eng.Engine().ScheduleBy(simtime.OwnerPipeline, cfg.StartDelay, func() {
 		if err := tr.Start(); err != nil {
 			cfg.Logf("trainer start failed: %v", err)
 		}

@@ -152,7 +152,7 @@ func (d *Driver) Start() error {
 func (d *Driver) release() {
 	if d.w.ReadyAt != nil {
 		if wait := d.w.ReadyAt(d.next) - d.eng.Now(); wait > 0 {
-			d.gate = d.eng.Reschedule(d.gate, wait, "cycle-gate", d.beginFn)
+			d.gate = d.eng.RescheduleBy(d.procs.Owner(), d.gate, wait, d.beginFn)
 			return
 		}
 	}

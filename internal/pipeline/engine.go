@@ -106,7 +106,7 @@ func New(eng *simtime.Virtual, procs *simproc.Runtime, devices []*simgpu.Device,
 	if cfg.RecordOps {
 		w.Record = t.recordOp
 	}
-	if err := t.Init(eng, procs, devices, w); err != nil {
+	if err := t.Init(eng, procs.As(simtime.OwnerPipeline), devices, w); err != nil {
 		return nil, err
 	}
 	return t, nil

@@ -113,7 +113,7 @@ func New(eng *simtime.Virtual, procs *simproc.Runtime, devices []*simgpu.Device,
 		Close:        s.scoreBatch,
 	}
 	w.Durations[pipeline.OpForward] = cfg.Model.FPPerMB
-	if err := s.Init(eng, procs, devices, w); err != nil {
+	if err := s.Init(eng, procs.As(simtime.OwnerServe), devices, w); err != nil {
 		return nil, err
 	}
 	return s, nil

@@ -96,7 +96,10 @@ type kernel struct {
 	// The wake lives in the kernel, so it survives recycling.
 	leadUntil time.Duration
 	leadExact bool
-	wake      simtime.Timer
+	// owner is the owner of the kernel's events: its waiter's, or
+	// simtime.OwnerOther for a Launch with a callback.
+	owner simtime.Owner
+	wake  simtime.Timer
 }
 
 // popKernel recycles a kernel struct from the pool (or allocates one),
@@ -119,6 +122,7 @@ func (d *Device) popKernel(c *Client, spec *KernelSpec, onComplete func(error), 
 		k.started = 0
 		k.leadUntil = 0
 		k.leadExact = false
+		k.owner = simtime.OwnerOther
 	} else {
 		k = &kernel{
 			client:     c,
@@ -127,6 +131,9 @@ func (d *Device) popKernel(c *Client, spec *KernelSpec, onComplete func(error), 
 			runIdx:     -1,
 		}
 		k.completeFn = func() { d.completeKernel(k) }
+	}
+	if waiter != nil {
+		k.owner = waiter.Owner()
 	}
 	k.load(spec)
 	return k
@@ -591,7 +598,7 @@ func (d *Device) scheduleCompletion(k *kernel) {
 	}
 	secs := k.work / k.alloc
 	delay := time.Duration(math.Ceil(secs * 1e9))
-	k.timer = d.eng.Reschedule(k.timer, delay, "", k.completeFn)
+	k.timer = d.eng.RescheduleBy(k.owner, k.timer, delay, k.completeFn)
 }
 
 // scheduleCompletionAt is scheduleCompletion as of instant at: the completion
@@ -614,9 +621,9 @@ func (d *Device) scheduleCompletionAt(k *kernel, i int, at time.Duration, wake *
 	// A fire at the right instant but keyed ahead of the wake's launch came
 	// too early in the instant: it is re-armed where that launch puts it.
 	if wake != nil {
-		k.timer = d.eng.RescheduleAs(k.timer, wake, i, d.eng.Now()+delay, k.completeFn)
+		k.timer = d.eng.RescheduleAs(k.owner, k.timer, wake, i, d.eng.Now()+delay, k.completeFn)
 	} else {
-		k.timer = d.eng.Reschedule(k.timer, delay, "", k.completeFn)
+		k.timer = d.eng.RescheduleBy(k.owner, k.timer, delay, k.completeFn)
 	}
 	return k == firing
 }

@@ -160,7 +160,7 @@ func (c *Client) launchLead(spec *KernelSpec, lead time.Duration, waiter *simpro
 		// Armed kernel fault: consume it now, deliver it when the host
 		// phase ends — the instant the unfused arm's launch would have
 		// consumed and delivered it.
-		d.eng.ScheduleDetached(lead, spec.Name, func() { waiter.Wake(err) })
+		d.eng.ScheduleDetachedBy(waiter.Owner(), lead, func() { waiter.Wake(err) })
 		return
 	}
 	// The unfused arm's continuation would sleep here without touching the
@@ -240,7 +240,7 @@ func (d *Device) startLead(k *kernel, wake *simtime.Timer, firing *kernel) bool 
 		k.timer.Cancel()
 		k.waiter, k.client = nil, nil
 		d.kernelPool = append(d.kernelPool, k)
-		d.eng.ScheduleDetached(0, "", func() { w.Wake(err) })
+		d.eng.ScheduleDetachedBy(w.Owner(), 0, func() { w.Wake(err) })
 		return k == firing
 	}
 	if c.current != nil {
@@ -320,7 +320,7 @@ func (d *Device) armLead(k *kernel) {
 		// part leaves the lead's set as it was): the armed timer stands.
 		return
 	}
-	k.timer = d.eng.RescheduleAs(k.timer, &k.wake, idx, deadline, k.completeFn)
+	k.timer = d.eng.RescheduleAs(k.owner, k.timer, &k.wake, idx, deadline, k.completeFn)
 }
 
 // hypothesis is lead k's maturation rebalance as if k started at leadUntil

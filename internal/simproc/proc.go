@@ -87,16 +87,28 @@ var ErrKilled = errors.New("simproc: killed")
 // further blocking calls re-panic immediately so cleanup cannot stall.
 type killedPanic struct{ p *Process }
 
-// Runtime creates processes on one engine.
+// Runtime creates processes on one engine. Every event a process schedules
+// — its start, its sleeps — belongs to the runtime's owner (As).
 type Runtime struct {
-	eng *simtime.Virtual
-	seq int
+	eng   *simtime.Virtual
+	seq   *int
+	owner simtime.Owner
 }
 
-// NewRuntime returns a process runtime bound to eng.
+// NewRuntime returns a process runtime bound to eng, owned by
+// simtime.OwnerOther.
 func NewRuntime(eng *simtime.Virtual) *Runtime {
-	return &Runtime{eng: eng}
+	return &Runtime{eng: eng, seq: new(int)}
 }
+
+// As returns a view of rt whose processes' events belong to o. The views of
+// one runtime number their processes in one sequence.
+func (rt *Runtime) As(o simtime.Owner) *Runtime {
+	return &Runtime{eng: rt.eng, seq: rt.seq, owner: o}
+}
+
+// Owner reports the owner of the runtime's processes' events.
+func (rt *Runtime) Owner() simtime.Owner { return rt.owner }
 
 // Engine returns the engine the runtime schedules on.
 func (rt *Runtime) Engine() *simtime.Virtual { return rt.eng }
@@ -175,10 +187,10 @@ type Process struct {
 
 // newProcess allocates the shared process core.
 func (rt *Runtime) newProcess(name string, inline bool) *Process {
-	rt.seq++
+	*rt.seq++
 	p := &Process{
 		rt:     rt,
-		name:   fmt.Sprintf("%s#%d", name, rt.seq),
+		name:   fmt.Sprintf("%s#%d", name, *rt.seq),
 		inline: inline,
 		state:  StateRunning,
 	}
@@ -200,7 +212,7 @@ func (rt *Runtime) Spawn(name string, fn func(p *Process) error) *Process {
 		p.yield = yield
 		p.run(fn)
 	})
-	rt.eng.ScheduleDetached(0, "", func() { p.resume(nil, false) })
+	rt.eng.ScheduleDetachedBy(rt.owner, 0, func() { p.resume(nil, false) })
 	return p
 }
 
@@ -211,7 +223,7 @@ func (rt *Runtime) Spawn(name string, fn func(p *Process) error) *Process {
 // calling p.Exit.
 func (rt *Runtime) SpawnInline(name string, start func(p *Process)) *Process {
 	p := rt.newProcess(name, true)
-	rt.eng.ScheduleDetached(0, "", func() {
+	rt.eng.ScheduleDetachedBy(rt.owner, 0, func() {
 		if p.state == StateExited || p.state == StateKilled {
 			return // killed before the start event fired
 		}
@@ -257,6 +269,9 @@ func (p *Process) run(fn func(p *Process) error) {
 
 // Name reports the unique process name.
 func (p *Process) Name() string { return p.name }
+
+// Owner reports the owner of the process's events (Runtime.As).
+func (p *Process) Owner() simtime.Owner { return p.rt.owner }
 
 // Engine returns the engine the process runs on.
 func (p *Process) Engine() *simtime.Virtual { return p.rt.eng }
@@ -600,7 +615,7 @@ func (p *Process) deliverPending() {
 // yield (re-enter the event queue at the current instant).
 func (p *Process) Sleep(d time.Duration) {
 	p.BeginWait(nil)
-	p.rt.eng.ScheduleDetached(d, "", p.wakeFn)
+	p.rt.eng.ScheduleDetachedBy(p.rt.owner, d, p.wakeFn)
 	p.Await("sleep")
 }
 
@@ -639,7 +654,7 @@ func (p *Process) spendDeferred() {
 // SleepThen is the inline form of Sleep: k runs after d of engine time.
 func (p *Process) SleepThen(d time.Duration, k func(any)) {
 	p.BeginWait(k)
-	p.rt.eng.ScheduleDetached(d, "", p.wakeFn)
+	p.rt.eng.ScheduleDetachedBy(p.rt.owner, d, p.wakeFn)
 	p.EndWait("sleep")
 }
 

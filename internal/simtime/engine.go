@@ -27,6 +27,43 @@ package simtime
 
 import "time"
 
+// Owner names the layer an event belongs to. Every scheduling call site
+// states it (ScheduleBy, ScheduleDetachedBy, RescheduleBy, ScheduleJoin,
+// RescheduleAs); the virtual engine counts dispatched events per owner
+// (Virtual.DispatchedBy).
+type Owner uint8
+
+// Event owners.
+const (
+	// OwnerOther is every event scheduled without an owner: through Schedule,
+	// ScheduleDetached, or Reschedule on a new timer.
+	OwnerOther Owner = iota
+	// OwnerPipeline: the training pipeline's stage processes, their kernels
+	// and its cycle driver.
+	OwnerPipeline
+	// OwnerSideTask: side-task processes, their kernels and host leads, and
+	// the lifecycle the MPS and naive baselines script for them.
+	OwnerSideTask
+	// OwnerRPC: message deliveries, call timeouts and link closes.
+	OwnerRPC
+	// OwnerManager: the manager's reconcile passes and recovery retries, and
+	// the workers' init and grace deadlines.
+	OwnerManager
+	// OwnerLiveness: the manager's ping ticks and lease checks.
+	OwnerLiveness
+	// OwnerFault: injected faults.
+	OwnerFault
+	// OwnerDrift: the drift plane. It reshapes reported bubbles inside
+	// other owners' events and schedules none of its own yet.
+	OwnerDrift
+	// OwnerServe: the serving pipeline's stage processes, their kernels and
+	// its request gate.
+	OwnerServe
+
+	// NumOwners is the number of owners.
+	NumOwners = int(OwnerServe) + 1
+)
+
 // Timer states, advanced monotonically: pending, then canceled or fired.
 const (
 	timerPending int32 = iota
@@ -73,7 +110,10 @@ type Timer struct {
 	// pending when it passes; passed records the pass.
 	wake   bool
 	passed bool
-	link   *Timer
+	// owner is the layer the event belongs to; it fills the padding after
+	// the flags, so a Timer stays one 64-byte cache line.
+	owner Owner
+	link  *Timer
 }
 
 // Cancel prevents the callback from running. It reports whether the
@@ -130,9 +170,9 @@ func (t *Timer) Passed() bool { return t.passed }
 // dispatch order; both must be queued or pending wakes.
 func (t *Timer) Before(u *Timer) bool { return timerLess(t, u) }
 
-// ArmedAs reports whether t carries the order key Virtual.RescheduleAs(t, w,
-// index, …) gives it — whether, firing now, t fires where a timer armed as
-// of the wake w would.
+// ArmedAs reports whether t carries the order key Virtual.RescheduleAs(o, t,
+// w, index, …) gives it — whether, firing now, t fires where a timer armed
+// as of the wake w would.
 func (t *Timer) ArmedAs(w *Timer, index int) bool {
 	if w.passed {
 		return t.link == nil && t.seq == w.seq && t.vkey == w.vkey|uint32(index+1)

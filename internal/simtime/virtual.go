@@ -122,8 +122,8 @@ type Virtual struct {
 	open    *batch
 	batches []*batch
 
-	// dispatched counts events whose callbacks ran, for tests and stats.
-	dispatched uint64
+	// dispatched counts the events whose callbacks ran, per owner.
+	dispatched [NumOwners]uint64
 
 	// wakes[wakeHead:] are the pending virtual wakes in (when, seq) order,
 	// apart from the event queue: the dispatcher passes the ones due before
@@ -170,36 +170,47 @@ func (v *Virtual) Now() time.Duration {
 	return v.now
 }
 
-// Schedule enqueues fn at Now()+delay. Negative delays are clamped to "now":
-// virtual time never moves backwards.
+// Schedule is ScheduleBy for OwnerOther.
 //
 // name is unused: a timer keeps no label, so a Timer is 64 bytes, one cache
-// line per queued event. The parameter stays on Schedule, ScheduleDetached
-// and Reschedule because the benchmark driver passes it to them; slice A0's
-// owner tag (ROADMAP) is to take its slot.
+// line per queued event. Schedule, ScheduleDetached and Reschedule stay
+// because the benchmark driver passes them a name; the components schedule
+// through the owner-taking forms.
 func (v *Virtual) Schedule(delay time.Duration, name string, fn func()) *Timer {
+	return v.ScheduleBy(OwnerOther, delay, fn)
+}
+
+// ScheduleBy enqueues fn, owned by o, at Now()+delay. Negative delays are
+// clamped to "now": virtual time never moves backwards.
+func (v *Virtual) ScheduleBy(o Owner, delay time.Duration, fn func()) *Timer {
 	if fn == nil {
 		panic("simtime: Schedule with nil callback")
 	}
-	t := &Timer{when: v.deadline(delay), seq: v.seq, fn: fn, vq: v}
+	t := &Timer{when: v.deadline(delay), seq: v.seq, fn: fn, vq: v, owner: o}
 	v.seq++
 	v.enqueue(t)
 	return t
 }
 
-// ScheduleDetached enqueues a fire-and-forget event whose Timer comes from
-// the free-list. With no handle escaping, the timer is recycled as soon as
-// its callback returns. name is unused, as Schedule's.
+// ScheduleDetached is ScheduleDetachedBy for OwnerOther; name is unused, as
+// Schedule's.
 func (v *Virtual) ScheduleDetached(delay time.Duration, name string, fn func()) {
+	v.ScheduleDetachedBy(OwnerOther, delay, fn)
+}
+
+// ScheduleDetachedBy enqueues a fire-and-forget event owned by o, whose
+// Timer comes from the free-list. With no handle escaping, the timer is
+// recycled as soon as its callback returns.
+func (v *Virtual) ScheduleDetachedBy(o Owner, delay time.Duration, fn func()) {
 	if fn == nil {
 		panic("simtime: ScheduleDetached with nil callback")
 	}
-	v.detach(v.deadline(delay), fn)
+	v.detach(v.deadline(delay), o, fn)
 }
 
-// detach enqueues a pooled event at when and returns its Timer, which
-// stays the engine's.
-func (v *Virtual) detach(when time.Duration, fn func()) *Timer {
+// detach enqueues a pooled event owned by o at when and returns its Timer,
+// which stays the engine's.
+func (v *Virtual) detach(when time.Duration, o Owner, fn func()) *Timer {
 	var t *Timer
 	if n := len(v.free); n > 0 {
 		t = v.free[n-1]
@@ -208,7 +219,7 @@ func (v *Virtual) detach(when time.Duration, fn func()) *Timer {
 	} else {
 		t = &Timer{vq: v, pooled: true}
 	}
-	t.when, t.seq, t.fn = when, v.seq, fn
+	t.when, t.seq, t.fn, t.owner = when, v.seq, fn, o
 	v.seq++
 	v.enqueue(t)
 	return t
@@ -224,23 +235,23 @@ type batch struct {
 	fire func() // b.run, bound once
 }
 
-// ScheduleJoin schedules a fire-and-forget callback like ScheduleDetached,
+// ScheduleJoin schedules a fire-and-forget callback like ScheduleDetachedBy,
 // but lets it ride in the open delivery batch when that keeps the dispatch
-// order (the join rule in the type's doc). It reports whether fn joined an
-// already-queued batch — one event fewer than ScheduleDetached would cost.
-// Otherwise fn opens a new batch, or, beyond the wheel horizon, gets a plain
-// detached event.
-func (v *Virtual) ScheduleJoin(delay time.Duration, fn func()) bool {
+// order (the join rule in the type's doc) and the batch's owner is o. It
+// reports whether fn joined an already-queued batch — one event fewer than
+// ScheduleDetachedBy would cost. Otherwise fn opens a new batch, or, beyond
+// the wheel horizon, gets a plain detached event.
+func (v *Virtual) ScheduleJoin(o Owner, delay time.Duration, fn func()) bool {
 	if fn == nil {
 		panic("simtime: ScheduleJoin with nil callback")
 	}
 	when := v.deadline(delay)
-	if b := v.open; b != nil && b.t.when == when && v.lastAtInstant(b.t) {
+	if b := v.open; b != nil && b.t.when == when && b.t.owner == o && v.lastAtInstant(b.t) {
 		b.fns = append(b.fns, fn)
 		return true
 	}
 	if v.wheelSlotFor(when) < 0 {
-		v.detach(when, fn)
+		v.detach(when, o, fn)
 		return false
 	}
 	var b *batch
@@ -253,7 +264,7 @@ func (v *Virtual) ScheduleJoin(delay time.Duration, fn func()) bool {
 		b.fire = b.run
 	}
 	b.fns = append(b.fns, fn)
-	b.t = v.detach(when, b.fire)
+	b.t = v.detach(when, o, b.fire)
 	v.open = b
 	return false
 }
@@ -293,24 +304,34 @@ func (b *batch) run() {
 	v.batches = append(v.batches, b)
 }
 
-// Reschedule re-arms t — a timer previously returned by this engine's
-// Schedule — with a new deadline and callback, reusing the Timer allocation
-// (name is unused, as Schedule's). The caller must be the exclusive holder
-// of the handle: any other retained copy could Cancel the re-armed event. A
-// still-pending t is re-armed in place (a wheel event rewrites its deadline within its bucket
-// or hops buckets in O(1); a heap event sifts, and may migrate into the
-// wheel); a fired or canceled t is re-pushed. A nil or foreign t falls back
-// to a fresh Schedule. This is the allocation-free path for the
-// self-rescheduling loops (manager deadlines, kernel completion) whose Timer
-// handle never leaves its owner.
+// Reschedule is RescheduleBy keeping t's owner: OwnerOther when t is nil or
+// foreign (name is unused, as Schedule's).
 func (v *Virtual) Reschedule(t *Timer, delay time.Duration, name string, fn func()) *Timer {
+	o := OwnerOther
+	if t != nil && t.vq == v && !t.pooled {
+		o = t.owner
+	}
+	return v.RescheduleBy(o, t, delay, fn)
+}
+
+// RescheduleBy re-arms t — a timer previously returned by this engine's
+// ScheduleBy or RescheduleBy — owned by o, with a new deadline and callback,
+// reusing the Timer allocation. The caller must be the exclusive holder of
+// the handle: any other retained copy could Cancel the re-armed event. A
+// still-pending t is re-armed in place (a wheel event rewrites its deadline
+// within its bucket or hops buckets in O(1); a heap event sifts, and may
+// migrate into the wheel); a fired or canceled t is re-pushed. A nil or
+// foreign t falls back to a fresh ScheduleBy. This is the allocation-free
+// path for the self-rescheduling loops (manager deadlines, kernel
+// completion) whose Timer handle never leaves its holder.
+func (v *Virtual) RescheduleBy(o Owner, t *Timer, delay time.Duration, fn func()) *Timer {
 	if t == nil || t.vq != v || t.pooled {
-		return v.Schedule(delay, name, fn)
+		return v.ScheduleBy(o, delay, fn)
 	}
 	if fn == nil {
 		panic("simtime: Reschedule with nil callback")
 	}
-	t.when, t.seq, t.fn = v.deadline(delay), v.seq, fn
+	t.when, t.seq, t.fn, t.owner = v.deadline(delay), v.seq, fn, o
 	t.vkey, t.link = 0, nil
 	v.seq++
 	if t.pos >= 0 {
@@ -405,11 +426,11 @@ func (v *Virtual) passWakes(t *Timer, until time.Duration) {
 	}
 }
 
-// RescheduleAs re-arms t (nil: a new timer) at the absolute instant when,
-// clamped to Now, keyed as the index-th timer armed inside an event at the
-// wake w's slot would be (see the type's doc). w must be pending or passed.
-// At most one timer at a time may be armed as of a pending wake.
-func (v *Virtual) RescheduleAs(t, w *Timer, index int, when time.Duration, fn func()) *Timer {
+// RescheduleAs re-arms t (nil: a new timer), owned by o, at the absolute
+// instant when, clamped to Now, keyed as the index-th timer armed inside an
+// event at the wake w's slot would be (see the type's doc). w must be pending
+// or passed. At most one timer at a time may be armed as of a pending wake.
+func (v *Virtual) RescheduleAs(o Owner, t, w *Timer, index int, when time.Duration, fn func()) *Timer {
 	if fn == nil {
 		panic("simtime: RescheduleAs with nil callback")
 	}
@@ -422,7 +443,7 @@ func (v *Virtual) RescheduleAs(t, w *Timer, index int, when time.Duration, fn fu
 	if when < v.now {
 		when = v.now
 	}
-	t.when, t.fn = when, fn
+	t.when, t.fn, t.owner = when, fn, o
 	switch {
 	case w.passed:
 		t.seq, t.vkey, t.link = w.seq, w.vkey|uint32(index+1), nil
@@ -492,6 +513,16 @@ func (v *Virtual) deadline(delay time.Duration) time.Duration {
 // Dispatched reports how many events have run so far; a delivery batch
 // counts once (see ScheduleJoin), a virtual wake never (see Reserve).
 func (v *Virtual) Dispatched() uint64 {
+	var n uint64
+	for _, c := range v.dispatched {
+		n += c
+	}
+	return n
+}
+
+// DispatchedBy reports how many events each owner has run so far, indexed by
+// Owner; the counts sum to Dispatched.
+func (v *Virtual) DispatchedBy() [NumOwners]uint64 {
 	return v.dispatched
 }
 
@@ -526,7 +557,7 @@ func (v *Virtual) Step() bool {
 	if t.when > v.now {
 		v.now = t.when
 	}
-	v.dispatched++
+	v.dispatched[t.owner]++
 	if !t.pooled {
 		// Cancel takes a timer off the queue, so a queued one is pending.
 		t.state = timerFired

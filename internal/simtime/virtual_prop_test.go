@@ -370,7 +370,7 @@ func (r *joinRunner) apply(op joinOp) {
 	case opJoin:
 		if !r.join {
 			r.v.ScheduleDetached(op.delay, "join", fire)
-		} else if r.v.ScheduleJoin(op.delay, fire) {
+		} else if r.v.ScheduleJoin(OwnerOther, op.delay, fire) {
 			r.joins++
 		}
 	case opReschedule:

@@ -307,3 +307,35 @@ func TestTimerFitsACacheLine(t *testing.T) {
 		t.Fatalf("a Timer is %d bytes, want at most 64", n)
 	}
 }
+
+// TestDispatchedByOwner: each dispatched event counts once, under the owner
+// its scheduling call named. A held timer keeps its owner when Reschedule
+// re-arms it, a delivery batch counts once under its owner however many
+// members it ran, a callback of another owner opens a batch of its own, and
+// a virtual wake never counts.
+func TestDispatchedByOwner(t *testing.T) {
+	v := NewVirtual()
+	nop := func() {}
+	held := v.ScheduleBy(OwnerManager, time.Millisecond, nop)
+	v.Reschedule(held, 2*time.Millisecond, "", nop)
+	v.ScheduleDetachedBy(OwnerFault, 0, nop)
+	v.Schedule(0, "", nop)
+	v.ScheduleJoin(OwnerRPC, time.Millisecond, nop)
+	if !v.ScheduleJoin(OwnerRPC, time.Millisecond, nop) {
+		t.Fatal("a same-owner delivery at the batch's instant did not join it")
+	}
+	if v.ScheduleJoin(OwnerServe, time.Millisecond, nop) {
+		t.Fatal("a delivery of another owner joined the batch")
+	}
+	w := v.Reserve(nil, time.Millisecond)
+	v.RescheduleAs(OwnerPipeline, nil, w, 0, time.Millisecond, nop)
+	v.RunUntil(time.Second)
+
+	want := [NumOwners]uint64{OwnerOther: 1, OwnerPipeline: 1, OwnerRPC: 1, OwnerManager: 1, OwnerFault: 1, OwnerServe: 1}
+	if got := v.DispatchedBy(); got != want {
+		t.Fatalf("DispatchedBy = %v, want %v", got, want)
+	}
+	if v.Dispatched() != 6 {
+		t.Fatalf("Dispatched = %d, want 6", v.Dispatched())
+	}
+}

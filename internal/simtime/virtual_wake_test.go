@@ -140,7 +140,7 @@ func (r *wakeRunner) callback(id int, children []wakeOp) func() {
 func (r *wakeRunner) arm(op wakeOp, j int) {
 	w := r.wakes[op.id]
 	id := op.armIDs[j]
-	r.armed[id] = r.v.RescheduleAs(r.armed[id], w, j, w.when+op.arms[j], r.callback(id, nil))
+	r.armed[id] = r.v.RescheduleAs(OwnerOther, r.armed[id], w, j, w.when+op.arms[j], r.callback(id, nil))
 }
 
 // settle arms the late arms of every passed wake (in any order: each
@@ -182,7 +182,7 @@ func (r *wakeRunner) apply(op wakeOp) {
 	case wkJoin:
 		if !r.virtual {
 			r.v.ScheduleDetached(op.delay, "join", r.callback(op.id, op.children))
-		} else if r.v.ScheduleJoin(op.delay, r.callback(op.id, op.children)) {
+		} else if r.v.ScheduleJoin(OwnerOther, op.delay, r.callback(op.id, op.children)) {
 			r.joins++
 		}
 	case wkReschedule:
