@@ -745,6 +745,11 @@ type Result struct {
 	// accounting of a serving session (Config.Serving != nil); it is the
 	// zero value for training sessions.
 	ServingStats serve.Stats
+	// Events counts the engine events the session dispatched through its
+	// teardown, indexed by simtime.Owner (simtime.Virtual.DispatchedBy): it
+	// says which layer spent them. Like TaskWork.StepEvents it is accounting,
+	// not a result, so no result digest reads it.
+	Events [simtime.NumOwners]uint64
 }
 
 // TotalSteps sums completed steps across task instances.
@@ -832,7 +837,7 @@ func (s *Session) Run() (*Result, error) {
 // collectResult assembles the Result after teardown: manager/worker stats,
 // fault stats and per-task work.
 func (s *Session) collectResult(trainTime time.Duration) *Result {
-	res := &Result{Config: s.cfg, TrainTime: trainTime}
+	res := &Result{Config: s.cfg, TrainTime: trainTime, Events: s.Eng.DispatchedBy()}
 	var views map[string]core.TaskView
 	if s.Manager != nil {
 		res.ManagerStats = s.Manager.Stats()

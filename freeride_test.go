@@ -692,8 +692,9 @@ func TestAcceptedConfigsRun(t *testing.T) {
 
 // TestDispatchedByOwner: a Table 2 session, the same under a worker crash
 // and a serving session each dispatch every event under an owner its call
-// site named — the per-owner counts sum to the engine's total exactly, every
-// owner the session has is non-zero, and no event is left to OwnerOther.
+// site named — the per-owner counts, which Result.Events reports, sum to the
+// engine's total exactly, every owner the session has is non-zero, and no
+// event is left to OwnerOther.
 func TestDispatchedByOwner(t *testing.T) {
 	crashed := fastCfg(freeride.MethodIterative)
 	crashed.Faults = simfault.Generate(1, 8*time.Second, 1, []simfault.Kind{simfault.KindCrashWorker}, crashed.Stages)
@@ -715,10 +716,14 @@ func TestDispatchedByOwner(t *testing.T) {
 		if _, err := sess.SubmitEverywhere(model.ResNet18); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if _, err := sess.Run(); err != nil {
+		res, err := sess.Run()
+		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		by := sess.Eng.DispatchedBy()
+		if res.Events != by {
+			t.Errorf("%s: Result.Events %v, the engine's per-owner counts %v", tc.name, res.Events, by)
+		}
 		var sum uint64
 		for o, n := range by {
 			sum += n

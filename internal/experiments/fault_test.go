@@ -13,6 +13,7 @@ import (
 	"freeride"
 	"freeride/internal/model"
 	"freeride/internal/simfault"
+	"freeride/internal/simtime"
 )
 
 // TestZeroFaultOracleBitIdentical is the fault plane's do-no-harm oracle:
@@ -20,7 +21,8 @@ import (
 // worker crash/wedge surfaces, manager leases/pings/recovery machinery) and
 // an EMPTY schedule, the entire Table 2 grid must be bit-identical to runs
 // with no fault plane at all. Pings are the one intentional difference (the
-// lease detector probes on its own counter) and are zeroed before compare.
+// lease detector probes on its own counter) and are zeroed before compare,
+// with the engine events they cost (Result.Events).
 func TestZeroFaultOracleBitIdentical(t *testing.T) {
 	plain := runOracleGrid(t, nil)
 	wired := runOracleGrid(t, func(cfg *freeride.Config) {
@@ -31,9 +33,11 @@ func TestZeroFaultOracleBitIdentical(t *testing.T) {
 			t.Errorf("cell %s: lease detector sent no pings (hooks not wired?)", key)
 		}
 		res.ManagerStats.Pings = 0
+		res.Events = [simtime.NumOwners]uint64{}
 	}
 	for _, res := range plain {
 		res.ManagerStats.Pings = 0
+		res.Events = [simtime.NumOwners]uint64{}
 	}
 	compareOracleGrids(t, wired, plain, "zero-fault vs no fault plane")
 }

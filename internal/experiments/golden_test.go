@@ -18,6 +18,7 @@ import (
 	"freeride/internal/serve"
 	"freeride/internal/sidetask"
 	"freeride/internal/simfault"
+	"freeride/internal/simtime"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden.json from the current implementation")
@@ -288,20 +289,30 @@ func armDrift(cfg *freeride.Config) {
 	}
 }
 
-// goldenDigests runs every pinned cell, each config passed through mutate
-// first, and digests the results.
-func goldenDigests(t *testing.T, mutate func(*freeride.Config)) map[string]string {
+// goldenResults runs every pinned cell, each config passed through mutate
+// first, and returns the results by cell name.
+func goldenResults(t *testing.T, mutate func(*freeride.Config)) map[string]*freeride.Result {
 	t.Helper()
-	got := make(map[string]string)
+	got := make(map[string]*freeride.Result)
 	for name, res := range runOracleGrid(t, mutate) {
-		got["table2/"+name] = sessionDigest(res)
+		got["table2/"+name] = res
 	}
 	for _, cells := range []func(*testing.T, func(*freeride.Config)) map[string]*freeride.Result{
 		goldenSweepCells, goldenShellCells, goldenWorkSmallCells, goldenZeroCommCells,
 	} {
 		for name, res := range cells(t, mutate) {
-			got[name] = sessionDigest(res)
+			got[name] = res
 		}
+	}
+	return got
+}
+
+// goldenDigests digests every pinned cell's result (see goldenResults).
+func goldenDigests(t *testing.T, mutate func(*freeride.Config)) map[string]string {
+	t.Helper()
+	got := make(map[string]string)
+	for name, res := range goldenResults(t, mutate) {
+		got[name] = sessionDigest(res)
 	}
 	return got
 }
@@ -363,6 +374,72 @@ func TestGoldenSessionDigests(t *testing.T) {
 	for name, g := range goldenDigests(t, armDrift) {
 		if w := want[name]; g != w {
 			t.Errorf("%s, drift plane armed: digest %s, golden %s", name, g, w)
+		}
+	}
+}
+
+const eventsPath = "testdata/events.json"
+
+// ownerCounts names the non-zero counts of a per-owner array.
+func ownerCounts(by [simtime.NumOwners]uint64) map[string]uint64 {
+	m := make(map[string]uint64)
+	for o, n := range by {
+		if n > 0 {
+			m[simtime.Owner(o).String()] = n
+		}
+	}
+	return m
+}
+
+// cellEvents is what one golden cell spent in engine events, per owner
+// (Result.Events).
+type cellEvents struct {
+	Dispatched map[string]uint64 `json:"dispatched"`
+}
+
+// TestGoldenEvents pins, for every cell TestGoldenSessionDigests pins, how
+// many engine events each owner dispatched. The digests leave the counts
+// out, so a change that adds or removes events fails here, naming the cell
+// and the layer, and nowhere else. Regenerate deliberately with
+// -update-golden.
+func TestGoldenEvents(t *testing.T) {
+	got := make(map[string]cellEvents)
+	for name, res := range goldenResults(t, nil) {
+		got[name] = cellEvents{Dispatched: ownerCounts(res.Events)}
+	}
+	if *updateGolden {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(eventsPath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d cells to %s", len(got), eventsPath)
+		return
+	}
+	data, err := os.ReadFile(eventsPath)
+	if err != nil {
+		t.Fatalf("read golden file (run with -update-golden to create it): %v", err)
+	}
+	want := make(map[string]cellEvents)
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatalf("parse %s: %v", eventsPath, err)
+	}
+	if len(want) != len(got) {
+		t.Errorf("%s has %d cells, the test runs %d", eventsPath, len(want), len(got))
+	}
+	for name, g := range got {
+		w, ok := want[name]
+		if !ok {
+			t.Errorf("%s: no golden events", name)
+			continue
+		}
+		for o := range simtime.NumOwners {
+			owner := simtime.Owner(o).String()
+			if g.Dispatched[owner] != w.Dispatched[owner] {
+				t.Errorf("%s: owner %s dispatched %d events, golden %d", name, owner, g.Dispatched[owner], w.Dispatched[owner])
+			}
 		}
 	}
 }

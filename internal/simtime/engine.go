@@ -25,7 +25,10 @@
 // sleep's event.
 package simtime
 
-import "time"
+import (
+	"strconv"
+	"time"
+)
 
 // Owner names the layer an event belongs to. Every scheduling call site
 // states it (ScheduleBy, ScheduleDetachedBy, RescheduleBy, ScheduleJoin,
@@ -63,6 +66,16 @@ const (
 	// NumOwners is the number of owners.
 	NumOwners = int(OwnerServe) + 1
 )
+
+var ownerNames = [NumOwners]string{"other", "pipeline", "sidetask", "rpc", "manager", "liveness", "fault", "drift", "serve"}
+
+// String names the owner in lower case ("sidetask" for OwnerSideTask).
+func (o Owner) String() string {
+	if int(o) < NumOwners {
+		return ownerNames[o]
+	}
+	return "owner(" + strconv.Itoa(int(o)) + ")"
+}
 
 // Timer states, advanced monotonically: pending, then canceled or fired.
 const (
