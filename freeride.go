@@ -714,12 +714,14 @@ type TaskWork struct {
 	KernelTime time.Duration
 	HostTime   time.Duration
 	InsuffWait time.Duration
-	// StepEvents counts the engine events the step loop dispatched for the
-	// completed steps (see sidetask.Counters.StepEvents): one per
-	// single-kernel step in every simulated session, on the inline loop of
-	// the built-in tasks and on the goroutine shell of a RegisterCustom task
-	// alike. It is substrate accounting, not a result: a re-placed task
-	// resumes Steps from its checkpoint but not StepEvents.
+	// StepEvents is the nominal count of engine events the step loop spends
+	// on the completed steps, as a loop that folds no completion spends them
+	// (see sidetask.Counters.StepEvents): one per single-kernel step in every
+	// simulated session, on the inline loop of the built-in tasks and on the
+	// goroutine shell of a RegisterCustom task alike. Completions folded into
+	// the one before them count here but not in Result.Events (they are in
+	// Result.Folded). It is substrate accounting, not a result: a re-placed
+	// task resumes Steps from its checkpoint but not StepEvents.
 	StepEvents uint64
 	Exited     bool
 	ExitErr    string
@@ -750,6 +752,10 @@ type Result struct {
 	// says which layer spent them. Like TaskWork.StepEvents it is accounting,
 	// not a result, so no result digest reads it.
 	Events [simtime.NumOwners]uint64
+	// Folded counts, the same way, the kernel completions the session ran
+	// folded into the dispatch before them (simtime.Virtual.FoldedBy): each
+	// would have been one more event in Events.
+	Folded [simtime.NumOwners]uint64
 }
 
 // TotalSteps sums completed steps across task instances.
@@ -837,7 +843,7 @@ func (s *Session) Run() (*Result, error) {
 // collectResult assembles the Result after teardown: manager/worker stats,
 // fault stats and per-task work.
 func (s *Session) collectResult(trainTime time.Duration) *Result {
-	res := &Result{Config: s.cfg, TrainTime: trainTime, Events: s.Eng.DispatchedBy()}
+	res := &Result{Config: s.cfg, TrainTime: trainTime, Events: s.Eng.DispatchedBy(), Folded: s.Eng.FoldedBy()}
 	var views map[string]core.TaskView
 	if s.Manager != nil {
 		res.ManagerStats = s.Manager.Stats()

@@ -694,7 +694,8 @@ func TestAcceptedConfigsRun(t *testing.T) {
 // and a serving session each dispatch every event under an owner its call
 // site named — the per-owner counts, which Result.Events reports, sum to the
 // engine's total exactly, every owner the session has is non-zero, and no
-// event is left to OwnerOther.
+// event is left to OwnerOther. Result.Folded reports the engine's folded
+// completions, of which the side tasks' step loops make some in each.
 func TestDispatchedByOwner(t *testing.T) {
 	crashed := fastCfg(freeride.MethodIterative)
 	crashed.Faults = simfault.Generate(1, 8*time.Second, 1, []simfault.Kind{simfault.KindCrashWorker}, crashed.Stages)
@@ -733,6 +734,9 @@ func TestDispatchedByOwner(t *testing.T) {
 		}
 		if sum != sess.Eng.Dispatched() {
 			t.Errorf("%s: per-owner counts %v sum to %d, Dispatched is %d", tc.name, by, sum, sess.Eng.Dispatched())
+		}
+		if folded := sess.Eng.FoldedBy(); res.Folded != folded || folded[simtime.OwnerSideTask] == 0 {
+			t.Errorf("%s: Result.Folded %v, the engine's per-owner folds %v; want side-task folds", tc.name, res.Folded, folded)
 		}
 	}
 }

@@ -22,7 +22,8 @@ import (
 // an EMPTY schedule, the entire Table 2 grid must be bit-identical to runs
 // with no fault plane at all. Pings are the one intentional difference (the
 // lease detector probes on its own counter) and are zeroed before compare,
-// with the engine events they cost (Result.Events).
+// with the engine events they cost (Result.Events) and the folds they move
+// (Result.Folded: a ping queued ahead of a completion keeps it from folding).
 func TestZeroFaultOracleBitIdentical(t *testing.T) {
 	plain := runOracleGrid(t, nil)
 	wired := runOracleGrid(t, func(cfg *freeride.Config) {
@@ -33,11 +34,11 @@ func TestZeroFaultOracleBitIdentical(t *testing.T) {
 			t.Errorf("cell %s: lease detector sent no pings (hooks not wired?)", key)
 		}
 		res.ManagerStats.Pings = 0
-		res.Events = [simtime.NumOwners]uint64{}
+		res.Events, res.Folded = [simtime.NumOwners]uint64{}, [simtime.NumOwners]uint64{}
 	}
 	for _, res := range plain {
 		res.ManagerStats.Pings = 0
-		res.Events = [simtime.NumOwners]uint64{}
+		res.Events, res.Folded = [simtime.NumOwners]uint64{}, [simtime.NumOwners]uint64{}
 	}
 	compareOracleGrids(t, wired, plain, "zero-fault vs no fault plane")
 }

@@ -391,21 +391,25 @@ func ownerCounts(by [simtime.NumOwners]uint64) map[string]uint64 {
 	return m
 }
 
-// cellEvents is what one golden cell spent in engine events, per owner
-// (Result.Events).
+// cellEvents is what one golden cell spent in engine events, per owner: the
+// events dispatched (Result.Events) and the kernel completions folded into
+// the dispatch before them (Result.Folded), each of which an unfolded run
+// dispatches as one more event of the same owner.
 type cellEvents struct {
 	Dispatched map[string]uint64 `json:"dispatched"`
+	Folded     map[string]uint64 `json:"folded,omitempty"`
 }
 
 // TestGoldenEvents pins, for every cell TestGoldenSessionDigests pins, how
-// many engine events each owner dispatched. The digests leave the counts
+// many engine events each owner dispatched and how many completions it
+// folded. The digests leave the counts
 // out, so a change that adds or removes events fails here, naming the cell
 // and the layer, and nowhere else. Regenerate deliberately with
 // -update-golden.
 func TestGoldenEvents(t *testing.T) {
 	got := make(map[string]cellEvents)
 	for name, res := range goldenResults(t, nil) {
-		got[name] = cellEvents{Dispatched: ownerCounts(res.Events)}
+		got[name] = cellEvents{Dispatched: ownerCounts(res.Events), Folded: ownerCounts(res.Folded)}
 	}
 	if *updateGolden {
 		data, err := json.MarshalIndent(got, "", "  ")
@@ -437,8 +441,9 @@ func TestGoldenEvents(t *testing.T) {
 		}
 		for o := range simtime.NumOwners {
 			owner := simtime.Owner(o).String()
-			if g.Dispatched[owner] != w.Dispatched[owner] {
-				t.Errorf("%s: owner %s dispatched %d events, golden %d", name, owner, g.Dispatched[owner], w.Dispatched[owner])
+			if g.Dispatched[owner] != w.Dispatched[owner] || g.Folded[owner] != w.Folded[owner] {
+				t.Errorf("%s: owner %s dispatched %d events and folded %d, golden %d and %d",
+					name, owner, g.Dispatched[owner], g.Folded[owner], w.Dispatched[owner], w.Folded[owner])
 			}
 		}
 	}

@@ -15,8 +15,10 @@ type Table2Row struct {
 	I      float64 // time increase
 	S      float64 // cost savings
 	Steps  uint64
-	// StepEvents counts the engine events the side tasks' step loops
-	// dispatched (StepEvents/Steps is the bench's sidetask_events_per_step).
+	// StepEvents is the nominal count of engine events the side tasks' step
+	// loops spend, as loops that fold no completion spend them
+	// (freeride.TaskWork.StepEvents); StepEvents/Steps is the bench's
+	// sidetask_events_per_step.
 	StepEvents uint64
 	TNo        time.Duration
 	TWith      time.Duration

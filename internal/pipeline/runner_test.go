@@ -204,9 +204,11 @@ func TestSteadyStateEpochAllocFree(t *testing.T) {
 }
 
 // TestSteadyStateEpochEvents pins what a steady epoch costs the engine at
-// S=4, M=8. A 1F1B epoch runs 68 kernels in 68 events: every transfer is its
-// kernel's host lead and the barrier releases the next epoch inside its own
-// callback, at no event. An interleaved epoch (V=2) runs 136 kernels in 136
+// S=4, M=8. A 1F1B epoch runs 68 kernels in 68 completions: every transfer is
+// its kernel's host lead and the barrier releases the next epoch inside its
+// own callback, at no event. One of them is folded into the completion before
+// it (a lead alone on its device, due before every queued event), so the
+// epoch dispatches 67 events. An interleaved epoch (V=2) runs 136 kernels in 136
 // events: its 112 dependency-carrying ops lead onto the stage's shared
 // stream, and a lead that finds the stream busy waits in its FIFO for the
 // completion that frees it, arming nothing of its own. With a zero-length
@@ -216,13 +218,13 @@ func TestSteadyStateEpochEvents(t *testing.T) {
 	free := model.NanoGPT3B
 	free.CommLatency = 0
 	for _, c := range []struct {
-		name            string
-		cfg             Config
-		kernels, events uint64
+		name                    string
+		cfg                     Config
+		kernels, events, folded uint64
 	}{
-		{"1f1b", Config{Model: model.NanoGPT3B, Schedule: Schedule1F1B}, 68, 68},
-		{"interleaved", Config{Model: model.NanoGPT3B, Schedule: ScheduleInterleaved}, 136, 136},
-		{"1f1b-zero-comm", Config{Model: free, Schedule: Schedule1F1B}, 68, 116},
+		{"1f1b", Config{Model: model.NanoGPT3B, Schedule: Schedule1F1B}, 68, 67, 1},
+		{"interleaved", Config{Model: model.NanoGPT3B, Schedule: ScheduleInterleaved}, 136, 136, 0},
+		{"1f1b-zero-comm", Config{Model: free, Schedule: Schedule1F1B}, 68, 116, 0},
 	} {
 		c.cfg.Stages, c.cfg.MicroBatches, c.cfg.Epochs = 4, 8, 6
 		r := quietRig(t, c.cfg, false)
@@ -235,11 +237,18 @@ func TestSteadyStateEpochEvents(t *testing.T) {
 			}
 			return n
 		}
-		k0, e0 := kernels(), r.eng.Dispatched()
+		folded := func() (n uint64) {
+			for _, f := range r.eng.FoldedBy() {
+				n += f
+			}
+			return n
+		}
+		k0, e0, f0 := kernels(), r.eng.Dispatched(), folded()
 		runEpoch()
-		if k, e := kernels()-k0, r.eng.Dispatched()-e0; k != c.kernels || e != c.events {
-			t.Errorf("%s: a steady epoch runs %d kernels in %d engine events, want %d in %d",
-				c.name, k, e, c.kernels, c.events)
+		k, e, f := kernels()-k0, r.eng.Dispatched()-e0, folded()-f0
+		if k != c.kernels || e != c.events || f != c.folded {
+			t.Errorf("%s: a steady epoch runs %d kernels in %d engine events and %d folded completions, want %d in %d and %d",
+				c.name, k, e, f, c.kernels, c.events, c.folded)
 		}
 	}
 }

@@ -197,11 +197,15 @@ type Counters struct {
 	InsuffWait  time.Duration // RUNNING time skipped by the time limit
 	LastPaused  time.Duration // timestamp of the last acknowledged pause
 	StartedRuns uint64        // number of StartSideTask transitions
-	// StepEvents counts the engine events the step loop dispatched for the
-	// completed steps: kernelParts per step over a device that can lead, on
-	// either substrate, kernelParts+1 (the host-overhead sleep) otherwise.
-	// On the shell it assumes the Stepper-shaped step (HostWork, then the
-	// kernels). The bench report's sidetask_events_per_step is StepEvents/Steps.
+	// StepEvents is the nominal count of engine events the step loop spends
+	// on the completed steps, as a loop that folds no completion spends them:
+	// kernelParts per step over a device that can lead, on either substrate,
+	// kernelParts+1 (the host-overhead sleep) otherwise. A lone completion the
+	// device folds into the one before it (simgpu.Device.FusedFolds) is
+	// counted here all the same, so this is not what the engine dispatched
+	// (simtime.Virtual.Dispatched). On the shell it assumes the
+	// Stepper-shaped step (HostWork, then the kernels). The bench report's
+	// sidetask_events_per_step is StepEvents/Steps.
 	StepEvents uint64
 }
 

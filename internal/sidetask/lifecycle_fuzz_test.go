@@ -68,10 +68,16 @@ func fuzzScript(seed int64) []fuzzOp {
 	return script
 }
 
-// runFuzzArm plays script against one harness on one substrate.
-func runFuzzArm(t *testing.T, mode Mode, jitter float64, sub midStepSubstrate, script []fuzzOp) midStepResult {
+// runFuzzArm plays script against one harness on one substrate, beside a
+// far-future sentinel event when sentinel is set: with the queue never empty,
+// a step's lone completions fold into the completions before them wherever
+// the device allows it.
+func runFuzzArm(t *testing.T, mode Mode, jitter float64, sub midStepSubstrate, script []fuzzOp, sentinel bool) midStepResult {
 	t.Helper()
 	eng := simtime.NewVirtual()
+	if sentinel {
+		eng.Schedule(1000*time.Hour, "sentinel", func() {})
+	}
 	dev := substrateDevice(t, eng, sub)
 	ctrs := container.NewRuntime(simproc.NewRuntime(eng))
 	prof := fuseProfile
@@ -136,23 +142,25 @@ func runFuzzArm(t *testing.T, mode Mode, jitter float64, sub midStepSubstrate, s
 // in both interfaces, with step jitter on and off. With jitter off, grid ops
 // land exactly on step boundaries, scheduled before or after the events due
 // there; such a tie resolves in the engine's order on every arm — except
-// failedLeadTie's, which is left uncompared.
+// failedLeadTie's, which is left uncompared. The sentinel input queues a
+// far-future event on every arm, so that lone completions fold.
 func FuzzLifecycleSubstratesAgree(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {
-		f.Add(seed)
+		f.Add(seed, false)
+		f.Add(seed, true)
 	}
-	f.Fuzz(func(t *testing.T, seed int64) {
+	f.Fuzz(func(t *testing.T, seed int64, sentinel bool) {
 		script := fuzzScript(seed)
 		for _, mode := range []Mode{ModeIterative, ModeImperative} {
 			for _, jitter := range []float64{0, 0.3} {
-				ground := runFuzzArm(t, mode, jitter, subShellUnfused, script)
+				ground := runFuzzArm(t, mode, jitter, subShellUnfused, script, sentinel)
 				if failedLeadTie(script, ground) {
 					continue
 				}
 				for _, sub := range allSubstrates[1:] {
-					got := runFuzzArm(t, mode, jitter, sub, script)
-					compareMidStepArms(t, fmt.Sprintf("seed %d, %v, jitter %v: %v vs %v",
-						seed, mode, jitter, subShellUnfused, sub), ground, got)
+					got := runFuzzArm(t, mode, jitter, sub, script, sentinel)
+					compareMidStepArms(t, fmt.Sprintf("seed %d, sentinel %v, %v, jitter %v: %v vs %v",
+						seed, sentinel, mode, jitter, subShellUnfused, sub), ground, got)
 				}
 			}
 		}
@@ -222,12 +230,12 @@ func TestLeadUntilTies(t *testing.T) {
 				{at: 400 * time.Millisecond, kind: kind("sigcont")},
 			}
 			what := fmt.Sprintf("%s, %v, late %v", tc.op, tc.mode, late)
-			grounds[i] = runFuzzArm(t, tc.mode, 0, subShellUnfused, script)
+			grounds[i] = runFuzzArm(t, tc.mode, 0, subShellUnfused, script, false)
 			if grounds[i].c.Steps == 0 && grounds[i].exitErr == nil {
 				t.Fatalf("%s: the script ran no step", what)
 			}
 			for _, sub := range allSubstrates[1:] {
-				got := runFuzzArm(t, tc.mode, 0, sub, script)
+				got := runFuzzArm(t, tc.mode, 0, sub, script, false)
 				compareMidStepArms(t, fmt.Sprintf("%s: %v vs %v", what, subShellUnfused, sub), grounds[i], got)
 			}
 		}

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"time"
 
 	"freeride/internal/simtime"
 	"freeride/internal/trace"
@@ -170,6 +171,14 @@ type Device struct {
 	unmatured  uint64
 	relaunches uint64
 
+	// heldArm is the kernel whose completion arm waits, due at heldAt, for
+	// the end of the completion running, to be folded into it (foldNext);
+	// holding (beside leadCapable) names the arm that may be held now.
+	// folds counts the folded completions.
+	heldArm *kernel
+	heldAt  time.Duration
+	folds   uint64
+
 	// taxScale is the residency tax's factor, 1/(1+ResidencyTax), computed
 	// once: fill and loneShare multiply by it (rebalanceFull, the
 	// reference, divides afresh; the bits are the same).
@@ -181,6 +190,7 @@ type Device struct {
 	// deadline, on a paced engine too — which is what makes the relaunch
 	// inside the completion exact.
 	leadCapable bool
+	holding     holdMode
 
 	// leads are pending host-lead kernels (ExecLeadThen), in wake order:
 	// created but not yet launched, they reach their stream lazily at the
@@ -500,10 +510,11 @@ func (d *Device) ShareCacheStats() (hits, misses uint64) {
 	return d.shareHits, d.shareMisses
 }
 
-// FusedFolds reports 0. A kernel completion rebalances before it delivers,
-// so there is no deferred rebalance for a launch to fold in; the method stays
-// only because the repository benchmark still reads it.
-func (d *Device) FusedFolds() uint64 { return 0 }
+// FusedFolds reports how many kernel completions were folded into the
+// completion before them, one engine event fewer each (completeKernel): a
+// host lead a completion's continuation launched, or a step part relaunched
+// in place, alone on the device and due before every queued event.
+func (d *Device) FusedFolds() uint64 { return d.folds }
 
 // Shortcuts reports how many completions skipped the device round trip: host
 // leads retired without maturing, alone or beside running kernels, and step
@@ -608,6 +619,7 @@ func (c *Client) Destroy() {
 			}
 			k.timer.Cancel()
 			k.wake.Cancel()
+			d.unhold(k)
 			*list = removeKernel(*list, k)
 			aborted = append(aborted, k)
 		}

@@ -618,6 +618,11 @@ func (d *Device) scheduleCompletionAt(k *kernel, i int, at time.Duration, wake *
 	if k == firing && delay <= 0 && (wake == nil || k.timer.ArmedAs(wake, i)) {
 		return false
 	}
+	if d.holding == holdPart {
+		if due := d.eng.Now() + max(delay, 0); !d.eng.Blocked(due) && d.hold(k, due) {
+			return false
+		}
+	}
 	// A fire at the right instant but keyed ahead of the wake's launch came
 	// too early in the instant: it is re-armed where that launch puts it.
 	if wake != nil {
@@ -653,55 +658,145 @@ func (d *Device) scheduleCompletionAt(k *kernel, i int, at time.Duration, wake *
 // Neither moves an engine event: both run the same arithmetic on the same
 // timers at the same (when, seq), and an unmatured retire makes the
 // maturation's share-cache lookup.
+//
+// The completion a kernel alone on the device would fire next is folded into
+// this dispatch when the engine would dispatch it next (foldNext): the loop
+// runs it as the engine would have, one engine event fewer.
 func (d *Device) completeKernel(k *kernel) {
-	c := k.client
-	if c == nil {
-		return // stale completion (aborted)
-	}
-	unmatured := d.retiresUnmatured(k)
-	if unmatured {
-		d.unmatured++
-		k.started = k.leadUntil
-		d.leads[0] = nil
-		d.leads = d.leads[:0]
-		d.settleUnmatured(k)
-	} else if d.matureLeads(k) || c.current != k {
-		// Leads whose wakes have passed mature first — including k itself,
-		// if this fire is its armed lead hypothesis (which sorts after the
-		// wake). A maturation that pushed k's true completion later, or
-		// queued k, has re-armed or parked its timer: the fire was
-		// premature, abandon it.
-		return
-	}
-	d.kernels++
-	d.workDone += k.size
-	if len(c.queue) == 0 && d.relaunchInPlace(k) {
-		return
-	}
-	switch {
-	case !unmatured:
-		c.current = nil
-		if len(c.queue) > 0 {
-			// Compact in place: sliding the slice head would shed capacity on
-			// every pop (reallocating on the next push) and pin retired pooled
-			// kernels in the dead prefix. Queues are a few kernels deep.
-			c.current = c.queue[0]
-			n := copy(c.queue, c.queue[1:])
-			c.queue[n] = nil
-			c.queue = c.queue[:n]
-			c.current.started = d.eng.Now()
-			d.runningReplace(k, c.current)
-		} else {
-			d.runningRemove(k)
+	for ; k != nil; k = d.folded() {
+		c := k.client
+		if c == nil {
+			return // stale completion (aborted)
 		}
-		d.residencyChanged(c)
-	case len(d.running) == 0:
-		// Alone, an unmatured lead leaves nothing to settle.
+		unmatured := d.retiresUnmatured(k)
+		if unmatured {
+			d.unmatured++
+			k.started = k.leadUntil
+			d.leads[0] = nil
+			d.leads = d.leads[:0]
+			d.settleUnmatured(k)
+		} else if d.matureLeads(k) || c.current != k {
+			// Leads whose wakes have passed mature first — including k
+			// itself, if this fire is its armed lead hypothesis (which sorts
+			// after the wake). A maturation that pushed k's true completion
+			// later, or queued k, has re-armed or parked its timer: the fire
+			// was premature, abandon it.
+			return
+		}
+		d.kernels++
+		d.workDone += k.size
+		if len(c.queue) == 0 && d.relaunchInPlace(k) {
+			continue
+		}
+		if !unmatured {
+			c.current = nil
+			if len(c.queue) > 0 {
+				// Compact in place: sliding the slice head would shed capacity
+				// on every pop (reallocating on the next push) and pin retired
+				// pooled kernels in the dead prefix. Queues are a few kernels
+				// deep.
+				c.current = c.queue[0]
+				n := copy(c.queue, c.queue[1:])
+				c.queue[n] = nil
+				c.queue = c.queue[:n]
+				c.current.started = d.eng.Now()
+				d.runningReplace(k, c.current)
+			} else {
+				d.runningRemove(k)
+			}
+			d.residencyChanged(c)
+		}
+		if !unmatured || len(d.running) > 0 {
+			// Alone, an unmatured lead leaves nothing to settle.
+			d.rebalance()
+		}
+		d.holding = holdLead
 		d.retire(k)
-		return
+		d.holding = holdNone
 	}
-	d.rebalance()
-	d.retire(k)
+}
+
+// holdMode names the completion arm that may wait for the end of the
+// completion running (Device.holding).
+type holdMode uint8
+
+const (
+	holdNone holdMode = iota
+	// holdLead: the arm of a host lead the delivery's continuation launches
+	// (armLead). It takes no seq (it is keyed as of the lead's pending wake),
+	// so arming it once the continuation returns keys it as arming it at
+	// launch would.
+	holdLead
+	// holdPart: the arm of the part relaunched in place
+	// (scheduleCompletionAt), the last thing the completion does.
+	holdPart
+)
+
+// hold keeps k's completion, due at at, from being armed until the
+// completion running ends, to fold it into that completion (foldNext), and
+// reports whether it did. The caller has checked that holding names its arm
+// and that the engine does not refuse at in O(1) (simtime.Virtual.Blocked),
+// which decides most refusals without the call.
+// k must be the only kernel on the device, running or leading, its timer not
+// armed, no lead held, no fault armed and no series recorded, and the engine
+// must find the completion foldable as things stand (simtime.Virtual.Hold).
+func (d *Device) hold(k *kernel, at time.Duration) bool {
+	if len(d.running)+len(d.leads) != 1 || len(d.held) != 0 || d.faultErr != nil ||
+		!d.cfg.NoTraces || k.timer.Pending() || !d.eng.Hold(at) {
+		return false
+	}
+	d.heldArm, d.heldAt = k, at
+	return true
+}
+
+// unhold withdraws k's held arm, if it is held: something since has re-armed
+// k, or taken it off the device.
+func (d *Device) unhold(k *kernel) {
+	if d.heldArm == k {
+		d.heldArm = nil
+		d.eng.Unhold()
+	}
+}
+
+// folded is foldNext when an arm is held and nil otherwise, without a call
+// for the completions that hold none: it inlines into completeKernel's loop.
+func (d *Device) folded() *kernel {
+	if d.heldArm == nil {
+		return nil
+	}
+	return d.foldNext()
+}
+
+// foldNext settles the completion arm held back during the completion just
+// run (hold), and returns nil when none was. When the kernel is still alone
+// on the device and the engine would dispatch its completion next, the
+// engine folds it (simtime.Virtual.Fold) and foldNext returns the kernel for
+// completeKernel to complete at once. Otherwise it makes the arm as it was
+// held from making — a second lead launched since refreshes no other lead, so
+// the held hypothesis still stands — and returns nil. The fold is exact
+// because nothing runs between the two completions: the engine's clock, seqs
+// and wakes move as the dispatch would move them, and the device is as the
+// dispatch would find it.
+func (d *Device) foldNext() *kernel {
+	k := d.heldArm
+	if k == nil {
+		return nil
+	}
+	d.heldArm = nil
+	lead := k.runIdx < 0
+	if len(d.running)+len(d.leads) == 1 && len(d.held) == 0 && d.eng.Fold(k.owner, d.heldAt, !lead) {
+		d.folds++
+		return k
+	}
+	// Armed as it was held from arming: a lead as of its wake, at the
+	// running-set index it has alone.
+	d.eng.Unhold()
+	if lead {
+		k.timer = d.eng.RescheduleAs(k.owner, k.timer, &k.wake, 0, d.heldAt, k.completeFn)
+	} else {
+		k.timer = d.eng.RescheduleBy(k.owner, k.timer, d.heldAt-d.eng.Now(), k.completeFn)
+	}
+	return nil
 }
 
 // retire returns a completed kernel to the pool and delivers its completion.
@@ -797,6 +892,8 @@ func (d *Device) relaunchInPlace(k *kernel) bool {
 	k.load(spec)
 	k.alloc = 0
 	k.started = d.eng.Now()
+	d.holding = holdPart
 	d.rebalance()
+	d.holding = holdNone
 	return true
 }

@@ -19,7 +19,8 @@ import (
 // when it *matures*: it starts at once if the stream is idle then,
 // rebalancing exactly as a plain launch at that instant would, and otherwise
 // joins the stream's FIFO behind what is already there. One engine event (the
-// armed completion) replaces the caller's sleep(lead) + launch pair.
+// armed completion) replaces the caller's sleep(lead) + launch pair, and none
+// where the completion is folded into the one before it (below).
 //
 // The end of the host phase is a virtual wake (simtime.Virtual.Reserve): the
 // (when, seq) slot the caller's sleep would have taken, which the engine
@@ -69,6 +70,24 @@ import (
 // launch may take the fault first without refreshing any lead, and the lead
 // then matures at leadUntil with all of its work ahead
 // (TestShortcutsMatchFullRebalance).
+//
+// The folded completion: a lead that a completion's continuation launches
+// alone on the device — nothing running, no other lead pending or held, no
+// fault armed, no series recorded — whose exact completion is due strictly
+// before every queued event and within the horizon of the RunUntil running
+// (simtime.Virtual.Hold), is not armed when armLead computes it: the arm is
+// held until the continuation returns. launchLead still reserves the wake at
+// launch, so every seq is taken in the order it was, and the held arm is
+// keyed as of that wake, taking none. If the continuation has queued nothing
+// due by then and left the lead alone, completeKernel folds the completion
+// into the dispatch running (simtime.Virtual.Fold) and runs its own body for
+// it — the unmatured retire the timer's dispatch would run, one engine event
+// fewer; otherwise the arm is made as it was held. A launch that joins the
+// lead refreshes it (armLead, which drops the hold), and HoldLead and Destroy
+// drop it too. A step part relaunched in place holds its completion arm the
+// same way: the arm is the last thing its completion does, so the fold takes
+// the seq the arm would have taken (TestLoneStepsFoldBesideSentinel,
+// TestFoldKeepsTimerPath).
 //
 // The Stop/Pause boundary: HoldLead freezes a lead whose host phase a
 // SIGTSTP interrupted (the unfused arm's sleep would have frozen the same
@@ -293,6 +312,7 @@ func (c *Client) streamTaken(k *kernel) bool {
 // comes first (soonest). A zero-length kernel's completion is leadUntil too,
 // so only the flag tells the two apart.
 func (d *Device) armLead(k *kernel) {
+	d.unhold(k)
 	// A lead whose launch is about to fail fires at the launch instant.
 	deadline, idx, exact := k.leadUntil, 0, false
 	if !d.faultArmed(k.client) {
@@ -315,6 +335,9 @@ func (d *Device) armLead(k *kernel) {
 		deadline = min(done, soonest)
 	}
 	k.leadExact = exact
+	if exact && d.holding == holdLead && !d.eng.Blocked(deadline) && d.hold(k, deadline) {
+		return
+	}
 	if t := k.timer; t.Pending() && t.When() == deadline && t.ArmedAs(&k.wake, idx) {
 		// Unchanged hypothesis (a relaunch in place of an identically shaped
 		// part leaves the lead's set as it was): the armed timer stands.
@@ -436,6 +459,7 @@ func (c *Client) HoldLead() {
 			continue
 		}
 		k.timer.Cancel()
+		d.unhold(k)
 		d.leads = removeKernel(d.leads, k)
 		d.held = append(d.held, k)
 	}

@@ -306,3 +306,23 @@ func BenchmarkLeadBesideKernel(b *testing.B) {
 		eng.Step()
 	}
 }
+
+// BenchmarkFusedLoneStep is BenchmarkLoneLeadStep beside a far-future
+// sentinel event, run for b.N steps of simulated time: every step's
+// completion is due before the sentinel, so it folds into the completion
+// before it, and the loop runs in one engine event per RunFor. One op is one
+// step (31 µs: the 1 µs lead and the 30 µs kernel).
+func BenchmarkFusedLoneStep(b *testing.B) {
+	const step = 31 * time.Microsecond
+	eng, dev := loneLeadRig(b, time.Microsecond)
+	eng.ScheduleBy(simtime.OwnerOther, 1000*time.Hour, func() {})
+	eng.RunFor(64 * step)
+	kernels := dev.KernelsCompleted()
+	b.ReportAllocs()
+	b.ResetTimer()
+	eng.RunFor(time.Duration(b.N) * step)
+	b.StopTimer()
+	if n := dev.KernelsCompleted() - kernels; n != uint64(b.N) {
+		b.Fatalf("%d steps in %d steps' time", n, b.N)
+	}
+}

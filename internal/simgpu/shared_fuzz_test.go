@@ -83,11 +83,16 @@ type sharedKernel struct {
 }
 
 // runShared plays callers on one device — a lead-capable one, or with full a
-// FullRebalance one, where every lead is a sleep before a plain launch — and
-// returns the kernels in completion order with the engine events spent.
-func runShared(t *testing.T, callers []sharedCaller, full bool) ([]sharedKernel, uint64) {
+// FullRebalance one, where every lead is a sleep before a plain launch —
+// beside a far-future sentinel event when sentinel is set (so the queue never
+// empties and lone completions fold), and returns the kernels in completion
+// order with the engine events spent.
+func runShared(t *testing.T, callers []sharedCaller, full, sentinel bool) ([]sharedKernel, uint64) {
 	t.Helper()
 	eng := simtime.NewVirtual()
+	if sentinel {
+		eng.ScheduleBy(simtime.OwnerOther, 1000*time.Hour, func() {})
+	}
 	procs := simproc.NewRuntime(eng)
 	dev := NewDevice(eng, DeviceConfig{Name: "gpu", NoTraces: true, FullRebalance: full})
 	clients := []*Client{mustClient(t, dev, ClientConfig{Name: "a"}), mustClient(t, dev, ClientConfig{Name: "b"})}
@@ -160,15 +165,17 @@ var sharedTieSeeds = [][]byte{
 // issuing ExecThen and ExecLeadThen onto one client at colliding instants,
 // plus one homed on a second client, retire every kernel at the same start
 // and end instant and in the same completion order on a lead-capable device
-// as on a FullRebalance device, and never spend more engine events.
+// as on a FullRebalance device, and never spend more engine events, beside a
+// far-future sentinel event (sentinel) or with nothing else queued.
 func FuzzSharedStreamMatchesTwoEvent(f *testing.F) {
 	for _, seed := range sharedTieSeeds {
-		f.Add(seed)
+		f.Add(seed, false)
+		f.Add(seed, true)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, sentinel bool) {
 		callers := decodeShared(data)
-		lead, leadEvents := runShared(t, callers, false)
-		two, twoEvents := runShared(t, callers, true)
+		lead, leadEvents := runShared(t, callers, false, sentinel)
+		two, twoEvents := runShared(t, callers, true, sentinel)
 		if !slices.Equal(lead, two) {
 			t.Fatalf("kernels diverge on %v\nlead      %v\ntwo-event %v", callers, lead, two)
 		}

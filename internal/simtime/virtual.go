@@ -46,6 +46,9 @@ import (
 // dispatch time is short; the global dispatch order — strictly (when, seq),
 // FIFO among equal deadlines, across both structures — is identical to the
 // pure heap's, a property pinned against the container/heap reference model.
+// The minimum a scan finds is kept (next) until a change to the queue could
+// displace it, so RunUntil's look at the next deadline and Step's dequeue of
+// it, or Hold's look and the dispatch after it, scan once.
 //
 // Detached events (ScheduleDetached) draw their Timers from a free-list,
 // making the hottest schedule→fire loop allocation-free; no handle to one
@@ -84,6 +87,23 @@ import (
 // order. Until its wake passes, such a timer sorts after every real seq and
 // is due no earlier than the wake, so the pass always settles its key (and
 // re-sifts it) before it can be dispatched.
+//
+// # Folded completions
+//
+// A component may complete, inside the dispatch running, the event it would
+// otherwise arm next (simgpu folds a lone kernel's completion into the
+// completion that launched it). It holds the arm back until its callback's
+// work is done (Hold), then asks Fold: when the event would be the very next
+// one dispatched — strictly earlier than every queued event, of which there
+// is at least one, and no later than the horizon of the RunUntil running —
+// Fold moves the clock to its instant exactly as Step would dispatch it
+// (taking the seq the arm would have taken and passing the wakes that sort
+// before it) and the component runs the callback's work itself; otherwise the
+// component arms it after all. So Step may complete folded events besides the
+// one it dispatches, RunUntil never folds one past its horizon, and an empty
+// queue never folds. Dispatched, DispatchedBy and Drain count dispatches, not
+// folds; FoldedBy counts the folds. Most arms are not foldable, because an
+// earlier event is queued; Blocked tells most of them in O(1), ahead of Hold.
 type Virtual struct {
 	// now is the dispatch clock: the deadline of the event running, or the
 	// horizon of the last RunUntil.
@@ -107,7 +127,7 @@ type Virtual struct {
 	// no event is in the past), lowered by inserts below it. When the
 	// hinted bucket is still occupied — the common case of consecutive pops
 	// from one slot — the min scan is a single bucket probe, no bitmap
-	// walk.
+	// walk, and Blocked decides in O(1).
 	wheelHint int64
 
 	// free is the Timer free-list. Only detached timers are recycled: a
@@ -122,8 +142,21 @@ type Virtual struct {
 	open    *batch
 	batches []*batch
 
-	// dispatched counts the events whose callbacks ran, per owner.
+	// dispatched counts the events whose callbacks ran, per owner; folded
+	// the events completed inside another's dispatch (Fold).
 	dispatched [NumOwners]uint64
+	folded     [NumOwners]uint64
+	// horizon bounds the folds: the until of the RunUntil running, MaxInt64
+	// outside one. held marks an arm held back to be folded (Hold), due at
+	// heldAt.
+	horizon time.Duration
+	heldAt  time.Duration
+	held    bool
+
+	// next, when not nil, is the next event to fire, the (when, seq)
+	// minimum of the queue (peekMin): every change to the queue keeps it or
+	// drops it, so a min scan made for Hold serves the dispatch after it.
+	next *Timer
 
 	// wakes[wakeHead:] are the pending virtual wakes in (when, seq) order,
 	// apart from the event queue: the dispatcher passes the ones due before
@@ -156,7 +189,7 @@ const (
 // pass over the wheel costs one allocation instead of one (and its regrowths)
 // per bucket touched.
 func NewVirtual() *Virtual {
-	v := &Virtual{}
+	v := &Virtual{horizon: math.MaxInt64}
 	slab := make([]*Timer, wheelSlots*wheelBucketCap)
 	for i := range v.wheel {
 		lo := i * wheelBucketCap
@@ -269,11 +302,15 @@ func (v *Virtual) ScheduleJoin(o Owner, delay time.Duration, fn func()) bool {
 	return false
 }
 
-// lastAtInstant reports whether no queued event due at t's instant has
-// a higher seq than t. t is in the wheel (a batch opens only within the
+// lastAtInstant reports whether no queued event due at t's instant has a
+// higher seq than t; a held arm (Hold) counts as queued, as the timer it
+// stands for would be. t is in the wheel (a batch opens only within the
 // horizon and the horizon only moves forward), so every event at its
 // instant that was scheduled after it shares its bucket.
 func (v *Virtual) lastAtInstant(t *Timer) bool {
+	if v.held && v.heldAt == t.when {
+		return false
+	}
 	for _, u := range v.wheel[t.slot] {
 		if u.when == t.when && timerLess(t, u) {
 			return false
@@ -493,9 +530,15 @@ func (v *Virtual) pass(w *Timer) {
 		if b.link == w {
 			b.seq, b.vkey, b.link = w.seq, b.vkey|w.vkey, nil
 			// Its key only fell. Wheel buckets are unordered; in the heap it
-			// may have to rise (unless it is the event being dispatched).
-			if b.slot < 0 && b.pos >= 0 {
-				v.siftUp(int(b.pos))
+			// may have to rise (unless it is the event being dispatched),
+			// and it may now come first.
+			if b.pos >= 0 {
+				if b.slot < 0 {
+					v.siftUp(int(b.pos))
+				}
+				if n := v.next; n != nil && timerLess(b, n) {
+					v.next = b
+				}
 			}
 		}
 	}
@@ -511,7 +554,8 @@ func (v *Virtual) deadline(delay time.Duration) time.Duration {
 }
 
 // Dispatched reports how many events have run so far; a delivery batch
-// counts once (see ScheduleJoin), a virtual wake never (see Reserve).
+// counts once (see ScheduleJoin), a virtual wake and a folded event never
+// (see Reserve and Fold).
 func (v *Virtual) Dispatched() uint64 {
 	var n uint64
 	for _, c := range v.dispatched {
@@ -524,6 +568,78 @@ func (v *Virtual) Dispatched() uint64 {
 // Owner; the counts sum to Dispatched.
 func (v *Virtual) DispatchedBy() [NumOwners]uint64 {
 	return v.dispatched
+}
+
+// FoldedBy reports how many events each owner has completed folded into
+// another's dispatch (Fold), indexed by Owner. None of them counts in
+// Dispatched.
+func (v *Virtual) FoldedBy() [NumOwners]uint64 {
+	return v.folded
+}
+
+// Hold reports whether an event due at when, armed now, could be folded
+// (Fold) as things stand: whether it would be the next one dispatched, within
+// the horizon. If so, it records that the callback running holds that arm
+// back, to fold it or arm it before it returns; until then ScheduleJoin
+// treats the instant as holding a queued event that sorts after every seq
+// taken so far, as the armed event would. If not, the caller arms the event
+// at once. It finds the next event with the dispatcher's own min scan,
+// whose result the next dispatch reuses (next); Blocked decides most
+// refusals in O(1) before the call.
+func (v *Virtual) Hold(when time.Duration) bool {
+	if when > v.horizon {
+		return false
+	}
+	if t := v.peekMin(); t == nil || t.when <= when {
+		return false // an empty queue never folds; an event due by when runs first
+	}
+	v.heldAt, v.held = when, true
+	return true
+}
+
+// Blocked reports, in O(1) and without a look at any bucket, whether a
+// queued event is known to come before an event due at when: the hinted
+// wheel slot holds events, is not behind now's slot and is earlier than
+// when's. Then Hold(when) refuses.
+func (v *Virtual) Blocked(when time.Duration) bool {
+	h := v.wheelHint
+	return int64(when)>>wheelSlotShift > h && h >= int64(v.now)>>wheelSlotShift &&
+		v.wheelOcc[h&wheelMask>>6]&(1<<(h&63)) != 0
+}
+
+// Unhold withdraws the held arm (Hold): it is armed, or abandoned, after all.
+func (v *Virtual) Unhold() {
+	v.held = false
+}
+
+// Fold completes the held arm (Hold), owned by o and due at when, inside the
+// dispatch running, when that event would be the next one dispatched: it is
+// still due strictly earlier than every queued event, one at least being
+// queued, and Hold found it no later than the horizon of the RunUntil
+// running (any instant outside one). Then it moves the
+// clock as Step would dispatch the event — taking a seq for it first when seq
+// is set, as ScheduleBy or RescheduleBy would (an arm as of a pending wake,
+// RescheduleAs, takes none), and passing every wake due by when — counts it
+// folded, not dispatched, and reports true: the caller runs the event's work
+// itself. Otherwise it changes nothing but the hold, and reports false: the
+// caller arms the event. Either way the hold is withdrawn.
+func (v *Virtual) Fold(o Owner, when time.Duration, seq bool) bool {
+	if !v.held {
+		return false
+	}
+	v.held = false
+	if t := v.peekMin(); t == nil || t.when <= when {
+		return false
+	}
+	if seq {
+		v.seq++
+	}
+	v.passWakes(nil, when)
+	if when > v.now {
+		v.now = when
+	}
+	v.folded[o]++
+	return true
 }
 
 // Pending reports how many events are queued (reserved wakes are not
@@ -544,8 +660,9 @@ func (v *Virtual) FreeListLen() int {
 	return len(v.free)
 }
 
-// Step runs the single next event, advancing time to its deadline. It
-// reports false when the queue is empty.
+// Step runs the single next event, advancing time to its deadline, and the
+// events its callback folds (Fold), advancing time to theirs. It reports
+// false when the queue is empty.
 func (v *Virtual) Step() bool {
 	t := v.dequeueMin()
 	if t == nil {
@@ -572,14 +689,17 @@ func (v *Virtual) Step() bool {
 
 // RunUntil executes events with deadlines <= until, then advances the clock
 // to until. Events scheduled during execution are honored if they fall
-// within the horizon.
+// within the horizon, and none is folded past it (Fold).
 func (v *Virtual) RunUntil(until time.Duration) {
+	outer := v.horizon
+	v.horizon = until
 	for {
 		if t := v.peekMin(); t == nil || t.when > until {
 			v.passWakes(nil, until)
 			if v.now < until {
 				v.now = until
 			}
+			v.horizon = outer
 			return
 		}
 		v.Step()
@@ -645,6 +765,9 @@ func (v *Virtual) wheelSlotFor(when time.Duration) int64 {
 
 // enqueue places t (when/seq already set) in the wheel or the heap.
 func (v *Virtual) enqueue(t *Timer) {
+	if n := v.next; n != nil && timerLess(t, n) {
+		v.next = t
+	}
 	if s := v.wheelSlotFor(t.when); s >= 0 {
 		v.wheelInsert(t, int(s&wheelMask))
 		return
@@ -655,6 +778,9 @@ func (v *Virtual) enqueue(t *Timer) {
 
 // unlink removes a queued t from whichever structure holds it. t.pos >= 0.
 func (v *Virtual) unlink(t *Timer) {
+	if t == v.next {
+		v.next = nil
+	}
 	if t.slot >= 0 {
 		v.wheelRemove(t)
 		return
@@ -667,6 +793,11 @@ func (v *Virtual) unlink(t *Timer) {
 // hops and wheel↔heap migrations are O(1) plus at most one sift on the heap
 // side. t.pos >= 0.
 func (v *Virtual) rearm(t *Timer) {
+	if n := v.next; t == n {
+		v.next = nil // it may have moved behind another
+	} else if n != nil && timerLess(t, n) {
+		v.next = t
+	}
 	s := v.wheelSlotFor(t.when)
 	if t.slot >= 0 {
 		if s >= 0 {
@@ -694,26 +825,31 @@ func (v *Virtual) rearm(t *Timer) {
 // peekMin reports the next event to fire — the (when, seq) minimum
 // across the wheel and the heap — without removing it, or nil when empty.
 func (v *Virtual) peekMin() *Timer {
+	if v.next != nil {
+		return v.next
+	}
 	t := v.wheelMin()
 	if len(v.queue) > 0 {
 		if h := v.queue[0]; t == nil || timerLess(h, t) {
-			return h
+			t = h
 		}
 	}
+	v.next = t
 	return t
 }
 
 // dequeueMin removes and returns the next event to fire, or nil when
 // empty.
 func (v *Virtual) dequeueMin() *Timer {
-	t := v.wheelMin()
-	if len(v.queue) > 0 {
-		if h := v.queue[0]; t == nil || timerLess(h, t) {
-			return v.heapPop()
-		}
+	t := v.peekMin()
+	if t == nil {
+		return nil
 	}
-	if t != nil {
+	v.next = nil
+	if t.slot >= 0 {
 		v.wheelRemove(t)
+	} else {
+		v.heapPop() // the heap's minimum, as the queue's
 	}
 	return t
 }
